@@ -11,7 +11,6 @@ from .attitude import (
 )
 from .core import (
     AntennaLayout,
-    FrameTag,
     RotationMatrix,
     UnitQuaternion,
     Vec3,

@@ -12,14 +12,14 @@ Davenport matrix ``K``. Weights follow baseline length: longer baselines
 carry proportionally more angular information for the same carrier-phase
 noise.
 
-The eigen solve is a fixed-size cyclic Jacobi iteration rather than a
-general-purpose library call; the RANSAC wrapper evaluates it hundreds of
-times per epoch and the 4x4 case needs no pivot heuristics, shifts, or
-workspace allocation.
+The eigen solve goes through ``numpy.linalg.eigh``. Its helpers accept a
+stack of matrices as well as a single one, so the RANSAC wrapper builds every
+two-baseline hypothesis of an epoch as one (P, 4, 4) array and solves them
+in a single call; the inlier refit and ``solve_max_eigenpair`` use the same
+path with one matrix.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -31,9 +31,6 @@ from .errors import DegenerateGeometryError, InsufficientDataError, ValidationEr
 # Distinct eigenvalues closer than this leave the maximizing quaternion
 # direction numerically undetermined.
 EIGEN_GAP_TOL = 1e-9
-
-_JACOBI_SWEEPS = 50
-_JACOBI_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -117,94 +114,48 @@ def davenport_matrix(
     a = np.asarray(weights, dtype=np.float64)
     vs /= np.linalg.norm(vs, axis=1)[:, None]
     ws /= np.linalg.norm(ws, axis=1)[:, None]
-    return _davenport_k(vs, ws, a)
+    return _davenport_k((ws * a[:, None]).T @ vs)
 
 
-def _davenport_k(vs_hat: np.ndarray, ws_hat: np.ndarray, a: np.ndarray) -> np.ndarray:
-    b = (ws_hat * a[:, None]).T @ vs_hat
-    tr = b[0, 0] + b[1, 1] + b[2, 2]
-    k = np.empty((4, 4), dtype=np.float64)
-    k[:3, :3] = b + b.T
-    k[0, 0] -= tr
-    k[1, 1] -= tr
-    k[2, 2] -= tr
+def _davenport_k(b: np.ndarray) -> np.ndarray:
+    """Davenport matrices from attitude profile matrices ``B = sum_i a_i w_i v_i^T``.
+
+    Works on a single (3, 3) ``B`` or a stack of shape (..., 3, 3).
+    """
+    tr = b[..., 0, 0] + b[..., 1, 1] + b[..., 2, 2]
+    k = np.empty(b.shape[:-2] + (4, 4), dtype=np.float64)
+    k[..., :3, :3] = b + np.swapaxes(b, -1, -2)
+    for i in range(3):
+        k[..., i, i] -= tr
     # Off-diagonal sign makes q^T K q the gain under the rotation convention
     # R(q) v rather than the transposed (frame-transform) convention.
-    z0 = b[2, 1] - b[1, 2]
-    z1 = b[0, 2] - b[2, 0]
-    z2 = b[1, 0] - b[0, 1]
-    k[0, 3] = k[3, 0] = z0
-    k[1, 3] = k[3, 1] = z1
-    k[2, 3] = k[3, 2] = z2
-    k[3, 3] = tr
+    z = np.stack(
+        (b[..., 2, 1] - b[..., 1, 2], b[..., 0, 2] - b[..., 2, 0], b[..., 1, 0] - b[..., 0, 1]),
+        axis=-1,
+    )
+    k[..., :3, 3] = z
+    k[..., 3, :3] = z
+    k[..., 3, 3] = tr
     return k
 
 
-def _jacobi_eigh4(rows: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """Cyclic Jacobi diagonalization of a symmetric 4x4 matrix.
+def _dominant_eigenpairs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top eigenvalue, its eigenvector and the gap to the runner-up.
 
-    Returns eigenvalues and eigenvector columns (``vecs[r][c]`` is row r of
-    eigenvector c). Plain-float inner loops: this sits inside the RANSAC
-    hypothesis loop where array dispatch overhead dominates at this size.
+    ``k`` is one symmetric 4x4 matrix or a stack of shape (..., 4, 4); the
+    whole stack goes through a single LAPACK call.
     """
-    a = [list(map(float, row)) for row in rows]
-    v = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
-    scale = max(1.0, max(abs(a[i][j]) for i in range(4) for j in range(4)))
-    stop = (1e-15 * scale) ** 2
-    for _ in range(_JACOBI_SWEEPS):
-        off = 0.0
-        for p, q in _JACOBI_PAIRS:
-            off += a[p][q] * a[p][q]
-        if off <= stop:
-            break
-        for p, q in _JACOBI_PAIRS:
-            apq = a[p][q]
-            if apq == 0.0:
-                continue
-            theta = 0.5 * (a[q][q] - a[p][p]) / apq
-            t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            if theta < 0.0:
-                t = -t
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            tau = s / (1.0 + c)
-            app = a[p][p]
-            aqq = a[q][q]
-            a[p][p] = app - t * apq
-            a[q][q] = aqq + t * apq
-            a[p][q] = 0.0
-            a[q][p] = 0.0
-            for r in range(4):
-                if r == p or r == q:
-                    continue
-                arp = a[r][p]
-                arq = a[r][q]
-                a[r][p] = arp - s * (arq + tau * arp)
-                a[p][r] = a[r][p]
-                a[r][q] = arq + s * (arp - tau * arq)
-                a[q][r] = a[r][q]
-            for r in range(4):
-                vrp = v[r][p]
-                vrq = v[r][q]
-                v[r][p] = vrp - s * (vrq + tau * vrp)
-                v[r][q] = vrq + s * (vrp - tau * vrq)
-    vals = [a[0][0], a[1][1], a[2][2], a[3][3]]
-    return vals, v
+    vals, vecs = np.linalg.eigh(k)
+    return vals[..., 3], vecs[..., :, 3], vals[..., 3] - vals[..., 2]
 
 
-def _max_eigenpair_raw(
-    rows: list[list[float]],
-) -> tuple[float, tuple[float, float, float, float]]:
-    vals, vecs = _jacobi_eigh4(rows)
-    order = sorted(range(4), key=lambda i: vals[i], reverse=True)
-    top = order[0]
-    gap = vals[top] - vals[order[1]]
+def _max_eigenpair(k: np.ndarray) -> tuple[float, np.ndarray]:
+    lam, q, gap = _dominant_eigenpairs(k)
     if gap < EIGEN_GAP_TOL:
         raise DegenerateGeometryError(
             f"dominant eigenvalue separated by only {gap:.3e}; geometry is degenerate"
         )
-    q = (vecs[0][top], vecs[1][top], vecs[2][top], vecs[3][top])
-    return vals[top], q
+    return float(lam), q
 
 
 def solve_max_eigenpair(k: np.ndarray) -> tuple[float, UnitQuaternion]:
@@ -219,9 +170,8 @@ def solve_max_eigenpair(k: np.ndarray) -> tuple[float, UnitQuaternion]:
         raise ValidationError("K must be 4x4")
     if not np.allclose(k, k.T, atol=1e-9 * max(1.0, float(np.max(np.abs(k))))):
         raise ValidationError("K must be symmetric")
-    k = 0.5 * (k + k.T)
-    lam, q = _max_eigenpair_raw(k.tolist())
-    return lam, UnitQuaternion.from_array(np.array(q))
+    lam, q = _max_eigenpair(0.5 * (k + k.T))
+    return lam, UnitQuaternion.from_array(q)
 
 
 def estimate_attitude(observations: Iterable[VectorObservation]) -> AttitudeSolution:
@@ -235,8 +185,8 @@ def estimate_attitude(observations: Iterable[VectorObservation]) -> AttitudeSolu
         raise InsufficientDataError("attitude needs at least 2 fixed baseline observations")
     weights = baseline_weights(fixed)
     k = davenport_matrix(fixed, weights)
-    lam, q_be = _max_eigenpair_raw(k.tolist())
-    q_eb = UnitQuaternion.from_array(np.array((-q_be[0], -q_be[1], -q_be[2], q_be[3])))
+    lam, q_be = _max_eigenpair(k)
+    q_eb = UnitQuaternion.from_array(q_be * np.array((-1.0, -1.0, -1.0, 1.0)))
     return AttitudeSolution(
         available=True,
         q=q_eb,

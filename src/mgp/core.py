@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,13 +20,6 @@ from .errors import ValidationError
 
 UNIT_NORM_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-9
-
-
-class FrameTag(Enum):
-    """Coordinate frame of a vector-valued record."""
-
-    ENU = "ENU"
-    BODY = "BODY"
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,8 @@ class UnitQuaternion:
 
     def __post_init__(self) -> None:
         n = math.sqrt(self.qx**2 + self.qy**2 + self.qz**2 + self.qw**2)
-        if abs(n - 1.0) > UNIT_NORM_TOL:
+        # Negated so a non-finite component (NaN norm) fails the check too.
+        if not abs(n - 1.0) <= UNIT_NORM_TOL:
             raise ValidationError(f"quaternion norm {n!r} is not 1 within {UNIT_NORM_TOL}")
 
     @classmethod

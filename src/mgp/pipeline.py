@@ -202,10 +202,24 @@ def _attitude_stage(
     return result.solution, result.outlier_pairs
 
 
+def _check_antenna_ids(epoch: EpochRecord, layout: AntennaLayout) -> None:
+    n = layout.antenna_count
+    ids = [f.antenna_id for f in epoch.fixes]
+    ids += [a for o in epoch.baselines for a in o.antenna_pair]
+    for i in ids:
+        if not 1 <= i <= n:
+            raise ValidationError(f"antenna {i} has no layout entry (layout has {n})")
+
+
 def process_epoch(
     epoch: EpochRecord, config: PipelineConfig, epoch_index: int = 0
 ) -> EpochResult:
-    """Run one epoch through detection, feedback, attitude and position."""
+    """Run one epoch through detection, feedback, attitude and position.
+
+    Raises ValidationError for an epoch naming an antenna the layout lacks,
+    so ``run`` skips that epoch instead of aborting the stream.
+    """
+    _check_antenna_ids(epoch, config.layout)
     subset = set(config.antenna_subset) if config.antenna_subset is not None else None
     col_idxs = [i - 1 for i in config.active_antennas]
     fixes = list(epoch.fixes)

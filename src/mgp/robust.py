@@ -9,7 +9,10 @@ reported as outliers directly.
 
 Sampling is deterministic for a given seed: hypothesis draws come from one
 ``numpy`` Generator in a fixed order, and degenerate (near-collinear) pairs
-consume resample budget without consuming iterations.
+consume resample budget without consuming iterations. The search runs as
+array operations per epoch: the whole draw budget in one call, the accept
+rules replayed on the drawn arrays, one stacked eigen solve over the distinct
+accepted pairs and one (P, m, 3) residual evaluation to score them all.
 """
 from __future__ import annotations
 
@@ -19,9 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attitude import (
+    EIGEN_GAP_TOL,
     AttitudeSolution,
     VectorObservation,
-    _max_eigenpair_raw,
+    _davenport_k,
+    _dominant_eigenpairs,
     estimate_attitude,
 )
 from .core import UnitQuaternion, rotate
@@ -83,52 +88,23 @@ def baseline_residual(obs: VectorObservation, q_eb: UnitQuaternion) -> float:
     return (obs.v - predicted).norm()
 
 
-def _davenport_k2(
-    v0: tuple[float, float, float],
-    w0: tuple[float, float, float],
-    a0: float,
-    v1: tuple[float, float, float],
-    w1: tuple[float, float, float],
-    a1: float,
-) -> list[list[float]]:
-    """Two-observation Davenport matrix without array dispatch overhead."""
-    b00 = a0 * w0[0] * v0[0] + a1 * w1[0] * v1[0]
-    b01 = a0 * w0[0] * v0[1] + a1 * w1[0] * v1[1]
-    b02 = a0 * w0[0] * v0[2] + a1 * w1[0] * v1[2]
-    b10 = a0 * w0[1] * v0[0] + a1 * w1[1] * v1[0]
-    b11 = a0 * w0[1] * v0[1] + a1 * w1[1] * v1[1]
-    b12 = a0 * w0[1] * v0[2] + a1 * w1[1] * v1[2]
-    b20 = a0 * w0[2] * v0[0] + a1 * w1[2] * v1[0]
-    b21 = a0 * w0[2] * v0[1] + a1 * w1[2] * v1[1]
-    b22 = a0 * w0[2] * v0[2] + a1 * w1[2] * v1[2]
-    tr = b00 + b11 + b22
-    z0 = b21 - b12
-    z1 = b02 - b20
-    z2 = b10 - b01
-    return [
-        [2.0 * b00 - tr, b01 + b10, b02 + b20, z0],
-        [b01 + b10, 2.0 * b11 - tr, b12 + b21, z1],
-        [b02 + b20, b12 + b21, 2.0 * b22 - tr, z2],
-        [z0, z1, z2, tr],
-    ]
+def _rotations_eb(q_be: np.ndarray) -> np.ndarray:
+    """Body->ENU rotations (P, 3, 3) from raw ENU->body eigenvectors (P, 4).
 
-
-def _rot_be_from_raw(q: tuple[float, float, float, float]) -> np.ndarray:
-    """Body->ENU rotation from a raw ENU->body eigenvector (transpose of R(q))."""
-    x, y, z, w = q
-    n = math.sqrt(x * x + y * y + z * z + w * w)
-    x, y, z, w = x / n, y / n, z / n, w / n
+    Each matrix is the transpose of R(q), so sign and scale of ``q`` are free.
+    """
+    x, y, z, w = (q_be / np.linalg.norm(q_be, axis=1)[:, None]).T
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    # R(q) maps ENU->body here; return its transpose (body->ENU).
-    return np.array(
-        [
-            [1.0 - 2.0 * (yy + zz), 2.0 * (xy + wz), 2.0 * (xz - wy)],
-            [2.0 * (xy - wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz + wx)],
-            [2.0 * (xz + wy), 2.0 * (yz - wx), 1.0 - 2.0 * (xx + yy)],
-        ]
-    )
+    return np.stack(
+        (
+            1.0 - 2.0 * (yy + zz), 2.0 * (xy + wz), 2.0 * (xz - wy),
+            2.0 * (xy - wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz + wx),
+            2.0 * (xz + wy), 2.0 * (yz - wx), 1.0 - 2.0 * (xx + yy),
+        ),
+        axis=-1,
+    ).reshape(-1, 3, 3)
 
 
 def ransac_attitude(
@@ -137,8 +113,8 @@ def ransac_attitude(
     """Consensus attitude over baseline observations.
 
     Raises InsufficientDataError when fewer than two fixed observations
-    exist, and DegenerateGeometryError when every sampled pair within the
-    resample budget was near-collinear.
+    exist, and DegenerateGeometryError when no sampled pair within the
+    resample budget could be scored.
     """
     if len(observations) < params.min_sample:
         raise InsufficientDataError("RANSAC needs at least 2 baseline observations")
@@ -147,70 +123,63 @@ def ransac_attitude(
     if m < params.min_sample:
         raise InsufficientDataError("RANSAC needs at least 2 fixed baseline observations")
 
-    vs = np.array([o.v.as_array() for o in candidates])
-    ws = np.array([o.w.as_array() for o in candidates])
-    v_len = np.linalg.norm(vs, axis=1)
+    vs = np.array([(o.v.x, o.v.y, o.v.z) for o in candidates])
+    ws = np.array([(o.w.x, o.w.y, o.w.z) for o in candidates])
     w_len = np.linalg.norm(ws, axis=1)
-    vs_hat = vs / v_len[:, None]
+    vs_hat = vs / np.linalg.norm(vs, axis=1)[:, None]
     ws_hat = ws / w_len[:, None]
-    vs_t = [tuple(map(float, row)) for row in vs_hat]
-    ws_t = [tuple(map(float, row)) for row in ws_hat]
-    wl_t = [float(x) for x in w_len]
-    min_cross = math.sin(math.radians(MIN_PAIR_ANGLE_DEG))
 
+    # One draw of the whole budget yields the same (i, j) sequence as drawing
+    # i then j per attempt; the accept rules then replay on the arrays.
     rng = np.random.default_rng(params.seed)
     budget = RESAMPLE_BUDGET_FACTOR * params.max_iterations
-    cache: dict[tuple[int, int], tuple[np.ndarray, int, float]] = {}
-    best: tuple[int, float, np.ndarray] | None = None
-    iterations = 0
-    draws = 0
-    while iterations < params.max_iterations and draws < budget:
-        draws += 1
-        i = int(rng.integers(0, m))
-        j = int(rng.integers(0, m))
-        if i == j:
-            continue
-        wi = ws_t[i]
-        wj = ws_t[j]
-        cx = wi[1] * wj[2] - wi[2] * wj[1]
-        cy = wi[2] * wj[0] - wi[0] * wj[2]
-        cz = wi[0] * wj[1] - wi[1] * wj[0]
-        if math.sqrt(cx * cx + cy * cy + cz * cz) < min_cross:
-            continue
-        iterations += 1
-        key = (i, j) if i < j else (j, i)
-        hit = cache.get(key)
-        if hit is None:
-            p0, p1 = key
-            a0 = wl_t[p0] / (wl_t[p0] + wl_t[p1])
-            k4 = _davenport_k2(
-                vs_t[p0], ws_t[p0], a0,
-                vs_t[p1], ws_t[p1], 1.0 - a0,
-            )
-            try:
-                _, q_raw = _max_eigenpair_raw(k4)
-            except DegenerateGeometryError:
-                # Angle screening above makes this unreachable in practice;
-                # treat it as a wasted iteration with no consensus.
-                cache[key] = (np.zeros(m, dtype=bool), 0, math.inf)
-                continue
-            r_eb = _rot_be_from_raw(q_raw)
-            res = np.linalg.norm(vs - ws @ r_eb.T, axis=1)
-            mask = res <= params.inlier_threshold_m
-            hit = (mask, int(mask.sum()), float(res[mask].sum()))
-            cache[key] = hit
-        mask, count, sres = hit
-        if best is None or count > best[0] or (count == best[0] and sres < best[1]):
-            best = (count, sres, mask)
-
-    if best is None:
+    draws = rng.integers(0, m, size=2 * budget).reshape(budget, 2)
+    wi = ws_hat[draws[:, 0]]
+    wj = ws_hat[draws[:, 1]]
+    cx = wi[:, 1] * wj[:, 2] - wi[:, 2] * wj[:, 1]
+    cy = wi[:, 2] * wj[:, 0] - wi[:, 0] * wj[:, 2]
+    cz = wi[:, 0] * wj[:, 1] - wi[:, 1] * wj[:, 0]
+    accept = (draws[:, 0] != draws[:, 1]) & (
+        np.sqrt(cx * cx + cy * cy + cz * cz) >= math.sin(math.radians(MIN_PAIR_ANGLE_DEG))
+    )
+    accepted = np.sort(draws[accept][: params.max_iterations], axis=1)
+    iterations = len(accepted)
+    if iterations == 0:
         raise DegenerateGeometryError(
             "no non-degenerate baseline pair found within the resample budget"
         )
 
-    count, _, mask = best
+    # Distinct pairs in first-seen order; repeats of a pair score the same.
+    codes, first, draw_counts = np.unique(
+        accepted[:, 0] * m + accepted[:, 1], return_index=True, return_counts=True
+    )
+    p0, p1 = np.divmod(codes[np.argsort(first)], m)
+    a0 = (w_len[p0] / (w_len[p0] + w_len[p1]))[:, None, None]
+    b = a0 * ws_hat[p0, :, None] * vs_hat[p0, None, :] + (
+        (1.0 - a0) * ws_hat[p1, :, None] * vs_hat[p1, None, :]
+    )
+    _, q_be, gap = _dominant_eigenpairs(_davenport_k(b))
+    # A pair with a degenerate eigen gap (collinear measured baselines behind
+    # well-separated body baselines) used its iteration but yields no
+    # rotation; it enters scoring with zero consensus only once drawn again.
+    solved = gap >= EIGEN_GAP_TOL
+    if not solved.any():
+        if (draw_counts < 2).all():
+            raise DegenerateGeometryError(
+                "no baseline pair with an observable rotation within the resample budget"
+            )
+        mask = np.zeros(m, dtype=bool)
+    else:
+        r_eb = _rotations_eb(q_be[solved])
+        res = np.linalg.norm(vs - ws @ r_eb.transpose(0, 2, 1), axis=2)
+        inlier = res <= params.inlier_threshold_m
+        count = inlier.sum(axis=1)
+        sres = np.where(inlier, res, 0.0).sum(axis=1)
+        # Most inliers, then smallest residual sum; ties go to the first seen.
+        mask = inlier[np.lexsort((sres, -count))[0]]
+
     all_pairs = frozenset(o.antenna_pair for o in observations)
-    if count >= params.min_inliers:
+    if int(mask.sum()) >= params.min_inliers:
         inlier_obs = [candidates[i] for i in range(m) if mask[i]]
         solution = estimate_attitude(inlier_obs)
         inliers = frozenset(o.antenna_pair for o in inlier_obs)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -327,7 +328,14 @@ def read_scan(path: str) -> Iterator[ScanFrame]:
                     for p in d["pulses"]
                 )
                 yield ScanFrame(t=float(d["t"]), pulses=pulses)
-            except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError) as exc:
+            except (
+                json.JSONDecodeError,
+                KeyError,
+                TypeError,
+                IndexError,
+                ValueError,
+                ValidationError,
+            ) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
 
 
@@ -364,6 +372,8 @@ def read_poses(path: str) -> list[PoseRow]:
                 raise InputError(f"{path}:{lineno}: expected 10 cells, got {len(cells)}")
             try:
                 t = float(cells[0])
+                if not math.isfinite(t):
+                    raise ValidationError(f"pose timestamp must be finite, got {t!r}")
                 p = None
                 if cells[1] != "":
                     p = Vec3(float(cells[1]), float(cells[2]), float(cells[3]))
@@ -381,7 +391,7 @@ def read_poses(path: str) -> list[PoseRow]:
                         att_available=cells[9] == "1",
                     )
                 )
-            except ValueError as exc:
+            except (ValueError, ValidationError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
     return rows
 

@@ -117,7 +117,7 @@ def test_gain_identity_for_arbitrary_quaternions() -> None:
 # -- eigensolver --------------------------------------------------------------
 
 
-def test_jacobi_matches_numpy_eigh() -> None:
+def test_solve_max_eigenpair_returns_dominant_eigenpair() -> None:
     rng = np.random.default_rng(37)
     for _ in range(200):
         a = rng.normal(size=(4, 4))

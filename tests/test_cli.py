@@ -156,6 +156,68 @@ def test_estimate_bad_antennas_value(tmp_path: Path, capsys) -> None:
     assert "antennas" in capsys.readouterr().err
 
 
+def test_estimate_skips_epoch_with_antenna_outside_layout(tmp_path: Path, capsys) -> None:
+    scen = _write(tmp_path / "scen.json", SCENARIO)
+    epochs = tmp_path / "epochs.jsonl"
+    main(["simulate", "--config", scen, "--out", str(epochs)])
+    lines = epochs.read_text().splitlines()
+    record = json.loads(lines[5])
+    record["truth"] = None
+    stray = next(f for f in record["fixes"] if f["status"] == "fixed")
+    record["fixes"].append({**stray, "antenna_id": 9})
+    lines[5] = json.dumps(record)
+    epochs.write_text("\n".join(lines) + "\n")
+    pipe = _write(tmp_path / "pipe.json", {})
+    metrics = tmp_path / "m.json"
+    capsys.readouterr()
+    code = main(
+        [
+            "estimate",
+            "--epochs",
+            str(epochs),
+            "--config",
+            pipe,
+            "--poses",
+            str(tmp_path / "p.csv"),
+            "--metrics",
+            str(metrics),
+        ]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "antenna 9 has no layout entry (layout has 6)" in captured.err
+    assert "processed 29 epochs (1 skipped)" in captured.out
+    m = json.loads(metrics.read_text())
+    assert (m["epochs"], m["skipped"]) == (29, 1)
+
+
+def test_georef_nan_pose_reports_path_and_line(tmp_path: Path, capsys) -> None:
+    poses = tmp_path / "poses.csv"
+    poses.write_text(
+        "t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n"
+        "0.0,1.0,2.0,30.0,0.0,0.0,0.0,1.0,6,1\n"
+        "0.1,nan,2.0,30.0,0.0,0.0,0.0,1.0,6,1\n"
+    )
+    scan = tmp_path / "scan.jsonl"
+    scan.write_text('{"format": "mgp-scan", "version": 1}\n')
+    calib = _write(tmp_path / "calib.json", {"lever_arm": [0.0, 0.0, 0.0]})
+    code = main(
+        [
+            "georef",
+            "--poses",
+            str(poses),
+            "--scan",
+            str(scan),
+            "--calib",
+            calib,
+            "--cloud",
+            str(tmp_path / "cloud.xyz"),
+        ]
+    )
+    assert code == 1
+    assert f"error: {poses}:3: Vec3 components must be finite" in capsys.readouterr().err
+
+
 def test_missing_input_exits_one(tmp_path: Path, capsys) -> None:
     pipe = _write(tmp_path / "pipe.json", {})
     code = main(

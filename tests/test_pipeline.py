@@ -271,6 +271,37 @@ def test_run_skips_epoch_level_validation_errors() -> None:
     assert result.metrics.epochs + result.metrics.skipped == len(stream)
 
 
+def test_run_skips_epoch_naming_an_antenna_outside_the_layout() -> None:
+    cfg = _scenario(duration_s=1.0)
+    epochs = list(simulate(cfg))
+    src = epochs[4]
+    stray_fix = FixSolution(
+        antenna_id=9, status=FixStatus.FIXED, p=Vec3(0.0, 0.0, 30.0), sats_used=8
+    )
+    stray_baseline = VectorObservation(
+        v=src.baselines[0].v, w=src.baselines[0].w, antenna_pair=(1, 9)
+    )
+    bad_fix = EpochRecord(
+        t=src.t, fixes=src.fixes + (stray_fix,), baselines=src.baselines,
+        snr_rows=src.snr_rows, truth=src.truth,
+    )
+    bad_baseline = EpochRecord(
+        t=epochs[5].t, fixes=epochs[5].fixes,
+        baselines=epochs[5].baselines + (stray_baseline,),
+        snr_rows=epochs[5].snr_rows, truth=epochs[5].truth,
+    )
+    with pytest.raises(ValidationError, match="antenna 9 has no layout entry"):
+        process_epoch(bad_fix, PipelineConfig())
+    stream = epochs[:4] + [bad_fix, bad_baseline] + epochs[6:]
+    result = run(iter(stream), PipelineConfig())
+    assert result.metrics.epochs == len(stream) - 2
+    assert result.metrics.skipped == 2
+    assert all("antenna 9 has no layout entry" in d for d in result.diagnostics)
+    # the subset filter does not hide the stray id either
+    result = run(iter(stream), PipelineConfig(antenna_subset=(1, 3, 5)))
+    assert result.metrics.skipped == 2
+
+
 def test_run_feedback_disabled_leaves_requery_rate_none() -> None:
     cfg = _scenario(duration_s=1.0)
     m = run(iter(simulate(cfg)), PipelineConfig(multipath_feedback=False)).metrics

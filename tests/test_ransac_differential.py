@@ -1,0 +1,371 @@
+"""Differential test: batched ``ransac_attitude`` against the scalar loop it replaced.
+
+``_scalar_ransac`` below is a test-only copy of the one-hypothesis-at-a-time
+consensus loop, with its cyclic Jacobi eigensolver and its Jacobi-based inlier
+refit. The batched implementation must reproduce its iteration count, inlier
+and outlier sets and availability exactly, and its attitude to 1e-12 rad.
+"""
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from mgp import (
+    AttitudeSolution,
+    DegenerateGeometryError,
+    InsufficientDataError,
+    PipelineConfig,
+    RansacParams,
+    RobustAttitudeResult,
+    UnitQuaternion,
+    Vec3,
+    VectorObservation,
+    baseline_weights,
+    bundled_scenario_path,
+    davenport_matrix,
+    hexagon_layout,
+    load_scenario,
+    quat_angle,
+    ransac_attitude,
+    rotate,
+    run,
+    simulate,
+)
+import mgp.pipeline
+from mgp.attitude import EIGEN_GAP_TOL
+from mgp.robust import MIN_PAIR_ANGLE_DEG, RESAMPLE_BUDGET_FACTOR
+
+LAYOUT = hexagon_layout(0.9)
+_JACOBI_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _jacobi_eigh4(rows: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    a = [list(map(float, row)) for row in rows]
+    v = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    scale = max(1.0, max(abs(a[i][j]) for i in range(4) for j in range(4)))
+    stop = (1e-15 * scale) ** 2
+    for _ in range(50):
+        off = 0.0
+        for p, q in _JACOBI_PAIRS:
+            off += a[p][q] * a[p][q]
+        if off <= stop:
+            break
+        for p, q in _JACOBI_PAIRS:
+            apq = a[p][q]
+            if apq == 0.0:
+                continue
+            theta = 0.5 * (a[q][q] - a[p][p]) / apq
+            t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            if theta < 0.0:
+                t = -t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            app = a[p][p]
+            aqq = a[q][q]
+            a[p][p] = app - t * apq
+            a[q][q] = aqq + t * apq
+            a[p][q] = 0.0
+            a[q][p] = 0.0
+            for r in range(4):
+                if r == p or r == q:
+                    continue
+                arp = a[r][p]
+                arq = a[r][q]
+                a[r][p] = arp - s * (arq + tau * arp)
+                a[p][r] = a[r][p]
+                a[r][q] = arq + s * (arp - tau * arq)
+                a[q][r] = a[r][q]
+            for r in range(4):
+                vrp = v[r][p]
+                vrq = v[r][q]
+                v[r][p] = vrp - s * (vrq + tau * vrp)
+                v[r][q] = vrq + s * (vrp - tau * vrq)
+    return [a[0][0], a[1][1], a[2][2], a[3][3]], v
+
+
+def _max_eigenpair_raw(rows: list[list[float]]) -> tuple[float, tuple[float, ...]]:
+    vals, vecs = _jacobi_eigh4(rows)
+    order = sorted(range(4), key=lambda i: vals[i], reverse=True)
+    top = order[0]
+    gap = vals[top] - vals[order[1]]
+    if gap < EIGEN_GAP_TOL:
+        raise DegenerateGeometryError(f"degenerate gap {gap:.3e}")
+    return vals[top], (vecs[0][top], vecs[1][top], vecs[2][top], vecs[3][top])
+
+
+def _davenport_k2(v0, w0, a0, v1, w1, a1) -> list[list[float]]:
+    b = [[a0 * w0[r] * v0[c] + a1 * w1[r] * v1[c] for c in range(3)] for r in range(3)]
+    tr = b[0][0] + b[1][1] + b[2][2]
+    z0 = b[2][1] - b[1][2]
+    z1 = b[0][2] - b[2][0]
+    z2 = b[1][0] - b[0][1]
+    return [
+        [2.0 * b[0][0] - tr, b[0][1] + b[1][0], b[0][2] + b[2][0], z0],
+        [b[0][1] + b[1][0], 2.0 * b[1][1] - tr, b[1][2] + b[2][1], z1],
+        [b[0][2] + b[2][0], b[1][2] + b[2][1], 2.0 * b[2][2] - tr, z2],
+        [z0, z1, z2, tr],
+    ]
+
+
+def _rot_be_from_raw(q: tuple[float, ...]) -> np.ndarray:
+    x, y, z, w = q
+    n = math.sqrt(x * x + y * y + z * z + w * w)
+    x, y, z, w = x / n, y / n, z / n, w / n
+    return np.array(
+        [
+            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y + w * z), 2.0 * (x * z - w * y)],
+            [2.0 * (x * y - w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z + w * x)],
+            [2.0 * (x * z + w * y), 2.0 * (y * z - w * x), 1.0 - 2.0 * (x * x + y * y)],
+        ]
+    )
+
+
+def _jacobi_refit(inlier_obs: list[VectorObservation]) -> AttitudeSolution:
+    weights = baseline_weights(inlier_obs)
+    k = davenport_matrix(inlier_obs, weights)
+    lam, q_be = _max_eigenpair_raw(k.tolist())
+    return AttitudeSolution(
+        available=True,
+        q=UnitQuaternion.from_array(np.array((-q_be[0], -q_be[1], -q_be[2], q_be[3]))),
+        lambda_max=lam,
+        weights_sum=sum(weights),
+        used_observations=tuple(o.antenna_pair for o in inlier_obs),
+    )
+
+
+def _scalar_ransac(observations: list[VectorObservation], params: RansacParams):
+    """The scalar consensus loop: one draw, one 4x4 solve, one scoring at a time."""
+    if len(observations) < params.min_sample:
+        raise InsufficientDataError("RANSAC needs at least 2 baseline observations")
+    candidates = [o for o in observations if o.fixed]
+    m = len(candidates)
+    if m < params.min_sample:
+        raise InsufficientDataError("RANSAC needs at least 2 fixed baseline observations")
+    vs = np.array([o.v.as_array() for o in candidates])
+    ws = np.array([o.w.as_array() for o in candidates])
+    vs_hat = vs / np.linalg.norm(vs, axis=1)[:, None]
+    w_len = np.linalg.norm(ws, axis=1)
+    ws_hat = ws / w_len[:, None]
+    vs_t = [tuple(map(float, row)) for row in vs_hat]
+    ws_t = [tuple(map(float, row)) for row in ws_hat]
+    wl_t = [float(x) for x in w_len]
+    min_cross = math.sin(math.radians(MIN_PAIR_ANGLE_DEG))
+
+    rng = np.random.default_rng(params.seed)
+    budget = RESAMPLE_BUDGET_FACTOR * params.max_iterations
+    cache: dict = {}
+    best = None
+    iterations = 0
+    draws = 0
+    while iterations < params.max_iterations and draws < budget:
+        draws += 1
+        i = int(rng.integers(0, m))
+        j = int(rng.integers(0, m))
+        if i == j:
+            continue
+        wi, wj = ws_t[i], ws_t[j]
+        cx = wi[1] * wj[2] - wi[2] * wj[1]
+        cy = wi[2] * wj[0] - wi[0] * wj[2]
+        cz = wi[0] * wj[1] - wi[1] * wj[0]
+        if math.sqrt(cx * cx + cy * cy + cz * cz) < min_cross:
+            continue
+        iterations += 1
+        key = (i, j) if i < j else (j, i)
+        hit = cache.get(key)
+        if hit is None:
+            p0, p1 = key
+            a0 = wl_t[p0] / (wl_t[p0] + wl_t[p1])
+            k4 = _davenport_k2(vs_t[p0], ws_t[p0], a0, vs_t[p1], ws_t[p1], 1.0 - a0)
+            try:
+                _, q_raw = _max_eigenpair_raw(k4)
+            except DegenerateGeometryError:
+                cache[key] = (np.zeros(m, dtype=bool), 0, math.inf)
+                continue
+            res = np.linalg.norm(vs - ws @ _rot_be_from_raw(q_raw).T, axis=1)
+            mask = res <= params.inlier_threshold_m
+            hit = (mask, int(mask.sum()), float(res[mask].sum()))
+            cache[key] = hit
+        mask, count, sres = hit
+        if best is None or count > best[0] or (count == best[0] and sres < best[1]):
+            best = (count, sres, mask)
+
+    if best is None:
+        raise DegenerateGeometryError("no scorable pair within the resample budget")
+    count, _, mask = best
+    all_pairs = frozenset(o.antenna_pair for o in observations)
+    if count >= params.min_inliers:
+        inlier_obs = [candidates[i] for i in range(m) if mask[i]]
+        solution = _jacobi_refit(inlier_obs)
+        inliers = frozenset(o.antenna_pair for o in inlier_obs)
+    else:
+        solution = AttitudeSolution.unavailable()
+        inliers = frozenset()
+    return solution, inliers, all_pairs - inliers, iterations
+
+
+def _outcome(fn, obs, params):
+    try:
+        return fn(obs, params)
+    except (DegenerateGeometryError, InsufficientDataError) as exc:
+        return type(exc)
+
+
+def _assert_same(obs: list[VectorObservation], params: RansacParams) -> None:
+    want = _outcome(_scalar_ransac, obs, params)
+    got = _outcome(ransac_attitude, obs, params)
+    if isinstance(want, type):
+        assert got is want
+        return
+    solution, inliers, outliers, iterations = want
+    assert not isinstance(got, type), got
+    assert got.iterations_used == iterations
+    assert got.inlier_pairs == inliers
+    assert got.outlier_pairs == outliers
+    assert got.solution.available == solution.available
+    if solution.available:
+        assert quat_angle(got.solution.q, solution.q) < 1e-12
+        assert got.solution.lambda_max == pytest.approx(solution.lambda_max, abs=1e-12)
+        assert got.solution.used_observations == solution.used_observations
+
+
+def _random_epoch(rng: np.random.Generator) -> list[VectorObservation]:
+    """m in 2..15 baselines of a jittered hexagon under a random attitude.
+
+    The jitter turns the hexagon's parallel baselines into near-collinear
+    pairs on either side of the MIN_PAIR_ANGLE_DEG screen.
+    """
+    jitter = rng.uniform(0.0, 0.08)
+    pos = LAYOUT.body_positions
+    ants = [p.as_array() + rng.normal(scale=jitter, size=3) for p in pos]
+    pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    m = int(rng.integers(2, 16))
+    chosen = [pairs[int(k)] for k in rng.choice(len(pairs), size=m, replace=False)]
+    q = UnitQuaternion.from_array(rng.normal(size=4))
+    noise = rng.choice([0.0, 0.002, 0.005, 0.01])
+    p_wrong = rng.uniform(0.0, 0.4)
+    p_float = rng.uniform(0.0, 0.2)
+    out = []
+    for i, j in chosen:
+        w = Vec3.from_array(ants[j - 1] - ants[i - 1])
+        v = rotate(q, w).as_array() + rng.normal(scale=noise, size=3)
+        if rng.random() < p_wrong:
+            d = rng.normal(size=3)
+            v = v + rng.uniform(0.1, 0.6) * d / np.linalg.norm(d)
+        fixed = bool(rng.random() >= p_float)
+        out.append(VectorObservation(v=Vec3.from_array(v), w=w, antenna_pair=(i, j), fixed=fixed))
+    return out
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_batched_matches_scalar_on_random_epochs(block: int) -> None:
+    rng = np.random.default_rng(1000 + block)
+    for _ in range(50):
+        obs = _random_epoch(rng)
+        params = RansacParams(
+            max_iterations=int(rng.choice([1, 2, 3, 7, 17, 40, 100])),
+            inlier_threshold_m=float(rng.choice([0.02, 0.05, 0.1])),
+            min_inliers=int(rng.integers(2, 6)),
+            seed=int(rng.integers(0, 2**32)),
+        )
+        _assert_same(obs, params)
+
+
+def test_batched_draw_reproduces_scalar_integer_sequence() -> None:
+    for m in range(2, 16):
+        for seed in range(40):
+            scalar = np.random.default_rng(seed)
+            want = [int(scalar.integers(0, m)) for _ in range(400)]
+            got = np.random.default_rng(seed).integers(0, m, size=400).tolist()
+            assert got == want
+
+
+def test_exact_tie_goes_to_the_first_seen_pair() -> None:
+    # Two disjoint consensus sets of equal size, each fitted exactly (zero
+    # residual sum) by its own rotation: identity and a half turn about up.
+    ws = [LAYOUT.baseline(1, 2), LAYOUT.baseline(1, 3), LAYOUT.baseline(1, 5)]
+    ident = [VectorObservation(v=w, w=w, antenna_pair=(1, k + 2)) for k, w in enumerate(ws)]
+    flipped = [
+        VectorObservation(v=Vec3(-w.x, -w.y, w.z), w=w, antenna_pair=(2, k + 3))
+        for k, w in enumerate(ws)
+    ]
+    obs = ident + flipped
+    winners = set()
+    for seed in range(40):
+        params = RansacParams(min_inliers=3, seed=seed)
+        _assert_same(obs, params)
+        winners.add(ransac_attitude(obs, params).inlier_pairs)
+    assert winners == {frozenset(o.antenna_pair for o in ident),
+                       frozenset(o.antenna_pair for o in flipped)}
+
+
+def _collinear_v_obs(extra: tuple[VectorObservation, ...] = ()) -> list[VectorObservation]:
+    # Two well-separated body baselines measured along one ENU direction: the
+    # pair passes the angle screen but its rotation about that direction is
+    # unobservable, so the eigen gap is degenerate.
+    obs = [
+        VectorObservation(v=Vec3(1.0, 0.0, 0.0), w=Vec3(1.0, 0.0, 0.0), antenna_pair=(1, 2)),
+        VectorObservation(v=Vec3(2.0, 0.0, 0.0), w=Vec3(0.0, 1.0, 0.0), antenna_pair=(1, 3)),
+    ]
+    return obs + list(extra)
+
+
+def test_degenerate_gap_pair_counts_as_iteration_without_consensus() -> None:
+    obs = _collinear_v_obs()
+    # drawn once: nothing was scored, so the epoch raises
+    with pytest.raises(DegenerateGeometryError):
+        ransac_attitude(obs, RansacParams(max_iterations=1))
+    # drawn again: the pair is scored with zero consensus, so the epoch is
+    # unavailable rather than raising; every draw was an iteration
+    res = ransac_attitude(obs, RansacParams(max_iterations=5))
+    assert res.iterations_used == 5
+    assert not res.solution.available
+    assert res.outlier_pairs == frozenset({(1, 2), (1, 3)})
+    for n in (1, 2, 5):
+        _assert_same(obs, RansacParams(max_iterations=n))
+
+
+def test_degenerate_gap_pair_loses_to_any_solved_pair() -> None:
+    q = UnitQuaternion.from_array([0.1, -0.2, 0.3, 0.9])
+    ws = [Vec3(0.0, 0.0, 1.0), Vec3(1.0, 1.0, 0.0), Vec3(-1.0, 0.5, 0.2)]
+    good = [
+        VectorObservation(v=rotate(q, w), w=w, antenna_pair=(2, k + 4))
+        for k, w in enumerate(ws)
+    ]
+    obs = _collinear_v_obs(tuple(good))
+    for seed in range(20):
+        params = RansacParams(max_iterations=30, min_inliers=3, seed=seed)
+        res = ransac_attitude(obs, params)
+        assert res.iterations_used == 30
+        assert res.solution.available
+        assert quat_angle(res.solution.q, q) < 1e-9
+        _assert_same(obs, params)
+
+
+@pytest.mark.parametrize(
+    "scenario, subset", [("multipath", None), ("fixrate", None), ("fixrate", (1, 3, 5))]
+)
+def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset) -> None:
+    cfg = load_scenario(bundled_scenario_path(scenario))
+    epochs = list(simulate(dataclasses.replace(cfg, duration_s=15.0)))
+    config = PipelineConfig(antenna_subset=subset)
+    batched = run(iter(epochs), config)
+
+    def scalar(observations, params):
+        solution, inliers, outliers, iterations = _scalar_ransac(observations, params)
+        return RobustAttitudeResult(solution, inliers, outliers, iterations)
+
+    monkeypatch.setattr(mgp.pipeline, "ransac_attitude", scalar)
+    reference = run(iter(epochs), config)
+    assert batched.metrics.to_json_dict() == reference.metrics.to_json_dict()
+    assert len(batched.pose_rows) == len(reference.pose_rows) == 150
+    for got, want in zip(batched.pose_rows, reference.pose_rows):
+        assert (got.t, got.n_fix, got.att_available) == (want.t, want.n_fix, want.att_available)
+        assert (got.q is None) == (want.q is None) and (got.p is None) == (want.p is None)
+        if want.q is not None:
+            assert quat_angle(got.q, want.q) < 1e-12
+        if want.p is not None:
+            assert (got.p - want.p).norm() < 1e-12

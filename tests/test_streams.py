@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,17 @@ def test_read_scan_rejects_wrong_header_and_bad_rows(tmp_path: Path) -> None:
         list(read_scan(str(path)))
 
 
+def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
+    path = tmp_path / "s.jsonl"
+    path.write_text(
+        '{"format": "mgp-scan", "version": 1}\n'
+        '{"t": 0.0, "pulses": [[0.0, 1.0, 2.0, 3.0, 0]]}\n'
+        '{"t": 0.1, "pulses": [[0.1, NaN, 2.0, 3.0, 0]]}\n'
+    )
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: Vec3 components must be finite"):
+        list(read_scan(str(path)))
+
+
 # -- pose CSV -----------------------------------------------------------------------
 
 
@@ -244,6 +256,24 @@ def test_pose_csv_rejects_bad_files(tmp_path: Path) -> None:
         read_poses(str(path))
     path.write_text("t,E,N,U,qx,qy,qz,qw,n_fix,att_available\nx,,,,,,,,0,0\n")
     with pytest.raises(InputError):
+        read_poses(str(path))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.0,nan,2.0,3.0,0.0,0.0,0.0,1.0,6,1", "Vec3 components must be finite"),
+        ("0.0,1.0,2.0,3.0,0.0,nan,0.0,1.0,6,1", "quaternion norm nan"),
+        ("nan,1.0,2.0,3.0,0.0,0.0,0.0,1.0,6,1", "pose timestamp must be finite"),
+    ],
+)
+def test_read_poses_non_finite_cell_names_path_and_line(
+    tmp_path: Path, row: str, message: str
+) -> None:
+    path = tmp_path / "p.csv"
+    good = "0.1,1.0,2.0,3.0,0.0,0.0,0.0,1.0,6,1"
+    path.write_text(f"t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n{good}\n{row}\n")
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {message}"):
         read_poses(str(path))
 
 
