@@ -2,7 +2,7 @@
 
 Stage order per epoch: (1) multipath detection on the SNR rows, (2) optional
 fix re-query with the excluded satellites removed (simulated streams only),
-(3) RANSAC attitude from the fixed baselines, (4) hybrid position using that
+(3) consensus attitude from the fixed baselines, (4) hybrid position using that
 attitude. Per-antenna fix rates and the plain hybrid fix rate are always
 computed from the observed (pre-feedback) statuses so the feedback gain
 stays visible next to them.
@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
-
-import numpy as np
 
 from .attitude import AttitudeSolution, VectorObservation
 from .core import AntennaLayout, euler_from_quat, hexagon_layout
@@ -108,15 +106,10 @@ def pipeline_config_from_dict(d: dict[str, Any]) -> PipelineConfig:
             kwargs["layout"] = _layout_from(d["layout"])
         if "ransac" in d:
             r = d["ransac"]
-            _check_keys(
-                r,
-                {"min_sample", "max_iterations", "inlier_threshold_m", "min_inliers", "seed"},
-                "ransac",
-            )
+            _check_keys(r, {"inlier_threshold_m", "min_inliers"}, "ransac")
             rk: dict[str, Any] = {}
-            for key in ("min_sample", "max_iterations", "min_inliers", "seed"):
-                if key in r:
-                    rk[key] = int(r[key])
+            if "min_inliers" in r:
+                rk["min_inliers"] = int(r["min_inliers"])
             if "inlier_threshold_m" in r:
                 rk["inlier_threshold_m"] = float(r["inlier_threshold_m"])
             kwargs["ransac"] = RansacParams(**rk)
@@ -171,10 +164,6 @@ def _filter_subset(
 def _subset_snr(rows: list[SnrRow], idxs: list[int]) -> list[SnrRow]:
     out = []
     for row in rows:
-        if any(i >= len(row.snr_dbhz) for i in idxs):
-            raise ValidationError(
-                f"SNR row {row.sat_id} is shorter than the antenna selection"
-            )
         vals = tuple(row.snr_dbhz[i] for i in idxs)
         if all(v is None for v in vals):
             continue
@@ -183,7 +172,7 @@ def _subset_snr(rows: list[SnrRow], idxs: list[int]) -> list[SnrRow]:
 
 
 def _attitude_stage(
-    baselines: list[VectorObservation], config: PipelineConfig, epoch_index: int
+    baselines: list[VectorObservation], config: PipelineConfig
 ) -> tuple[AttitudeSolution, frozenset[tuple[int, int]]]:
     fixed = [o for o in baselines if o.fixed]
     if len(fixed) < config.attitude_min_baselines:
@@ -191,10 +180,7 @@ def _attitude_stage(
     k = len(config.active_antennas)
     max_pairs = k * (k - 1) // 2
     params = config.ransac
-    eff_min_inliers = max(params.min_sample, min(params.min_inliers, max_pairs))
-    # Decorrelate the pair sampling across epochs while keeping replays exact.
-    seed = int(np.random.SeedSequence((params.seed, epoch_index)).generate_state(1)[0])
-    params = replace(params, min_inliers=eff_min_inliers, seed=seed)
+    params = replace(params, min_inliers=max(2, min(params.min_inliers, max_pairs)))
     try:
         result = ransac_attitude(fixed, params)
     except (InsufficientDataError, DegenerateGeometryError):
@@ -209,15 +195,19 @@ def _check_antenna_ids(epoch: EpochRecord, layout: AntennaLayout) -> None:
     for i in ids:
         if not 1 <= i <= n:
             raise ValidationError(f"antenna {i} has no layout entry (layout has {n})")
+    for row in epoch.snr_rows:
+        if len(row.snr_dbhz) != n:
+            raise ValidationError(
+                f"SNR row {row.sat_id} has {len(row.snr_dbhz)} columns (layout has {n})"
+            )
 
 
-def process_epoch(
-    epoch: EpochRecord, config: PipelineConfig, epoch_index: int = 0
-) -> EpochResult:
+def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
     """Run one epoch through detection, feedback, attitude and position.
 
-    Raises ValidationError for an epoch naming an antenna the layout lacks,
-    so ``run`` skips that epoch instead of aborting the stream.
+    Raises ValidationError for an epoch naming an antenna the layout lacks or
+    holding an SNR row whose width differs from the layout, so ``run`` skips
+    that epoch instead of aborting the stream.
     """
     _check_antenna_ids(epoch, config.layout)
     subset = set(config.antenna_subset) if config.antenna_subset is not None else None
@@ -243,7 +233,7 @@ def process_epoch(
         if subset is not None:
             fixes, baselines = _filter_subset(fixes, baselines, subset)
 
-    attitude, outliers = _attitude_stage(baselines, config, epoch_index)
+    attitude, outliers = _attitude_stage(baselines, config)
     position = hybrid_position(
         fixes, attitude.q if attitude.available else None, config.layout
     )
@@ -380,7 +370,7 @@ def run(
             diags.append(f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped")
             continue
         try:
-            result = process_epoch(epoch, config, epoch_index=idx)
+            result = process_epoch(epoch, config)
         except (ValidationError, InputError, InsufficientDataError) as exc:
             diags.append(f"epoch {idx} (t={epoch.t!r}): {exc}")
             continue

@@ -1,18 +1,18 @@
-"""RANSAC consensus wrapper around the Q-method attitude estimator.
+"""Consensus wrapper around the Q-method attitude estimator.
 
 Wrong-fix baselines are metre-level gross errors, not noise, so the plain
-weighted solve tilts under them. The wrapper samples minimal two-baseline
-subsets, scores each candidate rotation by how many full-length baselines it
-reproduces within the inlier threshold, and refits on the winning consensus
-set. Observations flagged non-fixed never enter the candidate pool; they are
-reported as outliers directly.
+weighted solve tilts under them. The wrapper solves a candidate rotation from
+every pair of fixed baselines, scores each by how many full-length baselines
+it reproduces within the inlier threshold, and refits on the winning
+consensus set. Observations flagged non-fixed never enter the candidate pool;
+they are reported as outliers directly.
 
-Sampling is deterministic for a given seed: hypothesis draws come from one
-``numpy`` Generator in a fixed order, and degenerate (near-collinear) pairs
-consume resample budget without consuming iterations. The search runs as
-array operations per epoch: the whole draw budget in one call, the accept
-rules replayed on the drawn arrays, one stacked eigen solve over the distinct
-accepted pairs and one (P, m, 3) residual evaluation to score them all.
+Six antennas give at most 15 baselines and so at most 105 pairs, few enough
+to score all of them: there is no sampling, no seed and no iteration cap, and
+the result depends only on the observations and the thresholds. The search
+runs as array operations per epoch: one stacked eigen solve over the pairs
+that pass the angle screen and one (P, m, 3) residual evaluation to score
+them all.
 """
 from __future__ import annotations
 
@@ -32,11 +32,9 @@ from .attitude import (
 from .core import UnitQuaternion, rotate
 from .errors import DegenerateGeometryError, InsufficientDataError, ValidationError
 
-# Sampled body-baseline pairs separated by less than this angle are rejected
-# as degenerate before the eigen solve.
+# Body-baseline pairs separated by less than this angle are rejected as
+# degenerate before the eigen solve.
 MIN_PAIR_ANGLE_DEG = 5.0
-# Degenerate draws are retried up to this multiple of max_iterations.
-RESAMPLE_BUDGET_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -48,23 +46,14 @@ class RansacParams:
     declared unavailable rather than trusted.
     """
 
-    min_sample: int = 2
-    max_iterations: int = 100
     inlier_threshold_m: float = 0.05
     min_inliers: int = 4
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.min_sample != 2:
-            raise ValidationError("minimal sample size is fixed at 2 baselines")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be positive")
         if not (self.inlier_threshold_m > 0.0):
             raise ValidationError("inlier_threshold_m must be positive")
-        if self.min_inliers < self.min_sample:
-            raise ValidationError("min_inliers cannot be below the sample size")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
+        if self.min_inliers < 2:
+            raise ValidationError("min_inliers cannot be below the 2-baseline pair size")
 
 
 @dataclass(frozen=True)
@@ -74,6 +63,8 @@ class RobustAttitudeResult:
     ``solution.available`` is False when the best consensus set stayed below
     ``min_inliers``. Inlier and outlier pair sets partition the input
     observations; every non-fixed observation lands in the outlier set.
+    ``iterations_used`` is the number of pair hypotheses scored: fixed
+    baseline pairs that pass the angle screen and the eigen-gap check.
     """
 
     solution: AttitudeSolution
@@ -113,14 +104,12 @@ def ransac_attitude(
     """Consensus attitude over baseline observations.
 
     Raises InsufficientDataError when fewer than two fixed observations
-    exist, and DegenerateGeometryError when no sampled pair within the
-    resample budget could be scored.
+    exist, and DegenerateGeometryError when no pair of them passes both the
+    angle screen and the eigen-gap check.
     """
-    if len(observations) < params.min_sample:
-        raise InsufficientDataError("RANSAC needs at least 2 baseline observations")
     candidates = [o for o in observations if o.fixed]
     m = len(candidates)
-    if m < params.min_sample:
+    if m < 2:
         raise InsufficientDataError("RANSAC needs at least 2 fixed baseline observations")
 
     vs = np.array([(o.v.x, o.v.y, o.v.z) for o in candidates])
@@ -129,54 +118,30 @@ def ransac_attitude(
     vs_hat = vs / np.linalg.norm(vs, axis=1)[:, None]
     ws_hat = ws / w_len[:, None]
 
-    # One draw of the whole budget yields the same (i, j) sequence as drawing
-    # i then j per attempt; the accept rules then replay on the arrays.
-    rng = np.random.default_rng(params.seed)
-    budget = RESAMPLE_BUDGET_FACTOR * params.max_iterations
-    draws = rng.integers(0, m, size=2 * budget).reshape(budget, 2)
-    wi = ws_hat[draws[:, 0]]
-    wj = ws_hat[draws[:, 1]]
-    cx = wi[:, 1] * wj[:, 2] - wi[:, 2] * wj[:, 1]
-    cy = wi[:, 2] * wj[:, 0] - wi[:, 0] * wj[:, 2]
-    cz = wi[:, 0] * wj[:, 1] - wi[:, 1] * wj[:, 0]
-    accept = (draws[:, 0] != draws[:, 1]) & (
-        np.sqrt(cx * cx + cy * cy + cz * cz) >= math.sin(math.radians(MIN_PAIR_ANGLE_DEG))
-    )
-    accepted = np.sort(draws[accept][: params.max_iterations], axis=1)
-    iterations = len(accepted)
-    if iterations == 0:
-        raise DegenerateGeometryError(
-            "no non-degenerate baseline pair found within the resample budget"
-        )
-
-    # Distinct pairs in first-seen order; repeats of a pair score the same.
-    codes, first, draw_counts = np.unique(
-        accepted[:, 0] * m + accepted[:, 1], return_index=True, return_counts=True
-    )
-    p0, p1 = np.divmod(codes[np.argsort(first)], m)
+    # Every pair in (i, j) order, minus the near-collinear body baselines.
+    p0, p1 = np.triu_indices(m, 1)
+    cross = np.linalg.norm(np.cross(ws_hat[p0], ws_hat[p1]), axis=1)
+    keep = cross >= math.sin(math.radians(MIN_PAIR_ANGLE_DEG))
+    p0, p1 = p0[keep], p1[keep]
     a0 = (w_len[p0] / (w_len[p0] + w_len[p1]))[:, None, None]
     b = a0 * ws_hat[p0, :, None] * vs_hat[p0, None, :] + (
         (1.0 - a0) * ws_hat[p1, :, None] * vs_hat[p1, None, :]
     )
     _, q_be, gap = _dominant_eigenpairs(_davenport_k(b))
     # A pair with a degenerate eigen gap (collinear measured baselines behind
-    # well-separated body baselines) used its iteration but yields no
-    # rotation; it enters scoring with zero consensus only once drawn again.
+    # well-separated body baselines) yields no rotation and is not scored.
     solved = gap >= EIGEN_GAP_TOL
-    if not solved.any():
-        if (draw_counts < 2).all():
-            raise DegenerateGeometryError(
-                "no baseline pair with an observable rotation within the resample budget"
-            )
-        mask = np.zeros(m, dtype=bool)
-    else:
-        r_eb = _rotations_eb(q_be[solved])
-        res = np.linalg.norm(vs - ws @ r_eb.transpose(0, 2, 1), axis=2)
-        inlier = res <= params.inlier_threshold_m
-        count = inlier.sum(axis=1)
-        sres = np.where(inlier, res, 0.0).sum(axis=1)
-        # Most inliers, then smallest residual sum; ties go to the first seen.
-        mask = inlier[np.lexsort((sres, -count))[0]]
+    hypotheses = int(solved.sum())
+    if hypotheses == 0:
+        raise DegenerateGeometryError("no baseline pair with an observable rotation")
+
+    r_eb = _rotations_eb(q_be[solved])
+    res = np.linalg.norm(vs - ws @ r_eb.transpose(0, 2, 1), axis=2)
+    inlier = res <= params.inlier_threshold_m
+    count = inlier.sum(axis=1)
+    sres = np.where(inlier, res, 0.0).sum(axis=1)
+    # Most inliers, then smallest residual sum; exact ties go to the first pair.
+    mask = inlier[np.lexsort((sres, -count))[0]]
 
     all_pairs = frozenset(o.antenna_pair for o in observations)
     if int(mask.sum()) >= params.min_inliers:
@@ -190,5 +155,5 @@ def ransac_attitude(
         solution=solution,
         inlier_pairs=inliers,
         outlier_pairs=all_pairs - inliers,
-        iterations_used=iterations,
+        iterations_used=hypotheses,
     )

@@ -319,6 +319,9 @@ def read_scan(path: str) -> Iterator[ScanFrame]:
                 continue
             try:
                 d = json.loads(line)
+                t = float(d["t"])
+                if not math.isfinite(t):
+                    raise ValidationError(f"frame time {t} is not finite")
                 pulses = tuple(
                     ScanPulse(
                         t=float(p[0]),
@@ -327,7 +330,10 @@ def read_scan(path: str) -> Iterator[ScanFrame]:
                     )
                     for p in d["pulses"]
                 )
-                yield ScanFrame(t=float(d["t"]), pulses=pulses)
+                for pulse in pulses:
+                    if not math.isfinite(pulse.t):
+                        raise ValidationError(f"pulse time {pulse.t} is not finite")
+                yield ScanFrame(t=t, pulses=pulses)
             except (
                 json.JSONDecodeError,
                 KeyError,

@@ -85,15 +85,14 @@ def test_antenna_subset_is_sorted_and_active() -> None:
 def test_pipeline_config_from_dict() -> None:
     cfg = pipeline_config_from_dict(
         {
-            "ransac": {"max_iterations": 50, "inlier_threshold_m": 0.04, "seed": 9},
+            "ransac": {"inlier_threshold_m": 0.04, "min_inliers": 3},
             "multipath": {"threshold_dbhz": 3.5, "min_count": 5},
             "multipath_feedback": False,
             "antenna_subset": [2, 4, 6],
         }
     )
-    assert cfg.ransac.max_iterations == 50
     assert cfg.ransac.inlier_threshold_m == 0.04
-    assert cfg.ransac.seed == 9
+    assert cfg.ransac.min_inliers == 3
     assert cfg.multipath.threshold_dbhz == 3.5
     assert cfg.multipath.min_count == 5
     assert not cfg.multipath_feedback
@@ -105,6 +104,10 @@ def test_pipeline_config_rejects_unknown_keys() -> None:
         pipeline_config_from_dict({"bogus": 1})
     with pytest.raises(ConfigurationError):
         pipeline_config_from_dict({"ransac": {"iterations": 10}})
+    # options of the former sampled search are unknown keys, not ignored
+    for stale in ("max_iterations", "seed", "min_sample"):
+        with pytest.raises(ConfigurationError, match=stale):
+            pipeline_config_from_dict({"ransac": {stale: 2}})
     with pytest.raises(ConfigurationError):
         pipeline_config_from_dict({"multipath": {"threshold": 4.0}})
 
@@ -193,9 +196,9 @@ def test_multipath_feedback_requeries_fixes() -> None:
     with_fb = PipelineConfig()
     without_fb = PipelineConfig(multipath_feedback=False)
     gained = 0
-    for idx, epoch in enumerate(simulate(cfg)):
-        r_on = process_epoch(epoch, with_fb, epoch_index=idx)
-        r_off = process_epoch(epoch, without_fb, epoch_index=idx)
+    for epoch in simulate(cfg):
+        r_on = process_epoch(epoch, with_fb)
+        r_off = process_epoch(epoch, without_fb)
         on_fixed = {f.antenna_id for f in r_on.fixes_used if f.status is FixStatus.FIXED}
         off_fixed = {f.antenna_id for f in r_off.fixes_used if f.status is FixStatus.FIXED}
         assert off_fixed <= on_fixed  # requery only promotes
@@ -391,3 +394,17 @@ def test_subset_with_short_snr_rows_skips_epoch() -> None:
     result = run(iter([epoch]), PipelineConfig(antenna_subset=(5, 6)))
     assert result.metrics.epochs == 0
     assert result.metrics.skipped == 1
+
+
+@pytest.mark.parametrize("width", [3, 7])
+def test_snr_row_width_must_match_layout(width: int) -> None:
+    # without a subset the columns of a 3-wide row on a 6-antenna layout are
+    # ambiguous, so the epoch is rejected rather than read as antennas 1-3
+    rows = (SnrRow(sat_id="G01", snr_dbhz=(45.0,) * width),)
+    epoch = EpochRecord(t=0.0, fixes=(), baselines=(), snr_rows=rows)
+    with pytest.raises(ValidationError, match=f"G01 has {width} columns"):
+        process_epoch(epoch, PipelineConfig())
+    result = run(iter([epoch]), PipelineConfig())
+    assert result.metrics.epochs == 0
+    assert result.metrics.skipped == 1
+    assert "G01" in result.diagnostics[0]

@@ -1,13 +1,15 @@
-"""Differential test: batched ``ransac_attitude`` against the scalar loop it replaced.
+"""Differential test: batched ``ransac_attitude`` against a scalar pair loop.
 
-``_scalar_ransac`` below is a test-only copy of the one-hypothesis-at-a-time
-consensus loop, with its cyclic Jacobi eigensolver and its Jacobi-based inlier
-refit. The batched implementation must reproduce its iteration count, inlier
-and outlier sets and availability exactly, and its attitude to 1e-12 rad.
+``_scalar_ransac`` below is a test-only reference that visits every fixed
+baseline pair in ``(i, j)`` order and solves and scores one hypothesis at a
+time, with a cyclic Jacobi eigensolver and a Jacobi-based inlier refit. The
+batched implementation must reproduce its hypothesis count, inlier and
+outlier sets and availability exactly, and its attitude to 1e-12 rad.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -36,7 +38,7 @@ from mgp import (
 )
 import mgp.pipeline
 from mgp.attitude import EIGEN_GAP_TOL
-from mgp.robust import MIN_PAIR_ANGLE_DEG, RESAMPLE_BUDGET_FACTOR
+from mgp.robust import MIN_PAIR_ANGLE_DEG
 
 LAYOUT = hexagon_layout(0.9)
 _JACOBI_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -138,12 +140,10 @@ def _jacobi_refit(inlier_obs: list[VectorObservation]) -> AttitudeSolution:
 
 
 def _scalar_ransac(observations: list[VectorObservation], params: RansacParams):
-    """The scalar consensus loop: one draw, one 4x4 solve, one scoring at a time."""
-    if len(observations) < params.min_sample:
-        raise InsufficientDataError("RANSAC needs at least 2 baseline observations")
+    """The scalar consensus loop: one pair, one 4x4 solve, one scoring at a time."""
     candidates = [o for o in observations if o.fixed]
     m = len(candidates)
-    if m < params.min_sample:
+    if m < 2:
         raise InsufficientDataError("RANSAC needs at least 2 fixed baseline observations")
     vs = np.array([o.v.as_array() for o in candidates])
     ws = np.array([o.w.as_array() for o in candidates])
@@ -155,46 +155,30 @@ def _scalar_ransac(observations: list[VectorObservation], params: RansacParams):
     wl_t = [float(x) for x in w_len]
     min_cross = math.sin(math.radians(MIN_PAIR_ANGLE_DEG))
 
-    rng = np.random.default_rng(params.seed)
-    budget = RESAMPLE_BUDGET_FACTOR * params.max_iterations
-    cache: dict = {}
     best = None
-    iterations = 0
-    draws = 0
-    while iterations < params.max_iterations and draws < budget:
-        draws += 1
-        i = int(rng.integers(0, m))
-        j = int(rng.integers(0, m))
-        if i == j:
-            continue
+    hypotheses = 0
+    for i, j in itertools.combinations(range(m), 2):
         wi, wj = ws_t[i], ws_t[j]
         cx = wi[1] * wj[2] - wi[2] * wj[1]
         cy = wi[2] * wj[0] - wi[0] * wj[2]
         cz = wi[0] * wj[1] - wi[1] * wj[0]
         if math.sqrt(cx * cx + cy * cy + cz * cz) < min_cross:
             continue
-        iterations += 1
-        key = (i, j) if i < j else (j, i)
-        hit = cache.get(key)
-        if hit is None:
-            p0, p1 = key
-            a0 = wl_t[p0] / (wl_t[p0] + wl_t[p1])
-            k4 = _davenport_k2(vs_t[p0], ws_t[p0], a0, vs_t[p1], ws_t[p1], 1.0 - a0)
-            try:
-                _, q_raw = _max_eigenpair_raw(k4)
-            except DegenerateGeometryError:
-                cache[key] = (np.zeros(m, dtype=bool), 0, math.inf)
-                continue
-            res = np.linalg.norm(vs - ws @ _rot_be_from_raw(q_raw).T, axis=1)
-            mask = res <= params.inlier_threshold_m
-            hit = (mask, int(mask.sum()), float(res[mask].sum()))
-            cache[key] = hit
-        mask, count, sres = hit
+        a0 = wl_t[i] / (wl_t[i] + wl_t[j])
+        k4 = _davenport_k2(vs_t[i], ws_t[i], a0, vs_t[j], ws_t[j], 1.0 - a0)
+        try:
+            _, q_raw = _max_eigenpair_raw(k4)
+        except DegenerateGeometryError:
+            continue
+        hypotheses += 1
+        res = np.linalg.norm(vs - ws @ _rot_be_from_raw(q_raw).T, axis=1)
+        mask = res <= params.inlier_threshold_m
+        count, sres = int(mask.sum()), float(res[mask].sum())
         if best is None or count > best[0] or (count == best[0] and sres < best[1]):
             best = (count, sres, mask)
 
     if best is None:
-        raise DegenerateGeometryError("no scorable pair within the resample budget")
+        raise DegenerateGeometryError("no baseline pair with an observable rotation")
     count, _, mask = best
     all_pairs = frozenset(o.antenna_pair for o in observations)
     if count >= params.min_inliers:
@@ -204,7 +188,7 @@ def _scalar_ransac(observations: list[VectorObservation], params: RansacParams):
     else:
         solution = AttitudeSolution.unavailable()
         inliers = frozenset()
-    return solution, inliers, all_pairs - inliers, iterations
+    return solution, inliers, all_pairs - inliers, hypotheses
 
 
 def _outcome(fn, obs, params):
@@ -220,9 +204,9 @@ def _assert_same(obs: list[VectorObservation], params: RansacParams) -> None:
     if isinstance(want, type):
         assert got is want
         return
-    solution, inliers, outliers, iterations = want
+    solution, inliers, outliers, hypotheses = want
     assert not isinstance(got, type), got
-    assert got.iterations_used == iterations
+    assert got.iterations_used == hypotheses
     assert got.inlier_pairs == inliers
     assert got.outlier_pairs == outliers
     assert got.solution.available == solution.available
@@ -266,40 +250,29 @@ def test_batched_matches_scalar_on_random_epochs(block: int) -> None:
     for _ in range(50):
         obs = _random_epoch(rng)
         params = RansacParams(
-            max_iterations=int(rng.choice([1, 2, 3, 7, 17, 40, 100])),
             inlier_threshold_m=float(rng.choice([0.02, 0.05, 0.1])),
             min_inliers=int(rng.integers(2, 6)),
-            seed=int(rng.integers(0, 2**32)),
         )
         _assert_same(obs, params)
-
-
-def test_batched_draw_reproduces_scalar_integer_sequence() -> None:
-    for m in range(2, 16):
-        for seed in range(40):
-            scalar = np.random.default_rng(seed)
-            want = [int(scalar.integers(0, m)) for _ in range(400)]
-            got = np.random.default_rng(seed).integers(0, m, size=400).tolist()
-            assert got == want
 
 
 def test_exact_tie_goes_to_the_first_seen_pair() -> None:
     # Two disjoint consensus sets of equal size, each fitted exactly (zero
     # residual sum) by its own rotation: identity and a half turn about up.
+    # Listed either way round, the set holding the lowest (i, j) pair wins.
     ws = [LAYOUT.baseline(1, 2), LAYOUT.baseline(1, 3), LAYOUT.baseline(1, 5)]
     ident = [VectorObservation(v=w, w=w, antenna_pair=(1, k + 2)) for k, w in enumerate(ws)]
     flipped = [
         VectorObservation(v=Vec3(-w.x, -w.y, w.z), w=w, antenna_pair=(2, k + 3))
         for k, w in enumerate(ws)
     ]
-    obs = ident + flipped
-    winners = set()
-    for seed in range(40):
-        params = RansacParams(min_inliers=3, seed=seed)
+    params = RansacParams(min_inliers=3)
+    for first, second in ((ident, flipped), (flipped, ident)):
+        obs = first + second
         _assert_same(obs, params)
-        winners.add(ransac_attitude(obs, params).inlier_pairs)
-    assert winners == {frozenset(o.antenna_pair for o in ident),
-                       frozenset(o.antenna_pair for o in flipped)}
+        for _ in range(5):
+            res = ransac_attitude(obs, params)
+            assert res.inlier_pairs == frozenset(o.antenna_pair for o in first)
 
 
 def _collinear_v_obs(extra: tuple[VectorObservation, ...] = ()) -> list[VectorObservation]:
@@ -313,22 +286,19 @@ def _collinear_v_obs(extra: tuple[VectorObservation, ...] = ()) -> list[VectorOb
     return obs + list(extra)
 
 
-def test_degenerate_gap_pair_counts_as_iteration_without_consensus() -> None:
+def test_degenerate_gap_pair_is_never_scored() -> None:
+    # Only the degenerate pair: nothing is scored, so every call raises.
     obs = _collinear_v_obs()
-    # drawn once: nothing was scored, so the epoch raises
-    with pytest.raises(DegenerateGeometryError):
-        ransac_attitude(obs, RansacParams(max_iterations=1))
-    # drawn again: the pair is scored with zero consensus, so the epoch is
-    # unavailable rather than raising; every draw was an iteration
-    res = ransac_attitude(obs, RansacParams(max_iterations=5))
-    assert res.iterations_used == 5
-    assert not res.solution.available
-    assert res.outlier_pairs == frozenset({(1, 2), (1, 3)})
-    for n in (1, 2, 5):
-        _assert_same(obs, RansacParams(max_iterations=n))
+    for params in (RansacParams(), RansacParams(min_inliers=2)):
+        for _ in range(5):
+            with pytest.raises(DegenerateGeometryError):
+                ransac_attitude(obs, params)
+        _assert_same(obs, params)
 
 
 def test_degenerate_gap_pair_loses_to_any_solved_pair() -> None:
+    # With good pairs present: every call returns the good rotation, and the
+    # degenerate pair is not counted as a hypothesis.
     q = UnitQuaternion.from_array([0.1, -0.2, 0.3, 0.9])
     ws = [Vec3(0.0, 0.0, 1.0), Vec3(1.0, 1.0, 0.0), Vec3(-1.0, 0.5, 0.2)]
     good = [
@@ -336,13 +306,14 @@ def test_degenerate_gap_pair_loses_to_any_solved_pair() -> None:
         for k, w in enumerate(ws)
     ]
     obs = _collinear_v_obs(tuple(good))
-    for seed in range(20):
-        params = RansacParams(max_iterations=30, min_inliers=3, seed=seed)
+    params = RansacParams(min_inliers=3)
+    for _ in range(5):
         res = ransac_attitude(obs, params)
-        assert res.iterations_used == 30
+        assert res.iterations_used == 9
         assert res.solution.available
         assert quat_angle(res.solution.q, q) < 1e-9
-        _assert_same(obs, params)
+        assert res.outlier_pairs == frozenset({(1, 2), (1, 3)})
+    _assert_same(obs, params)
 
 
 @pytest.mark.parametrize(
@@ -355,8 +326,8 @@ def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset)
     batched = run(iter(epochs), config)
 
     def scalar(observations, params):
-        solution, inliers, outliers, iterations = _scalar_ransac(observations, params)
-        return RobustAttitudeResult(solution, inliers, outliers, iterations)
+        solution, inliers, outliers, hypotheses = _scalar_ransac(observations, params)
+        return RobustAttitudeResult(solution, inliers, outliers, hypotheses)
 
     monkeypatch.setattr(mgp.pipeline, "ransac_attitude", scalar)
     reference = run(iter(epochs), config)

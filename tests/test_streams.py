@@ -212,6 +212,26 @@ def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
         list(read_scan(str(path)))
 
 
+@pytest.mark.parametrize(
+    "row, what",
+    [
+        ('{"t": NaN, "pulses": [[0.1, 1.0, 2.0, 3.0, 0]]}', "frame time nan"),
+        ('{"t": 0.1, "pulses": [[NaN, 1.0, 2.0, 3.0, 0]]}', "pulse time nan"),
+        ('{"t": 0.1, "pulses": [[0.1, 1.0, 2.0, 3.0, 0], [Infinity, 1.0, 2.0, 3.0, 1]]}',
+         "pulse time inf"),
+    ],
+    ids=["nan-frame-time", "nan-pulse-time", "inf-pulse-time"],
+)
+def test_read_scan_rejects_non_finite_times(tmp_path: Path, row: str, what: str) -> None:
+    path = tmp_path / "s.jsonl"
+    path.write_text(
+        '{"format": "mgp-scan", "version": 1}\n'
+        '{"t": 0.0, "pulses": [[0.0, 1.0, 2.0, 3.0, 0]]}\n' + row + "\n"
+    )
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {what} is not finite"):
+        list(read_scan(str(path)))
+
+
 # -- pose CSV -----------------------------------------------------------------------
 
 
