@@ -32,13 +32,12 @@ from .errors import (
     ValidationError,
 )
 from .mapping import (
-    GeoPoint,
+    Cloud,
     MountCalibration,
     Pose,
     ReflectorReport,
     ReflectorResult,
     ScanFrame,
-    ScanPulse,
     evaluate_reflectors,
     georeference,
     georeference_stream,

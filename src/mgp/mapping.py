@@ -10,11 +10,15 @@ is applied: a pulse with no pose within ``max_pose_gap_s`` is dropped and
 counted. Accuracy is evaluated against surveyed reflector discs by
 truth-seeded clustering: flagged returns within a fixed radius of each known
 reflector position are averaged and compared against it.
+
+Pulses and points are arrays, not one object each: a :class:`ScanFrame` holds
+(n, 4) ``[t, x, y, z]`` pulse rows and (n,) bool reflector labels, a
+:class:`Cloud` (n, 3) ENU points and (n,) bool flags.
 """
 from __future__ import annotations
 
+import io
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -29,6 +33,10 @@ from .errors import InputError, ValidationError
 DEFAULT_MAX_POSE_GAP_S = 0.06
 DEFAULT_CLUSTER_RADIUS_M = 0.5
 DEFAULT_MIN_HITS = 10
+
+# One .bin cloud record: E, N, U as little-endian float64, then the flag
+# byte; 25 bytes, unpadded (the struct layout "<dddB").
+_BIN_RECORD = np.dtype([("p", "<f8", (3,)), ("flag", "u1")])
 
 
 @dataclass(frozen=True)
@@ -52,30 +60,28 @@ class MountCalibration:
     boresight: UnitQuaternion = field(default_factory=UnitQuaternion.identity)
 
 
-@dataclass(frozen=True)
-class ScanPulse:
-    """One range return in the scanner frame; ``reflector`` is a truth label."""
-
-    t: float
-    p: Vec3
-    reflector: bool = False
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanFrame:
-    """One scanner revolution's worth of pulses."""
+    """One scanner revolution's worth of pulses.
+
+    ``pulses`` has one ``[t, x, y, z]`` row per return (pulse time, then the
+    scanner-frame point in metres); ``reflector`` is its (n,) truth label.
+    """
 
     t: float
-    pulses: tuple[ScanPulse, ...]
+    pulses: np.ndarray
+    reflector: np.ndarray
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    """A world-frame (ENU) cloud point."""
+@dataclass(frozen=True, eq=False)
+class Cloud:
+    """World-frame (ENU) points ``p`` (n, 3) and their reflector flags (n,)."""
 
-    p: Vec3
-    t: float
-    reflector_flag: bool = False
+    p: np.ndarray
+    reflector: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.p)
 
 
 @dataclass(frozen=True)
@@ -102,13 +108,12 @@ class ReflectorReport:
     unresolved: int
 
 
-def georeference(pose: Pose, calib: MountCalibration, scan_point: Vec3) -> GeoPoint:
+def georeference(pose: Pose, calib: MountCalibration, scan_point: Vec3) -> Vec3:
     """Transform one scanner-frame point to world coordinates."""
     r_eb = quat_to_matrix(pose.q).as_array()
     r_bs = quat_to_matrix(calib.boresight).as_array()
     body = calib.lever_arm.as_array() + r_bs @ scan_point.as_array()
-    world = pose.p.as_array() + r_eb @ body
-    return GeoPoint(p=Vec3.from_array(world), t=pose.t)
+    return Vec3.from_array(pose.p.as_array() + r_eb @ body)
 
 
 def georeference_stream(
@@ -116,7 +121,7 @@ def georeference_stream(
     frames: Iterable[ScanFrame],
     calib: MountCalibration,
     max_pose_gap_s: float = DEFAULT_MAX_POSE_GAP_S,
-) -> tuple[list[GeoPoint], int]:
+) -> tuple[Cloud, int]:
     """Georeference every pulse against its nearest-in-time pose.
 
     Returns the cloud and the count of pulses dropped for having no pose
@@ -130,48 +135,37 @@ def georeference_stream(
     if np.any(np.diff(times) <= 0.0):
         raise ValidationError("pose timestamps must be strictly increasing")
 
-    pulse_t: list[float] = []
-    pulse_p: list[tuple[float, float, float]] = []
-    pulse_flag: list[bool] = []
-    for frame in frames:
-        for pulse in frame.pulses:
-            pulse_t.append(pulse.t)
-            pulse_p.append((pulse.p.x, pulse.p.y, pulse.p.z))
-            pulse_flag.append(pulse.reflector)
-    if not pulse_t:
-        return [], 0
-
-    ts = np.asarray(pulse_t)
-    pts = np.asarray(pulse_p)
+    frames = list(frames)
+    pulses = np.concatenate([f.pulses for f in frames] or [np.empty((0, 4))])
+    flags = np.concatenate([f.reflector for f in frames] or [np.empty(0, dtype=bool)])
+    ts = pulses[:, 0]
     # nearest pose per pulse: candidate just below and just above
     hi = np.clip(np.searchsorted(times, ts), 0, len(times) - 1)
     lo = np.clip(hi - 1, 0, len(times) - 1)
     pick_hi = np.abs(times[hi] - ts) <= np.abs(times[lo] - ts)
     nearest = np.where(pick_hi, hi, lo)
-    gap = np.abs(times[nearest] - ts)
-    keep = gap <= max_pose_gap_s
+    keep = np.abs(times[nearest] - ts) <= max_pose_gap_s
     dropped = int((~keep).sum())
 
     r_bs = quat_to_matrix(calib.boresight).as_array()
     lever = calib.lever_arm.as_array()
-    body = pts @ r_bs.T + lever
+    body = np.ascontiguousarray(pulses[:, 1:]) @ r_bs.T + lever
 
+    # kept pulses grouped by pose, in pulse order within each group; the
+    # split's first piece ends at the first group start and is empty
+    kept = np.flatnonzero(keep)
+    by_pose = kept[np.argsort(nearest[kept], kind="stable")]
+    starts = np.flatnonzero(np.diff(nearest[by_pose], prepend=-1))
     world = np.empty_like(body)
-    for j in np.unique(nearest[keep]):
-        mask = keep & (nearest == j)
-        r_eb = quat_to_matrix(poses[j].q).as_array()
-        world[mask] = body[mask] @ r_eb.T + poses[j].p.as_array()
-
-    cloud = [
-        GeoPoint(p=Vec3(float(w[0]), float(w[1]), float(w[2])), t=float(t), reflector_flag=bool(f))
-        for w, t, f, k in zip(world, ts, pulse_flag, keep)
-        if k
-    ]
-    return cloud, dropped
+    for rows in np.split(by_pose, starts)[1:]:
+        pose = poses[nearest[rows[0]]]
+        r_eb = quat_to_matrix(pose.q).as_array()
+        world[rows] = body[rows] @ r_eb.T + pose.p.as_array()
+    return Cloud(p=world[keep], reflector=flags[keep]), dropped
 
 
 def evaluate_reflectors(
-    cloud: Sequence[GeoPoint],
+    cloud: Cloud,
     truth_reflectors: Sequence[Vec3],
     cluster_radius_m: float = DEFAULT_CLUSTER_RADIUS_M,
     min_hits: int = DEFAULT_MIN_HITS,
@@ -190,78 +184,86 @@ def evaluate_reflectors(
     if min_hits < 1:
         raise ValidationError("min_hits must be at least 1")
 
-    flagged = np.array(
-        [g.p.as_array() for g in cloud if g.reflector_flag], dtype=np.float64
-    ).reshape(-1, 3)
+    flagged = cloud.p[cloud.reflector]
     results: list[ReflectorResult] = []
-    sq_h: list[float] = []
-    sq_v: list[float] = []
     for truth in truth_reflectors:
-        if flagged.shape[0]:
-            d = flagged - truth.as_array()
-            mask = np.einsum("ij,ij->i", d, d) <= cluster_radius_m**2
-            n_hits = int(mask.sum())
-        else:
-            n_hits = 0
-        if n_hits < min_hits:
-            results.append(ReflectorResult(truth=truth, error=None, n_hits=n_hits, resolved=False))
-            continue
-        centroid = flagged[mask].mean(axis=0)
-        err = Vec3.from_array(centroid - truth.as_array())
-        results.append(ReflectorResult(truth=truth, error=err, n_hits=n_hits, resolved=True))
-        sq_h.append(err.x**2 + err.y**2)
-        sq_v.append(err.z**2)
-    rms_h = math.sqrt(sum(sq_h) / len(sq_h)) if sq_h else None
-    rms_v = math.sqrt(sum(sq_v) / len(sq_v)) if sq_v else None
+        d = flagged - truth.as_array()
+        near = flagged[np.einsum("ij,ij->i", d, d) <= cluster_radius_m**2]
+        err = None
+        if len(near) >= min_hits:
+            err = Vec3.from_array(near.mean(axis=0) - truth.as_array())
+        results.append(ReflectorResult(truth, err, len(near), resolved=err is not None))
+    errs = [r.error for r in results if r.error is not None]
+    n = len(errs)
     return ReflectorReport(
         per_reflector=tuple(results),
-        rms_horizontal_m=rms_h,
-        rms_vertical_m=rms_v,
-        unresolved=sum(1 for r in results if not r.resolved),
+        rms_horizontal_m=math.sqrt(sum(e.x**2 + e.y**2 for e in errs) / n) if n else None,
+        rms_vertical_m=math.sqrt(sum(e.z**2 for e in errs) / n) if n else None,
+        unresolved=len(results) - n,
     )
 
 
-_BIN_RECORD = struct.Struct("<dddB")
-
-
-def write_cloud(path: str | Path, cloud: Sequence[GeoPoint]) -> None:
+def write_cloud(path: str | Path, cloud: Cloud) -> None:
     """Write a cloud file; format chosen by extension (.xyz ASCII, .bin binary)."""
     path = Path(path)
     if path.suffix == ".xyz":
+        flags = cloud.reflector.astype(np.uint8).tolist()
         with open(path, "w") as fh:
-            for g in cloud:
-                fh.write(f"{g.p.x!r} {g.p.y!r} {g.p.z!r} {int(g.reflector_flag)}\n")
+            fh.writelines(
+                f"{e!r} {n!r} {u!r} {f}\n" for (e, n, u), f in zip(cloud.p.tolist(), flags)
+            )
     elif path.suffix == ".bin":
-        with open(path, "wb") as fh:
-            for g in cloud:
-                fh.write(_BIN_RECORD.pack(g.p.x, g.p.y, g.p.z, int(g.reflector_flag)))
+        rec = np.empty(len(cloud), dtype=_BIN_RECORD)
+        rec["p"], rec["flag"] = cloud.p, cloud.reflector
+        path.write_bytes(rec.tobytes())
     else:
         raise InputError(f"unsupported cloud extension {path.suffix!r} (use .xyz or .bin)")
 
 
-def read_cloud(path: str | Path) -> list[GeoPoint]:
-    """Read a cloud written by :func:`write_cloud`. Timestamps are not stored."""
+def _xyz_columns(path: Path) -> np.ndarray:
+    """The ``E N U flag`` columns of a .xyz file, one (n, 4) row per line.
+    A line that is not four numbers raises InputError naming it."""
+    text = path.read_text()
+    if not text:
+        return np.empty((0, 4))
+    try:
+        cols = np.loadtxt(io.StringIO(text), ndmin=2, comments=None)
+        if cols.shape == (text.count("\n") + (not text.endswith("\n")), 4):
+            return cols
+    except ValueError:
+        pass
+    # the bulk parse failed or skipped a blank line: name the line
+    for lineno, line in enumerate(text.splitlines(), 1):
+        try:
+            if len([float(part) for part in line.split()]) != 4:
+                raise ValueError("expected 'E N U flag'")
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+    raise InputError(f"{path}: unreadable cloud file")
+
+
+def read_cloud(path: str | Path) -> Cloud:
+    """Read a cloud written by :func:`write_cloud`. A non-finite coordinate
+    or a flag other than 0/1 raises InputError naming ``path:line`` (.xyz)
+    or ``path: record k`` (.bin, counted from 1)."""
     path = Path(path)
-    cloud: list[GeoPoint] = []
     if path.suffix == ".xyz":
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                parts = line.split()
-                if len(parts) != 4:
-                    raise InputError(f"{path}:{lineno}: expected 'E N U flag'")
-                try:
-                    e, n, u = (float(p) for p in parts[:3])
-                    flag = int(parts[3])
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from exc
-                cloud.append(GeoPoint(p=Vec3(e, n, u), t=0.0, reflector_flag=bool(flag)))
+        cols = _xyz_columns(path)
+        p, flag, where = cols[:, :3], cols[:, 3], f"{path}:"
     elif path.suffix == ".bin":
         data = path.read_bytes()
-        if len(data) % _BIN_RECORD.size:
+        if len(data) % _BIN_RECORD.itemsize:
             raise InputError(f"{path}: truncated binary cloud record")
-        for off in range(0, len(data), _BIN_RECORD.size):
-            e, n, u, flag = _BIN_RECORD.unpack_from(data, off)
-            cloud.append(GeoPoint(p=Vec3(e, n, u), t=0.0, reflector_flag=bool(flag)))
+        rec = np.frombuffer(data, dtype=_BIN_RECORD)
+        p, flag, where = rec["p"], rec["flag"], f"{path}: record "
     else:
         raise InputError(f"unsupported cloud extension {path.suffix!r} (use .xyz or .bin)")
-    return cloud
+    finite = np.isfinite(p).all(axis=1)
+    bad = np.flatnonzero(~finite | ((flag != 0) & (flag != 1)))
+    if len(bad):
+        k = bad[0]
+        what = f"non-finite point {tuple(p[k].tolist())}"
+        if finite[k]:
+            what = f"flag {flag[k]:g} is not 0 or 1"
+        raise InputError(f"{where}{k + 1}: {what}")
+    return Cloud(p=np.ascontiguousarray(p), reflector=flag == 1)

@@ -43,7 +43,7 @@ from .core import (
     quat_to_matrix,
 )
 from .errors import ConfigurationError, ValidationError
-from .mapping import MountCalibration, Pose, ScanFrame, ScanPulse
+from .mapping import MountCalibration, Pose, ScanFrame
 from .multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ, SnrRow
 from .positioning import FixSolution, FixStatus
 
@@ -390,19 +390,25 @@ def multipath_satellite_ids(config: ScenarioConfig) -> frozenset[str]:
     return frozenset(out)
 
 
-def trajectory_position(config: ScenarioConfig, t: float) -> Vec3:
+def trajectory_position(config: ScenarioConfig, t: float | np.ndarray) -> Vec3 | np.ndarray:
+    """Platform position at time ``t``: a Vec3 for a scalar time, an (n, 3)
+    array for an array of n times."""
+    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     traj = config.trajectory
+    pts = [w.as_array() for w in traj.waypoints] or [np.zeros(3)]
     if traj.kind is TrajectoryKind.STATIC:
-        return traj.waypoints[0] if traj.waypoints else Vec3(0.0, 0.0, 0.0)
-    pts = [w.as_array() for w in traj.waypoints]
-    dist = traj.speed_mps * max(0.0, t)
+        pts = pts[:1]
+    pos = np.tile(pts[-1], (len(ts), 1))
+    dist = traj.speed_mps * np.maximum(0.0, ts)
+    todo = np.ones(len(ts), dtype=bool)
     for a, b in zip(pts, pts[1:]):
         seg = float(np.linalg.norm(b - a))
-        if dist <= seg or seg == 0.0:
-            frac = 0.0 if seg == 0.0 else dist / seg
-            return Vec3.from_array(a + frac * (b - a))
-        dist -= seg
-    return Vec3.from_array(pts[-1])
+        here = todo & ((dist <= seg) | (seg == 0.0))
+        frac = np.zeros(int(here.sum())) if seg == 0.0 else dist[here] / seg
+        pos[here] = a + frac[:, None] * (b - a)
+        todo &= ~here
+        dist = dist - seg
+    return Vec3.from_array(pos[0]) if np.ndim(t) == 0 else pos
 
 
 def truth_attitude(config: ScenarioConfig, t: float) -> UnitQuaternion:
@@ -650,8 +656,9 @@ def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanF
     Each revolution sweeps a cone-angle beam across the ground plane; range
     returns are labeled with whether the (noise-free) ground intersection
     lies on a reflector disc. Positions are evaluated per pulse, attitude
-    once per frame (at the frame start). Seeded independently of the epoch
-    stream so enabling the scanner does not perturb GNSS draws.
+    once per frame (at the frame start), and a frame's pulses are computed
+    as one array. Seeded independently of the epoch stream so enabling the
+    scanner does not perturb GNSS draws.
     """
     if config.trajectory.kind is not TrajectoryKind.WAYPOINT:
         raise ConfigurationError("scan generation requires a waypoint trajectory")
@@ -678,7 +685,7 @@ def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanF
         ts = t0 + np.arange(ppr) / (scanner.spin_hz * ppr)
         noise_draw = scanner.range_noise_m * rng.standard_normal(ppr)
 
-        pos = np.array([trajectory_position(config, float(t)).as_array() for t in ts])
+        pos = trajectory_position(config, ts)
         roll, pitch, yaw = config.attitude_profile.angles_at(t0)
         r_eb = quat_to_matrix(euler_to_quat(roll, pitch, yaw)).as_array()
 
@@ -690,21 +697,11 @@ def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanF
         valid = (denom < -1e-12) & (s > 0.0) & (s <= scanner.max_range_m)
         ground = origin + s[:, None] * d_world
 
-        pulses = []
-        for i in range(ppr):
-            if not valid[i]:
-                continue
-            ge, gn = float(ground[i, 0]), float(ground[i, 1])
-            hit = any((ge - rx) ** 2 + (gn - ry) ** 2 <= r2 for rx, ry, r2 in refl)
-            r_meas = float(s[i] + noise_draw[i])
-            pulses.append(
-                ScanPulse(
-                    t=float(ts[i]),
-                    p=Vec3.from_array(d_scan[i] * r_meas),
-                    reflector=hit,
-                )
-            )
-        yield ScanFrame(t=t0, pulses=tuple(pulses))
+        hit = np.zeros(ppr, dtype=bool)
+        for rx, ry, r2 in refl:
+            hit |= (ground[:, 0] - rx) ** 2 + (ground[:, 1] - ry) ** 2 <= r2
+        rows = np.column_stack([ts, d_scan * (s + noise_draw)[:, None]])
+        yield ScanFrame(t=t0, pulses=rows[valid], reflector=hit[valid])
 
 
 def corrupt_poses(

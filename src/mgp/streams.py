@@ -5,7 +5,8 @@ Formats:
     then one epoch object per line. Field names follow the in-memory types.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line; each pulse is a compact array
-    ``[t, x, y, z, reflector01]`` in scanner-frame meters.
+    ``[t, x, y, z, reflector01]`` in scanner-frame meters; in memory a
+    :class:`ScanFrame` of (n, 4) ``[t, x, y, z]`` rows and (n,) bool flags.
   * Pose trajectory: CSV with header ``t,E,N,U,qx,qy,qz,qw,n_fix,att_available``;
     one row per processed epoch, cells left empty when the corresponding
     solution is unavailable.
@@ -24,10 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
+import numpy as np
+
 from .attitude import VectorObservation
 from .core import AntennaLayout, UnitQuaternion, Vec3, hexagon_layout
 from .errors import ConfigurationError, InputError, ValidationError
-from .mapping import MountCalibration, Pose, ScanFrame, ScanPulse
+from .mapping import MountCalibration, Pose, ScanFrame
 from .multipath import SnrRow
 from .positioning import FixSolution, FixStatus
 from .simulator import (
@@ -52,6 +55,7 @@ from .simulator import (
 EPOCH_HEADER = {"format": "mgp-epoch", "version": 1}
 SCAN_HEADER = {"format": "mgp-scan", "version": 1}
 POSE_CSV_HEADER = "t,E,N,U,qx,qy,qz,qw,n_fix,att_available"
+_PULSE_SHAPE = "each pulse must be five numbers [t, x, y, z, flag]"
 
 
 @dataclass(frozen=True)
@@ -298,13 +302,37 @@ def write_scan(path: str, frames: Iterable[ScanFrame]) -> int:
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(SCAN_HEADER) + "\n")
         for frame in frames:
-            pulses = [
-                [p.t, p.p.x, p.p.y, p.p.z, 1 if p.reflector else 0]
-                for p in frame.pulses
-            ]
+            flags = frame.reflector.astype(int).tolist()
+            pulses = [row + [flag] for row, flag in zip(frame.pulses.tolist(), flags)]
             f.write(json.dumps({"t": frame.t, "pulses": pulses}) + "\n")
             n += 1
     return n
+
+
+def _scan_frame(d: dict[str, Any]) -> ScanFrame:
+    """Frame from one parsed scan line. Each pulse must be exactly five
+    numbers ``[t, x, y, z, flag]`` with finite values and a 0/1 flag."""
+    t = float(d["t"])
+    if not math.isfinite(t):
+        raise ValidationError(f"frame time {t} is not finite")
+    try:
+        rows = np.asarray(d["pulses"])
+    except ValueError as exc:  # pulses of different lengths
+        raise ValidationError(_PULSE_SHAPE) from exc
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 5)
+    if rows.ndim != 2 or rows.shape[1] != 5 or rows.dtype.kind not in "if":
+        raise ValidationError(_PULSE_SHAPE)
+    flag = rows[:, 4]
+    if not ((flag == 0) | (flag == 1)).all():
+        raise ValidationError("pulse reflector flag must be 0 or 1")
+    bad = np.flatnonzero(~np.isfinite(rows[:, :4]).all(axis=1))
+    if len(bad):
+        t_k, *point = rows[bad[0], :4].tolist()
+        if not math.isfinite(t_k):
+            raise ValidationError(f"pulse time {t_k} is not finite")
+        raise ValidationError(f"Vec3 components must be finite, got {tuple(point)}")
+    return ScanFrame(t=t, pulses=rows[:, :4].astype(np.float64), reflector=flag == 1)
 
 
 def read_scan(path: str) -> Iterator[ScanFrame]:
@@ -318,30 +346,8 @@ def read_scan(path: str) -> Iterator[ScanFrame]:
             if not line:
                 continue
             try:
-                d = json.loads(line)
-                t = float(d["t"])
-                if not math.isfinite(t):
-                    raise ValidationError(f"frame time {t} is not finite")
-                pulses = tuple(
-                    ScanPulse(
-                        t=float(p[0]),
-                        p=Vec3(float(p[1]), float(p[2]), float(p[3])),
-                        reflector=bool(p[4]),
-                    )
-                    for p in d["pulses"]
-                )
-                for pulse in pulses:
-                    if not math.isfinite(pulse.t):
-                        raise ValidationError(f"pulse time {pulse.t} is not finite")
-                yield ScanFrame(t=t, pulses=pulses)
-            except (
-                json.JSONDecodeError,
-                KeyError,
-                TypeError,
-                IndexError,
-                ValueError,
-                ValidationError,
-            ) as exc:
+                yield _scan_frame(json.loads(line))
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
 
 
@@ -404,12 +410,7 @@ def read_poses(path: str) -> list[PoseRow]:
 
 def poses_for_georef(rows: Iterable[PoseRow]) -> list[Pose]:
     """Keep only rows carrying both a position and an attitude."""
-    out = []
-    for row in rows:
-        pose = row.pose()
-        if pose is not None:
-            out.append(pose)
-    return out
+    return [pose for pose in map(PoseRow.pose, rows) if pose is not None]
 
 
 def write_json(path: str, payload: dict[str, Any]) -> None:

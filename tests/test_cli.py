@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
+import struct
 import subprocess
 from pathlib import Path
 
@@ -216,6 +218,32 @@ def test_georef_nan_pose_reports_path_and_line(tmp_path: Path, capsys) -> None:
     )
     assert code == 1
     assert f"error: {poses}:3: Vec3 components must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, payload, where",
+    [
+        ("cloud.xyz", b"1.0 2.0 0.0 1\nnan 0.0 0.0 1\n", ":2: non-finite point"),
+        ("cloud.xyz", b"1.0 2.0 0.0 7\n", ":1: flag 7 is not 0 or 1"),
+        (
+            "cloud.bin",
+            struct.pack("<dddB", 1.0, 2.0, 0.0, 1) + struct.pack("<dddB", math.inf, 0.0, 0.0, 0),
+            ": record 2: non-finite point",
+        ),
+    ],
+    ids=["xyz-nan", "xyz-flag-7", "bin-inf"],
+)
+def test_evaluate_bad_cloud_record_exits_one_with_location(
+    tmp_path: Path, capsys, name: str, payload: bytes, where: str
+) -> None:
+    cloud = tmp_path / name
+    cloud.write_bytes(payload)
+    refl = _write(tmp_path / "refl.json", {"reflectors": [[0.0, 0.0, 0.0]]})
+    report = tmp_path / "report.json"
+    code = main(["evaluate", "--cloud", str(cloud), "--reflectors", refl, "--report", str(report)])
+    assert code == 1
+    assert f"error: {cloud}{where}" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_missing_input_exits_one(tmp_path: Path, capsys) -> None:

@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from mgp import (
-    GeoPoint,
+    Cloud,
     InputError,
     MountCalibration,
     Pose,
     ScanFrame,
-    ScanPulse,
     UnitQuaternion,
     ValidationError,
     Vec3,
@@ -31,7 +32,15 @@ def _pose(t: float, p: Vec3 = Vec3(0.0, 0.0, 30.0), q: UnitQuaternion | None = N
 
 
 def _frame(t: float, pulses: list[tuple[float, Vec3]], flag: bool = False) -> ScanFrame:
-    return ScanFrame(t=t, pulses=tuple(ScanPulse(t=pt, p=pp, reflector=flag) for pt, pp in pulses))
+    rows = np.array([[pt, pp.x, pp.y, pp.z] for pt, pp in pulses]).reshape(-1, 4)
+    return ScanFrame(t=t, pulses=rows, reflector=np.full(len(rows), flag))
+
+
+def _cloud(points: list[Vec3], flags: list[bool]) -> Cloud:
+    return Cloud(
+        p=np.array([q.as_array() for q in points]).reshape(-1, 3),
+        reflector=np.array(flags, dtype=bool),
+    )
 
 
 # -- single-point georeferencing ------------------------------------------------
@@ -40,7 +49,7 @@ def _frame(t: float, pulses: list[tuple[float, Vec3]], flag: bool = False) -> Sc
 def test_georeference_identity_chain() -> None:
     pose = _pose(0.0, p=Vec3(100.0, 200.0, 30.0))
     got = georeference(pose, MountCalibration(), Vec3(0.0, 0.0, -30.0))
-    assert np.allclose(got.p.as_array(), [100.0, 200.0, 0.0], atol=1e-12)
+    assert np.allclose(got.as_array(), [100.0, 200.0, 0.0], atol=1e-12)
 
 
 def test_georeference_lever_arm_rotates_with_body() -> None:
@@ -48,7 +57,7 @@ def test_georeference_lever_arm_rotates_with_body() -> None:
     pose = _pose(0.0, p=Vec3(10.0, 5.0, 30.0), q=euler_to_quat(0.0, 0.0, 90.0))
     calib = MountCalibration(lever_arm=Vec3(0.0, 1.1, 0.0))
     got = georeference(pose, calib, Vec3(0.0, 0.0, 0.0))
-    assert np.allclose(got.p.as_array(), [10.0 - 1.1, 5.0, 30.0], atol=1e-12)
+    assert np.allclose(got.as_array(), [10.0 - 1.1, 5.0, 30.0], atol=1e-12)
 
 
 def test_georeference_boresight_applies_before_body_rotation() -> None:
@@ -57,7 +66,7 @@ def test_georeference_boresight_applies_before_body_rotation() -> None:
     pose = _pose(0.0, p=Vec3(0.0, 0.0, 0.0), q=euler_to_quat(0.0, 0.0, 90.0))
     calib = MountCalibration(boresight=euler_to_quat(0.0, 0.0, 90.0))
     got = georeference(pose, calib, Vec3(2.0, 0.0, 0.0))
-    assert np.allclose(got.p.as_array(), [-2.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(got.as_array(), [-2.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_georeference_full_chain_worked_example() -> None:
@@ -66,7 +75,7 @@ def test_georeference_full_chain_worked_example() -> None:
     scan = Vec3(0.0, 0.0, -24.9)
     got = georeference(pose, calib, scan)
     # 180 yaw flips E and N of (lever + scan) = (0.3, 0.0, -25.0)
-    assert np.allclose(got.p.as_array(), [50.0 - 0.3, -20.0, 0.0], atol=1e-12)
+    assert np.allclose(got.as_array(), [50.0 - 0.3, -20.0, 0.0], atol=1e-12)
 
 
 # -- stream georeferencing -------------------------------------------------------
@@ -83,10 +92,7 @@ def test_stream_nearest_pose_selection() -> None:
     frames = [_frame(0.0, [(0.04, down), (0.06, down), (0.16, down)])]
     cloud, dropped = georeference_stream(poses, frames, MountCalibration())
     assert dropped == 0
-    es = [g.p.x for g in cloud]
-    assert es == [0.0, 1.0, 2.0]
-    # cloud timestamps are the pulse times
-    assert [g.t for g in cloud] == [0.04, 0.06, 0.16]
+    assert cloud.p[:, 0].tolist() == [0.0, 1.0, 2.0]
 
 
 def test_stream_drops_pulses_beyond_pose_gap() -> None:
@@ -119,7 +125,10 @@ def test_stream_requires_increasing_poses() -> None:
 
 def test_stream_empty_frames_empty_cloud() -> None:
     cloud, dropped = georeference_stream([_pose(0.0)], [], MountCalibration())
-    assert cloud == [] and dropped == 0
+    assert len(cloud) == 0 and cloud.p.shape == (0, 3) and dropped == 0
+    empty = [_frame(0.0, [])]
+    cloud, dropped = georeference_stream([_pose(0.0)], empty, MountCalibration())
+    assert len(cloud) == 0 and dropped == 0
 
 
 def test_stream_matches_single_point_path() -> None:
@@ -138,9 +147,10 @@ def test_stream_matches_single_point_path() -> None:
     pulses = [(0.1 * k + 0.01, Vec3.from_array(rng.normal(scale=5.0, size=3))) for k in range(5)]
     frames = [_frame(0.0, pulses)]
     cloud, _ = georeference_stream(poses, frames, calib)
-    for (pt, pp), got, pose in zip(pulses, cloud, poses):
+    assert len(cloud) == len(pulses)
+    for (pt, pp), got, pose in zip(pulses, cloud.p, poses):
         want = georeference(pose, calib, pp)
-        assert np.allclose(got.p.as_array(), want.p.as_array(), atol=1e-12)
+        assert np.allclose(got, want.as_array(), atol=1e-12)
 
 
 def test_stream_rigid_motion_equivariance() -> None:
@@ -163,36 +173,35 @@ def test_stream_rigid_motion_equivariance() -> None:
         Pose(t=p.t, p=rotate(g, p.p) + shift, q=quat_multiply(g, p.q)) for p in poses
     ]
     moved, _ = georeference_stream(moved_poses, frames, calib)
-    for a, b in zip(base, moved):
-        want = rotate(g, a.p) + shift
-        assert np.allclose(b.p.as_array(), want.as_array(), atol=1e-10)
+    for a, b in zip(base.p, moved.p):
+        want = rotate(g, Vec3.from_array(a)) + shift
+        assert np.allclose(b, want.as_array(), atol=1e-10)
 
 
 def test_stream_preserves_reflector_flags() -> None:
     poses = [_pose(0.0)]
     frames = [_frame(0.0, [(0.0, Vec3(0.0, 0.0, -30.0))], flag=True)]
     cloud, _ = georeference_stream(poses, frames, MountCalibration())
-    assert cloud[0].reflector_flag
+    assert cloud.reflector.tolist() == [True]
 
 
 # -- reflector evaluation ----------------------------------------------------------
 
 
-def _cluster(center: Vec3, n: int, spread: float, rng: np.random.Generator) -> list[GeoPoint]:
+def _cluster(center: Vec3, n: int, spread: float, rng: np.random.Generator) -> list[Vec3]:
     return [
-        GeoPoint(
-            p=Vec3.from_array(center.as_array() + rng.normal(scale=spread, size=3)),
-            t=0.0,
-            reflector_flag=True,
-        )
-        for _ in range(n)
+        Vec3.from_array(center.as_array() + rng.normal(scale=spread, size=3)) for _ in range(n)
     ]
+
+
+def _flagged(points: list[Vec3]) -> Cloud:
+    return _cloud(points, [True] * len(points))
 
 
 def test_evaluate_exact_clusters() -> None:
     rng = np.random.default_rng(109)
     truths = [Vec3(0.0, 0.0, 0.0), Vec3(10.0, 0.0, 0.0)]
-    cloud = _cluster(truths[0], 50, 0.0, rng) + _cluster(truths[1], 50, 0.0, rng)
+    cloud = _flagged(_cluster(truths[0], 50, 0.0, rng) + _cluster(truths[1], 50, 0.0, rng))
     rep = evaluate_reflectors(cloud, truths, cluster_radius_m=0.5, min_hits=10)
     assert rep.unresolved == 0
     assert rep.rms_horizontal_m == pytest.approx(0.0, abs=1e-12)
@@ -206,10 +215,12 @@ def test_evaluate_constant_offset_reports_it() -> None:
     rng = np.random.default_rng(113)
     truths = [Vec3(0.0, 0.0, 0.0), Vec3(8.0, 0.0, 0.0)]
     offset = np.array([0.03, -0.04, 0.02])
-    cloud = [
-        GeoPoint(p=Vec3.from_array(g.p.as_array() + offset), t=0.0, reflector_flag=True)
-        for g in _cluster(truths[0], 30, 0.0, rng) + _cluster(truths[1], 30, 0.0, rng)
-    ]
+    cloud = _flagged(
+        [
+            Vec3.from_array(g.as_array() + offset)
+            for g in _cluster(truths[0], 30, 0.0, rng) + _cluster(truths[1], 30, 0.0, rng)
+        ]
+    )
     rep = evaluate_reflectors(cloud, truths, cluster_radius_m=0.5, min_hits=10)
     # horizontal rms = hypot(0.03, 0.04) = 0.05 exactly; vertical = 0.02
     assert rep.rms_horizontal_m == pytest.approx(0.05, abs=1e-12)
@@ -221,7 +232,7 @@ def test_evaluate_constant_offset_reports_it() -> None:
 def test_evaluate_unresolved_reflector_excluded_from_rms() -> None:
     rng = np.random.default_rng(127)
     truths = [Vec3(0.0, 0.0, 0.0), Vec3(20.0, 0.0, 0.0)]
-    cloud = _cluster(truths[0], 30, 0.01, rng) + _cluster(truths[1], 5, 0.01, rng)
+    cloud = _flagged(_cluster(truths[0], 30, 0.01, rng) + _cluster(truths[1], 5, 0.01, rng))
     rep = evaluate_reflectors(cloud, truths, cluster_radius_m=0.5, min_hits=10)
     assert rep.unresolved == 1
     first, second = rep.per_reflector
@@ -232,7 +243,7 @@ def test_evaluate_unresolved_reflector_excluded_from_rms() -> None:
 
 def test_evaluate_ignores_unflagged_points() -> None:
     truths = [Vec3(0.0, 0.0, 0.0)]
-    cloud = [GeoPoint(p=Vec3(0.0, 0.0, 0.0), t=0.0, reflector_flag=False) for _ in range(100)]
+    cloud = _cloud([Vec3(0.0, 0.0, 0.0)] * 100, [False] * 100)
     rep = evaluate_reflectors(cloud, truths, min_hits=10)
     assert rep.unresolved == 1
     assert rep.rms_horizontal_m is None and rep.rms_vertical_m is None
@@ -243,34 +254,28 @@ def test_evaluate_cluster_radius_limits_association() -> None:
     truths = [Vec3(0.0, 0.0, 0.0)]
     near = _cluster(Vec3(0.0, 0.0, 0.0), 20, 0.0, rng)
     far = _cluster(Vec3(0.45, 0.0, 0.0), 20, 0.0, rng)  # inside 0.5, outside 0.3
-    rep_wide = evaluate_reflectors(near + far, truths, cluster_radius_m=0.5, min_hits=10)
+    rep_wide = evaluate_reflectors(_flagged(near + far), truths, cluster_radius_m=0.5, min_hits=10)
     assert rep_wide.per_reflector[0].n_hits == 40
-    rep_tight = evaluate_reflectors(near + far, truths, cluster_radius_m=0.3, min_hits=10)
+    rep_tight = evaluate_reflectors(_flagged(near + far), truths, cluster_radius_m=0.3, min_hits=10)
     assert rep_tight.per_reflector[0].n_hits == 20
 
 
 def test_evaluate_validation() -> None:
+    empty = _cloud([], [])
     with pytest.raises(ValidationError):
-        evaluate_reflectors([], [])
+        evaluate_reflectors(empty, [])
     with pytest.raises(ValidationError):
-        evaluate_reflectors([], [Vec3(0.0, 0.0, 0.0)], cluster_radius_m=0.0)
+        evaluate_reflectors(empty, [Vec3(0.0, 0.0, 0.0)], cluster_radius_m=0.0)
     with pytest.raises(ValidationError):
-        evaluate_reflectors([], [Vec3(0.0, 0.0, 0.0)], min_hits=0)
+        evaluate_reflectors(empty, [Vec3(0.0, 0.0, 0.0)], min_hits=0)
 
 
 # -- cloud files ----------------------------------------------------------------
 
 
-def _sample_cloud() -> list[GeoPoint]:
+def _sample_cloud() -> Cloud:
     rng = np.random.default_rng(137)
-    return [
-        GeoPoint(
-            p=Vec3.from_array(rng.normal(scale=50.0, size=3)),
-            t=0.0,
-            reflector_flag=bool(k % 3 == 0),
-        )
-        for k in range(25)
-    ]
+    return Cloud(p=rng.normal(scale=50.0, size=(25, 3)), reflector=np.arange(25) % 3 == 0)
 
 
 def test_cloud_xyz_round_trip(tmp_path) -> None:
@@ -279,24 +284,23 @@ def test_cloud_xyz_round_trip(tmp_path) -> None:
     write_cloud(path, cloud)
     back = read_cloud(path)
     assert len(back) == len(cloud)
-    for a, b in zip(cloud, back):
-        assert np.array_equal(a.p.as_array(), b.p.as_array())  # repr round-trips exactly
-        assert a.reflector_flag == b.reflector_flag
+    assert np.array_equal(back.p, cloud.p)  # repr round-trips exactly
+    assert np.array_equal(back.reflector, cloud.reflector)
 
 
 def test_cloud_bin_round_trip(tmp_path) -> None:
     cloud = _sample_cloud()
     path = tmp_path / "cloud.bin"
     write_cloud(path, cloud)
+    assert path.stat().st_size == 25 * len(cloud)  # "<dddB" records
     back = read_cloud(path)
-    for a, b in zip(cloud, back):
-        assert np.array_equal(a.p.as_array(), b.p.as_array())
-        assert a.reflector_flag == b.reflector_flag
+    assert np.array_equal(back.p, cloud.p)
+    assert np.array_equal(back.reflector, cloud.reflector)
 
 
 def test_cloud_bad_extension(tmp_path) -> None:
     with pytest.raises(InputError):
-        write_cloud(tmp_path / "cloud.ply", [])
+        write_cloud(tmp_path / "cloud.ply", _cloud([], []))
     with pytest.raises(InputError):
         read_cloud(tmp_path / "cloud.ply")
 
@@ -313,3 +317,35 @@ def test_cloud_malformed_files(tmp_path) -> None:
     bad_bin.write_bytes(b"\x00" * 11)  # not a whole record
     with pytest.raises(InputError):
         read_cloud(bad_bin)
+
+
+@pytest.mark.parametrize(
+    "name, payload, where",
+    [
+        ("c.xyz", b"1.0 2.0 0.0 1\nnan 0.0 0.0 1\n", ":2: non-finite point (nan, 0.0, 0.0)"),
+        ("c.xyz", b"1.0 2.0 0.0 1\n1.0 2.0 0.0 0\n1.0 2.0 0.0 7\n", ":3: flag 7 is not 0 or 1"),
+        ("c.xyz", b"1.0 2.0 0.0 1\n\n1.0 2.0 0.0 0\n", ":2: expected 'E N U flag'"),
+        ("c.xyz", b"1.0 2.0 0.0 1\n1.0 2.0 0.0 0.5\n", ":2: flag 0.5 is not 0 or 1"),
+        (
+            "c.bin",
+            struct.pack("<dddB", 1.0, 2.0, 0.0, 1) * 2 + struct.pack("<dddB", 0.0, math.inf, 0.0, 0),
+            ": record 3: non-finite point (0.0, inf, 0.0)",
+        ),
+        ("c.bin", struct.pack("<dddB", 1.0, 2.0, 0.0, 2), ": record 1: flag 2 is not 0 or 1"),
+    ],
+    ids=["xyz-nan", "xyz-flag-7", "xyz-blank-line", "xyz-flag-half", "bin-inf", "bin-flag-2"],
+)
+def test_read_cloud_rejects_bad_records_with_location(
+    tmp_path, name: str, payload: bytes, where: str
+) -> None:
+    path = tmp_path / name
+    path.write_bytes(payload)
+    with pytest.raises(InputError, match="^" + re.escape(f"{path}{where}") + "$"):
+        read_cloud(path)
+
+
+def test_read_cloud_empty_files(tmp_path) -> None:
+    for name in ("c.xyz", "c.bin"):
+        (tmp_path / name).write_bytes(b"")
+        back = read_cloud(tmp_path / name)
+        assert len(back) == 0 and back.p.shape == (0, 3) and back.reflector.shape == (0,)

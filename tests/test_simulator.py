@@ -117,6 +117,8 @@ def test_static_trajectory_holds_position() -> None:
         assert trajectory_position(cfg, t) == Vec3(1.0, 2.0, 3.0)
     # no waypoints: origin
     assert trajectory_position(_config(), 3.0) == Vec3(0.0, 0.0, 0.0)
+    held = trajectory_position(cfg, np.array([0.0, 5.0, 100.0]))
+    assert np.array_equal(held, np.tile([1.0, 2.0, 3.0], (3, 1)))
 
 
 def test_waypoint_trajectory_constant_speed_polyline() -> None:
@@ -132,6 +134,12 @@ def test_waypoint_trajectory_constant_speed_polyline() -> None:
     assert np.allclose(trajectory_position(cfg, 6.0).as_array(), [10.0, 2.0, 30.0])
     # hovers at the final waypoint once the polyline is exhausted
     assert np.allclose(trajectory_position(cfg, 60.0).as_array(), [10.0, 5.0, 30.0])
+    # an array of times gives one row per time, equal to the scalar calls
+    ts = np.array([0.0, 2.5, 5.0, 6.0, 7.5, 60.0])
+    rows = trajectory_position(cfg, ts)
+    assert rows.shape == (len(ts), 3)
+    for t, row in zip(ts, rows):
+        assert np.array_equal(row, trajectory_position(cfg, float(t)).as_array())
 
 
 def test_waypoint_trajectory_validation() -> None:
@@ -400,11 +408,11 @@ def test_scan_stream_deterministic_and_framed() -> None:
     assert len(a) == int(round(cfg.duration_s * scanner.spin_hz))
     for fa, fb in zip(a, b):
         assert fa.t == fb.t
-        assert len(fa.pulses) == len(fb.pulses)
-        for pa, pb in zip(fa.pulses, fb.pulses):
-            assert pa.t == pb.t
-            assert np.array_equal(pa.p.as_array(), pb.p.as_array())
-            assert pa.reflector == pb.reflector
+        assert fa.pulses.shape == (len(fa.reflector), 4)
+        assert np.array_equal(fa.pulses, fb.pulses)
+        assert np.array_equal(fa.reflector, fb.reflector)
+        # pulse times lie within the frame's revolution
+        assert np.all((fa.pulses[:, 0] >= fa.t) & (fa.pulses[:, 0] < fa.t + 0.1))
 
 
 def test_near_nadir_beam_measures_altitude() -> None:
@@ -413,10 +421,9 @@ def test_near_nadir_beam_measures_altitude() -> None:
         spin_hz=10.0, pulses_per_rev=8, cone_deg=1e-6, range_noise_m=0.0
     )
     for frame in scan_stream(cfg, scanner):
-        for pulse in frame.pulses:
-            # beam points straight down from 30 m altitude
-            assert pulse.p.z == pytest.approx(-30.0, abs=1e-6)
-            assert math.hypot(pulse.p.x, pulse.p.y) < 1e-4
+        # beam points straight down from 30 m altitude
+        assert np.allclose(frame.pulses[:, 3], -30.0, atol=1e-6)
+        assert np.all(np.hypot(frame.pulses[:, 1], frame.pulses[:, 2]) < 1e-4)
 
 
 def test_scan_points_reconstruct_ground_plane() -> None:
@@ -428,11 +435,10 @@ def test_scan_points_reconstruct_ground_plane() -> None:
     r_eb = quat_to_matrix(q).as_array()
     count = 0
     for frame in scan_stream(cfg, scanner):
-        for pulse in frame.pulses:
-            p_plat = trajectory_position(cfg, pulse.t).as_array()
-            world = p_plat + r_eb @ pulse.p.as_array()
-            assert abs(world[2]) < 1e-9
-            count += 1
+        p_plat = trajectory_position(cfg, frame.pulses[:, 0])
+        world = p_plat + frame.pulses[:, 1:] @ r_eb.T
+        assert np.all(np.abs(world[:, 2]) < 1e-9)
+        count += len(frame.pulses)
     assert count > 100
 
 
@@ -442,12 +448,12 @@ def test_scan_reflector_flags_match_geometry() -> None:
     scanner = ScannerModel(spin_hz=5.0, pulses_per_rev=256, cone_deg=20.0, range_noise_m=0.0)
     hits = 0
     for frame in scan_stream(cfg, scanner):
-        for pulse in frame.pulses:
-            p_plat = trajectory_position(cfg, pulse.t).as_array()
-            world = p_plat + pulse.p.as_array()  # identity attitude
+        for (t, x, y, z), flag in zip(frame.pulses.tolist(), frame.reflector.tolist()):
+            p_plat = trajectory_position(cfg, t).as_array()
+            world = p_plat + np.array([x, y, z])  # identity attitude
             on_disc = math.hypot(world[0] - 0.0, world[1] - 7.0) <= 2.0
-            assert pulse.reflector == on_disc
-            hits += int(pulse.reflector)
+            assert flag == on_disc
+            hits += int(flag)
     assert hits > 10
 
 
@@ -456,7 +462,8 @@ def test_scan_max_range_cuts_off_returns() -> None:
     scanner = ScannerModel(spin_hz=5.0, pulses_per_rev=64, max_range_m=20.0)
     frames = list(scan_stream(cfg, scanner))
     # altitude 30 m: even the nadir-most return is beyond 20 m range
-    assert all(not f.pulses for f in frames)
+    assert frames and all(f.pulses.shape == (0, 4) for f in frames)
+    assert all(f.reflector.shape == (0,) for f in frames)
 
 
 def test_scan_seed_independent_of_epoch_draws() -> None:

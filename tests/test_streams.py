@@ -170,14 +170,16 @@ def test_scan_round_trip_byte_identical(tmp_path: Path) -> None:
     back = list(read_scan(str(p1)))
     write_scan(str(p2), back)
     assert p1.read_bytes() == p2.read_bytes()
-    assert any(p.reflector for f in back for p in f.pulses)
+    assert any(f.reflector.any() for f in back)
+    assert all(f.pulses.shape == (len(f.reflector), 4) for f in back)
 
 
 def test_scan_header_and_pulse_shape(tmp_path: Path) -> None:
     frames = [
         mgp.ScanFrame(
             t=0.0,
-            pulses=(mgp.ScanPulse(t=0.01, p=Vec3(1.0, 2.0, -20.0), reflector=True),),
+            pulses=np.array([[0.01, 1.0, 2.0, -20.0]]),
+            reflector=np.array([True]),
         )
     ]
     path = tmp_path / "s.jsonl"
@@ -213,22 +215,39 @@ def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
 
 
 @pytest.mark.parametrize(
-    "row, what",
+    "row, message",
     [
-        ('{"t": NaN, "pulses": [[0.1, 1.0, 2.0, 3.0, 0]]}', "frame time nan"),
-        ('{"t": 0.1, "pulses": [[NaN, 1.0, 2.0, 3.0, 0]]}', "pulse time nan"),
+        ('{"t": NaN, "pulses": [[0.1, 1.0, 2.0, 3.0, 0]]}', "frame time nan is not finite"),
+        ('{"t": 0.1, "pulses": [[NaN, 1.0, 2.0, 3.0, 0]]}', "pulse time nan is not finite"),
         ('{"t": 0.1, "pulses": [[0.1, 1.0, 2.0, 3.0, 0], [Infinity, 1.0, 2.0, 3.0, 1]]}',
-         "pulse time inf"),
+         "pulse time inf is not finite"),
+        ('{"t": 0.1, "pulses": [[0.01, 1, 2, -20, "0"]]}', "each pulse must be five numbers"),
+        ('{"t": 0.1, "pulses": [[0.01, 1.0, 2.0, -20.0, 0, 9.0]]}',
+         "each pulse must be five numbers"),
+        ('{"t": 0.1, "pulses": [[0.01, "1.5", 2.0, -20.0, 0]]}', "each pulse must be five numbers"),
+        ('{"t": 0.1, "pulses": [[0.01, 1.0, 2.0, -20.0, 0], [0.02, 1.0]]}',
+         "each pulse must be five numbers"),
+        ('{"t": 0.1, "pulses": [[0.01, 1.0, 2.0, -20.0, 3]]}', "pulse reflector flag must be 0 or 1"),
     ],
-    ids=["nan-frame-time", "nan-pulse-time", "inf-pulse-time"],
+    ids=[
+        "nan-frame-time",
+        "nan-pulse-time",
+        "inf-pulse-time",
+        "string-flag",
+        "six-values",
+        "string-coordinate",
+        "ragged-pulses",
+        "flag-3",
+    ],
 )
-def test_read_scan_rejects_non_finite_times(tmp_path: Path, row: str, what: str) -> None:
+def test_read_scan_rejects_non_finite_times(tmp_path: Path, row: str, message: str) -> None:
+    """Non-finite times and malformed pulses name the file and line."""
     path = tmp_path / "s.jsonl"
     path.write_text(
         '{"format": "mgp-scan", "version": 1}\n'
         '{"t": 0.0, "pulses": [[0.0, 1.0, 2.0, 3.0, 0]]}\n' + row + "\n"
     )
-    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {what} is not finite"):
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {message}"):
         list(read_scan(str(path)))
 
 
