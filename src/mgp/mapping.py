@@ -227,9 +227,11 @@ def _xyz_columns(path: Path) -> np.ndarray:
     if not text:
         return np.empty((0, 4))
     try:
-        cols = np.loadtxt(io.StringIO(text), ndmin=2, comments=None)
-        if cols.shape == (text.count("\n") + (not text.endswith("\n")), 4):
-            return cols
+        # loadtxt warns on input without data; the loop below names line 1
+        if not text.isspace():
+            cols = np.loadtxt(io.StringIO(text), ndmin=2, comments=None)
+            if cols.shape == (text.count("\n") + (not text.endswith("\n")), 4):
+                return cols
     except ValueError:
         pass
     # the bulk parse failed or skipped a blank line: name the line

@@ -250,7 +250,11 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
 @dataclass(frozen=True)
 class MetricsReport:
     """Stream-level summary; rates are percentages, None marks undefined
-    (no epochs, no availability, or truth channel absent)."""
+    (no epochs, no availability, or truth channel absent).
+
+    ``hybrid_fix_rate_multipath_pct`` is None when feedback is off or could
+    not run, i.e. no processed epoch carried a requery record, rather than
+    a copy of the raw rate."""
 
     epochs: int
     skipped: int
@@ -361,7 +365,7 @@ def run(
     pos_err: dict[str, list[float]] = {"e": [], "n": [], "u": []}
     pos_val: dict[str, list[float]] = {"e": [], "n": [], "u": []}
     tp = fp = fn = 0
-    truth_seen = False
+    truth_seen = requery_seen = False
     pose_rows: list[PoseRow] = []
     last_t: float | None = None
 
@@ -412,6 +416,7 @@ def run(
                 pos_val["u"].append(result.position.p.z)
         if epoch.truth is not None:
             truth_seen = True
+            requery_seen |= epoch.truth.requery is not None
             universe = set(result.multipath.per_satellite)
             true_mp = epoch.truth.multipath_sats & universe
             detected = set(result.multipath.excluded_sats)
@@ -446,7 +451,9 @@ def run(
             i: (100.0 * fixed_counts[i] / n_proc if n_proc else None) for i in ant_ids
         },
         hybrid_fix_rate_pct=pct(raw_any),
-        hybrid_fix_rate_multipath_pct=pct(fb_any) if config.multipath_feedback else None,
+        hybrid_fix_rate_multipath_pct=(
+            pct(fb_any) if config.multipath_feedback and requery_seen else None
+        ),
         attitude_availability_pct=pct(att_avail),
         attitude_sd_deg=att_sd,
         position_sd_mm={

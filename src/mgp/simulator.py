@@ -9,13 +9,15 @@ versus multipath satellites in the solution set, so excluding detected
 multipath satellites and re-querying raises the fix rate.
 
 Every stochastic outcome is drawn once, in a fixed documented order, from a
-single seeded generator, and the underlying draws (uniforms, latent
-fixed-grade and float-grade measurements, wrong-fix offsets) are retained in
-the epoch's truth channel. That makes the stream bitwise-reproducible and
-lets the pipeline re-query fix outcomes for a reduced satellite set without
-re-running the simulator: a re-query replays the same draws against the new
-probabilities, so removing a multipath satellite can only promote statuses,
-never revoke them.
+single seeded generator, and the underlying draws are retained in the
+epoch's truth channel as a :class:`RequeryData` record: the calibrated
+:class:`FixModel` plus one :class:`ChannelDraws` group of arrays for the
+antennas and one for the baselines (uniforms, wrong-fix flags, latent
+fixed-grade and float-grade measurements, wrong-fix offsets). That makes the
+stream bitwise-reproducible and lets the pipeline re-query fix outcomes for
+a reduced satellite set without re-running the simulator: a re-query
+replays the same draws against the new probabilities, so removing a
+multipath satellite can only promote statuses, never revoke them.
 
 Per-epoch draw order (one ``numpy`` Generator seeded with ``config.seed``;
 fading phases shape ``(n_sats, n_antennas)`` are drawn once up front):
@@ -26,9 +28,10 @@ SNR jitter ``(n_sats, n_ant)``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +49,9 @@ from .errors import ConfigurationError, ValidationError
 from .mapping import MountCalibration, Pose, ScanFrame
 from .multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ, SnrRow
 from .positioning import FixSolution, FixStatus
+
+# Replayed solution status by grade: 0 none, 1 float, 2 fixed.
+_GRADES = (FixStatus.NONE, FixStatus.FLOAT, FixStatus.FIXED)
 
 # Salt mixed into the seed for the scan-point generator so that producing a
 # scan stream never perturbs the epoch stream draws.
@@ -231,6 +237,9 @@ class FixModel:
         if self.baseline_target_fix_prob is not None:
             if not 0.0 < self.baseline_target_fix_prob < 1.0:
                 raise ValidationError("baseline target fix probability must be in (0, 1)")
+        values = (self.midpoint, self.multipath_weight, self.baseline_bias)
+        if not all(map(math.isfinite, values + (self.antenna_bias or ()))):
+            raise ValidationError("fix model values must be finite")
 
     def probability(self, n_clean: int, n_multipath: int, bias: float) -> float:
         arg = self.steepness * (
@@ -313,47 +322,94 @@ class ScenarioConfig:
         return int(round(self.duration_s * self.rate_hz))
 
 
-@dataclass(frozen=True)
-class MeasurementChannel:
-    """Latent draws behind one antenna (or baseline) solution.
+_DRAW_KEYS = ("u_fix", "u_float", "wrong", "latent_fixed", "latent_float", "wrong_offset")
+_MODEL_KEYS = (
+    "steepness", "midpoint", "multipath_weight", "antenna_bias", "baseline_bias", "float_fraction"
+)
 
-    ``u_fix``/``u_float`` are the uniforms compared against the model
-    probabilities; ``wrong`` is the pre-evaluated wrong-fix Bernoulli;
-    the latent vectors are the measurement under each ambiguity grade.
+
+@dataclass(frozen=True, eq=False)
+class ChannelDraws:
+    """Latent draws behind one group of n antenna (or baseline) solutions.
+
+    ``u_fix``/``u_float`` (n,) are the uniforms compared against the model
+    probabilities; ``wrong`` (n,) bool is the pre-evaluated wrong-fix
+    Bernoulli; the (n, 3) latent vectors are the measurement under each
+    ambiguity grade, and ``wrong_offset`` is added to a wrong fix.
     """
 
-    u_fix: float
-    u_float: float
-    wrong: bool
-    latent_fixed: Vec3
-    latent_float: Vec3
-    wrong_offset: Vec3
+    u_fix: np.ndarray
+    u_float: np.ndarray
+    wrong: np.ndarray
+    latent_fixed: np.ndarray
+    latent_float: np.ndarray
+    wrong_offset: np.ndarray
 
+    def __post_init__(self) -> None:
+        n = len(self.u_fix)
+        shapes = [getattr(self, k).shape for k in _DRAW_KEYS]
+        if shapes != [(n,)] * 3 + [(n, 3)] * 3:
+            raise ValidationError("channel draws need (n,) uniforms and flags and (n, 3) vectors")
+        if self.wrong.dtype != np.bool_:
+            raise ValidationError("wrong-fix flags must be booleans")
+        floats = (self.u_fix, self.u_float, self.latent_fixed, self.latent_float, self.wrong_offset)
+        if not all(np.isfinite(a).all() for a in floats):
+            raise ValidationError("channel draws must be finite")
 
-@dataclass(frozen=True)
-class RequeryModel:
-    """Effective (post-calibration) fix-model parameters for re-query."""
-
-    steepness: float
-    midpoint: float
-    multipath_weight: float
-    antenna_bias: tuple[float, ...]
-    baseline_bias: float
-    float_fraction: float
-
-    def probability(self, n_clean: int, n_multipath: int, bias: float) -> float:
-        arg = self.steepness * (
-            n_clean - self.multipath_weight * n_multipath - self.midpoint + bias
-        )
-        return 1.0 / (1.0 + math.exp(-arg))
+    def __len__(self) -> int:
+        return len(self.u_fix)
 
 
 @dataclass(frozen=True)
 class RequeryData:
-    model: RequeryModel
+    """Replay record of one epoch: the calibrated fix model (resolved
+    ``antenna_bias`` and ``baseline_bias``, no calibration targets), the
+    solution satellites, and the draws of the n antennas and the n(n-1)/2
+    baselines in ``(i, j)``, ``i < j`` order."""
+
+    model: FixModel
     solution_sats: tuple[str, ...]
-    antenna_channels: tuple[MeasurementChannel, ...]
-    baseline_channels: tuple[MeasurementChannel, ...]
+    antenna_channels: ChannelDraws
+    baseline_channels: ChannelDraws
+
+    def __post_init__(self) -> None:
+        n = len(self.antenna_channels)
+        if self.model.antenna_bias is None or len(self.model.antenna_bias) != n:
+            raise ValidationError(f"antenna_bias needs one entry per antenna ({n})")
+        if len(self.baseline_channels) != n * (n - 1) // 2:
+            raise ValidationError(
+                f"{n} antennas need {n * (n - 1) // 2} baseline channels, "
+                f"got {len(self.baseline_channels)}"
+            )
+
+    def to_dict(self) -> dict[str, Any]:
+        """The record's JSON form: the model's values, the satellites and one
+        object per channel, floats as Python floats and ``wrong`` a bool."""
+        model = {k: getattr(self.model, k) for k in _MODEL_KEYS}
+        model["antenna_bias"] = list(model["antenna_bias"])
+        out: dict[str, Any] = {"model": model, "solution_sats": list(self.solution_sats)}
+        for key in ("antenna_channels", "baseline_channels"):
+            cols = [getattr(getattr(self, key), k).tolist() for k in _DRAW_KEYS]
+            out[key] = [dict(zip(_DRAW_KEYS, row)) for row in zip(*cols)]
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> RequeryData:
+        md = d["model"]
+        model = FixModel(
+            **{k: float(md[k]) for k in _MODEL_KEYS if k != "antenna_bias"},
+            antenna_bias=tuple(float(b) for b in md["antenna_bias"]),
+        )
+        groups = [
+            ChannelDraws(
+                *(
+                    np.array([row[k] for row in d[key]], dtype=None if k == "wrong" else np.float64)
+                    for k in _DRAW_KEYS
+                )
+            )
+            for key in ("antenna_channels", "baseline_channels")
+        ]
+        return cls(model, tuple(str(s) for s in d["solution_sats"]), *groups)
 
 
 @dataclass(frozen=True)
@@ -432,16 +488,17 @@ def _lattice_table(max_multiple: int) -> np.ndarray:
     return np.array(vecs, dtype=np.float64)
 
 
-def _assign(
-    channel: MeasurementChannel, p_fix: float, float_fraction: float
-) -> tuple[FixStatus, Vec3 | None]:
-    if channel.u_fix < p_fix:
-        if channel.wrong:
-            return FixStatus.FIXED, channel.latent_fixed + channel.wrong_offset
-        return FixStatus.FIXED, channel.latent_fixed
-    if channel.u_float < float_fraction:
-        return FixStatus.FLOAT, channel.latent_float
-    return FixStatus.NONE, None
+def _grade(
+    draws: ChannelDraws, p_fix: np.ndarray | float, float_fraction: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """FIXED mask, FLOAT mask and the measured (n, 3) vectors of one group:
+    a fix takes the fixed-grade latent (plus its offset when wrong), a float
+    the float-grade one."""
+    fixed = draws.u_fix < p_fix
+    floating = ~fixed & (draws.u_float < float_fraction)
+    wrong = draws.wrong[:, None]
+    fixed_vec = np.where(wrong, draws.latent_fixed + draws.wrong_offset, draws.latent_fixed)
+    return fixed, floating, np.where(fixed[:, None], fixed_vec, draws.latent_float)
 
 
 def _effective_biases(config: ScenarioConfig, n_clean: int, n_mp: int) -> tuple[list[float], float]:
@@ -462,37 +519,46 @@ def _effective_biases(config: ScenarioConfig, n_clean: int, n_mp: int) -> tuple[
     return biases, bl_bias
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_baselines(
+    layout: AntennaLayout,
+) -> tuple[tuple[tuple[int, int], ...], tuple[Vec3, ...]]:
+    """The antenna pairs ``(i, j)``, ``i < j``, in replay order, and their
+    body-frame baselines."""
+    n = layout.antenna_count
+    pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return pairs, tuple(layout.baseline(i, j) for i, j in pairs)
+
+
 def _status_sets(
     req: RequeryData,
     multipath_sats: frozenset[str],
     excluded: frozenset[str],
     layout: AntennaLayout,
-    pairs: Sequence[tuple[int, int]],
-) -> tuple[list[FixSolution], list[VectorObservation]]:
+) -> tuple[list[FixSolution], list[VectorObservation], np.ndarray, np.ndarray]:
+    """Fix and baseline solutions replayed for the solution satellites left
+    after ``excluded``, then the FIXED masks of the antennas and baselines."""
     remaining = [s for s in req.solution_sats if s not in excluded]
     n_mp = sum(1 for s in remaining if s in multipath_sats)
     n_clean = len(remaining) - n_mp
     model = req.model
-    fixes: list[FixSolution] = []
-    for idx, ch in enumerate(req.antenna_channels):
-        p_fix = model.probability(n_clean, n_mp, model.antenna_bias[idx])
-        status, pos = _assign(ch, p_fix, model.float_fraction)
-        fixes.append(
-            FixSolution(antenna_id=idx + 1, status=status, p=pos, sats_used=len(remaining))
-        )
-    observations: list[VectorObservation] = []
+    p_ant = np.array([model.probability(n_clean, n_mp, b) for b in model.antenna_bias])
     p_bl = model.probability(n_clean, n_mp, model.baseline_bias)
-    for (i, j), ch in zip(pairs, req.baseline_channels):
-        status, vec = _assign(ch, p_bl, model.float_fraction)
-        if status is FixStatus.NONE:
-            continue
-        w = layout.baseline(i, j)
-        observations.append(
-            VectorObservation(
-                v=vec, w=w, antenna_pair=(i, j), fixed=status is FixStatus.FIXED
-            )
+    ant_fixed, ant_float, ant_vec = _grade(req.antenna_channels, p_ant, model.float_fraction)
+    bl_fixed, bl_float, bl_vec = _grade(req.baseline_channels, p_bl, model.float_fraction)
+    fixes = [
+        FixSolution(
+            antenna_id=k + 1, status=_GRADES[g], p=Vec3(*v) if g else None, sats_used=len(remaining)
         )
-    return fixes, observations
+        for k, (g, v) in enumerate(zip((2 * ant_fixed + ant_float).tolist(), ant_vec.tolist()))
+    ]
+    pairs, body = _pair_baselines(layout)
+    bl_rows, bl_flags = bl_vec.tolist(), bl_fixed.tolist()
+    observations = [
+        VectorObservation(v=Vec3(*bl_rows[k]), w=body[k], antenna_pair=pairs[k], fixed=bl_flags[k])
+        for k in np.flatnonzero(bl_fixed | bl_float).tolist()
+    ]
+    return fixes, observations, ant_fixed, bl_fixed
 
 
 def requery_epoch(
@@ -506,13 +572,12 @@ def requery_epoch(
     """
     if epoch.truth is None or epoch.truth.requery is None:
         raise ValidationError("epoch carries no re-query data (not a simulated stream?)")
-    n = layout.antenna_count
-    if len(epoch.truth.requery.antenna_channels) != n:
+    if len(epoch.truth.requery.antenna_channels) != layout.antenna_count:
         raise ValidationError("layout antenna count does not match the stream")
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return _status_sets(
-        epoch.truth.requery, epoch.truth.multipath_sats, excluded, layout, pairs
+    fixes, observations, _, _ = _status_sets(
+        epoch.truth.requery, epoch.truth.multipath_sats, excluded, layout
     )
+    return fixes, observations
 
 
 def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
@@ -526,23 +591,22 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
     layout = config.layout
     n_ant = layout.antenna_count
     n_sat = len(config.constellation)
-    pairs = [(i, j) for i in range(1, n_ant + 1) for j in range(i + 1, n_ant + 1)]
+    pairs, body_baselines = _pair_baselines(layout)
     n_pairs = len(pairs)
     body = np.array([p.as_array() for p in layout.body_positions])
-    body_bl = np.array([layout.baseline(i, j).as_array() for i, j in pairs])
+    body_bl = np.array([w.as_array() for w in body_baselines])
 
     mp_sats = multipath_satellite_ids(config)
     mp_mask = np.array([s.sat_id in mp_sats for s in config.constellation])
     n_mp = int(mp_mask.sum())
     n_clean = n_sat - n_mp
     ant_bias, bl_bias = _effective_biases(config, n_clean, n_mp)
-    model = RequeryModel(
-        steepness=config.fix_model.steepness,
-        midpoint=config.fix_model.midpoint,
-        multipath_weight=config.fix_model.multipath_weight,
+    model = replace(
+        config.fix_model,
         antenna_bias=tuple(ant_bias),
+        target_fix_probs=None,
         baseline_bias=bl_bias,
-        float_fraction=config.fix_model.float_fraction,
+        baseline_target_fix_prob=None,
     )
     solution_sats = tuple(s.sat_id for s in config.constellation)
 
@@ -569,19 +633,10 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
         bl_lat = rng.integers(0, len(lattice), n_pairs)
         snr_jit = rng.standard_normal((n_sat, n_ant))
 
-        ant_channels = _build_channels(
-            ant_world, ant_norm, ant_unif, ant_lat, lattice, noise
-        )
-        bl_channels = _build_channels(
-            bl_world, bl_norm, bl_unif, bl_lat, lattice, noise
-        )
-        req = RequeryData(
-            model=model,
-            solution_sats=solution_sats,
-            antenna_channels=ant_channels,
-            baseline_channels=bl_channels,
-        )
-        fixes, observations = _status_sets(req, mp_sats, frozenset(), layout, pairs)
+        ant_channels = _build_channels(ant_world, ant_norm, ant_unif, ant_lat, lattice, noise)
+        bl_channels = _build_channels(bl_world, bl_norm, bl_unif, bl_lat, lattice, noise)
+        req = RequeryData(model, solution_sats, ant_channels, bl_channels)
+        fixes, observations, ant_fixed, bl_fixed = _status_sets(req, mp_sats, frozenset(), layout)
 
         offsets = np.zeros((n_sat, n_ant))
         if n_mp and snr_model.fading_amplitude_db > 0.0:
@@ -596,16 +651,9 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
             for s, sat in enumerate(config.constellation)
         )
 
-        wrong_ants = frozenset(
-            f.antenna_id
-            for f, ch in zip(fixes, ant_channels)
-            if f.status is FixStatus.FIXED and ch.wrong
-        )
-        fixed_pairs = {o.antenna_pair for o in observations if o.fixed}
+        wrong_ants = frozenset((np.flatnonzero(ant_fixed & ant_channels.wrong) + 1).tolist())
         corrupted = frozenset(
-            pair
-            for pair, ch in zip(pairs, bl_channels)
-            if ch.wrong and pair in fixed_pairs
+            pairs[b] for b in np.flatnonzero(bl_fixed & bl_channels.wrong).tolist()
         )
         truth = EpochTruth(
             position=p_plat,
@@ -631,23 +679,15 @@ def _build_channels(
     lat_idx: np.ndarray,
     lattice: np.ndarray,
     noise: NoiseModel,
-) -> tuple[MeasurementChannel, ...]:
-    latent_fixed = truth_vecs + noise.sigma_fixed_m * norm[:, :3]
-    latent_float = truth_vecs + noise.sigma_float_m * norm[:, 3:]
-    offsets = noise.wrong_fix_unit_m * lattice[lat_idx]
-    out = []
-    for i in range(truth_vecs.shape[0]):
-        out.append(
-            MeasurementChannel(
-                u_fix=float(unif[i, 0]),
-                u_float=float(unif[i, 1]),
-                wrong=bool(unif[i, 2] < noise.wrong_fix_prob),
-                latent_fixed=Vec3.from_array(latent_fixed[i]),
-                latent_float=Vec3.from_array(latent_float[i]),
-                wrong_offset=Vec3.from_array(offsets[i]),
-            )
-        )
-    return tuple(out)
+) -> ChannelDraws:
+    return ChannelDraws(
+        u_fix=unif[:, 0],
+        u_float=unif[:, 1],
+        wrong=unif[:, 2] < noise.wrong_fix_prob,
+        latent_fixed=truth_vecs + noise.sigma_fixed_m * norm[:, :3],
+        latent_float=truth_vecs + noise.sigma_float_m * norm[:, 3:],
+        wrong_offset=noise.wrong_fix_unit_m * lattice[lat_idx],
+    )
 
 
 def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanFrame]:

@@ -2,7 +2,10 @@
 
 Formats:
   * Epoch stream: JSON Lines, header ``{"format": "mgp-epoch", "version": 1}``
-    then one epoch object per line. Field names follow the in-memory types.
+    then one epoch object per line. Field names follow the in-memory types;
+    the truth channel's ``requery`` block goes through
+    :meth:`RequeryData.to_dict` / :meth:`RequeryData.from_dict`, one object
+    per antenna or baseline channel, held in memory as arrays.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line; each pulse is a compact array
     ``[t, x, y, z, reflector01]`` in scanner-frame meters; in memory a
@@ -38,11 +41,9 @@ from .simulator import (
     EpochRecord,
     EpochTruth,
     FixModel,
-    MeasurementChannel,
     NoiseModel,
     Reflector,
     RequeryData,
-    RequeryModel,
     Satellite,
     ScannerModel,
     ScenarioConfig,
@@ -94,55 +95,17 @@ def _quat_from(obj: Any) -> UnitQuaternion:
     return UnitQuaternion.from_array(vals, canonicalize=False)
 
 
-def _channel_to_dict(ch: MeasurementChannel) -> dict[str, Any]:
-    return {
-        "u_fix": ch.u_fix,
-        "u_float": ch.u_float,
-        "wrong": ch.wrong,
-        "latent_fixed": _vec(ch.latent_fixed),
-        "latent_float": _vec(ch.latent_float),
-        "wrong_offset": _vec(ch.wrong_offset),
-    }
-
-
-def _channel_from_dict(d: dict[str, Any]) -> MeasurementChannel:
-    return MeasurementChannel(
-        u_fix=float(d["u_fix"]),
-        u_float=float(d["u_float"]),
-        wrong=bool(d["wrong"]),
-        latent_fixed=_vec_from(d["latent_fixed"]),
-        latent_float=_vec_from(d["latent_float"]),
-        wrong_offset=_vec_from(d["wrong_offset"]),
-    )
-
-
 def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
     truth = None
     if epoch.truth is not None:
         tr = epoch.truth
-        requery = None
-        if tr.requery is not None:
-            rq = tr.requery
-            requery = {
-                "model": {
-                    "steepness": rq.model.steepness,
-                    "midpoint": rq.model.midpoint,
-                    "multipath_weight": rq.model.multipath_weight,
-                    "antenna_bias": list(rq.model.antenna_bias),
-                    "baseline_bias": rq.model.baseline_bias,
-                    "float_fraction": rq.model.float_fraction,
-                },
-                "solution_sats": list(rq.solution_sats),
-                "antenna_channels": [_channel_to_dict(c) for c in rq.antenna_channels],
-                "baseline_channels": [_channel_to_dict(c) for c in rq.baseline_channels],
-            }
         truth = {
             "position": _vec(tr.position),
             "attitude": _quat(tr.attitude),
             "multipath_sats": sorted(tr.multipath_sats),
             "corrupted_baselines": sorted(list(p) for p in tr.corrupted_baselines),
             "wrong_fix_antennas": sorted(tr.wrong_fix_antennas),
-            "requery": requery,
+            "requery": tr.requery.to_dict() if tr.requery is not None else None,
         }
     return {
         "t": epoch.t,
@@ -203,27 +166,6 @@ def epoch_from_dict(d: dict[str, Any]) -> EpochRecord:
         truth = None
         if d.get("truth") is not None:
             tr = d["truth"]
-            requery = None
-            if tr["requery"] is not None:
-                rq = tr["requery"]
-                md = rq["model"]
-                requery = RequeryData(
-                    model=RequeryModel(
-                        steepness=float(md["steepness"]),
-                        midpoint=float(md["midpoint"]),
-                        multipath_weight=float(md["multipath_weight"]),
-                        antenna_bias=tuple(float(b) for b in md["antenna_bias"]),
-                        baseline_bias=float(md["baseline_bias"]),
-                        float_fraction=float(md["float_fraction"]),
-                    ),
-                    solution_sats=tuple(str(s) for s in rq["solution_sats"]),
-                    antenna_channels=tuple(
-                        _channel_from_dict(c) for c in rq["antenna_channels"]
-                    ),
-                    baseline_channels=tuple(
-                        _channel_from_dict(c) for c in rq["baseline_channels"]
-                    ),
-                )
             truth = EpochTruth(
                 position=_vec_from(tr["position"]),
                 attitude=_quat_from(tr["attitude"]),
@@ -234,7 +176,9 @@ def epoch_from_dict(d: dict[str, Any]) -> EpochRecord:
                 wrong_fix_antennas=frozenset(
                     int(a) for a in tr["wrong_fix_antennas"]
                 ),
-                requery=requery,
+                requery=(
+                    RequeryData.from_dict(tr["requery"]) if tr["requery"] is not None else None
+                ),
             )
         return EpochRecord(
             t=float(d["t"]),
@@ -346,6 +290,10 @@ def read_scan(path: str) -> Iterator[ScanFrame]:
             if not line:
                 continue
             try:
+                # numpy would read a JSON true/false among numbers as 1.0/0.0;
+                # a scan line holds only numbers, so either word is a boolean
+                if "true" in line or "false" in line:
+                    raise ValidationError("scan values must be numbers, not JSON booleans")
                 yield _scan_frame(json.loads(line))
             except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc

@@ -326,6 +326,7 @@ def test_cloud_malformed_files(tmp_path) -> None:
         ("c.xyz", b"1.0 2.0 0.0 1\n1.0 2.0 0.0 0\n1.0 2.0 0.0 7\n", ":3: flag 7 is not 0 or 1"),
         ("c.xyz", b"1.0 2.0 0.0 1\n\n1.0 2.0 0.0 0\n", ":2: expected 'E N U flag'"),
         ("c.xyz", b"1.0 2.0 0.0 1\n1.0 2.0 0.0 0.5\n", ":2: flag 0.5 is not 0 or 1"),
+        ("c.xyz", b"  \n", ":1: expected 'E N U flag'"),
         (
             "c.bin",
             struct.pack("<dddB", 1.0, 2.0, 0.0, 1) * 2 + struct.pack("<dddB", 0.0, math.inf, 0.0, 0),
@@ -333,8 +334,17 @@ def test_cloud_malformed_files(tmp_path) -> None:
         ),
         ("c.bin", struct.pack("<dddB", 1.0, 2.0, 0.0, 2), ": record 1: flag 2 is not 0 or 1"),
     ],
-    ids=["xyz-nan", "xyz-flag-7", "xyz-blank-line", "xyz-flag-half", "bin-inf", "bin-flag-2"],
+    ids=[
+        "xyz-nan",
+        "xyz-flag-7",
+        "xyz-blank-line",
+        "xyz-flag-half",
+        "xyz-whitespace-only",
+        "bin-inf",
+        "bin-flag-2",
+    ],
 )
+@pytest.mark.filterwarnings("error")
 def test_read_cloud_rejects_bad_records_with_location(
     tmp_path, name: str, payload: bytes, where: str
 ) -> None:

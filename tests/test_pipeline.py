@@ -322,6 +322,10 @@ def test_run_truthless_stream_uses_spread_about_mean() -> None:
     with_truth = run(iter(epochs), PipelineConfig()).metrics
     without = run(iter(stripped), PipelineConfig()).metrics
     assert without.multipath_precision is None and without.multipath_recall is None
+    # feedback could not run without requery records: no rate, not the raw one
+    assert with_truth.hybrid_fix_rate_multipath_pct is not None
+    assert without.hybrid_fix_rate_multipath_pct is None
+    assert without.hybrid_fix_rate_pct == with_truth.hybrid_fix_rate_pct
     # static truth: spread about the mean approaches spread about truth
     for axis in ("e", "n", "u"):
         a = with_truth.position_sd_mm[axis]

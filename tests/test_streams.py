@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -87,8 +88,11 @@ def test_epoch_round_trip_preserves_truth_and_values(tmp_path: Path) -> None:
         ra, rb = a.truth.requery, b.truth.requery
         assert ra.model == rb.model
         assert ra.solution_sats == rb.solution_sats
-        assert ra.antenna_channels == rb.antenna_channels
-        assert ra.baseline_channels == rb.baseline_channels
+        for key in ("antenna_channels", "baseline_channels"):
+            ga, gb = getattr(ra, key), getattr(rb, key)
+            for name in ("u_fix", "u_float", "wrong", "latent_fixed", "latent_float", "wrong_offset"):
+                assert np.array_equal(getattr(ga, name), getattr(gb, name))
+                assert getattr(ga, name).dtype == getattr(gb, name).dtype
 
 
 def test_epoch_header_line_exact(tmp_path: Path) -> None:
@@ -147,6 +151,81 @@ def test_read_epochs_missing_key_is_input_error(tmp_path: Path) -> None:
     path.write_text('{"format": "mgp-epoch", "version": 1}\n' + json.dumps(d) + "\n")
     with pytest.raises(InputError):
         list(read_epochs(str(path)))
+
+
+def _short_bias(rq: dict) -> None:
+    rq["model"]["antenna_bias"].pop()
+
+
+def _nan_uniform(rq: dict) -> None:
+    rq["antenna_channels"][2]["u_fix"] = math.nan
+
+
+def _inf_latent(rq: dict) -> None:
+    rq["baseline_channels"][4]["latent_float"][1] = math.inf
+
+
+def _nan_bias(rq: dict) -> None:
+    rq["model"]["baseline_bias"] = math.nan
+
+
+def _set(group: str, key: str, value):
+    def edit(rq: dict) -> None:
+        for ch in rq[group]:
+            ch[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_short_bias, r"antenna_bias needs one entry per antenna \(6\)"),
+        (lambda rq: rq.update(baseline_channels=rq["baseline_channels"][:3]),
+         "6 antennas need 15 baseline channels, got 3"),
+        (lambda rq: rq.update(antenna_channels=rq["antenna_channels"][:5]),
+         r"antenna_bias needs one entry per antenna \(5\)"),
+        (_nan_uniform, "channel draws must be finite"),
+        (_inf_latent, "channel draws must be finite"),
+        (_nan_bias, "fix model values must be finite"),
+        (_set("baseline_channels", "wrong", "no"), "wrong-fix flags must be booleans"),
+        (_set("antenna_channels", "wrong", 0), "wrong-fix flags must be booleans"),
+        (_set("antenna_channels", "latent_fixed", [1.0, 2.0]), "channel draws need"),
+        (lambda rq: rq["model"].update(steepness=-1.0), "steepness must be positive"),
+        (lambda rq: rq["model"].update(float_fraction=2.0), "float_fraction must be in"),
+    ],
+    ids=[
+        "antenna-bias-short",
+        "baselines-3-of-15",
+        "antennas-5-of-6",
+        "nan-uniform",
+        "inf-latent",
+        "nan-baseline-bias",
+        "wrong-string",
+        "wrong-number",
+        "latent-two-values",
+        "negative-steepness",
+        "float-fraction-2",
+    ],
+)
+def test_read_epochs_rejects_bad_requery_record(tmp_path: Path, edit, message: str) -> None:
+    """A requery record that fails its checks is a malformed line: strict
+    reading names ``path:line``, skip mode counts it and keeps the rest."""
+    epochs = list(simulate(_scenario(duration_s=0.3)))
+    path = tmp_path / "e.jsonl"
+    write_epochs(str(path), epochs)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    edit(record["truth"]["requery"])
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: .*{message}"):
+        list(read_epochs(str(path)))
+    diags: list[str] = []
+    back = list(read_epochs(str(path), skip_malformed=True, diagnostics=diags))
+    assert [e.t for e in back] == [e.t for i, e in enumerate(epochs) if i != 1]
+    assert len(diags) == 1 and diags[0].startswith(f"{path}:3: skipped epoch")
 
 
 # -- scan streams -----------------------------------------------------------------
@@ -228,6 +307,10 @@ def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
         ('{"t": 0.1, "pulses": [[0.01, 1.0, 2.0, -20.0, 0], [0.02, 1.0]]}',
          "each pulse must be five numbers"),
         ('{"t": 0.1, "pulses": [[0.01, 1.0, 2.0, -20.0, 3]]}', "pulse reflector flag must be 0 or 1"),
+        ('{"t": 0.1, "pulses": [[0.01, 1.0, 2.0, -20.0, true]]}',
+         "scan values must be numbers, not JSON booleans"),
+        ('{"t": false, "pulses": [[0.01, 1.0, 2.0, -20.0, 0]]}',
+         "scan values must be numbers, not JSON booleans"),
     ],
     ids=[
         "nan-frame-time",
@@ -238,8 +321,11 @@ def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
         "string-coordinate",
         "ragged-pulses",
         "flag-3",
+        "bool-flag",
+        "bool-frame-time",
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_read_scan_rejects_non_finite_times(tmp_path: Path, row: str, message: str) -> None:
     """Non-finite times and malformed pulses name the file and line."""
     path = tmp_path / "s.jsonl"
