@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from .attitude import (
     AttitudeSolution,
+    Baselines,
     VectorObservation,
     baseline_weights,
     davenport_matrix,
@@ -49,6 +50,7 @@ from .multipath import (
     MultipathVerdict,
     SatelliteAssessment,
     SnrRow,
+    SnrTable,
     detect_multipath,
     snr_sd,
 )
@@ -64,7 +66,7 @@ from .pipeline import (
     process_epoch,
     run,
 )
-from .positioning import FixSolution, FixStatus, PositionSolution, hybrid_position
+from .positioning import FixSolution, Fixes, FixStatus, PositionSolution, hybrid_position
 from .robust import (
     RansacParams,
     RobustAttitudeResult,

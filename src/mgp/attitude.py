@@ -17,11 +17,15 @@ stack of matrices as well as a single one, so the RANSAC wrapper builds every
 two-baseline hypothesis of an epoch as one (P, 4, 4) array and solves them
 in a single call; the inlier refit and ``solve_max_eigenpair`` use the same
 path with one matrix.
+
+An epoch's observations travel as one :class:`Baselines` record of arrays;
+:class:`VectorObservation` is the one-baseline view for callers that want
+objects, and the estimators accept either form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +58,64 @@ class VectorObservation:
         a, b = self.antenna_pair
         if a == b:
             raise ValidationError("antenna pair must reference two distinct antennas")
+
+
+@dataclass(frozen=True, eq=False)
+class Baselines:
+    """The baseline observations of one epoch as arrays.
+
+    ``pairs`` (m, 2) holds the (from, to) antenna ids, ``v`` (m, 3) the
+    measured ENU baselines, ``w`` (m, 3) the body baselines and ``fixed``
+    (m,) the ambiguity state. Build from outside data with :meth:`checked` or
+    :meth:`of`; iterating yields :class:`VectorObservation` views.
+    """
+
+    pairs: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    fixed: np.ndarray
+
+    @classmethod
+    def checked(
+        cls, pairs: np.ndarray, v: np.ndarray, w: np.ndarray, fixed: np.ndarray
+    ) -> Baselines:
+        """Build after checking the :class:`VectorObservation` rules on every row."""
+        m = len(pairs)
+        if pairs.shape != (m, 2) or v.shape != (m, 3) or w.shape != (m, 3) or fixed.shape != (m,):
+            raise ValidationError("baselines need (m, 2) pairs, (m, 3) vectors and (m,) flags")
+        if not (((v * v).sum(axis=1) > 0.0).all() and ((w * w).sum(axis=1) > 0.0).all()):
+            raise ValidationError("baseline vectors must have positive length")
+        if (pairs[:, 0] == pairs[:, 1]).any():
+            raise ValidationError("antenna pair must reference two distinct antennas")
+        return cls(pairs, v, w, fixed)
+
+    @classmethod
+    def of(cls, observations: Iterable[VectorObservation]) -> Baselines:
+        obs = list(observations)
+        return cls.checked(
+            np.array([o.antenna_pair for o in obs], dtype=np.int64).reshape(-1, 2),
+            np.array([o.v.as_array() for o in obs]).reshape(-1, 3),
+            np.array([o.w.as_array() for o in obs]).reshape(-1, 3),
+            np.array([o.fixed for o in obs], dtype=bool),
+        )
+
+    def select(self, keep: np.ndarray) -> Baselines:
+        """The rows where the bool mask ``keep`` is True."""
+        return Baselines(self.pairs[keep], self.v[keep], self.w[keep], self.fixed[keep])
+
+    def fixed_only(self) -> Baselines:
+        return self if self.fixed.all() else self.select(self.fixed)
+
+    def pair_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, self.pairs.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __iter__(self) -> Iterator[VectorObservation]:
+        rows = zip(self.pairs.tolist(), self.v.tolist(), self.w.tolist(), self.fixed.tolist())
+        for (a, b), v, w, fixed in rows:
+            yield VectorObservation(Vec3(*v), Vec3(*w), (a, b), fixed)
 
 
 @dataclass(frozen=True)
@@ -91,9 +153,14 @@ def baseline_weights(observations: Sequence[VectorObservation]) -> list[float]:
     """Normalized weights ``a_i = |w_i| / sum_j |w_j|`` (sum to one)."""
     if not observations:
         raise InsufficientDataError("no observations to weight")
-    lengths = [o.w.norm() for o in observations]
-    total = sum(lengths)
-    return [ln / total for ln in lengths]
+    return _length_weights(np.array([o.w.as_array() for o in observations])).tolist()
+
+
+def _length_weights(ws: np.ndarray) -> np.ndarray:
+    # Each length as Vec3.norm forms it and the total as a left-to-right
+    # Python sum, so list and array callers get bitwise the same weights.
+    lengths = np.sqrt(ws[:, 0] * ws[:, 0] + ws[:, 1] * ws[:, 1] + ws[:, 2] * ws[:, 2])
+    return lengths / sum(lengths.tolist())
 
 
 def davenport_matrix(
@@ -111,9 +178,12 @@ def davenport_matrix(
         raise ValidationError("one weight required per observation")
     vs = np.array([o.v.as_array() for o in observations])
     ws = np.array([o.w.as_array() for o in observations])
-    a = np.asarray(weights, dtype=np.float64)
-    vs /= np.linalg.norm(vs, axis=1)[:, None]
-    ws /= np.linalg.norm(ws, axis=1)[:, None]
+    return _weighted_k(vs, ws, np.asarray(weights, dtype=np.float64))
+
+
+def _weighted_k(vs: np.ndarray, ws: np.ndarray, a: np.ndarray) -> np.ndarray:
+    vs = vs / np.linalg.norm(vs, axis=1)[:, None]
+    ws = ws / np.linalg.norm(ws, axis=1)[:, None]
     return _davenport_k((ws * a[:, None]).T @ vs)
 
 
@@ -129,12 +199,9 @@ def _davenport_k(b: np.ndarray) -> np.ndarray:
         k[..., i, i] -= tr
     # Off-diagonal sign makes q^T K q the gain under the rotation convention
     # R(q) v rather than the transposed (frame-transform) convention.
-    z = np.stack(
-        (b[..., 2, 1] - b[..., 1, 2], b[..., 0, 2] - b[..., 2, 0], b[..., 1, 0] - b[..., 0, 1]),
-        axis=-1,
-    )
-    k[..., :3, 3] = z
-    k[..., 3, :3] = z
+    k[..., 0, 3] = k[..., 3, 0] = b[..., 2, 1] - b[..., 1, 2]
+    k[..., 1, 3] = k[..., 3, 1] = b[..., 0, 2] - b[..., 2, 0]
+    k[..., 2, 3] = k[..., 3, 2] = b[..., 1, 0] - b[..., 0, 1]
     k[..., 3, 3] = tr
     return k
 
@@ -174,23 +241,26 @@ def solve_max_eigenpair(k: np.ndarray) -> tuple[float, UnitQuaternion]:
     return lam, UnitQuaternion.from_array(q)
 
 
-def estimate_attitude(observations: Iterable[VectorObservation]) -> AttitudeSolution:
+def estimate_attitude(
+    observations: Baselines | Iterable[VectorObservation],
+) -> AttitudeSolution:
     """Weighted Q-method attitude from the fixed observations.
 
     The eigen solve yields the ENU-to-body quaternion; the returned solution
     stores its conjugate so ``q`` rotates body vectors into ENU.
     """
-    fixed = [o for o in observations if o.fixed]
+    if not isinstance(observations, Baselines):
+        observations = Baselines.of(observations)
+    fixed = observations.fixed_only()
     if len(fixed) < 2:
         raise InsufficientDataError("attitude needs at least 2 fixed baseline observations")
-    weights = baseline_weights(fixed)
-    k = davenport_matrix(fixed, weights)
-    lam, q_be = _max_eigenpair(k)
+    weights = _length_weights(fixed.w)
+    lam, q_be = _max_eigenpair(_weighted_k(fixed.v, fixed.w, weights))
     q_eb = UnitQuaternion.from_array(q_be * np.array((-1.0, -1.0, -1.0, 1.0)))
     return AttitudeSolution(
         available=True,
         q=q_eb,
         lambda_max=lam,
-        weights_sum=sum(weights),
-        used_observations=tuple(o.antenna_pair for o in fixed),
+        weights_sum=sum(weights.tolist()),
+        used_observations=tuple(map(tuple, fixed.pairs.tolist())),
     )

@@ -11,6 +11,7 @@ Conventions used throughout the toolkit:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,7 +121,7 @@ class AntennaLayout:
     def __post_init__(self) -> None:
         if len(self.body_positions) < 2:
             raise ValidationError("a layout needs at least 2 antennas")
-        pts = np.array([p.as_array() for p in self.body_positions])
+        pts = self.positions
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if np.linalg.norm(pts[i] - pts[j]) < 1e-9:
@@ -133,6 +134,13 @@ class AntennaLayout:
     @property
     def antenna_count(self) -> int:
         return len(self.body_positions)
+
+    @functools.cached_property
+    def positions(self) -> np.ndarray:
+        """Read-only (n, 3) body positions; antenna k is row k - 1."""
+        pts = np.array([p.as_array() for p in self.body_positions])
+        pts.flags.writeable = False
+        return pts
 
     @property
     def antenna_ids(self) -> tuple[int, ...]:
@@ -171,25 +179,31 @@ def _canonical_sign(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
-    """Rotation matrix R with ``rotate(q, v) = R @ v``."""
+def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
+    """Rotation matrix R (3, 3) with ``rotate(q, v) = R @ v``.
+
+    A unit ``q`` makes R proper orthogonal by construction, so it is not
+    re-checked here; :class:`RotationMatrix` checks matrices from elsewhere.
+    """
     x, y, z, w = q.qx, q.qy, q.qz, q.qw
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    m = np.array(
+    return np.array(
         [
             [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
             [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
             [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
         ]
     )
-    return RotationMatrix(m)
 
 
-def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:
-    """Inverse of :func:`quat_to_matrix`, canonical-sign result (Shepperd's method)."""
-    m = r.as_array()
+def matrix_to_quat(r: np.ndarray) -> UnitQuaternion:
+    """Inverse of :func:`quat_to_matrix`, canonical-sign result (Shepperd's method).
+
+    Raises ValidationError unless ``r`` is a proper rotation matrix.
+    """
+    m = RotationMatrix(r).m
     t = float(np.trace(m))
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0
@@ -219,7 +233,7 @@ def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:
 
 
 def rotate(q: UnitQuaternion, v: Vec3) -> Vec3:
-    return Vec3.from_array(quat_to_matrix(q).as_array() @ v.as_array())
+    return Vec3.from_array(quat_to_matrix(q) @ v.as_array())
 
 
 def quat_multiply(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
@@ -274,7 +288,7 @@ def euler_from_quat(q: UnitQuaternion) -> tuple[float, float, float]:
     yaw/roll split is undefined; by convention roll := 0 and yaw absorbs
     the remaining rotation.
     """
-    m = quat_to_matrix(q).as_array()
+    m = quat_to_matrix(q)
     sp = -m[2, 0]
     sp = max(-1.0, min(1.0, sp))
     pitch = math.asin(sp)

@@ -110,8 +110,8 @@ class ReflectorReport:
 
 def georeference(pose: Pose, calib: MountCalibration, scan_point: Vec3) -> Vec3:
     """Transform one scanner-frame point to world coordinates."""
-    r_eb = quat_to_matrix(pose.q).as_array()
-    r_bs = quat_to_matrix(calib.boresight).as_array()
+    r_eb = quat_to_matrix(pose.q)
+    r_bs = quat_to_matrix(calib.boresight)
     body = calib.lever_arm.as_array() + r_bs @ scan_point.as_array()
     return Vec3.from_array(pose.p.as_array() + r_eb @ body)
 
@@ -147,7 +147,7 @@ def georeference_stream(
     keep = np.abs(times[nearest] - ts) <= max_pose_gap_s
     dropped = int((~keep).sum())
 
-    r_bs = quat_to_matrix(calib.boresight).as_array()
+    r_bs = quat_to_matrix(calib.boresight)
     lever = calib.lever_arm.as_array()
     body = np.ascontiguousarray(pulses[:, 1:]) @ r_bs.T + lever
 
@@ -159,7 +159,7 @@ def georeference_stream(
     world = np.empty_like(body)
     for rows in np.split(by_pose, starts)[1:]:
         pose = poses[nearest[rows[0]]]
-        r_eb = quat_to_matrix(pose.q).as_array()
+        r_eb = quat_to_matrix(pose.q)
         world[rows] = body[rows] @ r_eb.T + pose.p.as_array()
     return Cloud(p=world[keep], reflector=flags[keep]), dropped
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import UnitQuaternion, matrix_to_quat, RotationMatrix
+from .core import UnitQuaternion, matrix_to_quat
 from .errors import DegenerateGeometryError, InsufficientDataError, ValidationError
 
 
@@ -59,7 +59,7 @@ def wahba_svd(observations: Sequence, weights: Sequence[float]) -> UnitQuaternio
     if s[1] + d * s[2] < 1e-9 * max(1.0, s[0]):
         raise DegenerateGeometryError("baseline geometry leaves attitude unobservable")
     r_eb = u @ np.diag([1.0, 1.0, d]) @ vt
-    return matrix_to_quat(RotationMatrix(r_eb))
+    return matrix_to_quat(r_eb)
 
 
 def gain_scan(k: np.ndarray, n_samples: int, seed: int = 0) -> tuple[UnitQuaternion, float]:

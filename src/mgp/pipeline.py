@@ -15,11 +15,14 @@ result does not depend on epoch processing order.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
-from .attitude import AttitudeSolution, VectorObservation
+import numpy as np
+
+from .attitude import AttitudeSolution, Baselines
 from .core import AntennaLayout, euler_from_quat, hexagon_layout
 from .errors import (
     ConfigurationError,
@@ -32,10 +35,9 @@ from .multipath import (
     DEFAULT_MIN_ANTENNA_COUNT,
     DEFAULT_SD_THRESHOLD_DBHZ,
     MultipathReport,
-    SnrRow,
     detect_multipath,
 )
-from .positioning import FixSolution, FixStatus, PositionSolution, hybrid_position
+from .positioning import Fixes, PositionSolution, hybrid_position
 from .robust import RansacParams, ransac_attitude
 from .simulator import EpochRecord, requery_epoch
 from .streams import PoseRow, _check_keys, _layout_from, _read_json_file
@@ -85,6 +87,15 @@ class PipelineConfig:
         if self.antenna_subset is not None:
             return self.antenna_subset
         return tuple(range(1, self.layout.antenna_count + 1))
+
+    @functools.cached_property
+    def active_mask(self) -> np.ndarray:
+        """Read-only bool lookup by antenna id (length antenna count + 1):
+        True for the antennas the run uses."""
+        mask = np.zeros(self.layout.antenna_count + 1, dtype=bool)
+        mask[list(self.active_antennas)] = True
+        mask.flags.writeable = False
+        return mask
 
 
 def pipeline_config_from_dict(d: dict[str, Any]) -> PipelineConfig:
@@ -143,63 +154,44 @@ class EpochResult:
     attitude: AttitudeSolution
     position: PositionSolution
     multipath: MultipathReport
-    fixes_used: tuple[FixSolution, ...]
-    outlier_pairs: frozenset[tuple[int, int]]
+    fixes_used: Fixes
 
 
-def _filter_subset(
-    fixes: list[FixSolution],
-    baselines: list[VectorObservation],
-    subset: set[int],
-) -> tuple[list[FixSolution], list[VectorObservation]]:
-    fixes = [f for f in fixes if f.antenna_id in subset]
-    baselines = [
-        o
-        for o in baselines
-        if o.antenna_pair[0] in subset and o.antenna_pair[1] in subset
-    ]
-    return fixes, baselines
-
-
-def _subset_snr(rows: list[SnrRow], idxs: list[int]) -> list[SnrRow]:
-    out = []
-    for row in rows:
-        vals = tuple(row.snr_dbhz[i] for i in idxs)
-        if all(v is None for v in vals):
-            continue
-        out.append(SnrRow(sat_id=row.sat_id, snr_dbhz=vals))
-    return out
-
-
-def _attitude_stage(
-    baselines: list[VectorObservation], config: PipelineConfig
-) -> tuple[AttitudeSolution, frozenset[tuple[int, int]]]:
-    fixed = [o for o in baselines if o.fixed]
+def _attitude_stage(baselines: Baselines, config: PipelineConfig) -> AttitudeSolution:
+    fixed = baselines.fixed_only()
     if len(fixed) < config.attitude_min_baselines:
-        return AttitudeSolution.unavailable(), frozenset()
+        return AttitudeSolution.unavailable()
     k = len(config.active_antennas)
     max_pairs = k * (k - 1) // 2
     params = config.ransac
     params = replace(params, min_inliers=max(2, min(params.min_inliers, max_pairs)))
     try:
-        result = ransac_attitude(fixed, params)
+        return ransac_attitude(fixed, params).solution
     except (InsufficientDataError, DegenerateGeometryError):
-        return AttitudeSolution.unavailable(), frozenset()
-    return result.solution, result.outlier_pairs
+        return AttitudeSolution.unavailable()
 
 
 def _check_antenna_ids(epoch: EpochRecord, layout: AntennaLayout) -> None:
     n = layout.antenna_count
-    ids = [f.antenna_id for f in epoch.fixes]
-    ids += [a for o in epoch.baselines for a in o.antenna_pair]
-    for i in ids:
-        if not 1 <= i <= n:
-            raise ValidationError(f"antenna {i} has no layout entry (layout has {n})")
-    for row in epoch.snr_rows:
-        if len(row.snr_dbhz) != n:
-            raise ValidationError(
-                f"SNR row {row.sat_id} has {len(row.snr_dbhz)} columns (layout has {n})"
-            )
+    ids = np.concatenate((epoch.fixes.ids, epoch.baselines.pairs.ravel()))
+    bad = ids[(ids < 1) | (ids > n)]
+    if len(bad):
+        raise ValidationError(f"antenna {bad[0]} has no layout entry (layout has {n})")
+    snr = epoch.snr_rows
+    if len(snr) and snr.dbhz.shape[1] != n:
+        raise ValidationError(
+            f"SNR row {snr.sat_ids[0]} has {snr.dbhz.shape[1]} columns (layout has {n})"
+        )
+
+
+def _active(
+    fixes: Fixes, baselines: Baselines, config: PipelineConfig
+) -> tuple[Fixes, Baselines]:
+    """The fixes and baselines of the active antennas only."""
+    if config.antenna_subset is None:
+        return fixes, baselines
+    mask = config.active_mask
+    return fixes.select(mask[fixes.ids]), baselines.select(mask[baselines.pairs].all(axis=1))
 
 
 def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
@@ -210,18 +202,12 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
     that epoch instead of aborting the stream.
     """
     _check_antenna_ids(epoch, config.layout)
-    subset = set(config.antenna_subset) if config.antenna_subset is not None else None
-    col_idxs = [i - 1 for i in config.active_antennas]
-    fixes = list(epoch.fixes)
-    baselines = list(epoch.baselines)
-    snr_rows = list(epoch.snr_rows)
-    if subset is not None:
-        fixes, baselines = _filter_subset(fixes, baselines, subset)
-        snr_rows = _subset_snr(snr_rows, col_idxs)
+    fixes, baselines = _active(epoch.fixes, epoch.baselines, config)
+    snr = epoch.snr_rows
+    if config.antenna_subset is not None:
+        snr = snr.columns(config.active_mask[1:])
 
-    report = detect_multipath(
-        snr_rows, config.multipath.threshold_dbhz, config.multipath.min_count
-    )
+    report = detect_multipath(snr, config.multipath.threshold_dbhz, config.multipath.min_count)
 
     if (
         config.multipath_feedback
@@ -229,11 +215,11 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
         and epoch.truth is not None
         and epoch.truth.requery is not None
     ):
-        fixes, baselines = requery_epoch(epoch, report.excluded_sats, config.layout)
-        if subset is not None:
-            fixes, baselines = _filter_subset(fixes, baselines, subset)
+        fixes, baselines = _active(
+            *requery_epoch(epoch, report.excluded_sats, config.layout), config
+        )
 
-    attitude, outliers = _attitude_stage(baselines, config)
+    attitude = _attitude_stage(baselines, config)
     position = hybrid_position(
         fixes, attitude.q if attitude.available else None, config.layout
     )
@@ -242,8 +228,7 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
         attitude=attitude,
         position=position,
         multipath=report,
-        fixes_used=tuple(fixes),
-        outlier_pairs=outliers,
+        fixes_used=fixes,
     )
 
 
@@ -355,7 +340,8 @@ def run(
     """
     diags = diagnostics if diagnostics is not None else []
     ant_ids = config.active_antennas
-    fixed_counts = {i: 0 for i in ant_ids}
+    active = config.active_mask
+    fixed_counts = np.zeros(len(active), dtype=np.int64)
     n_proc = 0
     raw_any = 0
     fb_any = 0
@@ -381,14 +367,13 @@ def run(
         last_t = epoch.t
         n_proc += 1
 
-        raw_fixed = 0
-        for f in epoch.fixes:
-            if f.antenna_id in fixed_counts and f.status is FixStatus.FIXED:
-                fixed_counts[f.antenna_id] += 1
-                raw_fixed += 1
-        if raw_fixed:
+        # process_epoch has checked that every antenna id is in the layout
+        raw_ids = epoch.fixes.ids[epoch.fixes.fixed]
+        raw_ids = raw_ids[active[raw_ids]]
+        fixed_counts += np.bincount(raw_ids, minlength=len(active))
+        if len(raw_ids):
             raw_any += 1
-        n_fix_used = sum(1 for f in result.fixes_used if f.status is FixStatus.FIXED)
+        n_fix_used = int(np.count_nonzero(result.fixes_used.fixed))
         if n_fix_used:
             fb_any += 1
 
@@ -417,7 +402,7 @@ def run(
         if epoch.truth is not None:
             truth_seen = True
             requery_seen |= epoch.truth.requery is not None
-            universe = set(result.multipath.per_satellite)
+            universe = set(result.multipath.sat_ids)
             true_mp = epoch.truth.multipath_sats & universe
             detected = set(result.multipath.excluded_sats)
             tp += len(detected & true_mp)
@@ -444,11 +429,12 @@ def run(
         att_sd = {axis: _angle_sd(att_val[axis]) for axis in att_val}
         pos_sd_m = {axis: _population_sd(pos_val[axis]) for axis in pos_val}
 
+    counts = fixed_counts.tolist()
     metrics = MetricsReport(
         epochs=n_proc,
         skipped=len(diags),
         per_antenna_fix_rate_pct={
-            i: (100.0 * fixed_counts[i] / n_proc if n_proc else None) for i in ant_ids
+            i: (100.0 * counts[i] / n_proc if n_proc else None) for i in ant_ids
         },
         hybrid_fix_rate_pct=pct(raw_any),
         hybrid_fix_rate_multipath_pct=(

@@ -16,14 +16,17 @@ them all.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .attitude import (
     EIGEN_GAP_TOL,
     AttitudeSolution,
+    Baselines,
     VectorObservation,
     _davenport_k,
     _dominant_eigenpairs,
@@ -35,6 +38,10 @@ from .errors import DegenerateGeometryError, InsufficientDataError, ValidationEr
 # Body-baseline pairs separated by less than this angle are rejected as
 # degenerate before the eigen solve.
 MIN_PAIR_ANGLE_DEG = 5.0
+
+# Component orders of a x b = a[_YZX] * b[_ZXY] - a[_ZXY] * b[_YZX], the
+# products and differences np.cross forms.
+_YZX, _ZXY = [1, 2, 0], [2, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -88,18 +95,25 @@ def _rotations_eb(q_be: np.ndarray) -> np.ndarray:
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     wx, wy, wz = w * x, w * y, w * z
-    return np.stack(
+    return np.array(
         (
             1.0 - 2.0 * (yy + zz), 2.0 * (xy + wz), 2.0 * (xz - wy),
             2.0 * (xy - wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz + wx),
             2.0 * (xz + wy), 2.0 * (yz - wx), 1.0 - 2.0 * (xx + yy),
-        ),
-        axis=-1,
-    ).reshape(-1, 3, 3)
+        )
+    ).T.reshape(-1, 3, 3)
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair ``(i, j)``, ``i < j``, of m observations, in that order."""
+    p0, p1 = np.triu_indices(m, 1)
+    p0.flags.writeable = p1.flags.writeable = False
+    return p0, p1
 
 
 def ransac_attitude(
-    observations: list[VectorObservation], params: RansacParams
+    observations: Baselines | Iterable[VectorObservation], params: RansacParams
 ) -> RobustAttitudeResult:
     """Consensus attitude over baseline observations.
 
@@ -107,21 +121,23 @@ def ransac_attitude(
     exist, and DegenerateGeometryError when no pair of them passes both the
     angle screen and the eigen-gap check.
     """
-    candidates = [o for o in observations if o.fixed]
+    if not isinstance(observations, Baselines):
+        observations = Baselines.of(observations)
+    candidates = observations.fixed_only()
     m = len(candidates)
     if m < 2:
         raise InsufficientDataError("RANSAC needs at least 2 fixed baseline observations")
 
-    vs = np.array([(o.v.x, o.v.y, o.v.z) for o in candidates])
-    ws = np.array([(o.w.x, o.w.y, o.w.z) for o in candidates])
+    vs, ws = candidates.v, candidates.w
     w_len = np.linalg.norm(ws, axis=1)
     vs_hat = vs / np.linalg.norm(vs, axis=1)[:, None]
     ws_hat = ws / w_len[:, None]
 
     # Every pair in (i, j) order, minus the near-collinear body baselines.
-    p0, p1 = np.triu_indices(m, 1)
-    cross = np.linalg.norm(np.cross(ws_hat[p0], ws_hat[p1]), axis=1)
-    keep = cross >= math.sin(math.radians(MIN_PAIR_ANGLE_DEG))
+    p0, p1 = _pair_indices(m)
+    u0, u1 = ws_hat[p0], ws_hat[p1]
+    cross = u0[:, _YZX] * u1[:, _ZXY] - u0[:, _ZXY] * u1[:, _YZX]
+    keep = np.sqrt((cross * cross).sum(axis=1)) >= math.sin(math.radians(MIN_PAIR_ANGLE_DEG))
     p0, p1 = p0[keep], p1[keep]
     a0 = (w_len[p0] / (w_len[p0] + w_len[p1]))[:, None, None]
     b = a0 * ws_hat[p0, :, None] * vs_hat[p0, None, :] + (
@@ -143,17 +159,16 @@ def ransac_attitude(
     # Most inliers, then smallest residual sum; exact ties go to the first pair.
     mask = inlier[np.lexsort((sres, -count))[0]]
 
-    all_pairs = frozenset(o.antenna_pair for o in observations)
     if int(mask.sum()) >= params.min_inliers:
-        inlier_obs = [candidates[i] for i in range(m) if mask[i]]
-        solution = estimate_attitude(inlier_obs)
-        inliers = frozenset(o.antenna_pair for o in inlier_obs)
+        consensus = candidates.select(mask)
+        solution = estimate_attitude(consensus)
+        inliers = consensus.pair_set()
     else:
         solution = AttitudeSolution.unavailable()
         inliers = frozenset()
     return RobustAttitudeResult(
         solution=solution,
         inlier_pairs=inliers,
-        outlier_pairs=all_pairs - inliers,
+        outlier_pairs=observations.pair_set() - inliers,
         iterations_used=hypotheses,
     )

@@ -35,7 +35,8 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .attitude import VectorObservation
+from . import jsonvals
+from .attitude import Baselines
 from .core import (
     AntennaLayout,
     UnitQuaternion,
@@ -47,11 +48,8 @@ from .core import (
 )
 from .errors import ConfigurationError, ValidationError
 from .mapping import MountCalibration, Pose, ScanFrame
-from .multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ, SnrRow
-from .positioning import FixSolution, FixStatus
-
-# Replayed solution status by grade: 0 none, 1 float, 2 fixed.
-_GRADES = (FixStatus.NONE, FixStatus.FLOAT, FixStatus.FIXED)
+from .multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ, SnrTable
+from .positioning import Fixes
 
 # Salt mixed into the seed for the scan-point generator so that producing a
 # scan stream never perturbs the epoch stream draws.
@@ -395,21 +393,25 @@ class RequeryData:
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> RequeryData:
+        """Inverse of :meth:`to_dict`; every value must have its JSON type
+        (a number, a boolean ``wrong``, string satellites)."""
         md = d["model"]
+        what = "fix model values"
         model = FixModel(
-            **{k: float(md[k]) for k in _MODEL_KEYS if k != "antenna_bias"},
-            antenna_bias=tuple(float(b) for b in md["antenna_bias"]),
+            **{k: jsonvals.number(md[k], what) for k in _MODEL_KEYS if k != "antenna_bias"},
+            antenna_bias=tuple(jsonvals.floats(md["antenna_bias"], what).tolist()),
         )
-        groups = [
-            ChannelDraws(
-                *(
-                    np.array([row[k] for row in d[key]], dtype=None if k == "wrong" else np.float64)
-                    for k in _DRAW_KEYS
+        groups = []
+        for key in ("antenna_channels", "baseline_channels"):
+            cols = {k: [row[k] for row in d[key]] for k in _DRAW_KEYS}
+            groups.append(
+                ChannelDraws(
+                    *(jsonvals.floats(cols[k], f"{k} channel draws") for k in _DRAW_KEYS[:2]),
+                    jsonvals.flags(cols["wrong"], "wrong-fix flags"),
+                    *(jsonvals.floats(cols[k], f"{k} channel draws", 3) for k in _DRAW_KEYS[3:]),
                 )
             )
-            for key in ("antenna_channels", "baseline_channels")
-        ]
-        return cls(model, tuple(str(s) for s in d["solution_sats"]), *groups)
+        return cls(model, jsonvals.strings(d["solution_sats"], "solution_sats"), *groups)
 
 
 @dataclass(frozen=True)
@@ -422,18 +424,16 @@ class EpochTruth:
     requery: RequeryData | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpochRecord:
-    t: float
-    fixes: tuple[FixSolution, ...]
-    baselines: tuple[VectorObservation, ...]
-    snr_rows: tuple[SnrRow, ...]
-    truth: EpochTruth | None = None
+    """One epoch of the stream: the antenna solutions, the baseline
+    observations and the SNR table, each a record of arrays."""
 
-    def __post_init__(self) -> None:
-        pairs = [tuple(sorted(o.antenna_pair)) for o in self.baselines]
-        if len(set(pairs)) != len(pairs):
-            raise ValidationError("baseline antenna pairs must be unordered-unique")
+    t: float
+    fixes: Fixes
+    baselines: Baselines
+    snr_rows: SnrTable
+    truth: EpochTruth | None = None
 
 
 def multipath_satellite_ids(config: ScenarioConfig) -> frozenset[str]:
@@ -520,14 +520,15 @@ def _effective_biases(config: ScenarioConfig, n_clean: int, n_mp: int) -> tuple[
 
 
 @functools.lru_cache(maxsize=8)
-def _pair_baselines(
-    layout: AntennaLayout,
-) -> tuple[tuple[tuple[int, int], ...], tuple[Vec3, ...]]:
-    """The antenna pairs ``(i, j)``, ``i < j``, in replay order, and their
-    body-frame baselines."""
+def _pair_baselines(layout: AntennaLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (P, 2) antenna pairs ``(i, j)``, ``i < j``, in replay order,
+    and their (P, 3) body-frame baselines."""
     n = layout.antenna_count
-    pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    return pairs, tuple(layout.baseline(i, j) for i, j in pairs)
+    pairs = np.array([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    pairs = pairs.reshape(-1, 2)
+    body = np.array([layout.baseline(i, j).as_array() for i, j in pairs.tolist()])
+    pairs.flags.writeable = body.flags.writeable = False
+    return pairs, body
 
 
 def _status_sets(
@@ -535,9 +536,10 @@ def _status_sets(
     multipath_sats: frozenset[str],
     excluded: frozenset[str],
     layout: AntennaLayout,
-) -> tuple[list[FixSolution], list[VectorObservation], np.ndarray, np.ndarray]:
+) -> tuple[Fixes, Baselines, np.ndarray, np.ndarray]:
     """Fix and baseline solutions replayed for the solution satellites left
-    after ``excluded``, then the FIXED masks of the antennas and baselines."""
+    after ``excluded`` (baselines with no solution left out), then the FIXED
+    masks of all antennas and baselines."""
     remaining = [s for s in req.solution_sats if s not in excluded]
     n_mp = sum(1 for s in remaining if s in multipath_sats)
     n_clean = len(remaining) - n_mp
@@ -546,24 +548,23 @@ def _status_sets(
     p_bl = model.probability(n_clean, n_mp, model.baseline_bias)
     ant_fixed, ant_float, ant_vec = _grade(req.antenna_channels, p_ant, model.float_fraction)
     bl_fixed, bl_float, bl_vec = _grade(req.baseline_channels, p_bl, model.float_fraction)
-    fixes = [
-        FixSolution(
-            antenna_id=k + 1, status=_GRADES[g], p=Vec3(*v) if g else None, sats_used=len(remaining)
-        )
-        for k, (g, v) in enumerate(zip((2 * ant_fixed + ant_float).tolist(), ant_vec.tolist()))
-    ]
+    n = len(ant_fixed)
+    grade = 2 * ant_fixed.astype(np.int8) + ant_float
+    fixes = Fixes(
+        ids=np.arange(1, n + 1),
+        grade=grade,
+        p=np.where((grade > 0)[:, None], ant_vec, np.nan),
+        sats_used=np.full(n, len(remaining)),
+    )
     pairs, body = _pair_baselines(layout)
-    bl_rows, bl_flags = bl_vec.tolist(), bl_fixed.tolist()
-    observations = [
-        VectorObservation(v=Vec3(*bl_rows[k]), w=body[k], antenna_pair=pairs[k], fixed=bl_flags[k])
-        for k in np.flatnonzero(bl_fixed | bl_float).tolist()
-    ]
-    return fixes, observations, ant_fixed, bl_fixed
+    keep = bl_fixed | bl_float
+    baselines = Baselines(pairs[keep], bl_vec[keep], body[keep], bl_fixed[keep])
+    return fixes, baselines, ant_fixed, bl_fixed
 
 
 def requery_epoch(
     epoch: EpochRecord, excluded: frozenset[str], layout: AntennaLayout
-) -> tuple[list[FixSolution], list[VectorObservation]]:
+) -> tuple[Fixes, Baselines]:
     """Replay the epoch's fix and baseline outcomes with satellites removed.
 
     Uses the latent draws stored in the truth channel, so the result is
@@ -591,10 +592,9 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
     layout = config.layout
     n_ant = layout.antenna_count
     n_sat = len(config.constellation)
-    pairs, body_baselines = _pair_baselines(layout)
+    pairs, body_bl = _pair_baselines(layout)
     n_pairs = len(pairs)
-    body = np.array([p.as_array() for p in layout.body_positions])
-    body_bl = np.array([w.as_array() for w in body_baselines])
+    body = layout.positions
 
     mp_sats = multipath_satellite_ids(config)
     mp_mask = np.array([s.sat_id in mp_sats for s in config.constellation])
@@ -621,7 +621,7 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
         t = k / config.rate_hz
         p_plat = trajectory_position(config, t)
         q_truth = truth_attitude(config, t)
-        r_eb = quat_to_matrix(q_truth).as_array()
+        r_eb = quat_to_matrix(q_truth)
         ant_world = p_plat.as_array() + body @ r_eb.T
         bl_world = body_bl @ r_eb.T
 
@@ -636,7 +636,7 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
         ant_channels = _build_channels(ant_world, ant_norm, ant_unif, ant_lat, lattice, noise)
         bl_channels = _build_channels(bl_world, bl_norm, bl_unif, bl_lat, lattice, noise)
         req = RequeryData(model, solution_sats, ant_channels, bl_channels)
-        fixes, observations, ant_fixed, bl_fixed = _status_sets(req, mp_sats, frozenset(), layout)
+        fixes, baselines, ant_fixed, bl_fixed = _status_sets(req, mp_sats, frozenset(), layout)
 
         offsets = np.zeros((n_sat, n_ant))
         if n_mp and snr_model.fading_amplitude_db > 0.0:
@@ -646,15 +646,9 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
             )
         snr = nominal[:, None] + offsets + snr_model.thermal_jitter_db * snr_jit
         snr = np.round(np.clip(snr, SNR_MIN_DBHZ, SNR_MAX_DBHZ), 2)
-        snr_rows = tuple(
-            SnrRow(sat_id=sat.sat_id, snr_dbhz=tuple(float(x) for x in snr[s]))
-            for s, sat in enumerate(config.constellation)
-        )
 
         wrong_ants = frozenset((np.flatnonzero(ant_fixed & ant_channels.wrong) + 1).tolist())
-        corrupted = frozenset(
-            pairs[b] for b in np.flatnonzero(bl_fixed & bl_channels.wrong).tolist()
-        )
+        corrupted = frozenset(map(tuple, pairs[bl_fixed & bl_channels.wrong].tolist()))
         truth = EpochTruth(
             position=p_plat,
             attitude=q_truth,
@@ -663,13 +657,8 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
             wrong_fix_antennas=wrong_ants,
             requery=req,
         )
-        yield EpochRecord(
-            t=t,
-            fixes=tuple(fixes),
-            baselines=tuple(observations),
-            snr_rows=snr_rows,
-            truth=truth,
-        )
+        snr_rows = SnrTable(solution_sats, snr)
+        yield EpochRecord(t=t, fixes=fixes, baselines=baselines, snr_rows=snr_rows, truth=truth)
 
 
 def _build_channels(
@@ -714,7 +703,7 @@ def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanF
             -math.cos(gamma) * np.ones(ppr),
         ]
     )
-    r_bs = quat_to_matrix(scanner.mount.boresight).as_array()
+    r_bs = quat_to_matrix(scanner.mount.boresight)
     lever = scanner.mount.lever_arm.as_array()
     d_body = d_scan @ r_bs.T
     refl = [(r.position.x, r.position.y, r.radius_m**2) for r in config.reflectors]
@@ -727,7 +716,7 @@ def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanF
 
         pos = trajectory_position(config, ts)
         roll, pitch, yaw = config.attitude_profile.angles_at(t0)
-        r_eb = quat_to_matrix(euler_to_quat(roll, pitch, yaw)).as_array()
+        r_eb = quat_to_matrix(euler_to_quat(roll, pitch, yaw))
 
         origin = pos + lever @ r_eb.T
         d_world = d_body @ r_eb.T

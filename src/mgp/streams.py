@@ -2,8 +2,14 @@
 
 Formats:
   * Epoch stream: JSON Lines, header ``{"format": "mgp-epoch", "version": 1}``
-    then one epoch object per line. Field names follow the in-memory types;
-    the truth channel's ``requery`` block goes through
+    then one epoch object per line, one JSON object per fix, baseline and
+    SNR row. In memory an :class:`EpochRecord` holds them as arrays: a
+    :class:`Fixes` record (ids, grades, (n, 3) positions with NaN rows for
+    no solution, satellite counts), a :class:`Baselines` record ((m, 2)
+    pairs, (m, 3) ``v`` and ``w``, (m,) ``fixed``) and an :class:`SnrTable`
+    ((s, n) dB-Hz, NaN for a JSON null, plus the satellite ids). The reader
+    checks every value's JSON type, so ``1.7`` is no antenna id and ``"no"``
+    no ``fixed`` flag. The truth channel's ``requery`` block goes through
     :meth:`RequeryData.to_dict` / :meth:`RequeryData.from_dict`, one object
     per antenna or baseline channel, held in memory as arrays.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
@@ -18,7 +24,8 @@ All floats are serialized with Python repr (shortest round-trip), so a
 read/write cycle is byte-stable and exact-inverse tests can run through
 files. Loaders raise InputError for unreadable or structurally broken files
 and ConfigurationError for config schemas with unknown or mis-typed keys;
-value-range problems surface as ValidationError from the constructors.
+value-type and value-range problems surface as ValidationError from the
+readers' checks and the constructors.
 """
 from __future__ import annotations
 
@@ -30,12 +37,13 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .attitude import VectorObservation
+from . import jsonvals
+from .attitude import Baselines
 from .core import AntennaLayout, UnitQuaternion, Vec3, hexagon_layout
 from .errors import ConfigurationError, InputError, ValidationError
 from .mapping import MountCalibration, Pose, ScanFrame
-from .multipath import SnrRow
-from .positioning import FixSolution, FixStatus
+from .multipath import SnrTable
+from .positioning import FIX_GRADES, Fixes
 from .simulator import (
     AttitudeProfile,
     EpochRecord,
@@ -95,6 +103,10 @@ def _quat_from(obj: Any) -> UnitQuaternion:
     return UnitQuaternion.from_array(vals, canonicalize=False)
 
 
+_GRADE_NAMES = tuple(status.value for status in FIX_GRADES)
+_GRADE_OF_NAME = {name: grade for grade, name in enumerate(_GRADE_NAMES)}
+
+
 def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
     truth = None
     if epoch.truth is not None:
@@ -107,85 +119,100 @@ def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
             "wrong_fix_antennas": sorted(tr.wrong_fix_antennas),
             "requery": tr.requery.to_dict() if tr.requery is not None else None,
         }
+    fx, bl, snr = epoch.fixes, epoch.baselines, epoch.snr_rows
+    snr_values = snr.dbhz.tolist()
+    if np.isnan(snr.dbhz).any():
+        snr_values = [[None if x != x else x for x in row] for row in snr_values]
     return {
         "t": epoch.t,
         "fixes": [
             {
-                "antenna_id": f.antenna_id,
-                "status": f.status.value,
-                "p": _vec(f.p) if f.p is not None else None,
-                "sats_used": f.sats_used,
+                "antenna_id": i,
+                "status": _GRADE_NAMES[g],
+                "p": p if g else None,
+                "sats_used": n,
             }
-            for f in epoch.fixes
+            for i, g, p, n in zip(
+                fx.ids.tolist(), fx.grade.tolist(), fx.p.tolist(), fx.sats_used.tolist()
+            )
         ],
         "baselines": [
-            {
-                "antenna_pair": list(o.antenna_pair),
-                "v": _vec(o.v),
-                "w": _vec(o.w),
-                "fixed": o.fixed,
-            }
-            for o in epoch.baselines
+            {"antenna_pair": pair, "v": v, "w": w, "fixed": fixed}
+            for pair, v, w, fixed in zip(
+                bl.pairs.tolist(), bl.v.tolist(), bl.w.tolist(), bl.fixed.tolist()
+            )
         ],
         "snr_rows": [
-            {"sat_id": r.sat_id, "snr": list(r.snr_dbhz)} for r in epoch.snr_rows
+            {"sat_id": sat, "snr": row} for sat, row in zip(snr.sat_ids, snr_values)
         ],
         "truth": truth,
     }
 
 
+def _fixes_from(items: list[dict[str, Any]]) -> Fixes:
+    grade = [_GRADE_OF_NAME.get(f["status"]) for f in items]
+    if None in grade:
+        raise ValidationError(f"fix status must be one of {_GRADE_NAMES}")
+    p = np.full((len(items), 3), np.nan)
+    solved = [f["p"] is not None for f in items]
+    p[solved] = jsonvals.floats([f["p"] for f in items if f["p"] is not None], "fix positions", 3)
+    return Fixes.checked(
+        jsonvals.integers([f["antenna_id"] for f in items], "antenna ids"),
+        np.array(grade, dtype=np.int8),
+        p,
+        jsonvals.integers([f["sats_used"] for f in items], "sats_used"),
+    )
+
+
+def _baselines_from(items: list[dict[str, Any]]) -> Baselines:
+    pairs = jsonvals.integers([o["antenna_pair"] for o in items], "antenna pairs", 2)
+    if len({(min(a, b), max(a, b)) for a, b in pairs.tolist()}) != len(pairs):
+        raise ValidationError("baseline antenna pairs must be unordered-unique")
+    return Baselines.checked(
+        pairs,
+        jsonvals.floats([o["v"] for o in items], "baseline vectors", 3),
+        jsonvals.floats([o["w"] for o in items], "baseline vectors", 3),
+        jsonvals.flags([o["fixed"] for o in items], "baseline fixed flags"),
+    )
+
+
+def _snr_from(items: list[dict[str, Any]]) -> SnrTable:
+    rows = [r["snr"] for r in items]
+    width = len(rows[0]) if rows else 0
+    return SnrTable.checked(
+        jsonvals.strings([r["sat_id"] for r in items], "satellite ids"),
+        jsonvals.floats(rows, "SNR values", width, nulls=True),
+    )
+
+
+def _truth_from(tr: dict[str, Any]) -> EpochTruth:
+    attitude = jsonvals.floats(tr["attitude"], "truth attitude")
+    if attitude.shape != (4,):
+        raise ValidationError("quaternion needs 4 components")
+    pairs = jsonvals.integers(tr["corrupted_baselines"], "corrupted baselines", 2)
+    return EpochTruth(
+        position=Vec3(*jsonvals.floats([tr["position"]], "truth position", 3)[0].tolist()),
+        attitude=UnitQuaternion.from_array(attitude, canonicalize=False),
+        multipath_sats=frozenset(jsonvals.strings(tr["multipath_sats"], "multipath satellites")),
+        corrupted_baselines=frozenset(map(tuple, pairs.tolist())),
+        wrong_fix_antennas=frozenset(
+            jsonvals.integers(tr["wrong_fix_antennas"], "wrong-fix antennas").tolist()
+        ),
+        requery=RequeryData.from_dict(tr["requery"]) if tr["requery"] is not None else None,
+    )
+
+
 def epoch_from_dict(d: dict[str, Any]) -> EpochRecord:
+    """Epoch from its JSON object form. Raises InputError for a missing or
+    structurally wrong field and ValidationError for a value of the wrong
+    JSON type, shape or range."""
     try:
-        fixes = tuple(
-            FixSolution(
-                antenna_id=int(f["antenna_id"]),
-                status=FixStatus(f["status"]),
-                p=_vec_from(f["p"]) if f["p"] is not None else None,
-                sats_used=int(f["sats_used"]),
-            )
-            for f in d["fixes"]
-        )
-        baselines = tuple(
-            VectorObservation(
-                v=_vec_from(o["v"]),
-                w=_vec_from(o["w"]),
-                antenna_pair=(int(o["antenna_pair"][0]), int(o["antenna_pair"][1])),
-                fixed=bool(o["fixed"]),
-            )
-            for o in d["baselines"]
-        )
-        snr_rows = tuple(
-            SnrRow(
-                sat_id=str(r["sat_id"]),
-                snr_dbhz=tuple(
-                    float(x) if x is not None else None for x in r["snr"]
-                ),
-            )
-            for r in d["snr_rows"]
-        )
-        truth = None
-        if d.get("truth") is not None:
-            tr = d["truth"]
-            truth = EpochTruth(
-                position=_vec_from(tr["position"]),
-                attitude=_quat_from(tr["attitude"]),
-                multipath_sats=frozenset(str(s) for s in tr["multipath_sats"]),
-                corrupted_baselines=frozenset(
-                    (int(p[0]), int(p[1])) for p in tr["corrupted_baselines"]
-                ),
-                wrong_fix_antennas=frozenset(
-                    int(a) for a in tr["wrong_fix_antennas"]
-                ),
-                requery=(
-                    RequeryData.from_dict(tr["requery"]) if tr["requery"] is not None else None
-                ),
-            )
         return EpochRecord(
-            t=float(d["t"]),
-            fixes=fixes,
-            baselines=baselines,
-            snr_rows=snr_rows,
-            truth=truth,
+            t=jsonvals.number(d["t"], "epoch time"),
+            fixes=_fixes_from(d["fixes"]),
+            baselines=_baselines_from(d["baselines"]),
+            snr_rows=_snr_from(d["snr_rows"]),
+            truth=_truth_from(d["truth"]) if d.get("truth") is not None else None,
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise InputError(f"malformed epoch object: {exc!r}") from exc

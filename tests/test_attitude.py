@@ -105,7 +105,7 @@ def test_gain_identity_for_arbitrary_quaternions() -> None:
     for _ in range(25):
         q = UnitQuaternion.from_array(rng.normal(size=4), canonicalize=False)
         lhs = float(q.as_array() @ k @ q.as_array())
-        r = quat_to_matrix(q).as_array()
+        r = quat_to_matrix(q)
         rhs = 0.0
         for o, a in zip(obs, weights):
             v_hat = o.v.as_array() / o.v.norm()

@@ -226,6 +226,39 @@ def test_estimate_skips_epoch_with_short_antenna_bias(tmp_path: Path, capsys) ->
     assert (m["epochs"], m["skipped"]) == (29, 1)
 
 
+def test_estimate_skips_epoch_with_mistyped_antenna_id(tmp_path: Path, capsys) -> None:
+    scen = _write(tmp_path / "scen.json", SCENARIO)
+    epochs = tmp_path / "epochs.jsonl"
+    main(["simulate", "--config", scen, "--out", str(epochs)])
+    lines = epochs.read_text().splitlines()
+    record = json.loads(lines[5])
+    record["fixes"][0]["antenna_id"] = 1.7
+    lines[5] = json.dumps(record)
+    epochs.write_text("\n".join(lines) + "\n")
+    pipe = _write(tmp_path / "pipe.json", {})
+    metrics = tmp_path / "m.json"
+    capsys.readouterr()
+    code = main(
+        [
+            "estimate",
+            "--epochs",
+            str(epochs),
+            "--config",
+            pipe,
+            "--poses",
+            str(tmp_path / "p.csv"),
+            "--metrics",
+            str(metrics),
+        ]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert f"{epochs}:6: skipped epoch: antenna ids must be integers" in captured.err
+    assert "processed 29 epochs (1 skipped)" in captured.out
+    m = json.loads(metrics.read_text())
+    assert (m["epochs"], m["skipped"]) == (29, 1)
+
+
 def test_georef_nan_pose_reports_path_and_line(tmp_path: Path, capsys) -> None:
     poses = tmp_path / "poses.csv"
     poses.write_text(

@@ -115,7 +115,7 @@ def test_rotate_matches_matrix_product() -> None:
         q = _random_quat(rng)
         v = rng.normal(size=3)
         got = rotate(q, Vec3.from_array(v)).as_array()
-        want = quat_to_matrix(q).as_array() @ v
+        want = quat_to_matrix(q) @ v
         assert np.allclose(got, want, atol=1e-12)
 
 

@@ -8,9 +8,11 @@ import pytest
 
 from mgp import (
     AttitudeProfile,
+    Baselines,
     ConfigurationError,
     EpochRecord,
     FixModel,
+    Fixes,
     FixSolution,
     FixStatus,
     MultipathConfig,
@@ -22,6 +24,7 @@ from mgp import (
     SkyMaskSector,
     SnrModel,
     SnrRow,
+    SnrTable,
     ValidationError,
     Vec3,
     VectorObservation,
@@ -128,7 +131,6 @@ def test_clean_epoch_full_solution() -> None:
     assert result.attitude.available
     assert result.position.available
     assert result.position.n_used == 6
-    assert result.outlier_pairs == frozenset()
     assert result.multipath.excluded_sats == frozenset()
     assert quat_angle(result.attitude.q, epoch.truth.attitude) < math.radians(0.5)
     err = (result.position.p - epoch.truth.position).norm()
@@ -147,7 +149,9 @@ def test_epoch_without_fixed_baselines_has_no_attitude() -> None:
         )
         for j in range(2, 7)
     )
-    epoch = EpochRecord(t=0.0, fixes=fixes, baselines=baselines, snr_rows=())
+    epoch = EpochRecord(
+        t=0.0, fixes=Fixes.of(fixes), baselines=Baselines.of(baselines), snr_rows=SnrTable.of(())
+    )
     result = process_epoch(epoch, PipelineConfig())
     assert not result.attitude.available
     assert not result.position.available  # float-only antennas never contribute
@@ -157,7 +161,9 @@ def test_fixed_antenna_without_attitude_cannot_remove_lever() -> None:
     # one fixed antenna but no fixed baselines: hexagon levers are nonzero,
     # so the position stays unavailable rather than silently lever-biased
     fixes = (FixSolution(antenna_id=1, status=FixStatus.FIXED, p=Vec3(0.9, 0.0, 30.0), sats_used=8),)
-    epoch = EpochRecord(t=0.0, fixes=fixes, baselines=(), snr_rows=())
+    epoch = EpochRecord(
+        t=0.0, fixes=Fixes.of(fixes), baselines=Baselines.of(()), snr_rows=SnrTable.of(())
+    )
     result = process_epoch(epoch, PipelineConfig())
     assert not result.attitude.available
     assert not result.position.available
@@ -264,7 +270,7 @@ def test_run_skips_epoch_level_validation_errors() -> None:
         t=epochs[2].t + 0.001,
         fixes=dup.fixes,
         baselines=dup.baselines,
-        snr_rows=(dup.snr_rows[0], dup.snr_rows[0]),  # duplicate satellite
+        snr_rows=SnrTable.of([next(iter(dup.snr_rows))] * 2),  # duplicate satellite
         truth=dup.truth,
     )
     stream = epochs[:3] + [bad] + epochs[3:]
@@ -281,16 +287,15 @@ def test_run_skips_epoch_naming_an_antenna_outside_the_layout() -> None:
     stray_fix = FixSolution(
         antenna_id=9, status=FixStatus.FIXED, p=Vec3(0.0, 0.0, 30.0), sats_used=8
     )
-    stray_baseline = VectorObservation(
-        v=src.baselines[0].v, w=src.baselines[0].w, antenna_pair=(1, 9)
-    )
+    first = next(iter(src.baselines))
+    stray_baseline = VectorObservation(v=first.v, w=first.w, antenna_pair=(1, 9))
     bad_fix = EpochRecord(
-        t=src.t, fixes=src.fixes + (stray_fix,), baselines=src.baselines,
+        t=src.t, fixes=Fixes.of([*src.fixes, stray_fix]), baselines=src.baselines,
         snr_rows=src.snr_rows, truth=src.truth,
     )
     bad_baseline = EpochRecord(
         t=epochs[5].t, fixes=epochs[5].fixes,
-        baselines=epochs[5].baselines + (stray_baseline,),
+        baselines=Baselines.of([*epochs[5].baselines, stray_baseline]),
         snr_rows=epochs[5].snr_rows, truth=epochs[5].truth,
     )
     with pytest.raises(ValidationError, match="antenna 9 has no layout entry"):
@@ -394,7 +399,9 @@ def test_subset_with_short_snr_rows_skips_epoch() -> None:
     # epoch hand-built with 3-antenna SNR rows; selecting antenna 6 cannot work
     fixes = (FixSolution(antenna_id=6, status=FixStatus.FIXED, p=Vec3(0.0, 0.0, 0.0), sats_used=8),)
     rows = (SnrRow(sat_id="G01", snr_dbhz=(45.0, 45.0, 45.0)),)
-    epoch = EpochRecord(t=0.0, fixes=fixes, baselines=(), snr_rows=rows)
+    epoch = EpochRecord(
+        t=0.0, fixes=Fixes.of(fixes), baselines=Baselines.of(()), snr_rows=SnrTable.of(rows)
+    )
     result = run(iter([epoch]), PipelineConfig(antenna_subset=(5, 6)))
     assert result.metrics.epochs == 0
     assert result.metrics.skipped == 1
@@ -405,7 +412,9 @@ def test_snr_row_width_must_match_layout(width: int) -> None:
     # without a subset the columns of a 3-wide row on a 6-antenna layout are
     # ambiguous, so the epoch is rejected rather than read as antennas 1-3
     rows = (SnrRow(sat_id="G01", snr_dbhz=(45.0,) * width),)
-    epoch = EpochRecord(t=0.0, fixes=(), baselines=(), snr_rows=rows)
+    epoch = EpochRecord(
+        t=0.0, fixes=Fixes.of(()), baselines=Baselines.of(()), snr_rows=SnrTable.of(rows)
+    )
     with pytest.raises(ValidationError, match=f"G01 has {width} columns"):
         process_epoch(epoch, PipelineConfig())
     result = run(iter([epoch]), PipelineConfig())

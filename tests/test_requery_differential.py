@@ -197,7 +197,7 @@ def _ref_lines(config: mgp.ScenarioConfig) -> Iterator[str]:
         t = k / config.rate_hz
         p_plat = mgp.trajectory_position(config, t)
         q_truth = mgp.truth_attitude(config, t)
-        r_eb = mgp.quat_to_matrix(q_truth).as_array()
+        r_eb = mgp.quat_to_matrix(q_truth)
         ant_norm = rng.standard_normal((n_ant, 6))
         ant_unif = rng.random((n_ant, 3))
         ant_lat = rng.integers(0, len(lattice), n_ant)
@@ -228,11 +228,43 @@ def _ref_lines(config: mgp.ScenarioConfig) -> Iterator[str]:
         fixed_pairs = {o.antenna_pair for o in observations if o.fixed}
         corrupted = frozenset(p for p, ch in zip(pairs, bl) if ch.wrong and p in fixed_pairs)
         truth = mgp.EpochTruth(p_plat, q_truth, mp_sats, corrupted, wrong_ants)
-        d = mgp.epoch_to_dict(
-            mgp.EpochRecord(t, tuple(fixes), tuple(observations), snr_rows, truth)
-        )
+        d = _ref_epoch_to_dict(t, fixes, observations, snr_rows, truth)
         d["truth"]["requery"] = _ref_requery_to_dict(req)
         yield json.dumps(d)
+
+
+def _ref_epoch_to_dict(t, fixes, observations, snr_rows, truth) -> dict[str, Any]:
+    """The epoch's JSON object written from one object per fix, baseline
+    and SNR row (the requery block is left for the caller)."""
+
+    def vec(v: Vec3) -> list[float]:
+        return [v.x, v.y, v.z]
+
+    return {
+        "t": t,
+        "fixes": [
+            {
+                "antenna_id": f.antenna_id,
+                "status": f.status.value,
+                "p": vec(f.p) if f.p is not None else None,
+                "sats_used": f.sats_used,
+            }
+            for f in fixes
+        ],
+        "baselines": [
+            {"antenna_pair": list(o.antenna_pair), "v": vec(o.v), "w": vec(o.w), "fixed": o.fixed}
+            for o in observations
+        ],
+        "snr_rows": [{"sat_id": r.sat_id, "snr": list(r.snr_dbhz)} for r in snr_rows],
+        "truth": {
+            "position": vec(truth.position),
+            "attitude": truth.attitude.as_array().tolist(),
+            "multipath_sats": sorted(truth.multipath_sats),
+            "corrupted_baselines": sorted(list(p) for p in truth.corrupted_baselines),
+            "wrong_fix_antennas": sorted(truth.wrong_fix_antennas),
+            "requery": None,
+        },
+    }
 
 
 def _bits(fixes, observations) -> tuple:

@@ -71,7 +71,7 @@ def _ref_scan_stream(config: mgp.ScenarioConfig, scanner: mgp.ScannerModel) -> l
             -math.cos(gamma) * np.ones(ppr),
         ]
     )
-    r_bs = mgp.quat_to_matrix(scanner.mount.boresight).as_array()
+    r_bs = mgp.quat_to_matrix(scanner.mount.boresight)
     lever = scanner.mount.lever_arm.as_array()
     d_body = d_scan @ r_bs.T
     refl = [(r.position.x, r.position.y, r.radius_m**2) for r in config.reflectors]
@@ -82,7 +82,7 @@ def _ref_scan_stream(config: mgp.ScenarioConfig, scanner: mgp.ScannerModel) -> l
         noise_draw = scanner.range_noise_m * rng.standard_normal(ppr)
         pos = np.array([_ref_position(config, float(t)).as_array() for t in ts])
         roll, pitch, yaw = config.attitude_profile.angles_at(t0)
-        r_eb = mgp.quat_to_matrix(mgp.euler_to_quat(roll, pitch, yaw)).as_array()
+        r_eb = mgp.quat_to_matrix(mgp.euler_to_quat(roll, pitch, yaw))
         origin = pos + lever @ r_eb.T
         d_world = d_body @ r_eb.T
         denom = d_world[:, 2]
@@ -151,12 +151,12 @@ def _ref_georeference_stream(
     pick_hi = np.abs(times[hi] - ts) <= np.abs(times[lo] - ts)
     nearest = np.where(pick_hi, hi, lo)
     keep = np.abs(times[nearest] - ts) <= mgp.mapping.DEFAULT_MAX_POSE_GAP_S
-    r_bs = mgp.quat_to_matrix(calib.boresight).as_array()
+    r_bs = mgp.quat_to_matrix(calib.boresight)
     body = pts @ r_bs.T + calib.lever_arm.as_array()
     world = np.empty_like(body)
     for j in np.unique(nearest[keep]):
         mask = keep & (nearest == j)
-        r_eb = mgp.quat_to_matrix(poses[j].q).as_array()
+        r_eb = mgp.quat_to_matrix(poses[j].q)
         world[mask] = body[mask] @ r_eb.T + poses[j].p.as_array()
     return [
         _Point(p=mgp.Vec3(float(w[0]), float(w[1]), float(w[2])), reflector_flag=bool(f))

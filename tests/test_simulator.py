@@ -432,7 +432,7 @@ def test_scan_points_reconstruct_ground_plane() -> None:
     cfg = _flight_config(attitude_profile=AttitudeProfile(yaw_knots=((0.0, 25.0),)))
     scanner = ScannerModel(spin_hz=7.0, pulses_per_rev=64, cone_deg=20.0, range_noise_m=0.0)
     q = truth_attitude(cfg, 0.0)
-    r_eb = quat_to_matrix(q).as_array()
+    r_eb = quat_to_matrix(q)
     count = 0
     for frame in scan_stream(cfg, scanner):
         p_plat = trajectory_position(cfg, frame.pulses[:, 0])

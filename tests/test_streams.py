@@ -80,7 +80,7 @@ def test_epoch_round_trip_preserves_truth_and_values(tmp_path: Path) -> None:
             assert oa.fixed == ob.fixed
             assert np.array_equal(oa.v.as_array(), ob.v.as_array())
             assert np.array_equal(oa.w.as_array(), ob.w.as_array())
-        assert a.snr_rows == b.snr_rows
+        assert list(a.snr_rows) == list(b.snr_rows)
         assert a.truth.multipath_sats == b.truth.multipath_sats
         assert a.truth.corrupted_baselines == b.truth.corrupted_baselines
         assert a.truth.wrong_fix_antennas == b.truth.wrong_fix_antennas
@@ -221,6 +221,58 @@ def test_read_epochs_rejects_bad_requery_record(tmp_path: Path, edit, message: s
     path.write_text("\n".join(lines) + "\n")
 
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: .*{message}"):
+        list(read_epochs(str(path)))
+    diags: list[str] = []
+    back = list(read_epochs(str(path), skip_malformed=True, diagnostics=diags))
+    assert [e.t for e in back] == [e.t for i, e in enumerate(epochs) if i != 1]
+    assert len(diags) == 1 and diags[0].startswith(f"{path}:3: skipped epoch")
+
+
+def _set_first(group: str, key: str, value):
+    def edit(record: dict) -> None:
+        record[group][0][key] = value
+
+    return edit
+
+
+def _requery_u_fix_true(record: dict) -> None:
+    record["truth"]["requery"]["antenna_channels"][0]["u_fix"] = True
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_first("fixes", "antenna_id", 1.7), "antenna ids must be integers"),
+        (_set_first("baselines", "fixed", "no"), "baseline fixed flags must be booleans"),
+        (_requery_u_fix_true, "u_fix channel draws must be numbers"),
+        (_set_first("fixes", "sats_used", 3.9), "sats_used must be integers"),
+        (lambda record: record.update(t=True), "epoch time must be a number, got True"),
+        (_set_first("snr_rows", "sat_id", 7), "satellite ids must be strings"),
+        (_set_first("baselines", "antenna_pair", [1, 2, 9]), "antenna pairs need 2 values each"),
+    ],
+    ids=[
+        "antenna-id-float",
+        "fixed-string",
+        "u-fix-true",
+        "sats-used-float",
+        "t-true",
+        "sat-id-number",
+        "pair-three-ids",
+    ],
+)
+def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str) -> None:
+    """A field of the wrong JSON type is a malformed line, not a value to
+    coerce: strict reading names ``path:line``, skip mode counts it."""
+    epochs = list(simulate(_scenario(duration_s=0.3)))
+    path = tmp_path / "e.jsonl"
+    write_epochs(str(path), epochs)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    edit(record)
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {re.escape(message)}"):
         list(read_epochs(str(path)))
     diags: list[str] = []
     back = list(read_epochs(str(path), skip_malformed=True, diagnostics=diags))
