@@ -12,11 +12,14 @@ Davenport matrix ``K``. Weights follow baseline length: longer baselines
 carry proportionally more angular information for the same carrier-phase
 noise.
 
-The eigen solve goes through ``numpy.linalg.eigh``. Its helpers accept a
-stack of matrices as well as a single one, so the RANSAC wrapper builds every
-two-baseline hypothesis of an epoch as one (P, 4, 4) array and solves them
-in a single call; the inlier refit and ``solve_max_eigenpair`` use the same
-path with one matrix.
+The eigen solve goes through ``numpy.linalg.eigh``. The weighted solve
+works on a stack of E epochs at once, each holding its observations in the
+rows of an (E, M, 3) array that a mask selects: the RANSAC wrapper refits the
+winning consensus sets of a whole block of epochs with one (E, 4, 4) call,
+and ``estimate_attitude`` is the same solve on a stack of one. A masked or
+padding row carries zero weight, and each epoch's profile matrix is its own
+product in the stacked matmul, so an epoch's solution does not depend on the
+block it was solved in.
 
 An epoch's observations travel as one :class:`Baselines` record of arrays;
 :class:`VectorObservation` is the one-baseline view for callers that want
@@ -29,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import UnitQuaternion, Vec3
+from .core import UnitQuaternion, Vec3, sum_rows
 from .errors import DegenerateGeometryError, InsufficientDataError, ValidationError
 
 # Distinct eigenvalues closer than this leave the maximizing quaternion
@@ -153,14 +156,17 @@ def baseline_weights(observations: Sequence[VectorObservation]) -> list[float]:
     """Normalized weights ``a_i = |w_i| / sum_j |w_j|`` (sum to one)."""
     if not observations:
         raise InsufficientDataError("no observations to weight")
-    return _length_weights(np.array([o.w.as_array() for o in observations])).tolist()
+    ws = np.array([o.w.as_array() for o in observations])[None]
+    return _length_weights(ws, np.ones(ws.shape[:2], dtype=bool))[0].tolist()
 
 
-def _length_weights(ws: np.ndarray) -> np.ndarray:
-    # Each length as Vec3.norm forms it and the total as a left-to-right
-    # Python sum, so list and array callers get bitwise the same weights.
-    lengths = np.sqrt(ws[:, 0] * ws[:, 0] + ws[:, 1] * ws[:, 1] + ws[:, 2] * ws[:, 2])
-    return lengths / sum(lengths.tolist())
+def _length_weights(ws: np.ndarray, use: np.ndarray) -> np.ndarray:
+    """(E, M) weights over the rows ``use`` selects in each epoch of the
+    (E, M, 3) body baselines, zero elsewhere. Each length as Vec3.norm forms
+    it, so list and array callers get bitwise the same weights."""
+    lengths = np.sqrt(ws[..., 0] * ws[..., 0] + ws[..., 1] * ws[..., 1] + ws[..., 2] * ws[..., 2])
+    lengths = np.where(use, lengths, 0.0)
+    return lengths / sum_rows(lengths)[:, None]
 
 
 def davenport_matrix(
@@ -178,13 +184,14 @@ def davenport_matrix(
         raise ValidationError("one weight required per observation")
     vs = np.array([o.v.as_array() for o in observations])
     ws = np.array([o.w.as_array() for o in observations])
-    return _weighted_k(vs, ws, np.asarray(weights, dtype=np.float64))
+    return _weighted_k(vs[None], ws[None], np.asarray(weights, dtype=np.float64)[None])[0]
 
 
 def _weighted_k(vs: np.ndarray, ws: np.ndarray, a: np.ndarray) -> np.ndarray:
-    vs = vs / np.linalg.norm(vs, axis=1)[:, None]
-    ws = ws / np.linalg.norm(ws, axis=1)[:, None]
-    return _davenport_k((ws * a[:, None]).T @ vs)
+    """(E, 4, 4) Davenport matrices of (E, M, 3) baselines under (E, M) weights."""
+    vs = vs / np.linalg.norm(vs, axis=-1)[..., None]
+    ws = ws / np.linalg.norm(ws, axis=-1)[..., None]
+    return _davenport_k(np.matmul((ws * a[..., None]).swapaxes(-1, -2), vs))
 
 
 def _davenport_k(b: np.ndarray) -> np.ndarray:
@@ -210,18 +217,23 @@ def _dominant_eigenpairs(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Top eigenvalue, its eigenvector and the gap to the runner-up.
 
     ``k`` is one symmetric 4x4 matrix or a stack of shape (..., 4, 4); the
-    whole stack goes through a single LAPACK call.
+    whole stack goes through a single LAPACK call, which solves each matrix
+    exactly as it would alone.
     """
     vals, vecs = np.linalg.eigh(k)
     return vals[..., 3], vecs[..., :, 3], vals[..., 3] - vals[..., 2]
 
 
-def _max_eigenpair(k: np.ndarray) -> tuple[float, np.ndarray]:
-    lam, q, gap = _dominant_eigenpairs(k)
+def _check_gap(gap: float) -> None:
     if gap < EIGEN_GAP_TOL:
         raise DegenerateGeometryError(
             f"dominant eigenvalue separated by only {gap:.3e}; geometry is degenerate"
         )
+
+
+def _max_eigenpair(k: np.ndarray) -> tuple[float, np.ndarray]:
+    lam, q, gap = _dominant_eigenpairs(k)
+    _check_gap(gap)
     return float(lam), q
 
 
@@ -241,6 +253,41 @@ def solve_max_eigenpair(k: np.ndarray) -> tuple[float, UnitQuaternion]:
     return lam, UnitQuaternion.from_array(q)
 
 
+def refit(
+    vs: np.ndarray, ws: np.ndarray, use: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted Q-method over the rows ``use`` selects in each epoch of the
+    (E, M, 3) measured and body baselines, every epoch holding at least one.
+
+    Returns each epoch's dominant eigenvalue, raw ENU-to-body eigenvector
+    (E, 4), eigen gap and weight sum; :func:`body_to_enu` turns an
+    eigenvector into the attitude.
+    """
+    a = _length_weights(ws, use)
+    lam, q_be, gap = _dominant_eigenpairs(_weighted_k(vs, ws, a))
+    return lam, q_be, gap, sum_rows(a)
+
+
+def body_to_enu(q_be: np.ndarray) -> UnitQuaternion:
+    """The body-to-ENU attitude of one raw ENU-to-body eigenvector."""
+    return UnitQuaternion.from_array(q_be * np.array((-1.0, -1.0, -1.0, 1.0)))
+
+
+def refit_solution(
+    lam: float, q_be: np.ndarray, gap: float, weights_sum: float, pairs: np.ndarray
+) -> AttitudeSolution:
+    """One epoch's :func:`refit` outcome as a solution over the antenna
+    ``pairs`` it used; raises DegenerateGeometryError on a degenerate gap."""
+    _check_gap(gap)
+    return AttitudeSolution(
+        available=True,
+        q=body_to_enu(q_be),
+        lambda_max=float(lam),
+        weights_sum=float(weights_sum),
+        used_observations=tuple(map(tuple, pairs.tolist())),
+    )
+
+
 def estimate_attitude(
     observations: Baselines | Iterable[VectorObservation],
 ) -> AttitudeSolution:
@@ -254,13 +301,5 @@ def estimate_attitude(
     fixed = observations.fixed_only()
     if len(fixed) < 2:
         raise InsufficientDataError("attitude needs at least 2 fixed baseline observations")
-    weights = _length_weights(fixed.w)
-    lam, q_be = _max_eigenpair(_weighted_k(fixed.v, fixed.w, weights))
-    q_eb = UnitQuaternion.from_array(q_be * np.array((-1.0, -1.0, -1.0, 1.0)))
-    return AttitudeSolution(
-        available=True,
-        q=q_eb,
-        lambda_max=lam,
-        weights_sum=sum(weights.tolist()),
-        used_observations=tuple(map(tuple, fixed.pairs.tolist())),
-    )
+    found = refit(fixed.v[None], fixed.w[None], np.ones((1, len(fixed)), dtype=bool))
+    return refit_solution(*(x[0] for x in found), fixed.pairs)

@@ -168,6 +168,16 @@ def hexagon_layout(circumradius_m: float = 0.9) -> AntennaLayout:
     return AntennaLayout(tuple(positions))
 
 
+def sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 1, one row at a time from zero, as a Python ``sum``
+    adds a list: a zero row never changes the total, so an epoch's sums do
+    not depend on how many padding rows its block gave it."""
+    total = np.zeros(x.shape[:1] + x.shape[2:])
+    for j in range(x.shape[1]):
+        total += x[:, j]
+    return total
+
+
 def _canonical_sign(q: np.ndarray) -> np.ndarray:
     """Fix the sign ambiguity: qw > 0, or first nonzero component > 0 when qw == 0."""
     if q[3] < 0.0:

@@ -79,3 +79,17 @@ def number(value: Any, what: str) -> float:
     if not math.isfinite(x):
         raise ValidationError(f"{what} must be finite, got {value!r}")
     return x
+
+
+def integer(value: Any, what: str) -> int:
+    """One JSON integer (not a boolean)."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def flag(value: Any, what: str) -> bool:
+    """One JSON boolean."""
+    if type(value) is not bool:
+        raise ValidationError(f"{what} must be a boolean, got {value!r}")
+    return value

@@ -7,6 +7,13 @@ attitude. Per-antenna fix rates and the plain hybrid fix rate are always
 computed from the observed (pre-feedback) statuses so the feedback gain
 stays visible next to them.
 
+Stages (1) and (2) run per epoch as the stream arrives, together with every
+check that can skip an epoch. ``run`` then takes the surviving epochs
+through stages (3) and (4) in blocks of at most ``BLOCK_PAIRS`` pair
+hypotheses, with one call of the consensus kernel and one position fusion
+per block; ``process_epoch`` is the same chain on a block of one, and no
+output depends on where the blocks fall.
+
 A fix rate here is the share of epochs in which a solution of the given
 kind existed: an antenna's rate counts its FIXED epochs, the hybrid rate
 counts epochs where at least one antenna was FIXED. Metric spreads are
@@ -18,12 +25,20 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .attitude import AttitudeSolution, Baselines
-from .core import AntennaLayout, euler_from_quat, hexagon_layout
+from . import jsonvals
+from .attitude import AttitudeSolution, Baselines, body_to_enu
+from .core import (
+    AntennaLayout,
+    UnitQuaternion,
+    Vec3,
+    euler_from_quat,
+    hexagon_layout,
+    quat_to_matrix,
+)
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
@@ -37,10 +52,23 @@ from .multipath import (
     MultipathReport,
     detect_multipath,
 )
-from .positioning import Fixes, PositionSolution, hybrid_position
-from .robust import RansacParams, ransac_attitude
+from .positioning import (
+    Fixes,
+    PositionSolution,
+    check_unique_ids,
+    fuse_positions,
+    hybrid_position,
+)
+from .robust import RansacParams, consensus, ransac_attitude
 from .simulator import EpochRecord, requery_epoch
 from .streams import PoseRow, _check_keys, _layout_from, _read_json_file
+
+
+# Pair hypotheses per call of the consensus kernel. ``run`` hands it whole
+# epochs and starts a new block when the next epoch would pass this cap:
+# about 10 six-antenna or 340 three-antenna epochs, which keeps the block's
+# temporaries near 1 MB however long the stream is.
+BLOCK_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -98,7 +126,19 @@ class PipelineConfig:
         return mask
 
 
+def _typed(section: dict[str, Any], key: str, where: str, read: Callable[[Any, str], Any]) -> Any:
+    """``section[key]`` read by a :mod:`jsonvals` rule; a value of the wrong
+    JSON type is a configuration error naming the key."""
+    try:
+        return read(section[key], f"{where}{key}")
+    except ValidationError as exc:
+        raise ConfigurationError(f"pipeline config: {exc}") from exc
+
+
 def pipeline_config_from_dict(d: dict[str, Any]) -> PipelineConfig:
+    """Config from its JSON object form. Every value must have its JSON type:
+    a boolean flag, integer (not boolean) counts and ids, finite numbers for
+    thresholds; anything else raises ConfigurationError naming the key."""
     try:
         _check_keys(
             d,
@@ -120,32 +160,40 @@ def pipeline_config_from_dict(d: dict[str, Any]) -> PipelineConfig:
             _check_keys(r, {"inlier_threshold_m", "min_inliers"}, "ransac")
             rk: dict[str, Any] = {}
             if "min_inliers" in r:
-                rk["min_inliers"] = int(r["min_inliers"])
+                rk["min_inliers"] = _typed(r, "min_inliers", "ransac.", jsonvals.integer)
             if "inlier_threshold_m" in r:
-                rk["inlier_threshold_m"] = float(r["inlier_threshold_m"])
+                rk["inlier_threshold_m"] = _typed(
+                    r, "inlier_threshold_m", "ransac.", jsonvals.number
+                )
             kwargs["ransac"] = RansacParams(**rk)
         if "multipath" in d:
             m = d["multipath"]
             _check_keys(m, {"threshold_dbhz", "min_count"}, "multipath")
             mk: dict[str, Any] = {}
             if "threshold_dbhz" in m:
-                mk["threshold_dbhz"] = float(m["threshold_dbhz"])
+                mk["threshold_dbhz"] = _typed(m, "threshold_dbhz", "multipath.", jsonvals.number)
             if "min_count" in m:
-                mk["min_count"] = int(m["min_count"])
+                mk["min_count"] = _typed(m, "min_count", "multipath.", jsonvals.integer)
             kwargs["multipath"] = MultipathConfig(**mk)
         if "multipath_feedback" in d:
-            kwargs["multipath_feedback"] = bool(d["multipath_feedback"])
+            kwargs["multipath_feedback"] = _typed(d, "multipath_feedback", "", jsonvals.flag)
         if "attitude_min_baselines" in d:
-            kwargs["attitude_min_baselines"] = int(d["attitude_min_baselines"])
+            kwargs["attitude_min_baselines"] = _typed(
+                d, "attitude_min_baselines", "", jsonvals.integer
+            )
         if d.get("antenna_subset") is not None:
-            kwargs["antenna_subset"] = tuple(int(a) for a in d["antenna_subset"])
+            ids = _typed(d, "antenna_subset", "", jsonvals.integers)
+            kwargs["antenna_subset"] = tuple(ids.tolist())
         return PipelineConfig(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"pipeline config: {exc!r}") from exc
 
 
 def load_pipeline_config(path: str) -> PipelineConfig:
-    return pipeline_config_from_dict(_read_json_file(path))
+    try:
+        return pipeline_config_from_dict(_read_json_file(path))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -157,16 +205,21 @@ class EpochResult:
     fixes_used: Fixes
 
 
+def _consensus_params(config: PipelineConfig) -> RansacParams:
+    """The RANSAC tuning with ``min_inliers`` capped at the number of
+    baselines the active antennas can form."""
+    k = len(config.active_antennas)
+    max_pairs = k * (k - 1) // 2
+    params = config.ransac
+    return replace(params, min_inliers=max(2, min(params.min_inliers, max_pairs)))
+
+
 def _attitude_stage(baselines: Baselines, config: PipelineConfig) -> AttitudeSolution:
     fixed = baselines.fixed_only()
     if len(fixed) < config.attitude_min_baselines:
         return AttitudeSolution.unavailable()
-    k = len(config.active_antennas)
-    max_pairs = k * (k - 1) // 2
-    params = config.ransac
-    params = replace(params, min_inliers=max(2, min(params.min_inliers, max_pairs)))
     try:
-        return ransac_attitude(fixed, params).solution
+        return ransac_attitude(fixed, _consensus_params(config)).solution
     except (InsufficientDataError, DegenerateGeometryError):
         return AttitudeSolution.unavailable()
 
@@ -194,12 +247,16 @@ def _active(
     return fixes.select(mask[fixes.ids]), baselines.select(mask[baselines.pairs].all(axis=1))
 
 
-def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
-    """Run one epoch through detection, feedback, attitude and position.
+def _front(
+    epoch: EpochRecord, config: PipelineConfig
+) -> tuple[Fixes, Baselines, MultipathReport]:
+    """Stages (1) and (2) of one epoch: the active fixes and baselines after
+    detection and feedback, and the detection report.
 
-    Raises ValidationError for an epoch naming an antenna the layout lacks or
-    holding an SNR row whose width differs from the layout, so ``run`` skips
-    that epoch instead of aborting the stream.
+    Every reason to skip an epoch is found here, before consensus: an
+    antenna the layout lacks, an SNR row whose width differs from the layout
+    (ValidationError from the checks), a duplicate satellite or antenna
+    solution, or a requery record that does not fit the layout.
     """
     _check_antenna_ids(epoch, config.layout)
     fixes, baselines = _active(epoch.fixes, epoch.baselines, config)
@@ -218,7 +275,18 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
         fixes, baselines = _active(
             *requery_epoch(epoch, report.excluded_sats, config.layout), config
         )
+    check_unique_ids(fixes)
+    return fixes, baselines, report
 
+
+def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
+    """Run one epoch through detection, feedback, attitude and position: the
+    stages ``run`` takes a block of epochs through, on a block of one.
+
+    Raises ValidationError for an epoch that ``run`` would skip (see
+    :func:`_front`).
+    """
+    fixes, baselines, report = _front(epoch, config)
     attitude = _attitude_stage(baselines, config)
     position = hybrid_position(
         fixes, attitude.q if attitude.available else None, config.layout
@@ -230,6 +298,39 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
         multipath=report,
         fixes_used=fixes,
     )
+
+
+def _solve_block(
+    block: list[tuple[Fixes, Baselines | None]],
+    config: PipelineConfig,
+    params: RansacParams,
+) -> tuple[list[UnitQuaternion | None], np.ndarray, np.ndarray, np.ndarray]:
+    """Stages (3) and (4) of a block of epochs, each given with its active
+    fixes and its consensus candidates (None below
+    ``attitude_min_baselines``): the attitudes, the (E, 3) positions, which
+    of them exist, and each epoch's number of fixed antennas."""
+    n_ep = len(block)
+    attitudes: list[UnitQuaternion | None] = [None] * n_ep
+    r_eb = np.full((n_ep, 3, 3), np.nan)
+    solve = [e for e, (_, candidates) in enumerate(block) if candidates is not None]
+    if solve:
+        found = consensus([block[e][1] for e in solve], params)
+        for k in np.flatnonzero(found.available).tolist():
+            q = attitudes[solve[k]] = body_to_enu(found.q_be[k])
+            r_eb[solve[k]] = quat_to_matrix(q)
+
+    fixes = [f for f, _ in block]
+    rows = np.array([len(f) for f in fixes])
+    valid = np.arange(int(rows.max(initial=0))) < rows[:, None]
+    ids = np.concatenate([f.ids for f in fixes])
+    fixed = np.zeros(valid.shape, dtype=bool)
+    fixed[valid] = np.concatenate([f.grade for f in fixes]) == 2
+    p = np.zeros(valid.shape + (3,))
+    p[valid] = np.concatenate([f.p for f in fixes])
+    levers = np.zeros(valid.shape + (3,))
+    levers[valid] = config.layout.positions[ids - 1]
+    positions, used = fuse_positions(p, levers, fixed, r_eb)
+    return attitudes, positions, used.any(axis=1), fixed.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -325,6 +426,109 @@ def _angle_sd(values: list[float]) -> float | None:
     return _population_sd([base + _wrap_deg(v - base) for v in values])
 
 
+class _Tally:
+    """The stream metrics and pose rows, accumulated epoch by epoch in
+    stream order."""
+
+    def __init__(self, config: PipelineConfig) -> None:
+        self.active = config.active_mask
+        self.fixed_counts = np.zeros(len(self.active), dtype=np.int64)
+        self.n_proc = self.raw_any = self.fb_any = self.att_avail = 0
+        self.att_err: dict[str, list[float]] = {"roll": [], "pitch": [], "yaw": []}
+        self.att_val: dict[str, list[float]] = {"roll": [], "pitch": [], "yaw": []}
+        self.pos_err: dict[str, list[float]] = {"e": [], "n": [], "u": []}
+        self.pos_val: dict[str, list[float]] = {"e": [], "n": [], "u": []}
+        self.tp = self.fp = self.fn = 0
+        self.truth_seen = self.requery_seen = False
+        self.pose_rows: list[PoseRow] = []
+
+    def front(self, epoch: EpochRecord, report: MultipathReport) -> None:
+        """An epoch that passed the front half: its observed fix counts and
+        its detection score against the truth channel."""
+        self.n_proc += 1
+        # _front has checked that every antenna id is in the layout
+        raw_ids = epoch.fixes.ids[epoch.fixes.fixed]
+        raw_ids = raw_ids[self.active[raw_ids]]
+        self.fixed_counts += np.bincount(raw_ids, minlength=len(self.active))
+        if len(raw_ids):
+            self.raw_any += 1
+        if epoch.truth is not None:
+            self.truth_seen = True
+            self.requery_seen |= epoch.truth.requery is not None
+            true_mp = epoch.truth.multipath_sats & set(report.sat_ids)
+            detected = report.excluded_sats
+            self.tp += len(detected & true_mp)
+            self.fp += len(detected - true_mp)
+            self.fn += len(true_mp - detected)
+
+    def pose(
+        self,
+        t: float,
+        truth: tuple[UnitQuaternion, Vec3] | None,
+        q: UnitQuaternion | None,
+        p: Vec3 | None,
+        n_fix: int,
+    ) -> None:
+        if n_fix:
+            self.fb_any += 1
+        if q is not None:
+            self.att_avail += 1
+            roll, pitch, yaw = euler_from_quat(q)
+            if truth is not None:
+                roll_t, pitch_t, yaw_t = euler_from_quat(truth[0])
+                self.att_err["roll"].append(_wrap_deg(roll - roll_t))
+                self.att_err["pitch"].append(_wrap_deg(pitch - pitch_t))
+                self.att_err["yaw"].append(_wrap_deg(yaw - yaw_t))
+            else:
+                self.att_val["roll"].append(roll)
+                self.att_val["pitch"].append(pitch)
+                self.att_val["yaw"].append(yaw)
+        if p is not None:
+            if truth is not None:
+                d = p - truth[1]
+                self.pos_err["e"].append(d.x)
+                self.pos_err["n"].append(d.y)
+                self.pos_err["u"].append(d.z)
+            else:
+                self.pos_val["e"].append(p.x)
+                self.pos_val["n"].append(p.y)
+                self.pos_val["u"].append(p.z)
+        self.pose_rows.append(
+            PoseRow(t=t, p=p, q=q, n_fix=n_fix, att_available=q is not None)
+        )
+
+    def report(self, config: PipelineConfig, skipped: int) -> MetricsReport:
+        n_proc = self.n_proc
+
+        def pct(count: int) -> float | None:
+            return 100.0 * count / n_proc if n_proc else None
+
+        if self.truth_seen:
+            att_sd = {axis: _population_sd(v) for axis, v in self.att_err.items()}
+            pos_sd_m = {axis: _population_sd(v) for axis, v in self.pos_err.items()}
+        else:
+            att_sd = {axis: _angle_sd(v) for axis, v in self.att_val.items()}
+            pos_sd_m = {axis: _population_sd(v) for axis, v in self.pos_val.items()}
+        counts = self.fixed_counts.tolist()
+        tp, fp, fn = self.tp, self.fp, self.fn
+        return MetricsReport(
+            epochs=n_proc,
+            skipped=skipped,
+            per_antenna_fix_rate_pct={i: pct(counts[i]) for i in config.active_antennas},
+            hybrid_fix_rate_pct=pct(self.raw_any),
+            hybrid_fix_rate_multipath_pct=(
+                pct(self.fb_any) if config.multipath_feedback and self.requery_seen else None
+            ),
+            attitude_availability_pct=pct(self.att_avail),
+            attitude_sd_deg=att_sd,
+            position_sd_mm={
+                axis: (None if sd is None else 1000.0 * sd) for axis, sd in pos_sd_m.items()
+            },
+            multipath_precision=tp / (tp + fp) if (tp + fp) > 0 else None,
+            multipath_recall=tp / (tp + fn) if (tp + fn) > 0 else None,
+        )
+
+
 def run(
     epochs: Iterable[EpochRecord],
     config: PipelineConfig,
@@ -333,119 +537,58 @@ def run(
 ) -> RunResult:
     """Process a stream and accumulate the metrics report.
 
+    Each epoch goes through the per-epoch front half (checks, subset,
+    detection, feedback), where every skip is decided; the survivors then go
+    to consensus attitude and position in blocks of at most ``BLOCK_PAIRS``
+    pair hypotheses. Results match :func:`process_epoch` epoch by epoch.
+
     Per-epoch validation problems skip the epoch (with a diagnostic) and
     never abort the stream; configuration-level problems do abort. The
     ``diagnostics`` list may be shared with a skip-tolerant reader so parse
-    skips and processing skips are counted together.
+    skips and processing skips are counted together; ``skipped`` counts the
+    entries added while this call runs, not those already in the list.
     """
     diags = diagnostics if diagnostics is not None else []
-    ant_ids = config.active_antennas
-    active = config.active_mask
-    fixed_counts = np.zeros(len(active), dtype=np.int64)
-    n_proc = 0
-    raw_any = 0
-    fb_any = 0
-    att_avail = 0
-    att_err: dict[str, list[float]] = {"roll": [], "pitch": [], "yaw": []}
-    att_val: dict[str, list[float]] = {"roll": [], "pitch": [], "yaw": []}
-    pos_err: dict[str, list[float]] = {"e": [], "n": [], "u": []}
-    pos_val: dict[str, list[float]] = {"e": [], "n": [], "u": []}
-    tp = fp = fn = 0
-    truth_seen = requery_seen = False
-    pose_rows: list[PoseRow] = []
-    last_t: float | None = None
+    first_diag = len(diags)
+    params = _consensus_params(config)
+    tally = _Tally(config)
+    # The block keeps only what the back half needs (for the truth channel,
+    # the true pose), not the epoch records.
+    block: list[tuple[Fixes, Baselines | None]] = []
+    stamps: list[tuple[float, tuple[UnitQuaternion, Vec3] | None]] = []
+    block_pairs = 0
 
+    def solve() -> None:
+        attitudes, positions, has_p, n_fix = _solve_block(block, config, params)
+        rows = zip(stamps, attitudes, positions.tolist(), has_p.tolist(), n_fix.tolist())
+        for (t, truth), q, p, ok, n in rows:
+            tally.pose(t, truth, q, Vec3(*p) if ok else None, n)
+
+    last_t: float | None = None
     for idx, epoch in enumerate(epochs):
         if last_t is not None and epoch.t <= last_t:
             diags.append(f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped")
             continue
         try:
-            result = process_epoch(epoch, config)
+            fixes, baselines, report = _front(epoch, config)
         except (ValidationError, InputError, InsufficientDataError) as exc:
             diags.append(f"epoch {idx} (t={epoch.t!r}): {exc}")
             continue
         last_t = epoch.t
-        n_proc += 1
-
-        # process_epoch has checked that every antenna id is in the layout
-        raw_ids = epoch.fixes.ids[epoch.fixes.fixed]
-        raw_ids = raw_ids[active[raw_ids]]
-        fixed_counts += np.bincount(raw_ids, minlength=len(active))
-        if len(raw_ids):
-            raw_any += 1
-        n_fix_used = int(np.count_nonzero(result.fixes_used.fixed))
-        if n_fix_used:
-            fb_any += 1
-
-        if result.attitude.available:
-            att_avail += 1
-            roll, pitch, yaw = euler_from_quat(result.attitude.q)
-            if epoch.truth is not None:
-                roll_t, pitch_t, yaw_t = euler_from_quat(epoch.truth.attitude)
-                att_err["roll"].append(_wrap_deg(roll - roll_t))
-                att_err["pitch"].append(_wrap_deg(pitch - pitch_t))
-                att_err["yaw"].append(_wrap_deg(yaw - yaw_t))
-            else:
-                att_val["roll"].append(roll)
-                att_val["pitch"].append(pitch)
-                att_val["yaw"].append(yaw)
-        if result.position.available:
-            if epoch.truth is not None:
-                d = result.position.p - epoch.truth.position
-                pos_err["e"].append(d.x)
-                pos_err["n"].append(d.y)
-                pos_err["u"].append(d.z)
-            else:
-                pos_val["e"].append(result.position.p.x)
-                pos_val["n"].append(result.position.p.y)
-                pos_val["u"].append(result.position.p.z)
-        if epoch.truth is not None:
-            truth_seen = True
-            requery_seen |= epoch.truth.requery is not None
-            universe = set(result.multipath.sat_ids)
-            true_mp = epoch.truth.multipath_sats & universe
-            detected = set(result.multipath.excluded_sats)
-            tp += len(detected & true_mp)
-            fp += len(detected - true_mp)
-            fn += len(true_mp - detected)
-
-        pose_rows.append(
-            PoseRow(
-                t=epoch.t,
-                p=result.position.p if result.position.available else None,
-                q=result.attitude.q if result.attitude.available else None,
-                n_fix=n_fix_used,
-                att_available=result.attitude.available,
-            )
-        )
-
-    def pct(count: int) -> float | None:
-        return 100.0 * count / n_proc if n_proc else None
-
-    if truth_seen:
-        att_sd = {axis: _population_sd(att_err[axis]) for axis in att_err}
-        pos_sd_m = {axis: _population_sd(pos_err[axis]) for axis in pos_err}
-    else:
-        att_sd = {axis: _angle_sd(att_val[axis]) for axis in att_val}
-        pos_sd_m = {axis: _population_sd(pos_val[axis]) for axis in pos_val}
-
-    counts = fixed_counts.tolist()
-    metrics = MetricsReport(
-        epochs=n_proc,
-        skipped=len(diags),
-        per_antenna_fix_rate_pct={
-            i: (100.0 * counts[i] / n_proc if n_proc else None) for i in ant_ids
-        },
-        hybrid_fix_rate_pct=pct(raw_any),
-        hybrid_fix_rate_multipath_pct=(
-            pct(fb_any) if config.multipath_feedback and requery_seen else None
-        ),
-        attitude_availability_pct=pct(att_avail),
-        attitude_sd_deg=att_sd,
-        position_sd_mm={
-            axis: (None if sd is None else 1000.0 * sd) for axis, sd in pos_sd_m.items()
-        },
-        multipath_precision=tp / (tp + fp) if (tp + fp) > 0 else None,
-        multipath_recall=tp / (tp + fn) if (tp + fn) > 0 else None,
-    )
-    return RunResult(metrics=metrics, pose_rows=pose_rows, diagnostics=diags)
+        tally.front(epoch, report)
+        candidates: Baselines | None = baselines.fixed_only()
+        m = len(candidates)
+        if m < config.attitude_min_baselines:
+            candidates, m = None, 0
+        pairs = m * (m - 1) // 2
+        if block and block_pairs + pairs > BLOCK_PAIRS:
+            solve()
+            block, stamps, block_pairs = [], [], 0
+        block.append((fixes, candidates))
+        truth = epoch.truth
+        stamps.append((epoch.t, None if truth is None else (truth.attitude, truth.position)))
+        block_pairs += pairs
+    if block:
+        solve()
+    metrics = tally.report(config, skipped=len(diags) - first_diag)
+    return RunResult(metrics=metrics, pose_rows=tally.pose_rows, diagnostics=diags)

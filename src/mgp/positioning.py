@@ -11,8 +11,10 @@ where ``q_i`` is the antenna's body-frame mount offset. Availability then
 requires only one fixed antenna rather than one specific receiver. Float and
 no-solution antennas never contribute.
 
-An epoch's solutions travel as one :class:`Fixes` record of arrays, and the
-mean is taken over its FIXED rows in one array expression;
+An epoch's solutions travel as one :class:`Fixes` record of arrays.
+:func:`fuse_positions` takes the mean for a block of epochs at once, as a
+masked mean over an (E, n, 3) array summed in row order, and
+:func:`hybrid_position` is that fusion on a block of one;
 :class:`FixSolution` is the one-antenna view for callers that want objects.
 """
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import AntennaLayout, UnitQuaternion, Vec3, quat_to_matrix
+from .core import AntennaLayout, UnitQuaternion, Vec3, quat_to_matrix, sum_rows
 from .errors import ConfigurationError, ValidationError
 
 
@@ -157,6 +159,45 @@ class PositionSolution:
         return cls(available=False)
 
 
+def check_unique_ids(fixes: Fixes) -> None:
+    """Raise ValidationError when two solutions name the same antenna."""
+    ids = fixes.ids.tolist()
+    if len(set(ids)) != len(ids):
+        dup = next(i for k, i in enumerate(ids) if i in ids[:k])
+        raise ValidationError(f"duplicate solution for antenna {dup}")
+
+
+def fuse_positions(
+    p: np.ndarray, levers: np.ndarray, fixed: np.ndarray, r_eb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Body-origin positions of a block of E epochs.
+
+    ``p`` and ``levers`` (E, n, 3) hold each epoch's antenna positions and
+    body lever arms, ``fixed`` (E, n) marks its fixed rows and ``r_eb``
+    (E, 3, 3) holds its body->ENU rotation, NaN where it has no attitude.
+    With an attitude, every fixed antenna contributes; without one, only the
+    first fixed antenna mounted exactly at the body origin can (alone).
+    Returns the positions (E, 3) and the (E, n) mask of the rows that
+    contributed; an epoch with none has no position.
+    """
+    has_att = ~np.isnan(r_eb[:, 0, 0])
+    used = fixed & has_att[:, None]
+    if not has_att.all():
+        # epochs with an attitude use this row already
+        at_origin = fixed & ~levers.any(axis=2)
+        first = np.argmax(at_origin, axis=1)
+        lone = np.flatnonzero(at_origin[np.arange(len(p)), first])
+        used[lone, first[lone]] = True
+        # a lever of zero rotates to zero exactly under any finite matrix
+        r_eb = np.where(has_att[:, None, None], r_eb, 0.0)
+    # One matrix-vector product per lever arm (a stacked matmul) and the
+    # masked mean summed row by row, so each position matches a per-antenna
+    # loop bitwise and does not depend on the block around it.
+    rotated = (r_eb[:, None] @ levers[..., None])[..., 0]
+    total = sum_rows(np.where(used[..., None], p - rotated, 0.0))
+    return total / np.maximum(used.sum(axis=1), 1)[:, None], used
+
+
 def hybrid_position(
     fixes: Fixes | Iterable[FixSolution],
     attitude: UnitQuaternion | None,
@@ -169,14 +210,9 @@ def hybrid_position(
     """
     if not isinstance(fixes, Fixes):
         fixes = Fixes.of(fixes)
-    ids = fixes.ids.tolist()
-    if len(set(ids)) != len(ids):
-        dup = next(i for k, i in enumerate(ids) if i in ids[:k])
-        raise ValidationError(f"duplicate solution for antenna {dup}")
-
+    check_unique_ids(fixes)
     n = layout.antenna_count
-    fixed = fixes.fixed
-    fixed_ids = fixes.ids[fixed]
+    fixed_ids = fixes.ids[fixes.fixed]
     if (fixed_ids > n).any():
         raise ConfigurationError(
             f"antenna {fixed_ids[fixed_ids > n][0]} has no layout entry (layout has {n})"
@@ -184,27 +220,18 @@ def hybrid_position(
     if not len(fixed_ids):
         return PositionSolution.unavailable()
 
-    levers = layout.positions[fixed_ids - 1]
-    p = fixes.p[fixed]
-    if attitude is None:
-        at_origin = np.flatnonzero(~levers.any(axis=1))
-        if not len(at_origin):
-            return PositionSolution.unavailable()
-        k = at_origin[0]
-        return PositionSolution(
-            available=True,
-            p=Vec3.from_array(p[k]),
-            n_used=1,
-            contributing_antennas=frozenset({int(fixed_ids[k])}),
-        )
-
-    # One matrix-vector product per lever arm (a stacked matmul), so each
-    # rotated lever and the row-order sum match a per-antenna loop bitwise.
-    rotated = (quat_to_matrix(attitude) @ levers[:, :, None])[:, :, 0]
-    mean = (p - rotated).sum(axis=0) / len(fixed_ids)
+    r_eb = np.full((1, 3, 3), np.nan) if attitude is None else quat_to_matrix(attitude)[None]
+    p, used = fuse_positions(
+        fixes.p[fixes.fixed][None],
+        layout.positions[fixed_ids - 1][None],
+        np.ones((1, len(fixed_ids)), dtype=bool),
+        r_eb,
+    )
+    if not used.any():
+        return PositionSolution.unavailable()
     return PositionSolution(
         available=True,
-        p=Vec3.from_array(mean),
-        n_used=len(fixed_ids),
-        contributing_antennas=frozenset(fixed_ids.tolist()),
+        p=Vec3.from_array(p[0]),
+        n_used=int(used.sum()),
+        contributing_antennas=frozenset(fixed_ids[used[0]].tolist()),
     )

@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Sequence
 
@@ -333,7 +334,9 @@ class ChannelDraws:
     ``u_fix``/``u_float`` (n,) are the uniforms compared against the model
     probabilities; ``wrong`` (n,) bool is the pre-evaluated wrong-fix
     Bernoulli; the (n, 3) latent vectors are the measurement under each
-    ambiguity grade, and ``wrong_offset`` is added to a wrong fix.
+    ambiguity grade, and ``wrong_offset`` is added to a wrong fix. The
+    epoch reader checks draws read from a stream finite; the simulator's
+    own draws are finite by construction.
     """
 
     u_fix: np.ndarray
@@ -350,9 +353,6 @@ class ChannelDraws:
             raise ValidationError("channel draws need (n,) uniforms and flags and (n, 3) vectors")
         if self.wrong.dtype != np.bool_:
             raise ValidationError("wrong-fix flags must be booleans")
-        floats = (self.u_fix, self.u_float, self.latent_fixed, self.latent_float, self.wrong_offset)
-        if not all(np.isfinite(a).all() for a in floats):
-            raise ValidationError("channel draws must be finite")
 
     def __len__(self) -> int:
         return len(self.u_fix)
@@ -401,17 +401,46 @@ class RequeryData:
             **{k: jsonvals.number(md[k], what) for k in _MODEL_KEYS if k != "antenna_bias"},
             antenna_bias=tuple(jsonvals.floats(md["antenna_bias"], what).tolist()),
         )
-        groups = []
-        for key in ("antenna_channels", "baseline_channels"):
-            cols = {k: [row[k] for row in d[key]] for k in _DRAW_KEYS}
-            groups.append(
-                ChannelDraws(
-                    *(jsonvals.floats(cols[k], f"{k} channel draws") for k in _DRAW_KEYS[:2]),
-                    jsonvals.flags(cols["wrong"], "wrong-fix flags"),
-                    *(jsonvals.floats(cols[k], f"{k} channel draws", 3) for k in _DRAW_KEYS[3:]),
-                )
-            )
+        groups = [_draws_from(d[key]) for key in ("antenna_channels", "baseline_channels")]
         return cls(model, jsonvals.strings(d["solution_sats"], "solution_sats"), *groups)
+
+
+# The numbers of one channel row in reading order: the two uniforms, then
+# the three components of each latent vector.
+_ROW_FIELDS = _DRAW_KEYS[:2] + tuple(k for k in _DRAW_KEYS[3:] for _ in range(3))
+_FLOAT_MAX = sys.float_info.max
+
+
+def _draws_from(rows: Any) -> ChannelDraws:
+    """One channel group from its JSON rows: the numbers of every row are
+    type-checked in one pass and read into one (n, 11) array, whose columns
+    the draws view, and checked finite once."""
+    # a latent of another type but length 3 fails the number check below
+    if not set(map(len, [row[k] for row in rows for k in _DRAW_KEYS[3:]])) <= {3}:
+        raise ValidationError("channel draws need 3 values per latent vector")
+    flat = [
+        x
+        for row in rows
+        for x in (row["u_fix"], row["u_float"], *row["latent_fixed"], *row["latent_float"],
+                  *row["wrong_offset"])
+    ]
+    try:
+        values = jsonvals.floats(flat, "channel draws").reshape(len(rows), len(_ROW_FIELDS))
+    except ValidationError as exc:
+        # name the field of the first offending number
+        k = next(
+            k for k, x in enumerate(flat)
+            if type(x) not in (int, float) or not -_FLOAT_MAX <= x <= _FLOAT_MAX
+        )
+        raise ValidationError(f"{_ROW_FIELDS[k % len(_ROW_FIELDS)]} {exc}") from exc
+    return ChannelDraws(
+        values[:, 0],
+        values[:, 1],
+        jsonvals.flags([row["wrong"] for row in rows], "wrong-fix flags"),
+        values[:, 2:5],
+        values[:, 5:8],
+        values[:, 8:11],
+    )
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,22 @@ def test_estimate_bad_antennas_value(tmp_path: Path, capsys) -> None:
     assert "antennas" in capsys.readouterr().err
 
 
+def test_estimate_mistyped_config_exits_one(tmp_path: Path, capsys) -> None:
+    scen = _write(tmp_path / "scen.json", SCENARIO)
+    epochs = str(tmp_path / "epochs.jsonl")
+    main(["simulate", "--config", scen, "--out", epochs])
+    pipe = _write(tmp_path / "pipe.json", {"ransac": {"min_inliers": 4.9}})
+    poses, metrics = tmp_path / "p.csv", tmp_path / "m.json"
+    code = main(
+        ["estimate", "--epochs", epochs, "--config", pipe, "--poses", str(poses),
+         "--metrics", str(metrics)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {pipe}: pipeline config: ransac.min_inliers must be an integer" in err
+    assert not poses.exists() and not metrics.exists()
+
+
 def test_estimate_skips_epoch_with_antenna_outside_layout(tmp_path: Path, capsys) -> None:
     scen = _write(tmp_path / "scen.json", SCENARIO)
     epochs = tmp_path / "epochs.jsonl"

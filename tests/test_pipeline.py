@@ -33,10 +33,12 @@ from mgp import (
     pipeline_config_from_dict,
     process_epoch,
     quat_angle,
+    read_epochs,
     rotate,
     run,
     simulate,
     truth_attitude,
+    write_epochs,
 )
 
 SATS = tuple(
@@ -113,6 +115,36 @@ def test_pipeline_config_rejects_unknown_keys() -> None:
             pipeline_config_from_dict({"ransac": {stale: 2}})
     with pytest.raises(ConfigurationError):
         pipeline_config_from_dict({"multipath": {"threshold": 4.0}})
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"multipath_feedback": "no"}, "multipath_feedback must be a boolean"),
+        ({"antenna_subset": [1.9, 3, 5]}, "antenna_subset must be integers"),
+        ({"ransac": {"min_inliers": 4.9}}, "ransac.min_inliers must be an integer"),
+        ({"ransac": {"inlier_threshold_m": "0.05"}}, "ransac.inlier_threshold_m must be a number"),
+        ({"multipath": {"min_count": "3"}}, "multipath.min_count must be an integer"),
+        ({"multipath": {"threshold_dbhz": math.inf}}, "multipath.threshold_dbhz must be finite"),
+    ],
+    ids=["feedback-string", "subset-float", "min-inliers-float", "threshold-string",
+         "min-count-string", "threshold-infinity"],
+)
+def test_pipeline_config_rejects_mistyped_values(tmp_path, config, key: str) -> None:
+    """A value of the wrong JSON type is an error naming the file and the
+    key, never a value to coerce."""
+    with pytest.raises(ConfigurationError, match=f"^pipeline config: {key}"):
+        pipeline_config_from_dict(config)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ConfigurationError, match=f"^{path}: pipeline config: {key}"):
+        load_pipeline_config(str(path))
+
+
+def test_pipeline_config_rejects_booleans_as_counts() -> None:
+    for config in ({"attitude_min_baselines": True}, {"antenna_subset": [True, 3]}):
+        with pytest.raises(ConfigurationError, match="integer"):
+            pipeline_config_from_dict(config)
 
 
 def test_load_pipeline_config(tmp_path) -> None:
@@ -373,11 +405,27 @@ def test_run_detection_precision_recall() -> None:
 
 
 def test_run_shared_diagnostics_list() -> None:
-    diags = ["upstream: skipped epoch"]
+    diags = ["caller note"]
     cfg = _scenario(duration_s=0.5)
     result = run(iter(simulate(cfg)), PipelineConfig(), diagnostics=diags)
-    assert result.metrics.skipped == 1  # counts the shared upstream entry
+    # an entry already in the list is not a skip of this run
+    assert result.metrics.skipped == 0
     assert result.diagnostics is diags
+    assert diags == ["caller note"]
+
+
+def test_run_counts_reader_skips_on_a_shared_list(tmp_path) -> None:
+    cfg = _scenario(duration_s=0.5)
+    path = tmp_path / "e.jsonl"
+    write_epochs(str(path), simulate(cfg))
+    lines = path.read_text().splitlines()
+    lines[2] = "{not json"
+    path.write_text("\n".join(lines) + "\n")
+    diags = ["caller note"]
+    epochs = read_epochs(str(path), skip_malformed=True, diagnostics=diags)
+    result = run(epochs, PipelineConfig(), diagnostics=diags)
+    assert (result.metrics.epochs, result.metrics.skipped) == (4, 1)
+    assert diags[0] == "caller note" and diags[1].startswith(f"{path}:3: skipped epoch")
 
 
 def test_metrics_json_rounding() -> None:

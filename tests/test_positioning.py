@@ -7,6 +7,7 @@ from mgp import (
     AntennaLayout,
     ConfigurationError,
     FixSolution,
+    Fixes,
     FixStatus,
     PositionSolution,
     UnitQuaternion,
@@ -15,8 +16,10 @@ from mgp import (
     euler_to_quat,
     hexagon_layout,
     hybrid_position,
+    quat_to_matrix,
     rotate,
 )
+from mgp.positioning import fuse_positions
 
 LAYOUT = hexagon_layout(0.9)
 
@@ -181,3 +184,46 @@ def test_translation_equivariance() -> None:
     shifted = [_fix(a, _antenna_world(p0 + shift, q, a) + noise[a - 1]) for a in range(1, 7)]
     moved = hybrid_position(shifted, q, LAYOUT).p.as_array()
     assert np.allclose(moved - base, shift.as_array(), atol=1e-12)
+
+
+def test_fused_block_matches_each_epoch_alone() -> None:
+    """One ``fuse_positions`` call over epochs with and without attitude,
+    the origin antenna in any row and rows padded to the widest epoch gives
+    each epoch bitwise what ``hybrid_position`` gives it alone."""
+    layout = AntennaLayout(
+        (Vec3(0.9, 0.0, 0.0), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 1.1, 0.2), Vec3(-0.7, -0.4, 0.1))
+    )
+    rng = np.random.default_rng(5)
+    epochs = []
+    for k in range(60):
+        q = UnitQuaternion.from_array(rng.normal(size=4)) if k % 3 else None
+        ids = rng.permutation(4)[: int(rng.integers(1, 5))] + 1
+        grades = rng.choice([FixStatus.FIXED, FixStatus.FIXED, FixStatus.FLOAT, FixStatus.NONE], len(ids))
+        fixes = [
+            FixSolution(int(i), g, None if g is FixStatus.NONE else Vec3(*rng.normal(scale=10.0, size=3)))
+            for i, g in zip(ids, grades)
+        ]
+        epochs.append((Fixes.of(fixes), q))
+
+    width = max(len(f) for f, _ in epochs)
+    p = np.zeros((len(epochs), width, 3))
+    levers = np.zeros((len(epochs), width, 3))
+    fixed = np.zeros((len(epochs), width), dtype=bool)
+    r_eb = np.full((len(epochs), 3, 3), np.nan)
+    for e, (f, q) in enumerate(epochs):
+        p[e, : len(f)] = np.nan_to_num(f.p)
+        levers[e, : len(f)] = layout.positions[f.ids - 1]
+        fixed[e, : len(f)] = f.fixed
+        if q is not None:
+            r_eb[e] = quat_to_matrix(q)
+    positions, used = fuse_positions(p, levers, fixed, r_eb)
+
+    lone = 0
+    for e, (f, q) in enumerate(epochs):
+        want = hybrid_position(f, q, layout)
+        assert used[e].any() == want.available
+        if want.available:
+            assert Vec3.from_array(positions[e]) == want.p
+            assert frozenset(f.ids[used[e, : len(f)]].tolist()) == want.contributing_antennas
+            lone += q is None
+    assert lone > 5

@@ -5,6 +5,9 @@ baseline pair in ``(i, j)`` order and solves and scores one hypothesis at a
 time, with a cyclic Jacobi eigensolver and a Jacobi-based inlier refit. The
 batched implementation must reproduce its hypothesis count, inlier and
 outlier sets and availability exactly, and its attitude to 1e-12 rad.
+``_eigh_pair_hypotheses`` keeps the stacked per-pair ``eigh`` solve that the
+closed-form pair hypotheses replaced, as the reference for their rotations
+and eigen gaps.
 """
 from __future__ import annotations
 
@@ -30,15 +33,17 @@ from mgp import (
     davenport_matrix,
     hexagon_layout,
     load_scenario,
+    process_epoch,
     quat_angle,
+    quat_to_matrix,
     ransac_attitude,
     rotate,
     run,
     simulate,
 )
 import mgp.pipeline
-from mgp.attitude import EIGEN_GAP_TOL
-from mgp.robust import MIN_PAIR_ANGLE_DEG
+from mgp.attitude import EIGEN_GAP_TOL, _davenport_k
+from mgp.robust import MIN_PAIR_ANGLE_DEG, _pair_gap, _pair_quaternions, _rotations_eb
 
 LAYOUT = hexagon_layout(0.9)
 _JACOBI_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -320,23 +325,138 @@ def test_degenerate_gap_pair_loses_to_any_solved_pair() -> None:
     "scenario, subset", [("multipath", None), ("fixrate", None), ("fixrate", (1, 3, 5))]
 )
 def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset) -> None:
+    """``run`` (block consensus) against a per-epoch ``process_epoch`` loop
+    whose consensus is the scalar pair loop, called once per epoch that
+    reaches consensus."""
     cfg = load_scenario(bundled_scenario_path(scenario))
     epochs = list(simulate(dataclasses.replace(cfg, duration_s=15.0)))
     config = PipelineConfig(antenna_subset=subset)
     batched = run(iter(epochs), config)
 
+    calls = []
+
     def scalar(observations, params):
-        solution, inliers, outliers, hypotheses = _scalar_ransac(observations, params)
+        calls.append(len(observations))
+        solution, inliers, outliers, hypotheses = _scalar_ransac(list(observations), params)
         return RobustAttitudeResult(solution, inliers, outliers, hypotheses)
 
     monkeypatch.setattr(mgp.pipeline, "ransac_attitude", scalar)
-    reference = run(iter(epochs), config)
-    assert batched.metrics.to_json_dict() == reference.metrics.to_json_dict()
-    assert len(batched.pose_rows) == len(reference.pose_rows) == 150
-    for got, want in zip(batched.pose_rows, reference.pose_rows):
-        assert (got.t, got.n_fix, got.att_available) == (want.t, want.n_fix, want.att_available)
-        assert (got.q is None) == (want.q is None) and (got.p is None) == (want.p is None)
-        if want.q is not None:
-            assert quat_angle(got.q, want.q) < 1e-12
-        if want.p is not None:
-            assert (got.p - want.p).norm() < 1e-12
+    reference = [process_epoch(epoch, config) for epoch in epochs]
+    reaching = [
+        len(baselines.fixed_only())
+        for baselines in (mgp.pipeline._front(epoch, config)[1] for epoch in epochs)
+        if len(baselines.fixed_only()) >= config.attitude_min_baselines
+    ]
+    assert calls == reaching and len(calls) > 100
+
+    assert batched.metrics.epochs == len(reference) == 150
+    available = sum(r.attitude.available for r in reference)
+    assert batched.metrics.attitude_availability_pct == 100.0 * available / 150
+    for got, want in zip(batched.pose_rows, reference):
+        n_fix = int(np.count_nonzero(want.fixes_used.fixed))
+        assert (got.t, got.n_fix, got.att_available) == (want.t, n_fix, want.attitude.available)
+        assert (got.p is None) == (not want.position.available)
+        if want.attitude.available:
+            assert quat_angle(got.q, want.attitude.q) < 1e-12
+        if want.position.available:
+            assert (got.p - want.position.p).norm() < 1e-12
+
+
+def _eigh_pair_hypotheses(b1, b2, r1, r2, a1) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked eigen solve the closed form replaced: one Davenport matrix
+    per pair of unit measurements b of unit references r, weights a1 and
+    1 - a1, through ``eigh``. Returns the raw ENU->body eigenvectors and gaps."""
+    a = a1[:, None, None]
+    b = a * r1[:, :, None] * b1[:, None, :] + (1.0 - a) * r2[:, :, None] * b2[:, None, :]
+    vals, vecs = np.linalg.eigh(_davenport_k(b))
+    return vecs[..., 3], vals[..., 3] - vals[..., 2]
+
+
+def _closed_form(b1, b2, r1, r2, a1) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form pair solve on (P, 3) rows: raw ENU->body quaternions
+    (P, 4), NaN where the gap is degenerate, and the gaps."""
+    b1, b2, r1, r2 = b1.T, b2.T, r1.T, r2.T
+    bx, rx = np.cross(b1, b2, axis=0), np.cross(r1, r2, axis=0)
+    b_sin, r_sin = np.linalg.norm(bx, axis=0), np.linalg.norm(rx, axis=0)
+    gap = _pair_gap(b1, b2, b_sin, (r1 * r2).sum(axis=0), r_sin, a1, 1.0 - a1)
+    ok = gap >= EIGEN_GAP_TOL
+    q = np.full((len(a1), 4), np.nan)
+    q[ok] = _pair_quaternions(
+        b1[:, ok], b2[:, ok], bx[:, ok] / b_sin[ok], r1[:, ok], r2[:, ok], rx[:, ok] / r_sin[ok],
+        a1[ok], 1.0 - a1[ok],
+    ).T
+    return q, gap
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Rotation angle between raw quaternions, sign and scale free."""
+    qa, qb = _unit(qa), _unit(qb)
+    chord = np.minimum(np.linalg.norm(qa - qb, axis=1), np.linalg.norm(qa + qb, axis=1))
+    return 4.0 * np.arcsin(np.minimum(1.0, 0.5 * chord))
+
+
+def _random_pairs(rng: np.random.Generator, n: int, body_deg: tuple[float, float]):
+    """Body pairs at an angle drawn from ``body_deg``, measured under a
+    random rotation with 5 mm noise on baselines of 0.5-2 m."""
+    r1 = _unit(rng.normal(size=(n, 3)))
+    side = _unit(np.cross(r1, rng.normal(size=(n, 3))))
+    ang = np.radians(rng.uniform(*body_deg, size=n))[:, None]
+    r2 = np.cos(ang) * r1 + np.sin(ang) * side
+    l1, l2 = rng.uniform(0.5, 2.0, size=(2, n))
+    rot = np.array([quat_to_matrix(UnitQuaternion.from_array(q)) for q in rng.normal(size=(n, 4))])
+    b1 = _unit(np.einsum("nij,nj->ni", rot, r1 * l1[:, None]) + rng.normal(scale=0.005, size=(n, 3)))
+    b2 = _unit(np.einsum("nij,nj->ni", rot, r2 * l2[:, None]) + rng.normal(scale=0.005, size=(n, 3)))
+    return b1, b2, r1, r2, l1 / (l1 + l2)
+
+
+@pytest.mark.parametrize(
+    "body_deg", [(20.0, 160.0), (MIN_PAIR_ANGLE_DEG, 6.0), (174.0, 180.0 - MIN_PAIR_ANGLE_DEG)],
+    ids=["wide", "near-collinear", "near-antiparallel"],
+)
+def test_closed_form_pairs_match_eigh(body_deg) -> None:
+    rng = np.random.default_rng(int(body_deg[0]))
+    b1, b2, r1, r2, a1 = _random_pairs(rng, 4000, body_deg)
+    q, gap = _closed_form(b1, b2, r1, r2, a1)
+    q_ref, gap_ref = _eigh_pair_hypotheses(b1, b2, r1, r2, a1)
+    assert np.abs(gap - gap_ref).max() < 1e-13
+    assert ((gap >= EIGEN_GAP_TOL) == (gap_ref >= EIGEN_GAP_TOL)).all()
+    assert _angles(q, q_ref).max() < 1e-12
+    # both of Markley's branches and the half-turn of the references ran
+    normals = (_unit(np.cross(b1, b2)) * _unit(np.cross(r1, r2))).sum(axis=1)
+    assert (normals < 0.0).sum() > 1000 and (normals > 0.0).sum() > 1000
+
+
+def test_closed_form_exact_half_turns() -> None:
+    # Half turns about the ENU x, y and z axes of noise-free hexagon
+    # baselines: the normals point exactly apart (b3 = -r3) for the first
+    # two, where the unturned closed form divides zero by zero.
+    ws = np.array([LAYOUT.baseline(1, 2).as_array(), LAYOUT.baseline(1, 3).as_array()])
+    r1, r2 = _unit(ws)
+    for axis in np.eye(3):
+        rot = quat_to_matrix(UnitQuaternion.from_array(np.append(axis, 0.0)))
+        b1, b2 = _unit(ws @ rot.T)
+        args = (b1[None], b2[None], r1[None], r2[None], np.array([0.5]))
+        q, _ = _closed_form(*args)
+        q_ref, _ = _eigh_pair_hypotheses(*args)
+        assert _angles(q, q_ref)[0] < 1e-12
+        assert np.allclose(_rotations_eb(q.T)[:, 0].reshape(3, 3), rot, atol=1e-15)
+
+
+def test_closed_form_gap_verdicts_on_degenerate_pairs() -> None:
+    # The degenerate-gap cases above: measured baselines along one ENU
+    # direction behind well-separated body baselines, and the same with a
+    # tiny tilt that eigh already resolves.
+    for tilt, degenerate in ((0.0, True), (1e-6, False)):
+        obs = _collinear_v_obs()
+        v = np.array([o.v.as_array() for o in obs]) + np.array([[0.0, 0.0, 0.0], [0.0, tilt, 0.0]])
+        w = np.array([o.w.as_array() for o in obs])
+        b1, b2 = _unit(v)
+        r1, r2 = _unit(w)
+        a1 = np.linalg.norm(w[:1], axis=1) / np.linalg.norm(w, axis=1).sum()
+        _, gap = _closed_form(b1[None], b2[None], r1[None], r2[None], a1)
+        _, gap_ref = _eigh_pair_hypotheses(b1[None], b2[None], r1[None], r2[None], a1)
+        assert bool(gap[0] < EIGEN_GAP_TOL) is bool(gap_ref[0] < EIGEN_GAP_TOL) is degenerate
