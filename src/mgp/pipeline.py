@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -61,7 +61,7 @@ from .positioning import (
 )
 from .robust import RansacParams, consensus, ransac_attitude
 from .simulator import EpochRecord, requery_epoch
-from .streams import PoseRow, _check_keys, _layout_from, _read_json_file
+from .streams import PoseRow
 
 
 # Pair hypotheses per call of the consensus kernel. ``run`` hands it whole
@@ -126,74 +126,15 @@ class PipelineConfig:
         return mask
 
 
-def _typed(section: dict[str, Any], key: str, where: str, read: Callable[[Any, str], Any]) -> Any:
-    """``section[key]`` read by a :mod:`jsonvals` rule; a value of the wrong
-    JSON type is a configuration error naming the key."""
-    try:
-        return read(section[key], f"{where}{key}")
-    except ValidationError as exc:
-        raise ConfigurationError(f"pipeline config: {exc}") from exc
-
-
 def pipeline_config_from_dict(d: dict[str, Any]) -> PipelineConfig:
-    """Config from its JSON object form. Every value must have its JSON type:
+    """Config from its JSON object form, decoded by :func:`jsonvals.decode`:
     a boolean flag, integer (not boolean) counts and ids, finite numbers for
     thresholds; anything else raises ConfigurationError naming the key."""
-    try:
-        _check_keys(
-            d,
-            {
-                "layout",
-                "ransac",
-                "multipath",
-                "multipath_feedback",
-                "attitude_min_baselines",
-                "antenna_subset",
-            },
-            "pipeline config",
-        )
-        kwargs: dict[str, Any] = {}
-        if "layout" in d:
-            kwargs["layout"] = _layout_from(d["layout"])
-        if "ransac" in d:
-            r = d["ransac"]
-            _check_keys(r, {"inlier_threshold_m", "min_inliers"}, "ransac")
-            rk: dict[str, Any] = {}
-            if "min_inliers" in r:
-                rk["min_inliers"] = _typed(r, "min_inliers", "ransac.", jsonvals.integer)
-            if "inlier_threshold_m" in r:
-                rk["inlier_threshold_m"] = _typed(
-                    r, "inlier_threshold_m", "ransac.", jsonvals.number
-                )
-            kwargs["ransac"] = RansacParams(**rk)
-        if "multipath" in d:
-            m = d["multipath"]
-            _check_keys(m, {"threshold_dbhz", "min_count"}, "multipath")
-            mk: dict[str, Any] = {}
-            if "threshold_dbhz" in m:
-                mk["threshold_dbhz"] = _typed(m, "threshold_dbhz", "multipath.", jsonvals.number)
-            if "min_count" in m:
-                mk["min_count"] = _typed(m, "min_count", "multipath.", jsonvals.integer)
-            kwargs["multipath"] = MultipathConfig(**mk)
-        if "multipath_feedback" in d:
-            kwargs["multipath_feedback"] = _typed(d, "multipath_feedback", "", jsonvals.flag)
-        if "attitude_min_baselines" in d:
-            kwargs["attitude_min_baselines"] = _typed(
-                d, "attitude_min_baselines", "", jsonvals.integer
-            )
-        if d.get("antenna_subset") is not None:
-            ids = _typed(d, "antenna_subset", "", jsonvals.integers)
-            kwargs["antenna_subset"] = tuple(ids.tolist())
-        return PipelineConfig(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"pipeline config: {exc!r}") from exc
+    return jsonvals.decode(PipelineConfig, d, "pipeline config")
 
 
 def load_pipeline_config(path: str) -> PipelineConfig:
-    try:
-        return pipeline_config_from_dict(_read_json_file(path))
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+    return jsonvals.load(PipelineConfig, path, "pipeline config")
 
 
 @dataclass(frozen=True)

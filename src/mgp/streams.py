@@ -18,20 +18,28 @@ Formats:
     :class:`ScanFrame` of (n, 4) ``[t, x, y, z]`` rows and (n,) bool flags.
   * Pose trajectory: CSV with header ``t,E,N,U,qx,qy,qz,qw,n_fix,att_available``;
     one row per processed epoch, cells left empty when the corresponding
-    solution is unavailable.
+    solution is unavailable. The reader wants strictly increasing times, a
+    nonnegative ``n_fix``, an ``att_available`` of 0 or 1, and quaternion
+    cells filled exactly when it is 1.
 
 All floats are serialized with Python repr (shortest round-trip), so a
 read/write cycle is byte-stable and exact-inverse tests can run through
-files. Loaders raise InputError for unreadable or structurally broken files
-and ConfigurationError for config schemas with unknown or mis-typed keys;
-value-type and value-range problems surface as ValidationError from the
-readers' checks and the constructors.
+files. Stream readers raise InputError naming ``path:line`` for any
+malformed line. The config loaders (scenario, calibration, reflectors, and
+the pipeline config in :mod:`mgp.pipeline`) all decode through
+:func:`jsonvals.decode`, which reads each key by its config dataclass
+field: a value of the wrong JSON type, a missing required key or an unknown
+key raises ConfigurationError, while a value out of range raises the
+constructors' ValidationError. Every message starts with the file path and
+the dotted key path, e.g. ``s.json: scenario: noise.snr.floor_dbhz must be
+a number, got '30'``. Invalid JSON is an InputError.
 """
 from __future__ import annotations
 
 import importlib.resources
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -39,27 +47,18 @@ import numpy as np
 
 from . import jsonvals
 from .attitude import Baselines
-from .core import AntennaLayout, UnitQuaternion, Vec3, hexagon_layout
-from .errors import ConfigurationError, InputError, ValidationError
-from .mapping import MountCalibration, Pose, ScanFrame
+from .core import UnitQuaternion, Vec3
+from .errors import InputError, ValidationError
+from .mapping import (
+    DEFAULT_CLUSTER_RADIUS_M,
+    DEFAULT_MIN_HITS,
+    MountCalibration,
+    Pose,
+    ScanFrame,
+)
 from .multipath import SnrTable
 from .positioning import FIX_GRADES, Fixes
-from .simulator import (
-    AttitudeProfile,
-    EpochRecord,
-    EpochTruth,
-    FixModel,
-    NoiseModel,
-    Reflector,
-    RequeryData,
-    Satellite,
-    ScannerModel,
-    ScenarioConfig,
-    SkyMaskSector,
-    SnrModel,
-    Trajectory,
-    TrajectoryKind,
-)
+from .simulator import EpochRecord, EpochTruth, RequeryData, ScenarioConfig
 
 EPOCH_HEADER = {"format": "mgp-epoch", "version": 1}
 SCAN_HEADER = {"format": "mgp-scan", "version": 1}
@@ -89,18 +88,6 @@ def _vec(v: Vec3) -> list[float]:
 
 def _quat(q: UnitQuaternion) -> list[float]:
     return [q.qx, q.qy, q.qz, q.qw]
-
-
-def _vec_from(obj: Any) -> Vec3:
-    x, y, z = (float(c) for c in obj)
-    return Vec3(x, y, z)
-
-
-def _quat_from(obj: Any) -> UnitQuaternion:
-    vals = [float(c) for c in obj]
-    if len(vals) != 4:
-        raise InputError("quaternion needs 4 components")
-    return UnitQuaternion.from_array(vals, canonicalize=False)
 
 
 _GRADE_NAMES = tuple(status.value for status in FIX_GRADES)
@@ -283,9 +270,7 @@ def write_scan(path: str, frames: Iterable[ScanFrame]) -> int:
 def _scan_frame(d: dict[str, Any]) -> ScanFrame:
     """Frame from one parsed scan line. Each pulse must be exactly five
     numbers ``[t, x, y, z, flag]`` with finite values and a 0/1 flag."""
-    t = float(d["t"])
-    if not math.isfinite(t):
-        raise ValidationError(f"frame time {t} is not finite")
+    t = jsonvals.number(d["t"], "frame time")
     try:
         rows = np.asarray(d["pulses"])
     except ValueError as exc:  # pulses of different lengths
@@ -344,7 +329,54 @@ def write_poses(path: str, rows: Iterable[PoseRow]) -> int:
     return n
 
 
+# A float as ``repr`` writes it; ``float()`` alone would also take "1_0"
+# (10.0) and padding.
+_FLOAT_CELL = re.compile(r"-?(\d+(\.\d*)?(e[-+]?\d+)?|inf)|nan")
+
+
+def _float_cell(cell: str) -> float:
+    if not _FLOAT_CELL.fullmatch(cell):
+        raise ValidationError(f"{cell!r} is not a number")
+    return float(cell)
+
+
+def _pose_cells(cells: list[str], what: str) -> list[float] | None:
+    """A position or quaternion cell group: all empty, or all numbers."""
+    if not any(cells):
+        return None
+    if not all(cells):
+        raise ValidationError(f"{what} cells must be all empty or all filled")
+    return [_float_cell(c) for c in cells]
+
+
+def _pose_row(cells: list[str]) -> PoseRow:
+    t = _float_cell(cells[0])
+    if not math.isfinite(t):
+        raise ValidationError(f"pose timestamp must be finite, got {t!r}")
+    p = _pose_cells(cells[1:4], "position")
+    q = _pose_cells(cells[4:8], "quaternion")
+    n_fix, att = cells[8], cells[9]
+    if not (n_fix.isascii() and n_fix.isdigit()):
+        raise ValidationError(f"n_fix must be a nonnegative integer, got {n_fix!r}")
+    if att not in ("0", "1"):
+        raise ValidationError(f"att_available must be 0 or 1, got {att!r}")
+    if (att == "1") != (q is not None):
+        raise ValidationError(f"att_available is {att} but the quaternion cells are "
+                              f"{'empty' if q is None else 'filled'}")
+    return PoseRow(
+        t=t,
+        p=None if p is None else Vec3(*p),
+        q=None if q is None else UnitQuaternion.from_array(q, canonicalize=False),
+        n_fix=int(n_fix),
+        att_available=att == "1",
+    )
+
+
 def read_poses(path: str) -> list[PoseRow]:
+    """Rows of a pose CSV. Times must increase strictly, ``n_fix`` is a
+    nonnegative integer, ``att_available`` is 0 or 1 and the quaternion cells
+    are filled exactly when it is 1; any other row raises InputError naming
+    ``path:line``."""
     rows: list[PoseRow] = []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
@@ -358,26 +390,12 @@ def read_poses(path: str) -> list[PoseRow]:
             if len(cells) != 10:
                 raise InputError(f"{path}:{lineno}: expected 10 cells, got {len(cells)}")
             try:
-                t = float(cells[0])
-                if not math.isfinite(t):
-                    raise ValidationError(f"pose timestamp must be finite, got {t!r}")
-                p = None
-                if cells[1] != "":
-                    p = Vec3(float(cells[1]), float(cells[2]), float(cells[3]))
-                q = None
-                if cells[4] != "":
-                    q = UnitQuaternion.from_array(
-                        [float(c) for c in cells[4:8]], canonicalize=False
+                row = _pose_row(cells)
+                if rows and not row.t > rows[-1].t:
+                    raise ValidationError(
+                        f"pose timestamp {row.t!r} is not after the previous {rows[-1].t!r}"
                     )
-                rows.append(
-                    PoseRow(
-                        t=t,
-                        p=p,
-                        q=q,
-                        n_fix=int(cells[8]),
-                        att_available=cells[9] == "1",
-                    )
-                )
+                rows.append(row)
             except (ValueError, ValidationError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
     return rows
@@ -393,232 +411,13 @@ def write_json(path: str, payload: dict[str, Any]) -> None:
         f.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _read_json_file(path: str) -> dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: expected a JSON object at top level")
-    return data
-
-
-def _check_keys(d: dict[str, Any], allowed: set[str], ctx: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigurationError(f"{ctx}: unknown keys {sorted(unknown)}")
-
-
-def _layout_from(obj: Any) -> AntennaLayout:
-    if not isinstance(obj, dict):
-        raise ConfigurationError("layout: expected an object")
-    _check_keys(obj, {"body_positions", "hexagon_circumradius_m"}, "layout")
-    if "body_positions" in obj and "hexagon_circumradius_m" in obj:
-        raise ConfigurationError("layout: give body_positions or a hexagon radius, not both")
-    if "body_positions" in obj:
-        return AntennaLayout(tuple(_vec_from(p) for p in obj["body_positions"]))
-    if "hexagon_circumradius_m" in obj:
-        return hexagon_layout(float(obj["hexagon_circumradius_m"]))
-    raise ConfigurationError("layout: empty layout object")
-
-
-def _knots_from(obj: Any) -> tuple[tuple[float, float], ...]:
-    return tuple((float(k[0]), float(k[1])) for k in obj)
-
-
-def _mount_from(obj: Any) -> MountCalibration:
-    if not isinstance(obj, dict):
-        raise ConfigurationError("mount: expected an object")
-    _check_keys(obj, {"lever_arm", "boresight"}, "mount")
-    lever = _vec_from(obj["lever_arm"]) if "lever_arm" in obj else Vec3(0.0, 0.0, 0.0)
-    bore = (
-        _quat_from(obj["boresight"])
-        if "boresight" in obj
-        else UnitQuaternion.identity()
-    )
-    return MountCalibration(lever_arm=lever, boresight=bore)
-
-
-def _scanner_from(obj: Any) -> ScannerModel:
-    _check_keys(
-        obj,
-        {"spin_hz", "pulses_per_rev", "cone_deg", "range_noise_m", "max_range_m", "mount"},
-        "scanner",
-    )
-    kwargs: dict[str, Any] = {}
-    for key in ("spin_hz", "cone_deg", "range_noise_m", "max_range_m"):
-        if key in obj:
-            kwargs[key] = float(obj[key])
-    if "pulses_per_rev" in obj:
-        kwargs["pulses_per_rev"] = int(obj["pulses_per_rev"])
-    if "mount" in obj:
-        kwargs["mount"] = _mount_from(obj["mount"])
-    return ScannerModel(**kwargs)
-
-
 def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
-    """Build a scenario from its JSON object form (strict keys)."""
-    try:
-        _check_keys(
-            d,
-            {
-                "seed",
-                "duration_s",
-                "rate_hz",
-                "layout",
-                "trajectory",
-                "attitude_profile",
-                "constellation",
-                "sky_mask",
-                "noise",
-                "fix_model",
-                "scanner",
-                "reflectors",
-            },
-            "scenario",
-        )
-        kwargs: dict[str, Any] = {}
-        if "seed" in d:
-            kwargs["seed"] = int(d["seed"])
-        if "duration_s" in d:
-            kwargs["duration_s"] = float(d["duration_s"])
-        if "rate_hz" in d:
-            kwargs["rate_hz"] = float(d["rate_hz"])
-        if "layout" in d:
-            kwargs["layout"] = _layout_from(d["layout"])
-        if "trajectory" in d:
-            tr = d["trajectory"]
-            _check_keys(tr, {"kind", "waypoints", "speed_mps"}, "trajectory")
-            kwargs["trajectory"] = Trajectory(
-                kind=TrajectoryKind(str(tr["kind"])),
-                waypoints=tuple(_vec_from(w) for w in tr.get("waypoints", ())),
-                speed_mps=float(tr.get("speed_mps", 0.0)),
-            )
-        if "attitude_profile" in d:
-            ap = d["attitude_profile"]
-            _check_keys(ap, {"roll_knots", "pitch_knots", "yaw_knots"}, "attitude_profile")
-            kwargs["attitude_profile"] = AttitudeProfile(
-                roll_knots=_knots_from(ap.get("roll_knots", ((0.0, 0.0),))),
-                pitch_knots=_knots_from(ap.get("pitch_knots", ((0.0, 0.0),))),
-                yaw_knots=_knots_from(ap.get("yaw_knots", ((0.0, 0.0),))),
-            )
-        if "constellation" in d:
-            sats = []
-            for s in d["constellation"]:
-                _check_keys(s, {"sat_id", "azimuth_deg", "elevation_deg"}, "satellite")
-                sats.append(
-                    Satellite(
-                        sat_id=str(s["sat_id"]),
-                        azimuth_deg=float(s["azimuth_deg"]),
-                        elevation_deg=float(s["elevation_deg"]),
-                    )
-                )
-            kwargs["constellation"] = tuple(sats)
-        if "sky_mask" in d:
-            sectors = []
-            for s in d["sky_mask"]:
-                _check_keys(
-                    s, {"az_start_deg", "az_end_deg", "mask_elevation_deg"}, "sky_mask"
-                )
-                sectors.append(
-                    SkyMaskSector(
-                        az_start_deg=float(s["az_start_deg"]),
-                        az_end_deg=float(s["az_end_deg"]),
-                        mask_elevation_deg=float(s["mask_elevation_deg"]),
-                    )
-                )
-            kwargs["sky_mask"] = tuple(sectors)
-        if "noise" in d:
-            nz = d["noise"]
-            _check_keys(
-                nz,
-                {
-                    "sigma_fixed_m",
-                    "sigma_float_m",
-                    "wrong_fix_prob",
-                    "wrong_fix_unit_m",
-                    "wrong_fix_max_multiple",
-                    "snr",
-                },
-                "noise",
-            )
-            nz_kwargs: dict[str, Any] = {}
-            for key in ("sigma_fixed_m", "sigma_float_m", "wrong_fix_prob", "wrong_fix_unit_m"):
-                if key in nz:
-                    nz_kwargs[key] = float(nz[key])
-            if "wrong_fix_max_multiple" in nz:
-                nz_kwargs["wrong_fix_max_multiple"] = int(nz["wrong_fix_max_multiple"])
-            if "snr" in nz:
-                sn = nz["snr"]
-                _check_keys(
-                    sn,
-                    {
-                        "floor_dbhz",
-                        "peak_dbhz",
-                        "fading_amplitude_db",
-                        "fading_period_s",
-                        "thermal_jitter_db",
-                    },
-                    "snr",
-                )
-                nz_kwargs["snr"] = SnrModel(**{k: float(v) for k, v in sn.items()})
-            kwargs["noise"] = NoiseModel(**nz_kwargs)
-        if "fix_model" in d:
-            fm = d["fix_model"]
-            _check_keys(
-                fm,
-                {
-                    "steepness",
-                    "midpoint",
-                    "multipath_weight",
-                    "antenna_bias",
-                    "target_fix_probs",
-                    "baseline_bias",
-                    "baseline_target_fix_prob",
-                    "float_fraction",
-                },
-                "fix_model",
-            )
-            fm_kwargs: dict[str, Any] = {}
-            for key in (
-                "steepness",
-                "midpoint",
-                "multipath_weight",
-                "baseline_bias",
-                "float_fraction",
-            ):
-                if key in fm:
-                    fm_kwargs[key] = float(fm[key])
-            if fm.get("antenna_bias") is not None:
-                fm_kwargs["antenna_bias"] = tuple(float(b) for b in fm["antenna_bias"])
-            if fm.get("target_fix_probs") is not None:
-                fm_kwargs["target_fix_probs"] = tuple(
-                    float(p) for p in fm["target_fix_probs"]
-                )
-            if fm.get("baseline_target_fix_prob") is not None:
-                fm_kwargs["baseline_target_fix_prob"] = float(fm["baseline_target_fix_prob"])
-            kwargs["fix_model"] = FixModel(**fm_kwargs)
-        if d.get("scanner") is not None:
-            kwargs["scanner"] = _scanner_from(d["scanner"])
-        if "reflectors" in d:
-            refl = []
-            for r in d["reflectors"]:
-                _check_keys(r, {"position", "radius_m"}, "reflector")
-                refl.append(
-                    Reflector(
-                        position=_vec_from(r["position"]),
-                        radius_m=float(r.get("radius_m", 0.3)),
-                    )
-                )
-            kwargs["reflectors"] = tuple(refl)
-        return ScenarioConfig(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"scenario config: {exc!r}") from exc
+    """Scenario from its JSON object form, decoded by :func:`jsonvals.decode`."""
+    return jsonvals.decode(ScenarioConfig, d, "scenario")
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    return scenario_from_dict(_read_json_file(path))
+    return jsonvals.load(ScenarioConfig, path, "scenario")
 
 
 def bundled_scenario_path(name: str) -> str:
@@ -631,11 +430,16 @@ def bundled_scenario_path(name: str) -> str:
 
 
 def load_calibration(path: str) -> MountCalibration:
-    d = _read_json_file(path)
-    try:
-        return _mount_from(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"calibration config: {exc!r}") from exc
+    return jsonvals.load(MountCalibration, path, "calibration")
+
+
+@dataclass(frozen=True)
+class _ReflectorSurvey:
+    """The JSON form of a reflector file."""
+
+    reflectors: tuple[Vec3, ...]
+    cluster_radius_m: float = DEFAULT_CLUSTER_RADIUS_M
+    min_hits: int = DEFAULT_MIN_HITS
 
 
 def load_reflectors(path: str) -> tuple[list[Vec3], float, int]:
@@ -643,12 +447,5 @@ def load_reflectors(path: str) -> tuple[list[Vec3], float, int]:
 
     Returns (positions, cluster_radius_m, min_hits).
     """
-    d = _read_json_file(path)
-    try:
-        _check_keys(d, {"reflectors", "cluster_radius_m", "min_hits"}, "reflectors")
-        positions = [_vec_from(p) for p in d["reflectors"]]
-        radius = float(d.get("cluster_radius_m", 0.5))
-        min_hits = int(d.get("min_hits", 10))
-        return positions, radius, min_hits
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"reflector config: {exc!r}") from exc
+    survey = jsonvals.load(_ReflectorSurvey, path, "reflectors")
+    return list(survey.reflectors), survey.cluster_radius_m, survey.min_hits

@@ -348,7 +348,7 @@ def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
 @pytest.mark.parametrize(
     "row, message",
     [
-        ('{"t": NaN, "pulses": [[0.1, 1.0, 2.0, 3.0, 0]]}', "frame time nan is not finite"),
+        ('{"t": NaN, "pulses": [[0.1, 1.0, 2.0, 3.0, 0]]}', "frame time must be finite, got nan"),
         ('{"t": 0.1, "pulses": [[NaN, 1.0, 2.0, 3.0, 0]]}', "pulse time nan is not finite"),
         ('{"t": 0.1, "pulses": [[0.1, 1.0, 2.0, 3.0, 0], [Infinity, 1.0, 2.0, 3.0, 1]]}',
          "pulse time inf is not finite"),
@@ -363,6 +363,8 @@ def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
          "scan values must be numbers, not JSON booleans"),
         ('{"t": false, "pulses": [[0.01, 1.0, 2.0, -20.0, 0]]}',
          "scan values must be numbers, not JSON booleans"),
+        ('{"t": "0.5", "pulses": [[0.51, 1.0, 2.0, -20.0, 0]]}',
+         "frame time must be a number, got '0.5'"),
     ],
     ids=[
         "nan-frame-time",
@@ -375,6 +377,7 @@ def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
         "flag-3",
         "bool-flag",
         "bool-frame-time",
+        "string-frame-time",
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -451,6 +454,38 @@ def test_read_poses_non_finite_cell_names_path_and_line(
     good = "0.1,1.0,2.0,3.0,0.0,0.0,0.0,1.0,6,1"
     path.write_text(f"t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n{good}\n{row}\n")
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {message}"):
+        read_poses(str(path))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.2,1.0,2.0,3.0,0.0,0.0,0.0,1.0,6,x", "att_available must be 0 or 1, got 'x'"),
+        ("0.2,1.0,2.0,3.0,,,,,6,1", "att_available is 1 but the quaternion cells are empty"),
+        ("0.2,1.0,2.0,3.0,0.0,0.0,0.0,1.0,6,0",
+         "att_available is 0 but the quaternion cells are filled"),
+        ("0.2,1.0,2.0,3.0,0.0,0.0,0.0,1.0,-1,1", "n_fix must be a nonnegative integer, got '-1'"),
+        ("0.2,1.0,2.0,3.0,0.0,0.0,0.0,1.0,2.5,1", "n_fix must be a nonnegative integer, got '2.5'"),
+        ("0.1,1.0,2.0,3.0,0.0,0.0,0.0,1.0,6,1",
+         "pose timestamp 0.1 is not after the previous 0.1"),
+        ("0.05,1.0,2.0,3.0,0.0,0.0,0.0,1.0,6,1",
+         "pose timestamp 0.05 is not after the previous 0.1"),
+        ("0.2,1.0,,3.0,,,,,2,0", "position cells must be all empty or all filled"),
+        ("0.2,,,,0.0,0.0,,1.0,0,1", "quaternion cells must be all empty or all filled"),
+        ("0.2,1_0,2.0,3.0,,,,,2,0", "'1_0' is not a number"),
+        (" 0.2,1.0,2.0,3.0,,,,,2,0", "' 0.2' is not a number"),
+    ],
+    ids=[
+        "att-x", "att-1-no-quaternion", "att-0-with-quaternion", "n-fix-negative",
+        "n-fix-fraction", "time-repeated", "time-decreasing", "position-partial",
+        "quaternion-partial", "digit-separator", "padded-time",
+    ],
+)
+def test_read_poses_rejects_inconsistent_rows(tmp_path: Path, row: str, message: str) -> None:
+    path = tmp_path / "p.csv"
+    good = "0.1,1.0,2.0,3.0,0.0,0.0,0.0,1.0,6,1"
+    path.write_text(f"t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n{good}\n{row}\n")
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {re.escape(message)}$"):
         read_poses(str(path))
 
 
