@@ -24,6 +24,7 @@ from .core import (
     quat_to_matrix,
     rotate,
 )
+from .epochs import EpochRecord, EpochTruth, FixModel, requery_epoch
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
@@ -75,9 +76,6 @@ from .robust import (
 )
 from .simulator import (
     AttitudeProfile,
-    EpochRecord,
-    EpochTruth,
-    FixModel,
     NoiseModel,
     Reflector,
     Satellite,
@@ -88,9 +86,10 @@ from .simulator import (
     Trajectory,
     TrajectoryKind,
     corrupt_poses,
+    load_scenario,
     multipath_satellite_ids,
-    requery_epoch,
     scan_stream,
+    scenario_from_dict,
     simulate,
     trajectory_position,
     truth_attitude,
@@ -103,12 +102,10 @@ from .streams import (
     epoch_to_dict,
     load_calibration,
     load_reflectors,
-    load_scenario,
     poses_for_georef,
     read_epochs,
     read_poses,
     read_scan,
-    scenario_from_dict,
     write_epochs,
     write_json,
     write_poses,

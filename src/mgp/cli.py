@@ -22,11 +22,11 @@ from .errors import (
 from .attitude import baseline_weights
 from .mapping import evaluate_reflectors, georeference_stream, read_cloud, write_cloud
 from .oracles import wahba_svd
-from .simulator import simulate, scan_stream
+from .simulator import load_scenario, simulate, scan_stream
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = streams.load_scenario(args.config)
+    config = load_scenario(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     n = streams.write_epochs(args.out, simulate(config))
@@ -43,11 +43,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     config = pipeline.load_pipeline_config(args.config)
     overrides: dict[str, object] = {}
     if args.antennas is not None:
-        try:
-            subset = tuple(int(a) for a in args.antennas.split(",") if a.strip())
-        except ValueError as exc:
-            raise ConfigurationError(f"bad --antennas value {args.antennas!r}") from exc
-        overrides["antenna_subset"] = subset
+        items = args.antennas.split(",")
+        # int() alone would also take "1_0" (10), padding and non-ASCII digits
+        for item in items:
+            if not (item.isascii() and item.isdigit()):
+                raise ConfigurationError(
+                    f"bad --antennas item {item!r} in {args.antennas!r}: "
+                    "expected comma-separated antenna ids"
+                )
+        overrides["antenna_subset"] = tuple(map(int, items))
     if args.no_multipath_feedback:
         overrides["multipath_feedback"] = False
     if overrides:

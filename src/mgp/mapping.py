@@ -234,13 +234,17 @@ def _xyz_columns(path: Path) -> np.ndarray:
                 return cols
     except ValueError:
         pass
-    # the bulk parse failed or skipped a blank line: name the line
-    for lineno, line in enumerate(text.splitlines(), 1):
+    # the bulk parse failed or skipped a blank line: name the line, parsing
+    # each with loadtxt itself (float() would also take "1_0" or "１")
+    for lineno, line in enumerate(text.removesuffix("\n").split("\n"), 1):
         try:
-            if len([float(part) for part in line.split()]) != 4:
-                raise ValueError("expected 'E N U flag'")
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
+            ok = bool(line.strip()) and np.loadtxt(
+                io.StringIO(line), ndmin=2, comments=None
+            ).shape == (1, 4)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise InputError(f"{path}:{lineno}: expected 'E N U flag'")
     raise InputError(f"{path}: unreadable cloud file")
 
 

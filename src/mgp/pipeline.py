@@ -1,11 +1,14 @@
 """Per-epoch processing chain and whole-stream metrics.
 
 Stage order per epoch: (1) multipath detection on the SNR rows, (2) optional
-fix re-query with the excluded satellites removed (simulated streams only),
+fix re-query with the excluded satellites removed, which replays the epoch's
+requery record (:func:`mgp.epochs.requery_epoch`; simulated streams only),
 (3) consensus attitude from the fixed baselines, (4) hybrid position using that
-attitude. Per-antenna fix rates and the plain hybrid fix rate are always
-computed from the observed (pre-feedback) statuses so the feedback gain
-stays visible next to them.
+attitude. An epoch with fewer fixed baselines than the effective
+``min_inliers`` skips stage (3), since consensus could never accept it.
+Per-antenna fix rates and the plain hybrid fix rate are always computed from
+the observed (pre-feedback) statuses so the feedback gain stays visible next
+to them.
 
 Stages (1) and (2) run per epoch as the stream arrives, together with every
 check that can skip an epoch. ``run`` then takes the surviving epochs
@@ -39,6 +42,7 @@ from .core import (
     hexagon_layout,
     quat_to_matrix,
 )
+from .epochs import EpochRecord, requery_epoch
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
@@ -60,7 +64,6 @@ from .positioning import (
     hybrid_position,
 )
 from .robust import RansacParams, consensus, ransac_attitude
-from .simulator import EpochRecord, requery_epoch
 from .streams import PoseRow
 
 
@@ -92,12 +95,9 @@ class PipelineConfig:
     ransac: RansacParams = field(default_factory=RansacParams)
     multipath: MultipathConfig = field(default_factory=MultipathConfig)
     multipath_feedback: bool = True
-    attitude_min_baselines: int = 2
     antenna_subset: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.attitude_min_baselines < 2:
-            raise ValidationError("attitude needs at least 2 baselines")
         if self.antenna_subset is not None:
             ids = tuple(self.antenna_subset)
             if not ids:
@@ -157,10 +157,12 @@ def _consensus_params(config: PipelineConfig) -> RansacParams:
 
 def _attitude_stage(baselines: Baselines, config: PipelineConfig) -> AttitudeSolution:
     fixed = baselines.fixed_only()
-    if len(fixed) < config.attitude_min_baselines:
+    params = _consensus_params(config)
+    # consensus could never reach min_inliers with fewer fixed baselines
+    if len(fixed) < params.min_inliers:
         return AttitudeSolution.unavailable()
     try:
-        return ransac_attitude(fixed, _consensus_params(config)).solution
+        return ransac_attitude(fixed, params).solution
     except (InsufficientDataError, DegenerateGeometryError):
         return AttitudeSolution.unavailable()
 
@@ -247,9 +249,9 @@ def _solve_block(
     params: RansacParams,
 ) -> tuple[list[UnitQuaternion | None], np.ndarray, np.ndarray, np.ndarray]:
     """Stages (3) and (4) of a block of epochs, each given with its active
-    fixes and its consensus candidates (None below
-    ``attitude_min_baselines``): the attitudes, the (E, 3) positions, which
-    of them exist, and each epoch's number of fixed antennas."""
+    fixes and its consensus candidates (None below ``params.min_inliers``
+    fixed baselines): the attitudes, the (E, 3) positions, which of them
+    exist, and each epoch's number of fixed antennas."""
     n_ep = len(block)
     attitudes: list[UnitQuaternion | None] = [None] * n_ep
     r_eb = np.full((n_ep, 3, 3), np.nan)
@@ -434,9 +436,7 @@ class _Tally:
                 self.pos_val["e"].append(p.x)
                 self.pos_val["n"].append(p.y)
                 self.pos_val["u"].append(p.z)
-        self.pose_rows.append(
-            PoseRow(t=t, p=p, q=q, n_fix=n_fix, att_available=q is not None)
-        )
+        self.pose_rows.append(PoseRow(t=t, p=p, q=q, n_fix=n_fix))
 
     def report(self, config: PipelineConfig, skipped: int) -> MetricsReport:
         n_proc = self.n_proc
@@ -519,7 +519,7 @@ def run(
         tally.front(epoch, report)
         candidates: Baselines | None = baselines.fixed_only()
         m = len(candidates)
-        if m < config.attitude_min_baselines:
+        if m < params.min_inliers:
             candidates, m = None, 0
         pairs = m * (m - 1) // 2
         if block and block_pairs + pairs > BLOCK_PAIRS:

@@ -9,15 +9,12 @@ versus multipath satellites in the solution set, so excluding detected
 multipath satellites and re-querying raises the fix rate.
 
 Every stochastic outcome is drawn once, in a fixed documented order, from a
-single seeded generator, and the underlying draws are retained in the
-epoch's truth channel as a :class:`RequeryData` record: the calibrated
-:class:`FixModel` plus one :class:`ChannelDraws` group of arrays for the
-antennas and one for the baselines (uniforms, wrong-fix flags, latent
-fixed-grade and float-grade measurements, wrong-fix offsets). That makes the
-stream bitwise-reproducible and lets the pipeline re-query fix outcomes for
-a reduced satellite set without re-running the simulator: a re-query
-replays the same draws against the new probabilities, so removing a
-multipath satellite can only promote statuses, never revoke them.
+single seeded generator, and the draws are kept in the epoch's truth channel
+as a :class:`mgp.epochs.RequeryData` record, which the pipeline replays to
+re-query fix outcomes for a reduced satellite set. The generator is the whole
+module: scenario configs (decoded from JSON by :func:`scenario_from_dict` and
+:func:`load_scenario`), the epoch and scan streams, and truth or corrupted
+poses.
 
 Per-epoch draw order (one ``numpy`` Generator seeded with ``config.seed``;
 fading phases shape ``(n_sats, n_antennas)`` are drawn once up front):
@@ -28,16 +25,13 @@ SNR jitter ``(n_sats, n_ant)``.
 from __future__ import annotations
 
 import enum
-import functools
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from . import jsonvals
-from .attitude import Baselines
 from .core import (
     AntennaLayout,
     UnitQuaternion,
@@ -47,10 +41,18 @@ from .core import (
     quat_multiply,
     quat_to_matrix,
 )
+from .epochs import (
+    ChannelDraws,
+    EpochRecord,
+    EpochTruth,
+    FixModel,
+    RequeryData,
+    _pair_baselines,
+    _status_sets,
+)
 from .errors import ConfigurationError, ValidationError
 from .mapping import MountCalibration, Pose, ScanFrame
 from .multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ, SnrTable
-from .positioning import Fixes
 
 # Salt mixed into the seed for the scan-point generator so that producing a
 # scan stream never perturbs the epoch stream draws.
@@ -198,56 +200,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class FixModel:
-    """Logistic ambiguity-fix success model.
-
-    The fix probability for a solution set with ``n_clean`` clean and
-    ``n_mp`` multipath satellites is
-
-        sigmoid(steepness * (n_clean - multipath_weight * n_mp - midpoint + bias))
-
-    with a per-antenna ``bias`` (and a shared ``baseline_bias`` for
-    moving-base baseline solves). When ``target_fix_probs`` is set, the
-    per-antenna biases are calibrated at stream start so the full solution
-    set hits those probabilities exactly; ``baseline_target_fix_prob``
-    calibrates the baseline bias the same way. Antennas that fail to fix
-    fall back to FLOAT with probability ``float_fraction``, else NONE.
-    """
-
-    steepness: float = 1.2
-    midpoint: float = 5.0
-    multipath_weight: float = 1.0
-    antenna_bias: tuple[float, ...] | None = None
-    target_fix_probs: tuple[float, ...] | None = None
-    baseline_bias: float = 0.0
-    baseline_target_fix_prob: float | None = None
-    float_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (self.steepness > 0.0):
-            raise ValidationError("steepness must be positive")
-        if self.multipath_weight < 0.0:
-            raise ValidationError("multipath_weight must be nonnegative")
-        if not 0.0 <= self.float_fraction <= 1.0:
-            raise ValidationError("float_fraction must be in [0, 1]")
-        for p in self.target_fix_probs or ():
-            if not 0.0 < p < 1.0:
-                raise ValidationError("target fix probabilities must be in (0, 1)")
-        if self.baseline_target_fix_prob is not None:
-            if not 0.0 < self.baseline_target_fix_prob < 1.0:
-                raise ValidationError("baseline target fix probability must be in (0, 1)")
-        values = (self.midpoint, self.multipath_weight, self.baseline_bias)
-        if not all(map(math.isfinite, values + (self.antenna_bias or ()))):
-            raise ValidationError("fix model values must be finite")
-
-    def probability(self, n_clean: int, n_multipath: int, bias: float) -> float:
-        arg = self.steepness * (
-            n_clean - self.multipath_weight * n_multipath - self.midpoint + bias
-        )
-        return 1.0 / (1.0 + math.exp(-arg))
-
-
-@dataclass(frozen=True)
 class ScannerModel:
     """Spinning line scanner: a beam at a fixed cone angle from nadir sweeps
     a ground circle once per revolution."""
@@ -321,148 +273,13 @@ class ScenarioConfig:
         return int(round(self.duration_s * self.rate_hz))
 
 
-_DRAW_KEYS = ("u_fix", "u_float", "wrong", "latent_fixed", "latent_float", "wrong_offset")
-_MODEL_KEYS = (
-    "steepness", "midpoint", "multipath_weight", "antenna_bias", "baseline_bias", "float_fraction"
-)
+def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
+    """Scenario from its JSON object form, decoded by :func:`jsonvals.decode`."""
+    return jsonvals.decode(ScenarioConfig, d, "scenario")
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelDraws:
-    """Latent draws behind one group of n antenna (or baseline) solutions.
-
-    ``u_fix``/``u_float`` (n,) are the uniforms compared against the model
-    probabilities; ``wrong`` (n,) bool is the pre-evaluated wrong-fix
-    Bernoulli; the (n, 3) latent vectors are the measurement under each
-    ambiguity grade, and ``wrong_offset`` is added to a wrong fix. The
-    epoch reader checks draws read from a stream finite; the simulator's
-    own draws are finite by construction.
-    """
-
-    u_fix: np.ndarray
-    u_float: np.ndarray
-    wrong: np.ndarray
-    latent_fixed: np.ndarray
-    latent_float: np.ndarray
-    wrong_offset: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.u_fix)
-        shapes = [getattr(self, k).shape for k in _DRAW_KEYS]
-        if shapes != [(n,)] * 3 + [(n, 3)] * 3:
-            raise ValidationError("channel draws need (n,) uniforms and flags and (n, 3) vectors")
-        if self.wrong.dtype != np.bool_:
-            raise ValidationError("wrong-fix flags must be booleans")
-
-    def __len__(self) -> int:
-        return len(self.u_fix)
-
-
-@dataclass(frozen=True)
-class RequeryData:
-    """Replay record of one epoch: the calibrated fix model (resolved
-    ``antenna_bias`` and ``baseline_bias``, no calibration targets), the
-    solution satellites, and the draws of the n antennas and the n(n-1)/2
-    baselines in ``(i, j)``, ``i < j`` order."""
-
-    model: FixModel
-    solution_sats: tuple[str, ...]
-    antenna_channels: ChannelDraws
-    baseline_channels: ChannelDraws
-
-    def __post_init__(self) -> None:
-        n = len(self.antenna_channels)
-        if self.model.antenna_bias is None or len(self.model.antenna_bias) != n:
-            raise ValidationError(f"antenna_bias needs one entry per antenna ({n})")
-        if len(self.baseline_channels) != n * (n - 1) // 2:
-            raise ValidationError(
-                f"{n} antennas need {n * (n - 1) // 2} baseline channels, "
-                f"got {len(self.baseline_channels)}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        """The record's JSON form: the model's values, the satellites and one
-        object per channel, floats as Python floats and ``wrong`` a bool."""
-        model = {k: getattr(self.model, k) for k in _MODEL_KEYS}
-        model["antenna_bias"] = list(model["antenna_bias"])
-        out: dict[str, Any] = {"model": model, "solution_sats": list(self.solution_sats)}
-        for key in ("antenna_channels", "baseline_channels"):
-            cols = [getattr(getattr(self, key), k).tolist() for k in _DRAW_KEYS]
-            out[key] = [dict(zip(_DRAW_KEYS, row)) for row in zip(*cols)]
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> RequeryData:
-        """Inverse of :meth:`to_dict`; every value must have its JSON type
-        (a number, a boolean ``wrong``, string satellites)."""
-        md = d["model"]
-        what = "fix model values"
-        model = FixModel(
-            **{k: jsonvals.number(md[k], what) for k in _MODEL_KEYS if k != "antenna_bias"},
-            antenna_bias=tuple(jsonvals.floats(md["antenna_bias"], what).tolist()),
-        )
-        groups = [_draws_from(d[key]) for key in ("antenna_channels", "baseline_channels")]
-        return cls(model, jsonvals.strings(d["solution_sats"], "solution_sats"), *groups)
-
-
-# The numbers of one channel row in reading order: the two uniforms, then
-# the three components of each latent vector.
-_ROW_FIELDS = _DRAW_KEYS[:2] + tuple(k for k in _DRAW_KEYS[3:] for _ in range(3))
-_FLOAT_MAX = sys.float_info.max
-
-
-def _draws_from(rows: Any) -> ChannelDraws:
-    """One channel group from its JSON rows: the numbers of every row are
-    type-checked in one pass and read into one (n, 11) array, whose columns
-    the draws view, and checked finite once."""
-    # a latent of another type but length 3 fails the number check below
-    if not set(map(len, [row[k] for row in rows for k in _DRAW_KEYS[3:]])) <= {3}:
-        raise ValidationError("channel draws need 3 values per latent vector")
-    flat = [
-        x
-        for row in rows
-        for x in (row["u_fix"], row["u_float"], *row["latent_fixed"], *row["latent_float"],
-                  *row["wrong_offset"])
-    ]
-    try:
-        values = jsonvals.floats(flat, "channel draws").reshape(len(rows), len(_ROW_FIELDS))
-    except ValidationError as exc:
-        # name the field of the first offending number
-        k = next(
-            k for k, x in enumerate(flat)
-            if type(x) not in (int, float) or not -_FLOAT_MAX <= x <= _FLOAT_MAX
-        )
-        raise ValidationError(f"{_ROW_FIELDS[k % len(_ROW_FIELDS)]} {exc}") from exc
-    return ChannelDraws(
-        values[:, 0],
-        values[:, 1],
-        jsonvals.flags([row["wrong"] for row in rows], "wrong-fix flags"),
-        values[:, 2:5],
-        values[:, 5:8],
-        values[:, 8:11],
-    )
-
-
-@dataclass(frozen=True)
-class EpochTruth:
-    position: Vec3
-    attitude: UnitQuaternion
-    multipath_sats: frozenset[str]
-    corrupted_baselines: frozenset[tuple[int, int]]
-    wrong_fix_antennas: frozenset[int]
-    requery: RequeryData | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class EpochRecord:
-    """One epoch of the stream: the antenna solutions, the baseline
-    observations and the SNR table, each a record of arrays."""
-
-    t: float
-    fixes: Fixes
-    baselines: Baselines
-    snr_rows: SnrTable
-    truth: EpochTruth | None = None
+def load_scenario(path: str) -> ScenarioConfig:
+    return jsonvals.load(ScenarioConfig, path, "scenario")
 
 
 def multipath_satellite_ids(config: ScenarioConfig) -> frozenset[str]:
@@ -517,19 +334,6 @@ def _lattice_table(max_multiple: int) -> np.ndarray:
     return np.array(vecs, dtype=np.float64)
 
 
-def _grade(
-    draws: ChannelDraws, p_fix: np.ndarray | float, float_fraction: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """FIXED mask, FLOAT mask and the measured (n, 3) vectors of one group:
-    a fix takes the fixed-grade latent (plus its offset when wrong), a float
-    the float-grade one."""
-    fixed = draws.u_fix < p_fix
-    floating = ~fixed & (draws.u_float < float_fraction)
-    wrong = draws.wrong[:, None]
-    fixed_vec = np.where(wrong, draws.latent_fixed + draws.wrong_offset, draws.latent_fixed)
-    return fixed, floating, np.where(fixed[:, None], fixed_vec, draws.latent_float)
-
-
 def _effective_biases(config: ScenarioConfig, n_clean: int, n_mp: int) -> tuple[list[float], float]:
     fm = config.fix_model
     n_ant = config.layout.antenna_count
@@ -546,68 +350,6 @@ def _effective_biases(config: ScenarioConfig, n_clean: int, n_mp: int) -> tuple[
     else:
         bl_bias = fm.baseline_bias
     return biases, bl_bias
-
-
-@functools.lru_cache(maxsize=8)
-def _pair_baselines(layout: AntennaLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (P, 2) antenna pairs ``(i, j)``, ``i < j``, in replay order,
-    and their (P, 3) body-frame baselines."""
-    n = layout.antenna_count
-    pairs = np.array([(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-    pairs = pairs.reshape(-1, 2)
-    body = np.array([layout.baseline(i, j).as_array() for i, j in pairs.tolist()])
-    pairs.flags.writeable = body.flags.writeable = False
-    return pairs, body
-
-
-def _status_sets(
-    req: RequeryData,
-    multipath_sats: frozenset[str],
-    excluded: frozenset[str],
-    layout: AntennaLayout,
-) -> tuple[Fixes, Baselines, np.ndarray, np.ndarray]:
-    """Fix and baseline solutions replayed for the solution satellites left
-    after ``excluded`` (baselines with no solution left out), then the FIXED
-    masks of all antennas and baselines."""
-    remaining = [s for s in req.solution_sats if s not in excluded]
-    n_mp = sum(1 for s in remaining if s in multipath_sats)
-    n_clean = len(remaining) - n_mp
-    model = req.model
-    p_ant = np.array([model.probability(n_clean, n_mp, b) for b in model.antenna_bias])
-    p_bl = model.probability(n_clean, n_mp, model.baseline_bias)
-    ant_fixed, ant_float, ant_vec = _grade(req.antenna_channels, p_ant, model.float_fraction)
-    bl_fixed, bl_float, bl_vec = _grade(req.baseline_channels, p_bl, model.float_fraction)
-    n = len(ant_fixed)
-    grade = 2 * ant_fixed.astype(np.int8) + ant_float
-    fixes = Fixes(
-        ids=np.arange(1, n + 1),
-        grade=grade,
-        p=np.where((grade > 0)[:, None], ant_vec, np.nan),
-        sats_used=np.full(n, len(remaining)),
-    )
-    pairs, body = _pair_baselines(layout)
-    keep = bl_fixed | bl_float
-    baselines = Baselines(pairs[keep], bl_vec[keep], body[keep], bl_fixed[keep])
-    return fixes, baselines, ant_fixed, bl_fixed
-
-
-def requery_epoch(
-    epoch: EpochRecord, excluded: frozenset[str], layout: AntennaLayout
-) -> tuple[Fixes, Baselines]:
-    """Replay the epoch's fix and baseline outcomes with satellites removed.
-
-    Uses the latent draws stored in the truth channel, so the result is
-    deterministic and promotes statuses monotonically as true multipath
-    satellites are excluded. Only simulated streams carry the data needed.
-    """
-    if epoch.truth is None or epoch.truth.requery is None:
-        raise ValidationError("epoch carries no re-query data (not a simulated stream?)")
-    if len(epoch.truth.requery.antenna_channels) != layout.antenna_count:
-        raise ValidationError("layout antenna count does not match the stream")
-    fixes, observations, _, _ = _status_sets(
-        epoch.truth.requery, epoch.truth.multipath_sats, excluded, layout
-    )
-    return fixes, observations
 
 
 def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:

@@ -1,4 +1,4 @@
-"""Stream file formats and configuration loaders.
+"""Every stream file format, plus the calibration and reflector loaders.
 
 Formats:
   * Epoch stream: JSON Lines, header ``{"format": "mgp-epoch", "version": 1}``
@@ -9,9 +9,10 @@ Formats:
     pairs, (m, 3) ``v`` and ``w``, (m,) ``fixed``) and an :class:`SnrTable`
     ((s, n) dB-Hz, NaN for a JSON null, plus the satellite ids). The reader
     checks every value's JSON type, so ``1.7`` is no antenna id and ``"no"``
-    no ``fixed`` flag. The truth channel's ``requery`` block goes through
-    :meth:`RequeryData.to_dict` / :meth:`RequeryData.from_dict`, one object
-    per antenna or baseline channel, held in memory as arrays.
+    no ``fixed`` flag. The truth channel's ``requery`` block holds the fix
+    model's values, the solution satellites and one object per antenna or
+    baseline channel; in memory it is a :class:`RequeryData` of arrays. The
+    record types live in :mod:`mgp.epochs`; their whole line format is here.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line; each pulse is a compact array
     ``[t, x, y, z, reflector01]`` in scanner-frame meters; in memory a
@@ -25,14 +26,15 @@ Formats:
 All floats are serialized with Python repr (shortest round-trip), so a
 read/write cycle is byte-stable and exact-inverse tests can run through
 files. Stream readers raise InputError naming ``path:line`` for any
-malformed line. The config loaders (scenario, calibration, reflectors, and
-the pipeline config in :mod:`mgp.pipeline`) all decode through
-:func:`jsonvals.decode`, which reads each key by its config dataclass
-field: a value of the wrong JSON type, a missing required key or an unknown
-key raises ConfigurationError, while a value out of range raises the
-constructors' ValidationError. Every message starts with the file path and
-the dotted key path, e.g. ``s.json: scenario: noise.snr.floor_dbhz must be
-a number, got '30'``. Invalid JSON is an InputError.
+malformed line. The config loaders (calibration and reflectors here, the
+scenario in :mod:`mgp.simulator` and the pipeline config in
+:mod:`mgp.pipeline`) all decode through :func:`jsonvals.decode`, which
+reads each key by its config dataclass field: a value of the wrong JSON
+type, a missing required key or an unknown key raises ConfigurationError,
+while a value out of range raises the constructors' ValidationError. Every
+message starts with the file path and the dotted key path, e.g. ``s.json:
+scenario: noise.snr.floor_dbhz must be a number, got '30'``. Invalid JSON is
+an InputError.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ import importlib.resources
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -48,6 +51,7 @@ import numpy as np
 from . import jsonvals
 from .attitude import Baselines
 from .core import UnitQuaternion, Vec3
+from .epochs import _DRAW_KEYS, ChannelDraws, EpochRecord, EpochTruth, FixModel, RequeryData
 from .errors import InputError, ValidationError
 from .mapping import (
     DEFAULT_CLUSTER_RADIUS_M,
@@ -58,7 +62,6 @@ from .mapping import (
 )
 from .multipath import SnrTable
 from .positioning import FIX_GRADES, Fixes
-from .simulator import EpochRecord, EpochTruth, RequeryData, ScenarioConfig
 
 EPOCH_HEADER = {"format": "mgp-epoch", "version": 1}
 SCAN_HEADER = {"format": "mgp-scan", "version": 1}
@@ -74,7 +77,10 @@ class PoseRow:
     p: Vec3 | None
     q: UnitQuaternion | None
     n_fix: int
-    att_available: bool
+
+    @property
+    def att_available(self) -> bool:
+        return self.q is not None
 
     def pose(self) -> Pose | None:
         if self.p is None or self.q is None:
@@ -104,7 +110,7 @@ def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
             "multipath_sats": sorted(tr.multipath_sats),
             "corrupted_baselines": sorted(list(p) for p in tr.corrupted_baselines),
             "wrong_fix_antennas": sorted(tr.wrong_fix_antennas),
-            "requery": tr.requery.to_dict() if tr.requery is not None else None,
+            "requery": _requery_to_dict(tr.requery) if tr.requery is not None else None,
         }
     fx, bl, snr = epoch.fixes, epoch.baselines, epoch.snr_rows
     snr_values = snr.dbhz.tolist()
@@ -172,6 +178,74 @@ def _snr_from(items: list[dict[str, Any]]) -> SnrTable:
     )
 
 
+_MODEL_KEYS = (
+    "steepness", "midpoint", "multipath_weight", "antenna_bias", "baseline_bias", "float_fraction"
+)
+
+
+def _requery_to_dict(req: RequeryData) -> dict[str, Any]:
+    """The record's JSON form: the model's values, the satellites and one
+    object per channel, floats as Python floats and ``wrong`` a bool."""
+    model = {k: getattr(req.model, k) for k in _MODEL_KEYS}
+    model["antenna_bias"] = list(model["antenna_bias"])
+    out: dict[str, Any] = {"model": model, "solution_sats": list(req.solution_sats)}
+    for key in ("antenna_channels", "baseline_channels"):
+        cols = [getattr(getattr(req, key), k).tolist() for k in _DRAW_KEYS]
+        out[key] = [dict(zip(_DRAW_KEYS, row)) for row in zip(*cols)]
+    return out
+
+
+def _requery_from_dict(d: dict[str, Any]) -> RequeryData:
+    """Inverse of :func:`_requery_to_dict`; every value must have its JSON
+    type (a number, a boolean ``wrong``, string satellites)."""
+    md = d["model"]
+    what = "fix model values"
+    model = FixModel(
+        **{k: jsonvals.number(md[k], what) for k in _MODEL_KEYS if k != "antenna_bias"},
+        antenna_bias=tuple(jsonvals.floats(md["antenna_bias"], what).tolist()),
+    )
+    groups = [_draws_from(d[key]) for key in ("antenna_channels", "baseline_channels")]
+    return RequeryData(model, jsonvals.strings(d["solution_sats"], "solution_sats"), *groups)
+
+
+# The numbers of one channel row in reading order: the two uniforms, then
+# the three components of each latent vector.
+_ROW_FIELDS = _DRAW_KEYS[:2] + tuple(k for k in _DRAW_KEYS[3:] for _ in range(3))
+_FLOAT_MAX = sys.float_info.max
+
+
+def _draws_from(rows: Any) -> ChannelDraws:
+    """One channel group from its JSON rows: the numbers of every row are
+    type-checked in one pass and read into one (n, 11) array, whose columns
+    the draws view, and checked finite once."""
+    # a latent of another type but length 3 fails the number check below
+    if not set(map(len, [row[k] for row in rows for k in _DRAW_KEYS[3:]])) <= {3}:
+        raise ValidationError("channel draws need 3 values per latent vector")
+    flat = [
+        x
+        for row in rows
+        for x in (row["u_fix"], row["u_float"], *row["latent_fixed"], *row["latent_float"],
+                  *row["wrong_offset"])
+    ]
+    try:
+        values = jsonvals.floats(flat, "channel draws").reshape(len(rows), len(_ROW_FIELDS))
+    except ValidationError as exc:
+        # name the field of the first offending number
+        k = next(
+            k for k, x in enumerate(flat)
+            if type(x) not in (int, float) or not -_FLOAT_MAX <= x <= _FLOAT_MAX
+        )
+        raise ValidationError(f"{_ROW_FIELDS[k % len(_ROW_FIELDS)]} {exc}") from exc
+    return ChannelDraws(
+        values[:, 0],
+        values[:, 1],
+        jsonvals.flags([row["wrong"] for row in rows], "wrong-fix flags"),
+        values[:, 2:5],
+        values[:, 5:8],
+        values[:, 8:11],
+    )
+
+
 def _truth_from(tr: dict[str, Any]) -> EpochTruth:
     attitude = jsonvals.floats(tr["attitude"], "truth attitude")
     if attitude.shape != (4,):
@@ -185,7 +259,7 @@ def _truth_from(tr: dict[str, Any]) -> EpochTruth:
         wrong_fix_antennas=frozenset(
             jsonvals.integers(tr["wrong_fix_antennas"], "wrong-fix antennas").tolist()
         ),
-        requery=RequeryData.from_dict(tr["requery"]) if tr["requery"] is not None else None,
+        requery=_requery_from_dict(tr["requery"]) if tr["requery"] is not None else None,
     )
 
 
@@ -368,7 +442,6 @@ def _pose_row(cells: list[str]) -> PoseRow:
         p=None if p is None else Vec3(*p),
         q=None if q is None else UnitQuaternion.from_array(q, canonicalize=False),
         n_fix=int(n_fix),
-        att_available=att == "1",
     )
 
 
@@ -409,15 +482,6 @@ def poses_for_georef(rows: Iterable[PoseRow]) -> list[Pose]:
 def write_json(path: str, payload: dict[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(payload, indent=2) + "\n")
-
-
-def scenario_from_dict(d: dict[str, Any]) -> ScenarioConfig:
-    """Scenario from its JSON object form, decoded by :func:`jsonvals.decode`."""
-    return jsonvals.decode(ScenarioConfig, d, "scenario")
-
-
-def load_scenario(path: str) -> ScenarioConfig:
-    return jsonvals.load(ScenarioConfig, path, "scenario")
 
 
 def bundled_scenario_path(name: str) -> str:

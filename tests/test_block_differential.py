@@ -86,7 +86,6 @@ def _per_epoch(path: Path, config: PipelineConfig) -> tuple[list[mgp.PoseRow], l
                 p=pos.p if pos.available else None,
                 q=att.q if att.available else None,
                 n_fix=int(result.fixes_used.fixed.sum()),
-                att_available=att.available,
             )
         )
     return rows, diags, len(diags)

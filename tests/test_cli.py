@@ -158,6 +158,25 @@ def test_estimate_bad_antennas_value(tmp_path: Path, capsys) -> None:
     assert "antennas" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value, bad",
+    [("1_0,3", "1_0"), ("1, 3", " 3"), ("３", "３"), ("1,,3", ""), ("1,3,", ""),
+     ("+3", "+3"), ("1,-3", "-3")],
+)
+def test_estimate_antennas_accepts_only_ascii_digit_ids(
+    tmp_path: Path, capsys, value: str, bad: str
+) -> None:
+    pipe = _write(tmp_path / "pipe.json", {})
+    poses, metrics = tmp_path / "p.csv", tmp_path / "m.json"
+    code = main(
+        ["estimate", "--epochs", str(tmp_path / "e.jsonl"), "--config", pipe,
+         "--poses", str(poses), "--metrics", str(metrics), "--antennas", value]
+    )
+    assert code == 1
+    assert f"bad --antennas item {bad!r} in {value!r}" in capsys.readouterr().err
+    assert not poses.exists() and not metrics.exists()
+
+
 def test_estimate_mistyped_config_exits_one(tmp_path: Path, capsys) -> None:
     scen = _write(tmp_path / "scen.json", SCENARIO)
     epochs = str(tmp_path / "epochs.jsonl")

@@ -245,8 +245,7 @@ def _ref_pipeline(d: dict[str, Any]) -> PipelineConfig:
     try:
         _check_keys(
             d,
-            {"layout", "ransac", "multipath", "multipath_feedback", "attitude_min_baselines",
-             "antenna_subset"},
+            {"layout", "ransac", "multipath", "multipath_feedback", "antenna_subset"},
             "pipeline config",
         )
         kwargs: dict[str, Any] = {}
@@ -274,10 +273,6 @@ def _ref_pipeline(d: dict[str, Any]) -> PipelineConfig:
             kwargs["multipath"] = MultipathConfig(**mk)
         if "multipath_feedback" in d:
             kwargs["multipath_feedback"] = _typed(d, "multipath_feedback", "", jsonvals.flag)
-        if "attitude_min_baselines" in d:
-            kwargs["attitude_min_baselines"] = _typed(
-                d, "attitude_min_baselines", "", jsonvals.integer
-            )
         if d.get("antenna_subset") is not None:
             ids = _typed(d, "antenna_subset", "", jsonvals.integers)
             kwargs["antenna_subset"] = tuple(ids.tolist())
@@ -520,7 +515,6 @@ PIPELINES = _section(
     ransac=_section(inlier_threshold_m=_num(0.0, 0.2), min_inliers=st.integers(1, 16)),
     multipath=_section(threshold_dbhz=_num(0.0, 8.0), min_count=st.integers(1, 6)),
     multipath_feedback=st.booleans(),
-    attitude_min_baselines=st.integers(1, 6),
     antenna_subset=st.one_of(st.none(), st.lists(st.integers(0, 7), max_size=6)),
 )
 

@@ -35,7 +35,6 @@ INT_KEYS = {
     "wrong_fix_max_multiple",
     "min_inliers",
     "min_count",
-    "attitude_min_baselines",
     "antenna_subset",
     "min_hits",
 }
@@ -47,7 +46,6 @@ PIPELINE = {
     "ransac": {"inlier_threshold_m": 0.05, "min_inliers": 3},
     "multipath": {"threshold_dbhz": 4.0, "min_count": 3},
     "multipath_feedback": True,
-    "attitude_min_baselines": 2,
     "antenna_subset": [1, 2, 4],
 }
 PIPELINE_HEXAGON = {"layout": {"hexagon_circumradius_m": 0.45}, "antenna_subset": [2, 4, 6]}
@@ -232,7 +230,7 @@ def cli_inputs(tmp_path_factory: pytest.TempPathFactory) -> dict[str, str]:
     mgp.write_poses(
         str(poses),
         [mgp.PoseRow(t=0.0, p=mgp.Vec3(0.0, 0.0, 30.0), q=mgp.UnitQuaternion.identity(),
-                     n_fix=6, att_available=True)],
+                     n_fix=6)],
     )
     mgp.write_cloud(cloud, mgp.Cloud(p=np.zeros((1, 3)), reflector=np.ones(1, dtype=bool)))
     return {"poses": str(poses), "cloud": str(cloud)}

@@ -44,8 +44,8 @@ from mgp.errors import (
 )
 from mgp.attitude import _max_eigenpair
 from mgp.pipeline import _angle_sd, _population_sd, _wrap_deg
-from mgp.simulator import _DRAW_KEYS, _MODEL_KEYS, ChannelDraws, RequeryData, _status_sets
-from mgp.streams import EPOCH_HEADER
+from mgp.epochs import _DRAW_KEYS, ChannelDraws, RequeryData, _status_sets
+from mgp.streams import _MODEL_KEYS, EPOCH_HEADER
 
 from test_acceptance import A9_SCENARIO
 from test_ransac_differential import _scalar_ransac
@@ -251,7 +251,8 @@ def _check_antenna_ids(epoch: _Epoch, layout) -> None:
 
 def _attitude(baselines, config: PipelineConfig) -> mgp.AttitudeSolution:
     fixed = [o for o in baselines if o.fixed]
-    if len(fixed) < config.attitude_min_baselines:
+    # the object path skips consensus below two fixed baselines
+    if len(fixed) < 2:
         return mgp.AttitudeSolution.unavailable()
     k = len(config.active_antennas)
     params = config.ransac
@@ -351,7 +352,6 @@ def _run(epochs, config: PipelineConfig, diags: list[str], verdicts: list):
                 p=position.p if position.available else None,
                 q=attitude.q if attitude.available else None,
                 n_fix=n_fix_used,
-                att_available=attitude.available,
             )
         )
 

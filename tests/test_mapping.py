@@ -327,6 +327,9 @@ def test_cloud_malformed_files(tmp_path) -> None:
         ("c.xyz", b"1.0 2.0 0.0 1\n\n1.0 2.0 0.0 0\n", ":2: expected 'E N U flag'"),
         ("c.xyz", b"1.0 2.0 0.0 1\n1.0 2.0 0.0 0.5\n", ":2: flag 0.5 is not 0 or 1"),
         ("c.xyz", b"  \n", ":1: expected 'E N U flag'"),
+        # float() takes both lines, np.loadtxt neither
+        ("c.xyz", b"1.0 2.0 0.0 1\n1_0 2.0 0.0 1\n", ":2: expected 'E N U flag'"),
+        ("c.xyz", "1.0 2.0 0.0 1\n\uff11 2.0 0.0 1\n".encode(), ":2: expected 'E N U flag'"),
         (
             "c.bin",
             struct.pack("<dddB", 1.0, 2.0, 0.0, 1) * 2 + struct.pack("<dddB", 0.0, math.inf, 0.0, 0),
@@ -340,6 +343,8 @@ def test_cloud_malformed_files(tmp_path) -> None:
         "xyz-blank-line",
         "xyz-flag-half",
         "xyz-whitespace-only",
+        "xyz-underscore-digits",
+        "xyz-fullwidth-digit",
         "bin-inf",
         "bin-flag-2",
     ],

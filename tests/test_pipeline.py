@@ -69,8 +69,6 @@ def _scenario(**kw) -> ScenarioConfig:
 
 def test_pipeline_config_validation() -> None:
     with pytest.raises(ValidationError):
-        PipelineConfig(attitude_min_baselines=1)
-    with pytest.raises(ValidationError):
         PipelineConfig(antenna_subset=())
     with pytest.raises(ValidationError):
         PipelineConfig(antenna_subset=(1, 1))
@@ -142,15 +140,23 @@ def test_pipeline_config_rejects_mistyped_values(tmp_path, config, key: str) -> 
 
 
 def test_pipeline_config_rejects_booleans_as_counts() -> None:
-    for config in ({"attitude_min_baselines": True}, {"antenna_subset": [True, 3]}):
+    for config in ({"ransac": {"min_inliers": True}}, {"antenna_subset": [True, 3]}):
         with pytest.raises(ConfigurationError, match="integer"):
             pipeline_config_from_dict(config)
 
 
 def test_load_pipeline_config(tmp_path) -> None:
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"attitude_min_baselines": 3}))
-    assert load_pipeline_config(str(path)).attitude_min_baselines == 3
+    path.write_text(json.dumps({"ransac": {"min_inliers": 3}}))
+    assert load_pipeline_config(str(path)).ransac.min_inliers == 3
+
+
+def test_attitude_min_baselines_is_an_unknown_key(tmp_path) -> None:
+    # consensus's effective min_inliers is the only gate on fixed baselines
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"attitude_min_baselines": 2}))
+    with pytest.raises(ConfigurationError, match="unknown key attitude_min_baselines"):
+        load_pipeline_config(str(path))
 
 
 # -- per-epoch processing -----------------------------------------------------------

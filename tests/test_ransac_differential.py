@@ -342,10 +342,11 @@ def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset)
 
     monkeypatch.setattr(mgp.pipeline, "ransac_attitude", scalar)
     reference = [process_epoch(epoch, config) for epoch in epochs]
+    min_inliers = mgp.pipeline._consensus_params(config).min_inliers
     reaching = [
         len(baselines.fixed_only())
         for baselines in (mgp.pipeline._front(epoch, config)[1] for epoch in epochs)
-        if len(baselines.fixed_only()) >= config.attitude_min_baselines
+        if len(baselines.fixed_only()) >= min_inliers
     ]
     assert calls == reaching and len(calls) > 100
 

@@ -260,7 +260,7 @@ def test_array_path_writes_the_object_path_bytes(tmp_path: Path, name: str) -> N
     # to and read from the pose CSV the georef step takes
     truth = [mgp.truth_pose(cfg, k / cfg.rate_hz) for k in range(cfg.n_epochs)]
     poses = mgp.corrupt_poses(truth, sigma_pos_m=0.01, sigma_att_deg=0.07, tau_s=8.0, seed=3)
-    rows = [mgp.PoseRow(t=p.t, p=p.p, q=p.q, n_fix=6, att_available=True) for p in poses]
+    rows = [mgp.PoseRow(t=p.t, p=p.p, q=p.q, n_fix=6) for p in poses]
     pose_csv = tmp_path / "poses.csv"
     mgp.write_poses(str(pose_csv), rows)
     calib = {"lever_arm": [0.1, -0.05, -0.2], "boresight": [0.01, -0.02, 0.005, 1.0]}

@@ -398,9 +398,9 @@ def test_read_scan_rejects_non_finite_times(tmp_path: Path, row: str, message: s
 def _rows() -> list[PoseRow]:
     q = euler_to_quat(1.0, -2.0, 33.0)
     return [
-        PoseRow(t=0.0, p=Vec3(1.0, 2.0, 3.0), q=q, n_fix=6, att_available=True),
-        PoseRow(t=0.1, p=None, q=None, n_fix=0, att_available=False),
-        PoseRow(t=0.2, p=Vec3(1.1, 2.1, 3.1), q=None, n_fix=2, att_available=False),
+        PoseRow(t=0.0, p=Vec3(1.0, 2.0, 3.0), q=q, n_fix=6),
+        PoseRow(t=0.1, p=None, q=None, n_fix=0),
+        PoseRow(t=0.2, p=Vec3(1.1, 2.1, 3.1), q=None, n_fix=2),
     ]
 
 
@@ -418,6 +418,24 @@ def test_pose_csv_round_trip(tmp_path: Path) -> None:
     assert np.array_equal(back[0].q.as_array(), rows[0].q.as_array())
     assert [r.n_fix for r in back] == [6, 0, 2]
     assert [r.att_available for r in back] == [True, False, False]
+
+
+def test_pose_csv_att_available_follows_quaternion(tmp_path: Path) -> None:
+    # a stored flag could say 1 over empty quaternion cells, which the
+    # reader then rejects; derived from q, the row cannot disagree with itself
+    with pytest.raises(TypeError):
+        PoseRow(t=0.0, p=None, q=None, n_fix=0, att_available=True)
+    q = euler_to_quat(0.0, 0.0, 90.0)
+    rows = [PoseRow(t=0.0, p=None, q=None, n_fix=0), PoseRow(t=0.1, p=None, q=q, n_fix=3)]
+    path = tmp_path / "p.csv"
+    write_poses(str(path), rows)
+    assert path.read_text().splitlines()[1:] == [
+        "0.0,,,,,,,,0,0",
+        "0.1,,,," + ",".join(repr(c) for c in q.as_array().tolist()) + ",3,1",
+    ]
+    back = read_poses(str(path))
+    assert [r.att_available for r in back] == [False, True]
+    assert back[1].q == q and back[0].q is None
 
 
 def test_pose_csv_header_exact(tmp_path: Path) -> None:
