@@ -36,7 +36,7 @@ from .errors import (
 from .mapping import (
     Cloud,
     MountCalibration,
-    Pose,
+    Poses,
     ReflectorReport,
     ReflectorResult,
     ScanFrame,
@@ -93,16 +93,14 @@ from .simulator import (
     simulate,
     trajectory_position,
     truth_attitude,
-    truth_pose,
+    truth_poses,
 )
 from .streams import (
-    PoseRow,
     bundled_scenario_path,
     epoch_from_dict,
     epoch_to_dict,
     load_calibration,
     load_reflectors,
-    poses_for_georef,
     read_epochs,
     read_poses,
     read_scan,

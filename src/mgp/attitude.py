@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import UnitQuaternion, Vec3, sum_rows
+from .core import UnitQuaternion, Vec3, sum_rows, unit_quats
 from .errors import DegenerateGeometryError, InsufficientDataError, ValidationError
 
 # Distinct eigenvalues closer than this leave the maximizing quaternion
@@ -260,17 +260,18 @@ def refit(
     (E, M, 3) measured and body baselines, every epoch holding at least one.
 
     Returns each epoch's dominant eigenvalue, raw ENU-to-body eigenvector
-    (E, 4), eigen gap and weight sum; :func:`body_to_enu` turns an
-    eigenvector into the attitude.
+    (E, 4), eigen gap and weight sum; :func:`body_to_enu` turns the
+    eigenvectors into attitudes.
     """
     a = _length_weights(ws, use)
     lam, q_be, gap = _dominant_eigenpairs(_weighted_k(vs, ws, a))
     return lam, q_be, gap, sum_rows(a)
 
 
-def body_to_enu(q_be: np.ndarray) -> UnitQuaternion:
-    """The body-to-ENU attitude of one raw ENU-to-body eigenvector."""
-    return UnitQuaternion.from_array(q_be * np.array((-1.0, -1.0, -1.0, 1.0)))
+def body_to_enu(q_be: np.ndarray) -> np.ndarray:
+    """The (E, 4) body-to-ENU attitudes of (E, 4) raw ENU-to-body
+    eigenvectors: conjugated, normalized and canonically signed."""
+    return unit_quats(q_be * np.array((-1.0, -1.0, -1.0, 1.0)))
 
 
 def refit_solution(
@@ -281,7 +282,7 @@ def refit_solution(
     _check_gap(gap)
     return AttitudeSolution(
         available=True,
-        q=body_to_enu(q_be),
+        q=UnitQuaternion(*body_to_enu(q_be[None])[0].tolist()),
         lambda_max=float(lam),
         weights_sum=float(weights_sum),
         used_observations=tuple(map(tuple, pairs.tolist())),

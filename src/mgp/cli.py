@@ -60,7 +60,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     diagnostics: list[str] = []
     epochs = streams.read_epochs(args.epochs, skip_malformed=True, diagnostics=diagnostics)
     result = pipeline.run(epochs, config, diagnostics=diagnostics)
-    streams.write_poses(args.poses, result.pose_rows)
+    streams.write_poses(args.poses, result.poses)
     streams.write_json(args.metrics, result.metrics.to_json_dict())
     for line in result.diagnostics:
         print(line, file=sys.stderr)
@@ -73,8 +73,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_georef(args: argparse.Namespace) -> int:
-    rows = streams.read_poses(args.poses)
-    poses = streams.poses_for_georef(rows)
+    poses = streams.read_poses(args.poses)
+    if not poses.complete.any():
+        raise ValidationError(f"{args.poses}: no pose has both a position and an attitude")
     calib = streams.load_calibration(args.calib)
     frames = streams.read_scan(args.scan)
     cloud, dropped = georeference_stream(poses, frames, calib)

@@ -80,10 +80,10 @@ class UnitQuaternion:
         n = float(np.linalg.norm(q))
         if n < 1e-12:
             raise ValidationError("cannot normalize a zero quaternion")
-        q = q / n
-        if canonicalize:
-            q = _canonical_sign(q)
-        return cls(float(q[0]), float(q[1]), float(q[2]), float(q[3]))
+        x, y, z, w = (q / n).tolist()
+        if canonicalize and (w or x or y or z) < 0.0:  # the sign rule of unit_quats
+            x, y, z, w = -x, -y, -z, -w
+        return cls(x, y, z, w)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.qx, self.qy, self.qz, self.qw], dtype=np.float64)
@@ -178,34 +178,40 @@ def sum_rows(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _canonical_sign(q: np.ndarray) -> np.ndarray:
-    """Fix the sign ambiguity: qw > 0, or first nonzero component > 0 when qw == 0."""
-    if q[3] < 0.0:
-        return -q
-    if q[3] == 0.0:
-        for c in q[:3]:
-            if c != 0.0:
-                return q if c > 0.0 else -q
-    return q
+def unit_quats(q: np.ndarray, *, canonicalize: bool = True) -> np.ndarray:
+    """Each row of an (E, 4) quaternion array divided by its norm, the float
+    ``np.linalg.norm`` gives for the row alone (``norm(q, axis=1)`` differs in
+    the last bit), then given the canonical sign: qw > 0, or the first
+    nonzero of qx, qy, qz positive when qw == 0."""
+    q = q / np.sqrt(np.matmul(q[:, None, :], q[:, :, None]))[:, 0]
+    if not canonicalize:
+        return q
+    x, y, z, w = q.T
+    lead = np.where(w != 0.0, w, np.where(x != 0.0, x, np.where(y != 0.0, y, z)))
+    return np.where(lead[:, None] < 0.0, -q, q)
 
 
-def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
-    """Rotation matrix R (3, 3) with ``rotate(q, v) = R @ v``.
+def quat_to_matrix(q: UnitQuaternion | np.ndarray) -> np.ndarray:
+    """Rotation matrix R (3, 3) with ``rotate(q, v) = R @ v``; for an
+    (..., 4) array of unit quaternions, the (..., 3, 3) stack of them (a NaN
+    row gives a NaN matrix).
 
     A unit ``q`` makes R proper orthogonal by construction, so it is not
     re-checked here; :class:`RotationMatrix` checks matrices from elsewhere.
     """
-    x, y, z, w = q.qx, q.qy, q.qz, q.qw
+    one = isinstance(q, UnitQuaternion)
+    x, y, z, w = (q.qx, q.qy, q.qz, q.qw) if one else np.moveaxis(q, -1, 0)
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    return np.array(
-        [
-            [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-            [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-            [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-        ]
-    )
+    m = [
+        1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy),
+        2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
+        2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy),
+    ]
+    if one:
+        return np.array(m).reshape(3, 3)
+    return np.stack(m, axis=-1).reshape(np.shape(x) + (3, 3))
 
 
 def matrix_to_quat(r: np.ndarray) -> UnitQuaternion:
@@ -298,15 +304,18 @@ def euler_from_quat(q: UnitQuaternion) -> tuple[float, float, float]:
     yaw/roll split is undefined; by convention roll := 0 and yaw absorbs
     the remaining rotation.
     """
-    m = quat_to_matrix(q)
-    sp = -m[2, 0]
-    sp = max(-1.0, min(1.0, sp))
+    return euler_from_matrix(quat_to_matrix(q).tolist())
+
+
+def euler_from_matrix(m: list[list[float]]) -> tuple[float, float, float]:
+    """:func:`euler_from_quat` of a rotation matrix given as nested lists."""
+    sp = max(-1.0, min(1.0, -m[2][0]))
     pitch = math.asin(sp)
     if abs(sp) >= 1.0 - 1e-12:
         # gimbal lock: only yaw -/+ roll is observable
         roll = 0.0
-        yaw = math.atan2(-m[0, 1], m[1, 1])
+        yaw = math.atan2(-m[0][1], m[1][1])
     else:
-        roll = math.atan2(m[2, 1], m[2, 2])
-        yaw = math.atan2(m[1, 0], m[0, 0])
+        roll = math.atan2(m[2][1], m[2][2])
+        yaw = math.atan2(m[1][0], m[0][0])
     return math.degrees(roll), math.degrees(pitch), math.degrees(yaw)

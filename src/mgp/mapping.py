@@ -3,17 +3,19 @@
 A scan point measured in the scanner frame reaches world (ENU) coordinates
 through the rigid chain
 
-    p_world = pose.p + R_eb * (lever_arm + R_boresight * p_scan)
+    p_world = p + R_eb(q) * (lever_arm + R_boresight * p_scan)
 
-using the platform pose nearest in time to the pulse. No pose interpolation
-is applied: a pulse with no pose within ``max_pose_gap_s`` is dropped and
-counted. Accuracy is evaluated against surveyed reflector discs by
-truth-seeded clustering: flagged returns within a fixed radius of each known
-reflector position are averaged and compared against it.
+using the platform pose (position ``p``, body->ENU attitude ``q``) nearest
+in time to the pulse. No pose interpolation is applied: a pulse with no
+pose within ``max_pose_gap_s`` is dropped and counted. Accuracy is evaluated
+against surveyed reflector discs by truth-seeded clustering: flagged returns
+within a fixed radius of each known reflector position are averaged and
+compared against it.
 
-Pulses and points are arrays, not one object each: a :class:`ScanFrame` holds
-(n, 4) ``[t, x, y, z]`` pulse rows and (n,) bool reflector labels, a
-:class:`Cloud` (n, 3) ENU points and (n,) bool flags.
+Poses, pulses and points are arrays, not one object each: :class:`Poses`
+holds E epochs' times, positions and attitudes (NaN rows where missing), a
+:class:`ScanFrame` (n, 4) ``[t, x, y, z]`` pulse rows and (n,) bool reflector
+labels, a :class:`Cloud` (n, 3) ENU points and (n,) bool flags.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import UnitQuaternion, Vec3, quat_to_matrix
+from .core import UNIT_NORM_TOL, UnitQuaternion, Vec3, quat_to_matrix
 from .errors import InputError, ValidationError
 
 # Half the 10 Hz pose interval: a pulse further than this from every pose
@@ -39,17 +41,50 @@ DEFAULT_MIN_HITS = 10
 _BIN_RECORD = np.dtype([("p", "<f8", (3,)), ("flag", "u1")])
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Platform pose at one epoch: ENU position and body->ENU attitude."""
+@dataclass(frozen=True, eq=False)
+class Poses:
+    """Platform poses of E epochs as arrays.
 
-    t: float
-    p: Vec3
-    q: UnitQuaternion
+    ``t`` (E,) holds strictly increasing times, ``p`` (E, 3) ENU positions
+    with a NaN row where the epoch has no position, ``q`` (E, 4) body->ENU
+    unit quaternions ``[qx, qy, qz, qw]`` with a NaN row where it has no
+    attitude, and ``n_fix`` (E,) the fixed antennas the epoch used. Build
+    from outside data with :meth:`checked`.
+    """
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.t):
-            raise ValidationError("pose timestamp must be finite")
+    t: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    n_fix: np.ndarray
+
+    @classmethod
+    def checked(cls, t: np.ndarray, p: np.ndarray, q: np.ndarray, n_fix: np.ndarray) -> Poses:
+        """Build after checking every rule above."""
+        n = len(t)
+        if (t.shape, p.shape, q.shape, n_fix.shape) != ((n,), (n, 3), (n, 4), (n,)):
+            raise ValidationError("poses need (E,) t and n_fix, (E, 3) p and (E, 4) q")
+        if not np.isfinite(t).all() or (np.diff(t) <= 0.0).any():
+            raise ValidationError("pose times must be finite and strictly increasing")
+        for what, rows in (("position", p), ("quaternion", q)):
+            if not (np.isfinite(rows).all(axis=1) | np.isnan(rows).all(axis=1)).all():
+                raise ValidationError(f"each {what} row must be all finite or all NaN")
+        if (np.abs(np.sqrt(np.einsum("ij,ij->i", q, q)) - 1.0) > UNIT_NORM_TOL).any():
+            raise ValidationError(f"pose quaternions must have unit norm within {UNIT_NORM_TOL}")
+        if n_fix.dtype.kind not in "iu" or (n_fix < 0).any():
+            raise ValidationError("n_fix must be a nonnegative integer")
+        return cls(t, p, q, n_fix)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @property
+    def complete(self) -> np.ndarray:
+        """(E,) bool: the epochs with both a position and an attitude."""
+        return ~(np.isnan(self.p[:, 0]) | np.isnan(self.q[:, 0]))
+
+    def select(self, keep: np.ndarray) -> Poses:
+        """The epochs where the bool mask ``keep`` is True."""
+        return Poses(self.t[keep], self.p[keep], self.q[keep], self.n_fix[keep])
 
 
 @dataclass(frozen=True)
@@ -108,32 +143,33 @@ class ReflectorReport:
     unresolved: int
 
 
-def georeference(pose: Pose, calib: MountCalibration, scan_point: Vec3) -> Vec3:
-    """Transform one scanner-frame point to world coordinates."""
-    r_eb = quat_to_matrix(pose.q)
-    r_bs = quat_to_matrix(calib.boresight)
-    body = calib.lever_arm.as_array() + r_bs @ scan_point.as_array()
-    return Vec3.from_array(pose.p.as_array() + r_eb @ body)
+def georeference(
+    p: np.ndarray, q: np.ndarray, calib: MountCalibration, point: np.ndarray
+) -> np.ndarray:
+    """One scanner-frame point (3,) in world coordinates, from the platform
+    position ``p`` (3,) and body->ENU attitude ``q`` (4,)."""
+    body = calib.lever_arm.as_array() + quat_to_matrix(calib.boresight) @ point
+    return p + quat_to_matrix(q) @ body
 
 
 def georeference_stream(
-    poses: Sequence[Pose],
+    poses: Poses,
     frames: Iterable[ScanFrame],
     calib: MountCalibration,
     max_pose_gap_s: float = DEFAULT_MAX_POSE_GAP_S,
 ) -> tuple[Cloud, int]:
-    """Georeference every pulse against its nearest-in-time pose.
+    """Georeference every pulse against its nearest-in-time pose among the
+    epochs with both a position and an attitude.
 
-    Returns the cloud and the count of pulses dropped for having no pose
-    within ``max_pose_gap_s``. Poses must be strictly increasing in time.
+    Returns the cloud and the count of pulses dropped for having no such
+    pose within ``max_pose_gap_s``.
     """
-    if not poses:
-        raise ValidationError("no poses supplied")
+    poses = poses.select(poses.complete)
+    if not len(poses):
+        raise ValidationError("no pose has both a position and an attitude")
     if not (max_pose_gap_s > 0.0):
         raise ValidationError("max_pose_gap_s must be positive")
-    times = np.array([p.t for p in poses], dtype=np.float64)
-    if np.any(np.diff(times) <= 0.0):
-        raise ValidationError("pose timestamps must be strictly increasing")
+    times = poses.t
 
     frames = list(frames)
     pulses = np.concatenate([f.pulses for f in frames] or [np.empty((0, 4))])
@@ -156,11 +192,11 @@ def georeference_stream(
     kept = np.flatnonzero(keep)
     by_pose = kept[np.argsort(nearest[kept], kind="stable")]
     starts = np.flatnonzero(np.diff(nearest[by_pose], prepend=-1))
+    r_eb = quat_to_matrix(poses.q)
     world = np.empty_like(body)
     for rows in np.split(by_pose, starts)[1:]:
-        pose = poses[nearest[rows[0]]]
-        r_eb = quat_to_matrix(pose.q)
-        world[rows] = body[rows] @ r_eb.T + pose.p.as_array()
+        k = nearest[rows[0]]
+        world[rows] = body[rows] @ r_eb[k].T + poses.p[k]
     return Cloud(p=world[keep], reflector=flags[keep]), dropped
 
 

@@ -15,7 +15,8 @@ check that can skip an epoch. ``run`` then takes the surviving epochs
 through stages (3) and (4) in blocks of at most ``BLOCK_PAIRS`` pair
 hypotheses, with one call of the consensus kernel and one position fusion
 per block; ``process_epoch`` is the same chain on a block of one, and no
-output depends on where the blocks fall.
+output depends on where the blocks fall. ``run`` returns the stream's poses
+as one :class:`mgp.mapping.Poses` record of arrays, built block by block.
 
 A fix rate here is the share of epochs in which a solution of the given
 kind existed: an antenna's rate counts its FIXED epochs, the hybrid rate
@@ -34,15 +35,9 @@ import numpy as np
 
 from . import jsonvals
 from .attitude import AttitudeSolution, Baselines, body_to_enu
-from .core import (
-    AntennaLayout,
-    UnitQuaternion,
-    Vec3,
-    euler_from_quat,
-    hexagon_layout,
-    quat_to_matrix,
-)
+from .core import AntennaLayout, euler_from_matrix, hexagon_layout, quat_to_matrix
 from .epochs import EpochRecord, requery_epoch
+from .mapping import Poses
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
@@ -64,7 +59,6 @@ from .positioning import (
     hybrid_position,
 )
 from .robust import RansacParams, consensus, ransac_attitude
-from .streams import PoseRow
 
 
 # Pair hypotheses per call of the consensus kernel. ``run`` hands it whole
@@ -247,20 +241,16 @@ def _solve_block(
     block: list[tuple[Fixes, Baselines | None]],
     config: PipelineConfig,
     params: RansacParams,
-) -> tuple[list[UnitQuaternion | None], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stages (3) and (4) of a block of epochs, each given with its active
     fixes and its consensus candidates (None below ``params.min_inliers``
-    fixed baselines): the attitudes, the (E, 3) positions, which of them
-    exist, and each epoch's number of fixed antennas."""
-    n_ep = len(block)
-    attitudes: list[UnitQuaternion | None] = [None] * n_ep
-    r_eb = np.full((n_ep, 3, 3), np.nan)
+    fixed baselines): the (E, 4) attitudes and (E, 3) positions, NaN rows
+    where an epoch has none, and each epoch's number of fixed antennas."""
+    q = np.full((len(block), 4), np.nan)
     solve = [e for e, (_, candidates) in enumerate(block) if candidates is not None]
     if solve:
         found = consensus([block[e][1] for e in solve], params)
-        for k in np.flatnonzero(found.available).tolist():
-            q = attitudes[solve[k]] = body_to_enu(found.q_be[k])
-            r_eb[solve[k]] = quat_to_matrix(q)
+        q[np.array(solve)[found.available]] = body_to_enu(found.q_be[found.available])
 
     fixes = [f for f, _ in block]
     rows = np.array([len(f) for f in fixes])
@@ -272,8 +262,9 @@ def _solve_block(
     p[valid] = np.concatenate([f.p for f in fixes])
     levers = np.zeros(valid.shape + (3,))
     levers[valid] = config.layout.positions[ids - 1]
-    positions, used = fuse_positions(p, levers, fixed, r_eb)
-    return attitudes, positions, used.any(axis=1), fixed.sum(axis=1)
+    positions, used = fuse_positions(p, levers, fixed, quat_to_matrix(q))
+    positions[~used.any(axis=1)] = np.nan
+    return q, positions, fixed.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -343,11 +334,11 @@ class MetricsReport:
 @dataclass(frozen=True)
 class RunResult:
     metrics: MetricsReport
-    pose_rows: list[PoseRow]
+    poses: Poses
     diagnostics: list[str]
 
 
-def _wrap_deg(x: float) -> float:
+def _wrap_deg(x: float | np.ndarray) -> float | np.ndarray:
     return (x + 180.0) % 360.0 - 180.0
 
 
@@ -369,21 +360,31 @@ def _angle_sd(values: list[float]) -> float | None:
     return _population_sd([base + _wrap_deg(v - base) for v in values])
 
 
+def _euler(q: np.ndarray) -> np.ndarray:
+    """(E, 3) :func:`euler_from_quat` degrees of (E, 4) unit quaternions."""
+    return np.array([euler_from_matrix(m) for m in quat_to_matrix(q).tolist()]).reshape(-1, 3)
+
+
+def _sds(values: np.ndarray, axes: tuple[str, ...], sd) -> dict[str, float | None]:
+    """``sd`` of each column of ``values``, keyed by axis name."""
+    return {axis: sd(col) for axis, col in zip(axes, values.T.tolist())}
+
+
 class _Tally:
-    """The stream metrics and pose rows, accumulated epoch by epoch in
-    stream order."""
+    """The stream metrics and poses, accumulated in stream order: the front
+    half's counts epoch by epoch, the poses and the truth block by block."""
 
     def __init__(self, config: PipelineConfig) -> None:
         self.active = config.active_mask
         self.fixed_counts = np.zeros(len(self.active), dtype=np.int64)
-        self.n_proc = self.raw_any = self.fb_any = self.att_avail = 0
-        self.att_err: dict[str, list[float]] = {"roll": [], "pitch": [], "yaw": []}
-        self.att_val: dict[str, list[float]] = {"roll": [], "pitch": [], "yaw": []}
-        self.pos_err: dict[str, list[float]] = {"e": [], "n": [], "u": []}
-        self.pos_val: dict[str, list[float]] = {"e": [], "n": [], "u": []}
+        self.n_proc = self.raw_any = 0
         self.tp = self.fp = self.fn = 0
         self.truth_seen = self.requery_seen = False
-        self.pose_rows: list[PoseRow] = []
+        # per solved block, after an empty one fixing the shapes: t, p, q,
+        # n_fix and the true [qx, qy, qz, qw, E, N, U] (NaN without truth)
+        self.blocks: list[tuple[np.ndarray, ...]] = [(
+            np.empty(0), np.empty((0, 3)), np.empty((0, 4)), np.empty(0, np.int64), np.empty((0, 7))
+        )]
 
     def front(self, epoch: EpochRecord, report: MultipathReport) -> None:
         """An epoch that passed the front half: its observed fix counts and
@@ -404,63 +405,37 @@ class _Tally:
             self.fp += len(detected - true_mp)
             self.fn += len(true_mp - detected)
 
-    def pose(
-        self,
-        t: float,
-        truth: tuple[UnitQuaternion, Vec3] | None,
-        q: UnitQuaternion | None,
-        p: Vec3 | None,
-        n_fix: int,
-    ) -> None:
-        if n_fix:
-            self.fb_any += 1
-        if q is not None:
-            self.att_avail += 1
-            roll, pitch, yaw = euler_from_quat(q)
-            if truth is not None:
-                roll_t, pitch_t, yaw_t = euler_from_quat(truth[0])
-                self.att_err["roll"].append(_wrap_deg(roll - roll_t))
-                self.att_err["pitch"].append(_wrap_deg(pitch - pitch_t))
-                self.att_err["yaw"].append(_wrap_deg(yaw - yaw_t))
-            else:
-                self.att_val["roll"].append(roll)
-                self.att_val["pitch"].append(pitch)
-                self.att_val["yaw"].append(yaw)
-        if p is not None:
-            if truth is not None:
-                d = p - truth[1]
-                self.pos_err["e"].append(d.x)
-                self.pos_err["n"].append(d.y)
-                self.pos_err["u"].append(d.z)
-            else:
-                self.pos_val["e"].append(p.x)
-                self.pos_val["n"].append(p.y)
-                self.pos_val["u"].append(p.z)
-        self.pose_rows.append(PoseRow(t=t, p=p, q=q, n_fix=n_fix))
-
-    def report(self, config: PipelineConfig, skipped: int) -> MetricsReport:
+    def report(self, config: PipelineConfig, skipped: int) -> tuple[MetricsReport, Poses]:
         n_proc = self.n_proc
 
         def pct(count: int) -> float | None:
             return 100.0 * count / n_proc if n_proc else None
 
+        *columns, truth = map(np.concatenate, zip(*self.blocks))
+        poses = Poses(*columns)
+        has_q, has_p = ~np.isnan(poses.q[:, 0]), ~np.isnan(poses.p[:, 0])
+        angles, pos_axes = ("roll", "pitch", "yaw"), ("e", "n", "u")
         if self.truth_seen:
-            att_sd = {axis: _population_sd(v) for axis, v in self.att_err.items()}
-            pos_sd_m = {axis: _population_sd(v) for axis, v in self.pos_err.items()}
+            att, pos = has_q & ~np.isnan(truth[:, 0]), has_p & ~np.isnan(truth[:, 0])
+            att_err = _wrap_deg(_euler(poses.q[att]) - _euler(truth[att, :4]))
+            att_sd = _sds(att_err, angles, _population_sd)
+            pos_sd_m = _sds(poses.p[pos] - truth[pos, 4:], pos_axes, _population_sd)
         else:
-            att_sd = {axis: _angle_sd(v) for axis, v in self.att_val.items()}
-            pos_sd_m = {axis: _population_sd(v) for axis, v in self.pos_val.items()}
+            att_sd = _sds(_euler(poses.q[has_q]), angles, _angle_sd)
+            pos_sd_m = _sds(poses.p[has_p], pos_axes, _population_sd)
         counts = self.fixed_counts.tolist()
         tp, fp, fn = self.tp, self.fp, self.fn
-        return MetricsReport(
+        metrics = MetricsReport(
             epochs=n_proc,
             skipped=skipped,
             per_antenna_fix_rate_pct={i: pct(counts[i]) for i in config.active_antennas},
             hybrid_fix_rate_pct=pct(self.raw_any),
             hybrid_fix_rate_multipath_pct=(
-                pct(self.fb_any) if config.multipath_feedback and self.requery_seen else None
+                pct(int((poses.n_fix > 0).sum()))
+                if config.multipath_feedback and self.requery_seen
+                else None
             ),
-            attitude_availability_pct=pct(self.att_avail),
+            attitude_availability_pct=pct(int(has_q.sum())),
             attitude_sd_deg=att_sd,
             position_sd_mm={
                 axis: (None if sd is None else 1000.0 * sd) for axis, sd in pos_sd_m.items()
@@ -468,6 +443,7 @@ class _Tally:
             multipath_precision=tp / (tp + fp) if (tp + fp) > 0 else None,
             multipath_recall=tp / (tp + fn) if (tp + fn) > 0 else None,
         )
+        return metrics, poses
 
 
 def run(
@@ -493,17 +469,16 @@ def run(
     first_diag = len(diags)
     params = _consensus_params(config)
     tally = _Tally(config)
-    # The block keeps only what the back half needs (for the truth channel,
-    # the true pose), not the epoch records.
+    # The block keeps only what the back half needs, not the epoch records:
+    # per epoch its fixes and candidates, and its time and true pose.
     block: list[tuple[Fixes, Baselines | None]] = []
-    stamps: list[tuple[float, tuple[UnitQuaternion, Vec3] | None]] = []
+    stamps: list[list[float]] = []
     block_pairs = 0
 
     def solve() -> None:
-        attitudes, positions, has_p, n_fix = _solve_block(block, config, params)
-        rows = zip(stamps, attitudes, positions.tolist(), has_p.tolist(), n_fix.tolist())
-        for (t, truth), q, p, ok, n in rows:
-            tally.pose(t, truth, q, Vec3(*p) if ok else None, n)
+        q, p, n_fix = _solve_block(block, config, params)
+        stamp = np.array(stamps)
+        tally.blocks.append((stamp[:, 0], p, q, n_fix, stamp[:, 1:]))
 
     last_t: float | None = None
     for idx, epoch in enumerate(epochs):
@@ -527,9 +502,13 @@ def run(
             block, stamps, block_pairs = [], [], 0
         block.append((fixes, candidates))
         truth = epoch.truth
-        stamps.append((epoch.t, None if truth is None else (truth.attitude, truth.position)))
+        if truth is None:
+            stamps.append([epoch.t] + [math.nan] * 7)
+        else:
+            q, p = truth.attitude, truth.position
+            stamps.append([epoch.t, q.qx, q.qy, q.qz, q.qw, p.x, p.y, p.z])
         block_pairs += pairs
     if block:
         solve()
-    metrics = tally.report(config, skipped=len(diags) - first_diag)
-    return RunResult(metrics=metrics, pose_rows=tally.pose_rows, diagnostics=diags)
+    metrics, poses = tally.report(config, skipped=len(diags) - first_diag)
+    return RunResult(metrics=metrics, poses=poses, diagnostics=diags)

@@ -14,7 +14,7 @@ as a :class:`mgp.epochs.RequeryData` record, which the pipeline replays to
 re-query fix outcomes for a reduced satellite set. The generator is the whole
 module: scenario configs (decoded from JSON by :func:`scenario_from_dict` and
 :func:`load_scenario`), the epoch and scan streams, and truth or corrupted
-poses.
+poses as :class:`mgp.mapping.Poses` records.
 
 Per-epoch draw order (one ``numpy`` Generator seeded with ``config.seed``;
 fading phases shape ``(n_sats, n_antennas)`` are drawn once up front):
@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .epochs import (
     _status_sets,
 )
 from .errors import ConfigurationError, ValidationError
-from .mapping import MountCalibration, Pose, ScanFrame
+from .mapping import MountCalibration, Poses, ScanFrame
 from .multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ, SnrTable
 
 # Salt mixed into the seed for the scan-point generator so that producing a
@@ -318,8 +318,13 @@ def truth_attitude(config: ScenarioConfig, t: float) -> UnitQuaternion:
     return euler_to_quat(roll, pitch, yaw)
 
 
-def truth_pose(config: ScenarioConfig, t: float) -> Pose:
-    return Pose(t=t, p=trajectory_position(config, t), q=truth_attitude(config, t))
+def truth_poses(config: ScenarioConfig, times: np.ndarray) -> Poses:
+    """The true poses at the strictly increasing ``times``, each counting
+    every antenna of the layout as fixed."""
+    times = np.asarray(times, dtype=np.float64)
+    q = np.array([truth_attitude(config, t).as_array() for t in times.tolist()]).reshape(-1, 4)
+    n_fix = np.full(len(times), config.layout.antenna_count)
+    return Poses.checked(times, trajectory_position(config, times), q, n_fix)
 
 
 def _lattice_table(max_multiple: int) -> np.ndarray:
@@ -505,40 +510,34 @@ def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanF
 
 
 def corrupt_poses(
-    poses: Sequence[Pose],
+    poses: Poses,
     sigma_pos_m: float,
     sigma_att_deg: float,
     tau_s: float,
     seed: int,
-) -> list[Pose]:
+) -> Poses:
     """Add temporally correlated pose errors (first-order Gauss-Markov).
 
     Position errors (per ENU axis) and attitude errors (per Euler axis, as a
     left-multiplied small rotation) share the correlation time ``tau_s`` and
     are stationary with the given standard deviations. Models slowly varying
-    RTK/attitude estimation error rather than white noise.
+    RTK/attitude estimation error rather than white noise. ``poses`` is
+    checked as outside data; a NaN row stays NaN.
     """
     if sigma_pos_m < 0.0 or sigma_att_deg < 0.0:
         raise ValidationError("error sigmas must be nonnegative")
     if not (tau_s > 0.0):
         raise ValidationError("correlation time must be positive")
+    poses = Poses.checked(poses.t, poses.p, poses.q, poses.n_fix)
     rng = np.random.default_rng(seed)
-    out: list[Pose] = []
     state = rng.standard_normal(6)
-    prev_t: float | None = None
-    for pose in poses:
-        if prev_t is not None:
-            alpha = math.exp(-(pose.t - prev_t) / tau_s)
+    p, q = poses.p.copy(), poses.q.copy()
+    for k, dt in enumerate(np.diff(poses.t, prepend=poses.t[:1]).tolist()):
+        if k:
+            alpha = math.exp(-dt / tau_s)
             state = alpha * state + math.sqrt(1.0 - alpha * alpha) * rng.standard_normal(6)
-        prev_t = pose.t
-        dp = sigma_pos_m * state[:3]
-        dr, dpitch, dyaw = (sigma_att_deg * x for x in state[3:])
-        q_err = euler_to_quat(float(dr), float(dpitch), float(dyaw))
-        out.append(
-            Pose(
-                t=pose.t,
-                p=Vec3.from_array(pose.p.as_array() + dp),
-                q=quat_multiply(q_err, pose.q),
-            )
-        )
-    return out
+        p[k] += sigma_pos_m * state[:3]
+        if not math.isnan(q[k, 0]):
+            q_err = euler_to_quat(*(sigma_att_deg * state[3:]).tolist())
+            q[k] = quat_multiply(q_err, UnitQuaternion(*q[k].tolist())).as_array()
+    return Poses(poses.t, p, q, poses.n_fix)

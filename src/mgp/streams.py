@@ -19,9 +19,12 @@ Formats:
     :class:`ScanFrame` of (n, 4) ``[t, x, y, z]`` rows and (n,) bool flags.
   * Pose trajectory: CSV with header ``t,E,N,U,qx,qy,qz,qw,n_fix,att_available``;
     one row per processed epoch, cells left empty when the corresponding
-    solution is unavailable. The reader wants strictly increasing times, a
-    nonnegative ``n_fix``, an ``att_available`` of 0 or 1, and quaternion
-    cells filled exactly when it is 1.
+    solution is unavailable; in memory a :class:`Poses` record of arrays
+    with NaN rows for the empty cells. The reader wants finite, strictly
+    increasing times, finite positions, quaternions of norm within
+    ``POSE_QUAT_NORM_TOL`` of 1, a nonnegative ``n_fix``, and an
+    ``att_available`` of 0 or 1, with the quaternion cells filled exactly
+    when it is 1.
 
 All floats are serialized with Python repr (shortest round-trip), so a
 read/write cycle is byte-stable and exact-inverse tests can run through
@@ -50,14 +53,14 @@ import numpy as np
 
 from . import jsonvals
 from .attitude import Baselines
-from .core import UnitQuaternion, Vec3
+from .core import UnitQuaternion, Vec3, unit_quats
 from .epochs import _DRAW_KEYS, ChannelDraws, EpochRecord, EpochTruth, FixModel, RequeryData
 from .errors import InputError, ValidationError
 from .mapping import (
     DEFAULT_CLUSTER_RADIUS_M,
     DEFAULT_MIN_HITS,
     MountCalibration,
-    Pose,
+    Poses,
     ScanFrame,
 )
 from .multipath import SnrTable
@@ -69,33 +72,6 @@ POSE_CSV_HEADER = "t,E,N,U,qx,qy,qz,qw,n_fix,att_available"
 _PULSE_SHAPE = "each pulse must be five numbers [t, x, y, z, flag]"
 
 
-@dataclass(frozen=True)
-class PoseRow:
-    """One pose-trajectory CSV row; position/attitude may be unavailable."""
-
-    t: float
-    p: Vec3 | None
-    q: UnitQuaternion | None
-    n_fix: int
-
-    @property
-    def att_available(self) -> bool:
-        return self.q is not None
-
-    def pose(self) -> Pose | None:
-        if self.p is None or self.q is None:
-            return None
-        return Pose(t=self.t, p=self.p, q=self.q)
-
-
-def _vec(v: Vec3) -> list[float]:
-    return [v.x, v.y, v.z]
-
-
-def _quat(q: UnitQuaternion) -> list[float]:
-    return [q.qx, q.qy, q.qz, q.qw]
-
-
 _GRADE_NAMES = tuple(status.value for status in FIX_GRADES)
 _GRADE_OF_NAME = {name: grade for grade, name in enumerate(_GRADE_NAMES)}
 
@@ -105,8 +81,8 @@ def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
     if epoch.truth is not None:
         tr = epoch.truth
         truth = {
-            "position": _vec(tr.position),
-            "attitude": _quat(tr.attitude),
+            "position": tr.position.as_array().tolist(),
+            "attitude": tr.attitude.as_array().tolist(),
             "multipath_sats": sorted(tr.multipath_sats),
             "corrupted_baselines": sorted(list(p) for p in tr.corrupted_baselines),
             "wrong_fix_antennas": sorted(tr.wrong_fix_antennas),
@@ -385,27 +361,29 @@ def read_scan(path: str) -> Iterator[ScanFrame]:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
 
 
-def write_poses(path: str, rows: Iterable[PoseRow]) -> int:
-    n = 0
+def write_poses(path: str, poses: Poses) -> int:
+    """Write a pose CSV, empty cells for NaN rows; returns the row count."""
+    rows = zip(poses.t.tolist(), poses.p.tolist(), poses.q.tolist(), poses.n_fix.tolist())
     with open(path, "w", encoding="utf-8") as f:
         f.write(POSE_CSV_HEADER + "\n")
-        for row in rows:
-            p_cells = ["", "", ""] if row.p is None else [repr(c) for c in _vec(row.p)]
-            q_cells = ["", "", "", ""] if row.q is None else [repr(c) for c in _quat(row.q)]
-            cells = (
-                [repr(row.t)]
-                + p_cells
-                + q_cells
-                + [str(row.n_fix), "1" if row.att_available else "0"]
-            )
+        for t, p, q, n_fix in rows:
+            has_q = not math.isnan(q[0])
+            cells = [repr(t), *_csv_cells(p), *_csv_cells(q), str(n_fix), "1" if has_q else "0"]
             f.write(",".join(cells) + "\n")
-            n += 1
-    return n
+    return len(poses)
+
+
+def _csv_cells(row: list[float]) -> list[str]:
+    return [""] * len(row) if math.isnan(row[0]) else [repr(c) for c in row]
 
 
 # A float as ``repr`` writes it; ``float()`` alone would also take "1_0"
 # (10.0) and padding.
 _FLOAT_CELL = re.compile(r"-?(\d+(\.\d*)?(e[-+]?\d+)?|inf)|nan")
+
+# How far from 1 a pose CSV quaternion's norm may be: write_poses puts it
+# within a few 1e-16, and seven significant digits stay within this.
+POSE_QUAT_NORM_TOL = 1e-6
 
 
 def _float_cell(cell: str) -> float:
@@ -423,34 +401,35 @@ def _pose_cells(cells: list[str], what: str) -> list[float] | None:
     return [_float_cell(c) for c in cells]
 
 
-def _pose_row(cells: list[str]) -> PoseRow:
+def _pose_row(cells: list[str]) -> list[float]:
+    """One row's ``[t, E, N, U, qx, qy, qz, qw, n_fix]``, NaN for empty cells."""
     t = _float_cell(cells[0])
     if not math.isfinite(t):
         raise ValidationError(f"pose timestamp must be finite, got {t!r}")
     p = _pose_cells(cells[1:4], "position")
+    if p is not None and not all(map(math.isfinite, p)):
+        raise ValidationError(f"position must be finite, got {tuple(p)}")
     q = _pose_cells(cells[4:8], "quaternion")
+    norm = 1.0 if q is None else math.hypot(*q)
+    if not abs(norm - 1.0) <= POSE_QUAT_NORM_TOL:
+        raise ValidationError(f"quaternion norm {norm!r} is not 1 within {POSE_QUAT_NORM_TOL}")
     n_fix, att = cells[8], cells[9]
     if not (n_fix.isascii() and n_fix.isdigit()):
         raise ValidationError(f"n_fix must be a nonnegative integer, got {n_fix!r}")
+    if len(n_fix) > 15:  # a float64 holds it exactly
+        raise ValidationError(f"n_fix {n_fix} is too large")
     if att not in ("0", "1"):
         raise ValidationError(f"att_available must be 0 or 1, got {att!r}")
     if (att == "1") != (q is not None):
         raise ValidationError(f"att_available is {att} but the quaternion cells are "
                               f"{'empty' if q is None else 'filled'}")
-    return PoseRow(
-        t=t,
-        p=None if p is None else Vec3(*p),
-        q=None if q is None else UnitQuaternion.from_array(q, canonicalize=False),
-        n_fix=int(n_fix),
-    )
+    return [t, *(p or [math.nan] * 3), *(q or [math.nan] * 4), int(n_fix)]
 
 
-def read_poses(path: str) -> list[PoseRow]:
-    """Rows of a pose CSV. Times must increase strictly, ``n_fix`` is a
-    nonnegative integer, ``att_available`` is 0 or 1 and the quaternion cells
-    are filled exactly when it is 1; any other row raises InputError naming
-    ``path:line``."""
-    rows: list[PoseRow] = []
+def read_poses(path: str) -> Poses:
+    """The poses of a pose CSV, each quaternion normalized. A row that breaks
+    a rule of the module docstring raises InputError naming ``path:line``."""
+    values: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         if header != POSE_CSV_HEADER:
@@ -464,19 +443,16 @@ def read_poses(path: str) -> list[PoseRow]:
                 raise InputError(f"{path}:{lineno}: expected 10 cells, got {len(cells)}")
             try:
                 row = _pose_row(cells)
-                if rows and not row.t > rows[-1].t:
+                if values and not row[0] > values[-1][0]:
                     raise ValidationError(
-                        f"pose timestamp {row.t!r} is not after the previous {rows[-1].t!r}"
+                        f"pose timestamp {row[0]!r} is not after the previous {values[-1][0]!r}"
                     )
-                rows.append(row)
             except (ValueError, ValidationError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
-    return rows
-
-
-def poses_for_georef(rows: Iterable[PoseRow]) -> list[Pose]:
-    """Keep only rows carrying both a position and an attitude."""
-    return [pose for pose in map(PoseRow.pose, rows) if pose is not None]
+            values.append(row)
+    data = np.array(values, dtype=np.float64).reshape(-1, 9)
+    q = unit_quats(data[:, 4:8], canonicalize=False)
+    return Poses.checked(data[:, 0], data[:, 1:4], q, data[:, 8].astype(np.int64))
 
 
 def write_json(path: str, payload: dict[str, Any]) -> None:

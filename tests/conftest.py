@@ -3,6 +3,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 import mgp
@@ -75,7 +76,7 @@ def flight_scenario() -> mgp.ScenarioConfig:
 class FlightData:
     scenario: mgp.ScenarioConfig
     frames: list[mgp.ScanFrame]
-    truth_poses: list[mgp.Pose]
+    truth_poses: mgp.Poses
     seconds: float
 
 
@@ -84,7 +85,7 @@ def flight_data(flight_scenario: mgp.ScenarioConfig) -> FlightData:
     cfg = flight_scenario
     t0 = time.perf_counter()
     frames = list(mgp.scan_stream(cfg, cfg.scanner))
-    poses = [mgp.truth_pose(cfg, k / cfg.rate_hz) for k in range(cfg.n_epochs)]
+    poses = mgp.truth_poses(cfg, np.arange(cfg.n_epochs) / cfg.rate_hz)
     return FlightData(
         scenario=cfg,
         frames=frames,

@@ -3,8 +3,8 @@
 ``run`` decides every skip per epoch and then solves the surviving epochs
 in blocks of at most ``mgp.pipeline.BLOCK_PAIRS`` pair hypotheses. The block
 sizes must not show in any output: a block of one epoch, the default blocks
-and the whole stream as one block give byte-identical metrics and identical
-pose rows, and so does the reference below, which takes the stream through
+and the whole stream as one block give byte-identical metrics and bitwise
+identical poses, and so does the reference below, which takes the stream through
 ``process_epoch`` one epoch at a time, with bad epochs placed at block edges
 and inside blocks. Under both, the consensus kernel gives bitwise the same
 result for an epoch in a block as for that epoch alone.
@@ -42,7 +42,7 @@ def streams(tmp_path_factory) -> dict[str, Path]:
 
 
 def _run(path: Path, config: PipelineConfig, cap: int | None, monkeypatch) -> tuple:
-    """Metrics JSON, pose rows, diagnostics and the epoch count of every
+    """Metrics JSON, poses, diagnostics and the epoch count of every
     consensus block of one ``estimate`` at block cap ``cap``."""
     blocks: list[int] = []
     kernel = mgp.pipeline.consensus
@@ -59,14 +59,15 @@ def _run(path: Path, config: PipelineConfig, cap: int | None, monkeypatch) -> tu
         epochs = mgp.read_epochs(str(path), skip_malformed=True, diagnostics=diags)
         result = mgp.run(epochs, config, diagnostics=diags)
     metrics = json.dumps(result.metrics.to_json_dict(), indent=2)
-    return metrics, result.pose_rows, result.diagnostics, blocks
+    return metrics, result.poses, result.diagnostics, blocks
 
 
-def _per_epoch(path: Path, config: PipelineConfig) -> tuple[list[mgp.PoseRow], list[str], int]:
-    """Pose rows, diagnostics and skip count of the stream taken through
+def _per_epoch(path: Path, config: PipelineConfig) -> tuple[mgp.Poses, list[str], int]:
+    """Poses, diagnostics and skip count of the stream taken through
     ``process_epoch`` one epoch at a time, with run's skip rules."""
     diags: list[str] = []
-    rows: list[mgp.PoseRow] = []
+    rows: list[list[float]] = []
+    n_fix: list[int] = []
     last_t = None
     epochs = mgp.read_epochs(str(path), skip_malformed=True, diagnostics=diags)
     for idx, epoch in enumerate(epochs):
@@ -80,15 +81,21 @@ def _per_epoch(path: Path, config: PipelineConfig) -> tuple[list[mgp.PoseRow], l
             continue
         last_t = epoch.t
         att, pos = result.attitude, result.position
-        rows.append(
-            mgp.PoseRow(
-                t=epoch.t,
-                p=pos.p if pos.available else None,
-                q=att.q if att.available else None,
-                n_fix=int(result.fixes_used.fixed.sum()),
-            )
-        )
-    return rows, diags, len(diags)
+        p = pos.p.as_array().tolist() if pos.available else [np.nan] * 3
+        q = att.q.as_array().tolist() if att.available else [np.nan] * 4
+        rows.append([epoch.t, *p, *q])
+        n_fix.append(int(result.fixes_used.fixed.sum()))
+    a = np.array(rows).reshape(-1, 8)
+    poses = mgp.Poses.checked(a[:, 0], a[:, 1:4], a[:, 4:], np.array(n_fix, dtype=np.int64))
+    return poses, diags, len(diags)
+
+
+def _assert_same_poses(got: mgp.Poses, want: mgp.Poses) -> None:
+    """Bitwise equal times, positions, attitudes and fixed counts."""
+    for name in ("t", "p", "q", "n_fix"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
 def _caps(mid: int) -> list[int | None]:
@@ -103,9 +110,9 @@ def test_block_partition_does_not_change_outputs(streams, monkeypatch, name, sub
     one, few, whole = runs[0], runs[1], runs[3]
     assert set(one[3]) == {1} and len(whole[3]) == 1
     assert len(few[3]) > 3 and max(few[3]) > 1
-    for metrics, rows, diags, _ in runs[1:]:
+    for metrics, poses, diags, _ in runs[1:]:
         assert metrics == one[0]
-        assert rows == one[1]
+        _assert_same_poses(poses, one[1])
         assert diags == one[2] == []
 
 
@@ -180,16 +187,16 @@ def test_bad_epochs_match_per_epoch_loop(streams, monkeypatch, tmp_path, name, s
     path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
 
     config = PipelineConfig(antenna_subset=subset)
-    rows, diags, skipped = _per_epoch(path, config)
+    poses, diags, skipped = _per_epoch(path, config)
     # 3 mistyped lines, 2 early timestamps, 2 unknown antennas, 2 duplicates
     assert skipped == 9
-    assert sum(not r.att_available for r in rows) >= 5
+    assert np.isnan(poses.q[:, 0]).sum() >= 5
     for cap in _caps(mid):
-        metrics, got_rows, got_diags, blocks = _run(path, config, cap, monkeypatch)
+        metrics, got_poses, got_diags, blocks = _run(path, config, cap, monkeypatch)
         assert got_diags == diags
-        assert got_rows == rows
+        _assert_same_poses(got_poses, poses)
         assert json.loads(metrics)["skipped"] == skipped
-        assert json.loads(metrics)["epochs"] == len(rows)
+        assert json.loads(metrics)["epochs"] == len(poses)
         if cap == mid:
             assert len(blocks) > 3 and max(blocks) > 1
 

@@ -57,8 +57,7 @@ def test_full_chain(tmp_path: Path, capsys) -> None:
     m = json.loads(Path(metrics).read_text())
     assert m["epochs"] == 30
     assert m["hybrid_fix_rate_pct"] == 100.0
-    rows = read_poses(poses)
-    assert len(rows) == 30
+    assert len(read_poses(poses)) == 30
 
     calib = _write(tmp_path / "calib.json", {"lever_arm": [0.0, 0.0, 0.0]})
     cloud = str(tmp_path / "cloud.xyz")
@@ -318,7 +317,24 @@ def test_georef_nan_pose_reports_path_and_line(tmp_path: Path, capsys) -> None:
         ]
     )
     assert code == 1
-    assert f"error: {poses}:3: Vec3 components must be finite" in capsys.readouterr().err
+    assert f"error: {poses}:3: position must be finite" in capsys.readouterr().err
+
+
+def test_georef_without_a_usable_pose_names_the_pose_file(tmp_path: Path, capsys) -> None:
+    # every row lacks a position or an attitude: nothing to georeference with
+    poses = tmp_path / "poses.csv"
+    poses.write_text(
+        "t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n"
+        "0.0,1.0,2.0,30.0,,,,,1,0\n"
+        "0.1,,,,0.0,0.0,0.0,1.0,0,1\n"
+    )
+    scan = tmp_path / "scan.jsonl"
+    scan.write_text('{"format": "mgp-scan", "version": 1}\n')
+    calib = _write(tmp_path / "calib.json", {"lever_arm": [0.0, 0.0, 0.0]})
+    argv = ["georef", "--poses", str(poses), "--scan", str(scan), "--calib", calib]
+    assert main(argv + ["--cloud", str(tmp_path / "cloud.xyz")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {poses}: no pose has both a position and an attitude\n"
 
 
 @pytest.mark.parametrize(

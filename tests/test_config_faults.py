@@ -229,8 +229,8 @@ def cli_inputs(tmp_path_factory: pytest.TempPathFactory) -> dict[str, str]:
     poses, cloud = root / "poses.csv", root / "cloud.xyz"
     mgp.write_poses(
         str(poses),
-        [mgp.PoseRow(t=0.0, p=mgp.Vec3(0.0, 0.0, 30.0), q=mgp.UnitQuaternion.identity(),
-                     n_fix=6)],
+        mgp.Poses(np.zeros(1), np.array([[0.0, 0.0, 30.0]]), np.array([[0.0, 0.0, 0.0, 1.0]]),
+                  np.array([6])),
     )
     mgp.write_cloud(cloud, mgp.Cloud(p=np.zeros((1, 3)), reflector=np.ones(1, dtype=bool)))
     return {"poses": str(poses), "cloud": str(cloud)}

@@ -22,6 +22,7 @@ from mgp import (
     quat_to_matrix,
     rotate,
 )
+from mgp.core import unit_quats
 
 
 def _random_quat(rng: np.random.Generator) -> UnitQuaternion:
@@ -69,6 +70,46 @@ def test_from_array_normalizes_and_canonicalizes() -> None:
 def test_canonical_sign_zero_qw_falls_back_to_first_nonzero() -> None:
     q = UnitQuaternion.from_array([0.0, -1.0, 0.0, 0.0])
     assert q.qy == 1.0
+
+
+def _scalar_unit(q: list[float], canonicalize: bool) -> list[float]:
+    """One quaternion normalized by its own 1-D norm and sign-fixed one
+    component at a time: the per-row arithmetic ``unit_quats`` replaces."""
+    r = np.array(q) / float(np.linalg.norm(q))
+    if canonicalize:
+        lead = next((c for c in (r[3], r[0], r[1], r[2]) if c != 0.0), 0.0)
+        r = -r if lead < 0.0 else r
+    return r.tolist()
+
+
+@pytest.mark.parametrize("canonicalize", [True, False])
+def test_unit_quats_is_bitwise_its_rows_one_by_one(canonicalize: bool) -> None:
+    rng = np.random.default_rng(17)
+    q = rng.normal(size=(20000, 4))
+    # near-unit rows, as read from a file, and rows with zero components
+    q[:5000] /= np.linalg.norm(q[:5000], axis=1, keepdims=True)
+    q[5000:5100, 3] = 0.0
+    q[5100:5200, 3:] = 0.0
+    q[5200:5300, 0] = 0.0
+    q[5200:5300, 3] = -0.0
+    got = unit_quats(q, canonicalize=canonicalize)
+    want = np.array([_scalar_unit(r, canonicalize) for r in q.tolist()])
+    one = np.array([UnitQuaternion.from_array(r, canonicalize=canonicalize).as_array() for r in q])
+    for ref in (want, one):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    nan = unit_quats(np.full((1, 4), np.nan), canonicalize=canonicalize)
+    assert np.isnan(nan).all()
+
+
+def test_quat_to_matrix_stack_is_bitwise_each_quaternion() -> None:
+    rng = np.random.default_rng(19)
+    qs = [_random_quat(rng) for _ in range(200)]
+    stack = quat_to_matrix(np.array([q.as_array() for q in qs]).reshape(20, 10, 4))
+    assert stack.shape == (20, 10, 3, 3)
+    for k, q in enumerate(qs):
+        assert np.array_equal(stack.reshape(-1, 3, 3)[k], quat_to_matrix(q))
+    assert np.isnan(quat_to_matrix(np.full(4, np.nan))).all()
 
 
 def test_from_array_rejects_zero_and_bad_shape() -> None:

@@ -289,7 +289,7 @@ def _process(epoch: _Epoch, config: PipelineConfig, verdicts: list) -> tuple:
 
 
 def _run(epochs, config: PipelineConfig, diags: list[str], verdicts: list):
-    """The object path's stream loop; returns the metrics dict and pose rows."""
+    """The object path's stream loop; returns the metrics and the poses."""
     ant_ids = config.active_antennas
     fixed_counts = {i: 0 for i in ant_ids}
     n_proc = raw_any = fb_any = att_avail = 0
@@ -299,7 +299,8 @@ def _run(epochs, config: PipelineConfig, diags: list[str], verdicts: list):
     pos_val: dict[str, list[float]] = {"e": [], "n": [], "u": []}
     tp = fp = fn = 0
     truth_seen = requery_seen = False
-    rows: list[mgp.PoseRow] = []
+    rows: list[list[float]] = []
+    n_fix: list[int] = []
     last_t = None
     for idx, epoch in enumerate(epochs):
         if last_t is not None and epoch.t <= last_t:
@@ -346,14 +347,10 @@ def _run(epochs, config: PipelineConfig, diags: list[str], verdicts: list):
             tp += len(detected & true_mp)
             fp += len(detected - true_mp)
             fn += len(true_mp - detected)
-        rows.append(
-            mgp.PoseRow(
-                t=epoch.t,
-                p=position.p if position.available else None,
-                q=attitude.q if attitude.available else None,
-                n_fix=n_fix_used,
-            )
-        )
+        p = position.p.as_array().tolist() if position.available else [math.nan] * 3
+        q = attitude.q.as_array().tolist() if attitude.available else [math.nan] * 4
+        rows.append([epoch.t, *p, *q])
+        n_fix.append(n_fix_used)
 
     def pct(count: int) -> float | None:
         return 100.0 * count / n_proc if n_proc else None
@@ -378,7 +375,8 @@ def _run(epochs, config: PipelineConfig, diags: list[str], verdicts: list):
         multipath_precision=tp / (tp + fp) if (tp + fp) > 0 else None,
         multipath_recall=tp / (tp + fn) if (tp + fn) > 0 else None,
     )
-    return metrics, rows
+    a = np.array(rows).reshape(-1, 8)
+    return metrics, mgp.Poses.checked(a[:, 0], a[:, 1:4], a[:, 4:], np.array(n_fix))
 
 
 # -- comparison -------------------------------------------------------------------
@@ -387,7 +385,7 @@ def _run(epochs, config: PipelineConfig, diags: list[str], verdicts: list):
 @dataclass
 class _Estimate:
     metrics_json: str
-    rows: list[mgp.PoseRow]
+    poses: mgp.Poses
     diagnostics: list[str]
     verdicts: list[dict]
 
@@ -395,8 +393,8 @@ class _Estimate:
 def _reference(path: str, config: PipelineConfig) -> _Estimate:
     diags: list[str] = []
     verdicts: list[dict] = []
-    metrics, rows = _run(_read_epochs(path, diags), config, diags, verdicts)
-    return _Estimate(json.dumps(metrics.to_json_dict(), indent=2), rows, diags, verdicts)
+    metrics, poses = _run(_read_epochs(path, diags), config, diags, verdicts)
+    return _Estimate(json.dumps(metrics.to_json_dict(), indent=2), poses, diags, verdicts)
 
 
 def _arrays(path: str, config: PipelineConfig, monkeypatch) -> _Estimate:
@@ -416,19 +414,22 @@ def _arrays(path: str, config: PipelineConfig, monkeypatch) -> _Estimate:
         result = mgp.run(mgp.read_epochs(path, skip_malformed=True, diagnostics=diags), config,
                          diagnostics=diags)
     return _Estimate(
-        json.dumps(result.metrics.to_json_dict(), indent=2), result.pose_rows, diags, verdicts
+        json.dumps(result.metrics.to_json_dict(), indent=2), result.poses, diags, verdicts
     )
 
 
-def _assert_same_poses(got: list[mgp.PoseRow], want: list[mgp.PoseRow]) -> None:
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.t, a.n_fix, a.att_available) == (b.t, b.n_fix, b.att_available)
-        assert (a.q is None, a.p is None) == (b.q is None, b.p is None)
-        if b.q is not None:
-            assert mgp.quat_angle(a.q, b.q) < 1e-12
-        if b.p is not None:
-            assert (a.p - b.p).norm() < 1e-12
+def _assert_same_poses(got: mgp.Poses, want: mgp.Poses) -> None:
+    """Equal times, fixed counts and missing rows; positions within 1e-12 m
+    and attitudes within 1e-12 rad (the reference sums the Davenport matrix
+    and the lever arms in another order, so the last bits differ)."""
+    assert np.array_equal(got.t, want.t) and np.array_equal(got.n_fix, want.n_fix)
+    for name in ("p", "q"):
+        assert np.array_equal(np.isnan(getattr(got, name)), np.isnan(getattr(want, name)))
+    has_q = ~np.isnan(want.q[:, 0])
+    for a, b in zip(got.q[has_q].tolist(), want.q[has_q].tolist()):
+        assert mgp.quat_angle(mgp.UnitQuaternion(*a), mgp.UnitQuaternion(*b)) < 1e-12
+    has_p = ~np.isnan(want.p[:, 0])
+    assert (np.linalg.norm(got.p[has_p] - want.p[has_p], axis=1) < 1e-12).all()
 
 
 def _scenario(name: str, duration_s: float) -> mgp.ScenarioConfig:
@@ -478,9 +479,9 @@ def test_estimate_matches_object_path(streams, monkeypatch, name: str, subset) -
     want = _reference(str(path), config)
     assert got.diagnostics == want.diagnostics
     assert got.metrics_json == want.metrics_json
-    _assert_same_poses(got.rows, want.rows)
+    _assert_same_poses(got.poses, want.poses)
     assert got.verdicts == want.verdicts
-    assert len(got.verdicts) == len(want.rows)
+    assert len(got.verdicts) == len(want.poses)
 
 
 @pytest.mark.parametrize("subset", [None, (1, 3, 5)], ids=["all", "1-3-5"])
@@ -504,7 +505,7 @@ def test_snr_gaps_match_object_path(streams, monkeypatch, tmp_path, subset) -> N
     want = _reference(str(path), config)
     assert got.diagnostics == want.diagnostics == []
     assert got.metrics_json == want.metrics_json
-    _assert_same_poses(got.rows, want.rows)
+    _assert_same_poses(got.poses, want.poses)
     assert got.verdicts == want.verdicts
     assert any(sigma is None for v in got.verdicts for sigma, _, _ in v.values())
 
@@ -599,5 +600,5 @@ def test_mistyped_lines_are_the_only_difference(streams, monkeypatch, tmp_path) 
     got_metrics, want_metrics = json.loads(got.metrics_json), json.loads(want.metrics_json)
     assert (got_metrics.pop("skipped"), want_metrics.pop("skipped")) == (len(BAD_EDITS), 0)
     assert got_metrics == want_metrics
-    _assert_same_poses(got.rows, want.rows)
+    _assert_same_poses(got.poses, want.poses)
     assert got.verdicts == want.verdicts

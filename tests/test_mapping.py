@@ -11,7 +11,7 @@ from mgp import (
     Cloud,
     InputError,
     MountCalibration,
-    Pose,
+    Poses,
     ScanFrame,
     UnitQuaternion,
     ValidationError,
@@ -21,14 +21,25 @@ from mgp import (
     georeference,
     georeference_stream,
     quat_multiply,
+    quat_to_matrix,
     read_cloud,
     rotate,
     write_cloud,
 )
 
 
-def _pose(t: float, p: Vec3 = Vec3(0.0, 0.0, 30.0), q: UnitQuaternion | None = None) -> Pose:
-    return Pose(t=t, p=p, q=q if q is not None else UnitQuaternion.identity())
+IDENTITY = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def _poses(times: list[float], p: list | None = None, q: list | None = None) -> Poses:
+    """Checked poses at ``times``: at (0, 0, 30) and level unless given."""
+    n = len(times)
+    return Poses.checked(
+        np.array(times, dtype=np.float64),
+        np.array(p if p is not None else [[0.0, 0.0, 30.0]] * n, dtype=np.float64).reshape(n, 3),
+        np.array(q if q is not None else [IDENTITY] * n, dtype=np.float64).reshape(n, 4),
+        np.full(n, 6),
+    )
 
 
 def _frame(t: float, pulses: list[tuple[float, Vec3]], flag: bool = False) -> ScanFrame:
@@ -47,46 +58,41 @@ def _cloud(points: list[Vec3], flags: list[bool]) -> Cloud:
 
 
 def test_georeference_identity_chain() -> None:
-    pose = _pose(0.0, p=Vec3(100.0, 200.0, 30.0))
-    got = georeference(pose, MountCalibration(), Vec3(0.0, 0.0, -30.0))
-    assert np.allclose(got.as_array(), [100.0, 200.0, 0.0], atol=1e-12)
+    got = georeference(np.array([100.0, 200.0, 30.0]), IDENTITY, MountCalibration(),
+                       np.array([0.0, 0.0, -30.0]))
+    assert np.allclose(got, [100.0, 200.0, 0.0], atol=1e-12)
 
 
 def test_georeference_lever_arm_rotates_with_body() -> None:
     # yaw +90 carries the body-frame lever (0, 1.1, 0) onto world (-1.1, 0, 0)
-    pose = _pose(0.0, p=Vec3(10.0, 5.0, 30.0), q=euler_to_quat(0.0, 0.0, 90.0))
+    q = euler_to_quat(0.0, 0.0, 90.0).as_array()
     calib = MountCalibration(lever_arm=Vec3(0.0, 1.1, 0.0))
-    got = georeference(pose, calib, Vec3(0.0, 0.0, 0.0))
-    assert np.allclose(got.as_array(), [10.0 - 1.1, 5.0, 30.0], atol=1e-12)
+    got = georeference(np.array([10.0, 5.0, 30.0]), q, calib, np.zeros(3))
+    assert np.allclose(got, [10.0 - 1.1, 5.0, 30.0], atol=1e-12)
 
 
 def test_georeference_boresight_applies_before_body_rotation() -> None:
     # scanner points +x in scanner frame; boresight yaw +90 makes that body
     # +y; body yaw +90 makes it world -x
-    pose = _pose(0.0, p=Vec3(0.0, 0.0, 0.0), q=euler_to_quat(0.0, 0.0, 90.0))
+    q = euler_to_quat(0.0, 0.0, 90.0).as_array()
     calib = MountCalibration(boresight=euler_to_quat(0.0, 0.0, 90.0))
-    got = georeference(pose, calib, Vec3(2.0, 0.0, 0.0))
-    assert np.allclose(got.as_array(), [-2.0, 0.0, 0.0], atol=1e-12)
+    got = georeference(np.zeros(3), q, calib, np.array([2.0, 0.0, 0.0]))
+    assert np.allclose(got, [-2.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_georeference_full_chain_worked_example() -> None:
-    pose = _pose(1.5, p=Vec3(50.0, -20.0, 25.0), q=euler_to_quat(0.0, 0.0, 180.0))
+    q = euler_to_quat(0.0, 0.0, 180.0).as_array()
     calib = MountCalibration(lever_arm=Vec3(0.3, 0.0, -0.1))
-    scan = Vec3(0.0, 0.0, -24.9)
-    got = georeference(pose, calib, scan)
+    got = georeference(np.array([50.0, -20.0, 25.0]), q, calib, np.array([0.0, 0.0, -24.9]))
     # 180 yaw flips E and N of (lever + scan) = (0.3, 0.0, -25.0)
-    assert np.allclose(got.as_array(), [50.0 - 0.3, -20.0, 0.0], atol=1e-12)
+    assert np.allclose(got, [50.0 - 0.3, -20.0, 0.0], atol=1e-12)
 
 
 # -- stream georeferencing -------------------------------------------------------
 
 
 def test_stream_nearest_pose_selection() -> None:
-    poses = [
-        _pose(0.0, p=Vec3(0.0, 0.0, 30.0)),
-        _pose(0.1, p=Vec3(1.0, 0.0, 30.0)),
-        _pose(0.2, p=Vec3(2.0, 0.0, 30.0)),
-    ]
+    poses = _poses([0.0, 0.1, 0.2], p=[[0.0, 0.0, 30.0], [1.0, 0.0, 30.0], [2.0, 0.0, 30.0]])
     down = Vec3(0.0, 0.0, -30.0)
     # pulse at 0.04 -> pose 0.0; 0.06 -> pose 0.1; 0.16 -> pose 0.2
     frames = [_frame(0.0, [(0.04, down), (0.06, down), (0.16, down)])]
@@ -96,7 +102,7 @@ def test_stream_nearest_pose_selection() -> None:
 
 
 def test_stream_drops_pulses_beyond_pose_gap() -> None:
-    poses = [_pose(0.0), _pose(0.1)]
+    poses = _poses([0.0, 0.1])
     down = Vec3(0.0, 0.0, -30.0)
     # gaps to the nearest pose: 0.05 -> 0.05, 0.161 -> 0.061, 0.9 -> 0.8
     frames = [_frame(0.0, [(0.05, down), (0.161, down), (0.9, down)])]
@@ -106,7 +112,7 @@ def test_stream_drops_pulses_beyond_pose_gap() -> None:
 
 
 def test_stream_gap_boundary_inclusive() -> None:
-    poses = [_pose(0.0)]
+    poses = _poses([0.0])
     down = Vec3(0.0, 0.0, -30.0)
     frames = [_frame(0.0, [(0.06, down)])]
     cloud, dropped = georeference_stream(poses, frames, MountCalibration(), max_pose_gap_s=0.06)
@@ -114,33 +120,77 @@ def test_stream_gap_boundary_inclusive() -> None:
 
 
 def test_stream_requires_increasing_poses() -> None:
-    poses = [_pose(0.1), _pose(0.1)]
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        georeference_stream(_poses([0.1, 0.1]), [], MountCalibration())
+    with pytest.raises(ValidationError, match="no pose has both"):
+        georeference_stream(_poses([]), [], MountCalibration())
     with pytest.raises(ValidationError):
-        georeference_stream(poses, [], MountCalibration())
-    with pytest.raises(ValidationError):
-        georeference_stream([], [], MountCalibration())
-    with pytest.raises(ValidationError):
-        georeference_stream([_pose(0.0)], [], MountCalibration(), max_pose_gap_s=0.0)
+        georeference_stream(_poses([0.0]), [], MountCalibration(), max_pose_gap_s=0.0)
+
+
+def test_stream_skips_poses_without_position_or_attitude() -> None:
+    nan3, nan4 = [math.nan] * 3, [math.nan] * 4
+    poses = _poses(
+        [0.0, 0.1, 0.2, 0.3],
+        p=[nan3, [1.0, 0.0, 30.0], [2.0, 0.0, 30.0], nan3],
+        q=[IDENTITY, IDENTITY, nan4, nan4],
+    )
+    assert poses.complete.tolist() == [False, True, False, False]
+    down = Vec3(0.0, 0.0, -30.0)
+    # only the pose at 0.1 is usable, and every pulse but the one at 0.12
+    # is more than the 0.06 s gap away from it
+    frames = [_frame(0.0, [(0.0, down), (0.12, down), (0.2, down), (0.3, down)])]
+    cloud, dropped = georeference_stream(poses, frames, MountCalibration())
+    assert cloud.p.tolist() == [[1.0, 0.0, 0.0]] and dropped == 3
+    with pytest.raises(ValidationError, match="no pose has both"):
+        georeference_stream(poses.select(~poses.complete), frames, MountCalibration())
+
+
+@pytest.mark.parametrize(
+    "field, index, value, message",
+    [
+        ("t", 1, math.nan, "pose times must be finite and strictly increasing"),
+        ("t", 1, -1.0, "pose times must be finite and strictly increasing"),
+        ("p", (0, 1), math.nan, "each position row must be all finite or all NaN"),
+        ("p", 0, math.inf, "each position row must be all finite or all NaN"),
+        ("q", (1, 3), math.nan, "each quaternion row must be all finite or all NaN"),
+        ("q", (1, 3), 2.0, "pose quaternions must have unit norm"),
+        ("n_fix", 0, -1, "n_fix must be a nonnegative integer"),
+    ],
+    ids=["time-nan", "time-decreasing", "position-partial", "position-inf",
+         "quaternion-partial", "quaternion-not-unit", "n-fix-negative"],
+)
+def test_poses_checked_rejects_bad_records(field: str, index, value, message: str) -> None:
+    good = _poses([0.0, 0.1])
+    arrays = {name: getattr(good, name).copy() for name in ("t", "p", "q", "n_fix")}
+    arrays[field][index] = value
+    with pytest.raises(ValidationError, match=message):
+        Poses.checked(**arrays)
+
+
+def test_poses_checked_rejects_float_counts_and_bad_shapes() -> None:
+    good = _poses([0.0, 0.1])
+    with pytest.raises(ValidationError, match="n_fix must be a nonnegative integer"):
+        Poses.checked(good.t, good.p, good.q, good.n_fix.astype(float))
+    with pytest.raises(ValidationError, match="poses need"):
+        Poses.checked(good.t, good.p[:1], good.q, good.n_fix)
 
 
 def test_stream_empty_frames_empty_cloud() -> None:
-    cloud, dropped = georeference_stream([_pose(0.0)], [], MountCalibration())
+    cloud, dropped = georeference_stream(_poses([0.0]), [], MountCalibration())
     assert len(cloud) == 0 and cloud.p.shape == (0, 3) and dropped == 0
     empty = [_frame(0.0, [])]
-    cloud, dropped = georeference_stream([_pose(0.0)], empty, MountCalibration())
+    cloud, dropped = georeference_stream(_poses([0.0]), empty, MountCalibration())
     assert len(cloud) == 0 and dropped == 0
 
 
 def test_stream_matches_single_point_path() -> None:
     rng = np.random.default_rng(103)
-    poses = [
-        _pose(
-            0.1 * k,
-            p=Vec3.from_array(rng.normal(scale=10.0, size=3)),
-            q=UnitQuaternion.from_array(rng.normal(size=4)),
-        )
-        for k in range(5)
-    ]
+    poses = _poses(
+        [0.1 * k for k in range(5)],
+        p=rng.normal(scale=10.0, size=(5, 3)),
+        q=[UnitQuaternion.from_array(rng.normal(size=4)).as_array() for _ in range(5)],
+    )
     calib = MountCalibration(
         lever_arm=Vec3(0.2, -0.1, 0.05), boresight=euler_to_quat(1.0, 2.0, 3.0)
     )
@@ -148,18 +198,15 @@ def test_stream_matches_single_point_path() -> None:
     frames = [_frame(0.0, pulses)]
     cloud, _ = georeference_stream(poses, frames, calib)
     assert len(cloud) == len(pulses)
-    for (pt, pp), got, pose in zip(pulses, cloud.p, poses):
-        want = georeference(pose, calib, pp)
-        assert np.allclose(got, want.as_array(), atol=1e-12)
+    for (pt, pp), got, p, q in zip(pulses, cloud.p, poses.p, poses.q):
+        want = georeference(p, q, calib, pp.as_array())
+        assert np.allclose(got, want, atol=1e-12)
 
 
 def test_stream_rigid_motion_equivariance() -> None:
     # rotating and translating every pose moves the whole cloud rigidly
     rng = np.random.default_rng(107)
-    poses = [
-        _pose(0.1 * k, p=Vec3.from_array(rng.normal(scale=5.0, size=3)))
-        for k in range(4)
-    ]
+    poses = _poses([0.1 * k for k in range(4)], p=rng.normal(scale=5.0, size=(4, 3)))
     frames = [
         _frame(0.0, [(0.1 * k, Vec3.from_array(rng.normal(scale=3.0, size=3)))])
         for k in range(4)
@@ -169,9 +216,11 @@ def test_stream_rigid_motion_equivariance() -> None:
 
     g = euler_to_quat(0.0, 0.0, 35.0)
     shift = Vec3(3.0, -7.0, 2.0)
-    moved_poses = [
-        Pose(t=p.t, p=rotate(g, p.p) + shift, q=quat_multiply(g, p.q)) for p in poses
-    ]
+    moved_poses = _poses(
+        poses.t.tolist(),
+        p=poses.p @ quat_to_matrix(g).T + shift.as_array(),
+        q=[quat_multiply(g, UnitQuaternion(*q)).as_array() for q in poses.q.tolist()],
+    )
     moved, _ = georeference_stream(moved_poses, frames, calib)
     for a, b in zip(base.p, moved.p):
         want = rotate(g, Vec3.from_array(a)) + shift
@@ -179,7 +228,7 @@ def test_stream_rigid_motion_equivariance() -> None:
 
 
 def test_stream_preserves_reflector_flags() -> None:
-    poses = [_pose(0.0)]
+    poses = _poses([0.0])
     frames = [_frame(0.0, [(0.0, Vec3(0.0, 0.0, -30.0))], flag=True)]
     cloud, _ = georeference_stream(poses, frames, MountCalibration())
     assert cloud.reflector.tolist() == [True]

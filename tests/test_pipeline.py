@@ -267,8 +267,8 @@ def test_run_metrics_on_clean_stream() -> None:
         assert sd is not None and sd < 0.5
     for sd in m.position_sd_mm.values():
         assert sd is not None and sd < 10.0
-    assert len(result.pose_rows) == 50
-    assert all(r.n_fix == 6 and r.att_available for r in result.pose_rows)
+    assert len(result.poses) == 50
+    assert (result.poses.n_fix == 6).all() and not np.isnan(result.poses.q).any()
 
 
 def test_hybrid_rate_never_below_best_antenna() -> None:
@@ -287,7 +287,8 @@ def test_run_empty_stream() -> None:
     assert all(v is None for v in m.per_antenna_fix_rate_pct.values())
     assert all(v is None for v in m.attitude_sd_deg.values())
     assert m.multipath_precision is None and m.multipath_recall is None
-    assert result.pose_rows == []
+    assert len(result.poses) == 0
+    assert result.poses.p.shape == (0, 3) and result.poses.q.shape == (0, 4)
 
 
 def test_run_skips_non_increasing_timestamps() -> None:

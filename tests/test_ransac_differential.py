@@ -353,14 +353,16 @@ def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset)
     assert batched.metrics.epochs == len(reference) == 150
     available = sum(r.attitude.available for r in reference)
     assert batched.metrics.attitude_availability_pct == 100.0 * available / 150
-    for got, want in zip(batched.pose_rows, reference):
+    poses = batched.poses
+    for k, want in enumerate(reference):
         n_fix = int(np.count_nonzero(want.fixes_used.fixed))
-        assert (got.t, got.n_fix, got.att_available) == (want.t, n_fix, want.attitude.available)
-        assert (got.p is None) == (not want.position.available)
+        assert (poses.t[k], poses.n_fix[k]) == (want.t, n_fix)
+        assert (not np.isnan(poses.q[k, 0])) == want.attitude.available
+        assert (not np.isnan(poses.p[k, 0])) == want.position.available
         if want.attitude.available:
-            assert quat_angle(got.q, want.attitude.q) < 1e-12
+            assert quat_angle(UnitQuaternion(*poses.q[k].tolist()), want.attitude.q) < 1e-12
         if want.position.available:
-            assert (got.p - want.position.p).norm() < 1e-12
+            assert np.linalg.norm(poses.p[k] - want.position.p.as_array()) < 1e-12
 
 
 def _eigh_pair_hypotheses(b1, b2, r1, r2, a1) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,9 @@
 The reference below is the object path the arrays replaced, kept here only
 as an oracle: a scalar ``trajectory_position`` loop, one frozen pulse object
 per return built in a per-pulse loop, per-pulse scan JSONL writing and
-reading, the object ``georeference_stream``, the ``struct`` ``.bin`` writer
-and the ``repr`` ``.xyz`` writer. Every file the chain writes (scan JSONL,
+reading, per-row pose CSV reading into one pose object per epoch, the object
+``georeference_stream``, the ``struct`` ``.bin`` writer and the ``repr``
+``.xyz`` writer. Every file the chain writes (scan JSONL,
 both cloud formats and the evaluate report) must be byte-identical.
 """
 from __future__ import annotations
@@ -36,6 +37,13 @@ class _Pulse:
 class _Frame:
     t: float
     pulses: tuple[_Pulse, ...]
+
+
+@dataclass(frozen=True)
+class _Pose:
+    t: float
+    p: mgp.Vec3
+    q: mgp.UnitQuaternion
 
 
 @dataclass(frozen=True)
@@ -132,8 +140,20 @@ def _ref_read_scan(path: Path) -> list[_Frame]:
     return frames
 
 
+def _ref_read_poses(path: Path) -> list[_Pose]:
+    """The rows of a pose CSV with both a position and an attitude, the
+    quaternion normalized as ``UnitQuaternion.from_array`` does."""
+    poses = []
+    for line in path.read_text().splitlines()[1:]:
+        cells = line.split(",")
+        if cells[1] and cells[4]:
+            q = mgp.UnitQuaternion.from_array([float(c) for c in cells[4:8]], canonicalize=False)
+            poses.append(_Pose(float(cells[0]), mgp.Vec3(*map(float, cells[1:4])), q))
+    return poses
+
+
 def _ref_georeference_stream(
-    poses: list[mgp.Pose], frames: list[_Frame], calib: mgp.MountCalibration
+    poses: list[_Pose], frames: list[_Frame], calib: mgp.MountCalibration
 ) -> list[_Point]:
     times = np.array([p.t for p in poses], dtype=np.float64)
     pulse_t, pulse_p, pulse_flag = [], [], []
@@ -258,11 +278,10 @@ def test_array_path_writes_the_object_path_bytes(tmp_path: Path, name: str) -> N
 
     # estimated-pose stand-in: truth poses with correlated errors, written
     # to and read from the pose CSV the georef step takes
-    truth = [mgp.truth_pose(cfg, k / cfg.rate_hz) for k in range(cfg.n_epochs)]
+    truth = mgp.truth_poses(cfg, np.arange(cfg.n_epochs) / cfg.rate_hz)
     poses = mgp.corrupt_poses(truth, sigma_pos_m=0.01, sigma_att_deg=0.07, tau_s=8.0, seed=3)
-    rows = [mgp.PoseRow(t=p.t, p=p.p, q=p.q, n_fix=6) for p in poses]
     pose_csv = tmp_path / "poses.csv"
-    mgp.write_poses(str(pose_csv), rows)
+    mgp.write_poses(str(pose_csv), poses)
     calib = {"lever_arm": [0.1, -0.05, -0.2], "boresight": [0.01, -0.02, 0.005, 1.0]}
     calib_json = tmp_path / "calib.json"
     calib_json.write_text(json.dumps(calib))
@@ -273,7 +292,7 @@ def test_array_path_writes_the_object_path_bytes(tmp_path: Path, name: str) -> N
     )
 
     ref_cloud = _ref_georeference_stream(
-        mgp.poses_for_georef(mgp.read_poses(str(pose_csv))),
+        _ref_read_poses(pose_csv),
         _ref_read_scan(ref / "scan.jsonl"),
         mgp.load_calibration(str(calib_json)),
     )

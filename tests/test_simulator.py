@@ -12,7 +12,7 @@ from mgp import (
     FixStatus,
     MountCalibration,
     NoiseModel,
-    Pose,
+    Poses,
     Reflector,
     Satellite,
     ScannerModel,
@@ -35,7 +35,7 @@ from mgp import (
     scan_stream,
     trajectory_position,
     truth_attitude,
-    truth_pose,
+    truth_poses,
 )
 
 OPEN_SKY = tuple(
@@ -164,10 +164,14 @@ def test_attitude_profile_interpolates_and_holds() -> None:
 
 def test_truth_pose_combines_position_and_attitude() -> None:
     cfg = _config(attitude_profile=AttitudeProfile(yaw_knots=((0.0, 30.0),)))
-    pose = truth_pose(cfg, 1.0)
-    assert pose.t == 1.0
-    assert pose.p == trajectory_position(cfg, 1.0)
-    assert quat_angle(pose.q, truth_attitude(cfg, 1.0)) == 0.0
+    poses = truth_poses(cfg, np.array([0.5, 1.0]))
+    assert poses.t.tolist() == [0.5, 1.0]
+    for k, t in enumerate((0.5, 1.0)):
+        assert Vec3.from_array(poses.p[k]) == trajectory_position(cfg, t)
+        assert np.array_equal(poses.q[k], truth_attitude(cfg, t).as_array())
+    assert poses.n_fix.tolist() == [cfg.layout.antenna_count] * 2
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        truth_poses(cfg, np.array([1.0, 0.5]))
 
 
 # -- epoch stream ---------------------------------------------------------------
@@ -482,28 +486,30 @@ def test_scan_seed_independent_of_epoch_draws() -> None:
 # -- pose corruption ----------------------------------------------------------
 
 
-def _truth_poses(n: int = 2000, dt: float = 0.1) -> list[Pose]:
-    return [
-        Pose(t=k * dt, p=Vec3(0.0, 0.0, 30.0), q=UnitQuaternion.identity()) for k in range(n)
-    ]
+def _truth_poses(n: int = 2000, dt: float = 0.1) -> Poses:
+    return Poses.checked(
+        np.arange(n) * dt,
+        np.tile([0.0, 0.0, 30.0], (n, 1)),
+        np.tile([0.0, 0.0, 0.0, 1.0], (n, 1)),
+        np.full(n, 6),
+    )
 
 
 def test_corrupt_poses_zero_sigma_is_identity() -> None:
     poses = _truth_poses(50)
     out = corrupt_poses(poses, 0.0, 0.0, 8.0, seed=3)
-    for a, b in zip(poses, out):
-        assert a.t == b.t
-        assert np.array_equal(a.p.as_array(), b.p.as_array())
-        assert quat_angle(a.q, b.q) == 0.0
+    assert np.array_equal(out.t, poses.t)
+    assert np.array_equal(out.p, poses.p)
+    assert np.array_equal(out.q, poses.q)
+    assert np.array_equal(out.n_fix, poses.n_fix)
 
 
 def test_corrupt_poses_deterministic() -> None:
     poses = _truth_poses(100)
     a = corrupt_poses(poses, 0.01, 0.07, 8.0, seed=9)
     b = corrupt_poses(poses, 0.01, 0.07, 8.0, seed=9)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.p.as_array(), pb.p.as_array())
-        assert np.array_equal(pa.q.as_array(), pb.q.as_array())
+    assert np.array_equal(a.p, b.p)
+    assert np.array_equal(a.q, b.q)
 
 
 def test_corrupt_poses_stationary_magnitude() -> None:
@@ -511,10 +517,12 @@ def test_corrupt_poses_stationary_magnitude() -> None:
     # a long stream must track the requested sigma closely
     poses = _truth_poses(4000)
     out = corrupt_poses(poses, 0.02, 0.2, 0.01, seed=11)
-    dp = np.array([(o.p - p.p).as_array() for o, p in zip(out, poses)])
-    sd = dp.std(axis=0)
+    sd = (out.p - poses.p).std(axis=0)
     assert np.all(np.abs(sd - 0.02) < 0.002)
-    angles = np.array([math.degrees(quat_angle(o.q, p.q)) for o, p in zip(out, poses)])
+    angles = np.array([
+        math.degrees(quat_angle(UnitQuaternion(*a), UnitQuaternion(*b)))
+        for a, b in zip(out.q.tolist(), poses.q.tolist())
+    ])
     # total small-rotation angle for 3 iid axis errors of SD 0.2 deg
     want_rms = 0.2 * math.sqrt(3.0)
     assert abs(math.sqrt(np.mean(angles**2)) - want_rms) < 0.05 * want_rms
@@ -523,7 +531,7 @@ def test_corrupt_poses_stationary_magnitude() -> None:
 def test_corrupt_poses_correlated_over_tau() -> None:
     poses = _truth_poses(2000)
     out = corrupt_poses(poses, 0.01, 0.0, 20.0, seed=13)
-    de = np.array([(o.p - p.p).as_array()[0] for o, p in zip(out, poses)])
+    de = out.p[:, 0] - poses.p[:, 0]
     # lag-1 (0.1 s) autocorrelation of a tau=20 s process is ~exp(-0.005)
     r1 = float(np.corrcoef(de[:-1], de[1:])[0, 1])
     assert r1 > 0.98
@@ -537,3 +545,22 @@ def test_corrupt_poses_validation() -> None:
         corrupt_poses(poses, 0.0, -0.1, 8.0, seed=0)
     with pytest.raises(ValidationError):
         corrupt_poses(poses, 0.0, 0.0, 0.0, seed=0)
+
+
+def test_corrupt_poses_rejects_decreasing_times() -> None:
+    # an unchecked record with time running backwards would make the
+    # Gauss-Markov step's decay factor exceed 1
+    poses = _truth_poses(5)
+    backwards = Poses(poses.t[::-1].copy(), poses.p, poses.q, poses.n_fix)
+    with pytest.raises(ValidationError, match="pose times must be finite and strictly increasing"):
+        corrupt_poses(backwards, 0.01, 0.07, 8.0, seed=0)
+
+
+def test_corrupt_poses_keeps_missing_rows_missing() -> None:
+    poses = _truth_poses(4)
+    p, q = poses.p.copy(), poses.q.copy()
+    p[1], q[2] = math.nan, math.nan
+    out = corrupt_poses(Poses.checked(poses.t, p, q, poses.n_fix), 0.01, 0.07, 8.0, seed=0)
+    assert np.isnan(out.p[1]).all() and np.isnan(out.q[2]).all()
+    assert np.isfinite(np.delete(out.p, 1, axis=0)).all()
+    assert np.isfinite(np.delete(out.q, 2, axis=0)).all()

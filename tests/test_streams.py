@@ -14,7 +14,7 @@ from mgp import (
     FixModel,
     InputError,
     NoiseModel,
-    PoseRow,
+    Poses,
     Satellite,
     ScenarioConfig,
     UnitQuaternion,
@@ -26,7 +26,6 @@ from mgp import (
     load_calibration,
     load_reflectors,
     load_scenario,
-    poses_for_georef,
     read_epochs,
     read_poses,
     read_scan,
@@ -395,53 +394,63 @@ def test_read_scan_rejects_non_finite_times(tmp_path: Path, row: str, message: s
 # -- pose CSV -----------------------------------------------------------------------
 
 
-def _rows() -> list[PoseRow]:
-    q = euler_to_quat(1.0, -2.0, 33.0)
-    return [
-        PoseRow(t=0.0, p=Vec3(1.0, 2.0, 3.0), q=q, n_fix=6),
-        PoseRow(t=0.1, p=None, q=None, n_fix=0),
-        PoseRow(t=0.2, p=Vec3(1.1, 2.1, 3.1), q=None, n_fix=2),
-    ]
+NAN3, NAN4 = [math.nan] * 3, [math.nan] * 4
+
+
+def _poses() -> Poses:
+    q = euler_to_quat(1.0, -2.0, 33.0).as_array()
+    return Poses.checked(
+        np.array([0.0, 0.1, 0.2]),
+        np.array([[1.0, 2.0, 3.0], NAN3, [1.1, 2.1, 3.1]]),
+        np.array([q, NAN4, NAN4]),
+        np.array([6, 0, 2]),
+    )
 
 
 def test_pose_csv_round_trip(tmp_path: Path) -> None:
-    rows = _rows()
+    poses = _poses()
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    assert write_poses(str(p1), rows) == 3
+    assert write_poses(str(p1), poses) == 3
     back = read_poses(str(p1))
     write_poses(str(p2), back)
     assert p1.read_bytes() == p2.read_bytes()
-    assert [r.t for r in back] == [0.0, 0.1, 0.2]
-    assert back[1].p is None and back[1].q is None
-    assert back[2].p is not None and back[2].q is None
-    assert np.array_equal(back[0].q.as_array(), rows[0].q.as_array())
-    assert [r.n_fix for r in back] == [6, 0, 2]
-    assert [r.att_available for r in back] == [True, False, False]
+    assert back.t.tolist() == [0.0, 0.1, 0.2]
+    assert np.isnan(back.p[1]).all() and np.isnan(back.q[1]).all()
+    assert np.isfinite(back.p[2]).all() and np.isnan(back.q[2]).all()
+    assert np.array_equal(back.q[0], poses.q[0])
+    assert back.n_fix.tolist() == [6, 0, 2]
+    assert back.complete.tolist() == [True, False, False]
 
 
 def test_pose_csv_att_available_follows_quaternion(tmp_path: Path) -> None:
-    # a stored flag could say 1 over empty quaternion cells, which the
-    # reader then rejects; derived from q, the row cannot disagree with itself
-    with pytest.raises(TypeError):
-        PoseRow(t=0.0, p=None, q=None, n_fix=0, att_available=True)
-    q = euler_to_quat(0.0, 0.0, 90.0)
-    rows = [PoseRow(t=0.0, p=None, q=None, n_fix=0), PoseRow(t=0.1, p=None, q=q, n_fix=3)]
+    # the flag is written from the quaternion row, so it cannot say 1 over
+    # empty quaternion cells, which the reader would reject
+    q = euler_to_quat(0.0, 0.0, 90.0).as_array()
+    poses = Poses.checked(np.array([0.0, 0.1]), np.array([NAN3, NAN3]), np.array([NAN4, q]),
+                          np.array([0, 3]))
     path = tmp_path / "p.csv"
-    write_poses(str(path), rows)
+    write_poses(str(path), poses)
     assert path.read_text().splitlines()[1:] == [
         "0.0,,,,,,,,0,0",
-        "0.1,,,," + ",".join(repr(c) for c in q.as_array().tolist()) + ",3,1",
+        "0.1,,,," + ",".join(repr(c) for c in q.tolist()) + ",3,1",
     ]
     back = read_poses(str(path))
-    assert [r.att_available for r in back] == [False, True]
-    assert back[1].q == q and back[0].q is None
+    assert np.isnan(back.q[0]).all() and np.array_equal(back.q[1], q)
 
 
 def test_pose_csv_header_exact(tmp_path: Path) -> None:
     path = tmp_path / "p.csv"
-    write_poses(str(path), [])
+    write_poses(str(path), _poses().select(np.zeros(3, dtype=bool)))
     assert path.read_text() == "t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n"
+    assert len(read_poses(str(path))) == 0
+
+
+def test_read_poses_normalizes_near_unit_quaternions(tmp_path: Path) -> None:
+    # within POSE_QUAT_NORM_TOL of 1 a quaternion is read as the unit one
+    path = tmp_path / "p.csv"
+    path.write_text("t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n0.0,,,,0.0,0.0,0.0,1.0000005,0,1\n")
+    assert read_poses(str(path)).q.tolist() == [[0.0, 0.0, 0.0, 1.0]]
 
 
 def test_pose_csv_rejects_bad_files(tmp_path: Path) -> None:
@@ -460,7 +469,7 @@ def test_pose_csv_rejects_bad_files(tmp_path: Path) -> None:
 @pytest.mark.parametrize(
     "row, message",
     [
-        ("0.0,nan,2.0,3.0,0.0,0.0,0.0,1.0,6,1", "Vec3 components must be finite"),
+        ("0.0,nan,2.0,3.0,0.0,0.0,0.0,1.0,6,1", "position must be finite"),
         ("0.0,1.0,2.0,3.0,0.0,nan,0.0,1.0,6,1", "quaternion norm nan"),
         ("nan,1.0,2.0,3.0,0.0,0.0,0.0,1.0,6,1", "pose timestamp must be finite"),
     ],
@@ -492,11 +501,14 @@ def test_read_poses_non_finite_cell_names_path_and_line(
         ("0.2,,,,0.0,0.0,,1.0,0,1", "quaternion cells must be all empty or all filled"),
         ("0.2,1_0,2.0,3.0,,,,,2,0", "'1_0' is not a number"),
         (" 0.2,1.0,2.0,3.0,,,,,2,0", "' 0.2' is not a number"),
+        ("0.2,1.0,2.0,3.0,2.0,0.0,0.0,0.0,6,1", "quaternion norm 2.0 is not 1 within 1e-06"),
+        ("0.2,1.0,2.0,3.0,,,,,1234567890123456,0", "n_fix 1234567890123456 is too large"),
     ],
     ids=[
         "att-x", "att-1-no-quaternion", "att-0-with-quaternion", "n-fix-negative",
         "n-fix-fraction", "time-repeated", "time-decreasing", "position-partial",
-        "quaternion-partial", "digit-separator", "padded-time",
+        "quaternion-partial", "digit-separator", "padded-time", "quaternion-not-unit",
+        "n-fix-too-large",
     ],
 )
 def test_read_poses_rejects_inconsistent_rows(tmp_path: Path, row: str, message: str) -> None:
@@ -505,12 +517,6 @@ def test_read_poses_rejects_inconsistent_rows(tmp_path: Path, row: str, message:
     path.write_text(f"t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n{good}\n{row}\n")
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {re.escape(message)}$"):
         read_poses(str(path))
-
-
-def test_poses_for_georef_filters_incomplete_rows() -> None:
-    poses = poses_for_georef(_rows())
-    assert len(poses) == 1
-    assert poses[0].t == 0.0
 
 
 # -- config loaders ---------------------------------------------------------------
