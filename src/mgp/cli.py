@@ -170,8 +170,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_antennas(argv: list[str]) -> list[str]:
+    """``--antennas X`` as ``--antennas=X``, so that a value such as ``-1,3``
+    reaches the id check instead of being read as an option (a value
+    starting ``--`` is left to argparse)."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--antennas" and not arg.startswith("--"):
+            out[-1] = f"--antennas={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_glue_antennas(argv))
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -21,6 +21,11 @@ from .errors import ValidationError
 
 UNIT_NORM_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-9
+# How far from 1 the norm of a quaternion read from a file may be (pose CSV,
+# epoch truth, calibration and scenario configs): the writers put it within
+# a few 1e-16, and seven significant digits stay within this. A reader
+# rejects a quaternion outside it instead of normalizing it away.
+QUAT_READ_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,22 @@ class UnitQuaternion:
 
     def conjugate(self) -> UnitQuaternion:
         return UnitQuaternion.from_array([-self.qx, -self.qy, -self.qz, self.qw])
+
+
+def check_read_norm(q: list[float], what: str) -> None:
+    """Raise ValidationError unless ``[qx, qy, qz, qw]`` read from a file has
+    a norm within :data:`QUAT_READ_TOL` of 1."""
+    norm = math.hypot(*q)
+    # negated so that a NaN norm fails too
+    if not abs(norm - 1.0) <= QUAT_READ_TOL:
+        raise ValidationError(f"{what} norm {norm!r} is not 1 within {QUAT_READ_TOL}")
+
+
+def read_quaternion(q: list[float], what: str = "quaternion") -> UnitQuaternion:
+    """A quaternion read from a file, checked by :func:`check_read_norm` and
+    normalized, its sign kept."""
+    check_read_norm(q, what)
+    return UnitQuaternion.from_array(q, canonicalize=False)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Any, Callable, TypeVar
 
 import numpy as np
 
-from .core import AntennaLayout, UnitQuaternion, Vec3, hexagon_layout
+from .core import AntennaLayout, UnitQuaternion, Vec3, hexagon_layout, read_quaternion
 from .errors import ConfigurationError, InputError, ValidationError
 
 _NUMBER = frozenset((int, float))
@@ -57,7 +57,9 @@ def floats(
     ``nulls``, a JSON null reads as NaN and is the only non-finite value."""
     flat = _leaves(values, what, width, _NUMBER_OR_NULL if nulls else _NUMBER, "numbers")
     a = _array(values, flat, np.float64, what, width)
-    if np.count_nonzero(~np.isfinite(a)) != (flat.count(None) if nulls else 0):
+    bad = np.count_nonzero(~np.isfinite(a))
+    # a null reads as NaN: count the nulls only when there is a NaN to explain
+    if bad and bad != (flat.count(None) if nulls else 0):
         raise ValidationError(f"{what} must be finite")
     return a
 
@@ -119,7 +121,7 @@ _SCALARS = {bool: flag, int: integer, float: number, str: string}
 _ARRAYS = {int: integers, float: floats}
 _POINTS = {
     Vec3: (3, lambda v: Vec3(*v)),
-    UnitQuaternion: (4, lambda v: UnitQuaternion.from_array(v, canonicalize=False)),
+    UnitQuaternion: (4, read_quaternion),
 }
 
 
@@ -133,7 +135,8 @@ def decode(cls: type[T], obj: Any, where: str) -> T:
 
     Each field is one key, read by its type hint: ``bool``, ``int``,
     ``float`` and ``str`` by the rules above, an enum by its value, a
-    :class:`Vec3` as 3 numbers, a :class:`UnitQuaternion` as 4 (normalized),
+    :class:`Vec3` as 3 numbers, a :class:`UnitQuaternion` as 4 of unit norm
+    within :data:`mgp.core.QUAT_READ_TOL` (then normalized),
     ``X | None`` as null or an X, ``tuple[X, ...]`` and fixed-length tuples
     as arrays, and a nested dataclass as an object. An
     :class:`AntennaLayout` is ``{"body_positions": [...]}`` or

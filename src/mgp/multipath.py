@@ -178,6 +178,17 @@ def _spread(dbhz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(count >= 2, np.sqrt(var / count), np.nan), count
 
 
+def classify(
+    dbhz: np.ndarray, threshold_dbhz: float, min_count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``sigma_snr``, ``n_antennas`` and ``verdict`` columns of a
+    :class:`MultipathReport` for the rows of ``dbhz``. Each row is scored on
+    its own, so the rows of several epochs stacked score as each epoch alone."""
+    sigma, count = _spread(dbhz)
+    flagged = sigma > threshold_dbhz
+    return sigma, count, np.where(count < min_count, 2, flagged.astype(np.int8))
+
+
 def snr_sd(values: Sequence[float]) -> float:
     """Population standard deviation (divide by N, not N-1)."""
     if len(values) < 2:
@@ -206,8 +217,6 @@ def detect_multipath(
     if len(set(sat_ids)) != len(sat_ids):
         dup = next(s for k, s in enumerate(sat_ids) if s in sat_ids[:k])
         raise ValidationError(f"duplicate SNR row for satellite {dup}")
-    sigma, count = _spread(snr.dbhz)
-    flagged = sigma > threshold_dbhz
-    verdict = np.where(count < min_count, 2, flagged.astype(np.int8))
-    excluded = frozenset(compress(sat_ids, ((count >= min_count) & flagged).tolist()))
+    sigma, count, verdict = classify(snr.dbhz, threshold_dbhz, min_count)
+    excluded = frozenset(compress(sat_ids, (verdict == 1).tolist()))
     return MultipathReport(sat_ids, sigma, count, verdict, excluded)

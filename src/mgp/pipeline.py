@@ -10,13 +10,17 @@ Per-antenna fix rates and the plain hybrid fix rate are always computed from
 the observed (pre-feedback) statuses so the feedback gain stays visible next
 to them.
 
-Stages (1) and (2) run per epoch as the stream arrives, together with every
-check that can skip an epoch. ``run`` then takes the surviving epochs
-through stages (3) and (4) in blocks of at most ``BLOCK_PAIRS`` pair
-hypotheses, with one call of the consensus kernel and one position fusion
-per block; ``process_epoch`` is the same chain on a block of one, and no
-output depends on where the blocks fall. ``run`` returns the stream's poses
-as one :class:`mgp.mapping.Poses` record of arrays, built block by block.
+``run`` takes stages (1) and (2), with every check that can skip an epoch,
+over blocks of up to ``streams.READ_BLOCK`` epochs as the stream arrives:
+one array pass per check over the block's rows (:class:`_FrontBlock`). An
+epoch that a block check flags goes through the per-epoch :func:`_front`,
+which gives the exact outcome, and an epoch that needs requery is replayed
+on its own. ``run`` then takes the surviving epochs through stages (3) and
+(4) in blocks of at most ``BLOCK_PAIRS`` pair hypotheses, with one call of
+the consensus kernel and one position fusion per block; ``process_epoch``
+is the same chain on a block of one, and no output depends on where any of
+the blocks fall. ``run`` returns the stream's poses as one
+:class:`mgp.mapping.Poses` record of arrays, built block by block.
 
 A fix rate here is the share of epochs in which a solution of the given
 kind existed: an antenna's rate counts its FIXED epochs, the hybrid rate
@@ -27,13 +31,14 @@ result does not depend on epoch processing order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from . import jsonvals
+from . import jsonvals, streams
 from .attitude import AttitudeSolution, Baselines, body_to_enu
 from .core import AntennaLayout, euler_from_matrix, hexagon_layout, quat_to_matrix
 from .epochs import EpochRecord, requery_epoch
@@ -49,6 +54,7 @@ from .multipath import (
     DEFAULT_MIN_ANTENNA_COUNT,
     DEFAULT_SD_THRESHOLD_DBHZ,
     MultipathReport,
+    classify,
     detect_multipath,
 )
 from .positioning import (
@@ -184,6 +190,23 @@ def _active(
     return fixes.select(mask[fixes.ids]), baselines.select(mask[baselines.pairs].all(axis=1))
 
 
+def _feedback(
+    epoch: EpochRecord, report: MultipathReport, config: PipelineConfig
+) -> tuple[Fixes, Baselines] | None:
+    """Stage (2): the active fixes and baselines replayed without the
+    excluded satellites, or None when feedback is off, nothing was excluded
+    or the epoch carries no requery record."""
+    truth = epoch.truth
+    if not (
+        config.multipath_feedback
+        and report.excluded_sats
+        and truth is not None
+        and truth.requery is not None
+    ):
+        return None
+    return _active(*requery_epoch(epoch, report.excluded_sats, config.layout), config)
+
+
 def _front(
     epoch: EpochRecord, config: PipelineConfig
 ) -> tuple[Fixes, Baselines, MultipathReport]:
@@ -200,20 +223,115 @@ def _front(
     snr = epoch.snr_rows
     if config.antenna_subset is not None:
         snr = snr.columns(config.active_mask[1:])
-
     report = detect_multipath(snr, config.multipath.threshold_dbhz, config.multipath.min_count)
-
-    if (
-        config.multipath_feedback
-        and report.excluded_sats
-        and epoch.truth is not None
-        and epoch.truth.requery is not None
-    ):
-        fixes, baselines = _active(
-            *requery_epoch(epoch, report.excluded_sats, config.layout), config
-        )
+    replayed = _feedback(epoch, report, config)
+    if replayed is not None:
+        fixes, baselines = replayed
     check_unique_ids(fixes)
     return fixes, baselines, report
+
+
+def _ends(epoch_of_row: np.ndarray, n_epochs: int) -> list[int]:
+    """Row bounds of each epoch in a block: epoch k holds rows
+    ``ends[k]:ends[k + 1]`` of rows sorted by ``epoch_of_row``."""
+    return [0, *np.cumsum(np.bincount(epoch_of_row, minlength=n_epochs)).tolist()]
+
+
+class _FrontBlock:
+    """Stages (1) and (2) of a block of epochs, each step one array pass over
+    the block's concatenated rows: the layout and SNR width checks, the
+    subset masks, the SNR spread, and the search for duplicate satellite
+    and antenna ids.
+
+    ``flagged[k]`` marks an epoch that one of these checks finds at fault
+    (or may: a duplicate among an epoch's raw satellites); :func:`_front`
+    takes such an epoch on its own, for its exact outcome. Every other epoch
+    gets its active fixes, its consensus candidates and its detection report
+    as slices of the block's arrays from :meth:`epoch`.
+    """
+
+    def __init__(self, epochs: list[EpochRecord], config: PipelineConfig) -> None:
+        n = config.layout.antenna_count
+        active = config.active_mask
+        n_epochs = len(epochs)
+        flagged = np.zeros(n_epochs, dtype=bool)
+
+        fixes = [e.fixes for e in epochs]
+        ids = np.concatenate([f.ids for f in fixes])
+        fix_epoch = np.repeat(np.arange(n_epochs), [len(f.ids) for f in fixes])
+        known = (ids >= 1) & (ids <= n)
+        flagged[fix_epoch[~known]] = True
+        use = active[np.where(known, ids, 0)]
+        ids, fix_epoch = ids[use], fix_epoch[use]
+        seen = np.bincount(fix_epoch * (n + 1) + ids, minlength=n_epochs * (n + 1))
+        flagged |= (seen.reshape(n_epochs, n + 1) > 1).any(axis=1)
+        grade = np.concatenate([f.grade for f in fixes])[use]
+        self.fixes = Fixes(
+            ids, grade, np.concatenate([f.p for f in fixes])[use],
+            np.concatenate([f.sats_used for f in fixes])[use],
+        )
+        self.fix_ends = _ends(fix_epoch, n_epochs)
+        # the raw fixed antennas _Tally counts
+        self.raw_fixed = ids[grade == 2], fix_epoch[grade == 2]
+
+        baselines = [e.baselines for e in epochs]
+        pairs = np.concatenate([b.pairs for b in baselines])
+        pair_epoch = np.repeat(np.arange(n_epochs), [len(b.pairs) for b in baselines])
+        known = ((pairs >= 1) & (pairs <= n)).all(axis=1)
+        flagged[pair_epoch[~known]] = True
+        fixed = np.concatenate([b.fixed for b in baselines])
+        keep = known & fixed & active[np.where(known[:, None], pairs, 0)].all(axis=1)
+        self.candidates = Baselines(
+            pairs[keep], np.concatenate([b.v for b in baselines])[keep],
+            np.concatenate([b.w for b in baselines])[keep], fixed[keep],
+        )
+        self.candidate_ends = _ends(pair_epoch[keep], n_epochs)
+
+        tables = [e.snr_rows for e in epochs]
+        fits = [t.dbhz.shape[1] == n for t in tables]
+        flagged |= [bool(t.sat_ids) and not ok for t, ok in zip(tables, fits)]
+        flagged |= [len(set(t.sat_ids)) != len(t.sat_ids) for t in tables]
+        fitting = [t for t, ok in zip(tables, fits) if ok]
+        dbhz = np.concatenate([t.dbhz for t in fitting] + [np.empty((0, n))])
+        sats = tuple(itertools.chain.from_iterable(t.sat_ids for t in fitting))
+        snr_epoch = np.repeat(np.flatnonzero(fits), [len(t.sat_ids) for t in fitting])
+        if config.antenna_subset is not None:
+            dbhz = dbhz[:, active[1:]]
+            tracked = ~np.isnan(dbhz).all(axis=1)
+            dbhz, snr_epoch = dbhz[tracked], snr_epoch[tracked]
+            sats = tuple(itertools.compress(sats, tracked.tolist()))
+        self.sats = sats
+        self.sigma, self.count, self.verdict = classify(
+            dbhz, config.multipath.threshold_dbhz, config.multipath.min_count
+        )
+        self.snr_ends = _ends(snr_epoch, n_epochs)
+        self.excluding = np.bincount(snr_epoch[self.verdict == 1], minlength=n_epochs) > 0
+        self.flagged = flagged.tolist()
+
+    def report(self, k: int) -> MultipathReport:
+        """The detection report of epoch k, as :func:`detect_multipath` gives it."""
+        a, b = self.snr_ends[k], self.snr_ends[k + 1]
+        sats, verdict = self.sats[a:b], self.verdict[a:b]
+        excluded = frozenset()
+        if self.excluding[k]:
+            excluded = frozenset(itertools.compress(sats, (verdict == 1).tolist()))
+        return MultipathReport(sats, self.sigma[a:b], self.count[a:b], verdict, excluded)
+
+    def epoch(
+        self, k: int, epoch: EpochRecord, config: PipelineConfig
+    ) -> tuple[Fixes, Baselines, MultipathReport]:
+        """Stages (1) and (2) of unflagged epoch k: its active fixes, its
+        consensus candidates (the fixed active baselines) and its report."""
+        report = self.report(k)
+        replayed = _feedback(epoch, report, config)
+        if replayed is not None:
+            return replayed[0], replayed[1].fixed_only(), report
+        a, b = self.fix_ends[k], self.fix_ends[k + 1]
+        f = self.fixes
+        fixes = Fixes(f.ids[a:b], f.grade[a:b], f.p[a:b], f.sats_used[a:b])
+        a, b = self.candidate_ends[k], self.candidate_ends[k + 1]
+        c = self.candidates
+        return fixes, Baselines(c.pairs[a:b], c.v[a:b], c.w[a:b], c.fixed[a:b]), report
 
 
 def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
@@ -386,16 +504,18 @@ class _Tally:
             np.empty(0), np.empty((0, 3)), np.empty((0, 4)), np.empty(0, np.int64), np.empty((0, 7))
         )]
 
+    def fixed(self, front: _FrontBlock, passed: np.ndarray) -> None:
+        """The observed (raw) fixed active antennas of the epochs of a front
+        block that passed the front half, given as a bool per epoch."""
+        ids, epoch = front.raw_fixed
+        keep = passed[epoch]
+        self.fixed_counts += np.bincount(ids[keep], minlength=len(self.active))
+        self.raw_any += np.count_nonzero(np.bincount(epoch[keep]))
+
     def front(self, epoch: EpochRecord, report: MultipathReport) -> None:
-        """An epoch that passed the front half: its observed fix counts and
-        its detection score against the truth channel."""
+        """An epoch that passed the front half: its detection score against
+        the truth channel."""
         self.n_proc += 1
-        # _front has checked that every antenna id is in the layout
-        raw_ids = epoch.fixes.ids[epoch.fixes.fixed]
-        raw_ids = raw_ids[self.active[raw_ids]]
-        self.fixed_counts += np.bincount(raw_ids, minlength=len(self.active))
-        if len(raw_ids):
-            self.raw_any += 1
         if epoch.truth is not None:
             self.truth_seen = True
             self.requery_seen |= epoch.truth.requery is not None
@@ -446,6 +566,48 @@ class _Tally:
         return metrics, poses
 
 
+def _chunks(
+    epochs: Iterable[EpochRecord], diags: list[str]
+) -> Iterator[tuple[list[EpochRecord], list[int]]]:
+    """The stream in lists of up to ``READ_BLOCK`` epochs, each epoch with
+    ``len(diags)`` as it was pulled: the place of its own diagnostics among
+    those a shared reader adds. A fault of the stream itself is raised once
+    the epochs before it have been handed out."""
+    it = iter(epochs)
+    while True:
+        chunk: list[EpochRecord] = []
+        marks: list[int] = []
+        try:
+            for epoch in it:
+                chunk.append(epoch)
+                marks.append(len(diags))
+                if len(chunk) >= streams.READ_BLOCK:
+                    break
+        except Exception:
+            if chunk:
+                yield chunk, marks
+            raise
+        if not chunk:
+            return
+        yield chunk, marks
+
+
+def _interleave(diags: list[str], notes: list[tuple[int, str]]) -> None:
+    """Put each ``(place, message)`` of ``notes`` (places in order) into
+    ``diags`` at the place it names, ahead of the entries added since."""
+    if not notes:
+        return
+    start = notes[0][0]
+    later = diags[start:]
+    del diags[start:]
+    at = start
+    for place, message in notes:
+        diags += later[at - start:place - start]
+        diags.append(message)
+        at = place
+    diags += later[at - start:]
+
+
 def run(
     epochs: Iterable[EpochRecord],
     config: PipelineConfig,
@@ -454,16 +616,22 @@ def run(
 ) -> RunResult:
     """Process a stream and accumulate the metrics report.
 
-    Each epoch goes through the per-epoch front half (checks, subset,
-    detection, feedback), where every skip is decided; the survivors then go
-    to consensus attitude and position in blocks of at most ``BLOCK_PAIRS``
-    pair hypotheses. Results match :func:`process_epoch` epoch by epoch.
+    The front half (checks, subset, detection, feedback), where every skip
+    is decided, runs over blocks of up to ``streams.READ_BLOCK`` epochs
+    pulled from ``epochs`` (:class:`_FrontBlock`): one array pass per step
+    over the block's rows. An epoch that a block check flags goes through
+    the per-epoch :func:`_front` instead, and one that needs requery is
+    replayed on its own. The timestamp check runs epoch by epoch in stream
+    order. The survivors then go to consensus attitude and position in
+    blocks of at most ``BLOCK_PAIRS`` pair hypotheses. Results match
+    :func:`process_epoch` epoch by epoch, wherever the blocks fall.
 
     Per-epoch validation problems skip the epoch (with a diagnostic) and
     never abort the stream; configuration-level problems do abort. The
     ``diagnostics`` list may be shared with a skip-tolerant reader so parse
-    skips and processing skips are counted together; ``skipped`` counts the
-    entries added while this call runs, not those already in the list.
+    skips and processing skips are counted together, in stream order;
+    ``skipped`` counts the entries added while this call runs, not those
+    already in the list.
     """
     diags = diagnostics if diagnostics is not None else []
     first_diag = len(diags)
@@ -481,33 +649,48 @@ def run(
         tally.blocks.append((stamp[:, 0], p, q, n_fix, stamp[:, 1:]))
 
     last_t: float | None = None
-    for idx, epoch in enumerate(epochs):
-        if last_t is not None and epoch.t <= last_t:
-            diags.append(f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped")
-            continue
-        try:
-            fixes, baselines, report = _front(epoch, config)
-        except (ValidationError, InputError, InsufficientDataError) as exc:
-            diags.append(f"epoch {idx} (t={epoch.t!r}): {exc}")
-            continue
-        last_t = epoch.t
-        tally.front(epoch, report)
-        candidates: Baselines | None = baselines.fixed_only()
-        m = len(candidates)
-        if m < params.min_inliers:
-            candidates, m = None, 0
-        pairs = m * (m - 1) // 2
-        if block and block_pairs + pairs > BLOCK_PAIRS:
-            solve()
-            block, stamps, block_pairs = [], [], 0
-        block.append((fixes, candidates))
-        truth = epoch.truth
-        if truth is None:
-            stamps.append([epoch.t] + [math.nan] * 7)
-        else:
-            q, p = truth.attitude, truth.position
-            stamps.append([epoch.t, q.qx, q.qy, q.qz, q.qw, p.x, p.y, p.z])
-        block_pairs += pairs
+    idx = -1
+    for chunk, marks in _chunks(epochs, diags):
+        front = _FrontBlock(chunk, config)
+        passed = np.zeros(len(chunk), dtype=bool)
+        notes: list[tuple[int, str]] = []
+        for k, epoch in enumerate(chunk):
+            idx += 1
+            if last_t is not None and epoch.t <= last_t:
+                message = f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped"
+                notes.append((marks[k], message))
+                continue
+            try:
+                if front.flagged[k]:
+                    fixes, baselines, report = _front(epoch, config)
+                    candidates: Baselines | None = baselines.fixed_only()
+                else:
+                    fixes, candidates, report = front.epoch(k, epoch, config)
+            except (ValidationError, InputError, InsufficientDataError) as exc:
+                notes.append((marks[k], f"epoch {idx} (t={epoch.t!r}): {exc}"))
+                continue
+            last_t = epoch.t
+            passed[k] = True
+            tally.front(epoch, report)
+            m = len(candidates)
+            if m < params.min_inliers:
+                candidates, m = None, 0
+            pairs = m * (m - 1) // 2
+            if block and block_pairs + pairs > BLOCK_PAIRS:
+                solve()
+                block, stamps, block_pairs = [], [], 0
+            block.append((fixes, candidates))
+            truth = epoch.truth
+            if truth is None:
+                stamps.append([epoch.t] + [math.nan] * 7)
+            else:
+                q, p = truth.attitude, truth.position
+                stamps.append([epoch.t, q.qx, q.qy, q.qz, q.qw, p.x, p.y, p.z])
+            block_pairs += pairs
+        tally.fixed(front, passed)
+        _interleave(diags, notes)
+        # let this block's epochs go before the next block is read
+        del chunk, front
     if block:
         solve()
     metrics, poses = tally.report(config, skipped=len(diags) - first_diag)

@@ -7,18 +7,22 @@ and the whole stream as one block give byte-identical metrics and bitwise
 identical poses, and so does the reference below, which takes the stream through
 ``process_epoch`` one epoch at a time, with bad epochs placed at block edges
 and inside blocks. Under both, the consensus kernel gives bitwise the same
-result for an epoch in a block as for that epoch alone.
+result for an epoch in a block as for that epoch alone. The same holds for
+the blocks of ``mgp.streams.READ_BLOCK`` lines that the reader decodes and
+``run``'s front half takes.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 
 import mgp
 import mgp.pipeline
+import mgp.streams
 from mgp import Baselines, PipelineConfig, RansacParams
 from mgp.errors import InputError, InsufficientDataError, ValidationError
 from mgp.robust import consensus
@@ -41,9 +45,12 @@ def streams(tmp_path_factory) -> dict[str, Path]:
     return out
 
 
-def _run(path: Path, config: PipelineConfig, cap: int | None, monkeypatch) -> tuple:
+def _run(
+    path: Path, config: PipelineConfig, cap: int | None, monkeypatch, read_block: int | None = None
+) -> tuple:
     """Metrics JSON, poses, diagnostics and the epoch count of every
-    consensus block of one ``estimate`` at block cap ``cap``."""
+    consensus block of one ``estimate`` at block cap ``cap`` and, when
+    given, ``read_block`` lines per reader block and front half block."""
     blocks: list[int] = []
     kernel = mgp.pipeline.consensus
 
@@ -54,6 +61,8 @@ def _run(path: Path, config: PipelineConfig, cap: int | None, monkeypatch) -> tu
     with monkeypatch.context() as m:
         if cap is not None:
             m.setattr(mgp.pipeline, "BLOCK_PAIRS", cap)
+        if read_block is not None:
+            m.setattr(mgp.streams, "READ_BLOCK", read_block)
         m.setattr(mgp.pipeline, "consensus", counting)
         diags: list[str] = []
         epochs = mgp.read_epochs(str(path), skip_malformed=True, diagnostics=diags)
@@ -176,15 +185,24 @@ EDITS = {
 }
 
 
-@pytest.mark.parametrize("name, subset, mid", CASES, ids=["multipath-all", "fixrate-1-3-5"])
-def test_bad_epochs_match_per_epoch_loop(streams, monkeypatch, tmp_path, name, subset, mid) -> None:
-    lines = streams[name].read_text().splitlines()
+def _bad_stream(clean: Path, path: Path, line_edits: dict | None = None) -> Path:
+    """The clean stream with EDITS applied, then each of ``line_edits``
+    (record index: function of the line) to its line."""
+    lines = clean.read_text().splitlines()
     records = [json.loads(line) for line in lines[1:]]
     assert len(records) == 60
     for k, edit in EDITS.items():
         edit(records, k)
-    path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+    out = [json.dumps(r) for r in records]
+    for k, edit in (line_edits or {}).items():
+        out[k] = edit(out[k])
+    path.write_text("\n".join([lines[0], *out]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("name, subset, mid", CASES, ids=["multipath-all", "fixrate-1-3-5"])
+def test_bad_epochs_match_per_epoch_loop(streams, monkeypatch, tmp_path, name, subset, mid) -> None:
+    path = _bad_stream(streams[name], tmp_path / "bad.jsonl")
 
     config = PipelineConfig(antenna_subset=subset)
     poses, diags, skipped = _per_epoch(path, config)
@@ -199,6 +217,62 @@ def test_bad_epochs_match_per_epoch_loop(streams, monkeypatch, tmp_path, name, s
         assert json.loads(metrics)["epochs"] == len(poses)
         if cap == mid:
             assert len(blocks) > 3 and max(blocks) > 1
+
+
+def _edit_line(edit) -> Callable[[str], str]:
+    def on_line(line: str) -> str:
+        record = json.loads(line)
+        edit(record)
+        return json.dumps(record)
+
+    return on_line
+
+
+def _drop_fix_key(record: dict) -> None:
+    del record["fixes"][0]["sats_used"]
+
+
+def _nan_baseline(record: dict) -> None:
+    record["baselines"][-1]["v"][2] = float("nan")
+
+
+def _string_flag(record: dict) -> None:
+    record["baselines"][0]["fixed"] = "true"
+
+
+# Reader faults on top of EDITS, placed for blocks of 3 lines, which start
+# at records 0, 3, 6, ... (a blank line does not count): a truncated line
+# ends the block that a mistyped line (9) starts, a missing key starts the
+# next block, a non-finite value ends a block just before a blank line, a
+# mistyped flag ends another, and a second non-finite value sits next to
+# the mistyped last line.
+LINE_EDITS = {
+    11: lambda line: line[: len(line) // 2],
+    12: _edit_line(_drop_fix_key),
+    29: _edit_line(_nan_baseline),
+    30: lambda line: "  \n" + line,
+    47: _edit_line(_string_flag),
+    58: _edit_line(_nan_baseline),
+}
+
+
+@pytest.mark.parametrize("name, subset, mid", CASES, ids=["multipath-all", "fixrate-1-3-5"])
+def test_read_blocks_do_not_change_outputs(streams, monkeypatch, tmp_path, name, subset, mid):
+    """Reader blocks (and the front half blocks of ``run``, which take one
+    reader block at a time) of one line, three lines, the default and the
+    whole stream give byte-identical metrics, equal poses and the same
+    diagnostics in the same order, which match the per-epoch loop's."""
+    path = _bad_stream(streams[name], tmp_path / "bad.jsonl", LINE_EDITS)
+    config = PipelineConfig(antenna_subset=subset)
+    poses, diags, skipped = _per_epoch(path, config)
+    # 9 from EDITS, 5 more bad lines (the blank line is no epoch)
+    assert skipped == 14
+    runs = [_run(path, config, None, monkeypatch, read_block) for read_block in (1, 3, None, 10**9)]
+    for metrics, got_poses, got_diags, _ in runs:
+        assert metrics == runs[0][0]
+        assert json.loads(metrics)["skipped"] == skipped
+        _assert_same_poses(got_poses, poses)
+        assert got_diags == diags
 
 
 def test_consensus_of_a_block_is_bitwise_its_blocks_of_one() -> None:

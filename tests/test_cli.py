@@ -160,7 +160,7 @@ def test_estimate_bad_antennas_value(tmp_path: Path, capsys) -> None:
 @pytest.mark.parametrize(
     "value, bad",
     [("1_0,3", "1_0"), ("1, 3", " 3"), ("３", "３"), ("1,,3", ""), ("1,3,", ""),
-     ("+3", "+3"), ("1,-3", "-3")],
+     ("+3", "+3"), ("1,-3", "-3"), ("-1,3", "-1")],
 )
 def test_estimate_antennas_accepts_only_ascii_digit_ids(
     tmp_path: Path, capsys, value: str, bad: str

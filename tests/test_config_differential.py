@@ -69,6 +69,9 @@ def _quat_from(obj: Any) -> UnitQuaternion:
     vals = [float(c) for c in obj]
     if len(vals) != 4:
         raise mgp.InputError("quaternion needs 4 components")
+    # a quaternion read from a file must have unit norm, not be normalized
+    if not abs(math.sqrt(sum(v * v for v in vals)) - 1.0) <= 1e-6:
+        raise ValidationError("quaternion norm is not 1")
     return UnitQuaternion.from_array(vals, canonicalize=False)
 
 
@@ -412,9 +415,16 @@ _LAYOUT = st.one_of(
 _KNOTS = st.lists(
     st.lists(_num(0.0, 30.0), min_size=2, max_size=2), min_size=1, max_size=3
 ).map(sorted)
+_QUAT = st.lists(_num(-1.0, 1.0), min_size=4, max_size=4)
 _MOUNT = _section(
     lever_arm=_vec(-1.0, 1.0),
-    boresight=st.lists(_num(-1.0, 1.0), min_size=4, max_size=4),
+    # mostly not of unit norm (rejected), sometimes normalized (accepted)
+    boresight=st.one_of(
+        _QUAT,
+        _QUAT.map(lambda q: (q, math.sqrt(sum(x * x for x in q))))
+        .filter(lambda qn: qn[1] > 0.1)
+        .map(lambda qn: [c / qn[1] for c in qn[0]]),
+    ),
 )
 
 SCENARIOS = st.fixed_dictionaries(

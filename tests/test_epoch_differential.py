@@ -398,18 +398,25 @@ def _reference(path: str, config: PipelineConfig) -> _Estimate:
 
 
 def _arrays(path: str, config: PipelineConfig, monkeypatch) -> _Estimate:
+    """``estimate`` on the arrays, with the verdicts of every epoch that
+    reached detection, in stream order: ``run``'s front half gives an
+    epoch's report from the block (``_FrontBlock.report``), or, for an epoch
+    a block check flags, from ``detect_multipath`` on the epoch alone."""
     verdicts: list[dict] = []
-    detect = mgp.pipeline.detect_multipath
 
-    def recording(*args):
-        report = detect(*args)
-        verdicts.append(
-            {s: (a.sigma_snr, a.n_antennas, a.verdict) for s, a in report.per_satellite.items()}
-        )
-        return report
+    def recording(detect):
+        def record(*args):
+            report = detect(*args)
+            verdicts.append(
+                {s: (a.sigma_snr, a.n_antennas, a.verdict) for s, a in report.per_satellite.items()}
+            )
+            return report
+
+        return record
 
     with monkeypatch.context() as m:
-        m.setattr(mgp.pipeline, "detect_multipath", recording)
+        m.setattr(mgp.pipeline, "detect_multipath", recording(mgp.pipeline.detect_multipath))
+        m.setattr(mgp.pipeline._FrontBlock, "report", recording(mgp.pipeline._FrontBlock.report))
         diags: list[str] = []
         result = mgp.run(mgp.read_epochs(path, skip_malformed=True, diagnostics=diags), config,
                          diagnostics=diags)

@@ -15,6 +15,7 @@ from mgp import (
     Fixes,
     FixSolution,
     FixStatus,
+    InputError,
     MultipathConfig,
     NoiseModel,
     PipelineConfig,
@@ -433,6 +434,28 @@ def test_run_counts_reader_skips_on_a_shared_list(tmp_path) -> None:
     result = run(epochs, PipelineConfig(), diagnostics=diags)
     assert (result.metrics.epochs, result.metrics.skipped) == (4, 1)
     assert diags[0] == "caller note" and diags[1].startswith(f"{path}:3: skipped epoch")
+
+
+def test_run_keeps_its_diagnostics_when_the_stream_fails() -> None:
+    """``run`` pulls epochs ahead in blocks; a stream that fails after some
+    epochs still gets the diagnostics of those epochs, in stream order,
+    before the failure propagates."""
+    epochs = list(simulate(_scenario(duration_s=0.5)))
+    diags = ["caller note"]
+
+    def failing():
+        yield from epochs[:3]
+        diags.append("reader note")
+        yield epochs[1]
+        raise InputError("e.jsonl:7: bad line")
+
+    with pytest.raises(InputError, match="bad line"):
+        run(failing(), PipelineConfig(), diagnostics=diags)
+    assert diags == [
+        "caller note",
+        "reader note",
+        f"epoch 3: non-increasing timestamp {epochs[1].t!r}, skipped",
+    ]
 
 
 def test_metrics_json_rounding() -> None:

@@ -282,7 +282,10 @@ def test_array_path_writes_the_object_path_bytes(tmp_path: Path, name: str) -> N
     poses = mgp.corrupt_poses(truth, sigma_pos_m=0.01, sigma_att_deg=0.07, tau_s=8.0, seed=3)
     pose_csv = tmp_path / "poses.csv"
     mgp.write_poses(str(pose_csv), poses)
-    calib = {"lever_arm": [0.1, -0.05, -0.2], "boresight": [0.01, -0.02, 0.005, 1.0]}
+    # a calibration quaternion must have unit norm: the same small rotation,
+    # normalized before it is written
+    boresight = mgp.UnitQuaternion.from_array([0.01, -0.02, 0.005, 1.0]).as_array().tolist()
+    calib = {"lever_arm": [0.1, -0.05, -0.2], "boresight": boresight}
     calib_json = tmp_path / "calib.json"
     calib_json.write_text(json.dumps(calib))
     truths = [r.position for r in cfg.reflectors]

@@ -18,6 +18,7 @@ from mgp import (
     Satellite,
     ScenarioConfig,
     UnitQuaternion,
+    ValidationError,
     Vec3,
     bundled_scenario_path,
     epoch_from_dict,
@@ -279,6 +280,101 @@ def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str)
     assert len(diags) == 1 and diags[0].startswith(f"{path}:3: skipped epoch")
 
 
+def test_block_decoder_checks_each_epoch_on_its_own() -> None:
+    """Epochs that each name every antenna pair decode as one block, into
+    the arrays each gives alone; a pair named twice in one epoch fails it."""
+    dicts = [json.loads(json.dumps(epoch_to_dict(e))) for e in simulate(_scenario(duration_s=0.5))]
+    block = mgp.streams._decode(dicts)
+    for got, d in zip(block, dicts, strict=True):
+        alone = epoch_from_dict(d)
+        assert got.t == alone.t and got.snr_rows.sat_ids == alone.snr_rows.sat_ids
+        for name in ("fixes", "baselines", "snr_rows"):
+            for a, b in zip(vars(getattr(got, name)).values(), vars(getattr(alone, name)).values()):
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    pairs = dicts[2]["baselines"]
+    pairs[1]["antenna_pair"] = pairs[0]["antenna_pair"][::-1]
+    with pytest.raises(ValidationError, match="baseline antenna pairs must be unordered-unique"):
+        mgp.streams._decode(dicts)
+
+
+def _two_faults(first: str, second: str):
+    edits = {
+        "t-true": lambda r: r.update(t=True),
+        "no-w": lambda r: r["baselines"][0].pop("w"),
+        "id-float": lambda r: r["fixes"][0].update(antenna_id=1.7),
+        "no-sats-used": lambda r: r["fixes"][0].pop("sats_used"),
+        "sat-id-number": lambda r: r["snr_rows"][0].update(sat_id=7),
+        "snr-row-number": lambda r: r["snr_rows"][1].update(snr=5),
+        "no-status": lambda r: r["fixes"][1].pop("status"),
+        "status-list": lambda r: r["fixes"][0].update(status=["fixed"]),
+        "attitude-2": lambda r: r["truth"].update(attitude=[0.0, 0.0, 0.0, 2.0]),
+        "snr-string": lambda r: r["snr_rows"][0]["snr"].__setitem__(0, "40"),
+    }
+
+    def edit(record: dict) -> None:
+        edits[first](record)
+        edits[second](record)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_two_faults("t-true", "no-w"), "epoch time must be a number, got True"),
+        (_two_faults("no-w", "id-float"), "antenna ids must be integers"),
+        (_two_faults("sat-id-number", "no-sats-used"),
+         "malformed epoch object: KeyError('sats_used')"),
+        (_two_faults("snr-row-number", "sat-id-number"), "satellite ids must be strings"),
+        (_two_faults("no-status", "status-list"),
+         "malformed epoch object: TypeError(\"unhashable type: 'list'\")"),
+        (_two_faults("attitude-2", "snr-string"), "SNR values must be numbers"),
+    ],
+    ids=["time-before-key", "type-before-key", "key-before-type", "ids-before-widths",
+         "unhashable-before-key", "snr-before-truth"],
+)
+def test_read_epochs_reports_the_first_of_two_faults(tmp_path: Path, edit, message: str) -> None:
+    """A line with two faults reports the one a field-by-field reading of
+    the epoch meets first, whichever of them the block decoder's line pass
+    (lookups) or its checks find."""
+    epochs = list(simulate(_scenario(duration_s=0.3)))
+    path = tmp_path / "e.jsonl"
+    write_epochs(str(path), epochs)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    edit(record)
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+        list(read_epochs(str(path)))
+
+
+@pytest.mark.parametrize(
+    "attitude, norm", [([0.0, 0.0, 0.0, 2.0], "2.0"), ([0.0, 0.0, 0.0, 0.0], "0.0")]
+)
+def test_read_epochs_rejects_non_unit_truth_attitude(tmp_path: Path, attitude, norm) -> None:
+    """A truth attitude is read, not normalized: one off unit norm by more
+    than QUAT_READ_TOL is a malformed line, within it the unit quaternion."""
+    epochs = list(simulate(_scenario(duration_s=0.3)))
+    path = tmp_path / "e.jsonl"
+    write_epochs(str(path), epochs)
+    lines = path.read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:]]
+    records[0]["truth"]["attitude"] = [0.0, 0.0, 0.0, 1.0000005]
+    records[1]["truth"]["attitude"] = attitude
+    path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+
+    message = f"{path}:3: truth attitude norm {norm} is not 1 within 1e-06"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        list(read_epochs(str(path)))
+    diags: list[str] = []
+    back = list(read_epochs(str(path), skip_malformed=True, diagnostics=diags))
+    assert [e.t for e in back] == [e.t for i, e in enumerate(epochs) if i != 1]
+    assert back[0].truth.attitude == UnitQuaternion.identity()
+    assert diags == [f"{path}:3: skipped epoch: truth attitude norm {norm} is not 1 within 1e-06"]
+
+
 # -- scan streams -----------------------------------------------------------------
 
 
@@ -447,7 +543,7 @@ def test_pose_csv_header_exact(tmp_path: Path) -> None:
 
 
 def test_read_poses_normalizes_near_unit_quaternions(tmp_path: Path) -> None:
-    # within POSE_QUAT_NORM_TOL of 1 a quaternion is read as the unit one
+    # within QUAT_READ_TOL of 1 a quaternion is read as the unit one
     path = tmp_path / "p.csv"
     path.write_text("t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n0.0,,,,0.0,0.0,0.0,1.0000005,0,1\n")
     assert read_poses(str(path)).q.tolist() == [[0.0, 0.0, 0.0, 1.0]]
@@ -615,6 +711,18 @@ def test_load_calibration(tmp_path: Path) -> None:
     assert calib.boresight == UnitQuaternion.identity()
     path.write_text(json.dumps({"lever": [0.0, 0.0, 0.0]}))
     with pytest.raises(ConfigurationError):
+        load_calibration(str(path))
+
+
+@pytest.mark.parametrize("boresight", [[0.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, 0.0]])
+def test_load_calibration_rejects_non_unit_boresight(tmp_path: Path, boresight) -> None:
+    """A boresight off unit norm is an error naming the file and the key,
+    not a rotation to normalize."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"lever_arm": [0.0, 0.0, 0.0], "boresight": boresight}))
+    norm = math.hypot(*boresight)
+    message = f"{path}: calibration: boresight: quaternion norm {norm!r} is not 1 within 1e-06"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         load_calibration(str(path))
 
 
