@@ -14,10 +14,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InputError, ValidationError
 
 UNIT_NORM_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-9
@@ -104,6 +105,23 @@ def check_read_norm(q: list[float], what: str) -> None:
     # negated so that a NaN norm fails too
     if not abs(norm - 1.0) <= QUAT_READ_TOL:
         raise ValidationError(f"{what} norm {norm!r} is not 1 within {QUAT_READ_TOL}")
+
+
+def utf8_fault(exc: UnicodeDecodeError) -> str:
+    """What is wrong with text read from a file that is not UTF-8: its
+    first byte that is not."""
+    return f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+
+
+def read_utf8(path: str | Path) -> str:
+    """The whole text of a UTF-8 file; InputError naming ``path:line`` at
+    its first byte that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{lineno}: {utf8_fault(exc)}") from None
 
 
 def read_quaternion(q: list[float], what: str = "quaternion") -> UnitQuaternion:

@@ -13,13 +13,16 @@ offsets). That makes the stream bitwise-reproducible and lets the pipeline
 re-query fix outcomes for a reduced satellite set without re-running the
 simulator: a re-query replays the same draws against the new
 probabilities, so removing a multipath satellite can only promote
-statuses, never revoke them.
+statuses, never revoke them. :func:`replay` re-queries a block of epochs
+at once, grading the block's concatenated draws in one pass;
+:func:`requery_epoch` is that replay on a block of one.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,11 +163,12 @@ class EpochRecord:
 
 
 def _grade(
-    draws: ChannelDraws, p_fix: np.ndarray | float, float_fraction: float
+    draws: ChannelDraws, p_fix: np.ndarray, float_fraction: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """FIXED mask, FLOAT mask and the measured (n, 3) vectors of one group:
-    a fix takes the fixed-grade latent (plus its offset when wrong), a float
-    the float-grade one."""
+    """FIXED mask, FLOAT mask and the measured (n, 3) vectors of a group of
+    channels, each row with its own probability and float fraction: a fix
+    takes the fixed-grade latent (plus its offset when wrong), a float the
+    float-grade one."""
     fixed = draws.u_fix < p_fix
     floating = ~fixed & (draws.u_float < float_fraction)
     wrong = draws.wrong[:, None]
@@ -184,41 +188,89 @@ def _pair_baselines(layout: AntennaLayout) -> tuple[np.ndarray, np.ndarray]:
     return pairs, body
 
 
-def _status_sets(
-    req: RequeryData,
-    multipath_sats: frozenset[str],
-    excluded: frozenset[str],
+def _concatenated(groups: list[ChannelDraws]) -> ChannelDraws:
+    """The channel groups of several epochs as one, in epoch order."""
+    if len(groups) == 1:
+        return groups[0]
+    return ChannelDraws(*(np.concatenate([getattr(g, k) for g in groups]) for k in _DRAW_KEYS))
+
+
+class Replay(NamedTuple):
+    """The fix outcomes of a block of E epochs, as :func:`replay` gives them.
+
+    ``fixes`` holds each epoch's n antenna solutions in turn. ``baselines``
+    holds each epoch's solved (fixed or float) baselines in turn, and
+    ``baseline_epoch`` the epoch of each of its rows. ``bl_fixed`` (E * P,)
+    is the FIXED mask of every baseline channel, solved or not.
+    """
+
+    fixes: Fixes
+    baselines: Baselines
+    baseline_epoch: np.ndarray
+    bl_fixed: np.ndarray
+
+
+def replay(
+    requeries: Sequence[RequeryData],
+    multipath_sats: Sequence[frozenset[str]],
+    excluded: Sequence[frozenset[str]],
     layout: AntennaLayout,
-) -> tuple[Fixes, Baselines, np.ndarray, np.ndarray]:
-    """Fix and baseline solutions replayed for the solution satellites left
-    after ``excluded`` (baselines with no solution left out), then the FIXED
-    masks of all antennas and baselines."""
-    remaining = [s for s in req.solution_sats if s not in excluded]
-    n_mp = sum(1 for s in remaining if s in multipath_sats)
-    n_clean = len(remaining) - n_mp
-    model = req.model
-    p_ant = np.array([model.probability(n_clean, n_mp, b) for b in model.antenna_bias])
-    p_bl = model.probability(n_clean, n_mp, model.baseline_bias)
-    ant_fixed, ant_float, ant_vec = _grade(req.antenna_channels, p_ant, model.float_fraction)
-    bl_fixed, bl_float, bl_vec = _grade(req.baseline_channels, p_bl, model.float_fraction)
-    n = len(ant_fixed)
+) -> Replay:
+    """Replay the fix and baseline outcomes of a block of epochs, each with
+    its ``excluded`` satellites removed from its solution satellites.
+
+    Every record must have the layout's n antennas. Per epoch, the count of
+    remaining satellites and of multipath ones among them give the fix
+    probabilities (:meth:`FixModel.probability`); then one pass over the
+    block's concatenated draws grades every channel against its epoch's
+    probability, so each epoch's outcome is what it gets alone.
+    """
+    n = layout.antenna_count
+    pairs, body = _pair_baselines(layout)
+    p_ant: list[float] = []
+    p_bl: list[float] = []
+    fraction: list[float] = []
+    used: list[int] = []
+    for req, mp, out in zip(requeries, multipath_sats, excluded):
+        remaining = [s for s in req.solution_sats if s not in out]
+        n_mp = sum(1 for s in remaining if s in mp)
+        n_clean = len(remaining) - n_mp
+        model = req.model
+        p_ant += [model.probability(n_clean, n_mp, b) for b in model.antenna_bias]
+        p_bl.append(model.probability(n_clean, n_mp, model.baseline_bias))
+        fraction.append(model.float_fraction)
+        used.append(len(remaining))
+    n_ep, n_pairs = len(used), len(pairs)
+    ant_fixed, ant_float, ant_vec = _grade(
+        _concatenated([r.antenna_channels for r in requeries]),
+        np.array(p_ant),
+        np.repeat(fraction, n),
+    )
+    bl_fixed, bl_float, bl_vec = _grade(
+        _concatenated([r.baseline_channels for r in requeries]),
+        np.repeat(p_bl, n_pairs),
+        np.repeat(fraction, n_pairs),
+    )
     grade = 2 * ant_fixed.astype(np.int8) + ant_float
     fixes = Fixes(
-        ids=np.arange(1, n + 1),
+        ids=np.tile(np.arange(1, n + 1), n_ep),
         grade=grade,
         p=np.where((grade > 0)[:, None], ant_vec, np.nan),
-        sats_used=np.full(n, len(remaining)),
+        sats_used=np.repeat(np.array(used, dtype=np.int64), n),
     )
-    pairs, body = _pair_baselines(layout)
     keep = bl_fixed | bl_float
-    baselines = Baselines(pairs[keep], bl_vec[keep], body[keep], bl_fixed[keep])
-    return fixes, baselines, ant_fixed, bl_fixed
+    baselines = Baselines(
+        np.tile(pairs, (n_ep, 1))[keep], bl_vec[keep], np.tile(body, (n_ep, 1))[keep],
+        bl_fixed[keep],
+    )
+    return Replay(fixes, baselines, np.repeat(np.arange(n_ep), n_pairs)[keep], bl_fixed)
 
 
 def requery_epoch(
     epoch: EpochRecord, excluded: frozenset[str], layout: AntennaLayout
 ) -> tuple[Fixes, Baselines]:
-    """Replay the epoch's fix and baseline outcomes with satellites removed.
+    """Replay the epoch's fix and baseline outcomes with satellites removed:
+    :func:`replay` on a block of one, the solved baselines only.
 
     Uses the latent draws stored in the truth channel, so the result is
     deterministic and promotes statuses monotonically as true multipath
@@ -228,7 +280,5 @@ def requery_epoch(
         raise ValidationError("epoch carries no re-query data (not a simulated stream?)")
     if len(epoch.truth.requery.antenna_channels) != layout.antenna_count:
         raise ValidationError("layout antenna count does not match the stream")
-    fixes, observations, _, _ = _status_sets(
-        epoch.truth.requery, epoch.truth.multipath_sats, excluded, layout
-    )
-    return fixes, observations
+    found = replay([epoch.truth.requery], [epoch.truth.multipath_sats], [excluded], layout)
+    return found.fixes, found.baselines

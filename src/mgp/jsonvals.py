@@ -21,7 +21,7 @@ from typing import Any, Callable, TypeVar
 
 import numpy as np
 
-from .core import AntennaLayout, UnitQuaternion, Vec3, hexagon_layout, read_quaternion
+from .core import AntennaLayout, UnitQuaternion, Vec3, hexagon_layout, read_quaternion, read_utf8
 from .errors import ConfigurationError, InputError, ValidationError
 
 _NUMBER = frozenset((int, float))
@@ -154,8 +154,7 @@ def load(cls: type[T], path: str, where: str) -> T:
     """:func:`decode` of the JSON object in the file at ``path``; every
     message starts with the path."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
+        obj = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if type(obj) is not dict:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import UNIT_NORM_TOL, UnitQuaternion, Vec3, quat_to_matrix
+from .core import UNIT_NORM_TOL, UnitQuaternion, Vec3, quat_to_matrix, read_utf8
 from .errors import InputError, ValidationError
 
 # Half the 10 Hz pose interval: a pulse further than this from every pose
@@ -244,7 +244,7 @@ def write_cloud(path: str | Path, cloud: Cloud) -> None:
     path = Path(path)
     if path.suffix == ".xyz":
         flags = cloud.reflector.astype(np.uint8).tolist()
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(
                 f"{e!r} {n!r} {u!r} {f}\n" for (e, n, u), f in zip(cloud.p.tolist(), flags)
             )
@@ -258,8 +258,8 @@ def write_cloud(path: str | Path, cloud: Cloud) -> None:
 
 def _xyz_columns(path: Path) -> np.ndarray:
     """The ``E N U flag`` columns of a .xyz file, one (n, 4) row per line.
-    A line that is not four numbers raises InputError naming it."""
-    text = path.read_text()
+    A line that is not UTF-8 or not four numbers raises InputError naming it."""
+    text = read_utf8(path)
     if not text:
         return np.empty((0, 4))
     try:

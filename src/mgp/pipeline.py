@@ -12,14 +12,15 @@ to them.
 
 ``run`` takes stages (1) and (2), with every check that can skip an epoch,
 over blocks of up to ``streams.READ_BLOCK`` epochs as the stream arrives:
-one array pass per check over the block's rows (:class:`_FrontBlock`). An
-epoch that a block check flags goes through the per-epoch :func:`_front`,
-which gives the exact outcome, and an epoch that needs requery is replayed
-on its own. ``run`` then takes the surviving epochs through stages (3) and
-(4) in blocks of at most ``BLOCK_PAIRS`` pair hypotheses, with one call of
-the consensus kernel and one position fusion per block; ``process_epoch``
-is the same chain on a block of one, and no output depends on where any of
-the blocks fall. ``run`` returns the stream's poses as one
+one array pass per check over the block's rows, and one requery replay of
+all the block's epochs that need it, over their concatenated draws
+(:class:`_FrontBlock`). An epoch that a block check flags goes through the
+per-epoch :func:`_front`, which gives the exact outcome. ``run`` then takes
+the surviving epochs through stages (3) and (4) in blocks of at most
+``BLOCK_PAIRS`` pair hypothesis slots, with one call of the consensus
+kernel and one position fusion per block; ``process_epoch`` is the same
+chain on a block of one, and no output depends on where any of the blocks
+fall. ``run`` returns the stream's poses as one
 :class:`mgp.mapping.Poses` record of arrays, built block by block.
 
 A fix rate here is the share of epochs in which a solution of the given
@@ -41,7 +42,7 @@ import numpy as np
 from . import jsonvals, streams
 from .attitude import AttitudeSolution, Baselines, body_to_enu
 from .core import AntennaLayout, euler_from_matrix, hexagon_layout, quat_to_matrix
-from .epochs import EpochRecord, requery_epoch
+from .epochs import EpochRecord, replay, requery_epoch
 from .mapping import Poses
 from .errors import (
     ConfigurationError,
@@ -67,10 +68,12 @@ from .positioning import (
 from .robust import RansacParams, consensus, ransac_attitude
 
 
-# Pair hypotheses per call of the consensus kernel. ``run`` hands it whole
-# epochs and starts a new block when the next epoch would pass this cap:
-# about 10 six-antenna or 340 three-antenna epochs, which keeps the block's
-# temporaries near 1 MB however long the stream is.
+# Pair hypothesis slots per call of the consensus kernel, which scores each
+# of a block's E epochs in S slots, S the most pairs any of them has. ``run``
+# hands it whole epochs and starts a new block when the next epoch would
+# take E * S past this cap: about 10 six-antenna or 340 three-antenna
+# epochs, which keeps the block's temporaries near 1 MB however long the
+# stream is and however its epochs' pair counts mix.
 BLOCK_PAIRS = 1024
 
 
@@ -240,14 +243,16 @@ def _ends(epoch_of_row: np.ndarray, n_epochs: int) -> list[int]:
 class _FrontBlock:
     """Stages (1) and (2) of a block of epochs, each step one array pass over
     the block's concatenated rows: the layout and SNR width checks, the
-    subset masks, the SNR spread, and the search for duplicate satellite
-    and antenna ids.
+    subset masks, the SNR spread, the search for duplicate satellite and
+    antenna ids, and the requery replay of every epoch that needs it
+    (:func:`mgp.epochs.replay`).
 
     ``flagged[k]`` marks an epoch that one of these checks finds at fault
-    (or may: a duplicate among an epoch's raw satellites); :func:`_front`
-    takes such an epoch on its own, for its exact outcome. Every other epoch
-    gets its active fixes, its consensus candidates and its detection report
-    as slices of the block's arrays from :meth:`epoch`.
+    (or may: a duplicate among an epoch's raw satellites, or a requery
+    record that does not fit the layout); :func:`_front` takes such an
+    epoch on its own, for its exact outcome. Every other epoch gets its
+    active fixes, its consensus candidates and its detection report as
+    slices of the block's arrays from :meth:`epoch`.
     """
 
     def __init__(self, epochs: list[EpochRecord], config: PipelineConfig) -> None:
@@ -306,32 +311,65 @@ class _FrontBlock:
         )
         self.snr_ends = _ends(snr_epoch, n_epochs)
         self.excluding = np.bincount(snr_epoch[self.verdict == 1], minlength=n_epochs) > 0
+
+        # stage (2): the epochs that exclude satellites and carry a requery
+        # record, replayed together; a record of another antenna count is
+        # left to _front
+        self.replayed: dict[int, int] = {}
+        truths = []
+        if config.multipath_feedback:
+            for k in np.flatnonzero(self.excluding & ~flagged).tolist():
+                truth = epochs[k].truth
+                if truth is None or truth.requery is None:
+                    continue
+                if len(truth.requery.antenna_channels) != n:
+                    flagged[k] = True
+                    continue
+                self.replayed[k] = len(truths)
+                truths.append(truth)
+        if truths:
+            found = replay(
+                [t.requery for t in truths],
+                [t.multipath_sats for t in truths],
+                [self._excluded(k) for k in self.replayed],
+                config.layout,
+            )
+            self.replay_fixes = found.fixes.select(active[found.fixes.ids])
+            self.replay_width = len(config.active_antennas)
+            b = found.baselines
+            chosen = b.fixed & active[b.pairs].all(axis=1)
+            self.replay_candidates = b.select(chosen)
+            self.replay_ends = _ends(found.baseline_epoch[chosen], len(truths))
         self.flagged = flagged.tolist()
+
+    def _excluded(self, k: int) -> frozenset[str]:
+        """The satellites epoch k's detection excludes."""
+        if not self.excluding[k]:
+            return frozenset()
+        a, b = self.snr_ends[k], self.snr_ends[k + 1]
+        return frozenset(itertools.compress(self.sats[a:b], (self.verdict[a:b] == 1).tolist()))
 
     def report(self, k: int) -> MultipathReport:
         """The detection report of epoch k, as :func:`detect_multipath` gives it."""
         a, b = self.snr_ends[k], self.snr_ends[k + 1]
-        sats, verdict = self.sats[a:b], self.verdict[a:b]
-        excluded = frozenset()
-        if self.excluding[k]:
-            excluded = frozenset(itertools.compress(sats, (verdict == 1).tolist()))
-        return MultipathReport(sats, self.sigma[a:b], self.count[a:b], verdict, excluded)
+        return MultipathReport(
+            self.sats[a:b], self.sigma[a:b], self.count[a:b], self.verdict[a:b], self._excluded(k)
+        )
 
-    def epoch(
-        self, k: int, epoch: EpochRecord, config: PipelineConfig
-    ) -> tuple[Fixes, Baselines, MultipathReport]:
-        """Stages (1) and (2) of unflagged epoch k: its active fixes, its
-        consensus candidates (the fixed active baselines) and its report."""
-        report = self.report(k)
-        replayed = _feedback(epoch, report, config)
-        if replayed is not None:
-            return replayed[0], replayed[1].fixed_only(), report
-        a, b = self.fix_ends[k], self.fix_ends[k + 1]
-        f = self.fixes
+    def epoch(self, k: int) -> tuple[Fixes, Baselines]:
+        """Stage (2) of unflagged epoch k: its active fixes and its consensus
+        candidates (the fixed active baselines), replayed or as read."""
+        r = self.replayed.get(k)
+        if r is None:
+            f, c = self.fixes, self.candidates
+            a, b = self.fix_ends[k], self.fix_ends[k + 1]
+            i, j = self.candidate_ends[k], self.candidate_ends[k + 1]
+        else:
+            f, c = self.replay_fixes, self.replay_candidates
+            a, b = r * self.replay_width, (r + 1) * self.replay_width
+            i, j = self.replay_ends[r], self.replay_ends[r + 1]
         fixes = Fixes(f.ids[a:b], f.grade[a:b], f.p[a:b], f.sats_used[a:b])
-        a, b = self.candidate_ends[k], self.candidate_ends[k + 1]
-        c = self.candidates
-        return fixes, Baselines(c.pairs[a:b], c.v[a:b], c.w[a:b], c.fixed[a:b]), report
+        return fixes, Baselines(c.pairs[i:j], c.v[i:j], c.w[i:j], c.fixed[i:j])
 
 
 def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
@@ -619,11 +657,11 @@ def run(
     The front half (checks, subset, detection, feedback), where every skip
     is decided, runs over blocks of up to ``streams.READ_BLOCK`` epochs
     pulled from ``epochs`` (:class:`_FrontBlock`): one array pass per step
-    over the block's rows. An epoch that a block check flags goes through
-    the per-epoch :func:`_front` instead, and one that needs requery is
-    replayed on its own. The timestamp check runs epoch by epoch in stream
-    order. The survivors then go to consensus attitude and position in
-    blocks of at most ``BLOCK_PAIRS`` pair hypotheses. Results match
+    over the block's rows, the requery replay included. An epoch that a
+    block check flags goes through the per-epoch :func:`_front` instead.
+    The timestamp check runs epoch by epoch in stream order. The survivors
+    then go to consensus attitude and position in blocks of at most
+    ``BLOCK_PAIRS`` pair hypothesis slots. Results match
     :func:`process_epoch` epoch by epoch, wherever the blocks fall.
 
     Per-epoch validation problems skip the epoch (with a diagnostic) and
@@ -641,7 +679,8 @@ def run(
     # per epoch its fixes and candidates, and its time and true pose.
     block: list[tuple[Fixes, Baselines | None]] = []
     stamps: list[list[float]] = []
-    block_pairs = 0
+    # the block's epochs that reach consensus, and the most pairs of one
+    solving = widest = 0
 
     def solve() -> None:
         q, p, n_fix = _solve_block(block, config, params)
@@ -665,7 +704,7 @@ def run(
                     fixes, baselines, report = _front(epoch, config)
                     candidates: Baselines | None = baselines.fixed_only()
                 else:
-                    fixes, candidates, report = front.epoch(k, epoch, config)
+                    (fixes, candidates), report = front.epoch(k), front.report(k)
             except (ValidationError, InputError, InsufficientDataError) as exc:
                 notes.append((marks[k], f"epoch {idx} (t={epoch.t!r}): {exc}"))
                 continue
@@ -676,9 +715,9 @@ def run(
             if m < params.min_inliers:
                 candidates, m = None, 0
             pairs = m * (m - 1) // 2
-            if block and block_pairs + pairs > BLOCK_PAIRS:
+            if pairs and block and (solving + 1) * max(widest, pairs) > BLOCK_PAIRS:
                 solve()
-                block, stamps, block_pairs = [], [], 0
+                block, stamps, solving, widest = [], [], 0, 0
             block.append((fixes, candidates))
             truth = epoch.truth
             if truth is None:
@@ -686,7 +725,8 @@ def run(
             else:
                 q, p = truth.attitude, truth.position
                 stamps.append([epoch.t, q.qx, q.qy, q.qz, q.qw, p.x, p.y, p.z])
-            block_pairs += pairs
+            if pairs:
+                solving, widest = solving + 1, max(widest, pairs)
         tally.fixed(front, passed)
         _interleave(diags, notes)
         # let this block's epochs go before the next block is read

@@ -16,7 +16,8 @@ hypothesis is the optimal attitude from two vector measurements, which has a
 closed form (Markley, "Fast quaternion attitude estimation from two vector
 measurements", JGCD 25(2), 2002), and so does its eigen gap, so every pair of
 the block is solved in one pass of array operations with no eigen solve.
-The block's hypotheses are scored on one (H, M) residual array and the
+The block's hypotheses are put into per-epoch slots and scored against
+their epoch's rows by broadcasting, on one (E, M, S) residual array, and the
 winning consensus sets refitted with one stacked eigen solve. Every step acts
 on each hypothesis or epoch alone, with sums in row order, so an epoch's
 result does not depend on the block it was solved in;
@@ -275,31 +276,46 @@ def consensus(epochs: Sequence[Baselines], params: RansacParams) -> Consensus:
     ep = ep[solved]
     rot = _rotations_eb(q[:, solved])
 
-    # Score every hypothesis against all rows of its epoch, on (M, H)
-    # arrays with the hypotheses along the long axis.
-    vh, wh = v.transpose(0, 2, 1)[:, :, ep], w.transpose(0, 2, 1)[:, :, ep]
-    sq = 0.0
+    # Score every hypothesis against all rows of its epoch by broadcasting:
+    # the rotations go to per-epoch slots, (9, E, 1, S) for the most
+    # hypotheses S any epoch has (at least one slot, unscored when empty),
+    # and the rows stand as (3, E, M, 1).
+    hypotheses = np.bincount(ep, minlength=n_ep)
+    slot = np.arange(len(ep)) - (np.cumsum(hypotheses) - hypotheses)[ep]
+    n_slots = max(1, int(hypotheses.max(initial=0)))
+    slots = np.zeros((9, n_ep, 1, n_slots))
+    slots[:, ep, 0, slot] = rot
+    # Each residual is |v - (r0 w0 + r1 w1 + r2 w2)| summed in that order,
+    # built in place in three (E, M, S) buffers.
+    vb, wb = v[..., None], w[..., None]
+    shape = (n_ep, width, n_slots)
+    sq, d, term = np.zeros(shape), np.empty(shape), np.empty(shape)
     for row in range(3):
-        d = vh[row] - (rot[3 * row] * wh[0] + rot[3 * row + 1] * wh[1] + rot[3 * row + 2] * wh[2])
-        sq = sq + d * d
-    res = np.sqrt(sq)
-    inlier = (res <= params.inlier_threshold_m) & valid.T[:, ep]
-    count = inlier.sum(axis=0)
-    sres = sum_rows(np.where(inlier, res, 0.0).T)
-    # Most inliers, then smallest residual sum; exact ties go to the first
-    # pair, since the sort is stable and hypotheses are in pair order.
-    order = np.lexsort((sres, -count, ep))
-    best = order[np.diff(ep[order], prepend=-1) != 0]
-    best = best[count[best] >= params.min_inliers]
+        r = slots[3 * row: 3 * row + 3]
+        np.multiply(r[0], wb[0], out=d)
+        d += np.multiply(r[1], wb[1], out=term)
+        d += np.multiply(r[2], wb[2], out=term)
+        np.subtract(vb[row], d, out=d)
+        sq += np.multiply(d, d, out=d)
+    res = np.sqrt(sq, out=sq)
+    inlier = (res <= params.inlier_threshold_m) & valid[:, :, None]
+    # (E, S) counts and residual sums over the rows, each in row order; an
+    # unscored slot counts -1
+    count = np.where(np.arange(n_slots) < hypotheses[:, None], inlier.sum(axis=1), -1)
+    sres = sum_rows(np.where(inlier, res, 0.0))
+    # Per epoch the most inliers, then the smallest residual sum; exact ties
+    # go to the first slot, which holds the first pair.
+    top = count.max(axis=1)
+    best = np.where(count == top[:, None], sres, np.inf).argmin(axis=1)
+    winners = np.flatnonzero(top >= params.min_inliers)
 
-    winners = ep[best]
     inliers = np.zeros((n_ep, width), dtype=bool)
-    inliers[winners] = inlier[:, best].T
+    inliers[winners] = inlier[winners, :, best[winners]]
     refitted = np.zeros(n_ep, dtype=bool)
     refitted[winners] = True
     lam, gap, weights_sum = np.full(n_ep, np.nan), np.full(n_ep, np.nan), np.full(n_ep, np.nan)
     q_be = np.full((n_ep, 4), np.nan)
-    if len(best):
+    if len(winners):
         # the refit takes (E, M, 3) rows, as estimate_attitude passes them
         v_e = np.ascontiguousarray(v[:, winners].transpose(1, 2, 0))
         w_e = np.ascontiguousarray(w[:, winners].transpose(1, 2, 0))
@@ -307,7 +323,7 @@ def consensus(epochs: Sequence[Baselines], params: RansacParams) -> Consensus:
             v_e, w_e, inliers[winners]
         )
     return Consensus(
-        hypotheses=np.bincount(ep, minlength=n_ep),
+        hypotheses=hypotheses,
         inliers=inliers,
         refitted=refitted,
         lam=lam,

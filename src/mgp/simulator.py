@@ -48,7 +48,7 @@ from .epochs import (
     FixModel,
     RequeryData,
     _pair_baselines,
-    _status_sets,
+    replay,
 )
 from .errors import ConfigurationError, ValidationError
 from .mapping import MountCalibration, Poses, ScanFrame
@@ -412,7 +412,8 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
         ant_channels = _build_channels(ant_world, ant_norm, ant_unif, ant_lat, lattice, noise)
         bl_channels = _build_channels(bl_world, bl_norm, bl_unif, bl_lat, lattice, noise)
         req = RequeryData(model, solution_sats, ant_channels, bl_channels)
-        fixes, baselines, ant_fixed, bl_fixed = _status_sets(req, mp_sats, frozenset(), layout)
+        found = replay([req], [mp_sats], [frozenset()], layout)
+        fixes, baselines = found.fixes, found.baselines
 
         offsets = np.zeros((n_sat, n_ant))
         if n_mp and snr_model.fading_amplitude_db > 0.0:
@@ -423,8 +424,8 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
         snr = nominal[:, None] + offsets + snr_model.thermal_jitter_db * snr_jit
         snr = np.round(np.clip(snr, SNR_MIN_DBHZ, SNR_MAX_DBHZ), 2)
 
-        wrong_ants = frozenset((np.flatnonzero(ant_fixed & ant_channels.wrong) + 1).tolist())
-        corrupted = frozenset(map(tuple, pairs[bl_fixed & bl_channels.wrong].tolist()))
+        wrong_ants = frozenset((np.flatnonzero(fixes.fixed & ant_channels.wrong) + 1).tolist())
+        corrupted = frozenset(map(tuple, pairs[found.bl_fixed & bl_channels.wrong].tolist()))
         truth = EpochTruth(
             position=p_plat,
             attitude=q_truth,

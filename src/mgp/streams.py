@@ -18,11 +18,15 @@ Formats:
     The reader decodes ``READ_BLOCK`` lines at a time. It parses each line
     and moves its leaves into lists that span the block, then type-checks
     and builds each field of the block in one pass; each epoch's arrays are
-    slices of the block's. The truth channel is decoded per epoch. A block
-    in which any check fails is decoded again one line at a time, by the
-    same decoder on blocks of one, so that each fault is reported (or
-    skipped) at its own ``path:line`` with the message it has in a lone
-    epoch.
+    slices of the block's. The truth channel is decoded the same way, into
+    lists of its own: its attitudes, positions and satellite lists, the fix
+    model values and the channel draws of all the block's requery records,
+    each checked once; a block without truth leaves them empty. A block in
+    which any check fails is decoded again one line at a time, by the same
+    decoder on blocks of one, so that each fault is reported (or skipped)
+    at its own ``path:line`` with the message it has in a lone epoch. A line
+    that is not UTF-8 is such a fault; the scan, pose and cloud readers name
+    its ``path:line`` too.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line; each pulse is a compact array
     ``[t, x, y, z, reflector01]`` in scanner-frame meters; in memory a
@@ -55,6 +59,7 @@ import importlib.resources
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -64,7 +69,7 @@ import numpy as np
 
 from . import jsonvals
 from .attitude import Baselines
-from .core import Vec3, check_read_norm, read_quaternion, unit_quats
+from .core import UnitQuaternion, Vec3, check_read_norm, unit_quats, utf8_fault
 from .epochs import _DRAW_KEYS, ChannelDraws, EpochRecord, EpochTruth, FixModel, RequeryData
 from .errors import InputError, ValidationError
 from .mapping import (
@@ -146,72 +151,16 @@ def _requery_to_dict(req: RequeryData) -> dict[str, Any]:
     return out
 
 
-def _requery_from_dict(d: dict[str, Any]) -> RequeryData:
-    """Inverse of :func:`_requery_to_dict`; every value must have its JSON
-    type (a number, a boolean ``wrong``, string satellites)."""
-    md = d["model"]
-    what = "fix model values"
-    model = FixModel(
-        **{k: jsonvals.number(md[k], what) for k in _MODEL_KEYS if k != "antenna_bias"},
-        antenna_bias=tuple(jsonvals.floats(md["antenna_bias"], what).tolist()),
-    )
-    groups = [_draws_from(d[key]) for key in ("antenna_channels", "baseline_channels")]
-    return RequeryData(model, jsonvals.strings(d["solution_sats"], "solution_sats"), *groups)
-
-
 # The numbers of one channel row in reading order: the two uniforms, then
 # the three components of each latent vector.
 _ROW_FIELDS = _DRAW_KEYS[:2] + tuple(k for k in _DRAW_KEYS[3:] for _ in range(3))
 _FLOAT_MAX = sys.float_info.max
-
-
-def _draws_from(rows: Any) -> ChannelDraws:
-    """One channel group from its JSON rows: the numbers of every row are
-    type-checked in one pass and read into one (n, 11) array, whose columns
-    the draws view, and checked finite once."""
-    # a latent of another type but length 3 fails the number check below
-    if not set(map(len, [row[k] for row in rows for k in _DRAW_KEYS[3:]])) <= {3}:
-        raise ValidationError("channel draws need 3 values per latent vector")
-    flat = [
-        x
-        for row in rows
-        for x in (row["u_fix"], row["u_float"], *row["latent_fixed"], *row["latent_float"],
-                  *row["wrong_offset"])
-    ]
-    try:
-        values = jsonvals.floats(flat, "channel draws").reshape(len(rows), len(_ROW_FIELDS))
-    except ValidationError as exc:
-        # name the field of the first offending number
-        k = next(
-            k for k, x in enumerate(flat)
-            if type(x) not in (int, float) or not -_FLOAT_MAX <= x <= _FLOAT_MAX
-        )
-        raise ValidationError(f"{_ROW_FIELDS[k % len(_ROW_FIELDS)]} {exc}") from exc
-    return ChannelDraws(
-        values[:, 0],
-        values[:, 1],
-        jsonvals.flags([row["wrong"] for row in rows], "wrong-fix flags"),
-        values[:, 2:5],
-        values[:, 5:8],
-        values[:, 8:11],
-    )
-
-
-def _truth_from(tr: dict[str, Any]) -> EpochTruth:
-    attitude = jsonvals.floats(tr["attitude"], "truth attitude")
-    if attitude.shape != (4,):
-        raise ValidationError("quaternion needs 4 components")
-    pairs = jsonvals.integers(tr["corrupted_baselines"], "corrupted baselines", 2)
-    return EpochTruth(
-        position=Vec3(*jsonvals.floats([tr["position"]], "truth position", 3)[0].tolist()),
-        attitude=read_quaternion(attitude.tolist(), "truth attitude"),
-        multipath_sats=frozenset(jsonvals.strings(tr["multipath_sats"], "multipath satellites")),
-        corrupted_baselines=frozenset(map(tuple, pairs.tolist())),
-        wrong_fix_antennas=frozenset(
-            jsonvals.integers(tr["wrong_fix_antennas"], "wrong-fix antennas").tolist()
-        ),
-        requery=_requery_from_dict(tr["requery"]) if tr["requery"] is not None else None,
-    )
+_DRAWS = "channel draws"
+# The fix model's values in reading order, each one number.
+_MODEL_VALUES = tuple(k for k in _MODEL_KEYS if k != "antenna_bias")
+_UNIFORMS = operator.itemgetter(*_DRAW_KEYS[:2])
+_LATENTS = operator.itemgetter(*_DRAW_KEYS[3:])
+_WRONG = operator.itemgetter("wrong")
 
 
 # Non-blank lines the epoch reader decodes at once. ``pipeline.run`` takes
@@ -223,9 +172,14 @@ def _truth_from(tr: dict[str, Any]) -> EpochTruth:
 READ_BLOCK = 32
 
 # The steps of reading one epoch object, in the order a lone epoch's checks
-# take them: each step looks its values up, then checks them.
+# take them: each step looks its values up, then checks them. The truth
+# channel's steps follow the record's fields; the fix model's values are
+# looked up and checked one by one, so a missing one shows at _BIAS, once
+# the values before it have been checked.
 (_T, _FIXES, _STATUS, _P, _IDS, _SATS, _BASELINES, _PAIRS, _V, _W, _FIXED,
- _SNR_ROWS, _SNR, _SAT_IDS, _TRUTH, _DONE) = range(16)
+ _SNR_ROWS, _SNR, _SAT_IDS, _ATTITUDE, _CORRUPTED, _POSITION, _MP_SATS,
+ _WRONG_ANTS, _MODEL, _BIAS, _ANT_LATENT, _ANT_DRAWS, _ANT_WRONG,
+ _BL_LATENT, _BL_DRAWS, _BL_WRONG, _SOLUTION, _DONE) = range(29)
 
 _NO_SNR = SnrTable((), np.empty((0, 0)))
 
@@ -233,7 +187,8 @@ _NO_SNR = SnrTable((), np.empty((0, 0)))
 class _Leaves:
     """The leaves of a block of epoch objects, field by field across the
     block, gathered one object at a time so that no parsed object outlives
-    its line.
+    its line. The truth channel's leaves are gathered the same way, into
+    lists of their own that a block without truth leaves empty.
 
     A lookup that fails (a missing key, a list where an object belongs)
     ends the gathering; :meth:`records` raises it after the checks of the
@@ -253,9 +208,27 @@ class _Leaves:
         self.fixed: list[Any] = []
         self.snr: list[Any] = []
         self.sat_ids: list[Any] = []
-        self.truth: list[EpochTruth | None] = []
         # per epoch: its fixes, baselines and SNR rows
         self.counts: tuple[list[int], list[int], list[int]] = ([], [], [])
+        # per epoch whether it has a truth channel; per truth its leaves and
+        # whether it has a requery record
+        self.truth: list[bool] = []
+        self.attitude: list[Any] = []
+        self.corrupted: list[Any] = []
+        self.position: list[Any] = []
+        self.mp_sats: list[Any] = []
+        self.wrong_ants: list[Any] = []
+        self.requery: list[bool] = []
+        # per requery record: its fix model values, antenna biases and
+        # solution satellites; per channel group (antennas, then baselines)
+        # its row count, and per row its uniforms, latents and wrong flag
+        self.model: list[Any] = []
+        self.bias: list[Any] = []
+        self.solution: list[Any] = []
+        self.rows: tuple[list[int], list[int]] = ([], [])
+        self.uniforms: tuple[list[Any], list[Any]] = ([], [])
+        self.latents: tuple[list[Any], list[Any]] = ([], [])
+        self.wrong: tuple[list[Any], list[Any]] = ([], [])
         self.failed: tuple[int, BaseException | None] = (_DONE, None)
 
     def add(self, d: Any) -> bool:
@@ -296,8 +269,41 @@ class _Leaves:
             n_snr.append(len(snr))
             step = _SAT_IDS
             self.sat_ids += [r["sat_id"] for r in rows]
-            step = _TRUTH
-            self.truth.append(_truth_from(d["truth"]) if d.get("truth") is not None else None)
+            step = _ATTITUDE
+            tr = d.get("truth")
+            self.truth.append(tr is not None)
+            if tr is None:
+                return True
+            self.attitude.append(tr["attitude"])
+            step = _CORRUPTED
+            self.corrupted.append(tr["corrupted_baselines"])
+            step = _POSITION
+            self.position.append(tr["position"])
+            step = _MP_SATS
+            self.mp_sats.append(tr["multipath_sats"])
+            step = _WRONG_ANTS
+            self.wrong_ants.append(tr["wrong_fix_antennas"])
+            step = _MODEL
+            rq = tr["requery"]
+            self.requery.append(rq is not None)
+            if rq is None:
+                return True
+            model = rq["model"]
+            step = _BIAS
+            for key in _MODEL_VALUES:
+                self.model.append(model[key])
+            self.bias.append(model["antenna_bias"])
+            for g, key in enumerate(("antenna_channels", "baseline_channels")):
+                step = _ANT_LATENT + 3 * g
+                channels = rq[key]
+                self.latents[g].extend(map(_LATENTS, channels))
+                step += 1
+                self.uniforms[g].extend(map(_UNIFORMS, channels))
+                step += 1
+                self.wrong[g].extend(map(_WRONG, channels))
+                self.rows[g].append(len(channels))
+            step = _SOLUTION
+            self.solution.append(rq["solution_sats"])
         except Exception as exc:
             self.failed = (step, exc)
             return False
@@ -345,10 +351,141 @@ class _Leaves:
             jsonvals.strings(self.sat_ids, "satellite ids"),
             jsonvals.floats(self.snr, "SNR values", width, nulls=True),
         )
-        self._reached(_TRUTH)
+        truths = self._truths()
         return list(map(EpochRecord, ts, _split(fixes, self.counts[0]),
                         _split(baselines, self.counts[1]), _split_snr(snr, self.counts[2]),
-                        self.truth))
+                        truths))
+
+    def _truths(self) -> list[EpochTruth | None]:
+        """Each epoch's truth channel, or None; every field checked in one
+        pass over the block's truths."""
+        self._reached(_ATTITUDE)
+        if not self.attitude:
+            return [None] * len(self.truth)
+        flat, counts = _joined(self.attitude, "truth attitude")
+        attitude = jsonvals.floats(flat, "truth attitude")
+        if set(counts) != {4}:
+            raise ValidationError("quaternion needs 4 components")
+        self._reached(_CORRUPTED)
+        flat, n_corrupted = _joined(self.corrupted, "corrupted baselines")
+        corrupted = jsonvals.integers(flat, "corrupted baselines", 2).tolist()
+        self._reached(_POSITION)
+        position = jsonvals.floats(self.position, "truth position", 3).tolist()
+        attitude = attitude.reshape(-1, 4)
+        for q in attitude.tolist():
+            check_read_norm(q, "truth attitude")
+        self._reached(_MP_SATS)
+        flat, n_mp = _joined(self.mp_sats, "multipath satellites")
+        mp_sats = jsonvals.strings(flat, "multipath satellites")
+        self._reached(_WRONG_ANTS)
+        flat, n_wrong = _joined(self.wrong_ants, "wrong-fix antennas")
+        wrong_ants = jsonvals.integers(flat, "wrong-fix antennas").tolist()
+        self._reached(_MODEL)
+        requery = iter(self._requeries() if any(self.requery) else ())
+        truths = iter([
+            EpochTruth(
+                position=Vec3(*pos),
+                attitude=UnitQuaternion(*q),
+                multipath_sats=frozenset(mp),
+                corrupted_baselines=frozenset(map(tuple, pairs)),
+                wrong_fix_antennas=frozenset(ants),
+                requery=next(requery) if has_requery else None,
+            )
+            for pos, q, mp, pairs, ants, has_requery in zip(
+                position, unit_quats(attitude, canonicalize=False).tolist(),
+                _pieces(mp_sats, n_mp), _pieces(corrupted, n_corrupted),
+                _pieces(wrong_ants, n_wrong), self.requery,
+            )
+        ])
+        return [next(truths) if has_truth else None for has_truth in self.truth]
+
+    def _requeries(self) -> list[RequeryData]:
+        """The block's requery records, every field checked in one pass."""
+        values = _numbers(self.model, "fix model values")
+        self._reached(_BIAS)
+        flat, n_bias = _joined(self.bias, "fix model values")
+        models = _fix_models(values, jsonvals.floats(flat, "fix model values"), n_bias)
+        groups = [self._draws(g) for g in range(2)]
+        self._reached(_SOLUTION)
+        flat, n_sats = _joined(self.solution, "solution_sats")
+        sats = jsonvals.strings(flat, "solution_sats")
+        return list(map(RequeryData, models, _pieces(sats, n_sats), *groups))
+
+    def _draws(self, g: int) -> list[ChannelDraws]:
+        """Each record's draws of channel group g (antennas, baselines)."""
+        step = _ANT_LATENT + 3 * g
+        self._reached(step)
+        latents = list(itertools.chain.from_iterable(self.latents[g]))
+        if not set(map(len, latents)) <= {3}:
+            raise ValidationError("channel draws need 3 values per latent vector")
+        self._reached(step + 1)
+        try:
+            u = jsonvals.floats(list(itertools.chain.from_iterable(self.uniforms[g])), _DRAWS)
+            x = jsonvals.floats(list(itertools.chain.from_iterable(latents)), _DRAWS)
+        except ValidationError:
+            _raise_draw_fault(self.uniforms[g], self.latents[g])
+            raise
+        self._reached(step + 2)
+        wrong = jsonvals.flags(self.wrong[g], "wrong-fix flags")
+        u, x = u.reshape(-1, 2), x.reshape(-1, 9)
+        return [
+            ChannelDraws(u[a:b, 0], u[a:b, 1], wrong[a:b], x[a:b, :3], x[a:b, 3:6], x[a:b, 6:])
+            for a, b in itertools.pairwise([0, *itertools.accumulate(self.rows[g])])
+        ]
+
+
+def _joined(values: list[Any], what: str) -> tuple[list[Any], list[int]]:
+    """Per-epoch JSON arrays as one list, and the length of each."""
+    if not all(type(v) is list for v in values):
+        raise ValidationError(f"{what} must be a JSON array")
+    return list(itertools.chain.from_iterable(values)), list(map(len, values))
+
+
+def _pieces(values: Any, counts: list[int]) -> Iterator[Any]:
+    """``values`` cut into consecutive runs of ``counts`` items."""
+    start = 0
+    for stop in itertools.accumulate(counts):
+        yield values[start:stop]
+        start = stop
+
+
+def _numbers(values: list[Any], what: str) -> np.ndarray:
+    """:func:`jsonvals.number` of each value, checked in one pass when all
+    pass and one by one, for the first fault, when any fails."""
+    try:
+        return jsonvals.floats(values, what)
+    except ValidationError:
+        return np.array([jsonvals.number(x, what) for x in values])
+
+
+def _fix_models(values: np.ndarray, bias: np.ndarray, counts: list[int]) -> list[FixModel]:
+    """One fix model per record from its values and antenna biases; a record
+    whose numbers equal the previous record's bit for bit shares its model."""
+    models: list[FixModel] = []
+    last = b""
+    for row, b in zip(values.reshape(-1, len(_MODEL_VALUES)), _pieces(bias, counts)):
+        key = row.tobytes() + b.tobytes()
+        if key != last:
+            named = dict(zip(_MODEL_VALUES, row.tolist()))
+            model = FixModel(**named, antenna_bias=tuple(b.tolist()))
+            last = key
+        models.append(model)
+    return models
+
+
+def _raise_draw_fault(uniforms: list[Any], latents: list[Any]) -> None:
+    """Raise the fault of a channel group's draw numbers as one check of
+    them in row order (each row's uniforms, then its latent vectors) finds
+    it, naming the field of the first bad number."""
+    flat = [x for u, lat in zip(uniforms, latents) for x in (*u, *lat[0], *lat[1], *lat[2])]
+    try:
+        jsonvals.floats(flat, _DRAWS)
+    except ValidationError as exc:
+        k = next(
+            k for k, x in enumerate(flat)
+            if type(x) not in (int, float) or not -_FLOAT_MAX <= x <= _FLOAT_MAX
+        )
+        raise ValidationError(f"{_ROW_FIELDS[k % len(_ROW_FIELDS)]} {exc}") from exc
 
 
 def _check_unique_pairs(pairs: np.ndarray, counts: list[int]) -> None:
@@ -408,6 +545,18 @@ def write_epochs(path: str, epochs: Iterable[EpochRecord]) -> int:
     return n
 
 
+def _utf8(line: str) -> str:
+    """A line of a file opened with ``errors="surrogateescape"``, which
+    keeps each byte that is not UTF-8 as a lone surrogate; raise
+    ValidationError if the line holds one."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(utf8_fault(exc)) from None
+    return line
+
+
 def _check_header(line: str, expected: dict[str, Any], path: str) -> None:
     try:
         header = json.loads(line)
@@ -428,11 +577,11 @@ def read_epochs(
     Lines are decoded in blocks of ``READ_BLOCK``; a block in which any
     check fails is decoded again one line at a time, so each fault is
     reported (or skipped) at its own line. With ``skip_malformed``, lines
-    that fail to parse or validate are skipped (recorded in
+    that are not UTF-8 or fail to parse or validate are skipped (recorded in
     ``diagnostics``) instead of aborting. A wrong header always aborts: that
     is the wrong file, not a bad epoch.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         first = f.readline()
         if not first:
             raise InputError(f"{path}: empty stream file")
@@ -441,7 +590,7 @@ def read_epochs(
         lines = ((lineno, line) for lineno, line in enumerate(stripped, start=2) if line)
         while block := list(itertools.islice(lines, READ_BLOCK)):
             try:
-                epochs = _decode(json.loads(line) for _, line in block)
+                epochs = _decode(json.loads(_utf8(line)) for _, line in block)
             except Exception:
                 # any fault: the lines below find and report it exactly
                 epochs = None
@@ -455,7 +604,7 @@ def read_epochs(
                 continue
             for lineno, line in block:
                 try:
-                    epoch = epoch_from_dict(json.loads(line))
+                    epoch = epoch_from_dict(json.loads(_utf8(line)))
                 except (json.JSONDecodeError, InputError, ValidationError, ValueError) as exc:
                     if skip_malformed:
                         if diagnostics is not None:
@@ -502,7 +651,7 @@ def _scan_frame(d: dict[str, Any]) -> ScanFrame:
 
 
 def read_scan(path: str) -> Iterator[ScanFrame]:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         first = f.readline()
         if not first:
             raise InputError(f"{path}: empty stream file")
@@ -512,6 +661,7 @@ def read_scan(path: str) -> Iterator[ScanFrame]:
             if not line:
                 continue
             try:
+                _utf8(line)
                 # numpy would read a JSON true/false among numbers as 1.0/0.0;
                 # a scan line holds only numbers, so either word is a boolean
                 if "true" in line or "false" in line:
@@ -585,7 +735,7 @@ def read_poses(path: str) -> Poses:
     """The poses of a pose CSV, each quaternion normalized. A row that breaks
     a rule of the module docstring raises InputError naming ``path:line``."""
     values: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         header = f.readline().rstrip("\n")
         if header != POSE_CSV_HEADER:
             raise InputError(f"{path}: unexpected CSV header {header!r}")
@@ -593,10 +743,10 @@ def read_poses(path: str) -> Poses:
             line = line.rstrip("\n")
             if not line:
                 continue
-            cells = line.split(",")
-            if len(cells) != 10:
-                raise InputError(f"{path}:{lineno}: expected 10 cells, got {len(cells)}")
             try:
+                cells = _utf8(line).split(",")
+                if len(cells) != 10:
+                    raise ValidationError(f"expected 10 cells, got {len(cells)}")
                 row = _pose_row(cells)
                 if values and not row[0] > values[-1][0]:
                     raise ValidationError(

@@ -28,7 +28,7 @@ from mgp.errors import InputError, InsufficientDataError, ValidationError
 from mgp.robust import consensus
 
 from test_epoch_differential import _scenario
-from test_ransac_differential import _random_epoch
+from test_ransac_differential import _ragged_block, _random_epoch
 
 # Each case with a block cap that puts a few epochs in a block: six
 # antennas form up to 105 pairs per epoch, antennas 1, 3 and 5 three.
@@ -256,18 +256,45 @@ LINE_EDITS = {
 }
 
 
-@pytest.mark.parametrize("name, subset, mid", CASES, ids=["multipath-all", "fixrate-1-3-5"])
-def test_read_blocks_do_not_change_outputs(streams, monkeypatch, tmp_path, name, subset, mid):
+@pytest.mark.parametrize(
+    "name, subset, faults",
+    [
+        ("multipath", None, True),
+        ("fixrate", (1, 3, 5), True),
+        ("multipath", None, False),
+        ("multipath", (1, 2, 4, 5, 6), False),
+    ],
+    ids=["multipath-all", "fixrate-1-3-5", "multipath-replayed", "multipath-replayed-1-2-4-5-6"],
+)
+def test_read_blocks_do_not_change_outputs(streams, monkeypatch, tmp_path, name, subset, faults):
     """Reader blocks (and the front half blocks of ``run``, which take one
     reader block at a time) of one line, three lines, the default and the
     whole stream give byte-identical metrics, equal poses and the same
-    diagnostics in the same order, which match the per-epoch loop's."""
-    path = _bad_stream(streams[name], tmp_path / "bad.jsonl", LINE_EDITS)
+    diagnostics in the same order, which match the per-epoch loop's. On the
+    clean multipath stream, with all antennas or five, every epoch is
+    replayed by the block replay."""
+    path = streams[name]
+    if faults:
+        path = _bad_stream(path, tmp_path / "bad.jsonl", LINE_EDITS)
     config = PipelineConfig(antenna_subset=subset)
     poses, diags, skipped = _per_epoch(path, config)
     # 9 from EDITS, 5 more bad lines (the blank line is no epoch)
-    assert skipped == 14
-    runs = [_run(path, config, None, monkeypatch, read_block) for read_block in (1, 3, None, 10**9)]
+    assert skipped == (14 if faults else 0)
+    replayed: list[int] = []
+    block_replay = mgp.pipeline.replay
+
+    def counting(requeries, *args):
+        replayed.append(len(requeries))
+        return block_replay(requeries, *args)
+
+    monkeypatch.setattr(mgp.pipeline, "replay", counting)
+    runs = []
+    for read_block in (1, 3, None, 10**9):
+        replayed.clear()
+        runs.append(_run(path, config, None, monkeypatch, read_block))
+        if not faults:
+            size = min(read_block or mgp.streams.READ_BLOCK, 60)
+            assert replayed == [min(size, 60 - k) for k in range(0, 60, size)]
     for metrics, got_poses, got_diags, _ in runs:
         assert metrics == runs[0][0]
         assert json.loads(metrics)["skipped"] == skipped
@@ -277,13 +304,17 @@ def test_read_blocks_do_not_change_outputs(streams, monkeypatch, tmp_path, name,
 
 def test_consensus_of_a_block_is_bitwise_its_blocks_of_one() -> None:
     """Random epochs of 2 to 15 baselines solved as one block, whose widest
-    epoch pads every other, and one by one: every output is bitwise equal."""
+    epoch pads every other, and one by one: every output is bitwise equal.
+    Among them are epochs where no pair passes the angle screen or none has
+    an observable rotation, which score no hypothesis."""
     rng = np.random.default_rng(7)
     epochs = [Baselines.of(_random_epoch(rng)).fixed_only() for _ in range(200)]
-    epochs = [e for e in epochs if len(e) >= 2]
+    epochs += [Baselines.of(obs) for obs in _ragged_block(rng, 60)]
+    epochs = [epochs[k] for k in rng.permutation(len(epochs)) if len(epochs[k]) >= 2]
     params = RansacParams(inlier_threshold_m=0.05, min_inliers=3)
     block = consensus(epochs, params)
     assert block.inliers.shape[1] == 15 and block.refitted.sum() > 100
+    assert (block.hypotheses == 0).sum() >= 15
     for k, epoch in enumerate(epochs):
         one = consensus([epoch], params)
         m = len(epoch)

@@ -363,6 +363,92 @@ def test_evaluate_bad_cloud_record_exits_one_with_location(
     assert not report.exists()
 
 
+def _bad_byte(path: Path, after: bytes = b"") -> None:
+    """Put two bytes that are not UTF-8 into line 4 of the file, after the
+    first ``after`` in it, or after its fifth byte."""
+    lines = path.read_bytes().split(b"\n")
+    line = lines[3]
+    at = line.index(after) + len(after) if after else 5
+    lines[3] = line[:at] + b"\xff\xfe" + line[at:]
+    path.write_bytes(b"\n".join(lines))
+
+
+_NOT_UTF8 = "byte 0xff is not UTF-8 (invalid start byte)"
+
+
+def _chain_files(tmp_path: Path) -> dict[str, str]:
+    """A short flight's epoch, scan, pose and cloud files, and its configs."""
+    files = {name: str(tmp_path / name) for name in
+             ("epochs.jsonl", "scan.jsonl", "poses.csv", "m.json", "cloud.xyz")}
+    files["scen"] = _write(tmp_path / "scen.json", FLIGHT)
+    files["pipe"] = _write(tmp_path / "pipe.json", {})
+    files["calib"] = _write(tmp_path / "calib.json", {"lever_arm": [0.0, 0.0, 0.0]})
+    files["refl"] = _write(tmp_path / "refl.json", {"reflectors": [[0.0, 2.0, 0.0]]})
+    assert main(["simulate", "--config", files["scen"], "--out", files["epochs.jsonl"],
+                 "--scan", files["scan.jsonl"]]) == 0
+    assert main(["estimate", "--epochs", files["epochs.jsonl"], "--config", files["pipe"],
+                 "--poses", files["poses.csv"], "--metrics", files["m.json"]]) == 0
+    assert main(["georef", "--poses", files["poses.csv"], "--scan", files["scan.jsonl"],
+                 "--calib", files["calib"], "--cloud", files["cloud.xyz"]]) == 0
+    return files
+
+
+def test_estimate_skips_epoch_with_bytes_not_utf8(tmp_path: Path, capsys) -> None:
+    # inside a satellite id, where the line is still valid JSON
+    files = _chain_files(tmp_path)
+    _bad_byte(Path(files["epochs.jsonl"]), after=b'"sat_id": "')
+    capsys.readouterr()
+    code = main(["estimate", "--epochs", files["epochs.jsonl"], "--config", files["pipe"],
+                 "--poses", files["poses.csv"], "--metrics", files["m.json"]])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"{files['epochs.jsonl']}:4: skipped epoch: {_NOT_UTF8}\n"
+    assert "processed 29 epochs (1 skipped)" in captured.out
+
+
+def test_georef_scan_with_bytes_not_utf8_names_the_line(tmp_path: Path, capsys) -> None:
+    files = _chain_files(tmp_path)
+    _bad_byte(Path(files["scan.jsonl"]))
+    capsys.readouterr()
+    code = main(["georef", "--poses", files["poses.csv"], "--scan", files["scan.jsonl"],
+                 "--calib", files["calib"], "--cloud", files["cloud.xyz"]])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {files['scan.jsonl']}:4: {_NOT_UTF8}\n"
+
+
+def test_georef_poses_with_bytes_not_utf8_names_the_line(tmp_path: Path, capsys) -> None:
+    files = _chain_files(tmp_path)
+    _bad_byte(Path(files["poses.csv"]))
+    capsys.readouterr()
+    code = main(["georef", "--poses", files["poses.csv"], "--scan", files["scan.jsonl"],
+                 "--calib", files["calib"], "--cloud", files["cloud.xyz"]])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {files['poses.csv']}:4: {_NOT_UTF8}\n"
+
+
+def test_evaluate_cloud_with_bytes_not_utf8_names_the_line(tmp_path: Path, capsys) -> None:
+    files = _chain_files(tmp_path)
+    _bad_byte(Path(files["cloud.xyz"]))
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    code = main(["evaluate", "--cloud", files["cloud.xyz"], "--reflectors", files["refl"],
+                 "--report", str(report)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {files['cloud.xyz']}:4: {_NOT_UTF8}\n"
+    assert not report.exists()
+
+
+def test_config_with_bytes_not_utf8_names_the_line(tmp_path: Path, capsys) -> None:
+    files = _chain_files(tmp_path)
+    pipe = Path(files["pipe"])
+    pipe.write_bytes(b'{\n  "multipath_feedback": true,\n\n  "\xff\xfe": 1\n}\n')
+    capsys.readouterr()
+    code = main(["estimate", "--epochs", files["epochs.jsonl"], "--config", str(pipe),
+                 "--poses", files["poses.csv"], "--metrics", files["m.json"]])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {pipe}:4: {_NOT_UTF8}\n"
+
+
 def test_missing_input_exits_one(tmp_path: Path, capsys) -> None:
     pipe = _write(tmp_path / "pipe.json", {})
     code = main(

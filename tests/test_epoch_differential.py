@@ -44,12 +44,11 @@ from mgp.errors import (
 )
 from mgp.attitude import _max_eigenpair
 from mgp.pipeline import _angle_sd, _population_sd, _wrap_deg
-from mgp.epochs import _DRAW_KEYS, ChannelDraws, RequeryData, _status_sets
-from mgp.streams import _MODEL_KEYS, EPOCH_HEADER
+from mgp.streams import EPOCH_HEADER
 
 from test_acceptance import A9_SCENARIO
 from test_ransac_differential import _scalar_ransac
-from test_requery_differential import _ref_lines
+from test_requery_differential import _ref_lines, _ref_requery_from_dict, _ref_status_sets
 
 # -- the object path ------------------------------------------------------------
 
@@ -66,24 +65,6 @@ class _Epoch:
 def _vec(obj: Any) -> Vec3:
     x, y, z = (float(c) for c in obj)
     return Vec3(x, y, z)
-
-
-def _requery_from_dict(d: dict[str, Any]) -> RequeryData:
-    md = d["model"]
-    model = mgp.FixModel(
-        **{k: float(md[k]) for k in _MODEL_KEYS if k != "antenna_bias"},
-        antenna_bias=tuple(float(b) for b in md["antenna_bias"]),
-    )
-    groups = [
-        ChannelDraws(
-            *(
-                np.array([row[k] for row in d[key]], dtype=None if k == "wrong" else np.float64)
-                for k in _DRAW_KEYS
-            )
-        )
-        for key in ("antenna_channels", "baseline_channels")
-    ]
-    return RequeryData(model, tuple(str(s) for s in d["solution_sats"]), *groups)
 
 
 def _epoch_from_dict(d: dict[str, Any]) -> _Epoch:
@@ -126,7 +107,7 @@ def _epoch_from_dict(d: dict[str, Any]) -> _Epoch:
                 ),
                 wrong_fix_antennas=frozenset(int(a) for a in tr["wrong_fix_antennas"]),
                 requery=(
-                    _requery_from_dict(tr["requery"]) if tr["requery"] is not None else None
+                    _ref_requery_from_dict(tr["requery"]) if tr["requery"] is not None else None
                 ),
             )
         pairs = [tuple(sorted(o.antenna_pair)) for o in baselines]
@@ -277,10 +258,11 @@ def _process(epoch: _Epoch, config: PipelineConfig, verdicts: list) -> tuple:
     if config.multipath_feedback and excluded and truth is not None and truth.requery is not None:
         if len(truth.requery.antenna_channels) != layout.antenna_count:
             raise ValidationError("layout antenna count does not match the stream")
-        new_fixes, new_baselines, _, _ = _status_sets(
-            truth.requery, truth.multipath_sats, excluded, layout
+        n = layout.antenna_count
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        fixes, baselines = _ref_status_sets(
+            truth.requery, truth.multipath_sats, excluded, layout, pairs
         )
-        fixes, baselines = list(new_fixes), list(new_baselines)
         if subset is not None:
             fixes, baselines = _filter_subset(fixes, baselines, subset)
     attitude = _attitude(baselines, config)

@@ -20,6 +20,7 @@ import pytest
 
 from mgp import (
     AttitudeSolution,
+    Baselines,
     DegenerateGeometryError,
     InsufficientDataError,
     PipelineConfig,
@@ -43,7 +44,7 @@ from mgp import (
 )
 import mgp.pipeline
 from mgp.attitude import EIGEN_GAP_TOL, _davenport_k
-from mgp.robust import MIN_PAIR_ANGLE_DEG, _pair_gap, _pair_quaternions, _rotations_eb
+from mgp.robust import MIN_PAIR_ANGLE_DEG, _pair_gap, _pair_quaternions, _rotations_eb, consensus
 
 LAYOUT = hexagon_layout(0.9)
 _JACOBI_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -247,6 +248,44 @@ def _random_epoch(rng: np.random.Generator) -> list[VectorObservation]:
         fixed = bool(rng.random() >= p_float)
         out.append(VectorObservation(v=Vec3.from_array(v), w=w, antenna_pair=(i, j), fixed=fixed))
     return out
+
+
+def _ragged_block(rng: np.random.Generator, n: int = 80) -> list[list[VectorObservation]]:
+    """Epochs of 2 to 15 fixed baselines, widths mixed at random. About a
+    quarter have all body baselines along one axis, so that no pair passes
+    the angle screen, and a quarter all measured baselines along one axis,
+    so that no pair has an observable rotation."""
+    epochs = []
+    for _ in range(n):
+        obs = [dataclasses.replace(o, fixed=True) for o in _random_epoch(rng)]
+        kind = rng.integers(4)
+        if kind == 0:
+            obs = [dataclasses.replace(o, w=Vec3(o.w.norm(), 0.0, 0.0)) for o in obs]
+        elif kind == 1:
+            obs = [
+                dataclasses.replace(o, v=Vec3(1.0 + 0.1 * j, 0.0, 0.0)) for j, o in enumerate(obs)
+            ]
+        epochs.append(obs)
+    return epochs
+
+
+def test_ragged_block_matches_scalar_path() -> None:
+    """A block of epochs of mixed widths, some with no pair to score, is
+    solved as each epoch alone (bitwise), and each epoch alone as the
+    scalar loop solves it."""
+    rng = np.random.default_rng(2024)
+    epochs = _ragged_block(rng)
+    params = RansacParams(inlier_threshold_m=0.05, min_inliers=3)
+    block = consensus([Baselines.of(obs) for obs in epochs], params)
+    assert (block.hypotheses == 0).sum() >= 20 and block.refitted.sum() >= 20
+    for k, obs in enumerate(epochs):
+        _assert_same(obs, params)
+        one = consensus([Baselines.of(obs)], params)
+        assert one.hypotheses[0] == block.hypotheses[k]
+        assert np.array_equal(one.inliers[0], block.inliers[k, : len(obs)])
+        assert not block.inliers[k, len(obs):].any()
+        for name in ("refitted", "lam", "q_be", "gap", "weights_sum"):
+            assert np.array_equal(getattr(one, name)[0], getattr(block, name)[k], equal_nan=True)
 
 
 @pytest.mark.parametrize("block", range(6))

@@ -6,7 +6,9 @@ per-row loop, a separate post-calibration model type, the per-channel
 ``_assign`` replay and the per-channel dict codec. The epoch stream written
 by ``simulate`` must be byte-identical to the reference's, and
 ``requery_epoch`` on the read-back stream must return bitwise the statuses,
-positions and baseline vectors the reference replay returns.
+positions and baseline vectors the reference replay returns, and so must
+the block replay (``mgp.epochs.replay``) for every epoch of every block,
+whatever the blocks, exclusion sets and antenna subsets.
 """
 from __future__ import annotations
 
@@ -18,8 +20,11 @@ from typing import Any, Iterator
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mgp
+import mgp.epochs
 from mgp import FixStatus, Vec3
 from mgp.multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ
 from mgp.simulator import _effective_biases, _lattice_table
@@ -353,3 +358,60 @@ def test_calibrated_model_is_a_fix_model_without_targets() -> None:
         baseline_bias=model.baseline_bias,
         baseline_target_fix_prob=None,
     )
+
+
+@pytest.fixture(scope="module")
+def replay_cases(streams) -> dict[str, tuple]:
+    """Per case: the layout, the read-back epochs, the reference requery
+    record of each and the constellation's satellite ids."""
+    out = {}
+    for name, (cfg, path, _) in streams.items():
+        lines = path.read_text().splitlines()[1:]
+        refs = [_ref_requery_from_dict(json.loads(line)["truth"]["requery"]) for line in lines]
+        sats = [s.sat_id for s in cfg.constellation]
+        out[name] = (cfg.layout, list(mgp.read_epochs(str(path))), refs, sats)
+    return out
+
+
+@settings(
+    derandomize=True, database=None, deadline=None, max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_block_replay_matches_object_path(replay_cases, data) -> None:
+    """Epochs replayed in blocks of any split, each with its own exclusion
+    set, and cut to an antenna subset as ``run`` cuts them: each epoch's
+    fixes and solved baselines are bitwise the reference's."""
+    name = data.draw(st.sampled_from(sorted(replay_cases)), label="case")
+    layout, epochs, refs, sats = replay_cases[name]
+    n = layout.antenna_count
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    start = data.draw(st.integers(0, len(epochs) - 1), label="start")
+    stop = data.draw(st.integers(start + 1, min(len(epochs), start + 40)), label="stop")
+    cuts = data.draw(st.sets(st.integers(start + 1, max(start + 1, stop - 1))), label="cuts")
+    cuts.discard(stop)
+    subset = data.draw(st.sets(st.integers(1, n), min_size=1), label="subset")
+    active = np.zeros(n + 1, dtype=bool)
+    active[list(subset)] = True
+    excluded = [
+        frozenset(data.draw(st.sets(st.sampled_from(sats)), label=f"excluded {k}"))
+        for k in range(start, stop)
+    ]
+    bounds = [start, *sorted(cuts), stop]
+    for a, b in zip(bounds, bounds[1:]):
+        block = epochs[a:b]
+        found = mgp.epochs.replay(
+            [e.truth.requery for e in block], [e.truth.multipath_sats for e in block],
+            excluded[a - start:b - start], layout,
+        )
+        for k, epoch in enumerate(block):
+            fixes = found.fixes.select(np.arange(len(found.fixes)) // n == k)
+            baselines = found.baselines.select(found.baseline_epoch == k)
+            fixes = fixes.select(active[fixes.ids])
+            baselines = baselines.select(active[baselines.pairs].all(axis=1))
+            ref_fixes, ref_observations = _ref_status_sets(
+                refs[a + k], epoch.truth.multipath_sats, excluded[a + k - start], layout, pairs
+            )
+            ref_fixes = [f for f in ref_fixes if f.antenna_id in subset]
+            ref_observations = [o for o in ref_observations if set(o.antenna_pair) <= subset]
+            assert _bits(fixes, baselines) == _bits(ref_fixes, ref_observations), (name, a + k)

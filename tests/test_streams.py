@@ -298,6 +298,10 @@ def test_block_decoder_checks_each_epoch_on_its_own() -> None:
         mgp.streams._decode(dicts)
 
 
+def _requery(record: dict) -> dict:
+    return record["truth"]["requery"]
+
+
 def _two_faults(first: str, second: str):
     edits = {
         "t-true": lambda r: r.update(t=True),
@@ -310,6 +314,17 @@ def _two_faults(first: str, second: str):
         "status-list": lambda r: r["fixes"][0].update(status=["fixed"]),
         "attitude-2": lambda r: r["truth"].update(attitude=[0.0, 0.0, 0.0, 2.0]),
         "snr-string": lambda r: r["snr_rows"][0]["snr"].__setitem__(0, "40"),
+        "u-fix-nan": lambda r: _requery(r)["antenna_channels"][1].update(u_fix=math.nan),
+        "wrong-string": lambda r: _requery(r)["antenna_channels"][0].update(wrong="no"),
+        "latent-short": lambda r: _requery(r)["antenna_channels"][0].update(latent_fixed=[1.0]),
+        "steepness-string": lambda r: _requery(r)["model"].update(steepness="x"),
+        "bias-short": lambda r: _requery(r)["model"]["antenna_bias"].pop(),
+        "no-midpoint": lambda r: _requery(r)["model"].pop("midpoint"),
+        "baseline-wrong-number": lambda r: _requery(r)["baseline_channels"][7].update(wrong=0),
+        "no-latent": lambda r: _requery(r)["antenna_channels"][2].pop("latent_float"),
+        "solution-numbers": lambda r: _requery(r).update(solution_sats=[1, 2]),
+        "baselines-short": lambda r: _requery(r)["baseline_channels"].pop(),
+        "no-solution": lambda r: _requery(r).pop("solution_sats"),
     }
 
     def edit(record: dict) -> None:
@@ -330,23 +345,42 @@ def _two_faults(first: str, second: str):
         (_two_faults("no-status", "status-list"),
          "malformed epoch object: TypeError(\"unhashable type: 'list'\")"),
         (_two_faults("attitude-2", "snr-string"), "SNR values must be numbers"),
+        (_two_faults("wrong-string", "u-fix-nan"), "u_fix channel draws must be finite"),
+        (_two_faults("latent-short", "steepness-string"),
+         "fix model values must be a number, got 'x'"),
+        (_two_faults("bias-short", "attitude-2"),
+         "truth attitude norm 2.0 is not 1 within 1e-06"),
+        (_two_faults("no-midpoint", "steepness-string"),
+         "fix model values must be a number, got 'x'"),
+        (_two_faults("baseline-wrong-number", "no-latent"),
+         "malformed epoch object: KeyError('latent_float')"),
+        (_two_faults("baselines-short", "solution-numbers"), "solution_sats must be strings"),
+        (_two_faults("baselines-short", "no-solution"),
+         "malformed epoch object: KeyError('solution_sats')"),
     ],
     ids=["time-before-key", "type-before-key", "key-before-type", "ids-before-widths",
-         "unhashable-before-key", "snr-before-truth"],
+         "unhashable-before-key", "snr-before-truth", "draws-before-flags",
+         "model-before-draws", "attitude-before-model", "value-before-key",
+         "antennas-before-baselines", "satellites-before-counts", "key-before-counts"],
 )
 def test_read_epochs_reports_the_first_of_two_faults(tmp_path: Path, edit, message: str) -> None:
     """A line with two faults reports the one a field-by-field reading of
     the epoch meets first, whichever of them the block decoder's line pass
-    (lookups) or its checks find."""
-    epochs = list(simulate(_scenario(duration_s=0.3)))
+    (lookups) or its checks find: alone (the decoder on a block of one) and
+    inside a full block of the reader."""
+    epochs = list(simulate(_scenario(duration_s=4.0)))
+    assert len(epochs) > mgp.streams.READ_BLOCK
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), epochs)
     lines = path.read_text().splitlines()
-    record = json.loads(lines[2])
+    k = mgp.streams.READ_BLOCK // 2
+    record = json.loads(lines[k])
     edit(record)
-    lines[2] = json.dumps(record)
+    lines[k] = json.dumps(record)
+    with pytest.raises((InputError, ValidationError), match=f"^{re.escape(message)}$"):
+        epoch_from_dict(json.loads(lines[k]))
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InputError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+    with pytest.raises(InputError, match=f"^{re.escape(f'{path}:{k + 1}: {message}')}$"):
         list(read_epochs(str(path)))
 
 
@@ -481,7 +515,8 @@ def test_read_scan_rejects_non_finite_times(tmp_path: Path, row: str, message: s
     path = tmp_path / "s.jsonl"
     path.write_text(
         '{"format": "mgp-scan", "version": 1}\n'
-        '{"t": 0.0, "pulses": [[0.0, 1.0, 2.0, 3.0, 0]]}\n' + row + "\n"
+        '{"t": 0.0, "pulses": [[0.0, 1.0, 2.0, 3.0, 0]]}\n' + row + "\n",
+        encoding="utf-8",
     )
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {message}"):
         list(read_scan(str(path)))
