@@ -48,9 +48,6 @@ from .mapping import (
 )
 from .multipath import (
     MultipathReport,
-    MultipathVerdict,
-    SatelliteAssessment,
-    SnrRow,
     SnrTable,
     detect_multipath,
     snr_sd,
@@ -67,11 +64,10 @@ from .pipeline import (
     process_epoch,
     run,
 )
-from .positioning import FixSolution, Fixes, FixStatus, PositionSolution, hybrid_position
+from .positioning import Fixes, FixStatus, PositionSolution, hybrid_position
 from .robust import (
     RansacParams,
     RobustAttitudeResult,
-    baseline_residual,
     ransac_attitude,
 )
 from .simulator import (

@@ -21,14 +21,15 @@ padding row carries zero weight, and each epoch's profile matrix is its own
 product in the stacked matmul, so an epoch's solution does not depend on the
 block it was solved in.
 
-An epoch's observations travel as one :class:`Baselines` record of arrays;
-:class:`VectorObservation` is the one-baseline view for callers that want
-objects, and the estimators accept either form.
+An epoch's observations travel as one :class:`Baselines` record of arrays,
+the only form the estimators take. Iterating it yields
+:class:`VectorObservation` rows, which :func:`baseline_weights`,
+:func:`davenport_matrix` and the SVD oracle take.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,8 +70,8 @@ class Baselines:
 
     ``pairs`` (m, 2) holds the (from, to) antenna ids, ``v`` (m, 3) the
     measured ENU baselines, ``w`` (m, 3) the body baselines and ``fixed``
-    (m,) the ambiguity state. Build from outside data with :meth:`checked` or
-    :meth:`of`; iterating yields :class:`VectorObservation` views.
+    (m,) the ambiguity state. Build from outside data with :meth:`checked`;
+    iterating yields :class:`VectorObservation` rows.
     """
 
     pairs: np.ndarray
@@ -91,16 +92,6 @@ class Baselines:
         if (pairs[:, 0] == pairs[:, 1]).any():
             raise ValidationError("antenna pair must reference two distinct antennas")
         return cls(pairs, v, w, fixed)
-
-    @classmethod
-    def of(cls, observations: Iterable[VectorObservation]) -> Baselines:
-        obs = list(observations)
-        return cls.checked(
-            np.array([o.antenna_pair for o in obs], dtype=np.int64).reshape(-1, 2),
-            np.array([o.v.as_array() for o in obs]).reshape(-1, 3),
-            np.array([o.w.as_array() for o in obs]).reshape(-1, 3),
-            np.array([o.fixed for o in obs], dtype=bool),
-        )
 
     def select(self, keep: np.ndarray) -> Baselines:
         """The rows where the bool mask ``keep`` is True."""
@@ -289,16 +280,12 @@ def refit_solution(
     )
 
 
-def estimate_attitude(
-    observations: Baselines | Iterable[VectorObservation],
-) -> AttitudeSolution:
+def estimate_attitude(observations: Baselines) -> AttitudeSolution:
     """Weighted Q-method attitude from the fixed observations.
 
     The eigen solve yields the ENU-to-body quaternion; the returned solution
     stores its conjugate so ``q`` rotates body vectors into ENU.
     """
-    if not isinstance(observations, Baselines):
-        observations = Baselines.of(observations)
     fixed = observations.fixed_only()
     if len(fixed) < 2:
         raise InsufficientDataError("attitude needs at least 2 fixed baseline observations")

@@ -150,11 +150,21 @@ def decode(cls: type[T], obj: Any, where: str) -> T:
     return _within(where, _dataclass, cls, obj, "")
 
 
+def loads(text: str) -> Any:
+    """``json.loads``, raising JSONDecodeError also for nesting too deep for
+    the parser (which ends in RecursionError), so that every caller reports
+    it as the bad JSON it is."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
 def load(cls: type[T], path: str, where: str) -> T:
     """:func:`decode` of the JSON object in the file at ``path``; every
     message starts with the path."""
     try:
-        obj = json.loads(read_utf8(path))
+        obj = loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if type(obj) is not dict:

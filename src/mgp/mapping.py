@@ -19,7 +19,6 @@ labels, a :class:`Cloud` (n, 3) ENU points and (n,) bool flags.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -263,9 +262,11 @@ def _xyz_columns(path: Path) -> np.ndarray:
     if not text:
         return np.empty((0, 4))
     try:
-        # loadtxt warns on input without data; the loop below names line 1
+        # loadtxt warns on input without data; the loop below names line 1.
+        # The lines go in as a list split at "\n" only, as StringIO splits
+        # them, without StringIO's second, wider copy of the whole file.
         if not text.isspace():
-            cols = np.loadtxt(io.StringIO(text), ndmin=2, comments=None)
+            cols = np.loadtxt(text.split("\n"), ndmin=2, comments=None)
             if cols.shape == (text.count("\n") + (not text.endswith("\n")), 4):
                 return cols
     except ValueError:
@@ -274,9 +275,7 @@ def _xyz_columns(path: Path) -> np.ndarray:
     # each with loadtxt itself (float() would also take "1_0" or "１")
     for lineno, line in enumerate(text.removesuffix("\n").split("\n"), 1):
         try:
-            ok = bool(line.strip()) and np.loadtxt(
-                io.StringIO(line), ndmin=2, comments=None
-            ).shape == (1, 4)
+            ok = bool(line.strip()) and np.loadtxt([line], ndmin=2, comments=None).shape == (1, 4)
         except ValueError:
             ok = False
         if not ok:

@@ -14,15 +14,13 @@ enough antennas track it to make the statistic meaningful.
 
 An epoch's SNR travels as one :class:`SnrTable`, an (s, n) matrix with NaN
 where an antenna does not track a satellite, and every satellite is scored
-in the same array pass. :class:`SnrRow` is the one-satellite view for callers
-that want objects.
+in the same array pass.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,47 +33,20 @@ DEFAULT_SD_THRESHOLD_DBHZ = 4.0
 DEFAULT_MIN_ANTENNA_COUNT = 4
 
 
-class MultipathVerdict(enum.Enum):
-    """Classification of one satellite at one epoch."""
-
-    CLEAN = "clean"
-    MULTIPATH = "multipath"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class SnrRow:
-    """SNR of one satellite across the array; ``None`` where untracked."""
-
-    sat_id: str
-    snr_dbhz: tuple[float | None, ...]
-
-    def __post_init__(self) -> None:
-        if not self.sat_id:
-            raise ValidationError("satellite id must be non-empty")
-        present = [s for s in self.snr_dbhz if s is not None]
-        if not present:
-            raise ValidationError(f"{self.sat_id}: no antenna tracks this satellite")
-        for s in present:
-            if not (SNR_MIN_DBHZ <= s <= SNR_MAX_DBHZ):
-                raise ValidationError(
-                    f"{self.sat_id}: SNR {s} outside [{SNR_MIN_DBHZ}, {SNR_MAX_DBHZ}] dB-Hz"
-                )
-
-
 @dataclass(frozen=True, eq=False)
 class SnrTable:
     """The SNR of one epoch: ``dbhz`` (s, n) holds satellite ``sat_ids[k]``
     in row k and antenna j + 1 in column j, NaN where it is not tracked.
-    Build from outside data with :meth:`checked` or :meth:`of`; iterating
-    yields :class:`SnrRow` views."""
+    Build from outside data with :meth:`checked`."""
 
     sat_ids: tuple[str, ...]
     dbhz: np.ndarray
 
     @classmethod
     def checked(cls, sat_ids: tuple[str, ...], dbhz: np.ndarray) -> SnrTable:
-        """Build after checking the :class:`SnrRow` rules on every row."""
+        """Build after checking every row: a non-empty satellite id, at least
+        one tracking antenna, and every value within [SNR_MIN_DBHZ,
+        SNR_MAX_DBHZ]."""
         if dbhz.ndim != 2 or len(dbhz) != len(sat_ids):
             raise ValidationError("SNR needs one row per satellite")
         if not all(sat_ids):
@@ -92,16 +63,6 @@ class SnrTable:
             )
         return cls(sat_ids, dbhz)
 
-    @classmethod
-    def of(cls, rows: Iterable[SnrRow]) -> SnrTable:
-        rows = list(rows)
-        if len({len(r.snr_dbhz) for r in rows}) > 1:
-            raise ValidationError("SNR rows of one epoch must have the same width")
-        values = [[np.nan if x is None else x for x in r.snr_dbhz] for r in rows]
-        width = len(values[0]) if values else 0
-        dbhz = np.array(values, dtype=np.float64).reshape(len(values), width)
-        return cls.checked(tuple(r.sat_id for r in rows), dbhz)
-
     def columns(self, keep: np.ndarray) -> SnrTable:
         """The table on the antenna columns where the bool mask ``keep`` is
         True, without the satellites none of them tracks."""
@@ -114,31 +75,15 @@ class SnrTable:
     def __len__(self) -> int:
         return len(self.sat_ids)
 
-    def __iter__(self) -> Iterator[SnrRow]:
-        for sat, row in zip(self.sat_ids, self.dbhz.tolist()):
-            yield SnrRow(sat, tuple(None if x != x else x for x in row))
-
-
-@dataclass(frozen=True)
-class SatelliteAssessment:
-    """Per-satellite detection detail."""
-
-    sigma_snr: float | None
-    n_antennas: int
-    verdict: MultipathVerdict
-
-
-# Verdict codes of MultipathReport.verdict: index into this tuple.
-VERDICTS = (MultipathVerdict.CLEAN, MultipathVerdict.MULTIPATH, MultipathVerdict.UNKNOWN)
-
 
 @dataclass(frozen=True, eq=False)
 class MultipathReport:
     """Detection outcome for one epoch, one entry per satellite of ``sat_ids``.
 
-    ``sigma_snr`` is NaN where fewer than two antennas track the satellite;
-    ``verdict`` indexes :data:`VERDICTS`. ``excluded_sats`` contains exactly
-    the satellites whose verdict is MULTIPATH.
+    ``sigma_snr`` is NaN where fewer than two antennas track the satellite,
+    and ``n_antennas`` counts the antennas that do. ``verdict`` is 0 (clean),
+    1 (multipath: the spread exceeds the threshold) or 2 (unknown: too few
+    antennas). ``excluded_sats`` contains exactly the satellites of verdict 1.
     """
 
     sat_ids: tuple[str, ...]
@@ -146,15 +91,6 @@ class MultipathReport:
     n_antennas: np.ndarray
     verdict: np.ndarray
     excluded_sats: frozenset[str]
-
-    @property
-    def per_satellite(self) -> dict[str, SatelliteAssessment]:
-        """The assessments as objects, keyed by satellite (built on access)."""
-        rows = zip(self.sigma_snr.tolist(), self.n_antennas.tolist(), self.verdict.tolist())
-        return {
-            sat: SatelliteAssessment(None if sd != sd else sd, n, VERDICTS[v])
-            for sat, (sd, n, v) in zip(self.sat_ids, rows)
-        }
 
 
 def _spread(dbhz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,13 +133,13 @@ def snr_sd(values: Sequence[float]) -> float:
 
 
 def detect_multipath(
-    snr: SnrTable | Iterable[SnrRow],
+    snr: SnrTable,
     threshold_dbhz: float = DEFAULT_SD_THRESHOLD_DBHZ,
     min_count: int = DEFAULT_MIN_ANTENNA_COUNT,
 ) -> MultipathReport:
     """Classify every satellite by its cross-antenna SNR spread.
 
-    Satellites tracked by fewer than ``min_count`` antennas stay UNKNOWN
+    Satellites tracked by fewer than ``min_count`` antennas stay unknown
     (never excluded): the spread of a couple of samples says nothing. An
     empty table yields an empty report.
     """
@@ -211,8 +147,6 @@ def detect_multipath(
         raise ValidationError("threshold must be positive")
     if min_count < 2:
         raise ValidationError("min_count must be at least 2")
-    if not isinstance(snr, SnrTable):
-        snr = SnrTable.of(snr)
     sat_ids = snr.sat_ids
     if len(set(sat_ids)) != len(sat_ids):
         dup = next(s for k, s in enumerate(sat_ids) if s in sat_ids[:k])

@@ -14,15 +14,12 @@ no-solution antennas never contribute.
 An epoch's solutions travel as one :class:`Fixes` record of arrays.
 :func:`fuse_positions` takes the mean for a block of epochs at once, as a
 masked mean over an (E, n, 3) array summed in row order, and
-:func:`hybrid_position` is that fusion on a block of one;
-:class:`FixSolution` is the one-antenna view for callers that want objects.
+:func:`hybrid_position` is that fusion on a block of one.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
 import numpy as np
 
 from .core import AntennaLayout, UnitQuaternion, Vec3, quat_to_matrix, sum_rows
@@ -37,30 +34,8 @@ class FixStatus(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class FixSolution:
-    """One antenna's epoch solution. ``p`` is ENU metres from the reference."""
-
-    antenna_id: int
-    status: FixStatus
-    p: Vec3 | None = None
-    sats_used: int = 0
-
-    def __post_init__(self) -> None:
-        if self.antenna_id < 1:
-            raise ValidationError("antenna ids are 1-based")
-        if self.status is FixStatus.NONE and self.p is not None:
-            raise ValidationError("a no-solution antenna cannot carry a position")
-        if self.status is not FixStatus.NONE and self.p is None:
-            raise ValidationError(f"{self.status.value} solution requires a position")
-        if self.sats_used < 0:
-            raise ValidationError("sats_used must be nonnegative")
-
-
 # Grade codes of Fixes.grade: index into this tuple.
 FIX_GRADES = (FixStatus.NONE, FixStatus.FLOAT, FixStatus.FIXED)
-_GRADE_OF = {status: grade for grade, status in enumerate(FIX_GRADES)}
-_NO_P = np.full(3, np.nan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +45,7 @@ class Fixes:
     ``ids`` (n,) are 1-based antenna ids, ``grade`` (n,) indexes
     :data:`FIX_GRADES` (0 none, 1 float, 2 fixed), ``p`` (n, 3) holds ENU
     metres with a NaN row where the grade is 0, and ``sats_used`` (n,) counts
-    the solution satellites. Build from outside data with :meth:`checked` or
-    :meth:`of`; iterating yields :class:`FixSolution` views.
+    the solution satellites. Build from outside data with :meth:`checked`.
     """
 
     ids: np.ndarray
@@ -83,7 +57,9 @@ class Fixes:
     def checked(
         cls, ids: np.ndarray, grade: np.ndarray, p: np.ndarray, sats_used: np.ndarray
     ) -> Fixes:
-        """Build after checking the :class:`FixSolution` rules on every row."""
+        """Build after checking every row: a 1-based id, a grade of 0, 1 or
+        2, a finite position exactly where the grade is not 0, and a
+        nonnegative satellite count."""
         n = len(ids)
         if grade.shape != (n,) or sats_used.shape != (n,) or p.shape != (n, 3):
             raise ValidationError("fixes need (n,) ids, grades and counts and (n, 3) positions")
@@ -104,16 +80,6 @@ class Fixes:
             raise ValidationError("fix positions must be finite")
         return cls(ids, grade, p, sats_used)
 
-    @classmethod
-    def of(cls, solutions: Iterable[FixSolution]) -> Fixes:
-        sols = list(solutions)
-        return cls.checked(
-            np.array([f.antenna_id for f in sols], dtype=np.int64),
-            np.array([_GRADE_OF[f.status] for f in sols], dtype=np.int8),
-            np.array([_NO_P if f.p is None else f.p.as_array() for f in sols]).reshape(-1, 3),
-            np.array([f.sats_used for f in sols], dtype=np.int64),
-        )
-
     @property
     def fixed(self) -> np.ndarray:
         return self.grade == 2
@@ -124,11 +90,6 @@ class Fixes:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[FixSolution]:
-        rows = zip(self.ids.tolist(), self.grade.tolist(), self.p.tolist(), self.sats_used.tolist())
-        for i, g, p, n in rows:
-            yield FixSolution(i, FIX_GRADES[g], Vec3(*p) if g else None, n)
 
 
 @dataclass(frozen=True)
@@ -199,7 +160,7 @@ def fuse_positions(
 
 
 def hybrid_position(
-    fixes: Fixes | Iterable[FixSolution],
+    fixes: Fixes,
     attitude: UnitQuaternion | None,
     layout: AntennaLayout,
 ) -> PositionSolution:
@@ -208,8 +169,6 @@ def hybrid_position(
     Without an attitude the lever arms cannot be removed, so only an antenna
     mounted exactly at the body origin can still contribute (alone).
     """
-    if not isinstance(fixes, Fixes):
-        fixes = Fixes.of(fixes)
     check_unique_ids(fixes)
     n = layout.antenna_count
     fixed_ids = fixes.ids[fixes.fixed]

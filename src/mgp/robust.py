@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,12 +36,11 @@ from .attitude import (
     EIGEN_GAP_TOL,
     AttitudeSolution,
     Baselines,
-    VectorObservation,
     estimate_attitude,  # unused here; perfbench/tracer.py traces it under this name
     refit,
     refit_solution,
 )
-from .core import UnitQuaternion, rotate, sum_rows
+from .core import sum_rows
 from .errors import DegenerateGeometryError, InsufficientDataError, ValidationError
 
 # Body-baseline pairs separated by less than this angle are rejected as
@@ -81,15 +80,13 @@ class RobustAttitudeResult:
     """Consensus outcome for one epoch.
 
     ``solution.available`` is False when the best consensus set stayed below
-    ``min_inliers``. Inlier and outlier pair sets partition the input
-    observations; every non-fixed observation lands in the outlier set.
-    ``iterations_used`` is the number of pair hypotheses scored: fixed
+    ``min_inliers``; ``inlier_pairs`` is then empty. Non-fixed observations
+    are never inliers. ``iterations_used`` is the number of pair hypotheses scored: fixed
     baseline pairs that pass the angle screen and the eigen-gap check.
     """
 
     solution: AttitudeSolution
     inlier_pairs: frozenset[tuple[int, int]]
-    outlier_pairs: frozenset[tuple[int, int]]
     iterations_used: int
 
 
@@ -116,12 +113,6 @@ class Consensus(NamedTuple):
     def available(self) -> np.ndarray:
         """Epochs whose refit has a non-degenerate eigen gap."""
         return self.gap >= EIGEN_GAP_TOL
-
-
-def baseline_residual(obs: VectorObservation, q_eb: UnitQuaternion) -> float:
-    """Full-length residual ``|| v - R(q_eb) w ||`` in metres."""
-    predicted = rotate(q_eb, obs.w)
-    return (obs.v - predicted).norm()
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -333,9 +324,7 @@ def consensus(epochs: Sequence[Baselines], params: RansacParams) -> Consensus:
     )
 
 
-def ransac_attitude(
-    observations: Baselines | Iterable[VectorObservation], params: RansacParams
-) -> RobustAttitudeResult:
+def ransac_attitude(observations: Baselines, params: RansacParams) -> RobustAttitudeResult:
     """Consensus attitude over one epoch's baseline observations.
 
     Raises InsufficientDataError when fewer than two fixed observations
@@ -343,8 +332,6 @@ def ransac_attitude(
     angle screen and the eigen-gap check, or when the consensus set itself
     is degenerate.
     """
-    if not isinstance(observations, Baselines):
-        observations = Baselines.of(observations)
     candidates = observations.fixed_only()
     m = len(candidates)
     if m < 2:
@@ -365,6 +352,5 @@ def ransac_attitude(
     return RobustAttitudeResult(
         solution=solution,
         inlier_pairs=inliers,
-        outlier_pairs=observations.pair_set() - inliers,
         iterations_used=int(found.hypotheses[0]),
     )

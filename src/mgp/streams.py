@@ -559,7 +559,7 @@ def _utf8(line: str) -> str:
 
 def _check_header(line: str, expected: dict[str, Any], path: str) -> None:
     try:
-        header = json.loads(line)
+        header = jsonvals.loads(line)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: missing stream header: {exc}") from exc
     if header != expected:
@@ -590,7 +590,7 @@ def read_epochs(
         lines = ((lineno, line) for lineno, line in enumerate(stripped, start=2) if line)
         while block := list(itertools.islice(lines, READ_BLOCK)):
             try:
-                epochs = _decode(json.loads(_utf8(line)) for _, line in block)
+                epochs = _decode(jsonvals.loads(_utf8(line)) for _, line in block)
             except Exception:
                 # any fault: the lines below find and report it exactly
                 epochs = None
@@ -604,7 +604,7 @@ def read_epochs(
                 continue
             for lineno, line in block:
                 try:
-                    epoch = epoch_from_dict(json.loads(_utf8(line)))
+                    epoch = epoch_from_dict(jsonvals.loads(_utf8(line)))
                 except (json.JSONDecodeError, InputError, ValidationError, ValueError) as exc:
                     if skip_malformed:
                         if diagnostics is not None:
@@ -666,7 +666,7 @@ def read_scan(path: str) -> Iterator[ScanFrame]:
                 # a scan line holds only numbers, so either word is a boolean
                 if "true" in line or "false" in line:
                     raise ValidationError("scan values must be numbers, not JSON booleans")
-                yield _scan_frame(json.loads(line))
+                yield _scan_frame(jsonvals.loads(line))
             except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
 

@@ -2,11 +2,47 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 import pytest
 
 import mgp
+from mgp.positioning import FIX_GRADES
+
+
+def fixes_of(rows: Iterable[tuple[int, mgp.FixStatus, mgp.Vec3 | None]]) -> mgp.Fixes:
+    """A checked :class:`mgp.Fixes` from ``(antenna id, status, position or
+    None)`` rows, each solved from 8 satellites."""
+    rows = list(rows)
+    p = [[np.nan] * 3 if r[2] is None else r[2].as_array() for r in rows]
+    return mgp.Fixes.checked(
+        np.array([r[0] for r in rows], dtype=np.int64),
+        np.array([FIX_GRADES.index(r[1]) for r in rows], dtype=np.int8),
+        np.array(p, dtype=np.float64).reshape(-1, 3),
+        np.full(len(rows), 8, dtype=np.int64),
+    )
+
+
+def baselines_of(observations: Iterable[mgp.VectorObservation]) -> mgp.Baselines:
+    """A checked :class:`mgp.Baselines` holding ``observations`` as its rows."""
+    obs = list(observations)
+    return mgp.Baselines.checked(
+        np.array([o.antenna_pair for o in obs], dtype=np.int64).reshape(-1, 2),
+        np.array([o.v.as_array() for o in obs]).reshape(-1, 3),
+        np.array([o.w.as_array() for o in obs]).reshape(-1, 3),
+        np.array([o.fixed for o in obs], dtype=bool),
+    )
+
+
+def snr_of(rows: Iterable[tuple[str, tuple[float | None, ...]]]) -> mgp.SnrTable:
+    """A checked :class:`mgp.SnrTable` from ``(satellite id, SNR per antenna,
+    None where untracked)`` rows."""
+    rows = list(rows)
+    values = [[np.nan if x is None else x for x in snr] for _, snr in rows]
+    width = len(values[0]) if values else 0
+    dbhz = np.array(values, dtype=np.float64).reshape(len(values), width)
+    return mgp.SnrTable.checked(tuple(sat for sat, _ in rows), dbhz)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from conftest import FlightData, TimedRun, TimedStream
 
 LAYOUT = mgp.hexagon_layout(0.9)
 PAIRS = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+BODY = np.array([LAYOUT.baseline(*pair).as_array() for pair in PAIRS])
 
 
 def _verdict(capfd, name: str, ok: bool, detail: str) -> None:
@@ -38,20 +39,18 @@ def _observations(
     rng: np.random.Generator,
     sigma_m: float,
     corrupt: frozenset[tuple[int, int]] = frozenset(),
-) -> list[mgp.VectorObservation]:
-    obs = []
-    for pair in PAIRS:
-        w = LAYOUT.baseline(*pair)
-        v = mgp.rotate(q_true, w).as_array()
+) -> mgp.Baselines:
+    """All 15 hexagon baselines, fixed, measured under ``q_true``. The draws
+    run pair by pair (noise, then a slip where ``corrupt`` names the pair)."""
+    r = mgp.quat_to_matrix(q_true)
+    v = np.array([r @ w for w in BODY])
+    for k, pair in enumerate(PAIRS):
         if sigma_m > 0.0:
-            v = v + rng.normal(0.0, sigma_m, 3)
+            v[k] += rng.normal(0.0, sigma_m, 3)
         if pair in corrupt:
             slip = rng.standard_normal(3)
-            v = v + 0.19 * slip / np.linalg.norm(slip)
-        obs.append(
-            mgp.VectorObservation(v=mgp.Vec3.from_array(v), w=w, antenna_pair=pair)
-        )
-    return obs
+            v[k] += 0.19 * slip / np.linalg.norm(slip)
+    return mgp.Baselines.checked(np.array(PAIRS), v, BODY, np.ones(len(PAIRS), dtype=bool))
 
 
 # -- A1: attitude solver correctness ------------------------------------------
@@ -70,7 +69,8 @@ def test_a1_qmethod_correctness(capfd) -> None:
         sol = mgp.estimate_attitude(obs)
         if sigma == 0.0:
             worst_zero = max(worst_zero, mgp.quat_angle(sol.q, q_true))
-        q_svd = mgp.wahba_svd(obs, mgp.baseline_weights(obs))
+        rows = list(obs)
+        q_svd = mgp.wahba_svd(rows, mgp.baseline_weights(rows))
         worst_svd = max(worst_svd, mgp.quat_angle(sol.q, q_svd))
         if not (sol.lambda_max <= 1.0 + 1e-9):
             lambda_ok = False
@@ -102,7 +102,7 @@ def test_a2_ransac_robustness(capfd) -> None:
         if not res.solution.available:
             continue
         err_deg = math.degrees(mgp.quat_angle(res.solution.q, q_true))
-        if res.outlier_pairs == corrupt and err_deg < 0.2:
+        if obs.pair_set() - res.inlier_pairs == corrupt and err_deg < 0.2:
             successes += 1
     worst_clean = 0.0
     for k in range(50):
@@ -225,6 +225,14 @@ def test_a5_multipath_feedback_gain(
 
 # -- A6: positioning consistency ------------------------------------------------
 
+IDS = np.arange(1, 7)
+
+
+def _fixed(ids: np.ndarray, p: np.ndarray) -> mgp.Fixes:
+    """Fixed solutions of antennas ``ids`` at the rows of ``p``."""
+    n = len(ids)
+    return mgp.Fixes.checked(ids, np.full(n, 2, dtype=np.int8), p, np.full(n, 8))
+
 
 def test_a6_positioning_consistency(capfd) -> None:
     rng = np.random.default_rng(606)
@@ -233,18 +241,10 @@ def test_a6_positioning_consistency(capfd) -> None:
     for _ in range(20):
         q = _random_quat(rng)
         p_true = mgp.Vec3.from_array(rng.uniform(-50.0, 50.0, 3))
-        fixes = {
-            ant: mgp.FixSolution(
-                antenna_id=ant,
-                status=mgp.FixStatus.FIXED,
-                p=p_true + mgp.rotate(q, LAYOUT.position_of(ant)),
-                sats_used=8,
-            )
-            for ant in range(1, 7)
-        }
+        p = np.array([(p_true + mgp.rotate(q, LAYOUT.position_of(a))).as_array() for a in IDS])
         for mask in range(1, 64):
-            subset = [fixes[a] for a in range(1, 7) if mask >> (a - 1) & 1]
-            sol = mgp.hybrid_position(subset, q, LAYOUT)
+            subset = np.array([mask >> (a - 1) & 1 for a in IDS], dtype=bool)
+            sol = mgp.hybrid_position(_fixed(IDS[subset], p[subset]), q, LAYOUT)
             worst_exact = max(worst_exact, (sol.p - p_true).norm())
 
     sigma = 0.005
@@ -253,19 +253,11 @@ def test_a6_positioning_consistency(capfd) -> None:
     scaling = {}
     for n_ant in (1, 2, 3, 6):
         errs = np.empty((n_epochs, 3))
+        ids, levers = IDS[:n_ant], LAYOUT.positions[:n_ant]
         for k in range(n_epochs):
-            fixes_n = [
-                mgp.FixSolution(
-                    antenna_id=ant,
-                    status=mgp.FixStatus.FIXED,
-                    p=mgp.Vec3.from_array(
-                        LAYOUT.position_of(ant).as_array() + rng.normal(0.0, sigma, 3)
-                    ),
-                    sats_used=8,
-                )
-                for ant in range(1, n_ant + 1)
-            ]
-            errs[k] = mgp.hybrid_position(fixes_n, q_id, LAYOUT).p.as_array()
+            # one draw per antenna, in id order
+            p = levers + np.array([rng.normal(0.0, sigma, 3) for _ in ids])
+            errs[k] = mgp.hybrid_position(_fixed(ids, p), q_id, LAYOUT).p.as_array()
         measured = float(np.sqrt(np.mean(errs**2)))
         expected = sigma / math.sqrt(n_ant)
         scaling[n_ant] = abs(measured - expected) / expected
@@ -378,11 +370,11 @@ A9_SCENARIO = {
 
 def test_a9_determinism(tmp_path: Path, capfd) -> None:
     scen = tmp_path / "scenario.json"
-    scen.write_text(json.dumps(A9_SCENARIO))
+    scen.write_text(json.dumps(A9_SCENARIO), encoding="utf-8")
     pipe = tmp_path / "pipeline.json"
-    pipe.write_text("{}")
+    pipe.write_text("{}", encoding="utf-8")
     calib = tmp_path / "calib.json"
-    calib.write_text(json.dumps({"lever_arm": [0.1, 0.0, -0.05]}))
+    calib.write_text(json.dumps({"lever_arm": [0.1, 0.0, -0.05]}), encoding="utf-8")
     names = ("epochs.jsonl", "scan.jsonl", "poses.csv", "metrics.json", "cloud.xyz")
     payloads: list[tuple[bytes, ...]] = []
     for rep in ("first", "second"):

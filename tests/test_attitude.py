@@ -26,6 +26,8 @@ from mgp import (
     wahba_svd,
 )
 
+from conftest import baselines_of
+
 LAYOUT = hexagon_layout(0.9)
 ADJACENT_PAIRS = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]
 
@@ -150,7 +152,7 @@ def test_exact_recovery_from_noise_free_baselines() -> None:
     rng = np.random.default_rng(41)
     for _ in range(100):
         q_true = UnitQuaternion.from_array(rng.normal(size=4))
-        sol = estimate_attitude(_truth_obs(q_true, ADJACENT_PAIRS))
+        sol = estimate_attitude(baselines_of(_truth_obs(q_true, ADJACENT_PAIRS)))
         assert sol.available
         assert quat_angle(sol.q, q_true) < 1e-9
         assert sol.lambda_max == pytest.approx(1.0, abs=1e-12)
@@ -160,7 +162,7 @@ def test_exact_recovery_from_noise_free_baselines() -> None:
 
 def test_estimated_quaternion_maps_body_to_enu() -> None:
     q_true = euler_to_quat(2.0, -3.0, 47.0)
-    sol = estimate_attitude(_truth_obs(q_true, ADJACENT_PAIRS))
+    sol = estimate_attitude(baselines_of(_truth_obs(q_true, ADJACENT_PAIRS)))
     w = LAYOUT.baseline(1, 4)
     assert np.allclose(rotate(sol.q, w).as_array(), rotate(q_true, w).as_array(), atol=1e-12)
 
@@ -170,7 +172,7 @@ def test_gain_never_exceeds_weight_sum() -> None:
     for _ in range(50):
         q_true = UnitQuaternion.from_array(rng.normal(size=4))
         obs = _truth_obs(q_true, ADJACENT_PAIRS, noise_sd=0.05, rng=rng)
-        sol = estimate_attitude(obs)
+        sol = estimate_attitude(baselines_of(obs))
         assert sol.lambda_max <= sol.weights_sum + 1e-12
         assert sol.lambda_max < sol.weights_sum  # noise strictly reduces the gain
 
@@ -182,7 +184,7 @@ def test_agrees_with_svd_oracle_under_noise() -> None:
     for _ in range(50):
         q_true = UnitQuaternion.from_array(rng.normal(size=4))
         obs = _truth_obs(q_true, ADJACENT_PAIRS, noise_sd=0.03, rng=rng)
-        sol = estimate_attitude(obs)
+        sol = estimate_attitude(baselines_of(obs))
         q_ref = wahba_svd(obs, baseline_weights(obs))
         assert quat_angle(sol.q, q_ref) < 1e-6
 
@@ -191,13 +193,13 @@ def test_rotation_equivariance() -> None:
     rng = np.random.default_rng(53)
     q_true = UnitQuaternion.from_array(rng.normal(size=4))
     obs = _truth_obs(q_true, ADJACENT_PAIRS, noise_sd=0.02, rng=rng)
-    base = estimate_attitude(obs).q
+    base = estimate_attitude(baselines_of(obs)).q
 
     extra = euler_to_quat(0.0, 0.0, 30.0)
     rotated = [
         VectorObservation(v=rotate(extra, o.v), w=o.w, antenna_pair=o.antenna_pair) for o in obs
     ]
-    got = estimate_attitude(rotated).q
+    got = estimate_attitude(baselines_of(rotated)).q
     assert quat_angle(got, quat_multiply(extra, base)) < 1e-9
 
 
@@ -214,14 +216,15 @@ def test_baseline_scale_does_not_change_solution() -> None:
         )
         for o in obs
     ]
-    assert quat_angle(estimate_attitude(obs).q, estimate_attitude(scaled).q) < 1e-12
+    got = estimate_attitude(baselines_of(scaled)).q
+    assert quat_angle(estimate_attitude(baselines_of(obs)).q, got) < 1e-12
 
 
 def test_non_fixed_observations_are_excluded() -> None:
     q_true = euler_to_quat(1.0, 2.0, 3.0)
     obs = _truth_obs(q_true, ADJACENT_PAIRS)
     junk = VectorObservation(v=Vec3(5.0, -5.0, 5.0), w=LAYOUT.baseline(1, 4), antenna_pair=(1, 4), fixed=False)
-    sol = estimate_attitude(obs + [junk])
+    sol = estimate_attitude(baselines_of(obs + [junk]))
     assert quat_angle(sol.q, q_true) < 1e-9
     assert (1, 4) not in sol.used_observations
 
@@ -230,11 +233,11 @@ def test_insufficient_fixed_observations() -> None:
     q_true = UnitQuaternion.identity()
     one = _truth_obs(q_true, [(1, 2)])
     with pytest.raises(InsufficientDataError):
-        estimate_attitude(one)
+        estimate_attitude(baselines_of(one))
     two = _truth_obs(q_true, [(1, 2), (2, 3)])
     demoted = [VectorObservation(v=o.v, w=o.w, antenna_pair=o.antenna_pair, fixed=False) for o in two]
     with pytest.raises(InsufficientDataError):
-        estimate_attitude(demoted + one)
+        estimate_attitude(baselines_of(demoted + one))
 
 
 def test_collinear_baselines_are_degenerate() -> None:
@@ -242,7 +245,7 @@ def test_collinear_baselines_are_degenerate() -> None:
     q_true = euler_to_quat(0.0, 0.0, 10.0)
     obs = _truth_obs(q_true, [(1, 2), (2, 1)])
     with pytest.raises(DegenerateGeometryError):
-        estimate_attitude(obs)
+        estimate_attitude(baselines_of(obs))
 
 
 def test_attitude_solution_validation() -> None:
@@ -264,5 +267,5 @@ def test_attitude_solution_validation() -> None:
 )
 def test_recovery_property_over_rotations(roll: float, pitch: float, yaw: float) -> None:
     q_true = euler_to_quat(roll, pitch, yaw)
-    sol = estimate_attitude(_truth_obs(q_true, ADJACENT_PAIRS))
+    sol = estimate_attitude(baselines_of(_truth_obs(q_true, ADJACENT_PAIRS)))
     assert quat_angle(sol.q, q_true) < 1e-9

@@ -23,10 +23,11 @@ import pytest
 import mgp
 import mgp.pipeline
 import mgp.streams
-from mgp import Baselines, PipelineConfig, RansacParams
+from mgp import PipelineConfig, RansacParams
 from mgp.errors import InputError, InsufficientDataError, ValidationError
 from mgp.robust import consensus
 
+from conftest import baselines_of
 from test_epoch_differential import _scenario
 from test_ransac_differential import _ragged_block, _random_epoch
 
@@ -188,7 +189,7 @@ EDITS = {
 def _bad_stream(clean: Path, path: Path, line_edits: dict | None = None) -> Path:
     """The clean stream with EDITS applied, then each of ``line_edits``
     (record index: function of the line) to its line."""
-    lines = clean.read_text().splitlines()
+    lines = clean.read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines[1:]]
     assert len(records) == 60
     for k, edit in EDITS.items():
@@ -196,7 +197,7 @@ def _bad_stream(clean: Path, path: Path, line_edits: dict | None = None) -> Path
     out = [json.dumps(r) for r in records]
     for k, edit in (line_edits or {}).items():
         out[k] = edit(out[k])
-    path.write_text("\n".join([lines[0], *out]) + "\n")
+    path.write_text("\n".join([lines[0], *out]) + "\n", encoding="utf-8")
     return path
 
 
@@ -308,8 +309,8 @@ def test_consensus_of_a_block_is_bitwise_its_blocks_of_one() -> None:
     Among them are epochs where no pair passes the angle screen or none has
     an observable rotation, which score no hypothesis."""
     rng = np.random.default_rng(7)
-    epochs = [Baselines.of(_random_epoch(rng)).fixed_only() for _ in range(200)]
-    epochs += [Baselines.of(obs) for obs in _ragged_block(rng, 60)]
+    epochs = [baselines_of(_random_epoch(rng)).fixed_only() for _ in range(200)]
+    epochs += [baselines_of(obs) for obs in _ragged_block(rng, 60)]
     epochs = [epochs[k] for k in rng.permutation(len(epochs)) if len(epochs[k]) >= 2]
     params = RansacParams(inlier_threshold_m=0.05, min_inliers=3)
     block = consensus(epochs, params)

@@ -37,7 +37,7 @@ FLIGHT = {
 
 
 def _write(path: Path, payload: dict) -> str:
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
@@ -54,7 +54,7 @@ def test_full_chain(tmp_path: Path, capsys) -> None:
     poses = str(tmp_path / "poses.csv")
     metrics = str(tmp_path / "metrics.json")
     assert main(["estimate", "--epochs", epochs, "--config", pipe, "--poses", poses, "--metrics", metrics]) == 0
-    m = json.loads(Path(metrics).read_text())
+    m = json.loads(Path(metrics).read_text(encoding="utf-8"))
     assert m["epochs"] == 30
     assert m["hybrid_fix_rate_pct"] == 100.0
     assert len(read_poses(poses)) == 30
@@ -69,7 +69,7 @@ def test_full_chain(tmp_path: Path, capsys) -> None:
     )
     report = str(tmp_path / "report.json")
     assert main(["evaluate", "--cloud", cloud, "--reflectors", refl, "--report", report]) == 0
-    rep = json.loads(Path(report).read_text())
+    rep = json.loads(Path(report).read_text(encoding="utf-8"))
     assert rep["unresolved"] == 0
     # sanity bounds only: on a flight this short the centroid offset is
     # dominated by which pulses sample the disc, not by estimation error
@@ -128,7 +128,7 @@ def test_estimate_antenna_subset_and_feedback_flags(tmp_path: Path) -> None:
         ]
     )
     assert code == 0
-    m = json.loads(Path(metrics).read_text())
+    m = json.loads(Path(metrics).read_text(encoding="utf-8"))
     assert set(m["per_antenna_fix_rate_pct"].keys()) == {"1", "3", "5"}
     assert m["hybrid_fix_rate_multipath_pct"] is None
 
@@ -196,13 +196,13 @@ def test_estimate_skips_epoch_with_antenna_outside_layout(tmp_path: Path, capsys
     scen = _write(tmp_path / "scen.json", SCENARIO)
     epochs = tmp_path / "epochs.jsonl"
     main(["simulate", "--config", scen, "--out", str(epochs)])
-    lines = epochs.read_text().splitlines()
+    lines = epochs.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[5])
     record["truth"] = None
     stray = next(f for f in record["fixes"] if f["status"] == "fixed")
     record["fixes"].append({**stray, "antenna_id": 9})
     lines[5] = json.dumps(record)
-    epochs.write_text("\n".join(lines) + "\n")
+    epochs.write_text("\n".join(lines) + "\n", encoding="utf-8")
     pipe = _write(tmp_path / "pipe.json", {})
     metrics = tmp_path / "m.json"
     capsys.readouterr()
@@ -223,7 +223,7 @@ def test_estimate_skips_epoch_with_antenna_outside_layout(tmp_path: Path, capsys
     captured = capsys.readouterr()
     assert "antenna 9 has no layout entry (layout has 6)" in captured.err
     assert "processed 29 epochs (1 skipped)" in captured.out
-    m = json.loads(metrics.read_text())
+    m = json.loads(metrics.read_text(encoding="utf-8"))
     assert (m["epochs"], m["skipped"]) == (29, 1)
 
 
@@ -231,11 +231,11 @@ def test_estimate_skips_epoch_with_short_antenna_bias(tmp_path: Path, capsys) ->
     scen = _write(tmp_path / "scen.json", SCENARIO)
     epochs = tmp_path / "epochs.jsonl"
     main(["simulate", "--config", scen, "--out", str(epochs)])
-    lines = epochs.read_text().splitlines()
+    lines = epochs.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[5])
     record["truth"]["requery"]["model"]["antenna_bias"].pop()
     lines[5] = json.dumps(record)
-    epochs.write_text("\n".join(lines) + "\n")
+    epochs.write_text("\n".join(lines) + "\n", encoding="utf-8")
     pipe = _write(tmp_path / "pipe.json", {})
     metrics = tmp_path / "m.json"
     capsys.readouterr()
@@ -256,7 +256,7 @@ def test_estimate_skips_epoch_with_short_antenna_bias(tmp_path: Path, capsys) ->
     captured = capsys.readouterr()
     assert f"{epochs}:6: skipped epoch" in captured.err
     assert "antenna_bias needs one entry per antenna (6)" in captured.err
-    m = json.loads(metrics.read_text())
+    m = json.loads(metrics.read_text(encoding="utf-8"))
     assert (m["epochs"], m["skipped"]) == (29, 1)
 
 
@@ -264,11 +264,11 @@ def test_estimate_skips_epoch_with_mistyped_antenna_id(tmp_path: Path, capsys) -
     scen = _write(tmp_path / "scen.json", SCENARIO)
     epochs = tmp_path / "epochs.jsonl"
     main(["simulate", "--config", scen, "--out", str(epochs)])
-    lines = epochs.read_text().splitlines()
+    lines = epochs.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[5])
     record["fixes"][0]["antenna_id"] = 1.7
     lines[5] = json.dumps(record)
-    epochs.write_text("\n".join(lines) + "\n")
+    epochs.write_text("\n".join(lines) + "\n", encoding="utf-8")
     pipe = _write(tmp_path / "pipe.json", {})
     metrics = tmp_path / "m.json"
     capsys.readouterr()
@@ -289,7 +289,7 @@ def test_estimate_skips_epoch_with_mistyped_antenna_id(tmp_path: Path, capsys) -
     captured = capsys.readouterr()
     assert f"{epochs}:6: skipped epoch: antenna ids must be integers" in captured.err
     assert "processed 29 epochs (1 skipped)" in captured.out
-    m = json.loads(metrics.read_text())
+    m = json.loads(metrics.read_text(encoding="utf-8"))
     assert (m["epochs"], m["skipped"]) == (29, 1)
 
 
@@ -298,10 +298,11 @@ def test_georef_nan_pose_reports_path_and_line(tmp_path: Path, capsys) -> None:
     poses.write_text(
         "t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n"
         "0.0,1.0,2.0,30.0,0.0,0.0,0.0,1.0,6,1\n"
-        "0.1,nan,2.0,30.0,0.0,0.0,0.0,1.0,6,1\n"
+        "0.1,nan,2.0,30.0,0.0,0.0,0.0,1.0,6,1\n",
+        encoding="utf-8",
     )
     scan = tmp_path / "scan.jsonl"
-    scan.write_text('{"format": "mgp-scan", "version": 1}\n')
+    scan.write_text('{"format": "mgp-scan", "version": 1}\n', encoding="utf-8")
     calib = _write(tmp_path / "calib.json", {"lever_arm": [0.0, 0.0, 0.0]})
     code = main(
         [
@@ -326,10 +327,11 @@ def test_georef_without_a_usable_pose_names_the_pose_file(tmp_path: Path, capsys
     poses.write_text(
         "t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n"
         "0.0,1.0,2.0,30.0,,,,,1,0\n"
-        "0.1,,,,0.0,0.0,0.0,1.0,0,1\n"
+        "0.1,,,,0.0,0.0,0.0,1.0,0,1\n",
+        encoding="utf-8",
     )
     scan = tmp_path / "scan.jsonl"
-    scan.write_text('{"format": "mgp-scan", "version": 1}\n')
+    scan.write_text('{"format": "mgp-scan", "version": 1}\n', encoding="utf-8")
     calib = _write(tmp_path / "calib.json", {"lever_arm": [0.0, 0.0, 0.0]})
     argv = ["georef", "--poses", str(poses), "--scan", str(scan), "--calib", calib]
     assert main(argv + ["--cloud", str(tmp_path / "cloud.xyz")]) == 2
@@ -449,6 +451,60 @@ def test_config_with_bytes_not_utf8_names_the_line(tmp_path: Path, capsys) -> No
     assert capsys.readouterr().err == f"error: {pipe}:4: {_NOT_UTF8}\n"
 
 
+# JSON nested deeper than the parser's recursion limit
+_DEEP = "[" * 100_000 + "]" * 100_000
+_TOO_DEEP = "nested too deeply: line 1 column 1 (char 0)"
+
+
+def _deep_line(path: Path, lineno: int) -> None:
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[lineno - 1] = _DEEP
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def test_estimate_skips_epoch_line_nested_too_deeply(tmp_path: Path, capsys) -> None:
+    files = _chain_files(tmp_path)
+    _deep_line(Path(files["epochs.jsonl"]), 4)
+    capsys.readouterr()
+    code = main(["estimate", "--epochs", files["epochs.jsonl"], "--config", files["pipe"],
+                 "--poses", files["poses.csv"], "--metrics", files["m.json"]])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"{files['epochs.jsonl']}:4: skipped epoch: {_TOO_DEEP}\n"
+    assert "processed 29 epochs (1 skipped)" in captured.out
+
+
+def test_estimate_epoch_header_nested_too_deeply_names_the_file(tmp_path: Path, capsys) -> None:
+    files = _chain_files(tmp_path)
+    _deep_line(Path(files["epochs.jsonl"]), 1)
+    capsys.readouterr()
+    code = main(["estimate", "--epochs", files["epochs.jsonl"], "--config", files["pipe"],
+                 "--poses", files["poses.csv"], "--metrics", files["m.json"]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {files['epochs.jsonl']}: missing stream header: {_TOO_DEEP}\n"
+
+
+def test_georef_scan_line_nested_too_deeply_names_the_line(tmp_path: Path, capsys) -> None:
+    files = _chain_files(tmp_path)
+    _deep_line(Path(files["scan.jsonl"]), 4)
+    capsys.readouterr()
+    code = main(["georef", "--poses", files["poses.csv"], "--scan", files["scan.jsonl"],
+                 "--calib", files["calib"], "--cloud", files["cloud.xyz"]])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {files['scan.jsonl']}:4: {_TOO_DEEP}\n"
+
+
+def test_config_nested_too_deeply_names_the_file(tmp_path: Path, capsys) -> None:
+    files = _chain_files(tmp_path)
+    Path(files["calib"]).write_text(_DEEP, encoding="utf-8")
+    capsys.readouterr()
+    code = main(["georef", "--poses", files["poses.csv"], "--scan", files["scan.jsonl"],
+                 "--calib", files["calib"], "--cloud", files["cloud.xyz"]])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {files['calib']}: invalid JSON: {_TOO_DEEP}\n"
+
+
 def test_missing_input_exits_one(tmp_path: Path, capsys) -> None:
     pipe = _write(tmp_path / "pipe.json", {})
     code = main(
@@ -499,6 +555,7 @@ def test_console_script_installed(tmp_path: Path) -> None:
         [exe, "simulate", "--config", scen, "--out", str(tmp_path / "e.jsonl")],
         capture_output=True,
         text=True,
+        encoding="utf-8",
     )
     assert out.returncode == 0
     assert "wrote 30 epochs" in out.stdout

@@ -313,7 +313,7 @@ def _loaders(tmp: Path) -> dict[str, tuple[Any, Any]]:
     def through_file(load: Any, name: str) -> Any:
         def run(d: dict[str, Any]) -> Any:
             path = tmp / name
-            path.write_text(json.dumps(d))
+            path.write_text(json.dumps(d), encoding="utf-8")
             return load(str(path))
 
         return run
@@ -343,7 +343,7 @@ def _assert_same(kind: str, d: dict[str, Any], tmp: Path) -> Any:
 
 
 def _bundled(name: str) -> dict[str, Any]:
-    return json.loads(Path(mgp.bundled_scenario_path(name)).read_text())
+    return json.loads(Path(mgp.bundled_scenario_path(name)).read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", ["multipath", "fixrate", "flight"])

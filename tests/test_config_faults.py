@@ -58,7 +58,7 @@ REFLECTORS = {
 
 
 def _bundled(name: str) -> dict[str, Any]:
-    return json.loads(Path(mgp.bundled_scenario_path(name)).read_text())
+    return json.loads(Path(mgp.bundled_scenario_path(name)).read_text(encoding="utf-8"))
 
 
 LOADERS: dict[str, Callable[[str], Any]] = {
@@ -147,7 +147,7 @@ def _apply(base: dict[str, Any], path: Path_, replacement: Any) -> dict[str, Any
 
 def _write(tmp_path: Path, config: dict[str, Any]) -> str:
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
 
 

@@ -1,7 +1,7 @@
 """Differential test: the array epoch record against the per-object path.
 
 The reference below is the path the arrays replaced, kept here only as an
-oracle: the reader builds one FixSolution, VectorObservation and SnrRow per
+oracle: the reader builds one fix, VectorObservation and SNR row object per
 JSON object (coercing field types as it did), the antenna subset filters
 objects and SNR rows one by one, multipath detection loops over the rows,
 the hybrid position sums one antenna at a time with a RotationMatrix-checked
@@ -26,12 +26,10 @@ import mgp
 import mgp.pipeline
 from mgp import (
     EpochTruth,
-    FixSolution,
     FixStatus,
     PipelineConfig,
     PositionSolution,
     RotationMatrix,
-    SnrRow,
     Vec3,
     VectorObservation,
 )
@@ -48,7 +46,16 @@ from mgp.streams import EPOCH_HEADER
 
 from test_acceptance import A9_SCENARIO
 from test_ransac_differential import _scalar_ransac
-from test_requery_differential import _ref_lines, _ref_requery_from_dict, _ref_status_sets
+from test_requery_differential import (
+    _Fix,
+    _ref_lines,
+    _ref_requery_from_dict,
+    _ref_status_sets,
+    _SnrRow,
+)
+
+# Verdict codes of mgp.MultipathReport.verdict
+CLEAN, MULTIPATH, UNKNOWN = 0, 1, 2
 
 # -- the object path ------------------------------------------------------------
 
@@ -56,9 +63,9 @@ from test_requery_differential import _ref_lines, _ref_requery_from_dict, _ref_s
 @dataclass(frozen=True)
 class _Epoch:
     t: float
-    fixes: tuple[FixSolution, ...]
+    fixes: tuple[_Fix, ...]
     baselines: tuple[VectorObservation, ...]
-    snr_rows: tuple[SnrRow, ...]
+    snr_rows: tuple[_SnrRow, ...]
     truth: EpochTruth | None
 
 
@@ -70,7 +77,7 @@ def _vec(obj: Any) -> Vec3:
 def _epoch_from_dict(d: dict[str, Any]) -> _Epoch:
     try:
         fixes = tuple(
-            FixSolution(
+            _Fix(
                 antenna_id=int(f["antenna_id"]),
                 status=FixStatus(f["status"]),
                 p=_vec(f["p"]) if f["p"] is not None else None,
@@ -88,7 +95,7 @@ def _epoch_from_dict(d: dict[str, Any]) -> _Epoch:
             for o in d["baselines"]
         )
         snr_rows = tuple(
-            SnrRow(
+            _SnrRow(
                 sat_id=str(r["sat_id"]),
                 snr_dbhz=tuple(float(x) if x is not None else None for x in r["snr"]),
             )
@@ -145,7 +152,7 @@ def _subset_snr(rows, idxs):
         vals = tuple(row.snr_dbhz[i] for i in idxs)
         if all(v is None for v in vals):
             continue
-        out.append(SnrRow(sat_id=row.sat_id, snr_dbhz=vals))
+        out.append(_SnrRow(sat_id=row.sat_id, snr_dbhz=vals))
     return out
 
 
@@ -157,7 +164,7 @@ def _snr_sd(values: list[float]) -> float:
 def _detect(rows, threshold: float, min_count: int):
     """Per-satellite (sigma, count, verdict) and the excluded satellites."""
     seen: set[str] = set()
-    per_sat: dict[str, tuple[float | None, int, mgp.MultipathVerdict]] = {}
+    per_sat: dict[str, tuple[float | None, int, int]] = {}
     excluded = set()
     for row in rows:
         if row.sat_id in seen:
@@ -166,12 +173,12 @@ def _detect(rows, threshold: float, min_count: int):
         present = [s for s in row.snr_dbhz if s is not None]
         sigma = _snr_sd(present) if len(present) >= 2 else None
         if len(present) < min_count:
-            verdict = mgp.MultipathVerdict.UNKNOWN
+            verdict = UNKNOWN
         elif sigma > threshold:
-            verdict = mgp.MultipathVerdict.MULTIPATH
+            verdict = MULTIPATH
             excluded.add(row.sat_id)
         else:
-            verdict = mgp.MultipathVerdict.CLEAN
+            verdict = CLEAN
         per_sat[row.sat_id] = (sigma, len(present), verdict)
     return per_sat, frozenset(excluded)
 
@@ -324,8 +331,7 @@ def _run(epochs, config: PipelineConfig, diags: list[str], verdicts: list):
             truth_seen = True
             requery_seen |= epoch.truth.requery is not None
             true_mp = epoch.truth.multipath_sats & set(per_sat)
-            mp = mgp.MultipathVerdict.MULTIPATH
-            detected = {s for s, (_, _, verdict) in per_sat.items() if verdict is mp}
+            detected = {s for s, (_, _, verdict) in per_sat.items() if verdict == MULTIPATH}
             tp += len(detected & true_mp)
             fp += len(detected - true_mp)
             fn += len(true_mp - detected)
@@ -389,8 +395,10 @@ def _arrays(path: str, config: PipelineConfig, monkeypatch) -> _Estimate:
     def recording(detect):
         def record(*args):
             report = detect(*args)
+            rows = zip(report.sigma_snr.tolist(), report.n_antennas.tolist(),
+                       report.verdict.tolist())
             verdicts.append(
-                {s: (a.sigma_snr, a.n_antennas, a.verdict) for s, a in report.per_satellite.items()}
+                {s: (None if sd != sd else sd, n, v) for s, (sd, n, v) in zip(report.sat_ids, rows)}
             )
             return report
 
@@ -422,7 +430,7 @@ def _assert_same_poses(got: mgp.Poses, want: mgp.Poses) -> None:
 
 
 def _scenario(name: str, duration_s: float) -> mgp.ScenarioConfig:
-    d = json.loads(Path(mgp.bundled_scenario_path(name)).read_text())
+    d = json.loads(Path(mgp.bundled_scenario_path(name)).read_text(encoding="utf-8"))
     d["duration_s"] = duration_s
     return mgp.scenario_from_dict(d)
 
@@ -479,7 +487,7 @@ def test_snr_gaps_match_object_path(streams, monkeypatch, tmp_path, subset) -> N
     some satellites with one or two tracking antennas and some with none
     among antennas 1, 3 and 5."""
     _, clean = streams["multipath"]
-    lines = clean.read_text().splitlines()
+    lines = clean.read_text(encoding="utf-8").splitlines()
     out = [lines[0]]
     for e, line in enumerate(lines[1:]):
         record = json.loads(line)
@@ -488,7 +496,7 @@ def test_snr_gaps_match_object_path(streams, monkeypatch, tmp_path, subset) -> N
             row["snr"] = [None if j in gaps else x for j, x in enumerate(row["snr"])]
         out.append(json.dumps(record))
     path = tmp_path / "gaps.jsonl"
-    path.write_text("\n".join(out) + "\n")
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
     config = PipelineConfig(antenna_subset=subset)
     got = _arrays(str(path), config, monkeypatch)
     want = _reference(str(path), config)
@@ -566,7 +574,7 @@ def test_mistyped_lines_are_the_only_difference(streams, monkeypatch, tmp_path) 
     exactly those lines and otherwise matches the object path on the clean
     stream."""
     _, clean = streams["multipath"]
-    lines = clean.read_text().splitlines()
+    lines = clean.read_text(encoding="utf-8").splitlines()
     out, bad_linenos = [lines[0]], []
     for k, line in enumerate(lines[1:], start=1):
         out.append(line)
@@ -578,7 +586,7 @@ def test_mistyped_lines_are_the_only_difference(streams, monkeypatch, tmp_path) 
             bad_linenos.append(len(out))
     assert len(bad_linenos) == len(BAD_EDITS)
     path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join(out) + "\n")
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
     config = PipelineConfig()
     got = _arrays(str(path), config, monkeypatch)

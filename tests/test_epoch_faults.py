@@ -95,7 +95,7 @@ def _faulty_line(record: dict, fault: str, data: st.DataObject) -> str:
 def _estimate(epochs: Path, tmp: Path, antennas: str | None) -> tuple[int, str, dict, mgp.Poses]:
     poses, metrics = tmp / "poses.csv", tmp / "metrics.json"
     pipe = tmp / "pipe.json"
-    pipe.write_text("{}")
+    pipe.write_text("{}", encoding="utf-8")
     argv = ["estimate", "--epochs", str(epochs), "--config", str(pipe),
             "--poses", str(poses), "--metrics", str(metrics)]
     if antennas:
@@ -103,7 +103,8 @@ def _estimate(epochs: Path, tmp: Path, antennas: str | None) -> tuple[int, str, 
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    return code, err.getvalue(), json.loads(metrics.read_text()), mgp.read_poses(str(poses))
+    report = json.loads(metrics.read_text(encoding="utf-8"))
+    return code, err.getvalue(), report, mgp.read_poses(str(poses))
 
 
 CASES = [("fixrate", "1,3,5"), ("multipath", None)]
@@ -119,7 +120,7 @@ def clean(tmp_path_factory) -> dict[str, tuple[list[str], dict, mgp.Poses]]:
         n_epochs = 2 * mgp.streams.READ_BLOCK + 22
         path = tmp / "epochs.jsonl"
         mgp.write_epochs(str(path), mgp.simulate(_scenario(name, n_epochs / 10.0)))
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == n_epochs + 1
         code, err, metrics, poses = _estimate(path, tmp, antennas)
         assert (code, err, metrics["skipped"]) == (0, "", 0)
@@ -155,7 +156,7 @@ def test_faulty_lines_are_skipped_one_by_one(
             bad_linenos.append(len(out) + 1)
         out.append(line)
     path = tmp_path / "faulty.jsonl"
-    path.write_text("\n".join(out) + "\n")
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
     code, err, metrics, poses = _estimate(path, tmp_path, antennas)
     assert code == 0, err

@@ -1,12 +1,19 @@
-"""Module layering: estimation code does not depend on the simulator."""
+"""Module layering: estimation code does not depend on the simulator, and
+the benchmark under perfbench/ finds every name it uses."""
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
+import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 import mgp
 
 SRC = Path(mgp.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the modules that may import mgp.simulator: the package exports and the
 # CLI's simulate step
@@ -33,7 +40,7 @@ def test_only_cli_and_package_import_the_simulator() -> None:
     importers = sorted(
         path.name
         for path in SRC.glob("*.py")
-        if "mgp.simulator" in _imported_modules(ast.parse(path.read_text()))
+        if "mgp.simulator" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert set(importers) <= SIMULATOR_IMPORTERS, importers
 
@@ -49,3 +56,41 @@ def test_import_scan_sees_every_form() -> None:
     ):
         assert "mgp.simulator" in _imported_modules(ast.parse(source)), source
     assert "mgp.simulator" not in _imported_modules(ast.parse("from .streams import simulator_x"))
+
+
+def test_perfbench_finds_every_name_it_uses() -> None:
+    """The tracer wraps each ``(module, attribute)`` of its TARGETS, the
+    chain imports names from mgp, and both read these fields of the records
+    they get. A name missing here fails the benchmark only when it runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, *_ in tracer.TARGETS:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+    chain = ast.parse((PERFBENCH / "chain.py").read_text(encoding="utf-8"))
+    imported = 0
+    for node in ast.walk(chain):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "mgp":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+                imported += 1
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "mgp":
+                    importlib.import_module(alias.name)
+                    imported += 1
+    assert imported >= 5
+
+    # chain.py's eigen-solve timing and the tracer's consensus attributes
+    # iterate a Baselines record and read these fields of each row
+    baselines = mgp.Baselines.checked(
+        np.array([[1, 2]]), np.array([[0.0, 0.9, 0.0]]), np.array([[0.9, 0.0, 0.0]]),
+        np.array([True]),
+    )
+    (row,) = baselines
+    assert row.fixed is True and row.antenna_pair == (1, 2)
+    assert np.array_equal(row.v.as_array(), [0.0, 0.9, 0.0]) and row.w.norm() == 0.9
+    fields = {f.name for f in dataclasses.fields(mgp.RobustAttitudeResult)}
+    assert {"solution", "inlier_pairs", "iterations_used"} <= fields

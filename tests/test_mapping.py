@@ -356,10 +356,10 @@ def test_cloud_bad_extension(tmp_path) -> None:
 
 def test_cloud_malformed_files(tmp_path) -> None:
     bad_xyz = tmp_path / "bad.xyz"
-    bad_xyz.write_text("1.0 2.0 3.0\n")  # missing flag column
+    bad_xyz.write_text("1.0 2.0 3.0\n", encoding="utf-8")  # missing flag column
     with pytest.raises(InputError):
         read_cloud(bad_xyz)
-    bad_xyz.write_text("1.0 2.0 nope 1\n")
+    bad_xyz.write_text("1.0 2.0 nope 1\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_cloud(bad_xyz)
     bad_bin = tmp_path / "bad.bin"

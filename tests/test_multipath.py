@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 
 from mgp import (
     InsufficientDataError,
-    MultipathVerdict,
-    SnrRow,
+    MultipathReport,
+    SnrTable,
     ValidationError,
     detect_multipath,
     snr_sd,
 )
+
+from conftest import snr_of
+
+# MultipathReport.verdict codes
+CLEAN, MULTIPATH, UNKNOWN = 0, 1, 2
 
 snr_values = st.lists(st.floats(10.0, 60.0), min_size=2, max_size=12)
 
@@ -71,95 +76,111 @@ def test_snr_sd_scales_linearly(vals: list[float], c: float) -> None:
     assert snr_sd(scaled) == pytest.approx(c * snr_sd(vals), abs=1e-9)
 
 
-# -- SnrRow ------------------------------------------------------------------
+# -- SnrTable.checked ----------------------------------------------------------
 
 
 def test_snr_row_validation() -> None:
-    with pytest.raises(ValidationError):
-        SnrRow(sat_id="", snr_dbhz=(45.0, 45.0))
-    with pytest.raises(ValidationError):
-        SnrRow(sat_id="G01", snr_dbhz=(None, None, None))
-    with pytest.raises(ValidationError):
-        SnrRow(sat_id="G01", snr_dbhz=(45.0, 9.9))
-    with pytest.raises(ValidationError):
-        SnrRow(sat_id="G01", snr_dbhz=(45.0, 60.1))
+    """``SnrTable.checked`` applies the rules of one satellite's SNR row to
+    every row."""
+
+    def checked(sat_ids: tuple[str, ...], rows: list) -> SnrTable:
+        return SnrTable.checked(sat_ids, np.array(rows, dtype=np.float64))
+
+    with pytest.raises(ValidationError, match="^satellite id must be non-empty$"):
+        checked(("",), [[45.0, 45.0]])
+    with pytest.raises(ValidationError, match="^G01: no antenna tracks this satellite$"):
+        checked(("G01",), [[np.nan, np.nan, np.nan]])
+    with pytest.raises(ValidationError, match=r"^G01: SNR 9.9 outside \[10.0, 60.0\] dB-Hz$"):
+        checked(("G01",), [[45.0, 9.9]])
+    with pytest.raises(ValidationError, match=r"^G01: SNR 60.1 outside \[10.0, 60.0\] dB-Hz$"):
+        checked(("G01",), [[45.0, 60.1]])
+    with pytest.raises(ValidationError, match="^SNR needs one row per satellite$"):
+        checked(("G01", "G02"), [[45.0, 45.0]])
+    # the rules hold on every row, not only the first
+    with pytest.raises(ValidationError, match="^G02: no antenna tracks this satellite$"):
+        checked(("G01", "G02"), [[45.0, np.nan], [np.nan, np.nan]])
 
 
 # -- detect_multipath ----------------------------------------------------------
 
 
-def _row(sat: str, vals: tuple[float | None, ...]) -> SnrRow:
-    return SnrRow(sat_id=sat, snr_dbhz=vals)
+def _detect(rows: list, **kwargs) -> MultipathReport:
+    return detect_multipath(snr_of(rows), **kwargs)
+
+
+def _assess(rep: MultipathReport, sat: str) -> tuple[float | None, int, int]:
+    """One satellite's ``(sigma_snr or None, n_antennas, verdict)``."""
+    k = rep.sat_ids.index(sat)
+    sigma = float(rep.sigma_snr[k])
+    return (None if math.isnan(sigma) else sigma), int(rep.n_antennas[k]), int(rep.verdict[k])
 
 
 def test_flags_high_spread_satellite() -> None:
     rows = [
-        _row("G01", (45.0, 45.1, 44.9, 45.0, 45.05, 44.95)),
-        _row("G02", (50.0, 38.0, 49.0, 36.0, 51.0, 37.0)),
+        ("G01", (45.0, 45.1, 44.9, 45.0, 45.05, 44.95)),
+        ("G02", (50.0, 38.0, 49.0, 36.0, 51.0, 37.0)),
     ]
-    rep = detect_multipath(rows, threshold_dbhz=4.0, min_count=4)
-    assert rep.per_satellite["G01"].verdict is MultipathVerdict.CLEAN
-    assert rep.per_satellite["G02"].verdict is MultipathVerdict.MULTIPATH
+    rep = _detect(rows, threshold_dbhz=4.0, min_count=4)
+    assert _assess(rep, "G01")[2] == CLEAN
+    assert _assess(rep, "G02")[2] == MULTIPATH
     assert rep.excluded_sats == frozenset({"G02"})
-    assert rep.per_satellite["G02"].n_antennas == 6
+    assert _assess(rep, "G02")[1] == 6
 
 
 def test_threshold_boundary_exact_sd_is_clean() -> None:
     # sd exactly equal to the threshold is not an exceedance
     vals = (41.0, 49.0, 41.0, 49.0, 41.0, 49.0)  # sd exactly 4.0
     assert snr_sd(list(vals)) == 4.0
-    rep = detect_multipath([_row("G07", vals)], threshold_dbhz=4.0)
-    assert rep.per_satellite["G07"].verdict is MultipathVerdict.CLEAN
-    rep2 = detect_multipath([_row("G07", vals)], threshold_dbhz=math.nextafter(4.0, 0.0))
-    assert rep2.per_satellite["G07"].verdict is MultipathVerdict.MULTIPATH
+    rep = _detect([("G07", vals)], threshold_dbhz=4.0)
+    assert _assess(rep, "G07")[2] == CLEAN
+    rep2 = _detect([("G07", vals)], threshold_dbhz=math.nextafter(4.0, 0.0))
+    assert _assess(rep2, "G07")[2] == MULTIPATH
 
 
 def test_below_min_count_is_unknown_even_with_huge_spread() -> None:
-    rows = [_row("G03", (58.0, 12.0, 58.0, None, None, None))]
-    rep = detect_multipath(rows, threshold_dbhz=4.0, min_count=4)
-    assess = rep.per_satellite["G03"]
-    assert assess.verdict is MultipathVerdict.UNKNOWN
-    assert assess.n_antennas == 3
-    assert assess.sigma_snr is not None  # spread is still reported
+    rows = [("G03", (58.0, 12.0, 58.0, None, None, None))]
+    rep = _detect(rows, threshold_dbhz=4.0, min_count=4)
+    sigma, n_antennas, verdict = _assess(rep, "G03")
+    assert verdict == UNKNOWN
+    assert n_antennas == 3
+    assert sigma is not None  # spread is still reported
     assert rep.excluded_sats == frozenset()
 
 
 def test_single_antenna_has_no_sigma() -> None:
-    rep = detect_multipath([_row("G04", (45.0, None, None, None, None, None))])
-    assess = rep.per_satellite["G04"]
-    assert assess.sigma_snr is None
-    assert assess.n_antennas == 1
-    assert assess.verdict is MultipathVerdict.UNKNOWN
+    rep = _detect([("G04", (45.0, None, None, None, None, None))])
+    assert _assess(rep, "G04") == (None, 1, UNKNOWN)
 
 
 def test_none_entries_are_skipped_not_counted() -> None:
-    rows = [_row("G05", (44.0, None, 44.0, 52.0, None, 52.0))]
-    rep = detect_multipath(rows, threshold_dbhz=3.9, min_count=4)
-    assess = rep.per_satellite["G05"]
-    assert assess.n_antennas == 4
-    assert assess.sigma_snr == pytest.approx(4.0, abs=1e-12)
-    assert assess.verdict is MultipathVerdict.MULTIPATH
+    rows = [("G05", (44.0, None, 44.0, 52.0, None, 52.0))]
+    rep = _detect(rows, threshold_dbhz=3.9, min_count=4)
+    sigma, n_antennas, verdict = _assess(rep, "G05")
+    assert n_antennas == 4
+    assert sigma == pytest.approx(4.0, abs=1e-12)
+    assert verdict == MULTIPATH
 
 
 def test_empty_rows_empty_report() -> None:
-    rep = detect_multipath([])
-    assert rep.per_satellite == {}
+    rep = _detect([])
+    assert rep.sat_ids == ()
+    assert rep.sigma_snr.shape == rep.n_antennas.shape == rep.verdict.shape == (0,)
     assert rep.excluded_sats == frozenset()
 
 
 def test_duplicate_satellite_rejected() -> None:
-    rows = [_row("G06", (45.0,) * 6), _row("G06", (46.0,) * 6)]
+    rows = [("G06", (45.0,) * 6), ("G06", (46.0,) * 6)]
     with pytest.raises(ValidationError):
-        detect_multipath(rows)
+        _detect(rows)
 
 
 def test_parameter_validation() -> None:
     with pytest.raises(ValidationError):
-        detect_multipath([], threshold_dbhz=0.0)
+        _detect([], threshold_dbhz=0.0)
     with pytest.raises(ValidationError):
-        detect_multipath([], threshold_dbhz=-1.0)
+        _detect([], threshold_dbhz=-1.0)
     with pytest.raises(ValidationError):
-        detect_multipath([], min_count=1)
+        _detect([], min_count=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,11 +189,11 @@ def test_parameter_validation() -> None:
     threshold=st.floats(0.5, 10.0),
 )
 def test_verdict_consistent_with_reported_sigma(vals: list[float], threshold: float) -> None:
-    rep = detect_multipath([_row("G09", tuple(vals))], threshold_dbhz=threshold, min_count=4)
-    assess = rep.per_satellite["G09"]
-    if assess.sigma_snr > threshold:
-        assert assess.verdict is MultipathVerdict.MULTIPATH
+    rep = _detect([("G09", tuple(vals))], threshold_dbhz=threshold, min_count=4)
+    sigma, _, verdict = _assess(rep, "G09")
+    if sigma > threshold:
+        assert verdict == MULTIPATH
         assert "G09" in rep.excluded_sats
     else:
-        assert assess.verdict is MultipathVerdict.CLEAN
+        assert verdict == CLEAN
         assert "G09" not in rep.excluded_sats

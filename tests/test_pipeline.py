@@ -8,12 +8,10 @@ import pytest
 
 from mgp import (
     AttitudeProfile,
-    Baselines,
     ConfigurationError,
     EpochRecord,
     FixModel,
     Fixes,
-    FixSolution,
     FixStatus,
     InputError,
     MultipathConfig,
@@ -24,7 +22,6 @@ from mgp import (
     ScenarioConfig,
     SkyMaskSector,
     SnrModel,
-    SnrRow,
     SnrTable,
     ValidationError,
     Vec3,
@@ -41,6 +38,8 @@ from mgp import (
     truth_attitude,
     write_epochs,
 )
+
+from conftest import baselines_of, fixes_of, snr_of
 
 SATS = tuple(
     Satellite(sat_id=f"G{k:02d}", azimuth_deg=40.0 * k, elevation_deg=25.0 + 8.0 * k)
@@ -135,7 +134,7 @@ def test_pipeline_config_rejects_mistyped_values(tmp_path, config, key: str) -> 
     with pytest.raises(ConfigurationError, match=f"^pipeline config: {key}"):
         pipeline_config_from_dict(config)
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config), encoding="utf-8")
     with pytest.raises(ConfigurationError, match=f"^{path}: pipeline config: {key}"):
         load_pipeline_config(str(path))
 
@@ -148,14 +147,14 @@ def test_pipeline_config_rejects_booleans_as_counts() -> None:
 
 def test_load_pipeline_config(tmp_path) -> None:
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"ransac": {"min_inliers": 3}}))
+    path.write_text(json.dumps({"ransac": {"min_inliers": 3}}), encoding="utf-8")
     assert load_pipeline_config(str(path)).ransac.min_inliers == 3
 
 
 def test_attitude_min_baselines_is_an_unknown_key(tmp_path) -> None:
     # consensus's effective min_inliers is the only gate on fixed baselines
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"attitude_min_baselines": 2}))
+    path.write_text(json.dumps({"attitude_min_baselines": 2}), encoding="utf-8")
     with pytest.raises(ConfigurationError, match="unknown key attitude_min_baselines"):
         load_pipeline_config(str(path))
 
@@ -178,19 +177,14 @@ def test_clean_epoch_full_solution() -> None:
 
 def test_epoch_without_fixed_baselines_has_no_attitude() -> None:
     layout = hexagon_layout(0.9)
-    fixes = tuple(
-        FixSolution(antenna_id=a, status=FixStatus.FLOAT, p=Vec3(0.0, 0.0, 0.0), sats_used=8)
-        for a in range(1, 7)
-    )
-    baselines = tuple(
+    fixes = fixes_of((a, FixStatus.FLOAT, Vec3(0.0, 0.0, 0.0)) for a in range(1, 7))
+    baselines = baselines_of(
         VectorObservation(
             v=layout.baseline(1, j), w=layout.baseline(1, j), antenna_pair=(1, j), fixed=False
         )
         for j in range(2, 7)
     )
-    epoch = EpochRecord(
-        t=0.0, fixes=Fixes.of(fixes), baselines=Baselines.of(baselines), snr_rows=SnrTable.of(())
-    )
+    epoch = EpochRecord(t=0.0, fixes=fixes, baselines=baselines, snr_rows=snr_of(()))
     result = process_epoch(epoch, PipelineConfig())
     assert not result.attitude.available
     assert not result.position.available  # float-only antennas never contribute
@@ -199,10 +193,8 @@ def test_epoch_without_fixed_baselines_has_no_attitude() -> None:
 def test_fixed_antenna_without_attitude_cannot_remove_lever() -> None:
     # one fixed antenna but no fixed baselines: hexagon levers are nonzero,
     # so the position stays unavailable rather than silently lever-biased
-    fixes = (FixSolution(antenna_id=1, status=FixStatus.FIXED, p=Vec3(0.9, 0.0, 30.0), sats_used=8),)
-    epoch = EpochRecord(
-        t=0.0, fixes=Fixes.of(fixes), baselines=Baselines.of(()), snr_rows=SnrTable.of(())
-    )
+    fixes = fixes_of([(1, FixStatus.FIXED, Vec3(0.9, 0.0, 30.0))])
+    epoch = EpochRecord(t=0.0, fixes=fixes, baselines=baselines_of(()), snr_rows=snr_of(()))
     result = process_epoch(epoch, PipelineConfig())
     assert not result.attitude.available
     assert not result.position.available
@@ -213,13 +205,12 @@ def test_subset_restricts_everything() -> None:
     epoch = next(iter(simulate(cfg)))
     pipe = PipelineConfig(antenna_subset=(1, 3, 5))
     result = process_epoch(epoch, pipe)
-    assert {f.antenna_id for f in result.fixes_used} <= {1, 3, 5}
+    assert set(result.fixes_used.ids.tolist()) <= {1, 3, 5}
     assert result.position.contributing_antennas <= {1, 3, 5}
     for pair in result.attitude.used_observations:
         assert set(pair) <= {1, 3, 5}
     # SNR rows keep only the selected antenna columns
-    for assess in result.multipath.per_satellite.values():
-        assert assess.n_antennas <= 3
+    assert (result.multipath.n_antennas <= 3).all()
 
 
 def test_subset_attitude_from_three_antennas_still_solves() -> None:
@@ -244,8 +235,8 @@ def test_multipath_feedback_requeries_fixes() -> None:
     for epoch in simulate(cfg):
         r_on = process_epoch(epoch, with_fb)
         r_off = process_epoch(epoch, without_fb)
-        on_fixed = {f.antenna_id for f in r_on.fixes_used if f.status is FixStatus.FIXED}
-        off_fixed = {f.antenna_id for f in r_off.fixes_used if f.status is FixStatus.FIXED}
+        on_fixed = set(r_on.fixes_used.ids[r_on.fixes_used.fixed].tolist())
+        off_fixed = set(r_off.fixes_used.ids[r_off.fixes_used.fixed].tolist())
         assert off_fixed <= on_fixed  # requery only promotes
         gained += len(on_fixed) - len(off_fixed)
     assert gained > 0
@@ -310,7 +301,8 @@ def test_run_skips_epoch_level_validation_errors() -> None:
         t=epochs[2].t + 0.001,
         fixes=dup.fixes,
         baselines=dup.baselines,
-        snr_rows=SnrTable.of([next(iter(dup.snr_rows))] * 2),  # duplicate satellite
+        # the first satellite twice
+        snr_rows=SnrTable.checked(dup.snr_rows.sat_ids[:1] * 2, dup.snr_rows.dbhz[[0, 0]]),
         truth=dup.truth,
     )
     stream = epochs[:3] + [bad] + epochs[3:]
@@ -324,18 +316,19 @@ def test_run_skips_epoch_naming_an_antenna_outside_the_layout() -> None:
     cfg = _scenario(duration_s=1.0)
     epochs = list(simulate(cfg))
     src = epochs[4]
-    stray_fix = FixSolution(
-        antenna_id=9, status=FixStatus.FIXED, p=Vec3(0.0, 0.0, 30.0), sats_used=8
+    f = src.fixes
+    stray_fix = Fixes.checked(  # a fixed antenna 9
+        np.append(f.ids, 9), np.append(f.grade, 2), np.vstack([f.p, [0.0, 0.0, 30.0]]),
+        np.append(f.sats_used, 8),
     )
     first = next(iter(src.baselines))
     stray_baseline = VectorObservation(v=first.v, w=first.w, antenna_pair=(1, 9))
     bad_fix = EpochRecord(
-        t=src.t, fixes=Fixes.of([*src.fixes, stray_fix]), baselines=src.baselines,
-        snr_rows=src.snr_rows, truth=src.truth,
+        t=src.t, fixes=stray_fix, baselines=src.baselines, snr_rows=src.snr_rows, truth=src.truth,
     )
     bad_baseline = EpochRecord(
         t=epochs[5].t, fixes=epochs[5].fixes,
-        baselines=Baselines.of([*epochs[5].baselines, stray_baseline]),
+        baselines=baselines_of([*epochs[5].baselines, stray_baseline]),
         snr_rows=epochs[5].snr_rows, truth=epochs[5].truth,
     )
     with pytest.raises(ValidationError, match="antenna 9 has no layout entry"):
@@ -426,9 +419,9 @@ def test_run_counts_reader_skips_on_a_shared_list(tmp_path) -> None:
     cfg = _scenario(duration_s=0.5)
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), simulate(cfg))
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     lines[2] = "{not json"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     diags = ["caller note"]
     epochs = read_epochs(str(path), skip_malformed=True, diagnostics=diags)
     result = run(epochs, PipelineConfig(), diagnostics=diags)
@@ -475,11 +468,9 @@ def test_metrics_json_rounding() -> None:
 
 def test_subset_with_short_snr_rows_skips_epoch() -> None:
     # epoch hand-built with 3-antenna SNR rows; selecting antenna 6 cannot work
-    fixes = (FixSolution(antenna_id=6, status=FixStatus.FIXED, p=Vec3(0.0, 0.0, 0.0), sats_used=8),)
-    rows = (SnrRow(sat_id="G01", snr_dbhz=(45.0, 45.0, 45.0)),)
-    epoch = EpochRecord(
-        t=0.0, fixes=Fixes.of(fixes), baselines=Baselines.of(()), snr_rows=SnrTable.of(rows)
-    )
+    fixes = fixes_of([(6, FixStatus.FIXED, Vec3(0.0, 0.0, 0.0))])
+    rows = snr_of([("G01", (45.0, 45.0, 45.0))])
+    epoch = EpochRecord(t=0.0, fixes=fixes, baselines=baselines_of(()), snr_rows=rows)
     result = run(iter([epoch]), PipelineConfig(antenna_subset=(5, 6)))
     assert result.metrics.epochs == 0
     assert result.metrics.skipped == 1
@@ -489,10 +480,8 @@ def test_subset_with_short_snr_rows_skips_epoch() -> None:
 def test_snr_row_width_must_match_layout(width: int) -> None:
     # without a subset the columns of a 3-wide row on a 6-antenna layout are
     # ambiguous, so the epoch is rejected rather than read as antennas 1-3
-    rows = (SnrRow(sat_id="G01", snr_dbhz=(45.0,) * width),)
-    epoch = EpochRecord(
-        t=0.0, fixes=Fixes.of(()), baselines=Baselines.of(()), snr_rows=SnrTable.of(rows)
-    )
+    rows = snr_of([("G01", (45.0,) * width)])
+    epoch = EpochRecord(t=0.0, fixes=fixes_of(()), baselines=baselines_of(()), snr_rows=rows)
     with pytest.raises(ValidationError, match=f"G01 has {width} columns"):
         process_epoch(epoch, PipelineConfig())
     result = run(iter([epoch]), PipelineConfig())

@@ -6,7 +6,6 @@ import pytest
 from mgp import (
     AntennaLayout,
     ConfigurationError,
-    FixSolution,
     Fixes,
     FixStatus,
     PositionSolution,
@@ -21,11 +20,19 @@ from mgp import (
 )
 from mgp.positioning import fuse_positions
 
+from conftest import fixes_of
+
 LAYOUT = hexagon_layout(0.9)
 
+Row = tuple[int, FixStatus, Vec3 | None]
 
-def _fix(ant: int, p: Vec3, status: FixStatus = FixStatus.FIXED) -> FixSolution:
-    return FixSolution(antenna_id=ant, status=status, p=p, sats_used=8)
+
+def _fix(ant: int, p: Vec3, status: FixStatus = FixStatus.FIXED) -> Row:
+    return (ant, status, p)
+
+
+def _position(rows: list[Row], q: UnitQuaternion | None, layout: AntennaLayout = LAYOUT):
+    return hybrid_position(fixes_of(rows), q, layout)
 
 
 def _antenna_world(p: Vec3, q: UnitQuaternion, ant: int) -> Vec3:
@@ -33,16 +40,36 @@ def _antenna_world(p: Vec3, q: UnitQuaternion, ant: int) -> Vec3:
 
 
 def test_fix_solution_validation() -> None:
-    with pytest.raises(ValidationError):
-        FixSolution(antenna_id=0, status=FixStatus.FIXED, p=Vec3(0.0, 0.0, 0.0))
-    with pytest.raises(ValidationError):
-        FixSolution(antenna_id=1, status=FixStatus.NONE, p=Vec3(0.0, 0.0, 0.0))
-    with pytest.raises(ValidationError):
-        FixSolution(antenna_id=1, status=FixStatus.FIXED, p=None)
-    with pytest.raises(ValidationError):
-        FixSolution(antenna_id=1, status=FixStatus.FLOAT, p=None)
-    with pytest.raises(ValidationError):
-        FixSolution(antenna_id=1, status=FixStatus.FIXED, p=Vec3(0.0, 0.0, 0.0), sats_used=-1)
+    """``Fixes.checked`` applies the rules of one antenna's solution to
+    every row."""
+
+    def checked(ids, grade, p, sats_used=(8,)) -> Fixes:
+        return Fixes.checked(
+            np.array(ids), np.array(grade, dtype=np.int8), np.array(p, dtype=np.float64),
+            np.array(sats_used),
+        )
+
+    origin, nan = [[0.0, 0.0, 0.0]], [[np.nan] * 3]
+    with pytest.raises(ValidationError, match="^antenna ids are 1-based$"):
+        checked([0], [2], origin)
+    with pytest.raises(ValidationError, match="^a no-solution antenna cannot carry a position$"):
+        checked([1], [0], origin)
+    with pytest.raises(ValidationError, match="^fixed solution requires a position$"):
+        checked([1], [2], nan)
+    with pytest.raises(ValidationError, match="^float solution requires a position$"):
+        checked([1], [1], nan)
+    with pytest.raises(ValidationError, match="^sats_used must be nonnegative$"):
+        checked([1], [2], origin, [-1])
+    with pytest.raises(ValidationError, match="^fix grade must be 0, 1 or 2$"):
+        checked([1], [3], origin)
+    with pytest.raises(ValidationError, match="^fix positions must be finite$"):
+        checked([1], [2], [[0.0, np.inf, 0.0]])
+    with pytest.raises(ValidationError, match=r"^fixes need \(n,\) ids"):
+        checked([1, 2], [2], origin)
+    # the rules hold on every row, not only the first
+    assert len(checked([1, 2], [2, 0], [[0.0, 0.0, 0.0], [np.nan] * 3], [8, 0])) == 2
+    with pytest.raises(ValidationError, match="^float solution requires a position$"):
+        checked([1, 2], [2, 1], [[0.0, 0.0, 0.0], [np.nan] * 3], [8, 8])
 
 
 def test_position_solution_validation() -> None:
@@ -64,7 +91,7 @@ def test_exact_recovery_noise_free() -> None:
         p_true = Vec3.from_array(rng.normal(scale=20.0, size=3))
         q_true = UnitQuaternion.from_array(rng.normal(size=4))
         fixes = [_fix(a, _antenna_world(p_true, q_true, a)) for a in range(1, 7)]
-        sol = hybrid_position(fixes, q_true, LAYOUT)
+        sol = _position(fixes, q_true)
         assert sol.available
         assert sol.n_used == 6
         assert sol.contributing_antennas == frozenset(range(1, 7))
@@ -75,7 +102,7 @@ def test_exact_recovery_every_single_antenna() -> None:
     p_true = Vec3(3.0, -4.0, 12.0)
     q_true = euler_to_quat(5.0, -10.0, 120.0)
     for a in range(1, 7):
-        sol = hybrid_position([_fix(a, _antenna_world(p_true, q_true, a))], q_true, LAYOUT)
+        sol = _position([_fix(a, _antenna_world(p_true, q_true, a))], q_true)
         assert sol.n_used == 1
         assert np.allclose(sol.p.as_array(), p_true.as_array(), atol=1e-12)
 
@@ -84,7 +111,7 @@ def test_hand_worked_yaw_ninety() -> None:
     # yaw +90: antenna 1 body (0.9, 0, 0) lands at world (0, 0.9, 0)
     q = euler_to_quat(0.0, 0.0, 90.0)
     fixes = [_fix(1, Vec3(10.0, 10.9, 5.0))]
-    sol = hybrid_position(fixes, q, LAYOUT)
+    sol = _position(fixes, q)
     assert np.allclose(sol.p.as_array(), [10.0, 10.0, 5.0], atol=1e-12)
 
 
@@ -94,7 +121,7 @@ def test_average_splits_disagreement_evenly() -> None:
     d = Vec3(0.0, 0.0, 0.1)
     f1 = _fix(1, LAYOUT.position_of(1) + d)
     f4 = _fix(4, LAYOUT.position_of(4) - d)
-    sol = hybrid_position([f1, f4], q, LAYOUT)
+    sol = _position([f1, f4], q)
     assert np.allclose(sol.p.as_array(), [0.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -104,9 +131,9 @@ def test_float_and_none_never_contribute() -> None:
     fixes = [
         _fix(1, _antenna_world(p_true, q, 1)),
         _fix(2, Vec3(99.0, 99.0, 99.0), status=FixStatus.FLOAT),
-        FixSolution(antenna_id=3, status=FixStatus.NONE),
+        (3, FixStatus.NONE, None),
     ]
-    sol = hybrid_position(fixes, q, LAYOUT)
+    sol = _position(fixes, q)
     assert sol.n_used == 1
     assert sol.contributing_antennas == frozenset({1})
     assert np.allclose(sol.p.as_array(), p_true.as_array(), atol=1e-12)
@@ -115,9 +142,9 @@ def test_float_and_none_never_contribute() -> None:
 def test_no_fixed_antennas_unavailable() -> None:
     fixes = [
         _fix(1, Vec3(0.0, 0.0, 0.0), status=FixStatus.FLOAT),
-        FixSolution(antenna_id=2, status=FixStatus.NONE),
+        (2, FixStatus.NONE, None),
     ]
-    sol = hybrid_position(fixes, UnitQuaternion.identity(), LAYOUT)
+    sol = _position(fixes, UnitQuaternion.identity())
     assert not sol.available
     assert sol.p is None
     assert sol.n_used == 0
@@ -126,7 +153,7 @@ def test_no_fixed_antennas_unavailable() -> None:
 def test_missing_attitude_blocks_lever_arm_removal() -> None:
     p_true = Vec3(5.0, 6.0, 7.0)
     fixes = [_fix(a, _antenna_world(p_true, UnitQuaternion.identity(), a)) for a in range(1, 7)]
-    sol = hybrid_position(fixes, None, LAYOUT)
+    sol = _position(fixes, None)
     assert not sol.available
 
 
@@ -138,7 +165,7 @@ def test_missing_attitude_origin_antenna_still_contributes() -> None:
         _fix(1, p_true),
         _fix(2, Vec3(99.0, 0.0, 0.0)),  # lever arm unknown without attitude
     ]
-    sol = hybrid_position(fixes, None, layout)
+    sol = _position(fixes, None, layout)
     assert sol.available
     assert sol.contributing_antennas == frozenset({1})
     assert np.array_equal(sol.p.as_array(), p_true.as_array())
@@ -147,28 +174,28 @@ def test_missing_attitude_origin_antenna_still_contributes() -> None:
 def test_duplicate_antenna_rejected() -> None:
     fixes = [_fix(1, Vec3(0.0, 0.0, 0.0)), _fix(1, Vec3(1.0, 0.0, 0.0))]
     with pytest.raises(ValidationError):
-        hybrid_position(fixes, UnitQuaternion.identity(), LAYOUT)
+        _position(fixes, UnitQuaternion.identity())
 
 
 def test_unknown_antenna_id_rejected() -> None:
     fixes = [_fix(7, Vec3(0.0, 0.0, 0.0))]
     with pytest.raises(ConfigurationError):
-        hybrid_position(fixes, UnitQuaternion.identity(), LAYOUT)
+        _position(fixes, UnitQuaternion.identity())
 
 
 def test_unknown_id_tolerated_when_not_fixed() -> None:
     # only fixed antennas need a layout entry
     fixes = [
         _fix(1, Vec3(0.9, 0.0, 0.0)),
-        FixSolution(antenna_id=9, status=FixStatus.NONE),
+        (9, FixStatus.NONE, None),
     ]
-    sol = hybrid_position(fixes, UnitQuaternion.identity(), LAYOUT)
+    sol = _position(fixes, UnitQuaternion.identity())
     assert sol.available
     assert sol.contributing_antennas == frozenset({1})
 
 
 def test_empty_input_unavailable() -> None:
-    sol = hybrid_position([], UnitQuaternion.identity(), LAYOUT)
+    sol = _position([], UnitQuaternion.identity())
     assert not sol.available
 
 
@@ -178,11 +205,11 @@ def test_translation_equivariance() -> None:
     p0 = Vec3(1.0, 2.0, 3.0)
     noise = [Vec3.from_array(rng.normal(scale=0.01, size=3)) for _ in range(6)]
     fixes = [_fix(a, _antenna_world(p0, q, a) + noise[a - 1]) for a in range(1, 7)]
-    base = hybrid_position(fixes, q, LAYOUT).p.as_array()
+    base = _position(fixes, q).p.as_array()
 
     shift = Vec3(-10.0, 4.0, 2.0)
     shifted = [_fix(a, _antenna_world(p0 + shift, q, a) + noise[a - 1]) for a in range(1, 7)]
-    moved = hybrid_position(shifted, q, LAYOUT).p.as_array()
+    moved = _position(shifted, q).p.as_array()
     assert np.allclose(moved - base, shift.as_array(), atol=1e-12)
 
 
@@ -200,10 +227,10 @@ def test_fused_block_matches_each_epoch_alone() -> None:
         ids = rng.permutation(4)[: int(rng.integers(1, 5))] + 1
         grades = rng.choice([FixStatus.FIXED, FixStatus.FIXED, FixStatus.FLOAT, FixStatus.NONE], len(ids))
         fixes = [
-            FixSolution(int(i), g, None if g is FixStatus.NONE else Vec3(*rng.normal(scale=10.0, size=3)))
+            (int(i), g, None if g is FixStatus.NONE else Vec3(*rng.normal(scale=10.0, size=3)))
             for i, g in zip(ids, grades)
         ]
-        epochs.append((Fixes.of(fixes), q))
+        epochs.append((fixes_of(fixes), q))
 
     width = max(len(f) for f, _ in epochs)
     p = np.zeros((len(epochs), width, 3))

@@ -3,8 +3,8 @@
 ``_scalar_ransac`` below is a test-only reference that visits every fixed
 baseline pair in ``(i, j)`` order and solves and scores one hypothesis at a
 time, with a cyclic Jacobi eigensolver and a Jacobi-based inlier refit. The
-batched implementation must reproduce its hypothesis count, inlier and
-outlier sets and availability exactly, and its attitude to 1e-12 rad.
+batched implementation must reproduce its hypothesis count, inlier set
+and availability exactly, and its attitude to 1e-12 rad.
 ``_eigh_pair_hypotheses`` keeps the stacked per-pair ``eigh`` solve that the
 closed-form pair hypotheses replaced, as the reference for their rotations
 and eigen gaps.
@@ -20,7 +20,6 @@ import pytest
 
 from mgp import (
     AttitudeSolution,
-    Baselines,
     DegenerateGeometryError,
     InsufficientDataError,
     PipelineConfig,
@@ -45,6 +44,8 @@ from mgp import (
 import mgp.pipeline
 from mgp.attitude import EIGEN_GAP_TOL, _davenport_k
 from mgp.robust import MIN_PAIR_ANGLE_DEG, _pair_gap, _pair_quaternions, _rotations_eb, consensus
+
+from conftest import baselines_of
 
 LAYOUT = hexagon_layout(0.9)
 _JACOBI_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -186,7 +187,6 @@ def _scalar_ransac(observations: list[VectorObservation], params: RansacParams):
     if best is None:
         raise DegenerateGeometryError("no baseline pair with an observable rotation")
     count, _, mask = best
-    all_pairs = frozenset(o.antenna_pair for o in observations)
     if count >= params.min_inliers:
         inlier_obs = [candidates[i] for i in range(m) if mask[i]]
         solution = _jacobi_refit(inlier_obs)
@@ -194,7 +194,7 @@ def _scalar_ransac(observations: list[VectorObservation], params: RansacParams):
     else:
         solution = AttitudeSolution.unavailable()
         inliers = frozenset()
-    return solution, inliers, all_pairs - inliers, hypotheses
+    return solution, inliers, hypotheses
 
 
 def _outcome(fn, obs, params):
@@ -206,15 +206,14 @@ def _outcome(fn, obs, params):
 
 def _assert_same(obs: list[VectorObservation], params: RansacParams) -> None:
     want = _outcome(_scalar_ransac, obs, params)
-    got = _outcome(ransac_attitude, obs, params)
+    got = _outcome(ransac_attitude, baselines_of(obs), params)
     if isinstance(want, type):
         assert got is want
         return
-    solution, inliers, outliers, hypotheses = want
+    solution, inliers, hypotheses = want
     assert not isinstance(got, type), got
     assert got.iterations_used == hypotheses
     assert got.inlier_pairs == inliers
-    assert got.outlier_pairs == outliers
     assert got.solution.available == solution.available
     if solution.available:
         assert quat_angle(got.solution.q, solution.q) < 1e-12
@@ -276,11 +275,11 @@ def test_ragged_block_matches_scalar_path() -> None:
     rng = np.random.default_rng(2024)
     epochs = _ragged_block(rng)
     params = RansacParams(inlier_threshold_m=0.05, min_inliers=3)
-    block = consensus([Baselines.of(obs) for obs in epochs], params)
+    block = consensus([baselines_of(obs) for obs in epochs], params)
     assert (block.hypotheses == 0).sum() >= 20 and block.refitted.sum() >= 20
     for k, obs in enumerate(epochs):
         _assert_same(obs, params)
-        one = consensus([Baselines.of(obs)], params)
+        one = consensus([baselines_of(obs)], params)
         assert one.hypotheses[0] == block.hypotheses[k]
         assert np.array_equal(one.inliers[0], block.inliers[k, : len(obs)])
         assert not block.inliers[k, len(obs):].any()
@@ -315,7 +314,7 @@ def test_exact_tie_goes_to_the_first_seen_pair() -> None:
         obs = first + second
         _assert_same(obs, params)
         for _ in range(5):
-            res = ransac_attitude(obs, params)
+            res = ransac_attitude(baselines_of(obs), params)
             assert res.inlier_pairs == frozenset(o.antenna_pair for o in first)
 
 
@@ -336,7 +335,7 @@ def test_degenerate_gap_pair_is_never_scored() -> None:
     for params in (RansacParams(), RansacParams(min_inliers=2)):
         for _ in range(5):
             with pytest.raises(DegenerateGeometryError):
-                ransac_attitude(obs, params)
+                ransac_attitude(baselines_of(obs), params)
         _assert_same(obs, params)
 
 
@@ -352,11 +351,11 @@ def test_degenerate_gap_pair_loses_to_any_solved_pair() -> None:
     obs = _collinear_v_obs(tuple(good))
     params = RansacParams(min_inliers=3)
     for _ in range(5):
-        res = ransac_attitude(obs, params)
+        res = ransac_attitude(baselines_of(obs), params)
         assert res.iterations_used == 9
         assert res.solution.available
         assert quat_angle(res.solution.q, q) < 1e-9
-        assert res.outlier_pairs == frozenset({(1, 2), (1, 3)})
+        assert res.inlier_pairs == frozenset(o.antenna_pair for o in good)
     _assert_same(obs, params)
 
 
@@ -376,8 +375,8 @@ def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset)
 
     def scalar(observations, params):
         calls.append(len(observations))
-        solution, inliers, outliers, hypotheses = _scalar_ransac(list(observations), params)
-        return RobustAttitudeResult(solution, inliers, outliers, hypotheses)
+        solution, inliers, hypotheses = _scalar_ransac(list(observations), params)
+        return RobustAttitudeResult(solution, inliers, hypotheses)
 
     monkeypatch.setattr(mgp.pipeline, "ransac_attitude", scalar)
     reference = [process_epoch(epoch, config) for epoch in epochs]

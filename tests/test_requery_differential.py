@@ -2,13 +2,15 @@
 
 The reference below is the object path the arrays replaced, kept here only
 as an oracle: one frozen channel object per antenna and baseline built in a
-per-row loop, a separate post-calibration model type, the per-channel
-``_assign`` replay and the per-channel dict codec. The epoch stream written
-by ``simulate`` must be byte-identical to the reference's, and
-``requery_epoch`` on the read-back stream must return bitwise the statuses,
-positions and baseline vectors the reference replay returns, and so must
-the block replay (``mgp.epochs.replay``) for every epoch of every block,
-whatever the blocks, exclusion sets and antenna subsets.
+per-row loop, one record object per fix and SNR row (``_Fix`` and
+``_SnrRow``, with the checks of the per-row classes the records replaced), a
+separate post-calibration model type, the per-channel ``_assign`` replay and
+the per-channel dict codec. The epoch stream written by ``simulate`` must be
+byte-identical to the reference's, and ``requery_epoch`` on the read-back
+stream must return bitwise the statuses, positions and baseline vectors the
+reference replay returns, and so must the block replay
+(``mgp.epochs.replay``) for every epoch of every block, whatever the blocks,
+exclusion sets and antenna subsets.
 """
 from __future__ import annotations
 
@@ -25,11 +27,52 @@ from hypothesis import strategies as st
 
 import mgp
 import mgp.epochs
-from mgp import FixStatus, Vec3
+from mgp import FixStatus, ValidationError, Vec3
 from mgp.multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ
+from mgp.positioning import FIX_GRADES
 from mgp.simulator import _effective_biases, _lattice_table
 
 from test_acceptance import A9_SCENARIO
+
+
+@dataclass(frozen=True)
+class _Fix:
+    """One antenna's epoch solution. ``p`` is ENU metres from the reference."""
+
+    antenna_id: int
+    status: FixStatus
+    p: Vec3 | None = None
+    sats_used: int = 0
+
+    def __post_init__(self) -> None:
+        if self.antenna_id < 1:
+            raise ValidationError("antenna ids are 1-based")
+        if self.status is FixStatus.NONE and self.p is not None:
+            raise ValidationError("a no-solution antenna cannot carry a position")
+        if self.status is not FixStatus.NONE and self.p is None:
+            raise ValidationError(f"{self.status.value} solution requires a position")
+        if self.sats_used < 0:
+            raise ValidationError("sats_used must be nonnegative")
+
+
+@dataclass(frozen=True)
+class _SnrRow:
+    """SNR of one satellite across the array; ``None`` where untracked."""
+
+    sat_id: str
+    snr_dbhz: tuple[float | None, ...]
+
+    def __post_init__(self) -> None:
+        if not self.sat_id:
+            raise ValidationError("satellite id must be non-empty")
+        present = [s for s in self.snr_dbhz if s is not None]
+        if not present:
+            raise ValidationError(f"{self.sat_id}: no antenna tracks this satellite")
+        for s in present:
+            if not (SNR_MIN_DBHZ <= s <= SNR_MAX_DBHZ):
+                raise ValidationError(
+                    f"{self.sat_id}: SNR {s} outside [{SNR_MIN_DBHZ}, {SNR_MAX_DBHZ}] dB-Hz"
+                )
 
 
 @dataclass(frozen=True)
@@ -102,9 +145,7 @@ def _ref_status_sets(req: _Requery, multipath_sats, excluded, layout, pairs):
     for idx, ch in enumerate(req.antenna_channels):
         p_fix = model.probability(n_clean, n_mp, model.antenna_bias[idx])
         status, pos = _ref_assign(ch, p_fix, model.float_fraction)
-        fixes.append(
-            mgp.FixSolution(antenna_id=idx + 1, status=status, p=pos, sats_used=len(remaining))
-        )
+        fixes.append(_Fix(antenna_id=idx + 1, status=status, p=pos, sats_used=len(remaining)))
     observations = []
     p_bl = model.probability(n_clean, n_mp, model.baseline_bias)
     for (i, j), ch in zip(pairs, req.baseline_channels):
@@ -224,7 +265,7 @@ def _ref_lines(config: mgp.ScenarioConfig) -> Iterator[str]:
         snr = nominal[:, None] + offsets + snr_model.thermal_jitter_db * snr_jit
         snr = np.round(np.clip(snr, SNR_MIN_DBHZ, SNR_MAX_DBHZ), 2)
         snr_rows = tuple(
-            mgp.SnrRow(sat_id=sat.sat_id, snr_dbhz=tuple(float(x) for x in snr[s]))
+            _SnrRow(sat_id=sat.sat_id, snr_dbhz=tuple(float(x) for x in snr[s]))
             for s, sat in enumerate(config.constellation)
         )
         wrong_ants = frozenset(
@@ -272,18 +313,29 @@ def _ref_epoch_to_dict(t, fixes, observations, snr_rows, truth) -> dict[str, Any
     }
 
 
-def _bits(fixes, observations) -> tuple:
-    def vec(v: Vec3 | None):
-        return None if v is None else (v.x.hex(), v.y.hex(), v.z.hex())
+def _vec_bits(v: Vec3 | None):
+    return None if v is None else (v.x.hex(), v.y.hex(), v.z.hex())
 
+
+def _bits(fixes: list[_Fix], observations: list[mgp.VectorObservation]) -> tuple:
+    """The reference's fixes and baselines, every float as its hex digits."""
     return (
-        [(f.antenna_id, f.status, vec(f.p), f.sats_used) for f in fixes],
-        [(o.antenna_pair, o.fixed, vec(o.v), vec(o.w)) for o in observations],
+        [(f.antenna_id, f.status, _vec_bits(f.p), f.sats_used) for f in fixes],
+        [(o.antenna_pair, o.fixed, _vec_bits(o.v), _vec_bits(o.w)) for o in observations],
+    )
+
+
+def _record_bits(fixes: mgp.Fixes, baselines: mgp.Baselines) -> tuple:
+    """:func:`_bits` of the library's records, read from their arrays."""
+    rows = zip(fixes.ids.tolist(), fixes.grade.tolist(), fixes.p.tolist(), fixes.sats_used.tolist())
+    return (
+        [(i, FIX_GRADES[g], _vec_bits(Vec3(*p) if g else None), n) for i, g, p, n in rows],
+        [(o.antenna_pair, o.fixed, _vec_bits(o.v), _vec_bits(o.w)) for o in baselines],
     )
 
 
 def _bundled(name: str, duration_s: float, **noise: float) -> mgp.ScenarioConfig:
-    d = json.loads(Path(mgp.bundled_scenario_path(name)).read_text())
+    d = json.loads(Path(mgp.bundled_scenario_path(name)).read_text(encoding="utf-8"))
     d["duration_s"] = duration_s
     if noise:
         d["noise"] = {**d.get("noise", {}), **noise}
@@ -332,7 +384,7 @@ def test_requery_matches_object_path(streams) -> None:
         n = layout.antenna_count
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         sats = [s.sat_id for s in cfg.constellation]
-        lines = path.read_text().splitlines()[1:]
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
         for epoch, line in zip(mgp.read_epochs(str(path)), lines):
             ref_req = _ref_requery_from_dict(json.loads(line)["truth"]["requery"])
             mp = epoch.truth.multipath_sats
@@ -341,7 +393,7 @@ def test_requery_matches_object_path(streams) -> None:
             for excluded in subsets:
                 got = mgp.requery_epoch(epoch, excluded, layout)
                 want = _ref_status_sets(ref_req, mp, excluded, layout, pairs)
-                assert _bits(*got) == _bits(*want), (path, epoch.t, sorted(excluded))
+                assert _record_bits(*got) == _bits(*want), (path, epoch.t, sorted(excluded))
             checked += 1
     assert checked >= 200
 
@@ -366,7 +418,7 @@ def replay_cases(streams) -> dict[str, tuple]:
     record of each and the constellation's satellite ids."""
     out = {}
     for name, (cfg, path, _) in streams.items():
-        lines = path.read_text().splitlines()[1:]
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
         refs = [_ref_requery_from_dict(json.loads(line)["truth"]["requery"]) for line in lines]
         sats = [s.sat_id for s in cfg.constellation]
         out[name] = (cfg.layout, list(mgp.read_epochs(str(path))), refs, sats)
@@ -414,4 +466,5 @@ def test_block_replay_matches_object_path(replay_cases, data) -> None:
             )
             ref_fixes = [f for f in ref_fixes if f.antenna_id in subset]
             ref_observations = [o for o in ref_observations if set(o.antenna_pair) <= subset]
-            assert _bits(fixes, baselines) == _bits(ref_fixes, ref_observations), (name, a + k)
+            want = _bits(ref_fixes, ref_observations)
+            assert _record_bits(fixes, baselines) == want, (name, a + k)

@@ -14,13 +14,14 @@ from mgp import (
     ValidationError,
     Vec3,
     VectorObservation,
-    baseline_residual,
     estimate_attitude,
     hexagon_layout,
     quat_angle,
     ransac_attitude,
     rotate,
 )
+
+from conftest import baselines_of
 
 LAYOUT = hexagon_layout(0.9)
 ALL_PAIRS = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
@@ -45,6 +46,11 @@ def _obs(
     return out
 
 
+def _outliers(res, obs: list[VectorObservation]) -> frozenset[tuple[int, int]]:
+    """The input pairs outside the consensus set."""
+    return frozenset(o.antenna_pair for o in obs) - res.inlier_pairs
+
+
 def test_params_validation() -> None:
     with pytest.raises(ValidationError):
         RansacParams(inlier_threshold_m=0.0)
@@ -53,24 +59,35 @@ def test_params_validation() -> None:
 
 
 def test_baseline_residual_zero_and_known_offset() -> None:
-    q = UnitQuaternion.identity()
-    w = Vec3(1.8, 0.0, 0.0)
-    clean = VectorObservation(v=w, w=w, antenna_pair=(1, 4))
-    assert baseline_residual(clean, q) == 0.0
-    shifted = VectorObservation(v=Vec3(1.8, 0.19, 0.0), w=w, antenna_pair=(1, 4))
-    assert baseline_residual(shifted, q) == pytest.approx(0.19, abs=1e-15)
+    """Consensus scores a baseline by its full-length residual ``|v - R w|``:
+    zero for the 14 exact baselines under the identity fit they force, and
+    exactly the 0.19 m offset of the shifted one, which the threshold keeps
+    at 0.19 and drops one ulp below."""
+    obs = [
+        VectorObservation(v=LAYOUT.baseline(*p), w=LAYOUT.baseline(*p), antenna_pair=p)
+        for p in ALL_PAIRS[1:]
+    ]
+    w = LAYOUT.baseline(1, 2)
+    obs.append(VectorObservation(v=w + Vec3(0.0, 0.0, 0.19), w=w, antenna_pair=(1, 2)))
+
+    def inliers(threshold: float) -> frozenset[tuple[int, int]]:
+        params = RansacParams(inlier_threshold_m=threshold)
+        return ransac_attitude(baselines_of(obs), params).inlier_pairs
+
+    assert inliers(1e-300) == frozenset(ALL_PAIRS[1:])
+    assert inliers(0.19) == frozenset(ALL_PAIRS)
+    assert inliers(math.nextafter(0.19, 0.0)) == frozenset(ALL_PAIRS[1:])
 
 
 def test_clean_data_keeps_all_inliers_and_matches_plain_estimator() -> None:
     rng = np.random.default_rng(61)
     q_true = UnitQuaternion.from_array(rng.normal(size=4))
     obs = _obs(q_true, ALL_PAIRS, noise_sd=0.004, rng=rng)
-    res = ransac_attitude(obs, RansacParams())
+    res = ransac_attitude(baselines_of(obs), RansacParams())
     assert res.solution.available
     assert res.inlier_pairs == frozenset(ALL_PAIRS)
-    assert res.outlier_pairs == frozenset()
     # refit over the full consensus set is exactly the plain weighted solve
-    plain = estimate_attitude(obs)
+    plain = estimate_attitude(baselines_of(obs))
     assert np.array_equal(res.solution.q.as_array(), plain.q.as_array())
     assert res.solution.lambda_max == plain.lambda_max
 
@@ -83,8 +100,8 @@ def test_identifies_exact_corrupted_subset() -> None:
         idx = rng.choice(len(ALL_PAIRS), size=3, replace=False)
         corrupt = {ALL_PAIRS[int(k)] for k in idx}
         obs = _obs(q_true, ALL_PAIRS, noise_sd=0.004, rng=rng, corrupt=corrupt, offset_m=0.25)
-        res = ransac_attitude(obs, RansacParams())
-        assert res.outlier_pairs == frozenset(corrupt)
+        res = ransac_attitude(baselines_of(obs), RansacParams())
+        assert _outliers(res, obs) == frozenset(corrupt)
         assert quat_angle(res.solution.q, q_true) < math.radians(0.5)
         hits += 1
     assert hits == 30
@@ -96,8 +113,8 @@ def test_corrupted_baselines_would_bias_plain_estimator() -> None:
     q_true = UnitQuaternion.from_array(rng.normal(size=4))
     corrupt = {(1, 2), (3, 4), (5, 6)}
     obs = _obs(q_true, ALL_PAIRS, noise_sd=0.004, rng=rng, corrupt=corrupt, offset_m=0.4)
-    plain_err = quat_angle(estimate_attitude(obs).q, q_true)
-    robust_err = quat_angle(ransac_attitude(obs, RansacParams()).solution.q, q_true)
+    plain_err = quat_angle(estimate_attitude(baselines_of(obs)).q, q_true)
+    robust_err = quat_angle(ransac_attitude(baselines_of(obs), RansacParams()).solution.q, q_true)
     assert plain_err > 5.0 * robust_err
 
 
@@ -105,8 +122,8 @@ def test_deterministic_replay() -> None:
     rng = np.random.default_rng(73)
     q_true = UnitQuaternion.from_array(rng.normal(size=4))
     obs = _obs(q_true, ALL_PAIRS, noise_sd=0.01, rng=rng, corrupt={(2, 5)})
-    a = ransac_attitude(obs, RansacParams())
-    b = ransac_attitude(obs, RansacParams())
+    a = ransac_attitude(baselines_of(obs), RansacParams())
+    b = ransac_attitude(baselines_of(obs), RansacParams())
     assert a.inlier_pairs == b.inlier_pairs
     assert a.iterations_used == b.iterations_used
     assert np.array_equal(a.solution.q.as_array(), b.solution.q.as_array())
@@ -118,11 +135,10 @@ def test_below_min_inliers_is_unavailable_not_wrong() -> None:
     q_true = UnitQuaternion.identity()
     pairs = [(1, 2), (1, 3), (1, 4), (2, 5), (3, 6), (2, 4)]
     obs = _obs(q_true, pairs, noise_sd=0.0, rng=rng, corrupt=set(pairs), offset_m=0.5)
-    res = ransac_attitude(obs, RansacParams())
+    res = ransac_attitude(baselines_of(obs), RansacParams())
     assert not res.solution.available
     assert res.solution.q is None
     assert res.inlier_pairs == frozenset()
-    assert res.outlier_pairs == frozenset(pairs)
 
 
 def test_threshold_boundary_is_inclusive() -> None:
@@ -139,12 +155,13 @@ def test_threshold_boundary_is_inclusive() -> None:
     v = Vec3.from_array(w.as_array() + np.array([0.0, 0.0, 0.05]))
     obs.append(VectorObservation(v=v, w=w, antenna_pair=(1, 2)))
 
-    res = ransac_attitude(obs, RansacParams(inlier_threshold_m=0.05))
+    res = ransac_attitude(baselines_of(obs), RansacParams(inlier_threshold_m=0.05))
     assert (1, 2) in res.inlier_pairs
     assert len(res.inlier_pairs) == 15
     # one ulp below the residual flips it to an outlier
-    res2 = ransac_attitude(obs, RansacParams(inlier_threshold_m=math.nextafter(0.05, 0.0)))
-    assert (1, 2) in res2.outlier_pairs
+    below = RansacParams(inlier_threshold_m=math.nextafter(0.05, 0.0))
+    res2 = ransac_attitude(baselines_of(obs), below)
+    assert (1, 2) not in res2.inlier_pairs
     assert len(res2.inlier_pairs) == 14
 
 
@@ -155,8 +172,8 @@ def test_non_fixed_observations_never_enter_consensus() -> None:
     # a perfect measurement marked non-fixed still must not be used
     w = LAYOUT.baseline(4, 6)
     floaty = VectorObservation(v=rotate(q_true, w), w=w, antenna_pair=(4, 6), fixed=False)
-    res = ransac_attitude(obs + [floaty], RansacParams())
-    assert (4, 6) in res.outlier_pairs
+    res = ransac_attitude(baselines_of(obs + [floaty]), RansacParams())
+    assert (4, 6) not in res.inlier_pairs
     assert (4, 6) not in res.solution.used_observations
 
 
@@ -165,11 +182,11 @@ def test_insufficient_fixed_observations() -> None:
     w = LAYOUT.baseline(1, 2)
     one = VectorObservation(v=w, w=w, antenna_pair=(1, 2))
     with pytest.raises(InsufficientDataError):
-        ransac_attitude([one], RansacParams())
+        ransac_attitude(baselines_of([one]), RansacParams())
     w2 = LAYOUT.baseline(2, 3)
     soft = VectorObservation(v=rotate(q, w2), w=w2, antenna_pair=(2, 3), fixed=False)
     with pytest.raises(InsufficientDataError):
-        ransac_attitude([one, soft], RansacParams())
+        ransac_attitude(baselines_of([one, soft]), RansacParams())
 
 
 def test_all_collinear_pairs_exhaust_budget() -> None:
@@ -184,14 +201,14 @@ def test_all_collinear_pairs_exhaust_budget() -> None:
         ),
     ]
     with pytest.raises(DegenerateGeometryError):
-        ransac_attitude(obs, RansacParams())
+        ransac_attitude(baselines_of(obs), RansacParams())
 
 
 def test_every_non_collinear_pair_is_scored() -> None:
     rng = np.random.default_rng(89)
     q_true = UnitQuaternion.from_array(rng.normal(size=4))
     obs = _obs(q_true, ALL_PAIRS, noise_sd=0.005, rng=rng)
-    res = ransac_attitude(obs, RansacParams())
+    res = ransac_attitude(baselines_of(obs), RansacParams())
     # The hexagon's 15 baselines fall into 3 parallel groups of 3 and 3 of 2,
     # so 3 * 3 + 3 * 1 = 12 of the 105 pairs are collinear.
     ws = {pair: LAYOUT.baseline(*pair).as_array() for pair in ALL_PAIRS}

@@ -144,7 +144,7 @@ def _ref_read_poses(path: Path) -> list[_Pose]:
     """The rows of a pose CSV with both a position and an attitude, the
     quaternion normalized as ``UnitQuaternion.from_array`` does."""
     poses = []
-    for line in path.read_text().splitlines()[1:]:
+    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
         cells = line.split(",")
         if cells[1] and cells[4]:
             q = mgp.UnitQuaternion.from_array([float(c) for c in cells[4:8]], canonicalize=False)
@@ -187,7 +187,7 @@ def _ref_georeference_stream(
 
 def _ref_write_cloud(path: Path, cloud: list[_Point]) -> None:
     if path.suffix == ".xyz":
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for g in cloud:
                 fh.write(f"{g.p.x!r} {g.p.y!r} {g.p.z!r} {int(g.reflector_flag)}\n")
     else:
@@ -271,7 +271,7 @@ def test_array_path_writes_the_object_path_bytes(tmp_path: Path, name: str) -> N
         empty = [f for f in frames if len(f.pulses) == 0]
         assert empty and any(len(f.pulses) for f in frames)
         assert all(f.pulses.shape == (0, 4) and f.reflector.shape == (0,) for f in empty)
-        assert '"pulses": []' in (new / "scan.jsonl").read_text()
+        assert '"pulses": []' in (new / "scan.jsonl").read_text(encoding="utf-8")
         back = list(mgp.read_scan(str(new / "scan.jsonl")))
         assert [len(f.pulses) for f in back] == [len(f.pulses) for f in frames]
         assert all(f.pulses.shape == (0, 4) for f in back if not len(f.pulses))
@@ -287,11 +287,12 @@ def test_array_path_writes_the_object_path_bytes(tmp_path: Path, name: str) -> N
     boresight = mgp.UnitQuaternion.from_array([0.01, -0.02, 0.005, 1.0]).as_array().tolist()
     calib = {"lever_arm": [0.1, -0.05, -0.2], "boresight": boresight}
     calib_json = tmp_path / "calib.json"
-    calib_json.write_text(json.dumps(calib))
+    calib_json.write_text(json.dumps(calib), encoding="utf-8")
     truths = [r.position for r in cfg.reflectors]
     reflectors_json = tmp_path / "reflectors.json"
     reflectors_json.write_text(
-        json.dumps({"reflectors": [[t.x, t.y, t.z] for t in truths], "cluster_radius_m": 0.8})
+        json.dumps({"reflectors": [[t.x, t.y, t.z] for t in truths], "cluster_radius_m": 0.8}),
+        encoding="utf-8",
     )
 
     ref_cloud = _ref_georeference_stream(
@@ -308,7 +309,7 @@ def test_array_path_writes_the_object_path_bytes(tmp_path: Path, name: str) -> N
         report = new / f"report{suffix}.json"
         argv = ["evaluate", "--cloud", str(cloud), "--reflectors", str(reflectors_json)]
         assert cli_main(argv + ["--report", str(report)]) == 0
-        assert report.read_text() == _ref_report(ref_cloud, truths, 0.8, 10)
+        assert report.read_text(encoding="utf-8") == _ref_report(ref_cloud, truths, 0.8, 10)
 
 
 def test_trajectory_position_array_matches_scalar_loop() -> None:

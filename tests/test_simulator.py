@@ -9,7 +9,7 @@ from mgp import (
     AttitudeProfile,
     ConfigurationError,
     FixModel,
-    FixStatus,
+    Fixes,
     MountCalibration,
     NoiseModel,
     Poses,
@@ -177,6 +177,16 @@ def test_truth_pose_combines_position_and_attitude() -> None:
 # -- epoch stream ---------------------------------------------------------------
 
 
+def _fixed_ids(fixes: Fixes) -> set[int]:
+    return set(fixes.ids[fixes.fixed].tolist())
+
+
+def _assert_same_fixes(a: Fixes, b: Fixes) -> None:
+    """Same antennas, statuses and positions, bitwise."""
+    assert np.array_equal(a.ids, b.ids) and np.array_equal(a.grade, b.grade)
+    assert np.array_equal(a.p, b.p, equal_nan=True)
+
+
 def test_stream_is_deterministic() -> None:
     cfg = _config(fix_model=FixModel())
     a = list(simulate(cfg))
@@ -184,15 +194,11 @@ def test_stream_is_deterministic() -> None:
     assert len(a) == len(b) == cfg.n_epochs
     for ea, eb in zip(a, b):
         assert ea.t == eb.t
-        assert [f.status for f in ea.fixes] == [f.status for f in eb.fixes]
-        for fa, fb in zip(ea.fixes, eb.fixes):
-            if fa.p is not None:
-                assert np.array_equal(fa.p.as_array(), fb.p.as_array())
-        assert [o.antenna_pair for o in ea.baselines] == [o.antenna_pair for o in eb.baselines]
-        for oa, ob in zip(ea.baselines, eb.baselines):
-            assert np.array_equal(oa.v.as_array(), ob.v.as_array())
-        for ra, rb in zip(ea.snr_rows, eb.snr_rows):
-            assert ra == rb
+        _assert_same_fixes(ea.fixes, eb.fixes)
+        assert np.array_equal(ea.baselines.pairs, eb.baselines.pairs)
+        assert np.array_equal(ea.baselines.v, eb.baselines.v)
+        assert ea.snr_rows.sat_ids == eb.snr_rows.sat_ids
+        assert np.array_equal(ea.snr_rows.dbhz, eb.snr_rows.dbhz, equal_nan=True)
 
 
 def test_different_seeds_differ() -> None:
@@ -200,18 +206,17 @@ def test_different_seeds_differ() -> None:
     cfg_b = _config(fix_model=FixModel(), seed=2)
     a = next(iter(simulate(cfg_a)))
     b = next(iter(simulate(cfg_b)))
-    assert any(
-        fa.p is not None and fb.p is not None and fa.p != fb.p
-        for fa, fb in zip(a.fixes, b.fixes)
-    ) or [f.status for f in a.fixes] != [f.status for f in b.fixes]
+    assert not np.array_equal(a.fixes.grade, b.fixes.grade) or not np.array_equal(
+        a.fixes.p, b.fixes.p, equal_nan=True
+    )
 
 
 def test_open_sky_high_bias_all_fixed() -> None:
     cfg = _config(noise=NoiseModel(wrong_fix_prob=0.0))
     for epoch in simulate(cfg):
-        assert all(f.status is FixStatus.FIXED for f in epoch.fixes)
+        assert epoch.fixes.fixed.all()
         assert len(epoch.baselines) == 15
-        assert all(o.fixed for o in epoch.baselines)
+        assert epoch.baselines.fixed.all()
         assert epoch.truth.multipath_sats == frozenset()
 
 
@@ -230,9 +235,9 @@ def test_zero_noise_measurements_match_truth() -> None:
     for epoch in simulate(cfg):
         q = truth_attitude(cfg, epoch.t)
         p = trajectory_position(cfg, epoch.t)
-        for f in epoch.fixes:
-            want = p + rotate(q, layout.position_of(f.antenna_id))
-            assert np.allclose(f.p.as_array(), want.as_array(), atol=1e-9)
+        for ant, p_ant in zip(epoch.fixes.ids.tolist(), epoch.fixes.p):
+            want = p + rotate(q, layout.position_of(ant))
+            assert np.allclose(p_ant, want.as_array(), atol=1e-9)
         for o in epoch.baselines:
             want = rotate(q, o.w)
             assert np.allclose(o.v.as_array(), want.as_array(), atol=1e-9)
@@ -250,15 +255,13 @@ def test_wrong_fix_labels_are_honest() -> None:
     for epoch in simulate(cfg):
         q = truth_attitude(cfg, epoch.t)
         p = trajectory_position(cfg, epoch.t)
-        fixed_ids = {f.antenna_id for f in epoch.fixes if f.status is FixStatus.FIXED}
-        assert epoch.truth.wrong_fix_antennas <= fixed_ids
+        fixes = epoch.fixes
+        assert epoch.truth.wrong_fix_antennas <= _fixed_ids(fixes)
         fixed_pairs = {o.antenna_pair for o in epoch.baselines if o.fixed}
         assert epoch.truth.corrupted_baselines <= fixed_pairs
-        for f in epoch.fixes:
-            if f.status is not FixStatus.FIXED:
-                continue
-            err = (f.p - (p + rotate(q, layout.position_of(f.antenna_id)))).norm()
-            if f.antenna_id in epoch.truth.wrong_fix_antennas:
+        for ant, p_ant in zip(fixes.ids[fixes.fixed].tolist(), fixes.p[fixes.fixed]):
+            err = np.linalg.norm(p_ant - (p + rotate(q, layout.position_of(ant))).as_array())
+            if ant in epoch.truth.wrong_fix_antennas:
                 saw_wrong = True
                 assert err >= 0.19 - 1e-9  # at least one lattice step
             else:
@@ -273,10 +276,11 @@ def test_wrong_fix_offsets_live_on_the_ambiguity_lattice() -> None:
     for epoch in simulate(cfg):
         q = truth_attitude(cfg, epoch.t)
         p = trajectory_position(cfg, epoch.t)
-        for f in epoch.fixes:
-            if f.status is FixStatus.FIXED and f.antenna_id in epoch.truth.wrong_fix_antennas:
-                err = f.p - (p + rotate(q, layout.position_of(f.antenna_id)))
-                offsets.append(err.as_array() / 0.19)
+        fixes = epoch.fixes
+        for ant, p_ant in zip(fixes.ids[fixes.fixed].tolist(), fixes.p[fixes.fixed]):
+            if ant in epoch.truth.wrong_fix_antennas:
+                err = p_ant - (p + rotate(q, layout.position_of(ant))).as_array()
+                offsets.append(err / 0.19)
     assert offsets
     arr = np.array(offsets)
     assert np.allclose(arr, np.round(arr), atol=1e-9)  # integer lattice coordinates
@@ -294,10 +298,11 @@ def test_snr_rows_separate_clean_from_multipath() -> None:
     snr_model = cfg.noise.snr
     by_sat: dict[str, list[float]] = {}
     for epoch in simulate(cfg):
-        for sat, row in zip(cfg.constellation, epoch.snr_rows):
-            assert row.sat_id == sat.sat_id
+        snr = epoch.snr_rows
+        for sat, sat_id, row in zip(cfg.constellation, snr.sat_ids, snr.dbhz.tolist()):
+            assert sat_id == sat.sat_id
             nominal = snr_model.nominal(sat.elevation_deg)
-            for v in row.snr_dbhz:
+            for v in row:
                 by_sat.setdefault(sat.sat_id, []).append(v - nominal)
     mp = multipath_satellite_ids(cfg)
     assert mp == frozenset({"M01", "M02"})
@@ -312,14 +317,10 @@ def test_requery_with_no_exclusions_reproduces_epoch() -> None:
     cfg = _config(duration_s=5.0, fix_model=FixModel())
     for epoch in simulate(cfg):
         fixes, obs = requery_epoch(epoch, frozenset(), cfg.layout)
-        assert [f.status for f in fixes] == [f.status for f in epoch.fixes]
-        for fa, fb in zip(fixes, epoch.fixes):
-            if fa.p is not None:
-                assert np.array_equal(fa.p.as_array(), fb.p.as_array())
-        assert [o.antenna_pair for o in obs] == [o.antenna_pair for o in epoch.baselines]
-        for oa, ob in zip(obs, epoch.baselines):
-            assert oa.fixed == ob.fixed
-            assert np.array_equal(oa.v.as_array(), ob.v.as_array())
+        _assert_same_fixes(fixes, epoch.fixes)
+        assert np.array_equal(obs.pairs, epoch.baselines.pairs)
+        assert np.array_equal(obs.fixed, epoch.baselines.fixed)
+        assert np.array_equal(obs.v, epoch.baselines.v)
 
 
 def test_requery_excluding_multipath_promotes_monotonically() -> None:
@@ -332,16 +333,16 @@ def test_requery_excluding_multipath_promotes_monotonically() -> None:
     mp = multipath_satellite_ids(cfg)
     promoted = 0
     for epoch in simulate(cfg):
-        before_fixed = {f.antenna_id for f in epoch.fixes if f.status is FixStatus.FIXED}
+        before_fixed = _fixed_ids(epoch.fixes)
         fixes, obs = requery_epoch(epoch, mp, cfg.layout)
-        after_fixed = {f.antenna_id for f in fixes if f.status is FixStatus.FIXED}
+        after_fixed = _fixed_ids(fixes)
         assert before_fixed <= after_fixed
         before_pairs = {o.antenna_pair for o in epoch.baselines if o.fixed}
         after_pairs = {o.antenna_pair for o in obs if o.fixed}
         assert before_pairs <= after_pairs
         promoted += len(after_fixed) - len(before_fixed)
         # solution satellite count drops by the exclusions
-        assert all(f.sats_used == len(cfg.constellation) - len(mp) for f in fixes)
+        assert (fixes.sats_used == len(cfg.constellation) - len(mp)).all()
     assert promoted > 0
 
 
@@ -350,9 +351,9 @@ def test_requery_excluding_clean_satellites_demotes() -> None:
     removed = frozenset({"G00", "G01", "G02", "G03"})
     demoted = 0
     for epoch in simulate(cfg):
-        before = {f.antenna_id for f in epoch.fixes if f.status is FixStatus.FIXED}
+        before = _fixed_ids(epoch.fixes)
         fixes, _ = requery_epoch(epoch, removed, cfg.layout)
-        after = {f.antenna_id for f in fixes if f.status is FixStatus.FIXED}
+        after = _fixed_ids(fixes)
         assert after <= before
         demoted += len(before) - len(after)
     assert demoted > 0
@@ -477,10 +478,7 @@ def test_scan_seed_independent_of_epoch_draws() -> None:
     list(scan_stream(cfg, ScannerModel(pulses_per_rev=32)))
     b = list(simulate(cfg))
     for ea, eb in zip(a, b):
-        for fa, fb in zip(ea.fixes, eb.fixes):
-            assert fa.status == fb.status
-            if fa.p is not None:
-                assert np.array_equal(fa.p.as_array(), fb.p.as_array())
+        _assert_same_fixes(ea.fixes, eb.fixes)
 
 
 # -- pose corruption ----------------------------------------------------------

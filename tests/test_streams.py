@@ -70,17 +70,12 @@ def test_epoch_round_trip_preserves_truth_and_values(tmp_path: Path) -> None:
     assert len(back) == len(epochs)
     for a, b in zip(epochs, back):
         assert a.t == b.t
-        assert [f.status for f in a.fixes] == [f.status for f in b.fixes]
-        for fa, fb in zip(a.fixes, b.fixes):
-            if fa.p is not None:
-                assert np.array_equal(fa.p.as_array(), fb.p.as_array())
-            assert fa.sats_used == fb.sats_used
-        for oa, ob in zip(a.baselines, b.baselines):
-            assert oa.antenna_pair == ob.antenna_pair
-            assert oa.fixed == ob.fixed
-            assert np.array_equal(oa.v.as_array(), ob.v.as_array())
-            assert np.array_equal(oa.w.as_array(), ob.w.as_array())
-        assert list(a.snr_rows) == list(b.snr_rows)
+        for name in ("ids", "grade", "p", "sats_used"):
+            assert np.array_equal(getattr(a.fixes, name), getattr(b.fixes, name), equal_nan=True)
+        for name in ("pairs", "fixed", "v", "w"):
+            assert np.array_equal(getattr(a.baselines, name), getattr(b.baselines, name))
+        assert a.snr_rows.sat_ids == b.snr_rows.sat_ids
+        assert np.array_equal(a.snr_rows.dbhz, b.snr_rows.dbhz, equal_nan=True)
         assert a.truth.multipath_sats == b.truth.multipath_sats
         assert a.truth.corrupted_baselines == b.truth.corrupted_baselines
         assert a.truth.wrong_fix_antennas == b.truth.wrong_fix_antennas
@@ -98,7 +93,7 @@ def test_epoch_round_trip_preserves_truth_and_values(tmp_path: Path) -> None:
 def test_epoch_header_line_exact(tmp_path: Path) -> None:
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), [])
-    first = path.read_text().splitlines()[0]
+    first = path.read_text(encoding="utf-8").splitlines()[0]
     assert first == '{"format": "mgp-epoch", "version": 1}'
 
 
@@ -113,14 +108,14 @@ def test_epoch_dict_round_trip_without_truth() -> None:
 
 def test_read_epochs_rejects_wrong_header(tmp_path: Path) -> None:
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"format": "mgp-scan", "version": 1}\n')
+    path.write_text('{"format": "mgp-scan", "version": 1}\n', encoding="utf-8")
     with pytest.raises(InputError):
         list(read_epochs(str(path)))
-    path.write_text("")
+    path.write_text("", encoding="utf-8")
     with pytest.raises(InputError):
         list(read_epochs(str(path)))
     # wrong header aborts even in skip_malformed mode
-    path.write_text('{"format": "other"}\n')
+    path.write_text('{"format": "other"}\n', encoding="utf-8")
     with pytest.raises(InputError):
         list(read_epochs(str(path), skip_malformed=True))
 
@@ -129,9 +124,9 @@ def test_read_epochs_malformed_line_strict_vs_skip(tmp_path: Path) -> None:
     epochs = list(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), epochs)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     lines.insert(2, "{not json")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     with pytest.raises(InputError):
         list(read_epochs(str(path)))
@@ -148,7 +143,7 @@ def test_read_epochs_missing_key_is_input_error(tmp_path: Path) -> None:
     d = epoch_to_dict(epoch)
     d.pop("fixes")
     path = tmp_path / "e.jsonl"
-    path.write_text('{"format": "mgp-epoch", "version": 1}\n' + json.dumps(d) + "\n")
+    path.write_text('{"format": "mgp-epoch", "version": 1}\n' + json.dumps(d) + "\n", encoding="utf-8")
     with pytest.raises(InputError):
         list(read_epochs(str(path)))
 
@@ -214,11 +209,11 @@ def test_read_epochs_rejects_bad_requery_record(tmp_path: Path, edit, message: s
     epochs = list(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), epochs)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[2])
     edit(record["truth"]["requery"])
     lines[2] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: .*{message}"):
         list(read_epochs(str(path)))
@@ -266,11 +261,11 @@ def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str)
     epochs = list(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), epochs)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[2])
     edit(record)
     lines[2] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {re.escape(message)}"):
         list(read_epochs(str(path)))
@@ -372,14 +367,14 @@ def test_read_epochs_reports_the_first_of_two_faults(tmp_path: Path, edit, messa
     assert len(epochs) > mgp.streams.READ_BLOCK
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), epochs)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     k = mgp.streams.READ_BLOCK // 2
     record = json.loads(lines[k])
     edit(record)
     lines[k] = json.dumps(record)
     with pytest.raises((InputError, ValidationError), match=f"^{re.escape(message)}$"):
         epoch_from_dict(json.loads(lines[k]))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(InputError, match=f"^{re.escape(f'{path}:{k + 1}: {message}')}$"):
         list(read_epochs(str(path)))
 
@@ -393,11 +388,11 @@ def test_read_epochs_rejects_non_unit_truth_attitude(tmp_path: Path, attitude, n
     epochs = list(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), epochs)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines[1:]]
     records[0]["truth"]["attitude"] = [0.0, 0.0, 0.0, 1.0000005]
     records[1]["truth"]["attitude"] = attitude
-    path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+    path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n", encoding="utf-8")
 
     message = f"{path}:3: truth attitude norm {norm} is not 1 within 1e-06"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
@@ -444,7 +439,7 @@ def test_scan_header_and_pulse_shape(tmp_path: Path) -> None:
     ]
     path = tmp_path / "s.jsonl"
     write_scan(str(path), frames)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == '{"format": "mgp-scan", "version": 1}'
     row = json.loads(lines[1])
     assert row["pulses"] == [[0.01, 1.0, 2.0, -20.0, 1]]
@@ -452,13 +447,16 @@ def test_scan_header_and_pulse_shape(tmp_path: Path) -> None:
 
 def test_read_scan_rejects_wrong_header_and_bad_rows(tmp_path: Path) -> None:
     path = tmp_path / "s.jsonl"
-    path.write_text('{"format": "mgp-epoch", "version": 1}\n')
+    path.write_text('{"format": "mgp-epoch", "version": 1}\n', encoding="utf-8")
     with pytest.raises(InputError):
         list(read_scan(str(path)))
-    path.write_text('{"format": "mgp-scan", "version": 1}\n{"t": 0.0}\n')
+    path.write_text('{"format": "mgp-scan", "version": 1}\n{"t": 0.0}\n', encoding="utf-8")
     with pytest.raises(InputError):
         list(read_scan(str(path)))
-    path.write_text('{"format": "mgp-scan", "version": 1}\n{"t": 0.0, "pulses": [[0.0, 1.0]]}\n')
+    path.write_text(
+        '{"format": "mgp-scan", "version": 1}\n{"t": 0.0, "pulses": [[0.0, 1.0]]}\n',
+        encoding="utf-8",
+    )
     with pytest.raises(InputError):
         list(read_scan(str(path)))
 
@@ -468,7 +466,8 @@ def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
     path.write_text(
         '{"format": "mgp-scan", "version": 1}\n'
         '{"t": 0.0, "pulses": [[0.0, 1.0, 2.0, 3.0, 0]]}\n'
-        '{"t": 0.1, "pulses": [[0.1, NaN, 2.0, 3.0, 0]]}\n'
+        '{"t": 0.1, "pulses": [[0.1, NaN, 2.0, 3.0, 0]]}\n',
+        encoding="utf-8",
     )
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: Vec3 components must be finite"):
         list(read_scan(str(path)))
@@ -562,7 +561,7 @@ def test_pose_csv_att_available_follows_quaternion(tmp_path: Path) -> None:
                           np.array([0, 3]))
     path = tmp_path / "p.csv"
     write_poses(str(path), poses)
-    assert path.read_text().splitlines()[1:] == [
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == [
         "0.0,,,,,,,,0,0",
         "0.1,,,," + ",".join(repr(c) for c in q.tolist()) + ",3,1",
     ]
@@ -573,26 +572,29 @@ def test_pose_csv_att_available_follows_quaternion(tmp_path: Path) -> None:
 def test_pose_csv_header_exact(tmp_path: Path) -> None:
     path = tmp_path / "p.csv"
     write_poses(str(path), _poses().select(np.zeros(3, dtype=bool)))
-    assert path.read_text() == "t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n"
+    assert path.read_text(encoding="utf-8") == "t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n"
     assert len(read_poses(str(path))) == 0
 
 
 def test_read_poses_normalizes_near_unit_quaternions(tmp_path: Path) -> None:
     # within QUAT_READ_TOL of 1 a quaternion is read as the unit one
     path = tmp_path / "p.csv"
-    path.write_text("t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n0.0,,,,0.0,0.0,0.0,1.0000005,0,1\n")
+    path.write_text(
+        "t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n0.0,,,,0.0,0.0,0.0,1.0000005,0,1\n",
+        encoding="utf-8",
+    )
     assert read_poses(str(path)).q.tolist() == [[0.0, 0.0, 0.0, 1.0]]
 
 
 def test_pose_csv_rejects_bad_files(tmp_path: Path) -> None:
     path = tmp_path / "p.csv"
-    path.write_text("wrong,header\n")
+    path.write_text("wrong,header\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_poses(str(path))
-    path.write_text("t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n1.0,2.0\n")
+    path.write_text("t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n1.0,2.0\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_poses(str(path))
-    path.write_text("t,E,N,U,qx,qy,qz,qw,n_fix,att_available\nx,,,,,,,,0,0\n")
+    path.write_text("t,E,N,U,qx,qy,qz,qw,n_fix,att_available\nx,,,,,,,,0,0\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_poses(str(path))
 
@@ -610,7 +612,7 @@ def test_read_poses_non_finite_cell_names_path_and_line(
 ) -> None:
     path = tmp_path / "p.csv"
     good = "0.1,1.0,2.0,3.0,0.0,0.0,0.0,1.0,6,1"
-    path.write_text(f"t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n{good}\n{row}\n")
+    path.write_text(f"t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n{good}\n{row}\n", encoding="utf-8")
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {message}"):
         read_poses(str(path))
 
@@ -645,7 +647,7 @@ def test_read_poses_non_finite_cell_names_path_and_line(
 def test_read_poses_rejects_inconsistent_rows(tmp_path: Path, row: str, message: str) -> None:
     path = tmp_path / "p.csv"
     good = "0.1,1.0,2.0,3.0,0.0,0.0,0.0,1.0,6,1"
-    path.write_text(f"t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n{good}\n{row}\n")
+    path.write_text(f"t,E,N,U,qx,qy,qz,qw,n_fix,att_available\n{good}\n{row}\n", encoding="utf-8")
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {re.escape(message)}$"):
         read_poses(str(path))
 
@@ -726,10 +728,10 @@ def test_scenario_validation_error_propagates() -> None:
 
 def test_load_scenario_bad_json(tmp_path: Path) -> None:
     path = tmp_path / "s.json"
-    path.write_text("{broken")
+    path.write_text("{broken", encoding="utf-8")
     with pytest.raises(InputError):
         load_scenario(str(path))
-    path.write_text("[1, 2]")
+    path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(InputError):
         load_scenario(str(path))
 
@@ -739,12 +741,13 @@ def test_load_calibration(tmp_path: Path) -> None:
     path.write_text(
         json.dumps(
             {"lever_arm": [0.1, 0.0, -0.2], "boresight": [0.0, 0.0, 0.0, 1.0]}
-        )
+        ),
+        encoding="utf-8",
     )
     calib = load_calibration(str(path))
     assert calib.lever_arm == Vec3(0.1, 0.0, -0.2)
     assert calib.boresight == UnitQuaternion.identity()
-    path.write_text(json.dumps({"lever": [0.0, 0.0, 0.0]}))
+    path.write_text(json.dumps({"lever": [0.0, 0.0, 0.0]}), encoding="utf-8")
     with pytest.raises(ConfigurationError):
         load_calibration(str(path))
 
@@ -754,7 +757,8 @@ def test_load_calibration_rejects_non_unit_boresight(tmp_path: Path, boresight) 
     """A boresight off unit norm is an error naming the file and the key,
     not a rotation to normalize."""
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"lever_arm": [0.0, 0.0, 0.0], "boresight": boresight}))
+    calib = {"lever_arm": [0.0, 0.0, 0.0], "boresight": boresight}
+    path.write_text(json.dumps(calib), encoding="utf-8")
     norm = math.hypot(*boresight)
     message = f"{path}: calibration: boresight: quaternion norm {norm!r} is not 1 within 1e-06"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -770,13 +774,14 @@ def test_load_reflectors(tmp_path: Path) -> None:
                 "cluster_radius_m": 0.8,
                 "min_hits": 12,
             }
-        )
+        ),
+        encoding="utf-8",
     )
     positions, radius, min_hits = load_reflectors(str(path))
     assert len(positions) == 2
     assert positions[0] == Vec3(-75.0, 4.0, 0.0)
     assert radius == 0.8
     assert min_hits == 12
-    path.write_text(json.dumps({"cluster_radius_m": 0.8}))
+    path.write_text(json.dumps({"cluster_radius_m": 0.8}), encoding="utf-8")
     with pytest.raises(ConfigurationError):
         load_reflectors(str(path))
