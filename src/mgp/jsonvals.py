@@ -152,12 +152,17 @@ def decode(cls: type[T], obj: Any, where: str) -> T:
 
 def loads(text: str) -> Any:
     """``json.loads``, raising JSONDecodeError also for nesting too deep for
-    the parser (which ends in RecursionError), so that every caller reports
-    it as the bad JSON it is."""
+    the parser (RecursionError) and for an integer longer than ``int()``
+    converts (ValueError), so that every caller reports them as the bad JSON
+    they are."""
     try:
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except ValueError as exc:
+        if isinstance(exc, json.JSONDecodeError):
+            raise
+        raise json.JSONDecodeError("integer has too many digits", text, 0) from None
 
 
 def load(cls: type[T], path: str, where: str) -> T:

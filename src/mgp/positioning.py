@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
 import numpy as np
 
 from .core import AntennaLayout, UnitQuaternion, Vec3, quat_to_matrix, sum_rows

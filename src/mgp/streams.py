@@ -590,7 +590,7 @@ def read_epochs(
         lines = ((lineno, line) for lineno, line in enumerate(stripped, start=2) if line)
         while block := list(itertools.islice(lines, READ_BLOCK)):
             try:
-                epochs = _decode(jsonvals.loads(_utf8(line)) for _, line in block)
+                epochs = _decode(json.loads(_utf8(line)) for _, line in block)
             except Exception:
                 # any fault: the lines below find and report it exactly
                 epochs = None

@@ -505,6 +505,21 @@ def test_config_nested_too_deeply_names_the_file(tmp_path: Path, capsys) -> None
     assert capsys.readouterr().err == f"error: {files['calib']}: invalid JSON: {_TOO_DEEP}\n"
 
 
+def test_config_integer_too_long_names_the_file(tmp_path: Path, capsys) -> None:
+    # more digits than int() converts (sys.get_int_max_str_digits)
+    files = _chain_files(tmp_path)
+    Path(files["pipe"]).write_text('{"ransac": {"min_inliers": ' + "1" * 5000 + "}}",
+                                   encoding="utf-8")
+    capsys.readouterr()
+    code = main(["estimate", "--epochs", files["epochs.jsonl"], "--config", files["pipe"],
+                 "--poses", files["poses.csv"], "--metrics", files["m.json"]])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {files['pipe']}: invalid JSON: integer has too many digits: "
+        "line 1 column 1 (char 0)\n"
+    )
+
+
 def test_missing_input_exits_one(tmp_path: Path, capsys) -> None:
     pipe = _write(tmp_path / "pipe.json", {})
     code = main(

@@ -46,11 +46,6 @@ def _obs(
     return out
 
 
-def _outliers(res, obs: list[VectorObservation]) -> frozenset[tuple[int, int]]:
-    """The input pairs outside the consensus set."""
-    return frozenset(o.antenna_pair for o in obs) - res.inlier_pairs
-
-
 def test_params_validation() -> None:
     with pytest.raises(ValidationError):
         RansacParams(inlier_threshold_m=0.0)
@@ -101,7 +96,7 @@ def test_identifies_exact_corrupted_subset() -> None:
         corrupt = {ALL_PAIRS[int(k)] for k in idx}
         obs = _obs(q_true, ALL_PAIRS, noise_sd=0.004, rng=rng, corrupt=corrupt, offset_m=0.25)
         res = ransac_attitude(baselines_of(obs), RansacParams())
-        assert _outliers(res, obs) == frozenset(corrupt)
+        assert frozenset(ALL_PAIRS) - res.inlier_pairs == frozenset(corrupt)
         assert quat_angle(res.solution.q, q_true) < math.radians(0.5)
         hits += 1
     assert hits == 30
