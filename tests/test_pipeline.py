@@ -317,14 +317,15 @@ def test_run_skips_epoch_naming_an_antenna_outside_the_layout() -> None:
     epochs = list(simulate(cfg))
     src = epochs[4]
     f = src.fixes
-    stray_fix = Fixes.checked(  # a fixed antenna 9
+    with_stray_fix = Fixes.checked(  # the epoch's fixes and a fixed antenna 9
         np.append(f.ids, 9), np.append(f.grade, 2), np.vstack([f.p, [0.0, 0.0, 30.0]]),
         np.append(f.sats_used, 8),
     )
     first = next(iter(src.baselines))
     stray_baseline = VectorObservation(v=first.v, w=first.w, antenna_pair=(1, 9))
     bad_fix = EpochRecord(
-        t=src.t, fixes=stray_fix, baselines=src.baselines, snr_rows=src.snr_rows, truth=src.truth,
+        t=src.t, fixes=with_stray_fix, baselines=src.baselines,
+        snr_rows=src.snr_rows, truth=src.truth,
     )
     bad_baseline = EpochRecord(
         t=epochs[5].t, fixes=epochs[5].fixes,
