@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .attitude import baseline_weights
-from .mapping import evaluate_reflectors, georeference_stream, read_cloud, write_cloud
+from .mapping import cloud_suffix, evaluate_reflectors, georeference_stream, read_cloud, write_cloud
 from .oracles import wahba_svd
 from .simulator import load_scenario, simulate, scan_stream
 
@@ -73,6 +73,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_georef(args: argparse.Namespace) -> int:
+    cloud_suffix(args.cloud)  # an unsupported suffix fails before any input is read
     poses = streams.read_poses(args.poses)
     if not poses.complete.any():
         raise ValidationError(f"{args.poses}: no pose has both a position and an attitude")

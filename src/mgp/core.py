@@ -15,6 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -205,6 +206,16 @@ def hexagon_layout(circumradius_m: float = 0.9) -> AntennaLayout:
         ang = math.radians(60.0 * k)
         positions.append(Vec3(circumradius_m * math.cos(ang), circumradius_m * math.sin(ang), 0.0))
     return AntennaLayout(tuple(positions))
+
+
+def first_repeat(items: Iterable[Any]) -> Any:
+    """The first item equal to an earlier one, or None."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
 
 
 def sum_rows(x: np.ndarray) -> np.ndarray:

@@ -238,21 +238,28 @@ def evaluate_reflectors(
     )
 
 
+def cloud_suffix(path: str | Path) -> str:
+    """The suffix that picks a cloud file's format, ``.xyz`` (ASCII) or
+    ``.bin`` (binary); any other raises InputError."""
+    suffix = Path(path).suffix
+    if suffix not in (".xyz", ".bin"):
+        raise InputError(f"unsupported cloud extension {suffix!r} (use .xyz or .bin)")
+    return suffix
+
+
 def write_cloud(path: str | Path, cloud: Cloud) -> None:
-    """Write a cloud file; format chosen by extension (.xyz ASCII, .bin binary)."""
+    """Write a cloud file in the format its suffix picks (:func:`cloud_suffix`)."""
     path = Path(path)
-    if path.suffix == ".xyz":
+    if cloud_suffix(path) == ".xyz":
         flags = cloud.reflector.astype(np.uint8).tolist()
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(
                 f"{e!r} {n!r} {u!r} {f}\n" for (e, n, u), f in zip(cloud.p.tolist(), flags)
             )
-    elif path.suffix == ".bin":
+    else:
         rec = np.empty(len(cloud), dtype=_BIN_RECORD)
         rec["p"], rec["flag"] = cloud.p, cloud.reflector
         path.write_bytes(rec.tobytes())
-    else:
-        raise InputError(f"unsupported cloud extension {path.suffix!r} (use .xyz or .bin)")
 
 
 def _xyz_columns(path: Path) -> np.ndarray:
@@ -288,17 +295,15 @@ def read_cloud(path: str | Path) -> Cloud:
     or a flag other than 0/1 raises InputError naming ``path:line`` (.xyz)
     or ``path: record k`` (.bin, counted from 1)."""
     path = Path(path)
-    if path.suffix == ".xyz":
+    if cloud_suffix(path) == ".xyz":
         cols = _xyz_columns(path)
         p, flag, where = cols[:, :3], cols[:, 3], f"{path}:"
-    elif path.suffix == ".bin":
+    else:
         data = path.read_bytes()
         if len(data) % _BIN_RECORD.itemsize:
             raise InputError(f"{path}: truncated binary cloud record")
         rec = np.frombuffer(data, dtype=_BIN_RECORD)
         p, flag, where = rec["p"], rec["flag"], f"{path}: record "
-    else:
-        raise InputError(f"unsupported cloud extension {path.suffix!r} (use .xyz or .bin)")
     finite = np.isfinite(p).all(axis=1)
     bad = np.flatnonzero(~finite | ((flag != 0) & (flag != 1)))
     if len(bad):

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import first_repeat
 from .errors import InsufficientDataError, ValidationError
 
 SNR_MIN_DBHZ = 10.0
@@ -148,8 +149,8 @@ def detect_multipath(
     if min_count < 2:
         raise ValidationError("min_count must be at least 2")
     sat_ids = snr.sat_ids
-    if len(set(sat_ids)) != len(sat_ids):
-        dup = next(s for k, s in enumerate(sat_ids) if s in sat_ids[:k])
+    dup = first_repeat(sat_ids)
+    if dup is not None:
         raise ValidationError(f"duplicate SNR row for satellite {dup}")
     sigma, count, verdict = classify(snr.dbhz, threshold_dbhz, min_count)
     excluded = frozenset(compress(sat_ids, (verdict == 1).tolist()))

@@ -10,18 +10,19 @@ Per-antenna fix rates and the plain hybrid fix rate are always computed from
 the observed (pre-feedback) statuses so the feedback gain stays visible next
 to them.
 
-``run`` takes stages (1) and (2), with every check that can skip an epoch,
-over blocks of up to ``streams.READ_BLOCK`` epochs as the stream arrives:
-one array pass per check over the block's rows, and one requery replay of
-all the block's epochs that need it, over their concatenated draws
-(:class:`_FrontBlock`). An epoch that a block check flags goes through the
-per-epoch :func:`_front`, which gives the exact outcome. ``run`` then takes
-the surviving epochs through stages (3) and (4) in blocks of at most
-``BLOCK_PAIRS`` pair hypothesis slots, with one call of the consensus
-kernel and one position fusion per block; ``process_epoch`` is the same
-chain on a block of one, and no output depends on where any of the blocks
-fall. ``run`` returns the stream's poses as one
-:class:`mgp.mapping.Poses` record of arrays, built block by block.
+There is one front half, :class:`_FrontBlock`: it takes stages (1) and
+(2), with every check that can skip an epoch, over a block of epochs, with
+one array pass per check over the block's rows and one requery replay of
+all the block's epochs that need it, over their concatenated draws. The
+checks run on the records as read, so neither the antenna subset nor the
+feedback can hide a fault. ``run`` takes the stream through it in blocks
+of up to ``streams.READ_BLOCK`` epochs as it arrives, then the surviving
+epochs through stages (3) and (4) in blocks of at most ``BLOCK_PAIRS``
+pair hypothesis slots, with one call of the consensus kernel and one
+position fusion per block; ``process_epoch`` is the same chain on a block
+of one, and no output depends on where any of the blocks fall. ``run``
+returns the stream's poses as one :class:`mgp.mapping.Poses` record of
+arrays, built block by block.
 
 A fix rate here is the share of epochs in which a solution of the given
 kind existed: an antenna's rate counts its FIXED epochs, the hybrid rate
@@ -41,13 +42,16 @@ import numpy as np
 
 from . import jsonvals, streams
 from .attitude import AttitudeSolution, Baselines, body_to_enu
-from .core import AntennaLayout, euler_from_matrix, hexagon_layout, quat_to_matrix
-from .epochs import EpochRecord, replay, requery_epoch
+from .core import AntennaLayout, euler_from_matrix, first_repeat, hexagon_layout, quat_to_matrix
+from .epochs import (
+    EpochRecord,
+    replay,
+    requery_epoch,  # unused here; perfbench/tracer.py traces it under this name
+)
 from .mapping import Poses
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
-    InputError,
     InsufficientDataError,
     ValidationError,
 )
@@ -56,15 +60,9 @@ from .multipath import (
     DEFAULT_SD_THRESHOLD_DBHZ,
     MultipathReport,
     classify,
-    detect_multipath,
+    detect_multipath,  # unused here; perfbench/tracer.py traces it under this name
 )
-from .positioning import (
-    Fixes,
-    PositionSolution,
-    check_unique_ids,
-    fuse_positions,
-    hybrid_position,
-)
+from .positioning import Fixes, PositionSolution, fuse_positions, hybrid_position
 from .robust import RansacParams, consensus, ransac_attitude
 
 
@@ -158,82 +156,6 @@ def _consensus_params(config: PipelineConfig) -> RansacParams:
     return replace(params, min_inliers=max(2, min(params.min_inliers, max_pairs)))
 
 
-def _attitude_stage(baselines: Baselines, config: PipelineConfig) -> AttitudeSolution:
-    fixed = baselines.fixed_only()
-    params = _consensus_params(config)
-    # consensus could never reach min_inliers with fewer fixed baselines
-    if len(fixed) < params.min_inliers:
-        return AttitudeSolution.unavailable()
-    try:
-        return ransac_attitude(fixed, params).solution
-    except (InsufficientDataError, DegenerateGeometryError):
-        return AttitudeSolution.unavailable()
-
-
-def _check_antenna_ids(epoch: EpochRecord, layout: AntennaLayout) -> None:
-    n = layout.antenna_count
-    ids = np.concatenate((epoch.fixes.ids, epoch.baselines.pairs.ravel()))
-    bad = ids[(ids < 1) | (ids > n)]
-    if len(bad):
-        raise ValidationError(f"antenna {bad[0]} has no layout entry (layout has {n})")
-    snr = epoch.snr_rows
-    if len(snr) and snr.dbhz.shape[1] != n:
-        raise ValidationError(
-            f"SNR row {snr.sat_ids[0]} has {snr.dbhz.shape[1]} columns (layout has {n})"
-        )
-
-
-def _active(
-    fixes: Fixes, baselines: Baselines, config: PipelineConfig
-) -> tuple[Fixes, Baselines]:
-    """The fixes and baselines of the active antennas only."""
-    if config.antenna_subset is None:
-        return fixes, baselines
-    mask = config.active_mask
-    return fixes.select(mask[fixes.ids]), baselines.select(mask[baselines.pairs].all(axis=1))
-
-
-def _feedback(
-    epoch: EpochRecord, report: MultipathReport, config: PipelineConfig
-) -> tuple[Fixes, Baselines] | None:
-    """Stage (2): the active fixes and baselines replayed without the
-    excluded satellites, or None when feedback is off, nothing was excluded
-    or the epoch carries no requery record."""
-    truth = epoch.truth
-    if not (
-        config.multipath_feedback
-        and report.excluded_sats
-        and truth is not None
-        and truth.requery is not None
-    ):
-        return None
-    return _active(*requery_epoch(epoch, report.excluded_sats, config.layout), config)
-
-
-def _front(
-    epoch: EpochRecord, config: PipelineConfig
-) -> tuple[Fixes, Baselines, MultipathReport]:
-    """Stages (1) and (2) of one epoch: the active fixes and baselines after
-    detection and feedback, and the detection report.
-
-    Every reason to skip an epoch is found here, before consensus: an
-    antenna the layout lacks, an SNR row whose width differs from the layout
-    (ValidationError from the checks), a duplicate satellite or antenna
-    solution, or a requery record that does not fit the layout.
-    """
-    _check_antenna_ids(epoch, config.layout)
-    fixes, baselines = _active(epoch.fixes, epoch.baselines, config)
-    snr = epoch.snr_rows
-    if config.antenna_subset is not None:
-        snr = snr.columns(config.active_mask[1:])
-    report = detect_multipath(snr, config.multipath.threshold_dbhz, config.multipath.min_count)
-    replayed = _feedback(epoch, report, config)
-    if replayed is not None:
-        fixes, baselines = replayed
-    check_unique_ids(fixes)
-    return fixes, baselines, report
-
-
 def _ends(epoch_of_row: np.ndarray, n_epochs: int) -> list[int]:
     """Row bounds of each epoch in a block: epoch k holds rows
     ``ends[k]:ends[k + 1]`` of rows sorted by ``epoch_of_row``."""
@@ -242,60 +164,74 @@ def _ends(epoch_of_row: np.ndarray, n_epochs: int) -> list[int]:
 
 class _FrontBlock:
     """Stages (1) and (2) of a block of epochs, each step one array pass over
-    the block's concatenated rows: the layout and SNR width checks, the
-    subset masks, the SNR spread, the search for duplicate satellite and
-    antenna ids, and the requery replay of every epoch that needs it
-    (:func:`mgp.epochs.replay`).
+    the block's concatenated rows: the checks, the subset masks, the SNR
+    spread and the requery replay of every epoch that needs it
+    (:func:`mgp.epochs.replay`). This is the only front half: ``run`` takes
+    every block through it and ``process_epoch`` a block of one.
 
-    ``flagged[k]`` marks an epoch that one of these checks finds at fault
-    (or may: a duplicate among an epoch's raw satellites, or a requery
-    record that does not fit the layout); :func:`_front` takes such an
-    epoch on its own, for its exact outcome. Every other epoch gets its
-    active fixes, its consensus candidates and its detection report as
-    slices of the block's arrays from :meth:`epoch`.
+    ``faults[k]`` is the message of epoch k's first fault, or None. The
+    checks run on the records as read, before the subset or the replay can
+    hide a row, in this order: an antenna outside the layout (the fixes,
+    then the pairs), an SNR row of another width than the layout, a
+    satellite named twice, a requery record of another antenna count (only
+    when the epoch needs a replay), an antenna named twice. Every other
+    epoch gets its active fixes, its consensus candidates and its detection
+    report as slices of the block's arrays from :meth:`epoch` and
+    :meth:`report`.
     """
 
     def __init__(self, epochs: list[EpochRecord], config: PipelineConfig) -> None:
         n = config.layout.antenna_count
         active = config.active_mask
         n_epochs = len(epochs)
-        flagged = np.zeros(n_epochs, dtype=bool)
+        faults: list[str | None] = [None] * n_epochs
+
+        def fault(k: int, message: str) -> None:
+            if faults[k] is None:
+                faults[k] = message
 
         fixes = [e.fixes for e in epochs]
         ids = np.concatenate([f.ids for f in fixes])
         fix_epoch = np.repeat(np.arange(n_epochs), [len(f.ids) for f in fixes])
-        known = (ids >= 1) & (ids <= n)
-        flagged[fix_epoch[~known]] = True
-        use = active[np.where(known, ids, 0)]
-        ids, fix_epoch = ids[use], fix_epoch[use]
-        seen = np.bincount(fix_epoch * (n + 1) + ids, minlength=n_epochs * (n + 1))
-        flagged |= (seen.reshape(n_epochs, n + 1) > 1).any(axis=1)
-        grade = np.concatenate([f.grade for f in fixes])[use]
-        self.fixes = Fixes(
-            ids, grade, np.concatenate([f.p for f in fixes])[use],
-            np.concatenate([f.sats_used for f in fixes])[use],
-        )
-        self.fix_ends = _ends(fix_epoch, n_epochs)
-        # the raw fixed antennas _Tally counts
-        self.raw_fixed = ids[grade == 2], fix_epoch[grade == 2]
-
         baselines = [e.baselines for e in epochs]
         pairs = np.concatenate([b.pairs for b in baselines])
         pair_epoch = np.repeat(np.arange(n_epochs), [len(b.pairs) for b in baselines])
-        known = ((pairs >= 1) & (pairs <= n)).all(axis=1)
-        flagged[pair_epoch[~known]] = True
+        known = (ids >= 1) & (ids <= n)
+        known_ids = ((pairs >= 1) & (pairs <= n)).ravel()
+        stray = zip(
+            np.concatenate((fix_epoch[~known], np.repeat(pair_epoch, 2)[~known_ids])).tolist(),
+            np.concatenate((ids[~known], pairs.ravel()[~known_ids])).tolist(),
+        )
+        for k, i in stray:
+            fault(k, f"antenna {i} has no layout entry (layout has {n})")
+
+        tables = [e.snr_rows for e in epochs]
+        fits = [t.dbhz.shape[1] == n for t in tables]
+        for k, (t, ok) in enumerate(zip(tables, fits)):
+            if t.sat_ids and not ok:
+                fault(k, f"SNR row {t.sat_ids[0]} has {t.dbhz.shape[1]} columns (layout has {n})")
+            if len(set(t.sat_ids)) != len(t.sat_ids):
+                fault(k, f"duplicate SNR row for satellite {first_repeat(t.sat_ids)}")
+
+        use = active[np.where(known, ids, 0)]
+        grade = np.concatenate([f.grade for f in fixes])
+        self.fixes = Fixes(
+            ids[use], grade[use], np.concatenate([f.p for f in fixes])[use],
+            np.concatenate([f.sats_used for f in fixes])[use],
+        )
+        self.fix_ends = _ends(fix_epoch[use], n_epochs)
+        # the raw fixed active antennas _Tally counts
+        raw_fixed = use & (grade == 2)
+        self.raw_fixed = ids[raw_fixed], fix_epoch[raw_fixed]
+
         fixed = np.concatenate([b.fixed for b in baselines])
-        keep = known & fixed & active[np.where(known[:, None], pairs, 0)].all(axis=1)
+        keep = fixed & active[np.where(known_ids, pairs.ravel(), 0)].reshape(-1, 2).all(axis=1)
         self.candidates = Baselines(
             pairs[keep], np.concatenate([b.v for b in baselines])[keep],
             np.concatenate([b.w for b in baselines])[keep], fixed[keep],
         )
         self.candidate_ends = _ends(pair_epoch[keep], n_epochs)
 
-        tables = [e.snr_rows for e in epochs]
-        fits = [t.dbhz.shape[1] == n for t in tables]
-        flagged |= [bool(t.sat_ids) and not ok for t, ok in zip(tables, fits)]
-        flagged |= [len(set(t.sat_ids)) != len(t.sat_ids) for t in tables]
         fitting = [t for t, ok in zip(tables, fits) if ok]
         dbhz = np.concatenate([t.dbhz for t in fitting] + [np.empty((0, n))])
         sats = tuple(itertools.chain.from_iterable(t.sat_ids for t in fitting))
@@ -312,22 +248,28 @@ class _FrontBlock:
         self.snr_ends = _ends(snr_epoch, n_epochs)
         self.excluding = np.bincount(snr_epoch[self.verdict == 1], minlength=n_epochs) > 0
 
-        # stage (2): the epochs that exclude satellites and carry a requery
-        # record, replayed together; a record of another antenna count is
-        # left to _front
-        self.replayed: dict[int, int] = {}
-        truths = []
+        # stage (2) is needed where feedback is on, the epoch excludes
+        # satellites and it carries a requery record
+        needed = []
         if config.multipath_feedback:
-            for k in np.flatnonzero(self.excluding & ~flagged).tolist():
+            for k in np.flatnonzero(self.excluding).tolist():
                 truth = epochs[k].truth
-                if truth is None or truth.requery is None:
+                if faults[k] is not None or truth is None or truth.requery is None:
                     continue
                 if len(truth.requery.antenna_channels) != n:
-                    flagged[k] = True
-                    continue
-                self.replayed[k] = len(truths)
-                truths.append(truth)
-        if truths:
+                    fault(k, "layout antenna count does not match the stream")
+                else:
+                    needed.append(k)
+        # every row counts, the inactive antennas' and those a replay replaces
+        seen = np.bincount(fix_epoch[known] * (n + 1) + ids[known], minlength=n_epochs * (n + 1))
+        for k in np.flatnonzero((seen.reshape(n_epochs, n + 1) > 1).any(axis=1)).tolist():
+            fault(k, f"duplicate solution for antenna {first_repeat(fixes[k].ids.tolist())}")
+        self.faults = faults
+
+        # the epochs that need stage (2), replayed together
+        self.replayed = {k: r for r, k in enumerate(k for k in needed if faults[k] is None)}
+        if self.replayed:
+            truths = [epochs[k].truth for k in self.replayed]
             found = replay(
                 [t.requery for t in truths],
                 [t.multipath_sats for t in truths],
@@ -340,7 +282,6 @@ class _FrontBlock:
             chosen = b.fixed & active[b.pairs].all(axis=1)
             self.replay_candidates = b.select(chosen)
             self.replay_ends = _ends(found.baseline_epoch[chosen], len(truths))
-        self.flagged = flagged.tolist()
 
     def _excluded(self, k: int) -> frozenset[str]:
         """The satellites epoch k's detection excludes."""
@@ -357,8 +298,9 @@ class _FrontBlock:
         )
 
     def epoch(self, k: int) -> tuple[Fixes, Baselines]:
-        """Stage (2) of unflagged epoch k: its active fixes and its consensus
-        candidates (the fixed active baselines), replayed or as read."""
+        """Stage (2) of epoch k, which has no fault: its active fixes and its
+        consensus candidates (the fixed active baselines), replayed or as
+        read."""
         r = self.replayed.get(k)
         if r is None:
             f, c = self.fixes, self.candidates
@@ -373,14 +315,25 @@ class _FrontBlock:
 
 
 def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
-    """Run one epoch through detection, feedback, attitude and position: the
-    stages ``run`` takes a block of epochs through, on a block of one.
+    """Run one epoch through detection, feedback, attitude and position:
+    :class:`_FrontBlock` on a block of one, then ``ransac_attitude`` and
+    ``hybrid_position``, the block kernels ``run`` uses applied to one epoch.
 
-    Raises ValidationError for an epoch that ``run`` would skip (see
-    :func:`_front`).
+    Raises ValidationError, with the message ``run`` skips it with, for an
+    epoch that has a fault (see :class:`_FrontBlock`).
     """
-    fixes, baselines, report = _front(epoch, config)
-    attitude = _attitude_stage(baselines, config)
+    front = _FrontBlock([epoch], config)
+    if front.faults[0] is not None:
+        raise ValidationError(front.faults[0])
+    fixes, candidates = front.epoch(0)
+    params = _consensus_params(config)
+    attitude = AttitudeSolution.unavailable()
+    # consensus could never reach min_inliers with fewer fixed baselines
+    if len(candidates) >= params.min_inliers:
+        try:
+            attitude = ransac_attitude(candidates, params).solution
+        except (InsufficientDataError, DegenerateGeometryError):
+            pass
     position = hybrid_position(
         fixes, attitude.q if attitude.available else None, config.layout
     )
@@ -388,7 +341,7 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
         t=epoch.t,
         attitude=attitude,
         position=position,
-        multipath=report,
+        multipath=front.report(0),
         fixes_used=fixes,
     )
 
@@ -657,9 +610,10 @@ def run(
     The front half (checks, subset, detection, feedback), where every skip
     is decided, runs over blocks of up to ``streams.READ_BLOCK`` epochs
     pulled from ``epochs`` (:class:`_FrontBlock`): one array pass per step
-    over the block's rows, the requery replay included. An epoch that a
-    block check flags goes through the per-epoch :func:`_front` instead.
-    The timestamp check runs epoch by epoch in stream order. The survivors
+    over the block's rows, the requery replay included. An epoch with a
+    fault is skipped with the fault's message; every other epoch is taken
+    from the block's arrays. The timestamp check runs epoch by epoch in
+    stream order, ahead of the block's checks. The survivors
     then go to consensus attitude and position in blocks of at most
     ``BLOCK_PAIRS`` pair hypothesis slots. Results match
     :func:`process_epoch` epoch by epoch, wherever the blocks fall.
@@ -699,18 +653,14 @@ def run(
                 message = f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped"
                 notes.append((marks[k], message))
                 continue
-            try:
-                if front.flagged[k]:
-                    fixes, baselines, report = _front(epoch, config)
-                    candidates: Baselines | None = baselines.fixed_only()
-                else:
-                    (fixes, candidates), report = front.epoch(k), front.report(k)
-            except (ValidationError, InputError, InsufficientDataError) as exc:
-                notes.append((marks[k], f"epoch {idx} (t={epoch.t!r}): {exc}"))
+            fault = front.faults[k]
+            if fault is not None:
+                notes.append((marks[k], f"epoch {idx} (t={epoch.t!r}): {fault}"))
                 continue
             last_t = epoch.t
             passed[k] = True
-            tally.front(epoch, report)
+            tally.front(epoch, front.report(k))
+            fixes, candidates = front.epoch(k)
             m = len(candidates)
             if m < params.min_inliers:
                 candidates, m = None, 0

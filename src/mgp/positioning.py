@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AntennaLayout, UnitQuaternion, Vec3, quat_to_matrix, sum_rows
+from .core import AntennaLayout, UnitQuaternion, Vec3, first_repeat, quat_to_matrix, sum_rows
 from .errors import ConfigurationError, ValidationError
 
 
@@ -123,9 +123,8 @@ class PositionSolution:
 
 def check_unique_ids(fixes: Fixes) -> None:
     """Raise ValidationError when two solutions name the same antenna."""
-    ids = fixes.ids.tolist()
-    if len(set(ids)) != len(ids):
-        dup = next(i for k, i in enumerate(ids) if i in ids[:k])
+    dup = first_repeat(fixes.ids.tolist())
+    if dup is not None:
         raise ValidationError(f"duplicate solution for antenna {dup}")
 
 

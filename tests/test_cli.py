@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mgp import read_poses
+from mgp import bundled_scenario_path, read_poses
 from mgp.cli import main
 
 SCENARIO = {
@@ -339,6 +339,16 @@ def test_georef_without_a_usable_pose_names_the_pose_file(tmp_path: Path, capsys
     assert err == f"error: {poses}: no pose has both a position and an attitude\n"
 
 
+def test_georef_rejects_the_cloud_suffix_before_reading(tmp_path: Path, capsys) -> None:
+    # none of the inputs exists: the suffix is checked before any is opened
+    argv = ["georef", "--poses", str(tmp_path / "poses.csv"), "--scan", str(tmp_path / "scan"),
+            "--calib", str(tmp_path / "calib.json"), "--cloud", str(tmp_path / "out.txt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unsupported cloud extension '.txt' (use .xyz or .bin)\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
 @pytest.mark.parametrize(
     "name, payload, where",
     [
@@ -574,3 +584,38 @@ def test_console_script_installed(tmp_path: Path) -> None:
     )
     assert out.returncode == 0
     assert "wrote 30 epochs" in out.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-multipath-feedback"]], ids=["feedback", "no-feedback"])
+def test_estimate_skips_every_epoch_naming_an_antenna_twice(tmp_path: Path, capsys, flags):
+    """Every epoch of a short multipath stream names antenna 1 as fixed twice
+    more. The requery replay gives an epoch fresh fixes, so with feedback on
+    it could hide the extra rows from a check made after it while the fix
+    rates still counted them (a rate of 217%, exit 2). Each epoch is
+    skipped either way."""
+    scenario = json.loads(Path(bundled_scenario_path("multipath")).read_text(encoding="utf-8"))
+    scen = _write(tmp_path / "scen.json", {**scenario, "duration_s": 3.0})
+    epochs = tmp_path / "epochs.jsonl"
+    assert main(["simulate", "--config", scen, "--out", str(epochs)]) == 0
+    header, *lines = epochs.read_text(encoding="utf-8").splitlines()
+    out = [header]
+    for line in lines:
+        record = json.loads(line)
+        extra = {"antenna_id": 1, "status": "fixed", "p": [0.9, 0.0, 0.0], "sats_used": 9}
+        record["fixes"] += [extra, extra]
+        out.append(json.dumps(record))
+    epochs.write_text("\n".join(out) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    metrics = tmp_path / "m.json"
+    argv = ["estimate", "--epochs", str(epochs), "--config", _write(tmp_path / "p.json", {}),
+            "--poses", str(tmp_path / "poses.csv"), "--metrics", str(metrics)]
+    assert main(argv + flags) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 30
+    assert all(e.endswith("): duplicate solution for antenna 1") for e in err)
+    m = json.loads(metrics.read_text(encoding="utf-8"))
+    assert (m["epochs"], m["skipped"]) == (0, 30)
+    rates = [m["hybrid_fix_rate_pct"], m["hybrid_fix_rate_multipath_pct"],
+             m["attitude_availability_pct"], *m["per_antenna_fix_rate_pct"].values()]
+    assert all(r is None or 0.0 <= r <= 100.0 for r in rates)

@@ -240,7 +240,8 @@ def _run_cli(
     kind: str, config: dict[str, Any], tmp_path: Path, inputs: dict[str, str]
 ) -> tuple[int, str]:
     path = _write(tmp_path, config)
-    out = tmp_path / "out"
+    # a cloud suffix, which georef checks before it reads its inputs
+    out = tmp_path / "out.xyz"
     argv = {
         "scenario": ["simulate", "--config", path, "--out", str(out)],
         "pipeline": ["estimate", "--epochs", str(tmp_path / "none.jsonl"), "--config", path,

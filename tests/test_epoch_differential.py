@@ -387,26 +387,21 @@ def _reference(path: str, config: PipelineConfig) -> _Estimate:
 
 def _arrays(path: str, config: PipelineConfig, monkeypatch) -> _Estimate:
     """``estimate`` on the arrays, with the verdicts of every epoch that
-    reached detection, in stream order: ``run``'s front half gives an
-    epoch's report from the block (``_FrontBlock.report``), or, for an epoch
-    a block check flags, from ``detect_multipath`` on the epoch alone."""
+    passed the front half, in stream order: ``run`` takes each such epoch's
+    report from its block (``_FrontBlock.report``), the only front half."""
     verdicts: list[dict] = []
+    block_report = mgp.pipeline._FrontBlock.report
 
-    def recording(detect):
-        def record(*args):
-            report = detect(*args)
-            rows = zip(report.sigma_snr.tolist(), report.n_antennas.tolist(),
-                       report.verdict.tolist())
-            verdicts.append(
-                {s: (None if sd != sd else sd, n, v) for s, (sd, n, v) in zip(report.sat_ids, rows)}
-            )
-            return report
-
-        return record
+    def record(front, k):
+        report = block_report(front, k)
+        rows = zip(report.sigma_snr.tolist(), report.n_antennas.tolist(), report.verdict.tolist())
+        verdicts.append(
+            {s: (None if sd != sd else sd, n, v) for s, (sd, n, v) in zip(report.sat_ids, rows)}
+        )
+        return report
 
     with monkeypatch.context() as m:
-        m.setattr(mgp.pipeline, "detect_multipath", recording(mgp.pipeline.detect_multipath))
-        m.setattr(mgp.pipeline._FrontBlock, "report", recording(mgp.pipeline._FrontBlock.report))
+        m.setattr(mgp.pipeline._FrontBlock, "report", record)
         diags: list[str] = []
         result = mgp.run(mgp.read_epochs(path, skip_malformed=True, diagnostics=diags), config,
                          diagnostics=diags)

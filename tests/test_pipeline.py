@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from mgp import (
     ValidationError,
     Vec3,
     VectorObservation,
+    bundled_scenario_path,
     hexagon_layout,
     load_pipeline_config,
+    load_scenario,
     pipeline_config_from_dict,
     process_epoch,
     quat_angle,
@@ -342,6 +345,74 @@ def test_run_skips_epoch_naming_an_antenna_outside_the_layout() -> None:
     # the subset filter does not hide the stray id either
     result = run(iter(stream), PipelineConfig(antenna_subset=(1, 3, 5)))
     assert result.metrics.skipped == 2
+
+
+def _with_fixes(epoch: EpochRecord, rows) -> EpochRecord:
+    """The epoch with its fixes and then ``rows`` (id, grade, position)."""
+    f = epoch.fixes
+    ids, grade, p = zip(*rows)
+    fixes = Fixes.checked(
+        np.append(f.ids, ids), np.append(f.grade, grade), np.vstack([f.p, p]),
+        np.append(f.sats_used, [9] * len(rows)),
+    )
+    return replace(epoch, fixes=fixes)
+
+
+@pytest.mark.parametrize("feedback", [True, False], ids=["feedback", "no-feedback"])
+def test_run_skips_an_antenna_named_twice_before_the_replay(feedback: bool) -> None:
+    """The even epochs of a multipath stream name antenna 1 as fixed twice
+    more. The check reads the rows as read, before the requery replay gives
+    an epoch fresh fixes, so these epochs are skipped under feedback too,
+    and the rest give the metrics and poses of the clean odd epochs alone."""
+    cfg = replace(load_scenario(bundled_scenario_path("multipath")), duration_s=3.0)
+    epochs = list(simulate(cfg))
+    config = PipelineConfig(multipath_feedback=feedback)
+    extra = [(1, 2, [0.9, 0.0, 0.0])] * 2
+    stream = [e if k % 2 else _with_fixes(e, extra) for k, e in enumerate(epochs)]
+    for epoch in stream[::2]:
+        with pytest.raises(ValidationError, match="^duplicate solution for antenna 1$"):
+            process_epoch(epoch, config)
+    got, want = run(iter(stream), config), run(iter(epochs[1::2]), config)
+    assert got.diagnostics == [
+        f"epoch {k} (t={e.t!r}): duplicate solution for antenna 1" for k, e in enumerate(stream)
+        if k % 2 == 0
+    ]
+    got_m, want_m = got.metrics.to_json_dict(), want.metrics.to_json_dict()
+    assert (got_m.pop("skipped"), want_m.pop("skipped")) == (15, 0)
+    assert got_m == want_m
+    assert (want.metrics.hybrid_fix_rate_multipath_pct is not None) == feedback
+    for name in ("t", "p", "q", "n_fix"):
+        assert np.array_equal(getattr(got.poses, name), getattr(want.poses, name), equal_nan=True)
+
+
+def test_run_skips_an_inactive_antenna_named_twice() -> None:
+    # antenna 2 is outside the subset, which does not hide its second row
+    epochs = list(simulate(_scenario(duration_s=1.0)))
+    bad = _with_fixes(epochs[4], [(2, 1, [0.0, 0.9, 0.0])])
+    config = PipelineConfig(antenna_subset=(1, 3, 5))
+    with pytest.raises(ValidationError, match="^duplicate solution for antenna 2$"):
+        process_epoch(bad, config)
+    result = run(iter(epochs[:4] + [bad] + epochs[5:]), config)
+    assert (result.metrics.epochs, result.metrics.skipped) == (9, 1)
+    assert result.diagnostics == [f"epoch 4 (t={bad.t!r}): duplicate solution for antenna 2"]
+
+
+def test_run_skips_a_satellite_named_twice_that_the_subset_drops() -> None:
+    # X01's two rows are tracked by antennas 2, 4 and 6 only, so antennas
+    # 1, 3 and 5 leave both untracked; the epoch is still at fault
+    epochs = list(simulate(_scenario(duration_s=1.0)))
+    src = epochs[4]
+    rows = np.full((2, 6), np.nan)
+    rows[:, 1::2] = 45.0
+    table = src.snr_rows
+    snr = SnrTable.checked(table.sat_ids + ("X01", "X01"), np.vstack([table.dbhz, rows]))
+    bad = replace(src, snr_rows=snr)
+    config = PipelineConfig(antenna_subset=(1, 3, 5))
+    with pytest.raises(ValidationError, match="^duplicate SNR row for satellite X01$"):
+        process_epoch(bad, config)
+    result = run(iter(epochs[:4] + [bad] + epochs[5:]), config)
+    assert (result.metrics.epochs, result.metrics.skipped) == (9, 1)
+    assert result.diagnostics == [f"epoch 4 (t={bad.t!r}): duplicate SNR row for satellite X01"]
 
 
 def test_run_feedback_disabled_leaves_requery_rate_none() -> None:

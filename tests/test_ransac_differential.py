@@ -382,9 +382,9 @@ def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset)
     reference = [process_epoch(epoch, config) for epoch in epochs]
     min_inliers = mgp.pipeline._consensus_params(config).min_inliers
     reaching = [
-        len(baselines.fixed_only())
-        for baselines in (mgp.pipeline._front(epoch, config)[1] for epoch in epochs)
-        if len(baselines.fixed_only()) >= min_inliers
+        len(candidates)
+        for _, candidates in (mgp.pipeline._FrontBlock([e], config).epoch(0) for e in epochs)
+        if len(candidates) >= min_inliers
     ]
     assert calls == reaching and len(calls) > 100
 
