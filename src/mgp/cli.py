@@ -58,7 +58,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, **overrides)
 
     diagnostics: list[str] = []
-    epochs = streams.read_epochs(args.epochs, skip_malformed=True, diagnostics=diagnostics)
+    epochs = streams.read_epochs(args.epochs, diagnostics=diagnostics)
     result = pipeline.run(epochs, config, diagnostics=diagnostics)
     streams.write_poses(args.poses, result.poses)
     streams.write_json(args.metrics, result.metrics.to_json_dict())
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--out", required=True, help="output epoch JSONL path")
     p.add_argument("--scan", default=None, help="optional output scan JSONL path")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, outputs=("out", "scan"))
 
     p = sub.add_parser("estimate", help="run the estimation pipeline over an epoch stream")
     p.add_argument("--epochs", required=True, help="input epoch JSONL path")
@@ -147,26 +147,26 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable satellite exclusion feedback",
     )
-    p.set_defaults(func=_cmd_estimate)
+    p.set_defaults(func=_cmd_estimate, outputs=("poses", "metrics"))
 
     p = sub.add_parser("georef", help="georeference a scan stream with a pose trajectory")
     p.add_argument("--poses", required=True, help="pose CSV path")
     p.add_argument("--scan", required=True, help="scan JSONL path")
     p.add_argument("--calib", required=True, help="mount calibration JSON")
     p.add_argument("--cloud", required=True, help="output cloud path (.xyz or .bin)")
-    p.set_defaults(func=_cmd_georef)
+    p.set_defaults(func=_cmd_georef, outputs=("cloud",))
 
     p = sub.add_parser("evaluate", help="evaluate a cloud against surveyed reflectors")
     p.add_argument("--cloud", required=True, help="cloud path (.xyz or .bin)")
     p.add_argument("--reflectors", required=True, help="reflector JSON file")
     p.add_argument("--report", required=True, help="output report JSON path")
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, outputs=("report",))
 
     p = sub.add_parser("oracle", help="independent reference implementations")
     osub = p.add_subparsers(dest="oracle_command", required=True)
     po = osub.add_parser("wahba-svd", help="SVD attitude oracle over an epoch stream")
     po.add_argument("--epochs", required=True, help="input epoch JSONL path")
-    po.set_defaults(func=_cmd_oracle_wahba)
+    po.set_defaults(func=_cmd_oracle_wahba, outputs=())
 
     return parser
 
@@ -184,10 +184,21 @@ def _glue_antennas(argv: list[str]) -> list[str]:
     return out
 
 
+def _check_output_dirs(args: argparse.Namespace) -> None:
+    """Raise InputError naming the first output path whose directory does
+    not exist, so that a command fails before it reads any input rather
+    than after all its work."""
+    for name in args.outputs:
+        path = getattr(args, name)
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"{path}: output directory does not exist")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_glue_antennas(argv))
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except BrokenPipeError:
         # downstream consumer (head, less) closed the pipe; not an error
@@ -197,9 +208,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, InsufficientDataError, DegenerateGeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MgpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,15 +64,6 @@ class SnrTable:
             )
         return cls(sat_ids, dbhz)
 
-    def columns(self, keep: np.ndarray) -> SnrTable:
-        """The table on the antenna columns where the bool mask ``keep`` is
-        True, without the satellites none of them tracks."""
-        if not self.sat_ids:
-            return self
-        dbhz = self.dbhz[:, keep]
-        tracked = ~np.isnan(dbhz).all(axis=1)
-        return SnrTable(tuple(compress(self.sat_ids, tracked.tolist())), dbhz[tracked])
-
     def __len__(self) -> int:
         return len(self.sat_ids)
 

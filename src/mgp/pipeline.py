@@ -2,9 +2,9 @@
 
 Stage order per epoch: (1) multipath detection on the SNR rows, (2) optional
 fix re-query with the excluded satellites removed, which replays the epoch's
-requery record (:func:`mgp.epochs.requery_epoch`; simulated streams only),
-(3) consensus attitude from the fixed baselines, (4) hybrid position using that
-attitude. An epoch with fewer fixed baselines than the effective
+requery record (simulated streams only; :func:`mgp.epochs.replay` replays
+those of a whole front block at once), (3) consensus attitude from the fixed
+baselines, (4) hybrid position using that attitude. An epoch with fewer fixed baselines than the effective
 ``min_inliers`` skips stage (3), since consensus could never accept it.
 Per-antenna fix rates and the plain hybrid fix rate are always computed from
 the observed (pre-feedback) statuses so the feedback gain stays visible next

@@ -15,18 +15,19 @@ Formats:
     truth attitude must have a norm within ``QUAT_READ_TOL`` of 1. The
     record types live in :mod:`mgp.epochs`; their whole line format is here.
 
-    The reader decodes ``READ_BLOCK`` lines at a time. It parses each line
-    and moves its leaves into lists that span the block, then type-checks
-    and builds each field of the block in one pass; each epoch's arrays are
-    slices of the block's. The truth channel is decoded the same way, into
-    lists of its own: its attitudes, positions and satellite lists, the fix
-    model values and the channel draws of all the block's requery records,
-    each checked once; a block without truth leaves them empty. A block in
-    which any check fails is decoded again one line at a time, by the same
-    decoder on blocks of one, so that each fault is reported (or skipped)
-    at its own ``path:line`` with the message it has in a lone epoch. A line
-    that is not UTF-8 is such a fault; the scan, pose and cloud readers name
-    its ``path:line`` too.
+    The reader parses each line once and decodes ``READ_BLOCK`` parsed
+    lines at a time, one field after another in a fixed order: each field
+    is looked up in every line of the block, then type-checked and built in
+    one pass, and each epoch's arrays are slices of the block's. The truth
+    channel and its requery records are read the same way, after the SNR
+    rows; a block without truth pays nothing for them. ``fixes``,
+    ``baselines``, ``snr_rows``, the channel groups and the truth lists
+    must be JSON arrays. A block in which any lookup or check fails is
+    decoded again one parsed line at a time, by the same decoder on blocks
+    of one, so that each fault is reported (or skipped) at its own
+    ``path:line`` with the message it has in a lone epoch: that of the
+    first lookup or check that fails. A line that is not UTF-8 is such a
+    fault; the scan, pose and cloud readers name its ``path:line`` too.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line; each pulse is a compact array
     ``[t, x, y, z, reflector01]`` in scanner-frame meters; in memory a
@@ -171,267 +172,131 @@ _WRONG = operator.itemgetter("wrong")
 # per-epoch reading (2.6 MB against 1.4 MB).
 READ_BLOCK = 32
 
-# The steps of reading one epoch object, in the order a lone epoch's checks
-# take them: each step looks its values up, then checks them. The truth
-# channel's steps follow the record's fields; the fix model's values are
-# looked up and checked one by one, so a missing one shows at _BIAS, once
-# the values before it have been checked.
-(_T, _FIXES, _STATUS, _P, _IDS, _SATS, _BASELINES, _PAIRS, _V, _W, _FIXED,
- _SNR_ROWS, _SNR, _SAT_IDS, _ATTITUDE, _CORRUPTED, _POSITION, _MP_SATS,
- _WRONG_ANTS, _MODEL, _BIAS, _ANT_LATENT, _ANT_DRAWS, _ANT_WRONG,
- _BL_LATENT, _BL_DRAWS, _BL_WRONG, _SOLUTION, _DONE) = range(29)
-
 _NO_SNR = SnrTable((), np.empty((0, 0)))
 
 
-class _Leaves:
-    """The leaves of a block of epoch objects, field by field across the
-    block, gathered one object at a time so that no parsed object outlives
-    its line. The truth channel's leaves are gathered the same way, into
-    lists of their own that a block without truth leaves empty.
+def _decode(objects: list[Any]) -> list[EpochRecord]:
+    """The epochs of a block of parsed epoch objects, each epoch's arrays
+    slices of the block's. The block is read one field at a time, always in
+    the same order: each field is looked up in every object, then checked
+    in one pass. The first lookup or check that fails raises, so a block of
+    one raises its epoch's first fault in that order, and a block raises
+    whenever one of its epochs would alone."""
+    ts = [jsonvals.number(d["t"], "epoch time") for d in objects]
+    fixes, n_fixes = _joined([d["fixes"] for d in objects], "fixes")
+    grade = [_GRADE_OF_NAME.get(f["status"]) for f in fixes]
+    if None in grade:
+        raise ValidationError(f"fix status must be one of {_GRADE_NAMES}")
+    given = [f["p"] for f in fixes]
+    p = np.full((len(given), 3), np.nan)
+    p[[x is not None for x in given]] = jsonvals.floats(
+        [x for x in given if x is not None], "fix positions", 3
+    )
+    ids = jsonvals.integers([f["antenna_id"] for f in fixes], "antenna ids")
+    sats = jsonvals.integers([f["sats_used"] for f in fixes], "sats_used")
+    fx = Fixes.checked(ids, np.array(grade, dtype=np.int8), p, sats)
 
-    A lookup that fails (a missing key, a list where an object belongs)
-    ends the gathering; :meth:`records` raises it after the checks of the
-    steps before it, so that a block of one reports the fault a lone epoch's
-    reader meets first.
-    """
+    baselines, n_baselines = _joined([d["baselines"] for d in objects], "baselines")
+    pairs = jsonvals.integers([o["antenna_pair"] for o in baselines], "antenna pairs", 2)
+    _check_unique_pairs(pairs, n_baselines)
+    v = jsonvals.floats([o["v"] for o in baselines], "baseline vectors", 3)
+    w = jsonvals.floats([o["w"] for o in baselines], "baseline vectors", 3)
+    fixed = jsonvals.flags([o["fixed"] for o in baselines], "baseline fixed flags")
+    bl = Baselines.checked(pairs, v, w, fixed)
 
-    def __init__(self) -> None:
-        self.t: list[Any] = []
-        self.grade: list[int | None] = []
-        self.p: list[Any] = []
-        self.ids: list[Any] = []
-        self.sats: list[Any] = []
-        self.pairs: list[Any] = []
-        self.v: list[Any] = []
-        self.w: list[Any] = []
-        self.fixed: list[Any] = []
-        self.snr: list[Any] = []
-        self.sat_ids: list[Any] = []
-        # per epoch: its fixes, baselines and SNR rows
-        self.counts: tuple[list[int], list[int], list[int]] = ([], [], [])
-        # per epoch whether it has a truth channel; per truth its leaves and
-        # whether it has a requery record
-        self.truth: list[bool] = []
-        self.attitude: list[Any] = []
-        self.corrupted: list[Any] = []
-        self.position: list[Any] = []
-        self.mp_sats: list[Any] = []
-        self.wrong_ants: list[Any] = []
-        self.requery: list[bool] = []
-        # per requery record: its fix model values, antenna biases and
-        # solution satellites; per channel group (antennas, then baselines)
-        # its row count, and per row its uniforms, latents and wrong flag
-        self.model: list[Any] = []
-        self.bias: list[Any] = []
-        self.solution: list[Any] = []
-        self.rows: tuple[list[int], list[int]] = ([], [])
-        self.uniforms: tuple[list[Any], list[Any]] = ([], [])
-        self.latents: tuple[list[Any], list[Any]] = ([], [])
-        self.wrong: tuple[list[Any], list[Any]] = ([], [])
-        self.failed: tuple[int, BaseException | None] = (_DONE, None)
+    rows, n_snr = _joined([d["snr_rows"] for d in objects], "snr_rows")
+    snr = [r["snr"] for r in rows]
+    # one width for the block; a block of epochs of several widths fails
+    # here and is read again one line at a time
+    width = len(snr[0]) if snr else 0
+    sat_ids = jsonvals.strings([r["sat_id"] for r in rows], "satellite ids")
+    table = SnrTable.checked(sat_ids, jsonvals.floats(snr, "SNR values", width, nulls=True))
 
-    def add(self, d: Any) -> bool:
-        """Gather one epoch object; False once a lookup has failed."""
-        n_fixes, n_baselines, n_snr = self.counts
-        step = _T
-        try:
-            self.t.append(d["t"])
-            step = _FIXES
-            fixes = d["fixes"]
-            step = _STATUS
-            grade = [_GRADE_OF_NAME.get(f["status"]) for f in fixes]
-            self.grade += grade
-            n_fixes.append(len(grade))
-            step = _P
-            self.p += [f["p"] for f in fixes]
-            step = _IDS
-            self.ids += [f["antenna_id"] for f in fixes]
-            step = _SATS
-            self.sats += [f["sats_used"] for f in fixes]
-            step = _BASELINES
-            baselines = d["baselines"]
-            step = _PAIRS
-            pairs = [o["antenna_pair"] for o in baselines]
-            self.pairs += pairs
-            n_baselines.append(len(pairs))
-            step = _V
-            self.v += [o["v"] for o in baselines]
-            step = _W
-            self.w += [o["w"] for o in baselines]
-            step = _FIXED
-            self.fixed += [o["fixed"] for o in baselines]
-            step = _SNR_ROWS
-            rows = d["snr_rows"]
-            step = _SNR
-            snr = [r["snr"] for r in rows]
-            self.snr += snr
-            n_snr.append(len(snr))
-            step = _SAT_IDS
-            self.sat_ids += [r["sat_id"] for r in rows]
-            step = _ATTITUDE
-            tr = d.get("truth")
-            self.truth.append(tr is not None)
-            if tr is None:
-                return True
-            self.attitude.append(tr["attitude"])
-            step = _CORRUPTED
-            self.corrupted.append(tr["corrupted_baselines"])
-            step = _POSITION
-            self.position.append(tr["position"])
-            step = _MP_SATS
-            self.mp_sats.append(tr["multipath_sats"])
-            step = _WRONG_ANTS
-            self.wrong_ants.append(tr["wrong_fix_antennas"])
-            step = _MODEL
-            rq = tr["requery"]
-            self.requery.append(rq is not None)
-            if rq is None:
-                return True
-            model = rq["model"]
-            step = _BIAS
-            for key in _MODEL_VALUES:
-                self.model.append(model[key])
-            self.bias.append(model["antenna_bias"])
-            for g, key in enumerate(("antenna_channels", "baseline_channels")):
-                step = _ANT_LATENT + 3 * g
-                channels = rq[key]
-                self.latents[g].extend(map(_LATENTS, channels))
-                step += 1
-                self.uniforms[g].extend(map(_UNIFORMS, channels))
-                step += 1
-                self.wrong[g].extend(map(_WRONG, channels))
-                self.rows[g].append(len(channels))
-            step = _SOLUTION
-            self.solution.append(rq["solution_sats"])
-        except Exception as exc:
-            self.failed = (step, exc)
-            return False
-        return True
+    truth = [d.get("truth") for d in objects]
+    truths = iter(_truths([tr for tr in truth if tr is not None]))
+    return list(map(EpochRecord, ts, _split(fx, n_fixes), _split(bl, n_baselines),
+                    _split_snr(table, n_snr),
+                    [None if tr is None else next(truths) for tr in truth]))
 
-    def _reached(self, step: int) -> None:
-        """Raise the failed lookup once the checks before its step have run."""
-        if self.failed[0] <= step:
-            raise self.failed[1]
 
-    def records(self) -> list[EpochRecord]:
-        """Check every field of the block, each in one pass, and split it
-        into one record per epoch whose arrays are slices of the block's."""
-        self._reached(_T)
-        ts = [jsonvals.number(t, "epoch time") for t in self.t]
-        self._reached(_STATUS)
-        if None in self.grade:
-            raise ValidationError(f"fix status must be one of {_GRADE_NAMES}")
-        self._reached(_P)
-        solved = [p is not None for p in self.p]
-        p = np.full((len(solved), 3), np.nan)
-        p[solved] = jsonvals.floats([x for x in self.p if x is not None], "fix positions", 3)
-        self._reached(_IDS)
-        ids = jsonvals.integers(self.ids, "antenna ids")
-        self._reached(_SATS)
-        fixes = Fixes.checked(
-            ids, np.array(self.grade, dtype=np.int8), p, jsonvals.integers(self.sats, "sats_used")
+def _truths(objects: list[Any]) -> list[EpochTruth]:
+    """The truth channels of a block, read field by field like its epochs."""
+    if not objects:
+        return []
+    flat, counts = _joined([tr["attitude"] for tr in objects], "truth attitude")
+    attitude = jsonvals.floats(flat, "truth attitude")
+    if set(counts) != {4}:
+        raise ValidationError("quaternion needs 4 components")
+    flat, n_corrupted = _joined([tr["corrupted_baselines"] for tr in objects],
+                                "corrupted baselines")
+    corrupted = jsonvals.integers(flat, "corrupted baselines", 2).tolist()
+    position = jsonvals.floats([tr["position"] for tr in objects], "truth position", 3).tolist()
+    attitude = attitude.reshape(-1, 4)
+    for q in attitude.tolist():
+        check_read_norm(q, "truth attitude")
+    flat, n_mp = _joined([tr["multipath_sats"] for tr in objects], "multipath satellites")
+    mp_sats = jsonvals.strings(flat, "multipath satellites")
+    flat, n_wrong = _joined([tr["wrong_fix_antennas"] for tr in objects], "wrong-fix antennas")
+    wrong_ants = jsonvals.integers(flat, "wrong-fix antennas").tolist()
+    records = [tr["requery"] for tr in objects]
+    requeries = iter(_requeries([rq for rq in records if rq is not None]))
+    return [
+        EpochTruth(
+            position=Vec3(*pos),
+            attitude=UnitQuaternion(*q),
+            multipath_sats=frozenset(mp),
+            corrupted_baselines=frozenset(map(tuple, pairs)),
+            wrong_fix_antennas=frozenset(ants),
+            requery=None if rq is None else next(requeries),
         )
-        self._reached(_PAIRS)
-        pairs = jsonvals.integers(self.pairs, "antenna pairs", 2)
-        _check_unique_pairs(pairs, self.counts[1])
-        self._reached(_V)
-        v = jsonvals.floats(self.v, "baseline vectors", 3)
-        self._reached(_W)
-        w = jsonvals.floats(self.w, "baseline vectors", 3)
-        self._reached(_FIXED)
-        fixed = jsonvals.flags(self.fixed, "baseline fixed flags")
-        baselines = Baselines.checked(pairs, v, w, fixed)
-        self._reached(_SNR)
-        # one width for the block; a block of epochs of several widths fails
-        # here and is read again one line at a time
-        width = len(self.snr[0]) if self.snr else 0
-        self._reached(_SAT_IDS)
-        snr = SnrTable.checked(
-            jsonvals.strings(self.sat_ids, "satellite ids"),
-            jsonvals.floats(self.snr, "SNR values", width, nulls=True),
+        for pos, q, mp, pairs, ants, rq in zip(
+            position, unit_quats(attitude, canonicalize=False).tolist(),
+            _pieces(mp_sats, n_mp), _pieces(corrupted, n_corrupted),
+            _pieces(wrong_ants, n_wrong), records,
         )
-        truths = self._truths()
-        return list(map(EpochRecord, ts, _split(fixes, self.counts[0]),
-                        _split(baselines, self.counts[1]), _split_snr(snr, self.counts[2]),
-                        truths))
+    ]
 
-    def _truths(self) -> list[EpochTruth | None]:
-        """Each epoch's truth channel, or None; every field checked in one
-        pass over the block's truths."""
-        self._reached(_ATTITUDE)
-        if not self.attitude:
-            return [None] * len(self.truth)
-        flat, counts = _joined(self.attitude, "truth attitude")
-        attitude = jsonvals.floats(flat, "truth attitude")
-        if set(counts) != {4}:
-            raise ValidationError("quaternion needs 4 components")
-        self._reached(_CORRUPTED)
-        flat, n_corrupted = _joined(self.corrupted, "corrupted baselines")
-        corrupted = jsonvals.integers(flat, "corrupted baselines", 2).tolist()
-        self._reached(_POSITION)
-        position = jsonvals.floats(self.position, "truth position", 3).tolist()
-        attitude = attitude.reshape(-1, 4)
-        for q in attitude.tolist():
-            check_read_norm(q, "truth attitude")
-        self._reached(_MP_SATS)
-        flat, n_mp = _joined(self.mp_sats, "multipath satellites")
-        mp_sats = jsonvals.strings(flat, "multipath satellites")
-        self._reached(_WRONG_ANTS)
-        flat, n_wrong = _joined(self.wrong_ants, "wrong-fix antennas")
-        wrong_ants = jsonvals.integers(flat, "wrong-fix antennas").tolist()
-        self._reached(_MODEL)
-        requery = iter(self._requeries() if any(self.requery) else ())
-        truths = iter([
-            EpochTruth(
-                position=Vec3(*pos),
-                attitude=UnitQuaternion(*q),
-                multipath_sats=frozenset(mp),
-                corrupted_baselines=frozenset(map(tuple, pairs)),
-                wrong_fix_antennas=frozenset(ants),
-                requery=next(requery) if has_requery else None,
-            )
-            for pos, q, mp, pairs, ants, has_requery in zip(
-                position, unit_quats(attitude, canonicalize=False).tolist(),
-                _pieces(mp_sats, n_mp), _pieces(corrupted, n_corrupted),
-                _pieces(wrong_ants, n_wrong), self.requery,
-            )
-        ])
-        return [next(truths) if has_truth else None for has_truth in self.truth]
 
-    def _requeries(self) -> list[RequeryData]:
-        """The block's requery records, every field checked in one pass."""
-        values = _numbers(self.model, "fix model values")
-        self._reached(_BIAS)
-        flat, n_bias = _joined(self.bias, "fix model values")
-        models = _fix_models(values, jsonvals.floats(flat, "fix model values"), n_bias)
-        groups = [self._draws(g) for g in range(2)]
-        self._reached(_SOLUTION)
-        flat, n_sats = _joined(self.solution, "solution_sats")
-        sats = jsonvals.strings(flat, "solution_sats")
-        return list(map(RequeryData, models, _pieces(sats, n_sats), *groups))
+def _requeries(objects: list[Any]) -> list[RequeryData]:
+    """The requery records of a block, read field by field; the fix model's
+    values are checked one by one as they are looked up."""
+    if not objects:
+        return []
+    models = [rq["model"] for rq in objects]
+    values = np.array(
+        [[jsonvals.number(m[key], "fix model values") for key in _MODEL_VALUES] for m in models]
+    )
+    flat, n_bias = _joined([m["antenna_bias"] for m in models], "fix model values")
+    fix_models = _fix_models(values, jsonvals.floats(flat, "fix model values"), n_bias)
+    groups = [_draws([rq[key] for rq in objects], key)
+              for key in ("antenna_channels", "baseline_channels")]
+    flat, n_sats = _joined([rq["solution_sats"] for rq in objects], "solution_sats")
+    sats = jsonvals.strings(flat, "solution_sats")
+    return list(map(RequeryData, fix_models, _pieces(sats, n_sats), *groups))
 
-    def _draws(self, g: int) -> list[ChannelDraws]:
-        """Each record's draws of channel group g (antennas, baselines)."""
-        step = _ANT_LATENT + 3 * g
-        self._reached(step)
-        latents = list(itertools.chain.from_iterable(self.latents[g]))
-        if not set(map(len, latents)) <= {3}:
-            raise ValidationError("channel draws need 3 values per latent vector")
-        self._reached(step + 1)
-        try:
-            u = jsonvals.floats(list(itertools.chain.from_iterable(self.uniforms[g])), _DRAWS)
-            x = jsonvals.floats(list(itertools.chain.from_iterable(latents)), _DRAWS)
-        except ValidationError:
-            _raise_draw_fault(self.uniforms[g], self.latents[g])
-            raise
-        self._reached(step + 2)
-        wrong = jsonvals.flags(self.wrong[g], "wrong-fix flags")
-        u, x = u.reshape(-1, 2), x.reshape(-1, 9)
-        return [
-            ChannelDraws(u[a:b, 0], u[a:b, 1], wrong[a:b], x[a:b, :3], x[a:b, 3:6], x[a:b, 6:])
-            for a, b in itertools.pairwise([0, *itertools.accumulate(self.rows[g])])
-        ]
+
+def _draws(groups: list[Any], what: str) -> list[ChannelDraws]:
+    """Each record's draws of one channel group from its JSON array of
+    channel objects: the latent vectors, then the uniforms, then the
+    wrong-fix flags."""
+    channels, counts = _joined(groups, what)
+    latents = list(map(_LATENTS, channels))
+    vectors = list(itertools.chain.from_iterable(latents))
+    if not set(map(len, vectors)) <= {3}:
+        raise ValidationError("channel draws need 3 values per latent vector")
+    uniforms = list(map(_UNIFORMS, channels))
+    try:
+        u = jsonvals.floats(list(itertools.chain.from_iterable(uniforms)), _DRAWS)
+        x = jsonvals.floats(list(itertools.chain.from_iterable(vectors)), _DRAWS)
+    except ValidationError:
+        _raise_draw_fault(uniforms, latents)
+        raise
+    wrong = jsonvals.flags(list(map(_WRONG, channels)), "wrong-fix flags")
+    u, x = u.reshape(-1, 2), x.reshape(-1, 9)
+    return [
+        ChannelDraws(u[a:b, 0], u[a:b, 1], wrong[a:b], x[a:b, :3], x[a:b, 3:6], x[a:b, 6:])
+        for a, b in itertools.pairwise([0, *itertools.accumulate(counts)])
+    ]
 
 
 def _joined(values: list[Any], what: str) -> tuple[list[Any], list[int]]:
@@ -449,21 +314,12 @@ def _pieces(values: Any, counts: list[int]) -> Iterator[Any]:
         start = stop
 
 
-def _numbers(values: list[Any], what: str) -> np.ndarray:
-    """:func:`jsonvals.number` of each value, checked in one pass when all
-    pass and one by one, for the first fault, when any fails."""
-    try:
-        return jsonvals.floats(values, what)
-    except ValidationError:
-        return np.array([jsonvals.number(x, what) for x in values])
-
-
 def _fix_models(values: np.ndarray, bias: np.ndarray, counts: list[int]) -> list[FixModel]:
     """One fix model per record from its values and antenna biases; a record
     whose numbers equal the previous record's bit for bit shares its model."""
     models: list[FixModel] = []
     last = b""
-    for row, b in zip(values.reshape(-1, len(_MODEL_VALUES)), _pieces(bias, counts)):
+    for row, b in zip(values, _pieces(bias, counts)):
         key = row.tobytes() + b.tobytes()
         if key != last:
             named = dict(zip(_MODEL_VALUES, row.tolist()))
@@ -515,16 +371,6 @@ def _split_snr(snr: SnrTable, counts: list[int]) -> Iterator[SnrTable]:
         start = stop
 
 
-def _decode(objects: Iterable[Any]) -> list[EpochRecord]:
-    """The epochs of a block of parsed epoch objects, checked as a block.
-    Raises the first fault it finds, as :func:`epoch_from_dict` does."""
-    leaves = _Leaves()
-    for d in objects:
-        if not leaves.add(d):
-            break
-    return leaves.records()
-
-
 def epoch_from_dict(d: dict[str, Any]) -> EpochRecord:
     """Epoch from its JSON object form: the block decoder on a block of one.
     Raises InputError for a missing or structurally wrong field and
@@ -566,20 +412,24 @@ def _check_header(line: str, expected: dict[str, Any], path: str) -> None:
         raise InputError(f"{path}: unexpected stream header {header!r}")
 
 
-def read_epochs(
-    path: str,
-    *,
-    skip_malformed: bool = False,
-    diagnostics: list[str] | None = None,
-) -> Iterator[EpochRecord]:
+def _parsed(line: str) -> Any:
+    """The JSON value of a line, or the fault that keeps it from one."""
+    try:
+        return jsonvals.loads(_utf8(line))
+    except (ValueError, ValidationError) as exc:
+        return exc
+
+
+def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[EpochRecord]:
     """Yield epochs from a JSONL stream.
 
-    Lines are decoded in blocks of ``READ_BLOCK``; a block in which any
-    check fails is decoded again one line at a time, so each fault is
-    reported (or skipped) at its own line. With ``skip_malformed``, lines
-    that are not UTF-8 or fail to parse or validate are skipped (recorded in
-    ``diagnostics``) instead of aborting. A wrong header always aborts: that
-    is the wrong file, not a bad epoch.
+    Each line is parsed once, and the parsed lines are decoded in blocks of
+    ``READ_BLOCK``; a block in which any check fails is decoded again one
+    line at a time, so each fault is reported (or skipped) at its own line.
+    Without ``diagnostics`` the first line that is not UTF-8 or fails to
+    parse or validate raises InputError naming ``path:line``; with a list,
+    each such line is skipped and recorded in it. A wrong header always
+    aborts: that is the wrong file, not a bad epoch.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         first = f.readline()
@@ -587,30 +437,32 @@ def read_epochs(
             raise InputError(f"{path}: empty stream file")
         _check_header(first, EPOCH_HEADER, path)
         stripped = (line.strip() for line in f)
-        lines = ((lineno, line) for lineno, line in enumerate(stripped, start=2) if line)
+        lines = ((lineno, _parsed(line)) for lineno, line in enumerate(stripped, start=2) if line)
         while block := list(itertools.islice(lines, READ_BLOCK)):
             try:
-                epochs = _decode(json.loads(_utf8(line)) for _, line in block)
+                epochs = _decode([obj for _, obj in block])
             except Exception:
-                # any fault: the lines below find and report it exactly
+                # any fault, a line that did not parse included: the lines
+                # below find and report it exactly
                 epochs = None
             if epochs is not None:
-                # hand the records out without keeping them or the lines, so
-                # that one block's worth is alive at a time
+                # hand the records out without keeping them or the parsed
+                # lines, so that one block's worth is alive at a time
                 del block
                 epochs.reverse()
                 while epochs:
                     yield epochs.pop()
                 continue
-            for lineno, line in block:
+            for lineno, obj in block:
                 try:
-                    epoch = epoch_from_dict(jsonvals.loads(_utf8(line)))
-                except (json.JSONDecodeError, InputError, ValidationError, ValueError) as exc:
-                    if skip_malformed:
-                        if diagnostics is not None:
-                            diagnostics.append(f"{path}:{lineno}: skipped epoch: {exc}")
-                        continue
-                    raise InputError(f"{path}:{lineno}: {exc}") from exc
+                    if isinstance(obj, Exception):
+                        raise obj
+                    epoch = epoch_from_dict(obj)
+                except (InputError, ValidationError, ValueError) as exc:
+                    if diagnostics is None:
+                        raise InputError(f"{path}:{lineno}: {exc}") from exc
+                    diagnostics.append(f"{path}:{lineno}: skipped epoch: {exc}")
+                    continue
                 yield epoch
 
 

@@ -66,7 +66,7 @@ def _run(
             m.setattr(mgp.streams, "READ_BLOCK", read_block)
         m.setattr(mgp.pipeline, "consensus", counting)
         diags: list[str] = []
-        epochs = mgp.read_epochs(str(path), skip_malformed=True, diagnostics=diags)
+        epochs = mgp.read_epochs(str(path), diagnostics=diags)
         result = mgp.run(epochs, config, diagnostics=diags)
     metrics = json.dumps(result.metrics.to_json_dict(), indent=2)
     return metrics, result.poses, result.diagnostics, blocks
@@ -79,7 +79,7 @@ def _per_epoch(path: Path, config: PipelineConfig) -> tuple[mgp.Poses, list[str]
     rows: list[list[float]] = []
     n_fix: list[int] = []
     last_t = None
-    epochs = mgp.read_epochs(str(path), skip_malformed=True, diagnostics=diags)
+    epochs = mgp.read_epochs(str(path), diagnostics=diags)
     for idx, epoch in enumerate(epochs):
         if last_t is not None and epoch.t <= last_t:
             diags.append(f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped")

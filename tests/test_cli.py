@@ -619,3 +619,48 @@ def test_estimate_skips_every_epoch_naming_an_antenna_twice(tmp_path: Path, caps
     rates = [m["hybrid_fix_rate_pct"], m["hybrid_fix_rate_multipath_pct"],
              m["attitude_availability_pct"], *m["per_antenna_fix_rate_pct"].values()]
     assert all(r is None or 0.0 <= r <= 100.0 for r in rates)
+
+
+@pytest.fixture(scope="module")
+def chain_inputs(tmp_path_factory) -> dict[str, str]:
+    return _chain_files(tmp_path_factory.mktemp("inputs"))
+
+
+# per command: its argv with ``{out}/`` before each output name, and the
+# output to put in a directory that does not exist
+_OUTPUT_CASES = {
+    "simulate-out": (["simulate", "--config", "scen", "--out", "{out}/e.jsonl",
+                      "--scan", "{out}/s.jsonl"], "e.jsonl"),
+    "simulate-scan": (["simulate", "--config", "scen", "--out", "{out}/e.jsonl",
+                       "--scan", "{out}/s.jsonl"], "s.jsonl"),
+    "estimate-poses": (["estimate", "--epochs", "epochs.jsonl", "--config", "pipe",
+                        "--poses", "{out}/p.csv", "--metrics", "{out}/m.json"], "p.csv"),
+    "estimate-metrics": (["estimate", "--epochs", "epochs.jsonl", "--config", "pipe",
+                          "--poses", "{out}/p.csv", "--metrics", "{out}/m.json"], "m.json"),
+    "georef-cloud": (["georef", "--poses", "poses.csv", "--scan", "scan.jsonl",
+                      "--calib", "calib", "--cloud", "{out}/c.xyz"], "c.xyz"),
+    "evaluate-report": (["evaluate", "--cloud", "cloud.xyz", "--reflectors", "refl",
+                         "--report", "{out}/r.json"], "r.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUTPUT_CASES))
+def test_output_in_a_missing_directory_fails_before_any_work(
+    chain_inputs, tmp_path: Path, capsys, case: str
+) -> None:
+    """Each output's directory is checked before any input is read, so a
+    command whose output cannot be written exits 1 naming that output,
+    without writing any other."""
+    template, bad = _OUTPUT_CASES[case]
+    out, missing = tmp_path / "out", tmp_path / "nodir"
+    out.mkdir()
+    argv = []
+    for arg in template:
+        if arg.startswith("{out}/"):
+            name = arg.removeprefix("{out}/")
+            arg = str((missing if name == bad else out) / name)
+        argv.append(chain_inputs.get(arg, arg))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {missing / bad}: output directory does not exist\n"
+    assert list(out.iterdir()) == [] and not missing.exists()

@@ -403,7 +403,7 @@ def _arrays(path: str, config: PipelineConfig, monkeypatch) -> _Estimate:
     with monkeypatch.context() as m:
         m.setattr(mgp.pipeline._FrontBlock, "report", record)
         diags: list[str] = []
-        result = mgp.run(mgp.read_epochs(path, skip_malformed=True, diagnostics=diags), config,
+        result = mgp.run(mgp.read_epochs(path, diagnostics=diags), config,
                          diagnostics=diags)
     return _Estimate(
         json.dumps(result.metrics.to_json_dict(), indent=2), result.poses, diags, verdicts

@@ -1,13 +1,19 @@
 """Fault injection for the epoch JSON Lines stream.
 
 A clean simulated stream gets faults on chosen lines, one per line: a leaf
-of the wrong JSON type, a non-finite number, a missing key, a truncated
-line, or a blank line put before the line. The chosen lines sit on the
-edges of the reader's blocks (``READ_BLOCK`` non-blank lines): the first
-and last line of a block, and neighbours across a block boundary.
-``mgp estimate`` must exit 0 and skip exactly the bad lines, each with a
-diagnostic naming its ``path:line``, without a traceback, and the poses of
-the untouched epochs must equal those of the clean run.
+of the wrong JSON type, a non-finite number, a missing key, a container of
+the wrong JSON type (an array where an object belongs, an object, string or
+number where an array does), a truncated line, or a blank line put before
+the line. The chosen lines sit on the edges of the reader's blocks
+(``READ_BLOCK`` non-blank lines): the first and last line of a block, and
+neighbours across a block boundary. ``mgp estimate`` must exit 0 and skip
+exactly the bad lines, each with a diagnostic naming its ``path:line``,
+without a traceback, and the poses of the untouched epochs must equal those
+of the clean run.
+
+Inside one full block, lines with one to three such faults each must read
+as they do alone: the reader's record or diagnostic for each line is the
+record or fault of :func:`mgp.epoch_from_dict` on that line.
 """
 from __future__ import annotations
 
@@ -29,10 +35,14 @@ from mgp.cli import main
 
 from test_epoch_differential import _scenario
 
-FAULTS = ("wrong-type", "non-finite", "missing-key", "truncated", "blank")
+FAULTS = ("wrong-type", "non-finite", "missing-key", "wrong-container", "truncated", "blank")
 # a value of another JSON type for each type of leaf, every one rejected
 WRONG = {bool: [1, "true"], int: ["1", True], float: ["1", True], str: [7, None]}
 NON_FINITE = [math.nan, math.inf, -math.inf]
+# a container of another JSON type for each type of container
+WRONG_CONTAINER = {list: [{}, "", "ab", 7], dict: [[], [1]]}
+# the arrays of an epoch object's top level
+TOP_ARRAYS = ("fixes", "baselines", "snr_rows")
 
 
 def _block_edges(n_lines: int) -> list[int]:
@@ -68,19 +78,36 @@ def _keys(value: Any, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
             yield from _keys(v, path + (i,))
 
 
+def _containers(value: Any, path: tuple = ()) -> Iterator[tuple[tuple, Any]]:
+    """Every array and object inside a JSON value, with its parent's path
+    and its key or index there."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, v in items:
+        if isinstance(v, (dict, list)):
+            yield path, key
+            yield from _containers(v, path + (key,))
+
+
 def _at(record: Any, path: tuple) -> Any:
     for key in path:
         record = record[key]
     return record
 
 
-def _faulty_line(record: dict, fault: str, data: st.DataObject) -> str:
-    if fault == "truncated":
-        line = json.dumps(record)
-        return line[: data.draw(st.integers(1, len(line) - 1))]
+def _inject(record: dict, fault: str, data: st.DataObject) -> None:
+    """Put one fault of kind ``fault`` (not "truncated" or "blank") into the
+    parsed epoch object."""
     if fault == "missing-key":
         path, key = data.draw(st.sampled_from(list(_keys(record))))
         del _at(record, path)[key]
+    elif fault == "wrong-container":
+        # the top-level arrays as often as all the others together
+        top = [((), key) for key in TOP_ARRAYS if type(record.get(key)) is list]
+        places = [st.sampled_from(c) for c in (top, list(_containers(record))) if c]
+        path, key = data.draw(st.one_of(*places))
+        parent = _at(record, path)
+        bad = WRONG_CONTAINER[type(parent[key])]
+        parent[key] = data.draw(st.sampled_from(bad))
     else:
         leaves = [
             (path, v) for path, v in _leaves(record)
@@ -89,6 +116,13 @@ def _faulty_line(record: dict, fault: str, data: st.DataObject) -> str:
         path, value = data.draw(st.sampled_from(leaves))
         bad = WRONG[type(value)] if fault == "wrong-type" else NON_FINITE
         _at(record, path[:-1])[path[-1]] = data.draw(st.sampled_from(bad))
+
+
+def _faulty_line(record: dict, fault: str, data: st.DataObject) -> str:
+    if fault == "truncated":
+        line = json.dumps(record)
+        return line[: data.draw(st.integers(1, len(line) - 1))]
+    _inject(record, fault, data)
     return json.dumps(record)
 
 
@@ -170,3 +204,58 @@ def test_faulty_lines_are_skipped_one_by_one(
     want = clean_poses.select(keep)
     for field in ("t", "p", "q", "n_fix"):
         assert np.array_equal(getattr(poses, field), getattr(want, field), equal_nan=True), field
+
+
+LINE_FAULTS = ("wrong-type", "missing-key", "wrong-container")
+
+
+@pytest.fixture(scope="module")
+def block_lines(tmp_path_factory) -> list[str]:
+    """The record lines of a multipath stream one reader block long, truth
+    channel and requery records included."""
+    path = tmp_path_factory.mktemp("block") / "epochs.jsonl"
+    n_epochs = mgp.streams.READ_BLOCK
+    mgp.write_epochs(str(path), mgp.simulate(_scenario("multipath", n_epochs / 10.0)))
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(lines) == n_epochs
+    return lines
+
+
+def _alone(line: str) -> mgp.EpochRecord | Exception:
+    try:
+        return mgp.epoch_from_dict(json.loads(line))
+    except (mgp.InputError, mgp.ValidationError) as exc:
+        return exc
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_block_lines_with_several_faults_read_as_alone(
+    block_lines, tmp_path: Path, data: st.DataObject
+) -> None:
+    lines = list(block_lines)
+    chosen = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=8, unique=True))
+    for k in chosen:
+        record = json.loads(lines[k])
+        for i in range(data.draw(st.integers(1, 3), label=f"faults on record {k}")):
+            _inject(record, data.draw(st.sampled_from(LINE_FAULTS), label=f"fault {i}"), data)
+        lines[k] = json.dumps(record)
+    path = tmp_path / "block.jsonl"
+    path.write_text("\n".join([json.dumps(mgp.streams.EPOCH_HEADER), *lines]) + "\n",
+                    encoding="utf-8")
+
+    diags: list[str] = []
+    got = [mgp.epoch_to_dict(e) for e in mgp.read_epochs(str(path), diagnostics=diags)]
+    alone = [(lineno, _alone(line)) for lineno, line in enumerate(lines, start=2)]
+    assert diags == [
+        f"{path}:{lineno}: skipped epoch: {out}" for lineno, out in alone
+        if isinstance(out, Exception)
+    ]
+    want = [mgp.epoch_to_dict(out) for _, out in alone if not isinstance(out, Exception)]
+    assert json.dumps(got) == json.dumps(want)

@@ -495,7 +495,7 @@ def test_run_counts_reader_skips_on_a_shared_list(tmp_path) -> None:
     lines[2] = "{not json"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     diags = ["caller note"]
-    epochs = read_epochs(str(path), skip_malformed=True, diagnostics=diags)
+    epochs = read_epochs(str(path), diagnostics=diags)
     result = run(epochs, PipelineConfig(), diagnostics=diags)
     assert (result.metrics.epochs, result.metrics.skipped) == (4, 1)
     assert diags[0] == "caller note" and diags[1].startswith(f"{path}:3: skipped epoch")

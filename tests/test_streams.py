@@ -114,10 +114,10 @@ def test_read_epochs_rejects_wrong_header(tmp_path: Path) -> None:
     path.write_text("", encoding="utf-8")
     with pytest.raises(InputError):
         list(read_epochs(str(path)))
-    # wrong header aborts even in skip_malformed mode
+    # wrong header aborts even when bad lines are skipped
     path.write_text('{"format": "other"}\n', encoding="utf-8")
     with pytest.raises(InputError):
-        list(read_epochs(str(path), skip_malformed=True))
+        list(read_epochs(str(path), diagnostics=[]))
 
 
 def test_read_epochs_malformed_line_strict_vs_skip(tmp_path: Path) -> None:
@@ -132,7 +132,7 @@ def test_read_epochs_malformed_line_strict_vs_skip(tmp_path: Path) -> None:
         list(read_epochs(str(path)))
 
     diags: list[str] = []
-    back = list(read_epochs(str(path), skip_malformed=True, diagnostics=diags))
+    back = list(read_epochs(str(path), diagnostics=diags))
     assert len(back) == len(epochs)
     assert len(diags) == 1
     assert "skipped epoch" in diags[0]
@@ -218,7 +218,7 @@ def test_read_epochs_rejects_bad_requery_record(tmp_path: Path, edit, message: s
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: .*{message}"):
         list(read_epochs(str(path)))
     diags: list[str] = []
-    back = list(read_epochs(str(path), skip_malformed=True, diagnostics=diags))
+    back = list(read_epochs(str(path), diagnostics=diags))
     assert [e.t for e in back] == [e.t for i, e in enumerate(epochs) if i != 1]
     assert len(diags) == 1 and diags[0].startswith(f"{path}:3: skipped epoch")
 
@@ -244,6 +244,13 @@ def _requery_u_fix_true(record: dict) -> None:
         (lambda record: record.update(t=True), "epoch time must be a number, got True"),
         (_set_first("snr_rows", "sat_id", 7), "satellite ids must be strings"),
         (_set_first("baselines", "antenna_pair", [1, 2, 9]), "antenna pairs need 2 values each"),
+        (lambda record: record.update(fixes={}), "fixes must be a JSON array"),
+        (lambda record: record.update(baselines=""), "baselines must be a JSON array"),
+        (lambda record: record.update(snr_rows={}), "snr_rows must be a JSON array"),
+        (lambda record: record["truth"]["requery"].update(antenna_channels=7),
+         "antenna_channels must be a JSON array"),
+        (lambda record: record["truth"]["requery"].update(baseline_channels={}),
+         "baseline_channels must be a JSON array"),
     ],
     ids=[
         "antenna-id-float",
@@ -253,11 +260,17 @@ def _requery_u_fix_true(record: dict) -> None:
         "t-true",
         "sat-id-number",
         "pair-three-ids",
+        "fixes-object",
+        "baselines-string",
+        "snr-rows-object",
+        "antenna-channels-number",
+        "baseline-channels-object",
     ],
 )
 def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str) -> None:
     """A field of the wrong JSON type is a malformed line, not a value to
-    coerce: strict reading names ``path:line``, skip mode counts it."""
+    coerce, and an array of another type is not an empty one: strict
+    reading names ``path:line``, skip mode counts it."""
     epochs = list(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), epochs)
@@ -270,7 +283,7 @@ def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str)
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {re.escape(message)}"):
         list(read_epochs(str(path)))
     diags: list[str] = []
-    back = list(read_epochs(str(path), skip_malformed=True, diagnostics=diags))
+    back = list(read_epochs(str(path), diagnostics=diags))
     assert [e.t for e in back] == [e.t for i, e in enumerate(epochs) if i != 1]
     assert len(diags) == 1 and diags[0].startswith(f"{path}:3: skipped epoch")
 
@@ -398,7 +411,7 @@ def test_read_epochs_rejects_non_unit_truth_attitude(tmp_path: Path, attitude, n
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         list(read_epochs(str(path)))
     diags: list[str] = []
-    back = list(read_epochs(str(path), skip_malformed=True, diagnostics=diags))
+    back = list(read_epochs(str(path), diagnostics=diags))
     assert [e.t for e in back] == [e.t for i, e in enumerate(epochs) if i != 1]
     assert back[0].truth.attitude == UnitQuaternion.identity()
     assert diags == [f"{path}:3: skipped epoch: truth attitude norm {norm} is not 1 within 1e-06"]
