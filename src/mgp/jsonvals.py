@@ -29,9 +29,10 @@ _NUMBER_OR_NULL = frozenset((int, float, type(None)))
 
 
 def _leaves(values: Any, what: str, width: int | None, types: frozenset, noun: str) -> list:
-    """A JSON array's values, or those of an array of ``width``-value arrays
-    flattened in row order, after checking that each has one of ``types``."""
-    if type(values) is not list:
+    """A JSON array's values, or those of an array of JSON arrays of
+    ``width`` values each flattened in row order, after checking that each
+    has one of ``types``."""
+    if type(values) is not list or width is not None and not set(map(type, values)) <= {list}:
         raise ValidationError(f"{what} must be a JSON array")
     if width is not None:
         if values and set(map(len, values)) != {width}:

@@ -492,8 +492,7 @@ def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanF
         noise_draw = scanner.range_noise_m * rng.standard_normal(ppr)
 
         pos = trajectory_position(config, ts)
-        roll, pitch, yaw = config.attitude_profile.angles_at(t0)
-        r_eb = quat_to_matrix(euler_to_quat(roll, pitch, yaw))
+        r_eb = quat_to_matrix(truth_attitude(config, t0))
 
         origin = pos + lever @ r_eb.T
         d_world = d_body @ r_eb.T

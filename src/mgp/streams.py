@@ -16,13 +16,17 @@ Formats:
     record types live in :mod:`mgp.epochs`; their whole line format is here.
 
     The reader parses each line once and decodes ``READ_BLOCK`` parsed
-    lines at a time, one field after another in a fixed order: each field
-    is looked up in every line of the block, then type-checked and built in
-    one pass, and each epoch's arrays are slices of the block's. The truth
-    channel and its requery records are read the same way, after the SNR
-    rows; a block without truth pays nothing for them. ``fixes``,
-    ``baselines``, ``snr_rows``, the channel groups and the truth lists
-    must be JSON arrays. A block in which any lookup or check fails is
+    lines at a time, one field after another in one fixed order for the
+    whole line: each field is looked up in every line of the block, then
+    type-checked and built in one pass, and each epoch's arrays are slices
+    of the block's. The truth channel and its requery records, channel
+    draws included, are read the same way, after the SNR rows; a block
+    without truth pays nothing for them. ``fixes``, ``baselines``,
+    ``snr_rows``, the channel groups and the truth lists must be JSON
+    arrays, and so must each row of a fixed width (a position, vector,
+    antenna pair, latent vector, SNR row or quaternion). Every key but the
+    line's ``truth`` is required, and any other key is a fault (``unknown
+    key 'truht'``). A block in which any lookup or check fails is
     decoded again one parsed line at a time, by the same decoder on blocks
     of one, so that each fault is reported (or skipped) at its own
     ``path:line`` with the message it has in a lone epoch: that of the
@@ -60,10 +64,8 @@ import importlib.resources
 import itertools
 import json
 import math
-import operator
 import re
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -152,16 +154,16 @@ def _requery_to_dict(req: RequeryData) -> dict[str, Any]:
     return out
 
 
-# The numbers of one channel row in reading order: the two uniforms, then
-# the three components of each latent vector.
-_ROW_FIELDS = _DRAW_KEYS[:2] + tuple(k for k in _DRAW_KEYS[3:] for _ in range(3))
-_FLOAT_MAX = sys.float_info.max
-_DRAWS = "channel draws"
 # The fix model's values in reading order, each one number.
 _MODEL_VALUES = tuple(k for k in _MODEL_KEYS if k != "antenna_bias")
-_UNIFORMS = operator.itemgetter(*_DRAW_KEYS[:2])
-_LATENTS = operator.itemgetter(*_DRAW_KEYS[3:])
-_WRONG = operator.itemgetter("wrong")
+# The keys of each object of an epoch line; all are required but the
+# line's own ``truth``.
+_EPOCH_KEYS = ("t", "fixes", "baselines", "snr_rows", "truth")
+_FIX_KEYS = ("antenna_id", "status", "p", "sats_used")
+_BASELINE_KEYS = ("antenna_pair", "v", "w", "fixed")
+_TRUTH_KEYS = ("position", "attitude", "multipath_sats", "corrupted_baselines",
+               "wrong_fix_antennas", "requery")
+_REQUERY_KEYS = ("model", "solution_sats", "antenna_channels", "baseline_channels")
 
 
 # Non-blank lines the epoch reader decodes at once. ``pipeline.run`` takes
@@ -171,8 +173,6 @@ _WRONG = operator.itemgetter("wrong")
 # faster than 32 but raised survey-6ant's peak RSS twice as much over
 # per-epoch reading (2.6 MB against 1.4 MB).
 READ_BLOCK = 32
-
-_NO_SNR = SnrTable((), np.empty((0, 0)))
 
 
 def _decode(objects: list[Any]) -> list[EpochRecord]:
@@ -194,6 +194,7 @@ def _decode(objects: list[Any]) -> list[EpochRecord]:
     )
     ids = jsonvals.integers([f["antenna_id"] for f in fixes], "antenna ids")
     sats = jsonvals.integers([f["sats_used"] for f in fixes], "sats_used")
+    _check_keys(fixes, _FIX_KEYS, " in fixes")
     fx = Fixes.checked(ids, np.array(grade, dtype=np.int8), p, sats)
 
     baselines, n_baselines = _joined([d["baselines"] for d in objects], "baselines")
@@ -202,36 +203,36 @@ def _decode(objects: list[Any]) -> list[EpochRecord]:
     v = jsonvals.floats([o["v"] for o in baselines], "baseline vectors", 3)
     w = jsonvals.floats([o["w"] for o in baselines], "baseline vectors", 3)
     fixed = jsonvals.flags([o["fixed"] for o in baselines], "baseline fixed flags")
+    _check_keys(baselines, _BASELINE_KEYS, " in baselines")
     bl = Baselines.checked(pairs, v, w, fixed)
 
     rows, n_snr = _joined([d["snr_rows"] for d in objects], "snr_rows")
     snr = [r["snr"] for r in rows]
     # one width for the block; a block of epochs of several widths fails
     # here and is read again one line at a time
-    width = len(snr[0]) if snr else 0
+    width = len(snr[0]) if snr and type(snr[0]) is list else 0
     sat_ids = jsonvals.strings([r["sat_id"] for r in rows], "satellite ids")
+    _check_keys(rows, ("sat_id", "snr"), " in snr_rows")
     table = SnrTable.checked(sat_ids, jsonvals.floats(snr, "SNR values", width, nulls=True))
 
     truth = [d.get("truth") for d in objects]
+    _check_keys(objects, _EPOCH_KEYS, "", 4 * len(objects) + sum("truth" in d for d in objects))
     truths = iter(_truths([tr for tr in truth if tr is not None]))
-    return list(map(EpochRecord, ts, _split(fx, n_fixes), _split(bl, n_baselines),
-                    _split_snr(table, n_snr),
-                    [None if tr is None else next(truths) for tr in truth]))
+    # each record of arrays cut into its epochs' rows
+    cut = [map(type(r), *(_pieces(a, n) for a in vars(r).values()))
+           for r, n in ((fx, n_fixes), (bl, n_baselines), (table, n_snr))]
+    return list(map(EpochRecord, ts, *cut, [None if tr is None else next(truths) for tr in truth]))
 
 
 def _truths(objects: list[Any]) -> list[EpochTruth]:
     """The truth channels of a block, read field by field like its epochs."""
     if not objects:
         return []
-    flat, counts = _joined([tr["attitude"] for tr in objects], "truth attitude")
-    attitude = jsonvals.floats(flat, "truth attitude")
-    if set(counts) != {4}:
-        raise ValidationError("quaternion needs 4 components")
+    attitude = jsonvals.floats([tr["attitude"] for tr in objects], "truth attitude", 4)
     flat, n_corrupted = _joined([tr["corrupted_baselines"] for tr in objects],
                                 "corrupted baselines")
     corrupted = jsonvals.integers(flat, "corrupted baselines", 2).tolist()
     position = jsonvals.floats([tr["position"] for tr in objects], "truth position", 3).tolist()
-    attitude = attitude.reshape(-1, 4)
     for q in attitude.tolist():
         check_read_norm(q, "truth attitude")
     flat, n_mp = _joined([tr["multipath_sats"] for tr in objects], "multipath satellites")
@@ -239,6 +240,7 @@ def _truths(objects: list[Any]) -> list[EpochTruth]:
     flat, n_wrong = _joined([tr["wrong_fix_antennas"] for tr in objects], "wrong-fix antennas")
     wrong_ants = jsonvals.integers(flat, "wrong-fix antennas").tolist()
     records = [tr["requery"] for tr in objects]
+    _check_keys(objects, _TRUTH_KEYS, " in truth")
     requeries = iter(_requeries([rq for rq in records if rq is not None]))
     return [
         EpochTruth(
@@ -263,40 +265,32 @@ def _requeries(objects: list[Any]) -> list[RequeryData]:
     if not objects:
         return []
     models = [rq["model"] for rq in objects]
-    values = np.array(
-        [[jsonvals.number(m[key], "fix model values") for key in _MODEL_VALUES] for m in models]
-    )
+    values = [[jsonvals.number(m[key], "fix model values") for key in _MODEL_VALUES]
+              for m in models]
     flat, n_bias = _joined([m["antenna_bias"] for m in models], "fix model values")
-    fix_models = _fix_models(values, jsonvals.floats(flat, "fix model values"), n_bias)
+    bias = _pieces(jsonvals.floats(flat, "fix model values").tolist(), n_bias)
+    _check_keys(models, _MODEL_KEYS, " in model")
+    fix_models = [FixModel(**dict(zip(_MODEL_VALUES, row)), antenna_bias=tuple(b))
+                  for row, b in zip(values, bias)]
     groups = [_draws([rq[key] for rq in objects], key)
               for key in ("antenna_channels", "baseline_channels")]
     flat, n_sats = _joined([rq["solution_sats"] for rq in objects], "solution_sats")
     sats = jsonvals.strings(flat, "solution_sats")
+    _check_keys(objects, _REQUERY_KEYS, " in requery")
     return list(map(RequeryData, fix_models, _pieces(sats, n_sats), *groups))
 
 
 def _draws(groups: list[Any], what: str) -> list[ChannelDraws]:
     """Each record's draws of one channel group from its JSON array of
-    channel objects: the latent vectors, then the uniforms, then the
-    wrong-fix flags."""
+    channel objects, read field by field in ``_DRAW_KEYS`` order."""
     channels, counts = _joined(groups, what)
-    latents = list(map(_LATENTS, channels))
-    vectors = list(itertools.chain.from_iterable(latents))
-    if not set(map(len, vectors)) <= {3}:
-        raise ValidationError("channel draws need 3 values per latent vector")
-    uniforms = list(map(_UNIFORMS, channels))
-    try:
-        u = jsonvals.floats(list(itertools.chain.from_iterable(uniforms)), _DRAWS)
-        x = jsonvals.floats(list(itertools.chain.from_iterable(vectors)), _DRAWS)
-    except ValidationError:
-        _raise_draw_fault(uniforms, latents)
-        raise
-    wrong = jsonvals.flags(list(map(_WRONG, channels)), "wrong-fix flags")
-    u, x = u.reshape(-1, 2), x.reshape(-1, 9)
-    return [
-        ChannelDraws(u[a:b, 0], u[a:b, 1], wrong[a:b], x[a:b, :3], x[a:b, 3:6], x[a:b, 6:])
-        for a, b in itertools.pairwise([0, *itertools.accumulate(counts)])
+    columns = [
+        jsonvals.flags([c[key] for c in channels], "wrong-fix flags") if key == "wrong"
+        else jsonvals.floats([c[key] for c in channels], f"{key} channel draws", width)
+        for key, width in zip(_DRAW_KEYS, (None, None, None, 3, 3, 3))
     ]
+    _check_keys(channels, _DRAW_KEYS, f" in {what}")
+    return list(map(ChannelDraws, *(_pieces(c, counts) for c in columns)))
 
 
 def _joined(values: list[Any], what: str) -> tuple[list[Any], list[int]]:
@@ -314,34 +308,15 @@ def _pieces(values: Any, counts: list[int]) -> Iterator[Any]:
         start = stop
 
 
-def _fix_models(values: np.ndarray, bias: np.ndarray, counts: list[int]) -> list[FixModel]:
-    """One fix model per record from its values and antenna biases; a record
-    whose numbers equal the previous record's bit for bit shares its model."""
-    models: list[FixModel] = []
-    last = b""
-    for row, b in zip(values, _pieces(bias, counts)):
-        key = row.tobytes() + b.tobytes()
-        if key != last:
-            named = dict(zip(_MODEL_VALUES, row.tolist()))
-            model = FixModel(**named, antenna_bias=tuple(b.tolist()))
-            last = key
-        models.append(model)
-    return models
-
-
-def _raise_draw_fault(uniforms: list[Any], latents: list[Any]) -> None:
-    """Raise the fault of a channel group's draw numbers as one check of
-    them in row order (each row's uniforms, then its latent vectors) finds
-    it, naming the field of the first bad number."""
-    flat = [x for u, lat in zip(uniforms, latents) for x in (*u, *lat[0], *lat[1], *lat[2])]
-    try:
-        jsonvals.floats(flat, _DRAWS)
-    except ValidationError as exc:
-        k = next(
-            k for k, x in enumerate(flat)
-            if type(x) not in (int, float) or not -_FLOAT_MAX <= x <= _FLOAT_MAX
-        )
-        raise ValidationError(f"{_ROW_FIELDS[k % len(_ROW_FIELDS)]} {exc}") from exc
+def _check_keys(objects: list[Any], keys: tuple[str, ...], where: str,
+                count: int | None = None) -> None:
+    """Raise ValidationError naming the first key of the JSON ``objects``
+    that is not one of ``keys``. Called once every key has been looked up,
+    so the objects hold no other key exactly when they hold ``count`` keys
+    in all, by default each all of ``keys``; only then is one searched for."""
+    if sum(map(len, objects)) != (len(keys) * len(objects) if count is None else count):
+        key = next(k for obj in objects for k in obj if k not in keys)
+        raise ValidationError(f"unknown key {key!r}{where}")
 
 
 def _check_unique_pairs(pairs: np.ndarray, counts: list[int]) -> None:
@@ -354,27 +329,11 @@ def _check_unique_pairs(pairs: np.ndarray, counts: list[int]) -> None:
         raise ValidationError("baseline antenna pairs must be unordered-unique")
 
 
-def _split(record: Any, counts: list[int]) -> Iterator[Any]:
-    """The record of arrays cut into consecutive runs of ``counts`` rows."""
-    columns = [getattr(record, f.name) for f in fields(record)]
-    start = 0
-    for stop in itertools.accumulate(counts):
-        yield type(record)(*[c[start:stop] for c in columns])
-        start = stop
-
-
-def _split_snr(snr: SnrTable, counts: list[int]) -> Iterator[SnrTable]:
-    """Like :func:`_split`; an epoch without rows gets the (0, 0) table."""
-    start = 0
-    for stop in itertools.accumulate(counts):
-        yield SnrTable(snr.sat_ids[start:stop], snr.dbhz[start:stop]) if stop > start else _NO_SNR
-        start = stop
-
-
 def epoch_from_dict(d: dict[str, Any]) -> EpochRecord:
     """Epoch from its JSON object form: the block decoder on a block of one.
     Raises InputError for a missing or structurally wrong field and
-    ValidationError for a value of the wrong JSON type, shape or range."""
+    ValidationError for an unknown key or a value of the wrong JSON type,
+    shape or range."""
     try:
         return _decode([d])[0]
     except (KeyError, TypeError, IndexError) as exc:

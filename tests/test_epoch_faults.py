@@ -1,15 +1,18 @@
 """Fault injection for the epoch JSON Lines stream.
 
 A clean simulated stream gets faults on chosen lines, one per line: a leaf
-of the wrong JSON type, a non-finite number, a missing key, a container of
-the wrong JSON type (an array where an object belongs, an object, string or
-number where an array does), a truncated line, or a blank line put before
-the line. The chosen lines sit on the edges of the reader's blocks
+of the wrong JSON type, a non-finite number, a missing key, an unknown key,
+a container of the wrong JSON type (an array where an object belongs, an
+object, string or number where an array does), an array of numbers (a
+fixed-width row such as a position) replaced by a number or by a string or
+object of as many characters or keys, a truncated line, or a blank line put
+before the line. The chosen lines sit on the edges of the reader's blocks
 (``READ_BLOCK`` non-blank lines): the first and last line of a block, and
 neighbours across a block boundary. ``mgp estimate`` must exit 0 and skip
 exactly the bad lines, each with a diagnostic naming its ``path:line``,
-without a traceback, and the poses of the untouched epochs must equal those
-of the clean run.
+without a traceback or a Python error in place of a message for a
+replaced row, and the poses of the untouched epochs must equal those of the
+clean run.
 
 Inside one full block, lines with one to three such faults each must read
 as they do alone: the reader's record or diagnostic for each line is the
@@ -35,7 +38,8 @@ from mgp.cli import main
 
 from test_epoch_differential import _scenario
 
-FAULTS = ("wrong-type", "non-finite", "missing-key", "wrong-container", "truncated", "blank")
+FAULTS = ("wrong-type", "non-finite", "missing-key", "unknown-key", "wrong-container",
+          "non-array-row", "truncated", "blank")
 # a value of another JSON type for each type of leaf, every one rejected
 WRONG = {bool: [1, "true"], int: ["1", True], float: ["1", True], str: [7, None]}
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -43,6 +47,8 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 WRONG_CONTAINER = {list: [{}, "", "ab", 7], dict: [[], [1]]}
 # the arrays of an epoch object's top level
 TOP_ARRAYS = ("fixes", "baselines", "snr_rows")
+# keys that no object of an epoch line has
+UNKNOWN_KEYS = ["truht", "sats-used", "P"]
 
 
 def _block_edges(n_lines: int) -> list[int]:
@@ -88,6 +94,15 @@ def _containers(value: Any, path: tuple = ()) -> Iterator[tuple[tuple, Any]]:
             yield from _containers(v, path + (key,))
 
 
+def _number_rows(value: Any) -> Iterator[tuple[tuple, Any]]:
+    """Every non-empty array of numbers (and nulls) inside a JSON value, with
+    its parent's path and its key or index there."""
+    for path, key in _containers(value):
+        v = _at(value, path)[key]
+        if isinstance(v, list) and v and all(type(x) in (int, float, type(None)) for x in v):
+            yield path, key
+
+
 def _at(record: Any, path: tuple) -> Any:
     for key in path:
         record = record[key]
@@ -100,6 +115,16 @@ def _inject(record: dict, fault: str, data: st.DataObject) -> None:
     if fault == "missing-key":
         path, key = data.draw(st.sampled_from(list(_keys(record))))
         del _at(record, path)[key]
+    elif fault == "unknown-key":
+        objects = [()] + [path + (key,) for path, key in _containers(record)
+                          if isinstance(_at(record, path)[key], dict)]
+        obj = _at(record, data.draw(st.sampled_from(objects)))
+        obj[data.draw(st.sampled_from(UNKNOWN_KEYS))] = data.draw(st.sampled_from([None, 1, "x"]))
+    elif fault == "non-array-row":
+        path, key = data.draw(st.sampled_from(list(_number_rows(record))))
+        parent = _at(record, path)
+        n = len(parent[key])
+        parent[key] = data.draw(st.sampled_from([5, 1.5, "x" * n, {str(i): 0 for i in range(n)}]))
     elif fault == "wrong-container":
         # the top-level arrays as often as all the others together
         top = [((), key) for key in TOP_ARRAYS if type(record.get(key)) is list]
@@ -181,6 +206,7 @@ def test_faulty_lines_are_skipped_one_by_one(
 
     out = [lines[0]]
     bad_linenos: list[int] = []
+    row_linenos: list[int] = []
     for k, line in enumerate(lines[1:]):
         fault = faults.get(k)
         if fault == "blank":
@@ -188,6 +214,8 @@ def test_faulty_lines_are_skipped_one_by_one(
         elif fault is not None:
             line = _faulty_line(json.loads(line), fault, data)
             bad_linenos.append(len(out) + 1)
+            if fault == "non-array-row":
+                row_linenos.append(len(out) + 1)
         out.append(line)
     path = tmp_path / "faulty.jsonl"
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
@@ -198,6 +226,9 @@ def test_faulty_lines_are_skipped_one_by_one(
     assert metrics["skipped"] == len(bad_linenos)
     diags = err.splitlines()
     assert [d.split(": skipped epoch: ")[0] for d in diags] == [f"{path}:{n}" for n in bad_linenos]
+    for n in row_linenos:
+        (diag,) = (d for d in diags if d.startswith(f"{path}:{n}: "))
+        assert "TypeError(" not in diag, diag
 
     bad_t = {json.loads(lines[k + 1])["t"] for k, f in faults.items() if f != "blank"}
     keep = ~np.isin(clean_poses.t, list(bad_t))
@@ -206,7 +237,7 @@ def test_faulty_lines_are_skipped_one_by_one(
         assert np.array_equal(getattr(poses, field), getattr(want, field), equal_nan=True), field
 
 
-LINE_FAULTS = ("wrong-type", "missing-key", "wrong-container")
+LINE_FAULTS = ("wrong-type", "missing-key", "unknown-key", "wrong-container", "non-array-row")
 
 
 @pytest.fixture(scope="module")

@@ -230,6 +230,10 @@ def _set_first(group: str, key: str, value):
     return edit
 
 
+def _channel(record: dict) -> dict:
+    return record["truth"]["requery"]["antenna_channels"][0]
+
+
 def _requery_u_fix_true(record: dict) -> None:
     record["truth"]["requery"]["antenna_channels"][0]["u_fix"] = True
 
@@ -251,6 +255,17 @@ def _requery_u_fix_true(record: dict) -> None:
          "antenna_channels must be a JSON array"),
         (lambda record: record["truth"]["requery"].update(baseline_channels={}),
          "baseline_channels must be a JSON array"),
+        (_set_first("fixes", "p", 5), "fix positions must be a JSON array"),
+        (_set_first("baselines", "v", "abc"), "baseline vectors must be a JSON array"),
+        (lambda record: record["truth"].update(attitude=1.5), "truth attitude must be a JSON array"),
+        (lambda record: record["truth"].update(attitude=[0.0, 0.0, 1.0]),
+         "truth attitude need 4 values each"),
+        (lambda record: _channel(record).update(latent_fixed=[1.0]),
+         "latent_fixed channel draws need 3 values each"),
+        (lambda record: _channel(record).clear(), "malformed epoch object: KeyError('u_fix')"),
+        (lambda record: record.update(truht=record.pop("truth")), "unknown key 'truht'"),
+        (_set_first("fixes", "P", [1.0, 2.0, 3.0]), "unknown key 'P' in fixes"),
+        (lambda record: _channel(record).update(note=""), "unknown key 'note' in antenna_channels"),
     ],
     ids=[
         "antenna-id-float",
@@ -265,12 +280,23 @@ def _requery_u_fix_true(record: dict) -> None:
         "snr-rows-object",
         "antenna-channels-number",
         "baseline-channels-object",
+        "position-number",
+        "vector-string",
+        "attitude-number",
+        "attitude-three-values",
+        "latent-one-value",
+        "channel-without-keys",
+        "truth-misspelled",
+        "fix-unknown-key",
+        "channel-unknown-key",
     ],
 )
 def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str) -> None:
     """A field of the wrong JSON type is a malformed line, not a value to
-    coerce, and an array of another type is not an empty one: strict
-    reading names ``path:line``, skip mode counts it."""
+    coerce, an array of another type is not an empty one, and a row of
+    numbers must be an array of its width; a key the format does not have
+    is no key to ignore. Strict reading names ``path:line``, skip mode
+    counts it."""
     epochs = list(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), epochs)
