@@ -291,9 +291,9 @@ def _xyz_columns(path: Path) -> np.ndarray:
 
 
 def read_cloud(path: str | Path) -> Cloud:
-    """Read a cloud written by :func:`write_cloud`. A non-finite coordinate
-    or a flag other than 0/1 raises InputError naming ``path:line`` (.xyz)
-    or ``path: record k`` (.bin, counted from 1)."""
+    """Read a cloud written by :func:`write_cloud`. A non-finite coordinate,
+    a flag other than 0/1 or a truncated record raises InputError naming
+    ``path:line`` (.xyz) or ``path: record k`` (.bin, counted from 1)."""
     path = Path(path)
     if cloud_suffix(path) == ".xyz":
         cols = _xyz_columns(path)
@@ -301,7 +301,7 @@ def read_cloud(path: str | Path) -> Cloud:
     else:
         data = path.read_bytes()
         if len(data) % _BIN_RECORD.itemsize:
-            raise InputError(f"{path}: truncated binary cloud record")
+            raise InputError(f"{path}: record {len(data) // _BIN_RECORD.itemsize + 1}: truncated")
         rec = np.frombuffer(data, dtype=_BIN_RECORD)
         p, flag, where = rec["p"], rec["flag"], f"{path}: record "
     finite = np.isfinite(p).all(axis=1)

@@ -16,13 +16,13 @@ one array pass per check over the block's rows and one requery replay of
 all the block's epochs that need it, over their concatenated draws. The
 checks run on the records as read, so neither the antenna subset nor the
 feedback can hide a fault. ``run`` takes the stream through it in blocks
-of up to ``streams.READ_BLOCK`` epochs as it arrives, then the surviving
-epochs through stages (3) and (4) in blocks of at most ``BLOCK_PAIRS``
-pair hypothesis slots, with one call of the consensus kernel and one
-position fusion per block; ``process_epoch`` is the same chain on a block
-of one, and no output depends on where any of the blocks fall. ``run``
-returns the stream's poses as one :class:`mgp.mapping.Poses` record of
-arrays, built block by block.
+of up to ``streams.READ_BLOCK`` epochs as it arrives (:func:`_chunks`),
+then the surviving epochs through stages (3) and (4) in blocks of at most
+``BLOCK_PAIRS`` pair hypothesis slots, with one call of the consensus
+kernel and one position fusion per block; ``process_epoch`` is the same
+chain on a block of one, and no output depends on where any of the blocks
+fall. ``run`` returns the stream's poses as one :class:`mgp.mapping.Poses`
+record of arrays, built block by block.
 
 A fix rate here is the share of epochs in which a solution of the given
 kind existed: an antenna's rate counts its FIXED epochs, the hybrid rate
@@ -559,44 +559,32 @@ class _Tally:
 
 def _chunks(
     epochs: Iterable[EpochRecord], diags: list[str]
-) -> Iterator[tuple[list[EpochRecord], list[int]]]:
-    """The stream in lists of up to ``READ_BLOCK`` epochs, each epoch with
-    ``len(diags)`` as it was pulled: the place of its own diagnostics among
-    those a shared reader adds. A fault of the stream itself is raised once
-    the epochs before it have been handed out."""
+) -> Iterator[tuple[list[EpochRecord], int]]:
+    """The stream in blocks, each with ``len(diags)`` as its epochs were
+    pulled: the one place of its own diagnostics. A block ends at
+    ``READ_BLOCK`` epochs, before the next is pulled, and before an epoch
+    whose pull grew ``diags`` (a shared reader skipped lines). A fault of
+    the stream is raised once the epochs before it have been handed out."""
     it = iter(epochs)
+    carry: list[EpochRecord] = []
     while True:
-        chunk: list[EpochRecord] = []
-        marks: list[int] = []
+        chunk, carry, mark = carry, [], len(diags)
         try:
             for epoch in it:
+                if chunk and len(diags) > mark:
+                    carry = [epoch]
+                    break
+                mark = len(diags)
                 chunk.append(epoch)
-                marks.append(len(diags))
                 if len(chunk) >= streams.READ_BLOCK:
                     break
         except Exception:
             if chunk:
-                yield chunk, marks
+                yield chunk, mark
             raise
         if not chunk:
             return
-        yield chunk, marks
-
-
-def _interleave(diags: list[str], notes: list[tuple[int, str]]) -> None:
-    """Put each ``(place, message)`` of ``notes`` (places in order) into
-    ``diags`` at the place it names, ahead of the entries added since."""
-    if not notes:
-        return
-    start = notes[0][0]
-    later = diags[start:]
-    del diags[start:]
-    at = start
-    for place, message in notes:
-        diags += later[at - start:place - start]
-        diags.append(message)
-        at = place
-    diags += later[at - start:]
+        yield chunk, mark
 
 
 def run(
@@ -621,9 +609,9 @@ def run(
     Per-epoch validation problems skip the epoch (with a diagnostic) and
     never abort the stream; configuration-level problems do abort. The
     ``diagnostics`` list may be shared with a skip-tolerant reader so parse
-    skips and processing skips are counted together, in stream order;
-    ``skipped`` counts the entries added while this call runs, not those
-    already in the list.
+    skips and processing skips are counted together, in stream order: each
+    block's messages go in with one insertion, at its place (:func:`_chunks`).
+    ``skipped`` counts the entries added while this call runs.
     """
     diags = diagnostics if diagnostics is not None else []
     first_diag = len(diags)
@@ -643,19 +631,18 @@ def run(
 
     last_t: float | None = None
     idx = -1
-    for chunk, marks in _chunks(epochs, diags):
+    for chunk, mark in _chunks(epochs, diags):
         front = _FrontBlock(chunk, config)
         passed = np.zeros(len(chunk), dtype=bool)
-        notes: list[tuple[int, str]] = []
+        notes: list[str] = []
         for k, epoch in enumerate(chunk):
             idx += 1
             if last_t is not None and epoch.t <= last_t:
-                message = f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped"
-                notes.append((marks[k], message))
+                notes.append(f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped")
                 continue
             fault = front.faults[k]
             if fault is not None:
-                notes.append((marks[k], f"epoch {idx} (t={epoch.t!r}): {fault}"))
+                notes.append(f"epoch {idx} (t={epoch.t!r}): {fault}")
                 continue
             last_t = epoch.t
             passed[k] = True
@@ -678,7 +665,7 @@ def run(
             if pairs:
                 solving, widest = solving + 1, max(widest, pairs)
         tally.fixed(front, passed)
-        _interleave(diags, notes)
+        diags[mark:mark] = notes
         # let this block's epochs go before the next block is read
         del chunk, front
     if block:

@@ -24,26 +24,28 @@ Formats:
     without truth pays nothing for them. ``fixes``, ``baselines``,
     ``snr_rows``, the channel groups and the truth lists must be JSON
     arrays, and so must each row of a fixed width (a position, vector,
-    antenna pair, latent vector, SNR row or quaternion). Every key but the
-    line's ``truth`` is required, and any other key is a fault (``unknown
-    key 'truht'``). A block in which any lookup or check fails is
-    decoded again one parsed line at a time, by the same decoder on blocks
-    of one, so that each fault is reported (or skipped) at its own
-    ``path:line`` with the message it has in a lone epoch: that of the
+    antenna pair, latent vector, SNR row or quaternion); the line and each
+    object in it must be a JSON object (``fixes must be JSON objects``).
+    Every key but the line's ``truth`` is required, and any other key is a
+    fault (``unknown key 'truht'``). A block in which any lookup or check
+    fails is decoded again one parsed line at a time, by the same decoder
+    on blocks of one, so that each fault is reported (or skipped) at its
+    own ``path:line`` with the message it has in a lone epoch: that of the
     first lookup or check that fails. A line that is not UTF-8 is such a
     fault; the scan, pose and cloud readers name its ``path:line`` too.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
-    then one frame per line; each pulse is a compact array
+    then one frame per line, a JSON object of the keys ``t`` and ``pulses``
+    read by the epoch-line rules; each pulse is a compact array
     ``[t, x, y, z, reflector01]`` in scanner-frame meters; in memory a
     :class:`ScanFrame` of (n, 4) ``[t, x, y, z]`` rows and (n,) bool flags.
   * Pose trajectory: CSV with header ``t,E,N,U,qx,qy,qz,qw,n_fix,att_available``;
     one row per processed epoch, cells left empty when the corresponding
     solution is unavailable; in memory a :class:`Poses` record of arrays
-    with NaN rows for the empty cells. The reader wants finite, strictly
-    increasing times, finite positions, quaternions of norm within
-    ``QUAT_READ_TOL`` (:mod:`mgp.core`) of 1, a nonnegative ``n_fix``, and an
-    ``att_available`` of 0 or 1, with the quaternion cells filled exactly
-    when it is 1.
+    with NaN rows for the empty cells. The reader wants numbers as ``repr``
+    writes them, in ASCII digits, finite, strictly increasing times, finite
+    positions, quaternions of norm within ``QUAT_READ_TOL`` (:mod:`mgp.core`)
+    of 1, a nonnegative ``n_fix``, and an ``att_available`` of 0 or 1, with
+    the quaternion cells filled exactly when it is 1.
 
 All floats are serialized with Python repr (shortest round-trip), so a
 read/write cycle is byte-stable and exact-inverse tests can run through
@@ -88,7 +90,6 @@ from .positioning import FIX_GRADES, Fixes
 EPOCH_HEADER = {"format": "mgp-epoch", "version": 1}
 SCAN_HEADER = {"format": "mgp-scan", "version": 1}
 POSE_CSV_HEADER = "t,E,N,U,qx,qy,qz,qw,n_fix,att_available"
-_PULSE_SHAPE = "each pulse must be five numbers [t, x, y, z, flag]"
 
 
 _GRADE_NAMES = tuple(status.value for status in FIX_GRADES)
@@ -182,9 +183,14 @@ def _decode(objects: list[Any]) -> list[EpochRecord]:
     in one pass. The first lookup or check that fails raises, so a block of
     one raises its epoch's first fault in that order, and a block raises
     whenever one of its epochs would alone."""
+    _objects(objects, "epoch line must be a JSON object")
     ts = [jsonvals.number(d["t"], "epoch time") for d in objects]
     fixes, n_fixes = _joined([d["fixes"] for d in objects], "fixes")
-    grade = [_GRADE_OF_NAME.get(f["status"]) for f in fixes]
+    _objects(fixes, "fixes must be JSON objects")
+    try:
+        grade = [_GRADE_OF_NAME.get(f["status"]) for f in fixes]
+    except TypeError:  # a list or object as status
+        grade = [None]
     if None in grade:
         raise ValidationError(f"fix status must be one of {_GRADE_NAMES}")
     given = [f["p"] for f in fixes]
@@ -198,6 +204,7 @@ def _decode(objects: list[Any]) -> list[EpochRecord]:
     fx = Fixes.checked(ids, np.array(grade, dtype=np.int8), p, sats)
 
     baselines, n_baselines = _joined([d["baselines"] for d in objects], "baselines")
+    _objects(baselines, "baselines must be JSON objects")
     pairs = jsonvals.integers([o["antenna_pair"] for o in baselines], "antenna pairs", 2)
     _check_unique_pairs(pairs, n_baselines)
     v = jsonvals.floats([o["v"] for o in baselines], "baseline vectors", 3)
@@ -207,6 +214,7 @@ def _decode(objects: list[Any]) -> list[EpochRecord]:
     bl = Baselines.checked(pairs, v, w, fixed)
 
     rows, n_snr = _joined([d["snr_rows"] for d in objects], "snr_rows")
+    _objects(rows, "snr_rows must be JSON objects")
     snr = [r["snr"] for r in rows]
     # one width for the block; a block of epochs of several widths fails
     # here and is read again one line at a time
@@ -228,6 +236,7 @@ def _truths(objects: list[Any]) -> list[EpochTruth]:
     """The truth channels of a block, read field by field like its epochs."""
     if not objects:
         return []
+    _objects(objects, "truth must be a JSON object or null")
     attitude = jsonvals.floats([tr["attitude"] for tr in objects], "truth attitude", 4)
     flat, n_corrupted = _joined([tr["corrupted_baselines"] for tr in objects],
                                 "corrupted baselines")
@@ -264,7 +273,8 @@ def _requeries(objects: list[Any]) -> list[RequeryData]:
     values are checked one by one as they are looked up."""
     if not objects:
         return []
-    models = [rq["model"] for rq in objects]
+    _objects(objects, "requery must be a JSON object or null")
+    models = _objects([rq["model"] for rq in objects], "model must be a JSON object")
     values = [[jsonvals.number(m[key], "fix model values") for key in _MODEL_VALUES]
               for m in models]
     flat, n_bias = _joined([m["antenna_bias"] for m in models], "fix model values")
@@ -284,6 +294,7 @@ def _draws(groups: list[Any], what: str) -> list[ChannelDraws]:
     """Each record's draws of one channel group from its JSON array of
     channel objects, read field by field in ``_DRAW_KEYS`` order."""
     channels, counts = _joined(groups, what)
+    _objects(channels, f"{what} must be JSON objects")
     columns = [
         jsonvals.flags([c[key] for c in channels], "wrong-fix flags") if key == "wrong"
         else jsonvals.floats([c[key] for c in channels], f"{key} channel draws", width)
@@ -298,6 +309,13 @@ def _joined(values: list[Any], what: str) -> tuple[list[Any], list[int]]:
     if not all(type(v) is list for v in values):
         raise ValidationError(f"{what} must be a JSON array")
     return list(itertools.chain.from_iterable(values)), list(map(len, values))
+
+
+def _objects(values: list[Any], message: str) -> list[Any]:
+    """``values``, each a JSON object, or ValidationError with ``message``."""
+    if not set(map(type, values)) <= {dict}:
+        raise ValidationError(message)
+    return values
 
 
 def _pieces(values: Any, counts: list[int]) -> Iterator[Any]:
@@ -331,9 +349,8 @@ def _check_unique_pairs(pairs: np.ndarray, counts: list[int]) -> None:
 
 def epoch_from_dict(d: dict[str, Any]) -> EpochRecord:
     """Epoch from its JSON object form: the block decoder on a block of one.
-    Raises InputError for a missing or structurally wrong field and
-    ValidationError for an unknown key or a value of the wrong JSON type,
-    shape or range."""
+    Raises InputError for a missing key and ValidationError for any other
+    fault of the line."""
     try:
         return _decode([d])[0]
     except (KeyError, TypeError, IndexError) as exc:
@@ -363,6 +380,8 @@ def _utf8(line: str) -> str:
 
 
 def _check_header(line: str, expected: dict[str, Any], path: str) -> None:
+    if not line:
+        raise InputError(f"{path}: empty stream file")
     try:
         header = jsonvals.loads(line)
     except json.JSONDecodeError as exc:
@@ -391,12 +410,8 @@ def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[
     aborts: that is the wrong file, not a bad epoch.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        first = f.readline()
-        if not first:
-            raise InputError(f"{path}: empty stream file")
-        _check_header(first, EPOCH_HEADER, path)
-        stripped = (line.strip() for line in f)
-        lines = ((lineno, _parsed(line)) for lineno, line in enumerate(stripped, start=2) if line)
+        _check_header(f.readline(), EPOCH_HEADER, path)
+        lines = ((n, _parsed(line)) for n, line in enumerate(map(str.strip, f), start=2) if line)
         while block := list(itertools.islice(lines, READ_BLOCK)):
             try:
                 epochs = _decode([obj for _, obj in block])
@@ -437,48 +452,30 @@ def write_scan(path: str, frames: Iterable[ScanFrame]) -> int:
     return n
 
 
-def _scan_frame(d: dict[str, Any]) -> ScanFrame:
-    """Frame from one parsed scan line. Each pulse must be exactly five
-    numbers ``[t, x, y, z, flag]`` with finite values and a 0/1 flag."""
+def _scan_frame(d: Any) -> ScanFrame:
+    """Frame from one parsed scan line: a JSON object of the keys ``t`` and
+    ``pulses``, each pulse five finite numbers ``[t, x, y, z, flag]``."""
+    _objects([d], "scan line must be a JSON object")
     t = jsonvals.number(d["t"], "frame time")
-    try:
-        rows = np.asarray(d["pulses"])
-    except ValueError as exc:  # pulses of different lengths
-        raise ValidationError(_PULSE_SHAPE) from exc
-    if rows.shape == (0,):
-        rows = rows.reshape(0, 5)
-    if rows.ndim != 2 or rows.shape[1] != 5 or rows.dtype.kind not in "if":
-        raise ValidationError(_PULSE_SHAPE)
+    rows = jsonvals.floats(d["pulses"], "pulses", 5)
+    _check_keys([d], ("t", "pulses"), "")
     flag = rows[:, 4]
     if not ((flag == 0) | (flag == 1)).all():
         raise ValidationError("pulse reflector flag must be 0 or 1")
-    bad = np.flatnonzero(~np.isfinite(rows[:, :4]).all(axis=1))
-    if len(bad):
-        t_k, *point = rows[bad[0], :4].tolist()
-        if not math.isfinite(t_k):
-            raise ValidationError(f"pulse time {t_k} is not finite")
-        raise ValidationError(f"Vec3 components must be finite, got {tuple(point)}")
-    return ScanFrame(t=t, pulses=rows[:, :4].astype(np.float64), reflector=flag == 1)
+    # a copy, so that the frame does not keep the flag column alive
+    return ScanFrame(t=t, pulses=rows[:, :4].copy(), reflector=flag == 1)
 
 
 def read_scan(path: str) -> Iterator[ScanFrame]:
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        first = f.readline()
-        if not first:
-            raise InputError(f"{path}: empty stream file")
-        _check_header(first, SCAN_HEADER, path)
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
+        _check_header(f.readline(), SCAN_HEADER, path)
+        lines = ((n, line) for n, line in enumerate(map(str.strip, f), start=2) if line)
+        for lineno, line in lines:
             try:
-                _utf8(line)
-                # numpy would read a JSON true/false among numbers as 1.0/0.0;
-                # a scan line holds only numbers, so either word is a boolean
-                if "true" in line or "false" in line:
-                    raise ValidationError("scan values must be numbers, not JSON booleans")
-                yield _scan_frame(jsonvals.loads(line))
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                yield _scan_frame(jsonvals.loads(_utf8(line)))
+            except KeyError as exc:
+                raise InputError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (ValueError, ValidationError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
 
 
@@ -500,7 +497,7 @@ def _csv_cells(row: list[float]) -> list[str]:
 
 # A float as ``repr`` writes it; ``float()`` alone would also take "1_0"
 # (10.0) and padding.
-_FLOAT_CELL = re.compile(r"-?(\d+(\.\d*)?(e[-+]?\d+)?|inf)|nan")
+_FLOAT_CELL = re.compile(r"-?(\d+(\.\d*)?(e[-+]?\d+)?|inf)|nan", re.ASCII)
 
 
 def _float_cell(cell: str) -> float:

@@ -5,14 +5,15 @@ of the wrong JSON type, a non-finite number, a missing key, an unknown key,
 a container of the wrong JSON type (an array where an object belongs, an
 object, string or number where an array does), an array of numbers (a
 fixed-width row such as a position) replaced by a number or by a string or
-object of as many characters or keys, a truncated line, or a blank line put
-before the line. The chosen lines sit on the edges of the reader's blocks
-(``READ_BLOCK`` non-blank lines): the first and last line of a block, and
-neighbours across a block boundary. ``mgp estimate`` must exit 0 and skip
-exactly the bad lines, each with a diagnostic naming its ``path:line``,
-without a traceback or a Python error in place of a message for a
-replaced row, and the poses of the untouched epochs must equal those of the
-clean run.
+object of as many characters or keys, an object (the line itself
+included) replaced by an array, number or string, a fix status replaced by
+an array or object, a truncated line, or a blank line put before the line.
+The chosen lines sit on the edges of the reader's blocks (``READ_BLOCK``
+non-blank lines): the first and last line of a block, and neighbours across
+a block boundary. ``mgp estimate`` must exit 0 and skip exactly the bad
+lines, each with a diagnostic naming its ``path:line``, without a traceback
+or a Python error (``TypeError(...)``) in place of a message, and the poses
+of the untouched epochs must equal those of the clean run.
 
 Inside one full block, lines with one to three such faults each must read
 as they do alone: the reader's record or diagnostic for each line is the
@@ -39,7 +40,7 @@ from mgp.cli import main
 from test_epoch_differential import _scenario
 
 FAULTS = ("wrong-type", "non-finite", "missing-key", "unknown-key", "wrong-container",
-          "non-array-row", "truncated", "blank")
+          "non-array-row", "non-object", "truncated", "blank")
 # a value of another JSON type for each type of leaf, every one rejected
 WRONG = {bool: [1, "true"], int: ["1", True], float: ["1", True], str: [7, None]}
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -49,6 +50,9 @@ WRONG_CONTAINER = {list: [{}, "", "ab", 7], dict: [[], [1]]}
 TOP_ARRAYS = ("fixes", "baselines", "snr_rows")
 # keys that no object of an epoch line has
 UNKNOWN_KEYS = ["truht", "sats-used", "P"]
+# values that are not a JSON object, and not a string for a fix status
+NON_OBJECTS = [[], [1, 2], 5, "x"]
+NON_STATUSES = [["fixed"], {"fixed": 1}]
 
 
 def _block_edges(n_lines: int) -> list[int]:
@@ -109,10 +113,22 @@ def _at(record: Any, path: tuple) -> Any:
     return record
 
 
-def _inject(record: dict, fault: str, data: st.DataObject) -> None:
+def _inject(record: dict, fault: str, data: st.DataObject) -> Any:
     """Put one fault of kind ``fault`` (not "truncated" or "blank") into the
-    parsed epoch object."""
-    if fault == "missing-key":
+    parsed epoch object; return the faulty line's value, the object itself
+    unless the fault replaced it."""
+    if fault == "non-object":
+        # the line itself, a nested object or a fix status, a third each
+        nested = [path + (key,) for path, key in _containers(record)
+                  if isinstance(_at(record, path)[key], dict)]
+        statuses = [path + (key,) for path, key in _keys(record) if key == "status"]
+        places = [st.sampled_from(c) for c in ([()], nested, statuses) if c]
+        place = data.draw(st.one_of(*places))
+        value = data.draw(st.sampled_from(NON_STATUSES if place in statuses else NON_OBJECTS))
+        if not place:
+            return value
+        _at(record, place[:-1])[place[-1]] = value
+    elif fault == "missing-key":
         path, key = data.draw(st.sampled_from(list(_keys(record))))
         del _at(record, path)[key]
     elif fault == "unknown-key":
@@ -141,14 +157,14 @@ def _inject(record: dict, fault: str, data: st.DataObject) -> None:
         path, value = data.draw(st.sampled_from(leaves))
         bad = WRONG[type(value)] if fault == "wrong-type" else NON_FINITE
         _at(record, path[:-1])[path[-1]] = data.draw(st.sampled_from(bad))
+    return record
 
 
 def _faulty_line(record: dict, fault: str, data: st.DataObject) -> str:
     if fault == "truncated":
         line = json.dumps(record)
         return line[: data.draw(st.integers(1, len(line) - 1))]
-    _inject(record, fault, data)
-    return json.dumps(record)
+    return json.dumps(_inject(record, fault, data))
 
 
 def _estimate(epochs: Path, tmp: Path, antennas: str | None) -> tuple[int, str, dict, mgp.Poses]:
@@ -206,7 +222,6 @@ def test_faulty_lines_are_skipped_one_by_one(
 
     out = [lines[0]]
     bad_linenos: list[int] = []
-    row_linenos: list[int] = []
     for k, line in enumerate(lines[1:]):
         fault = faults.get(k)
         if fault == "blank":
@@ -214,8 +229,6 @@ def test_faulty_lines_are_skipped_one_by_one(
         elif fault is not None:
             line = _faulty_line(json.loads(line), fault, data)
             bad_linenos.append(len(out) + 1)
-            if fault == "non-array-row":
-                row_linenos.append(len(out) + 1)
         out.append(line)
     path = tmp_path / "faulty.jsonl"
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
@@ -226,9 +239,7 @@ def test_faulty_lines_are_skipped_one_by_one(
     assert metrics["skipped"] == len(bad_linenos)
     diags = err.splitlines()
     assert [d.split(": skipped epoch: ")[0] for d in diags] == [f"{path}:{n}" for n in bad_linenos]
-    for n in row_linenos:
-        (diag,) = (d for d in diags if d.startswith(f"{path}:{n}: "))
-        assert "TypeError(" not in diag, diag
+    assert not [d for d in diags if "TypeError(" in d]
 
     bad_t = {json.loads(lines[k + 1])["t"] for k, f in faults.items() if f != "blank"}
     keep = ~np.isin(clean_poses.t, list(bad_t))
@@ -237,7 +248,8 @@ def test_faulty_lines_are_skipped_one_by_one(
         assert np.array_equal(getattr(poses, field), getattr(want, field), equal_nan=True), field
 
 
-LINE_FAULTS = ("wrong-type", "missing-key", "unknown-key", "wrong-container", "non-array-row")
+LINE_FAULTS = ("wrong-type", "missing-key", "unknown-key", "wrong-container", "non-array-row",
+               "non-object")
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +287,10 @@ def test_block_lines_with_several_faults_read_as_alone(
     for k in chosen:
         record = json.loads(lines[k])
         for i in range(data.draw(st.integers(1, 3), label=f"faults on record {k}")):
-            _inject(record, data.draw(st.sampled_from(LINE_FAULTS), label=f"fault {i}"), data)
+            fault = data.draw(st.sampled_from(LINE_FAULTS), label=f"fault {i}")
+            record = _inject(record, fault, data)
+            if type(record) is not dict:
+                break
         lines[k] = json.dumps(record)
     path = tmp_path / "block.jsonl"
     path.write_text("\n".join([json.dumps(mgp.streams.EPOCH_HEADER), *lines]) + "\n",
@@ -288,5 +303,6 @@ def test_block_lines_with_several_faults_read_as_alone(
         f"{path}:{lineno}: skipped epoch: {out}" for lineno, out in alone
         if isinstance(out, Exception)
     ]
+    assert not [d for d in diags if "TypeError(" in d]
     want = [mgp.epoch_to_dict(out) for _, out in alone if not isinstance(out, Exception)]
     assert json.dumps(got) == json.dumps(want)

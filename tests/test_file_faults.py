@@ -1,0 +1,235 @@
+"""Fault injection for the files ``mgp georef`` and ``mgp evaluate`` read.
+
+A short flight's scan JSONL and pose CSV (read by ``georef``) and its cloud,
+``.xyz`` and ``.bin`` (read by ``evaluate``), get one fault on a chosen
+line or record: a value of the wrong type (in a binary cloud, a flag byte
+other than 0 or 1), a non-finite number, a digit that is not ASCII, a
+missing or an unknown key (in the CSV and ``.xyz`` files, a cell or column
+too few or too many), a scan line that is not a JSON object, a truncated
+line or record, or a byte that is not UTF-8. The command must exit 1 or 2
+with one message that names the file and the line (``path:line``, or
+``path: record k`` in a binary cloud), without a traceback or Python's own
+error text.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import struct
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mgp.cli import main
+
+from test_cli import _chain_files
+
+# each ASCII digit's fullwidth and Arabic-Indic forms
+NON_ASCII_DIGITS = {str(d): [chr(0xFF10 + d), chr(0x0660 + d)] for d in range(10)}
+# Python's text for an error it raises itself
+PYTHON_ERRORS = ("Traceback", "Error(", "not subscriptable", "indices must be")
+
+SCAN_FAULTS = ("wrong-type", "non-finite", "non-ascii-digit", "missing-key", "unknown-key",
+               "non-object", "truncated", "not-utf8")
+TEXT_FAULTS = ("wrong-type", "non-finite", "non-ascii-digit", "missing-key", "unknown-key",
+               "truncated", "not-utf8")
+BIN_FAULTS = ("bad-flag", "non-finite", "truncated")
+
+FAULT_SETTINGS = settings(
+    max_examples=8,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory) -> dict[str, str]:
+    """A short flight's files, a binary copy of its cloud included."""
+    files = _chain_files(tmp_path_factory.mktemp("chain"))
+    files["cloud.bin"] = str(Path(files["cloud.xyz"]).with_suffix(".bin"))
+    assert _cli(["georef", "--poses", files["poses.csv"], "--scan", files["scan.jsonl"],
+                 "--calib", files["calib"], "--cloud", files["cloud.bin"]])[0] == 0
+    return files
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_named(code: int, err: str, where: str) -> None:
+    assert code in (1, 2), err
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
+    assert not [text for text in PYTHON_ERRORS if text in err], err
+
+
+def _non_ascii_digit(text: str, data: st.DataObject) -> str:
+    """``text`` with one of its ASCII digits written as another script's."""
+    at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c.isascii() and c.isdigit()]))
+    return text[:at] + data.draw(st.sampled_from(NON_ASCII_DIGITS[text[at]])) + text[at + 1:]
+
+
+def _faulty_line(line: str, fault: str, data: st.DataObject) -> bytes:
+    """The faults every text file shares."""
+    if fault == "truncated":
+        return line[: data.draw(st.integers(1, len(line) - 1))].encode()
+    if fault == "not-utf8":
+        raw = line.encode()
+        at = data.draw(st.integers(0, len(raw)))
+        return raw[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + raw[at:]
+    assert fault == "non-ascii-digit"
+    return _non_ascii_digit(line, data).encode("utf-8")
+
+
+def _with_line(path: str, tmp: Path, data: st.DataObject, first: int, fault_of) -> tuple[Path, int]:
+    """A copy of the text file ``path`` with one of its lines from line
+    ``first`` on replaced by ``fault_of(line)``; the copy and the line number."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")[:-1]
+    k = data.draw(st.integers(first - 1, len(lines) - 1), label="line index")
+    out = tmp / Path(path).name
+    raw = [line.encode() for line in lines]
+    raw[k] = fault_of(lines[k])
+    out.write_bytes(b"\n".join(raw) + b"\n")
+    return out, k + 1
+
+
+@pytest.mark.parametrize("fault", SCAN_FAULTS)
+@FAULT_SETTINGS
+@given(data=st.data())
+def test_georef_names_the_faulty_scan_line(
+    chain, tmp_path: Path, fault: str, data: st.DataObject
+) -> None:
+    def fault_of(line: str) -> bytes:
+        if fault in ("truncated", "not-utf8", "non-ascii-digit"):
+            return _faulty_line(line, fault, data)
+        frame = json.loads(line)
+        pulses = frame["pulses"]
+        if fault == "missing-key":
+            del frame[data.draw(st.sampled_from(["t", "pulses"]))]
+        elif fault == "unknown-key":
+            frame[data.draw(st.sampled_from(["x", "T", "true"]))] = data.draw(
+                st.sampled_from([1, "false", None]))
+        elif fault == "non-object":
+            frame = data.draw(st.sampled_from([[frame["t"], pulses], 5, "x", None]))
+        else:
+            bad = (["1.0", True, None, [1.0], {}] if fault == "wrong-type"
+                   else [math.nan, math.inf, -math.inf])
+            value = data.draw(st.sampled_from(bad))
+            if not pulses or data.draw(st.booleans(), label="frame time"):
+                frame["t"] = value
+            else:
+                row = data.draw(st.sampled_from(pulses))
+                row[data.draw(st.integers(0, 4))] = value
+        return json.dumps(frame).encode()
+
+    scan, lineno = _with_line(chain["scan.jsonl"], tmp_path, data, 2, fault_of)
+    code, err = _cli(["georef", "--poses", chain["poses.csv"], "--scan", str(scan),
+                      "--calib", chain["calib"], "--cloud", str(tmp_path / "cloud.xyz")])
+    _assert_named(code, err, f"{scan}:{lineno}")
+
+
+# the cells of a pose CSV row: the time, the position, the quaternion, n_fix
+# and att_available
+FLOAT_CELLS = range(8)
+WRONG_CELLS = {"float": ["x", "true", "1_0", " 1.0", "0x10"], "n_fix": ["1.5", "x", "-1", ""],
+               "att": ["2", "x", "", "true"]}
+
+
+@pytest.mark.parametrize("fault", TEXT_FAULTS)
+@FAULT_SETTINGS
+@given(data=st.data())
+def test_georef_names_the_faulty_pose_row(
+    chain, tmp_path: Path, fault: str, data: st.DataObject
+) -> None:
+    def fault_of(line: str) -> bytes:
+        if fault in ("truncated", "not-utf8"):
+            return _faulty_line(line, fault, data)
+        cells = line.split(",")
+        filled = [i for i in FLOAT_CELLS if cells[i]]
+        if fault == "missing-key":
+            del cells[data.draw(st.integers(0, len(cells) - 1))]
+        elif fault == "unknown-key":
+            at = data.draw(st.integers(0, len(cells)))
+            cells.insert(at, data.draw(st.sampled_from(["", "0"])))
+        elif fault == "non-ascii-digit":
+            digits = [i for i, c in enumerate(cells) if any(map(str.isdigit, c))]
+            i = data.draw(st.sampled_from(digits))
+            cells[i] = _non_ascii_digit(cells[i], data)
+        elif fault == "non-finite":
+            cells[data.draw(st.sampled_from(filled))] = data.draw(
+                st.sampled_from(["nan", "inf", "-inf"]))
+        else:
+            i = data.draw(st.sampled_from(filled + [8, 9]))
+            kind = "float" if i < 8 else ("n_fix", "att")[i - 8]
+            cells[i] = data.draw(st.sampled_from(WRONG_CELLS[kind]))
+        return ",".join(cells).encode("utf-8")
+
+    poses, lineno = _with_line(chain["poses.csv"], tmp_path, data, 2, fault_of)
+    code, err = _cli(["georef", "--poses", str(poses), "--scan", chain["scan.jsonl"],
+                      "--calib", chain["calib"], "--cloud", str(tmp_path / "cloud.xyz")])
+    _assert_named(code, err, f"{poses}:{lineno}")
+
+
+def _evaluate(chain: dict[str, str], cloud: Path, tmp: Path) -> tuple[int, str]:
+    return _cli(["evaluate", "--cloud", str(cloud), "--reflectors", chain["refl"],
+                 "--report", str(tmp / "report.json")])
+
+
+@pytest.mark.parametrize("fault", TEXT_FAULTS)
+@FAULT_SETTINGS
+@given(data=st.data())
+def test_evaluate_names_the_faulty_xyz_line(
+    chain, tmp_path: Path, fault: str, data: st.DataObject
+) -> None:
+    def fault_of(line: str) -> bytes:
+        if fault in ("truncated", "not-utf8", "non-ascii-digit"):
+            return _faulty_line(line, fault, data)
+        values = line.split(" ")
+        if fault == "missing-key":
+            del values[data.draw(st.integers(0, 3))]
+        elif fault == "unknown-key":
+            values.insert(data.draw(st.integers(0, 4)), "0")
+        else:
+            i = data.draw(st.integers(0, 3))
+            bad = (["x", "true", "1_0", "0x10"] + (["2", "0.5", "-1"] if i == 3 else [])
+                   if fault == "wrong-type" else ["nan", "inf", "-inf"])
+            values[i] = data.draw(st.sampled_from(bad))
+        return " ".join(values).encode()
+
+    cloud, lineno = _with_line(chain["cloud.xyz"], tmp_path, data, 1, fault_of)
+    _assert_named(*_evaluate(chain, cloud, tmp_path), f"{cloud}:{lineno}")
+
+
+@pytest.mark.parametrize("fault", BIN_FAULTS)
+@FAULT_SETTINGS
+@given(data=st.data())
+def test_evaluate_names_the_faulty_bin_record(
+    chain, tmp_path: Path, fault: str, data: st.DataObject
+) -> None:
+    raw = Path(chain["cloud.bin"]).read_bytes()
+    size = 25  # three little-endian float64 and a flag byte
+    n = len(raw) // size
+    assert n * size == len(raw) and n > 2
+    k = data.draw(st.integers(1, n), label="record")
+    start = (k - 1) * size
+    if fault == "truncated":
+        raw = raw[: start + data.draw(st.integers(1, size - 1))]
+    elif fault == "non-finite":
+        at = start + 8 * data.draw(st.integers(0, 2))
+        value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        raw = raw[:at] + struct.pack("<d", value) + raw[at + 8:]
+    else:
+        assert fault == "bad-flag"
+        flag = data.draw(st.integers(2, 255))
+        raw = raw[: start + 24] + bytes([flag]) + raw[start + 25:]
+    cloud = tmp_path / "cloud.bin"
+    cloud.write_bytes(raw)
+    _assert_named(*_evaluate(chain, cloud, tmp_path), f"{cloud}: record {k}")

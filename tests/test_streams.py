@@ -266,6 +266,17 @@ def _requery_u_fix_true(record: dict) -> None:
         (lambda record: record.update(truht=record.pop("truth")), "unknown key 'truht'"),
         (_set_first("fixes", "P", [1.0, 2.0, 3.0]), "unknown key 'P' in fixes"),
         (lambda record: _channel(record).update(note=""), "unknown key 'note' in antenna_channels"),
+        (lambda record: record["fixes"].__setitem__(0, [1]), "fixes must be JSON objects"),
+        (lambda record: record["baselines"].__setitem__(0, 5), "baselines must be JSON objects"),
+        (lambda record: record["snr_rows"].__setitem__(0, "x"), "snr_rows must be JSON objects"),
+        (lambda record: record.update(truth=[1]), "truth must be a JSON object or null"),
+        (lambda record: record["truth"].update(requery=5), "requery must be a JSON object or null"),
+        (lambda record: record["truth"]["requery"].update(model="x"),
+         "model must be a JSON object"),
+        (lambda record: record["truth"]["requery"]["baseline_channels"].__setitem__(3, []),
+         "baseline_channels must be JSON objects"),
+        (_set_first("fixes", "status", ["fixed"]), "fix status must be one of"),
+        (_set_first("fixes", "status", {}), "fix status must be one of"),
     ],
     ids=[
         "antenna-id-float",
@@ -289,6 +300,15 @@ def _requery_u_fix_true(record: dict) -> None:
         "truth-misspelled",
         "fix-unknown-key",
         "channel-unknown-key",
+        "fix-array",
+        "baseline-number",
+        "snr-row-string",
+        "truth-array",
+        "requery-number",
+        "model-string",
+        "channel-array",
+        "status-list",
+        "status-object",
     ],
 )
 def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str) -> None:
@@ -312,6 +332,19 @@ def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str)
     back = list(read_epochs(str(path), diagnostics=diags))
     assert [e.t for e in back] == [e.t for i, e in enumerate(epochs) if i != 1]
     assert len(diags) == 1 and diags[0].startswith(f"{path}:3: skipped epoch")
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "5", '"x"', "null"])
+def test_read_epochs_names_a_line_that_is_not_an_object(tmp_path: Path, line: str) -> None:
+    epochs = list(simulate(_scenario(duration_s=0.3)))
+    path = tmp_path / "e.jsonl"
+    write_epochs(str(path), epochs)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: epoch line must be a JSON "
+                                         "object$"):
+        list(read_epochs(str(path)))
 
 
 def test_block_decoder_checks_each_epoch_on_its_own() -> None:
@@ -377,7 +410,7 @@ def _two_faults(first: str, second: str):
          "malformed epoch object: KeyError('sats_used')"),
         (_two_faults("snr-row-number", "sat-id-number"), "satellite ids must be strings"),
         (_two_faults("no-status", "status-list"),
-         "malformed epoch object: TypeError(\"unhashable type: 'list'\")"),
+         "fix status must be one of ('none', 'float', 'fixed')"),
         (_two_faults("attitude-2", "snr-string"), "SNR values must be numbers"),
         (_two_faults("wrong-string", "u-fix-nan"), "u_fix channel draws must be finite"),
         (_two_faults("latent-short", "steepness-string"),
@@ -508,7 +541,7 @@ def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
         '{"t": 0.1, "pulses": [[0.1, NaN, 2.0, 3.0, 0]]}\n',
         encoding="utf-8",
     )
-    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: Vec3 components must be finite"):
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: pulses must be finite$"):
         list(read_scan(str(path)))
 
 
@@ -516,22 +549,26 @@ def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
     "row, message",
     [
         ('{"t": NaN, "pulses": [[0.1, 1.0, 2.0, 3.0, 0]]}', "frame time must be finite, got nan"),
-        ('{"t": 0.1, "pulses": [[NaN, 1.0, 2.0, 3.0, 0]]}', "pulse time nan is not finite"),
+        ('{"t": 0.1, "pulses": [[NaN, 1.0, 2.0, 3.0, 0]]}', "pulses must be finite"),
         ('{"t": 0.1, "pulses": [[0.1, 1.0, 2.0, 3.0, 0], [Infinity, 1.0, 2.0, 3.0, 1]]}',
-         "pulse time inf is not finite"),
-        ('{"t": 0.1, "pulses": [[0.01, 1, 2, -20, "0"]]}', "each pulse must be five numbers"),
+         "pulses must be finite"),
+        ('{"t": 0.1, "pulses": [[0.01, 1, 2, -20, "0"]]}', "pulses must be numbers"),
         ('{"t": 0.1, "pulses": [[0.01, 1.0, 2.0, -20.0, 0, 9.0]]}',
-         "each pulse must be five numbers"),
-        ('{"t": 0.1, "pulses": [[0.01, "1.5", 2.0, -20.0, 0]]}', "each pulse must be five numbers"),
+         "pulses need 5 values each"),
+        ('{"t": 0.1, "pulses": [[0.01, "1.5", 2.0, -20.0, 0]]}', "pulses must be numbers"),
         ('{"t": 0.1, "pulses": [[0.01, 1.0, 2.0, -20.0, 0], [0.02, 1.0]]}',
-         "each pulse must be five numbers"),
+         "pulses need 5 values each"),
         ('{"t": 0.1, "pulses": [[0.01, 1.0, 2.0, -20.0, 3]]}', "pulse reflector flag must be 0 or 1"),
-        ('{"t": 0.1, "pulses": [[0.01, 1.0, 2.0, -20.0, true]]}',
-         "scan values must be numbers, not JSON booleans"),
+        ('{"t": 0.1, "pulses": [[0.01, 1.0, 2.0, -20.0, true]]}', "pulses must be numbers"),
         ('{"t": false, "pulses": [[0.01, 1.0, 2.0, -20.0, 0]]}',
-         "scan values must be numbers, not JSON booleans"),
+         "frame time must be a number, got False"),
         ('{"t": "0.5", "pulses": [[0.51, 1.0, 2.0, -20.0, 0]]}',
          "frame time must be a number, got '0.5'"),
+        ('{"t": 0.1, "pulses": [[0.1, 1.0, 2.0, 3.0, 0]], "x": 1}', "unknown key 'x'"),
+        ('[0.1, [[0.1, 1.0, 2.0, 3.0, 0]]]', "scan line must be a JSON object"),
+        ('{"t": 0.1}', "missing key 'pulses'"),
+        ('{"pulses": [[0.1, 1.0, 2.0, 3.0, 0]]}', "missing key 't'"),
+        ('{"t": 0.1, "pulses": [0.1, 1.0, 2.0, 3.0, 0]}', "pulses must be a JSON array"),
     ],
     ids=[
         "nan-frame-time",
@@ -545,11 +582,17 @@ def test_read_scan_non_finite_pulse_names_path_and_line(tmp_path: Path) -> None:
         "bool-flag",
         "bool-frame-time",
         "string-frame-time",
+        "unknown-key",
+        "non-object",
+        "missing-pulses",
+        "missing-t",
+        "flat-pulses",
     ],
 )
 @pytest.mark.filterwarnings("error")
 def test_read_scan_rejects_non_finite_times(tmp_path: Path, row: str, message: str) -> None:
-    """Non-finite times and malformed pulses name the file and line."""
+    """Non-finite times, malformed pulses and lines that break the epoch-line
+    rules (an object of the keys ``t`` and ``pulses``) name the file and line."""
     path = tmp_path / "s.jsonl"
     path.write_text(
         '{"format": "mgp-scan", "version": 1}\n'
@@ -675,12 +718,14 @@ def test_read_poses_non_finite_cell_names_path_and_line(
         (" 0.2,1.0,2.0,3.0,,,,,2,0", "' 0.2' is not a number"),
         ("0.2,1.0,2.0,3.0,2.0,0.0,0.0,0.0,6,1", "quaternion norm 2.0 is not 1 within 1e-06"),
         ("0.2,1.0,2.0,3.0,,,,,1234567890123456,0", "n_fix 1234567890123456 is too large"),
+        ("0.2,1.0,-\uff19\uff18.\uff15,3.0,,,,,2,0", "'-\uff19\uff18.\uff15' is not a number"),
+        ("\u0660.\u0662,1.0,2.0,3.0,,,,,2,0", "'\u0660.\u0662' is not a number"),
     ],
     ids=[
         "att-x", "att-1-no-quaternion", "att-0-with-quaternion", "n-fix-negative",
         "n-fix-fraction", "time-repeated", "time-decreasing", "position-partial",
         "quaternion-partial", "digit-separator", "padded-time", "quaternion-not-unit",
-        "n-fix-too-large",
+        "n-fix-too-large", "fullwidth-position", "arabic-indic-time",
     ],
 )
 def test_read_poses_rejects_inconsistent_rows(tmp_path: Path, row: str, message: str) -> None:
