@@ -278,15 +278,18 @@ def _xyz_columns(path: Path) -> np.ndarray:
                 return cols
     except ValueError:
         pass
-    # the bulk parse failed or skipped a blank line: name the line, parsing
-    # each with loadtxt itself (float() would also take "1_0" or "１")
+    # the bulk parse failed or skipped a blank line: name the first line that
+    # is not four columns (split at the whitespace loadtxt splits at), or its
+    # first cell loadtxt does not read (float() would also take "1_0" or "１")
     for lineno, line in enumerate(text.removesuffix("\n").split("\n"), 1):
-        try:
-            ok = bool(line.strip()) and np.loadtxt([line], ndmin=2, comments=None).shape == (1, 4)
-        except ValueError:
-            ok = False
-        if not ok:
-            raise InputError(f"{path}:{lineno}: expected 'E N U flag'")
+        cells = line.split()
+        if len(cells) != 4:
+            raise InputError(f"{path}:{lineno}: expected 4 columns 'E N U flag', got {len(cells)}")
+        for cell in cells:
+            try:
+                np.loadtxt([cell], comments=None)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: {cell!r} is not a number") from None
     raise InputError(f"{path}: unreadable cloud file")
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import first_repeat
+from .core import first_repeat, sum_rows
 from .errors import InsufficientDataError, ValidationError
 
 SNR_MIN_DBHZ = 10.0
@@ -89,20 +89,15 @@ def _spread(dbhz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Population SD of each row's tracked values (NaN below two) and the
     number of tracked values.
 
-    Sums run left to right over the columns and squares use libm ``pow`` as
-    Python's ``**`` does, so each SD is bitwise the scalar two-pass formula
-    over that row's values in antenna order.
+    Sums run left to right over the columns (:func:`mgp.core.sum_rows`) and
+    squares use libm ``pow`` as Python's ``**`` does, so each SD is bitwise
+    the scalar two-pass formula over that row's values in antenna order.
     """
     tracked = ~np.isnan(dbhz)
     count = tracked.sum(axis=1)
     x = np.where(tracked, dbhz, 0.0)
-    total = np.zeros(len(x))
-    for column in x.T:
-        total += column
-    dev = np.where(tracked, x - (total / count)[:, None], 0.0)
-    var = np.zeros(len(x))
-    for column in np.float_power(dev, 2.0).T:
-        var += column
+    dev = np.where(tracked, x - (sum_rows(x) / count)[:, None], 0.0)
+    var = sum_rows(np.float_power(dev, 2.0))
     return np.where(count >= 2, np.sqrt(var / count), np.nan), count
 
 

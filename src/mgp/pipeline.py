@@ -411,9 +411,6 @@ class MetricsReport:
                 raise ValidationError("standard deviations must be nonnegative")
 
     def to_json_dict(self) -> dict[str, Any]:
-        def pct(x: float | None) -> float | None:
-            return None if x is None else round(x, 1)
-
         def nd(x: float | None, digits: int) -> float | None:
             return None if x is None else round(x, digits)
 
@@ -421,11 +418,11 @@ class MetricsReport:
             "epochs": self.epochs,
             "skipped": self.skipped,
             "per_antenna_fix_rate_pct": {
-                str(k): pct(v) for k, v in sorted(self.per_antenna_fix_rate_pct.items())
+                str(k): nd(v, 1) for k, v in sorted(self.per_antenna_fix_rate_pct.items())
             },
-            "hybrid_fix_rate_pct": pct(self.hybrid_fix_rate_pct),
-            "hybrid_fix_rate_multipath_pct": pct(self.hybrid_fix_rate_multipath_pct),
-            "attitude_availability_pct": pct(self.attitude_availability_pct),
+            "hybrid_fix_rate_pct": nd(self.hybrid_fix_rate_pct, 1),
+            "hybrid_fix_rate_multipath_pct": nd(self.hybrid_fix_rate_multipath_pct, 1),
+            "attitude_availability_pct": nd(self.attitude_availability_pct, 1),
             "attitude_sd_deg": {
                 axis: nd(self.attitude_sd_deg.get(axis), 4)
                 for axis in ("roll", "pitch", "yaw")

@@ -16,9 +16,10 @@ hypothesis is the optimal attitude from two vector measurements, which has a
 closed form (Markley, "Fast quaternion attitude estimation from two vector
 measurements", JGCD 25(2), 2002), and so does its eigen gap, so every pair of
 the block is solved in one pass of array operations with no eigen solve.
-The block's hypotheses are put into per-epoch slots and scored against
-their epoch's rows by broadcasting, on one (E, M, S) residual array, and the
-winning consensus sets refitted with one stacked eigen solve. Every step acts
+Their rotations come from :func:`mgp.core.quat_to_matrix`. The block's
+hypotheses are put into per-epoch slots and scored against their epoch's
+rows by broadcasting, on one (E, M, S) residual array, and the winning
+consensus sets refitted with one stacked eigen solve. Every step acts
 on each hypothesis or epoch alone, with sums in row order, so an epoch's
 result does not depend on the block it was solved in;
 :func:`ransac_attitude` is the search on a block of one.
@@ -40,7 +41,7 @@ from .attitude import (
     refit,
     refit_solution,
 )
-from .core import sum_rows
+from .core import quat_to_matrix, sum_rows
 from .errors import DegenerateGeometryError, InsufficientDataError, ValidationError
 
 # Body-baseline pairs separated by less than this angle are rejected as
@@ -126,25 +127,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the columns of two (3, ...) arrays, summed in
     component order whatever the array's shape."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _rotations_eb(q_be: np.ndarray) -> np.ndarray:
-    """Body->ENU rotations from raw ENU->body quaternions (4, P): the (9, P)
-    entries R[i][k] in row i * 3 + k.
-
-    Each matrix is the transpose of R(q), so sign and scale of ``q`` are free.
-    """
-    x, y, z, w = q_be / np.sqrt(_dot(q_be, q_be) + q_be[3] * q_be[3])
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    wx, wy, wz = w * x, w * y, w * z
-    return np.array(
-        (
-            1.0 - 2.0 * (yy + zz), 2.0 * (xy + wz), 2.0 * (xz - wy),
-            2.0 * (xy - wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz + wx),
-            2.0 * (xz + wy), 2.0 * (yz - wx), 1.0 - 2.0 * (xx + yy),
-        )
-    )
 
 
 def _pair_gap(
@@ -265,7 +247,9 @@ def consensus(epochs: Sequence[Baselines], params: RansacParams) -> Consensus:
     b3 = bx / np.where(solved, b_sin, 1.0)
     q = _pair_quaternions(b1, b2, b3, r1, r2, rx / r_sin, a1, a2)
     ep = ep[solved]
-    rot = _rotations_eb(q[:, solved])
+    # (9, P) body->ENU rotations, R(q)^T of each normalized q: R[i][k] in row i * 3 + k
+    q = q[:, solved]
+    rot = quat_to_matrix((q / np.sqrt(_dot(q, q) + q[3] * q[3])).T).T.reshape(9, -1)
 
     # Score every hypothesis against all rows of its epoch by broadcasting:
     # the rotations go to per-epoch slots, (9, E, 1, S) for the most

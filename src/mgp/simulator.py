@@ -343,18 +343,17 @@ def _effective_biases(config: ScenarioConfig, n_clean: int, n_mp: int) -> tuple[
     fm = config.fix_model
     n_ant = config.layout.antenna_count
     base = n_clean - fm.multipath_weight * n_mp - fm.midpoint
+
+    def bias(p: float) -> float:
+        """The bias that gives a fix probability of ``p``."""
+        return math.log(p / (1.0 - p)) / fm.steepness - base
+
     if fm.target_fix_probs is not None:
-        biases = [
-            math.log(p / (1.0 - p)) / fm.steepness - base for p in fm.target_fix_probs
-        ]
+        biases = [bias(p) for p in fm.target_fix_probs]
     else:
         biases = list(fm.antenna_bias) if fm.antenna_bias is not None else [0.0] * n_ant
-    if fm.baseline_target_fix_prob is not None:
-        p = fm.baseline_target_fix_prob
-        bl_bias = math.log(p / (1.0 - p)) / fm.steepness - base
-    else:
-        bl_bias = fm.baseline_bias
-    return biases, bl_bias
+    p_bl = fm.baseline_target_fix_prob
+    return biases, fm.baseline_bias if p_bl is None else bias(p_bl)
 
 
 def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:

@@ -24,15 +24,18 @@ Formats:
     without truth pays nothing for them. ``fixes``, ``baselines``,
     ``snr_rows``, the channel groups and the truth lists must be JSON
     arrays, and so must each row of a fixed width (a position, vector,
-    antenna pair, latent vector, SNR row or quaternion); the line and each
-    object in it must be a JSON object (``fixes must be JSON objects``).
-    Every key but the line's ``truth`` is required, and any other key is a
-    fault (``unknown key 'truht'``). A block in which any lookup or check
-    fails is decoded again one parsed line at a time, by the same decoder
-    on blocks of one, so that each fault is reported (or skipped) at its
-    own ``path:line`` with the message it has in a lone epoch: that of the
-    first lookup or check that fails. A line that is not UTF-8 is such a
-    fault; the scan, pose and cloud readers name its ``path:line`` too.
+    antenna pair, latent vector, SNR row of the epoch's one width, or
+    quaternion); the line and each object in it must be a JSON object
+    (``fixes must be JSON objects``). Every key but the line's ``truth`` is
+    required, and any other key is a fault; either is named with the object
+    it is missing from or found in (``missing key 'w' in baselines``,
+    ``unknown key 'truht'`` on the line itself). A block in which any
+    lookup or check fails is decoded again one parsed line at a time, by the
+    same decoder on blocks of one, so that each fault is reported (or
+    skipped) at its own ``path:line`` with the message it has in a lone
+    epoch: that of the first lookup or check that fails. A line that is not
+    UTF-8 is such a fault; the scan, pose and cloud readers name its
+    ``path:line`` too.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line, a JSON object of the keys ``t`` and ``pulses``
     read by the epoch-line rules; each pulse is a compact array
@@ -184,44 +187,49 @@ def _decode(objects: list[Any]) -> list[EpochRecord]:
     one raises its epoch's first fault in that order, and a block raises
     whenever one of its epochs would alone."""
     _objects(objects, "epoch line must be a JSON object")
-    ts = [jsonvals.number(d["t"], "epoch time") for d in objects]
-    fixes, n_fixes = _joined([d["fixes"] for d in objects], "fixes")
+    ts = [jsonvals.number(t, "epoch time") for t in _column(objects, "t", "")]
+    fixes, n_fixes = _joined(_column(objects, "fixes", ""), "fixes")
     _objects(fixes, "fixes must be JSON objects")
     try:
         grade = [_GRADE_OF_NAME.get(f["status"]) for f in fixes]
     except TypeError:  # a list or object as status
         grade = [None]
+    except KeyError:  # a fix without status: _column raises, naming the key
+        _column(fixes, "status", " in fixes")
     if None in grade:
         raise ValidationError(f"fix status must be one of {_GRADE_NAMES}")
-    given = [f["p"] for f in fixes]
+    given = _column(fixes, "p", " in fixes")
     p = np.full((len(given), 3), np.nan)
     p[[x is not None for x in given]] = jsonvals.floats(
         [x for x in given if x is not None], "fix positions", 3
     )
-    ids = jsonvals.integers([f["antenna_id"] for f in fixes], "antenna ids")
-    sats = jsonvals.integers([f["sats_used"] for f in fixes], "sats_used")
+    ids = jsonvals.integers(_column(fixes, "antenna_id", " in fixes"), "antenna ids")
+    sats = jsonvals.integers(_column(fixes, "sats_used", " in fixes"), "sats_used")
     _check_keys(fixes, _FIX_KEYS, " in fixes")
     fx = Fixes.checked(ids, np.array(grade, dtype=np.int8), p, sats)
 
-    baselines, n_baselines = _joined([d["baselines"] for d in objects], "baselines")
+    baselines, n_baselines = _joined(_column(objects, "baselines", ""), "baselines")
     _objects(baselines, "baselines must be JSON objects")
-    pairs = jsonvals.integers([o["antenna_pair"] for o in baselines], "antenna pairs", 2)
+    pairs = jsonvals.integers(_column(baselines, "antenna_pair", " in baselines"),
+                              "antenna pairs", 2)
     _check_unique_pairs(pairs, n_baselines)
-    v = jsonvals.floats([o["v"] for o in baselines], "baseline vectors", 3)
-    w = jsonvals.floats([o["w"] for o in baselines], "baseline vectors", 3)
-    fixed = jsonvals.flags([o["fixed"] for o in baselines], "baseline fixed flags")
+    v = jsonvals.floats(_column(baselines, "v", " in baselines"), "baseline vectors", 3)
+    w = jsonvals.floats(_column(baselines, "w", " in baselines"), "baseline vectors", 3)
+    fixed = jsonvals.flags(_column(baselines, "fixed", " in baselines"), "baseline fixed flags")
     _check_keys(baselines, _BASELINE_KEYS, " in baselines")
     bl = Baselines.checked(pairs, v, w, fixed)
 
-    rows, n_snr = _joined([d["snr_rows"] for d in objects], "snr_rows")
+    rows, n_snr = _joined(_column(objects, "snr_rows", ""), "snr_rows")
     _objects(rows, "snr_rows must be JSON objects")
-    snr = [r["snr"] for r in rows]
+    snr = _column(rows, "snr", " in snr_rows")
+    sat_ids = jsonvals.strings(_column(rows, "sat_id", " in snr_rows"), "satellite ids")
+    _check_keys(rows, ("sat_id", "snr"), " in snr_rows")
     # one width for the block; a block of epochs of several widths fails
     # here and is read again one line at a time
-    width = len(snr[0]) if snr and type(snr[0]) is list else 0
-    sat_ids = jsonvals.strings([r["sat_id"] for r in rows], "satellite ids")
-    _check_keys(rows, ("sat_id", "snr"), " in snr_rows")
-    table = SnrTable.checked(sat_ids, jsonvals.floats(snr, "SNR values", width, nulls=True))
+    widths = list(dict.fromkeys(map(len, snr))) if set(map(type, snr)) == {list} else [0]
+    if len(widths) > 1:
+        raise ValidationError(f"SNR rows need one width, got {widths[0]} and {widths[1]}")
+    table = SnrTable.checked(sat_ids, jsonvals.floats(snr, "SNR values", widths[0], nulls=True))
 
     truth = [d.get("truth") for d in objects]
     _check_keys(objects, _EPOCH_KEYS, "", 4 * len(objects) + sum("truth" in d for d in objects))
@@ -237,18 +245,20 @@ def _truths(objects: list[Any]) -> list[EpochTruth]:
     if not objects:
         return []
     _objects(objects, "truth must be a JSON object or null")
-    attitude = jsonvals.floats([tr["attitude"] for tr in objects], "truth attitude", 4)
-    flat, n_corrupted = _joined([tr["corrupted_baselines"] for tr in objects],
+    attitude = jsonvals.floats(_column(objects, "attitude", " in truth"), "truth attitude", 4)
+    flat, n_corrupted = _joined(_column(objects, "corrupted_baselines", " in truth"),
                                 "corrupted baselines")
     corrupted = jsonvals.integers(flat, "corrupted baselines", 2).tolist()
-    position = jsonvals.floats([tr["position"] for tr in objects], "truth position", 3).tolist()
+    position = jsonvals.floats(_column(objects, "position", " in truth"),
+                               "truth position", 3).tolist()
     for q in attitude.tolist():
         check_read_norm(q, "truth attitude")
-    flat, n_mp = _joined([tr["multipath_sats"] for tr in objects], "multipath satellites")
+    flat, n_mp = _joined(_column(objects, "multipath_sats", " in truth"), "multipath satellites")
     mp_sats = jsonvals.strings(flat, "multipath satellites")
-    flat, n_wrong = _joined([tr["wrong_fix_antennas"] for tr in objects], "wrong-fix antennas")
+    flat, n_wrong = _joined(_column(objects, "wrong_fix_antennas", " in truth"),
+                            "wrong-fix antennas")
     wrong_ants = jsonvals.integers(flat, "wrong-fix antennas").tolist()
-    records = [tr["requery"] for tr in objects]
+    records = _column(objects, "requery", " in truth")
     _check_keys(objects, _TRUTH_KEYS, " in truth")
     requeries = iter(_requeries([rq for rq in records if rq is not None]))
     return [
@@ -274,17 +284,17 @@ def _requeries(objects: list[Any]) -> list[RequeryData]:
     if not objects:
         return []
     _objects(objects, "requery must be a JSON object or null")
-    models = _objects([rq["model"] for rq in objects], "model must be a JSON object")
-    values = [[jsonvals.number(m[key], "fix model values") for key in _MODEL_VALUES]
-              for m in models]
-    flat, n_bias = _joined([m["antenna_bias"] for m in models], "fix model values")
+    models = _objects(_column(objects, "model", " in requery"), "model must be a JSON object")
+    values = [[jsonvals.number(x, "fix model values") for x in _column(models, key, " in model")]
+              for key in _MODEL_VALUES]
+    flat, n_bias = _joined(_column(models, "antenna_bias", " in model"), "fix model values")
     bias = _pieces(jsonvals.floats(flat, "fix model values").tolist(), n_bias)
     _check_keys(models, _MODEL_KEYS, " in model")
     fix_models = [FixModel(**dict(zip(_MODEL_VALUES, row)), antenna_bias=tuple(b))
-                  for row, b in zip(values, bias)]
-    groups = [_draws([rq[key] for rq in objects], key)
+                  for *row, b in zip(*values, bias)]
+    groups = [_draws(_column(objects, key, " in requery"), key)
               for key in ("antenna_channels", "baseline_channels")]
-    flat, n_sats = _joined([rq["solution_sats"] for rq in objects], "solution_sats")
+    flat, n_sats = _joined(_column(objects, "solution_sats", " in requery"), "solution_sats")
     sats = jsonvals.strings(flat, "solution_sats")
     _check_keys(objects, _REQUERY_KEYS, " in requery")
     return list(map(RequeryData, fix_models, _pieces(sats, n_sats), *groups))
@@ -295,13 +305,23 @@ def _draws(groups: list[Any], what: str) -> list[ChannelDraws]:
     channel objects, read field by field in ``_DRAW_KEYS`` order."""
     channels, counts = _joined(groups, what)
     _objects(channels, f"{what} must be JSON objects")
+    where = f" in {what}"
     columns = [
-        jsonvals.flags([c[key] for c in channels], "wrong-fix flags") if key == "wrong"
-        else jsonvals.floats([c[key] for c in channels], f"{key} channel draws", width)
+        jsonvals.flags(_column(channels, key, where), "wrong-fix flags") if key == "wrong"
+        else jsonvals.floats(_column(channels, key, where), f"{key} channel draws", width)
         for key, width in zip(_DRAW_KEYS, (None, None, None, 3, 3, 3))
     ]
-    _check_keys(channels, _DRAW_KEYS, f" in {what}")
+    _check_keys(channels, _DRAW_KEYS, where)
     return list(map(ChannelDraws, *(_pieces(c, counts) for c in columns)))
+
+
+def _column(objects: list[Any], key: str, where: str) -> list[Any]:
+    """Each JSON object's value of ``key``, or ValidationError naming the
+    key as :func:`_check_keys` names an unknown one."""
+    try:
+        return [obj[key] for obj in objects]
+    except KeyError:
+        raise ValidationError(f"missing key {key!r}{where}") from None
 
 
 def _joined(values: list[Any], what: str) -> tuple[list[Any], list[int]]:
@@ -349,22 +369,24 @@ def _check_unique_pairs(pairs: np.ndarray, counts: list[int]) -> None:
 
 def epoch_from_dict(d: dict[str, Any]) -> EpochRecord:
     """Epoch from its JSON object form: the block decoder on a block of one.
-    Raises InputError for a missing key and ValidationError for any other
-    fault of the line."""
-    try:
-        return _decode([d])[0]
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InputError(f"malformed epoch object: {exc!r}") from exc
+    Raises ValidationError for any fault of the line, a missing key
+    included (``missing key 'w' in baselines``)."""
+    return _decode([d])[0]
+
+
+def _write_lines(path: str, header: dict[str, Any], records: Iterable[dict[str, Any]]) -> int:
+    """Write the header line, then one line per record; returns the count."""
+    n = 0
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(header) + "\n")
+        for record in records:
+            f.write(json.dumps(record) + "\n")
+            n += 1
+    return n
 
 
 def write_epochs(path: str, epochs: Iterable[EpochRecord]) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(EPOCH_HEADER) + "\n")
-        for epoch in epochs:
-            f.write(json.dumps(epoch_to_dict(epoch)) + "\n")
-            n += 1
-    return n
+    return _write_lines(path, EPOCH_HEADER, map(epoch_to_dict, epochs))
 
 
 def _utf8(line: str) -> str:
@@ -432,7 +454,7 @@ def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[
                     if isinstance(obj, Exception):
                         raise obj
                     epoch = epoch_from_dict(obj)
-                except (InputError, ValidationError, ValueError) as exc:
+                except (ValidationError, ValueError) as exc:
                     if diagnostics is None:
                         raise InputError(f"{path}:{lineno}: {exc}") from exc
                     diagnostics.append(f"{path}:{lineno}: skipped epoch: {exc}")
@@ -441,23 +463,19 @@ def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[
 
 
 def write_scan(path: str, frames: Iterable[ScanFrame]) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(SCAN_HEADER) + "\n")
-        for frame in frames:
-            flags = frame.reflector.astype(int).tolist()
-            pulses = [row + [flag] for row, flag in zip(frame.pulses.tolist(), flags)]
-            f.write(json.dumps({"t": frame.t, "pulses": pulses}) + "\n")
-            n += 1
-    return n
+    return _write_lines(path, SCAN_HEADER, (
+        {"t": f.t, "pulses": [row + [flag] for row, flag in
+                              zip(f.pulses.tolist(), f.reflector.astype(int).tolist())]}
+        for f in frames
+    ))
 
 
 def _scan_frame(d: Any) -> ScanFrame:
     """Frame from one parsed scan line: a JSON object of the keys ``t`` and
     ``pulses``, each pulse five finite numbers ``[t, x, y, z, flag]``."""
     _objects([d], "scan line must be a JSON object")
-    t = jsonvals.number(d["t"], "frame time")
-    rows = jsonvals.floats(d["pulses"], "pulses", 5)
+    t = jsonvals.number(_column([d], "t", "")[0], "frame time")
+    rows = jsonvals.floats(_column([d], "pulses", "")[0], "pulses", 5)
     _check_keys([d], ("t", "pulses"), "")
     flag = rows[:, 4]
     if not ((flag == 0) | (flag == 1)).all():
@@ -473,8 +491,6 @@ def read_scan(path: str) -> Iterator[ScanFrame]:
         for lineno, line in lines:
             try:
                 yield _scan_frame(jsonvals.loads(_utf8(line)))
-            except KeyError as exc:
-                raise InputError(f"{path}:{lineno}: missing key {exc}") from exc
             except (ValueError, ValidationError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
 

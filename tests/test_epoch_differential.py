@@ -121,7 +121,9 @@ def _epoch_from_dict(d: dict[str, Any]) -> _Epoch:
         if len(set(pairs)) != len(pairs):
             raise ValidationError("baseline antenna pairs must be unordered-unique")
         return _Epoch(float(d["t"]), fixes, baselines, snr_rows, truth)
-    except (KeyError, TypeError, IndexError) as exc:
+    except KeyError as exc:
+        raise ValidationError(f"missing key {exc.args[0]!r}") from None
+    except (TypeError, IndexError) as exc:
         raise InputError(f"malformed epoch object: {exc!r}") from exc
 
 

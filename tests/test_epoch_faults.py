@@ -12,12 +12,14 @@ The chosen lines sit on the edges of the reader's blocks (``READ_BLOCK``
 non-blank lines): the first and last line of a block, and neighbours across
 a block boundary. ``mgp estimate`` must exit 0 and skip exactly the bad
 lines, each with a diagnostic naming its ``path:line``, without a traceback
-or a Python error (``TypeError(...)``) in place of a message, and the poses
+or a Python error (``KeyError(...)``) in place of a message, and the poses
 of the untouched epochs must equal those of the clean run.
 
 Inside one full block, lines with one to three such faults each must read
 as they do alone: the reader's record or diagnostic for each line is the
-record or fault of :func:`mgp.epoch_from_dict` on that line.
+record or fault of :func:`mgp.epoch_from_dict` on that line. A missing key
+is named with the object it is missing from: ``missing key 'w' in
+baselines``, or ``missing key 't'`` on the line itself.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -239,7 +242,7 @@ def test_faulty_lines_are_skipped_one_by_one(
     assert metrics["skipped"] == len(bad_linenos)
     diags = err.splitlines()
     assert [d.split(": skipped epoch: ")[0] for d in diags] == [f"{path}:{n}" for n in bad_linenos]
-    assert not [d for d in diags if "TypeError(" in d]
+    assert not [d for d in diags if "Error(" in d]
 
     bad_t = {json.loads(lines[k + 1])["t"] for k, f in faults.items() if f != "blank"}
     keep = ~np.isin(clean_poses.t, list(bad_t))
@@ -303,6 +306,45 @@ def test_block_lines_with_several_faults_read_as_alone(
         f"{path}:{lineno}: skipped epoch: {out}" for lineno, out in alone
         if isinstance(out, Exception)
     ]
-    assert not [d for d in diags if "TypeError(" in d]
+    assert not [d for d in diags if "Error(" in d]
     want = [mgp.epoch_to_dict(out) for _, out in alone if not isinstance(out, Exception)]
     assert json.dumps(got) == json.dumps(want)
+
+
+def _level(path: tuple) -> str:
+    """The name of the object at ``path`` in an epoch line: its own key in
+    its parent, or that of the array holding it ("" for the line itself)."""
+    return next((key for key in reversed(path) if isinstance(key, str)), "")
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_missing_key_is_named_with_its_object(
+    block_lines, tmp_path: Path, data: st.DataObject
+) -> None:
+    lines = list(block_lines)
+    k = data.draw(st.integers(0, len(lines) - 1), label="record")
+    record = json.loads(lines[k])
+    # an object level first, each as likely, then one of its keys
+    keys = [(path, key, _level(path)) for path, key in _keys(record)]
+    level = data.draw(st.sampled_from(sorted({level for *_, level in keys})), label="level")
+    path, key, _ = data.draw(st.sampled_from([item for item in keys if item[2] == level]))
+    del _at(record, path)[key]
+    message = f"missing key {key!r}" + (f" in {level}" if level else "")
+    with pytest.raises(mgp.ValidationError, match=f"^{re.escape(message)}$"):
+        mgp.epoch_from_dict(record)
+
+    lines[k] = json.dumps(record)
+    epochs = tmp_path / "block.jsonl"
+    epochs.write_text("\n".join([json.dumps(mgp.streams.EPOCH_HEADER), *lines]) + "\n",
+                      encoding="utf-8")
+    diags: list[str] = []
+    assert len(list(mgp.read_epochs(str(epochs), diagnostics=diags))) == len(lines) - 1
+    assert diags == [f"{epochs}:{k + 2}: skipped epoch: {message}"]
+    assert "Error(" not in diags[0]

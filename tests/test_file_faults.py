@@ -189,23 +189,44 @@ def _evaluate(chain: dict[str, str], cloud: Path, tmp: Path) -> tuple[int, str]:
 def test_evaluate_names_the_faulty_xyz_line(
     chain, tmp_path: Path, fault: str, data: st.DataObject
 ) -> None:
+    # the start of the message that names the fault
+    named: list[str] = []
+
     def fault_of(line: str) -> bytes:
-        if fault in ("truncated", "not-utf8", "non-ascii-digit"):
-            return _faulty_line(line, fault, data)
-        values = line.split(" ")
-        if fault == "missing-key":
-            del values[data.draw(st.integers(0, 3))]
-        elif fault == "unknown-key":
-            values.insert(data.draw(st.integers(0, 4)), "0")
+        if fault == "not-utf8":
+            raw = _faulty_line(line, fault, data)
+            bad = next(b for b in raw if b >= 0x80)
+            named.append(f"byte {bad:#04x} is not UTF-8 (")
+            return raw
+        if fault in ("truncated", "non-ascii-digit"):
+            raw = _faulty_line(line, fault, data)
+            values = raw.decode().split()
         else:
-            i = data.draw(st.integers(0, 3))
-            bad = (["x", "true", "1_0", "0x10"] + (["2", "0.5", "-1"] if i == 3 else [])
-                   if fault == "wrong-type" else ["nan", "inf", "-inf"])
-            values[i] = data.draw(st.sampled_from(bad))
-        return " ".join(values).encode()
+            values = line.split(" ")
+            if fault == "missing-key":
+                del values[data.draw(st.integers(0, 3))]
+            elif fault == "unknown-key":
+                values.insert(data.draw(st.integers(0, 4)), "0")
+            else:
+                i = data.draw(st.integers(0, 3))
+                bad = (["x", "true", "1_0", "0x10"] + (["2", "0.5", "-1"] if i == 3 else [])
+                       if fault == "wrong-type" else ["nan", "inf", "-inf"])
+                values[i] = data.draw(st.sampled_from(bad))
+            raw = " ".join(values).encode()
+        if len(values) != 4:
+            named.append(f"expected 4 columns 'E N U flag', got {len(values)}")
+        elif fault == "non-finite" or values[3] in ("2", "0.5", "-1"):
+            # four numbers, which the bulk parse reads: the value is named
+            named.append(f"flag {values[3]} is not 0 or 1" if i == 3 else "non-finite point (")
+        else:
+            cell = next(c for c in values if c not in line.split(" "))
+            named.append(f"{cell!r} is not a number")
+        return raw
 
     cloud, lineno = _with_line(chain["cloud.xyz"], tmp_path, data, 1, fault_of)
-    _assert_named(*_evaluate(chain, cloud, tmp_path), f"{cloud}:{lineno}")
+    code, err = _evaluate(chain, cloud, tmp_path)
+    _assert_named(code, err, f"{cloud}:{lineno}")
+    assert err.startswith(f"error: {cloud}:{lineno}: {named[0]}"), err
 
 
 @pytest.mark.parametrize("fault", BIN_FAULTS)

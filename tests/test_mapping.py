@@ -373,12 +373,13 @@ def test_cloud_malformed_files(tmp_path) -> None:
     [
         ("c.xyz", b"1.0 2.0 0.0 1\nnan 0.0 0.0 1\n", ":2: non-finite point (nan, 0.0, 0.0)"),
         ("c.xyz", b"1.0 2.0 0.0 1\n1.0 2.0 0.0 0\n1.0 2.0 0.0 7\n", ":3: flag 7 is not 0 or 1"),
-        ("c.xyz", b"1.0 2.0 0.0 1\n\n1.0 2.0 0.0 0\n", ":2: expected 'E N U flag'"),
+        ("c.xyz", b"1.0 2.0 0.0 1\n\n1.0 2.0 0.0 0\n",
+         ":2: expected 4 columns 'E N U flag', got 0"),
         ("c.xyz", b"1.0 2.0 0.0 1\n1.0 2.0 0.0 0.5\n", ":2: flag 0.5 is not 0 or 1"),
-        ("c.xyz", b"  \n", ":1: expected 'E N U flag'"),
+        ("c.xyz", b"  \n", ":1: expected 4 columns 'E N U flag', got 0"),
         # float() takes both lines, np.loadtxt neither
-        ("c.xyz", b"1.0 2.0 0.0 1\n1_0 2.0 0.0 1\n", ":2: expected 'E N U flag'"),
-        ("c.xyz", "1.0 2.0 0.0 1\n\uff11 2.0 0.0 1\n".encode(), ":2: expected 'E N U flag'"),
+        ("c.xyz", b"1.0 2.0 0.0 1\n1_0 2.0 0.0 1\n", ":2: '1_0' is not a number"),
+        ("c.xyz", "1.0 2.0 0.0 1\n\uff11 2.0 0.0 1\n".encode(), ":2: '\uff11' is not a number"),
         (
             "c.bin",
             struct.pack("<dddB", 1.0, 2.0, 0.0, 1) * 2 + struct.pack("<dddB", 0.0, math.inf, 0.0, 0),

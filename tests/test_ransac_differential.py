@@ -20,6 +20,7 @@ import pytest
 
 from mgp import (
     AttitudeSolution,
+    Baselines,
     DegenerateGeometryError,
     InsufficientDataError,
     PipelineConfig,
@@ -43,7 +44,7 @@ from mgp import (
 )
 import mgp.pipeline
 from mgp.attitude import EIGEN_GAP_TOL, _davenport_k
-from mgp.robust import MIN_PAIR_ANGLE_DEG, _pair_gap, _pair_quaternions, _rotations_eb, consensus
+from mgp.robust import MIN_PAIR_ANGLE_DEG, _pair_gap, _pair_quaternions, consensus
 
 from conftest import baselines_of
 
@@ -471,12 +472,21 @@ def test_closed_form_pairs_match_eigh(body_deg) -> None:
     assert (normals < 0.0).sum() > 1000 and (normals > 0.0).sum() > 1000
 
 
-def test_closed_form_exact_half_turns() -> None:
+def test_closed_form_exact_half_turns(monkeypatch) -> None:
     # Half turns about the ENU x, y and z axes of noise-free hexagon
     # baselines: the normals point exactly apart (b3 = -r3) for the first
     # two, where the unturned closed form divides zero by zero.
     ws = np.array([LAYOUT.baseline(1, 2).as_array(), LAYOUT.baseline(1, 3).as_array()])
     r1, r2 = _unit(ws)
+    # consensus builds each hypothesis rotation as the transpose of
+    # quat_to_matrix of the pair's normalized quaternion: record those
+    built: list[np.ndarray] = []
+
+    def record(q: np.ndarray) -> np.ndarray:
+        built.append(quat_to_matrix(q))
+        return built[-1]
+
+    monkeypatch.setattr("mgp.robust.quat_to_matrix", record)
     for axis in np.eye(3):
         rot = quat_to_matrix(UnitQuaternion.from_array(np.append(axis, 0.0)))
         b1, b2 = _unit(ws @ rot.T)
@@ -484,7 +494,10 @@ def test_closed_form_exact_half_turns() -> None:
         q, _ = _closed_form(*args)
         q_ref, _ = _eigh_pair_hypotheses(*args)
         assert _angles(q, q_ref)[0] < 1e-12
-        assert np.allclose(_rotations_eb(q.T)[:, 0].reshape(3, 3), rot, atol=1e-15)
+        pair = Baselines.checked(np.array([[1, 2], [1, 3]]), ws @ rot.T, ws, np.ones(2, bool))
+        found = consensus([pair], RansacParams(min_inliers=2))
+        assert found.hypotheses.tolist() == [1] and found.inliers.all()
+        assert np.allclose(built.pop()[0].T, rot, atol=1e-15)
 
 
 def test_closed_form_gap_verdicts_on_degenerate_pairs() -> None:

@@ -262,7 +262,7 @@ def _requery_u_fix_true(record: dict) -> None:
          "truth attitude need 4 values each"),
         (lambda record: _channel(record).update(latent_fixed=[1.0]),
          "latent_fixed channel draws need 3 values each"),
-        (lambda record: _channel(record).clear(), "malformed epoch object: KeyError('u_fix')"),
+        (lambda record: _channel(record).clear(), "missing key 'u_fix' in antenna_channels"),
         (lambda record: record.update(truht=record.pop("truth")), "unknown key 'truht'"),
         (_set_first("fixes", "P", [1.0, 2.0, 3.0]), "unknown key 'P' in fixes"),
         (lambda record: _channel(record).update(note=""), "unknown key 'note' in antenna_channels"),
@@ -332,6 +332,34 @@ def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str)
     back = list(read_epochs(str(path), diagnostics=diags))
     assert [e.t for e in back] == [e.t for i, e in enumerate(epochs) if i != 1]
     assert len(diags) == 1 and diags[0].startswith(f"{path}:3: skipped epoch")
+
+
+@pytest.mark.parametrize("row, width", [(0, 0), (0, 7), (-1, 5), (3, 0)],
+                         ids=["first-empty", "first-wide", "last-short", "middle-empty"])
+def test_read_epochs_names_the_snr_widths_that_disagree(tmp_path: Path, row: int,
+                                                        width: int) -> None:
+    """SNR rows of one epoch must share one width: a line with a row of
+    another width names the first row's width and the first other one,
+    alone and inside a full reader block, and does not blame the good rows."""
+    epochs = list(simulate(_scenario(duration_s=4.0)))
+    assert len(epochs) > mgp.streams.READ_BLOCK
+    path = tmp_path / "e.jsonl"
+    write_epochs(str(path), epochs)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    k = mgp.streams.READ_BLOCK // 2
+    record = json.loads(lines[k])
+    snr = record["snr_rows"][row]["snr"]
+    n = len(snr)
+    record["snr_rows"][row]["snr"] = (snr * 2)[:width]
+    first, other = (width, n) if row == 0 else (n, width)
+    message = f"SNR rows need one width, got {first} and {other}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        epoch_from_dict(record)
+    lines[k] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    diags: list[str] = []
+    assert len(list(read_epochs(str(path), diagnostics=diags))) == len(epochs) - 1
+    assert diags == [f"{path}:{k + 1}: skipped epoch: {message}"]
 
 
 @pytest.mark.parametrize("line", ["[1, 2]", "5", '"x"', "null"])
@@ -407,7 +435,7 @@ def _two_faults(first: str, second: str):
         (_two_faults("t-true", "no-w"), "epoch time must be a number, got True"),
         (_two_faults("no-w", "id-float"), "antenna ids must be integers"),
         (_two_faults("sat-id-number", "no-sats-used"),
-         "malformed epoch object: KeyError('sats_used')"),
+         "missing key 'sats_used' in fixes"),
         (_two_faults("snr-row-number", "sat-id-number"), "satellite ids must be strings"),
         (_two_faults("no-status", "status-list"),
          "fix status must be one of ('none', 'float', 'fixed')"),
@@ -420,10 +448,10 @@ def _two_faults(first: str, second: str):
         (_two_faults("no-midpoint", "steepness-string"),
          "fix model values must be a number, got 'x'"),
         (_two_faults("baseline-wrong-number", "no-latent"),
-         "malformed epoch object: KeyError('latent_float')"),
+         "missing key 'latent_float' in antenna_channels"),
         (_two_faults("baselines-short", "solution-numbers"), "solution_sats must be strings"),
         (_two_faults("baselines-short", "no-solution"),
-         "malformed epoch object: KeyError('solution_sats')"),
+         "missing key 'solution_sats' in requery"),
     ],
     ids=["time-before-key", "type-before-key", "key-before-type", "ids-before-widths",
          "unhashable-before-key", "snr-before-truth", "draws-before-flags",
