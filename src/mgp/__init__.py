@@ -40,9 +40,12 @@ from .mapping import (
     ReflectorReport,
     ReflectorResult,
     ScanFrame,
+    cloud_blocks,
+    cloud_output,
     evaluate_reflectors,
     georeference,
     georeference_stream,
+    pulse_blocks,
     read_cloud,
     write_cloud,
 )

@@ -10,6 +10,8 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from . import pipeline, streams
 from .errors import (
     ConfigurationError,
@@ -20,7 +22,17 @@ from .errors import (
     ValidationError,
 )
 from .attitude import baseline_weights
-from .mapping import cloud_suffix, evaluate_reflectors, georeference_stream, read_cloud, write_cloud
+from .mapping import (
+    Cloud,
+    cloud_blocks,
+    cloud_output,
+    cloud_suffix,
+    evaluate_reflectors,
+    georeference_stream,
+    pulse_blocks,
+    read_cloud,
+    write_cloud,
+)
 from .oracles import wahba_svd
 from .simulator import load_scenario, simulate, scan_stream
 
@@ -78,17 +90,27 @@ def _cmd_georef(args: argparse.Namespace) -> int:
     if not poses.complete.any():
         raise ValidationError(f"{args.poses}: no pose has both a position and an attitude")
     calib = streams.load_calibration(args.calib)
-    frames = streams.read_scan(args.scan)
-    cloud, dropped = georeference_stream(poses, frames, calib)
-    write_cloud(args.cloud, cloud)
-    print(f"wrote {len(cloud)} points to {args.cloud} ({dropped} pulses dropped)")
+    points = dropped = 0
+    # one block of pulses in memory at a time; the cloud file appears whole
+    # or not at all
+    with cloud_output(args.cloud) as out:
+        for block in pulse_blocks(poses, streams.read_scan(args.scan)):
+            cloud, n = georeference_stream(poses, block, calib)
+            write_cloud(out, cloud)
+            points += len(cloud)
+            dropped += n
+    print(f"wrote {points} points to {args.cloud} ({dropped} pulses dropped)")
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    cloud = read_cloud(args.cloud)
+    # the report reads only the flagged points: keep those of each block
+    flagged = [c.p[c.reflector] for c in map(read_cloud, cloud_blocks(args.cloud))]
+    p = np.concatenate(flagged or [np.empty((0, 3))])
     reflectors, radius, min_hits = streams.load_reflectors(args.reflectors)
-    report = evaluate_reflectors(cloud, reflectors, radius, min_hits)
+    report = evaluate_reflectors(
+        Cloud(p, np.ones(len(p), dtype=bool)), reflectors, radius, min_hits
+    )
     payload = {
         "per_reflector": [
             {

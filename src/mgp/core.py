@@ -114,15 +114,25 @@ def utf8_fault(exc: UnicodeDecodeError) -> str:
     return f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
 
 
-def read_utf8(path: str | Path) -> str:
-    """The whole text of a UTF-8 file; InputError naming ``path:line`` at
-    its first byte that is not UTF-8."""
+def utf8_text(data: bytes, path: str | Path, first_line: int = 1) -> str:
+    """``data``, the lines of the file at ``path`` from line ``first_line``
+    on, as text with its line ends read as ``open`` reads them ("\\r\\n" and
+    "\\r" as "\\n"); InputError naming ``path:line`` at its first byte that
+    is not UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        lineno = first_line + data.count(b"\n", 0, exc.start)
         raise InputError(f"{path}:{lineno}: {utf8_fault(exc)}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_utf8(path: str | Path) -> str:
+    """The whole text of a UTF-8 file, as :func:`utf8_text` reads it."""
+    with open(path, "rb") as f:
+        return utf8_text(f.read(), path)
 
 
 def read_quaternion(q: list[float], what: str = "quaternion") -> UnitQuaternion:

@@ -206,7 +206,7 @@ def _dataclass(cls: type[T], value: Any, path: str) -> T:
         if name in value:
             kwargs[name] = _value(hint, value[name], _key(path, name))
         elif required:
-            raise ConfigurationError(f"{_key(path, name)} is required")
+            raise ConfigurationError(f"missing key {name!r}" + (f" in {path}" if path else ""))
     return _within(path, cls, **kwargs)
 
 

@@ -16,17 +16,29 @@ Poses, pulses and points are arrays, not one object each: :class:`Poses`
 holds E epochs' times, positions and attitudes (NaN rows where missing), a
 :class:`ScanFrame` (n, 4) ``[t, x, y, z]`` pulse rows and (n,) bool reflector
 labels, a :class:`Cloud` (n, 3) ENU points and (n,) bool flags.
+
+The pulse path streams, so that its memory does not grow with the flight:
+:func:`pulse_blocks` regroups a scan into blocks of about
+:data:`PULSE_BLOCK` pulses whose clouds, joined, are the whole stream's bit
+for bit; :func:`write_cloud` appends each block's points to a file that
+:func:`cloud_output` moves into place only once complete; and
+:func:`cloud_blocks` cuts a cloud file into blocks of as many lines or
+records, which :func:`read_cloud` reads with absolute line and record
+numbers.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import UNIT_NORM_TOL, UnitQuaternion, Vec3, quat_to_matrix, read_utf8
+from .core import UNIT_NORM_TOL, UnitQuaternion, Vec3, quat_to_matrix, utf8_text
 from .errors import InputError, ValidationError
 
 # Half the 10 Hz pose interval: a pulse further than this from every pose
@@ -34,6 +46,9 @@ from .errors import InputError, ValidationError
 DEFAULT_MAX_POSE_GAP_S = 0.06
 DEFAULT_CLUSTER_RADIUS_M = 0.5
 DEFAULT_MIN_HITS = 10
+# Pulses georeferenced, and cloud lines or records read, at a time: georef
+# and evaluate hold a few blocks of this size, whatever the flight length.
+PULSE_BLOCK = 4096
 
 # One .bin cloud record: E, N, U as little-endian float64, then the flag
 # byte; 25 bytes, unpadded (the struct layout "<dddB").
@@ -151,6 +166,30 @@ def georeference(
     return p + quat_to_matrix(q) @ body
 
 
+def _complete_poses(poses: Poses, max_pose_gap_s: float) -> Poses:
+    """The epochs with both a position and an attitude, after checking that
+    there is one and that ``max_pose_gap_s`` is positive."""
+    poses = poses.select(poses.complete)
+    if not len(poses):
+        raise ValidationError("no pose has both a position and an attitude")
+    if not (max_pose_gap_s > 0.0):
+        raise ValidationError("max_pose_gap_s must be positive")
+    return poses
+
+
+def _nearest_pose(
+    times: np.ndarray, ts: np.ndarray, max_pose_gap_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per pulse time of ``ts``: the index of the nearest pose time, and
+    whether that pose lies within ``max_pose_gap_s``."""
+    # candidate just below and just above
+    hi = np.clip(np.searchsorted(times, ts), 0, len(times) - 1)
+    lo = np.clip(hi - 1, 0, len(times) - 1)
+    pick_hi = np.abs(times[hi] - ts) <= np.abs(times[lo] - ts)
+    nearest = np.where(pick_hi, hi, lo)
+    return nearest, np.abs(times[nearest] - ts) <= max_pose_gap_s
+
+
 def georeference_stream(
     poses: Poses,
     frames: Iterable[ScanFrame],
@@ -161,25 +200,14 @@ def georeference_stream(
     epochs with both a position and an attitude.
 
     Returns the cloud and the count of pulses dropped for having no such
-    pose within ``max_pose_gap_s``.
+    pose within ``max_pose_gap_s``. The frames are taken whole; a block of
+    :func:`pulse_blocks` gives a part of the stream's cloud.
     """
-    poses = poses.select(poses.complete)
-    if not len(poses):
-        raise ValidationError("no pose has both a position and an attitude")
-    if not (max_pose_gap_s > 0.0):
-        raise ValidationError("max_pose_gap_s must be positive")
-    times = poses.t
-
+    poses = _complete_poses(poses, max_pose_gap_s)
     frames = list(frames)
     pulses = np.concatenate([f.pulses for f in frames] or [np.empty((0, 4))])
     flags = np.concatenate([f.reflector for f in frames] or [np.empty(0, dtype=bool)])
-    ts = pulses[:, 0]
-    # nearest pose per pulse: candidate just below and just above
-    hi = np.clip(np.searchsorted(times, ts), 0, len(times) - 1)
-    lo = np.clip(hi - 1, 0, len(times) - 1)
-    pick_hi = np.abs(times[hi] - ts) <= np.abs(times[lo] - ts)
-    nearest = np.where(pick_hi, hi, lo)
-    keep = np.abs(times[nearest] - ts) <= max_pose_gap_s
+    nearest, keep = _nearest_pose(poses.t, pulses[:, 0], max_pose_gap_s)
     dropped = int((~keep).sum())
 
     r_bs = quat_to_matrix(calib.boresight)
@@ -197,6 +225,68 @@ def georeference_stream(
         k = nearest[rows[0]]
         world[rows] = body[rows] @ r_eb[k].T + poses.p[k]
     return Cloud(p=world[keep], reflector=flags[keep]), dropped
+
+
+def pulse_blocks(
+    poses: Poses,
+    frames: Iterable[ScanFrame],
+    max_pose_gap_s: float = DEFAULT_MAX_POSE_GAP_S,
+) -> Iterator[list[ScanFrame]]:
+    """The pulses of ``frames`` in blocks of about :data:`PULSE_BLOCK`, for
+    :func:`georeference_stream` one block at a time, given the same
+    ``max_pose_gap_s``. A block is a list of one or two frames, each ``t``
+    the time of its first pulse; a stream without pulses gives no block.
+
+    The blocks' clouds, joined, are the stream's cloud bit for bit.
+    ``georeference_stream`` turns each pose's kept pulses by one matrix
+    product, and numpy can give other last bits to rows split across two
+    products, or to a product of one row. So a block carries the kept
+    pulses of the pose its last kept pulse uses into the next block (the
+    dropped pulses after them, which make no point, stay in this block), and
+    no block has one pulse unless the stream has one. While pulse times
+    increase, each pose's kept pulses are then in one block. Where they go
+    back, a pose's pulses can land in two blocks, and their points can
+    differ from the stream's by a few ulps.
+    """
+    times = _complete_poses(poses, max_pose_gap_s).t
+    pulses: list[np.ndarray] = []
+    flags: list[np.ndarray] = []
+    n = 0
+    # the block cut last, handed out once the next one is cut, so that a
+    # last pulse alone can join it
+    cut: ScanFrame | None = None
+    for frame in frames:
+        pulses.append(frame.pulses)
+        flags.append(frame.reflector)
+        n += len(frame.pulses)
+        if n < PULSE_BLOCK:
+            continue
+        p, f = np.concatenate(pulses), np.concatenate(flags)
+        pulses, flags = [p], [f]
+        nearest, keep = _nearest_pose(times, p[:, 0], max_pose_gap_s)
+        kept = np.flatnonzero(keep)
+        start = end = n
+        if len(kept):
+            end = kept[-1] + 1
+            others = kept[nearest[kept] != nearest[end - 1]]
+            start = kept[np.searchsorted(kept, others[-1], "right")] if len(others) else kept[0]
+        if start + n - end < 2:
+            continue
+        if cut is not None:
+            yield [cut]
+        out = np.r_[0:start, end:n]
+        cut = ScanFrame(t=float(p[out[0], 0]), pulses=p[out], reflector=f[out])
+        pulses, flags = [p[start:end]], [f[start:end]]
+        n = end - start
+    blocks = [] if cut is None else [[cut]]
+    if n:
+        p = np.concatenate(pulses)
+        rest = ScanFrame(t=float(p[0, 0]), pulses=p, reflector=np.concatenate(flags))
+        if blocks and n == 1:
+            blocks[-1].append(rest)
+        else:
+            blocks.append([rest])
+    yield from blocks
 
 
 def evaluate_reflectors(
@@ -247,31 +337,83 @@ def cloud_suffix(path: str | Path) -> str:
     return suffix
 
 
-def write_cloud(path: str | Path, cloud: Cloud) -> None:
-    """Write a cloud file in the format its suffix picks (:func:`cloud_suffix`)."""
+@contextmanager
+def cloud_output(path: str | Path) -> Iterator[BinaryIO]:
+    """A new binary file for the cloud at ``path``: made in its directory
+    under a hidden name with the same suffix, moved onto ``path`` when the
+    ``with`` block ends, and removed if the block raises. A failed write
+    leaves no partial cloud, and an earlier file at ``path`` as it was."""
     path = Path(path)
-    if cloud_suffix(path) == ".xyz":
+    cloud_suffix(path)
+    tmp = path.with_name(f".{path.stem}-{os.urandom(4).hex()}{path.suffix}")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_cloud(dest: str | Path | BinaryIO, cloud: Cloud) -> None:
+    """Write ``cloud`` in the format the suffix of its name picks
+    (:func:`cloud_suffix`): as the whole file at the path ``dest``, through
+    :func:`cloud_output`, or appended to ``dest``, a file that
+    :func:`cloud_output` opened."""
+    if isinstance(dest, (str, Path)):
+        with cloud_output(dest) as out:
+            write_cloud(out, cloud)
+    elif cloud_suffix(dest.name) == ".xyz":
         flags = cloud.reflector.astype(np.uint8).tolist()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(
-                f"{e!r} {n!r} {u!r} {f}\n" for (e, n, u), f in zip(cloud.p.tolist(), flags)
-            )
+        dest.write("".join(
+            f"{e!r} {n!r} {u!r} {f}\n" for (e, n, u), f in zip(cloud.p.tolist(), flags)
+        ).encode())
     else:
         rec = np.empty(len(cloud), dtype=_BIN_RECORD)
         rec["p"], rec["flag"] = cloud.p, cloud.reflector
-        path.write_bytes(rec.tobytes())
+        dest.write(rec.tobytes())
 
 
-def _xyz_columns(path: Path) -> np.ndarray:
-    """The ``E N U flag`` columns of a .xyz file, one (n, 4) row per line.
-    A line that is not UTF-8 or not four numbers raises InputError naming it."""
-    text = read_utf8(path)
-    if not text:
-        return np.empty((0, 4))
+@dataclass(frozen=True, eq=False)
+class CloudBlock:
+    """Whole lines (.xyz: text, its line ends read as ``open`` reads them)
+    or whole records (.bin: bytes) of the cloud file ``path``, from its line
+    or record ``first``, counted from 1."""
+
+    path: Path
+    first: int
+    data: str | bytes
+
+
+def cloud_blocks(path: str | Path) -> Iterator[CloudBlock]:
+    """The cloud file at ``path`` in blocks of :data:`PULSE_BLOCK` lines or
+    records, each for :func:`read_cloud`. A .xyz byte that is not UTF-8
+    raises InputError naming ``path:line``."""
+    path = Path(path)
+    binary = cloud_suffix(path) == ".bin"
+    with open(path, "rb") as fh:
+        if binary:
+            size = PULSE_BLOCK * _BIN_RECORD.itemsize
+            for k, data in enumerate(iter(lambda: fh.read(size), b"")):
+                yield CloudBlock(path, k * PULSE_BLOCK + 1, data)
+            return
+        first = raw_first = 1
+        while lines := list(itertools.islice(fh, PULSE_BLOCK)):
+            # a line that "\r" alone ends counts for `first`, not for `raw_first`
+            text = utf8_text(b"".join(lines), path, raw_first)
+            raw_first += len(lines)
+            yield CloudBlock(path, first, text)
+            first += text.count("\n") + (not text.endswith("\n"))
+
+
+def _xyz_columns(block: CloudBlock) -> np.ndarray:
+    """The ``E N U flag`` columns of a .xyz block, one (n, 4) row per line.
+    A line that is not four numbers raises InputError naming it."""
+    text = block.data
     try:
-        # loadtxt warns on input without data; the loop below names line 1.
-        # The lines go in as a list split at "\n" only, as StringIO splits
-        # them, without StringIO's second, wider copy of the whole file.
+        # loadtxt warns on input without data; the loop below names its
+        # first line. The lines go in split at "\n" only, as StringIO splits.
         if not text.isspace():
             cols = np.loadtxt(text.split("\n"), ndmin=2, comments=None)
             if cols.shape == (text.count("\n") + (not text.endswith("\n")), 4):
@@ -281,30 +423,41 @@ def _xyz_columns(path: Path) -> np.ndarray:
     # the bulk parse failed or skipped a blank line: name the first line that
     # is not four columns (split at the whitespace loadtxt splits at), or its
     # first cell loadtxt does not read (float() would also take "1_0" or "１")
-    for lineno, line in enumerate(text.removesuffix("\n").split("\n"), 1):
+    for lineno, line in enumerate(text.removesuffix("\n").split("\n"), block.first):
         cells = line.split()
         if len(cells) != 4:
-            raise InputError(f"{path}:{lineno}: expected 4 columns 'E N U flag', got {len(cells)}")
+            raise InputError(
+                f"{block.path}:{lineno}: expected 4 columns 'E N U flag', got {len(cells)}"
+            )
         for cell in cells:
             try:
                 np.loadtxt([cell], comments=None)
             except ValueError:
-                raise InputError(f"{path}:{lineno}: {cell!r} is not a number") from None
-    raise InputError(f"{path}: unreadable cloud file")
+                raise InputError(f"{block.path}:{lineno}: {cell!r} is not a number") from None
+    raise InputError(f"{block.path}: unreadable cloud file")
 
 
-def read_cloud(path: str | Path) -> Cloud:
-    """Read a cloud written by :func:`write_cloud`. A non-finite coordinate,
-    a flag other than 0/1 or a truncated record raises InputError naming
-    ``path:line`` (.xyz) or ``path: record k`` (.bin, counted from 1)."""
-    path = Path(path)
-    if cloud_suffix(path) == ".xyz":
-        cols = _xyz_columns(path)
+def read_cloud(source: str | Path | CloudBlock) -> Cloud:
+    """The cloud of a file written by :func:`write_cloud`, or of one block
+    of it (:func:`cloud_blocks`); the file's cloud is its blocks' clouds
+    joined. A line that is not four numbers, a non-finite coordinate, a
+    flag other than 0/1 or a truncated record raises InputError naming
+    ``path:line`` (.xyz) or ``path: record k`` (.bin, counted from 1): the
+    first in the first block that has one."""
+    if not isinstance(source, CloudBlock):
+        clouds = [read_cloud(block) for block in cloud_blocks(source)]
+        return Cloud(
+            p=np.concatenate([c.p for c in clouds] or [np.empty((0, 3))]),
+            reflector=np.concatenate([c.reflector for c in clouds] or [np.empty(0, dtype=bool)]),
+        )
+    path, data = source.path, source.data
+    if isinstance(data, str):
+        cols = _xyz_columns(source)
         p, flag, where = cols[:, :3], cols[:, 3], f"{path}:"
     else:
-        data = path.read_bytes()
         if len(data) % _BIN_RECORD.itemsize:
-            raise InputError(f"{path}: record {len(data) // _BIN_RECORD.itemsize + 1}: truncated")
+            k = source.first + len(data) // _BIN_RECORD.itemsize
+            raise InputError(f"{path}: record {k}: truncated")
         rec = np.frombuffer(data, dtype=_BIN_RECORD)
         p, flag, where = rec["p"], rec["flag"], f"{path}: record "
     finite = np.isfinite(p).all(axis=1)
@@ -314,5 +467,5 @@ def read_cloud(path: str | Path) -> Cloud:
         what = f"non-finite point {tuple(p[k].tolist())}"
         if finite[k]:
             what = f"flag {flag[k]:g} is not 0 or 1"
-        raise InputError(f"{where}{k + 1}: {what}")
+        raise InputError(f"{where}{source.first + k}: {what}")
     return Cloud(p=np.ascontiguousarray(p), reflector=flag == 1)

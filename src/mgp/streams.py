@@ -191,13 +191,13 @@ def _decode(objects: list[Any]) -> list[EpochRecord]:
     fixes, n_fixes = _joined(_column(objects, "fixes", ""), "fixes")
     _objects(fixes, "fixes must be JSON objects")
     try:
-        grade = [_GRADE_OF_NAME.get(f["status"]) for f in fixes]
-    except TypeError:  # a list or object as status
-        grade = [None]
-    except KeyError:  # a fix without status: _column raises, naming the key
-        _column(fixes, "status", " in fixes")
-    if None in grade:
-        raise ValidationError(f"fix status must be one of {_GRADE_NAMES}")
+        grade = [_GRADE_OF_NAME[f["status"]] for f in fixes]
+    except (KeyError, TypeError):
+        # the first fix without a known status names the fault, in fix order
+        bad = next(f for f in fixes if type(f.get("status")) is not str
+                   or f["status"] not in _GRADE_OF_NAME)
+        _column([bad], "status", " in fixes")
+        raise ValidationError(f"fix status must be one of {_GRADE_NAMES}") from None
     given = _column(fixes, "p", " in fixes")
     p = np.full((len(given), 3), np.nan)
     p[[x is not None for x in given]] = jsonvals.floats(

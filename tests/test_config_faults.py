@@ -275,7 +275,7 @@ EXAMPLES = [
     (
         "scenario",
         {"constellation": [{"azimuth_deg": 0.0, "elevation_deg": 50.0}]},
-        "constellation[0].sat_id is required",
+        "missing key 'sat_id' in constellation[0]",
     ),
     (
         "scenario",

@@ -393,6 +393,33 @@ def test_block_decoder_checks_each_epoch_on_its_own() -> None:
         mgp.streams._decode(dicts)
 
 
+_NO_STATUS = object()
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ("fixd", _NO_STATUS, "fix status must be one of ('none', 'float', 'fixed')"),
+        (["fixed"], _NO_STATUS, "fix status must be one of ('none', 'float', 'fixed')"),
+        (_NO_STATUS, "fixd", "missing key 'status' in fixes"),
+        (_NO_STATUS, ["fixed"], "missing key 'status' in fixes"),
+    ],
+    ids=["misspelled-then-missing", "list-then-missing", "missing-then-misspelled",
+         "missing-then-list"],
+)
+def test_the_first_fix_without_a_known_status_names_the_fault(first, second, message) -> None:
+    """Whatever is wrong with a status, the first fix in fix order that has
+    no known one names the line's fault."""
+    d = json.loads(json.dumps(epoch_to_dict(next(iter(simulate(_scenario(duration_s=0.1)))))))
+    for fix, status in zip(d["fixes"], (first, second)):
+        if status is _NO_STATUS:
+            del fix["status"]
+        else:
+            fix["status"] = status
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        epoch_from_dict(d)
+
+
 def _requery(record: dict) -> dict:
     return record["truth"]["requery"]
 
