@@ -40,12 +40,9 @@ from .mapping import (
     ReflectorReport,
     ReflectorResult,
     ScanFrame,
-    cloud_blocks,
-    cloud_output,
     evaluate_reflectors,
     georeference,
     georeference_stream,
-    pulse_blocks,
     read_cloud,
     write_cloud,
 )

@@ -227,28 +227,54 @@ def georeference_stream(
     return Cloud(p=world[keep], reflector=flags[keep]), dropped
 
 
-def pulse_blocks(
-    poses: Poses,
-    frames: Iterable[ScanFrame],
-    max_pose_gap_s: float = DEFAULT_MAX_POSE_GAP_S,
-) -> Iterator[list[ScanFrame]]:
+def _carried_run(times: np.ndarray, ts: np.ndarray) -> tuple[int, int]:
+    """Where in the pulse times ``ts`` the run a block carries starts and
+    ends: from the first kept pulse after the last kept pulse that uses
+    another pose than the last kept pulse, to just after that last kept
+    pulse; ``(n, n)`` if no pulse is kept. Finds nearest poses from the
+    tail back, in steps that double, only as far as the run reaches."""
+    n = hi = len(ts)
+    end = n
+    start = pose = None
+    step = 256
+    while hi > 0:
+        lo = max(0, hi - step)
+        nearest, keep = _nearest_pose(times, ts[lo:hi], DEFAULT_MAX_POSE_GAP_S)
+        kept = np.flatnonzero(keep)
+        if len(kept):
+            if pose is None:
+                end, pose = lo + kept[-1] + 1, nearest[kept[-1]]
+            others = kept[nearest[kept] != pose]
+            if len(others):
+                after = kept[kept > others[-1]]
+                return (lo + after[0] if len(after) else start), end
+            start = lo + kept[0]
+        hi, step = lo, 2 * step
+    return (n if start is None else start), end
+
+
+def pulse_blocks(poses: Poses, frames: Iterable[ScanFrame]) -> Iterator[list[ScanFrame]]:
     """The pulses of ``frames`` in blocks of about :data:`PULSE_BLOCK`, for
-    :func:`georeference_stream` one block at a time, given the same
+    :func:`georeference_stream` one block at a time with the default
     ``max_pose_gap_s``. A block is a list of one or two frames, each ``t``
     the time of its first pulse; a stream without pulses gives no block.
 
     The blocks' clouds, joined, are the stream's cloud bit for bit.
-    ``georeference_stream`` turns each pose's kept pulses by one matrix
-    product, and numpy can give other last bits to rows split across two
-    products, or to a product of one row. So a block carries the kept
-    pulses of the pose its last kept pulse uses into the next block (the
-    dropped pulses after them, which make no point, stay in this block), and
-    no block has one pulse unless the stream has one. While pulse times
-    increase, each pose's kept pulses are then in one block. Where they go
-    back, a pose's pulses can land in two blocks, and their points can
-    differ from the stream's by a few ulps.
+    ``georeference_stream`` turns pulses by matrix products, and numpy gives
+    a product of one row other last bits than the same row in a product of
+    more rows; products of two or more rows gave each row the same bits
+    however the rows were split (numpy 2.4 on x86-64 Linux; the tests
+    check it at a block size of 37). So no product of a block may have one
+    row where the stream's has more. A block carries the kept pulses of the
+    pose its last kept pulse uses into the next block (the dropped pulses
+    after them, which make no point, stay in this block), so that while
+    pulse times increase each pose's kept pulses go through the one product
+    they go through in the stream; and no block has one pulse unless the
+    stream has one, so that no block's product of all its pulses has one
+    row. Where pulse times go back, a pose's pulses can land in two blocks,
+    and their points can differ from the stream's by a few ulps.
     """
-    times = _complete_poses(poses, max_pose_gap_s).t
+    times = _complete_poses(poses, DEFAULT_MAX_POSE_GAP_S).t
     pulses: list[np.ndarray] = []
     flags: list[np.ndarray] = []
     n = 0
@@ -263,13 +289,7 @@ def pulse_blocks(
             continue
         p, f = np.concatenate(pulses), np.concatenate(flags)
         pulses, flags = [p], [f]
-        nearest, keep = _nearest_pose(times, p[:, 0], max_pose_gap_s)
-        kept = np.flatnonzero(keep)
-        start = end = n
-        if len(kept):
-            end = kept[-1] + 1
-            others = kept[nearest[kept] != nearest[end - 1]]
-            start = kept[np.searchsorted(kept, others[-1], "right")] if len(others) else kept[0]
+        start, end = _carried_run(times, p[:, 0])
         if start + n - end < 2:
             continue
         if cut is not None:
