@@ -94,8 +94,8 @@ def _cmd_georef(args: argparse.Namespace) -> int:
     # one block of pulses in memory at a time; the cloud file appears whole
     # or not at all
     with cloud_output(args.cloud) as out:
-        for block in pulse_blocks(poses, streams.read_scan(args.scan)):
-            cloud, n = georeference_stream(poses, block, calib)
+        for block in pulse_blocks(streams.read_scan(args.scan)):
+            cloud, n = georeference_stream(poses, [block], calib)
             write_cloud(out, cloud)
             points += len(cloud)
             dropped += n

@@ -18,13 +18,16 @@ holds E epochs' times, positions and attitudes (NaN rows where missing), a
 labels, a :class:`Cloud` (n, 3) ENU points and (n,) bool flags.
 
 The pulse path streams, so that its memory does not grow with the flight:
-:func:`pulse_blocks` regroups a scan into blocks of about
-:data:`PULSE_BLOCK` pulses whose clouds, joined, are the whole stream's bit
-for bit; :func:`write_cloud` appends each block's points to a file that
+:func:`pulse_blocks` cuts a scan into blocks of :data:`PULSE_BLOCK`
+pulses; :func:`write_cloud` appends each block's points to a file that
 :func:`cloud_output` moves into place only once complete; and
 :func:`cloud_blocks` cuts a cloud file into blocks of as many lines or
 records, which :func:`read_cloud` reads with absolute line and record
-numbers.
+numbers. The blocks' clouds, joined, are the whole stream's bit for bit,
+because every point is turned by elementwise products and sums in one
+order (``_turn``), never by a matrix product whose last bits can depend on
+how many rows it has: a point's bits depend on its own pulse and pose
+alone.
 """
 from __future__ import annotations
 
@@ -157,37 +160,21 @@ class ReflectorReport:
     unresolved: int
 
 
+def _turn(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``r @ v`` for a rotation ``r`` (3, 3) or a stack (n, 3, 3) and
+    points ``v`` (3,) or (n, 3), by elementwise products and sums in one
+    order: each point's bits do not depend on the other points."""
+    return r[..., 0] * v[..., :1] + r[..., 1] * v[..., 1:2] + r[..., 2] * v[..., 2:]
+
+
 def georeference(
     p: np.ndarray, q: np.ndarray, calib: MountCalibration, point: np.ndarray
 ) -> np.ndarray:
     """One scanner-frame point (3,) in world coordinates, from the platform
-    position ``p`` (3,) and body->ENU attitude ``q`` (4,)."""
-    body = calib.lever_arm.as_array() + quat_to_matrix(calib.boresight) @ point
-    return p + quat_to_matrix(q) @ body
-
-
-def _complete_poses(poses: Poses, max_pose_gap_s: float) -> Poses:
-    """The epochs with both a position and an attitude, after checking that
-    there is one and that ``max_pose_gap_s`` is positive."""
-    poses = poses.select(poses.complete)
-    if not len(poses):
-        raise ValidationError("no pose has both a position and an attitude")
-    if not (max_pose_gap_s > 0.0):
-        raise ValidationError("max_pose_gap_s must be positive")
-    return poses
-
-
-def _nearest_pose(
-    times: np.ndarray, ts: np.ndarray, max_pose_gap_s: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per pulse time of ``ts``: the index of the nearest pose time, and
-    whether that pose lies within ``max_pose_gap_s``."""
-    # candidate just below and just above
-    hi = np.clip(np.searchsorted(times, ts), 0, len(times) - 1)
-    lo = np.clip(hi - 1, 0, len(times) - 1)
-    pick_hi = np.abs(times[hi] - ts) <= np.abs(times[lo] - ts)
-    nearest = np.where(pick_hi, hi, lo)
-    return nearest, np.abs(times[nearest] - ts) <= max_pose_gap_s
+    position ``p`` (3,) and body->ENU attitude ``q`` (4,); the same bits
+    :func:`georeference_stream` gives the point."""
+    body = _turn(quat_to_matrix(calib.boresight), point) + calib.lever_arm.as_array()
+    return _turn(quat_to_matrix(q), body) + p
 
 
 def georeference_stream(
@@ -200,87 +187,42 @@ def georeference_stream(
     epochs with both a position and an attitude.
 
     Returns the cloud and the count of pulses dropped for having no such
-    pose within ``max_pose_gap_s``. The frames are taken whole; a block of
-    :func:`pulse_blocks` gives a part of the stream's cloud.
+    pose within ``max_pose_gap_s``. Each point depends on its own pulse and
+    pose alone, so the clouds of the blocks of :func:`pulse_blocks`, joined,
+    are the stream's cloud bit for bit.
     """
-    poses = _complete_poses(poses, max_pose_gap_s)
+    poses = poses.select(poses.complete)
+    if not len(poses):
+        raise ValidationError("no pose has both a position and an attitude")
+    if not (max_pose_gap_s > 0.0):
+        raise ValidationError("max_pose_gap_s must be positive")
+    times = poses.t
+
     frames = list(frames)
     pulses = np.concatenate([f.pulses for f in frames] or [np.empty((0, 4))])
     flags = np.concatenate([f.reflector for f in frames] or [np.empty(0, dtype=bool)])
-    nearest, keep = _nearest_pose(poses.t, pulses[:, 0], max_pose_gap_s)
-    dropped = int((~keep).sum())
+    ts = pulses[:, 0]
+    # nearest pose per pulse: candidate just below and just above
+    hi = np.clip(np.searchsorted(times, ts), 0, len(times) - 1)
+    lo = np.clip(hi - 1, 0, len(times) - 1)
+    pick_hi = np.abs(times[hi] - ts) <= np.abs(times[lo] - ts)
+    nearest = np.where(pick_hi, hi, lo)
+    keep = np.abs(times[nearest] - ts) <= max_pose_gap_s
 
-    r_bs = quat_to_matrix(calib.boresight)
-    lever = calib.lever_arm.as_array()
-    body = np.ascontiguousarray(pulses[:, 1:]) @ r_bs.T + lever
-
-    # kept pulses grouped by pose, in pulse order within each group; the
-    # split's first piece ends at the first group start and is empty
-    kept = np.flatnonzero(keep)
-    by_pose = kept[np.argsort(nearest[kept], kind="stable")]
-    starts = np.flatnonzero(np.diff(nearest[by_pose], prepend=-1))
-    r_eb = quat_to_matrix(poses.q)
-    world = np.empty_like(body)
-    for rows in np.split(by_pose, starts)[1:]:
-        k = nearest[rows[0]]
-        world[rows] = body[rows] @ r_eb[k].T + poses.p[k]
-    return Cloud(p=world[keep], reflector=flags[keep]), dropped
+    k = nearest[keep]
+    body = _turn(quat_to_matrix(calib.boresight), pulses[keep, 1:]) + calib.lever_arm.as_array()
+    world = _turn(quat_to_matrix(poses.q)[k], body) + poses.p[k]
+    return Cloud(p=world, reflector=flags[keep]), int((~keep).sum())
 
 
-def _carried_run(times: np.ndarray, ts: np.ndarray) -> tuple[int, int]:
-    """Where in the pulse times ``ts`` the run a block carries starts and
-    ends: from the first kept pulse after the last kept pulse that uses
-    another pose than the last kept pulse, to just after that last kept
-    pulse; ``(n, n)`` if no pulse is kept. Finds nearest poses from the
-    tail back, in steps that double, only as far as the run reaches."""
-    n = hi = len(ts)
-    end = n
-    start = pose = None
-    step = 256
-    while hi > 0:
-        lo = max(0, hi - step)
-        nearest, keep = _nearest_pose(times, ts[lo:hi], DEFAULT_MAX_POSE_GAP_S)
-        kept = np.flatnonzero(keep)
-        if len(kept):
-            if pose is None:
-                end, pose = lo + kept[-1] + 1, nearest[kept[-1]]
-            others = kept[nearest[kept] != pose]
-            if len(others):
-                after = kept[kept > others[-1]]
-                return (lo + after[0] if len(after) else start), end
-            start = lo + kept[0]
-        hi, step = lo, 2 * step
-    return (n if start is None else start), end
-
-
-def pulse_blocks(poses: Poses, frames: Iterable[ScanFrame]) -> Iterator[list[ScanFrame]]:
-    """The pulses of ``frames`` in blocks of about :data:`PULSE_BLOCK`, for
-    :func:`georeference_stream` one block at a time with the default
-    ``max_pose_gap_s``. A block is a list of one or two frames, each ``t``
-    the time of its first pulse; a stream without pulses gives no block.
-
-    The blocks' clouds, joined, are the stream's cloud bit for bit.
-    ``georeference_stream`` turns pulses by matrix products, and numpy gives
-    a product of one row other last bits than the same row in a product of
-    more rows; products of two or more rows gave each row the same bits
-    however the rows were split (numpy 2.4 on x86-64 Linux; the tests
-    check it at a block size of 37). So no product of a block may have one
-    row where the stream's has more. A block carries the kept pulses of the
-    pose its last kept pulse uses into the next block (the dropped pulses
-    after them, which make no point, stay in this block), so that while
-    pulse times increase each pose's kept pulses go through the one product
-    they go through in the stream; and no block has one pulse unless the
-    stream has one, so that no block's product of all its pulses has one
-    row. Where pulse times go back, a pose's pulses can land in two blocks,
-    and their points can differ from the stream's by a few ulps.
-    """
-    times = _complete_poses(poses, DEFAULT_MAX_POSE_GAP_S).t
+def pulse_blocks(frames: Iterable[ScanFrame]) -> Iterator[ScanFrame]:
+    """The pulses of ``frames`` in blocks of :data:`PULSE_BLOCK`, the last
+    one shorter, for :func:`georeference_stream` one block at a time. Each
+    block is a frame whose ``t`` is the time of its first pulse; a stream
+    without pulses gives no block."""
     pulses: list[np.ndarray] = []
     flags: list[np.ndarray] = []
     n = 0
-    # the block cut last, handed out once the next one is cut, so that a
-    # last pulse alone can join it
-    cut: ScanFrame | None = None
     for frame in frames:
         pulses.append(frame.pulses)
         flags.append(frame.reflector)
@@ -288,25 +230,14 @@ def pulse_blocks(poses: Poses, frames: Iterable[ScanFrame]) -> Iterator[list[Sca
         if n < PULSE_BLOCK:
             continue
         p, f = np.concatenate(pulses), np.concatenate(flags)
-        pulses, flags = [p], [f]
-        start, end = _carried_run(times, p[:, 0])
-        if start + n - end < 2:
-            continue
-        if cut is not None:
-            yield [cut]
-        out = np.r_[0:start, end:n]
-        cut = ScanFrame(t=float(p[out[0], 0]), pulses=p[out], reflector=f[out])
-        pulses, flags = [p[start:end]], [f[start:end]]
-        n = end - start
-    blocks = [] if cut is None else [[cut]]
+        whole = n - n % PULSE_BLOCK
+        for i in range(0, whole, PULSE_BLOCK):
+            j = i + PULSE_BLOCK
+            yield ScanFrame(t=float(p[i, 0]), pulses=p[i:j], reflector=f[i:j])
+        pulses, flags, n = [p[whole:]], [f[whole:]], n - whole
     if n:
         p = np.concatenate(pulses)
-        rest = ScanFrame(t=float(p[0, 0]), pulses=p, reflector=np.concatenate(flags))
-        if blocks and n == 1:
-            blocks[-1].append(rest)
-        else:
-            blocks.append([rest])
-    yield from blocks
+        yield ScanFrame(t=float(p[0, 0]), pulses=p, reflector=np.concatenate(flags))
 
 
 def evaluate_reflectors(

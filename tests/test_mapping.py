@@ -200,7 +200,7 @@ def test_stream_matches_single_point_path() -> None:
     assert len(cloud) == len(pulses)
     for (pt, pp), got, p, q in zip(pulses, cloud.p, poses.p, poses.q):
         want = georeference(p, q, calib, pp.as_array())
-        assert np.allclose(got, want, atol=1e-12)
+        assert np.array_equal(got, want)
 
 
 def test_stream_rigid_motion_equivariance() -> None:

@@ -1,11 +1,11 @@
 """The pulse path in blocks: ``georef`` and ``evaluate`` in bounded memory.
 
-``georef`` georeferences and writes a scan in blocks of about
+``georef`` georeferences and writes a scan in blocks of
 ``mgp.mapping.PULSE_BLOCK`` pulses (``pulse_blocks``), and ``evaluate``
 reads a cloud in blocks of as many lines or records (``cloud_blocks``).
-With a small odd block size, blocks end inside frames and wherever the
-size is reached, and the files, reports and messages must be those of a
-block size no file reaches: one block, the whole stream. A failed
+With small block sizes, down to one pulse, blocks end inside frames and
+wherever the size is reached, and the files, reports and messages must be
+those of a block size no file reaches: one block, the whole stream. A failed
 ``georef`` must leave no partial cloud, and peak memory must not grow with
 the scan.
 """
@@ -31,9 +31,6 @@ SMALL = 37
 # a block size that no file here reaches: one block, the whole stream
 WHOLE = 1 << 20
 MB = 1 << 20
-# how far a point of a scan whose pulse times go back may be from the
-# point the whole stream gives (README, "Pulse path")
-BACKWARD_TIMES_TOL_M = 1e-9
 
 
 def _cli(argv: list[str]) -> tuple[int, str, str]:
@@ -95,21 +92,26 @@ def test_small_blocks_write_the_whole_stream_bytes(
 ) -> None:
     # descent has frames without a pulse
     files = flight if name == "flight-10s" else _files(tmp_path, name)
-    got = {}
-    for size in (WHOLE, SMALL):
+    monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", WHOLE)
+    whole = _chain_outputs(files, tmp_path)
+    assert all(code == 0 for code, _, _ in whole[0::4] + whole[1::4])
+    # blocks of one and two pulses on the shorter scan only: flight-10s
+    # holds 117k pulses, and one-pulse blocks would take it a minute
+    for size in (1, 2, SMALL) if name == "descent" else (SMALL,):
         monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", size)
-        got[size] = _chain_outputs(files, tmp_path)
-    assert got[SMALL] == got[WHOLE]
-    assert all(code == 0 for code, _, _ in got[SMALL][0::4] + got[SMALL][1::4])
+        assert _chain_outputs(files, tmp_path) == whole, size
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
-    # the small blocks are many, and some start inside a frame
+    # the small blocks are many, all but the last hold SMALL pulses, and
+    # some start inside a frame
     frames = list(mgp.read_scan(str(files["scan.jsonl"])))
-    poses = mgp.read_poses(str(files["poses.csv"]))
-    blocks = list(mgp.mapping.pulse_blocks(poses, frames))
+    blocks = list(mgp.mapping.pulse_blocks(frames))
     frame_starts = {float(f.pulses[0, 0]) for f in frames if len(f.pulses)}
     assert len(blocks) > 10
-    assert any(block[0].t not in frame_starts for block in blocks)
+    assert {len(block.pulses) for block in blocks[:-1]} == {SMALL}
+    assert 0 < len(blocks[-1].pulses) <= SMALL
+    assert sum(len(block.pulses) for block in blocks) == sum(len(f.pulses) for f in frames)
+    assert any(block.t not in frame_starts for block in blocks)
 
 
 def test_an_empty_scan_writes_an_empty_cloud(
@@ -141,13 +143,19 @@ def test_an_empty_scan_writes_an_empty_cloud(
             assert json.loads(report.read_text(encoding="utf-8"))["unresolved"] == 1
 
 
-def test_a_scan_whose_times_go_back_agrees_within_the_stated_tolerance(
+def test_a_scan_whose_times_go_back_writes_the_whole_stream_points(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, flight: dict[str, Path]
 ) -> None:
-    lines = flight["scan.jsonl"].read_text(encoding="utf-8").splitlines(keepends=True)
-    order = np.random.default_rng(11).permutation(len(lines) - 1) + 1
+    # every pulse moved to a random place, the frame sizes kept: times go
+    # back within frames and between them, and each pose's pulses spread
+    # over many blocks
+    frames = list(mgp.read_scan(str(flight["scan.jsonl"])))
+    order = np.random.default_rng(11).permutation(sum(len(f.pulses) for f in frames))
+    cuts = np.cumsum([len(f.pulses) for f in frames])[:-1]
+    pulses = np.split(np.concatenate([f.pulses for f in frames])[order], cuts)
+    flags = np.split(np.concatenate([f.reflector for f in frames])[order], cuts)
     scan = tmp_path / "shuffled.jsonl"
-    scan.write_text(lines[0] + "".join(lines[i] for i in order), encoding="utf-8")
+    mgp.write_scan(str(scan), [mgp.ScanFrame(f.t, p, r) for f, p, r in zip(frames, pulses, flags)])
     poses = mgp.read_poses(str(flight["poses.csv"]))
     calib = mgp.load_calibration(str(flight["calib.json"]))
     whole, dropped = mgp.georeference_stream(poses, mgp.read_scan(str(scan)), calib)
@@ -158,7 +166,7 @@ def test_a_scan_whose_times_go_back_agrees_within_the_stated_tolerance(
     assert (code, out) == (0, f"wrote {len(whole)} points to {cloud} ({dropped} pulses dropped)\n")
     back = mgp.read_cloud(cloud)
     assert np.array_equal(back.reflector, whole.reflector)
-    assert np.abs(back.p - whole.p).max() <= BACKWARD_TIMES_TOL_M
+    assert np.array_equal(back.p, whole.p)
 
 
 def _xyz_lines(n: int) -> list[bytes]:

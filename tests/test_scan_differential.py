@@ -3,13 +3,15 @@
 The reference below is the object path the arrays replaced, kept here only
 as an oracle: a scalar ``trajectory_position`` loop, one frozen pulse object
 per return built in a per-pulse loop, per-pulse scan JSONL writing and
-reading, per-row pose CSV reading into one pose object per epoch, the object
-``georeference_stream``, the ``struct`` ``.bin`` writer and the ``repr``
-``.xyz`` writer. Every file the chain writes (scan JSONL,
-both cloud formats and the evaluate report) must be byte-identical.
+reading, per-row pose CSV reading into one pose object per epoch, a scalar
+``georeference_stream`` that turns one pulse at a time in Python floats,
+the ``struct`` ``.bin`` writer and the ``repr`` ``.xyz`` writer. Every file
+the chain writes (scan JSONL, both cloud formats and the evaluate report)
+must be byte-identical.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import struct
@@ -152,37 +154,36 @@ def _ref_read_poses(path: Path) -> list[_Pose]:
     return poses
 
 
+def _ref_turn(r: list[list[float]], v: list[float]) -> list[float]:
+    """``r @ v`` in Python floats, each row's three products summed left to
+    right."""
+    return [row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in r]
+
+
 def _ref_georeference_stream(
     poses: list[_Pose], frames: list[_Frame], calib: mgp.MountCalibration
 ) -> list[_Point]:
-    times = np.array([p.t for p in poses], dtype=np.float64)
-    pulse_t, pulse_p, pulse_flag = [], [], []
+    """One pulse at a time in Python floats: its nearest pose (the later
+    one on a tie), then the boresight rows, the lever arm, the pose's
+    rotation rows and its position."""
+    times = [pose.t for pose in poses]
+    r_bs = mgp.quat_to_matrix(calib.boresight).tolist()
+    lever = calib.lever_arm.as_array().tolist()
+    r_eb = [mgp.quat_to_matrix(pose.q).tolist() for pose in poses]
+    cloud = []
     for frame in frames:
         for pulse in frame.pulses:
-            pulse_t.append(pulse.t)
-            pulse_p.append((pulse.p.x, pulse.p.y, pulse.p.z))
-            pulse_flag.append(pulse.reflector)
-    if not pulse_t:
-        return []
-    ts = np.asarray(pulse_t)
-    pts = np.asarray(pulse_p)
-    hi = np.clip(np.searchsorted(times, ts), 0, len(times) - 1)
-    lo = np.clip(hi - 1, 0, len(times) - 1)
-    pick_hi = np.abs(times[hi] - ts) <= np.abs(times[lo] - ts)
-    nearest = np.where(pick_hi, hi, lo)
-    keep = np.abs(times[nearest] - ts) <= mgp.mapping.DEFAULT_MAX_POSE_GAP_S
-    r_bs = mgp.quat_to_matrix(calib.boresight)
-    body = pts @ r_bs.T + calib.lever_arm.as_array()
-    world = np.empty_like(body)
-    for j in np.unique(nearest[keep]):
-        mask = keep & (nearest == j)
-        r_eb = mgp.quat_to_matrix(poses[j].q)
-        world[mask] = body[mask] @ r_eb.T + poses[j].p.as_array()
-    return [
-        _Point(p=mgp.Vec3(float(w[0]), float(w[1]), float(w[2])), reflector_flag=bool(f))
-        for w, f, k in zip(world, pulse_flag, keep)
-        if k
-    ]
+            hi = min(bisect.bisect_left(times, pulse.t), len(times) - 1)
+            lo = max(hi - 1, 0)
+            j = hi if abs(times[hi] - pulse.t) <= abs(times[lo] - pulse.t) else lo
+            if abs(times[j] - pulse.t) > mgp.mapping.DEFAULT_MAX_POSE_GAP_S:
+                continue
+            body = _ref_turn(r_bs, [pulse.p.x, pulse.p.y, pulse.p.z])
+            body = [b + a for b, a in zip(body, lever)]
+            world = _ref_turn(r_eb[j], body)
+            world = [w + c for w, c in zip(world, poses[j].p.as_array().tolist())]
+            cloud.append(_Point(p=mgp.Vec3(*world), reflector_flag=pulse.reflector))
+    return cloud
 
 
 def _ref_write_cloud(path: Path, cloud: list[_Point]) -> None:
