@@ -24,16 +24,18 @@ from .errors import (
 from .attitude import baseline_weights
 from .mapping import (
     Cloud,
+    CloudBlock,
     cloud_blocks,
+    cloud_bytes,
     cloud_output,
     cloud_suffix,
     evaluate_reflectors,
     georeference_stream,
-    pulse_blocks,
     read_cloud,
-    write_cloud,
+    write_cloud,  # not called here; perfbench/tracer.py wraps mgp.cli.write_cloud
 )
 from .oracles import wahba_svd
+from .ordered import ordered_map
 from .simulator import load_scenario, simulate, scan_stream
 
 
@@ -41,13 +43,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_scenario(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    n = streams.write_epochs(args.out, simulate(config))
-    print(f"wrote {n} epochs to {args.out}")
+    writes = [lambda: streams.write_epochs(args.out, simulate(config))]
     if args.scan is not None:
+        # both faults before either stream starts
         if config.scanner is None:
             raise ConfigurationError("scenario has no scanner model, cannot write a scan stream")
-        frames = streams.write_scan(args.scan, scan_stream(config, config.scanner))
-        print(f"wrote {frames} scan frames to {args.scan}")
+        frames = scan_stream(config, config.scanner)  # checks the trajectory
+        writes.append(lambda: streams.write_scan(args.scan, frames))
+    # the epoch stream in this process, the scan stream, seeded on its own,
+    # in the worker
+    counts = ordered_map(lambda k: writes[k](), range(len(writes)))
+    print(f"wrote {next(counts)} epochs to {args.out}")
+    for n in counts:
+        print(f"wrote {n} scan frames to {args.scan}")
     return 0
 
 
@@ -85,27 +93,37 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_georef(args: argparse.Namespace) -> int:
-    cloud_suffix(args.cloud)  # an unsupported suffix fails before any input is read
+    suffix = cloud_suffix(args.cloud)  # an unsupported suffix fails before any input is read
     poses = streams.read_poses(args.poses)
     if not poses.complete.any():
         raise ValidationError(f"{args.poses}: no pose has both a position and an attitude")
     calib = streams.load_calibration(args.calib)
+
+    def georef(chunk: tuple[int, list[str]]) -> tuple[bytes, int, int]:
+        cloud, dropped = georeference_stream(poses, streams.scan_frames(args.scan, *chunk), calib)
+        return cloud_bytes(cloud, suffix), len(cloud), dropped
+
     points = dropped = 0
-    # one block of pulses in memory at a time; the cloud file appears whole
+    # a few chunks of scan lines in memory at a time, every other one
+    # georeferenced and encoded by the worker; the cloud file appears whole
     # or not at all
     with cloud_output(args.cloud) as out:
-        for block in pulse_blocks(streams.read_scan(args.scan)):
-            cloud, n = georeference_stream(poses, [block], calib)
-            write_cloud(out, cloud)
-            points += len(cloud)
-            dropped += n
+        for data, n, d in ordered_map(georef, streams.scan_chunks(args.scan)):
+            out.write(data)
+            points += n
+            dropped += d
     print(f"wrote {points} points to {args.cloud} ({dropped} pulses dropped)")
     return 0
 
 
+def _flagged(block: CloudBlock) -> np.ndarray:
+    cloud = read_cloud(block)
+    return cloud.p[cloud.reflector]
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     # the report reads only the flagged points: keep those of each block
-    flagged = [c.p[c.reflector] for c in map(read_cloud, cloud_blocks(args.cloud))]
+    flagged = list(ordered_map(_flagged, cloud_blocks(args.cloud)))
     p = np.concatenate(flagged or [np.empty((0, 3))])
     reflectors, radius, min_hits = streams.load_reflectors(args.reflectors)
     report = evaluate_reflectors(

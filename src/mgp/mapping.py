@@ -18,13 +18,13 @@ holds E epochs' times, positions and attitudes (NaN rows where missing), a
 labels, a :class:`Cloud` (n, 3) ENU points and (n,) bool flags.
 
 The pulse path streams, so that its memory does not grow with the flight:
-:func:`pulse_blocks` cuts a scan into blocks of :data:`PULSE_BLOCK`
-pulses; :func:`write_cloud` appends each block's points to a file that
-:func:`cloud_output` moves into place only once complete; and
-:func:`cloud_blocks` cuts a cloud file into blocks of as many lines or
-records, which :func:`read_cloud` reads with absolute line and record
-numbers. The blocks' clouds, joined, are the whole stream's bit for bit,
-because every point is turned by elementwise products and sums in one
+georef takes a scan a chunk of lines at a time (``streams.scan_chunks``)
+and appends each chunk's points, encoded by :func:`cloud_bytes`, to a file
+that :func:`cloud_output` moves into place only once complete; and
+:func:`cloud_blocks` cuts a cloud file into blocks of :data:`PULSE_BLOCK`
+lines or records, which :func:`read_cloud` reads with absolute line and
+record numbers. The chunks' clouds, joined, are the whole stream's bit for
+bit, because every point is turned by elementwise products and sums in one
 order (``_turn``), never by a matrix product whose last bits can depend on
 how many rows it has: a point's bits depend on its own pulse and pose
 alone.
@@ -49,8 +49,8 @@ from .errors import InputError, ValidationError
 DEFAULT_MAX_POSE_GAP_S = 0.06
 DEFAULT_CLUSTER_RADIUS_M = 0.5
 DEFAULT_MIN_HITS = 10
-# Pulses georeferenced, and cloud lines or records read, at a time: georef
-# and evaluate hold a few blocks of this size, whatever the flight length.
+# Cloud lines or records read at a time: evaluate holds a few blocks of
+# this size, whatever the flight length.
 PULSE_BLOCK = 4096
 
 # One .bin cloud record: E, N, U as little-endian float64, then the flag
@@ -188,7 +188,7 @@ def georeference_stream(
 
     Returns the cloud and the count of pulses dropped for having no such
     pose within ``max_pose_gap_s``. Each point depends on its own pulse and
-    pose alone, so the clouds of the blocks of :func:`pulse_blocks`, joined,
+    pose alone, so the clouds of any cut of the frames into runs, joined,
     are the stream's cloud bit for bit.
     """
     poses = poses.select(poses.complete)
@@ -213,31 +213,6 @@ def georeference_stream(
     body = _turn(quat_to_matrix(calib.boresight), pulses[keep, 1:]) + calib.lever_arm.as_array()
     world = _turn(quat_to_matrix(poses.q)[k], body) + poses.p[k]
     return Cloud(p=world, reflector=flags[keep]), int((~keep).sum())
-
-
-def pulse_blocks(frames: Iterable[ScanFrame]) -> Iterator[ScanFrame]:
-    """The pulses of ``frames`` in blocks of :data:`PULSE_BLOCK`, the last
-    one shorter, for :func:`georeference_stream` one block at a time. Each
-    block is a frame whose ``t`` is the time of its first pulse; a stream
-    without pulses gives no block."""
-    pulses: list[np.ndarray] = []
-    flags: list[np.ndarray] = []
-    n = 0
-    for frame in frames:
-        pulses.append(frame.pulses)
-        flags.append(frame.reflector)
-        n += len(frame.pulses)
-        if n < PULSE_BLOCK:
-            continue
-        p, f = np.concatenate(pulses), np.concatenate(flags)
-        whole = n - n % PULSE_BLOCK
-        for i in range(0, whole, PULSE_BLOCK):
-            j = i + PULSE_BLOCK
-            yield ScanFrame(t=float(p[i, 0]), pulses=p[i:j], reflector=f[i:j])
-        pulses, flags, n = [p[whole:]], [f[whole:]], n - whole
-    if n:
-        p = np.concatenate(pulses)
-        yield ScanFrame(t=float(p[0, 0]), pulses=p, reflector=np.concatenate(flags))
 
 
 def evaluate_reflectors(
@@ -307,6 +282,19 @@ def cloud_output(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
+def cloud_bytes(cloud: Cloud, suffix: str) -> bytes:
+    """``cloud`` in the file format of ``suffix``, ``.xyz`` or ``.bin``
+    (:func:`cloud_suffix`); a file's bytes are its parts' bytes joined."""
+    if suffix == ".xyz":
+        flags = cloud.reflector.astype(np.uint8).tolist()
+        return "".join(
+            f"{e!r} {n!r} {u!r} {f}\n" for (e, n, u), f in zip(cloud.p.tolist(), flags)
+        ).encode()
+    rec = np.empty(len(cloud), dtype=_BIN_RECORD)
+    rec["p"], rec["flag"] = cloud.p, cloud.reflector
+    return rec.tobytes()
+
+
 def write_cloud(dest: str | Path | BinaryIO, cloud: Cloud) -> None:
     """Write ``cloud`` in the format the suffix of its name picks
     (:func:`cloud_suffix`): as the whole file at the path ``dest``, through
@@ -315,15 +303,8 @@ def write_cloud(dest: str | Path | BinaryIO, cloud: Cloud) -> None:
     if isinstance(dest, (str, Path)):
         with cloud_output(dest) as out:
             write_cloud(out, cloud)
-    elif cloud_suffix(dest.name) == ".xyz":
-        flags = cloud.reflector.astype(np.uint8).tolist()
-        dest.write("".join(
-            f"{e!r} {n!r} {u!r} {f}\n" for (e, n, u), f in zip(cloud.p.tolist(), flags)
-        ).encode())
     else:
-        rec = np.empty(len(cloud), dtype=_BIN_RECORD)
-        rec["p"], rec["flag"] = cloud.p, cloud.reflector
-        dest.write(rec.tobytes())
+        dest.write(cloud_bytes(cloud, cloud_suffix(dest.name)))
 
 
 @dataclass(frozen=True, eq=False)

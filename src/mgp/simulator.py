@@ -463,10 +463,15 @@ def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanF
     lies on a reflector disc. Positions are evaluated per pulse, attitude
     once per frame (at the frame start), and a frame's pulses are computed
     as one array. Seeded independently of the epoch stream so enabling the
-    scanner does not perturb GNSS draws.
+    scanner does not perturb GNSS draws. A trajectory other than waypoints
+    raises ConfigurationError at the call, before any frame is made.
     """
     if config.trajectory.kind is not TrajectoryKind.WAYPOINT:
         raise ConfigurationError("scan generation requires a waypoint trajectory")
+    return _scan_frames(config, scanner)
+
+
+def _scan_frames(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanFrame]:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SCAN_SEED_SALT]))
 
     ppr = scanner.pulses_per_rev

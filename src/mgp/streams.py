@@ -93,6 +93,9 @@ from .positioning import FIX_GRADES, Fixes
 EPOCH_HEADER = {"format": "mgp-epoch", "version": 1}
 SCAN_HEADER = {"format": "mgp-scan", "version": 1}
 POSE_CSV_HEADER = "t,E,N,U,qx,qy,qz,qw,n_fix,att_available"
+# Scan text read at a time (:func:`scan_chunks`), in characters: georef
+# holds a few chunks of this size, whatever the flight length or frame size.
+SCAN_CHUNK = 1 << 18
 
 
 _GRADE_NAMES = tuple(status.value for status in FIX_GRADES)
@@ -484,15 +487,34 @@ def _scan_frame(d: Any) -> ScanFrame:
     return ScanFrame(t=t, pulses=rows[:, :4].copy(), reflector=flag == 1)
 
 
-def read_scan(path: str) -> Iterator[ScanFrame]:
+def scan_chunks(path: str) -> Iterator[tuple[int, list[str]]]:
+    """The lines of the scan file at ``path`` after its header, which is
+    checked first, in chunks of whole lines, each ending at the line that
+    takes it past ``SCAN_CHUNK`` characters, and each with the number of its
+    first line: the input of :func:`scan_frames`."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         _check_header(f.readline(), SCAN_HEADER, path)
-        lines = ((n, line) for n, line in enumerate(map(str.strip, f), start=2) if line)
-        for lineno, line in lines:
+        first = 2
+        while lines := f.readlines(SCAN_CHUNK):
+            yield first, lines
+            first += len(lines)
+
+
+def scan_frames(path: str, first: int, lines: list[str]) -> Iterator[ScanFrame]:
+    """The frames of ``lines``, lines ``first`` on of the scan file at
+    ``path``, blank lines skipped. A line that is not UTF-8 or not a frame
+    raises InputError naming ``path:line``."""
+    for lineno, line in enumerate(map(str.strip, lines), start=first):
+        if line:
             try:
                 yield _scan_frame(jsonvals.loads(_utf8(line)))
             except (ValueError, ValidationError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
+
+
+def read_scan(path: str) -> Iterator[ScanFrame]:
+    for first, lines in scan_chunks(path):
+        yield from scan_frames(path, first, lines)
 
 
 def write_poses(path: str, poses: Poses) -> int:

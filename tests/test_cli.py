@@ -95,13 +95,28 @@ def test_simulate_seed_override_changes_stream(tmp_path: Path) -> None:
     assert out1.read_bytes() != out2.read_bytes()
 
 
-def test_simulate_scan_without_scanner_fails(tmp_path: Path, capsys) -> None:
-    scen = _write(tmp_path / "scen.json", SCENARIO)
+def _simulate_scan_fails_before_writing(tmp_path: Path, capsys, scenario: dict) -> str:
+    """Run ``simulate --scan`` on ``scenario``, which cannot make a scan:
+    exit 1, nothing on stdout and no output file; returns stderr."""
+    scen = _write(tmp_path / "scen.json", scenario)
     code = main(
         ["simulate", "--config", scen, "--out", str(tmp_path / "e.jsonl"), "--scan", str(tmp_path / "s.jsonl")]
     )
-    assert code == 1
-    assert "no scanner model" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scen.json"]
+    return err
+
+
+def test_simulate_scan_without_scanner_fails(tmp_path: Path, capsys) -> None:
+    err = _simulate_scan_fails_before_writing(tmp_path, capsys, SCENARIO)
+    assert err == "error: scenario has no scanner model, cannot write a scan stream\n"
+
+
+def test_simulate_scan_with_a_static_trajectory_fails(tmp_path: Path, capsys) -> None:
+    static = {**FLIGHT, "trajectory": {"kind": "static", "waypoints": [[0.0, 0.0, 20.0]]}}
+    err = _simulate_scan_fails_before_writing(tmp_path, capsys, static)
+    assert err == "error: scan generation requires a waypoint trajectory\n"
 
 
 def test_estimate_antenna_subset_and_feedback_flags(tmp_path: Path) -> None:

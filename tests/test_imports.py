@@ -6,6 +6,9 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -94,3 +97,18 @@ def test_perfbench_finds_every_name_it_uses() -> None:
     assert np.array_equal(row.v.as_array(), [0.0, 0.9, 0.0]) and row.w.norm() == 0.9
     fields = {f.name for f in dataclasses.fields(mgp.RobustAttitudeResult)}
     assert {"solution", "inlier_pairs", "iterations_used"} <= fields
+
+
+def test_cli_imports_no_process_pool() -> None:
+    """``ordered_map`` forks its worker itself: importing the CLI must not
+    load ``multiprocessing`` or ``concurrent.futures``, which cost set-up
+    time and peak RSS in every step."""
+    script = (
+        "import sys, mgp.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in"
+        " ('multiprocessing', 'concurrent')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", script], check=True, env=env,
+                         capture_output=True, text=True, encoding="utf-8").stdout
+    assert out == "[]\n"

@@ -1,11 +1,12 @@
 """The pulse path in blocks: ``georef`` and ``evaluate`` in bounded memory.
 
-``georef`` georeferences and writes a scan in blocks of
-``mgp.mapping.PULSE_BLOCK`` pulses (``pulse_blocks``), and ``evaluate``
-reads a cloud in blocks of as many lines or records (``cloud_blocks``).
-With small block sizes, down to one pulse, blocks end inside frames and
-wherever the size is reached, and the files, reports and messages must be
-those of a block size no file reaches: one block, the whole stream. A failed
+``georef`` georeferences and writes a scan in chunks of whole lines of
+about ``mgp.streams.SCAN_CHUNK`` characters (``scan_chunks``), and
+``evaluate`` reads a cloud in blocks of ``mgp.mapping.PULSE_BLOCK`` lines or
+records (``cloud_blocks``); every other chunk or block goes to the worker
+of ``ordered_map``. With small sizes, down to one line or record a chunk or
+block, the files, reports and messages must be those of a size no file
+reaches: one chunk or block, the whole stream, in one process. A failed
 ``georef`` must leave no partial cloud, and peak memory must not grow with
 the scan.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import re
 import struct
@@ -28,8 +30,10 @@ from mgp.cli import main
 from test_scan_differential import SCENARIOS
 
 SMALL = 37
-# a block size that no file here reaches: one block, the whole stream
+# sizes that no file here reaches: one block, the whole stream (WHOLE cloud
+# lines or records, WHOLE_SCAN scan characters)
 WHOLE = 1 << 20
+WHOLE_SCAN = 1 << 30
 MB = 1 << 20
 
 
@@ -86,38 +90,60 @@ def _chain_outputs(files: dict[str, Path], out: Path) -> list[object]:
     return got
 
 
+def _set_sizes(monkeypatch: pytest.MonkeyPatch, size: int) -> None:
+    """Scan chunks of ``size`` characters and cloud blocks of ``size`` lines
+    or records; at WHOLE, each file is one chunk or block."""
+    monkeypatch.setattr(mgp.streams, "SCAN_CHUNK", WHOLE_SCAN if size == WHOLE else size)
+    monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", size)
+
+
 @pytest.mark.parametrize("name", ["flight-10s", "descent"])
 def test_small_blocks_write_the_whole_stream_bytes(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, flight: dict[str, Path], name: str
 ) -> None:
     # descent has frames without a pulse
     files = flight if name == "flight-10s" else _files(tmp_path, name)
-    monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", WHOLE)
+    _set_sizes(monkeypatch, WHOLE)
     whole = _chain_outputs(files, tmp_path)
     assert all(code == 0 for code, _, _ in whole[0::4] + whole[1::4])
-    # blocks of one and two pulses on the shorter scan only: flight-10s
-    # holds 117k pulses, and one-pulse blocks would take it a minute
+    # the clouds of one in-process call over the whole scan
+    cloud, _ = mgp.georeference_stream(
+        mgp.read_poses(str(files["poses.csv"])), mgp.read_scan(str(files["scan.jsonl"])),
+        mgp.load_calibration(str(files["calib.json"])),
+    )
+    for k, suffix in ((2, ".xyz"), (6, ".bin")):
+        mgp.write_cloud(tmp_path / f"ref{suffix}", cloud)
+        assert whole[k] == (tmp_path / f"ref{suffix}").read_bytes(), suffix
+    # chunks and blocks of one and two lines or records on the shorter scan
+    # only: flight-10s holds 117k pulses, and one-record blocks would take
+    # it a minute
     for size in (1, 2, SMALL) if name == "descent" else (SMALL,):
-        monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", size)
+        _set_sizes(monkeypatch, size)
         assert _chain_outputs(files, tmp_path) == whole, size
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
-    # the small blocks are many, all but the last hold SMALL pulses, and
-    # some start inside a frame
-    frames = list(mgp.read_scan(str(files["scan.jsonl"])))
-    blocks = list(mgp.mapping.pulse_blocks(frames))
-    frame_starts = {float(f.pulses[0, 0]) for f in frames if len(f.pulses)}
+    # the small chunks are many, whole lines numbered from line 2, and each
+    # but the last ends at the line that takes it past SMALL characters;
+    # the small cloud blocks all but the last hold SMALL lines
+    lines = files["scan.jsonl"].read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    chunks = list(mgp.streams.scan_chunks(str(files["scan.jsonl"])))
+    assert len(chunks) > 10
+    assert [line for _, chunk in chunks for line in chunk] == lines
+    assert [first for first, _ in chunks] == list(
+        itertools.accumulate([len(chunk) for _, chunk in chunks[:-1]], initial=2)
+    )
+    for _, chunk in chunks[:-1]:
+        assert len("".join(chunk[:-1])) <= SMALL < len("".join(chunk))
+    blocks = list(mgp.mapping.cloud_blocks(tmp_path / "cloud.xyz"))
     assert len(blocks) > 10
-    assert {len(block.pulses) for block in blocks[:-1]} == {SMALL}
-    assert 0 < len(blocks[-1].pulses) <= SMALL
-    assert sum(len(block.pulses) for block in blocks) == sum(len(f.pulses) for f in frames)
-    assert any(block.t not in frame_starts for block in blocks)
+    assert {block.data.count("\n") for block in blocks[:-1]} == {SMALL}
+    assert 0 < blocks[-1].data.count("\n") <= SMALL
 
 
 def test_an_empty_scan_writes_an_empty_cloud(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", SMALL)
+    _set_sizes(monkeypatch, SMALL)
     poses = tmp_path / "poses.csv"
     mgp.write_poses(str(poses), mgp.Poses(
         np.array([0.0, 0.1]), np.zeros((2, 3)), np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)),
@@ -160,7 +186,7 @@ def test_a_scan_whose_times_go_back_writes_the_whole_stream_points(
     calib = mgp.load_calibration(str(flight["calib.json"]))
     whole, dropped = mgp.georeference_stream(poses, mgp.read_scan(str(scan)), calib)
 
-    monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", SMALL)
+    _set_sizes(monkeypatch, SMALL)
     cloud = tmp_path / "cloud.bin"
     code, out, _ = _georef(flight, scan, cloud)
     assert (code, out) == (0, f"wrote {len(whole)} points to {cloud} ({dropped} pulses dropped)\n")
@@ -221,7 +247,7 @@ def _assert_named_in_both_block_sizes(
     refl = tmp_path / "refl.json"
     refl.write_text('{"reflectors": [[0.0, 2.0, 0.0]]}', encoding="utf-8")
     for size in (SMALL, WHOLE):
-        monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", size)
+        _set_sizes(monkeypatch, size)
         with pytest.raises(mgp.InputError, match=f"^{re.escape(expected)}$"):
             mgp.read_cloud(cloud)
         report = tmp_path / "report.json"
@@ -232,7 +258,7 @@ def _assert_named_in_both_block_sizes(
 def test_crlf_and_lf_clouds_read_the_same_in_blocks(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", SMALL)
+    _set_sizes(monkeypatch, SMALL)
     lines = b"".join(_xyz_lines(3 * SMALL))
     (tmp_path / "lf.xyz").write_bytes(lines)
     (tmp_path / "crlf.xyz").write_bytes(lines.replace(b"\n", b"\r\n"))
@@ -246,11 +272,17 @@ def test_a_bad_scan_line_in_the_second_block_leaves_the_cloud_as_it_was(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, flight: dict[str, Path],
     earlier: bytes | None,
 ) -> None:
-    monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", SMALL)
+    _set_sizes(monkeypatch, SMALL)
+    # the chunk results the caller takes, each appended to the cloud
     written: list[int] = []
-    write_cloud = mgp.cli.write_cloud
-    monkeypatch.setattr(mgp.cli, "write_cloud", lambda out, c: (written.append(len(c)),
-                                                                write_cloud(out, c)))
+    ordered_map = mgp.cli.ordered_map
+
+    def recorded(fn, items):
+        for result in ordered_map(fn, items):
+            written.append(result[1])
+            yield result
+
+    monkeypatch.setattr(mgp.cli, "ordered_map", recorded)
     lines = flight["scan.jsonl"].read_text(encoding="utf-8").splitlines(keepends=True)
     k = 6  # a frame line read after the first blocks were written
     lines[k - 1] = lines[k - 1].replace("[", "[true, ", 2)
