@@ -43,8 +43,6 @@ from .mapping import (
     evaluate_reflectors,
     georeference,
     georeference_stream,
-    read_cloud,
-    write_cloud,
 )
 from .multipath import (
     MultipathReport,
@@ -97,9 +95,11 @@ from .streams import (
     epoch_to_dict,
     load_calibration,
     load_reflectors,
+    read_cloud,
     read_epochs,
     read_poses,
     read_scan,
+    write_cloud,
     write_epochs,
     write_json,
     write_poses,

@@ -22,21 +22,18 @@ from .errors import (
     ValidationError,
 )
 from .attitude import baseline_weights
-from .mapping import (
-    Cloud,
-    CloudBlock,
+from .mapping import Cloud, evaluate_reflectors, georeference_stream
+from .oracles import wahba_svd
+from .ordered import ordered_map
+from .simulator import load_scenario, simulate, scan_stream
+from .streams import (
     cloud_blocks,
     cloud_bytes,
     cloud_output,
     cloud_suffix,
-    evaluate_reflectors,
-    georeference_stream,
     read_cloud,
     write_cloud,  # not called here; perfbench/tracer.py wraps mgp.cli.write_cloud
 )
-from .oracles import wahba_svd
-from .ordered import ordered_map
-from .simulator import load_scenario, simulate, scan_stream
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -116,14 +113,14 @@ def _cmd_georef(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flagged(block: CloudBlock) -> np.ndarray:
-    cloud = read_cloud(block)
+def _flagged(path: str, block: tuple[int, list[str] | bytes]) -> np.ndarray:
+    cloud = read_cloud(path, block)
     return cloud.p[cloud.reflector]
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     # the report reads only the flagged points: keep those of each block
-    flagged = list(ordered_map(_flagged, cloud_blocks(args.cloud)))
+    flagged = list(ordered_map(lambda b: _flagged(args.cloud, b), cloud_blocks(args.cloud)))
     p = np.concatenate(flagged or [np.empty((0, 3))])
     reflectors, radius, min_hits = streams.load_reflectors(args.reflectors)
     report = evaluate_reflectors(

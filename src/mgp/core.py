@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, TextIO
 
 import numpy as np
 
@@ -108,31 +108,39 @@ def check_read_norm(q: list[float], what: str) -> None:
         raise ValidationError(f"{what} norm {norm!r} is not 1 within {QUAT_READ_TOL}")
 
 
-def utf8_fault(exc: UnicodeDecodeError) -> str:
-    """What is wrong with text read from a file that is not UTF-8: its
-    first byte that is not."""
-    return f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+def open_text(path: str | Path) -> TextIO:
+    """The UTF-8 text file at ``path``, open for reading as every reader of
+    mgp reads one: line ends ("\\r\\n", "\\r") read as "\\n", and each byte
+    that is not UTF-8 kept as a lone surrogate for :func:`utf8_line` to
+    name."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def utf8_text(data: bytes, path: str | Path, first_line: int = 1) -> str:
-    """``data``, the lines of the file at ``path`` from line ``first_line``
-    on, as text with its line ends read as ``open`` reads them ("\\r\\n" and
-    "\\r" as "\\n"); InputError naming ``path:line`` at its first byte that
-    is not UTF-8."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = first_line + data.count(b"\n", 0, exc.start)
-        raise InputError(f"{path}:{lineno}: {utf8_fault(exc)}") from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+def utf8_line(line: str) -> str:
+    """``line``, a line of a file that :func:`open_text` opened, without its
+    line end; ValidationError naming its first byte that is not UTF-8."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+            ) from None
+    return line
 
 
 def read_utf8(path: str | Path) -> str:
-    """The whole text of a UTF-8 file, as :func:`utf8_text` reads it."""
-    with open(path, "rb") as f:
-        return utf8_text(f.read(), path)
+    """The whole text of a UTF-8 file; InputError naming ``path:line`` at
+    the first line that :func:`utf8_line` rejects."""
+    with open_text(path) as f:
+        text = f.read()
+    if not text.isascii():
+        for lineno, line in enumerate(text.split("\n"), 1):
+            try:
+                utf8_line(line)
+            except ValidationError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+    return text
 
 
 def read_quaternion(q: list[float], what: str = "quaternion") -> UnitQuaternion:

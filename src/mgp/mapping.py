@@ -17,45 +17,30 @@ holds E epochs' times, positions and attitudes (NaN rows where missing), a
 :class:`ScanFrame` (n, 4) ``[t, x, y, z]`` pulse rows and (n,) bool reflector
 labels, a :class:`Cloud` (n, 3) ENU points and (n,) bool flags.
 
-The pulse path streams, so that its memory does not grow with the flight:
-georef takes a scan a chunk of lines at a time (``streams.scan_chunks``)
-and appends each chunk's points, encoded by :func:`cloud_bytes`, to a file
-that :func:`cloud_output` moves into place only once complete; and
-:func:`cloud_blocks` cuts a cloud file into blocks of :data:`PULSE_BLOCK`
-lines or records, which :func:`read_cloud` reads with absolute line and
-record numbers. The chunks' clouds, joined, are the whole stream's bit for
-bit, because every point is turned by elementwise products and sums in one
-order (``_turn``), never by a matrix product whose last bits can depend on
-how many rows it has: a point's bits depend on its own pulse and pose
-alone.
+The cloud file formats, and the chunked readers the pulse path streams
+through, live in :mod:`mgp.streams`; this module is geometry and
+evaluation only. georef turns a scan a chunk of lines at a time, and the
+chunks' clouds, joined, are the whole stream's bit for bit, because every
+point is turned by elementwise products and sums in one order
+(``_turn``), never by a matrix product whose last bits can depend on how
+many rows it has: a point's bits depend on its own pulse and pose alone.
 """
 from __future__ import annotations
 
-import itertools
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import UNIT_NORM_TOL, UnitQuaternion, Vec3, quat_to_matrix, utf8_text
-from .errors import InputError, ValidationError
+from .core import UNIT_NORM_TOL, UnitQuaternion, Vec3, quat_to_matrix
+from .errors import ValidationError
 
 # Half the 10 Hz pose interval: a pulse further than this from every pose
 # epoch has no usable pose.
 DEFAULT_MAX_POSE_GAP_S = 0.06
 DEFAULT_CLUSTER_RADIUS_M = 0.5
 DEFAULT_MIN_HITS = 10
-# Cloud lines or records read at a time: evaluate holds a few blocks of
-# this size, whatever the flight length.
-PULSE_BLOCK = 4096
-
-# One .bin cloud record: E, N, U as little-endian float64, then the flag
-# byte; 25 bytes, unpadded (the struct layout "<dddB").
-_BIN_RECORD = np.dtype([("p", "<f8", (3,)), ("flag", "u1")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,152 +237,3 @@ def evaluate_reflectors(
         rms_vertical_m=math.sqrt(sum(e.z**2 for e in errs) / n) if n else None,
         unresolved=len(results) - n,
     )
-
-
-def cloud_suffix(path: str | Path) -> str:
-    """The suffix that picks a cloud file's format, ``.xyz`` (ASCII) or
-    ``.bin`` (binary); any other raises InputError."""
-    suffix = Path(path).suffix
-    if suffix not in (".xyz", ".bin"):
-        raise InputError(f"unsupported cloud extension {suffix!r} (use .xyz or .bin)")
-    return suffix
-
-
-@contextmanager
-def cloud_output(path: str | Path) -> Iterator[BinaryIO]:
-    """A new binary file for the cloud at ``path``: made in its directory
-    under a hidden name with the same suffix, moved onto ``path`` when the
-    ``with`` block ends, and removed if the block raises. A failed write
-    leaves no partial cloud, and an earlier file at ``path`` as it was."""
-    path = Path(path)
-    cloud_suffix(path)
-    tmp = path.with_name(f".{path.stem}-{os.urandom(4).hex()}{path.suffix}")
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def cloud_bytes(cloud: Cloud, suffix: str) -> bytes:
-    """``cloud`` in the file format of ``suffix``, ``.xyz`` or ``.bin``
-    (:func:`cloud_suffix`); a file's bytes are its parts' bytes joined."""
-    if suffix == ".xyz":
-        flags = cloud.reflector.astype(np.uint8).tolist()
-        return "".join(
-            f"{e!r} {n!r} {u!r} {f}\n" for (e, n, u), f in zip(cloud.p.tolist(), flags)
-        ).encode()
-    rec = np.empty(len(cloud), dtype=_BIN_RECORD)
-    rec["p"], rec["flag"] = cloud.p, cloud.reflector
-    return rec.tobytes()
-
-
-def write_cloud(dest: str | Path | BinaryIO, cloud: Cloud) -> None:
-    """Write ``cloud`` in the format the suffix of its name picks
-    (:func:`cloud_suffix`): as the whole file at the path ``dest``, through
-    :func:`cloud_output`, or appended to ``dest``, a file that
-    :func:`cloud_output` opened."""
-    if isinstance(dest, (str, Path)):
-        with cloud_output(dest) as out:
-            write_cloud(out, cloud)
-    else:
-        dest.write(cloud_bytes(cloud, cloud_suffix(dest.name)))
-
-
-@dataclass(frozen=True, eq=False)
-class CloudBlock:
-    """Whole lines (.xyz: text, its line ends read as ``open`` reads them)
-    or whole records (.bin: bytes) of the cloud file ``path``, from its line
-    or record ``first``, counted from 1."""
-
-    path: Path
-    first: int
-    data: str | bytes
-
-
-def cloud_blocks(path: str | Path) -> Iterator[CloudBlock]:
-    """The cloud file at ``path`` in blocks of :data:`PULSE_BLOCK` lines or
-    records, each for :func:`read_cloud`. A .xyz byte that is not UTF-8
-    raises InputError naming ``path:line``."""
-    path = Path(path)
-    binary = cloud_suffix(path) == ".bin"
-    with open(path, "rb") as fh:
-        if binary:
-            size = PULSE_BLOCK * _BIN_RECORD.itemsize
-            for k, data in enumerate(iter(lambda: fh.read(size), b"")):
-                yield CloudBlock(path, k * PULSE_BLOCK + 1, data)
-            return
-        first = raw_first = 1
-        while lines := list(itertools.islice(fh, PULSE_BLOCK)):
-            # a line that "\r" alone ends counts for `first`, not for `raw_first`
-            text = utf8_text(b"".join(lines), path, raw_first)
-            raw_first += len(lines)
-            yield CloudBlock(path, first, text)
-            first += text.count("\n") + (not text.endswith("\n"))
-
-
-def _xyz_columns(block: CloudBlock) -> np.ndarray:
-    """The ``E N U flag`` columns of a .xyz block, one (n, 4) row per line.
-    A line that is not four numbers raises InputError naming it."""
-    text = block.data
-    try:
-        # loadtxt warns on input without data; the loop below names its
-        # first line. The lines go in split at "\n" only, as StringIO splits.
-        if not text.isspace():
-            cols = np.loadtxt(text.split("\n"), ndmin=2, comments=None)
-            if cols.shape == (text.count("\n") + (not text.endswith("\n")), 4):
-                return cols
-    except ValueError:
-        pass
-    # the bulk parse failed or skipped a blank line: name the first line that
-    # is not four columns (split at the whitespace loadtxt splits at), or its
-    # first cell loadtxt does not read (float() would also take "1_0" or "１")
-    for lineno, line in enumerate(text.removesuffix("\n").split("\n"), block.first):
-        cells = line.split()
-        if len(cells) != 4:
-            raise InputError(
-                f"{block.path}:{lineno}: expected 4 columns 'E N U flag', got {len(cells)}"
-            )
-        for cell in cells:
-            try:
-                np.loadtxt([cell], comments=None)
-            except ValueError:
-                raise InputError(f"{block.path}:{lineno}: {cell!r} is not a number") from None
-    raise InputError(f"{block.path}: unreadable cloud file")
-
-
-def read_cloud(source: str | Path | CloudBlock) -> Cloud:
-    """The cloud of a file written by :func:`write_cloud`, or of one block
-    of it (:func:`cloud_blocks`); the file's cloud is its blocks' clouds
-    joined. A line that is not four numbers, a non-finite coordinate, a
-    flag other than 0/1 or a truncated record raises InputError naming
-    ``path:line`` (.xyz) or ``path: record k`` (.bin, counted from 1): the
-    first in the first block that has one."""
-    if not isinstance(source, CloudBlock):
-        clouds = [read_cloud(block) for block in cloud_blocks(source)]
-        return Cloud(
-            p=np.concatenate([c.p for c in clouds] or [np.empty((0, 3))]),
-            reflector=np.concatenate([c.reflector for c in clouds] or [np.empty(0, dtype=bool)]),
-        )
-    path, data = source.path, source.data
-    if isinstance(data, str):
-        cols = _xyz_columns(source)
-        p, flag, where = cols[:, :3], cols[:, 3], f"{path}:"
-    else:
-        if len(data) % _BIN_RECORD.itemsize:
-            k = source.first + len(data) // _BIN_RECORD.itemsize
-            raise InputError(f"{path}: record {k}: truncated")
-        rec = np.frombuffer(data, dtype=_BIN_RECORD)
-        p, flag, where = rec["p"], rec["flag"], f"{path}: record "
-    finite = np.isfinite(p).all(axis=1)
-    bad = np.flatnonzero(~finite | ((flag != 0) & (flag != 1)))
-    if len(bad):
-        k = bad[0]
-        what = f"non-finite point {tuple(p[k].tolist())}"
-        if finite[k]:
-            what = f"flag {flag[k]:g} is not 0 or 1"
-        raise InputError(f"{where}{source.first + k}: {what}")
-    return Cloud(p=np.ascontiguousarray(p), reflector=flag == 1)

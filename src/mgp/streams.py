@@ -49,6 +49,17 @@ Formats:
     positions, quaternions of norm within ``QUAT_READ_TOL`` (:mod:`mgp.core`)
     of 1, a nonnegative ``n_fix``, and an ``att_available`` of 0 or 1, with
     the quaternion cells filled exactly when it is 1.
+  * Point cloud: ``.xyz`` text, one ``E N U flag`` line per point, or
+    ``.bin``, one unpadded 25-byte ``<dddB`` record per point; the suffix
+    picks the format (:func:`cloud_suffix`). In memory a :class:`Cloud`.
+
+Every text file is opened by :func:`core.open_text`, which reads "\\r\\n"
+and "\\r" line ends as "\\n", and each line is checked by
+:func:`core.utf8_line` (the configs by :func:`core.read_utf8`). The scan and
+a .xyz cloud are read in chunks of whole lines, each ending at the line that
+takes it past :data:`CHUNK` characters, a .bin cloud in blocks of the whole
+records of ``CHUNK`` bytes; each chunk carries the number of its first line
+or record.
 
 All floats are serialized with Python repr (shortest round-trip), so a
 read/write cycle is byte-stable and exact-inverse tests can run through
@@ -69,20 +80,24 @@ import importlib.resources
 import itertools
 import json
 import math
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from pathlib import Path
+from typing import Any, BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
 from . import jsonvals
 from .attitude import Baselines
-from .core import UnitQuaternion, Vec3, check_read_norm, unit_quats, utf8_fault
+from .core import UnitQuaternion, Vec3, check_read_norm, open_text, unit_quats, utf8_line
 from .epochs import _DRAW_KEYS, ChannelDraws, EpochRecord, EpochTruth, FixModel, RequeryData
 from .errors import InputError, ValidationError
 from .mapping import (
     DEFAULT_CLUSTER_RADIUS_M,
     DEFAULT_MIN_HITS,
+    Cloud,
     MountCalibration,
     Poses,
     ScanFrame,
@@ -93,9 +108,13 @@ from .positioning import FIX_GRADES, Fixes
 EPOCH_HEADER = {"format": "mgp-epoch", "version": 1}
 SCAN_HEADER = {"format": "mgp-scan", "version": 1}
 POSE_CSV_HEADER = "t,E,N,U,qx,qy,qz,qw,n_fix,att_available"
-# Scan text read at a time (:func:`scan_chunks`), in characters: georef
-# holds a few chunks of this size, whatever the flight length or frame size.
-SCAN_CHUNK = 1 << 18
+# Chunk size of the chunked readers (module docstring): georef and evaluate
+# hold a few chunks, whatever the flight length or frame size.
+CHUNK = 1 << 18
+
+# One .bin cloud record: E, N, U as little-endian float64, then the flag
+# byte; 25 bytes, unpadded (the struct layout "<dddB").
+_BIN_RECORD = np.dtype([("p", "<f8", (3,)), ("flag", "u1")])
 
 
 _GRADE_NAMES = tuple(status.value for status in FIX_GRADES)
@@ -392,18 +411,6 @@ def write_epochs(path: str, epochs: Iterable[EpochRecord]) -> int:
     return _write_lines(path, EPOCH_HEADER, map(epoch_to_dict, epochs))
 
 
-def _utf8(line: str) -> str:
-    """A line of a file opened with ``errors="surrogateescape"``, which
-    keeps each byte that is not UTF-8 as a lone surrogate; raise
-    ValidationError if the line holds one."""
-    if not line.isascii():
-        try:
-            line.encode("utf-8", "surrogateescape").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(utf8_fault(exc)) from None
-    return line
-
-
 def _check_header(line: str, expected: dict[str, Any], path: str) -> None:
     if not line:
         raise InputError(f"{path}: empty stream file")
@@ -418,7 +425,7 @@ def _check_header(line: str, expected: dict[str, Any], path: str) -> None:
 def _parsed(line: str) -> Any:
     """The JSON value of a line, or the fault that keeps it from one."""
     try:
-        return jsonvals.loads(_utf8(line))
+        return jsonvals.loads(utf8_line(line))
     except (ValueError, ValidationError) as exc:
         return exc
 
@@ -434,7 +441,7 @@ def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[
     each such line is skipped and recorded in it. A wrong header always
     aborts: that is the wrong file, not a bad epoch.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+    with open_text(path) as f:
         _check_header(f.readline(), EPOCH_HEADER, path)
         lines = ((n, _parsed(line)) for n, line in enumerate(map(str.strip, f), start=2) if line)
         while block := list(itertools.islice(lines, READ_BLOCK)):
@@ -487,17 +494,22 @@ def _scan_frame(d: Any) -> ScanFrame:
     return ScanFrame(t=t, pulses=rows[:, :4].copy(), reflector=flag == 1)
 
 
+def _text_chunks(f: TextIO, first: int) -> Iterator[tuple[int, list[str]]]:
+    """The lines of ``f``, a file that :func:`core.open_text` opened, from
+    its line ``first`` on, in chunks of whole lines, each ending at the line
+    that takes it past :data:`CHUNK` characters, and each with the number
+    of its first line."""
+    while lines := f.readlines(CHUNK):
+        yield first, lines
+        first += len(lines)
+
+
 def scan_chunks(path: str) -> Iterator[tuple[int, list[str]]]:
-    """The lines of the scan file at ``path`` after its header, which is
-    checked first, in chunks of whole lines, each ending at the line that
-    takes it past ``SCAN_CHUNK`` characters, and each with the number of its
-    first line: the input of :func:`scan_frames`."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+    """The :func:`_text_chunks` of the scan file at ``path`` after its
+    header, which is checked first: the input of :func:`scan_frames`."""
+    with open_text(path) as f:
         _check_header(f.readline(), SCAN_HEADER, path)
-        first = 2
-        while lines := f.readlines(SCAN_CHUNK):
-            yield first, lines
-            first += len(lines)
+        yield from _text_chunks(f, 2)
 
 
 def scan_frames(path: str, first: int, lines: list[str]) -> Iterator[ScanFrame]:
@@ -507,7 +519,7 @@ def scan_frames(path: str, first: int, lines: list[str]) -> Iterator[ScanFrame]:
     for lineno, line in enumerate(map(str.strip, lines), start=first):
         if line:
             try:
-                yield _scan_frame(jsonvals.loads(_utf8(line)))
+                yield _scan_frame(jsonvals.loads(utf8_line(line)))
             except (ValueError, ValidationError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
 
@@ -581,7 +593,7 @@ def read_poses(path: str) -> Poses:
     """The poses of a pose CSV, each quaternion normalized. A row that breaks
     a rule of the module docstring raises InputError naming ``path:line``."""
     values: list[list[float]] = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+    with open_text(path) as f:
         header = f.readline().rstrip("\n")
         if header != POSE_CSV_HEADER:
             raise InputError(f"{path}: unexpected CSV header {header!r}")
@@ -590,7 +602,7 @@ def read_poses(path: str) -> Poses:
             if not line:
                 continue
             try:
-                cells = _utf8(line).split(",")
+                cells = utf8_line(line).split(",")
                 if len(cells) != 10:
                     raise ValidationError(f"expected 10 cells, got {len(cells)}")
                 row = _pose_row(cells)
@@ -604,6 +616,140 @@ def read_poses(path: str) -> Poses:
     data = np.array(values, dtype=np.float64).reshape(-1, 9)
     q = unit_quats(data[:, 4:8], canonicalize=False)
     return Poses.checked(data[:, 0], data[:, 1:4], q, data[:, 8].astype(np.int64))
+
+
+def cloud_suffix(path: str | Path) -> str:
+    """The suffix that picks a cloud file's format, ``.xyz`` (ASCII) or
+    ``.bin`` (binary); any other raises InputError."""
+    suffix = Path(path).suffix
+    if suffix not in (".xyz", ".bin"):
+        raise InputError(f"unsupported cloud extension {suffix!r} (use .xyz or .bin)")
+    return suffix
+
+
+@contextmanager
+def cloud_output(path: str | Path) -> Iterator[BinaryIO]:
+    """A new binary file for the cloud at ``path``: made in its directory
+    under a hidden name with the same suffix, moved onto ``path`` when the
+    ``with`` block ends, and removed if the block raises. A failed write
+    leaves no partial cloud, and an earlier file at ``path`` as it was."""
+    path = Path(path)
+    cloud_suffix(path)
+    tmp = path.with_name(f".{path.stem}-{os.urandom(4).hex()}{path.suffix}")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def cloud_bytes(cloud: Cloud, suffix: str) -> bytes:
+    """``cloud`` in the file format of ``suffix``, ``.xyz`` or ``.bin``
+    (:func:`cloud_suffix`); a file's bytes are its parts' bytes joined."""
+    if suffix == ".xyz":
+        flags = cloud.reflector.astype(np.uint8).tolist()
+        return "".join(
+            f"{e!r} {n!r} {u!r} {f}\n" for (e, n, u), f in zip(cloud.p.tolist(), flags)
+        ).encode()
+    rec = np.empty(len(cloud), dtype=_BIN_RECORD)
+    rec["p"], rec["flag"] = cloud.p, cloud.reflector
+    return rec.tobytes()
+
+
+def write_cloud(dest: str | Path | BinaryIO, cloud: Cloud) -> None:
+    """Write ``cloud`` in the format the suffix of its name picks
+    (:func:`cloud_suffix`): as the whole file at the path ``dest``, through
+    :func:`cloud_output`, or appended to ``dest``, a file that
+    :func:`cloud_output` opened."""
+    if isinstance(dest, (str, Path)):
+        with cloud_output(dest) as out:
+            write_cloud(out, cloud)
+    else:
+        dest.write(cloud_bytes(cloud, cloud_suffix(dest.name)))
+
+
+def cloud_blocks(path: str | Path) -> Iterator[tuple[int, list[str] | bytes]]:
+    """The cloud file at ``path`` in blocks for :func:`read_cloud`, each
+    with the number of its first line or record: a .xyz file in the
+    :func:`_text_chunks` of its lines, a .bin file in the whole records of
+    :data:`CHUNK` bytes, at least one."""
+    if cloud_suffix(path) == ".xyz":
+        with open_text(path) as f:
+            yield from _text_chunks(f, 1)
+        return
+    n = max(1, CHUNK // _BIN_RECORD.itemsize)
+    with open(path, "rb") as f:
+        for k, data in enumerate(iter(lambda: f.read(n * _BIN_RECORD.itemsize), b"")):
+            yield k * n + 1, data
+
+
+def _xyz_columns(path: str | Path, first: int, lines: list[str]) -> np.ndarray:
+    """The ``E N U flag`` columns of ``lines``, lines ``first`` on of the
+    .xyz file at ``path``, one (n, 4) row per line. A line that is not UTF-8
+    or not four numbers raises InputError naming it."""
+    try:
+        # loadtxt warns on input without data; the loop below names its
+        # first line
+        if any(not line.isspace() for line in lines):
+            cols = np.loadtxt(lines, ndmin=2, comments=None)
+            if cols.shape == (len(lines), 4):
+                return cols
+    except ValueError:
+        pass
+    # the bulk parse failed or skipped a blank line: name the first line that
+    # is not UTF-8, not four columns (split at the whitespace loadtxt splits
+    # at), or has a first cell loadtxt does not read (float() would also
+    # take "1_0" or "１")
+    for lineno, line in enumerate(lines, first):
+        try:
+            cells = utf8_line(line.strip()).split()
+        except ValidationError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        if len(cells) != 4:
+            raise InputError(f"{path}:{lineno}: expected 4 columns 'E N U flag', got {len(cells)}")
+        for cell in cells:
+            try:
+                np.loadtxt([cell], comments=None)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: {cell!r} is not a number") from None
+    raise InputError(f"{path}: unreadable cloud file")
+
+
+def read_cloud(path: str | Path, block: tuple[int, list[str] | bytes] | None = None) -> Cloud:
+    """The cloud of a file written by :func:`write_cloud`, or of one
+    ``block`` of it (:func:`cloud_blocks`); the file's cloud is its blocks'
+    clouds joined. A line that is not UTF-8 or not four numbers, a
+    non-finite coordinate, a flag other than 0/1 or a truncated record
+    raises InputError naming ``path:line`` (.xyz) or ``path: record k``
+    (.bin, counted from 1): the first in the first block that has one."""
+    if block is None:
+        clouds = [read_cloud(path, block) for block in cloud_blocks(path)]
+        return Cloud(
+            p=np.concatenate([c.p for c in clouds] or [np.empty((0, 3))]),
+            reflector=np.concatenate([c.reflector for c in clouds] or [np.empty(0, dtype=bool)]),
+        )
+    first, data = block
+    if isinstance(data, bytes):
+        if len(data) % _BIN_RECORD.itemsize:
+            k = first + len(data) // _BIN_RECORD.itemsize
+            raise InputError(f"{path}: record {k}: truncated")
+        rec = np.frombuffer(data, dtype=_BIN_RECORD)
+        p, flag, where = rec["p"], rec["flag"], f"{path}: record "
+    else:
+        cols = _xyz_columns(path, first, data)
+        p, flag, where = cols[:, :3], cols[:, 3], f"{path}:"
+    finite = np.isfinite(p).all(axis=1)
+    bad = np.flatnonzero(~finite | ((flag != 0) & (flag != 1)))
+    if len(bad):
+        k = bad[0]
+        what = f"non-finite point {tuple(p[k].tolist())}"
+        if finite[k]:
+            what = f"flag {flag[k]:g} is not 0 or 1"
+        raise InputError(f"{where}{first + k}: {what}")
+    return Cloud(p=np.ascontiguousarray(p), reflector=flag == 1)
 
 
 def write_json(path: str, payload: dict[str, Any]) -> None:

@@ -474,6 +474,12 @@ def test_config_with_bytes_not_utf8_names_the_line(tmp_path: Path, capsys) -> No
                  "--poses", files["poses.csv"], "--metrics", files["m.json"]])
     assert code == 1
     assert capsys.readouterr().err == f"error: {pipe}:4: {_NOT_UTF8}\n"
+    # lines that "\r" alone ends count as lines too
+    pipe.write_bytes(b'{\r  "multipath_feedback": true,\r\r\r  "\xff\xfe": 1\r}\r')
+    code = main(["estimate", "--epochs", files["epochs.jsonl"], "--config", str(pipe),
+                 "--poses", files["poses.csv"], "--metrics", files["m.json"]])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {pipe}:5: {_NOT_UTF8}\n"
 
 
 # JSON nested deeper than the parser's recursion limit

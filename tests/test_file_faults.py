@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mgp
 from mgp.cli import main
 
 from test_cli import _chain_files
@@ -254,3 +255,44 @@ def test_evaluate_names_the_faulty_bin_record(
     cloud = tmp_path / "cloud.bin"
     cloud.write_bytes(raw)
     _assert_named(*_evaluate(chain, cloud, tmp_path), f"{cloud}: record {k}")
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        (b"\xff\xfe", "byte 0xff is not UTF-8 (invalid start byte)"),
+        # the first two bytes of the three of "\u20ac", cut by the line end
+        (b"\xe2\x82", "byte 0xe2 is not UTF-8 (unexpected end of data)"),
+    ],
+    ids=["invalid-start", "cut-by-line-end"],
+)
+def test_every_reader_names_a_byte_not_utf8_by_one_rule(
+    chain, tmp_path: Path, newline: bytes, bad: bytes, reason: str
+) -> None:
+    """The same bytes at the end of line 3, under each line end: every text
+    reader names the same ``path:line`` and the same reason."""
+    (tmp_path / "calib.json").write_bytes(b'{\n  "lever_arm":\n  [0.0, 0.0, 0.0]\n}\n')
+    paths = {}
+    for name in ("epochs.jsonl", "scan.jsonl", "poses.csv", "cloud.xyz", "calib.json"):
+        source = Path(chain[name]) if name != "calib.json" else tmp_path / name
+        lines = source.read_bytes().split(b"\n")
+        lines[2] += bad
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(newline.join(lines))
+
+    readers = {
+        "epochs.jsonl": lambda path: list(mgp.read_epochs(path)),
+        "scan.jsonl": lambda path: list(mgp.read_scan(path)),
+        "poses.csv": mgp.read_poses,
+        "cloud.xyz": mgp.read_cloud,
+        "calib.json": mgp.load_calibration,
+    }
+    for name, read in readers.items():
+        with pytest.raises(mgp.InputError) as exc:
+            read(str(paths[name]))
+        assert str(exc.value) == f"{paths[name]}:3: {reason}", name
+    diagnostics: list[str] = []
+    epochs = list(mgp.read_epochs(str(paths["epochs.jsonl"]), diagnostics=diagnostics))
+    assert diagnostics == [f"{paths['epochs.jsonl']}:3: skipped epoch: {reason}"]
+    assert len(epochs) == len(list(mgp.read_epochs(chain["epochs.jsonl"]))) - 1

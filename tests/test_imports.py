@@ -1,5 +1,6 @@
-"""Module layering: estimation code does not depend on the simulator, and
-the benchmark under perfbench/ finds every name it uses."""
+"""Module layering: estimation code does not depend on the simulator, every
+file is opened in the I/O modules, and the benchmark under perfbench/ finds
+every name it uses."""
 from __future__ import annotations
 
 import ast
@@ -21,6 +22,11 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the modules that may import mgp.simulator: the package exports and the
 # CLI's simulate step
 SIMULATOR_IMPORTERS = {"__init__.py", "cli.py"}
+# the modules that may open a file by its path: every file format is read
+# and written in mgp.streams, and mgp.core reads the config files' text
+FILE_OPENERS = {"core.py", "streams.py"}
+# the calls that open a file by its path, besides the builtin open
+_OPEN_METHODS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
@@ -59,6 +65,45 @@ def test_import_scan_sees_every_form() -> None:
     ):
         assert "mgp.simulator" in _imported_modules(ast.parse(source)), source
     assert "mgp.simulator" not in _imported_modules(ast.parse("from .streams import simulator_x"))
+
+
+def _opens_files(tree: ast.Module) -> bool:
+    """Whether a module calls ``open``, ``io.open`` or a ``Path`` method
+    that opens a file; ``os.open`` and ``os.fdopen`` take descriptors and
+    pipes, not file formats, and do not count."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            return True
+        if (isinstance(func, ast.Attribute) and func.attr in _OPEN_METHODS
+                and not (isinstance(func.value, ast.Name) and func.value.id == "os")):
+            return True
+    return False
+
+
+def test_only_streams_and_core_open_files() -> None:
+    openers = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if _opens_files(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert set(openers) == FILE_OPENERS, openers
+
+
+def test_open_scan_sees_every_form() -> None:
+    for source in (
+        "open(p)",
+        "with open(p, 'rb') as f:\n    pass\n",
+        "io.open(p)",
+        "Path(p).read_text()",
+        "p.write_bytes(b'')",
+        "def f():\n    return open(p)\n",
+    ):
+        assert _opens_files(ast.parse(source)), source
+    for source in ("os.open(os.devnull, os.O_WRONLY)", "os.fdopen(fd, 'rb')", "f.opened()"):
+        assert not _opens_files(ast.parse(source)), source
 
 
 def test_perfbench_finds_every_name_it_uses() -> None:

@@ -152,30 +152,37 @@ def test_a_bad_scan_line_reads_the_same_in_either_process(
     with pytest.raises(mgp.InputError) as one_process:
         list(mgp.read_scan(str(scan)))
     assert str(one_process.value).startswith(f"{scan}:{linenos[0]}: ")
-    monkeypatch.setattr(mgp.streams, "SCAN_CHUNK", 1)
+    monkeypatch.setattr(mgp.streams, "CHUNK", 1)
     cloud = out / f"cloud{suffix}"
     assert _georef(descent, scan, cloud) == (1, "", f"error: {one_process.value}\n")
     assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
-    "linenos",
-    [[2 * 37 + 1], [37 + 1], [37 + 1, 2 * 37 + 1], [37, 37 + 1]],
+    "places",
+    [[(2, 0)], [(1, 0)], [(1, 0), (2, 0)], [(1, -1), (1, 0)]],
     ids=["caller", "worker", "worker-then-caller", "caller-then-worker"],
 )
 def test_a_bad_cloud_line_reads_the_same_in_either_process(
-    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, linenos: list[int]
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, places: list[tuple[int, int]]
 ) -> None:
-    # blocks of 37 lines: line 38 opens block 1, the worker's, line 75
-    # block 2, the caller's
+    # chunks of 925 characters, three of them: block 1 is the worker's,
+    # block 2 the caller's, and a place (k, d) is line d after the first of
+    # block k. A flag of 2 in place of 0 or 1 keeps the line length, and so
+    # the cuts.
+    monkeypatch.setattr(mgp.streams, "CHUNK", 37 * 25)
     lines = _xyz_lines(4 * 37)
-    for k in linenos:
-        lines[k - 1] = b"1.0 2.0 3.0 2\n"
     cloud = tmp_path / "cloud.xyz"
     cloud.write_bytes(b"".join(lines))
+    starts = [first for first, _ in mgp.streams.cloud_blocks(cloud)]
+    assert len(starts) == 3
+    linenos = [starts[k] + d for k, d in places]
+    for k in linenos:
+        lines[k - 1] = lines[k - 1][:-2] + b"2\n"
+    cloud.write_bytes(b"".join(lines))
+    assert [first for first, _ in mgp.streams.cloud_blocks(cloud)] == starts
     refl = tmp_path / "refl.json"
     refl.write_text('{"reflectors": [[0.0, 2.0, 0.0]]}', encoding="utf-8")
-    monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", 37)
     report = tmp_path / "report.json"
     expected = f"error: {cloud}:{linenos[0]}: flag 2 is not 0 or 1\n"
     assert _evaluate(refl, cloud, report) == (1, "", expected)

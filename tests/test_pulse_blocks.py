@@ -1,14 +1,14 @@
 """The pulse path in blocks: ``georef`` and ``evaluate`` in bounded memory.
 
 ``georef`` georeferences and writes a scan in chunks of whole lines of
-about ``mgp.streams.SCAN_CHUNK`` characters (``scan_chunks``), and
-``evaluate`` reads a cloud in blocks of ``mgp.mapping.PULSE_BLOCK`` lines or
-records (``cloud_blocks``); every other chunk or block goes to the worker
-of ``ordered_map``. With small sizes, down to one line or record a chunk or
-block, the files, reports and messages must be those of a size no file
-reaches: one chunk or block, the whole stream, in one process. A failed
-``georef`` must leave no partial cloud, and peak memory must not grow with
-the scan.
+about ``mgp.streams.CHUNK`` characters (``scan_chunks``), and ``evaluate``
+reads a .xyz cloud in chunks of whole lines cut the same way and a .bin
+cloud in blocks of the whole records of ``CHUNK`` bytes (``cloud_blocks``);
+every other chunk or block goes to the worker of ``ordered_map``. With small
+sizes, down to one line or record a chunk or block, the files, reports and
+messages must be those of a size no file reaches: one chunk or block, the
+whole stream, in one process. A failed ``georef`` must leave no partial
+cloud, and peak memory must not grow with the scan.
 """
 from __future__ import annotations
 
@@ -30,10 +30,11 @@ from mgp.cli import main
 from test_scan_differential import SCENARIOS
 
 SMALL = 37
-# sizes that no file here reaches: one block, the whole stream (WHOLE cloud
-# lines or records, WHOLE_SCAN scan characters)
-WHOLE = 1 << 20
-WHOLE_SCAN = 1 << 30
+RECORD = struct.calcsize("<dddB")
+# chunk sizes: blocks of SMALL .bin records (about 15 .xyz lines, one scan
+# line), and one that no file here reaches: one block, the whole stream
+SMALL_CHUNK = SMALL * RECORD
+WHOLE = 1 << 30
 MB = 1 << 20
 
 
@@ -91,10 +92,10 @@ def _chain_outputs(files: dict[str, Path], out: Path) -> list[object]:
 
 
 def _set_sizes(monkeypatch: pytest.MonkeyPatch, size: int) -> None:
-    """Scan chunks of ``size`` characters and cloud blocks of ``size`` lines
-    or records; at WHOLE, each file is one chunk or block."""
-    monkeypatch.setattr(mgp.streams, "SCAN_CHUNK", WHOLE_SCAN if size == WHOLE else size)
-    monkeypatch.setattr(mgp.mapping, "PULSE_BLOCK", size)
+    """Scan and .xyz chunks of ``size`` characters and .bin blocks of the
+    whole records of ``size`` bytes; at WHOLE, each file is one chunk or
+    block."""
+    monkeypatch.setattr(mgp.streams, "CHUNK", size)
 
 
 @pytest.mark.parametrize("name", ["flight-10s", "descent"])
@@ -114,36 +115,40 @@ def test_small_blocks_write_the_whole_stream_bytes(
     for k, suffix in ((2, ".xyz"), (6, ".bin")):
         mgp.write_cloud(tmp_path / f"ref{suffix}", cloud)
         assert whole[k] == (tmp_path / f"ref{suffix}").read_bytes(), suffix
-    # chunks and blocks of one and two lines or records on the shorter scan
-    # only: flight-10s holds 117k pulses, and one-record blocks would take
-    # it a minute
-    for size in (1, 2, SMALL) if name == "descent" else (SMALL,):
+    # chunks of one line and blocks of one and two records on the shorter
+    # scan only: flight-10s holds 117k pulses, and one-record blocks would
+    # take it a minute
+    for size in (1, 2 * RECORD, SMALL_CHUNK) if name == "descent" else (SMALL_CHUNK,):
         _set_sizes(monkeypatch, size)
         assert _chain_outputs(files, tmp_path) == whole, size
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".")]
 
-    # the small chunks are many, whole lines numbered from line 2, and each
-    # but the last ends at the line that takes it past SMALL characters;
-    # the small cloud blocks all but the last hold SMALL lines
-    lines = files["scan.jsonl"].read_text(encoding="utf-8").splitlines(keepends=True)[1:]
-    chunks = list(mgp.streams.scan_chunks(str(files["scan.jsonl"])))
-    assert len(chunks) > 10
-    assert [line for _, chunk in chunks for line in chunk] == lines
-    assert [first for first, _ in chunks] == list(
-        itertools.accumulate([len(chunk) for _, chunk in chunks[:-1]], initial=2)
-    )
-    for _, chunk in chunks[:-1]:
-        assert len("".join(chunk[:-1])) <= SMALL < len("".join(chunk))
-    blocks = list(mgp.mapping.cloud_blocks(tmp_path / "cloud.xyz"))
+    # the small scan and .xyz chunks are many, whole lines numbered from the
+    # scan's line 2 and the cloud's line 1, and each but the last ends at
+    # the line that takes it past SMALL_CHUNK characters; the small .bin
+    # blocks all but the last hold SMALL records
+    for path, first in ((files["scan.jsonl"], 2), (tmp_path / "cloud.xyz", 1)):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)[first - 1:]
+        chunks = list(mgp.streams.scan_chunks(str(path)) if first == 2
+                      else mgp.streams.cloud_blocks(path))
+        assert len(chunks) > 10
+        assert [line for _, chunk in chunks for line in chunk] == lines
+        assert [k for k, _ in chunks] == list(
+            itertools.accumulate([len(chunk) for _, chunk in chunks[:-1]], initial=first)
+        )
+        for _, chunk in chunks[:-1]:
+            assert len("".join(chunk[:-1])) <= SMALL_CHUNK < len("".join(chunk))
+    blocks = list(mgp.streams.cloud_blocks(tmp_path / "cloud.bin"))
     assert len(blocks) > 10
-    assert {block.data.count("\n") for block in blocks[:-1]} == {SMALL}
-    assert 0 < blocks[-1].data.count("\n") <= SMALL
+    assert [k for k, _ in blocks] == list(range(1, SMALL * len(blocks), SMALL))
+    assert {len(data) for _, data in blocks[:-1]} == {SMALL_CHUNK}
+    assert 0 < len(blocks[-1][1]) <= SMALL_CHUNK
 
 
 def test_an_empty_scan_writes_an_empty_cloud(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    _set_sizes(monkeypatch, SMALL)
+    _set_sizes(monkeypatch, SMALL_CHUNK)
     poses = tmp_path / "poses.csv"
     mgp.write_poses(str(poses), mgp.Poses(
         np.array([0.0, 0.1]), np.zeros((2, 3)), np.tile([0.0, 0.0, 0.0, 1.0], (2, 1)),
@@ -186,7 +191,7 @@ def test_a_scan_whose_times_go_back_writes_the_whole_stream_points(
     calib = mgp.load_calibration(str(flight["calib.json"]))
     whole, dropped = mgp.georeference_stream(poses, mgp.read_scan(str(scan)), calib)
 
-    _set_sizes(monkeypatch, SMALL)
+    _set_sizes(monkeypatch, SMALL_CHUNK)
     cloud = tmp_path / "cloud.bin"
     code, out, _ = _georef(flight, scan, cloud)
     assert (code, out) == (0, f"wrote {len(whole)} points to {cloud} ({dropped} pulses dropped)\n")
@@ -199,7 +204,7 @@ def _xyz_lines(n: int) -> list[bytes]:
     return [f"{i}.5 -2.25 {0.125 * i!r} {i % 2}\n".encode() for i in range(n)]
 
 
-@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -217,7 +222,14 @@ def test_a_xyz_fault_in_the_second_block_is_named_as_in_one_block(
     lines[SMALL] = line + b"\n"
     path = tmp_path / "cloud.xyz"
     path.write_bytes(b"".join(lines).replace(b"\n", newline))
-    _assert_named_in_both_block_sizes(tmp_path, monkeypatch, path, f"{path}:{SMALL + 1}: {message}")
+    # chunks that the line after the first SMALL lines takes past the size:
+    # the faulty line opens the second block, whatever the line end
+    size = len(b"".join(lines[:SMALL])) - 1
+    _set_sizes(monkeypatch, size)
+    assert [first for first, _ in mgp.streams.cloud_blocks(path)][:2] == [1, SMALL + 1]
+    _assert_named_in_both_block_sizes(
+        tmp_path, monkeypatch, path, f"{path}:{SMALL + 1}: {message}", size
+    )
 
 
 @pytest.mark.parametrize(
@@ -237,16 +249,16 @@ def test_a_bin_fault_in_the_second_block_is_named_as_in_one_block(
     tail = [] if message == "truncated" else records
     path.write_bytes(b"".join(records + [record] + tail))
     _assert_named_in_both_block_sizes(
-        tmp_path, monkeypatch, path, f"{path}: record {SMALL + 1}: {message}"
+        tmp_path, monkeypatch, path, f"{path}: record {SMALL + 1}: {message}", SMALL_CHUNK
     )
 
 
 def _assert_named_in_both_block_sizes(
-    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, cloud: Path, expected: str
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, cloud: Path, expected: str, small: int
 ) -> None:
     refl = tmp_path / "refl.json"
     refl.write_text('{"reflectors": [[0.0, 2.0, 0.0]]}', encoding="utf-8")
-    for size in (SMALL, WHOLE):
+    for size in (small, WHOLE):
         _set_sizes(monkeypatch, size)
         with pytest.raises(mgp.InputError, match=f"^{re.escape(expected)}$"):
             mgp.read_cloud(cloud)
@@ -258,13 +270,17 @@ def _assert_named_in_both_block_sizes(
 def test_crlf_and_lf_clouds_read_the_same_in_blocks(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    _set_sizes(monkeypatch, SMALL)
+    _set_sizes(monkeypatch, SMALL_CHUNK)
     lines = b"".join(_xyz_lines(3 * SMALL))
-    (tmp_path / "lf.xyz").write_bytes(lines)
-    (tmp_path / "crlf.xyz").write_bytes(lines.replace(b"\n", b"\r\n"))
-    lf, crlf = (mgp.read_cloud(tmp_path / name) for name in ("lf.xyz", "crlf.xyz"))
+    names = {"lf.xyz": b"\n", "crlf.xyz": b"\r\n", "cr.xyz": b"\r"}
+    for name, newline in names.items():
+        (tmp_path / name).write_bytes(lines.replace(b"\n", newline))
+    lf, crlf, cr = (mgp.read_cloud(tmp_path / name) for name in names)
     assert len(lf) == 3 * SMALL
-    assert np.array_equal(lf.p, crlf.p) and np.array_equal(lf.reflector, crlf.reflector)
+    for other in (crlf, cr):
+        assert np.array_equal(lf.p, other.p) and np.array_equal(lf.reflector, other.reflector)
+    # a cloud whose lines "\r" alone ends is cut into chunks of lines too
+    assert len(list(mgp.streams.cloud_blocks(tmp_path / "cr.xyz"))) > 1
 
 
 @pytest.mark.parametrize("earlier", [b"an earlier cloud\n", None], ids=["earlier", "none"])
@@ -272,7 +288,7 @@ def test_a_bad_scan_line_in_the_second_block_leaves_the_cloud_as_it_was(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, flight: dict[str, Path],
     earlier: bytes | None,
 ) -> None:
-    _set_sizes(monkeypatch, SMALL)
+    _set_sizes(monkeypatch, SMALL_CHUNK)
     # the chunk results the caller takes, each appended to the cloud
     written: list[int] = []
     ordered_map = mgp.cli.ordered_map
