@@ -22,8 +22,9 @@ product in the stacked matmul, so an epoch's solution does not depend on the
 block it was solved in.
 
 An epoch's observations travel as one :class:`Baselines` record of arrays,
-the only form the estimators take. Iterating it yields
-:class:`VectorObservation` rows, which :func:`baseline_weights`,
+the only form the estimators take; like every record of arrays it counts,
+selects and joins its rows as :class:`mgp.core.Rows` does. Iterating it
+yields :class:`VectorObservation` rows, which :func:`baseline_weights`,
 :func:`davenport_matrix` and the SVD oracle take.
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import UnitQuaternion, Vec3, sum_rows, unit_quats
+from .core import Rows, UnitQuaternion, Vec3, sum_rows, unit_quats
 from .errors import DegenerateGeometryError, InsufficientDataError, ValidationError
 
 # Distinct eigenvalues closer than this leave the maximizing quaternion
@@ -65,7 +66,7 @@ class VectorObservation:
 
 
 @dataclass(frozen=True, eq=False)
-class Baselines:
+class Baselines(Rows):
     """The baseline observations of one epoch as arrays.
 
     ``pairs`` (m, 2) holds the (from, to) antenna ids, ``v`` (m, 3) the
@@ -93,18 +94,11 @@ class Baselines:
             raise ValidationError("antenna pair must reference two distinct antennas")
         return cls(pairs, v, w, fixed)
 
-    def select(self, keep: np.ndarray) -> Baselines:
-        """The rows where the bool mask ``keep`` is True."""
-        return Baselines(self.pairs[keep], self.v[keep], self.w[keep], self.fixed[keep])
-
     def fixed_only(self) -> Baselines:
         return self if self.fixed.all() else self.select(self.fixed)
 
     def pair_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(map(tuple, self.pairs.tolist()))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
     def __iter__(self) -> Iterator[VectorObservation]:
         rows = zip(self.pairs.tolist(), self.v.tolist(), self.w.tolist(), self.fixed.tolist())

@@ -1,4 +1,5 @@
-"""Frame conventions, rotation algebra, and the shared domain types.
+"""Frame conventions, rotation algebra, the shared domain types, the base
+of the records of arrays, and the UTF-8 rule of every text reader.
 
 Conventions used throughout the toolkit:
 
@@ -8,6 +9,11 @@ Conventions used throughout the toolkit:
   ``qw >= 0``; the stored attitude quaternion always maps body -> ENU,
   i.e. ``rotate(q, v_body) = v_enu``.
 - Euler angles are intrinsic Z-Y-X (yaw-pitch-roll), reported in degrees.
+
+A record of arrays is a frozen dataclass whose array fields share their
+first axis, one row per item: an epoch's fixes or baselines, a stream's
+poses, a cloud's points, a group of channel draws. Each derives from
+:class:`Rows`, which counts, selects and joins the rows of all of them.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -28,6 +34,29 @@ ORTHONORMAL_TOL = 1e-9
 # a few 1e-16, and seven significant digits stay within this. A reader
 # rejects a quaternion outside it instead of normalizing it away.
 QUAT_READ_TOL = 1e-6
+
+_R = TypeVar("_R", bound="Rows")
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Base of the records of arrays: every field of a subclass is an array
+    whose first axis is the record's rows."""
+
+    def __len__(self) -> int:
+        # the first field's length, read from the instance dict: this runs
+        # several times per epoch
+        return len(next(iter(self.__dict__.values())))
+
+    def select(self: _R, keep: np.ndarray | slice) -> _R:
+        """The rows a bool mask, an index array or a slice ``keep`` picks."""
+        return type(self)(*(a[keep] for a in self.__dict__.values()))
+
+    @classmethod
+    def joined(cls: type[_R], records: Sequence[_R]) -> _R:
+        """The rows of one or more ``records`` in order: each field's arrays
+        concatenated."""
+        return cls(*map(np.concatenate, zip(*(r.__dict__.values() for r in records))))
 
 
 @dataclass(frozen=True)
@@ -118,7 +147,10 @@ def open_text(path: str | Path) -> TextIO:
 
 def utf8_line(line: str) -> str:
     """``line``, a line of a file that :func:`open_text` opened, without its
-    line end; ValidationError naming its first byte that is not UTF-8."""
+    line end; ValidationError naming its first byte that is not UTF-8.
+    Only the line end is cut before the check, so every reader gives a byte
+    sequence cut by trailing whitespace the same reason."""
+    line = line.removesuffix("\n")
     if not line.isascii():
         try:
             line.encode("utf-8", "surrogateescape").decode("utf-8")

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .attitude import Baselines
-from .core import AntennaLayout, UnitQuaternion, Vec3
+from .core import AntennaLayout, Rows, UnitQuaternion, Vec3
 from .errors import ValidationError
 from .multipath import SnrTable
 from .positioning import Fixes
@@ -87,7 +87,7 @@ _DRAW_KEYS = ("u_fix", "u_float", "wrong", "latent_fixed", "latent_float", "wron
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelDraws:
+class ChannelDraws(Rows):
     """Latent draws behind one group of n antenna (or baseline) solutions.
 
     ``u_fix``/``u_float`` (n,) are the uniforms compared against the model
@@ -112,9 +112,6 @@ class ChannelDraws:
             raise ValidationError("channel draws need (n,) uniforms and flags and (n, 3) vectors")
         if self.wrong.dtype != np.bool_:
             raise ValidationError("wrong-fix flags must be booleans")
-
-    def __len__(self) -> int:
-        return len(self.u_fix)
 
 
 @dataclass(frozen=True)
@@ -188,13 +185,6 @@ def _pair_baselines(layout: AntennaLayout) -> tuple[np.ndarray, np.ndarray]:
     return pairs, body
 
 
-def _concatenated(groups: list[ChannelDraws]) -> ChannelDraws:
-    """The channel groups of several epochs as one, in epoch order."""
-    if len(groups) == 1:
-        return groups[0]
-    return ChannelDraws(*(np.concatenate([getattr(g, k) for g in groups]) for k in _DRAW_KEYS))
-
-
 class Replay(NamedTuple):
     """The fix outcomes of a block of E epochs, as :func:`replay` gives them.
 
@@ -242,12 +232,12 @@ def replay(
         used.append(len(remaining))
     n_ep, n_pairs = len(used), len(pairs)
     ant_fixed, ant_float, ant_vec = _grade(
-        _concatenated([r.antenna_channels for r in requeries]),
+        ChannelDraws.joined([r.antenna_channels for r in requeries]),
         np.array(p_ant),
         np.repeat(fraction, n),
     )
     bl_fixed, bl_float, bl_vec = _grade(
-        _concatenated([r.baseline_channels for r in requeries]),
+        ChannelDraws.joined([r.baseline_channels for r in requeries]),
         np.repeat(p_bl, n_pairs),
         np.repeat(fraction, n_pairs),
     )

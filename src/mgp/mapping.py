@@ -7,10 +7,10 @@ through the rigid chain
 
 using the platform pose (position ``p``, body->ENU attitude ``q``) nearest
 in time to the pulse. No pose interpolation is applied: a pulse with no
-pose within ``max_pose_gap_s`` is dropped and counted. Accuracy is evaluated
-against surveyed reflector discs by truth-seeded clustering: flagged returns
-within a fixed radius of each known reflector position are averaged and
-compared against it.
+pose within :data:`MAX_POSE_GAP_S` is dropped and counted. Accuracy is
+evaluated against surveyed reflector discs by truth-seeded clustering:
+flagged returns within a fixed radius of each known reflector position are
+averaged and compared against it.
 
 Poses, pulses and points are arrays, not one object each: :class:`Poses`
 holds E epochs' times, positions and attitudes (NaN rows where missing), a
@@ -33,18 +33,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import UNIT_NORM_TOL, UnitQuaternion, Vec3, quat_to_matrix
+from .core import UNIT_NORM_TOL, Rows, UnitQuaternion, Vec3, quat_to_matrix
 from .errors import ValidationError
 
 # Half the 10 Hz pose interval: a pulse further than this from every pose
 # epoch has no usable pose.
-DEFAULT_MAX_POSE_GAP_S = 0.06
+MAX_POSE_GAP_S = 0.06
 DEFAULT_CLUSTER_RADIUS_M = 0.5
 DEFAULT_MIN_HITS = 10
 
 
 @dataclass(frozen=True, eq=False)
-class Poses:
+class Poses(Rows):
     """Platform poses of E epochs as arrays.
 
     ``t`` (E,) holds strictly increasing times, ``p`` (E, 3) ENU positions
@@ -76,17 +76,10 @@ class Poses:
             raise ValidationError("n_fix must be a nonnegative integer")
         return cls(t, p, q, n_fix)
 
-    def __len__(self) -> int:
-        return len(self.t)
-
     @property
     def complete(self) -> np.ndarray:
         """(E,) bool: the epochs with both a position and an attitude."""
         return ~(np.isnan(self.p[:, 0]) | np.isnan(self.q[:, 0]))
-
-    def select(self, keep: np.ndarray) -> Poses:
-        """The epochs where the bool mask ``keep`` is True."""
-        return Poses(self.t[keep], self.p[keep], self.q[keep], self.n_fix[keep])
 
 
 @dataclass(frozen=True)
@@ -111,14 +104,11 @@ class ScanFrame:
 
 
 @dataclass(frozen=True, eq=False)
-class Cloud:
+class Cloud(Rows):
     """World-frame (ENU) points ``p`` (n, 3) and their reflector flags (n,)."""
 
     p: np.ndarray
     reflector: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.p)
 
 
 @dataclass(frozen=True)
@@ -166,21 +156,18 @@ def georeference_stream(
     poses: Poses,
     frames: Iterable[ScanFrame],
     calib: MountCalibration,
-    max_pose_gap_s: float = DEFAULT_MAX_POSE_GAP_S,
 ) -> tuple[Cloud, int]:
     """Georeference every pulse against its nearest-in-time pose among the
     epochs with both a position and an attitude.
 
     Returns the cloud and the count of pulses dropped for having no such
-    pose within ``max_pose_gap_s``. Each point depends on its own pulse and
-    pose alone, so the clouds of any cut of the frames into runs, joined,
-    are the stream's cloud bit for bit.
+    pose within :data:`MAX_POSE_GAP_S`. Each point depends on its own pulse
+    and pose alone, so the clouds of any cut of the frames into runs,
+    joined, are the stream's cloud bit for bit.
     """
     poses = poses.select(poses.complete)
     if not len(poses):
         raise ValidationError("no pose has both a position and an attitude")
-    if not (max_pose_gap_s > 0.0):
-        raise ValidationError("max_pose_gap_s must be positive")
     times = poses.t
 
     frames = list(frames)
@@ -192,7 +179,7 @@ def georeference_stream(
     lo = np.clip(hi - 1, 0, len(times) - 1)
     pick_hi = np.abs(times[hi] - ts) <= np.abs(times[lo] - ts)
     nearest = np.where(pick_hi, hi, lo)
-    keep = np.abs(times[nearest] - ts) <= max_pose_gap_s
+    keep = np.abs(times[nearest] - ts) <= MAX_POSE_GAP_S
 
     k = nearest[keep]
     body = _turn(quat_to_matrix(calib.boresight), pulses[keep, 1:]) + calib.lever_arm.as_array()

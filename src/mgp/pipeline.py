@@ -190,12 +190,12 @@ class _FrontBlock:
             if faults[k] is None:
                 faults[k] = message
 
-        fixes = [e.fixes for e in epochs]
-        ids = np.concatenate([f.ids for f in fixes])
-        fix_epoch = np.repeat(np.arange(n_epochs), [len(f.ids) for f in fixes])
-        baselines = [e.baselines for e in epochs]
-        pairs = np.concatenate([b.pairs for b in baselines])
-        pair_epoch = np.repeat(np.arange(n_epochs), [len(b.pairs) for b in baselines])
+        fixes = Fixes.joined([e.fixes for e in epochs])
+        ids = fixes.ids
+        fix_epoch = np.repeat(np.arange(n_epochs), [len(e.fixes) for e in epochs])
+        baselines = Baselines.joined([e.baselines for e in epochs])
+        pairs = baselines.pairs
+        pair_epoch = np.repeat(np.arange(n_epochs), [len(e.baselines) for e in epochs])
         known = (ids >= 1) & (ids <= n)
         known_ids = ((pairs >= 1) & (pairs <= n)).ravel()
         stray = zip(
@@ -214,22 +214,15 @@ class _FrontBlock:
                 fault(k, f"duplicate SNR row for satellite {first_repeat(t.sat_ids)}")
 
         use = active[np.where(known, ids, 0)]
-        grade = np.concatenate([f.grade for f in fixes])
-        self.fixes = Fixes(
-            ids[use], grade[use], np.concatenate([f.p for f in fixes])[use],
-            np.concatenate([f.sats_used for f in fixes])[use],
-        )
+        self.fixes = fixes.select(use)
         self.fix_ends = _ends(fix_epoch[use], n_epochs)
         # the raw fixed active antennas _Tally counts
-        raw_fixed = use & (grade == 2)
+        raw_fixed = use & (fixes.grade == 2)
         self.raw_fixed = ids[raw_fixed], fix_epoch[raw_fixed]
 
-        fixed = np.concatenate([b.fixed for b in baselines])
-        keep = fixed & active[np.where(known_ids, pairs.ravel(), 0)].reshape(-1, 2).all(axis=1)
-        self.candidates = Baselines(
-            pairs[keep], np.concatenate([b.v for b in baselines])[keep],
-            np.concatenate([b.w for b in baselines])[keep], fixed[keep],
-        )
+        active_pairs = active[np.where(known_ids, pairs.ravel(), 0)].reshape(-1, 2).all(axis=1)
+        keep = baselines.fixed & active_pairs
+        self.candidates = baselines.select(keep)
         self.candidate_ends = _ends(pair_epoch[keep], n_epochs)
 
         fitting = [t for t, ok in zip(tables, fits) if ok]
@@ -263,7 +256,8 @@ class _FrontBlock:
         # every row counts, the inactive antennas' and those a replay replaces
         seen = np.bincount(fix_epoch[known] * (n + 1) + ids[known], minlength=n_epochs * (n + 1))
         for k in np.flatnonzero((seen.reshape(n_epochs, n + 1) > 1).any(axis=1)).tolist():
-            fault(k, f"duplicate solution for antenna {first_repeat(fixes[k].ids.tolist())}")
+            dup = first_repeat(epochs[k].fixes.ids.tolist())
+            fault(k, f"duplicate solution for antenna {dup}")
         self.faults = faults
 
         # the epochs that need stage (2), replayed together
@@ -310,8 +304,7 @@ class _FrontBlock:
             f, c = self.replay_fixes, self.replay_candidates
             a, b = r * self.replay_width, (r + 1) * self.replay_width
             i, j = self.replay_ends[r], self.replay_ends[r + 1]
-        fixes = Fixes(f.ids[a:b], f.grade[a:b], f.p[a:b], f.sats_used[a:b])
-        return fixes, Baselines(c.pairs[i:j], c.v[i:j], c.w[i:j], c.fixed[i:j])
+        return f.select(slice(a, b)), c.select(slice(i, j))
 
 
 def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
@@ -361,16 +354,15 @@ def _solve_block(
         found = consensus([block[e][1] for e in solve], params)
         q[np.array(solve)[found.available]] = body_to_enu(found.q_be[found.available])
 
-    fixes = [f for f, _ in block]
-    rows = np.array([len(f) for f in fixes])
+    rows = np.array([len(f) for f, _ in block])
     valid = np.arange(int(rows.max(initial=0))) < rows[:, None]
-    ids = np.concatenate([f.ids for f in fixes])
+    fixes = Fixes.joined([f for f, _ in block])
     fixed = np.zeros(valid.shape, dtype=bool)
-    fixed[valid] = np.concatenate([f.grade for f in fixes]) == 2
+    fixed[valid] = fixes.grade == 2
     p = np.zeros(valid.shape + (3,))
-    p[valid] = np.concatenate([f.p for f in fixes])
+    p[valid] = fixes.p
     levers = np.zeros(valid.shape + (3,))
-    levers[valid] = config.layout.positions[ids - 1]
+    levers[valid] = config.layout.positions[fixes.ids - 1]
     positions, used = fuse_positions(p, levers, fixed, quat_to_matrix(q))
     positions[~used.any(axis=1)] = np.nan
     return q, positions, fixed.sum(axis=1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AntennaLayout, UnitQuaternion, Vec3, first_repeat, quat_to_matrix, sum_rows
+from .core import AntennaLayout, Rows, UnitQuaternion, Vec3, first_repeat, quat_to_matrix, sum_rows
 from .errors import ConfigurationError, ValidationError
 
 
@@ -40,7 +40,7 @@ FIX_GRADES = (FixStatus.NONE, FixStatus.FLOAT, FixStatus.FIXED)
 
 
 @dataclass(frozen=True, eq=False)
-class Fixes:
+class Fixes(Rows):
     """The antenna solutions of one epoch as arrays.
 
     ``ids`` (n,) are 1-based antenna ids, ``grade`` (n,) indexes
@@ -84,13 +84,6 @@ class Fixes:
     @property
     def fixed(self) -> np.ndarray:
         return self.grade == 2
-
-    def select(self, keep: np.ndarray) -> Fixes:
-        """The rows where the bool mask ``keep`` is True."""
-        return Fixes(self.ids[keep], self.grade[keep], self.p[keep], self.sats_used[keep])
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 @dataclass(frozen=True)

@@ -217,10 +217,9 @@ def consensus(epochs: Sequence[Baselines], params: RansacParams) -> Consensus:
     v = np.zeros((3, n_ep, width))
     v[0] = 1.0
     w = v.copy()
-    v_rows = np.concatenate([b.v for b in epochs])
-    w_rows = np.concatenate([b.w for b in epochs])
-    v[:, valid] = v_rows.T
-    w[:, valid] = w_rows.T
+    joined = Baselines.joined(epochs)
+    v[:, valid] = joined.v.T
+    w[:, valid] = joined.w.T
     w_len = np.sqrt(_dot(w, w))
     v_hat = v / np.sqrt(_dot(v, v))
     w_hat = w / w_len

@@ -54,12 +54,12 @@ Formats:
     picks the format (:func:`cloud_suffix`). In memory a :class:`Cloud`.
 
 Every text file is opened by :func:`core.open_text`, which reads "\\r\\n"
-and "\\r" line ends as "\\n", and each line is checked by
-:func:`core.utf8_line` (the configs by :func:`core.read_utf8`). The scan and
-a .xyz cloud are read in chunks of whole lines, each ending at the line that
-takes it past :data:`CHUNK` characters, a .bin cloud in blocks of the whole
-records of ``CHUNK`` bytes; each chunk carries the number of its first line
-or record.
+and "\\r" line ends as "\\n", and each line, a header too, is checked by
+:func:`core.utf8_line` before any whitespace is stripped (the configs by
+:func:`core.read_utf8`). The scan and a .xyz cloud are read in chunks of
+whole lines, each ending at the line that takes it past :data:`CHUNK`
+characters, a .bin cloud in blocks of the whole records of ``CHUNK`` bytes;
+each chunk carries the number of its first line or record.
 
 All floats are serialized with Python repr (shortest round-trip), so a
 read/write cycle is byte-stable and exact-inverse tests can run through
@@ -411,6 +411,18 @@ def write_epochs(path: str, epochs: Iterable[EpochRecord]) -> int:
     return _write_lines(path, EPOCH_HEADER, map(epoch_to_dict, epochs))
 
 
+def _first_line(f: TextIO, path: str) -> str:
+    """The first line of ``f``, the file at ``path`` that
+    :func:`core.open_text` opened, as read; InputError naming ``path:1`` if
+    :func:`core.utf8_line` rejects it."""
+    line = f.readline()
+    try:
+        utf8_line(line)
+    except ValidationError as exc:
+        raise InputError(f"{path}:1: {exc}") from None
+    return line
+
+
 def _check_header(line: str, expected: dict[str, Any], path: str) -> None:
     if not line:
         raise InputError(f"{path}: empty stream file")
@@ -425,7 +437,7 @@ def _check_header(line: str, expected: dict[str, Any], path: str) -> None:
 def _parsed(line: str) -> Any:
     """The JSON value of a line, or the fault that keeps it from one."""
     try:
-        return jsonvals.loads(utf8_line(line))
+        return jsonvals.loads(utf8_line(line).strip())
     except (ValueError, ValidationError) as exc:
         return exc
 
@@ -442,8 +454,8 @@ def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[
     aborts: that is the wrong file, not a bad epoch.
     """
     with open_text(path) as f:
-        _check_header(f.readline(), EPOCH_HEADER, path)
-        lines = ((n, _parsed(line)) for n, line in enumerate(map(str.strip, f), start=2) if line)
+        _check_header(_first_line(f, path), EPOCH_HEADER, path)
+        lines = ((n, _parsed(line)) for n, line in enumerate(f, start=2) if not line.isspace())
         while block := list(itertools.islice(lines, READ_BLOCK)):
             try:
                 epochs = _decode([obj for _, obj in block])
@@ -508,7 +520,7 @@ def scan_chunks(path: str) -> Iterator[tuple[int, list[str]]]:
     """The :func:`_text_chunks` of the scan file at ``path`` after its
     header, which is checked first: the input of :func:`scan_frames`."""
     with open_text(path) as f:
-        _check_header(f.readline(), SCAN_HEADER, path)
+        _check_header(_first_line(f, path), SCAN_HEADER, path)
         yield from _text_chunks(f, 2)
 
 
@@ -516,10 +528,10 @@ def scan_frames(path: str, first: int, lines: list[str]) -> Iterator[ScanFrame]:
     """The frames of ``lines``, lines ``first`` on of the scan file at
     ``path``, blank lines skipped. A line that is not UTF-8 or not a frame
     raises InputError naming ``path:line``."""
-    for lineno, line in enumerate(map(str.strip, lines), start=first):
-        if line:
+    for lineno, line in enumerate(lines, start=first):
+        if not line.isspace():
             try:
-                yield _scan_frame(jsonvals.loads(utf8_line(line)))
+                yield _scan_frame(jsonvals.loads(utf8_line(line).strip()))
             except (ValueError, ValidationError) as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
 
@@ -594,7 +606,7 @@ def read_poses(path: str) -> Poses:
     a rule of the module docstring raises InputError naming ``path:line``."""
     values: list[list[float]] = []
     with open_text(path) as f:
-        header = f.readline().rstrip("\n")
+        header = _first_line(f, path).rstrip("\n")
         if header != POSE_CSV_HEADER:
             raise InputError(f"{path}: unexpected CSV header {header!r}")
         for lineno, line in enumerate(f, start=2):
@@ -659,16 +671,11 @@ def cloud_bytes(cloud: Cloud, suffix: str) -> bytes:
     return rec.tobytes()
 
 
-def write_cloud(dest: str | Path | BinaryIO, cloud: Cloud) -> None:
-    """Write ``cloud`` in the format the suffix of its name picks
-    (:func:`cloud_suffix`): as the whole file at the path ``dest``, through
-    :func:`cloud_output`, or appended to ``dest``, a file that
-    :func:`cloud_output` opened."""
-    if isinstance(dest, (str, Path)):
-        with cloud_output(dest) as out:
-            write_cloud(out, cloud)
-    else:
-        dest.write(cloud_bytes(cloud, cloud_suffix(dest.name)))
+def write_cloud(path: str | Path, cloud: Cloud) -> None:
+    """Write ``cloud`` as the whole file at ``path``, in the format its
+    suffix picks (:func:`cloud_suffix`), through :func:`cloud_output`."""
+    with cloud_output(path) as out:
+        out.write(cloud_bytes(cloud, cloud_suffix(path)))
 
 
 def cloud_blocks(path: str | Path) -> Iterator[tuple[int, list[str] | bytes]]:
@@ -705,7 +712,7 @@ def _xyz_columns(path: str | Path, first: int, lines: list[str]) -> np.ndarray:
     # take "1_0" or "１")
     for lineno, line in enumerate(lines, first):
         try:
-            cells = utf8_line(line.strip()).split()
+            cells = utf8_line(line).split()
         except ValidationError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
         if len(cells) != 4:
@@ -726,11 +733,9 @@ def read_cloud(path: str | Path, block: tuple[int, list[str] | bytes] | None = N
     raises InputError naming ``path:line`` (.xyz) or ``path: record k``
     (.bin, counted from 1): the first in the first block that has one."""
     if block is None:
-        clouds = [read_cloud(path, block) for block in cloud_blocks(path)]
-        return Cloud(
-            p=np.concatenate([c.p for c in clouds] or [np.empty((0, 3))]),
-            reflector=np.concatenate([c.reflector for c in clouds] or [np.empty(0, dtype=bool)]),
-        )
+        # an empty cloud first, so that an empty file reads as one
+        empty = Cloud(np.empty((0, 3)), np.empty(0, dtype=bool))
+        return Cloud.joined([empty, *(read_cloud(path, block) for block in cloud_blocks(path))])
     first, data = block
     if isinstance(data, bytes):
         if len(data) % _BIN_RECORD.itemsize:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,10 @@ from hypothesis import strategies as st
 
 from mgp import (
     AntennaLayout,
+    Baselines,
+    Cloud,
+    Fixes,
+    Poses,
     RotationMatrix,
     UnitQuaternion,
     ValidationError,
@@ -22,7 +27,8 @@ from mgp import (
     quat_to_matrix,
     rotate,
 )
-from mgp.core import unit_quats
+from mgp.core import Rows, unit_quats
+from mgp.epochs import ChannelDraws
 
 
 def _random_quat(rng: np.random.Generator) -> UnitQuaternion:
@@ -278,3 +284,56 @@ def test_layout_rejects_degenerate_sets() -> None:
     # collinear three antennas cannot observe attitude
     with pytest.raises(ValidationError):
         AntennaLayout((Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), Vec3(2.0, 0.0, 0.0)))
+
+
+# -- Rows -----------------------------------------------------------------
+
+
+def _records(n: int) -> list[Rows]:
+    """One record of each type of n rows, with NaN rows where the type has
+    them, and the dtypes the readers give."""
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=(n, 3))
+    p[1] = np.nan
+    flags = rng.random(n) < 0.5
+    return [
+        Fixes(np.arange(1, n + 1), rng.integers(0, 3, n).astype(np.int8), p,
+              rng.integers(0, 12, n)),
+        Baselines(rng.integers(1, 7, (n, 2)), rng.normal(size=(n, 3)), rng.normal(size=(n, 3)),
+                  flags),
+        Poses(np.arange(n) / 10.0, p, unit_quats(rng.normal(size=(n, 4))),
+              rng.integers(0, 7, n)),
+        Cloud(p, flags),
+        ChannelDraws(rng.random(n), rng.random(n), flags, rng.normal(size=(n, 3)),
+                     rng.normal(size=(n, 3)), rng.normal(size=(n, 3))),
+    ]
+
+
+def _assert_rows(got: Rows, want: Rows, rows: np.ndarray) -> None:
+    """``got`` holds rows ``rows`` of ``want``, every field bit for bit."""
+    assert type(got) is type(want) and len(got) == len(rows)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)[rows]
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+@pytest.mark.parametrize("record", _records(7), ids=lambda r: type(r).__name__)
+def test_rows_cut_and_joined_back_are_bitwise_the_record(record: Rows) -> None:
+    n = len(record)
+    assert n == 7
+    order = np.random.default_rng(3).permutation(n)
+    mask = np.isin(np.arange(n), order[:3])
+    cuts = [
+        # slices, an empty one among them
+        ([slice(0, 2), slice(2, 2), slice(2, 5), slice(5, n)], np.arange(n)),
+        # a bool mask and its complement
+        ([mask, ~mask], np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])),
+        # index arrays
+        ([order[:4], order[4:]], order),
+    ]
+    for keeps, rows in cuts:
+        pieces = [record.select(keep) for keep in keeps]
+        assert sum(map(len, pieces)) == n
+        _assert_rows(type(record).joined(pieces), record, rows)
+    # a cut by one index array, put back in order by its inverse
+    _assert_rows(record.select(order).select(np.argsort(order)), record, np.arange(n))

@@ -264,8 +264,10 @@ def test_evaluate_names_the_faulty_bin_record(
         (b"\xff\xfe", "byte 0xff is not UTF-8 (invalid start byte)"),
         # the first two bytes of the three of "\u20ac", cut by the line end
         (b"\xe2\x82", "byte 0xe2 is not UTF-8 (unexpected end of data)"),
+        # the same two bytes cut by a blank the line ends with
+        (b"\xe2\x82 ", "byte 0xe2 is not UTF-8 (invalid continuation byte)"),
     ],
-    ids=["invalid-start", "cut-by-line-end"],
+    ids=["invalid-start", "cut-by-line-end", "cut-by-trailing-blank"],
 )
 def test_every_reader_names_a_byte_not_utf8_by_one_rule(
     chain, tmp_path: Path, newline: bytes, bad: bytes, reason: str
@@ -296,3 +298,30 @@ def test_every_reader_names_a_byte_not_utf8_by_one_rule(
     epochs = list(mgp.read_epochs(str(paths["epochs.jsonl"]), diagnostics=diagnostics))
     assert diagnostics == [f"{paths['epochs.jsonl']}:3: skipped epoch: {reason}"]
     assert len(epochs) == len(list(mgp.read_epochs(chain["epochs.jsonl"]))) - 1
+
+
+@pytest.mark.parametrize("name", ["epochs.jsonl", "scan.jsonl", "poses.csv"])
+def test_header_with_a_byte_not_utf8_names_line_1(chain, tmp_path: Path, name: str) -> None:
+    """A header line is read by the one UTF-8 rule, like every other line:
+    the reader and the CLI step name ``path:1`` and exit 1."""
+    header, rest = Path(chain[name]).read_bytes().split(b"\n", 1)
+    path = tmp_path / name
+    # inside the format name, or at the end of the CSV header
+    bad = header.replace(b'-epoch"', b'-epoch\xff"').replace(b'-scan"', b'-scan\xff"')
+    path.write_bytes((bad if bad != header else header + b"\xff") + b"\n" + rest)
+    message = f"{path}:1: byte 0xff is not UTF-8 (invalid start byte)"
+
+    read = {"epochs.jsonl": lambda p: list(mgp.read_epochs(p)),
+            "scan.jsonl": lambda p: list(mgp.read_scan(p)), "poses.csv": mgp.read_poses}[name]
+    with pytest.raises(mgp.InputError) as exc:
+        read(str(path))
+    assert str(exc.value) == message
+
+    files = {**chain, name: str(path)}
+    if name == "epochs.jsonl":
+        argv = ["estimate", "--epochs", files[name], "--config", chain["pipe"],
+                "--poses", str(tmp_path / "p.csv"), "--metrics", str(tmp_path / "m.json")]
+    else:
+        argv = ["georef", "--poses", files["poses.csv"], "--scan", files["scan.jsonl"],
+                "--calib", chain["calib"], "--cloud", str(tmp_path / "cloud.xyz")]
+    assert _cli(argv) == (1, f"error: {message}\n")

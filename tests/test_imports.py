@@ -1,6 +1,7 @@
 """Module layering: estimation code does not depend on the simulator, every
-file is opened in the I/O modules, and the benchmark under perfbench/ finds
-every name it uses."""
+file is opened in the I/O modules, every record of arrays takes its rows
+from one base, and the benchmark under perfbench/ finds every name it
+uses."""
 from __future__ import annotations
 
 import ast
@@ -104,6 +105,17 @@ def test_open_scan_sees_every_form() -> None:
         assert _opens_files(ast.parse(source)), source
     for source in ("os.open(os.devnull, os.O_WRONLY)", "os.fdopen(fd, 'rb')", "f.opened()"):
         assert not _opens_files(ast.parse(source)), source
+
+
+def test_records_of_arrays_count_select_and_join_by_rows() -> None:
+    """``mgp.core.Rows`` is the one implementation of the row count, the
+    row selection and the join of every record of arrays."""
+    from mgp.core import Rows
+    from mgp.epochs import ChannelDraws
+
+    for cls in (mgp.Fixes, mgp.Baselines, mgp.Poses, mgp.Cloud, ChannelDraws):
+        assert issubclass(cls, Rows), cls
+        assert not {"__len__", "select", "joined"} & set(vars(cls)), cls
 
 
 def test_perfbench_finds_every_name_it_uses() -> None:

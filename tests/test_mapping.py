@@ -106,7 +106,7 @@ def test_stream_drops_pulses_beyond_pose_gap() -> None:
     down = Vec3(0.0, 0.0, -30.0)
     # gaps to the nearest pose: 0.05 -> 0.05, 0.161 -> 0.061, 0.9 -> 0.8
     frames = [_frame(0.0, [(0.05, down), (0.161, down), (0.9, down)])]
-    cloud, dropped = georeference_stream(poses, frames, MountCalibration(), max_pose_gap_s=0.06)
+    cloud, dropped = georeference_stream(poses, frames, MountCalibration())
     assert len(cloud) == 1
     assert dropped == 2
 
@@ -115,7 +115,7 @@ def test_stream_gap_boundary_inclusive() -> None:
     poses = _poses([0.0])
     down = Vec3(0.0, 0.0, -30.0)
     frames = [_frame(0.0, [(0.06, down)])]
-    cloud, dropped = georeference_stream(poses, frames, MountCalibration(), max_pose_gap_s=0.06)
+    cloud, dropped = georeference_stream(poses, frames, MountCalibration())
     assert len(cloud) == 1 and dropped == 0
 
 
@@ -124,8 +124,6 @@ def test_stream_requires_increasing_poses() -> None:
         georeference_stream(_poses([0.1, 0.1]), [], MountCalibration())
     with pytest.raises(ValidationError, match="no pose has both"):
         georeference_stream(_poses([]), [], MountCalibration())
-    with pytest.raises(ValidationError):
-        georeference_stream(_poses([0.0]), [], MountCalibration(), max_pose_gap_s=0.0)
 
 
 def test_stream_skips_poses_without_position_or_attitude() -> None:

@@ -176,7 +176,7 @@ def _ref_georeference_stream(
             hi = min(bisect.bisect_left(times, pulse.t), len(times) - 1)
             lo = max(hi - 1, 0)
             j = hi if abs(times[hi] - pulse.t) <= abs(times[lo] - pulse.t) else lo
-            if abs(times[j] - pulse.t) > mgp.mapping.DEFAULT_MAX_POSE_GAP_S:
+            if abs(times[j] - pulse.t) > mgp.mapping.MAX_POSE_GAP_S:
                 continue
             body = _ref_turn(r_bs, [pulse.p.x, pulse.p.y, pulse.p.z])
             body = [b + a for b, a in zip(body, lever)]
