@@ -48,7 +48,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         frames = scan_stream(config, config.scanner)  # checks the trajectory
         writes.append(lambda: streams.write_scan(args.scan, frames))
     # the epoch stream in this process, the scan stream, seeded on its own,
-    # in the worker
+    # in the worker; the epoch writer's own map then runs in this process
     counts = ordered_map(lambda k: writes[k](), range(len(writes)))
     print(f"wrote {next(counts)} epochs to {args.out}")
     for n in counts:
@@ -101,9 +101,8 @@ def _cmd_georef(args: argparse.Namespace) -> int:
         return cloud_bytes(cloud, suffix), len(cloud), dropped
 
     points = dropped = 0
-    # a few chunks of scan lines in memory at a time, every other one
-    # georeferenced and encoded by the worker; the cloud file appears whole
-    # or not at all
+    # a few chunks of scan lines in memory at a time, shared with the
+    # worker; the cloud file appears whole or not at all
     with cloud_output(args.cloud) as out:
         for data, n, d in ordered_map(georef, streams.scan_chunks(args.scan)):
             out.write(data)
@@ -113,19 +112,19 @@ def _cmd_georef(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flagged(path: str, block: tuple[int, list[str] | bytes]) -> np.ndarray:
+def _flagged(path: str, block: tuple[int, list[str] | bytes]) -> Cloud:
     cloud = read_cloud(path, block)
-    return cloud.p[cloud.reflector]
+    return cloud.select(cloud.reflector)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    # the report reads only the flagged points: keep those of each block
-    flagged = list(ordered_map(lambda b: _flagged(args.cloud, b), cloud_blocks(args.cloud)))
-    p = np.concatenate(flagged or [np.empty((0, 3))])
+    # the report reads only the flagged points: keep those of each block,
+    # joined after an empty cloud, so that an empty file reads as one
+    empty = Cloud(np.empty((0, 3)), np.empty(0, dtype=bool))
+    flagged = ordered_map(lambda b: _flagged(args.cloud, b), cloud_blocks(args.cloud))
+    cloud = Cloud.joined([empty, *flagged])
     reflectors, radius, min_hits = streams.load_reflectors(args.reflectors)
-    report = evaluate_reflectors(
-        Cloud(p, np.ones(len(p), dtype=bool)), reflectors, radius, min_hits
-    )
+    report = evaluate_reflectors(cloud, reflectors, radius, min_hits)
     payload = {
         "per_reflector": [
             {

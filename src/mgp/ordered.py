@@ -1,17 +1,33 @@
 """An ordered map over two CPUs: the caller and one forked worker.
 
 :func:`ordered_map` yields ``fn(item)`` for each item in item order. The
-caller runs the even items (0, 2, 4, ...) and one worker process, forked
-at the first odd item, runs the odd ones, so a call with one item never
-forks. Items go to the worker, and its results and exceptions come back,
-pickled over two pipes. An item's exception is raised again at that item's
-place in the order, after the results of every item before it.
+caller runs item 0, and one worker process, forked when item 1 arrives,
+runs item 1, so a call with at most one item never forks. After that the
+items are shared on demand. The worker is sent the next item whenever it
+is idle; that is checked before each result is yielded, so the worker
+works while the consumer does. The caller runs an item itself only when
+the result it needs next is the worker's and is not ready yet, and it holds
+at most one result of its own ahead of the worker's. Which process runs an
+item thus depends on timing; the results and their order do not.
+
+Items go to the worker, and its results and exceptions come back, as
+length-prefixed pickles over two pipes, and each side reads a whole frame
+before it unpickles it. The worker holds at most one item, so the caller
+never writes an item while the worker writes a result, and neither can
+block the other on a full pipe. An item's exception, and one that the items
+iterator raises, comes at that item's place in the order, after the results
+of every item before it.
+
+A process has at most one worker: an ordered_map that would fork while
+another worker of its process is alive, or inside a worker, maps its items
+in the caller, so a nested map, or one whose items come from another map,
+starts no third process. Where ``os.fork`` does not exist, the items are
+mapped in the caller.
 
 The worker leaves through ``os._exit`` on every path, so no ``finally``,
 ``with`` block or atexit hook of the caller's code runs in it (a hidden
 output file is removed only by the caller), and the caller waits for it
-before the generator ends, also when the generator is closed early. Where
-``os.fork`` does not exist, the items are mapped in the caller.
+before the generator ends, also when the generator is closed early.
 
 The worker is a fork, not a fresh interpreter, so ``fn`` may be a closure
 over the caller's data and only items and results are pickled. A fork is
@@ -20,14 +36,78 @@ mgp starts no thread, and numpy's BLAS pool takes part in ``fork`` itself.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
+import select
+import struct
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 _END = object()
+# A frame's length prefix: the byte count of the pickle that follows.
+_SIZE = struct.Struct("<Q")
+# True in a process with a live worker, and in every worker: an ordered_map
+# there maps in the caller.
+_busy = False
+
+
+class _Fault:
+    """An exception of the items iterator, in the place of the item it did
+    not give."""
+
+    def __init__(self, exc: Exception) -> None:
+        self.exc = exc
+
+
+def _pulled(items: Iterable[T]) -> Iterator[T | _Fault]:
+    """``items``, then the exception that iterating them raised, if any."""
+    try:
+        yield from items
+    except Exception as exc:
+        yield _Fault(exc)
+
+
+def _run(fn: Callable[[T], R], item: T | _Fault) -> R:
+    if isinstance(item, _Fault):
+        raise item.exc
+    return fn(item)
+
+
+def _call(fn: Callable[[T], R], item: T | _Fault) -> tuple[bool, Any]:
+    """``(True, fn(item))``, or ``(False, exception)``."""
+    try:
+        return True, _run(fn, item)
+    except Exception as exc:
+        return False, exc
+
+
+def _write(fd: int, data: bytes) -> None:
+    """Write ``data`` to ``fd`` as one frame."""
+    for part in (_SIZE.pack(len(data)), data):
+        view = memoryview(part)
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _read(fd: int, n: int) -> bytearray:
+    """The next ``n`` bytes of ``fd``; EOFError if it ends first."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise EOFError
+        view = view[got:]
+    return buf
+
+
+def _receive(fd: int) -> Any:
+    """The value of the next whole frame of ``fd``; EOFError at its end."""
+    (n,) = _SIZE.unpack(_read(fd, _SIZE.size))
+    return pickle.loads(_read(fd, n))
 
 
 class _Worker:
@@ -35,46 +115,55 @@ class _Worker:
     ``(True, fn(item))`` or ``(False, exception)``."""
 
     def __init__(self, fn: Callable[[Any], Any]) -> None:
+        global _busy
         items_r, items_w = os.pipe()
         results_r, results_w = os.pipe()
         self.pid = os.fork()
+        _busy = True
         if self.pid == 0:
             try:
                 os.close(items_w)
                 os.close(results_r)
-                _serve(fn, os.fdopen(items_r, "rb"), os.fdopen(results_w, "wb"))
+                _serve(fn, items_r, results_w)
             finally:
                 os._exit(0)
         os.close(items_r)
         os.close(results_w)
-        self.items = os.fdopen(items_w, "wb")
-        self.results = os.fdopen(results_r, "rb")
+        self.items, self.results = items_w, results_r
+        # poll, not select, which takes no descriptor above FD_SETSIZE
+        self.poll = select.poll()
+        self.poll.register(results_r, select.POLLIN)
 
     def send(self, item: Any) -> None:
-        pickle.dump(item, self.items, pickle.HIGHEST_PROTOCOL)
-        self.items.flush()
+        _write(self.items, pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
 
-    def receive(self) -> Any:
+    def ready(self) -> bool:
+        """Whether the result of the item the worker holds has begun to
+        arrive (or the worker has ended), without waiting."""
+        return bool(self.poll.poll(0))
+
+    def receive(self) -> tuple[bool, Any]:
         try:
-            ok, value = pickle.load(self.results)
+            return _receive(self.results)
         except EOFError:
             raise ChildProcessError(f"worker process {self.pid} ended without a result") from None
-        if not ok:
-            raise value
-        return value
 
     def close(self) -> None:
         """End the worker's input, then wait for it: it finishes the item
         it holds, if any, finds no one to take the result, and exits."""
-        self.items.close()  # empty: each send flushes
-        self.results.close()
-        os.waitpid(self.pid, 0)
+        global _busy
+        os.close(self.items)
+        os.close(self.results)
+        try:
+            os.waitpid(self.pid, 0)
+        finally:
+            _busy = False
 
 
-def _serve(fn: Callable[[Any], Any], items: Any, results: Any) -> None:
+def _serve(fn: Callable[[Any], Any], items: int, results: int) -> None:
     while True:
         try:
-            item = pickle.load(items)
+            item = _receive(items)
         except EOFError:
             return
         try:
@@ -85,37 +174,59 @@ def _serve(fn: Callable[[Any], Any], items: Any, results: Any) -> None:
             except Exception:
                 fault = RuntimeError(f"{type(exc).__name__}: {exc}")
                 reply = pickle.dumps((False, fault), pickle.HIGHEST_PROTOCOL)
-        results.write(reply)
-        results.flush()
+        _write(results, reply)
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
-    """``fn(item)`` for each of ``items``, in order, the odd items run by a
-    forked worker (see the module docstring). Items and results must
-    pickle. An exception that ``items`` raises comes, like one of ``fn``,
-    after the results before it."""
-    if not hasattr(os, "fork"):
-        yield from map(fn, items)
+    """``fn(item)`` for each of ``items``, in order, shared with a forked
+    worker (see the module docstring). Items and results must pickle. An
+    exception that ``items`` raises comes, like one of ``fn``, after the
+    results before it."""
+    pulled = _pulled(items)
+    head = list(itertools.islice(pulled, 2))
+    if len(head) < 2 or isinstance(head[1], _Fault) or _busy or not hasattr(os, "fork"):
+        # at most one item, or no second process to be had: map here
+        while head:
+            yield _run(fn, head.pop(0))
+        for item in pulled:
+            yield _run(fn, item)
         return
-    items = iter(items)
-    worker = None
+    worker = _Worker(fn)
     try:
-        for mine in items:
-            fault = None
-            try:
-                theirs = next(items, _END)
-            except Exception as exc:
-                theirs, fault = _END, exc
-            if theirs is not _END:
-                if worker is None:
-                    worker = _Worker(fn)
-                worker.send(theirs)
-            yield fn(mine)
-            if theirs is _END:
-                if fault is not None:
-                    raise fault
-                return
-            yield worker.receive()
+        worker.send(head.pop())
+        held: int | None = 1  # the index of the item the worker holds
+        done = {0: _call(fn, head.pop())}  # the results in hand, by item index
+        pulls = 2  # the items pulled so far, so the index of the next one
+        more = True  # whether ``pulled`` may give more
+        for k in itertools.count():
+            while k not in done:
+                if k != held:
+                    return  # every item has come out
+                if done or not more or worker.ready():
+                    done[k], held = worker.receive(), None
+                elif (item := next(pulled, _END)) is _END:
+                    more = False
+                else:
+                    # the worker's result is not ready: run the next item here
+                    done[pulls] = _call(fn, item)
+                    pulls += 1
+            # before the yield, an idle worker gets the next item
+            if held is not None and worker.ready():
+                done[held], held = worker.receive(), None
+            if held is None and more:
+                item = next(pulled, _END)
+                if item is _END:
+                    more = False
+                elif isinstance(item, _Fault):
+                    done[pulls] = _call(fn, item)
+                    pulls += 1
+                else:
+                    worker.send(item)
+                    held, pulls = pulls, pulls + 1
+            item = None  # keep no item alive while the consumer works
+            ok, value = done.pop(k)
+            if not ok:
+                raise value
+            yield value
     finally:
-        if worker is not None:
-            worker.close()
+        worker.close()

@@ -35,7 +35,11 @@ Formats:
     skipped) at its own ``path:line`` with the message it has in a lone
     epoch: that of the first lookup or check that fails. A line that is not
     UTF-8 is such a fault; the scan, pose and cloud readers name its
-    ``path:line`` too.
+    ``path:line`` too. The reader's blocks, and the writer's blocks of
+    ``WRITE_BLOCK`` epochs turned into text, go through
+    :func:`ordered.ordered_map`, so they are shared with a forked worker
+    (one per process); the epochs, faults and bytes are those of one
+    process, in stream order.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line, a JSON object of the keys ``t`` and ``pulses``
     read by the epoch-line rules; each pulse is a compact array
@@ -56,10 +60,12 @@ Formats:
 Every text file is opened by :func:`core.open_text`, which reads "\\r\\n"
 and "\\r" line ends as "\\n", and each line, a header too, is checked by
 :func:`core.utf8_line` before any whitespace is stripped (the configs by
-:func:`core.read_utf8`). The scan and a .xyz cloud are read in chunks of
-whole lines, each ending at the line that takes it past :data:`CHUNK`
-characters, a .bin cloud in blocks of the whole records of ``CHUNK`` bytes;
-each chunk carries the number of its first line or record.
+:func:`core.read_utf8`). A stream header that is blank, not JSON or not the
+format's header is a fault of line 1, named ``path:1``. The scan and a .xyz
+cloud are read in chunks of whole lines, each ending at the line that takes
+it past :data:`CHUNK` characters, a .bin cloud in blocks of the whole
+records of ``CHUNK`` bytes; each chunk carries the number of its first line
+or record.
 
 All floats are serialized with Python repr (shortest round-trip), so a
 read/write cycle is byte-stable and exact-inverse tests can run through
@@ -82,7 +88,7 @@ import json
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, TextIO
@@ -103,6 +109,7 @@ from .mapping import (
     ScanFrame,
 )
 from .multipath import SnrTable
+from .ordered import ordered_map
 from .positioning import FIX_GRADES, Fixes
 
 EPOCH_HEADER = {"format": "mgp-epoch", "version": 1}
@@ -199,6 +206,10 @@ _REQUERY_KEYS = ("model", "solution_sats", "antenna_channels", "baseline_channel
 # faster than 32 but raised survey-6ant's peak RSS twice as much over
 # per-epoch reading (2.6 MB against 1.4 MB).
 READ_BLOCK = 32
+# Epochs the epoch writer turns into text at once. Blocks in flight between
+# the two processes are held whole: on a 2-vCPU host, 32 raised simulate's
+# peak RSS by 2.4 MB, 8 by 0.2 MB, at the same speed.
+WRITE_BLOCK = 8
 
 
 def _decode(objects: list[Any]) -> list[EpochRecord]:
@@ -407,8 +418,23 @@ def _write_lines(path: str, header: dict[str, Any], records: Iterable[dict[str, 
     return n
 
 
+def _epoch_lines(epochs: list[EpochRecord]) -> list[str]:
+    return [json.dumps(epoch_to_dict(epoch)) + "\n" for epoch in epochs]
+
+
 def write_epochs(path: str, epochs: Iterable[EpochRecord]) -> int:
-    return _write_lines(path, EPOCH_HEADER, map(epoch_to_dict, epochs))
+    """Write the epoch stream of ``epochs``; returns the count. Blocks of
+    ``WRITE_BLOCK`` epochs are turned into text by :func:`ordered.ordered_map`,
+    so a worker process may be forked; the bytes are those of one process."""
+    epochs = iter(epochs)
+    blocks = iter(lambda: list(itertools.islice(epochs, WRITE_BLOCK)), [])
+    n = 0
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(EPOCH_HEADER) + "\n")
+        for lines in ordered_map(_epoch_lines, blocks):
+            f.writelines(lines)
+            n += len(lines)
+    return n
 
 
 def _first_line(f: TextIO, path: str) -> str:
@@ -424,14 +450,16 @@ def _first_line(f: TextIO, path: str) -> str:
 
 
 def _check_header(line: str, expected: dict[str, Any], path: str) -> None:
+    """InputError unless ``line``, the first line of the stream file at
+    ``path``, is the header ``expected``; a fault names ``path:1``."""
     if not line:
         raise InputError(f"{path}: empty stream file")
     try:
-        header = jsonvals.loads(line)
+        header = jsonvals.loads(line.removesuffix("\n"))
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: missing stream header: {exc}") from exc
+        raise InputError(f"{path}:1: missing stream header: {exc}") from exc
     if header != expected:
-        raise InputError(f"{path}: unexpected stream header {header!r}")
+        raise InputError(f"{path}:1: unexpected stream header {header!r}")
 
 
 def _parsed(line: str) -> Any:
@@ -442,46 +470,57 @@ def _parsed(line: str) -> Any:
         return exc
 
 
+def _epoch_or_fault(obj: Any) -> EpochRecord | Exception:
+    """The epoch of a parsed line (:func:`_parsed`), or its fault."""
+    if isinstance(obj, Exception):
+        return obj
+    try:
+        return epoch_from_dict(obj)
+    except (ValidationError, ValueError) as exc:
+        return exc
+
+
+def _epoch_block(block: list[tuple[int, str]]) -> list[tuple[int, EpochRecord | Exception]]:
+    """Each ``(lineno, line)`` of ``block`` as ``(lineno, epoch)``, or
+    ``(lineno, fault)``. The lines are parsed once and decoded at once; if
+    any check fails, a line that did not parse included, they are decoded
+    again one at a time, so that each fault is found at its own line."""
+    objects = [_parsed(line) for _, line in block]
+    try:
+        epochs = _decode(objects)
+    except Exception:
+        epochs = list(map(_epoch_or_fault, objects))
+    return list(zip([lineno for lineno, _ in block], epochs))
+
+
 def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[EpochRecord]:
     """Yield epochs from a JSONL stream.
 
-    Each line is parsed once, and the parsed lines are decoded in blocks of
-    ``READ_BLOCK``; a block in which any check fails is decoded again one
-    line at a time, so each fault is reported (or skipped) at its own line.
+    The non-blank lines go in blocks of ``READ_BLOCK`` to
+    :func:`_epoch_block`, through :func:`ordered.ordered_map`, so a worker
+    process may be forked; the epochs and faults are those of one process.
     Without ``diagnostics`` the first line that is not UTF-8 or fails to
     parse or validate raises InputError naming ``path:line``; with a list,
-    each such line is skipped and recorded in it. A wrong header always
-    aborts: that is the wrong file, not a bad epoch.
+    each such line is skipped and recorded in it, in line order. A wrong
+    header always aborts: that is the wrong file, not a bad epoch.
     """
     with open_text(path) as f:
         _check_header(_first_line(f, path), EPOCH_HEADER, path)
-        lines = ((n, _parsed(line)) for n, line in enumerate(f, start=2) if not line.isspace())
-        while block := list(itertools.islice(lines, READ_BLOCK)):
-            try:
-                epochs = _decode([obj for _, obj in block])
-            except Exception:
-                # any fault, a line that did not parse included: the lines
-                # below find and report it exactly
-                epochs = None
-            if epochs is not None:
-                # hand the records out without keeping them or the parsed
-                # lines, so that one block's worth is alive at a time
-                del block
-                epochs.reverse()
-                while epochs:
-                    yield epochs.pop()
-                continue
-            for lineno, obj in block:
-                try:
-                    if isinstance(obj, Exception):
-                        raise obj
-                    epoch = epoch_from_dict(obj)
-                except (ValidationError, ValueError) as exc:
-                    if diagnostics is None:
-                        raise InputError(f"{path}:{lineno}: {exc}") from exc
-                    diagnostics.append(f"{path}:{lineno}: skipped epoch: {exc}")
-                    continue
-                yield epoch
+        lines = ((n, line) for n, line in enumerate(f, start=2) if not line.isspace())
+        blocks = iter(lambda: list(itertools.islice(lines, READ_BLOCK)), [])
+        with closing(ordered_map(_epoch_block, blocks)) as results:
+            for block in results:
+                # hand the epochs out without keeping them, so that a few
+                # blocks' worth are alive at a time
+                block.reverse()
+                while block:
+                    lineno, epoch = block.pop()
+                    if not isinstance(epoch, Exception):
+                        yield epoch
+                    elif diagnostics is None:
+                        raise InputError(f"{path}:{lineno}: {epoch}") from epoch
+                    else:
+                        diagnostics.append(f"{path}:{lineno}: skipped epoch: {epoch}")
 
 
 def write_scan(path: str, frames: Iterable[ScanFrame]) -> int:

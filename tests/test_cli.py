@@ -513,7 +513,7 @@ def test_estimate_epoch_header_nested_too_deeply_names_the_file(tmp_path: Path, 
                  "--poses", files["poses.csv"], "--metrics", files["m.json"]])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == f"error: {files['epochs.jsonl']}: missing stream header: {_TOO_DEEP}\n"
+    assert err == f"error: {files['epochs.jsonl']}:1: missing stream header: {_TOO_DEEP}\n"
 
 
 def test_georef_scan_line_nested_too_deeply_names_the_line(tmp_path: Path, capsys) -> None:

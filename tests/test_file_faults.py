@@ -325,3 +325,30 @@ def test_header_with_a_byte_not_utf8_names_line_1(chain, tmp_path: Path, name: s
         argv = ["georef", "--poses", files["poses.csv"], "--scan", files["scan.jsonl"],
                 "--calib", chain["calib"], "--cloud", str(tmp_path / "cloud.xyz")]
     assert _cli(argv) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    ("header", "reason"),
+    [(b"", "missing stream header: Expecting value: line 1 column 1 (char 0)"),
+     (b"mgp-epoch", "missing stream header: Expecting value: line 1 column 1 (char 0)"),
+     (b'{"format": "mgp-epoch"', "missing stream header: "
+      "Expecting ',' delimiter: line 1 column 23 (char 22)"),
+     (b"[]", "unexpected stream header []")],
+    ids=["blank", "not-json", "cut-short", "not-the-header"],
+)
+@pytest.mark.parametrize("name", ["epochs.jsonl", "scan.jsonl"])
+def test_a_stream_header_fault_names_line_1(
+    chain, tmp_path: Path, name: str, header: bytes, reason: str
+) -> None:
+    """A header that is blank, not JSON or not the format's header is a
+    fault of line 1, named ``path:1`` with JSON's position in that line,
+    whichever line end the file uses."""
+    rest = Path(chain[name]).read_bytes().split(b"\n", 1)[1]
+    read = {"epochs.jsonl": lambda p: list(mgp.read_epochs(p, diagnostics=[])),
+            "scan.jsonl": lambda p: list(mgp.read_scan(p))}[name]
+    for newline in (b"\n", b"\r\n"):
+        path = tmp_path / name
+        path.write_bytes(header + newline + rest.replace(b"\n", newline))
+        with pytest.raises(mgp.InputError) as exc:
+            read(str(path))
+        assert str(exc.value) == f"{path}:1: {reason}"

@@ -1,28 +1,40 @@
-"""The worker path: ``ordered_map`` and the CLI steps that use it.
+"""The worker path: ``ordered_map`` and the readers and CLI steps that use it.
 
-``ordered_map`` runs the odd items in one forked worker. Its results must
-come in item order, each exception at its own place, and no process may be
-left behind: after a success, a fault or a generator closed early,
-``os.waitpid(-1, os.WNOHANG)`` must find no child. Through the CLI, a fault
-in a chunk the worker handles must read as one in a chunk the caller
-handles: the same ``path:line`` message and exit code, and no partial
-cloud.
+``ordered_map`` shares its items on demand between the caller and one forked
+worker. Its results must come in item order, each exception at its own
+place, and no process may be left behind: after a success, a fault or a
+generator closed early, ``os.waitpid(-1, os.WNOHANG)`` must find no child.
+Which process runs an item depends on timing, so every test that places an
+item in one process forces the placement: ``_force(monkeypatch, False)``
+makes the worker's result never ready when the caller looks, so the caller
+runs the even items and the worker the odd ones; ``_force(monkeypatch,
+True)`` makes it always ready, so the worker runs every item but item 0.
+Through the readers and the CLI, a fault in a block or chunk the worker
+handles must read as one in a block or chunk the caller handles, and as one
+in one process: the same ``path:line`` message and exit code, and no
+partial cloud.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Iterator
 
 import pytest
 
 import mgp
+import mgp.ordered
+import mgp.streams
 from mgp.ordered import ordered_map
 
 from test_cli import FLIGHT
+from test_epoch_differential import _scenario
 from test_pulse_blocks import _cli, _evaluate, _files, _georef, _xyz_lines
 
 
@@ -31,6 +43,12 @@ def no_child_left() -> Iterator[None]:
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _force(monkeypatch: pytest.MonkeyPatch, ready: bool) -> None:
+    """Make the worker's result never (False) or always (True) ready when
+    the caller looks; see the module docstring."""
+    monkeypatch.setattr(mgp.ordered._Worker, "ready", lambda self: ready)
 
 
 def _pid(item: int) -> tuple[int, int]:
@@ -55,12 +73,41 @@ def _until_fault(results) -> tuple[list[object], str | None]:
     return got, None
 
 
-def test_results_come_in_item_order_the_odd_items_from_one_worker() -> None:
+def test_results_come_in_item_order_from_the_caller_and_one_worker() -> None:
     got = list(ordered_map(_pid, range(9)))
     assert [item for item, _ in got] == list(range(9))
     pids = [pid for _, pid in got]
-    assert set(pids[0::2]) == {os.getpid()}
-    assert len(set(pids[1::2])) == 1 and os.getpid() not in pids[1::2]
+    assert pids[0] == os.getpid() and pids[1] != os.getpid()
+    assert set(pids) == {os.getpid(), pids[1]}
+
+
+def test_a_slow_worker_gets_fewer_items_and_a_slow_caller_fewer(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    caller = os.getpid()
+
+    def slow_worker(item: int) -> tuple[int, int]:
+        if os.getpid() != caller:
+            time.sleep(0.02)
+        return _pid(item)
+
+    # a slow worker is not ready when the caller looks, so the caller runs
+    # an item while it waits, one at most
+    with monkeypatch.context() as m:
+        _force(m, False)
+        got = list(ordered_map(slow_worker, range(12)))
+    assert [item for item, _ in got] == list(range(12))
+    assert [item for item, pid in got if pid != caller] == [1, 3, 5, 7, 9, 11]
+    # a slow caller, busy with each result, finds the worker's next one
+    # ready every time and runs item 0 alone
+    got = []
+    with monkeypatch.context() as m:
+        _force(m, True)
+        for result in ordered_map(_pid, range(12)):
+            time.sleep(0.02)
+            got.append(result)
+    assert [item for item, _ in got] == list(range(12))
+    assert [item for item, pid in got if pid == caller] == [0]
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -82,6 +129,37 @@ def test_an_exception_comes_at_its_own_place(bad: int) -> None:
     assert (got, fault) == ([k * k for k in range(bad)], f"item {bad}")
 
 
+@pytest.mark.parametrize("ready", [False, True], ids=["never-ready", "always-ready"])
+@pytest.mark.parametrize("bad", [0, 1, 2, 3, 6])
+def test_a_placed_exception_comes_at_its_own_place(
+    monkeypatch: pytest.MonkeyPatch, bad: int, ready: bool
+) -> None:
+    _force(monkeypatch, ready)
+    got, fault = _until_fault(ordered_map(_fail_at(bad), range(8)))
+    assert (got, fault) == ([k * k for k in range(bad)], f"item {bad}")
+
+
+@pytest.mark.parametrize("also_bad", [False, True], ids=["next-good", "next-bad"])
+def test_a_worker_exception_comes_before_the_callers_next_item(
+    monkeypatch: pytest.MonkeyPatch, also_bad: bool
+) -> None:
+    # item 3 raises in the worker; the caller has run item 4 before it
+    # takes item 3's result, and item 4's result or exception stays unseen
+    caller = os.getpid()
+    ran: list[int] = []
+
+    def fn(item: int) -> int:
+        if os.getpid() == caller:
+            ran.append(item)
+        if item == 3 or (also_bad and item == 4):
+            raise ValueError(f"item {item}")
+        return item * item
+
+    _force(monkeypatch, False)
+    assert _until_fault(ordered_map(fn, range(8))) == ([0, 1, 4], "item 3")
+    assert ran == [0, 2, 4]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_an_exception_of_the_items_comes_after_the_results_before_it(n: int) -> None:
     def items():
@@ -95,6 +173,70 @@ def test_a_generator_closed_early_leaves_no_child() -> None:
     results = ordered_map(_pid, range(10))
     assert [item for item, _ in (next(results), next(results), next(results))] == [0, 1, 2]
     results.close()
+    assert not mgp.ordered._busy
+
+
+@pytest.mark.parametrize("ready", [False, True], ids=["never-ready", "always-ready"])
+@pytest.mark.parametrize("taken", [1, 2, 3])
+def test_a_placed_generator_closed_early_leaves_no_child(
+    monkeypatch: pytest.MonkeyPatch, taken: int, ready: bool
+) -> None:
+    # closed while the caller holds a result ahead, or while the worker
+    # holds an item
+    _force(monkeypatch, ready)
+    results = ordered_map(_pid, range(10))
+    assert [item for item, _ in itertools.islice(results, taken)] == list(range(taken))
+    results.close()
+    assert not mgp.ordered._busy
+
+
+def test_a_worker_on_descriptors_past_fd_setsize_works() -> None:
+    # select() takes no descriptor from 1024 on; the readiness check must
+    # not depend on it
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft < 1100:
+        pytest.skip(f"open file limit {soft}")
+    fds = [os.open(os.devnull, os.O_RDONLY)]
+    try:
+        while fds[-1] < 1040:
+            fds.append(os.open(os.devnull, os.O_RDONLY))
+        got = list(ordered_map(_pid, range(8)))
+    finally:
+        for fd in fds:
+            os.close(fd)
+    assert [item for item, _ in got] == list(range(8))
+    assert len({pid for _, pid in got}) == 2
+
+
+def _nested(item: int) -> tuple[int, set[int]]:
+    """``item`` and the processes an ordered_map inside it ran in."""
+    inner = list(ordered_map(_pid, range(4)))
+    assert [k for k, _ in inner] == list(range(4))
+    return item, {pid for _, pid in inner}
+
+
+@pytest.mark.parametrize("ready", [False, True], ids=["never-ready", "always-ready"])
+def test_a_nested_map_runs_inline(monkeypatch: pytest.MonkeyPatch, ready: bool) -> None:
+    # inside the worker, and inside an item the caller runs while the worker
+    # lives, a map runs where it is called: two processes in all
+    _force(monkeypatch, ready)
+    caller = os.getpid()
+    got = list(ordered_map(lambda k: (*_nested(k), os.getpid()), range(6)))
+    assert [k for k, _, _ in got] == list(range(6))
+    assert all(inner == {pid} for _, inner, pid in got)
+    assert {pid for _, _, pid in got if pid == caller} == {caller}
+    assert len({pid for _, _, pid in got}) == 2
+    assert not mgp.ordered._busy
+
+
+def test_a_map_of_the_results_of_another_runs_inline() -> None:
+    # the inner map forks when the outer one asks for its first two items,
+    # so the outer one runs where it is called
+    caller = os.getpid()
+    got = list(ordered_map(lambda r: (*r, os.getpid()), ordered_map(_pid, range(6))))
+    assert [k for k, _, _ in got] == list(range(6))
+    assert {outer for _, _, outer in got} == {caller}
+    assert len({inner for _, inner, _ in got} | {caller}) == 2
 
 
 def test_the_worker_runs_no_exit_hook(tmp_path: Path) -> None:
@@ -133,9 +275,9 @@ def _with_bad_lines(scan: Path, out: Path, linenos: list[int]) -> Path:
     return bad
 
 
-# With one line a chunk, line k is chunk k - 2: the caller's when k is even,
-# the worker's when it is odd. Of two faults the first is named; lines 28
-# and 29 are the first with pulses.
+# With one line a chunk, line k is chunk k - 2, and with the placement
+# forced, the caller's when k is even and the worker's when it is odd. Of
+# two faults the first is named; lines 28 and 29 are the first with pulses.
 @pytest.mark.parametrize(
     "linenos",
     [[42], [41], [41, 42], [42, 43], [28, 29]],
@@ -153,6 +295,7 @@ def test_a_bad_scan_line_reads_the_same_in_either_process(
         list(mgp.read_scan(str(scan)))
     assert str(one_process.value).startswith(f"{scan}:{linenos[0]}: ")
     monkeypatch.setattr(mgp.streams, "CHUNK", 1)
+    _force(monkeypatch, False)
     cloud = out / f"cloud{suffix}"
     assert _georef(descent, scan, cloud) == (1, "", f"error: {one_process.value}\n")
     assert list(out.iterdir()) == []
@@ -166,11 +309,12 @@ def test_a_bad_scan_line_reads_the_same_in_either_process(
 def test_a_bad_cloud_line_reads_the_same_in_either_process(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, places: list[tuple[int, int]]
 ) -> None:
-    # chunks of 925 characters, three of them: block 1 is the worker's,
-    # block 2 the caller's, and a place (k, d) is line d after the first of
-    # block k. A flag of 2 in place of 0 or 1 keeps the line length, and so
-    # the cuts.
+    # chunks of 925 characters, three of them: with the placement forced,
+    # block 1 is the worker's and block 2 the caller's, and a place (k, d)
+    # is line d after the first of block k. A flag of 2 in place of 0 or 1
+    # keeps the line length, and so the cuts.
     monkeypatch.setattr(mgp.streams, "CHUNK", 37 * 25)
+    _force(monkeypatch, False)
     lines = _xyz_lines(4 * 37)
     cloud = tmp_path / "cloud.xyz"
     cloud.write_bytes(b"".join(lines))
@@ -203,13 +347,159 @@ def test_an_os_error_in_the_worker_reads_as_in_one_process(tmp_path: Path) -> No
     )
 
 
-def test_simulate_without_a_scan_does_not_fork(
-    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+@pytest.mark.parametrize("scan", [False, True], ids=["epochs", "epochs-and-scan"])
+def test_simulate_forks_one_worker(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, scan: bool
 ) -> None:
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    # without a scan, the epoch writer's blocks are shared with a worker;
+    # with one, the scan stream is the worker's and the epoch writer, started
+    # while it lives, maps its blocks in the caller
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted() -> int:
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps(FLIGHT), encoding="utf-8")
-    epochs = tmp_path / "epochs.jsonl"
-    assert _cli(["simulate", "--config", scen, "--out", epochs]) == (
-        0, f"wrote 30 epochs to {epochs}\n", ""
-    )
+    epochs, frames = tmp_path / "epochs.jsonl", tmp_path / "scan.jsonl"
+    argv = ["simulate", "--config", scen, "--out", epochs] + ["--scan", frames] * scan
+    out = f"wrote 30 epochs to {epochs}\n" + f"wrote 39 scan frames to {frames}\n" * scan
+    assert _cli(argv) == (0, out, "")
+    assert forks == [os.getpid()]
+    reference = tmp_path / "reference.jsonl"
+    cfg = mgp.scenario_from_dict(FLIGHT)
+    mgp.streams._write_lines(str(reference), mgp.streams.EPOCH_HEADER,
+                             map(mgp.epoch_to_dict, mgp.simulate(cfg)))
+    assert epochs.read_bytes() == reference.read_bytes()
+
+
+# The epoch stream through the worker. Blocks of 4 lines: lines 2-5 are
+# block 0, the caller's, lines 6-9 block 1, the worker's, and so on, with
+# the placement forced by _force(monkeypatch, False); a stream of 6 s has
+# 60 epoch lines, so 15 blocks.
+EPOCH_BLOCK = 4
+
+
+@pytest.fixture(scope="module")
+def epoch_streams(tmp_path_factory: pytest.TempPathFactory) -> dict[str, Path]:
+    out = {}
+    for name in ("multipath", "flight"):
+        path = tmp_path_factory.mktemp(name) / "epochs.jsonl"
+        mgp.write_epochs(str(path), mgp.simulate(_scenario(name, 6.0)))
+        out[name] = path
+    return out
+
+
+def _with_bad_epochs(path: Path, out: Path, linenos: list[int]) -> Path:
+    """The stream at ``path`` with lines ``linenos`` broken: a missing
+    key on the odd ones, a line that is not JSON on the even ones."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    for k in linenos:
+        lines[k - 1] = lines[k - 1].replace('"t"', '"tt"', 1) if k % 2 else "{not json\n"
+    bad = out / "bad.jsonl"
+    bad.write_text("".join(lines), encoding="utf-8")
+    return bad
+
+
+def _read(path: Path, skip: bool, limit: int | None = None) -> tuple[list[str], list[str], str]:
+    """The JSON of each epoch ``read_epochs`` yields (at most ``limit``),
+    its diagnostics in skip mode, and the message of the fault it raised."""
+    diagnostics: list[str] | None = [] if skip else None
+    got: list[str] = []
+    try:
+        for epoch in itertools.islice(mgp.read_epochs(str(path), diagnostics=diagnostics), limit):
+            got.append(json.dumps(mgp.epoch_to_dict(epoch)))
+    except mgp.InputError as exc:
+        return got, diagnostics or [], str(exc)
+    return got, diagnostics or [], ""
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["raise", "skip"])
+@pytest.mark.parametrize(
+    "linenos",
+    [[], [7], [11], [7, 11], [11, 14], [2, 3, 61]],
+    ids=["clean", "worker", "caller", "worker-then-caller", "caller-then-worker", "edges"],
+)
+@pytest.mark.parametrize("name", ["multipath", "flight"])
+def test_the_epoch_reader_reads_the_same_in_either_process(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, epoch_streams: dict[str, Path],
+    name: str, linenos: list[int], skip: bool,
+) -> None:
+    path = _with_bad_epochs(epoch_streams[name], tmp_path, linenos)
+    monkeypatch.setattr(mgp.streams, "READ_BLOCK", EPOCH_BLOCK)
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        one_process = _read(path, skip)
+    epochs, diagnostics, fault = one_process
+    assert len(diagnostics) == len(linenos) * skip
+    assert bool(fault) == bool(linenos and not skip)
+    assert len(epochs) == (60 - len(linenos) if skip or not linenos else min(linenos) - 2)
+    for ready in (False, True):
+        with monkeypatch.context() as m:
+            _force(m, ready)
+            assert _read(path, skip) == one_process
+
+
+@pytest.mark.parametrize("limit", [1, 5, 20])
+def test_an_epoch_reader_closed_early_leaves_no_child(
+    monkeypatch: pytest.MonkeyPatch, epoch_streams: dict[str, Path], limit: int
+) -> None:
+    # as perfbench's eigen benchmark reads: the first epochs, through islice
+    path = epoch_streams["multipath"]
+    monkeypatch.setattr(mgp.streams, "READ_BLOCK", EPOCH_BLOCK)
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        one_process = _read(path, False, limit)
+    assert len(one_process[0]) == limit
+    for ready in (False, True):
+        with monkeypatch.context() as m:
+            _force(m, ready)
+            assert _read(path, False, limit) == one_process
+            assert not mgp.ordered._busy
+
+
+@pytest.mark.parametrize("linenos", [[], [7, 11]], ids=["clean", "bad-lines"])
+def test_estimate_reads_the_same_in_either_process(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, epoch_streams: dict[str, Path],
+    linenos: list[int],
+) -> None:
+    # stdout, stderr and both outputs, diagnostics of the reader and of the
+    # pipeline interleaved as in one process
+    path = _with_bad_epochs(epoch_streams["multipath"], tmp_path, linenos)
+    pipe = tmp_path / "pipe.json"
+    pipe.write_text("{}", encoding="utf-8")
+    monkeypatch.setattr(mgp.streams, "READ_BLOCK", EPOCH_BLOCK)
+
+    def estimate(tag: str) -> tuple[object, ...]:
+        out_dir = tmp_path / tag
+        out_dir.mkdir()
+        poses, metrics = out_dir / "poses.csv", out_dir / "metrics.json"
+        code, out, err = _cli(["estimate", "--epochs", path, "--config", pipe,
+                               "--poses", poses, "--metrics", metrics])
+        return code, out.replace(str(out_dir), ""), err, poses.read_bytes(), metrics.read_bytes()
+
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        one_process = estimate("one")
+    assert one_process[2].count("skipped epoch") == len(linenos)
+    for ready in (False, True):
+        with monkeypatch.context() as m:
+            _force(m, ready)
+            assert estimate(f"two{ready}") == one_process
+
+
+@pytest.mark.parametrize("ready", [False, True], ids=["never-ready", "always-ready"])
+@pytest.mark.parametrize("name", ["multipath", "flight"])
+def test_the_epoch_writer_writes_the_bytes_of_one_process(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, name: str, ready: bool
+) -> None:
+    cfg = _scenario(name, 6.0)
+    reference, two = tmp_path / "reference.jsonl", tmp_path / "two.jsonl"
+    mgp.streams._write_lines(str(reference), mgp.streams.EPOCH_HEADER,
+                             map(mgp.epoch_to_dict, mgp.simulate(cfg)))
+    _force(monkeypatch, ready)
+    assert mgp.write_epochs(str(two), mgp.simulate(cfg)) == 60
+    assert two.read_bytes() == reference.read_bytes()

@@ -4,7 +4,7 @@
 about ``mgp.streams.CHUNK`` characters (``scan_chunks``), and ``evaluate``
 reads a .xyz cloud in chunks of whole lines cut the same way and a .bin
 cloud in blocks of the whole records of ``CHUNK`` bytes (``cloud_blocks``);
-every other chunk or block goes to the worker of ``ordered_map``. With small
+the chunks and blocks are shared with the worker of ``ordered_map``. With small
 sizes, down to one line or record a chunk or block, the files, reports and
 messages must be those of a size no file reaches: one chunk or block, the
 whole stream, in one process. A failed ``georef`` must leave no partial
