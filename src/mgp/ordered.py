@@ -21,8 +21,8 @@ of every item before it.
 A process has at most one worker: an ordered_map that would fork while
 another worker of its process is alive, or inside a worker, maps its items
 in the caller, so a nested map, or one whose items come from another map,
-starts no third process. Where ``os.fork`` does not exist, the items are
-mapped in the caller.
+starts no third process. Where ``os.fork`` does not exist, or where the
+fork fails, the items are mapped in the caller.
 
 The worker leaves through ``os._exit`` on every path, so no ``finally``,
 ``with`` block or atexit hook of the caller's code runs in it (a hidden
@@ -36,6 +36,7 @@ mgp starts no thread, and numpy's BLAS pool takes part in ``fork`` itself.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import pickle
@@ -116,9 +117,16 @@ class _Worker:
 
     def __init__(self, fn: Callable[[Any], Any]) -> None:
         global _busy
-        items_r, items_w = os.pipe()
-        results_r, results_w = os.pipe()
-        self.pid = os.fork()
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        items_r, items_w, results_r, results_w = fds
         _busy = True
         if self.pid == 0:
             try:
@@ -184,14 +192,17 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
     results before it."""
     pulled = _pulled(items)
     head = list(itertools.islice(pulled, 2))
-    if len(head) < 2 or isinstance(head[1], _Fault) or _busy or not hasattr(os, "fork"):
+    worker = None
+    if len(head) == 2 and not isinstance(head[1], _Fault) and not _busy and hasattr(os, "fork"):
+        with contextlib.suppress(OSError):  # no pipe or no fork to be had
+            worker = _Worker(fn)
+    if worker is None:
         # at most one item, or no second process to be had: map here
         while head:
             yield _run(fn, head.pop(0))
         for item in pulled:
             yield _run(fn, item)
         return
-    worker = _Worker(fn)
     try:
         worker.send(head.pop())
         held: int | None = 1  # the index of the item the worker holds

@@ -16,13 +16,13 @@ one array pass per check over the block's rows and one requery replay of
 all the block's epochs that need it, over their concatenated draws. The
 checks run on the records as read, so neither the antenna subset nor the
 feedback can hide a fault. ``run`` takes the stream through it in blocks
-of up to ``streams.READ_BLOCK`` epochs as it arrives (:func:`_chunks`),
-then the surviving epochs through stages (3) and (4) in blocks of at most
-``BLOCK_PAIRS`` pair hypothesis slots, with one call of the consensus
-kernel and one position fusion per block; ``process_epoch`` is the same
-chain on a block of one, and no output depends on where any of the blocks
-fall. ``run`` returns the stream's poses as one :class:`mgp.mapping.Poses`
-record of arrays, built block by block.
+of ``streams.READ_BLOCK`` epochs, whatever lines the reader skips
+(:func:`_chunks`), then the surviving epochs through stages (3) and (4) in
+blocks of at most ``BLOCK_PAIRS`` pair hypothesis slots, with one call of
+the consensus kernel and one position fusion per block; ``process_epoch``
+is the same chain on a block of one, and no output depends on where any
+of the blocks fall. ``run`` returns the stream's poses as one
+:class:`mgp.mapping.Poses` record of arrays, built block by block.
 
 A fix rate here is the share of epochs in which a solution of the given
 kind existed: an antenna's rate counts its FIXED epochs, the hybrid rate
@@ -548,32 +548,27 @@ class _Tally:
 
 def _chunks(
     epochs: Iterable[EpochRecord], diags: list[str]
-) -> Iterator[tuple[list[EpochRecord], int]]:
-    """The stream in blocks, each with ``len(diags)`` as its epochs were
-    pulled: the one place of its own diagnostics. A block ends at
-    ``READ_BLOCK`` epochs, before the next is pulled, and before an epoch
-    whose pull grew ``diags`` (a shared reader skipped lines). A fault of
-    the stream is raised once the epochs before it have been handed out."""
+) -> Iterator[tuple[list[EpochRecord], list[int]]]:
+    """The stream in blocks of ``READ_BLOCK`` epochs (the last may be
+    shorter), each epoch with ``len(diags)`` as read right after it was
+    pulled: the place of its own diagnostics, after any lines a shared
+    reader skipped before it. A fault of the stream is raised once the
+    epochs before it have been handed out."""
     it = iter(epochs)
-    carry: list[EpochRecord] = []
     while True:
-        chunk, carry, mark = carry, [], len(diags)
+        chunk: list[EpochRecord] = []
+        marks: list[int] = []
         try:
-            for epoch in it:
-                if chunk and len(diags) > mark:
-                    carry = [epoch]
-                    break
-                mark = len(diags)
+            for epoch in itertools.islice(it, streams.READ_BLOCK):
                 chunk.append(epoch)
-                if len(chunk) >= streams.READ_BLOCK:
-                    break
+                marks.append(len(diags))
         except Exception:
             if chunk:
-                yield chunk, mark
+                yield chunk, marks
             raise
         if not chunk:
             return
-        yield chunk, mark
+        yield chunk, marks
 
 
 def run(
@@ -585,12 +580,12 @@ def run(
     """Process a stream and accumulate the metrics report.
 
     The front half (checks, subset, detection, feedback), where every skip
-    is decided, runs over blocks of up to ``streams.READ_BLOCK`` epochs
-    pulled from ``epochs`` (:class:`_FrontBlock`): one array pass per step
-    over the block's rows, the requery replay included. An epoch with a
-    fault is skipped with the fault's message; every other epoch is taken
-    from the block's arrays. The timestamp check runs epoch by epoch in
-    stream order, ahead of the block's checks. The survivors
+    is decided, runs over blocks of ``streams.READ_BLOCK`` epochs pulled
+    from ``epochs``, the last maybe shorter (:class:`_FrontBlock`): one
+    array pass per step over the block's rows, the requery replay included.
+    An epoch with a fault is skipped with the fault's message; every other
+    epoch is taken from the block's arrays. The timestamp check runs epoch
+    by epoch in stream order, ahead of the block's checks. The survivors
     then go to consensus attitude and position in blocks of at most
     ``BLOCK_PAIRS`` pair hypothesis slots. Results match
     :func:`process_epoch` epoch by epoch, wherever the blocks fall.
@@ -598,9 +593,11 @@ def run(
     Per-epoch validation problems skip the epoch (with a diagnostic) and
     never abort the stream; configuration-level problems do abort. The
     ``diagnostics`` list may be shared with a skip-tolerant reader so parse
-    skips and processing skips are counted together, in stream order: each
-    block's messages go in with one insertion, at its place (:func:`_chunks`).
-    ``skipped`` counts the entries added while this call runs.
+    skips and processing skips are counted together, in stream order: an
+    epoch's message goes in at its epoch's place, after the lines the reader
+    skipped before it (:func:`_chunks`), a block's messages last first, so
+    that each place holds. ``skipped`` counts the entries added while this
+    call runs.
     """
     diags = diagnostics if diagnostics is not None else []
     first_diag = len(diags)
@@ -620,18 +617,18 @@ def run(
 
     last_t: float | None = None
     idx = -1
-    for chunk, mark in _chunks(epochs, diags):
+    for chunk, marks in _chunks(epochs, diags):
         front = _FrontBlock(chunk, config)
         passed = np.zeros(len(chunk), dtype=bool)
-        notes: list[str] = []
+        notes: list[tuple[int, str]] = []  # (k, note of epoch k)
         for k, epoch in enumerate(chunk):
             idx += 1
             if last_t is not None and epoch.t <= last_t:
-                notes.append(f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped")
+                notes.append((k, f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped"))
                 continue
             fault = front.faults[k]
             if fault is not None:
-                notes.append(f"epoch {idx} (t={epoch.t!r}): {fault}")
+                notes.append((k, f"epoch {idx} (t={epoch.t!r}): {fault}"))
                 continue
             last_t = epoch.t
             passed[k] = True
@@ -654,7 +651,8 @@ def run(
             if pairs:
                 solving, widest = solving + 1, max(widest, pairs)
         tally.fixed(front, passed)
-        diags[mark:mark] = notes
+        for k, note in reversed(notes):
+            diags.insert(marks[k], note)
         # let this block's epochs go before the next block is read
         del chunk, front
     if block:

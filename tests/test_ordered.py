@@ -16,6 +16,7 @@ partial cloud.
 """
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import os
@@ -118,9 +119,37 @@ def test_a_call_with_at_most_one_item_does_not_fork(
     assert list(ordered_map(_pid, range(n))) == [(0, os.getpid())][:n]
 
 
-def test_without_fork_the_caller_maps_every_item(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.delattr(os, "fork")
-    assert list(ordered_map(_pid, range(5))) == [(k, os.getpid()) for k in range(5)]
+def _fork_fails() -> int:
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def test_without_fork_the_caller_maps_every_item(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Where ``os.fork`` is missing or raises, every item is mapped in the
+    caller, no pipe is left open, and a whole ``estimate`` gives the outputs
+    of a run in a process that may not fork, as a worker is. Starts no
+    process."""
+    fds = sorted(os.listdir("/proc/self/fd"))
+    path = tmp_path / "epochs.jsonl"
+    monkeypatch.setattr(mgp.streams, "READ_BLOCK", EPOCH_BLOCK)
+    with monkeypatch.context() as m:
+        m.setattr(mgp.ordered, "_busy", True)
+        mgp.write_epochs(str(path), mgp.simulate(_scenario("multipath", 2.0)))
+        inline = _estimate(path, tmp_path / "inline")
+    assert inline[0] == 0 and inline[2] == ""
+    for no_fork in ("deleted", "raises"):
+        with monkeypatch.context() as m:
+            if no_fork == "deleted":
+                m.delattr(os, "fork")
+            else:
+                m.setattr(os, "fork", _fork_fails)
+            got = list(ordered_map(_pid, range(5)))
+            assert got == [(k, os.getpid()) for k in range(5)], no_fork
+            assert sorted(os.listdir("/proc/self/fd")) == fds, no_fork
+            assert not mgp.ordered._busy
+            assert _estimate(path, tmp_path / no_fork) == inline, no_fork
+            assert sorted(os.listdir("/proc/self/fd")) == fds, no_fork
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2, 3, 6])
@@ -461,6 +490,17 @@ def test_an_epoch_reader_closed_early_leaves_no_child(
             assert not mgp.ordered._busy
 
 
+def _estimate(path: Path, out_dir: Path) -> tuple[object, ...]:
+    """Exit code, stdout, stderr, poses and metrics of ``estimate`` on the
+    stream at ``path``, its outputs written to ``out_dir``."""
+    out_dir.mkdir()
+    pipe, poses, metrics = (out_dir / name for name in ("pipe.json", "poses.csv", "metrics.json"))
+    pipe.write_text("{}", encoding="utf-8")
+    code, out, err = _cli(["estimate", "--epochs", path, "--config", pipe,
+                           "--poses", poses, "--metrics", metrics])
+    return code, out.replace(str(out_dir), ""), err, poses.read_bytes(), metrics.read_bytes()
+
+
 @pytest.mark.parametrize("linenos", [[], [7, 11]], ids=["clean", "bad-lines"])
 def test_estimate_reads_the_same_in_either_process(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, epoch_streams: dict[str, Path],
@@ -469,26 +509,15 @@ def test_estimate_reads_the_same_in_either_process(
     # stdout, stderr and both outputs, diagnostics of the reader and of the
     # pipeline interleaved as in one process
     path = _with_bad_epochs(epoch_streams["multipath"], tmp_path, linenos)
-    pipe = tmp_path / "pipe.json"
-    pipe.write_text("{}", encoding="utf-8")
     monkeypatch.setattr(mgp.streams, "READ_BLOCK", EPOCH_BLOCK)
-
-    def estimate(tag: str) -> tuple[object, ...]:
-        out_dir = tmp_path / tag
-        out_dir.mkdir()
-        poses, metrics = out_dir / "poses.csv", out_dir / "metrics.json"
-        code, out, err = _cli(["estimate", "--epochs", path, "--config", pipe,
-                               "--poses", poses, "--metrics", metrics])
-        return code, out.replace(str(out_dir), ""), err, poses.read_bytes(), metrics.read_bytes()
-
     with monkeypatch.context() as m:
         m.delattr(os, "fork")
-        one_process = estimate("one")
+        one_process = _estimate(path, tmp_path / "one")
     assert one_process[2].count("skipped epoch") == len(linenos)
     for ready in (False, True):
         with monkeypatch.context() as m:
             _force(m, ready)
-            assert estimate(f"two{ready}") == one_process
+            assert _estimate(path, tmp_path / f"two{ready}") == one_process
 
 
 @pytest.mark.parametrize("ready", [False, True], ids=["never-ready", "always-ready"])

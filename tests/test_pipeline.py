@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mgp.pipeline
+import mgp.streams
 from mgp import (
     AttitudeProfile,
     ConfigurationError,
@@ -487,18 +489,79 @@ def test_run_shared_diagnostics_list() -> None:
     assert diags == ["caller note"]
 
 
-def test_run_counts_reader_skips_on_a_shared_list(tmp_path) -> None:
-    cfg = _scenario(duration_s=0.5)
+NOT_JSON = (
+    "skipped epoch: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+)
+
+
+def _mistyped_t(record: dict) -> str:
+    return json.dumps({**record, "t": True})
+
+
+def test_run_counts_reader_skips_on_a_shared_list(tmp_path, monkeypatch) -> None:
+    """Reader skips (a line that is not JSON, a mistyped field), early
+    timestamps and a front half fault, inside blocks and at their edges,
+    each at its own place in the shared list, at any block size."""
     path = tmp_path / "e.jsonl"
-    write_epochs(str(path), simulate(cfg))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[2] = "{not json"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    diags = ["caller note"]
-    epochs = read_epochs(str(path), diagnostics=diags)
-    result = run(epochs, PipelineConfig(), diagnostics=diags)
-    assert (result.metrics.epochs, result.metrics.skipped) == (4, 1)
-    assert diags[0] == "caller note" and diags[1].startswith(f"{path}:3: skipped epoch")
+    write_epochs(str(path), simulate(_scenario(duration_s=1.2)))
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    r = [json.loads(line) for line in lines]
+    r[4]["t"] = r[3]["t"]
+    r[6]["fixes"][0]["antenna_id"] = 9
+    r[11]["t"] = r[10]["t"]
+    out = [header, "{not json", *map(json.dumps, r[:5]), _mistyped_t(r[5]),
+           *map(json.dumps, r[5:7]), "{not json", *map(json.dumps, r[7:9]),
+           _mistyped_t(r[9]), *map(json.dumps, r[9:]), "{not json"]
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    want = [
+        "caller note",
+        f"{path}:2: {NOT_JSON}",
+        "epoch 4: non-increasing timestamp 0.3, skipped",
+        f"{path}:8: skipped epoch: epoch time must be a number, got True",
+        "epoch 6 (t=0.6): antenna 9 has no layout entry (layout has 6)",
+        f"{path}:11: {NOT_JSON}",
+        f"{path}:14: skipped epoch: epoch time must be a number, got True",
+        "epoch 11: non-increasing timestamp 1.0, skipped",
+        f"{path}:18: {NOT_JSON}",
+    ]
+    runs = []
+    for read_block in (1, 3, 32):
+        monkeypatch.setattr(mgp.streams, "READ_BLOCK", read_block)
+        diags = ["caller note"]
+        result = run(read_epochs(str(path), diagnostics=diags), PipelineConfig(), diagnostics=diags)
+        assert diags == want, read_block
+        assert (result.metrics.epochs, result.metrics.skipped) == (9, 8)
+        runs.append((json.dumps(result.metrics.to_json_dict()), result.poses))
+    for metrics, poses in runs[1:]:
+        assert metrics == runs[0][0]
+        for name in ("t", "p", "q", "n_fix"):
+            assert np.array_equal(getattr(poses, name), getattr(runs[0][1], name), equal_nan=True)
+
+
+def test_run_cuts_front_blocks_at_read_block_whatever_the_reader_skips(
+    tmp_path, monkeypatch
+) -> None:
+    """A bad line before every epoch moves no edge of run's front blocks:
+    every block but the last holds ``READ_BLOCK`` epochs."""
+    path = tmp_path / "e.jsonl"
+    write_epochs(str(path), simulate(_scenario(duration_s=7.0)))
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    bad = [header, *(f"{{not json\n{line}" for line in lines)]
+    path.write_text("\n".join(bad) + "\n", encoding="utf-8")
+    sizes: list[int] = []
+    front = mgp.pipeline._FrontBlock
+
+    def counting(epochs, config):
+        sizes.append(len(epochs))
+        return front(epochs, config)
+
+    monkeypatch.setattr(mgp.pipeline, "_FrontBlock", counting)
+    diags: list[str] = []
+    result = run(read_epochs(str(path), diagnostics=diags), PipelineConfig(), diagnostics=diags)
+    assert (result.metrics.epochs, result.metrics.skipped) == (70, 70)
+    assert diags == [f"{path}:{2 * k + 2}: {NOT_JSON}" for k in range(70)]
+    b = mgp.streams.READ_BLOCK
+    assert sizes == [min(b, 70 - k) for k in range(0, 70, b)]
 
 
 def test_run_keeps_its_diagnostics_when_the_stream_fails() -> None:
