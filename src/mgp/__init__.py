@@ -24,7 +24,7 @@ from .core import (
     quat_to_matrix,
     rotate,
 )
-from .epochs import EpochRecord, EpochTruth, FixModel, requery_epoch
+from .epochs import EpochBlock, EpochRecord, EpochTruth, FixModel, requery_epoch
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
@@ -91,11 +91,13 @@ from .simulator import (
 )
 from .streams import (
     bundled_scenario_path,
+    epoch_blocks,
     epoch_from_dict,
     epoch_to_dict,
     load_calibration,
     load_reflectors,
     read_cloud,
+    read_epoch_blocks,
     read_epochs,
     read_poses,
     read_scan,

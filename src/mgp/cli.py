@@ -74,9 +74,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if overrides:
         config = dataclasses.replace(config, **overrides)
 
-    diagnostics: list[str] = []
-    epochs = streams.read_epochs(args.epochs, diagnostics=diagnostics)
-    result = pipeline.run(epochs, config, diagnostics=diagnostics)
+    result = pipeline.run(streams.read_epoch_blocks(args.epochs), config)
     streams.write_poses(args.poses, result.poses)
     streams.write_json(args.metrics, result.metrics.to_json_dict())
     for line in result.diagnostics:

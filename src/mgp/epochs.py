@@ -1,8 +1,10 @@
-"""The epoch record and the replay of its fix outcomes.
+"""The epoch records and the replay of their fix outcomes.
 
 An :class:`EpochRecord` is one epoch of the stream, whatever produced it:
 the antenna solutions, the baseline observations and the SNR table, each a
-record of arrays, plus an optional :class:`EpochTruth` channel.
+record of arrays, plus an optional :class:`EpochTruth` channel. An
+:class:`EpochBlock` holds the epochs of a reader block, as ``pipeline.run``
+takes them, in one record of arrays of each kind.
 
 The simulator draws every stochastic outcome once and retains the
 underlying draws in the epoch's truth channel as a :class:`RequeryData`
@@ -20,9 +22,10 @@ at once, grading the block's concatenated draws in one pass;
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,6 +160,68 @@ class EpochRecord:
     baselines: Baselines
     snr_rows: SnrTable
     truth: EpochTruth | None = None
+
+
+def offsets(counts: Iterable[int]) -> list[int]:
+    """The E + 1 row offsets of E epochs of ``counts`` rows each: epoch k
+    holds rows ``ends[k]:ends[k + 1]``."""
+    return [0, *itertools.accumulate(counts)]
+
+
+def epoch_of_rows(ends: list[int]) -> np.ndarray:
+    """The epoch of each row, given the epochs' row :func:`offsets`."""
+    return np.repeat(np.arange(len(ends) - 1), np.diff(ends))
+
+
+@dataclass(frozen=True, eq=False)
+class EpochBlock:
+    """E consecutive epochs: the (E,) times ``t`` and file ``lines``, the
+    fixes, baselines and SNR rows of all E as one record each with its E + 1
+    row :func:`offsets`, and the E truth channels. The SNR table is as wide
+    as the widest epoch's rows, NaN-padded; ``snr_width`` (E,) holds each
+    epoch's own width, 0 for an epoch without SNR rows."""
+
+    t: np.ndarray
+    lines: np.ndarray
+    fixes: Fixes
+    fix_ends: list[int]
+    baselines: Baselines
+    baseline_ends: list[int]
+    snr: SnrTable
+    snr_ends: list[int]
+    snr_width: np.ndarray
+    truth: tuple[EpochTruth | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @classmethod
+    def of(cls, epochs: Sequence[EpochRecord], lines: Sequence[int]) -> EpochBlock:
+        """The block of one or more ``epochs``, epoch k from line ``lines[k]``."""
+        tables = [e.snr_rows for e in epochs]
+        widths = [t.dbhz.shape[1] if len(t) else 0 for t in tables]
+        snr_ends = offsets(map(len, tables))
+        dbhz = np.full((snr_ends[-1], max(widths)), np.nan)
+        for t, a, w in zip(tables, snr_ends, widths):
+            dbhz[a:a + len(t), :w] = t.dbhz
+        sat_ids = tuple(itertools.chain.from_iterable(t.sat_ids for t in tables))
+        fixes, baselines = [e.fixes for e in epochs], [e.baselines for e in epochs]
+        return cls(
+            np.array([e.t for e in epochs], dtype=np.float64), np.array(lines, dtype=np.int64),
+            Fixes.joined(fixes), offsets(map(len, fixes)),
+            Baselines.joined(baselines), offsets(map(len, baselines)),
+            SnrTable(sat_ids, dbhz), snr_ends, np.array(widths, dtype=np.int64),
+            tuple(e.truth for e in epochs),
+        )
+
+    def epoch(self, k: int) -> EpochRecord:
+        """Epoch k of the block, its arrays slices of the block's."""
+        f, b, s = (slice(ends[k], ends[k + 1])
+                   for ends in (self.fix_ends, self.baseline_ends, self.snr_ends))
+        snr = SnrTable(self.snr.sat_ids[s], self.snr.dbhz[s, : self.snr_width[k]])
+        return EpochRecord(
+            self.t[k].item(), self.fixes.select(f), self.baselines.select(b), snr, self.truth[k]
+        )
 
 
 def _grade(

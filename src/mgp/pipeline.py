@@ -11,18 +11,18 @@ the observed (pre-feedback) statuses so the feedback gain stays visible next
 to them.
 
 There is one front half, :class:`_FrontBlock`: it takes stages (1) and
-(2), with every check that can skip an epoch, over a block of epochs, with
-one array pass per check over the block's rows and one requery replay of
-all the block's epochs that need it, over their concatenated draws. The
-checks run on the records as read, so neither the antenna subset nor the
-feedback can hide a fault. ``run`` takes the stream through it in blocks
-of ``streams.READ_BLOCK`` epochs, whatever lines the reader skips
-(:func:`_chunks`), then the surviving epochs through stages (3) and (4) in
-blocks of at most ``BLOCK_PAIRS`` pair hypothesis slots, with one call of
-the consensus kernel and one position fusion per block; ``process_epoch``
-is the same chain on a block of one, and no output depends on where any
-of the blocks fall. ``run`` returns the stream's poses as one
-:class:`mgp.mapping.Poses` record of arrays, built block by block.
+(2), with every check that can skip an epoch, over an
+:class:`mgp.epochs.EpochBlock` as the reader decoded it, with one array
+pass per check over the block's rows and one requery replay of all the
+block's epochs that need it. The checks run on the rows as read, so
+neither the antenna subset nor the feedback can hide a fault. ``run``
+takes the stream through it one reader block at a time, then the
+surviving epochs through stages (3) and (4) in blocks of at most
+``BLOCK_PAIRS`` pair hypothesis slots, with one call of the consensus
+kernel and one position fusion per block; ``process_epoch`` is the same
+chain on a block of one, and no output depends on where any of the blocks
+fall. ``run`` returns the stream's poses as one :class:`mgp.mapping.Poses`
+record of arrays, built block by block.
 
 A fix rate here is the share of epochs in which a solution of the given
 kind existed: an antenna's rate counts its FIXED epochs, the hybrid rate
@@ -36,15 +36,19 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from . import jsonvals, streams
+from . import jsonvals
 from .attitude import AttitudeSolution, Baselines, body_to_enu
 from .core import AntennaLayout, euler_from_matrix, first_repeat, hexagon_layout, quat_to_matrix
 from .epochs import (
+    EpochBlock,
     EpochRecord,
+    EpochTruth,
+    epoch_of_rows,
+    offsets,
     replay,
     requery_epoch,  # unused here; perfbench/tracer.py traces it under this name
 )
@@ -156,21 +160,15 @@ def _consensus_params(config: PipelineConfig) -> RansacParams:
     return replace(params, min_inliers=max(2, min(params.min_inliers, max_pairs)))
 
 
-def _ends(epoch_of_row: np.ndarray, n_epochs: int) -> list[int]:
-    """Row bounds of each epoch in a block: epoch k holds rows
-    ``ends[k]:ends[k + 1]`` of rows sorted by ``epoch_of_row``."""
-    return [0, *np.cumsum(np.bincount(epoch_of_row, minlength=n_epochs)).tolist()]
-
-
 class _FrontBlock:
-    """Stages (1) and (2) of a block of epochs, each step one array pass over
-    the block's concatenated rows: the checks, the subset masks, the SNR
-    spread and the requery replay of every epoch that needs it
+    """Stages (1) and (2) of an :class:`EpochBlock`, each step one array
+    pass over the block's rows as read: the checks, the subset masks, the
+    SNR spread and the requery replay of every epoch that needs it
     (:func:`mgp.epochs.replay`). This is the only front half: ``run`` takes
     every block through it and ``process_epoch`` a block of one.
 
     ``faults[k]`` is the message of epoch k's first fault, or None. The
-    checks run on the records as read, before the subset or the replay can
+    checks run on the rows as read, before the subset or the replay can
     hide a row, in this order: an antenna outside the layout (the fixes,
     then the pairs), an SNR row of another width than the layout, a
     satellite named twice, a requery record of another antenna count (only
@@ -180,42 +178,40 @@ class _FrontBlock:
     :meth:`report`.
     """
 
-    def __init__(self, epochs: list[EpochRecord], config: PipelineConfig) -> None:
+    def __init__(self, block: EpochBlock, config: PipelineConfig) -> None:
         n = config.layout.antenna_count
         active = config.active_mask
-        n_epochs = len(epochs)
+        n_epochs = len(block)
         faults: list[str | None] = [None] * n_epochs
 
         def fault(k: int, message: str) -> None:
             if faults[k] is None:
                 faults[k] = message
 
-        fixes = Fixes.joined([e.fixes for e in epochs])
-        ids = fixes.ids
-        fix_epoch = np.repeat(np.arange(n_epochs), [len(e.fixes) for e in epochs])
-        baselines = Baselines.joined([e.baselines for e in epochs])
-        pairs = baselines.pairs
-        pair_epoch = np.repeat(np.arange(n_epochs), [len(e.baselines) for e in epochs])
+        fixes, baselines, snr = block.fixes, block.baselines, block.snr
+        ids, pairs = fixes.ids, baselines.pairs
+        fix_epoch, pair_epoch = epoch_of_rows(block.fix_ends), epoch_of_rows(block.baseline_ends)
         known = (ids >= 1) & (ids <= n)
         known_ids = ((pairs >= 1) & (pairs <= n)).ravel()
-        stray = zip(
-            np.concatenate((fix_epoch[~known], np.repeat(pair_epoch, 2)[~known_ids])).tolist(),
-            np.concatenate((ids[~known], pairs.ravel()[~known_ids])).tolist(),
+        stray = itertools.chain(
+            zip(fix_epoch[~known].tolist(), ids[~known].tolist()),
+            zip(np.repeat(pair_epoch, 2)[~known_ids].tolist(), pairs.ravel()[~known_ids].tolist()),
         )
         for k, i in stray:
             fault(k, f"antenna {i} has no layout entry (layout has {n})")
 
-        tables = [e.snr_rows for e in epochs]
-        fits = [t.dbhz.shape[1] == n for t in tables]
-        for k, (t, ok) in enumerate(zip(tables, fits)):
-            if t.sat_ids and not ok:
-                fault(k, f"SNR row {t.sat_ids[0]} has {t.dbhz.shape[1]} columns (layout has {n})")
-            if len(set(t.sat_ids)) != len(t.sat_ids):
-                fault(k, f"duplicate SNR row for satellite {first_repeat(t.sat_ids)}")
+        widths = block.snr_width.tolist()
+        ends = block.snr_ends
+        for k, (a, b) in enumerate(zip(ends, ends[1:])):
+            rows = snr.sat_ids[a:b]
+            if rows and widths[k] != n:
+                fault(k, f"SNR row {rows[0]} has {widths[k]} columns (layout has {n})")
+            if len(set(rows)) != len(rows):
+                fault(k, f"duplicate SNR row for satellite {first_repeat(rows)}")
 
         use = active[np.where(known, ids, 0)]
         self.fixes = fixes.select(use)
-        self.fix_ends = _ends(fix_epoch[use], n_epochs)
+        self.fix_ends = offsets(np.bincount(fix_epoch[use], minlength=n_epochs).tolist())
         # the raw fixed active antennas _Tally counts
         raw_fixed = use & (fixes.grade == 2)
         self.raw_fixed = ids[raw_fixed], fix_epoch[raw_fixed]
@@ -223,12 +219,13 @@ class _FrontBlock:
         active_pairs = active[np.where(known_ids, pairs.ravel(), 0)].reshape(-1, 2).all(axis=1)
         keep = baselines.fixed & active_pairs
         self.candidates = baselines.select(keep)
-        self.candidate_ends = _ends(pair_epoch[keep], n_epochs)
+        self.candidate_ends = offsets(np.bincount(pair_epoch[keep], minlength=n_epochs).tolist())
 
-        fitting = [t for t, ok in zip(tables, fits) if ok]
-        dbhz = np.concatenate([t.dbhz for t in fitting] + [np.empty((0, n))])
-        sats = tuple(itertools.chain.from_iterable(t.sat_ids for t in fitting))
-        snr_epoch = np.repeat(np.flatnonzero(fits), [len(t.sat_ids) for t in fitting])
+        # the rows of the epochs whose rows are as wide as the layout
+        fits = np.repeat(block.snr_width == n, np.diff(block.snr_ends))
+        dbhz = snr.dbhz[fits, :n] if fits.any() else np.empty((0, n))
+        sats = tuple(itertools.compress(snr.sat_ids, fits.tolist()))
+        snr_epoch = epoch_of_rows(block.snr_ends)[fits]
         if config.antenna_subset is not None:
             dbhz = dbhz[:, active[1:]]
             tracked = ~np.isnan(dbhz).all(axis=1)
@@ -238,7 +235,7 @@ class _FrontBlock:
         self.sigma, self.count, self.verdict = classify(
             dbhz, config.multipath.threshold_dbhz, config.multipath.min_count
         )
-        self.snr_ends = _ends(snr_epoch, n_epochs)
+        self.snr_ends = offsets(np.bincount(snr_epoch, minlength=n_epochs).tolist())
         self.excluding = np.bincount(snr_epoch[self.verdict == 1], minlength=n_epochs) > 0
 
         # stage (2) is needed where feedback is on, the epoch excludes
@@ -246,7 +243,7 @@ class _FrontBlock:
         needed = []
         if config.multipath_feedback:
             for k in np.flatnonzero(self.excluding).tolist():
-                truth = epochs[k].truth
+                truth = block.truth[k]
                 if faults[k] is not None or truth is None or truth.requery is None:
                     continue
                 if len(truth.requery.antenna_channels) != n:
@@ -256,14 +253,14 @@ class _FrontBlock:
         # every row counts, the inactive antennas' and those a replay replaces
         seen = np.bincount(fix_epoch[known] * (n + 1) + ids[known], minlength=n_epochs * (n + 1))
         for k in np.flatnonzero((seen.reshape(n_epochs, n + 1) > 1).any(axis=1)).tolist():
-            dup = first_repeat(epochs[k].fixes.ids.tolist())
+            dup = first_repeat(ids[block.fix_ends[k]:block.fix_ends[k + 1]].tolist())
             fault(k, f"duplicate solution for antenna {dup}")
         self.faults = faults
 
         # the epochs that need stage (2), replayed together
         self.replayed = {k: r for r, k in enumerate(k for k in needed if faults[k] is None)}
         if self.replayed:
-            truths = [epochs[k].truth for k in self.replayed]
+            truths = [block.truth[k] for k in self.replayed]
             found = replay(
                 [t.requery for t in truths],
                 [t.multipath_sats for t in truths],
@@ -275,7 +272,8 @@ class _FrontBlock:
             b = found.baselines
             chosen = b.fixed & active[b.pairs].all(axis=1)
             self.replay_candidates = b.select(chosen)
-            self.replay_ends = _ends(found.baseline_epoch[chosen], len(truths))
+            epoch = found.baseline_epoch[chosen]
+            self.replay_ends = offsets(np.bincount(epoch, minlength=len(truths)).tolist())
 
     def _excluded(self, k: int) -> frozenset[str]:
         """The satellites epoch k's detection excludes."""
@@ -315,7 +313,7 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
     Raises ValidationError, with the message ``run`` skips it with, for an
     epoch that has a fault (see :class:`_FrontBlock`).
     """
-    front = _FrontBlock([epoch], config)
+    front = _FrontBlock(EpochBlock.of([epoch], [0]), config)
     if front.faults[0] is not None:
         raise ValidationError(front.faults[0])
     fixes, candidates = front.epoch(0)
@@ -492,14 +490,14 @@ class _Tally:
         self.fixed_counts += np.bincount(ids[keep], minlength=len(self.active))
         self.raw_any += np.count_nonzero(np.bincount(epoch[keep]))
 
-    def front(self, epoch: EpochRecord, report: MultipathReport) -> None:
+    def front(self, truth: EpochTruth | None, report: MultipathReport) -> None:
         """An epoch that passed the front half: its detection score against
-        the truth channel."""
+        its truth channel."""
         self.n_proc += 1
-        if epoch.truth is not None:
+        if truth is not None:
             self.truth_seen = True
-            self.requery_seen |= epoch.truth.requery is not None
-            true_mp = epoch.truth.multipath_sats & set(report.sat_ids)
+            self.requery_seen |= truth.requery is not None
+            true_mp = truth.multipath_sats & set(report.sat_ids)
             detected = report.excluded_sats
             self.tp += len(detected & true_mp)
             self.fp += len(detected - true_mp)
@@ -546,64 +544,35 @@ class _Tally:
         return metrics, poses
 
 
-def _chunks(
-    epochs: Iterable[EpochRecord], diags: list[str]
-) -> Iterator[tuple[list[EpochRecord], list[int]]]:
-    """The stream in blocks of ``READ_BLOCK`` epochs (the last may be
-    shorter), each epoch with ``len(diags)`` as read right after it was
-    pulled: the place of its own diagnostics, after any lines a shared
-    reader skipped before it. A fault of the stream is raised once the
-    epochs before it have been handed out."""
-    it = iter(epochs)
-    while True:
-        chunk: list[EpochRecord] = []
-        marks: list[int] = []
-        try:
-            for epoch in itertools.islice(it, streams.READ_BLOCK):
-                chunk.append(epoch)
-                marks.append(len(diags))
-        except Exception:
-            if chunk:
-                yield chunk, marks
-            raise
-        if not chunk:
-            return
-        yield chunk, marks
-
-
 def run(
-    epochs: Iterable[EpochRecord],
+    blocks: Iterable[tuple[EpochBlock, Sequence[tuple[int, str]]]],
     config: PipelineConfig,
     *,
     diagnostics: list[str] | None = None,
 ) -> RunResult:
     """Process a stream and accumulate the metrics report.
 
-    The front half (checks, subset, detection, feedback), where every skip
-    is decided, runs over blocks of ``streams.READ_BLOCK`` epochs pulled
-    from ``epochs``, the last maybe shorter (:class:`_FrontBlock`): one
-    array pass per step over the block's rows, the requery replay included.
-    An epoch with a fault is skipped with the fault's message; every other
-    epoch is taken from the block's arrays. The timestamp check runs epoch
-    by epoch in stream order, ahead of the block's checks. The survivors
-    then go to consensus attitude and position in blocks of at most
-    ``BLOCK_PAIRS`` pair hypothesis slots. Results match
-    :func:`process_epoch` epoch by epoch, wherever the blocks fall.
+    ``blocks`` is the stream as :func:`mgp.streams.read_epoch_blocks` gives
+    it (:func:`mgp.streams.epoch_blocks` for epoch records): each block of
+    epochs with the ``(lineno, message)`` of each line the reader skipped
+    there. The front half, where every skip is decided, takes each block as
+    it is (:class:`_FrontBlock`); the timestamp check runs epoch by epoch in
+    stream order, ahead of the block's checks. The survivors then go to
+    consensus attitude and position in blocks of at most ``BLOCK_PAIRS``
+    pair hypothesis slots. Results match :func:`process_epoch` epoch by
+    epoch, wherever the blocks fall.
 
-    Per-epoch validation problems skip the epoch (with a diagnostic) and
-    never abort the stream; configuration-level problems do abort. The
-    ``diagnostics`` list may be shared with a skip-tolerant reader so parse
-    skips and processing skips are counted together, in stream order: an
-    epoch's message goes in at its epoch's place, after the lines the reader
-    skipped before it (:func:`_chunks`), a block's messages last first, so
-    that each place holds. ``skipped`` counts the entries added while this
-    call runs.
+    An epoch at fault is skipped with a message and never aborts the
+    stream; configuration-level problems do abort. Each block's messages,
+    the reader's and those of its skipped epochs, go to ``diagnostics`` in
+    line order, before a fault of the stream propagates; ``skipped`` counts
+    them all.
     """
     diags = diagnostics if diagnostics is not None else []
     first_diag = len(diags)
     params = _consensus_params(config)
     tally = _Tally(config)
-    # The block keeps only what the back half needs, not the epoch records:
+    # The block keeps only what the back half needs, not the epoch blocks:
     # per epoch its fixes and candidates, and its time and true pose.
     block: list[tuple[Fixes, Baselines | None]] = []
     stamps: list[list[float]] = []
@@ -617,22 +586,23 @@ def run(
 
     last_t: float | None = None
     idx = -1
-    for chunk, marks in _chunks(epochs, diags):
-        front = _FrontBlock(chunk, config)
-        passed = np.zeros(len(chunk), dtype=bool)
-        notes: list[tuple[int, str]] = []  # (k, note of epoch k)
-        for k, epoch in enumerate(chunk):
+    for epochs, skips in blocks:
+        front = _FrontBlock(epochs, config)
+        passed = np.zeros(len(epochs), dtype=bool)
+        notes = list(skips)  # (line, message)
+        for k, (t, line) in enumerate(zip(epochs.t.tolist(), epochs.lines.tolist())):
             idx += 1
-            if last_t is not None and epoch.t <= last_t:
-                notes.append((k, f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped"))
+            if last_t is not None and t <= last_t:
+                notes.append((line, f"epoch {idx}: non-increasing timestamp {t!r}, skipped"))
                 continue
             fault = front.faults[k]
             if fault is not None:
-                notes.append((k, f"epoch {idx} (t={epoch.t!r}): {fault}"))
+                notes.append((line, f"epoch {idx} (t={t!r}): {fault}"))
                 continue
-            last_t = epoch.t
+            last_t = t
             passed[k] = True
-            tally.front(epoch, front.report(k))
+            truth = epochs.truth[k]
+            tally.front(truth, front.report(k))
             fixes, candidates = front.epoch(k)
             m = len(candidates)
             if m < params.min_inliers:
@@ -642,19 +612,17 @@ def run(
                 solve()
                 block, stamps, solving, widest = [], [], 0, 0
             block.append((fixes, candidates))
-            truth = epoch.truth
             if truth is None:
-                stamps.append([epoch.t] + [math.nan] * 7)
+                stamps.append([t] + [math.nan] * 7)
             else:
                 q, p = truth.attitude, truth.position
-                stamps.append([epoch.t, q.qx, q.qy, q.qz, q.qw, p.x, p.y, p.z])
+                stamps.append([t, q.qx, q.qy, q.qz, q.qw, p.x, p.y, p.z])
             if pairs:
                 solving, widest = solving + 1, max(widest, pairs)
         tally.fixed(front, passed)
-        for k, note in reversed(notes):
-            diags.insert(marks[k], note)
-        # let this block's epochs go before the next block is read
-        del chunk, front
+        diags.extend(message for _, message in sorted(notes, key=lambda note: note[0]))
+        # let this block go before the next block is read
+        del epochs, front
     if block:
         solve()
     metrics, poses = tally.report(config, skipped=len(diags) - first_diag)

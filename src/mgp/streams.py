@@ -3,11 +3,12 @@
 Formats:
   * Epoch stream: JSON Lines, header ``{"format": "mgp-epoch", "version": 1}``
     then one epoch object per line, one JSON object per fix, baseline and
-    SNR row. In memory an :class:`EpochRecord` holds them as arrays: a
-    :class:`Fixes` record (ids, grades, (n, 3) positions with NaN rows for
-    no solution, satellite counts), a :class:`Baselines` record ((m, 2)
-    pairs, (m, 3) ``v`` and ``w``, (m,) ``fixed``) and an :class:`SnrTable`
-    ((s, n) dB-Hz, NaN for a JSON null, plus the satellite ids). The reader
+    SNR row. In memory they are arrays: a :class:`Fixes` record (ids,
+    grades, (n, 3) positions with NaN rows for no solution, satellite
+    counts), a :class:`Baselines` record ((m, 2) pairs, (m, 3) ``v`` and
+    ``w``, (m,) ``fixed``) and an :class:`SnrTable` ((s, n) dB-Hz, NaN for
+    a JSON null, plus the satellite ids), one epoch's in an
+    :class:`EpochRecord`, a block's in an :class:`EpochBlock`. The reader
     checks every value's JSON type, so ``1.7`` is no antenna id and ``"no"``
     no ``fixed`` flag. The truth channel's ``requery`` block holds the fix
     model's values, the solution satellites and one object per antenna or
@@ -16,30 +17,29 @@ Formats:
     record types live in :mod:`mgp.epochs`; their whole line format is here.
 
     The reader parses each line once and decodes ``READ_BLOCK`` parsed
-    lines at a time, one field after another in one fixed order for the
-    whole line: each field is looked up in every line of the block, then
-    type-checked and built in one pass, and each epoch's arrays are slices
-    of the block's. The truth channel and its requery records, channel
-    draws included, are read the same way, after the SNR rows; a block
-    without truth pays nothing for them. ``fixes``, ``baselines``,
-    ``snr_rows``, the channel groups and the truth lists must be JSON
-    arrays, and so must each row of a fixed width (a position, vector,
-    antenna pair, latent vector, SNR row of the epoch's one width, or
-    quaternion); the line and each object in it must be a JSON object
+    lines at a time into one :class:`EpochBlock`, one field after another
+    in one fixed order for the whole line: each field is looked up in every
+    line of the block, then type-checked and built in one pass, and stays
+    one array for the block. The truth channel and its requery records,
+    channel draws included, are read the same way, after the SNR rows, and
+    kept per epoch; a block without truth pays nothing for them. ``fixes``,
+    ``baselines``, ``snr_rows``, the channel groups and the truth lists
+    must be JSON arrays, and so must each row of a fixed width (a position,
+    vector, antenna pair, latent vector, SNR row of the epoch's one width,
+    or quaternion); the line and each object in it must be a JSON object
     (``fixes must be JSON objects``). Every key but the line's ``truth`` is
     required, and any other key is a fault; either is named with the object
     it is missing from or found in (``missing key 'w' in baselines``,
     ``unknown key 'truht'`` on the line itself). A block in which any
-    lookup or check fails is decoded again one parsed line at a time, by the
-    same decoder on blocks of one, so that each fault is reported (or
-    skipped) at its own ``path:line`` with the message it has in a lone
-    epoch: that of the first lookup or check that fails. A line that is not
-    UTF-8 is such a fault; the scan, pose and cloud readers name its
-    ``path:line`` too. The reader's blocks, and the writer's blocks of
-    ``WRITE_BLOCK`` epochs turned into text, go through
-    :func:`ordered.ordered_map`, so they are shared with a forked worker
-    (one per process); the epochs, faults and bytes are those of one
-    process, in stream order.
+    lookup or check fails (or whose SNR rows differ in width) is decoded
+    again one line at a time, so that each fault is reported (or skipped)
+    at its own ``path:line`` with the message it has in a lone epoch: that
+    of the first lookup or check that fails. A line that is not UTF-8 is
+    such a fault; the scan, pose and cloud readers name its ``path:line``
+    too. The reader's blocks, and the writer's blocks of ``WRITE_BLOCK``
+    epochs turned into text, go through :func:`ordered.ordered_map`, so they
+    are shared with a forked worker (one per process); the blocks, faults
+    and bytes are those of one process, in stream order.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line, a JSON object of the keys ``t`` and ``pulses``
     read by the epoch-line rules; each pulse is a compact array
@@ -91,14 +91,15 @@ import re
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, TextIO
+from typing import Any, BinaryIO, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from . import jsonvals
 from .attitude import Baselines
 from .core import UnitQuaternion, Vec3, check_read_norm, open_text, unit_quats, utf8_line
-from .epochs import _DRAW_KEYS, ChannelDraws, EpochRecord, EpochTruth, FixModel, RequeryData
+from .epochs import _DRAW_KEYS, ChannelDraws, EpochBlock, EpochRecord, EpochTruth, FixModel
+from .epochs import RequeryData, epoch_of_rows, offsets
 from .errors import InputError, ValidationError
 from .mapping import (
     DEFAULT_CLUSTER_RADIUS_M,
@@ -200,7 +201,7 @@ _REQUERY_KEYS = ("model", "solution_sats", "antenna_channels", "baseline_channel
 
 
 # Non-blank lines the epoch reader decodes at once. ``pipeline.run`` takes
-# its front half over as many epochs, one reader block at a time. A block is
+# its front half over each block's epochs as they come. A block is
 # held whole, so its size trades the fixed numpy calls per block against
 # peak memory: on a 2-vCPU host, 64 ran the field-3ant benchmark about 5%
 # faster than 32 but raised survey-6ant's peak RSS twice as much over
@@ -212,16 +213,16 @@ READ_BLOCK = 32
 WRITE_BLOCK = 8
 
 
-def _decode(objects: list[Any]) -> list[EpochRecord]:
-    """The epochs of a block of parsed epoch objects, each epoch's arrays
-    slices of the block's. The block is read one field at a time, always in
-    the same order: each field is looked up in every object, then checked
-    in one pass. The first lookup or check that fails raises, so a block of
-    one raises its epoch's first fault in that order, and a block raises
+def _decode(objects: list[Any], lines: Sequence[int]) -> EpochBlock:
+    """The block of parsed epoch objects, object k read from line
+    ``lines[k]``. The block is read one field at a time, always in the same
+    order: each field is looked up in every object, then checked in one
+    pass. The first lookup or check that fails raises, so a block of one
+    raises its epoch's first fault in that order, and a block raises
     whenever one of its epochs would alone."""
     _objects(objects, "epoch line must be a JSON object")
     ts = [jsonvals.number(t, "epoch time") for t in _column(objects, "t", "")]
-    fixes, n_fixes = _joined(_column(objects, "fixes", ""), "fixes")
+    fixes, fix_ends = _joined(_column(objects, "fixes", ""), "fixes")
     _objects(fixes, "fixes must be JSON objects")
     try:
         grade = [_GRADE_OF_NAME[f["status"]] for f in fixes]
@@ -241,18 +242,18 @@ def _decode(objects: list[Any]) -> list[EpochRecord]:
     _check_keys(fixes, _FIX_KEYS, " in fixes")
     fx = Fixes.checked(ids, np.array(grade, dtype=np.int8), p, sats)
 
-    baselines, n_baselines = _joined(_column(objects, "baselines", ""), "baselines")
+    baselines, baseline_ends = _joined(_column(objects, "baselines", ""), "baselines")
     _objects(baselines, "baselines must be JSON objects")
     pairs = jsonvals.integers(_column(baselines, "antenna_pair", " in baselines"),
                               "antenna pairs", 2)
-    _check_unique_pairs(pairs, n_baselines)
+    _check_unique_pairs(pairs, baseline_ends)
     v = jsonvals.floats(_column(baselines, "v", " in baselines"), "baseline vectors", 3)
     w = jsonvals.floats(_column(baselines, "w", " in baselines"), "baseline vectors", 3)
     fixed = jsonvals.flags(_column(baselines, "fixed", " in baselines"), "baseline fixed flags")
     _check_keys(baselines, _BASELINE_KEYS, " in baselines")
     bl = Baselines.checked(pairs, v, w, fixed)
 
-    rows, n_snr = _joined(_column(objects, "snr_rows", ""), "snr_rows")
+    rows, snr_ends = _joined(_column(objects, "snr_rows", ""), "snr_rows")
     _objects(rows, "snr_rows must be JSON objects")
     snr = _column(rows, "snr", " in snr_rows")
     sat_ids = jsonvals.strings(_column(rows, "sat_id", " in snr_rows"), "satellite ids")
@@ -267,10 +268,12 @@ def _decode(objects: list[Any]) -> list[EpochRecord]:
     truth = [d.get("truth") for d in objects]
     _check_keys(objects, _EPOCH_KEYS, "", 4 * len(objects) + sum("truth" in d for d in objects))
     truths = iter(_truths([tr for tr in truth if tr is not None]))
-    # each record of arrays cut into its epochs' rows
-    cut = [map(type(r), *(_pieces(a, n) for a in vars(r).values()))
-           for r, n in ((fx, n_fixes), (bl, n_baselines), (table, n_snr))]
-    return list(map(EpochRecord, ts, *cut, [None if tr is None else next(truths) for tr in truth]))
+    return EpochBlock(
+        np.array(ts, dtype=np.float64), np.array(lines, dtype=np.int64),
+        fx, fix_ends, bl, baseline_ends, table, snr_ends,
+        np.where(np.diff(snr_ends) > 0, widths[0], 0),
+        tuple(None if tr is None else next(truths) for tr in truth),
+    )
 
 
 def _truths(objects: list[Any]) -> list[EpochTruth]:
@@ -279,16 +282,16 @@ def _truths(objects: list[Any]) -> list[EpochTruth]:
         return []
     _objects(objects, "truth must be a JSON object or null")
     attitude = jsonvals.floats(_column(objects, "attitude", " in truth"), "truth attitude", 4)
-    flat, n_corrupted = _joined(_column(objects, "corrupted_baselines", " in truth"),
+    flat, corrupted_ends = _joined(_column(objects, "corrupted_baselines", " in truth"),
                                 "corrupted baselines")
     corrupted = jsonvals.integers(flat, "corrupted baselines", 2).tolist()
     position = jsonvals.floats(_column(objects, "position", " in truth"),
                                "truth position", 3).tolist()
     for q in attitude.tolist():
         check_read_norm(q, "truth attitude")
-    flat, n_mp = _joined(_column(objects, "multipath_sats", " in truth"), "multipath satellites")
+    flat, mp_ends = _joined(_column(objects, "multipath_sats", " in truth"), "multipath satellites")
     mp_sats = jsonvals.strings(flat, "multipath satellites")
-    flat, n_wrong = _joined(_column(objects, "wrong_fix_antennas", " in truth"),
+    flat, wrong_ends = _joined(_column(objects, "wrong_fix_antennas", " in truth"),
                             "wrong-fix antennas")
     wrong_ants = jsonvals.integers(flat, "wrong-fix antennas").tolist()
     records = _column(objects, "requery", " in truth")
@@ -305,8 +308,8 @@ def _truths(objects: list[Any]) -> list[EpochTruth]:
         )
         for pos, q, mp, pairs, ants, rq in zip(
             position, unit_quats(attitude, canonicalize=False).tolist(),
-            _pieces(mp_sats, n_mp), _pieces(corrupted, n_corrupted),
-            _pieces(wrong_ants, n_wrong), records,
+            _pieces(mp_sats, mp_ends), _pieces(corrupted, corrupted_ends),
+            _pieces(wrong_ants, wrong_ends), records,
         )
     ]
 
@@ -320,23 +323,23 @@ def _requeries(objects: list[Any]) -> list[RequeryData]:
     models = _objects(_column(objects, "model", " in requery"), "model must be a JSON object")
     values = [[jsonvals.number(x, "fix model values") for x in _column(models, key, " in model")]
               for key in _MODEL_VALUES]
-    flat, n_bias = _joined(_column(models, "antenna_bias", " in model"), "fix model values")
-    bias = _pieces(jsonvals.floats(flat, "fix model values").tolist(), n_bias)
+    flat, bias_ends = _joined(_column(models, "antenna_bias", " in model"), "fix model values")
+    bias = _pieces(jsonvals.floats(flat, "fix model values").tolist(), bias_ends)
     _check_keys(models, _MODEL_KEYS, " in model")
     fix_models = [FixModel(**dict(zip(_MODEL_VALUES, row)), antenna_bias=tuple(b))
                   for *row, b in zip(*values, bias)]
     groups = [_draws(_column(objects, key, " in requery"), key)
               for key in ("antenna_channels", "baseline_channels")]
-    flat, n_sats = _joined(_column(objects, "solution_sats", " in requery"), "solution_sats")
+    flat, sat_ends = _joined(_column(objects, "solution_sats", " in requery"), "solution_sats")
     sats = jsonvals.strings(flat, "solution_sats")
     _check_keys(objects, _REQUERY_KEYS, " in requery")
-    return list(map(RequeryData, fix_models, _pieces(sats, n_sats), *groups))
+    return list(map(RequeryData, fix_models, _pieces(sats, sat_ends), *groups))
 
 
 def _draws(groups: list[Any], what: str) -> list[ChannelDraws]:
     """Each record's draws of one channel group from its JSON array of
     channel objects, read field by field in ``_DRAW_KEYS`` order."""
-    channels, counts = _joined(groups, what)
+    channels, ends = _joined(groups, what)
     _objects(channels, f"{what} must be JSON objects")
     where = f" in {what}"
     columns = [
@@ -345,7 +348,7 @@ def _draws(groups: list[Any], what: str) -> list[ChannelDraws]:
         for key, width in zip(_DRAW_KEYS, (None, None, None, 3, 3, 3))
     ]
     _check_keys(channels, _DRAW_KEYS, where)
-    return list(map(ChannelDraws, *(_pieces(c, counts) for c in columns)))
+    return list(map(ChannelDraws, *(_pieces(c, ends) for c in columns)))
 
 
 def _column(objects: list[Any], key: str, where: str) -> list[Any]:
@@ -358,10 +361,10 @@ def _column(objects: list[Any], key: str, where: str) -> list[Any]:
 
 
 def _joined(values: list[Any], what: str) -> tuple[list[Any], list[int]]:
-    """Per-epoch JSON arrays as one list, and the length of each."""
+    """Per-epoch JSON arrays as one list, and their row :func:`offsets`."""
     if not all(type(v) is list for v in values):
         raise ValidationError(f"{what} must be a JSON array")
-    return list(itertools.chain.from_iterable(values)), list(map(len, values))
+    return list(itertools.chain.from_iterable(values)), offsets(map(len, values))
 
 
 def _objects(values: list[Any], message: str) -> list[Any]:
@@ -371,12 +374,9 @@ def _objects(values: list[Any], message: str) -> list[Any]:
     return values
 
 
-def _pieces(values: Any, counts: list[int]) -> Iterator[Any]:
-    """``values`` cut into consecutive runs of ``counts`` items."""
-    start = 0
-    for stop in itertools.accumulate(counts):
-        yield values[start:stop]
-        start = stop
+def _pieces(values: Any, ends: list[int]) -> Iterator[Any]:
+    """``values`` cut at the row :func:`offsets` ``ends``."""
+    return (values[a:b] for a, b in zip(ends, ends[1:]))
 
 
 def _check_keys(objects: list[Any], keys: tuple[str, ...], where: str,
@@ -390,11 +390,11 @@ def _check_keys(objects: list[Any], keys: tuple[str, ...], where: str,
         raise ValidationError(f"unknown key {key!r}{where}")
 
 
-def _check_unique_pairs(pairs: np.ndarray, counts: list[int]) -> None:
+def _check_unique_pairs(pairs: np.ndarray, ends: list[int]) -> None:
     """Raise ValidationError when an epoch names one unordered antenna pair
-    twice; ``counts`` holds each epoch's number of rows of ``pairs``."""
+    twice; ``ends`` holds the epochs' row :func:`offsets` into ``pairs``."""
     lo, hi = np.sort(pairs, axis=1).T
-    epoch = np.repeat(np.arange(len(counts)), counts)
+    epoch = epoch_of_rows(ends)
     keys = np.stack((epoch, lo, hi))[:, np.lexsort((hi, lo, epoch))]
     if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
         raise ValidationError("baseline antenna pairs must be unordered-unique")
@@ -404,7 +404,7 @@ def epoch_from_dict(d: dict[str, Any]) -> EpochRecord:
     """Epoch from its JSON object form: the block decoder on a block of one.
     Raises ValidationError for any fault of the line, a missing key
     included (``missing key 'w' in baselines``)."""
-    return _decode([d])[0]
+    return _decode([d], [0]).epoch(0)
 
 
 def _write_lines(path: str, header: dict[str, Any], records: Iterable[dict[str, Any]]) -> int:
@@ -422,16 +422,32 @@ def _epoch_lines(epochs: list[EpochRecord]) -> list[str]:
     return [json.dumps(epoch_to_dict(epoch)) + "\n" for epoch in epochs]
 
 
+def _batches(items: Iterable[Any], n: int) -> Iterator[list[Any]]:
+    """``items`` in lists of ``n``, the last maybe shorter. When iterating
+    ``items`` raises, the items before the fault are handed out first."""
+    it = iter(items)
+    while True:
+        batch: list[Any] = []
+        try:
+            batch.extend(itertools.islice(it, n))
+        except Exception:
+            if batch:
+                yield batch
+            raise
+        if not batch:
+            return
+        yield batch
+
+
 def write_epochs(path: str, epochs: Iterable[EpochRecord]) -> int:
     """Write the epoch stream of ``epochs``; returns the count. Blocks of
     ``WRITE_BLOCK`` epochs are turned into text by :func:`ordered.ordered_map`,
-    so a worker process may be forked; the bytes are those of one process."""
-    epochs = iter(epochs)
-    blocks = iter(lambda: list(itertools.islice(epochs, WRITE_BLOCK)), [])
+    so a worker process may be forked; the bytes are those of one process.
+    When ``epochs`` raises, every epoch before the fault is written first."""
     n = 0
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(EPOCH_HEADER) + "\n")
-        for lines in ordered_map(_epoch_lines, blocks):
+        for lines in ordered_map(_epoch_lines, _batches(epochs, WRITE_BLOCK)):
             f.writelines(lines)
             n += len(lines)
     return n
@@ -480,47 +496,72 @@ def _epoch_or_fault(obj: Any) -> EpochRecord | Exception:
         return exc
 
 
-def _epoch_block(block: list[tuple[int, str]]) -> list[tuple[int, EpochRecord | Exception]]:
-    """Each ``(lineno, line)`` of ``block`` as ``(lineno, epoch)``, or
-    ``(lineno, fault)``. The lines are parsed once and decoded at once; if
-    any check fails, a line that did not parse included, they are decoded
-    again one at a time, so that each fault is found at its own line."""
+def _epoch_block(
+    block: list[tuple[int, str]],
+) -> tuple[EpochBlock, list[tuple[int, Exception]]]:
+    """The epochs of the ``(lineno, line)`` pairs of ``block`` as one
+    :class:`EpochBlock`, and the ``(lineno, fault)`` of each other line.
+    The lines are parsed once and decoded at once; if any check fails, a
+    line that did not parse included, they are decoded again one at a
+    time, so that each fault is found at its own line."""
+    lines = [lineno for lineno, _ in block]
     objects = [_parsed(line) for _, line in block]
     try:
-        epochs = _decode(objects)
+        return _decode(objects, lines), []
     except Exception:
-        epochs = list(map(_epoch_or_fault, objects))
-    return list(zip([lineno for lineno, _ in block], epochs))
+        found = list(zip(lines, map(_epoch_or_fault, objects)))
+    good = [(lineno, e) for lineno, e in found if not isinstance(e, Exception)]
+    epochs = EpochBlock.of([e for _, e in good], [n for n, _ in good]) if good else _decode([], [])
+    return epochs, [(lineno, e) for lineno, e in found if isinstance(e, Exception)]
 
 
-def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[EpochRecord]:
-    """Yield epochs from a JSONL stream.
-
-    The non-blank lines go in blocks of ``READ_BLOCK`` to
-    :func:`_epoch_block`, through :func:`ordered.ordered_map`, so a worker
-    process may be forked; the epochs and faults are those of one process.
-    Without ``diagnostics`` the first line that is not UTF-8 or fails to
-    parse or validate raises InputError naming ``path:line``; with a list,
-    each such line is skipped and recorded in it, in line order. A wrong
-    header always aborts: that is the wrong file, not a bad epoch.
-    """
+def _read_blocks(path: str) -> Iterator[tuple[EpochBlock, list[tuple[int, Exception]]]]:
+    """The :func:`_epoch_block` of each ``READ_BLOCK`` non-blank lines of
+    the epoch stream at ``path`` after its header, which is checked first."""
     with open_text(path) as f:
         _check_header(_first_line(f, path), EPOCH_HEADER, path)
         lines = ((n, line) for n, line in enumerate(f, start=2) if not line.isspace())
-        blocks = iter(lambda: list(itertools.islice(lines, READ_BLOCK)), [])
-        with closing(ordered_map(_epoch_block, blocks)) as results:
-            for block in results:
-                # hand the epochs out without keeping them, so that a few
-                # blocks' worth are alive at a time
-                block.reverse()
-                while block:
-                    lineno, epoch = block.pop()
-                    if not isinstance(epoch, Exception):
-                        yield epoch
-                    elif diagnostics is None:
-                        raise InputError(f"{path}:{lineno}: {epoch}") from epoch
-                    else:
-                        diagnostics.append(f"{path}:{lineno}: skipped epoch: {epoch}")
+        with closing(ordered_map(_epoch_block, _batches(lines, READ_BLOCK))) as results:
+            yield from results
+
+
+def read_epoch_blocks(path: str) -> Iterator[tuple[EpochBlock, list[tuple[int, str]]]]:
+    """The epoch stream at ``path`` as ``pipeline.run`` takes it: each block
+    of ``READ_BLOCK`` non-blank lines as its epochs, one :class:`EpochBlock`,
+    and the ``(lineno, message)`` of each line that is not UTF-8 or fails to
+    parse or validate. A wrong header raises InputError."""
+    for block, faults in _read_blocks(path):
+        yield block, [(n, f"{path}:{n}: skipped epoch: {exc}") for n, exc in faults]
+
+
+def epoch_blocks(
+    epochs: Iterable[EpochRecord],
+) -> Iterator[tuple[EpochBlock, list[tuple[int, str]]]]:
+    """``epochs`` as :func:`read_epoch_blocks` reads the stream that
+    :func:`write_epochs` writes of them: ``READ_BLOCK`` epochs to a block,
+    epoch k at line k + 2. When ``epochs`` raises, the epochs before the
+    fault are handed out first."""
+    for k, batch in enumerate(_batches(epochs, READ_BLOCK)):
+        first = 2 + k * READ_BLOCK
+        yield EpochBlock.of(batch, range(first, first + len(batch))), []
+
+
+def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[EpochRecord]:
+    """Yield the epochs of :func:`read_epoch_blocks` one at a time
+    (:meth:`EpochBlock.epoch`). Without ``diagnostics`` the first line that
+    is not UTF-8 or fails to parse or validate raises InputError naming
+    ``path:line``, after the epochs before it; with a list, each such line
+    is skipped and recorded in it as it is reached. A wrong header always
+    aborts: that is the wrong file, not a bad epoch."""
+    for block, faults in _read_blocks(path):
+        epochs = zip(block.lines.tolist(), range(len(block)))
+        for lineno, item in sorted([*faults, *epochs], key=lambda item: item[0]):
+            if not isinstance(item, Exception):
+                yield block.epoch(item)
+            elif diagnostics is None:
+                raise InputError(f"{path}:{lineno}: {item}") from item
+            else:
+                diagnostics.append(f"{path}:{lineno}: skipped epoch: {item}")
 
 
 def write_scan(path: str, frames: Iterable[ScanFrame]) -> int:

@@ -69,7 +69,7 @@ def _timed_stream(name: str) -> TimedStream:
 
 def _timed_run(stream: TimedStream, config: mgp.PipelineConfig) -> TimedRun:
     t0 = time.perf_counter()
-    result = mgp.run(iter(stream.epochs), config)
+    result = mgp.run(mgp.epoch_blocks(stream.epochs), config)
     return TimedRun(result=result, seconds=time.perf_counter() - t0)
 
 

@@ -65,9 +65,7 @@ def _run(
         if read_block is not None:
             m.setattr(mgp.streams, "READ_BLOCK", read_block)
         m.setattr(mgp.pipeline, "consensus", counting)
-        diags: list[str] = []
-        epochs = mgp.read_epochs(str(path), diagnostics=diags)
-        result = mgp.run(epochs, config, diagnostics=diags)
+        result = mgp.run(mgp.read_epoch_blocks(str(path)), config)
     metrics = json.dumps(result.metrics.to_json_dict(), indent=2)
     return metrics, result.poses, result.diagnostics, blocks
 

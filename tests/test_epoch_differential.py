@@ -404,9 +404,8 @@ def _arrays(path: str, config: PipelineConfig, monkeypatch) -> _Estimate:
 
     with monkeypatch.context() as m:
         m.setattr(mgp.pipeline._FrontBlock, "report", record)
-        diags: list[str] = []
-        result = mgp.run(mgp.read_epochs(path, diagnostics=diags), config,
-                         diagnostics=diags)
+        result = mgp.run(mgp.read_epoch_blocks(path), config)
+        diags = result.diagnostics
     return _Estimate(
         json.dumps(result.metrics.to_json_dict(), indent=2), result.poses, diags, verdicts
     )

@@ -8,9 +8,11 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +118,24 @@ def test_records_of_arrays_count_select_and_join_by_rows() -> None:
     for cls in (mgp.Fixes, mgp.Baselines, mgp.Poses, mgp.Cloud, ChannelDraws):
         assert issubclass(cls, Rows), cls
         assert not {"__len__", "select", "joined"} & set(vars(cls)), cls
+
+
+def test_front_half_takes_the_reader_block_as_it_is() -> None:
+    """The block decoder builds one record of arrays per reader block and
+    the front half takes it as it is: ``pipeline._chunks`` is gone, and
+    neither joins (``Rows.joined``, ``np.concatenate``) nor cuts
+    (``streams._pieces``) the fixes, baselines or SNR rows of its epochs."""
+    import mgp.pipeline
+    import mgp.streams
+
+    assert not hasattr(mgp.pipeline, "_chunks")
+    for fn in (mgp.pipeline._FrontBlock.__init__, mgp.streams._decode):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        called = {
+            node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+        }
+        assert not {"joined", "concatenate", "_pieces"} & called, fn.__qualname__
 
 
 def test_perfbench_finds_every_name_it_uses() -> None:

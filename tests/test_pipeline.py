@@ -34,9 +34,10 @@ from mgp import (
     load_pipeline_config,
     load_scenario,
     pipeline_config_from_dict,
+    epoch_blocks,
     process_epoch,
     quat_angle,
-    read_epochs,
+    read_epoch_blocks,
     rotate,
     run,
     simulate,
@@ -252,7 +253,7 @@ def test_multipath_feedback_requeries_fixes() -> None:
 
 def test_run_metrics_on_clean_stream() -> None:
     cfg = _scenario(duration_s=5.0)
-    result = run(iter(simulate(cfg)), PipelineConfig())
+    result = run(epoch_blocks(simulate(cfg)), PipelineConfig())
     m = result.metrics
     assert m.epochs == 50
     assert m.skipped == 0
@@ -270,13 +271,13 @@ def test_run_metrics_on_clean_stream() -> None:
 
 def test_hybrid_rate_never_below_best_antenna() -> None:
     cfg = _scenario(duration_s=30.0, fix_model=FixModel(), seed=77)
-    m = run(iter(simulate(cfg)), PipelineConfig()).metrics
+    m = run(epoch_blocks(simulate(cfg)), PipelineConfig()).metrics
     best = max(m.per_antenna_fix_rate_pct.values())
     assert m.hybrid_fix_rate_pct >= best
 
 
 def test_run_empty_stream() -> None:
-    result = run(iter([]), PipelineConfig())
+    result = run(epoch_blocks([]), PipelineConfig())
     m = result.metrics
     assert m.epochs == 0 and m.skipped == 0
     assert m.hybrid_fix_rate_pct is None
@@ -292,7 +293,7 @@ def test_run_skips_non_increasing_timestamps() -> None:
     cfg = _scenario(duration_s=1.0)
     epochs = list(simulate(cfg))
     shuffled = epochs[:5] + [epochs[2]] + epochs[5:]
-    result = run(iter(shuffled), PipelineConfig())
+    result = run(epoch_blocks(shuffled), PipelineConfig())
     assert result.metrics.epochs == 10
     assert result.metrics.skipped == 1
     assert "non-increasing" in result.diagnostics[0]
@@ -311,7 +312,7 @@ def test_run_skips_epoch_level_validation_errors() -> None:
         truth=dup.truth,
     )
     stream = epochs[:3] + [bad] + epochs[3:]
-    result = run(iter(stream), PipelineConfig())
+    result = run(epoch_blocks(stream), PipelineConfig())
     assert result.metrics.epochs == 10
     assert result.metrics.skipped == 1
     assert result.metrics.epochs + result.metrics.skipped == len(stream)
@@ -340,12 +341,12 @@ def test_run_skips_epoch_naming_an_antenna_outside_the_layout() -> None:
     with pytest.raises(ValidationError, match="antenna 9 has no layout entry"):
         process_epoch(bad_fix, PipelineConfig())
     stream = epochs[:4] + [bad_fix, bad_baseline] + epochs[6:]
-    result = run(iter(stream), PipelineConfig())
+    result = run(epoch_blocks(stream), PipelineConfig())
     assert result.metrics.epochs == len(stream) - 2
     assert result.metrics.skipped == 2
     assert all("antenna 9 has no layout entry" in d for d in result.diagnostics)
     # the subset filter does not hide the stray id either
-    result = run(iter(stream), PipelineConfig(antenna_subset=(1, 3, 5)))
+    result = run(epoch_blocks(stream), PipelineConfig(antenna_subset=(1, 3, 5)))
     assert result.metrics.skipped == 2
 
 
@@ -374,7 +375,7 @@ def test_run_skips_an_antenna_named_twice_before_the_replay(feedback: bool) -> N
     for epoch in stream[::2]:
         with pytest.raises(ValidationError, match="^duplicate solution for antenna 1$"):
             process_epoch(epoch, config)
-    got, want = run(iter(stream), config), run(iter(epochs[1::2]), config)
+    got, want = run(epoch_blocks(stream), config), run(epoch_blocks(epochs[1::2]), config)
     assert got.diagnostics == [
         f"epoch {k} (t={e.t!r}): duplicate solution for antenna 1" for k, e in enumerate(stream)
         if k % 2 == 0
@@ -394,7 +395,7 @@ def test_run_skips_an_inactive_antenna_named_twice() -> None:
     config = PipelineConfig(antenna_subset=(1, 3, 5))
     with pytest.raises(ValidationError, match="^duplicate solution for antenna 2$"):
         process_epoch(bad, config)
-    result = run(iter(epochs[:4] + [bad] + epochs[5:]), config)
+    result = run(epoch_blocks(epochs[:4] + [bad] + epochs[5:]), config)
     assert (result.metrics.epochs, result.metrics.skipped) == (9, 1)
     assert result.diagnostics == [f"epoch 4 (t={bad.t!r}): duplicate solution for antenna 2"]
 
@@ -412,14 +413,14 @@ def test_run_skips_a_satellite_named_twice_that_the_subset_drops() -> None:
     config = PipelineConfig(antenna_subset=(1, 3, 5))
     with pytest.raises(ValidationError, match="^duplicate SNR row for satellite X01$"):
         process_epoch(bad, config)
-    result = run(iter(epochs[:4] + [bad] + epochs[5:]), config)
+    result = run(epoch_blocks(epochs[:4] + [bad] + epochs[5:]), config)
     assert (result.metrics.epochs, result.metrics.skipped) == (9, 1)
     assert result.diagnostics == [f"epoch 4 (t={bad.t!r}): duplicate SNR row for satellite X01"]
 
 
 def test_run_feedback_disabled_leaves_requery_rate_none() -> None:
     cfg = _scenario(duration_s=1.0)
-    m = run(iter(simulate(cfg)), PipelineConfig(multipath_feedback=False)).metrics
+    m = run(epoch_blocks(simulate(cfg)), PipelineConfig(multipath_feedback=False)).metrics
     assert m.hybrid_fix_rate_multipath_pct is None
     assert m.hybrid_fix_rate_pct is not None
 
@@ -431,8 +432,8 @@ def test_run_truthless_stream_uses_spread_about_mean() -> None:
         EpochRecord(t=e.t, fixes=e.fixes, baselines=e.baselines, snr_rows=e.snr_rows)
         for e in epochs
     ]
-    with_truth = run(iter(epochs), PipelineConfig()).metrics
-    without = run(iter(stripped), PipelineConfig()).metrics
+    with_truth = run(epoch_blocks(epochs), PipelineConfig()).metrics
+    without = run(epoch_blocks(stripped), PipelineConfig()).metrics
     assert without.multipath_precision is None and without.multipath_recall is None
     # feedback could not run without requery records: no rate, not the raw one
     assert with_truth.hybrid_fix_rate_multipath_pct is not None
@@ -461,7 +462,7 @@ def test_run_truthless_yaw_wraps_cleanly() -> None:
         EpochRecord(t=e.t, fixes=e.fixes, baselines=e.baselines, snr_rows=e.snr_rows)
         for e in simulate(cfg)
     ]
-    m = run(iter(epochs), PipelineConfig()).metrics
+    m = run(epoch_blocks(epochs), PipelineConfig()).metrics
     assert m.attitude_sd_deg["yaw"] < 2.0
 
 
@@ -473,7 +474,7 @@ def test_run_detection_precision_recall() -> None:
         noise=NoiseModel(snr=SnrModel(fading_amplitude_db=8.0)),
         fix_model=FixModel(),
     )
-    m = run(iter(simulate(cfg)), PipelineConfig()).metrics
+    m = run(epoch_blocks(simulate(cfg)), PipelineConfig()).metrics
     assert m.multipath_precision is not None and m.multipath_recall is not None
     assert m.multipath_precision > 0.9
     assert m.multipath_recall > 0.5
@@ -482,7 +483,7 @@ def test_run_detection_precision_recall() -> None:
 def test_run_shared_diagnostics_list() -> None:
     diags = ["caller note"]
     cfg = _scenario(duration_s=0.5)
-    result = run(iter(simulate(cfg)), PipelineConfig(), diagnostics=diags)
+    result = run(epoch_blocks(simulate(cfg)), PipelineConfig(), diagnostics=diags)
     # an entry already in the list is not a skip of this run
     assert result.metrics.skipped == 0
     assert result.diagnostics is diags
@@ -528,7 +529,7 @@ def test_run_counts_reader_skips_on_a_shared_list(tmp_path, monkeypatch) -> None
     for read_block in (1, 3, 32):
         monkeypatch.setattr(mgp.streams, "READ_BLOCK", read_block)
         diags = ["caller note"]
-        result = run(read_epochs(str(path), diagnostics=diags), PipelineConfig(), diagnostics=diags)
+        result = run(read_epoch_blocks(str(path)), PipelineConfig(), diagnostics=diags)
         assert diags == want, read_block
         assert (result.metrics.epochs, result.metrics.skipped) == (9, 8)
         runs.append((json.dumps(result.metrics.to_json_dict()), result.poses))
@@ -541,8 +542,10 @@ def test_run_counts_reader_skips_on_a_shared_list(tmp_path, monkeypatch) -> None
 def test_run_cuts_front_blocks_at_read_block_whatever_the_reader_skips(
     tmp_path, monkeypatch
 ) -> None:
-    """A bad line before every epoch moves no edge of run's front blocks:
-    every block but the last holds ``READ_BLOCK`` epochs."""
+    """A front block is the good epochs of one reader block of
+    ``READ_BLOCK`` lines: with a bad line before every epoch, each block
+    but the last holds half as many epochs, and the messages come in line
+    order."""
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), simulate(_scenario(duration_s=7.0)))
     header, *lines = path.read_text(encoding="utf-8").splitlines()
@@ -557,11 +560,11 @@ def test_run_cuts_front_blocks_at_read_block_whatever_the_reader_skips(
 
     monkeypatch.setattr(mgp.pipeline, "_FrontBlock", counting)
     diags: list[str] = []
-    result = run(read_epochs(str(path), diagnostics=diags), PipelineConfig(), diagnostics=diags)
+    result = run(read_epoch_blocks(str(path)), PipelineConfig(), diagnostics=diags)
     assert (result.metrics.epochs, result.metrics.skipped) == (70, 70)
     assert diags == [f"{path}:{2 * k + 2}: {NOT_JSON}" for k in range(70)]
     b = mgp.streams.READ_BLOCK
-    assert sizes == [min(b, 70 - k) for k in range(0, 70, b)]
+    assert sizes == [min(b, 140 - k) // 2 for k in range(0, 140, b)]
 
 
 def test_run_keeps_its_diagnostics_when_the_stream_fails() -> None:
@@ -578,7 +581,7 @@ def test_run_keeps_its_diagnostics_when_the_stream_fails() -> None:
         raise InputError("e.jsonl:7: bad line")
 
     with pytest.raises(InputError, match="bad line"):
-        run(failing(), PipelineConfig(), diagnostics=diags)
+        run(epoch_blocks(failing()), PipelineConfig(), diagnostics=diags)
     assert diags == [
         "caller note",
         "reader note",
@@ -588,7 +591,7 @@ def test_run_keeps_its_diagnostics_when_the_stream_fails() -> None:
 
 def test_metrics_json_rounding() -> None:
     cfg = _scenario(duration_s=2.0)
-    m = run(iter(simulate(cfg)), PipelineConfig()).metrics
+    m = run(epoch_blocks(simulate(cfg)), PipelineConfig()).metrics
     d = m.to_json_dict()
     assert set(d["per_antenna_fix_rate_pct"].keys()) == {"1", "2", "3", "4", "5", "6"}
     assert d["hybrid_fix_rate_pct"] == round(m.hybrid_fix_rate_pct, 1)
@@ -606,7 +609,7 @@ def test_subset_with_short_snr_rows_skips_epoch() -> None:
     fixes = fixes_of([(6, FixStatus.FIXED, Vec3(0.0, 0.0, 0.0))])
     rows = snr_of([("G01", (45.0, 45.0, 45.0))])
     epoch = EpochRecord(t=0.0, fixes=fixes, baselines=baselines_of(()), snr_rows=rows)
-    result = run(iter([epoch]), PipelineConfig(antenna_subset=(5, 6)))
+    result = run(epoch_blocks([epoch]), PipelineConfig(antenna_subset=(5, 6)))
     assert result.metrics.epochs == 0
     assert result.metrics.skipped == 1
 
@@ -619,7 +622,7 @@ def test_snr_row_width_must_match_layout(width: int) -> None:
     epoch = EpochRecord(t=0.0, fixes=fixes_of(()), baselines=baselines_of(()), snr_rows=rows)
     with pytest.raises(ValidationError, match=f"G01 has {width} columns"):
         process_epoch(epoch, PipelineConfig())
-    result = run(iter([epoch]), PipelineConfig())
+    result = run(epoch_blocks([epoch]), PipelineConfig())
     assert result.metrics.epochs == 0
     assert result.metrics.skipped == 1
     assert "G01" in result.diagnostics[0]

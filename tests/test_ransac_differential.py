@@ -38,6 +38,7 @@ from mgp import (
     quat_angle,
     quat_to_matrix,
     ransac_attitude,
+    epoch_blocks,
     rotate,
     run,
     simulate,
@@ -370,7 +371,7 @@ def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset)
     cfg = load_scenario(bundled_scenario_path(scenario))
     epochs = list(simulate(dataclasses.replace(cfg, duration_s=15.0)))
     config = PipelineConfig(antenna_subset=subset)
-    batched = run(iter(epochs), config)
+    batched = run(epoch_blocks(epochs), config)
 
     calls = []
 
@@ -382,9 +383,10 @@ def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset)
     monkeypatch.setattr(mgp.pipeline, "ransac_attitude", scalar)
     reference = [process_epoch(epoch, config) for epoch in epochs]
     min_inliers = mgp.pipeline._consensus_params(config).min_inliers
+    fronts = (mgp.pipeline._FrontBlock(mgp.EpochBlock.of([e], [0]), config) for e in epochs)
     reaching = [
         len(candidates)
-        for _, candidates in (mgp.pipeline._FrontBlock([e], config).epoch(0) for e in epochs)
+        for _, candidates in (front.epoch(0) for front in fronts)
         if len(candidates) >= min_inliers
     ]
     assert calls == reaching and len(calls) > 100

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -60,6 +61,27 @@ def test_epoch_stream_round_trip_byte_identical(tmp_path: Path) -> None:
     back = list(read_epochs(str(p1)))
     write_epochs(str(p2), back)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["worker", "one-process"])
+def test_write_epochs_keeps_the_epochs_before_a_fault(tmp_path: Path, monkeypatch, fork) -> None:
+    """A source that raises after 10 epochs, inside the second block of
+    ``WRITE_BLOCK`` (8): all 10 are written before the fault propagates,
+    with a worker or without one."""
+    epochs = list(simulate(_scenario(duration_s=1.0)))
+    assert len(epochs) == 10 and mgp.streams.WRITE_BLOCK == 8
+
+    def failing():
+        yield from epochs
+        raise ValueError("source failed")
+
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    path, reference = tmp_path / "cut.jsonl", tmp_path / "whole.jsonl"
+    with pytest.raises(ValueError, match="^source failed$"):
+        write_epochs(str(path), failing())
+    assert write_epochs(str(reference), epochs) == 10
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_epoch_round_trip_preserves_truth_and_values(tmp_path: Path) -> None:
@@ -379,8 +401,8 @@ def test_block_decoder_checks_each_epoch_on_its_own() -> None:
     """Epochs that each name every antenna pair decode as one block, into
     the arrays each gives alone; a pair named twice in one epoch fails it."""
     dicts = [json.loads(json.dumps(epoch_to_dict(e))) for e in simulate(_scenario(duration_s=0.5))]
-    block = mgp.streams._decode(dicts)
-    for got, d in zip(block, dicts, strict=True):
+    block = mgp.streams._decode(dicts, range(2, len(dicts) + 2))
+    for got, d in zip(map(block.epoch, range(len(block))), dicts, strict=True):
         alone = epoch_from_dict(d)
         assert got.t == alone.t and got.snr_rows.sat_ids == alone.snr_rows.sat_ids
         for name in ("fixes", "baselines", "snr_rows"):
@@ -390,7 +412,7 @@ def test_block_decoder_checks_each_epoch_on_its_own() -> None:
     pairs = dicts[2]["baselines"]
     pairs[1]["antenna_pair"] = pairs[0]["antenna_pair"][::-1]
     with pytest.raises(ValidationError, match="baseline antenna pairs must be unordered-unique"):
-        mgp.streams._decode(dicts)
+        mgp.streams._decode(dicts, range(len(dicts)))
 
 
 _NO_STATUS = object()
