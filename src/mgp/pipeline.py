@@ -1,23 +1,24 @@
-"""Per-epoch processing chain and whole-stream metrics.
+"""Block processing chain and whole-stream metrics.
 
-Stage order per epoch: (1) multipath detection on the SNR rows, (2) optional
-fix re-query with the excluded satellites removed, which replays the epoch's
-requery record (simulated streams only; :func:`mgp.epochs.replay` replays
-those of a whole front block at once), (3) consensus attitude from the fixed
-baselines, (4) hybrid position using that attitude. An epoch with fewer fixed baselines than the effective
-``min_inliers`` skips stage (3), since consensus could never accept it.
-Per-antenna fix rates and the plain hybrid fix rate are always computed from
-the observed (pre-feedback) statuses so the feedback gain stays visible next
-to them.
+Stage order: (1) multipath detection on the SNR rows, (2) optional fix
+re-query with the excluded satellites removed, which replays the requery
+records of a front block's epochs at once (simulated streams only; see
+:func:`mgp.epochs.replay`), (3) consensus attitude from the fixed
+baselines, (4) hybrid position using that attitude. An epoch with fewer
+fixed baselines than the effective ``min_inliers`` skips stage (3), since
+consensus could never accept it. Per-antenna fix rates and the plain hybrid
+fix rate are always computed from the observed (pre-feedback) statuses so
+the feedback gain stays visible next to them.
 
 There is one front half, :class:`_FrontBlock`: it takes stages (1) and
 (2), with every check that can skip an epoch, over an
 :class:`mgp.epochs.EpochBlock` as the reader decoded it, with one array
 pass per check over the block's rows and one requery replay of all the
-block's epochs that need it. The checks run on the rows as read, so
-neither the antenna subset nor the feedback can hide a fault. ``run``
-takes the stream through it one reader block at a time, then the
-surviving epochs through stages (3) and (4) in blocks of at most
+block's epochs that need it; its active fixes and consensus candidates
+come out as one :class:`_Rows` record. The checks run on the rows as
+read, so neither the antenna subset nor the feedback can hide a fault.
+``run`` takes the stream through it one reader block at a time, then the
+queued records' rows through stages (3) and (4) in blocks of at most
 ``BLOCK_PAIRS`` pair hypothesis slots, with one call of the consensus
 kernel and one position fusion per block; ``process_epoch`` is the same
 chain on a block of one, and no output depends on where any of the blocks
@@ -36,7 +37,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,10 +73,10 @@ from .robust import RansacParams, consensus, ransac_attitude
 
 # Pair hypothesis slots per call of the consensus kernel, which scores each
 # of a block's E epochs in S slots, S the most pairs any of them has. ``run``
-# hands it whole epochs and starts a new block when the next epoch would
-# take E * S past this cap: about 10 six-antenna or 340 three-antenna
-# epochs, which keeps the block's temporaries near 1 MB however long the
-# stream is and however its epochs' pair counts mix.
+# queues whole epochs, across front block edges, and starts a new block
+# when the next epoch would take E * S past this cap: about 10 six-antenna
+# or 340 three-antenna epochs, which keeps the block's temporaries near 1 MB
+# however long the stream is and however its epochs' pair counts mix.
 BLOCK_PAIRS = 1024
 
 
@@ -160,6 +161,19 @@ def _consensus_params(config: PipelineConfig) -> RansacParams:
     return replace(params, min_inliers=max(2, min(params.min_inliers, max_pairs)))
 
 
+class _Rows(NamedTuple):
+    """Stage (2) of a front block: its active fixes and its consensus
+    candidates (the fixed active baselines) in epoch order, a replayed
+    epoch's rows in the place of its rows as read, each row's epoch, and the
+    pose row ``run`` gives each epoch it queues (-1 for the others)."""
+
+    fixes: Fixes
+    fix_epoch: np.ndarray
+    candidates: Baselines
+    candidate_epoch: np.ndarray
+    pose_row: np.ndarray
+
+
 class _FrontBlock:
     """Stages (1) and (2) of an :class:`EpochBlock`, each step one array
     pass over the block's rows as read: the checks, the subset masks, the
@@ -172,10 +186,8 @@ class _FrontBlock:
     hide a row, in this order: an antenna outside the layout (the fixes,
     then the pairs), an SNR row of another width than the layout, a
     satellite named twice, a requery record of another antenna count (only
-    when the epoch needs a replay), an antenna named twice. Every other
-    epoch gets its active fixes, its consensus candidates and its detection
-    report as slices of the block's arrays from :meth:`epoch` and
-    :meth:`report`.
+    when the epoch needs a replay), an antenna named twice. ``rows`` holds
+    the block's stage (2) output.
     """
 
     def __init__(self, block: EpochBlock, config: PipelineConfig) -> None:
@@ -210,16 +222,12 @@ class _FrontBlock:
                 fault(k, f"duplicate SNR row for satellite {first_repeat(rows)}")
 
         use = active[np.where(known, ids, 0)]
-        self.fixes = fixes.select(use)
-        self.fix_ends = offsets(np.bincount(fix_epoch[use], minlength=n_epochs).tolist())
         # the raw fixed active antennas _Tally counts
         raw_fixed = use & (fixes.grade == 2)
         self.raw_fixed = ids[raw_fixed], fix_epoch[raw_fixed]
 
         active_pairs = active[np.where(known_ids, pairs.ravel(), 0)].reshape(-1, 2).all(axis=1)
         keep = baselines.fixed & active_pairs
-        self.candidates = baselines.select(keep)
-        self.candidate_ends = offsets(np.bincount(pair_epoch[keep], minlength=n_epochs).tolist())
 
         # the rows of the epochs whose rows are as wide as the layout
         fits = np.repeat(block.snr_width == n, np.diff(block.snr_ends))
@@ -257,23 +265,34 @@ class _FrontBlock:
             fault(k, f"duplicate solution for antenna {dup}")
         self.faults = faults
 
-        # the epochs that need stage (2), replayed together
-        self.replayed = {k: r for r, k in enumerate(k for k in needed if faults[k] is None)}
-        if self.replayed:
-            truths = [block.truth[k] for k in self.replayed]
+        fixes, fix_epoch = fixes.select(use), fix_epoch[use]
+        candidates, candidate_epoch = baselines.select(keep), pair_epoch[keep]
+        # the epochs that need stage (2), replayed together; their rows take
+        # the place of their rows as read
+        replayed = [k for k in needed if faults[k] is None]
+        if replayed:
+            truths = [block.truth[k] for k in replayed]
             found = replay(
                 [t.requery for t in truths],
                 [t.multipath_sats for t in truths],
-                [self._excluded(k) for k in self.replayed],
+                [self._excluded(k) for k in replayed],
                 config.layout,
             )
-            self.replay_fixes = found.fixes.select(active[found.fixes.ids])
-            self.replay_width = len(config.active_antennas)
-            b = found.baselines
-            chosen = b.fixed & active[b.pairs].all(axis=1)
-            self.replay_candidates = b.select(chosen)
-            epoch = found.baseline_epoch[chosen]
-            self.replay_ends = offsets(np.bincount(epoch, minlength=len(truths)).tolist())
+
+            def merge(rows, epoch, new, new_epoch, chosen):
+                kept = ~np.isin(epoch, replayed)
+                epoch = np.concatenate((epoch[kept], new_epoch[chosen]))
+                order = np.argsort(epoch, kind="stable")
+                rows = type(rows).joined([rows.select(kept), new.select(chosen)])
+                return rows.select(order), epoch[order]
+
+            f, b = found.fixes, found.baselines
+            fixes, fix_epoch = merge(fixes, fix_epoch, f, np.repeat(replayed, n), active[f.ids])
+            candidates, candidate_epoch = merge(
+                candidates, candidate_epoch, b, np.array(replayed)[found.baseline_epoch],
+                b.fixed & active[b.pairs].all(axis=1),
+            )
+        self.rows = _Rows(fixes, fix_epoch, candidates, candidate_epoch, np.full(n_epochs, -1))
 
     def _excluded(self, k: int) -> frozenset[str]:
         """The satellites epoch k's detection excludes."""
@@ -289,21 +308,6 @@ class _FrontBlock:
             self.sats[a:b], self.sigma[a:b], self.count[a:b], self.verdict[a:b], self._excluded(k)
         )
 
-    def epoch(self, k: int) -> tuple[Fixes, Baselines]:
-        """Stage (2) of epoch k, which has no fault: its active fixes and its
-        consensus candidates (the fixed active baselines), replayed or as
-        read."""
-        r = self.replayed.get(k)
-        if r is None:
-            f, c = self.fixes, self.candidates
-            a, b = self.fix_ends[k], self.fix_ends[k + 1]
-            i, j = self.candidate_ends[k], self.candidate_ends[k + 1]
-        else:
-            f, c = self.replay_fixes, self.replay_candidates
-            a, b = r * self.replay_width, (r + 1) * self.replay_width
-            i, j = self.replay_ends[r], self.replay_ends[r + 1]
-        return f.select(slice(a, b)), c.select(slice(i, j))
-
 
 def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
     """Run one epoch through detection, feedback, attitude and position:
@@ -316,45 +320,51 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
     front = _FrontBlock(EpochBlock.of([epoch], [0]), config)
     if front.faults[0] is not None:
         raise ValidationError(front.faults[0])
-    fixes, candidates = front.epoch(0)
     params = _consensus_params(config)
     attitude = AttitudeSolution.unavailable()
     # consensus could never reach min_inliers with fewer fixed baselines
-    if len(candidates) >= params.min_inliers:
+    if len(front.rows.candidates) >= params.min_inliers:
         try:
-            attitude = ransac_attitude(candidates, params).solution
+            attitude = ransac_attitude(front.rows.candidates, params).solution
         except (InsufficientDataError, DegenerateGeometryError):
             pass
     position = hybrid_position(
-        fixes, attitude.q if attitude.available else None, config.layout
+        front.rows.fixes, attitude.q if attitude.available else None, config.layout
     )
     return EpochResult(
         t=epoch.t,
         attitude=attitude,
         position=position,
         multipath=front.report(0),
-        fixes_used=fixes,
+        fixes_used=front.rows.fixes,
     )
 
 
 def _solve_block(
-    block: list[tuple[Fixes, Baselines | None]],
-    config: PipelineConfig,
-    params: RansacParams,
+    queue: list[_Rows], first: int, n_ep: int, config: PipelineConfig, params: RansacParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stages (3) and (4) of a block of epochs, each given with its active
-    fixes and its consensus candidates (None below ``params.min_inliers``
-    fixed baselines): the (E, 4) attitudes and (E, 3) positions, NaN rows
-    where an epoch has none, and each epoch's number of fixed antennas."""
-    q = np.full((len(block), 4), np.nan)
-    solve = [e for e, (_, candidates) in enumerate(block) if candidates is not None]
-    if solve:
-        found = consensus([block[e][1] for e in solve], params)
-        q[np.array(solve)[found.available]] = body_to_enu(found.q_be[found.available])
+    """Stages (3) and (4) of the ``n_ep`` epochs from pose row ``first`` on,
+    out of the queued rows, consensus only with ``min_inliers`` candidates:
+    the (E, 4) attitudes and (E, 3) positions, NaN rows where an epoch has
+    none, and each epoch's number of fixed antennas."""
+    # each row's epoch in the block, negative for the other epochs' rows
+    f = [r.pose_row[r.fix_epoch] - first for r in queue]
+    c = [r.pose_row[r.candidate_epoch] - first for r in queue]
+    fixes = Fixes.joined([r.fixes.select(e >= 0) for r, e in zip(queue, f)])
+    candidates = Baselines.joined([r.candidates.select(e >= 0) for r, e in zip(queue, c)])
+    fix_epoch = np.concatenate([e[e >= 0] for e in f])
+    candidate_epoch = np.concatenate([e[e >= 0] for e in c])
 
-    rows = np.array([len(f) for f, _ in block])
+    q = np.full((n_ep, 4), np.nan)
+    counts = np.bincount(candidate_epoch, minlength=n_ep)
+    solve = counts >= params.min_inliers
+    if solve.any():
+        ends = offsets(counts[solve].tolist())
+        found = consensus(candidates.select(solve[candidate_epoch]), ends, params)
+        q[np.flatnonzero(solve)[found.available]] = body_to_enu(found.q_be[found.available])
+
+    rows = np.bincount(fix_epoch, minlength=n_ep)
     valid = np.arange(int(rows.max(initial=0))) < rows[:, None]
-    fixes = Fixes.joined([f for f, _ in block])
     fixed = np.zeros(valid.shape, dtype=bool)
     fixed[valid] = fixes.grade == 2
     p = np.zeros(valid.shape + (3,))
@@ -557,8 +567,8 @@ def run(
     epochs with the ``(lineno, message)`` of each line the reader skipped
     there. The front half, where every skip is decided, takes each block as
     it is (:class:`_FrontBlock`); the timestamp check runs epoch by epoch in
-    stream order, ahead of the block's checks. The survivors then go to
-    consensus attitude and position in blocks of at most ``BLOCK_PAIRS``
+    stream order, ahead of the block's checks. The survivors' rows then go
+    to consensus attitude and position in blocks of at most ``BLOCK_PAIRS``
     pair hypothesis slots. Results match :func:`process_epoch` epoch by
     epoch, wherever the blocks fall.
 
@@ -572,15 +582,16 @@ def run(
     first_diag = len(diags)
     params = _consensus_params(config)
     tally = _Tally(config)
-    # The block keeps only what the back half needs, not the epoch blocks:
-    # per epoch its fixes and candidates, and its time and true pose.
-    block: list[tuple[Fixes, Baselines | None]] = []
+    # The block keeps only what the back half needs, not the epoch or front
+    # blocks: the rows records holding its epochs, each queued epoch marked
+    # with its pose row, and per epoch its time and true pose.
+    queue: list[_Rows] = []
     stamps: list[list[float]] = []
-    # the block's epochs that reach consensus, and the most pairs of one
-    solving = widest = 0
+    # the block's first pose row, its epochs that reach consensus, most pairs
+    first = solving = widest = 0
 
     def solve() -> None:
-        q, p, n_fix = _solve_block(block, config, params)
+        q, p, n_fix = _solve_block(queue, first, len(stamps), config, params)
         stamp = np.array(stamps)
         tally.blocks.append((stamp[:, 0], p, q, n_fix, stamp[:, 1:]))
 
@@ -588,7 +599,8 @@ def run(
     idx = -1
     for epochs, skips in blocks:
         front = _FrontBlock(epochs, config)
-        passed = np.zeros(len(epochs), dtype=bool)
+        counts = np.bincount(front.rows.candidate_epoch, minlength=len(epochs)).tolist()
+        queue.append(front.rows)
         notes = list(skips)  # (line, message)
         for k, (t, line) in enumerate(zip(epochs.t.tolist(), epochs.lines.tolist())):
             idx += 1
@@ -600,18 +612,14 @@ def run(
                 notes.append((line, f"epoch {idx} (t={t!r}): {fault}"))
                 continue
             last_t = t
-            passed[k] = True
             truth = epochs.truth[k]
             tally.front(truth, front.report(k))
-            fixes, candidates = front.epoch(k)
-            m = len(candidates)
-            if m < params.min_inliers:
-                candidates, m = None, 0
+            m = counts[k] if counts[k] >= params.min_inliers else 0
             pairs = m * (m - 1) // 2
-            if pairs and block and (solving + 1) * max(widest, pairs) > BLOCK_PAIRS:
+            if pairs and stamps and (solving + 1) * max(widest, pairs) > BLOCK_PAIRS:
                 solve()
-                block, stamps, solving, widest = [], [], 0, 0
-            block.append((fixes, candidates))
+                queue, first, stamps, solving, widest = [front.rows], first + len(stamps), [], 0, 0
+            front.rows.pose_row[k] = first + len(stamps)
             if truth is None:
                 stamps.append([t] + [math.nan] * 7)
             else:
@@ -619,11 +627,11 @@ def run(
                 stamps.append([t, q.qx, q.qy, q.qz, q.qw, p.x, p.y, p.z])
             if pairs:
                 solving, widest = solving + 1, max(widest, pairs)
-        tally.fixed(front, passed)
+        tally.fixed(front, front.rows.pose_row >= 0)
         diags.extend(message for _, message in sorted(notes, key=lambda note: note[0]))
         # let this block go before the next block is read
         del epochs, front
-    if block:
+    if stamps:
         solve()
     metrics, poses = tally.report(config, skipped=len(diags) - first_diag)
     return RunResult(metrics=metrics, poses=poses, diagnostics=diags)

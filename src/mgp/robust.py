@@ -197,9 +197,9 @@ def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return p0, p1
 
 
-def consensus(epochs: Sequence[Baselines], params: RansacParams) -> Consensus:
-    """Consensus attitude of a block of epochs, each given by its fixed
-    baselines (at least two per epoch).
+def consensus(baselines: Baselines, ends: Sequence[int], params: RansacParams) -> Consensus:
+    """Consensus attitude of a block of epochs given by their fixed
+    baselines, epoch k's (at least two) in rows ``ends[k]:ends[k + 1]``.
 
     Per epoch: every pair ``(i, j)`` of its baselines that passes the angle
     screen and the eigen-gap check is a hypothesis; the one reproducing the
@@ -207,8 +207,8 @@ def consensus(epochs: Sequence[Baselines], params: RansacParams) -> Consensus:
     inlier residual sum, then the first pair. A winner with at least
     ``min_inliers`` inliers is refitted on them.
     """
-    rows = np.array([len(b) for b in epochs])
-    n_ep, width = len(epochs), int(rows.max())
+    rows = np.diff(ends)
+    n_ep, width = len(rows), int(rows.max())
     valid = np.arange(width) < rows[:, None]
     # Vectors are stored one component per row, (3, E, M) for the block's
     # baselines, so that every array operation below runs along the long
@@ -217,9 +217,8 @@ def consensus(epochs: Sequence[Baselines], params: RansacParams) -> Consensus:
     v = np.zeros((3, n_ep, width))
     v[0] = 1.0
     w = v.copy()
-    joined = Baselines.joined(epochs)
-    v[:, valid] = joined.v.T
-    w[:, valid] = joined.w.T
+    v[:, valid] = baselines.v.T
+    w[:, valid] = baselines.w.T
     w_len = np.sqrt(_dot(w, w))
     v_hat = v / np.sqrt(_dot(v, v))
     w_hat = w / w_len
@@ -320,7 +319,7 @@ def ransac_attitude(observations: Baselines, params: RansacParams) -> RobustAtti
     if m < 2:
         raise InsufficientDataError("RANSAC needs at least 2 fixed baseline observations")
 
-    found = consensus([candidates], params)
+    found = consensus(candidates, [0, m], params)
     if found.hypotheses[0] == 0:
         raise DegenerateGeometryError("no baseline pair with an observable rotation")
     if found.refitted[0]:

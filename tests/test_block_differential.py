@@ -24,6 +24,7 @@ import mgp
 import mgp.pipeline
 import mgp.streams
 from mgp import PipelineConfig, RansacParams
+from mgp.epochs import offsets
 from mgp.errors import InputError, InsufficientDataError, ValidationError
 from mgp.robust import consensus
 
@@ -32,8 +33,11 @@ from test_epoch_differential import _scenario
 from test_ransac_differential import _ragged_block, _random_epoch
 
 # Each case with a block cap that puts a few epochs in a block: six
-# antennas form up to 105 pairs per epoch, antennas 1, 3 and 5 three.
-CASES = [("multipath", None, 250), ("fixrate", (1, 3, 5), 9)]
+# antennas form up to 105 pairs per epoch, five 45 and antennas 1, 3 and 5
+# three. Under a subset of five, the multipath stream's replayed epochs
+# take the place of their rows as read.
+CASES = [("multipath", None, 250), ("fixrate", (1, 3, 5), 9), ("multipath", (1, 2, 4, 5, 6), 150)]
+IDS = ["multipath-all", "fixrate-1-3-5", "multipath-1-2-4-5-6"]
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +59,9 @@ def _run(
     blocks: list[int] = []
     kernel = mgp.pipeline.consensus
 
-    def counting(epochs, params):
-        blocks.append(len(epochs))
-        return kernel(epochs, params)
+    def counting(baselines, ends, params):
+        blocks.append(len(ends) - 1)
+        return kernel(baselines, ends, params)
 
     with monkeypatch.context() as m:
         if cap is not None:
@@ -111,7 +115,7 @@ def _caps(mid: int) -> list[int | None]:
     return [1, mid, None, 10**9]
 
 
-@pytest.mark.parametrize("name, subset, mid", CASES, ids=["multipath-all", "fixrate-1-3-5"])
+@pytest.mark.parametrize("name, subset, mid", CASES, ids=IDS)
 def test_block_partition_does_not_change_outputs(streams, monkeypatch, name, subset, mid) -> None:
     config = PipelineConfig(antenna_subset=subset)
     runs = [_run(streams[name], config, cap, monkeypatch) for cap in _caps(mid)]
@@ -199,7 +203,7 @@ def _bad_stream(clean: Path, path: Path, line_edits: dict | None = None) -> Path
     return path
 
 
-@pytest.mark.parametrize("name, subset, mid", CASES, ids=["multipath-all", "fixrate-1-3-5"])
+@pytest.mark.parametrize("name, subset, mid", CASES, ids=IDS)
 def test_bad_epochs_match_per_epoch_loop(streams, monkeypatch, tmp_path, name, subset, mid) -> None:
     path = _bad_stream(streams[name], tmp_path / "bad.jsonl")
 
@@ -311,12 +315,12 @@ def test_consensus_of_a_block_is_bitwise_its_blocks_of_one() -> None:
     epochs += [baselines_of(obs) for obs in _ragged_block(rng, 60)]
     epochs = [epochs[k] for k in rng.permutation(len(epochs)) if len(epochs[k]) >= 2]
     params = RansacParams(inlier_threshold_m=0.05, min_inliers=3)
-    block = consensus(epochs, params)
+    block = consensus(mgp.Baselines.joined(epochs), offsets(map(len, epochs)), params)
     assert block.inliers.shape[1] == 15 and block.refitted.sum() > 100
     assert (block.hypotheses == 0).sum() >= 15
     for k, epoch in enumerate(epochs):
-        one = consensus([epoch], params)
         m = len(epoch)
+        one = consensus(epoch, [0, m], params)
         assert one.hypotheses[0] == block.hypotheses[k]
         assert np.array_equal(one.inliers[0], block.inliers[k, :m])
         assert not block.inliers[k, m:].any()

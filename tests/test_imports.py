@@ -120,22 +120,49 @@ def test_records_of_arrays_count_select_and_join_by_rows() -> None:
         assert not {"__len__", "select", "joined"} & set(vars(cls)), cls
 
 
+def _calls(fn) -> list[ast.Call]:
+    """Every call in the source of ``fn``, nested functions included."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def _name(call: ast.Call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
 def test_front_half_takes_the_reader_block_as_it_is() -> None:
     """The block decoder builds one record of arrays per reader block and
-    the front half takes it as it is: ``pipeline._chunks`` is gone, and
-    neither joins (``Rows.joined``, ``np.concatenate``) nor cuts
-    (``streams._pieces``) the fixes, baselines or SNR rows of its epochs."""
+    the front half takes it as it is: ``pipeline._chunks`` is gone, the
+    decoder neither joins (``Rows.joined``, ``np.concatenate``) nor cuts
+    (``streams._pieces``) the fixes, baselines or SNR rows of its epochs,
+    and the front half cuts none and joins none per epoch: its only joins
+    merge the replayed rows into the rows as read, two block-wide records
+    given as a literal list or tuple."""
     import mgp.pipeline
     import mgp.streams
 
     assert not hasattr(mgp.pipeline, "_chunks")
-    for fn in (mgp.pipeline._FrontBlock.__init__, mgp.streams._decode):
-        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
-        called = {
-            node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
-            for node in ast.walk(tree) if isinstance(node, ast.Call)
-        }
-        assert not {"joined", "concatenate", "_pieces"} & called, fn.__qualname__
+    called = {_name(node) for node in _calls(mgp.streams._decode)}
+    assert not {"joined", "concatenate", "_pieces"} & called
+    for node in _calls(mgp.pipeline._FrontBlock.__init__):
+        assert _name(node) != "_pieces"
+        if _name(node) in ("joined", "concatenate"):
+            (arg,) = node.args
+            assert isinstance(arg, (ast.List, ast.Tuple)) and len(arg.elts) == 2, ast.unparse(node)
+
+
+def test_back_half_takes_the_front_blocks_rows() -> None:
+    """The front half gives each block's rows as one record, with each
+    row's epoch, and the back half takes them as they are: there is no
+    per-epoch view of a front block, ``run`` neither cuts nor joins rows,
+    and ``consensus`` takes its epochs' rows joined with their offsets."""
+    import mgp.pipeline
+    import mgp.robust
+
+    assert not hasattr(mgp.pipeline._FrontBlock, "epoch")
+    assert not {"select", "joined"} & {_name(node) for node in _calls(mgp.pipeline.run)}
+    assert "joined" not in {_name(node) for node in _calls(mgp.robust.consensus)}
 
 
 def test_perfbench_finds_every_name_it_uses() -> None:

@@ -45,6 +45,7 @@ from mgp import (
 )
 import mgp.pipeline
 from mgp.attitude import EIGEN_GAP_TOL, _davenport_k
+from mgp.epochs import offsets
 from mgp.robust import MIN_PAIR_ANGLE_DEG, _pair_gap, _pair_quaternions, consensus
 
 from conftest import baselines_of
@@ -277,11 +278,13 @@ def test_ragged_block_matches_scalar_path() -> None:
     rng = np.random.default_rng(2024)
     epochs = _ragged_block(rng)
     params = RansacParams(inlier_threshold_m=0.05, min_inliers=3)
-    block = consensus([baselines_of(obs) for obs in epochs], params)
+    block = consensus(
+        Baselines.joined([baselines_of(obs) for obs in epochs]), offsets(map(len, epochs)), params
+    )
     assert (block.hypotheses == 0).sum() >= 20 and block.refitted.sum() >= 20
     for k, obs in enumerate(epochs):
         _assert_same(obs, params)
-        one = consensus([baselines_of(obs)], params)
+        one = consensus(baselines_of(obs), [0, len(obs)], params)
         assert one.hypotheses[0] == block.hypotheses[k]
         assert np.array_equal(one.inliers[0], block.inliers[k, : len(obs)])
         assert not block.inliers[k, len(obs):].any()
@@ -385,9 +388,7 @@ def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset)
     min_inliers = mgp.pipeline._consensus_params(config).min_inliers
     fronts = (mgp.pipeline._FrontBlock(mgp.EpochBlock.of([e], [0]), config) for e in epochs)
     reaching = [
-        len(candidates)
-        for _, candidates in (front.epoch(0) for front in fronts)
-        if len(candidates) >= min_inliers
+        len(front.rows.candidates) for front in fronts if len(front.rows.candidates) >= min_inliers
     ]
     assert calls == reaching and len(calls) > 100
 
@@ -497,7 +498,7 @@ def test_closed_form_exact_half_turns(monkeypatch) -> None:
         q_ref, _ = _eigh_pair_hypotheses(*args)
         assert _angles(q, q_ref)[0] < 1e-12
         pair = Baselines.checked(np.array([[1, 2], [1, 3]]), ws @ rot.T, ws, np.ones(2, bool))
-        found = consensus([pair], RansacParams(min_inliers=2))
+        found = consensus(pair, [0, 2], RansacParams(min_inliers=2))
         assert found.hypotheses.tolist() == [1] and found.inliers.all()
         assert np.allclose(built.pop()[0].T, rot, atol=1e-15)
 
