@@ -14,16 +14,16 @@ There is one front half, :class:`_FrontBlock`: it takes stages (1) and
 (2), with every check that can skip an epoch, over an
 :class:`mgp.epochs.EpochBlock` as the reader decoded it, with one array
 pass per check over the block's rows and one requery replay of all the
-block's epochs that need it; its active fixes and consensus candidates
-come out as one :class:`_Rows` record. The checks run on the rows as
-read, so neither the antenna subset nor the feedback can hide a fault.
-``run`` takes the stream through it one reader block at a time, then the
+block's epochs that need it; its active fixes, consensus candidates and
+epoch stamps come out as one :class:`_Rows` record. The checks run on the
+rows as read, so neither the antenna subset nor the feedback can hide a
+fault. ``run`` takes the stream through it one reader block at a time,
+the timestamp check and the block's tally in array passes too, then the
 queued records' rows through stages (3) and (4) in blocks of at most
 ``BLOCK_PAIRS`` pair hypothesis slots, with one call of the consensus
 kernel and one position fusion per block; ``process_epoch`` is the same
 chain on a block of one, and no output depends on where any of the blocks
-fall. ``run`` returns the stream's poses as one :class:`mgp.mapping.Poses`
-record of arrays, built block by block.
+fall. ``run`` returns the stream's poses as one :class:`mgp.mapping.Poses`.
 
 A fix rate here is the share of epochs in which a solution of the given
 kind existed: an antenna's rate counts its FIXED epochs, the hybrid rate
@@ -162,16 +162,18 @@ def _consensus_params(config: PipelineConfig) -> RansacParams:
 
 
 class _Rows(NamedTuple):
-    """Stage (2) of a front block: its active fixes and its consensus
-    candidates (the fixed active baselines) in epoch order, a replayed
-    epoch's rows in the place of its rows as read, each row's epoch, and the
-    pose row ``run`` gives each epoch it queues (-1 for the others)."""
+    """Stage (2) of a front block: its active fixes and consensus candidates
+    (the fixed active baselines) in epoch order, a replayed epoch's rows in
+    the place of its rows as read, each row's epoch, the pose row ``run``
+    gives each epoch it queues (-1 for the others), and each epoch's time
+    and true pose ``[t, qx, qy, qz, qw, E, N, U]``, NaN without truth."""
 
     fixes: Fixes
     fix_epoch: np.ndarray
     candidates: Baselines
     candidate_epoch: np.ndarray
     pose_row: np.ndarray
+    stamps: np.ndarray
 
 
 class _FrontBlock:
@@ -181,24 +183,21 @@ class _FrontBlock:
     (:func:`mgp.epochs.replay`). This is the only front half: ``run`` takes
     every block through it and ``process_epoch`` a block of one.
 
-    ``faults[k]`` is the message of epoch k's first fault, or None. The
-    checks run on the rows as read, before the subset or the replay can
+    ``faults`` maps each epoch at fault to the message of its first fault.
+    The checks run on the rows as read, before the subset or the replay can
     hide a row, in this order: an antenna outside the layout (the fixes,
     then the pairs), an SNR row of another width than the layout, a
     satellite named twice, a requery record of another antenna count (only
-    when the epoch needs a replay), an antenna named twice. ``rows`` holds
-    the block's stage (2) output.
+    when the epoch needs a replay), an antenna named twice. The scored SNR
+    rows are ``sats``, ``sigma``, ``count`` and ``verdict``, epoch k's at
+    ``snr_ends[k]:snr_ends[k + 1]``; ``rows`` holds the stage (2) output.
     """
 
     def __init__(self, block: EpochBlock, config: PipelineConfig) -> None:
         n = config.layout.antenna_count
         active = config.active_mask
         n_epochs = len(block)
-        faults: list[str | None] = [None] * n_epochs
-
-        def fault(k: int, message: str) -> None:
-            if faults[k] is None:
-                faults[k] = message
+        faults: dict[int, str] = {}
 
         fixes, baselines, snr = block.fixes, block.baselines, block.snr
         ids, pairs = fixes.ids, baselines.pairs
@@ -210,16 +209,19 @@ class _FrontBlock:
             zip(np.repeat(pair_epoch, 2)[~known_ids].tolist(), pairs.ravel()[~known_ids].tolist()),
         )
         for k, i in stray:
-            fault(k, f"antenna {i} has no layout entry (layout has {n})")
+            faults.setdefault(k, f"antenna {i} has no layout entry (layout has {n})")
 
-        widths = block.snr_width.tolist()
-        ends = block.snr_ends
-        for k, (a, b) in enumerate(zip(ends, ends[1:])):
-            rows = snr.sat_ids[a:b]
-            if rows and widths[k] != n:
-                fault(k, f"SNR row {rows[0]} has {widths[k]} columns (layout has {n})")
-            if len(set(rows)) != len(rows):
-                fault(k, f"duplicate SNR row for satellite {first_repeat(rows)}")
+        ends, width = block.snr_ends, block.snr_width
+        for k in np.flatnonzero((np.diff(ends) > 0) & (width != n)).tolist():
+            message = f"SNR row {snr.sat_ids[ends[k]]} has {width[k]} columns (layout has {n})"
+            faults.setdefault(k, message)
+        code: dict[str, int] = {}  # satellite id -> its number in the block
+        sat = np.array([code.setdefault(s, len(code)) for s in snr.sat_ids], dtype=np.int64)
+        snr_epoch = epoch_of_rows(ends)
+        seen = np.bincount(snr_epoch * len(code) + sat, minlength=n_epochs * len(code))
+        for k in np.flatnonzero((seen.reshape(n_epochs, len(code)) > 1).any(axis=1)).tolist():
+            dup = first_repeat(snr.sat_ids[ends[k]:ends[k + 1]])
+            faults.setdefault(k, f"duplicate SNR row for satellite {dup}")
 
         use = active[np.where(known, ids, 0)]
         # the raw fixed active antennas _Tally counts
@@ -230,10 +232,10 @@ class _FrontBlock:
         keep = baselines.fixed & active_pairs
 
         # the rows of the epochs whose rows are as wide as the layout
-        fits = np.repeat(block.snr_width == n, np.diff(block.snr_ends))
+        fits = np.repeat(width == n, np.diff(ends))
         dbhz = snr.dbhz[fits, :n] if fits.any() else np.empty((0, n))
         sats = tuple(itertools.compress(snr.sat_ids, fits.tolist()))
-        snr_epoch = epoch_of_rows(block.snr_ends)[fits]
+        snr_epoch = snr_epoch[fits]
         if config.antenna_subset is not None:
             dbhz = dbhz[:, active[1:]]
             tracked = ~np.isnan(dbhz).all(axis=1)
@@ -244,32 +246,32 @@ class _FrontBlock:
             dbhz, config.multipath.threshold_dbhz, config.multipath.min_count
         )
         self.snr_ends = offsets(np.bincount(snr_epoch, minlength=n_epochs).tolist())
-        self.excluding = np.bincount(snr_epoch[self.verdict == 1], minlength=n_epochs) > 0
+        excluding = np.bincount(snr_epoch[self.verdict == 1], minlength=n_epochs) > 0
 
         # stage (2) is needed where feedback is on, the epoch excludes
         # satellites and it carries a requery record
         needed = []
         if config.multipath_feedback:
-            for k in np.flatnonzero(self.excluding).tolist():
+            for k in np.flatnonzero(excluding).tolist():
                 truth = block.truth[k]
-                if faults[k] is not None or truth is None or truth.requery is None:
+                if k in faults or truth is None or truth.requery is None:
                     continue
                 if len(truth.requery.antenna_channels) != n:
-                    fault(k, "layout antenna count does not match the stream")
+                    faults.setdefault(k, "layout antenna count does not match the stream")
                 else:
                     needed.append(k)
         # every row counts, the inactive antennas' and those a replay replaces
         seen = np.bincount(fix_epoch[known] * (n + 1) + ids[known], minlength=n_epochs * (n + 1))
         for k in np.flatnonzero((seen.reshape(n_epochs, n + 1) > 1).any(axis=1)).tolist():
             dup = first_repeat(ids[block.fix_ends[k]:block.fix_ends[k + 1]].tolist())
-            fault(k, f"duplicate solution for antenna {dup}")
+            faults.setdefault(k, f"duplicate solution for antenna {dup}")
         self.faults = faults
 
         fixes, fix_epoch = fixes.select(use), fix_epoch[use]
         candidates, candidate_epoch = baselines.select(keep), pair_epoch[keep]
         # the epochs that need stage (2), replayed together; their rows take
         # the place of their rows as read
-        replayed = [k for k in needed if faults[k] is None]
+        replayed = [k for k in needed if k not in faults]
         if replayed:
             truths = [block.truth[k] for k in replayed]
             found = replay(
@@ -292,21 +294,19 @@ class _FrontBlock:
                 candidates, candidate_epoch, b, np.array(replayed)[found.baseline_epoch],
                 b.fixed & active[b.pairs].all(axis=1),
             )
-        self.rows = _Rows(fixes, fix_epoch, candidates, candidate_epoch, np.full(n_epochs, -1))
+        stamps = np.full((n_epochs, 8), np.nan)
+        stamps[:, 0] = block.t
+        poses = [(k, tr.attitude, tr.position) for k, tr in enumerate(block.truth) if tr]
+        stamps[[k for k, _, _ in poses], 1:] = np.array(
+            [(q.qx, q.qy, q.qz, q.qw, p.x, p.y, p.z) for _, q, p in poses]
+        ).reshape(-1, 7)
+        pose_row = np.full(n_epochs, -1)
+        self.rows = _Rows(fixes, fix_epoch, candidates, candidate_epoch, pose_row, stamps)
 
     def _excluded(self, k: int) -> frozenset[str]:
         """The satellites epoch k's detection excludes."""
-        if not self.excluding[k]:
-            return frozenset()
         a, b = self.snr_ends[k], self.snr_ends[k + 1]
         return frozenset(itertools.compress(self.sats[a:b], (self.verdict[a:b] == 1).tolist()))
-
-    def report(self, k: int) -> MultipathReport:
-        """The detection report of epoch k, as :func:`detect_multipath` gives it."""
-        a, b = self.snr_ends[k], self.snr_ends[k + 1]
-        return MultipathReport(
-            self.sats[a:b], self.sigma[a:b], self.count[a:b], self.verdict[a:b], self._excluded(k)
-        )
 
 
 def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
@@ -318,7 +318,7 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
     epoch that has a fault (see :class:`_FrontBlock`).
     """
     front = _FrontBlock(EpochBlock.of([epoch], [0]), config)
-    if front.faults[0] is not None:
+    if front.faults:
         raise ValidationError(front.faults[0])
     params = _consensus_params(config)
     attitude = AttitudeSolution.unavailable()
@@ -335,21 +335,24 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
         t=epoch.t,
         attitude=attitude,
         position=position,
-        multipath=front.report(0),
+        multipath=MultipathReport(
+            front.sats, front.sigma, front.count, front.verdict, front._excluded(0)
+        ),
         fixes_used=front.rows.fixes,
     )
 
 
 def _solve_block(
     queue: list[_Rows], first: int, n_ep: int, config: PipelineConfig, params: RansacParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Stages (3) and (4) of the ``n_ep`` epochs from pose row ``first`` on,
     out of the queued rows, consensus only with ``min_inliers`` candidates:
-    the (E, 4) attitudes and (E, 3) positions, NaN rows where an epoch has
-    none, and each epoch's number of fixed antennas."""
-    # each row's epoch in the block, negative for the other epochs' rows
-    f = [r.pose_row[r.fix_epoch] - first for r in queue]
-    c = [r.pose_row[r.candidate_epoch] - first for r in queue]
+    the pose block ``(t, p, q, n_fix, truth)`` :class:`_Tally` keeps, with
+    NaN rows where an epoch has no position or attitude."""
+    # each queued epoch's place in the block, negative for the other epochs
+    place = [np.where(r.pose_row < first + n_ep, r.pose_row - first, -1) for r in queue]
+    f = [e[r.fix_epoch] for r, e in zip(queue, place)]
+    c = [e[r.candidate_epoch] for r, e in zip(queue, place)]
     fixes = Fixes.joined([r.fixes.select(e >= 0) for r, e in zip(queue, f)])
     candidates = Baselines.joined([r.candidates.select(e >= 0) for r, e in zip(queue, c)])
     fix_epoch = np.concatenate([e[e >= 0] for e in f])
@@ -373,7 +376,8 @@ def _solve_block(
     levers[valid] = config.layout.positions[fixes.ids - 1]
     positions, used = fuse_positions(p, levers, fixed, quat_to_matrix(q))
     positions[~used.any(axis=1)] = np.nan
-    return q, positions, fixed.sum(axis=1)
+    stamps = np.concatenate([r.stamps[e >= 0] for r, e in zip(queue, place)])
+    return stamps[:, 0], positions, q, fixed.sum(axis=1), stamps[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -478,53 +482,57 @@ def _sds(values: np.ndarray, axes: tuple[str, ...], sd) -> dict[str, float | Non
 
 class _Tally:
     """The stream metrics and poses, accumulated in stream order: the front
-    half's counts epoch by epoch, the poses and the truth block by block."""
+    half's counts per front block, the poses and the truth per consensus
+    block, where every epoch that passed the front half has a pose row."""
 
     def __init__(self, config: PipelineConfig) -> None:
         self.active = config.active_mask
         self.fixed_counts = np.zeros(len(self.active), dtype=np.int64)
-        self.n_proc = self.raw_any = 0
-        self.tp = self.fp = self.fn = 0
-        self.truth_seen = self.requery_seen = False
+        self.raw_any, self.requery_seen = 0, False
+        # scored SNR rows of epochs with truth: neither, fn, fp, tp
+        self.hits = np.zeros(4, dtype=np.int64)
         # per solved block, after an empty one fixing the shapes: t, p, q,
         # n_fix and the true [qx, qy, qz, qw, E, N, U] (NaN without truth)
         self.blocks: list[tuple[np.ndarray, ...]] = [(
             np.empty(0), np.empty((0, 3)), np.empty((0, 4)), np.empty(0, np.int64), np.empty((0, 7))
         )]
 
-    def fixed(self, front: _FrontBlock, passed: np.ndarray) -> None:
-        """The observed (raw) fixed active antennas of the epochs of a front
-        block that passed the front half, given as a bool per epoch."""
+    def front(
+        self, front: _FrontBlock, passed: np.ndarray, truth: Sequence[EpochTruth | None]
+    ) -> None:
+        """The epochs of a front block that passed the front half, a bool per
+        epoch, with the block's truth channels: their observed (raw) fixed
+        active antennas, and the detection score of each scored SNR row of
+        those with truth against their truth channel."""
         ids, epoch = front.raw_fixed
         keep = passed[epoch]
         self.fixed_counts += np.bincount(ids[keep], minlength=len(self.active))
         self.raw_any += np.count_nonzero(np.bincount(epoch[keep]))
-
-    def front(self, truth: EpochTruth | None, report: MultipathReport) -> None:
-        """An epoch that passed the front half: its detection score against
-        its truth channel."""
-        self.n_proc += 1
-        if truth is not None:
-            self.truth_seen = True
-            self.requery_seen |= truth.requery is not None
-            true_mp = truth.multipath_sats & set(report.sat_ids)
-            detected = report.excluded_sats
-            self.tp += len(detected & true_mp)
-            self.fp += len(detected - true_mp)
-            self.fn += len(true_mp - detected)
+        scored = np.flatnonzero(passed & ~np.isnan(front.rows.stamps[:, 1])).tolist()
+        if not scored:
+            return
+        self.requery_seen = self.requery_seen or any(truth[k].requery is not None for k in scored)
+        # a passed epoch names each satellite once, so its rows count the
+        # satellites of true - detected, detected - true and detected & true
+        row_epoch = epoch_of_rows(front.snr_ends)
+        rows = np.isin(row_epoch, scored)
+        sats = itertools.compress(front.sats, rows.tolist())
+        true_mp = [s in truth[k].multipath_sats for s, k in zip(sats, row_epoch[rows].tolist())]
+        detected = front.verdict[rows] == 1
+        self.hits += np.bincount(2 * detected + np.array(true_mp, dtype=bool), minlength=4)
 
     def report(self, config: PipelineConfig, skipped: int) -> tuple[MetricsReport, Poses]:
-        n_proc = self.n_proc
+        *columns, truth = map(np.concatenate, zip(*self.blocks))
+        poses = Poses(*columns)
+        n_proc, has_truth = len(poses), ~np.isnan(truth[:, 0])
 
         def pct(count: int) -> float | None:
             return 100.0 * count / n_proc if n_proc else None
 
-        *columns, truth = map(np.concatenate, zip(*self.blocks))
-        poses = Poses(*columns)
         has_q, has_p = ~np.isnan(poses.q[:, 0]), ~np.isnan(poses.p[:, 0])
         angles, pos_axes = ("roll", "pitch", "yaw"), ("e", "n", "u")
-        if self.truth_seen:
-            att, pos = has_q & ~np.isnan(truth[:, 0]), has_p & ~np.isnan(truth[:, 0])
+        if has_truth.any():
+            att, pos = has_q & has_truth, has_p & has_truth
             att_err = _wrap_deg(_euler(poses.q[att]) - _euler(truth[att, :4]))
             att_sd = _sds(att_err, angles, _population_sd)
             pos_sd_m = _sds(poses.p[pos] - truth[pos, 4:], pos_axes, _population_sd)
@@ -532,7 +540,7 @@ class _Tally:
             att_sd = _sds(_euler(poses.q[has_q]), angles, _angle_sd)
             pos_sd_m = _sds(poses.p[has_p], pos_axes, _population_sd)
         counts = self.fixed_counts.tolist()
-        tp, fp, fn = self.tp, self.fp, self.fn
+        _, fn, fp, tp = self.hits.tolist()
         metrics = MetricsReport(
             epochs=n_proc,
             skipped=skipped,
@@ -566,11 +574,12 @@ def run(
     it (:func:`mgp.streams.epoch_blocks` for epoch records): each block of
     epochs with the ``(lineno, message)`` of each line the reader skipped
     there. The front half, where every skip is decided, takes each block as
-    it is (:class:`_FrontBlock`); the timestamp check runs epoch by epoch in
-    stream order, ahead of the block's checks. The survivors' rows then go
-    to consensus attitude and position in blocks of at most ``BLOCK_PAIRS``
-    pair hypothesis slots. Results match :func:`process_epoch` epoch by
-    epoch, wherever the blocks fall.
+    it is (:class:`_FrontBlock`). An epoch is late when its time is not
+    above every time of the earlier epochs without a front half fault; a
+    late epoch is skipped with the timestamp message, even when it is also
+    at fault. The survivors' rows then go to consensus attitude and position
+    in blocks of at most ``BLOCK_PAIRS`` pair hypothesis slots. Each epoch's
+    results match :func:`process_epoch`'s, wherever the blocks fall.
 
     An epoch at fault is skipped with a message and never aborts the
     stream; configuration-level problems do abort. Each block's messages,
@@ -582,56 +591,47 @@ def run(
     first_diag = len(diags)
     params = _consensus_params(config)
     tally = _Tally(config)
-    # The block keeps only what the back half needs, not the epoch or front
-    # blocks: the rows records holding its epochs, each queued epoch marked
-    # with its pose row, and per epoch its time and true pose.
+    # The block keeps only the rows records holding its epochs, not the
+    # epoch or front blocks, each queued epoch marked with its pose row.
     queue: list[_Rows] = []
-    stamps: list[list[float]] = []
-    # the block's first pose row, its epochs that reach consensus, most pairs
-    first = solving = widest = 0
+    # epochs posed, the block's first pose row, its consensus epochs, most pairs
+    posed = first = solving = widest = 0
 
-    def solve() -> None:
-        q, p, n_fix = _solve_block(queue, first, len(stamps), config, params)
-        stamp = np.array(stamps)
-        tally.blocks.append((stamp[:, 0], p, q, n_fix, stamp[:, 1:]))
+    def solve(end: int) -> None:
+        tally.blocks.append(_solve_block(queue, first, end - first, config, params))
 
-    last_t: float | None = None
-    idx = -1
+    # the epochs so far: the latest time among those without a front-half fault, their number
+    last_t, idx = -math.inf, 0
     for epochs, skips in blocks:
         front = _FrontBlock(epochs, config)
-        counts = np.bincount(front.rows.candidate_epoch, minlength=len(epochs)).tolist()
-        queue.append(front.rows)
+        rows, t = front.rows, epochs.t
+        faulted = np.isin(np.arange(len(epochs)), list(front.faults))
+        latest = np.maximum.accumulate(np.concatenate(([last_t], np.where(faulted, -math.inf, t))))
+        late, last_t = t <= latest[:-1], latest[-1]
+        passed = ~late & ~faulted
+        tally.front(front, passed, epochs.truth)
         notes = list(skips)  # (line, message)
-        for k, (t, line) in enumerate(zip(epochs.t.tolist(), epochs.lines.tolist())):
-            idx += 1
-            if last_t is not None and t <= last_t:
-                notes.append((line, f"epoch {idx}: non-increasing timestamp {t!r}, skipped"))
-                continue
-            fault = front.faults[k]
-            if fault is not None:
-                notes.append((line, f"epoch {idx} (t={t!r}): {fault}"))
-                continue
-            last_t = t
-            truth = epochs.truth[k]
-            tally.front(truth, front.report(k))
-            m = counts[k] if counts[k] >= params.min_inliers else 0
+        for k in np.flatnonzero(~passed).tolist():
+            tk = t[k].item()
+            why = (f": non-increasing timestamp {tk!r}, skipped" if late[k]
+                   else f" (t={tk!r}): {front.faults[k]}")
+            notes.append((epochs.lines[k].item(), f"epoch {idx + k}{why}"))
+        idx += len(epochs)
+        queue.append(rows)
+        rows.pose_row[passed] = posed + np.arange(np.count_nonzero(passed))
+        posed += np.count_nonzero(passed)
+        counts = np.bincount(rows.candidate_epoch, minlength=len(epochs))
+        reach = passed & (counts >= params.min_inliers)
+        for row, m in zip(rows.pose_row[reach].tolist(), counts[reach].tolist()):
             pairs = m * (m - 1) // 2
-            if pairs and stamps and (solving + 1) * max(widest, pairs) > BLOCK_PAIRS:
-                solve()
-                queue, first, stamps, solving, widest = [front.rows], first + len(stamps), [], 0, 0
-            front.rows.pose_row[k] = first + len(stamps)
-            if truth is None:
-                stamps.append([t] + [math.nan] * 7)
-            else:
-                q, p = truth.attitude, truth.position
-                stamps.append([t, q.qx, q.qy, q.qz, q.qw, p.x, p.y, p.z])
-            if pairs:
-                solving, widest = solving + 1, max(widest, pairs)
-        tally.fixed(front, front.rows.pose_row >= 0)
+            if row > first and (solving + 1) * max(widest, pairs) > BLOCK_PAIRS:
+                solve(row)
+                queue, first, solving, widest = [rows], row, 0, 0
+            solving, widest = solving + 1, max(widest, pairs)
         diags.extend(message for _, message in sorted(notes, key=lambda note: note[0]))
         # let this block go before the next block is read
         del epochs, front
-    if stamps:
-        solve()
+    if posed > first:
+        solve(posed)
     metrics, poses = tally.report(config, skipped=len(diags) - first_diag)
     return RunResult(metrics=metrics, poses=poses, diagnostics=diags)

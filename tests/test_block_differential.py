@@ -142,6 +142,24 @@ def _no_requery(record: dict) -> None:
         record["truth"]["requery"] = None
 
 
+def _ahead_unknown_antenna(records: list[dict], k: int) -> None:
+    # a faulted epoch's time never counts: the next two epochs are not late
+    records[k]["t"] = records[k + 2]["t"]
+    _unknown_antenna(records, k)
+
+
+def _late_unknown_antenna(records: list[dict], k: int) -> None:
+    # the timestamp check comes first, so its message wins
+    _set_t_to_previous(records, k)
+    _unknown_antenna(records, k)
+
+
+def _set_t_to_two_before(records: list[dict], k: int) -> None:
+    # record 32 starts a reader block of 32 lines; record 31 is at fault,
+    # so record 30 holds the latest time this block is checked against
+    records[k]["t"] = records[k - 2]["t"]
+
+
 def _duplicate_fix(records: list[dict], k: int) -> None:
     fixes = records[k]["fixes"]
     fixes[1]["antenna_id"] = fixes[0]["antenna_id"]
@@ -177,10 +195,13 @@ EDITS = {
     5: _duplicate_fix,
     9: _mistyped,
     10: _degenerate_only,
+    13: _ahead_unknown_antenna,
     17: _duplicate_fix,
     22: _degenerate_only,
     23: _one_fixed_baseline,
+    26: _late_unknown_antenna,
     31: _unknown_antenna,
+    32: _set_t_to_two_before,
     38: _mistyped,
     44: _set_t_to_previous,
     50: _degenerate_only,
@@ -209,8 +230,8 @@ def test_bad_epochs_match_per_epoch_loop(streams, monkeypatch, tmp_path, name, s
 
     config = PipelineConfig(antenna_subset=subset)
     poses, diags, skipped = _per_epoch(path, config)
-    # 3 mistyped lines, 2 early timestamps, 2 unknown antennas, 2 duplicates
-    assert skipped == 9
+    # 3 mistyped lines, 4 early timestamps, 3 unknown antennas, 2 duplicates
+    assert skipped == 12
     assert np.isnan(poses.q[:, 0]).sum() >= 5
     for cap in _caps(mid):
         metrics, got_poses, got_diags, blocks = _run(path, config, cap, monkeypatch)
@@ -281,8 +302,8 @@ def test_read_blocks_do_not_change_outputs(streams, monkeypatch, tmp_path, name,
         path = _bad_stream(path, tmp_path / "bad.jsonl", LINE_EDITS)
     config = PipelineConfig(antenna_subset=subset)
     poses, diags, skipped = _per_epoch(path, config)
-    # 9 from EDITS, 5 more bad lines (the blank line is no epoch)
-    assert skipped == (14 if faults else 0)
+    # 12 from EDITS, 5 more bad lines (the blank line is no epoch)
+    assert skipped == (17 if faults else 0)
     replayed: list[int] = []
     block_replay = mgp.pipeline.replay
 

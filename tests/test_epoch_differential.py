@@ -389,21 +389,26 @@ def _reference(path: str, config: PipelineConfig) -> _Estimate:
 
 def _arrays(path: str, config: PipelineConfig, monkeypatch) -> _Estimate:
     """``estimate`` on the arrays, with the verdicts of every epoch that
-    passed the front half, in stream order: ``run`` takes each such epoch's
-    report from its block (``_FrontBlock.report``), the only front half."""
+    passed the front half, in stream order: ``run`` tallies each front
+    block's passed epochs at once (``_Tally.front``), and each such epoch's
+    verdicts are its slices of the block's scored SNR rows."""
     verdicts: list[dict] = []
-    block_report = mgp.pipeline._FrontBlock.report
+    tally_front = mgp.pipeline._Tally.front
 
-    def record(front, k):
-        report = block_report(front, k)
-        rows = zip(report.sigma_snr.tolist(), report.n_antennas.tolist(), report.verdict.tolist())
-        verdicts.append(
-            {s: (None if sd != sd else sd, n, v) for s, (sd, n, v) in zip(report.sat_ids, rows)}
-        )
-        return report
+    def record(tally, front, passed, truth):
+        ends = front.snr_ends
+        for k in np.flatnonzero(passed).tolist():
+            a, b = ends[k], ends[k + 1]
+            rows = zip(
+                front.sigma[a:b].tolist(), front.count[a:b].tolist(), front.verdict[a:b].tolist()
+            )
+            verdicts.append(
+                {s: (None if sd != sd else sd, n, v) for s, (sd, n, v) in zip(front.sats[a:b], rows)}
+            )
+        return tally_front(tally, front, passed, truth)
 
     with monkeypatch.context() as m:
-        m.setattr(mgp.pipeline._FrontBlock, "report", record)
+        m.setattr(mgp.pipeline._Tally, "front", record)
         result = mgp.run(mgp.read_epoch_blocks(path), config)
         diags = result.diagnostics
     return _Estimate(

@@ -165,6 +165,19 @@ def test_back_half_takes_the_front_blocks_rows() -> None:
     assert "joined" not in {_name(node) for node in _calls(mgp.robust.consensus)}
 
 
+def test_run_takes_each_front_block_whole() -> None:
+    """``run`` tallies, stamps and skips a front block's epochs with array
+    passes over the block: there is no per-epoch detection report of a
+    front block, no separate tally of its fixes, and neither ``run`` nor
+    the tally builds a ``MultipathReport``."""
+    import mgp.pipeline
+
+    assert not hasattr(mgp.pipeline._FrontBlock, "report")
+    assert not hasattr(mgp.pipeline._Tally, "fixed")
+    for code in (mgp.pipeline.run, mgp.pipeline._Tally):
+        assert "MultipathReport" not in {_name(node) for node in _calls(code)}
+
+
 def test_perfbench_finds_every_name_it_uses() -> None:
     """The tracer wraps each ``(module, attribute)`` of its TARGETS, the
     chain imports names from mgp, and both read these fields of the records

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -30,6 +31,7 @@ from mgp import (
     Vec3,
     VectorObservation,
     bundled_scenario_path,
+    detect_multipath,
     hexagon_layout,
     load_pipeline_config,
     load_scenario,
@@ -478,6 +480,67 @@ def test_run_detection_precision_recall() -> None:
     assert m.multipath_precision is not None and m.multipath_recall is not None
     assert m.multipath_precision > 0.9
     assert m.multipath_recall > 0.5
+
+
+def _detection_epochs() -> list[EpochRecord]:
+    """The masked scenario's epochs, edited so that a block of 32 holds
+    epochs with truth and without (every third from the second); every
+    third from the third lists G03 and X99, which no row names, as its
+    multipath satellites with M01 but not M02; every fourth has M01
+    tracked by antennas 2, 4 and 6 only, so the subset 1, 3, 5 drops it;
+    and the last block's epochs have no SNR rows, so none is scored."""
+    cfg = _scenario(
+        duration_s=12.0,
+        constellation=SATS + MASKED,
+        sky_mask=(SkyMaskSector(az_start_deg=50.0, az_end_deg=100.0, mask_elevation_deg=40.0),),
+        noise=NoiseModel(snr=SnrModel(fading_amplitude_db=8.0)),
+        fix_model=FixModel(),
+    )
+    epochs = []
+    for k, epoch in enumerate(simulate(cfg)):
+        truth, snr = epoch.truth, epoch.snr_rows
+        assert truth.multipath_sats == {"M01", "M02"}
+        if k % 3 == 1:
+            truth = None
+        elif k % 3 == 2:
+            truth = replace(truth, multipath_sats=frozenset({"M01", "G03", "X99"}))
+        if k % 4 == 0:
+            dbhz = snr.dbhz.copy()
+            dbhz[snr.sat_ids.index("M01"), [0, 2, 4]] = np.nan
+            snr = SnrTable(snr.sat_ids, dbhz)
+        if k >= 3 * mgp.streams.READ_BLOCK:
+            snr = SnrTable((), np.empty((0, 0)))
+        epochs.append(replace(epoch, snr_rows=snr, truth=truth))
+    return epochs
+
+
+@pytest.mark.parametrize("subset", [None, (1, 3, 5)], ids=["all", "1-3-5"])
+def test_run_detection_score_is_exact(subset) -> None:
+    """Precision and recall, unrounded, are the satellite counts of
+    ``detect_multipath`` on the active columns of each epoch with truth:
+    a true satellite counts only where a scored row names it."""
+    epochs = _detection_epochs()
+    config = PipelineConfig(antenna_subset=subset, multipath=MultipathConfig(min_count=3))
+    cols = [i - 1 for i in config.active_antennas]
+    tp = fp = fn = dropped = 0
+    for epoch in epochs:
+        # an epoch without truth or SNR rows scores nothing
+        if epoch.truth is None or not len(epoch.snr_rows):
+            continue
+        dbhz = epoch.snr_rows.dbhz[:, cols]
+        tracked = ~np.isnan(dbhz).all(axis=1)
+        dropped += int((~tracked).sum())
+        sats = tuple(itertools.compress(epoch.snr_rows.sat_ids, tracked.tolist()))
+        report = detect_multipath(SnrTable(sats, dbhz[tracked]), 4.0, 3)
+        true_mp = epoch.truth.multipath_sats & set(report.sat_ids)
+        tp += len(report.excluded_sats & true_mp)
+        fp += len(report.excluded_sats - true_mp)
+        fn += len(true_mp - report.excluded_sats)
+    assert min(tp, fp, fn) > 0
+    assert dropped == (0 if subset is None else 16)
+    m = run(epoch_blocks(epochs), config).metrics
+    assert (m.epochs, m.skipped) == (120, 0)
+    assert (m.multipath_precision, m.multipath_recall) == (tp / (tp + fp), tp / (tp + fn))
 
 
 def test_run_shared_diagnostics_list() -> None:
