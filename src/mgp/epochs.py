@@ -203,7 +203,7 @@ class EpochBlock:
         snr_ends = offsets(map(len, tables))
         dbhz = np.full((snr_ends[-1], max(widths)), np.nan)
         for t, a, w in zip(tables, snr_ends, widths):
-            dbhz[a:a + len(t), :w] = t.dbhz
+            dbhz[a:a + len(t), :w] = t.dbhz[:, :w]  # a table without rows has width 0
         sat_ids = tuple(itertools.chain.from_iterable(t.sat_ids for t in tables))
         fixes, baselines = [e.fixes for e in epochs], [e.baselines for e in epochs]
         return cls(

@@ -11,12 +11,14 @@ at most one result of its own ahead of the worker's. Which process runs an
 item thus depends on timing; the results and their order do not.
 
 Items go to the worker, and its results and exceptions come back, as
-length-prefixed pickles over two pipes, and each side reads a whole frame
-before it unpickles it. The worker holds at most one item, so the caller
-never writes an item while the worker writes a result, and neither can
-block the other on a full pipe. An item's exception, and one that the items
-iterator raises, comes at that item's place in the order, after the results
-of every item before it.
+pickles over two pipes whose ends are buffered files: a pickle ends at its
+STOP opcode, so ``pickle.load`` reads exactly one, and each is pickled
+whole before any of it is written. The worker holds at most one item, so
+the caller never writes an item while the worker writes a result, neither
+can block the other on a full pipe, and no reader buffers a part of the
+next message. An item's exception, and one that the items iterator raises,
+comes at that item's place, after the results of every item before it. A
+worker that has ended, idle or holding an item, is a ChildProcessError.
 
 A process has at most one worker: an ordered_map that would fork while
 another worker of its process is alive, or inside a worker, maps its items
@@ -41,15 +43,12 @@ import itertools
 import os
 import pickle
 import select
-import struct
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 _END = object()
-# A frame's length prefix: the byte count of the pickle that follows.
-_SIZE = struct.Struct("<Q")
 # True in a process with a live worker, and in every worker: an ordered_map
 # there maps in the caller.
 _busy = False
@@ -85,32 +84,6 @@ def _call(fn: Callable[[T], R], item: T | _Fault) -> tuple[bool, Any]:
         return False, exc
 
 
-def _write(fd: int, data: bytes) -> None:
-    """Write ``data`` to ``fd`` as one frame."""
-    for part in (_SIZE.pack(len(data)), data):
-        view = memoryview(part)
-        while view:
-            view = view[os.write(fd, view):]
-
-
-def _read(fd: int, n: int) -> bytearray:
-    """The next ``n`` bytes of ``fd``; EOFError if it ends first."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            raise EOFError
-        view = view[got:]
-    return buf
-
-
-def _receive(fd: int) -> Any:
-    """The value of the next whole frame of ``fd``; EOFError at its end."""
-    (n,) = _SIZE.unpack(_read(fd, _SIZE.size))
-    return pickle.loads(_read(fd, n))
-
-
 class _Worker:
     """One forked process that answers each item it is sent with
     ``(True, fn(item))`` or ``(False, exception)``."""
@@ -132,18 +105,25 @@ class _Worker:
             try:
                 os.close(items_w)
                 os.close(results_r)
-                _serve(fn, items_r, results_w)
+                _serve(fn, os.fdopen(items_r, "rb"), os.fdopen(results_w, "wb"))
             finally:
                 os._exit(0)
         os.close(items_r)
         os.close(results_w)
-        self.items, self.results = items_w, results_r
+        self.items, self.results = os.fdopen(items_w, "wb"), os.fdopen(results_r, "rb")
         # poll, not select, which takes no descriptor above FD_SETSIZE
         self.poll = select.poll()
         self.poll.register(results_r, select.POLLIN)
 
+    def _ended(self) -> ChildProcessError:
+        return ChildProcessError(f"worker process {self.pid} ended without a result")
+
     def send(self, item: Any) -> None:
-        _write(self.items, pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+        try:
+            self.items.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+            self.items.flush()
+        except BrokenPipeError:
+            raise self._ended() from None
 
     def ready(self) -> bool:
         """Whether the result of the item the worker holds has begun to
@@ -152,26 +132,27 @@ class _Worker:
 
     def receive(self) -> tuple[bool, Any]:
         try:
-            return _receive(self.results)
-        except EOFError:
-            raise ChildProcessError(f"worker process {self.pid} ended without a result") from None
+            return pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):  # no result, or one cut short
+            raise self._ended() from None
 
     def close(self) -> None:
         """End the worker's input, then wait for it: it finishes the item
         it holds, if any, finds no one to take the result, and exits."""
         global _busy
-        os.close(self.items)
-        os.close(self.results)
+        # an item sent to a worker that had ended is left in the buffer
+        with self.results, contextlib.suppress(BrokenPipeError):
+            self.items.close()
         try:
             os.waitpid(self.pid, 0)
         finally:
             _busy = False
 
 
-def _serve(fn: Callable[[Any], Any], items: int, results: int) -> None:
+def _serve(fn: Callable[[Any], Any], items: BinaryIO, results: BinaryIO) -> None:
     while True:
         try:
-            item = _receive(items)
+            item = pickle.load(items)
         except EOFError:
             return
         try:
@@ -182,7 +163,8 @@ def _serve(fn: Callable[[Any], Any], items: int, results: int) -> None:
             except Exception:
                 fault = RuntimeError(f"{type(exc).__name__}: {exc}")
                 reply = pickle.dumps((False, fault), pickle.HIGHEST_PROTOCOL)
-        _write(results, reply)
+        results.write(reply)
+        results.flush()
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:

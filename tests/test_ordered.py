@@ -20,7 +20,9 @@ import errno
 import itertools
 import json
 import os
+import re
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -217,6 +219,119 @@ def test_a_placed_generator_closed_early_leaves_no_child(
     assert [item for item, _ in itertools.islice(results, taken)] == list(range(taken))
     results.close()
     assert not mgp.ordered._busy
+
+
+class _Unpicklable:
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+class _Unsent(ValueError):
+    """An exception that does not pickle: it holds an _Unpicklable."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.held = _Unpicklable()
+
+
+def _serve_logged(monkeypatch: pytest.MonkeyPatch, log: Path) -> None:
+    """Make the worker write to ``log`` how its loop ended: "clean" at the
+    end of its input, or the name of the exception that ended it."""
+    serve = mgp.ordered._serve
+
+    def logged(*args: object) -> None:
+        try:
+            serve(*args)
+        except BaseException as exc:
+            log.write_text(type(exc).__name__, encoding="utf-8")
+            raise
+        log.write_text("clean", encoding="utf-8")
+
+    monkeypatch.setattr(mgp.ordered, "_serve", logged)
+
+
+@pytest.mark.parametrize("ready", [False, True], ids=["never-ready", "always-ready"])
+def test_items_and_results_past_a_mebibyte_cross_whole(
+    monkeypatch: pytest.MonkeyPatch, ready: bool
+) -> None:
+    # items of 1.5 MiB and results of 3 MiB, larger than any pipe buffer
+    items = [bytes(range(256)) * 6144 + bytes([k]) for k in range(5)]
+    _force(monkeypatch, ready)
+    got = list(ordered_map(lambda b: (b[::-1] * 2, os.getpid()), items))
+    assert [r for r, _ in got] == [b[::-1] * 2 for b in items]
+    assert len({pid for _, pid in got}) == 2
+
+
+@pytest.mark.parametrize("ready", [False, True], ids=["never-ready", "always-ready"])
+def test_empty_items_and_results_cross(monkeypatch: pytest.MonkeyPatch, ready: bool) -> None:
+    _force(monkeypatch, ready)
+    got = list(ordered_map(lambda b: (b, os.getpid()), [b""] * 4))
+    assert [r for r, _ in got] == [b""] * 4
+    assert len({pid for _, pid in got}) == 2
+
+
+@pytest.mark.parametrize("bad", [1, 3])
+@pytest.mark.parametrize("kind", ["result", "exception"])
+def test_what_the_worker_cannot_pickle_comes_at_its_own_place(
+    monkeypatch: pytest.MonkeyPatch, kind: str, bad: int
+) -> None:
+    # the odd items are the worker's: a result that does not pickle is the
+    # exception pickling raised, one that does not pickle a RuntimeError
+    def fn(item: int) -> object:
+        if item != bad:
+            return item * item
+        if kind == "result":
+            return _Unpicklable()
+        raise _Unsent(f"item {item}")
+
+    _force(monkeypatch, False)
+    got: list[object] = []
+    with pytest.raises((TypeError, RuntimeError)) as fault:
+        for result in ordered_map(fn, range(6)):
+            got.append(result)
+    assert got == [k * k for k in range(bad)]
+    want = (TypeError, "not picklable") if kind == "result" else (RuntimeError, f"_Unsent: item {bad}")
+    assert (type(fault.value), str(fault.value)) == want
+
+
+def test_an_item_that_does_not_pickle_sends_nothing(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # item 3 is the worker's; the map raises as it pickles it, and the
+    # worker reads the end of its input, not a part of a message
+    fds = sorted(os.listdir("/proc/self/fd"))
+    log = tmp_path / "log"
+    _serve_logged(monkeypatch, log)
+    _force(monkeypatch, False)
+    with pytest.raises(TypeError, match="not picklable"):
+        list(ordered_map(abs, [0, -1, -2, _Unpicklable(), -4]))
+    assert log.read_text(encoding="utf-8") == "clean"
+    assert not mgp.ordered._busy
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.parametrize("holding", [False, True], ids=["idle", "holding-an-item"])
+def test_a_dead_worker_is_an_error_and_leaves_nothing_behind(holding: bool) -> None:
+    # killed after one result, idle or while it runs its next item: the
+    # next send or receive raises, and close waits for it all the same
+    fds = sorted(os.listdir("/proc/self/fd"))
+    worker = mgp.ordered._Worker(time.sleep)
+    try:
+        worker.send(0)
+        assert worker.receive() == (True, None)
+        if holding:
+            worker.send(60)
+        os.kill(worker.pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not worker.ready():  # the hangup of its results pipe
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        with pytest.raises(ChildProcessError, match=f"^worker process {worker.pid} ended "):
+            worker.receive() if holding else worker.send(1)
+    finally:
+        worker.close()
+    assert not mgp.ordered._busy
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_a_worker_on_descriptors_past_fd_setsize_works() -> None:
@@ -532,3 +647,31 @@ def test_the_epoch_writer_writes_the_bytes_of_one_process(
     _force(monkeypatch, ready)
     assert mgp.write_epochs(str(two), mgp.simulate(cfg)) == 60
     assert two.read_bytes() == reference.read_bytes()
+
+
+def test_estimate_whose_worker_ends_fails_with_a_message(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, epoch_streams: dict[str, Path]
+) -> None:
+    # the reader's worker is killed, and has ended, when it is to be sent
+    # its second block
+    send = mgp.ordered._Worker.send
+    sent: list[object] = []
+
+    def send_to_the_dead(self: mgp.ordered._Worker, item: object) -> None:
+        if sent:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)
+        sent.append(item)
+        send(self, item)
+
+    monkeypatch.setattr(mgp.ordered._Worker, "send", send_to_the_dead)
+    monkeypatch.setattr(mgp.streams, "READ_BLOCK", EPOCH_BLOCK)
+    _force(monkeypatch, False)
+    pipe, poses, metrics = (tmp_path / name for name in ("pipe.json", "poses.csv", "metrics.json"))
+    pipe.write_text("{}", encoding="utf-8")
+    code, out, err = _cli(["estimate", "--epochs", epoch_streams["multipath"], "--config", pipe,
+                           "--poses", poses, "--metrics", metrics])
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: worker process \d+ ended without a result\n", err), err
+    assert list(tmp_path.iterdir()) == [pipe]
+    assert not mgp.ordered._busy

@@ -543,6 +543,23 @@ def test_run_detection_score_is_exact(subset) -> None:
     assert (m.multipath_precision, m.multipath_recall) == (tp / (tp + fp), tp / (tp + fn))
 
 
+def test_an_snr_table_without_rows_runs_whatever_its_width(tmp_path) -> None:
+    """An epoch whose SNR table has no rows but six columns, which
+    ``SnrTable.checked`` accepts, runs as it does read back from the file
+    ``write_epochs`` makes of it, where its table has width 0."""
+    epochs = list(simulate(_scenario(duration_s=0.3)))
+    epochs[1] = replace(epochs[1], snr_rows=SnrTable.checked((), np.empty((0, 6))))
+    path = tmp_path / "e.jsonl"
+    write_epochs(str(path), epochs)
+    got = run(epoch_blocks(epochs), PipelineConfig())
+    want = run(read_epoch_blocks(str(path)), PipelineConfig())
+    assert (want.metrics.epochs, want.metrics.skipped) == (3, 0)
+    assert json.dumps(got.metrics.to_json_dict()) == json.dumps(want.metrics.to_json_dict())
+    for name in ("t", "p", "q", "n_fix"):
+        assert np.array_equal(getattr(got.poses, name), getattr(want.poses, name), equal_nan=True)
+    assert process_epoch(epochs[1], PipelineConfig()).t == epochs[1].t
+
+
 def test_run_shared_diagnostics_list() -> None:
     diags = ["caller note"]
     cfg = _scenario(duration_s=0.5)
