@@ -178,8 +178,9 @@ class EpochBlock:
     """E consecutive epochs: the (E,) times ``t`` and file ``lines``, the
     fixes, baselines and SNR rows of all E as one record each with its E + 1
     row :func:`offsets`, and the E truth channels. The SNR table is as wide
-    as the widest epoch's rows, NaN-padded; ``snr_width`` (E,) holds each
-    epoch's own width, 0 for an epoch without SNR rows."""
+    as the widest epoch's rows, NaN-padded; ``snr_width`` (E,) int64 holds
+    each epoch's own width, 0 for an epoch without SNR rows. The epoch
+    reader decodes into this form; :meth:`of` joins records into it."""
 
     t: np.ndarray
     lines: np.ndarray

@@ -16,9 +16,10 @@ STOP opcode, so ``pickle.load`` reads exactly one, and each is pickled
 whole before any of it is written. The worker holds at most one item, so
 the caller never writes an item while the worker writes a result, neither
 can block the other on a full pipe, and no reader buffers a part of the
-next message. An item's exception, and one that the items iterator raises,
-comes at that item's place, after the results of every item before it. A
-worker that has ended, idle or holding an item, is a ChildProcessError.
+next message. An item that does not pickle is run in the caller. An item's
+exception, and one that the items iterator raises, comes at that item's
+place, after the results of every item before it. A worker that has ended,
+idle or holding an item, is a ChildProcessError.
 
 A process has at most one worker: an ordered_map that would fork while
 another worker of its process is alive, or inside a worker, maps its items
@@ -118,12 +119,18 @@ class _Worker:
     def _ended(self) -> ChildProcessError:
         return ChildProcessError(f"worker process {self.pid} ended without a result")
 
-    def send(self, item: Any) -> None:
+    def send(self, item: Any) -> bool:
+        """Send ``item``; False, and nothing written, if it does not pickle."""
         try:
-            self.items.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+            data = pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return False
+        try:
+            self.items.write(data)
             self.items.flush()
         except BrokenPipeError:
             raise self._ended() from None
+        return True
 
     def ready(self) -> bool:
         """Whether the result of the item the worker holds has begun to
@@ -169,9 +176,9 @@ def _serve(fn: Callable[[Any], Any], items: BinaryIO, results: BinaryIO) -> None
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
     """``fn(item)`` for each of ``items``, in order, shared with a forked
-    worker (see the module docstring). Items and results must pickle. An
-    exception that ``items`` raises comes, like one of ``fn``, after the
-    results before it."""
+    worker (see the module docstring). Results must pickle; an item that
+    does not is run in the caller. An exception that ``items`` raises comes,
+    like one of ``fn``, after the results before it."""
     pulled = _pulled(items)
     head = list(itertools.islice(pulled, 2))
     worker = None
@@ -186,9 +193,11 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
             yield _run(fn, item)
         return
     try:
-        worker.send(head.pop())
-        held: int | None = 1  # the index of the item the worker holds
-        done = {0: _call(fn, head.pop())}  # the results in hand, by item index
+        # the index of the item the worker holds, and the results in hand by
+        # index: item 0's, and item 1's too if it does not pickle
+        held = 1 if worker.send(head[1]) else None
+        done = {k: _call(fn, item) for k, item in enumerate(head[:held])}
+        head.clear()
         pulls = 2  # the items pulled so far, so the index of the next one
         more = True  # whether ``pulled`` may give more
         for k in itertools.count():
@@ -210,12 +219,11 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
                 item = next(pulled, _END)
                 if item is _END:
                     more = False
-                elif isinstance(item, _Fault):
+                elif not isinstance(item, _Fault) and worker.send(item):
+                    held, pulls = pulls, pulls + 1
+                else:  # a fault of the items, or an item that does not pickle
                     done[pulls] = _call(fn, item)
                     pulls += 1
-                else:
-                    worker.send(item)
-                    held, pulls = pulls, pulls + 1
             item = None  # keep no item alive while the consumer works
             ok, value = done.pop(k)
             if not ok:

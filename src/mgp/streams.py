@@ -30,16 +30,16 @@ Formats:
     (``fixes must be JSON objects``). Every key but the line's ``truth`` is
     required, and any other key is a fault; either is named with the object
     it is missing from or found in (``missing key 'w' in baselines``,
-    ``unknown key 'truht'`` on the line itself). A block in which any
-    lookup or check fails (or whose SNR rows differ in width) is decoded
-    again one line at a time, so that each fault is reported (or skipped)
-    at its own ``path:line`` with the message it has in a lone epoch: that
-    of the first lookup or check that fails. A line that is not UTF-8 is
-    such a fault; the scan, pose and cloud readers name its ``path:line``
-    too. The reader's blocks, and the writer's blocks of ``WRITE_BLOCK``
-    epochs turned into text, go through :func:`ordered.ordered_map`, so they
-    are shared with a forked worker (one per process); the blocks, faults
-    and bytes are those of one process, in stream order.
+    ``unknown key 'truht'`` on the line itself). The block's SNR table is
+    as wide as its widest epoch, NaN-padded. A line that is not UTF-8 or
+    not JSON is set aside as a fault (the scan, pose and cloud readers name
+    its ``path:line`` too); if the block of the others fails, each is
+    decoded alone, so that each fault is reported (or skipped) at its own
+    ``path:line`` with the message of its first failing lookup or check.
+    The reader's blocks, and the writer's blocks of ``WRITE_BLOCK`` epochs
+    turned into text, go through :func:`ordered.ordered_map`, so they are
+    shared with a forked worker (one per process); the blocks, faults and
+    bytes are those of one process, in stream order.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line, a JSON object of the keys ``t`` and ``pulses``
     read by the epoch-line rules; each pulse is a compact array
@@ -88,7 +88,7 @@ import json
 import math
 import os
 import re
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Sequence, TextIO
@@ -215,11 +215,10 @@ WRITE_BLOCK = 8
 
 def _decode(objects: list[Any], lines: Sequence[int]) -> EpochBlock:
     """The block of parsed epoch objects, object k read from line
-    ``lines[k]``. The block is read one field at a time, always in the same
-    order: each field is looked up in every object, then checked in one
-    pass. The first lookup or check that fails raises, so a block of one
-    raises its epoch's first fault in that order, and a block raises
-    whenever one of its epochs would alone."""
+    ``lines[k]``, one field at a time, always in the same order: each field
+    is looked up in every object, then checked in one pass. The first
+    lookup or check that fails raises, so a block raises exactly when one
+    of its epochs would alone, and a block of one its first fault."""
     _objects(objects, "epoch line must be a JSON object")
     ts = [jsonvals.number(t, "epoch time") for t in _column(objects, "t", "")]
     fixes, fix_ends = _joined(_column(objects, "fixes", ""), "fixes")
@@ -258,20 +257,25 @@ def _decode(objects: list[Any], lines: Sequence[int]) -> EpochBlock:
     snr = _column(rows, "snr", " in snr_rows")
     sat_ids = jsonvals.strings(_column(rows, "sat_id", " in snr_rows"), "satellite ids")
     _check_keys(rows, ("sat_id", "snr"), " in snr_rows")
-    # one width for the block; a block of epochs of several widths fails
-    # here and is read again one line at a time
-    widths = list(dict.fromkeys(map(len, snr))) if set(map(type, snr)) == {list} else [0]
-    if len(widths) > 1:
-        raise ValidationError(f"SNR rows need one width, got {widths[0]} and {widths[1]}")
-    table = SnrTable.checked(sat_ids, jsonvals.floats(snr, "SNR values", widths[0], nulls=True))
+    # one width for each epoch's rows (a row that is no array fails below);
+    # the table is as wide as the widest epoch's, narrower rows null-padded
+    lengths = np.array([len(r) for r in snr] if set(map(type, snr)) <= {list} else [0] * len(snr),
+                       dtype=np.int64)
+    counts = np.diff(snr_ends)
+    width = np.where(counts > 0, np.append(lengths, 0)[snr_ends[:-1]], 0)
+    head = np.repeat(width, counts)  # the width of each row's epoch's first row
+    if (odd := np.flatnonzero(lengths != head)).size:
+        raise ValidationError(f"SNR rows need one width, got {head[odd[0]]} and {lengths[odd[0]]}")
+    if not (lengths == (wide := width.max(initial=0))).all():
+        snr = [r + [None] * (wide - len(r)) for r in snr]
+    table = SnrTable.checked(sat_ids, jsonvals.floats(snr, "SNR values", int(wide), nulls=True))
 
     truth = [d.get("truth") for d in objects]
     _check_keys(objects, _EPOCH_KEYS, "", 4 * len(objects) + sum("truth" in d for d in objects))
     truths = iter(_truths([tr for tr in truth if tr is not None]))
     return EpochBlock(
         np.array(ts, dtype=np.float64), np.array(lines, dtype=np.int64),
-        fx, fix_ends, bl, baseline_ends, table, snr_ends,
-        np.where(np.diff(snr_ends) > 0, widths[0], 0),
+        fx, fix_ends, bl, baseline_ends, table, snr_ends, width,
         tuple(None if tr is None else next(truths) for tr in truth),
     )
 
@@ -486,33 +490,28 @@ def _parsed(line: str) -> Any:
         return exc
 
 
-def _epoch_or_fault(obj: Any) -> EpochRecord | Exception:
-    """The epoch of a parsed line (:func:`_parsed`), or its fault."""
-    if isinstance(obj, Exception):
-        return obj
-    try:
-        return epoch_from_dict(obj)
-    except (ValidationError, ValueError) as exc:
-        return exc
-
-
-def _epoch_block(
-    block: list[tuple[int, str]],
-) -> tuple[EpochBlock, list[tuple[int, Exception]]]:
+def _epoch_block(block: list[tuple[int, str]]) -> tuple[EpochBlock, list[tuple[int, Exception]]]:
     """The epochs of the ``(lineno, line)`` pairs of ``block`` as one
-    :class:`EpochBlock`, and the ``(lineno, fault)`` of each other line.
-    The lines are parsed once and decoded at once; if any check fails, a
-    line that did not parse included, they are decoded again one at a
-    time, so that each fault is found at its own line."""
-    lines = [lineno for lineno, _ in block]
-    objects = [_parsed(line) for _, line in block]
-    try:
-        return _decode(objects, lines), []
-    except Exception:
-        found = list(zip(lines, map(_epoch_or_fault, objects)))
-    good = [(lineno, e) for lineno, e in found if not isinstance(e, Exception)]
-    epochs = EpochBlock.of([e for _, e in good], [n for n, _ in good]) if good else _decode([], [])
-    return epochs, [(lineno, e) for lineno, e in found if isinstance(e, Exception)]
+    :class:`EpochBlock`, and the ``(lineno, fault)`` of each other line, in
+    line order. The lines that parse are decoded at once; if that fails,
+    each alone, to find the faults, and then the others at once again."""
+    found = [(lineno, _parsed(line)) for lineno, line in block]
+    with suppress(ValidationError, ValueError):
+        return _decoded(found)
+    for k, (lineno, obj) in enumerate(found):
+        if not isinstance(obj, Exception):
+            try:
+                _decode([obj], [lineno])
+            except (ValidationError, ValueError) as exc:
+                found[k] = lineno, exc
+    return _decoded(found)
+
+
+def _decoded(found: list[tuple[int, Any]]) -> tuple[EpochBlock, list[tuple[int, Exception]]]:
+    """The block of the ``(lineno, value)`` pairs of ``found``, and its faults."""
+    good = [(lineno, obj) for lineno, obj in found if not isinstance(obj, Exception)]
+    faults = [(lineno, obj) for lineno, obj in found if isinstance(obj, Exception)]
+    return _decode([obj for _, obj in good], [lineno for lineno, _ in good]), faults
 
 
 def _read_blocks(path: str) -> Iterator[tuple[EpochBlock, list[tuple[int, Exception]]]]:

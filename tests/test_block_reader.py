@@ -9,6 +9,9 @@ several block sizes:
 - each ``block.epoch(k)`` is bitwise the record that ``epoch_from_dict``
   makes of its line: every array's dtype, shape and bytes, every time and
   the truth channel;
+- each block is bitwise ``EpochBlock.of`` of its own ``epoch(k)`` views:
+  its SNR table NaN-padded to the widest epoch, ``snr_width`` and the row
+  offsets;
 - ``block.lines`` names those lines, and the epochs and skips of a block
   cover its lines;
 - the skips are what ``read_epochs(path, diagnostics=[])`` records;
@@ -74,6 +77,9 @@ def _check_blocks(path: Path, read_block: int, monkeypatch) -> None:
         covered += want
         for k, n in enumerate(lines):
             _same(block.epoch(k), mgp.epoch_from_dict(json.loads(text[n - 1])), f"line {n}")
+        if len(block):
+            _same(block, mgp.EpochBlock.of(list(map(block.epoch, range(len(block)))), lines),
+                  f"block {b}")
         for n, message in skips:
             assert message.startswith(f"{path}:{n}: skipped epoch: ")
     assert covered == nonblank
@@ -114,8 +120,9 @@ def _unknown_antenna(record: dict) -> None:
 
 
 # Changes that leave a line an epoch: rows of another width than the layout
-# (a block of mixed widths is read again line by line), no SNR rows (an
-# epoch of width 0), and an antenna outside the layout, which ``run`` skips.
+# (a block of mixed widths is decoded at once, its SNR table NaN-padded to
+# the widest epoch), no SNR rows (an epoch of width 0), and an antenna
+# outside the layout, which ``run`` skips.
 EPOCH_EDITS = {"snr-width-5": _snr_width_5, "no-snr-rows": _no_snr_rows,
                "unknown-antenna": _unknown_antenna}
 
@@ -199,3 +206,106 @@ def test_faulty_stream_blocks_are_their_lines(
     for read_block in READ_BLOCKS:
         _check_blocks(path, read_block, monkeypatch)
         _check_runs(path, read_block, config, monkeypatch)
+
+
+def _snr_rows_differ(record: dict) -> None:
+    row = record["snr_rows"][-1]
+    row["snr"] = row["snr"][:-1]
+
+
+def _raises(objects: list, lines: list[int]) -> bool:
+    try:
+        mgp.streams._decode(objects, lines)
+    except Exception:
+        return True
+    return False
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_block_raises_exactly_when_one_of_its_lines_raises_alone(
+    clean_lines, data: st.DataObject
+) -> None:
+    """``_decode`` on the parsed lines of a block, the faults and edits of
+    the reader's tests on some (and an epoch whose own SNR rows differ in
+    width), raises exactly when one of those lines raises alone."""
+    _, *lines = clean_lines["multipath"]
+    first = data.draw(st.integers(0, len(lines) - 2), label="first")
+    block = lines[first:first + data.draw(st.integers(2, 8), label="size")]
+    # the edits that leave a line an epoch twice as often as each fault:
+    # only they can make a block raise where no line raises alone
+    kinds = (*FAULTS, *EPOCH_EDITS, *EPOCH_EDITS, "snr-rows-differ")
+    chosen = data.draw(st.lists(st.integers(0, len(block) - 1), min_size=1, max_size=3,
+                                unique=True))
+    objects, numbers = [], []
+    for k, line in enumerate(block):
+        n = first + 2 + k
+        kind = data.draw(st.sampled_from(kinds), label=f"line {n}") if k in chosen else None
+        record = json.loads(line)
+        if kind == "snr-rows-differ":
+            _snr_rows_differ(record)
+        elif kind in EPOCH_EDITS:
+            EPOCH_EDITS[kind](record)
+        elif kind is not None:
+            line = "  " if kind == "blank" else _faulty_line(record, kind, data)
+            record = mgp.streams._parsed(line)
+        if not isinstance(record, Exception):
+            objects.append(record)
+            numbers.append(n)
+    alone = [_raises([obj], [n]) for obj, n in zip(objects, numbers)]
+    assert _raises(objects, numbers) == any(alone)
+
+
+def test_a_block_whose_only_faults_do_not_parse_is_decoded_once(
+    clean_lines, monkeypatch
+) -> None:
+    """Lines that are not JSON are set aside before the block is decoded,
+    and epochs of several SNR widths share one padded table: such a block
+    is built by one ``_decode`` call, of the lines that parse."""
+    _, *lines = clean_lines["multipath"]
+    block = []
+    for n, line in enumerate(lines[:mgp.streams.READ_BLOCK], start=2):
+        if n % 5 == 0:
+            record = json.loads(line)
+            _snr_width_5(record)
+            line = json.dumps(record)
+        block.append((n, "{not json" if n % 7 == 0 else line))
+    calls: list[list[int]] = []
+    decode = mgp.streams._decode
+
+    def counted(objects, numbers):
+        calls.append(list(numbers))
+        return decode(objects, numbers)
+
+    monkeypatch.setattr(mgp.streams, "_decode", counted)
+    epochs, faults = mgp.streams._epoch_block(block)
+    good = [n for n, line in block if line != "{not json"]
+    assert calls == [good]
+    assert epochs.lines.tolist() == good
+    assert [n for n, _ in faults] == [n for n, line in block if line == "{not json"]
+    assert sorted(set(epochs.snr_width.tolist())) == [5, 6]
+
+
+@pytest.mark.parametrize("other", ["{not json", "[1, 2]"], ids=["not-json", "array"])
+def test_faults_come_in_line_order(clean_lines, tmp_path: Path, other: str) -> None:
+    """A line that fails validation before one that does not parse, or one
+    that is no object, in the same block: the block reader, ``read_epochs``
+    in either mode and ``run`` name them in line order."""
+    _, *lines = clean_lines["multipath"]
+    lines = list(lines[:mgp.streams.READ_BLOCK])
+    lines[3], lines[9] = json.dumps({**json.loads(lines[3]), "t": "bad"}), other
+    path = tmp_path / "epochs.jsonl"
+    path.write_text("\n".join([json.dumps(mgp.streams.EPOCH_HEADER), *lines]) + "\n",
+                    encoding="utf-8")
+    where = [f"{path}:5", f"{path}:11"]
+    blocks = list(mgp.read_epoch_blocks(str(path)))
+    assert [[n for n, _ in skips] for _, skips in blocks] == [[5, 11]]
+    with pytest.raises(mgp.InputError) as fault:
+        list(mgp.read_epochs(str(path)))
+    assert str(fault.value).startswith(f"{where[0]}: epoch time must be a number")
+    diags: list[str] = []
+    assert len(list(mgp.read_epochs(str(path), diagnostics=diags))) == len(lines) - 2
+    assert [d.split(": ")[0] for d in diags] == where
+    assert diags == [message for _, skips in blocks for _, message in skips]
+    result = mgp.run(mgp.read_epoch_blocks(str(path)), mgp.PipelineConfig())
+    assert [d.split(": ")[0] for d in result.diagnostics if "skipped epoch" in d] == where

@@ -152,6 +152,17 @@ def test_front_half_takes_the_reader_block_as_it_is() -> None:
             assert isinstance(arg, (ast.List, ast.Tuple)) and len(arg.elts) == 2, ast.unparse(node)
 
 
+def test_the_reader_builds_its_blocks_by_decoding_only() -> None:
+    """``streams._decode`` is the only builder of a reader block: the
+    one-epoch fallback ``_epoch_or_fault`` is gone, and the block reader
+    neither takes one-epoch views nor joins records of them."""
+    import mgp.streams
+
+    assert not hasattr(mgp.streams, "_epoch_or_fault")
+    for fn in (mgp.streams._epoch_block, mgp.streams._decoded):
+        assert not {"of", "epoch", "epoch_from_dict"} & {_name(node) for node in _calls(fn)}
+
+
 def test_back_half_takes_the_front_blocks_rows() -> None:
     """The front half gives each block's rows as one record, with each
     row's epoch, and the back half takes them as they are: there is no

@@ -25,6 +25,7 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Iterator
@@ -294,20 +295,52 @@ def test_what_the_worker_cannot_pickle_comes_at_its_own_place(
     assert (type(fault.value), str(fault.value)) == want
 
 
-def test_an_item_that_does_not_pickle_sends_nothing(
-    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+class _Item:
+    """An item of the map: its value, and a lock that keeps it from
+    pickling where it has one."""
+
+    def __init__(self, value: int, locked: bool = False) -> None:
+        self.value = value
+        self.lock = threading.Lock() if locked else None
+
+
+def _value_pid(item: _Item) -> tuple[int, int]:
+    return item.value, os.getpid()
+
+
+def _check_unpicklable_item(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, ready: bool, bad: int
 ) -> None:
-    # item 3 is the worker's; the map raises as it pickles it, and the
-    # worker reads the end of its input, not a part of a message
+    """``ordered_map`` over ``_Item(0)`` to ``_Item(4)``, item ``bad``
+    locked, with placement forced by ``ready``: the results of one process,
+    item ``bad``'s from the caller; the worker is sent nothing of it and
+    reads the end of its input, and no child or descriptor is left."""
     fds = sorted(os.listdir("/proc/self/fd"))
     log = tmp_path / "log"
     _serve_logged(monkeypatch, log)
-    _force(monkeypatch, False)
-    with pytest.raises(TypeError, match="not picklable"):
-        list(ordered_map(abs, [0, -1, -2, _Unpicklable(), -4]))
+    _force(monkeypatch, ready)
+    got = list(ordered_map(_value_pid, [_Item(k, locked=k == bad) for k in range(5)]))
+    assert [value for value, _ in got] == list(range(5))
+    assert got[bad][1] == os.getpid()
     assert log.read_text(encoding="utf-8") == "clean"
     assert not mgp.ordered._busy
     assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_an_item_that_does_not_pickle_sends_nothing(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # item 3 is the worker's; it runs in the caller instead, and its result
+    # comes at its place, as in one process
+    _check_unpicklable_item(tmp_path, monkeypatch, False, 3)
+
+
+@pytest.mark.parametrize("ready, bad", [(False, 1), (True, 1), (True, 2)],
+                         ids=["item-1", "item-1-always-ready", "item-2-always-ready"])
+def test_any_item_that_does_not_pickle_runs_in_the_caller(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, ready: bool, bad: int
+) -> None:
+    _check_unpicklable_item(tmp_path, monkeypatch, ready, bad)
 
 
 @pytest.mark.parametrize("holding", [False, True], ids=["idle", "holding-an-item"])
