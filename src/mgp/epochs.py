@@ -6,18 +6,16 @@ record of arrays, plus an optional :class:`EpochTruth` channel. An
 :class:`EpochBlock` holds the epochs of a reader block, as ``pipeline.run``
 takes them, in one record of arrays of each kind.
 
-The simulator draws every stochastic outcome once and retains the
-underlying draws in the epoch's truth channel as a :class:`RequeryData`
-record: the calibrated :class:`FixModel` plus one :class:`ChannelDraws`
-group of arrays for the antennas and one for the baselines (uniforms,
-wrong-fix flags, latent fixed-grade and float-grade measurements, wrong-fix
-offsets). That makes the stream bitwise-reproducible and lets the pipeline
-re-query fix outcomes for a reduced satellite set without re-running the
-simulator: a re-query replays the same draws against the new
-probabilities, so removing a multipath satellite can only promote
-statuses, never revoke them. :func:`replay` re-queries a block of epochs
-at once, grading the block's concatenated draws in one pass;
-:func:`requery_epoch` is that replay on a block of one.
+A simulated epoch's truth channel keeps a :class:`RequeryData` record: the
+stream's :class:`RequeryStream` constants, the PCG64 state before the
+epoch's first draw and the true pose. :func:`draw_channels` makes the
+epoch's :class:`ChannelDraws` from it, the simulator on its live generator
+and :func:`replay` on one set to the stored state, so a re-query grades the
+simulator's own draws against the probabilities of a reduced satellite set:
+removing a multipath satellite can only promote statuses, never revoke
+them. :func:`replay` re-queries a block of epochs at once, grading the
+block's concatenated draws in one pass; :func:`requery_epoch` is that
+replay on a block of one.
 """
 from __future__ import annotations
 
@@ -30,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .attitude import Baselines
-from .core import AntennaLayout, Rows, UnitQuaternion, Vec3
+from .core import AntennaLayout, Rows, UnitQuaternion, Vec3, quat_to_matrix
 from .errors import ValidationError
 from .multipath import SnrTable
 from .positioning import Fixes
@@ -86,9 +84,6 @@ class FixModel:
         return 1.0 / (1.0 + math.exp(-arg))
 
 
-_DRAW_KEYS = ("u_fix", "u_float", "wrong", "latent_fixed", "latent_float", "wrong_offset")
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelDraws(Rows):
     """Latent draws behind one group of n antenna (or baseline) solutions.
@@ -96,9 +91,7 @@ class ChannelDraws(Rows):
     ``u_fix``/``u_float`` (n,) are the uniforms compared against the model
     probabilities; ``wrong`` (n,) bool is the pre-evaluated wrong-fix
     Bernoulli; the (n, 3) latent vectors are the measurement under each
-    ambiguity grade, and ``wrong_offset`` is added to a wrong fix. The
-    epoch reader checks draws read from a stream finite; the simulator's
-    own draws are finite by construction.
+    ambiguity grade, and ``wrong_offset`` is added to a wrong fix.
     """
 
     u_fix: np.ndarray
@@ -108,36 +101,105 @@ class ChannelDraws(Rows):
     latent_float: np.ndarray
     wrong_offset: np.ndarray
 
+
+@dataclass(frozen=True)
+class ChannelNoise:
+    """Measurement-error magnitudes and wrong-fix injection of fix channels."""
+
+    sigma_fixed_m: float = 0.005
+    sigma_float_m: float = 0.3
+    wrong_fix_prob: float = 0.02
+    wrong_fix_unit_m: float = 0.19
+    wrong_fix_max_multiple: int = 2
+
     def __post_init__(self) -> None:
-        n = len(self.u_fix)
-        shapes = [getattr(self, k).shape for k in _DRAW_KEYS]
-        if shapes != [(n,)] * 3 + [(n, 3)] * 3:
-            raise ValidationError("channel draws need (n,) uniforms and flags and (n, 3) vectors")
-        if self.wrong.dtype != np.bool_:
-            raise ValidationError("wrong-fix flags must be booleans")
+        if self.sigma_fixed_m < 0.0 or self.sigma_float_m < 0.0:
+            raise ValidationError("noise sigmas must be nonnegative")
+        if not 0.0 <= self.wrong_fix_prob <= 1.0:
+            raise ValidationError("wrong_fix_prob must be in [0, 1]")
+        if not (self.wrong_fix_unit_m > 0.0):
+            raise ValidationError("wrong_fix_unit_m must be positive")
+        # the lattice of wrong-fix multiples has (2m + 1)**3 - 1 points, an int64
+        if not 1 <= self.wrong_fix_max_multiple <= 10**6:
+            raise ValidationError("wrong_fix_max_multiple must be in [1, 1000000]")
+
+
+@dataclass(frozen=True)
+class RequeryStream:
+    """The stream-wide requery constants an epoch stream's header holds: the
+    calibrated fix model, the solution satellites, the simulator's layout
+    and channel noise, the PCG64 ``increment`` and the ``numpy`` that drew
+    the stream, which must be this one (NEP 19 does not promise the same
+    ``Generator`` values across numpy releases)."""
+
+    model: FixModel
+    solution_sats: tuple[str, ...]
+    layout: AntennaLayout
+    noise: ChannelNoise
+    increment: int
+    numpy: str
+
+    def __post_init__(self) -> None:
+        n, model = self.layout.antenna_count, self.model
+        if model.antenna_bias is None or len(model.antenna_bias) != n:
+            raise ValidationError(f"antenna_bias needs one entry per antenna ({n})")
+        if model.target_fix_probs is not None or model.baseline_target_fix_prob is not None:
+            raise ValidationError("the calibrated fix model has no fix probability targets")
+        if not (0 < self.increment < 2**128 and self.increment % 2):
+            raise ValidationError("the PCG64 increment must be an odd integer below 2**128")
+        if self.numpy != np.__version__:
+            raise ValidationError(f"the requery draws were made under numpy {self.numpy}, "
+                                  f"not this numpy {np.__version__}; re-run mgp simulate")
 
 
 @dataclass(frozen=True)
 class RequeryData:
-    """Replay record of one epoch: the calibrated fix model (resolved
-    ``antenna_bias`` and ``baseline_bias``, no calibration targets), the
-    solution satellites, and the draws of the n antennas and the n(n-1)/2
-    baselines in ``(i, j)``, ``i < j`` order."""
+    """Replay record of one epoch: its stream's constants, the PCG64 state
+    before its first draw (``state``, and ``uint32``, the 32-bit half the
+    generator holds back for its next 32-bit draw, or None) and the true
+    pose, the attitude as the epoch reader returns it (re-normalized)."""
 
-    model: FixModel
-    solution_sats: tuple[str, ...]
-    antenna_channels: ChannelDraws
-    baseline_channels: ChannelDraws
+    stream: RequeryStream
+    state: int
+    uint32: int | None
+    position: Vec3
+    attitude: UnitQuaternion
 
     def __post_init__(self) -> None:
-        n = len(self.antenna_channels)
-        if self.model.antenna_bias is None or len(self.model.antenna_bias) != n:
-            raise ValidationError(f"antenna_bias needs one entry per antenna ({n})")
-        if len(self.baseline_channels) != n * (n - 1) // 2:
+        state, uint32 = self.state, self.uint32
+        if type(state) is not int or not 0 <= state < 2**128:
+            raise ValidationError(f"requery state must be an integer in [0, 2**128), got {state!r}")
+        if uint32 is not None and (type(uint32) is not int or not 0 <= uint32 < 2**32):
             raise ValidationError(
-                f"{n} antennas need {n * (n - 1) // 2} baseline channels, "
-                f"got {len(self.baseline_channels)}"
-            )
+                f"requery uint32 must be null or an integer in [0, 2**32), got {uint32!r}")
+
+
+def draw_channels(rng: np.random.Generator, req: RequeryData) -> tuple[ChannelDraws, ChannelDraws]:
+    """The antenna and the baseline channel draws of ``req``'s epoch, drawn
+    from ``rng`` in the order the simulator documents: for the antennas,
+    then the baselines, (n, 6) normals, (n, 3) uniforms and (n,) wrong-fix
+    lattice indices. A latent vector is the true antenna position or
+    baseline at ``req``'s pose plus a sigma times three of the normals."""
+    layout, noise = req.stream.layout, req.stream.noise
+    m = noise.wrong_fix_max_multiple
+    side = 2 * m + 1
+    r_eb = quat_to_matrix(req.attitude)
+    truth = (req.position.as_array() + layout.positions @ r_eb.T,
+             _pair_baselines(layout)[1] @ r_eb.T)
+    groups = []
+    for vecs in truth:
+        n = len(vecs)
+        norm, unif = rng.standard_normal((n, 6)), rng.random((n, 3))
+        # the lattice is every integer vector in [-m, m]^3 but 0, in
+        # row-major order: skip the middle of the cube
+        k = rng.integers(0, side**3 - 1, n)
+        lattice = (k + (k >= side**3 // 2))[:, None] // (side**2, side, 1) % side - m
+        groups.append(ChannelDraws(
+            unif[:, 0], unif[:, 1], unif[:, 2] < noise.wrong_fix_prob,
+            vecs + noise.sigma_fixed_m * norm[:, :3], vecs + noise.sigma_float_m * norm[:, 3:],
+            noise.wrong_fix_unit_m * lattice,
+        ))
+    return groups[0], groups[1]
 
 
 @dataclass(frozen=True)
@@ -271,16 +333,27 @@ def replay(
     multipath_sats: Sequence[frozenset[str]],
     excluded: Sequence[frozenset[str]],
     layout: AntennaLayout,
+    draws: Sequence[tuple[ChannelDraws, ChannelDraws]] | None = None,
 ) -> Replay:
     """Replay the fix and baseline outcomes of a block of epochs, each with
     its ``excluded`` satellites removed from its solution satellites.
 
-    Every record must have the layout's n antennas. Per epoch, the count of
-    remaining satellites and of multipath ones among them give the fix
-    probabilities (:meth:`FixModel.probability`); then one pass over the
-    block's concatenated draws grades every channel against its epoch's
+    Every record must have the layout's n antennas. Its channels are drawn
+    again from its stored state (:func:`draw_channels`), unless the caller
+    passes them as ``draws``. Per epoch, the count of remaining
+    satellites and of multipath ones among them give the fix probabilities
+    (:meth:`FixModel.probability`); then one pass over the block's
+    concatenated draws grades every channel against its epoch's
     probability, so each epoch's outcome is what it gets alone.
     """
+    if draws is None:
+        bits = np.random.PCG64(0)
+        rng, draws = np.random.Generator(bits), []
+        for req in requeries:
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": req.state, "inc": req.stream.increment},
+                          "has_uint32": int(req.uint32 is not None), "uinteger": req.uint32 or 0}
+            draws.append(draw_channels(rng, req))
     n = layout.antenna_count
     pairs, body = _pair_baselines(layout)
     p_ant: list[float] = []
@@ -288,22 +361,21 @@ def replay(
     fraction: list[float] = []
     used: list[int] = []
     for req, mp, out in zip(requeries, multipath_sats, excluded):
-        remaining = [s for s in req.solution_sats if s not in out]
+        remaining = [s for s in req.stream.solution_sats if s not in out]
         n_mp = sum(1 for s in remaining if s in mp)
         n_clean = len(remaining) - n_mp
-        model = req.model
+        model = req.stream.model
         p_ant += [model.probability(n_clean, n_mp, b) for b in model.antenna_bias]
         p_bl.append(model.probability(n_clean, n_mp, model.baseline_bias))
         fraction.append(model.float_fraction)
         used.append(len(remaining))
     n_ep, n_pairs = len(used), len(pairs)
+    antenna_draws, baseline_draws = zip(*draws)
     ant_fixed, ant_float, ant_vec = _grade(
-        ChannelDraws.joined([r.antenna_channels for r in requeries]),
-        np.array(p_ant),
-        np.repeat(fraction, n),
+        ChannelDraws.joined(antenna_draws), np.array(p_ant), np.repeat(fraction, n)
     )
     bl_fixed, bl_float, bl_vec = _grade(
-        ChannelDraws.joined([r.baseline_channels for r in requeries]),
+        ChannelDraws.joined(baseline_draws),
         np.repeat(p_bl, n_pairs),
         np.repeat(fraction, n_pairs),
     )
@@ -328,13 +400,14 @@ def requery_epoch(
     """Replay the epoch's fix and baseline outcomes with satellites removed:
     :func:`replay` on a block of one, the solved baselines only.
 
-    Uses the latent draws stored in the truth channel, so the result is
-    deterministic and promotes statuses monotonically as true multipath
-    satellites are excluded. Only simulated streams carry the data needed.
+    Draws the epoch's channels again from the state in its truth channel,
+    so the result is deterministic and promotes statuses monotonically as
+    true multipath satellites are excluded. Only simulated streams carry
+    the data needed.
     """
     if epoch.truth is None or epoch.truth.requery is None:
         raise ValidationError("epoch carries no re-query data (not a simulated stream?)")
-    if len(epoch.truth.requery.antenna_channels) != layout.antenna_count:
+    if epoch.truth.requery.stream.layout.antenna_count != layout.antenna_count:
         raise ValidationError("layout antenna count does not match the stream")
     found = replay([epoch.truth.requery], [epoch.truth.multipath_sats], [excluded], layout)
     return found.fixes, found.baselines

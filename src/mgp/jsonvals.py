@@ -131,7 +131,7 @@ class _Hexagon:
     hexagon_circumradius_m: float
 
 
-def decode(cls: type[T], obj: Any, where: str) -> T:
+def decode(cls: type[T], obj: Any, where: str, *, defaults: bool = True) -> T:
     """The config dataclass ``cls`` from its JSON object form.
 
     Each field is one key, read by its type hint: ``bool``, ``int``,
@@ -142,13 +142,13 @@ def decode(cls: type[T], obj: Any, where: str) -> T:
     as arrays, and a nested dataclass as an object. An
     :class:`AntennaLayout` is ``{"body_positions": [...]}`` or
     ``{"hexagon_circumradius_m": r}``. A missing key takes the field's
-    default.
+    default, or without ``defaults`` is a fault like any missing key.
 
     A value of the wrong JSON type, a missing required key or an unknown key
     raises ConfigurationError; a constructor's ValidationError passes
     through. Both messages start with ``where`` and the dotted key path.
     """
-    return _within(where, _dataclass, cls, obj, "")
+    return _within(where, _dataclass, cls, obj, "", defaults)
 
 
 def loads(text: str) -> Any:
@@ -194,7 +194,7 @@ def _key(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _dataclass(cls: type[T], value: Any, path: str) -> T:
+def _dataclass(cls: type[T], value: Any, path: str, defaults: bool = True) -> T:
     if type(value) is not dict:
         raise ConfigurationError(f"{path or 'config'} must be a JSON object, got {value!r}")
     spec = _fields(cls)
@@ -204,8 +204,8 @@ def _dataclass(cls: type[T], value: Any, path: str) -> T:
     kwargs = {}
     for name, (hint, required) in spec.items():
         if name in value:
-            kwargs[name] = _value(hint, value[name], _key(path, name))
-        elif required:
+            kwargs[name] = _value(hint, value[name], _key(path, name), defaults)
+        elif required or not defaults:
             raise ConfigurationError(f"missing key {name!r}" + (f" in {path}" if path else ""))
     return _within(path, cls, **kwargs)
 
@@ -229,7 +229,7 @@ def _leaf(rule: Callable[[Any, str], Any], value: Any, path: str) -> Any:
         raise ConfigurationError(str(exc)) from None
 
 
-def _value(hint: Any, value: Any, path: str) -> Any:
+def _value(hint: Any, value: Any, path: str, defaults: bool = True) -> Any:
     if hint in _SCALARS:
         return _leaf(_SCALARS[hint], value, path)
     if hint in _POINTS:
@@ -253,11 +253,11 @@ def _value(hint: Any, value: Any, path: str) -> Any:
         names = [member.value for member in hint]
         raise ConfigurationError(f"{path} must be one of {names}, got {value!r}")
     if is_dataclass(hint):
-        return _dataclass(hint, value, path)
+        return _dataclass(hint, value, path, defaults)
     args = typing.get_args(hint)
     if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None
         (inner,) = (a for a in args if a is not type(None))
-        return None if value is None else _value(inner, value, path)
+        return None if value is None else _value(inner, value, path, defaults)
     if typing.get_origin(hint) is tuple:
         if args[1:] == (Ellipsis,) and args[0] in _ARRAYS:
             return tuple(_leaf(_ARRAYS[args[0]], value, path).tolist())
@@ -267,5 +267,6 @@ def _value(hint: Any, value: Any, path: str) -> Any:
             args = (args[0],) * len(value)
         elif len(value) != len(args):
             raise ConfigurationError(f"{path} must be {len(args)} values, got {len(value)}")
-        return tuple(_value(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+        return tuple(_value(a, v, f"{path}[{i}]", defaults)
+                     for i, (a, v) in enumerate(zip(args, value)))
     raise TypeError(f"{path}: no JSON form for {hint!r}")

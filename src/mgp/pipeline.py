@@ -256,7 +256,7 @@ class _FrontBlock:
                 truth = block.truth[k]
                 if k in faults or truth is None or truth.requery is None:
                     continue
-                if len(truth.requery.antenna_channels) != n:
+                if truth.requery.stream.layout.antenna_count != n:
                     faults.setdefault(k, "layout antenna count does not match the stream")
                 else:
                     needed.append(k)

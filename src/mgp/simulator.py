@@ -9,18 +9,20 @@ versus multipath satellites in the solution set, so excluding detected
 multipath satellites and re-querying raises the fix rate.
 
 Every stochastic outcome is drawn once, in a fixed documented order, from a
-single seeded generator, and the draws are kept in the epoch's truth channel
-as a :class:`mgp.epochs.RequeryData` record, which the pipeline replays to
-re-query fix outcomes for a reduced satellite set. The generator is the whole
-module: scenario configs (decoded from JSON by :func:`scenario_from_dict` and
-:func:`load_scenario`), the epoch and scan streams, and truth or corrupted
-poses as :class:`mgp.mapping.Poses` records.
+single seeded generator. The epoch's truth channel keeps the generator's
+state before its first draw (:class:`mgp.epochs.RequeryData`), from which
+the pipeline draws the channels again with :func:`mgp.epochs.draw_channels`
+to re-query fix outcomes for a reduced satellite set. The generator is the
+whole module: scenario configs (decoded from JSON by
+:func:`scenario_from_dict` and :func:`load_scenario`), the epoch and scan
+streams, and truth or corrupted poses as :class:`mgp.mapping.Poses` records.
 
 Per-epoch draw order (one ``numpy`` Generator seeded with ``config.seed``;
 fading phases shape ``(n_sats, n_antennas)`` are drawn once up front):
 antenna normals ``(n_ant, 6)``, antenna uniforms ``(n_ant, 3)``, antenna
-lattice indices ``(n_ant,)``, then the same four groups for baselines, then
-SNR jitter ``(n_sats, n_ant)``.
+lattice indices ``(n_ant,)``, then the same three groups for baselines, then
+SNR jitter ``(n_sats, n_ant)``. The normals perturb the antenna and
+baseline vectors at the true attitude as the epoch reader reads it back.
 """
 from __future__ import annotations
 
@@ -40,14 +42,17 @@ from .core import (
     hexagon_layout,
     quat_multiply,
     quat_to_matrix,
+    unit_quats,
 )
 from .epochs import (
-    ChannelDraws,
+    ChannelNoise,
     EpochRecord,
     EpochTruth,
     FixModel,
     RequeryData,
+    RequeryStream,
     _pair_baselines,
+    draw_channels,
     replay,
 )
 from .errors import ConfigurationError, ValidationError
@@ -178,25 +183,10 @@ class SnrModel:
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Measurement-error magnitudes and wrong-fix injection."""
+class NoiseModel(ChannelNoise):
+    """The fix channels' noise and the SNR model."""
 
-    sigma_fixed_m: float = 0.005
-    sigma_float_m: float = 0.3
-    wrong_fix_prob: float = 0.02
-    wrong_fix_unit_m: float = 0.19
-    wrong_fix_max_multiple: int = 2
     snr: SnrModel = field(default_factory=SnrModel)
-
-    def __post_init__(self) -> None:
-        if self.sigma_fixed_m < 0.0 or self.sigma_float_m < 0.0:
-            raise ValidationError("noise sigmas must be nonnegative")
-        if not 0.0 <= self.wrong_fix_prob <= 1.0:
-            raise ValidationError("wrong_fix_prob must be in [0, 1]")
-        if not (self.wrong_fix_unit_m > 0.0):
-            raise ValidationError("wrong_fix_unit_m must be positive")
-        if self.wrong_fix_max_multiple < 1:
-            raise ValidationError("wrong_fix_max_multiple must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -327,18 +317,6 @@ def truth_poses(config: ScenarioConfig, times: np.ndarray) -> Poses:
     return Poses.checked(times, trajectory_position(config, times), q, n_fix)
 
 
-def _lattice_table(max_multiple: int) -> np.ndarray:
-    rng_vals = range(-max_multiple, max_multiple + 1)
-    vecs = [
-        (a, b, c)
-        for a in rng_vals
-        for b in rng_vals
-        for c in rng_vals
-        if (a, b, c) != (0, 0, 0)
-    ]
-    return np.array(vecs, dtype=np.float64)
-
-
 def _effective_biases(config: ScenarioConfig, n_clean: int, n_mp: int) -> tuple[list[float], float]:
     fm = config.fix_model
     n_ant = config.layout.antenna_count
@@ -367,9 +345,7 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
     layout = config.layout
     n_ant = layout.antenna_count
     n_sat = len(config.constellation)
-    pairs, body_bl = _pair_baselines(layout)
-    n_pairs = len(pairs)
-    body = layout.positions
+    pairs, _ = _pair_baselines(layout)
 
     mp_sats = multipath_satellite_ids(config)
     mp_mask = np.array([s.sat_id in mp_sats for s in config.constellation])
@@ -388,7 +364,10 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
     noise = config.noise
     snr_model = noise.snr
     nominal = np.array([snr_model.nominal(s.elevation_deg) for s in config.constellation])
-    lattice = _lattice_table(noise.wrong_fix_max_multiple)
+    channel_noise = ChannelNoise(noise.sigma_fixed_m, noise.sigma_float_m, noise.wrong_fix_prob,
+                                 noise.wrong_fix_unit_m, noise.wrong_fix_max_multiple)
+    stream = RequeryStream(model, solution_sats, layout, channel_noise,
+                           rng.bit_generator.state["state"]["inc"], np.__version__)
 
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(n_sat, n_ant))
 
@@ -396,22 +375,14 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
         t = k / config.rate_hz
         p_plat = trajectory_position(config, t)
         q_truth = truth_attitude(config, t)
-        r_eb = quat_to_matrix(q_truth)
-        ant_world = p_plat.as_array() + body @ r_eb.T
-        bl_world = body_bl @ r_eb.T
-
-        ant_norm = rng.standard_normal((n_ant, 6))
-        ant_unif = rng.random((n_ant, 3))
-        ant_lat = rng.integers(0, len(lattice), n_ant)
-        bl_norm = rng.standard_normal((n_pairs, 6))
-        bl_unif = rng.random((n_pairs, 3))
-        bl_lat = rng.integers(0, len(lattice), n_pairs)
+        # the attitude as the reader reads it back, for replays to match
+        q_read = unit_quats(q_truth.as_array()[None], canonicalize=False)[0].tolist()
+        bits = rng.bit_generator.state
+        uint32 = bits["uinteger"] if bits["has_uint32"] else None
+        req = RequeryData(stream, bits["state"]["state"], uint32, p_plat, UnitQuaternion(*q_read))
+        ant_channels, bl_channels = draws = draw_channels(rng, req)
         snr_jit = rng.standard_normal((n_sat, n_ant))
-
-        ant_channels = _build_channels(ant_world, ant_norm, ant_unif, ant_lat, lattice, noise)
-        bl_channels = _build_channels(bl_world, bl_norm, bl_unif, bl_lat, lattice, noise)
-        req = RequeryData(model, solution_sats, ant_channels, bl_channels)
-        found = replay([req], [mp_sats], [frozenset()], layout)
+        found = replay([req], [mp_sats], [frozenset()], layout, [draws])
         fixes, baselines = found.fixes, found.baselines
 
         offsets = np.zeros((n_sat, n_ant))
@@ -435,24 +406,6 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
         )
         snr_rows = SnrTable(solution_sats, snr)
         yield EpochRecord(t=t, fixes=fixes, baselines=baselines, snr_rows=snr_rows, truth=truth)
-
-
-def _build_channels(
-    truth_vecs: np.ndarray,
-    norm: np.ndarray,
-    unif: np.ndarray,
-    lat_idx: np.ndarray,
-    lattice: np.ndarray,
-    noise: NoiseModel,
-) -> ChannelDraws:
-    return ChannelDraws(
-        u_fix=unif[:, 0],
-        u_float=unif[:, 1],
-        wrong=unif[:, 2] < noise.wrong_fix_prob,
-        latent_fixed=truth_vecs + noise.sigma_fixed_m * norm[:, :3],
-        latent_float=truth_vecs + noise.sigma_float_m * norm[:, 3:],
-        wrong_offset=noise.wrong_fix_unit_m * lattice[lat_idx],
-    )
 
 
 def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanFrame]:

@@ -1,45 +1,51 @@
 """Every stream file format, plus the calibration and reflector loaders.
 
 Formats:
-  * Epoch stream: JSON Lines, header ``{"format": "mgp-epoch", "version": 1}``
-    then one epoch object per line, one JSON object per fix, baseline and
-    SNR row. In memory they are arrays: a :class:`Fixes` record (ids,
-    grades, (n, 3) positions with NaN rows for no solution, satellite
-    counts), a :class:`Baselines` record ((m, 2) pairs, (m, 3) ``v`` and
-    ``w``, (m,) ``fixed``) and an :class:`SnrTable` ((s, n) dB-Hz, NaN for
-    a JSON null, plus the satellite ids), one epoch's in an
-    :class:`EpochRecord`, a block's in an :class:`EpochBlock`. The reader
-    checks every value's JSON type, so ``1.7`` is no antenna id and ``"no"``
-    no ``fixed`` flag. The truth channel's ``requery`` block holds the fix
-    model's values, the solution satellites and one object per antenna or
-    baseline channel; in memory it is a :class:`RequeryData` of arrays. The
-    truth attitude must have a norm within ``QUAT_READ_TOL`` of 1. The
-    record types live in :mod:`mgp.epochs`; their whole line format is here.
+  * Epoch stream: JSON Lines, a header then one epoch object per line, one
+    JSON object per fix, baseline and SNR row. In memory they are arrays: a
+    :class:`Fixes` record (ids, grades, (n, 3) positions with NaN rows for
+    no solution, satellite counts), a :class:`Baselines` record ((m, 2)
+    pairs, (m, 3) ``v`` and ``w``, (m,) ``fixed``) and an :class:`SnrTable`
+    ((s, n) dB-Hz, NaN for a JSON null, plus the satellite ids), one
+    epoch's in an :class:`EpochRecord`, a block's in an :class:`EpochBlock`.
+    The reader checks every value's JSON type, so ``1.7`` is no antenna id
+    and ``"no"`` no ``fixed`` flag. The truth attitude must have a norm
+    within ``QUAT_READ_TOL`` of 1. The record types live in
+    :mod:`mgp.epochs`; their whole line format is here.
+
+    The header, ``{"format": "mgp-epoch", "version": 2, "requery": ...}``,
+    holds the simulator's requery constants once, a :class:`RequeryStream`
+    decoded like a config with every key required, or null. A version 1
+    stream (every channel draw in every line) is not read, nor one whose
+    constants another numpy wrote: a fault of line 1. An epoch's
+    ``truth.requery`` is null or ``{"state": s, "uint32": u}``, the PCG64
+    state before its first draw, s in [0, 2**128) and u in [0, 2**32) or
+    null; a state without the header's constants is a fault of its line.
 
     The reader parses each line once and decodes ``READ_BLOCK`` parsed
     lines at a time into one :class:`EpochBlock`, one field after another
     in one fixed order for the whole line: each field is looked up in every
     line of the block, then type-checked and built in one pass, and stays
-    one array for the block. The truth channel and its requery records,
-    channel draws included, are read the same way, after the SNR rows, and
-    kept per epoch; a block without truth pays nothing for them. ``fixes``,
-    ``baselines``, ``snr_rows``, the channel groups and the truth lists
-    must be JSON arrays, and so must each row of a fixed width (a position,
-    vector, antenna pair, latent vector, SNR row of the epoch's one width,
-    or quaternion); the line and each object in it must be a JSON object
-    (``fixes must be JSON objects``). Every key but the line's ``truth`` is
-    required, and any other key is a fault; either is named with the object
-    it is missing from or found in (``missing key 'w' in baselines``,
-    ``unknown key 'truht'`` on the line itself). The block's SNR table is
-    as wide as its widest epoch, NaN-padded. A line that is not UTF-8 or
-    not JSON is set aside as a fault (the scan, pose and cloud readers name
-    its ``path:line`` too); if the block of the others fails, each is
-    decoded alone, so that each fault is reported (or skipped) at its own
-    ``path:line`` with the message of its first failing lookup or check.
-    The reader's blocks, and the writer's blocks of ``WRITE_BLOCK`` epochs
-    turned into text, go through :func:`ordered.ordered_map`, so they are
-    shared with a forked worker (one per process); the blocks, faults and
-    bytes are those of one process, in stream order.
+    one array for the block. The truth channel and its requery states are
+    read the same way, after the SNR rows, and kept per epoch; a block
+    without truth pays nothing for them. ``fixes``, ``baselines``,
+    ``snr_rows`` and the truth lists must be JSON arrays, and so must each
+    row of a fixed width (a position, vector, antenna pair, SNR row of the
+    epoch's one width, or quaternion); the line and each object in it must
+    be a JSON object (``fixes must be JSON objects``). Every key but the
+    line's ``truth`` is required, and any other key is a fault; either is
+    named with the object it is missing from or found in (``missing key
+    'w' in baselines``, ``unknown key 'truht'`` on the line itself). The
+    block's SNR table is as wide as its widest epoch, NaN-padded. A line
+    that is not UTF-8 or not JSON is set aside as a fault (the scan, pose
+    and cloud readers name its ``path:line`` too); if the block of the
+    others fails, each is decoded alone, so that each fault is reported (or
+    skipped) at its own ``path:line`` with the message of its first failing
+    lookup or check. The reader's blocks, and the writer's blocks of
+    ``WRITE_BLOCK`` epochs turned into text, go through
+    :func:`ordered.ordered_map`, so they are shared with a forked worker
+    (one per process); the blocks, faults and bytes are those of one
+    process, in stream order.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line, a JSON object of the keys ``t`` and ``pulses``
     read by the epoch-line rules; each pulse is a compact array
@@ -60,8 +66,9 @@ Formats:
 Every text file is opened by :func:`core.open_text`, which reads "\\r\\n"
 and "\\r" line ends as "\\n", and each line, a header too, is checked by
 :func:`core.utf8_line` before any whitespace is stripped (the configs by
-:func:`core.read_utf8`). A stream header that is blank, not JSON or not the
-format's header is a fault of line 1, named ``path:1``. The scan and a .xyz
+:func:`core.read_utf8`). A stream header that is blank, not JSON, not the
+format's header or of a version that is not a JSON integer (``true`` and
+``1.0`` are none) is a fault of line 1, named ``path:1``. The scan and a .xyz
 cloud are read in chunks of whole lines, each ending at the line that takes
 it past :data:`CHUNK` characters, a .bin cloud in blocks of the whole
 records of ``CHUNK`` bytes; each chunk carries the number of its first line
@@ -82,6 +89,7 @@ an InputError.
 """
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import itertools
 import json
@@ -89,7 +97,7 @@ import math
 import os
 import re
 from contextlib import closing, contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Sequence, TextIO
 
@@ -98,9 +106,9 @@ import numpy as np
 from . import jsonvals
 from .attitude import Baselines
 from .core import UnitQuaternion, Vec3, check_read_norm, open_text, unit_quats, utf8_line
-from .epochs import _DRAW_KEYS, ChannelDraws, EpochBlock, EpochRecord, EpochTruth, FixModel
-from .epochs import RequeryData, epoch_of_rows, offsets
-from .errors import InputError, ValidationError
+from .epochs import EpochBlock, EpochRecord, EpochTruth, RequeryData, RequeryStream
+from .epochs import epoch_of_rows, offsets
+from .errors import ConfigurationError, InputError, ValidationError
 from .mapping import (
     DEFAULT_CLUSTER_RADIUS_M,
     DEFAULT_MIN_HITS,
@@ -113,7 +121,7 @@ from .multipath import SnrTable
 from .ordered import ordered_map
 from .positioning import FIX_GRADES, Fixes
 
-EPOCH_HEADER = {"format": "mgp-epoch", "version": 1}
+EPOCH_HEADER = {"format": "mgp-epoch", "version": 2, "requery": None}
 SCAN_HEADER = {"format": "mgp-scan", "version": 1}
 POSE_CSV_HEADER = "t,E,N,U,qx,qy,qz,qw,n_fix,att_available"
 # Chunk size of the chunked readers (module docstring): georef and evaluate
@@ -139,7 +147,8 @@ def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
             "multipath_sats": sorted(tr.multipath_sats),
             "corrupted_baselines": sorted(list(p) for p in tr.corrupted_baselines),
             "wrong_fix_antennas": sorted(tr.wrong_fix_antennas),
-            "requery": _requery_to_dict(tr.requery) if tr.requery is not None else None,
+            "requery": None if tr.requery is None
+            else {"state": tr.requery.state, "uint32": tr.requery.uint32},
         }
     fx, bl, snr = epoch.fixes, epoch.baselines, epoch.snr_rows
     snr_values = snr.dbhz.tolist()
@@ -171,25 +180,6 @@ def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
     }
 
 
-_MODEL_KEYS = (
-    "steepness", "midpoint", "multipath_weight", "antenna_bias", "baseline_bias", "float_fraction"
-)
-
-
-def _requery_to_dict(req: RequeryData) -> dict[str, Any]:
-    """The record's JSON form: the model's values, the satellites and one
-    object per channel, floats as Python floats and ``wrong`` a bool."""
-    model = {k: getattr(req.model, k) for k in _MODEL_KEYS}
-    model["antenna_bias"] = list(model["antenna_bias"])
-    out: dict[str, Any] = {"model": model, "solution_sats": list(req.solution_sats)}
-    for key in ("antenna_channels", "baseline_channels"):
-        cols = [getattr(getattr(req, key), k).tolist() for k in _DRAW_KEYS]
-        out[key] = [dict(zip(_DRAW_KEYS, row)) for row in zip(*cols)]
-    return out
-
-
-# The fix model's values in reading order, each one number.
-_MODEL_VALUES = tuple(k for k in _MODEL_KEYS if k != "antenna_bias")
 # The keys of each object of an epoch line; all are required but the
 # line's own ``truth``.
 _EPOCH_KEYS = ("t", "fixes", "baselines", "snr_rows", "truth")
@@ -197,7 +187,16 @@ _FIX_KEYS = ("antenna_id", "status", "p", "sats_used")
 _BASELINE_KEYS = ("antenna_pair", "v", "w", "fixed")
 _TRUTH_KEYS = ("position", "attitude", "multipath_sats", "corrupted_baselines",
                "wrong_fix_antennas", "requery")
-_REQUERY_KEYS = ("model", "solution_sats", "antenna_channels", "baseline_channels")
+_REQUERY_KEYS = ("state", "uint32")
+
+
+@dataclass(frozen=True)
+class _EpochHeader:
+    """The JSON form of an epoch stream's header line."""
+
+    format: str
+    version: int
+    requery: RequeryStream | None
 
 
 # Non-blank lines the epoch reader decodes at once. ``pipeline.run`` takes
@@ -213,9 +212,11 @@ READ_BLOCK = 32
 WRITE_BLOCK = 8
 
 
-def _decode(objects: list[Any], lines: Sequence[int]) -> EpochBlock:
+def _decode(objects: list[Any], lines: Sequence[int],
+            stream: RequeryStream | None = None) -> EpochBlock:
     """The block of parsed epoch objects, object k read from line
-    ``lines[k]``, one field at a time, always in the same order: each field
+    ``lines[k]`` of a stream whose header holds the requery constants
+    ``stream``, one field at a time, always in the same order: each field
     is looked up in every object, then checked in one pass. The first
     lookup or check that fails raises, so a block raises exactly when one
     of its epochs would alone, and a block of one its first fault."""
@@ -272,7 +273,7 @@ def _decode(objects: list[Any], lines: Sequence[int]) -> EpochBlock:
 
     truth = [d.get("truth") for d in objects]
     _check_keys(objects, _EPOCH_KEYS, "", 4 * len(objects) + sum("truth" in d for d in objects))
-    truths = iter(_truths([tr for tr in truth if tr is not None]))
+    truths = iter(_truths([tr for tr in truth if tr is not None], stream))
     return EpochBlock(
         np.array(ts, dtype=np.float64), np.array(lines, dtype=np.int64),
         fx, fix_ends, bl, baseline_ends, table, snr_ends, width,
@@ -280,8 +281,9 @@ def _decode(objects: list[Any], lines: Sequence[int]) -> EpochBlock:
     )
 
 
-def _truths(objects: list[Any]) -> list[EpochTruth]:
-    """The truth channels of a block, read field by field like its epochs."""
+def _truths(objects: list[Any], stream: RequeryStream | None) -> list[EpochTruth]:
+    """The truth channels of a block, read field by field like its epochs,
+    each requery state with the header's requery constants ``stream``."""
     if not objects:
         return []
     _objects(objects, "truth must be a JSON object or null")
@@ -300,59 +302,23 @@ def _truths(objects: list[Any]) -> list[EpochTruth]:
     wrong_ants = jsonvals.integers(flat, "wrong-fix antennas").tolist()
     records = _column(objects, "requery", " in truth")
     _check_keys(objects, _TRUTH_KEYS, " in truth")
-    requeries = iter(_requeries([rq for rq in records if rq is not None]))
-    return [
-        EpochTruth(
-            position=Vec3(*pos),
-            attitude=UnitQuaternion(*q),
-            multipath_sats=frozenset(mp),
-            corrupted_baselines=frozenset(map(tuple, pairs)),
-            wrong_fix_antennas=frozenset(ants),
-            requery=None if rq is None else next(requeries),
-        )
-        for pos, q, mp, pairs, ants, rq in zip(
-            position, unit_quats(attitude, canonicalize=False).tolist(),
-            _pieces(mp_sats, mp_ends), _pieces(corrupted, corrupted_ends),
-            _pieces(wrong_ants, wrong_ends), records,
-        )
-    ]
-
-
-def _requeries(objects: list[Any]) -> list[RequeryData]:
-    """The requery records of a block, read field by field; the fix model's
-    values are checked one by one as they are looked up."""
-    if not objects:
-        return []
-    _objects(objects, "requery must be a JSON object or null")
-    models = _objects(_column(objects, "model", " in requery"), "model must be a JSON object")
-    values = [[jsonvals.number(x, "fix model values") for x in _column(models, key, " in model")]
-              for key in _MODEL_VALUES]
-    flat, bias_ends = _joined(_column(models, "antenna_bias", " in model"), "fix model values")
-    bias = _pieces(jsonvals.floats(flat, "fix model values").tolist(), bias_ends)
-    _check_keys(models, _MODEL_KEYS, " in model")
-    fix_models = [FixModel(**dict(zip(_MODEL_VALUES, row)), antenna_bias=tuple(b))
-                  for *row, b in zip(*values, bias)]
-    groups = [_draws(_column(objects, key, " in requery"), key)
-              for key in ("antenna_channels", "baseline_channels")]
-    flat, sat_ends = _joined(_column(objects, "solution_sats", " in requery"), "solution_sats")
-    sats = jsonvals.strings(flat, "solution_sats")
-    _check_keys(objects, _REQUERY_KEYS, " in requery")
-    return list(map(RequeryData, fix_models, _pieces(sats, sat_ends), *groups))
-
-
-def _draws(groups: list[Any], what: str) -> list[ChannelDraws]:
-    """Each record's draws of one channel group from its JSON array of
-    channel objects, read field by field in ``_DRAW_KEYS`` order."""
-    channels, ends = _joined(groups, what)
-    _objects(channels, f"{what} must be JSON objects")
-    where = f" in {what}"
-    columns = [
-        jsonvals.flags(_column(channels, key, where), "wrong-fix flags") if key == "wrong"
-        else jsonvals.floats(_column(channels, key, where), f"{key} channel draws", width)
-        for key, width in zip(_DRAW_KEYS, (None, None, None, 3, 3, 3))
-    ]
-    _check_keys(channels, _DRAW_KEYS, where)
-    return list(map(ChannelDraws, *(_pieces(c, ends) for c in columns)))
+    given = _objects([rq for rq in records if rq is not None],
+                     "requery must be a JSON object or null")
+    states = iter(zip(*(_column(given, key, " in requery") for key in _REQUERY_KEYS)))
+    _check_keys(given, _REQUERY_KEYS, " in requery")
+    if given and stream is None:
+        raise ValidationError("requery state without requery constants in the stream header")
+    truths = []
+    for pos, q, mp, pairs, ants, rq in zip(
+        position, unit_quats(attitude, canonicalize=False).tolist(),
+        _pieces(mp_sats, mp_ends), _pieces(corrupted, corrupted_ends),
+        _pieces(wrong_ants, wrong_ends), records,
+    ):
+        pos, q = Vec3(*pos), UnitQuaternion(*q)
+        requery = None if rq is None else RequeryData(stream, *next(states), pos, q)
+        truths.append(EpochTruth(pos, q, frozenset(mp), frozenset(map(tuple, pairs)),
+                                 frozenset(ants), requery))
+    return truths
 
 
 def _column(objects: list[Any], key: str, where: str) -> list[Any]:
@@ -404,11 +370,12 @@ def _check_unique_pairs(pairs: np.ndarray, ends: list[int]) -> None:
         raise ValidationError("baseline antenna pairs must be unordered-unique")
 
 
-def epoch_from_dict(d: dict[str, Any]) -> EpochRecord:
-    """Epoch from its JSON object form: the block decoder on a block of one.
-    Raises ValidationError for any fault of the line, a missing key
+def epoch_from_dict(d: dict[str, Any], stream: RequeryStream | None = None) -> EpochRecord:
+    """Epoch from its JSON object form, a line of a stream whose header
+    holds the requery constants ``stream``: the block decoder on a block of
+    one. Raises ValidationError for any fault of the line, a missing key
     included (``missing key 'w' in baselines``)."""
-    return _decode([d], [0]).epoch(0)
+    return _decode([d], [0], stream).epoch(0)
 
 
 def _write_lines(path: str, header: dict[str, Any], records: Iterable[dict[str, Any]]) -> int:
@@ -422,7 +389,12 @@ def _write_lines(path: str, header: dict[str, Any], records: Iterable[dict[str, 
     return n
 
 
-def _epoch_lines(epochs: list[EpochRecord]) -> list[str]:
+def _epoch_lines(stream: RequeryStream | None, epochs: list[EpochRecord]) -> list[str]:
+    """The lines of ``epochs``, each requery record of the header's ``stream``."""
+    for epoch in epochs:
+        requery = epoch.truth.requery if epoch.truth is not None else None
+        if requery is not None and requery.stream != stream:
+            raise ValidationError("an epoch's requery constants are not those of its stream header")
     return [json.dumps(epoch_to_dict(epoch)) + "\n" for epoch in epochs]
 
 
@@ -444,14 +416,26 @@ def _batches(items: Iterable[Any], n: int) -> Iterator[list[Any]]:
 
 
 def write_epochs(path: str, epochs: Iterable[EpochRecord]) -> int:
-    """Write the epoch stream of ``epochs``; returns the count. Blocks of
+    """Write the epoch stream of ``epochs``; returns the count. The header
+    holds the first epoch's requery constants, which every requery record
+    must have (ValidationError otherwise). Blocks of
     ``WRITE_BLOCK`` epochs are turned into text by :func:`ordered.ordered_map`,
     so a worker process may be forked; the bytes are those of one process.
     When ``epochs`` raises, every epoch before the fault is written first."""
     n = 0
+    epochs = iter(epochs)
+    head: list[EpochRecord] = []
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(EPOCH_HEADER) + "\n")
-        for lines in ordered_map(_epoch_lines, _batches(epochs, WRITE_BLOCK)):
+        try:
+            head.extend(itertools.islice(epochs, 1))
+        finally:
+            truth = head[0].truth if head else None
+            stream = truth.requery.stream if truth and truth.requery else None
+            requery = stream and {**asdict(stream), "layout": {
+                "body_positions": stream.layout.positions.tolist()}}
+            f.write(json.dumps({**EPOCH_HEADER, "requery": requery}) + "\n")
+        batches = _batches(itertools.chain(head, epochs), WRITE_BLOCK)
+        for lines in ordered_map(functools.partial(_epoch_lines, stream), batches):
             f.writelines(lines)
             n += len(lines)
     return n
@@ -469,17 +453,29 @@ def _first_line(f: TextIO, path: str) -> str:
     return line
 
 
-def _check_header(line: str, expected: dict[str, Any], path: str) -> None:
-    """InputError unless ``line``, the first line of the stream file at
-    ``path``, is the header ``expected``; a fault names ``path:1``."""
+def _check_header(line: str, expected: dict[str, Any], path: str) -> RequeryStream | None:
+    """The requery constants (None for a scan) of ``line``, the header of
+    the stream file at ``path``, of ``expected``'s format and version, the
+    version a JSON integer; InputError naming ``path:1`` otherwise."""
     if not line:
         raise InputError(f"{path}: empty stream file")
     try:
         header = jsonvals.loads(line.removesuffix("\n"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:1: missing stream header: {exc}") from exc
-    if header != expected:
-        raise InputError(f"{path}:1: unexpected stream header {header!r}")
+    try:
+        if type(header) is not dict or header.get("format") != expected["format"]:
+            raise ValidationError(f"unexpected stream header {header!r}")
+        version = jsonvals.integer(header.get("version"), "stream header version")
+        if expected is EPOCH_HEADER and version == 1:
+            raise ValidationError("epoch stream version 1 is no longer read; re-run mgp simulate")
+        if expected is EPOCH_HEADER and version == expected["version"]:
+            return jsonvals.decode(_EpochHeader, header, "stream header", defaults=False).requery
+        if header != expected:
+            raise ValidationError(f"unexpected stream header {header!r}")
+        return None
+    except (ConfigurationError, ValidationError) as exc:
+        raise InputError(f"{path}:1: {exc}") from None
 
 
 def _parsed(line: str) -> Any:
@@ -490,37 +486,41 @@ def _parsed(line: str) -> Any:
         return exc
 
 
-def _epoch_block(block: list[tuple[int, str]]) -> tuple[EpochBlock, list[tuple[int, Exception]]]:
-    """The epochs of the ``(lineno, line)`` pairs of ``block`` as one
+def _epoch_block(block: list[tuple[int, str]], stream: RequeryStream | None = None
+                 ) -> tuple[EpochBlock, list[tuple[int, Exception]]]:
+    """The epochs of the ``(lineno, line)`` pairs of ``block``, lines of a
+    stream whose header holds the requery constants ``stream``, as one
     :class:`EpochBlock`, and the ``(lineno, fault)`` of each other line, in
     line order. The lines that parse are decoded at once; if that fails,
     each alone, to find the faults, and then the others at once again."""
     found = [(lineno, _parsed(line)) for lineno, line in block]
     with suppress(ValidationError, ValueError):
-        return _decoded(found)
+        return _decoded(found, stream)
     for k, (lineno, obj) in enumerate(found):
         if not isinstance(obj, Exception):
             try:
-                _decode([obj], [lineno])
+                _decode([obj], [lineno], stream)
             except (ValidationError, ValueError) as exc:
                 found[k] = lineno, exc
-    return _decoded(found)
+    return _decoded(found, stream)
 
 
-def _decoded(found: list[tuple[int, Any]]) -> tuple[EpochBlock, list[tuple[int, Exception]]]:
+def _decoded(found: list[tuple[int, Any]], stream: RequeryStream | None
+             ) -> tuple[EpochBlock, list[tuple[int, Exception]]]:
     """The block of the ``(lineno, value)`` pairs of ``found``, and its faults."""
     good = [(lineno, obj) for lineno, obj in found if not isinstance(obj, Exception)]
     faults = [(lineno, obj) for lineno, obj in found if isinstance(obj, Exception)]
-    return _decode([obj for _, obj in good], [lineno for lineno, _ in good]), faults
+    return _decode([obj for _, obj in good], [lineno for lineno, _ in good], stream), faults
 
 
 def _read_blocks(path: str) -> Iterator[tuple[EpochBlock, list[tuple[int, Exception]]]]:
     """The :func:`_epoch_block` of each ``READ_BLOCK`` non-blank lines of
     the epoch stream at ``path`` after its header, which is checked first."""
     with open_text(path) as f:
-        _check_header(_first_line(f, path), EPOCH_HEADER, path)
+        stream = _check_header(_first_line(f, path), EPOCH_HEADER, path)
         lines = ((n, line) for n, line in enumerate(f, start=2) if not line.isspace())
-        with closing(ordered_map(_epoch_block, _batches(lines, READ_BLOCK))) as results:
+        decode = functools.partial(_epoch_block, stream=stream)
+        with closing(ordered_map(decode, _batches(lines, READ_BLOCK))) as results:
             yield from results
 
 

@@ -45,6 +45,13 @@ def snr_of(rows: Iterable[tuple[str, tuple[float | None, ...]]]) -> mgp.SnrTable
     return mgp.SnrTable.checked(tuple(sat for sat, _ in rows), dbhz)
 
 
+def requery_constants(header: str) -> mgp.epochs.RequeryStream | None:
+    """The requery constants of an epoch stream's header line, as the
+    reader decodes them; the epoch decoders need them to read a line whose
+    truth carries a requery state."""
+    return mgp.streams._check_header(header, mgp.streams.EPOCH_HEADER, "header")
+
+
 @dataclass(frozen=True)
 class TimedRun:
     """A pipeline run plus the wall time spent producing it, so acceptance

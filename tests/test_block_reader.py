@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 import mgp
 import mgp.streams
 
+from conftest import requery_constants
 from test_epoch_differential import _scenario
 from test_epoch_faults import FAULTS, _faulty_line
 
@@ -66,6 +67,7 @@ def _check_blocks(path: Path, read_block: int, monkeypatch) -> None:
     monkeypatch.setattr(mgp.streams, "READ_BLOCK", read_block)
     text = path.read_text(encoding="utf-8").split("\n")
     nonblank = [n for n, line in enumerate(text[1:], start=2) if line.strip()]
+    stream = requery_constants(text[0])
     blocks = list(mgp.read_epoch_blocks(str(path)))
     covered: list[int] = []
     for b, (block, skips) in enumerate(blocks):
@@ -76,7 +78,8 @@ def _check_blocks(path: Path, read_block: int, monkeypatch) -> None:
         assert sorted(lines + [n for n, _ in skips]) == want
         covered += want
         for k, n in enumerate(lines):
-            _same(block.epoch(k), mgp.epoch_from_dict(json.loads(text[n - 1])), f"line {n}")
+            _same(block.epoch(k), mgp.epoch_from_dict(json.loads(text[n - 1]), stream),
+                  f"line {n}")
         if len(block):
             _same(block, mgp.EpochBlock.of(list(map(block.epoch, range(len(block)))), lines),
                   f"block {b}")
@@ -213,9 +216,9 @@ def _snr_rows_differ(record: dict) -> None:
     row["snr"] = row["snr"][:-1]
 
 
-def _raises(objects: list, lines: list[int]) -> bool:
+def _raises(objects: list, lines: list[int], stream) -> bool:
     try:
-        mgp.streams._decode(objects, lines)
+        mgp.streams._decode(objects, lines, stream)
     except Exception:
         return True
     return False
@@ -229,7 +232,8 @@ def test_a_block_raises_exactly_when_one_of_its_lines_raises_alone(
     """``_decode`` on the parsed lines of a block, the faults and edits of
     the reader's tests on some (and an epoch whose own SNR rows differ in
     width), raises exactly when one of those lines raises alone."""
-    _, *lines = clean_lines["multipath"]
+    header, *lines = clean_lines["multipath"]
+    stream = requery_constants(header)
     first = data.draw(st.integers(0, len(lines) - 2), label="first")
     block = lines[first:first + data.draw(st.integers(2, 8), label="size")]
     # the edits that leave a line an epoch twice as often as each fault:
@@ -252,8 +256,8 @@ def test_a_block_raises_exactly_when_one_of_its_lines_raises_alone(
         if not isinstance(record, Exception):
             objects.append(record)
             numbers.append(n)
-    alone = [_raises([obj], [n]) for obj, n in zip(objects, numbers)]
-    assert _raises(objects, numbers) == any(alone)
+    alone = [_raises([obj], [n], stream) for obj, n in zip(objects, numbers)]
+    assert _raises(objects, numbers, stream) == any(alone)
 
 
 def test_a_block_whose_only_faults_do_not_parse_is_decoded_once(
@@ -262,7 +266,7 @@ def test_a_block_whose_only_faults_do_not_parse_is_decoded_once(
     """Lines that are not JSON are set aside before the block is decoded,
     and epochs of several SNR widths share one padded table: such a block
     is built by one ``_decode`` call, of the lines that parse."""
-    _, *lines = clean_lines["multipath"]
+    header, *lines = clean_lines["multipath"]
     block = []
     for n, line in enumerate(lines[:mgp.streams.READ_BLOCK], start=2):
         if n % 5 == 0:
@@ -273,12 +277,12 @@ def test_a_block_whose_only_faults_do_not_parse_is_decoded_once(
     calls: list[list[int]] = []
     decode = mgp.streams._decode
 
-    def counted(objects, numbers):
+    def counted(objects, numbers, stream):
         calls.append(list(numbers))
-        return decode(objects, numbers)
+        return decode(objects, numbers, stream)
 
     monkeypatch.setattr(mgp.streams, "_decode", counted)
-    epochs, faults = mgp.streams._epoch_block(block)
+    epochs, faults = mgp.streams._epoch_block(block, requery_constants(header))
     good = [n for n, line in block if line != "{not json"]
     assert calls == [good]
     assert epochs.lines.tolist() == good
@@ -291,11 +295,11 @@ def test_faults_come_in_line_order(clean_lines, tmp_path: Path, other: str) -> N
     """A line that fails validation before one that does not parse, or one
     that is no object, in the same block: the block reader, ``read_epochs``
     in either mode and ``run`` name them in line order."""
-    _, *lines = clean_lines["multipath"]
+    header, *lines = clean_lines["multipath"]
     lines = list(lines[:mgp.streams.READ_BLOCK])
     lines[3], lines[9] = json.dumps({**json.loads(lines[3]), "t": "bad"}), other
     path = tmp_path / "epochs.jsonl"
-    path.write_text("\n".join([json.dumps(mgp.streams.EPOCH_HEADER), *lines]) + "\n",
+    path.write_text("\n".join([header, *lines]) + "\n",
                     encoding="utf-8")
     where = [f"{path}:5", f"{path}:11"]
     blocks = list(mgp.read_epoch_blocks(str(path)))

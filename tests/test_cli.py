@@ -242,35 +242,42 @@ def test_estimate_skips_epoch_with_antenna_outside_layout(tmp_path: Path, capsys
     assert (m["epochs"], m["skipped"]) == (29, 1)
 
 
-def test_estimate_skips_epoch_with_short_antenna_bias(tmp_path: Path, capsys) -> None:
+def _estimate_edited(tmp_path: Path, capsys, line: int, edit) -> tuple[int, str, Path, Path]:
+    """``estimate`` on a simulated stream with its line ``line`` (1 is the
+    header) replaced by ``edit`` of its JSON value: the exit code, stderr,
+    the stream and the metrics file."""
     scen = _write(tmp_path / "scen.json", SCENARIO)
     epochs = tmp_path / "epochs.jsonl"
     main(["simulate", "--config", scen, "--out", str(epochs)])
     lines = epochs.read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[5])
-    record["truth"]["requery"]["model"]["antenna_bias"].pop()
-    lines[5] = json.dumps(record)
+    record = json.loads(lines[line - 1])
+    edit(record)
+    lines[line - 1] = json.dumps(record)
     epochs.write_text("\n".join(lines) + "\n", encoding="utf-8")
     pipe = _write(tmp_path / "pipe.json", {})
     metrics = tmp_path / "m.json"
     capsys.readouterr()
-    code = main(
-        [
-            "estimate",
-            "--epochs",
-            str(epochs),
-            "--config",
-            pipe,
-            "--poses",
-            str(tmp_path / "p.csv"),
-            "--metrics",
-            str(metrics),
-        ]
-    )
+    code = main(["estimate", "--epochs", str(epochs), "--config", pipe,
+                 "--poses", str(tmp_path / "p.csv"), "--metrics", str(metrics)])
+    return code, capsys.readouterr().err, epochs, metrics
+
+
+def test_estimate_refuses_a_header_with_short_antenna_bias(tmp_path: Path, capsys) -> None:
+    """The calibrated fix model is the stream header's, for every epoch: a
+    short ``antenna_bias`` there is a fault of the file."""
+    code, err, epochs, _ = _estimate_edited(
+        tmp_path, capsys, 1, lambda header: header["requery"]["model"]["antenna_bias"].pop())
+    assert code == 1
+    assert err == (f"error: {epochs}:1: stream header: requery: "
+                   "antenna_bias needs one entry per antenna (6)\n")
+
+
+def test_estimate_skips_epoch_with_a_bad_requery_state(tmp_path: Path, capsys) -> None:
+    code, err, epochs, metrics = _estimate_edited(
+        tmp_path, capsys, 6, lambda record: record["truth"]["requery"].update(state="x"))
     assert code == 0
-    captured = capsys.readouterr()
-    assert f"{epochs}:6: skipped epoch" in captured.err
-    assert "antenna_bias needs one entry per antenna (6)" in captured.err
+    assert f"{epochs}:6: skipped epoch" in err
+    assert "requery state must be an integer in [0, 2**128), got 'x'" in err
     m = json.loads(metrics.read_text(encoding="utf-8"))
     assert (m["epochs"], m["skipped"]) == (29, 1)
 

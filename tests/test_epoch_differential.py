@@ -42,12 +42,12 @@ from mgp.errors import (
 )
 from mgp.attitude import _max_eigenpair
 from mgp.pipeline import _angle_sd, _population_sd, _wrap_deg
-from mgp.streams import EPOCH_HEADER
 
 from test_acceptance import A9_SCENARIO
 from test_ransac_differential import _scalar_ransac
 from test_requery_differential import (
     _Fix,
+    _ref_header,
     _ref_lines,
     _ref_requery_from_dict,
     _ref_status_sets,
@@ -74,7 +74,8 @@ def _vec(obj: Any) -> Vec3:
     return Vec3(x, y, z)
 
 
-def _epoch_from_dict(d: dict[str, Any]) -> _Epoch:
+def _epoch_from_dict(d: dict[str, Any], rq: dict[str, Any] | None) -> _Epoch:
+    """The epoch of a line of a stream whose header's requery object is ``rq``."""
     try:
         fixes = tuple(
             _Fix(
@@ -114,7 +115,8 @@ def _epoch_from_dict(d: dict[str, Any]) -> _Epoch:
                 ),
                 wrong_fix_antennas=frozenset(int(a) for a in tr["wrong_fix_antennas"]),
                 requery=(
-                    _ref_requery_from_dict(tr["requery"]) if tr["requery"] is not None else None
+                    _ref_requery_from_dict(rq, tr["requery"], tr)
+                    if tr["requery"] is not None else None
                 ),
             )
         pairs = [tuple(sorted(o.antenna_pair)) for o in baselines]
@@ -129,13 +131,13 @@ def _epoch_from_dict(d: dict[str, Any]) -> _Epoch:
 
 def _read_epochs(path: str, diagnostics: list[str]) -> Iterator[_Epoch]:
     with open(path, encoding="utf-8") as f:
-        f.readline()
+        rq = json.loads(f.readline())["requery"]
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield _epoch_from_dict(json.loads(line))
+                yield _epoch_from_dict(json.loads(line), rq)
             except (json.JSONDecodeError, InputError, ValidationError, ValueError) as exc:
                 diagnostics.append(f"{path}:{lineno}: skipped epoch: {exc}")
 
@@ -465,7 +467,7 @@ def streams(tmp_path_factory) -> dict[str, tuple[mgp.ScenarioConfig, Path]]:
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_simulate_writes_the_object_path_stream(streams, name: str) -> None:
     cfg, path = streams[name]
-    ref = [json.dumps(EPOCH_HEADER), *_ref_lines(cfg)]
+    ref = [json.dumps(_ref_header(cfg)), *_ref_lines(cfg)]
     assert path.read_bytes() == ("\n".join(ref) + "\n").encode("utf-8")
 
 
@@ -549,8 +551,9 @@ def _edit_snr_id(record: dict) -> None:
     record["snr_rows"][0]["sat_id"] = 7
 
 
-def _edit_u_fix(record: dict) -> None:
-    record["truth"]["requery"]["antenna_channels"][0]["u_fix"] = True
+def _edit_state(record: dict) -> None:
+    state = record["truth"]["requery"]
+    state["state"] = str(state["state"])
 
 
 def _edit_t(record: dict) -> None:
@@ -561,7 +564,7 @@ def _edit_t(record: dict) -> None:
 BAD_EDITS = {
     "antenna-id-float": _edit_fix("antenna_id", 1.7),
     "fixed-string": _edit_baseline("fixed", "no"),
-    "u-fix-true": _edit_u_fix,
+    "state-string": _edit_state,
     "sats-used-float": _edit_fix("sats_used", 3.9),
     "t-true": _edit_t,
     "sat-id-number": _edit_snr_id,
@@ -577,12 +580,13 @@ def test_mistyped_lines_are_the_only_difference(streams, monkeypatch, tmp_path) 
     _, clean = streams["multipath"]
     lines = clean.read_text(encoding="utf-8").splitlines()
     out, bad_linenos = [lines[0]], []
+    rq = json.loads(lines[0])["requery"]
     for k, line in enumerate(lines[1:], start=1):
         out.append(line)
         if k % 10 == 0 and len(bad_linenos) < len(BAD_EDITS):
             record = json.loads(line)
             list(BAD_EDITS.values())[len(bad_linenos)](record)
-            assert _epoch_from_dict(json.loads(json.dumps(record))) is not None
+            assert _epoch_from_dict(json.loads(json.dumps(record)), rq) is not None
             out.append(json.dumps(record))
             bad_linenos.append(len(out))
     assert len(bad_linenos) == len(BAD_EDITS)

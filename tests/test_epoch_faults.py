@@ -40,6 +40,7 @@ import mgp
 import mgp.streams
 from mgp.cli import main
 
+from conftest import requery_constants
 from test_epoch_differential import _scenario
 
 FAULTS = ("wrong-type", "non-finite", "missing-key", "unknown-key", "wrong-container",
@@ -257,19 +258,19 @@ LINE_FAULTS = ("wrong-type", "missing-key", "unknown-key", "wrong-container", "n
 
 @pytest.fixture(scope="module")
 def block_lines(tmp_path_factory) -> list[str]:
-    """The record lines of a multipath stream one reader block long, truth
-    channel and requery records included."""
+    """The header and record lines of a multipath stream one reader block
+    long, truth channel and requery states included."""
     path = tmp_path_factory.mktemp("block") / "epochs.jsonl"
     n_epochs = mgp.streams.READ_BLOCK
     mgp.write_epochs(str(path), mgp.simulate(_scenario("multipath", n_epochs / 10.0)))
-    lines = path.read_text(encoding="utf-8").splitlines()[1:]
-    assert len(lines) == n_epochs
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == n_epochs + 1
     return lines
 
 
-def _alone(line: str) -> mgp.EpochRecord | Exception:
+def _alone(line: str, header: str) -> mgp.EpochRecord | Exception:
     try:
-        return mgp.epoch_from_dict(json.loads(line))
+        return mgp.epoch_from_dict(json.loads(line), requery_constants(header))
     except (mgp.InputError, mgp.ValidationError) as exc:
         return exc
 
@@ -285,7 +286,7 @@ def _alone(line: str) -> mgp.EpochRecord | Exception:
 def test_block_lines_with_several_faults_read_as_alone(
     block_lines, tmp_path: Path, data: st.DataObject
 ) -> None:
-    lines = list(block_lines)
+    header, *lines = block_lines
     chosen = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=8, unique=True))
     for k in chosen:
         record = json.loads(lines[k])
@@ -296,12 +297,11 @@ def test_block_lines_with_several_faults_read_as_alone(
                 break
         lines[k] = json.dumps(record)
     path = tmp_path / "block.jsonl"
-    path.write_text("\n".join([json.dumps(mgp.streams.EPOCH_HEADER), *lines]) + "\n",
-                    encoding="utf-8")
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
     diags: list[str] = []
     got = [mgp.epoch_to_dict(e) for e in mgp.read_epochs(str(path), diagnostics=diags)]
-    alone = [(lineno, _alone(line)) for lineno, line in enumerate(lines, start=2)]
+    alone = [(lineno, _alone(line, header)) for lineno, line in enumerate(lines, start=2)]
     assert diags == [
         f"{path}:{lineno}: skipped epoch: {out}" for lineno, out in alone
         if isinstance(out, Exception)
@@ -328,7 +328,7 @@ def _level(path: tuple) -> str:
 def test_missing_key_is_named_with_its_object(
     block_lines, tmp_path: Path, data: st.DataObject
 ) -> None:
-    lines = list(block_lines)
+    header, *lines = block_lines
     k = data.draw(st.integers(0, len(lines) - 1), label="record")
     record = json.loads(lines[k])
     # an object level first, each as likely, then one of its keys
@@ -338,13 +338,63 @@ def test_missing_key_is_named_with_its_object(
     del _at(record, path)[key]
     message = f"missing key {key!r}" + (f" in {level}" if level else "")
     with pytest.raises(mgp.ValidationError, match=f"^{re.escape(message)}$"):
-        mgp.epoch_from_dict(record)
+        mgp.epoch_from_dict(record, requery_constants(header))
 
     lines[k] = json.dumps(record)
     epochs = tmp_path / "block.jsonl"
-    epochs.write_text("\n".join([json.dumps(mgp.streams.EPOCH_HEADER), *lines]) + "\n",
-                      encoding="utf-8")
+    epochs.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
     diags: list[str] = []
     assert len(list(mgp.read_epochs(str(epochs), diagnostics=diags))) == len(lines) - 1
     assert diags == [f"{epochs}:{k + 2}: skipped epoch: {message}"]
     assert "Error(" not in diags[0]
+
+
+def _state(record: dict) -> dict:
+    return record["truth"]["requery"]
+
+
+# a requery record whose generator state is not one, and the start of its
+# fault's message
+BAD_STATES = {
+    "state-string": (lambda r: _state(r).update(state=str(_state(r)["state"])),
+                     "requery state must be an integer in [0, 2**128), got '"),
+    "state-float": (lambda r: _state(r).update(state=float(_state(r)["state"])),
+                    "requery state must be an integer in [0, 2**128), got "),
+    "state-bool": (lambda r: _state(r).update(state=True),
+                   "requery state must be an integer in [0, 2**128), got True"),
+    "state-negative": (lambda r: _state(r).update(state=-1),
+                       "requery state must be an integer in [0, 2**128), got -1"),
+    "state-2**128": (lambda r: _state(r).update(state=2**128),
+                     f"requery state must be an integer in [0, 2**128), got {2**128}"),
+    "state-missing": (lambda r: _state(r).pop("state"), "missing key 'state' in requery"),
+    "uint32-2**32": (lambda r: _state(r).update(uint32=2**32),
+                     f"requery uint32 must be null or an integer in [0, 2**32), got {2**32}"),
+    "uint32-string": (lambda r: _state(r).update(uint32="7"),
+                      "requery uint32 must be null or an integer in [0, 2**32), got '7'"),
+    "uint32-missing": (lambda r: _state(r).pop("uint32"), "missing key 'uint32' in requery"),
+    "unknown-key": (lambda r: _state(r).update(inc=1), "unknown key 'inc' in requery"),
+}
+
+
+@pytest.mark.parametrize("fault", list(BAD_STATES))
+def test_a_bad_requery_state_skips_its_epoch(block_lines, tmp_path: Path, fault: str) -> None:
+    """An epoch's generator state that is not an integer in [0, 2**128),
+    a held-back half that is neither null nor an integer in [0, 2**32), or
+    a requery object without either key, is a fault of its line: on the
+    first and on the last line of a reader block, ``mgp estimate`` skips
+    and counts that epoch at its ``path:line``, and a strict read names it."""
+    edit, message = BAD_STATES[fault]
+    header, *lines = block_lines
+    for k in (0, len(lines) - 1):
+        out = list(lines)
+        record = json.loads(out[k])
+        edit(record)
+        out[k] = json.dumps(record)
+        path = tmp_path / f"state-{k}.jsonl"
+        path.write_text("\n".join([header, *out]) + "\n", encoding="utf-8")
+        code, err, metrics, _ = _estimate(path, tmp_path, None)
+        where = f"{path}:{k + 2}"
+        assert (code, metrics["skipped"], err.count("\n")) == (0, 1, 1), err
+        assert err.startswith(f"{where}: skipped epoch: {message}"), err
+        with pytest.raises(mgp.InputError, match=f"^{re.escape(f'{where}: {message}')}"):
+            list(mgp.read_epochs(str(path)))

@@ -10,6 +10,12 @@ line or record, or a byte that is not UTF-8. The command must exit 1 or 2
 with one message that names the file and the line (``path:line``, or
 ``path: record k`` in a binary cloud), without a traceback or Python's own
 error text.
+
+The stream headers are faults of the file: an epoch header (read by
+``estimate``) of version 1, of another version, with requery constants of
+a key, type or value it does not hold or written under another numpy, and
+a scan header whose version is not the JSON integer 1, each make the
+command exit 1 naming ``path:1``.
 """
 from __future__ import annotations
 
@@ -17,9 +23,11 @@ import contextlib
 import io
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -352,3 +360,97 @@ def test_a_stream_header_fault_names_line_1(
         with pytest.raises(mgp.InputError) as exc:
             read(str(path))
         assert str(exc.value) == f"{path}:1: {reason}"
+
+
+def _requery(header: dict) -> dict:
+    return header["requery"]
+
+
+# each fault of an epoch stream's header, and the message that names it
+EPOCH_HEADER_FAULTS = {
+    "missing-key": (lambda h: _requery(h).pop("increment"),
+                    "stream header: missing key 'increment' in requery"),
+    "missing-model-key": (lambda h: _requery(h)["model"].pop("midpoint"),
+                          "stream header: missing key 'midpoint' in requery.model"),
+    "missing-requery": (lambda h: h.pop("requery"), "stream header: missing key 'requery'"),
+    "unknown-key": (lambda h: _requery(h).update(seed=1),
+                    "stream header: unknown key requery.seed"),
+    "unknown-top-key": (lambda h: h.update(note="x"), "stream header: unknown key note"),
+    "wrong-type": (lambda h: _requery(h)["noise"].update(sigma_fixed_m="0.005"),
+                   "stream header: requery.noise.sigma_fixed_m must be a number, got '0.005'"),
+    "increment-float": (lambda h: _requery(h).update(increment=1.0),
+                        "stream header: requery.increment must be an integer, got 1.0"),
+    "increment-even": (lambda h: _requery(h).update(increment=2),
+                       "stream header: requery: the PCG64 increment must be an odd integer "
+                       "below 2**128"),
+    "satellite-number": (lambda h: _requery(h)["solution_sats"].__setitem__(0, 7),
+                         "stream header: requery.solution_sats[0] must be a string, got 7"),
+    "antenna-bias-short": (lambda h: _requery(h)["model"]["antenna_bias"].pop(),
+                           "stream header: requery: antenna_bias needs one entry per antenna (6)"),
+    "antenna-bias-long": (lambda h: _requery(h)["model"]["antenna_bias"].append(0.0),
+                          "stream header: requery: antenna_bias needs one entry per antenna (6)"),
+    "target": (lambda h: _requery(h)["model"].update(baseline_target_fix_prob=0.5),
+               "stream header: requery: the calibrated fix model has no fix probability "
+               "targets"),
+    "lattice": (lambda h: _requery(h)["noise"].update(wrong_fix_max_multiple=0),
+                "stream header: requery.noise: wrong_fix_max_multiple must be in [1, 1000000]"),
+    "missing-noise-key": (lambda h: _requery(h)["noise"].pop("wrong_fix_prob"),
+                          "stream header: missing key 'wrong_fix_prob' in requery.noise"),
+    "numpy": (lambda h: _requery(h).update(numpy="1.26.4"),
+              "stream header: requery: the requery draws were made under numpy 1.26.4, not "
+              f"this numpy {np.__version__}; re-run mgp simulate"),
+    "version-1": (lambda h: h.update(version=1),
+                  "epoch stream version 1 is no longer read; re-run mgp simulate"),
+    "version-3": (lambda h: h.update(version=3), "unexpected stream header"),
+    "version-true": (lambda h: h.update(version=True),
+                     "stream header version must be an integer, got True"),
+    "version-float": (lambda h: h.update(version=2.0),
+                      "stream header version must be an integer, got 2.0"),
+    "version-1.0": (lambda h: h.update(version=1.0),
+                    "stream header version must be an integer, got 1.0"),
+    "version-missing": (lambda h: h.pop("version"),
+                        "stream header version must be an integer, got None"),
+}
+
+
+@pytest.mark.parametrize("fault", list(EPOCH_HEADER_FAULTS))
+def test_an_epoch_header_fault_fails_at_line_1(chain, tmp_path: Path, fault: str) -> None:
+    """A fault of the epoch header, the requery constants included, is a
+    fault of the file: ``mgp estimate`` exits 1 naming ``path:1``, and the
+    reader raises it also when it skips bad lines."""
+    edit, message = EPOCH_HEADER_FAULTS[fault]
+    header, rest = Path(chain["epochs.jsonl"]).read_text(encoding="utf-8").split("\n", 1)
+    header = json.loads(header)
+    edit(header)
+    path = tmp_path / "epochs.jsonl"
+    path.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+    code, err = _cli(["estimate", "--epochs", str(path), "--config", chain["pipe"],
+                      "--poses", str(tmp_path / "p.csv"), "--metrics", str(tmp_path / "m.json")])
+    assert code == 1 and err.startswith(f"error: {path}:1: {message}"), err
+    _assert_named(code, err, f"{path}:1")
+    with pytest.raises(mgp.InputError, match=f"^{re.escape(f'{path}:1: {message}')}"):
+        list(mgp.read_epochs(str(path), diagnostics=[]))
+
+
+@pytest.mark.parametrize("version", ["true", "1.0", "1.5", '"1"', "null"])
+def test_a_scan_header_version_must_be_an_integer(chain, tmp_path: Path, version: str) -> None:
+    """``true == 1`` and ``1.0 == 1`` in Python, but neither is the JSON
+    integer 1: ``mgp georef`` exits 1 naming the scan file's line 1."""
+    rest = Path(chain["scan.jsonl"]).read_text(encoding="utf-8").split("\n", 1)[1]
+    path = tmp_path / "scan.jsonl"
+    path.write_text(f'{{"format": "mgp-scan", "version": {version}}}\n{rest}', encoding="utf-8")
+    got = json.loads(version)
+    message = f"{path}:1: stream header version must be an integer, got {got!r}"
+    code, err = _cli(["georef", "--poses", chain["poses.csv"], "--scan", str(path),
+                      "--calib", chain["calib"], "--cloud", str(tmp_path / "cloud.xyz")])
+    assert (code, err) == (1, f"error: {message}\n")
+    with pytest.raises(mgp.InputError, match=f"^{re.escape(message)}$"):
+        list(mgp.read_scan(str(path)))
+
+
+def test_a_scan_header_with_another_key_fails_at_line_1(chain, tmp_path: Path) -> None:
+    rest = Path(chain["scan.jsonl"]).read_text(encoding="utf-8").split("\n", 1)[1]
+    path = tmp_path / "scan.jsonl"
+    path.write_text(f'{{"format": "mgp-scan", "version": 1, "x": 0}}\n{rest}', encoding="utf-8")
+    with pytest.raises(mgp.InputError, match=f"^{re.escape(str(path))}:1: unexpected stream header"):
+        list(mgp.read_scan(str(path)))

@@ -163,6 +163,25 @@ def test_the_reader_builds_its_blocks_by_decoding_only() -> None:
         assert not {"of", "epoch", "epoch_from_dict"} & {_name(node) for node in _calls(fn)}
 
 
+def test_the_channel_draws_are_made_in_one_place() -> None:
+    """The simulator and the requery replay both draw an epoch's channels
+    with ``epochs.draw_channels``: the simulator keeps no draw code of its
+    own, and the epoch stream no channel draw codec."""
+    import mgp.epochs
+    import mgp.simulator
+    import mgp.streams
+
+    for module, names in ((mgp.simulator, ("_build_channels", "_lattice_table")),
+                          (mgp.streams, ("_requery_to_dict", "_requeries", "_draws"))):
+        assert not [name for name in names if hasattr(module, name)], module.__name__
+    for fn in (mgp.simulator.simulate, mgp.epochs.replay):
+        assert "draw_channels" in {_name(node) for node in _calls(fn)}, fn.__name__
+    draws = {"standard_normal", "random", "integers"}
+    assert not draws & {_name(node) for node in _calls(mgp.epochs.replay)}
+    assert "standard_normal" in {_name(node) for node in _calls(mgp.simulator.simulate)}  # SNR jitter
+    assert not {"random", "integers"} & {_name(node) for node in _calls(mgp.simulator.simulate)}
+
+
 def test_back_half_takes_the_front_blocks_rows() -> None:
     """The front half gives each block's rows as one record, with each
     row's epoch, and the back half takes them as they are: there is no

@@ -40,6 +40,7 @@ from mgp.ordered import ordered_map
 from test_cli import FLIGHT
 from test_epoch_differential import _scenario
 from test_pulse_blocks import _cli, _evaluate, _files, _georef, _xyz_lines
+from test_requery_differential import _ref_header
 
 
 @pytest.fixture(autouse=True)
@@ -548,7 +549,7 @@ def test_simulate_forks_one_worker(
     assert forks == [os.getpid()]
     reference = tmp_path / "reference.jsonl"
     cfg = mgp.scenario_from_dict(FLIGHT)
-    mgp.streams._write_lines(str(reference), mgp.streams.EPOCH_HEADER,
+    mgp.streams._write_lines(str(reference), _ref_header(cfg),
                              map(mgp.epoch_to_dict, mgp.simulate(cfg)))
     assert epochs.read_bytes() == reference.read_bytes()
 
@@ -675,7 +676,7 @@ def test_the_epoch_writer_writes_the_bytes_of_one_process(
 ) -> None:
     cfg = _scenario(name, 6.0)
     reference, two = tmp_path / "reference.jsonl", tmp_path / "two.jsonl"
-    mgp.streams._write_lines(str(reference), mgp.streams.EPOCH_HEADER,
+    mgp.streams._write_lines(str(reference), _ref_header(cfg),
                              map(mgp.epoch_to_dict, mgp.simulate(cfg)))
     _force(monkeypatch, ready)
     assert mgp.write_epochs(str(two), mgp.simulate(cfg)) == 60

@@ -4,13 +4,18 @@ The reference below is the object path the arrays replaced, kept here only
 as an oracle: one frozen channel object per antenna and baseline built in a
 per-row loop, one record object per fix and SNR row (``_Fix`` and
 ``_SnrRow``, with the checks of the per-row classes the records replaced), a
-separate post-calibration model type, the per-channel ``_assign`` replay and
-the per-channel dict codec. The epoch stream written by ``simulate`` must be
-byte-identical to the reference's, and ``requery_epoch`` on the read-back
-stream must return bitwise the statuses, positions and baseline vectors the
-reference replay returns, and so must the block replay
-(``mgp.epochs.replay``) for every epoch of every block, whatever the blocks,
-exclusion sets and antenna subsets.
+separate post-calibration model type, the per-channel ``_assign`` replay, a
+lattice table of wrong-fix multiples, and its own codec of the version 2
+header and of each epoch's generator state. From a stored state it draws
+an epoch's channels again itself, in the order the simulator's docstring
+gives. The epoch stream written by ``simulate`` must be byte-identical to
+the reference's, and ``requery_epoch`` on the read-back stream must return
+bitwise the statuses, positions and baseline vectors the reference replay
+returns, and so must the block replay (``mgp.epochs.replay``) for every
+epoch of every block, whatever the blocks, exclusion sets and antenna
+subsets. Replaying every epoch with nothing excluded must give the
+simulator's own fixes and baselines bit for bit, also for attitudes that
+the reader's re-normalization changes.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ import mgp.epochs
 from mgp import FixStatus, ValidationError, Vec3
 from mgp.multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ
 from mgp.positioning import FIX_GRADES
-from mgp.simulator import _effective_biases, _lattice_table
+from mgp.simulator import _effective_biases
 
 from test_acceptance import A9_SCENARIO
 
@@ -109,6 +114,12 @@ class _Requery:
     baseline_channels: tuple[_Channel, ...]
 
 
+def _ref_lattice(max_multiple: int) -> np.ndarray:
+    rng_vals = range(-max_multiple, max_multiple + 1)
+    vecs = [(a, b, c) for a in rng_vals for b in rng_vals for c in rng_vals if (a, b, c) != (0, 0, 0)]
+    return np.array(vecs, dtype=np.float64)
+
+
 def _ref_build_channels(truth_vecs, norm, unif, lat_idx, lattice, noise) -> tuple[_Channel, ...]:
     latent_fixed = truth_vecs + noise.sigma_fixed_m * norm[:, :3]
     latent_float = truth_vecs + noise.sigma_float_m * norm[:, 3:]
@@ -160,59 +171,105 @@ def _ref_status_sets(req: _Requery, multipath_sats, excluded, layout, pairs):
     return fixes, observations
 
 
-def _ref_channel_to_dict(ch: _Channel) -> dict[str, Any]:
-    return {
-        "u_fix": ch.u_fix,
-        "u_float": ch.u_float,
-        "wrong": ch.wrong,
-        "latent_fixed": [ch.latent_fixed.x, ch.latent_fixed.y, ch.latent_fixed.z],
-        "latent_float": [ch.latent_float.x, ch.latent_float.y, ch.latent_float.z],
-        "wrong_offset": [ch.wrong_offset.x, ch.wrong_offset.y, ch.wrong_offset.z],
-    }
-
-
-def _ref_channel_from_dict(d: dict[str, Any]) -> _Channel:
-    return _Channel(
-        u_fix=float(d["u_fix"]),
-        u_float=float(d["u_float"]),
-        wrong=bool(d["wrong"]),
-        latent_fixed=Vec3(*(float(c) for c in d["latent_fixed"])),
-        latent_float=Vec3(*(float(c) for c in d["latent_float"])),
-        wrong_offset=Vec3(*(float(c) for c in d["wrong_offset"])),
+def _ref_model(md: dict[str, Any]) -> _Model:
+    return _Model(
+        steepness=float(md["steepness"]),
+        midpoint=float(md["midpoint"]),
+        multipath_weight=float(md["multipath_weight"]),
+        antenna_bias=tuple(float(b) for b in md["antenna_bias"]),
+        baseline_bias=float(md["baseline_bias"]),
+        float_fraction=float(md["float_fraction"]),
     )
 
 
-def _ref_requery_to_dict(rq: _Requery) -> dict[str, Any]:
+def _ref_header(config: mgp.ScenarioConfig) -> dict[str, Any]:
+    """The version 2 header of the stream of ``config``."""
+    n_sat = len(config.constellation)
+    n_mp = len(mgp.multipath_satellite_ids(config))
+    ant_bias, bl_bias = _effective_biases(config, n_sat - n_mp, n_mp)
+    fm, noise = config.fix_model, config.noise
     return {
-        "model": {
-            "steepness": rq.model.steepness,
-            "midpoint": rq.model.midpoint,
-            "multipath_weight": rq.model.multipath_weight,
-            "antenna_bias": list(rq.model.antenna_bias),
-            "baseline_bias": rq.model.baseline_bias,
-            "float_fraction": rq.model.float_fraction,
+        "format": "mgp-epoch",
+        "version": 2,
+        "requery": {
+            "model": {
+                "steepness": fm.steepness,
+                "midpoint": fm.midpoint,
+                "multipath_weight": fm.multipath_weight,
+                "antenna_bias": list(ant_bias),
+                "target_fix_probs": None,
+                "baseline_bias": bl_bias,
+                "baseline_target_fix_prob": None,
+                "float_fraction": fm.float_fraction,
+            },
+            "solution_sats": [s.sat_id for s in config.constellation],
+            "layout": {"body_positions": [[p.x, p.y, p.z] for p in config.layout.body_positions]},
+            "noise": {
+                "sigma_fixed_m": noise.sigma_fixed_m,
+                "sigma_float_m": noise.sigma_float_m,
+                "wrong_fix_prob": noise.wrong_fix_prob,
+                "wrong_fix_unit_m": noise.wrong_fix_unit_m,
+                "wrong_fix_max_multiple": noise.wrong_fix_max_multiple,
+            },
+            "increment": np.random.default_rng(config.seed).bit_generator.state["state"]["inc"],
+            "numpy": np.__version__,
         },
-        "solution_sats": list(rq.solution_sats),
-        "antenna_channels": [_ref_channel_to_dict(c) for c in rq.antenna_channels],
-        "baseline_channels": [_ref_channel_to_dict(c) for c in rq.baseline_channels],
     }
 
 
-def _ref_requery_from_dict(rq: dict[str, Any]) -> _Requery:
-    md = rq["model"]
-    return _Requery(
-        model=_Model(
-            steepness=float(md["steepness"]),
-            midpoint=float(md["midpoint"]),
-            multipath_weight=float(md["multipath_weight"]),
-            antenna_bias=tuple(float(b) for b in md["antenna_bias"]),
-            baseline_bias=float(md["baseline_bias"]),
-            float_fraction=float(md["float_fraction"]),
-        ),
-        solution_sats=tuple(str(s) for s in rq["solution_sats"]),
-        antenna_channels=tuple(_ref_channel_from_dict(c) for c in rq["antenna_channels"]),
-        baseline_channels=tuple(_ref_channel_from_dict(c) for c in rq["baseline_channels"]),
-    )
+class _Noise:
+    """The channel noise of a header's requery object."""
+
+    def __init__(self, rq: dict[str, Any]) -> None:
+        for key in ("sigma_fixed_m", "sigma_float_m", "wrong_fix_prob", "wrong_fix_unit_m"):
+            setattr(self, key, float(rq["noise"][key]))
+
+
+def _ref_draws(rng, truth: tuple[np.ndarray, np.ndarray], rq: dict[str, Any]):
+    """The antenna and baseline channels of one epoch, drawn from ``rng`` in
+    the documented order, around the true antenna positions and baselines."""
+    lattice = _ref_lattice(int(rq["noise"]["wrong_fix_max_multiple"]))
+    channels = []
+    for vecs in truth:
+        norm = rng.standard_normal((len(vecs), 6))
+        unif = rng.random((len(vecs), 3))
+        lat = rng.integers(0, len(lattice), len(vecs))
+        channels.append(_ref_build_channels(vecs, norm, unif, lat, lattice, _Noise(rq)))
+    return tuple(channels)
+
+
+def _ref_truth_vectors(rq: dict[str, Any], position, attitude) -> tuple[np.ndarray, np.ndarray]:
+    """The true antenna positions and body baselines at a pose, from the
+    header's layout; ``attitude`` as the reader reads it back."""
+    body = np.array([[float(c) for c in p] for p in rq["layout"]["body_positions"]])
+    n = len(body)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    body_bl = np.array([body[j] - body[i] for i, j in pairs])
+    r_eb = mgp.quat_to_matrix(attitude)
+    return np.array(position, dtype=np.float64) + body @ r_eb.T, body_bl @ r_eb.T
+
+
+def _ref_attitude(q) -> mgp.UnitQuaternion:
+    """A truth attitude as the reader reads it back: normalized, sign kept."""
+    return mgp.UnitQuaternion.from_array([float(c) for c in q], canonicalize=False)
+
+
+def _ref_requery_from_dict(rq: dict[str, Any], state: dict[str, Any], truth: dict[str, Any]
+                           ) -> _Requery:
+    """The requery record of an epoch line's truth ``truth`` with the
+    ``state`` object, of a stream whose header requery object is ``rq``: its
+    channels drawn again from a generator set to that state (each number
+    coerced to an int, as the object path coerced its fields)."""
+    bits = np.random.PCG64()
+    bits.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int(state["state"]), "inc": int(rq["increment"])},
+        "has_uint32": 0 if state["uint32"] is None else 1,
+        "uinteger": 0 if state["uint32"] is None else int(state["uint32"]),
+    }
+    vecs = _ref_truth_vectors(rq, truth["position"], _ref_attitude(truth["attitude"]))
+    ant, bl = _ref_draws(np.random.Generator(bits), vecs, rq)
+    return _Requery(_ref_model(rq["model"]), tuple(rq["solution_sats"]), ant, bl)
 
 
 def _ref_lines(config: mgp.ScenarioConfig) -> Iterator[str]:
@@ -223,38 +280,25 @@ def _ref_lines(config: mgp.ScenarioConfig) -> Iterator[str]:
     n_ant = layout.antenna_count
     n_sat = len(config.constellation)
     pairs = [(i, j) for i in range(1, n_ant + 1) for j in range(i + 1, n_ant + 1)]
-    body = np.array([p.as_array() for p in layout.body_positions])
-    body_bl = np.array([layout.baseline(i, j).as_array() for i, j in pairs])
     mp_sats = mgp.multipath_satellite_ids(config)
     mp_mask = np.array([s.sat_id in mp_sats for s in config.constellation])
     n_mp = int(mp_mask.sum())
-    ant_bias, bl_bias = _effective_biases(config, n_sat - n_mp, n_mp)
-    fm = config.fix_model
-    model = _Model(
-        fm.steepness, fm.midpoint, fm.multipath_weight, tuple(ant_bias), bl_bias, fm.float_fraction
-    )
+    rq = _ref_header(config)["requery"]
+    model = _ref_model(rq["model"])
     sats = tuple(s.sat_id for s in config.constellation)
-    noise = config.noise
-    snr_model = noise.snr
+    snr_model = config.noise.snr
     nominal = np.array([snr_model.nominal(s.elevation_deg) for s in config.constellation])
-    lattice = _lattice_table(noise.wrong_fix_max_multiple)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(n_sat, n_ant))
     for k in range(config.n_epochs):
         t = k / config.rate_hz
         p_plat = mgp.trajectory_position(config, t)
         q_truth = mgp.truth_attitude(config, t)
-        r_eb = mgp.quat_to_matrix(q_truth)
-        ant_norm = rng.standard_normal((n_ant, 6))
-        ant_unif = rng.random((n_ant, 3))
-        ant_lat = rng.integers(0, len(lattice), n_ant)
-        bl_norm = rng.standard_normal((len(pairs), 6))
-        bl_unif = rng.random((len(pairs), 3))
-        bl_lat = rng.integers(0, len(lattice), len(pairs))
+        bits = rng.bit_generator.state
+        state = {"state": bits["state"]["state"],
+                 "uint32": bits["uinteger"] if bits["has_uint32"] else None}
+        vecs = _ref_truth_vectors(rq, p_plat.as_array(), _ref_attitude(q_truth.as_array()))
+        ant, bl = _ref_draws(rng, vecs, rq)
         snr_jit = rng.standard_normal((n_sat, n_ant))
-        ant = _ref_build_channels(
-            p_plat.as_array() + body @ r_eb.T, ant_norm, ant_unif, ant_lat, lattice, noise
-        )
-        bl = _ref_build_channels(body_bl @ r_eb.T, bl_norm, bl_unif, bl_lat, lattice, noise)
         req = _Requery(model, sats, ant, bl)
         fixes, observations = _ref_status_sets(req, mp_sats, frozenset(), layout, pairs)
 
@@ -275,7 +319,7 @@ def _ref_lines(config: mgp.ScenarioConfig) -> Iterator[str]:
         corrupted = frozenset(p for p, ch in zip(pairs, bl) if ch.wrong and p in fixed_pairs)
         truth = mgp.EpochTruth(p_plat, q_truth, mp_sats, corrupted, wrong_ants)
         d = _ref_epoch_to_dict(t, fixes, observations, snr_rows, truth)
-        d["truth"]["requery"] = _ref_requery_to_dict(req)
+        d["truth"]["requery"] = state
         yield json.dumps(d)
 
 
@@ -358,7 +402,7 @@ def streams(tmp_path_factory) -> dict[str, tuple[mgp.ScenarioConfig, Path, list[
         cfg = make()
         path = tmp_path_factory.mktemp(name) / "epochs.jsonl"
         mgp.write_epochs(str(path), mgp.simulate(cfg))
-        ref = [json.dumps(mgp.streams.EPOCH_HEADER), *_ref_lines(cfg)]
+        ref = [json.dumps(_ref_header(cfg)), *_ref_lines(cfg)]
         out[name] = (cfg, path, ref)
     return out
 
@@ -384,9 +428,11 @@ def test_requery_matches_object_path(streams) -> None:
         n = layout.antenna_count
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         sats = [s.sat_id for s in cfg.constellation]
-        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        rq = json.loads(header)["requery"]
         for epoch, line in zip(mgp.read_epochs(str(path)), lines):
-            ref_req = _ref_requery_from_dict(json.loads(line)["truth"]["requery"])
+            truth = json.loads(line)["truth"]
+            ref_req = _ref_requery_from_dict(rq, truth["requery"], truth)
             mp = epoch.truth.multipath_sats
             random = [rng.choice(sats, rng.integers(1, len(sats)), replace=False) for _ in range(3)]
             subsets = [frozenset(), mp, frozenset(sats), *(frozenset(r.tolist()) for r in random)]
@@ -400,7 +446,7 @@ def test_requery_matches_object_path(streams) -> None:
 
 def test_calibrated_model_is_a_fix_model_without_targets() -> None:
     cfg = _bundled("fixrate", 0.1)
-    model = next(iter(mgp.simulate(cfg))).truth.requery.model
+    model = next(iter(mgp.simulate(cfg))).truth.requery.stream.model
     assert isinstance(model, mgp.FixModel)
     assert model.target_fix_probs is None and model.baseline_target_fix_prob is None
     assert model == replace(
@@ -418,8 +464,10 @@ def replay_cases(streams) -> dict[str, tuple]:
     record of each and the constellation's satellite ids."""
     out = {}
     for name, (cfg, path, _) in streams.items():
-        lines = path.read_text(encoding="utf-8").splitlines()[1:]
-        refs = [_ref_requery_from_dict(json.loads(line)["truth"]["requery"]) for line in lines]
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        rq = json.loads(header)["requery"]
+        truths = [json.loads(line)["truth"] for line in lines]
+        refs = [_ref_requery_from_dict(rq, truth["requery"], truth) for truth in truths]
         sats = [s.sat_id for s in cfg.constellation]
         out[name] = (cfg.layout, list(mgp.read_epochs(str(path))), refs, sats)
     return out
@@ -468,3 +516,83 @@ def test_block_replay_matches_object_path(replay_cases, data) -> None:
             ref_observations = [o for o in ref_observations if set(o.antenna_pair) <= subset]
             want = _bits(ref_fixes, ref_observations)
             assert _record_bits(fixes, baselines) == want, (name, a + k)
+
+
+def _replay_is_the_simulator(cfg: mgp.ScenarioConfig, path: Path) -> int:
+    """Write the stream of ``cfg`` to ``path`` and read it back in reader
+    blocks: replaying each block's stored generator states with nothing
+    excluded gives bitwise the fixes and baselines the simulator made.
+    Returns the count of epochs whose attitude the reader re-normalized."""
+    epochs = list(mgp.simulate(cfg))
+    mgp.write_epochs(str(path), epochs)
+    n, k, changed = cfg.layout.antenna_count, 0, 0
+    for block, skips in mgp.read_epoch_blocks(str(path)):
+        assert skips == []
+        truths = block.truth
+        found = mgp.epochs.replay([t.requery for t in truths], [t.multipath_sats for t in truths],
+                                  [frozenset()] * len(block), cfg.layout)
+        for j, (truth, simulated) in enumerate(zip(truths, epochs[k:], strict=False)):
+            fixes = found.fixes.select(np.arange(len(found.fixes)) // n == j)
+            baselines = found.baselines.select(found.baseline_epoch == j)
+            want = _record_bits(simulated.fixes, simulated.baselines)
+            assert _record_bits(fixes, baselines) == want, (k + j)
+            changed += truth.attitude != simulated.truth.attitude
+        k += len(block)
+    assert k == len(epochs) > 0
+    return changed
+
+
+@pytest.mark.parametrize("name", ["multipath", "fixrate", "flight"])
+def test_replay_of_every_state_is_the_simulator(tmp_path: Path, name: str) -> None:
+    assert _replay_is_the_simulator(_bundled(name, 10.0), tmp_path / "epochs.jsonl") == 0
+
+
+# An attitude whose quaternion the reader's re-normalization changes.
+RENORMALIZED = (37.0, -1.3, 58.6)
+
+
+def _profile_scenario(seed: int, knots: list[list[tuple[float, float]]], n_ant: int,
+                      noise: dict[str, Any]) -> mgp.ScenarioConfig:
+    d = {**A9_SCENARIO, "seed": seed, "duration_s": 2.0}
+    d["attitude_profile"] = {axis: [list(knot) for knot in axis_knots] for axis, axis_knots
+                             in zip(("roll_knots", "pitch_knots", "yaw_knots"), knots)}
+    hexagon = mgp.hexagon_layout().body_positions
+    d["layout"] = {"body_positions": [[p.x, p.y, p.z] for p in hexagon[:n_ant]]}
+    d["noise"] = noise
+    return mgp.scenario_from_dict(d)
+
+
+def test_replay_is_the_simulator_where_the_reader_renormalizes(tmp_path: Path) -> None:
+    """The channels are built at the attitude as read back, so a replay is
+    bitwise the simulator also where reading changes the attitude's bits."""
+    knots = [[(0.0, angle)] for angle in RENORMALIZED]
+    cfg = _profile_scenario(5, knots, 6, {"wrong_fix_prob": 0.3})
+    assert _replay_is_the_simulator(cfg, tmp_path / "epochs.jsonl") == cfg.n_epochs
+
+
+_ANGLE = st.floats(-70.0, 70.0, allow_nan=False).map(lambda x: round(x, 1))
+_KNOTS = st.lists(st.tuples(st.floats(0.0, 2.0, allow_nan=False), _ANGLE), min_size=1,
+                  max_size=3).map(sorted)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32),
+    knots=st.lists(_KNOTS, min_size=3, max_size=3),
+    n_ant=st.integers(3, 6),
+    noise=st.fixed_dictionaries({
+        "sigma_fixed_m": st.floats(0.0, 0.05),
+        "sigma_float_m": st.floats(0.0, 1.0),
+        "wrong_fix_prob": st.floats(0.0, 1.0),
+        "wrong_fix_unit_m": st.floats(0.01, 0.5),
+        "wrong_fix_max_multiple": st.integers(1, 4),
+    }),
+)
+def test_replay_is_the_simulator_on_drawn_profiles(tmp_path: Path, seed, knots, n_ant,
+                                                   noise) -> None:
+    """Drawn attitude profiles, antenna counts (an odd count of 32-bit
+    draws per epoch leaves the generator holding one back) and noise
+    settings: every replayed epoch is bitwise the simulator's."""
+    cfg = _profile_scenario(seed, knots, n_ant, noise)
+    _replay_is_the_simulator(cfg, tmp_path / "epochs.jsonl")

@@ -376,7 +376,7 @@ def test_target_fix_probs_calibrate_exactly() -> None:
         fix_model=FixModel(target_fix_probs=targets, baseline_target_fix_prob=0.995),
     )
     epoch = next(iter(simulate(cfg)))
-    model = epoch.truth.requery.model
+    model = epoch.truth.requery.stream.model
     n = len(cfg.constellation)
     for bias, want in zip(model.antenna_bias, targets):
         assert model.probability(n, 0, bias) == pytest.approx(want, abs=1e-12)

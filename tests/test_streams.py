@@ -102,21 +102,14 @@ def test_epoch_round_trip_preserves_truth_and_values(tmp_path: Path) -> None:
         assert a.truth.corrupted_baselines == b.truth.corrupted_baselines
         assert a.truth.wrong_fix_antennas == b.truth.wrong_fix_antennas
         assert np.array_equal(a.truth.position.as_array(), b.truth.position.as_array())
-        ra, rb = a.truth.requery, b.truth.requery
-        assert ra.model == rb.model
-        assert ra.solution_sats == rb.solution_sats
-        for key in ("antenna_channels", "baseline_channels"):
-            ga, gb = getattr(ra, key), getattr(rb, key)
-            for name in ("u_fix", "u_float", "wrong", "latent_fixed", "latent_float", "wrong_offset"):
-                assert np.array_equal(getattr(ga, name), getattr(gb, name))
-                assert getattr(ga, name).dtype == getattr(gb, name).dtype
+        assert a.truth.requery == b.truth.requery
 
 
 def test_epoch_header_line_exact(tmp_path: Path) -> None:
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), [])
     first = path.read_text(encoding="utf-8").splitlines()[0]
-    assert first == '{"format": "mgp-epoch", "version": 1}'
+    assert first == '{"format": "mgp-epoch", "version": 2, "requery": null}'
 
 
 def test_epoch_dict_round_trip_without_truth() -> None:
@@ -161,88 +154,51 @@ def test_read_epochs_malformed_line_strict_vs_skip(tmp_path: Path) -> None:
 
 
 def test_read_epochs_missing_key_is_input_error(tmp_path: Path) -> None:
-    epoch = next(iter(simulate(_scenario(duration_s=0.1))))
-    d = epoch_to_dict(epoch)
-    d.pop("fixes")
     path = tmp_path / "e.jsonl"
-    path.write_text('{"format": "mgp-epoch", "version": 1}\n' + json.dumps(d) + "\n", encoding="utf-8")
+    write_epochs(str(path), simulate(_scenario(duration_s=0.1)))
+    header, line = path.read_text(encoding="utf-8").splitlines()
+    d = json.loads(line)
+    d.pop("fixes")
+    path.write_text(header + "\n" + json.dumps(d) + "\n", encoding="utf-8")
     with pytest.raises(InputError):
         list(read_epochs(str(path)))
-
-
-def _short_bias(rq: dict) -> None:
-    rq["model"]["antenna_bias"].pop()
-
-
-def _nan_uniform(rq: dict) -> None:
-    rq["antenna_channels"][2]["u_fix"] = math.nan
-
-
-def _inf_latent(rq: dict) -> None:
-    rq["baseline_channels"][4]["latent_float"][1] = math.inf
-
-
-def _nan_bias(rq: dict) -> None:
-    rq["model"]["baseline_bias"] = math.nan
-
-
-def _set(group: str, key: str, value):
-    def edit(rq: dict) -> None:
-        for ch in rq[group]:
-            ch[key] = value
-
-    return edit
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_short_bias, r"antenna_bias needs one entry per antenna \(6\)"),
-        (lambda rq: rq.update(baseline_channels=rq["baseline_channels"][:3]),
-         "6 antennas need 15 baseline channels, got 3"),
-        (lambda rq: rq.update(antenna_channels=rq["antenna_channels"][:5]),
+        (lambda rq: rq["model"]["antenna_bias"].pop(),
+         r"antenna_bias needs one entry per antenna \(6\)"),
+        (lambda rq: rq["layout"]["body_positions"].pop(),
          r"antenna_bias needs one entry per antenna \(5\)"),
-        (_nan_uniform, "channel draws must be finite"),
-        (_inf_latent, "channel draws must be finite"),
-        (_nan_bias, "fix model values must be finite"),
-        (_set("baseline_channels", "wrong", "no"), "wrong-fix flags must be booleans"),
-        (_set("antenna_channels", "wrong", 0), "wrong-fix flags must be booleans"),
-        (_set("antenna_channels", "latent_fixed", [1.0, 2.0]), "channel draws need"),
+        (lambda rq: rq["model"].update(baseline_bias=math.nan), "baseline_bias must be finite"),
         (lambda rq: rq["model"].update(steepness=-1.0), "steepness must be positive"),
         (lambda rq: rq["model"].update(float_fraction=2.0), "float_fraction must be in"),
     ],
     ids=[
         "antenna-bias-short",
-        "baselines-3-of-15",
         "antennas-5-of-6",
-        "nan-uniform",
-        "inf-latent",
         "nan-baseline-bias",
-        "wrong-string",
-        "wrong-number",
-        "latent-two-values",
         "negative-steepness",
         "float-fraction-2",
     ],
 )
 def test_read_epochs_rejects_bad_requery_record(tmp_path: Path, edit, message: str) -> None:
-    """A requery record that fails its checks is a malformed line: strict
-    reading names ``path:line``, skip mode counts it and keeps the rest."""
+    """Requery constants that fail their checks, which the stream header
+    holds for every epoch, are a fault of the file: strict reading and skip
+    mode alike name ``path:1``."""
     epochs = list(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), epochs)
     lines = path.read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[2])
-    edit(record["truth"]["requery"])
-    lines[2] = json.dumps(record)
+    header = json.loads(lines[0])
+    edit(header["requery"])
+    lines[0] = json.dumps(header)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: .*{message}"):
-        list(read_epochs(str(path)))
-    diags: list[str] = []
-    back = list(read_epochs(str(path), diagnostics=diags))
-    assert [e.t for e in back] == [e.t for i, e in enumerate(epochs) if i != 1]
-    assert len(diags) == 1 and diags[0].startswith(f"{path}:3: skipped epoch")
+    for diags in (None, []):
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:1: .*{message}"):
+            list(read_epochs(str(path), diagnostics=diags))
 
 
 def _set_first(group: str, key: str, value):
@@ -252,12 +208,8 @@ def _set_first(group: str, key: str, value):
     return edit
 
 
-def _channel(record: dict) -> dict:
-    return record["truth"]["requery"]["antenna_channels"][0]
-
-
-def _requery_u_fix_true(record: dict) -> None:
-    record["truth"]["requery"]["antenna_channels"][0]["u_fix"] = True
+def _state(record: dict) -> dict:
+    return record["truth"]["requery"]
 
 
 @pytest.mark.parametrize(
@@ -265,7 +217,8 @@ def _requery_u_fix_true(record: dict) -> None:
     [
         (_set_first("fixes", "antenna_id", 1.7), "antenna ids must be integers"),
         (_set_first("baselines", "fixed", "no"), "baseline fixed flags must be booleans"),
-        (_requery_u_fix_true, "u_fix channel draws must be numbers"),
+        (lambda record: _state(record).update(state=True),
+         "requery state must be an integer in [0, 2**128), got True"),
         (_set_first("fixes", "sats_used", 3.9), "sats_used must be integers"),
         (lambda record: record.update(t=True), "epoch time must be a number, got True"),
         (_set_first("snr_rows", "sat_id", 7), "satellite ids must be strings"),
@@ -273,37 +226,31 @@ def _requery_u_fix_true(record: dict) -> None:
         (lambda record: record.update(fixes={}), "fixes must be a JSON array"),
         (lambda record: record.update(baselines=""), "baselines must be a JSON array"),
         (lambda record: record.update(snr_rows={}), "snr_rows must be a JSON array"),
-        (lambda record: record["truth"]["requery"].update(antenna_channels=7),
-         "antenna_channels must be a JSON array"),
-        (lambda record: record["truth"]["requery"].update(baseline_channels={}),
-         "baseline_channels must be a JSON array"),
+        (lambda record: _state(record).update(uint32=1.0),
+         "requery uint32 must be null or an integer in [0, 2**32), got 1.0"),
         (_set_first("fixes", "p", 5), "fix positions must be a JSON array"),
         (_set_first("baselines", "v", "abc"), "baseline vectors must be a JSON array"),
         (lambda record: record["truth"].update(attitude=1.5), "truth attitude must be a JSON array"),
         (lambda record: record["truth"].update(attitude=[0.0, 0.0, 1.0]),
          "truth attitude need 4 values each"),
-        (lambda record: _channel(record).update(latent_fixed=[1.0]),
-         "latent_fixed channel draws need 3 values each"),
-        (lambda record: _channel(record).clear(), "missing key 'u_fix' in antenna_channels"),
+        (lambda record: _state(record).clear(), "missing key 'state' in requery"),
         (lambda record: record.update(truht=record.pop("truth")), "unknown key 'truht'"),
         (_set_first("fixes", "P", [1.0, 2.0, 3.0]), "unknown key 'P' in fixes"),
-        (lambda record: _channel(record).update(note=""), "unknown key 'note' in antenna_channels"),
+        (lambda record: _state(record).update(note=""), "unknown key 'note' in requery"),
         (lambda record: record["fixes"].__setitem__(0, [1]), "fixes must be JSON objects"),
         (lambda record: record["baselines"].__setitem__(0, 5), "baselines must be JSON objects"),
         (lambda record: record["snr_rows"].__setitem__(0, "x"), "snr_rows must be JSON objects"),
         (lambda record: record.update(truth=[1]), "truth must be a JSON object or null"),
         (lambda record: record["truth"].update(requery=5), "requery must be a JSON object or null"),
-        (lambda record: record["truth"]["requery"].update(model="x"),
-         "model must be a JSON object"),
-        (lambda record: record["truth"]["requery"]["baseline_channels"].__setitem__(3, []),
-         "baseline_channels must be JSON objects"),
+        (lambda record: record["truth"].update(requery=[]),
+         "requery must be a JSON object or null"),
         (_set_first("fixes", "status", ["fixed"]), "fix status must be one of"),
         (_set_first("fixes", "status", {}), "fix status must be one of"),
     ],
     ids=[
         "antenna-id-float",
         "fixed-string",
-        "u-fix-true",
+        "state-true",
         "sats-used-float",
         "t-true",
         "sat-id-number",
@@ -311,24 +258,21 @@ def _requery_u_fix_true(record: dict) -> None:
         "fixes-object",
         "baselines-string",
         "snr-rows-object",
-        "antenna-channels-number",
-        "baseline-channels-object",
+        "uint32-float",
         "position-number",
         "vector-string",
         "attitude-number",
         "attitude-three-values",
-        "latent-one-value",
-        "channel-without-keys",
+        "requery-without-keys",
         "truth-misspelled",
         "fix-unknown-key",
-        "channel-unknown-key",
+        "requery-unknown-key",
         "fix-array",
         "baseline-number",
         "snr-row-string",
         "truth-array",
         "requery-number",
-        "model-string",
-        "channel-array",
+        "requery-array",
         "status-list",
         "status-object",
     ],
@@ -400,10 +344,12 @@ def test_read_epochs_names_a_line_that_is_not_an_object(tmp_path: Path, line: st
 def test_block_decoder_checks_each_epoch_on_its_own() -> None:
     """Epochs that each name every antenna pair decode as one block, into
     the arrays each gives alone; a pair named twice in one epoch fails it."""
-    dicts = [json.loads(json.dumps(epoch_to_dict(e))) for e in simulate(_scenario(duration_s=0.5))]
-    block = mgp.streams._decode(dicts, range(2, len(dicts) + 2))
+    epochs = list(simulate(_scenario(duration_s=0.5)))
+    stream = epochs[0].truth.requery.stream
+    dicts = [json.loads(json.dumps(epoch_to_dict(e))) for e in epochs]
+    block = mgp.streams._decode(dicts, range(2, len(dicts) + 2), stream)
     for got, d in zip(map(block.epoch, range(len(block))), dicts, strict=True):
-        alone = epoch_from_dict(d)
+        alone = epoch_from_dict(d, stream)
         assert got.t == alone.t and got.snr_rows.sat_ids == alone.snr_rows.sat_ids
         for name in ("fixes", "baselines", "snr_rows"):
             for a, b in zip(vars(getattr(got, name)).values(), vars(getattr(alone, name)).values()):
@@ -412,7 +358,7 @@ def test_block_decoder_checks_each_epoch_on_its_own() -> None:
     pairs = dicts[2]["baselines"]
     pairs[1]["antenna_pair"] = pairs[0]["antenna_pair"][::-1]
     with pytest.raises(ValidationError, match="baseline antenna pairs must be unordered-unique"):
-        mgp.streams._decode(dicts, range(len(dicts)))
+        mgp.streams._decode(dicts, range(len(dicts)), stream)
 
 
 _NO_STATUS = object()
@@ -442,10 +388,6 @@ def test_the_first_fix_without_a_known_status_names_the_fault(first, second, mes
         epoch_from_dict(d)
 
 
-def _requery(record: dict) -> dict:
-    return record["truth"]["requery"]
-
-
 def _two_faults(first: str, second: str):
     edits = {
         "t-true": lambda r: r.update(t=True),
@@ -458,17 +400,10 @@ def _two_faults(first: str, second: str):
         "status-list": lambda r: r["fixes"][0].update(status=["fixed"]),
         "attitude-2": lambda r: r["truth"].update(attitude=[0.0, 0.0, 0.0, 2.0]),
         "snr-string": lambda r: r["snr_rows"][0]["snr"].__setitem__(0, "40"),
-        "u-fix-nan": lambda r: _requery(r)["antenna_channels"][1].update(u_fix=math.nan),
-        "wrong-string": lambda r: _requery(r)["antenna_channels"][0].update(wrong="no"),
-        "latent-short": lambda r: _requery(r)["antenna_channels"][0].update(latent_fixed=[1.0]),
-        "steepness-string": lambda r: _requery(r)["model"].update(steepness="x"),
-        "bias-short": lambda r: _requery(r)["model"]["antenna_bias"].pop(),
-        "no-midpoint": lambda r: _requery(r)["model"].pop("midpoint"),
-        "baseline-wrong-number": lambda r: _requery(r)["baseline_channels"][7].update(wrong=0),
-        "no-latent": lambda r: _requery(r)["antenna_channels"][2].pop("latent_float"),
-        "solution-numbers": lambda r: _requery(r).update(solution_sats=[1, 2]),
-        "baselines-short": lambda r: _requery(r)["baseline_channels"].pop(),
-        "no-solution": lambda r: _requery(r).pop("solution_sats"),
+        "state-string": lambda r: _state(r).update(state=str(_state(r)["state"])),
+        "state-negative": lambda r: _state(r).update(state=-1),
+        "uint32-string": lambda r: _state(r).update(uint32="7"),
+        "no-uint32": lambda r: _state(r).pop("uint32"),
     }
 
     def edit(record: dict) -> None:
@@ -489,23 +424,15 @@ def _two_faults(first: str, second: str):
         (_two_faults("no-status", "status-list"),
          "fix status must be one of ('none', 'float', 'fixed')"),
         (_two_faults("attitude-2", "snr-string"), "SNR values must be numbers"),
-        (_two_faults("wrong-string", "u-fix-nan"), "u_fix channel draws must be finite"),
-        (_two_faults("latent-short", "steepness-string"),
-         "fix model values must be a number, got 'x'"),
-        (_two_faults("bias-short", "attitude-2"),
+        (_two_faults("state-string", "attitude-2"),
          "truth attitude norm 2.0 is not 1 within 1e-06"),
-        (_two_faults("no-midpoint", "steepness-string"),
-         "fix model values must be a number, got 'x'"),
-        (_two_faults("baseline-wrong-number", "no-latent"),
-         "missing key 'latent_float' in antenna_channels"),
-        (_two_faults("baselines-short", "solution-numbers"), "solution_sats must be strings"),
-        (_two_faults("baselines-short", "no-solution"),
-         "missing key 'solution_sats' in requery"),
+        (_two_faults("state-negative", "no-uint32"), "missing key 'uint32' in requery"),
+        (_two_faults("uint32-string", "state-negative"),
+         "requery state must be an integer in [0, 2**128), got -1"),
     ],
     ids=["time-before-key", "type-before-key", "key-before-type", "ids-before-widths",
-         "unhashable-before-key", "snr-before-truth", "draws-before-flags",
-         "model-before-draws", "attitude-before-model", "value-before-key",
-         "antennas-before-baselines", "satellites-before-counts", "key-before-counts"],
+         "unhashable-before-key", "snr-before-truth", "attitude-before-state",
+         "key-before-state", "state-before-uint32"],
 )
 def test_read_epochs_reports_the_first_of_two_faults(tmp_path: Path, edit, message: str) -> None:
     """A line with two faults reports the one a field-by-field reading of
@@ -521,8 +448,9 @@ def test_read_epochs_reports_the_first_of_two_faults(tmp_path: Path, edit, messa
     record = json.loads(lines[k])
     edit(record)
     lines[k] = json.dumps(record)
+    stream = epochs[0].truth.requery.stream
     with pytest.raises((InputError, ValidationError), match=f"^{re.escape(message)}$"):
-        epoch_from_dict(json.loads(lines[k]))
+        epoch_from_dict(json.loads(lines[k]), stream)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(InputError, match=f"^{re.escape(f'{path}:{k + 1}: {message}')}$"):
         list(read_epochs(str(path)))
