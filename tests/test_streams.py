@@ -246,6 +246,14 @@ def _state(record: dict) -> dict:
          "requery must be a JSON object or null"),
         (_set_first("fixes", "status", ["fixed"]), "fix status must be one of"),
         (_set_first("fixes", "status", {}), "fix status must be one of"),
+        # The fix model and the channel draws of a version-1 line are the
+        # header's constants and the redrawn state's now: a line carrying
+        # them has keys the format does not.
+        (lambda record: _state(record).update(model="x"), "unknown key 'model' in requery"),
+        (lambda record: _state(record).update(antenna_channels=3),
+         "unknown key 'antenna_channels' in requery"),
+        (lambda record: _state(record).update(baseline_channels={}),
+         "unknown key 'baseline_channels' in requery"),
     ],
     ids=[
         "antenna-id-float",
@@ -275,6 +283,9 @@ def _state(record: dict) -> dict:
         "requery-array",
         "status-list",
         "status-object",
+        "model-string",
+        "antenna-channels-number",
+        "baseline-channels-object",
     ],
 )
 def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str) -> None:
