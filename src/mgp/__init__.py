@@ -91,9 +91,6 @@ from .simulator import (
 )
 from .streams import (
     bundled_scenario_path,
-    epoch_blocks,
-    epoch_from_dict,
-    epoch_to_dict,
     load_calibration,
     load_reflectors,
     read_cloud,

@@ -1,10 +1,13 @@
-"""The epoch records and the replay of their fix outcomes.
+"""The epoch blocks and the replay of their fix outcomes.
 
-An :class:`EpochRecord` is one epoch of the stream, whatever produced it:
-the antenna solutions, the baseline observations and the SNR table, each a
-record of arrays, plus an optional :class:`EpochTruth` channel. An
-:class:`EpochBlock` holds the epochs of a reader block, as ``pipeline.run``
-takes them, in one record of arrays of each kind.
+An :class:`EpochBlock` holds consecutive epochs of the stream, at most
+:data:`EPOCH_BLOCK` as the simulator and the reader make them, in one
+record of arrays of each kind: the antenna solutions, the baseline
+observations and the SNR table, plus each epoch's optional
+:class:`EpochTruth` channel. It is the stream's one form from end to end:
+the simulator yields blocks, the epoch writer encodes them, the reader
+decodes into them and ``pipeline.run`` takes them. An :class:`EpochRecord`
+is the one-epoch view of a block (:meth:`EpochBlock.epoch`).
 
 A simulated epoch's truth channel keeps a :class:`RequeryData` record: the
 stream's :class:`RequeryStream` constants, the PCG64 state before the
@@ -224,6 +227,14 @@ class EpochRecord:
     truth: EpochTruth | None = None
 
 
+# Epochs to a block, of the simulator and of the epoch reader. A block is
+# held whole, so its size trades the fixed numpy calls per block against
+# peak memory: on a 2-vCPU host, 64 ran the field-3ant benchmark about 5%
+# faster than 32 but raised survey-6ant's peak RSS twice as much over
+# per-epoch reading (2.6 MB against 1.4 MB).
+EPOCH_BLOCK = 32
+
+
 def offsets(counts: Iterable[int]) -> list[int]:
     """The E + 1 row offsets of E epochs of ``counts`` rows each: epoch k
     holds rows ``ends[k]:ends[k + 1]``."""
@@ -241,8 +252,9 @@ class EpochBlock:
     fixes, baselines and SNR rows of all E as one record each with its E + 1
     row :func:`offsets`, and the E truth channels. The SNR table is as wide
     as the widest epoch's rows, NaN-padded; ``snr_width`` (E,) int64 holds
-    each epoch's own width, 0 for an epoch without SNR rows. The epoch
-    reader decodes into this form; :meth:`of` joins records into it."""
+    each epoch's own width, 0 for an epoch without SNR rows. The simulator
+    builds blocks whole and the epoch reader decodes into this form;
+    :meth:`of` joins records into it."""
 
     t: np.ndarray
     lines: np.ndarray

@@ -571,10 +571,10 @@ def run(
     """Process a stream and accumulate the metrics report.
 
     ``blocks`` is the stream as :func:`mgp.streams.read_epoch_blocks` gives
-    it (:func:`mgp.streams.epoch_blocks` for epoch records): each block of
-    epochs with the ``(lineno, message)`` of each line the reader skipped
-    there. The front half, where every skip is decided, takes each block as
-    it is (:class:`_FrontBlock`). An epoch is late when its time is not
+    it: each block of epochs with the ``(lineno, message)`` of each line the
+    reader skipped there (none for the blocks of :func:`mgp.simulate`). The
+    front half, where every skip is decided, takes each block as it is
+    (:class:`_FrontBlock`). An epoch is late when its time is not
     above every time of the earlier epochs without a front half fault; a
     late epoch is skipped with the timestamp message, even when it is also
     at fault. The survivors' rows then go to consensus attitude and position

@@ -14,8 +14,9 @@ state before its first draw (:class:`mgp.epochs.RequeryData`), from which
 the pipeline draws the channels again with :func:`mgp.epochs.draw_channels`
 to re-query fix outcomes for a reduced satellite set. The generator is the
 whole module: scenario configs (decoded from JSON by
-:func:`scenario_from_dict` and :func:`load_scenario`), the epoch and scan
-streams, and truth or corrupted poses as :class:`mgp.mapping.Poses` records.
+:func:`scenario_from_dict` and :func:`load_scenario`), the epoch stream as
+:class:`mgp.epochs.EpochBlock` records, the scan stream, and truth or
+corrupted poses as :class:`mgp.mapping.Poses` records.
 
 Per-epoch draw order (one ``numpy`` Generator seeded with ``config.seed``;
 fading phases shape ``(n_sats, n_antennas)`` are drawn once up front):
@@ -29,6 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Any, Iterator
 
 import numpy as np
@@ -45,14 +47,16 @@ from .core import (
     unit_quats,
 )
 from .epochs import (
+    EPOCH_BLOCK,
     ChannelNoise,
-    EpochRecord,
+    EpochBlock,
     EpochTruth,
     FixModel,
     RequeryData,
     RequeryStream,
     _pair_baselines,
     draw_channels,
+    offsets,
     replay,
 )
 from .errors import ConfigurationError, ValidationError
@@ -334,18 +338,23 @@ def _effective_biases(config: ScenarioConfig, n_clean: int, n_mp: int) -> tuple[
     return biases, fm.baseline_bias if p_bl is None else bias(p_bl)
 
 
-def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
-    """Generate the epoch stream for a scenario.
+def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
+    """Generate the epoch stream for a scenario, in blocks of
+    :data:`mgp.epochs.EPOCH_BLOCK` epochs (the last may be shorter), epoch k
+    numbered line k + 2 as :func:`mgp.streams.write_epochs` writes it.
 
     Deterministic for a given config: all randomness flows from one
     generator seeded with ``config.seed`` in the draw order documented in
-    the module docstring.
+    the module docstring. Only the draws are made epoch by epoch; the fix
+    outcomes (one :func:`replay` of the block's draws), positions, SNR
+    table and wrong-fix truth flags are computed once per block.
     """
     rng = np.random.default_rng(config.seed)
     layout = config.layout
     n_ant = layout.antenna_count
     n_sat = len(config.constellation)
     pairs, _ = _pair_baselines(layout)
+    pair_keys = list(map(tuple, pairs.tolist()))
 
     mp_sats = multipath_satellite_ids(config)
     mp_mask = np.array([s.sat_id in mp_sats for s in config.constellation])
@@ -371,41 +380,48 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochRecord]:
 
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(n_sat, n_ant))
 
-    for k in range(config.n_epochs):
+    for first in range(0, config.n_epochs, EPOCH_BLOCK):
+        k = np.arange(first, min(first + EPOCH_BLOCK, config.n_epochs))
+        n = len(k)
         t = k / config.rate_hz
-        p_plat = trajectory_position(config, t)
-        q_truth = truth_attitude(config, t)
-        # the attitude as the reader reads it back, for replays to match
-        q_read = unit_quats(q_truth.as_array()[None], canonicalize=False)[0].tolist()
-        bits = rng.bit_generator.state
-        uint32 = bits["uinteger"] if bits["has_uint32"] else None
-        req = RequeryData(stream, bits["state"]["state"], uint32, p_plat, UnitQuaternion(*q_read))
-        ant_channels, bl_channels = draws = draw_channels(rng, req)
-        snr_jit = rng.standard_normal((n_sat, n_ant))
-        found = replay([req], [mp_sats], [frozenset()], layout, [draws])
-        fixes, baselines = found.fixes, found.baselines
+        positions = [Vec3(*p) for p in trajectory_position(config, t).tolist()]
+        attitudes = [truth_attitude(config, x) for x in t.tolist()]
+        # the attitudes as the reader reads them back, for replays to match
+        q_read = unit_quats(np.array([q.as_array() for q in attitudes]), canonicalize=False)
+        requeries, draws, jitter = [], [], []
+        for p_plat, q in zip(positions, q_read.tolist()):
+            bits = rng.bit_generator.state
+            uint32 = bits["uinteger"] if bits["has_uint32"] else None
+            req = RequeryData(stream, bits["state"]["state"], uint32, p_plat, UnitQuaternion(*q))
+            requeries.append(req)
+            draws.append(draw_channels(rng, req))
+            jitter.append(rng.standard_normal((n_sat, n_ant)))
+        found = replay(requeries, [mp_sats] * n, [frozenset()] * n, layout, draws)
 
-        offsets = np.zeros((n_sat, n_ant))
+        fading = np.zeros((n, n_sat, n_ant))
         if n_mp and snr_model.fading_amplitude_db > 0.0:
-            swing = 3.0 * np.sin(2.0 * math.pi * t / snr_model.fading_period_s + phases)
-            offsets[mp_mask] = snr_model.fading_amplitude_db * np.clip(
-                swing[mp_mask], -1.0, 1.0
+            swing = 3.0 * np.sin(
+                2.0 * math.pi * t[:, None, None] / snr_model.fading_period_s + phases)
+            fading[:, mp_mask] = snr_model.fading_amplitude_db * np.clip(
+                swing[:, mp_mask], -1.0, 1.0
             )
-        snr = nominal[:, None] + offsets + snr_model.thermal_jitter_db * snr_jit
-        snr = np.round(np.clip(snr, SNR_MIN_DBHZ, SNR_MAX_DBHZ), 2)
+        snr = nominal[:, None] + fading + snr_model.thermal_jitter_db * np.array(jitter)
+        snr = np.round(np.clip(snr, SNR_MIN_DBHZ, SNR_MAX_DBHZ), 2).reshape(n * n_sat, n_ant)
 
-        wrong_ants = frozenset((np.flatnonzero(fixes.fixed & ant_channels.wrong) + 1).tolist())
-        corrupted = frozenset(map(tuple, pairs[found.bl_fixed & bl_channels.wrong].tolist()))
-        truth = EpochTruth(
-            position=p_plat,
-            attitude=q_truth,
-            multipath_sats=mp_sats,
-            corrupted_baselines=corrupted,
-            wrong_fix_antennas=wrong_ants,
-            requery=req,
+        ant_wrong, bl_wrong = (np.concatenate([d.wrong for d in group]) for group in zip(*draws))
+        wrong = (found.fixes.fixed & ant_wrong).reshape(n, n_ant).tolist()
+        corrupted = (found.bl_fixed & bl_wrong).reshape(n, len(pairs)).tolist()
+        truths = tuple(
+            EpochTruth(req.position, q_truth, mp_sats, frozenset(compress(pair_keys, bad_pairs)),
+                       frozenset(compress(range(1, n_ant + 1), bad_ants)), req)
+            for req, q_truth, bad_ants, bad_pairs in zip(requeries, attitudes, wrong, corrupted)
         )
-        snr_rows = SnrTable(solution_sats, snr)
-        yield EpochRecord(t=t, fixes=fixes, baselines=baselines, snr_rows=snr_rows, truth=truth)
+        yield EpochBlock(
+            t, k + 2, found.fixes, offsets([n_ant] * n),
+            found.baselines, offsets(np.bincount(found.baseline_epoch, minlength=n).tolist()),
+            SnrTable(solution_sats * n, snr), offsets([n_sat] * n),
+            np.full(n, n_ant, dtype=np.int64), truths,
+        )
 
 
 def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanFrame]:

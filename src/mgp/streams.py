@@ -6,12 +6,12 @@ Formats:
     :class:`Fixes` record (ids, grades, (n, 3) positions with NaN rows for
     no solution, satellite counts), a :class:`Baselines` record ((m, 2)
     pairs, (m, 3) ``v`` and ``w``, (m,) ``fixed``) and an :class:`SnrTable`
-    ((s, n) dB-Hz, NaN for a JSON null, plus the satellite ids), one
-    epoch's in an :class:`EpochRecord`, a block's in an :class:`EpochBlock`.
-    The reader checks every value's JSON type, so ``1.7`` is no antenna id
-    and ``"no"`` no ``fixed`` flag. The truth attitude must have a norm
-    within ``QUAT_READ_TOL`` of 1. The record types live in
-    :mod:`mgp.epochs`; their whole line format is here.
+    ((s, n) dB-Hz, NaN for a JSON null, plus the satellite ids), a block
+    of epochs' in an :class:`EpochBlock`, its one-epoch view an
+    :class:`EpochRecord`. The reader checks every value's JSON type, so
+    ``1.7`` is no antenna id and ``"no"`` no ``fixed`` flag. The truth
+    attitude must have a norm within ``QUAT_READ_TOL`` of 1. The record
+    types live in :mod:`mgp.epochs`; their whole line format is here.
 
     The header, ``{"format": "mgp-epoch", "version": 2, "requery": ...}``,
     holds the simulator's requery constants once, a :class:`RequeryStream`
@@ -41,11 +41,10 @@ Formats:
     and cloud readers name its ``path:line`` too); if the block of the
     others fails, each is decoded alone, so that each fault is reported (or
     skipped) at its own ``path:line`` with the message of its first failing
-    lookup or check. The reader's blocks, and the writer's blocks of
-    ``WRITE_BLOCK`` epochs turned into text, go through
-    :func:`ordered.ordered_map`, so they are shared with a forked worker
-    (one per process); the blocks, faults and bytes are those of one
-    process, in stream order.
+    lookup or check. The reader's blocks, and the blocks the writer turns
+    into text, go through :func:`ordered.ordered_map`, so they are shared
+    with a forked worker (one per process); the blocks, faults and bytes
+    are those of one process, in stream order.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line, a JSON object of the keys ``t`` and ``pulses``
     read by the epoch-line rules; each pulse is a compact array
@@ -106,7 +105,7 @@ import numpy as np
 from . import jsonvals
 from .attitude import Baselines
 from .core import UnitQuaternion, Vec3, check_read_norm, open_text, unit_quats, utf8_line
-from .epochs import EpochBlock, EpochRecord, EpochTruth, RequeryData, RequeryStream
+from .epochs import EPOCH_BLOCK, EpochBlock, EpochRecord, EpochTruth, RequeryData, RequeryStream
 from .epochs import epoch_of_rows, offsets
 from .errors import ConfigurationError, InputError, ValidationError
 from .mapping import (
@@ -137,49 +136,6 @@ _GRADE_NAMES = tuple(status.value for status in FIX_GRADES)
 _GRADE_OF_NAME = {name: grade for grade, name in enumerate(_GRADE_NAMES)}
 
 
-def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
-    truth = None
-    if epoch.truth is not None:
-        tr = epoch.truth
-        truth = {
-            "position": tr.position.as_array().tolist(),
-            "attitude": tr.attitude.as_array().tolist(),
-            "multipath_sats": sorted(tr.multipath_sats),
-            "corrupted_baselines": sorted(list(p) for p in tr.corrupted_baselines),
-            "wrong_fix_antennas": sorted(tr.wrong_fix_antennas),
-            "requery": None if tr.requery is None
-            else {"state": tr.requery.state, "uint32": tr.requery.uint32},
-        }
-    fx, bl, snr = epoch.fixes, epoch.baselines, epoch.snr_rows
-    snr_values = snr.dbhz.tolist()
-    if np.isnan(snr.dbhz).any():
-        snr_values = [[None if x != x else x for x in row] for row in snr_values]
-    return {
-        "t": epoch.t,
-        "fixes": [
-            {
-                "antenna_id": i,
-                "status": _GRADE_NAMES[g],
-                "p": p if g else None,
-                "sats_used": n,
-            }
-            for i, g, p, n in zip(
-                fx.ids.tolist(), fx.grade.tolist(), fx.p.tolist(), fx.sats_used.tolist()
-            )
-        ],
-        "baselines": [
-            {"antenna_pair": pair, "v": v, "w": w, "fixed": fixed}
-            for pair, v, w, fixed in zip(
-                bl.pairs.tolist(), bl.v.tolist(), bl.w.tolist(), bl.fixed.tolist()
-            )
-        ],
-        "snr_rows": [
-            {"sat_id": sat, "snr": row} for sat, row in zip(snr.sat_ids, snr_values)
-        ],
-        "truth": truth,
-    }
-
-
 # The keys of each object of an epoch line; all are required but the
 # line's own ``truth``.
 _EPOCH_KEYS = ("t", "fixes", "baselines", "snr_rows", "truth")
@@ -199,17 +155,8 @@ class _EpochHeader:
     requery: RequeryStream | None
 
 
-# Non-blank lines the epoch reader decodes at once. ``pipeline.run`` takes
-# its front half over each block's epochs as they come. A block is
-# held whole, so its size trades the fixed numpy calls per block against
-# peak memory: on a 2-vCPU host, 64 ran the field-3ant benchmark about 5%
-# faster than 32 but raised survey-6ant's peak RSS twice as much over
-# per-epoch reading (2.6 MB against 1.4 MB).
-READ_BLOCK = 32
-# Epochs the epoch writer turns into text at once. Blocks in flight between
-# the two processes are held whole: on a 2-vCPU host, 32 raised simulate's
-# peak RSS by 2.4 MB, 8 by 0.2 MB, at the same speed.
-WRITE_BLOCK = 8
+# Non-blank lines the epoch reader decodes at once.
+READ_BLOCK = EPOCH_BLOCK
 
 
 def _decode(objects: list[Any], lines: Sequence[int],
@@ -370,14 +317,6 @@ def _check_unique_pairs(pairs: np.ndarray, ends: list[int]) -> None:
         raise ValidationError("baseline antenna pairs must be unordered-unique")
 
 
-def epoch_from_dict(d: dict[str, Any], stream: RequeryStream | None = None) -> EpochRecord:
-    """Epoch from its JSON object form, a line of a stream whose header
-    holds the requery constants ``stream``: the block decoder on a block of
-    one. Raises ValidationError for any fault of the line, a missing key
-    included (``missing key 'w' in baselines``)."""
-    return _decode([d], [0], stream).epoch(0)
-
-
 def _write_lines(path: str, header: dict[str, Any], records: Iterable[dict[str, Any]]) -> int:
     """Write the header line, then one line per record; returns the count."""
     n = 0
@@ -389,13 +328,52 @@ def _write_lines(path: str, header: dict[str, Any], records: Iterable[dict[str, 
     return n
 
 
-def _epoch_lines(stream: RequeryStream | None, epochs: list[EpochRecord]) -> list[str]:
-    """The lines of ``epochs``, each requery record of the header's ``stream``."""
-    for epoch in epochs:
-        requery = epoch.truth.requery if epoch.truth is not None else None
-        if requery is not None and requery.stream != stream:
+def _epoch_lines(stream: RequeryStream | None, block: EpochBlock) -> list[str]:
+    """The lines of ``block``'s epochs, each requery record of the header's
+    ``stream``, encoded from the block's columns: each array's values are
+    taken once, and each epoch's rows are cut from them by its offsets."""
+    for truth in block.truth:
+        if truth is not None and truth.requery is not None and truth.requery.stream != stream:
             raise ValidationError("an epoch's requery constants are not those of its stream header")
-    return [json.dumps(epoch_to_dict(epoch)) + "\n" for epoch in epochs]
+    fx, bl, snr = block.fixes, block.baselines, block.snr
+    fixes = [
+        {"antenna_id": i, "status": _GRADE_NAMES[g], "p": p if g else None, "sats_used": n}
+        for i, g, p, n in zip(fx.ids.tolist(), fx.grade.tolist(), fx.p.tolist(),
+                              fx.sats_used.tolist())
+    ]
+    baselines = [
+        {"antenna_pair": pair, "v": v, "w": w, "fixed": fixed}
+        for pair, v, w, fixed in zip(bl.pairs.tolist(), bl.v.tolist(), bl.w.tolist(),
+                                     bl.fixed.tolist())
+    ]
+    values = snr.dbhz.tolist()
+    if np.isnan(snr.dbhz).any():  # nulls, or the padding past an epoch's own width
+        widths = np.repeat(block.snr_width, np.diff(block.snr_ends)).tolist()
+        values = [[None if x != x else x for x in row[:w]] for row, w in zip(values, widths)]
+    rows = [{"sat_id": sat, "snr": row} for sat, row in zip(snr.sat_ids, values)]
+    return [
+        json.dumps({
+            "t": t,
+            "fixes": fixes[block.fix_ends[k]:block.fix_ends[k + 1]],
+            "baselines": baselines[block.baseline_ends[k]:block.baseline_ends[k + 1]],
+            "snr_rows": rows[block.snr_ends[k]:block.snr_ends[k + 1]],
+            "truth": None if truth is None else _truth_dict(truth),
+        }) + "\n"
+        for k, (t, truth) in enumerate(zip(block.t.tolist(), block.truth))
+    ]
+
+
+def _truth_dict(truth: EpochTruth) -> dict[str, Any]:
+    """The JSON object of an epoch's truth channel."""
+    rq = truth.requery
+    return {
+        "position": truth.position.as_array().tolist(),
+        "attitude": truth.attitude.as_array().tolist(),
+        "multipath_sats": sorted(truth.multipath_sats),
+        "corrupted_baselines": sorted(list(p) for p in truth.corrupted_baselines),
+        "wrong_fix_antennas": sorted(truth.wrong_fix_antennas),
+        "requery": None if rq is None else {"state": rq.state, "uint32": rq.uint32},
+    }
 
 
 def _batches(items: Iterable[Any], n: int) -> Iterator[list[Any]]:
@@ -415,27 +393,28 @@ def _batches(items: Iterable[Any], n: int) -> Iterator[list[Any]]:
         yield batch
 
 
-def write_epochs(path: str, epochs: Iterable[EpochRecord]) -> int:
-    """Write the epoch stream of ``epochs``; returns the count. The header
-    holds the first epoch's requery constants, which every requery record
-    must have (ValidationError otherwise). Blocks of
-    ``WRITE_BLOCK`` epochs are turned into text by :func:`ordered.ordered_map`,
-    so a worker process may be forked; the bytes are those of one process.
-    When ``epochs`` raises, every epoch before the fault is written first."""
+def write_epochs(path: str, blocks: Iterable[EpochBlock]) -> int:
+    """Write the epoch stream of the epoch ``blocks``; returns the epoch
+    count. The header holds the first block's first epoch's requery
+    constants, which every requery record must have (ValidationError
+    otherwise). The blocks are turned into text by
+    :func:`ordered.ordered_map`, so a worker process may be forked; the
+    bytes are those of one process. When ``blocks`` raises, the header and
+    every block before the fault are written first."""
     n = 0
-    epochs = iter(epochs)
-    head: list[EpochRecord] = []
+    blocks = iter(blocks)
+    head: list[EpochBlock] = []
     with open(path, "w", encoding="utf-8") as f:
         try:
-            head.extend(itertools.islice(epochs, 1))
+            head.extend(itertools.islice(blocks, 1))
         finally:
-            truth = head[0].truth if head else None
+            truth = head[0].truth[0] if head and len(head[0]) else None
             stream = truth.requery.stream if truth and truth.requery else None
             requery = stream and {**asdict(stream), "layout": {
                 "body_positions": stream.layout.positions.tolist()}}
             f.write(json.dumps({**EPOCH_HEADER, "requery": requery}) + "\n")
-        batches = _batches(itertools.chain(head, epochs), WRITE_BLOCK)
-        for lines in ordered_map(functools.partial(_epoch_lines, stream), batches):
+        encode = functools.partial(_epoch_lines, stream)
+        for lines in ordered_map(encode, itertools.chain(head, blocks)):
             f.writelines(lines)
             n += len(lines)
     return n
@@ -531,18 +510,6 @@ def read_epoch_blocks(path: str) -> Iterator[tuple[EpochBlock, list[tuple[int, s
     parse or validate. A wrong header raises InputError."""
     for block, faults in _read_blocks(path):
         yield block, [(n, f"{path}:{n}: skipped epoch: {exc}") for n, exc in faults]
-
-
-def epoch_blocks(
-    epochs: Iterable[EpochRecord],
-) -> Iterator[tuple[EpochBlock, list[tuple[int, str]]]]:
-    """``epochs`` as :func:`read_epoch_blocks` reads the stream that
-    :func:`write_epochs` writes of them: ``READ_BLOCK`` epochs to a block,
-    epoch k at line k + 2. When ``epochs`` raises, the epochs before the
-    fault are handed out first."""
-    for k, batch in enumerate(_batches(epochs, READ_BLOCK)):
-        first = 2 + k * READ_BLOCK
-        yield EpochBlock.of(batch, range(first, first + len(batch))), []
 
 
 def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[EpochRecord]:

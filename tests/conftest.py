@@ -63,20 +63,20 @@ class TimedRun:
 
 @dataclass(frozen=True)
 class TimedStream:
-    epochs: list[mgp.EpochRecord]
+    blocks: list[mgp.EpochBlock]
     seconds: float
 
 
 def _timed_stream(name: str) -> TimedStream:
     cfg = mgp.load_scenario(mgp.bundled_scenario_path(name))
     t0 = time.perf_counter()
-    epochs = list(mgp.simulate(cfg))
-    return TimedStream(epochs=epochs, seconds=time.perf_counter() - t0)
+    blocks = list(mgp.simulate(cfg))
+    return TimedStream(blocks=blocks, seconds=time.perf_counter() - t0)
 
 
 def _timed_run(stream: TimedStream, config: mgp.PipelineConfig) -> TimedRun:
     t0 = time.perf_counter()
-    result = mgp.run(mgp.epoch_blocks(stream.epochs), config)
+    result = mgp.run(((block, []) for block in stream.blocks), config)
     return TimedRun(result=result, seconds=time.perf_counter() - t0)
 
 

@@ -1,0 +1,190 @@
+"""One epoch at a time: the tests' per-epoch helpers, and the scalar
+reference of the block simulator and the block epoch writer.
+
+The library's epoch stream is :class:`mgp.EpochBlock` records from the
+simulator to the file and back. Tests that look at, edit or reorder single
+epochs take the blocks' one-epoch views (:func:`epochs_of`) and join edited
+epochs back into the blocks that ``write_epochs`` and ``run`` take
+(:func:`blocks_of`, :func:`epoch_blocks`, :func:`no_skips`);
+:func:`epoch_from_dict` decodes
+one epoch line. :func:`simulate_records` and :func:`epoch_to_dict` are the
+per-epoch simulator loop and line encoder the blocks replaced, kept as the
+reference of ``test_simulator.py``'s differential tests.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+from typing import Any, Iterable, Iterator
+
+import numpy as np
+
+import mgp
+from mgp.core import UnitQuaternion, unit_quats
+from mgp.epochs import (
+    ChannelNoise,
+    EpochBlock,
+    EpochRecord,
+    EpochTruth,
+    RequeryData,
+    RequeryStream,
+    _pair_baselines,
+    draw_channels,
+    replay,
+)
+from mgp.multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ, SnrTable
+from mgp.simulator import (
+    ScenarioConfig,
+    _effective_biases,
+    multipath_satellite_ids,
+    trajectory_position,
+    truth_attitude,
+)
+from mgp.streams import _GRADE_NAMES
+
+
+def epochs_of(blocks: Iterable[EpochBlock]) -> list[EpochRecord]:
+    """Every epoch of ``blocks``, in order, as its block's one-epoch view."""
+    return [block.epoch(k) for block in blocks for k in range(len(block))]
+
+
+def blocks_of(epochs: Iterable[EpochRecord]) -> Iterator[EpochBlock]:
+    """``epochs`` joined into blocks of ``mgp.streams.READ_BLOCK``, epoch k
+    at line k + 2, as the reader reads the stream ``write_epochs`` writes of
+    them. When ``epochs`` raises, the epochs before the fault are handed out
+    first."""
+    for k, batch in enumerate(mgp.streams._batches(epochs, mgp.streams.READ_BLOCK)):
+        first = 2 + k * mgp.streams.READ_BLOCK
+        yield EpochBlock.of(batch, range(first, first + len(batch)))
+
+
+def no_skips(blocks: Iterable[EpochBlock]) -> Iterator[tuple[EpochBlock, list]]:
+    """``blocks`` as ``run`` takes them, each with no skipped lines."""
+    return ((block, []) for block in blocks)
+
+
+def epoch_blocks(epochs: Iterable[EpochRecord]) -> Iterator[tuple[EpochBlock, list]]:
+    """:func:`no_skips` of the :func:`blocks_of` ``epochs``."""
+    return no_skips(blocks_of(epochs))
+
+
+def epoch_from_dict(d: dict[str, Any], stream: RequeryStream | None = None) -> EpochRecord:
+    """The epoch of a parsed line of a stream whose header holds the requery
+    constants ``stream``: the reader's block decoder on a block of one.
+    Raises ValidationError for any fault of the line."""
+    return mgp.streams._decode([d], [0], stream).epoch(0)
+
+
+def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
+    """The JSON object of one epoch's line, encoded row by row."""
+    truth = None
+    if epoch.truth is not None:
+        tr = epoch.truth
+        truth = {
+            "position": tr.position.as_array().tolist(),
+            "attitude": tr.attitude.as_array().tolist(),
+            "multipath_sats": sorted(tr.multipath_sats),
+            "corrupted_baselines": sorted(list(p) for p in tr.corrupted_baselines),
+            "wrong_fix_antennas": sorted(tr.wrong_fix_antennas),
+            "requery": None if tr.requery is None
+            else {"state": tr.requery.state, "uint32": tr.requery.uint32},
+        }
+    fx, bl, snr = epoch.fixes, epoch.baselines, epoch.snr_rows
+    snr_values = snr.dbhz.tolist()
+    if np.isnan(snr.dbhz).any():
+        snr_values = [[None if x != x else x for x in row] for row in snr_values]
+    return {
+        "t": epoch.t,
+        "fixes": [
+            {
+                "antenna_id": i,
+                "status": _GRADE_NAMES[g],
+                "p": p if g else None,
+                "sats_used": n,
+            }
+            for i, g, p, n in zip(
+                fx.ids.tolist(), fx.grade.tolist(), fx.p.tolist(), fx.sats_used.tolist()
+            )
+        ],
+        "baselines": [
+            {"antenna_pair": pair, "v": v, "w": w, "fixed": fixed}
+            for pair, v, w, fixed in zip(
+                bl.pairs.tolist(), bl.v.tolist(), bl.w.tolist(), bl.fixed.tolist()
+            )
+        ],
+        "snr_rows": [
+            {"sat_id": sat, "snr": row} for sat, row in zip(snr.sat_ids, snr_values)
+        ],
+        "truth": truth,
+    }
+
+
+def simulate_records(config: ScenarioConfig) -> Iterator[EpochRecord]:
+    """The epoch stream of ``config`` one epoch at a time, each epoch's fix
+    outcomes a replay of its own draws, in the simulator's documented draw
+    order."""
+    rng = np.random.default_rng(config.seed)
+    layout = config.layout
+    n_ant = layout.antenna_count
+    n_sat = len(config.constellation)
+    pairs, _ = _pair_baselines(layout)
+
+    mp_sats = multipath_satellite_ids(config)
+    mp_mask = np.array([s.sat_id in mp_sats for s in config.constellation])
+    n_mp = int(mp_mask.sum())
+    n_clean = n_sat - n_mp
+    ant_bias, bl_bias = _effective_biases(config, n_clean, n_mp)
+    model = replace(
+        config.fix_model,
+        antenna_bias=tuple(ant_bias),
+        target_fix_probs=None,
+        baseline_bias=bl_bias,
+        baseline_target_fix_prob=None,
+    )
+    solution_sats = tuple(s.sat_id for s in config.constellation)
+
+    noise = config.noise
+    snr_model = noise.snr
+    nominal = np.array([snr_model.nominal(s.elevation_deg) for s in config.constellation])
+    channel_noise = ChannelNoise(noise.sigma_fixed_m, noise.sigma_float_m, noise.wrong_fix_prob,
+                                 noise.wrong_fix_unit_m, noise.wrong_fix_max_multiple)
+    stream = RequeryStream(model, solution_sats, layout, channel_noise,
+                           rng.bit_generator.state["state"]["inc"], np.__version__)
+
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(n_sat, n_ant))
+
+    for k in range(config.n_epochs):
+        t = k / config.rate_hz
+        p_plat = trajectory_position(config, t)
+        q_truth = truth_attitude(config, t)
+        # the attitude as the reader reads it back, for replays to match
+        q_read = unit_quats(q_truth.as_array()[None], canonicalize=False)[0].tolist()
+        bits = rng.bit_generator.state
+        uint32 = bits["uinteger"] if bits["has_uint32"] else None
+        req = RequeryData(stream, bits["state"]["state"], uint32, p_plat, UnitQuaternion(*q_read))
+        ant_channels, bl_channels = draws = draw_channels(rng, req)
+        snr_jit = rng.standard_normal((n_sat, n_ant))
+        found = replay([req], [mp_sats], [frozenset()], layout, [draws])
+        fixes, baselines = found.fixes, found.baselines
+
+        offsets = np.zeros((n_sat, n_ant))
+        if n_mp and snr_model.fading_amplitude_db > 0.0:
+            swing = 3.0 * np.sin(2.0 * math.pi * t / snr_model.fading_period_s + phases)
+            offsets[mp_mask] = snr_model.fading_amplitude_db * np.clip(
+                swing[mp_mask], -1.0, 1.0
+            )
+        snr = nominal[:, None] + offsets + snr_model.thermal_jitter_db * snr_jit
+        snr = np.round(np.clip(snr, SNR_MIN_DBHZ, SNR_MAX_DBHZ), 2)
+
+        wrong_ants = frozenset((np.flatnonzero(fixes.fixed & ant_channels.wrong) + 1).tolist())
+        corrupted = frozenset(map(tuple, pairs[found.bl_fixed & bl_channels.wrong].tolist()))
+        truth = EpochTruth(
+            position=p_plat,
+            attitude=q_truth,
+            multipath_sats=mp_sats,
+            corrupted_baselines=corrupted,
+            wrong_fix_antennas=wrong_ants,
+            requery=req,
+        )
+        snr_rows = SnrTable(solution_sats, snr)
+        yield EpochRecord(t=t, fixes=fixes, baselines=baselines, snr_rows=snr_rows, truth=truth)

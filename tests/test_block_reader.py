@@ -35,6 +35,7 @@ import mgp
 import mgp.streams
 
 from conftest import requery_constants
+from scalar_epochs import epoch_blocks, epoch_from_dict
 from test_epoch_differential import _scenario
 from test_epoch_faults import FAULTS, _faulty_line
 
@@ -78,7 +79,7 @@ def _check_blocks(path: Path, read_block: int, monkeypatch) -> None:
         assert sorted(lines + [n for n, _ in skips]) == want
         covered += want
         for k, n in enumerate(lines):
-            _same(block.epoch(k), mgp.epoch_from_dict(json.loads(text[n - 1]), stream),
+            _same(block.epoch(k), epoch_from_dict(json.loads(text[n - 1]), stream),
                   f"line {n}")
         if len(block):
             _same(block, mgp.EpochBlock.of(list(map(block.epoch, range(len(block)))), lines),
@@ -99,7 +100,7 @@ def _check_runs(path: Path, read_block: int, config: mgp.PipelineConfig, monkeyp
     got = mgp.run(mgp.read_epoch_blocks(str(path)), config)
     skipped: list[str] = []
     epochs = list(mgp.read_epochs(str(path), diagnostics=skipped))
-    want = mgp.run(mgp.epoch_blocks(epochs), config)
+    want = mgp.run(epoch_blocks(epochs), config)
     got_m, want_m = got.metrics.to_json_dict(), want.metrics.to_json_dict()
     assert got_m.pop("skipped") == want_m.pop("skipped") + len(skipped)
     assert json.dumps(got_m) == json.dumps(want_m)

@@ -17,9 +17,10 @@ of the untouched epochs must equal those of the clean run.
 
 Inside one full block, lines with one to three such faults each must read
 as they do alone: the reader's record or diagnostic for each line is the
-record or fault of :func:`mgp.epoch_from_dict` on that line. A missing key
-is named with the object it is missing from: ``missing key 'w' in
-baselines``, or ``missing key 't'`` on the line itself.
+record or fault of ``scalar_epochs.epoch_from_dict`` (the block decoder on
+that line alone). A missing key is named with the object it is missing
+from: ``missing key 'w' in baselines``, or ``missing key 't'`` on the line
+itself.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ import mgp.streams
 from mgp.cli import main
 
 from conftest import requery_constants
+from scalar_epochs import epoch_from_dict, epoch_to_dict
 from test_epoch_differential import _scenario
 
 FAULTS = ("wrong-type", "non-finite", "missing-key", "unknown-key", "wrong-container",
@@ -270,7 +272,7 @@ def block_lines(tmp_path_factory) -> list[str]:
 
 def _alone(line: str, header: str) -> mgp.EpochRecord | Exception:
     try:
-        return mgp.epoch_from_dict(json.loads(line), requery_constants(header))
+        return epoch_from_dict(json.loads(line), requery_constants(header))
     except (mgp.InputError, mgp.ValidationError) as exc:
         return exc
 
@@ -300,14 +302,14 @@ def test_block_lines_with_several_faults_read_as_alone(
     path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
     diags: list[str] = []
-    got = [mgp.epoch_to_dict(e) for e in mgp.read_epochs(str(path), diagnostics=diags)]
+    got = [epoch_to_dict(e) for e in mgp.read_epochs(str(path), diagnostics=diags)]
     alone = [(lineno, _alone(line, header)) for lineno, line in enumerate(lines, start=2)]
     assert diags == [
         f"{path}:{lineno}: skipped epoch: {out}" for lineno, out in alone
         if isinstance(out, Exception)
     ]
     assert not [d for d in diags if "Error(" in d]
-    want = [mgp.epoch_to_dict(out) for _, out in alone if not isinstance(out, Exception)]
+    want = [epoch_to_dict(out) for _, out in alone if not isinstance(out, Exception)]
     assert json.dumps(got) == json.dumps(want)
 
 
@@ -338,7 +340,7 @@ def test_missing_key_is_named_with_its_object(
     del _at(record, path)[key]
     message = f"missing key {key!r}" + (f" in {level}" if level else "")
     with pytest.raises(mgp.ValidationError, match=f"^{re.escape(message)}$"):
-        mgp.epoch_from_dict(record, requery_constants(header))
+        epoch_from_dict(record, requery_constants(header))
 
     lines[k] = json.dumps(record)
     epochs = tmp_path / "block.jsonl"

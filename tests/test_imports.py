@@ -182,6 +182,33 @@ def test_the_channel_draws_are_made_in_one_place() -> None:
     assert not {"random", "integers"} & {_name(node) for node in _calls(mgp.simulator.simulate)}
 
 
+def test_the_epoch_stream_is_blocks_from_the_simulator_to_the_file(monkeypatch) -> None:
+    """The simulator builds each block of epochs whole, with one ``replay``
+    of the block's draws, and the writer encodes blocks: ``mgp.simulator``
+    does not name ``EpochRecord``, ``mgp.streams`` has no per-epoch encoder
+    or batching of the writer, and a 70-epoch stream takes 3 ``replay``
+    calls. The reader's block size is the simulator's."""
+    import mgp.epochs
+    import mgp.simulator
+    import mgp.streams
+
+    assert "EpochRecord" not in Path(mgp.simulator.__file__).read_text(encoding="utf-8")
+    for name in ("epoch_to_dict", "WRITE_BLOCK", "epoch_from_dict", "epoch_blocks"):
+        assert not hasattr(mgp.streams, name) and not hasattr(mgp, name), name
+    assert mgp.streams.READ_BLOCK == mgp.epochs.EPOCH_BLOCK == 32
+    calls: list[int] = []
+    replay = mgp.simulator.replay
+
+    def counted(requeries, *args, **kwargs):
+        calls.append(len(requeries))
+        return replay(requeries, *args, **kwargs)
+
+    monkeypatch.setattr(mgp.simulator, "replay", counted)
+    cfg = mgp.load_scenario(mgp.bundled_scenario_path("multipath"))
+    blocks = list(mgp.simulate(dataclasses.replace(cfg, duration_s=7.0)))
+    assert calls == [len(block) for block in blocks] == [32, 32, 6]
+
+
 def test_back_half_takes_the_front_blocks_rows() -> None:
     """The front half gives each block's rows as one record, with each
     row's epoch, and the back half takes them as they are: there is no

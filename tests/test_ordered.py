@@ -37,6 +37,7 @@ import mgp.ordered
 import mgp.streams
 from mgp.ordered import ordered_map
 
+from scalar_epochs import epoch_to_dict, epochs_of
 from test_cli import FLIGHT
 from test_epoch_differential import _scenario
 from test_pulse_blocks import _cli, _evaluate, _files, _georef, _xyz_lines
@@ -525,13 +526,15 @@ def test_an_os_error_in_the_worker_reads_as_in_one_process(tmp_path: Path) -> No
     )
 
 
-@pytest.mark.parametrize("scan", [False, True], ids=["epochs", "epochs-and-scan"])
+@pytest.mark.parametrize("duration, scan", [(7.0, False), (7.0, True), (3.0, False)],
+                         ids=["epochs", "epochs-and-scan", "one-block"])
 def test_simulate_forks_one_worker(
-    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, scan: bool
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, duration: float, scan: bool
 ) -> None:
-    # without a scan, the epoch writer's blocks are shared with a worker;
-    # with one, the scan stream is the worker's and the epoch writer, started
-    # while it lives, maps its blocks in the caller
+    # without a scan, the epoch writer's blocks are shared with a worker,
+    # unless the stream is one block of the simulator; with a scan, the
+    # scan stream is the worker's and the epoch writer, started while it
+    # lives, maps its blocks in the caller
     forks: list[int] = []
     fork = os.fork
 
@@ -540,17 +543,20 @@ def test_simulate_forks_one_worker(
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
+    # 70 epochs are three blocks of the simulator, 30 one
+    flight = {**FLIGHT, "duration_s": duration}
     scen = tmp_path / "scen.json"
-    scen.write_text(json.dumps(FLIGHT), encoding="utf-8")
+    scen.write_text(json.dumps(flight), encoding="utf-8")
     epochs, frames = tmp_path / "epochs.jsonl", tmp_path / "scan.jsonl"
     argv = ["simulate", "--config", scen, "--out", epochs] + ["--scan", frames] * scan
-    out = f"wrote 30 epochs to {epochs}\n" + f"wrote 39 scan frames to {frames}\n" * scan
+    n, n_frames = round(duration * 10), round(duration * 13)
+    out = f"wrote {n} epochs to {epochs}\n" + f"wrote {n_frames} scan frames to {frames}\n" * scan
     assert _cli(argv) == (0, out, "")
-    assert forks == [os.getpid()]
+    assert forks == [os.getpid()] * (n > mgp.epochs.EPOCH_BLOCK or scan)
     reference = tmp_path / "reference.jsonl"
-    cfg = mgp.scenario_from_dict(FLIGHT)
+    cfg = mgp.scenario_from_dict(flight)
     mgp.streams._write_lines(str(reference), _ref_header(cfg),
-                             map(mgp.epoch_to_dict, mgp.simulate(cfg)))
+                             map(epoch_to_dict, epochs_of(mgp.simulate(cfg))))
     assert epochs.read_bytes() == reference.read_bytes()
 
 
@@ -589,7 +595,7 @@ def _read(path: Path, skip: bool, limit: int | None = None) -> tuple[list[str], 
     got: list[str] = []
     try:
         for epoch in itertools.islice(mgp.read_epochs(str(path), diagnostics=diagnostics), limit):
-            got.append(json.dumps(mgp.epoch_to_dict(epoch)))
+            got.append(json.dumps(epoch_to_dict(epoch)))
     except mgp.InputError as exc:
         return got, diagnostics or [], str(exc)
     return got, diagnostics or [], ""
@@ -677,7 +683,7 @@ def test_the_epoch_writer_writes_the_bytes_of_one_process(
     cfg = _scenario(name, 6.0)
     reference, two = tmp_path / "reference.jsonl", tmp_path / "two.jsonl"
     mgp.streams._write_lines(str(reference), _ref_header(cfg),
-                             map(mgp.epoch_to_dict, mgp.simulate(cfg)))
+                             map(epoch_to_dict, epochs_of(mgp.simulate(cfg))))
     _force(monkeypatch, ready)
     assert mgp.write_epochs(str(two), mgp.simulate(cfg)) == 60
     assert two.read_bytes() == reference.read_bytes()

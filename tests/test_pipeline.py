@@ -36,7 +36,6 @@ from mgp import (
     load_pipeline_config,
     load_scenario,
     pipeline_config_from_dict,
-    epoch_blocks,
     process_epoch,
     quat_angle,
     read_epoch_blocks,
@@ -48,6 +47,7 @@ from mgp import (
 )
 
 from conftest import baselines_of, fixes_of, snr_of
+from scalar_epochs import blocks_of, epoch_blocks, epochs_of, no_skips
 
 SATS = tuple(
     Satellite(sat_id=f"G{k:02d}", azimuth_deg=40.0 * k, elevation_deg=25.0 + 8.0 * k)
@@ -172,7 +172,7 @@ def test_attitude_min_baselines_is_an_unknown_key(tmp_path) -> None:
 
 def test_clean_epoch_full_solution() -> None:
     cfg = _scenario()
-    epoch = next(iter(simulate(cfg)))
+    epoch = next(iter(simulate(cfg))).epoch(0)
     result = process_epoch(epoch, PipelineConfig())
     assert result.attitude.available
     assert result.position.available
@@ -210,7 +210,7 @@ def test_fixed_antenna_without_attitude_cannot_remove_lever() -> None:
 
 def test_subset_restricts_everything() -> None:
     cfg = _scenario()
-    epoch = next(iter(simulate(cfg)))
+    epoch = next(iter(simulate(cfg))).epoch(0)
     pipe = PipelineConfig(antenna_subset=(1, 3, 5))
     result = process_epoch(epoch, pipe)
     assert set(result.fixes_used.ids.tolist()) <= {1, 3, 5}
@@ -223,7 +223,7 @@ def test_subset_restricts_everything() -> None:
 
 def test_subset_attitude_from_three_antennas_still_solves() -> None:
     cfg = _scenario()
-    epoch = next(iter(simulate(cfg)))
+    epoch = next(iter(simulate(cfg))).epoch(0)
     result = process_epoch(epoch, PipelineConfig(antenna_subset=(1, 3, 5)))
     assert result.attitude.available
     assert quat_angle(result.attitude.q, epoch.truth.attitude) < math.radians(1.0)
@@ -240,7 +240,7 @@ def test_multipath_feedback_requeries_fixes() -> None:
     with_fb = PipelineConfig()
     without_fb = PipelineConfig(multipath_feedback=False)
     gained = 0
-    for epoch in simulate(cfg):
+    for epoch in epochs_of(simulate(cfg)):
         r_on = process_epoch(epoch, with_fb)
         r_off = process_epoch(epoch, without_fb)
         on_fixed = set(r_on.fixes_used.ids[r_on.fixes_used.fixed].tolist())
@@ -255,7 +255,7 @@ def test_multipath_feedback_requeries_fixes() -> None:
 
 def test_run_metrics_on_clean_stream() -> None:
     cfg = _scenario(duration_s=5.0)
-    result = run(epoch_blocks(simulate(cfg)), PipelineConfig())
+    result = run(no_skips(simulate(cfg)), PipelineConfig())
     m = result.metrics
     assert m.epochs == 50
     assert m.skipped == 0
@@ -273,7 +273,7 @@ def test_run_metrics_on_clean_stream() -> None:
 
 def test_hybrid_rate_never_below_best_antenna() -> None:
     cfg = _scenario(duration_s=30.0, fix_model=FixModel(), seed=77)
-    m = run(epoch_blocks(simulate(cfg)), PipelineConfig()).metrics
+    m = run(no_skips(simulate(cfg)), PipelineConfig()).metrics
     best = max(m.per_antenna_fix_rate_pct.values())
     assert m.hybrid_fix_rate_pct >= best
 
@@ -293,7 +293,7 @@ def test_run_empty_stream() -> None:
 
 def test_run_skips_non_increasing_timestamps() -> None:
     cfg = _scenario(duration_s=1.0)
-    epochs = list(simulate(cfg))
+    epochs = epochs_of(simulate(cfg))
     shuffled = epochs[:5] + [epochs[2]] + epochs[5:]
     result = run(epoch_blocks(shuffled), PipelineConfig())
     assert result.metrics.epochs == 10
@@ -303,7 +303,7 @@ def test_run_skips_non_increasing_timestamps() -> None:
 
 def test_run_skips_epoch_level_validation_errors() -> None:
     cfg = _scenario(duration_s=1.0)
-    epochs = list(simulate(cfg))
+    epochs = epochs_of(simulate(cfg))
     dup = epochs[3]
     bad = EpochRecord(
         t=epochs[2].t + 0.001,
@@ -322,7 +322,7 @@ def test_run_skips_epoch_level_validation_errors() -> None:
 
 def test_run_skips_epoch_naming_an_antenna_outside_the_layout() -> None:
     cfg = _scenario(duration_s=1.0)
-    epochs = list(simulate(cfg))
+    epochs = epochs_of(simulate(cfg))
     src = epochs[4]
     f = src.fixes
     with_stray_fix = Fixes.checked(  # the epoch's fixes and a fixed antenna 9
@@ -370,7 +370,7 @@ def test_run_skips_an_antenna_named_twice_before_the_replay(feedback: bool) -> N
     an epoch fresh fixes, so these epochs are skipped under feedback too,
     and the rest give the metrics and poses of the clean odd epochs alone."""
     cfg = replace(load_scenario(bundled_scenario_path("multipath")), duration_s=3.0)
-    epochs = list(simulate(cfg))
+    epochs = epochs_of(simulate(cfg))
     config = PipelineConfig(multipath_feedback=feedback)
     extra = [(1, 2, [0.9, 0.0, 0.0])] * 2
     stream = [e if k % 2 else _with_fixes(e, extra) for k, e in enumerate(epochs)]
@@ -392,7 +392,7 @@ def test_run_skips_an_antenna_named_twice_before_the_replay(feedback: bool) -> N
 
 def test_run_skips_an_inactive_antenna_named_twice() -> None:
     # antenna 2 is outside the subset, which does not hide its second row
-    epochs = list(simulate(_scenario(duration_s=1.0)))
+    epochs = epochs_of(simulate(_scenario(duration_s=1.0)))
     bad = _with_fixes(epochs[4], [(2, 1, [0.0, 0.9, 0.0])])
     config = PipelineConfig(antenna_subset=(1, 3, 5))
     with pytest.raises(ValidationError, match="^duplicate solution for antenna 2$"):
@@ -405,7 +405,7 @@ def test_run_skips_an_inactive_antenna_named_twice() -> None:
 def test_run_skips_a_satellite_named_twice_that_the_subset_drops() -> None:
     # X01's two rows are tracked by antennas 2, 4 and 6 only, so antennas
     # 1, 3 and 5 leave both untracked; the epoch is still at fault
-    epochs = list(simulate(_scenario(duration_s=1.0)))
+    epochs = epochs_of(simulate(_scenario(duration_s=1.0)))
     src = epochs[4]
     rows = np.full((2, 6), np.nan)
     rows[:, 1::2] = 45.0
@@ -422,14 +422,14 @@ def test_run_skips_a_satellite_named_twice_that_the_subset_drops() -> None:
 
 def test_run_feedback_disabled_leaves_requery_rate_none() -> None:
     cfg = _scenario(duration_s=1.0)
-    m = run(epoch_blocks(simulate(cfg)), PipelineConfig(multipath_feedback=False)).metrics
+    m = run(no_skips(simulate(cfg)), PipelineConfig(multipath_feedback=False)).metrics
     assert m.hybrid_fix_rate_multipath_pct is None
     assert m.hybrid_fix_rate_pct is not None
 
 
 def test_run_truthless_stream_uses_spread_about_mean() -> None:
     cfg = _scenario(duration_s=20.0, seed=99)
-    epochs = list(simulate(cfg))
+    epochs = epochs_of(simulate(cfg))
     stripped = [
         EpochRecord(t=e.t, fixes=e.fixes, baselines=e.baselines, snr_rows=e.snr_rows)
         for e in epochs
@@ -462,7 +462,7 @@ def test_run_truthless_yaw_wraps_cleanly() -> None:
     )
     epochs = [
         EpochRecord(t=e.t, fixes=e.fixes, baselines=e.baselines, snr_rows=e.snr_rows)
-        for e in simulate(cfg)
+        for e in epochs_of(simulate(cfg))
     ]
     m = run(epoch_blocks(epochs), PipelineConfig()).metrics
     assert m.attitude_sd_deg["yaw"] < 2.0
@@ -476,7 +476,7 @@ def test_run_detection_precision_recall() -> None:
         noise=NoiseModel(snr=SnrModel(fading_amplitude_db=8.0)),
         fix_model=FixModel(),
     )
-    m = run(epoch_blocks(simulate(cfg)), PipelineConfig()).metrics
+    m = run(no_skips(simulate(cfg)), PipelineConfig()).metrics
     assert m.multipath_precision is not None and m.multipath_recall is not None
     assert m.multipath_precision > 0.9
     assert m.multipath_recall > 0.5
@@ -497,7 +497,7 @@ def _detection_epochs() -> list[EpochRecord]:
         fix_model=FixModel(),
     )
     epochs = []
-    for k, epoch in enumerate(simulate(cfg)):
+    for k, epoch in enumerate(epochs_of(simulate(cfg))):
         truth, snr = epoch.truth, epoch.snr_rows
         assert truth.multipath_sats == {"M01", "M02"}
         if k % 3 == 1:
@@ -547,10 +547,10 @@ def test_an_snr_table_without_rows_runs_whatever_its_width(tmp_path) -> None:
     """An epoch whose SNR table has no rows but six columns, which
     ``SnrTable.checked`` accepts, runs as it does read back from the file
     ``write_epochs`` makes of it, where its table has width 0."""
-    epochs = list(simulate(_scenario(duration_s=0.3)))
+    epochs = epochs_of(simulate(_scenario(duration_s=0.3)))
     epochs[1] = replace(epochs[1], snr_rows=SnrTable.checked((), np.empty((0, 6))))
     path = tmp_path / "e.jsonl"
-    write_epochs(str(path), epochs)
+    write_epochs(str(path), blocks_of(epochs))
     got = run(epoch_blocks(epochs), PipelineConfig())
     want = run(read_epoch_blocks(str(path)), PipelineConfig())
     assert (want.metrics.epochs, want.metrics.skipped) == (3, 0)
@@ -563,7 +563,7 @@ def test_an_snr_table_without_rows_runs_whatever_its_width(tmp_path) -> None:
 def test_run_shared_diagnostics_list() -> None:
     diags = ["caller note"]
     cfg = _scenario(duration_s=0.5)
-    result = run(epoch_blocks(simulate(cfg)), PipelineConfig(), diagnostics=diags)
+    result = run(no_skips(simulate(cfg)), PipelineConfig(), diagnostics=diags)
     # an entry already in the list is not a skip of this run
     assert result.metrics.skipped == 0
     assert result.diagnostics is diags
@@ -651,7 +651,7 @@ def test_run_keeps_its_diagnostics_when_the_stream_fails() -> None:
     """``run`` pulls epochs ahead in blocks; a stream that fails after some
     epochs still gets the diagnostics of those epochs, in stream order,
     before the failure propagates."""
-    epochs = list(simulate(_scenario(duration_s=0.5)))
+    epochs = epochs_of(simulate(_scenario(duration_s=0.5)))
     diags = ["caller note"]
 
     def failing():
@@ -671,7 +671,7 @@ def test_run_keeps_its_diagnostics_when_the_stream_fails() -> None:
 
 def test_metrics_json_rounding() -> None:
     cfg = _scenario(duration_s=2.0)
-    m = run(epoch_blocks(simulate(cfg)), PipelineConfig()).metrics
+    m = run(no_skips(simulate(cfg)), PipelineConfig()).metrics
     d = m.to_json_dict()
     assert set(d["per_antenna_fix_rate_pct"].keys()) == {"1", "2", "3", "4", "5", "6"}
     assert d["hybrid_fix_rate_pct"] == round(m.hybrid_fix_rate_pct, 1)

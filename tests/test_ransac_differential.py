@@ -38,7 +38,6 @@ from mgp import (
     quat_angle,
     quat_to_matrix,
     ransac_attitude,
-    epoch_blocks,
     rotate,
     run,
     simulate,
@@ -47,6 +46,7 @@ import mgp.pipeline
 from mgp.attitude import EIGEN_GAP_TOL, _davenport_k
 from mgp.epochs import offsets
 from mgp.robust import MIN_PAIR_ANGLE_DEG, _pair_gap, _pair_quaternions, consensus
+from scalar_epochs import epoch_blocks, epochs_of
 
 from conftest import baselines_of
 
@@ -372,7 +372,7 @@ def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset)
     whose consensus is the scalar pair loop, called once per epoch that
     reaches consensus."""
     cfg = load_scenario(bundled_scenario_path(scenario))
-    epochs = list(simulate(dataclasses.replace(cfg, duration_s=15.0)))
+    epochs = epochs_of(simulate(dataclasses.replace(cfg, duration_s=15.0)))
     config = PipelineConfig(antenna_subset=subset)
     batched = run(epoch_blocks(epochs), config)
 

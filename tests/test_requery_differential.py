@@ -37,6 +37,7 @@ from mgp.multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ
 from mgp.positioning import FIX_GRADES
 from mgp.simulator import _effective_biases
 
+from scalar_epochs import epochs_of
 from test_acceptance import A9_SCENARIO
 
 
@@ -446,7 +447,7 @@ def test_requery_matches_object_path(streams) -> None:
 
 def test_calibrated_model_is_a_fix_model_without_targets() -> None:
     cfg = _bundled("fixrate", 0.1)
-    model = next(iter(mgp.simulate(cfg))).truth.requery.stream.model
+    model = next(iter(mgp.simulate(cfg))).truth[0].requery.stream.model
     assert isinstance(model, mgp.FixModel)
     assert model.target_fix_probs is None and model.baseline_target_fix_prob is None
     assert model == replace(
@@ -523,8 +524,9 @@ def _replay_is_the_simulator(cfg: mgp.ScenarioConfig, path: Path) -> int:
     blocks: replaying each block's stored generator states with nothing
     excluded gives bitwise the fixes and baselines the simulator made.
     Returns the count of epochs whose attitude the reader re-normalized."""
-    epochs = list(mgp.simulate(cfg))
-    mgp.write_epochs(str(path), epochs)
+    blocks = list(mgp.simulate(cfg))
+    mgp.write_epochs(str(path), blocks)
+    epochs = epochs_of(blocks)
     n, k, changed = cfg.layout.antenna_count, 0, 0
     for block, skips in mgp.read_epoch_blocks(str(path)):
         assert skips == []

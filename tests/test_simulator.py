@@ -38,6 +38,8 @@ from mgp import (
     truth_poses,
 )
 
+from scalar_epochs import epochs_of
+
 OPEN_SKY = tuple(
     Satellite(sat_id=f"G{k:02d}", azimuth_deg=45.0 * k, elevation_deg=30.0 + 7.0 * k)
     for k in range(8)
@@ -189,8 +191,8 @@ def _assert_same_fixes(a: Fixes, b: Fixes) -> None:
 
 def test_stream_is_deterministic() -> None:
     cfg = _config(fix_model=FixModel())
-    a = list(simulate(cfg))
-    b = list(simulate(cfg))
+    a = epochs_of(simulate(cfg))
+    b = epochs_of(simulate(cfg))
     assert len(a) == len(b) == cfg.n_epochs
     for ea, eb in zip(a, b):
         assert ea.t == eb.t
@@ -204,8 +206,8 @@ def test_stream_is_deterministic() -> None:
 def test_different_seeds_differ() -> None:
     cfg_a = _config(fix_model=FixModel(), seed=1)
     cfg_b = _config(fix_model=FixModel(), seed=2)
-    a = next(iter(simulate(cfg_a)))
-    b = next(iter(simulate(cfg_b)))
+    a = next(iter(simulate(cfg_a))).epoch(0)
+    b = next(iter(simulate(cfg_b))).epoch(0)
     assert not np.array_equal(a.fixes.grade, b.fixes.grade) or not np.array_equal(
         a.fixes.p, b.fixes.p, equal_nan=True
     )
@@ -213,7 +215,7 @@ def test_different_seeds_differ() -> None:
 
 def test_open_sky_high_bias_all_fixed() -> None:
     cfg = _config(noise=NoiseModel(wrong_fix_prob=0.0))
-    for epoch in simulate(cfg):
+    for epoch in epochs_of(simulate(cfg)):
         assert epoch.fixes.fixed.all()
         assert len(epoch.baselines) == 15
         assert epoch.baselines.fixed.all()
@@ -232,7 +234,7 @@ def test_zero_noise_measurements_match_truth() -> None:
         ),
     )
     layout = cfg.layout
-    for epoch in simulate(cfg):
+    for epoch in epochs_of(simulate(cfg)):
         q = truth_attitude(cfg, epoch.t)
         p = trajectory_position(cfg, epoch.t)
         for ant, p_ant in zip(epoch.fixes.ids.tolist(), epoch.fixes.p):
@@ -252,7 +254,7 @@ def test_wrong_fix_labels_are_honest() -> None:
     )
     layout = cfg.layout
     saw_wrong = False
-    for epoch in simulate(cfg):
+    for epoch in epochs_of(simulate(cfg)):
         q = truth_attitude(cfg, epoch.t)
         p = trajectory_position(cfg, epoch.t)
         fixes = epoch.fixes
@@ -273,7 +275,7 @@ def test_wrong_fix_offsets_live_on_the_ambiguity_lattice() -> None:
     cfg = _config(duration_s=30.0, noise=NoiseModel(sigma_fixed_m=0.0, wrong_fix_prob=0.5))
     layout = cfg.layout
     offsets = []
-    for epoch in simulate(cfg):
+    for epoch in epochs_of(simulate(cfg)):
         q = truth_attitude(cfg, epoch.t)
         p = trajectory_position(cfg, epoch.t)
         fixes = epoch.fixes
@@ -297,7 +299,7 @@ def test_snr_rows_separate_clean_from_multipath() -> None:
     )
     snr_model = cfg.noise.snr
     by_sat: dict[str, list[float]] = {}
-    for epoch in simulate(cfg):
+    for epoch in epochs_of(simulate(cfg)):
         snr = epoch.snr_rows
         for sat, sat_id, row in zip(cfg.constellation, snr.sat_ids, snr.dbhz.tolist()):
             assert sat_id == sat.sat_id
@@ -315,7 +317,7 @@ def test_snr_rows_separate_clean_from_multipath() -> None:
 
 def test_requery_with_no_exclusions_reproduces_epoch() -> None:
     cfg = _config(duration_s=5.0, fix_model=FixModel())
-    for epoch in simulate(cfg):
+    for epoch in epochs_of(simulate(cfg)):
         fixes, obs = requery_epoch(epoch, frozenset(), cfg.layout)
         _assert_same_fixes(fixes, epoch.fixes)
         assert np.array_equal(obs.pairs, epoch.baselines.pairs)
@@ -332,7 +334,7 @@ def test_requery_excluding_multipath_promotes_monotonically() -> None:
     )
     mp = multipath_satellite_ids(cfg)
     promoted = 0
-    for epoch in simulate(cfg):
+    for epoch in epochs_of(simulate(cfg)):
         before_fixed = _fixed_ids(epoch.fixes)
         fixes, obs = requery_epoch(epoch, mp, cfg.layout)
         after_fixed = _fixed_ids(fixes)
@@ -350,7 +352,7 @@ def test_requery_excluding_clean_satellites_demotes() -> None:
     cfg = _config(duration_s=20.0, fix_model=FixModel())
     removed = frozenset({"G00", "G01", "G02", "G03"})
     demoted = 0
-    for epoch in simulate(cfg):
+    for epoch in epochs_of(simulate(cfg)):
         before = _fixed_ids(epoch.fixes)
         fixes, _ = requery_epoch(epoch, removed, cfg.layout)
         after = _fixed_ids(fixes)
@@ -361,7 +363,7 @@ def test_requery_excluding_clean_satellites_demotes() -> None:
 
 def test_requery_requires_truth_channel() -> None:
     cfg = _config(duration_s=0.5)
-    epoch = next(iter(simulate(cfg)))
+    epoch = next(iter(simulate(cfg))).epoch(0)
     stripped = type(epoch)(
         t=epoch.t, fixes=epoch.fixes, baselines=epoch.baselines, snr_rows=epoch.snr_rows
     )
@@ -375,7 +377,7 @@ def test_target_fix_probs_calibrate_exactly() -> None:
         duration_s=0.5,
         fix_model=FixModel(target_fix_probs=targets, baseline_target_fix_prob=0.995),
     )
-    epoch = next(iter(simulate(cfg)))
+    epoch = next(iter(simulate(cfg))).epoch(0)
     model = epoch.truth.requery.stream.model
     n = len(cfg.constellation)
     for bias, want in zip(model.antenna_bias, targets):
@@ -474,9 +476,9 @@ def test_scan_max_range_cuts_off_returns() -> None:
 def test_scan_seed_independent_of_epoch_draws() -> None:
     # scanning must not perturb the GNSS stream
     cfg = _flight_config()
-    a = list(simulate(cfg))
+    a = epochs_of(simulate(cfg))
     list(scan_stream(cfg, ScannerModel(pulses_per_rev=32)))
-    b = list(simulate(cfg))
+    b = epochs_of(simulate(cfg))
     for ea, eb in zip(a, b):
         _assert_same_fixes(ea.fixes, eb.fixes)
 

@@ -22,8 +22,6 @@ from mgp import (
     ValidationError,
     Vec3,
     bundled_scenario_path,
-    epoch_from_dict,
-    epoch_to_dict,
     euler_to_quat,
     load_calibration,
     load_reflectors,
@@ -37,6 +35,8 @@ from mgp import (
     write_poses,
     write_scan,
 )
+
+from scalar_epochs import blocks_of, epoch_from_dict, epoch_to_dict, epochs_of
 
 SATS = tuple(
     Satellite(sat_id=f"G{k:02d}", azimuth_deg=40.0 * k, elevation_deg=25.0 + 8.0 * k)
@@ -54,25 +54,25 @@ def _scenario(**kw) -> ScenarioConfig:
 
 
 def test_epoch_stream_round_trip_byte_identical(tmp_path: Path) -> None:
-    epochs = list(simulate(_scenario(noise=NoiseModel(wrong_fix_prob=0.3))))
+    epochs = epochs_of(simulate(_scenario(noise=NoiseModel(wrong_fix_prob=0.3))))
     p1 = tmp_path / "a.jsonl"
     p2 = tmp_path / "b.jsonl"
-    assert write_epochs(str(p1), epochs) == len(epochs)
+    assert write_epochs(str(p1), blocks_of(epochs)) == len(epochs)
     back = list(read_epochs(str(p1)))
-    write_epochs(str(p2), back)
+    write_epochs(str(p2), blocks_of(back))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 @pytest.mark.parametrize("fork", [True, False], ids=["worker", "one-process"])
-def test_write_epochs_keeps_the_epochs_before_a_fault(tmp_path: Path, monkeypatch, fork) -> None:
-    """A source that raises after 10 epochs, inside the second block of
-    ``WRITE_BLOCK`` (8): all 10 are written before the fault propagates,
-    with a worker or without one."""
-    epochs = list(simulate(_scenario(duration_s=1.0)))
-    assert len(epochs) == 10 and mgp.streams.WRITE_BLOCK == 8
+def test_write_epochs_keeps_the_blocks_before_a_fault(tmp_path: Path, monkeypatch, fork) -> None:
+    """A block source that raises after its first block of 32 epochs: the
+    header and all 32 are written before the fault propagates, with a
+    worker or without one."""
+    blocks = list(simulate(_scenario(duration_s=4.0)))
+    assert [len(block) for block in blocks] == [32, 8]
 
     def failing():
-        yield from epochs
+        yield blocks[0]
         raise ValueError("source failed")
 
     if not fork:
@@ -80,14 +80,61 @@ def test_write_epochs_keeps_the_epochs_before_a_fault(tmp_path: Path, monkeypatc
     path, reference = tmp_path / "cut.jsonl", tmp_path / "whole.jsonl"
     with pytest.raises(ValueError, match="^source failed$"):
         write_epochs(str(path), failing())
-    assert write_epochs(str(reference), epochs) == 10
+    assert write_epochs(str(reference), blocks[:1]) == 32
     assert path.read_bytes() == reference.read_bytes()
 
 
-def test_epoch_round_trip_preserves_truth_and_values(tmp_path: Path) -> None:
-    epochs = list(simulate(_scenario()))
+def test_write_epochs_writes_the_header_before_a_fault(tmp_path: Path) -> None:
+    """A block source that raises before its first block leaves the
+    header line without requery constants."""
+    def failing():
+        raise ValueError("source failed")
+        yield
+
     path = tmp_path / "e.jsonl"
-    write_epochs(str(path), epochs)
+    with pytest.raises(ValueError, match="^source failed$"):
+        write_epochs(str(path), failing())
+    assert path.read_text(encoding="utf-8") == json.dumps(mgp.streams.EPOCH_HEADER) + "\n"
+
+
+def test_write_epochs_refuses_a_block_of_other_requery_constants(tmp_path: Path) -> None:
+    """Every requery record must hold the header's constants, which are the
+    first block's: a later block of another stream raises, after the blocks
+    before it are written."""
+    first = list(simulate(_scenario(duration_s=4.0)))
+    other = list(simulate(_scenario(duration_s=4.0, seed=22)))
+    path, reference = tmp_path / "mixed.jsonl", tmp_path / "first.jsonl"
+    with pytest.raises(ValidationError, match="not those of its stream header"):
+        write_epochs(str(path), [*first, other[0]])
+    assert write_epochs(str(reference), first) == 40
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_write_epochs_writes_the_reader_blocks_back(tmp_path: Path) -> None:
+    """A block's SNR table is as wide as its widest epoch, NaN-padded: the
+    writer cuts each epoch's rows to that epoch's own width, and writes a
+    NaN within it as null, so the reader's blocks of epochs of 6, 5 and 0
+    SNR columns write the lines they were read from."""
+    epochs = epochs_of(simulate(_scenario(duration_s=0.5)))
+    path, back = tmp_path / "e.jsonl", tmp_path / "back.jsonl"
+    write_epochs(str(path), blocks_of(epochs))
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for row in records[1]["snr_rows"]:
+        row["snr"] = row["snr"][:5]
+    records[2]["snr_rows"][0]["snr"][0] = None
+    records[3]["snr_rows"] = []
+    path.write_text("\n".join([header, *map(json.dumps, records)]) + "\n", encoding="utf-8")
+    blocks = [block for block, skips in mgp.read_epoch_blocks(str(path)) if not skips]
+    assert [block.snr_width.tolist() for block in blocks] == [[6, 5, 6, 0, 6]]
+    assert write_epochs(str(back), blocks) == 5
+    assert back.read_bytes() == path.read_bytes()
+
+
+def test_epoch_round_trip_preserves_truth_and_values(tmp_path: Path) -> None:
+    epochs = epochs_of(simulate(_scenario()))
+    path = tmp_path / "e.jsonl"
+    write_epochs(str(path), blocks_of(epochs))
     back = list(read_epochs(str(path)))
     assert len(back) == len(epochs)
     for a, b in zip(epochs, back):
@@ -113,7 +160,7 @@ def test_epoch_header_line_exact(tmp_path: Path) -> None:
 
 
 def test_epoch_dict_round_trip_without_truth() -> None:
-    epoch = next(iter(simulate(_scenario())))
+    epoch = epochs_of(simulate(_scenario()))[0]
     d = epoch_to_dict(epoch)
     d.pop("truth")
     back = epoch_from_dict(json.loads(json.dumps(d)))
@@ -136,9 +183,9 @@ def test_read_epochs_rejects_wrong_header(tmp_path: Path) -> None:
 
 
 def test_read_epochs_malformed_line_strict_vs_skip(tmp_path: Path) -> None:
-    epochs = list(simulate(_scenario(duration_s=0.3)))
+    epochs = epochs_of(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
-    write_epochs(str(path), epochs)
+    write_epochs(str(path), blocks_of(epochs))
     lines = path.read_text(encoding="utf-8").splitlines()
     lines.insert(2, "{not json")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -187,9 +234,9 @@ def test_read_epochs_rejects_bad_requery_record(tmp_path: Path, edit, message: s
     """Requery constants that fail their checks, which the stream header
     holds for every epoch, are a fault of the file: strict reading and skip
     mode alike name ``path:1``."""
-    epochs = list(simulate(_scenario(duration_s=0.3)))
+    epochs = epochs_of(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
-    write_epochs(str(path), epochs)
+    write_epochs(str(path), blocks_of(epochs))
     lines = path.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
     edit(header["requery"])
@@ -294,9 +341,9 @@ def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str)
     numbers must be an array of its width; a key the format does not have
     is no key to ignore. Strict reading names ``path:line``, skip mode
     counts it."""
-    epochs = list(simulate(_scenario(duration_s=0.3)))
+    epochs = epochs_of(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
-    write_epochs(str(path), epochs)
+    write_epochs(str(path), blocks_of(epochs))
     lines = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[2])
     edit(record)
@@ -318,10 +365,10 @@ def test_read_epochs_names_the_snr_widths_that_disagree(tmp_path: Path, row: int
     """SNR rows of one epoch must share one width: a line with a row of
     another width names the first row's width and the first other one,
     alone and inside a full reader block, and does not blame the good rows."""
-    epochs = list(simulate(_scenario(duration_s=4.0)))
+    epochs = epochs_of(simulate(_scenario(duration_s=4.0)))
     assert len(epochs) > mgp.streams.READ_BLOCK
     path = tmp_path / "e.jsonl"
-    write_epochs(str(path), epochs)
+    write_epochs(str(path), blocks_of(epochs))
     lines = path.read_text(encoding="utf-8").splitlines()
     k = mgp.streams.READ_BLOCK // 2
     record = json.loads(lines[k])
@@ -341,9 +388,9 @@ def test_read_epochs_names_the_snr_widths_that_disagree(tmp_path: Path, row: int
 
 @pytest.mark.parametrize("line", ["[1, 2]", "5", '"x"', "null"])
 def test_read_epochs_names_a_line_that_is_not_an_object(tmp_path: Path, line: str) -> None:
-    epochs = list(simulate(_scenario(duration_s=0.3)))
+    epochs = epochs_of(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
-    write_epochs(str(path), epochs)
+    write_epochs(str(path), blocks_of(epochs))
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[2] = line
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -355,7 +402,7 @@ def test_read_epochs_names_a_line_that_is_not_an_object(tmp_path: Path, line: st
 def test_block_decoder_checks_each_epoch_on_its_own() -> None:
     """Epochs that each name every antenna pair decode as one block, into
     the arrays each gives alone; a pair named twice in one epoch fails it."""
-    epochs = list(simulate(_scenario(duration_s=0.5)))
+    epochs = epochs_of(simulate(_scenario(duration_s=0.5)))
     stream = epochs[0].truth.requery.stream
     dicts = [json.loads(json.dumps(epoch_to_dict(e))) for e in epochs]
     block = mgp.streams._decode(dicts, range(2, len(dicts) + 2), stream)
@@ -389,7 +436,7 @@ _NO_STATUS = object()
 def test_the_first_fix_without_a_known_status_names_the_fault(first, second, message) -> None:
     """Whatever is wrong with a status, the first fix in fix order that has
     no known one names the line's fault."""
-    d = json.loads(json.dumps(epoch_to_dict(next(iter(simulate(_scenario(duration_s=0.1)))))))
+    d = json.loads(json.dumps(epoch_to_dict(epochs_of(simulate(_scenario(duration_s=0.1)))[0])))
     for fix, status in zip(d["fixes"], (first, second)):
         if status is _NO_STATUS:
             del fix["status"]
@@ -450,10 +497,10 @@ def test_read_epochs_reports_the_first_of_two_faults(tmp_path: Path, edit, messa
     the epoch meets first, whichever of them the block decoder's line pass
     (lookups) or its checks find: alone (the decoder on a block of one) and
     inside a full block of the reader."""
-    epochs = list(simulate(_scenario(duration_s=4.0)))
+    epochs = epochs_of(simulate(_scenario(duration_s=4.0)))
     assert len(epochs) > mgp.streams.READ_BLOCK
     path = tmp_path / "e.jsonl"
-    write_epochs(str(path), epochs)
+    write_epochs(str(path), blocks_of(epochs))
     lines = path.read_text(encoding="utf-8").splitlines()
     k = mgp.streams.READ_BLOCK // 2
     record = json.loads(lines[k])
@@ -473,9 +520,9 @@ def test_read_epochs_reports_the_first_of_two_faults(tmp_path: Path, edit, messa
 def test_read_epochs_rejects_non_unit_truth_attitude(tmp_path: Path, attitude, norm) -> None:
     """A truth attitude is read, not normalized: one off unit norm by more
     than QUAT_READ_TOL is a malformed line, within it the unit quaternion."""
-    epochs = list(simulate(_scenario(duration_s=0.3)))
+    epochs = epochs_of(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
-    write_epochs(str(path), epochs)
+    write_epochs(str(path), blocks_of(epochs))
     lines = path.read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines[1:]]
     records[0]["truth"]["attitude"] = [0.0, 0.0, 0.0, 1.0000005]
