@@ -117,9 +117,11 @@ def _flagged(path: str, block: tuple[int, list[str] | bytes]) -> Cloud:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     # the report reads only the flagged points: keep those of each block,
-    # joined after an empty cloud, so that an empty file reads as one
+    # joined after an empty cloud, so that an empty file reads as one; a
+    # .bin block costs no more to read than to pickle for the worker
     empty = Cloud(np.empty((0, 3)), np.empty(0, dtype=bool))
-    flagged = ordered_map(lambda b: _flagged(args.cloud, b), cloud_blocks(args.cloud))
+    mapped = map if cloud_suffix(args.cloud) == ".bin" else ordered_map
+    flagged = mapped(lambda b: _flagged(args.cloud, b), cloud_blocks(args.cloud))
     cloud = Cloud.joined([empty, *flagged])
     reflectors, radius, min_hits = streams.load_reflectors(args.reflectors)
     report = evaluate_reflectors(cloud, reflectors, radius, min_hits)

@@ -12,13 +12,14 @@ is the one-epoch view of a block (:meth:`EpochBlock.epoch`).
 A simulated epoch's truth channel keeps a :class:`RequeryData` record: the
 stream's :class:`RequeryStream` constants, the PCG64 state before the
 epoch's first draw and the true pose. :func:`draw_channels` makes the
-epoch's :class:`ChannelDraws` from it, the simulator on its live generator
-and :func:`replay` on one set to the stored state, so a re-query grades the
-simulator's own draws against the probabilities of a reduced satellite set:
-removing a multipath satellite can only promote statuses, never revoke
-them. :func:`replay` re-queries a block of epochs at once, grading the
-block's concatenated draws in one pass; :func:`requery_epoch` is that
-replay on a block of one.
+epoch's generator calls, the simulator on its live generator and
+:func:`replay` on one set to the stored state, and :func:`block_draws`
+builds a block's :class:`ChannelDraws` from them and the poses at once, so
+a re-query grades the simulator's own draws against the probabilities of
+a reduced satellite set: removing a multipath satellite can only promote
+statuses, never revoke them. :func:`replay` re-queries a block of epochs
+at once, grading the block's draws in one pass; :func:`requery_epoch` is
+that replay on a block of one.
 """
 from __future__ import annotations
 
@@ -177,25 +178,37 @@ class RequeryData:
                 f"requery uint32 must be null or an integer in [0, 2**32), got {uint32!r}")
 
 
-def draw_channels(rng: np.random.Generator, req: RequeryData) -> tuple[ChannelDraws, ChannelDraws]:
-    """The antenna and the baseline channel draws of ``req``'s epoch, drawn
-    from ``rng`` in the order the simulator documents: for the antennas,
-    then the baselines, (n, 6) normals, (n, 3) uniforms and (n,) wrong-fix
-    lattice indices. A latent vector is the true antenna position or
-    baseline at ``req``'s pose plus a sigma times three of the normals."""
-    layout, noise = req.stream.layout, req.stream.noise
-    m = noise.wrong_fix_max_multiple
+def draw_channels(rng: np.random.Generator, stream: RequeryStream) -> tuple[np.ndarray, ...]:
+    """One epoch's channel draws from ``rng``, in the order the simulator
+    documents: for the antennas, then the baselines, (n, 6) normals, (n, 3)
+    uniforms and (n,) wrong-fix lattice indices. These six calls are all
+    that is drawn per epoch; :func:`block_draws` builds the channels."""
+    n = stream.layout.antenna_count
+    lattice = (2 * stream.noise.wrong_fix_max_multiple + 1) ** 3 - 1
+    out: list[np.ndarray] = []
+    for rows in (n, n * (n - 1) // 2):
+        out += rng.standard_normal((rows, 6)), rng.random((rows, 3)), rng.integers(0, lattice, rows)
+    return tuple(out)
+
+
+def block_draws(stream: RequeryStream, positions: np.ndarray, attitudes: np.ndarray,
+                raw: Sequence[tuple[np.ndarray, ...]]) -> tuple[ChannelDraws, ChannelDraws]:
+    """The antenna and the baseline channel draws of E epochs of ``stream``,
+    each epoch's in turn, from the (E, 3) true positions, the (E, 4)
+    attitudes as the epoch reader returns them and each epoch's
+    :func:`draw_channels`. A latent vector is the true antenna position or
+    baseline at the epoch's pose plus a sigma times three of the normals."""
+    noise, m = stream.noise, stream.noise.wrong_fix_max_multiple
     side = 2 * m + 1
-    r_eb = quat_to_matrix(req.attitude)
-    truth = (req.position.as_array() + layout.positions @ r_eb.T,
-             _pair_baselines(layout)[1] @ r_eb.T)
+    r_t = np.swapaxes(quat_to_matrix(attitudes), 1, 2)
+    truth = (positions[:, None] + stream.layout.positions @ r_t,
+             _pair_baselines(stream.layout)[1] @ r_t)
+    columns = [np.concatenate(column) for column in zip(*raw)]
     groups = []
-    for vecs in truth:
-        n = len(vecs)
-        norm, unif = rng.standard_normal((n, 6)), rng.random((n, 3))
+    for vecs, (norm, unif, k) in zip(truth, (columns[:3], columns[3:])):
+        vecs = vecs.reshape(-1, 3)
         # the lattice is every integer vector in [-m, m]^3 but 0, in
         # row-major order: skip the middle of the cube
-        k = rng.integers(0, side**3 - 1, n)
         lattice = (k + (k >= side**3 // 2))[:, None] // (side**2, side, 1) % side - m
         groups.append(ChannelDraws(
             unif[:, 0], unif[:, 1], unif[:, 2] < noise.wrong_fix_prob,
@@ -300,12 +313,12 @@ class EpochBlock:
 
 
 def _grade(
-    draws: ChannelDraws, p_fix: np.ndarray, float_fraction: np.ndarray
+    draws: ChannelDraws, p_fix: np.ndarray, float_fraction: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """FIXED mask, FLOAT mask and the measured (n, 3) vectors of a group of
-    channels, each row with its own probability and float fraction: a fix
-    takes the fixed-grade latent (plus its offset when wrong), a float the
-    float-grade one."""
+    channels, each row with its own fix probability: a fix takes the
+    fixed-grade latent (plus its offset when wrong), a float the float-grade
+    one."""
     fixed = draws.u_fix < p_fix
     floating = ~fixed & (draws.u_float < float_fraction)
     wrong = draws.wrong[:, None]
@@ -345,58 +358,53 @@ def replay(
     multipath_sats: Sequence[frozenset[str]],
     excluded: Sequence[frozenset[str]],
     layout: AntennaLayout,
-    draws: Sequence[tuple[ChannelDraws, ChannelDraws]] | None = None,
+    draws: tuple[ChannelDraws, ChannelDraws] | None = None,
 ) -> Replay:
     """Replay the fix and baseline outcomes of a block of epochs, each with
     its ``excluded`` satellites removed from its solution satellites.
 
-    Every record must have the layout's n antennas. Its channels are drawn
-    again from its stored state (:func:`draw_channels`), unless the caller
-    passes them as ``draws``. Per epoch, the count of remaining
-    satellites and of multipath ones among them give the fix probabilities
-    (:meth:`FixModel.probability`); then one pass over the block's
-    concatenated draws grades every channel against its epoch's
-    probability, so each epoch's outcome is what it gets alone.
+    Every record must have the layout's n antennas, and all one
+    :class:`RequeryStream`. The channels are drawn again from the stored
+    states (:func:`block_draws`), unless the caller passes them as
+    ``draws``. Per epoch, the count of remaining satellites and of multipath
+    ones among them give the fix probabilities (:meth:`FixModel.probability`,
+    once per distinct pair); then one pass over the block's draws grades
+    every channel against its epoch's probability, so each epoch's outcome
+    is what it gets alone.
     """
+    stream = requeries[0].stream
+    if any(req.stream != stream for req in requeries):
+        raise ValidationError("the epochs of a replayed block must share one requery stream")
     if draws is None:
         bits = np.random.PCG64(0)
-        rng, draws = np.random.Generator(bits), []
+        rng, raw = np.random.Generator(bits), []
         for req in requeries:
             bits.state = {"bit_generator": "PCG64",
-                          "state": {"state": req.state, "inc": req.stream.increment},
+                          "state": {"state": req.state, "inc": stream.increment},
                           "has_uint32": int(req.uint32 is not None), "uinteger": req.uint32 or 0}
-            draws.append(draw_channels(rng, req))
+            raw.append(draw_channels(rng, stream))
+        draws = block_draws(stream, np.array([req.position.as_array() for req in requeries]),
+                            np.array([req.attitude.as_array() for req in requeries]), raw)
     n = layout.antenna_count
     pairs, body = _pair_baselines(layout)
-    p_ant: list[float] = []
-    p_bl: list[float] = []
-    fraction: list[float] = []
-    used: list[int] = []
-    for req, mp, out in zip(requeries, multipath_sats, excluded):
-        remaining = [s for s in req.stream.solution_sats if s not in out]
+    model = stream.model
+    counts = []
+    for mp, out in zip(multipath_sats, excluded):
+        remaining = [s for s in stream.solution_sats if s not in out]
         n_mp = sum(1 for s in remaining if s in mp)
-        n_clean = len(remaining) - n_mp
-        model = req.stream.model
-        p_ant += [model.probability(n_clean, n_mp, b) for b in model.antenna_bias]
-        p_bl.append(model.probability(n_clean, n_mp, model.baseline_bias))
-        fraction.append(model.float_fraction)
-        used.append(len(remaining))
-    n_ep, n_pairs = len(used), len(pairs)
-    antenna_draws, baseline_draws = zip(*draws)
-    ant_fixed, ant_float, ant_vec = _grade(
-        ChannelDraws.joined(antenna_draws), np.array(p_ant), np.repeat(fraction, n)
-    )
-    bl_fixed, bl_float, bl_vec = _grade(
-        ChannelDraws.joined(baseline_draws),
-        np.repeat(p_bl, n_pairs),
-        np.repeat(fraction, n_pairs),
-    )
+        counts.append((len(remaining) - n_mp, n_mp))
+    biases = (*model.antenna_bias, model.baseline_bias)
+    p_of = {c: [model.probability(*c, b) for b in biases] for c in set(counts)}
+    p = np.array([p_of[c] for c in counts]).reshape(-1, n + 1)
+    n_ep, n_pairs = len(counts), len(pairs)
+    ant_fixed, ant_float, ant_vec = _grade(draws[0], p[:, :n].ravel(), model.float_fraction)
+    bl_fixed, bl_float, bl_vec = _grade(draws[1], np.repeat(p[:, n], n_pairs), model.float_fraction)
     grade = 2 * ant_fixed.astype(np.int8) + ant_float
     fixes = Fixes(
         ids=np.tile(np.arange(1, n + 1), n_ep),
         grade=grade,
         p=np.where((grade > 0)[:, None], ant_vec, np.nan),
-        sats_used=np.repeat(np.array(used, dtype=np.int64), n),
+        sats_used=np.repeat(np.array([sum(c) for c in counts], dtype=np.int64), n),
     )
     keep = bl_fixed | bl_float
     baselines = Baselines(

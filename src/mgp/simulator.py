@@ -12,11 +12,12 @@ Every stochastic outcome is drawn once, in a fixed documented order, from a
 single seeded generator. The epoch's truth channel keeps the generator's
 state before its first draw (:class:`mgp.epochs.RequeryData`), from which
 the pipeline draws the channels again with :func:`mgp.epochs.draw_channels`
-to re-query fix outcomes for a reduced satellite set. The generator is the
-whole module: scenario configs (decoded from JSON by
-:func:`scenario_from_dict` and :func:`load_scenario`), the epoch stream as
-:class:`mgp.epochs.EpochBlock` records, the scan stream, and truth or
-corrupted poses as :class:`mgp.mapping.Poses` records.
+to re-query fix outcomes for a reduced satellite set; the rest of the
+channels (:func:`mgp.epochs.block_draws`) is built once per block of
+epochs. The generator is the whole module: scenario configs (decoded from
+JSON by :func:`scenario_from_dict` and :func:`load_scenario`), the epoch
+stream as :class:`mgp.epochs.EpochBlock` records, the scan stream, and
+truth or corrupted poses as :class:`mgp.mapping.Poses` records.
 
 Per-epoch draw order (one ``numpy`` Generator seeded with ``config.seed``;
 fading phases shape ``(n_sats, n_antennas)`` are drawn once up front):
@@ -55,6 +56,7 @@ from .epochs import (
     RequeryData,
     RequeryStream,
     _pair_baselines,
+    block_draws,
     draw_channels,
     offsets,
     replay,
@@ -147,13 +149,10 @@ class AttitudeProfile:
             if any(b < a for a, b in zip(ts, ts[1:])):
                 raise ValidationError("profile knots must be time-ordered")
 
-    def angles_at(self, t: float) -> tuple[float, float, float]:
-        out = []
-        for knots in (self.roll_knots, self.pitch_knots, self.yaw_knots):
-            ts = [k[0] for k in knots]
-            vs = [k[1] for k in knots]
-            out.append(float(np.interp(t, ts, vs)))
-        return out[0], out[1], out[2]
+    def angles_at(self, t: float | np.ndarray) -> tuple[Any, ...]:
+        """Roll, pitch and yaw at ``t``, or lists of them at an array of times."""
+        return tuple(np.interp(t, [k[0] for k in knots], [k[1] for k in knots]).tolist()
+                     for knots in (self.roll_knots, self.pitch_knots, self.yaw_knots))
 
 
 @dataclass(frozen=True)
@@ -307,16 +306,17 @@ def trajectory_position(config: ScenarioConfig, t: float | np.ndarray) -> Vec3 |
     return Vec3.from_array(pos[0]) if np.ndim(t) == 0 else pos
 
 
-def truth_attitude(config: ScenarioConfig, t: float) -> UnitQuaternion:
-    roll, pitch, yaw = config.attitude_profile.angles_at(t)
-    return euler_to_quat(roll, pitch, yaw)
+def truth_attitude(config: ScenarioConfig, t: float | np.ndarray) -> UnitQuaternion | list:
+    """The true attitude at ``t``, or the list of them at an array of times."""
+    angles = config.attitude_profile.angles_at(t)
+    return euler_to_quat(*angles) if np.ndim(t) == 0 else [euler_to_quat(*a) for a in zip(*angles)]
 
 
 def truth_poses(config: ScenarioConfig, times: np.ndarray) -> Poses:
     """The true poses at the strictly increasing ``times``, each counting
     every antenna of the layout as fixed."""
     times = np.asarray(times, dtype=np.float64)
-    q = np.array([truth_attitude(config, t).as_array() for t in times.tolist()]).reshape(-1, 4)
+    q = np.array([q.as_array() for q in truth_attitude(config, times)]).reshape(-1, 4)
     n_fix = np.full(len(times), config.layout.antenna_count)
     return Poses.checked(times, trajectory_position(config, times), q, n_fix)
 
@@ -345,9 +345,9 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
 
     Deterministic for a given config: all randomness flows from one
     generator seeded with ``config.seed`` in the draw order documented in
-    the module docstring. Only the draws are made epoch by epoch; the fix
-    outcomes (one :func:`replay` of the block's draws), positions, SNR
-    table and wrong-fix truth flags are computed once per block.
+    the module docstring. Only the draws and quaternions are made epoch by
+    epoch; the attitude angles, positions, channels (:func:`block_draws`),
+    fix outcomes (one :func:`replay`), SNR table and truth flags per block.
     """
     rng = np.random.default_rng(config.seed)
     layout = config.layout
@@ -384,18 +384,19 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
         k = np.arange(first, min(first + EPOCH_BLOCK, config.n_epochs))
         n = len(k)
         t = k / config.rate_hz
-        positions = [Vec3(*p) for p in trajectory_position(config, t).tolist()]
-        attitudes = [truth_attitude(config, x) for x in t.tolist()]
+        positions = trajectory_position(config, t)
+        attitudes = truth_attitude(config, t)
         # the attitudes as the reader reads them back, for replays to match
         q_read = unit_quats(np.array([q.as_array() for q in attitudes]), canonicalize=False)
-        requeries, draws, jitter = [], [], []
-        for p_plat, q in zip(positions, q_read.tolist()):
+        requeries, raw, jitter = [], [], []
+        for p_plat, q in zip(positions.tolist(), q_read.tolist()):
             bits = rng.bit_generator.state
             uint32 = bits["uinteger"] if bits["has_uint32"] else None
-            req = RequeryData(stream, bits["state"]["state"], uint32, p_plat, UnitQuaternion(*q))
-            requeries.append(req)
-            draws.append(draw_channels(rng, req))
+            requeries.append(RequeryData(stream, bits["state"]["state"], uint32, Vec3(*p_plat),
+                                         UnitQuaternion(*q)))
+            raw.append(draw_channels(rng, stream))
             jitter.append(rng.standard_normal((n_sat, n_ant)))
+        ant, bl = draws = block_draws(stream, positions, q_read, raw)
         found = replay(requeries, [mp_sats] * n, [frozenset()] * n, layout, draws)
 
         fading = np.zeros((n, n_sat, n_ant))
@@ -408,9 +409,8 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
         snr = nominal[:, None] + fading + snr_model.thermal_jitter_db * np.array(jitter)
         snr = np.round(np.clip(snr, SNR_MIN_DBHZ, SNR_MAX_DBHZ), 2).reshape(n * n_sat, n_ant)
 
-        ant_wrong, bl_wrong = (np.concatenate([d.wrong for d in group]) for group in zip(*draws))
-        wrong = (found.fixes.fixed & ant_wrong).reshape(n, n_ant).tolist()
-        corrupted = (found.bl_fixed & bl_wrong).reshape(n, len(pairs)).tolist()
+        wrong = (found.fixes.fixed & ant.wrong).reshape(n, n_ant).tolist()
+        corrupted = (found.bl_fixed & bl.wrong).reshape(n, len(pairs)).tolist()
         truths = tuple(
             EpochTruth(req.position, q_truth, mp_sats, frozenset(compress(pair_keys, bad_pairs)),
                        frozenset(compress(range(1, n_ant + 1), bad_ants)), req)

@@ -9,7 +9,9 @@ epochs back into the blocks that ``write_epochs`` and ``run`` take
 :func:`epoch_from_dict` decodes
 one epoch line. :func:`simulate_records` and :func:`epoch_to_dict` are the
 per-epoch simulator loop and line encoder the blocks replaced, kept as the
-reference of ``test_simulator.py``'s differential tests.
+reference of ``test_simulator.py``'s differential tests, and
+:func:`draw_channels` is the per-epoch channel draw the block draws
+(``mgp.epochs.block_draws``) replaced.
 """
 from __future__ import annotations
 
@@ -20,8 +22,9 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 import mgp
-from mgp.core import UnitQuaternion, unit_quats
+from mgp.core import UnitQuaternion, quat_to_matrix, unit_quats
 from mgp.epochs import (
+    ChannelDraws,
     ChannelNoise,
     EpochBlock,
     EpochRecord,
@@ -29,7 +32,6 @@ from mgp.epochs import (
     RequeryData,
     RequeryStream,
     _pair_baselines,
-    draw_channels,
     replay,
 )
 from mgp.multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ, SnrTable
@@ -119,6 +121,34 @@ def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
     }
 
 
+def draw_channels(rng: np.random.Generator, req: RequeryData) -> tuple[ChannelDraws, ChannelDraws]:
+    """The antenna and the baseline channel draws of ``req``'s epoch, drawn
+    from ``rng`` in the order the simulator documents: for the antennas,
+    then the baselines, (n, 6) normals, (n, 3) uniforms and (n,) wrong-fix
+    lattice indices. A latent vector is the true antenna position or
+    baseline at ``req``'s pose plus a sigma times three of the normals."""
+    layout, noise = req.stream.layout, req.stream.noise
+    m = noise.wrong_fix_max_multiple
+    side = 2 * m + 1
+    r_eb = quat_to_matrix(req.attitude)
+    truth = (req.position.as_array() + layout.positions @ r_eb.T,
+             _pair_baselines(layout)[1] @ r_eb.T)
+    groups = []
+    for vecs in truth:
+        n = len(vecs)
+        norm, unif = rng.standard_normal((n, 6)), rng.random((n, 3))
+        # the lattice is every integer vector in [-m, m]^3 but 0, in
+        # row-major order: skip the middle of the cube
+        k = rng.integers(0, side**3 - 1, n)
+        lattice = (k + (k >= side**3 // 2))[:, None] // (side**2, side, 1) % side - m
+        groups.append(ChannelDraws(
+            unif[:, 0], unif[:, 1], unif[:, 2] < noise.wrong_fix_prob,
+            vecs + noise.sigma_fixed_m * norm[:, :3], vecs + noise.sigma_float_m * norm[:, 3:],
+            noise.wrong_fix_unit_m * lattice,
+        ))
+    return groups[0], groups[1]
+
+
 def simulate_records(config: ScenarioConfig) -> Iterator[EpochRecord]:
     """The epoch stream of ``config`` one epoch at a time, each epoch's fix
     outcomes a replay of its own draws, in the simulator's documented draw
@@ -164,7 +194,7 @@ def simulate_records(config: ScenarioConfig) -> Iterator[EpochRecord]:
         req = RequeryData(stream, bits["state"]["state"], uint32, p_plat, UnitQuaternion(*q_read))
         ant_channels, bl_channels = draws = draw_channels(rng, req)
         snr_jit = rng.standard_normal((n_sat, n_ant))
-        found = replay([req], [mp_sats], [frozenset()], layout, [draws])
+        found = replay([req], [mp_sats], [frozenset()], layout, draws)
         fixes, baselines = found.fixes, found.baselines
 
         offsets = np.zeros((n_sat, n_ant))

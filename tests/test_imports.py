@@ -166,7 +166,9 @@ def test_the_reader_builds_its_blocks_by_decoding_only() -> None:
 def test_the_channel_draws_are_made_in_one_place() -> None:
     """The simulator and the requery replay both draw an epoch's channels
     with ``epochs.draw_channels``: the simulator keeps no draw code of its
-    own, and the epoch stream no channel draw codec."""
+    own, and the epoch stream no channel draw codec. ``draw_channels``
+    makes only the generator calls, no rotation, and neither the replay nor
+    the simulator joins per-epoch channel draws: a block's are built whole."""
     import mgp.epochs
     import mgp.simulator
     import mgp.streams
@@ -180,6 +182,9 @@ def test_the_channel_draws_are_made_in_one_place() -> None:
     assert not draws & {_name(node) for node in _calls(mgp.epochs.replay)}
     assert "standard_normal" in {_name(node) for node in _calls(mgp.simulator.simulate)}  # SNR jitter
     assert not {"random", "integers"} & {_name(node) for node in _calls(mgp.simulator.simulate)}
+    assert "quat_to_matrix" not in {_name(node) for node in _calls(mgp.epochs.draw_channels)}
+    for fn in (mgp.simulator.simulate, mgp.epochs.replay):
+        assert "joined" not in {_name(node) for node in _calls(fn)}, fn.__name__
 
 
 def test_the_epoch_stream_is_blocks_from_the_simulator_to_the_file(monkeypatch) -> None:
