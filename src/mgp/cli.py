@@ -25,7 +25,8 @@ from .attitude import baseline_weights
 from .mapping import Cloud, evaluate_reflectors, georeference_stream
 from .oracles import wahba_svd
 from .ordered import ordered_map
-from .simulator import load_scenario, simulate, scan_stream
+# scan_stream is not called here; perfbench/tracer.py wraps mgp.cli.scan_stream
+from .simulator import load_scenario, scan_blocks, scan_stream, simulate
 from .streams import (
     cloud_blocks,
     cloud_bytes,
@@ -40,19 +41,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_scenario(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    writes = [lambda: streams.write_epochs(args.out, simulate(config))]
+    blocks = None
     if args.scan is not None:
         # both faults before either stream starts
         if config.scanner is None:
             raise ConfigurationError("scenario has no scanner model, cannot write a scan stream")
-        frames = scan_stream(config, config.scanner)  # checks the trajectory
-        writes.append(lambda: streams.write_scan(args.scan, frames))
-    # the epoch stream in this process, the scan stream, seeded on its own,
-    # in the worker; the epoch writer's own map then runs in this process
-    counts = ordered_map(lambda k: writes[k](), range(len(writes)))
-    print(f"wrote {next(counts)} epochs to {args.out}")
-    for n in counts:
-        print(f"wrote {n} scan frames to {args.scan}")
+        blocks = scan_blocks(config, config.scanner)  # checks the trajectory
+    # one stream after the other, each writer sharing its blocks with a worker
+    print(f"wrote {streams.write_epochs(args.out, simulate(config))} epochs to {args.out}")
+    if blocks is not None:
+        print(f"wrote {streams.write_scan(args.scan, blocks)} scan frames to {args.scan}")
     return 0
 
 
@@ -222,12 +220,25 @@ def _glue_antennas(argv: list[str]) -> list[str]:
 
 def _check_output_dirs(args: argparse.Namespace) -> None:
     """Raise InputError naming the first output path whose directory does
-    not exist, so that a command fails before it reads any input rather
-    than after all its work."""
+    not exist, or two output options that name one file, so that a command
+    fails before it reads any input rather than after all its work."""
+    named: dict[str, str] = {}
     for name in args.outputs:
         path = getattr(args, name)
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        if path is None:
+            continue
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise InputError(f"{path}: output directory does not exist")
+        for other, seen in named.items():
+            if _same_file(seen, path):
+                raise InputError(f"--{other} {seen} and --{name} {path} name the same file")
+        named[name] = path
+
+
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
 
 
 def main(argv: list[str] | None = None) -> int:

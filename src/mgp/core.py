@@ -381,20 +381,24 @@ def quat_angle(a: UnitQuaternion, b: UnitQuaternion) -> float:
 
 def euler_to_quat(roll_deg: float, pitch_deg: float, yaw_deg: float) -> UnitQuaternion:
     """Compose intrinsic Z-Y-X (yaw, then pitch, then roll) into a quaternion."""
+    return UnitQuaternion.from_array(euler_products(roll_deg, pitch_deg, yaw_deg))
+
+
+def euler_products(roll_deg: float, pitch_deg: float, yaw_deg: float) -> list[float]:
+    """The unnormalised ``[qx, qy, qz, qw]`` of :func:`euler_to_quat`;
+    :func:`unit_quats` of a stack of them gives euler_to_quat's bits."""
     hr = math.radians(roll_deg) / 2.0
     hp = math.radians(pitch_deg) / 2.0
     hy = math.radians(yaw_deg) / 2.0
     cr, sr = math.cos(hr), math.sin(hr)
     cp, sp = math.cos(hp), math.sin(hp)
     cy, sy = math.cos(hy), math.sin(hy)
-    return UnitQuaternion.from_array(
-        [
-            sr * cp * cy - cr * sp * sy,
-            cr * sp * cy + sr * cp * sy,
-            cr * cp * sy - sr * sp * cy,
-            cr * cp * cy + sr * sp * sy,
-        ]
-    )
+    return [
+        sr * cp * cy - cr * sp * sy,
+        cr * sp * cy + sr * cp * sy,
+        cr * cp * sy - sr * sp * cy,
+        cr * cp * cy + sr * sp * sy,
+    ]
 
 
 def euler_from_quat(q: UnitQuaternion) -> tuple[float, float, float]:

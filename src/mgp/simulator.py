@@ -31,8 +31,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress
-from typing import Any, Iterator
+from functools import partial
+from itertools import chain, compress
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .core import (
     AntennaLayout,
     UnitQuaternion,
     Vec3,
+    euler_products,
     euler_to_quat,
     hexagon_layout,
     quat_multiply,
@@ -68,6 +70,11 @@ from .multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ, SnrTable
 # Salt mixed into the seed for the scan-point generator so that producing a
 # scan stream never perturbs the epoch stream draws.
 _SCAN_SEED_SALT = 0x5CA9
+# Pulses per block of :func:`scan_blocks`, which `mgp simulate --scan` shares
+# with its worker: about what a process holds at once, at any pulses_per_rev.
+# In a sweep, smaller blocks were slower; larger ones raised peak RSS and
+# gained no more than the noise.
+SCAN_BLOCK = 3000
 
 
 @dataclass(frozen=True)
@@ -306,17 +313,20 @@ def trajectory_position(config: ScenarioConfig, t: float | np.ndarray) -> Vec3 |
     return Vec3.from_array(pos[0]) if np.ndim(t) == 0 else pos
 
 
-def truth_attitude(config: ScenarioConfig, t: float | np.ndarray) -> UnitQuaternion | list:
-    """The true attitude at ``t``, or the list of them at an array of times."""
+def truth_attitude(config: ScenarioConfig, t: float | np.ndarray) -> UnitQuaternion | np.ndarray:
+    """The true attitude at ``t``, or the (n, 4) array of them at an array
+    of n times, normalised together with the bits of :func:`euler_to_quat`."""
     angles = config.attitude_profile.angles_at(t)
-    return euler_to_quat(*angles) if np.ndim(t) == 0 else [euler_to_quat(*a) for a in zip(*angles)]
+    if np.ndim(t) == 0:
+        return euler_to_quat(*angles)
+    return unit_quats(np.array([euler_products(*a) for a in zip(*angles)]).reshape(-1, 4))
 
 
 def truth_poses(config: ScenarioConfig, times: np.ndarray) -> Poses:
     """The true poses at the strictly increasing ``times``, each counting
     every antenna of the layout as fixed."""
     times = np.asarray(times, dtype=np.float64)
-    q = np.array([q.as_array() for q in truth_attitude(config, times)]).reshape(-1, 4)
+    q = truth_attitude(config, times)
     n_fix = np.full(len(times), config.layout.antenna_count)
     return Poses.checked(times, trajectory_position(config, times), q, n_fix)
 
@@ -345,9 +355,10 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
 
     Deterministic for a given config: all randomness flows from one
     generator seeded with ``config.seed`` in the draw order documented in
-    the module docstring. Only the draws and quaternions are made epoch by
-    epoch; the attitude angles, positions, channels (:func:`block_draws`),
-    fix outcomes (one :func:`replay`), SNR table and truth flags per block.
+    the module docstring. Only the draws and the quaternions' sine and
+    cosine products are made epoch by epoch; their normalisation, the
+    attitude angles, positions, channels (:func:`block_draws`), fix outcomes
+    (one :func:`replay`), SNR table and truth flags per block.
     """
     rng = np.random.default_rng(config.seed)
     layout = config.layout
@@ -387,7 +398,7 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
         positions = trajectory_position(config, t)
         attitudes = truth_attitude(config, t)
         # the attitudes as the reader reads them back, for replays to match
-        q_read = unit_quats(np.array([q.as_array() for q in attitudes]), canonicalize=False)
+        q_read = unit_quats(attitudes, canonicalize=False)
         requeries, raw, jitter = [], [], []
         for p_plat, q in zip(positions.tolist(), q_read.tolist()):
             bits = rng.bit_generator.state
@@ -412,9 +423,10 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
         wrong = (found.fixes.fixed & ant.wrong).reshape(n, n_ant).tolist()
         corrupted = (found.bl_fixed & bl.wrong).reshape(n, len(pairs)).tolist()
         truths = tuple(
-            EpochTruth(req.position, q_truth, mp_sats, frozenset(compress(pair_keys, bad_pairs)),
+            EpochTruth(req.position, UnitQuaternion(*q), mp_sats,
+                       frozenset(compress(pair_keys, bad_pairs)),
                        frozenset(compress(range(1, n_ant + 1), bad_ants)), req)
-            for req, q_truth, bad_ants, bad_pairs in zip(requeries, attitudes, wrong, corrupted)
+            for req, q, bad_ants, bad_pairs in zip(requeries, attitudes.tolist(), wrong, corrupted)
         )
         yield EpochBlock(
             t, k + 2, found.fixes, offsets([n_ant] * n),
@@ -435,14 +447,27 @@ def scan_stream(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanF
     scanner does not perturb GNSS draws. A trajectory other than waypoints
     raises ConfigurationError at the call, before any frame is made.
     """
+    return chain.from_iterable(block() for block in scan_blocks(config, scanner))
+
+
+def scan_blocks(config: ScenarioConfig,
+                scanner: ScannerModel) -> Iterator[Callable[[], Iterator[ScanFrame]]]:
+    """The frames of :func:`scan_stream` in blocks of whole frames,
+    :data:`SCAN_BLOCK` pulses' worth or one frame, each a call that makes
+    them. Only their range noise is drawn here, in frame order, and a block
+    pickles, so any process can make its frames."""
     if config.trajectory.kind is not TrajectoryKind.WAYPOINT:
         raise ConfigurationError("scan generation requires a waypoint trajectory")
-    return _scan_frames(config, scanner)
-
-
-def _scan_frames(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[ScanFrame]:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SCAN_SEED_SALT]))
+    ppr = scanner.pulses_per_rev
+    step, n_frames = max(1, SCAN_BLOCK // ppr), int(round(config.duration_s * scanner.spin_hz))
+    return (partial(_scan_frames, config, scanner, first, scanner.range_noise_m
+                    * rng.standard_normal((min(step, n_frames - first), ppr)))
+            for first in range(0, n_frames, step))
 
+
+def _scan_frames(config: ScenarioConfig, scanner: ScannerModel, first: int,
+                 noise: np.ndarray) -> Iterator[ScanFrame]:
     ppr = scanner.pulses_per_rev
     gamma = math.radians(scanner.cone_deg)
     theta = 2.0 * math.pi * np.arange(ppr) / ppr
@@ -458,11 +483,9 @@ def _scan_frames(config: ScenarioConfig, scanner: ScannerModel) -> Iterator[Scan
     d_body = d_scan @ r_bs.T
     refl = [(r.position.x, r.position.y, r.radius_m**2) for r in config.reflectors]
 
-    n_frames = int(round(config.duration_s * scanner.spin_hz))
-    for k in range(n_frames):
+    for k, noise_draw in enumerate(noise, start=first):
         t0 = k / scanner.spin_hz
         ts = t0 + np.arange(ppr) / (scanner.spin_hz * ppr)
-        noise_draw = scanner.range_noise_m * rng.standard_normal(ppr)
 
         pos = trajectory_position(config, ts)
         r_eb = quat_to_matrix(truth_attitude(config, t0))

@@ -50,6 +50,8 @@ Formats:
     read by the epoch-line rules; each pulse is a compact array
     ``[t, x, y, z, reflector01]`` in scanner-frame meters; in memory a
     :class:`ScanFrame` of (n, 4) ``[t, x, y, z]`` rows and (n,) bool flags.
+    The writer shares its items, frames or calls that make a block of them,
+    with a worker like the epoch writer, so a block is made where it is encoded.
   * Pose trajectory: CSV with header ``t,E,N,U,qx,qy,qz,qw,n_fix,att_available``;
     one row per processed epoch, cells left empty when the corresponding
     solution is unavailable; in memory a :class:`Poses` record of arrays
@@ -98,7 +100,7 @@ import re
 from contextlib import closing, contextmanager, suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -317,17 +319,6 @@ def _check_unique_pairs(pairs: np.ndarray, ends: list[int]) -> None:
         raise ValidationError("baseline antenna pairs must be unordered-unique")
 
 
-def _write_lines(path: str, header: dict[str, Any], records: Iterable[dict[str, Any]]) -> int:
-    """Write the header line, then one line per record; returns the count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(header) + "\n")
-        for record in records:
-            f.write(json.dumps(record) + "\n")
-            n += 1
-    return n
-
-
 def _epoch_lines(stream: RequeryStream | None, block: EpochBlock) -> list[str]:
     """The lines of ``block``'s epochs, each requery record of the header's
     ``stream``, encoded from the block's columns: each array's values are
@@ -530,12 +521,28 @@ def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[
                 diagnostics.append(f"{path}:{lineno}: skipped epoch: {item}")
 
 
-def write_scan(path: str, frames: Iterable[ScanFrame]) -> int:
-    return _write_lines(path, SCAN_HEADER, (
-        {"t": f.t, "pulses": [row + [flag] for row, flag in
-                              zip(f.pulses.tolist(), f.reflector.astype(int).tolist())]}
-        for f in frames
-    ))
+def write_scan(path: str, frames: Iterable[ScanFrame | Callable[[], Iterable[ScanFrame]]]) -> int:
+    """Write the scan stream of ``frames``, each item a frame or a call that
+    makes a block of them (:func:`mgp.simulator.scan_blocks`); returns the
+    frame count. Like :func:`write_epochs`, it turns the items into text by
+    :func:`ordered.ordered_map`, so a block's frames are made there."""
+    n = 0
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(SCAN_HEADER) + "\n")
+        for lines in ordered_map(_scan_lines, frames):
+            f.writelines(lines)
+            n += len(lines)
+    return n
+
+
+def _scan_lines(item: ScanFrame | Callable[[], Iterable[ScanFrame]]) -> list[str]:
+    """The lines of a frame, or of each frame of a block."""
+    return [
+        json.dumps({"t": f.t, "pulses": [row + [flag] for row, flag in
+                                         zip(f.pulses.tolist(), f.reflector.astype(int).tolist())]})
+        + "\n"
+        for f in ([item] if isinstance(item, ScanFrame) else item())
+    ]
 
 
 def _scan_frame(d: Any) -> ScanFrame:

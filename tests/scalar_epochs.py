@@ -9,12 +9,14 @@ epochs back into the blocks that ``write_epochs`` and ``run`` take
 :func:`epoch_from_dict` decodes
 one epoch line. :func:`simulate_records` and :func:`epoch_to_dict` are the
 per-epoch simulator loop and line encoder the blocks replaced, kept as the
-reference of ``test_simulator.py``'s differential tests, and
+reference of ``test_simulator.py``'s differential tests with
+:func:`write_lines`, the line writer, and
 :func:`draw_channels` is the per-epoch channel draw the block draws
 (``mgp.epochs.block_draws``) replaced.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 from typing import Any, Iterable, Iterator
@@ -68,6 +70,12 @@ def no_skips(blocks: Iterable[EpochBlock]) -> Iterator[tuple[EpochBlock, list]]:
 def epoch_blocks(epochs: Iterable[EpochRecord]) -> Iterator[tuple[EpochBlock, list]]:
     """:func:`no_skips` of the :func:`blocks_of` ``epochs``."""
     return no_skips(blocks_of(epochs))
+
+
+def write_lines(path: Any, header: dict[str, Any], records: Iterable[dict[str, Any]]) -> None:
+    """Write the header line, then one JSON line per record."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(json.dumps(d) + "\n" for d in [header, *records])
 
 
 def epoch_from_dict(d: dict[str, Any], stream: RequeryStream | None = None) -> EpochRecord:

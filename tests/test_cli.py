@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import struct
 import subprocess
@@ -692,3 +693,40 @@ def test_output_in_a_missing_directory_fails_before_any_work(
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {missing / bad}: output directory does not exist\n"
     assert list(out.iterdir()) == [] and not missing.exists()
+
+
+# per command: its argv, with two outputs ``{a}`` and ``{b}``, and inputs
+# that do not exist
+_TWO_OUTPUTS = {
+    "simulate": (["simulate", "--config", "none.json", "--out", "{a}", "--scan", "{b}"],
+                 "out", "scan"),
+    "estimate": (["estimate", "--epochs", "none.jsonl", "--config", "none.json",
+                  "--poses", "{a}", "--metrics", "{b}"], "poses", "metrics"),
+}
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hardlink"])
+@pytest.mark.parametrize("case", list(_TWO_OUTPUTS))
+def test_two_outputs_naming_one_file_fail_before_any_work(
+    tmp_path: Path, capsys, case: str, spelling: str
+) -> None:
+    """Two outputs of a command that name one file, by the same path, by
+    another spelling of it, by a symbolic link or by a hard link, exit 1
+    naming both options, before any input is read and without writing."""
+    template, opt_a, opt_b = _TWO_OUTPUTS[case]
+    a = tmp_path / "x.out"
+    b = {"same": a, "dotted": tmp_path / "." / "x.out", "symlink": tmp_path / "link",
+         "hardlink": tmp_path / "hard"}[spelling]
+    if spelling == "symlink":
+        b.symlink_to(a)
+    elif spelling == "hardlink":
+        a.write_text("earlier\n", encoding="utf-8")
+        os.link(a, b)
+    before = sorted(tmp_path.iterdir())
+    argv = [str(tmp_path / arg) if arg.startswith("none") else arg for arg in template]
+    argv = [{"{a}": str(a), "{b}": str(b)}.get(arg, arg) for arg in argv]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --{opt_a} {a} and --{opt_b} {b} name the same file\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert spelling != "hardlink" or a.read_text(encoding="utf-8") == "earlier\n"

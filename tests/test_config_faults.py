@@ -240,12 +240,13 @@ def _run_cli(
     kind: str, config: dict[str, Any], tmp_path: Path, inputs: dict[str, str]
 ) -> tuple[int, str]:
     path = _write(tmp_path, config)
-    # a cloud suffix, which georef checks before it reads its inputs
-    out = tmp_path / "out.xyz"
+    # a cloud suffix, which georef checks before it reads its inputs; two
+    # outputs may not name one file
+    out, metrics = tmp_path / "out.xyz", tmp_path / "metrics.json"
     argv = {
         "scenario": ["simulate", "--config", path, "--out", str(out)],
         "pipeline": ["estimate", "--epochs", str(tmp_path / "none.jsonl"), "--config", path,
-                     "--poses", str(out), "--metrics", str(out)],
+                     "--poses", str(out), "--metrics", str(metrics)],
         "calibration": ["georef", "--poses", inputs["poses"], "--scan",
                         str(tmp_path / "none.jsonl"), "--calib", path, "--cloud", str(out)],
         "reflectors": ["evaluate", "--cloud", inputs["cloud"], "--reflectors", path,
@@ -254,7 +255,7 @@ def _run_cli(
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    assert not out.exists()
+    assert not out.exists() and not metrics.exists()
     return code, err.getvalue()
 
 

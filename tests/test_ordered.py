@@ -37,7 +37,7 @@ import mgp.ordered
 import mgp.streams
 from mgp.ordered import ordered_map
 
-from scalar_epochs import epoch_to_dict, epochs_of
+from scalar_epochs import epoch_to_dict, epochs_of, write_lines
 from test_cli import FLIGHT
 from test_epoch_differential import _scenario
 from test_pulse_blocks import _cli, _evaluate, _files, _georef, _xyz_lines
@@ -512,8 +512,12 @@ def test_a_bad_cloud_line_reads_the_same_in_either_process(
     assert not report.exists()
 
 
-def test_an_os_error_in_the_worker_reads_as_in_one_process(tmp_path: Path) -> None:
-    # the scan stream goes to the worker; its path is a directory
+def test_an_os_error_on_the_scan_file_comes_after_the_epoch_stream(tmp_path: Path) -> None:
+    # the scan path is a directory: the caller opens it once the epoch
+    # stream is written, so the error is that of one process, after the
+    # epoch count. An exception raised in the worker is covered by
+    # test_a_placed_exception_comes_at_its_own_place and
+    # test_a_worker_exception_comes_before_the_callers_next_item.
     scan = tmp_path / "scan"
     scan.mkdir()
     with pytest.raises(OSError) as one_process:
@@ -524,6 +528,7 @@ def test_an_os_error_in_the_worker_reads_as_in_one_process(tmp_path: Path) -> No
     assert _cli(["simulate", "--config", scen, "--out", epochs, "--scan", scan]) == (
         1, f"wrote 30 epochs to {epochs}\n", f"error: {one_process.value}\n"
     )
+    assert len(epochs.read_text(encoding="utf-8").splitlines()) == 31
 
 
 @pytest.mark.parametrize("duration, scan", [(7.0, False), (7.0, True), (3.0, False)],
@@ -532,13 +537,15 @@ def test_simulate_forks_one_worker(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, duration: float, scan: bool
 ) -> None:
     # without a scan, the epoch writer's blocks are shared with a worker,
-    # unless the stream is one block of the simulator; with a scan, the
-    # scan stream is the worker's and the epoch writer, started while it
-    # lives, maps its blocks in the caller
+    # unless the stream is one block of the simulator; with a scan, the scan
+    # writer then shares its blocks with a worker of its own: two forks, one
+    # after the other, and no worker alive when the next one is forked
     forks: list[int] = []
     fork = os.fork
 
     def counted() -> int:
+        with pytest.raises(ChildProcessError):  # the process has no child
+            os.waitpid(-1, os.WNOHANG)
         forks.append(os.getpid())
         return fork()
 
@@ -552,11 +559,10 @@ def test_simulate_forks_one_worker(
     n, n_frames = round(duration * 10), round(duration * 13)
     out = f"wrote {n} epochs to {epochs}\n" + f"wrote {n_frames} scan frames to {frames}\n" * scan
     assert _cli(argv) == (0, out, "")
-    assert forks == [os.getpid()] * (n > mgp.epochs.EPOCH_BLOCK or scan)
+    assert forks == [os.getpid()] * ((n > mgp.epochs.EPOCH_BLOCK) + scan)
     reference = tmp_path / "reference.jsonl"
     cfg = mgp.scenario_from_dict(flight)
-    mgp.streams._write_lines(str(reference), _ref_header(cfg),
-                             map(epoch_to_dict, epochs_of(mgp.simulate(cfg))))
+    write_lines(reference, _ref_header(cfg), map(epoch_to_dict, epochs_of(mgp.simulate(cfg))))
     assert epochs.read_bytes() == reference.read_bytes()
 
 
@@ -682,8 +688,7 @@ def test_the_epoch_writer_writes_the_bytes_of_one_process(
 ) -> None:
     cfg = _scenario(name, 6.0)
     reference, two = tmp_path / "reference.jsonl", tmp_path / "two.jsonl"
-    mgp.streams._write_lines(str(reference), _ref_header(cfg),
-                             map(epoch_to_dict, epochs_of(mgp.simulate(cfg))))
+    write_lines(reference, _ref_header(cfg), map(epoch_to_dict, epochs_of(mgp.simulate(cfg))))
     _force(monkeypatch, ready)
     assert mgp.write_epochs(str(two), mgp.simulate(cfg)) == 60
     assert two.read_bytes() == reference.read_bytes()

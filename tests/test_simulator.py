@@ -38,6 +38,8 @@ from mgp import (
     truth_poses,
 )
 
+from mgp.core import euler_products, unit_quats
+
 from scalar_epochs import epochs_of
 
 OPEN_SKY = tuple(
@@ -174,6 +176,33 @@ def test_truth_pose_combines_position_and_attitude() -> None:
     assert poses.n_fix.tolist() == [cfg.layout.antenna_count] * 2
     with pytest.raises(ValidationError, match="strictly increasing"):
         truth_poses(cfg, np.array([1.0, 0.5]))
+
+
+def test_block_attitudes_have_the_bits_of_euler_to_quat() -> None:
+    # truth_attitude on an array of times normalises the stacked libm
+    # products once (unit_quats); euler_to_quat normalises each alone
+    # (UnitQuaternion.from_array). Random angles over two turns give leads
+    # of both signs.
+    rng = np.random.default_rng(11)
+    angles = rng.uniform(-720.0, 720.0, size=(4000, 3)).tolist()
+    angles += [[0.0, 0.0, 360.0], [180.0, 0.0, 0.0], [0.0, 180.0, 360.0], [90.0, 90.0, -90.0]]
+    products = np.array([euler_products(*a) for a in angles])
+    assert (products[:, 3] < 0.0).any() and (products[:, 3] > 0.0).any()
+    want = np.array([euler_to_quat(*a).as_array() for a in angles])
+    assert np.array_equal(unit_quats(products).view(np.int64), want.view(np.int64))
+    # the sign rule where qw is zero: the first nonzero of qx, qy, qz leads
+    raw = np.array([[0.0, -0.6, 0.8, 0.0], [-0.0, 0.0, -2.0, 0.0], [-3.0, 4.0, 0.0, -0.0],
+                    [0.0, 0.0, 0.5, 0.0], [0.3, -0.4, 1e-9, 0.0], [-1e-300, 1.0, 1.0, 0.0]])
+    want = np.array([UnitQuaternion.from_array(q).as_array() for q in raw])
+    assert np.array_equal(unit_quats(raw).view(np.int64), want.view(np.int64))
+    # and through the simulator, on a profile of two turns in each axis
+    cfg = _config(attitude_profile=AttitudeProfile(
+        roll_knots=((0.0, -370.0), (20.0, 370.0)), pitch_knots=((0.0, 400.0), (20.0, -400.0)),
+        yaw_knots=((0.0, 10.0), (20.0, 735.0))))
+    times = np.linspace(0.0, 20.0, 2001)
+    want = np.array([truth_attitude(cfg, t).as_array() for t in times.tolist()])
+    assert np.array_equal(truth_attitude(cfg, times).view(np.int64), want.view(np.int64))
+    assert truth_attitude(cfg, times[:0]).shape == (0, 4)
 
 
 # -- epoch stream ---------------------------------------------------------------
