@@ -162,16 +162,22 @@ def test_bundled_blocks_are_their_lines(bundled, monkeypatch, name: str, read_bl
     _check_runs(bundled[name], read_block, mgp.PipelineConfig(), monkeypatch)
 
 
+# The lines of each clean stream, by name. The fixture fills it, and the
+# hypothesis tests look their stream up here: hypothesis writes the repr of
+# each test argument into its falsifying-example note.
+CLEAN_LINES: dict[str, list[str]] = {}
+
+
 @pytest.fixture(scope="module")
 def clean_lines(tmp_path_factory) -> dict[str, list[str]]:
-    out = {}
     for name in ("multipath", "fixrate"):
         path = tmp_path_factory.mktemp(name) / "epochs.jsonl"
         mgp.write_epochs(str(path), mgp.simulate(_scenario(name, 4.0)))
-        out[name] = path.read_text(encoding="utf-8").splitlines()
-    return out
+        CLEAN_LINES[name] = path.read_text(encoding="utf-8").splitlines()
+    return CLEAN_LINES
 
 
+@pytest.mark.usefixtures("clean_lines")
 @pytest.mark.parametrize("name, subset", [("multipath", None), ("fixrate", (1, 3, 5))],
                          ids=["multipath-all", "fixrate-1-3-5"])
 @settings(
@@ -183,9 +189,9 @@ def clean_lines(tmp_path_factory) -> dict[str, list[str]]:
 )
 @given(data=st.data())
 def test_faulty_stream_blocks_are_their_lines(
-    clean_lines, monkeypatch, tmp_path: Path, name: str, subset, data: st.DataObject
+    monkeypatch, tmp_path: Path, name: str, subset, data: st.DataObject
 ) -> None:
-    header, *lines = clean_lines[name]
+    header, *lines = CLEAN_LINES[name]
     kinds = (*FAULTS, *EPOCH_EDITS, "early-timestamp")
     chosen = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=10,
                                 unique=True))
@@ -225,15 +231,14 @@ def _raises(objects: list, lines: list[int], stream) -> bool:
     return False
 
 
+@pytest.mark.usefixtures("clean_lines")
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
-def test_a_block_raises_exactly_when_one_of_its_lines_raises_alone(
-    clean_lines, data: st.DataObject
-) -> None:
+def test_a_block_raises_exactly_when_one_of_its_lines_raises_alone(data: st.DataObject) -> None:
     """``_decode`` on the parsed lines of a block, the faults and edits of
     the reader's tests on some (and an epoch whose own SNR rows differ in
     width), raises exactly when one of those lines raises alone."""
-    header, *lines = clean_lines["multipath"]
+    header, *lines = CLEAN_LINES["multipath"]
     stream = requery_constants(header)
     first = data.draw(st.integers(0, len(lines) - 2), label="first")
     block = lines[first:first + data.draw(st.integers(2, 8), label="size")]

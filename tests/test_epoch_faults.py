@@ -190,12 +190,17 @@ def _estimate(epochs: Path, tmp: Path, antennas: str | None) -> tuple[int, str, 
 
 CASES = [("fixrate", "1,3,5"), ("multipath", None)]
 
+# The fixtures below fill these, and the hypothesis tests look their stream
+# up here: hypothesis writes the repr of each test argument into its
+# falsifying-example note.
+CLEAN: dict[str, tuple[list[str], dict, mgp.Poses]] = {}
+BLOCK_LINES: list[str] = []
+
 
 @pytest.fixture(scope="module")
-def clean(tmp_path_factory) -> dict[str, tuple[list[str], dict, mgp.Poses]]:
+def clean(tmp_path_factory) -> None:
     """Per scenario: the header and record lines of a stream two blocks and
     a bit long, and the metrics and poses of its clean run."""
-    out = {}
     for name, antennas in CASES:
         tmp = tmp_path_factory.mktemp(name)
         n_epochs = 2 * mgp.streams.READ_BLOCK + 22
@@ -205,10 +210,10 @@ def clean(tmp_path_factory) -> dict[str, tuple[list[str], dict, mgp.Poses]]:
         assert len(lines) == n_epochs + 1
         code, err, metrics, poses = _estimate(path, tmp, antennas)
         assert (code, err, metrics["skipped"]) == (0, "", 0)
-        out[name] = (lines, metrics, poses)
-    return out
+        CLEAN[name] = (lines, metrics, poses)
 
 
+@pytest.mark.usefixtures("clean")
 @pytest.mark.parametrize("name, antennas", CASES, ids=["fixrate-1-3-5", "multipath-all"])
 @settings(
     max_examples=12,
@@ -219,9 +224,9 @@ def clean(tmp_path_factory) -> dict[str, tuple[list[str], dict, mgp.Poses]]:
 )
 @given(data=st.data())
 def test_faulty_lines_are_skipped_one_by_one(
-    clean, tmp_path: Path, name: str, antennas: str | None, data: st.DataObject
+    tmp_path: Path, name: str, antennas: str | None, data: st.DataObject
 ) -> None:
-    lines, _, clean_poses = clean[name]
+    lines, _, clean_poses = CLEAN[name]
     edges = _block_edges(len(lines) - 1)
     chosen = data.draw(st.lists(st.sampled_from(edges), min_size=1, unique=True).map(sorted))
     faults = {k: data.draw(st.sampled_from(FAULTS), label=f"fault at record {k}") for k in chosen}
@@ -265,9 +270,9 @@ def block_lines(tmp_path_factory) -> list[str]:
     path = tmp_path_factory.mktemp("block") / "epochs.jsonl"
     n_epochs = mgp.streams.READ_BLOCK
     mgp.write_epochs(str(path), mgp.simulate(_scenario("multipath", n_epochs / 10.0)))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == n_epochs + 1
-    return lines
+    BLOCK_LINES[:] = path.read_text(encoding="utf-8").splitlines()
+    assert len(BLOCK_LINES) == n_epochs + 1
+    return BLOCK_LINES
 
 
 def _alone(line: str, header: str) -> mgp.EpochRecord | Exception:
@@ -277,6 +282,7 @@ def _alone(line: str, header: str) -> mgp.EpochRecord | Exception:
         return exc
 
 
+@pytest.mark.usefixtures("block_lines")
 @settings(
     max_examples=40,
     derandomize=True,
@@ -285,10 +291,8 @@ def _alone(line: str, header: str) -> mgp.EpochRecord | Exception:
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
-def test_block_lines_with_several_faults_read_as_alone(
-    block_lines, tmp_path: Path, data: st.DataObject
-) -> None:
-    header, *lines = block_lines
+def test_block_lines_with_several_faults_read_as_alone(tmp_path: Path, data: st.DataObject) -> None:
+    header, *lines = BLOCK_LINES
     chosen = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=8, unique=True))
     for k in chosen:
         record = json.loads(lines[k])
@@ -319,6 +323,7 @@ def _level(path: tuple) -> str:
     return next((key for key in reversed(path) if isinstance(key, str)), "")
 
 
+@pytest.mark.usefixtures("block_lines")
 @settings(
     max_examples=40,
     derandomize=True,
@@ -327,10 +332,8 @@ def _level(path: tuple) -> str:
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
-def test_missing_key_is_named_with_its_object(
-    block_lines, tmp_path: Path, data: st.DataObject
-) -> None:
-    header, *lines = block_lines
+def test_missing_key_is_named_with_its_object(tmp_path: Path, data: st.DataObject) -> None:
+    header, *lines = BLOCK_LINES
     k = data.draw(st.integers(0, len(lines) - 1), label="record")
     record = json.loads(lines[k])
     # an object level first, each as likely, then one of its keys

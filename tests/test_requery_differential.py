@@ -459,32 +459,34 @@ def test_calibrated_model_is_a_fix_model_without_targets() -> None:
     )
 
 
+# Per case: the layout, the read-back epochs, the reference requery record
+# of each and the constellation's satellite ids. The fixture fills it and
+# the hypothesis test looks its case up here: hypothesis writes the repr of
+# each test argument into its falsifying-example note, and a stream-sized
+# one exhausts memory there.
+REPLAY_CASES: dict[str, tuple] = {}
+
+
 @pytest.fixture(scope="module")
-def replay_cases(streams) -> dict[str, tuple]:
-    """Per case: the layout, the read-back epochs, the reference requery
-    record of each and the constellation's satellite ids."""
-    out = {}
+def replay_cases(streams) -> None:
     for name, (cfg, path, _) in streams.items():
         header, *lines = path.read_text(encoding="utf-8").splitlines()
         rq = json.loads(header)["requery"]
         truths = [json.loads(line)["truth"] for line in lines]
         refs = [_ref_requery_from_dict(rq, truth["requery"], truth) for truth in truths]
         sats = [s.sat_id for s in cfg.constellation]
-        out[name] = (cfg.layout, list(mgp.read_epochs(str(path))), refs, sats)
-    return out
+        REPLAY_CASES[name] = (cfg.layout, list(mgp.read_epochs(str(path))), refs, sats)
 
 
-@settings(
-    derandomize=True, database=None, deadline=None, max_examples=60,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@pytest.mark.usefixtures("replay_cases")
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(data=st.data())
-def test_block_replay_matches_object_path(replay_cases, data) -> None:
+def test_block_replay_matches_object_path(data) -> None:
     """Epochs replayed in blocks of any split, each with its own exclusion
     set, and cut to an antenna subset as ``run`` cuts them: each epoch's
     fixes and solved baselines are bitwise the reference's."""
-    name = data.draw(st.sampled_from(sorted(replay_cases)), label="case")
-    layout, epochs, refs, sats = replay_cases[name]
+    name = data.draw(st.sampled_from(sorted(REPLAY_CASES)), label="case")
+    layout, epochs, refs, sats = REPLAY_CASES[name]
     n = layout.antenna_count
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     start = data.draw(st.integers(0, len(epochs) - 1), label="start")
