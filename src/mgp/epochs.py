@@ -9,10 +9,10 @@ the simulator yields blocks, the epoch writer encodes them, the reader
 decodes into them and ``pipeline.run`` takes them. An :class:`EpochRecord`
 is the one-epoch view of a block (:meth:`EpochBlock.epoch`).
 
-A simulated epoch's truth channel keeps a :class:`RequeryData` record: the
-stream's :class:`RequeryStream` constants, the PCG64 state before the
-epoch's first draw and the true pose. :func:`draw_channels` makes the
-epoch's generator calls, the simulator on its live generator and
+A block holds its stream's :class:`RequeryStream` constants once, and a
+simulated epoch's truth channel its true pose, the attitude as written, and
+the PCG64 state before the epoch's first draw. :func:`draw_channels` makes
+the epoch's generator calls, the simulator on its live generator and
 :func:`replay` on one set to the stored state, and :func:`block_draws`
 builds a block's :class:`ChannelDraws` from them and the poses at once, so
 a re-query grades the simulator's own draws against the probabilities of
@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .attitude import Baselines
-from .core import AntennaLayout, Rows, UnitQuaternion, Vec3, quat_to_matrix
+from .core import AntennaLayout, Rows, Vec3, quat_to_matrix, unit_quats
 from .errors import ValidationError
 from .multipath import SnrTable
 from .positioning import Fixes
@@ -156,28 +156,6 @@ class RequeryStream:
                                   f"not this numpy {np.__version__}; re-run mgp simulate")
 
 
-@dataclass(frozen=True)
-class RequeryData:
-    """Replay record of one epoch: its stream's constants, the PCG64 state
-    before its first draw (``state``, and ``uint32``, the 32-bit half the
-    generator holds back for its next 32-bit draw, or None) and the true
-    pose, the attitude as the epoch reader returns it (re-normalized)."""
-
-    stream: RequeryStream
-    state: int
-    uint32: int | None
-    position: Vec3
-    attitude: UnitQuaternion
-
-    def __post_init__(self) -> None:
-        state, uint32 = self.state, self.uint32
-        if type(state) is not int or not 0 <= state < 2**128:
-            raise ValidationError(f"requery state must be an integer in [0, 2**128), got {state!r}")
-        if uint32 is not None and (type(uint32) is not int or not 0 <= uint32 < 2**32):
-            raise ValidationError(
-                f"requery uint32 must be null or an integer in [0, 2**32), got {uint32!r}")
-
-
 def draw_channels(rng: np.random.Generator, stream: RequeryStream) -> tuple[np.ndarray, ...]:
     """One epoch's channel draws from ``rng``, in the order the simulator
     documents: for the antennas, then the baselines, (n, 6) normals, (n, 3)
@@ -194,13 +172,14 @@ def draw_channels(rng: np.random.Generator, stream: RequeryStream) -> tuple[np.n
 def block_draws(stream: RequeryStream, positions: np.ndarray, attitudes: np.ndarray,
                 raw: Sequence[tuple[np.ndarray, ...]]) -> tuple[ChannelDraws, ChannelDraws]:
     """The antenna and the baseline channel draws of E epochs of ``stream``,
-    each epoch's in turn, from the (E, 3) true positions, the (E, 4)
-    attitudes as the epoch reader returns them and each epoch's
-    :func:`draw_channels`. A latent vector is the true antenna position or
-    baseline at the epoch's pose plus a sigma times three of the normals."""
+    each epoch's in turn, from the (E, 3) true positions and (E, 4)
+    attitudes and each epoch's :func:`draw_channels`. A latent vector is the
+    true antenna position or baseline at the epoch's pose plus a sigma times
+    three of the normals. The attitudes are normalized here, sign kept: the
+    one place that fixes the bits a replay is built at."""
     noise, m = stream.noise, stream.noise.wrong_fix_max_multiple
     side = 2 * m + 1
-    r_t = np.swapaxes(quat_to_matrix(attitudes), 1, 2)
+    r_t = np.swapaxes(quat_to_matrix(unit_quats(attitudes, canonicalize=False)), 1, 2)
     truth = (positions[:, None] + stream.layout.positions @ r_t,
              _pair_baselines(stream.layout)[1] @ r_t)
     columns = [np.concatenate(column) for column in zip(*raw)]
@@ -220,24 +199,29 @@ def block_draws(stream: RequeryStream, positions: np.ndarray, attitudes: np.ndar
 
 @dataclass(frozen=True)
 class EpochTruth:
+    """The true pose, the attitude ``[qx, qy, qz, qw]`` as written, the
+    simulator's faults and ``requery``, the PCG64 state before the epoch's
+    first draw and the 32-bit half held back for the next draw, or None."""
+
     position: Vec3
-    attitude: UnitQuaternion
+    attitude: tuple[float, float, float, float]
     multipath_sats: frozenset[str]
     corrupted_baselines: frozenset[tuple[int, int]]
     wrong_fix_antennas: frozenset[int]
-    requery: RequeryData | None = None
+    requery: tuple[int, int | None] | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class EpochRecord:
-    """One epoch of the stream: the antenna solutions, the baseline
-    observations and the SNR table, each a record of arrays."""
+    """One epoch: its antenna solutions, baseline observations and SNR table,
+    each a record of arrays, truth channel and stream's requery constants."""
 
     t: float
     fixes: Fixes
     baselines: Baselines
     snr_rows: SnrTable
     truth: EpochTruth | None = None
+    requery: RequeryStream | None = None
 
 
 # Epochs to a block, of the simulator and of the epoch reader. A block is
@@ -263,11 +247,11 @@ def epoch_of_rows(ends: list[int]) -> np.ndarray:
 class EpochBlock:
     """E consecutive epochs: the (E,) times ``t`` and file ``lines``, the
     fixes, baselines and SNR rows of all E as one record each with its E + 1
-    row :func:`offsets`, and the E truth channels. The SNR table is as wide
-    as the widest epoch's rows, NaN-padded; ``snr_width`` (E,) int64 holds
-    each epoch's own width, 0 for an epoch without SNR rows. The simulator
-    builds blocks whole and the epoch reader decodes into this form;
-    :meth:`of` joins records into it."""
+    row :func:`offsets`, the E truth channels and the stream's ``requery``
+    constants. The SNR table is as wide as the widest epoch's rows,
+    NaN-padded; ``snr_width`` (E,) int64 holds each epoch's own width, 0 for
+    an epoch without SNR rows. The simulator builds blocks whole and the
+    epoch reader decodes into this form; :meth:`of` joins records into it."""
 
     t: np.ndarray
     lines: np.ndarray
@@ -279,13 +263,19 @@ class EpochBlock:
     snr_ends: list[int]
     snr_width: np.ndarray
     truth: tuple[EpochTruth | None, ...]
+    requery: RequeryStream | None
 
     def __len__(self) -> int:
         return len(self.t)
 
     @classmethod
     def of(cls, epochs: Sequence[EpochRecord], lines: Sequence[int]) -> EpochBlock:
-        """The block of one or more ``epochs``, epoch k from line ``lines[k]``."""
+        """The block of one or more ``epochs`` of one stream, epoch k from line ``lines[k]``."""
+        requery = epochs[0].requery
+        if any(e.requery != requery for e in epochs):
+            raise ValidationError("the epochs of a block must share one requery stream")
+        if requery is None and any(e.truth and e.truth.requery for e in epochs):
+            raise ValidationError("requery state without requery constants")
         tables = [e.snr_rows for e in epochs]
         widths = [t.dbhz.shape[1] if len(t) else 0 for t in tables]
         snr_ends = offsets(map(len, tables))
@@ -299,7 +289,7 @@ class EpochBlock:
             Fixes.joined(fixes), offsets(map(len, fixes)),
             Baselines.joined(baselines), offsets(map(len, baselines)),
             SnrTable(sat_ids, dbhz), snr_ends, np.array(widths, dtype=np.int64),
-            tuple(e.truth for e in epochs),
+            tuple(e.truth for e in epochs), requery,
         )
 
     def epoch(self, k: int) -> EpochRecord:
@@ -308,7 +298,8 @@ class EpochBlock:
                    for ends in (self.fix_ends, self.baseline_ends, self.snr_ends))
         snr = SnrTable(self.snr.sat_ids[s], self.snr.dbhz[s, : self.snr_width[k]])
         return EpochRecord(
-            self.t[k].item(), self.fixes.select(f), self.baselines.select(b), snr, self.truth[k]
+            self.t[k].item(), self.fixes.select(f), self.baselines.select(b), snr, self.truth[k],
+            self.requery,
         )
 
 
@@ -354,37 +345,36 @@ class Replay(NamedTuple):
 
 
 def replay(
-    requeries: Sequence[RequeryData],
+    stream: RequeryStream,
+    states: Sequence[tuple[int, int | None]],
+    positions: np.ndarray,
+    attitudes: np.ndarray,
     multipath_sats: Sequence[frozenset[str]],
     excluded: Sequence[frozenset[str]],
     layout: AntennaLayout,
     draws: tuple[ChannelDraws, ChannelDraws] | None = None,
 ) -> Replay:
-    """Replay the fix and baseline outcomes of a block of epochs, each with
-    its ``excluded`` satellites removed from its solution satellites.
+    """Replay the fix and baseline outcomes of a block of epochs of
+    ``stream``, each with its ``excluded`` satellites removed.
 
-    Every record must have the layout's n antennas, and all one
-    :class:`RequeryStream`. The channels are drawn again from the stored
-    states (:func:`block_draws`), unless the caller passes them as
-    ``draws``. Per epoch, the count of remaining satellites and of multipath
-    ones among them give the fix probabilities (:meth:`FixModel.probability`,
-    once per distinct pair); then one pass over the block's draws grades
-    every channel against its epoch's probability, so each epoch's outcome
-    is what it gets alone.
+    The stream must have the layout's n antennas. The channels are drawn
+    again from the epochs' requery ``states`` and their (E, 3) true
+    ``positions`` and (E, 4) ``attitudes`` (:func:`block_draws`), unless the
+    caller passes them as ``draws``. Per epoch, the count of remaining
+    satellites and of multipath ones among them give the fix probabilities
+    (:meth:`FixModel.probability`, once per distinct pair); then one pass
+    over the block's draws grades every channel against its epoch's
+    probability, so each epoch's outcome is what it gets alone.
     """
-    stream = requeries[0].stream
-    if any(req.stream != stream for req in requeries):
-        raise ValidationError("the epochs of a replayed block must share one requery stream")
     if draws is None:
         bits = np.random.PCG64(0)
         rng, raw = np.random.Generator(bits), []
-        for req in requeries:
+        for state, uint32 in states:
             bits.state = {"bit_generator": "PCG64",
-                          "state": {"state": req.state, "inc": stream.increment},
-                          "has_uint32": int(req.uint32 is not None), "uinteger": req.uint32 or 0}
+                          "state": {"state": state, "inc": stream.increment},
+                          "has_uint32": int(uint32 is not None), "uinteger": uint32 or 0}
             raw.append(draw_channels(rng, stream))
-        draws = block_draws(stream, np.array([req.position.as_array() for req in requeries]),
-                            np.array([req.attitude.as_array() for req in requeries]), raw)
+        draws = block_draws(stream, positions, attitudes, raw)
     n = layout.antenna_count
     pairs, body = _pair_baselines(layout)
     model = stream.model
@@ -425,9 +415,11 @@ def requery_epoch(
     true multipath satellites are excluded. Only simulated streams carry
     the data needed.
     """
-    if epoch.truth is None or epoch.truth.requery is None:
+    truth, stream = epoch.truth, epoch.requery
+    if truth is None or truth.requery is None or stream is None:
         raise ValidationError("epoch carries no re-query data (not a simulated stream?)")
-    if epoch.truth.requery.stream.layout.antenna_count != layout.antenna_count:
+    if stream.layout.antenna_count != layout.antenna_count:
         raise ValidationError("layout antenna count does not match the stream")
-    found = replay([epoch.truth.requery], [epoch.truth.multipath_sats], [excluded], layout)
+    found = replay(stream, [truth.requery], truth.position.as_array()[None],
+                   np.array([truth.attitude]), [truth.multipath_sats], [excluded], layout)
     return found.fixes, found.baselines

@@ -187,6 +187,16 @@ def georeference_stream(
     return Cloud(p=world, reflector=flags[keep]), int((~keep).sum())
 
 
+def check_survey(reflectors: Sequence[Vec3], cluster_radius_m: float, min_hits: int) -> None:
+    """ValidationError unless reflectors, cluster radius and hits are usable."""
+    if not reflectors:
+        raise ValidationError("no reflectors to evaluate")
+    if not (cluster_radius_m > 0.0):
+        raise ValidationError("cluster_radius_m must be positive")
+    if min_hits < 1:
+        raise ValidationError("min_hits must be at least 1")
+
+
 def evaluate_reflectors(
     cloud: Cloud,
     truth_reflectors: Sequence[Vec3],
@@ -200,13 +210,7 @@ def evaluate_reflectors(
     than ``min_hits`` such points are reported unresolved and excluded from
     the RMS figures.
     """
-    if not truth_reflectors:
-        raise ValidationError("no reflectors to evaluate")
-    if not (cluster_radius_m > 0.0):
-        raise ValidationError("cluster_radius_m must be positive")
-    if min_hits < 1:
-        raise ValidationError("min_hits must be at least 1")
-
+    check_survey(truth_reflectors, cluster_radius_m, min_hits)
     flagged = cloud.p[cloud.reflector]
     results: list[ReflectorResult] = []
     for truth in truth_reflectors:

@@ -2,7 +2,7 @@
 
 Stage order: (1) multipath detection on the SNR rows, (2) optional fix
 re-query with the excluded satellites removed, which replays the requery
-records of a front block's epochs at once (simulated streams only; see
+states of a front block's epochs at once (simulated streams only; see
 :func:`mgp.epochs.replay`), (3) consensus attitude from the fixed
 baselines, (4) hybrid position using that attitude. An epoch with fewer
 fixed baselines than the effective ``min_inliers`` skips stage (3), since
@@ -43,7 +43,8 @@ import numpy as np
 
 from . import jsonvals
 from .attitude import AttitudeSolution, Baselines, body_to_enu
-from .core import AntennaLayout, euler_from_matrix, first_repeat, hexagon_layout, quat_to_matrix
+from .core import AntennaLayout, euler_from_matrix, first_repeat, hexagon_layout
+from .core import quat_to_matrix, unit_quats
 from .epochs import (
     EpochBlock,
     EpochRecord,
@@ -187,7 +188,7 @@ class _FrontBlock:
     The checks run on the rows as read, before the subset or the replay can
     hide a row, in this order: an antenna outside the layout (the fixes,
     then the pairs), an SNR row of another width than the layout, a
-    satellite named twice, a requery record of another antenna count (only
+    satellite named twice, a requery stream of another antenna count (only
     when the epoch needs a replay), an antenna named twice. The scored SNR
     rows are ``sats``, ``sigma``, ``count`` and ``verdict``, epoch k's at
     ``snr_ends[k]:snr_ends[k + 1]``; ``rows`` holds the stage (2) output.
@@ -249,17 +250,16 @@ class _FrontBlock:
         excluding = np.bincount(snr_epoch[self.verdict == 1], minlength=n_epochs) > 0
 
         # stage (2) is needed where feedback is on, the epoch excludes
-        # satellites and it carries a requery record
+        # satellites and it carries a requery state, and is a fault where
+        # the block's requery constants are of another antenna count
         needed = []
-        if config.multipath_feedback:
+        if config.multipath_feedback and block.requery is not None:
             for k in np.flatnonzero(excluding).tolist():
                 truth = block.truth[k]
-                if k in faults or truth is None or truth.requery is None:
-                    continue
-                if truth.requery.stream.layout.antenna_count != n:
-                    faults.setdefault(k, "layout antenna count does not match the stream")
-                else:
+                if k not in faults and truth is not None and truth.requery is not None:
                     needed.append(k)
+            if block.requery.layout.antenna_count != n:
+                faults.update((k, "layout antenna count does not match the stream") for k in needed)
         # every row counts, the inactive antennas' and those a replay replaces
         seen = np.bincount(fix_epoch[known] * (n + 1) + ids[known], minlength=n_epochs * (n + 1))
         for k in np.flatnonzero((seen.reshape(n_epochs, n + 1) > 1).any(axis=1)).tolist():
@@ -267,19 +267,21 @@ class _FrontBlock:
             faults.setdefault(k, f"duplicate solution for antenna {dup}")
         self.faults = faults
 
+        stamps = np.full((n_epochs, 8), np.nan)
+        stamps[:, 0] = block.t
+        poses = {k: (*tr.attitude, tr.position.x, tr.position.y, tr.position.z)
+                 for k, tr in enumerate(block.truth) if tr}
+        stamps[list(poses), 1:] = np.array(list(poses.values())).reshape(-1, 7)
         fixes, fix_epoch = fixes.select(use), fix_epoch[use]
         candidates, candidate_epoch = baselines.select(keep), pair_epoch[keep]
-        # the epochs that need stage (2), replayed together; their rows take
-        # the place of their rows as read
+        # the epochs that need stage (2), replayed together at their true
+        # poses; their rows take the place of their rows as read
         replayed = [k for k in needed if k not in faults]
         if replayed:
             truths = [block.truth[k] for k in replayed]
-            found = replay(
-                [t.requery for t in truths],
-                [t.multipath_sats for t in truths],
-                [self._excluded(k) for k in replayed],
-                config.layout,
-            )
+            found = replay(block.requery, [t.requery for t in truths], stamps[replayed, 5:],
+                           stamps[replayed, 1:5], [t.multipath_sats for t in truths],
+                           [self._excluded(k) for k in replayed], config.layout)
 
             def merge(rows, epoch, new, new_epoch, chosen):
                 kept = ~np.isin(epoch, replayed)
@@ -294,12 +296,6 @@ class _FrontBlock:
                 candidates, candidate_epoch, b, np.array(replayed)[found.baseline_epoch],
                 b.fixed & active[b.pairs].all(axis=1),
             )
-        stamps = np.full((n_epochs, 8), np.nan)
-        stamps[:, 0] = block.t
-        poses = [(k, tr.attitude, tr.position) for k, tr in enumerate(block.truth) if tr]
-        stamps[[k for k, _, _ in poses], 1:] = np.array(
-            [(q.qx, q.qy, q.qz, q.qw, p.x, p.y, p.z) for _, q, p in poses]
-        ).reshape(-1, 7)
         pose_row = np.full(n_epochs, -1)
         self.rows = _Rows(fixes, fix_epoch, candidates, candidate_epoch, pose_row, stamps)
 
@@ -533,7 +529,8 @@ class _Tally:
         angles, pos_axes = ("roll", "pitch", "yaw"), ("e", "n", "u")
         if has_truth.any():
             att, pos = has_q & has_truth, has_p & has_truth
-            att_err = _wrap_deg(_euler(poses.q[att]) - _euler(truth[att, :4]))
+            true_q = unit_quats(truth[att, :4], canonicalize=False)
+            att_err = _wrap_deg(_euler(poses.q[att]) - _euler(true_q))
             att_sd = _sds(att_err, angles, _population_sd)
             pos_sd_m = _sds(poses.p[pos] - truth[pos, 4:], pos_axes, _population_sd)
         else:

@@ -9,22 +9,22 @@ versus multipath satellites in the solution set, so excluding detected
 multipath satellites and re-querying raises the fix rate.
 
 Every stochastic outcome is drawn once, in a fixed documented order, from a
-single seeded generator. The epoch's truth channel keeps the generator's
-state before its first draw (:class:`mgp.epochs.RequeryData`), from which
-the pipeline draws the channels again with :func:`mgp.epochs.draw_channels`
-to re-query fix outcomes for a reduced satellite set; the rest of the
-channels (:func:`mgp.epochs.block_draws`) is built once per block of
-epochs. The generator is the whole module: scenario configs (decoded from
-JSON by :func:`scenario_from_dict` and :func:`load_scenario`), the epoch
-stream as :class:`mgp.epochs.EpochBlock` records, the scan stream, and
-truth or corrupted poses as :class:`mgp.mapping.Poses` records.
+single seeded generator. The truth channel keeps the generator's state
+before the epoch's first draw and the block the stream's requery constants:
+the pipeline draws the channels again from them with
+:func:`mgp.epochs.draw_channels` to re-query fix outcomes for a reduced
+satellite set, and :func:`mgp.epochs.block_draws` builds the rest of the
+channels once per block. The generator is the whole module: scenario configs
+(decoded from JSON by :func:`scenario_from_dict` and :func:`load_scenario`),
+the epoch stream as :class:`mgp.epochs.EpochBlock` records, the scan stream,
+and truth or corrupted poses as :class:`mgp.mapping.Poses` records.
 
 Per-epoch draw order (one ``numpy`` Generator seeded with ``config.seed``;
 fading phases shape ``(n_sats, n_antennas)`` are drawn once up front):
 antenna normals ``(n_ant, 6)``, antenna uniforms ``(n_ant, 3)``, antenna
 lattice indices ``(n_ant,)``, then the same three groups for baselines, then
 SNR jitter ``(n_sats, n_ant)``. The normals perturb the antenna and
-baseline vectors at the true attitude as the epoch reader reads it back.
+baseline vectors at the true attitude, normalized by ``block_draws``.
 """
 from __future__ import annotations
 
@@ -55,7 +55,6 @@ from .epochs import (
     EpochBlock,
     EpochTruth,
     FixModel,
-    RequeryData,
     RequeryStream,
     _pair_baselines,
     block_draws,
@@ -397,18 +396,16 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
         t = k / config.rate_hz
         positions = trajectory_position(config, t)
         attitudes = truth_attitude(config, t)
-        # the attitudes as the reader reads them back, for replays to match
-        q_read = unit_quats(attitudes, canonicalize=False)
-        requeries, raw, jitter = [], [], []
-        for p_plat, q in zip(positions.tolist(), q_read.tolist()):
+        states, raw, jitter = [], [], []
+        for _ in range(n):
             bits = rng.bit_generator.state
             uint32 = bits["uinteger"] if bits["has_uint32"] else None
-            requeries.append(RequeryData(stream, bits["state"]["state"], uint32, Vec3(*p_plat),
-                                         UnitQuaternion(*q)))
+            states.append((bits["state"]["state"], uint32))
             raw.append(draw_channels(rng, stream))
             jitter.append(rng.standard_normal((n_sat, n_ant)))
-        ant, bl = draws = block_draws(stream, positions, q_read, raw)
-        found = replay(requeries, [mp_sats] * n, [frozenset()] * n, layout, draws)
+        ant, bl = draws = block_draws(stream, positions, attitudes, raw)
+        found = replay(stream, states, positions, attitudes, [mp_sats] * n, [frozenset()] * n,
+                       layout, draws)
 
         fading = np.zeros((n, n_sat, n_ant))
         if n_mp and snr_model.fading_amplitude_db > 0.0:
@@ -423,16 +420,16 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
         wrong = (found.fixes.fixed & ant.wrong).reshape(n, n_ant).tolist()
         corrupted = (found.bl_fixed & bl.wrong).reshape(n, len(pairs)).tolist()
         truths = tuple(
-            EpochTruth(req.position, UnitQuaternion(*q), mp_sats,
-                       frozenset(compress(pair_keys, bad_pairs)),
-                       frozenset(compress(range(1, n_ant + 1), bad_ants)), req)
-            for req, q, bad_ants, bad_pairs in zip(requeries, attitudes.tolist(), wrong, corrupted)
+            EpochTruth(Vec3(*p_plat), tuple(q), mp_sats, frozenset(compress(pair_keys, bad_pairs)),
+                       frozenset(compress(range(1, n_ant + 1), bad_ants)), state)
+            for p_plat, q, state, bad_ants, bad_pairs
+            in zip(positions.tolist(), attitudes.tolist(), states, wrong, corrupted)
         )
         yield EpochBlock(
             t, k + 2, found.fixes, offsets([n_ant] * n),
             found.baselines, offsets(np.bincount(found.baseline_epoch, minlength=n).tolist()),
             SnrTable(solution_sats * n, snr), offsets([n_sat] * n),
-            np.full(n, n_ant, dtype=np.int64), truths,
+            np.full(n, n_ant, dtype=np.int64), truths, stream,
         )
 
 

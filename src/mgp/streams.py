@@ -10,8 +10,9 @@ Formats:
     of epochs' in an :class:`EpochBlock`, its one-epoch view an
     :class:`EpochRecord`. The reader checks every value's JSON type, so
     ``1.7`` is no antenna id and ``"no"`` no ``fixed`` flag. The truth
-    attitude must have a norm within ``QUAT_READ_TOL`` of 1. The record
-    types live in :mod:`mgp.epochs`; their whole line format is here.
+    attitude must have a norm within ``QUAT_READ_TOL`` of 1, and is kept as
+    written. The record types live in :mod:`mgp.epochs`; their whole line
+    format is here.
 
     The header, ``{"format": "mgp-epoch", "version": 2, "requery": ...}``,
     holds the simulator's requery constants once, a :class:`RequeryStream`
@@ -21,6 +22,8 @@ Formats:
     ``truth.requery`` is null or ``{"state": s, "uint32": u}``, the PCG64
     state before its first draw, s in [0, 2**128) and u in [0, 2**32) or
     null; a state without the header's constants is a fault of its line.
+    A block holds the header's constants; the writer writes the first
+    block's into the header and refuses a block of other constants.
 
     The reader parses each line once and decodes ``READ_BLOCK`` parsed
     lines at a time into one :class:`EpochBlock`, one field after another
@@ -106,8 +109,8 @@ import numpy as np
 
 from . import jsonvals
 from .attitude import Baselines
-from .core import UnitQuaternion, Vec3, check_read_norm, open_text, unit_quats, utf8_line
-from .epochs import EPOCH_BLOCK, EpochBlock, EpochRecord, EpochTruth, RequeryData, RequeryStream
+from .core import Vec3, check_read_norm, open_text, unit_quats, utf8_line
+from .epochs import EPOCH_BLOCK, EpochBlock, EpochRecord, EpochTruth, RequeryStream
 from .epochs import epoch_of_rows, offsets
 from .errors import ConfigurationError, InputError, ValidationError
 from .mapping import (
@@ -117,6 +120,7 @@ from .mapping import (
     MountCalibration,
     Poses,
     ScanFrame,
+    check_survey,
 )
 from .multipath import SnrTable
 from .ordered import ordered_map
@@ -226,13 +230,13 @@ def _decode(objects: list[Any], lines: Sequence[int],
     return EpochBlock(
         np.array(ts, dtype=np.float64), np.array(lines, dtype=np.int64),
         fx, fix_ends, bl, baseline_ends, table, snr_ends, width,
-        tuple(None if tr is None else next(truths) for tr in truth),
+        tuple(None if tr is None else next(truths) for tr in truth), stream,
     )
 
 
 def _truths(objects: list[Any], stream: RequeryStream | None) -> list[EpochTruth]:
     """The truth channels of a block, read field by field like its epochs,
-    each requery state with the header's requery constants ``stream``."""
+    in a stream whose header holds the requery constants ``stream``."""
     if not objects:
         return []
     _objects(objects, "truth must be a JSON object or null")
@@ -253,21 +257,24 @@ def _truths(objects: list[Any], stream: RequeryStream | None) -> list[EpochTruth
     _check_keys(objects, _TRUTH_KEYS, " in truth")
     given = _objects([rq for rq in records if rq is not None],
                      "requery must be a JSON object or null")
-    states = iter(zip(*(_column(given, key, " in requery") for key in _REQUERY_KEYS)))
+    states = list(zip(*(_column(given, key, " in requery") for key in _REQUERY_KEYS)))
     _check_keys(given, _REQUERY_KEYS, " in requery")
     if given and stream is None:
         raise ValidationError("requery state without requery constants in the stream header")
-    truths = []
-    for pos, q, mp, pairs, ants, rq in zip(
-        position, unit_quats(attitude, canonicalize=False).tolist(),
-        _pieces(mp_sats, mp_ends), _pieces(corrupted, corrupted_ends),
-        _pieces(wrong_ants, wrong_ends), records,
-    ):
-        pos, q = Vec3(*pos), UnitQuaternion(*q)
-        requery = None if rq is None else RequeryData(stream, *next(states), pos, q)
-        truths.append(EpochTruth(pos, q, frozenset(mp), frozenset(map(tuple, pairs)),
-                                 frozenset(ants), requery))
-    return truths
+    for state, uint32 in states:
+        if type(state) is not int or not 0 <= state < 2**128:
+            raise ValidationError(f"requery state must be an integer in [0, 2**128), got {state!r}")
+        if uint32 is not None and (type(uint32) is not int or not 0 <= uint32 < 2**32):
+            raise ValidationError(
+                f"requery uint32 must be null or an integer in [0, 2**32), got {uint32!r}")
+    found = iter(states)
+    return [
+        EpochTruth(Vec3(*pos), tuple(q), frozenset(mp), frozenset(map(tuple, pairs)),
+                   frozenset(ants), None if rq is None else next(found))
+        for pos, q, mp, pairs, ants, rq in zip(
+            position, attitude.tolist(), _pieces(mp_sats, mp_ends),
+            _pieces(corrupted, corrupted_ends), _pieces(wrong_ants, wrong_ends), records)
+    ]
 
 
 def _column(objects: list[Any], key: str, where: str) -> list[Any]:
@@ -320,12 +327,12 @@ def _check_unique_pairs(pairs: np.ndarray, ends: list[int]) -> None:
 
 
 def _epoch_lines(stream: RequeryStream | None, block: EpochBlock) -> list[str]:
-    """The lines of ``block``'s epochs, each requery record of the header's
-    ``stream``, encoded from the block's columns: each array's values are
-    taken once, and each epoch's rows are cut from them by its offsets."""
-    for truth in block.truth:
-        if truth is not None and truth.requery is not None and truth.requery.stream != stream:
-            raise ValidationError("an epoch's requery constants are not those of its stream header")
+    """The lines of ``block``'s epochs, the block of the header's requery
+    constants ``stream``, encoded from the block's columns: each array's
+    values are taken once, and each epoch's rows are cut from them by its
+    offsets."""
+    if block.requery != stream:
+        raise ValidationError("a block's requery constants are not those of its stream header")
     fx, bl, snr = block.fixes, block.baselines, block.snr
     fixes = [
         {"antenna_id": i, "status": _GRADE_NAMES[g], "p": p if g else None, "sats_used": n}
@@ -359,11 +366,11 @@ def _truth_dict(truth: EpochTruth) -> dict[str, Any]:
     rq = truth.requery
     return {
         "position": truth.position.as_array().tolist(),
-        "attitude": truth.attitude.as_array().tolist(),
+        "attitude": list(truth.attitude),
         "multipath_sats": sorted(truth.multipath_sats),
         "corrupted_baselines": sorted(list(p) for p in truth.corrupted_baselines),
         "wrong_fix_antennas": sorted(truth.wrong_fix_antennas),
-        "requery": None if rq is None else {"state": rq.state, "uint32": rq.uint32},
+        "requery": None if rq is None else dict(zip(_REQUERY_KEYS, rq)),
     }
 
 
@@ -386,9 +393,9 @@ def _batches(items: Iterable[Any], n: int) -> Iterator[list[Any]]:
 
 def write_epochs(path: str, blocks: Iterable[EpochBlock]) -> int:
     """Write the epoch stream of the epoch ``blocks``; returns the epoch
-    count. The header holds the first block's first epoch's requery
-    constants, which every requery record must have (ValidationError
-    otherwise). The blocks are turned into text by
+    count. The header holds the first block's requery constants, which
+    every block must have (ValidationError otherwise). The blocks are
+    turned into text by
     :func:`ordered.ordered_map`, so a worker process may be forked; the
     bytes are those of one process. When ``blocks`` raises, the header and
     every block before the fault are written first."""
@@ -399,8 +406,7 @@ def write_epochs(path: str, blocks: Iterable[EpochBlock]) -> int:
         try:
             head.extend(itertools.islice(blocks, 1))
         finally:
-            truth = head[0].truth[0] if head and len(head[0]) else None
-            stream = truth.requery.stream if truth and truth.requery else None
+            stream = head[0].requery if head else None
             requery = stream and {**asdict(stream), "layout": {
                 "body_positions": stream.layout.positions.tolist()}}
             f.write(json.dumps({**EPOCH_HEADER, "requery": requery}) + "\n")
@@ -836,9 +842,13 @@ class _ReflectorSurvey:
     cluster_radius_m: float = DEFAULT_CLUSTER_RADIUS_M
     min_hits: int = DEFAULT_MIN_HITS
 
+    def __post_init__(self) -> None:
+        check_survey(self.reflectors, self.cluster_radius_m, self.min_hits)
+
 
 def load_reflectors(path: str) -> tuple[list[Vec3], float, int]:
-    """Read truth reflector positions plus clustering parameters.
+    """Read truth reflector positions plus clustering parameters, checked
+    as :func:`mapping.evaluate_reflectors` checks them.
 
     Returns (positions, cluster_radius_m, min_hits).
     """

@@ -7,7 +7,8 @@ epochs take the blocks' one-epoch views (:func:`epochs_of`) and join edited
 epochs back into the blocks that ``write_epochs`` and ``run`` take
 (:func:`blocks_of`, :func:`epoch_blocks`, :func:`no_skips`);
 :func:`epoch_from_dict` decodes
-one epoch line. :func:`simulate_records` and :func:`epoch_to_dict` are the
+one epoch line, and :func:`replay_truths` replays epochs by their truth
+channels. :func:`simulate_records` and :func:`epoch_to_dict` are the
 per-epoch simulator loop and line encoder the blocks replaced, kept as the
 reference of ``test_simulator.py``'s differential tests with
 :func:`write_lines`, the line writer, and
@@ -19,19 +20,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 import mgp
-from mgp.core import UnitQuaternion, quat_to_matrix, unit_quats
+from mgp.core import AntennaLayout, UnitQuaternion, Vec3, quat_to_matrix
 from mgp.epochs import (
     ChannelDraws,
     ChannelNoise,
     EpochBlock,
     EpochRecord,
     EpochTruth,
-    RequeryData,
+    Replay,
     RequeryStream,
     _pair_baselines,
     replay,
@@ -85,6 +86,16 @@ def epoch_from_dict(d: dict[str, Any], stream: RequeryStream | None = None) -> E
     return mgp.streams._decode([d], [0], stream).epoch(0)
 
 
+def replay_truths(stream: RequeryStream, truths: Sequence[EpochTruth],
+                  excluded: Sequence[frozenset[str]], layout: AntennaLayout) -> Replay:
+    """``mgp.epochs.replay`` of epochs of ``stream`` with the truth channels
+    ``truths``, each with its ``excluded`` satellites, at their true poses."""
+    return replay(stream, [t.requery for t in truths],
+                  np.array([t.position.as_array() for t in truths]).reshape(-1, 3),
+                  np.array([t.attitude for t in truths]).reshape(-1, 4),
+                  [t.multipath_sats for t in truths], excluded, layout)
+
+
 def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
     """The JSON object of one epoch's line, encoded row by row."""
     truth = None
@@ -92,12 +103,12 @@ def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
         tr = epoch.truth
         truth = {
             "position": tr.position.as_array().tolist(),
-            "attitude": tr.attitude.as_array().tolist(),
+            "attitude": list(tr.attitude),
             "multipath_sats": sorted(tr.multipath_sats),
             "corrupted_baselines": sorted(list(p) for p in tr.corrupted_baselines),
             "wrong_fix_antennas": sorted(tr.wrong_fix_antennas),
             "requery": None if tr.requery is None
-            else {"state": tr.requery.state, "uint32": tr.requery.uint32},
+            else {"state": tr.requery[0], "uint32": tr.requery[1]},
         }
     fx, bl, snr = epoch.fixes, epoch.baselines, epoch.snr_rows
     snr_values = snr.dbhz.tolist()
@@ -129,17 +140,19 @@ def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
     }
 
 
-def draw_channels(rng: np.random.Generator, req: RequeryData) -> tuple[ChannelDraws, ChannelDraws]:
-    """The antenna and the baseline channel draws of ``req``'s epoch, drawn
-    from ``rng`` in the order the simulator documents: for the antennas,
-    then the baselines, (n, 6) normals, (n, 3) uniforms and (n,) wrong-fix
-    lattice indices. A latent vector is the true antenna position or
-    baseline at ``req``'s pose plus a sigma times three of the normals."""
-    layout, noise = req.stream.layout, req.stream.noise
+def draw_channels(rng: np.random.Generator, stream: RequeryStream, position: Vec3,
+                  attitude: UnitQuaternion) -> tuple[ChannelDraws, ChannelDraws]:
+    """The antenna and the baseline channel draws of an epoch of ``stream``
+    at the pose ``position``, ``attitude``, drawn from ``rng`` in the order
+    the simulator documents: for the antennas, then the baselines, (n, 6)
+    normals, (n, 3) uniforms and (n,) wrong-fix lattice indices. A latent
+    vector is the true antenna position or baseline at the pose plus a
+    sigma times three of the normals."""
+    layout, noise = stream.layout, stream.noise
     m = noise.wrong_fix_max_multiple
     side = 2 * m + 1
-    r_eb = quat_to_matrix(req.attitude)
-    truth = (req.position.as_array() + layout.positions @ r_eb.T,
+    r_eb = quat_to_matrix(attitude)
+    truth = (position.as_array() + layout.positions @ r_eb.T,
              _pair_baselines(layout)[1] @ r_eb.T)
     groups = []
     for vecs in truth:
@@ -195,14 +208,14 @@ def simulate_records(config: ScenarioConfig) -> Iterator[EpochRecord]:
         t = k / config.rate_hz
         p_plat = trajectory_position(config, t)
         q_truth = truth_attitude(config, t)
-        # the attitude as the reader reads it back, for replays to match
-        q_read = unit_quats(q_truth.as_array()[None], canonicalize=False)[0].tolist()
+        # the attitude as the block draws normalise it, for replays to match
+        q_unit = UnitQuaternion.from_array(q_truth.as_array(), canonicalize=False)
         bits = rng.bit_generator.state
-        uint32 = bits["uinteger"] if bits["has_uint32"] else None
-        req = RequeryData(stream, bits["state"]["state"], uint32, p_plat, UnitQuaternion(*q_read))
-        ant_channels, bl_channels = draws = draw_channels(rng, req)
+        state = bits["state"]["state"], bits["uinteger"] if bits["has_uint32"] else None
+        ant_channels, bl_channels = draws = draw_channels(rng, stream, p_plat, q_unit)
         snr_jit = rng.standard_normal((n_sat, n_ant))
-        found = replay([req], [mp_sats], [frozenset()], layout, draws)
+        found = replay(stream, [state], p_plat.as_array()[None], q_truth.as_array()[None],
+                       [mp_sats], [frozenset()], layout, draws)
         fixes, baselines = found.fixes, found.baselines
 
         offsets = np.zeros((n_sat, n_ant))
@@ -218,11 +231,12 @@ def simulate_records(config: ScenarioConfig) -> Iterator[EpochRecord]:
         corrupted = frozenset(map(tuple, pairs[found.bl_fixed & bl_channels.wrong].tolist()))
         truth = EpochTruth(
             position=p_plat,
-            attitude=q_truth,
+            attitude=tuple(q_truth.as_array().tolist()),
             multipath_sats=mp_sats,
             corrupted_baselines=corrupted,
             wrong_fix_antennas=wrong_ants,
-            requery=req,
+            requery=state,
         )
         snr_rows = SnrTable(solution_sats, snr)
-        yield EpochRecord(t=t, fixes=fixes, baselines=baselines, snr_rows=snr_rows, truth=truth)
+        yield EpochRecord(t=t, fixes=fixes, baselines=baselines, snr_rows=snr_rows, truth=truth,
+                          requery=stream)

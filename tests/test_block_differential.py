@@ -307,9 +307,9 @@ def test_read_blocks_do_not_change_outputs(streams, monkeypatch, tmp_path, name,
     replayed: list[int] = []
     block_replay = mgp.pipeline.replay
 
-    def counting(requeries, *args):
-        replayed.append(len(requeries))
-        return block_replay(requeries, *args)
+    def counting(stream, states, *args):
+        replayed.append(len(states))
+        return block_replay(stream, states, *args)
 
     monkeypatch.setattr(mgp.pipeline, "replay", counting)
     runs = []

@@ -398,6 +398,32 @@ def test_evaluate_bad_cloud_record_exits_one_with_location(
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "survey, message",
+    [
+        ({"reflectors": [[0.0, 0.0, 0.0]], "min_hits": 0}, "min_hits must be at least 1"),
+        ({"reflectors": [[0.0, 0.0, 0.0]], "cluster_radius_m": -1.0},
+         "cluster_radius_m must be positive"),
+        ({"reflectors": []}, "no reflectors to evaluate"),
+    ],
+    ids=["min-hits-0", "negative-radius", "no-reflectors"],
+)
+def test_evaluate_names_the_reflector_file_before_reading_the_cloud(
+    tmp_path: Path, capsys, survey: dict, message: str
+) -> None:
+    """A reflector file with a value out of range is a fault of that file,
+    named with its path and key, found before the cloud is read: here a
+    cloud whose first point is not finite."""
+    cloud = tmp_path / "cloud.xyz"
+    cloud.write_bytes(b"1.0 2.0 nan 1\n")
+    refl = _write(tmp_path / "refl.json", survey)
+    report = tmp_path / "report.json"
+    code = main(["evaluate", "--cloud", str(cloud), "--reflectors", refl, "--report", str(report)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {refl}: reflectors: {message}\n"
+    assert not report.exists()
+
+
 def _bad_byte(path: Path, after: bytes = b"") -> None:
     """Put two bytes that are not UTF-8 into line 4 of the file, after the
     first ``after`` in it, or after its fifth byte."""

@@ -297,9 +297,12 @@ def _ref_reflectors(d: dict[str, Any]) -> tuple[list[Vec3], float, int]:
         positions = [_vec_from(p) for p in d["reflectors"]]
         radius = float(d.get("cluster_radius_m", 0.5))
         min_hits = int(d.get("min_hits", 10))
-        return positions, radius, min_hits
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"reflector config: {exc!r}") from exc
+    # the ranges evaluate_reflectors needs, which the loader checks too
+    if not positions or not radius > 0.0 or min_hits < 1:
+        raise ValidationError(f"reflector values out of range: {d!r}")
+    return positions, radius, min_hits
 
 
 # -- comparison ----------------------------------------------------------------------

@@ -187,6 +187,23 @@ def test_the_channel_draws_are_made_in_one_place() -> None:
         assert "joined" not in {_name(node) for node in _calls(fn)}, fn.__name__
 
 
+def test_an_attitude_is_normalized_for_a_replay_in_one_place() -> None:
+    """The truth attitude is kept as written and normalized for a replay
+    only by ``block_draws``: the reader's truth decoder, the simulator and
+    the replay call no ``unit_quats``, and there is no per-epoch requery
+    record; ``replay`` takes one requery stream."""
+    import mgp.epochs
+    import mgp.simulator
+    import mgp.streams
+
+    assert not hasattr(mgp.epochs, "RequeryData")
+    assert "unit_quats" in {_name(node) for node in _calls(mgp.epochs.block_draws)}
+    for fn in (mgp.streams._truths, mgp.simulator.simulate, mgp.epochs.replay):
+        assert "unit_quats" not in {_name(node) for node in _calls(fn)}, fn.__name__
+    assert list(inspect.signature(mgp.epochs.replay).parameters)[:4] == [
+        "stream", "states", "positions", "attitudes"]
+
+
 def test_the_epoch_stream_is_blocks_from_the_simulator_to_the_file(monkeypatch) -> None:
     """The simulator builds each block of epochs whole, with one ``replay``
     of the block's draws, and the writer encodes blocks: ``mgp.simulator``
@@ -204,9 +221,9 @@ def test_the_epoch_stream_is_blocks_from_the_simulator_to_the_file(monkeypatch) 
     calls: list[int] = []
     replay = mgp.simulator.replay
 
-    def counted(requeries, *args, **kwargs):
-        calls.append(len(requeries))
-        return replay(requeries, *args, **kwargs)
+    def counted(stream, states, *args, **kwargs):
+        calls.append(len(states))
+        return replay(stream, states, *args, **kwargs)
 
     monkeypatch.setattr(mgp.simulator, "replay", counted)
     cfg = mgp.load_scenario(mgp.bundled_scenario_path("multipath"))

@@ -27,6 +27,7 @@ from mgp import (
     SkyMaskSector,
     SnrModel,
     SnrTable,
+    UnitQuaternion,
     ValidationError,
     Vec3,
     VectorObservation,
@@ -178,7 +179,8 @@ def test_clean_epoch_full_solution() -> None:
     assert result.position.available
     assert result.position.n_used == 6
     assert result.multipath.excluded_sats == frozenset()
-    assert quat_angle(result.attitude.q, epoch.truth.attitude) < math.radians(0.5)
+    q_true = UnitQuaternion(*epoch.truth.attitude)
+    assert quat_angle(result.attitude.q, q_true) < math.radians(0.5)
     err = (result.position.p - epoch.truth.position).norm()
     assert err < 0.01
 
@@ -226,7 +228,8 @@ def test_subset_attitude_from_three_antennas_still_solves() -> None:
     epoch = next(iter(simulate(cfg))).epoch(0)
     result = process_epoch(epoch, PipelineConfig(antenna_subset=(1, 3, 5)))
     assert result.attitude.available
-    assert quat_angle(result.attitude.q, epoch.truth.attitude) < math.radians(1.0)
+    q_true = UnitQuaternion(*epoch.truth.attitude)
+    assert quat_angle(result.attitude.q, q_true) < math.radians(1.0)
 
 
 def test_multipath_feedback_requeries_fixes() -> None:
@@ -312,6 +315,7 @@ def test_run_skips_epoch_level_validation_errors() -> None:
         # the first satellite twice
         snr_rows=SnrTable.checked(dup.snr_rows.sat_ids[:1] * 2, dup.snr_rows.dbhz[[0, 0]]),
         truth=dup.truth,
+        requery=dup.requery,
     )
     stream = epochs[:3] + [bad] + epochs[3:]
     result = run(epoch_blocks(stream), PipelineConfig())
@@ -333,12 +337,12 @@ def test_run_skips_epoch_naming_an_antenna_outside_the_layout() -> None:
     stray_baseline = VectorObservation(v=first.v, w=first.w, antenna_pair=(1, 9))
     bad_fix = EpochRecord(
         t=src.t, fixes=with_stray_fix, baselines=src.baselines,
-        snr_rows=src.snr_rows, truth=src.truth,
+        snr_rows=src.snr_rows, truth=src.truth, requery=src.requery,
     )
     bad_baseline = EpochRecord(
         t=epochs[5].t, fixes=epochs[5].fixes,
         baselines=baselines_of([*epochs[5].baselines, stray_baseline]),
-        snr_rows=epochs[5].snr_rows, truth=epochs[5].truth,
+        snr_rows=epochs[5].snr_rows, truth=epochs[5].truth, requery=epochs[5].requery,
     )
     with pytest.raises(ValidationError, match="antenna 9 has no layout entry"):
         process_epoch(bad_fix, PipelineConfig())

@@ -14,8 +14,9 @@ bitwise the statuses, positions and baseline vectors the reference replay
 returns, and so must the block replay (``mgp.epochs.replay``) for every
 epoch of every block, whatever the blocks, exclusion sets and antenna
 subsets. Replaying every epoch with nothing excluded must give the
-simulator's own fixes and baselines bit for bit, also for attitudes that
-the reader's re-normalization changes.
+simulator's own fixes and baselines bit for bit, also for attitudes whose
+normalization changes their bits, and also after the stream is read back
+and written again.
 """
 from __future__ import annotations
 
@@ -33,11 +34,12 @@ from hypothesis import strategies as st
 import mgp
 import mgp.epochs
 from mgp import FixStatus, ValidationError, Vec3
+from mgp.core import unit_quats
 from mgp.multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ
 from mgp.positioning import FIX_GRADES
 from mgp.simulator import _effective_biases
 
-from scalar_epochs import epochs_of
+from scalar_epochs import epochs_of, replay_truths
 from test_acceptance import A9_SCENARIO
 
 
@@ -241,7 +243,7 @@ def _ref_draws(rng, truth: tuple[np.ndarray, np.ndarray], rq: dict[str, Any]):
 
 def _ref_truth_vectors(rq: dict[str, Any], position, attitude) -> tuple[np.ndarray, np.ndarray]:
     """The true antenna positions and body baselines at a pose, from the
-    header's layout; ``attitude`` as the reader reads it back."""
+    header's layout; ``attitude`` normalized, as the block draws take it."""
     body = np.array([[float(c) for c in p] for p in rq["layout"]["body_positions"]])
     n = len(body)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -251,7 +253,7 @@ def _ref_truth_vectors(rq: dict[str, Any], position, attitude) -> tuple[np.ndarr
 
 
 def _ref_attitude(q) -> mgp.UnitQuaternion:
-    """A truth attitude as the reader reads it back: normalized, sign kept."""
+    """A truth attitude as the block draws take it: normalized, sign kept."""
     return mgp.UnitQuaternion.from_array([float(c) for c in q], canonicalize=False)
 
 
@@ -447,7 +449,7 @@ def test_requery_matches_object_path(streams) -> None:
 
 def test_calibrated_model_is_a_fix_model_without_targets() -> None:
     cfg = _bundled("fixrate", 0.1)
-    model = next(iter(mgp.simulate(cfg))).truth[0].requery.stream.model
+    model = next(iter(mgp.simulate(cfg))).requery.model
     assert isinstance(model, mgp.FixModel)
     assert model.target_fix_probs is None and model.baseline_target_fix_prob is None
     assert model == replace(
@@ -503,10 +505,8 @@ def test_block_replay_matches_object_path(data) -> None:
     bounds = [start, *sorted(cuts), stop]
     for a, b in zip(bounds, bounds[1:]):
         block = epochs[a:b]
-        found = mgp.epochs.replay(
-            [e.truth.requery for e in block], [e.truth.multipath_sats for e in block],
-            excluded[a - start:b - start], layout,
-        )
+        found = replay_truths(block[0].requery, [e.truth for e in block],
+                              excluded[a - start:b - start], layout)
         for k, epoch in enumerate(block):
             fixes = found.fixes.select(np.arange(len(found.fixes)) // n == k)
             baselines = found.baselines.select(found.baseline_epoch == k)
@@ -521,26 +521,33 @@ def test_block_replay_matches_object_path(data) -> None:
             assert _record_bits(fixes, baselines) == want, (name, a + k)
 
 
-def _replay_is_the_simulator(cfg: mgp.ScenarioConfig, path: Path) -> int:
-    """Write the stream of ``cfg`` to ``path`` and read it back in reader
-    blocks: replaying each block's stored generator states with nothing
-    excluded gives bitwise the fixes and baselines the simulator made.
-    Returns the count of epochs whose attitude the reader re-normalized."""
+def _replay_is_the_simulator(cfg: mgp.ScenarioConfig, path: Path, rewrites: int = 0) -> int:
+    """Write the stream of ``cfg`` to ``path``, read it back and write it
+    again ``rewrites`` times, each time byte-identical, and read it back in
+    reader blocks: each attitude is the simulator's as written, and
+    replaying each block's stored generator states with nothing excluded
+    gives bitwise the fixes and baselines the simulator made. Returns the
+    count of epochs whose attitude normalization changes in its bits."""
     blocks = list(mgp.simulate(cfg))
     mgp.write_epochs(str(path), blocks)
+    written = path.read_bytes()
+    for _ in range(rewrites):
+        mgp.write_epochs(str(path), [block for block, _ in mgp.read_epoch_blocks(str(path))])
+        assert path.read_bytes() == written
     epochs = epochs_of(blocks)
     n, k, changed = cfg.layout.antenna_count, 0, 0
     for block, skips in mgp.read_epoch_blocks(str(path)):
         assert skips == []
         truths = block.truth
-        found = mgp.epochs.replay([t.requery for t in truths], [t.multipath_sats for t in truths],
-                                  [frozenset()] * len(block), cfg.layout)
+        found = replay_truths(block.requery, truths, [frozenset()] * len(block), cfg.layout)
         for j, (truth, simulated) in enumerate(zip(truths, epochs[k:], strict=False)):
             fixes = found.fixes.select(np.arange(len(found.fixes)) // n == j)
             baselines = found.baselines.select(found.baseline_epoch == j)
             want = _record_bits(simulated.fixes, simulated.baselines)
             assert _record_bits(fixes, baselines) == want, (k + j)
-            changed += truth.attitude != simulated.truth.attitude
+            assert truth.attitude == simulated.truth.attitude, (k + j)
+            unit = unit_quats(np.array([truth.attitude]), canonicalize=False)[0]
+            changed += tuple(unit.tolist()) != truth.attitude
         k += len(block)
     assert k == len(epochs) > 0
     return changed
@@ -551,7 +558,7 @@ def test_replay_of_every_state_is_the_simulator(tmp_path: Path, name: str) -> No
     assert _replay_is_the_simulator(_bundled(name, 10.0), tmp_path / "epochs.jsonl") == 0
 
 
-# An attitude whose quaternion the reader's re-normalization changes.
+# An attitude whose quaternion normalization changes in its bits.
 RENORMALIZED = (37.0, -1.3, 58.6)
 
 
@@ -567,11 +574,22 @@ def _profile_scenario(seed: int, knots: list[list[tuple[float, float]]], n_ant: 
 
 
 def test_replay_is_the_simulator_where_the_reader_renormalizes(tmp_path: Path) -> None:
-    """The channels are built at the attitude as read back, so a replay is
-    bitwise the simulator also where reading changes the attitude's bits."""
+    """The channels are built at the attitude as ``block_draws`` normalizes
+    it, from the simulator's bits and from those the reader keeps, so a
+    replay is bitwise the simulator also where normalizing changes the
+    attitude's bits."""
     knots = [[(0.0, angle)] for angle in RENORMALIZED]
     cfg = _profile_scenario(5, knots, 6, {"wrong_fix_prob": 0.3})
     assert _replay_is_the_simulator(cfg, tmp_path / "epochs.jsonl") == cfg.n_epochs
+
+
+def test_a_rewritten_stream_is_its_bytes_and_replays_as_the_simulator(tmp_path: Path) -> None:
+    """The stream of attitudes that normalizing changes, read back and
+    written again twice, is byte-identical, and replaying it gives bitwise
+    the simulator's fixes and baselines."""
+    knots = [[(0.0, angle)] for angle in RENORMALIZED]
+    cfg = _profile_scenario(5, knots, 6, {"wrong_fix_prob": 0.3})
+    assert _replay_is_the_simulator(cfg, tmp_path / "epochs.jsonl", rewrites=2) == cfg.n_epochs
 
 
 _ANGLE = st.floats(-70.0, 70.0, allow_nan=False).map(lambda x: round(x, 1))

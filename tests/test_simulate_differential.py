@@ -75,8 +75,8 @@ def test_streams_around_the_block_size_write_the_reference_bytes(tmp_path: Path,
 )
 def test_drawn_profiles_write_the_reference_bytes(tmp_path: Path, seed, knots, n_ant, noise,
                                                   n_epochs) -> None:
-    """Drawn attitude profiles (some of whose quaternions the reader
-    re-normalizes), antenna counts (an odd count of 32-bit draws per epoch
+    """Drawn attitude profiles (some of whose quaternions normalization
+    changes in their bits), antenna counts (an odd count of 32-bit draws per epoch
     leaves the generator holding one back), noise settings and lengths."""
     cfg = dataclasses.replace(_profile_scenario(seed, knots, n_ant, noise),
                               duration_s=n_epochs / 10.0)

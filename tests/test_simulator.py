@@ -273,7 +273,7 @@ def test_zero_noise_measurements_match_truth() -> None:
             want = rotate(q, o.w)
             assert np.allclose(o.v.as_array(), want.as_array(), atol=1e-9)
         assert np.array_equal(epoch.truth.position.as_array(), p.as_array())
-        assert quat_angle(epoch.truth.attitude, q) == 0.0
+        assert quat_angle(UnitQuaternion(*epoch.truth.attitude), q) == 0.0
 
 
 def test_wrong_fix_labels_are_honest() -> None:
@@ -407,7 +407,7 @@ def test_target_fix_probs_calibrate_exactly() -> None:
         fix_model=FixModel(target_fix_probs=targets, baseline_target_fix_prob=0.995),
     )
     epoch = next(iter(simulate(cfg))).epoch(0)
-    model = epoch.truth.requery.stream.model
+    model = epoch.requery.model
     n = len(cfg.constellation)
     for bias, want in zip(model.antenna_bias, targets):
         assert model.probability(n, 0, bias) == pytest.approx(want, abs=1e-12)

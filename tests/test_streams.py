@@ -131,6 +131,24 @@ def test_write_epochs_writes_the_reader_blocks_back(tmp_path: Path) -> None:
     assert back.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("nulled", ["first", "every"])
+def test_write_epochs_writes_null_truth_streams_back(tmp_path: Path, nulled: str) -> None:
+    """A stream whose first epoch's truth is null, or every epoch's, as a
+    field stream is made of a simulated one: the reader's blocks hold the
+    header's requery constants, so they are written back as the bytes they
+    were read from, header constants included."""
+    path, back = tmp_path / "e.jsonl", tmp_path / "back.jsonl"
+    write_epochs(str(path), simulate(_scenario(duration_s=4.0)))
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(header)["requery"] is not None
+    records = [json.loads(line) for line in lines]
+    for record in records[:1] if nulled == "first" else records:
+        record["truth"] = None
+    path.write_text("\n".join([header, *map(json.dumps, records)]) + "\n", encoding="utf-8")
+    assert write_epochs(str(back), [block for block, _ in mgp.read_epoch_blocks(str(path))]) == 40
+    assert back.read_bytes() == path.read_bytes()
+
+
 def test_epoch_round_trip_preserves_truth_and_values(tmp_path: Path) -> None:
     epochs = epochs_of(simulate(_scenario()))
     path = tmp_path / "e.jsonl"
@@ -149,7 +167,9 @@ def test_epoch_round_trip_preserves_truth_and_values(tmp_path: Path) -> None:
         assert a.truth.corrupted_baselines == b.truth.corrupted_baselines
         assert a.truth.wrong_fix_antennas == b.truth.wrong_fix_antennas
         assert np.array_equal(a.truth.position.as_array(), b.truth.position.as_array())
+        assert a.truth.attitude == b.truth.attitude
         assert a.truth.requery == b.truth.requery
+        assert a.requery == b.requery
 
 
 def test_epoch_header_line_exact(tmp_path: Path) -> None:
@@ -403,7 +423,7 @@ def test_block_decoder_checks_each_epoch_on_its_own() -> None:
     """Epochs that each name every antenna pair decode as one block, into
     the arrays each gives alone; a pair named twice in one epoch fails it."""
     epochs = epochs_of(simulate(_scenario(duration_s=0.5)))
-    stream = epochs[0].truth.requery.stream
+    stream = epochs[0].requery
     dicts = [json.loads(json.dumps(epoch_to_dict(e))) for e in epochs]
     block = mgp.streams._decode(dicts, range(2, len(dicts) + 2), stream)
     for got, d in zip(map(block.epoch, range(len(block))), dicts, strict=True):
@@ -506,7 +526,7 @@ def test_read_epochs_reports_the_first_of_two_faults(tmp_path: Path, edit, messa
     record = json.loads(lines[k])
     edit(record)
     lines[k] = json.dumps(record)
-    stream = epochs[0].truth.requery.stream
+    stream = epochs[0].requery
     with pytest.raises((InputError, ValidationError), match=f"^{re.escape(message)}$"):
         epoch_from_dict(json.loads(lines[k]), stream)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -519,7 +539,7 @@ def test_read_epochs_reports_the_first_of_two_faults(tmp_path: Path, edit, messa
 )
 def test_read_epochs_rejects_non_unit_truth_attitude(tmp_path: Path, attitude, norm) -> None:
     """A truth attitude is read, not normalized: one off unit norm by more
-    than QUAT_READ_TOL is a malformed line, within it the unit quaternion."""
+    than QUAT_READ_TOL is a malformed line, one within it kept as written."""
     epochs = epochs_of(simulate(_scenario(duration_s=0.3)))
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), blocks_of(epochs))
@@ -535,7 +555,7 @@ def test_read_epochs_rejects_non_unit_truth_attitude(tmp_path: Path, attitude, n
     diags: list[str] = []
     back = list(read_epochs(str(path), diagnostics=diags))
     assert [e.t for e in back] == [e.t for i, e in enumerate(epochs) if i != 1]
-    assert back[0].truth.attitude == UnitQuaternion.identity()
+    assert back[0].truth.attitude == (0.0, 0.0, 0.0, 1.0000005)
     assert diags == [f"{path}:3: skipped epoch: truth attitude norm {norm} is not 1 within 1e-06"]
 
 
