@@ -14,16 +14,17 @@ There is one front half, :class:`_FrontBlock`: it takes stages (1) and
 (2), with every check that can skip an epoch, over an
 :class:`mgp.epochs.EpochBlock` as the reader decoded it, with one array
 pass per check over the block's rows and one requery replay of all the
-block's epochs that need it; its active fixes, consensus candidates and
-epoch stamps come out as one :class:`_Rows` record. The checks run on the
-rows as read, so neither the antenna subset nor the feedback can hide a
-fault. ``run`` takes the stream through it one reader block at a time,
-the timestamp check and the block's tally in array passes too, then the
-queued records' rows through stages (3) and (4) in blocks of at most
-``BLOCK_PAIRS`` pair hypothesis slots, with one call of the consensus
-kernel and one position fusion per block; ``process_epoch`` is the same
-chain on a block of one, and no output depends on where any of the blocks
-fall. ``run`` returns the stream's poses as one :class:`mgp.mapping.Poses`.
+block's epochs that need it. The checks run on the rows as read, so
+neither the antenna subset nor the feedback can hide a fault. ``run``
+takes each reader block through it and then the block's epochs without a
+fault through stages (3) and (4), with one call of the consensus kernel
+and one position fusion, as one item of :func:`mgp.ordered.ordered_map`
+(:func:`_solved`), so a forked worker takes a share of whole blocks,
+decoding included when the blocks come as calls; the caller keeps what
+depends on stream order: the timestamp check, the tally sums and the
+diagnostics in line order. ``process_epoch`` is the same chain on a block
+of one, and no output depends on where the blocks fall. ``run`` returns
+the stream's poses as one :class:`mgp.mapping.Poses`.
 
 A fix rate here is the share of epochs in which a solution of the given
 kind existed: an antenna's rate counts its FIXED epochs, the hybrid rate
@@ -36,25 +37,26 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
 from . import jsonvals
-from .attitude import AttitudeSolution, Baselines, body_to_enu
+from .attitude import AttitudeSolution, body_to_enu
 from .core import AntennaLayout, euler_from_matrix, first_repeat, hexagon_layout
 from .core import quat_to_matrix, unit_quats
 from .epochs import (
     EpochBlock,
     EpochRecord,
-    EpochTruth,
     epoch_of_rows,
     offsets,
     replay,
     requery_epoch,  # unused here; perfbench/tracer.py traces it under this name
 )
 from .mapping import Poses
+from .ordered import ordered_map
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,
@@ -70,15 +72,6 @@ from .multipath import (
 )
 from .positioning import Fixes, PositionSolution, fuse_positions, hybrid_position
 from .robust import RansacParams, consensus, ransac_attitude
-
-
-# Pair hypothesis slots per call of the consensus kernel, which scores each
-# of a block's E epochs in S slots, S the most pairs any of them has. ``run``
-# queues whole epochs, across front block edges, and starts a new block
-# when the next epoch would take E * S past this cap: about 10 six-antenna
-# or 340 three-antenna epochs, which keeps the block's temporaries near 1 MB
-# however long the stream is and however its epochs' pair counts mix.
-BLOCK_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -162,21 +155,6 @@ def _consensus_params(config: PipelineConfig) -> RansacParams:
     return replace(params, min_inliers=max(2, min(params.min_inliers, max_pairs)))
 
 
-class _Rows(NamedTuple):
-    """Stage (2) of a front block: its active fixes and consensus candidates
-    (the fixed active baselines) in epoch order, a replayed epoch's rows in
-    the place of its rows as read, each row's epoch, the pose row ``run``
-    gives each epoch it queues (-1 for the others), and each epoch's time
-    and true pose ``[t, qx, qy, qz, qw, E, N, U]``, NaN without truth."""
-
-    fixes: Fixes
-    fix_epoch: np.ndarray
-    candidates: Baselines
-    candidate_epoch: np.ndarray
-    pose_row: np.ndarray
-    stamps: np.ndarray
-
-
 class _FrontBlock:
     """Stages (1) and (2) of an :class:`EpochBlock`, each step one array
     pass over the block's rows as read: the checks, the subset masks, the
@@ -191,7 +169,11 @@ class _FrontBlock:
     satellite named twice, a requery stream of another antenna count (only
     when the epoch needs a replay), an antenna named twice. The scored SNR
     rows are ``sats``, ``sigma``, ``count`` and ``verdict``, epoch k's at
-    ``snr_ends[k]:snr_ends[k + 1]``; ``rows`` holds the stage (2) output.
+    ``snr_ends[k]:snr_ends[k + 1]``. Stage (2) gives the active ``fixes``
+    and ``candidates`` (the fixed active baselines) in epoch order, a
+    replayed epoch's rows in the place of its rows as read, with each row's
+    epoch (``fix_epoch``, ``candidate_epoch``), and ``stamps``, each epoch's
+    time and true pose ``[t, qx, qy, qz, qw, E, N, U]``, NaN without truth.
     """
 
     def __init__(self, block: EpochBlock, config: PipelineConfig) -> None:
@@ -225,9 +207,10 @@ class _FrontBlock:
             faults.setdefault(k, f"duplicate SNR row for satellite {dup}")
 
         use = active[np.where(known, ids, 0)]
-        # the raw fixed active antennas _Tally counts
-        raw_fixed = use & (fixes.grade == 2)
-        self.raw_fixed = ids[raw_fixed], fix_epoch[raw_fixed]
+        # each epoch's raw fixed active antennas, a bool per antenna id
+        raw = use & (fixes.grade == 2)
+        self.raw_fixed = np.zeros((n_epochs, n + 1), dtype=bool)
+        self.raw_fixed[fix_epoch[raw], ids[raw]] = True
 
         active_pairs = active[np.where(known_ids, pairs.ravel(), 0)].reshape(-1, 2).all(axis=1)
         keep = baselines.fixed & active_pairs
@@ -296,8 +279,8 @@ class _FrontBlock:
                 candidates, candidate_epoch, b, np.array(replayed)[found.baseline_epoch],
                 b.fixed & active[b.pairs].all(axis=1),
             )
-        pose_row = np.full(n_epochs, -1)
-        self.rows = _Rows(fixes, fix_epoch, candidates, candidate_epoch, pose_row, stamps)
+        self.fixes, self.fix_epoch, self.stamps = fixes, fix_epoch, stamps
+        self.candidates, self.candidate_epoch = candidates, candidate_epoch
 
     def _excluded(self, k: int) -> frozenset[str]:
         """The satellites epoch k's detection excludes."""
@@ -319,13 +302,13 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
     params = _consensus_params(config)
     attitude = AttitudeSolution.unavailable()
     # consensus could never reach min_inliers with fewer fixed baselines
-    if len(front.rows.candidates) >= params.min_inliers:
+    if len(front.candidates) >= params.min_inliers:
         try:
-            attitude = ransac_attitude(front.rows.candidates, params).solution
+            attitude = ransac_attitude(front.candidates, params).solution
         except (InsufficientDataError, DegenerateGeometryError):
             pass
     position = hybrid_position(
-        front.rows.fixes, attitude.q if attitude.available else None, config.layout
+        front.fixes, attitude.q if attitude.available else None, config.layout
     )
     return EpochResult(
         t=epoch.t,
@@ -334,36 +317,32 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
         multipath=MultipathReport(
             front.sats, front.sigma, front.count, front.verdict, front._excluded(0)
         ),
-        fixes_used=front.rows.fixes,
+        fixes_used=front.fixes,
     )
 
 
-def _solve_block(
-    queue: list[_Rows], first: int, n_ep: int, config: PipelineConfig, params: RansacParams
-) -> tuple[np.ndarray, ...]:
-    """Stages (3) and (4) of the ``n_ep`` epochs from pose row ``first`` on,
-    out of the queued rows, consensus only with ``min_inliers`` candidates:
-    the pose block ``(t, p, q, n_fix, truth)`` :class:`_Tally` keeps, with
-    NaN rows where an epoch has no position or attitude."""
-    # each queued epoch's place in the block, negative for the other epochs
-    place = [np.where(r.pose_row < first + n_ep, r.pose_row - first, -1) for r in queue]
-    f = [e[r.fix_epoch] for r, e in zip(queue, place)]
-    c = [e[r.candidate_epoch] for r, e in zip(queue, place)]
-    fixes = Fixes.joined([r.fixes.select(e >= 0) for r, e in zip(queue, f)])
-    candidates = Baselines.joined([r.candidates.select(e >= 0) for r, e in zip(queue, c)])
-    fix_epoch = np.concatenate([e[e >= 0] for e in f])
-    candidate_epoch = np.concatenate([e[e >= 0] for e in c])
-
+def _solve_block(front: _FrontBlock, config: PipelineConfig) -> tuple[np.ndarray, ...]:
+    """Stages (3) and (4) of a front block's epochs without a fault, in one
+    consensus call, only of those with ``min_inliers`` candidates, and one
+    position fusion: each epoch's position, attitude and fixed count, NaN
+    rows where it has no position or attitude (an epoch at fault too)."""
+    n_ep = len(front.stamps)
+    solve = np.ones(n_ep, dtype=bool)
+    solve[list(front.faults)] = False
+    params = _consensus_params(config)
     q = np.full((n_ep, 4), np.nan)
-    counts = np.bincount(candidate_epoch, minlength=n_ep)
-    solve = counts >= params.min_inliers
-    if solve.any():
-        ends = offsets(counts[solve].tolist())
-        found = consensus(candidates.select(solve[candidate_epoch]), ends, params)
-        q[np.flatnonzero(solve)[found.available]] = body_to_enu(found.q_be[found.available])
+    counts = np.bincount(front.candidate_epoch, minlength=n_ep)
+    reach = solve & (counts >= params.min_inliers)
+    if reach.any():
+        ends = offsets(counts[reach].tolist())
+        found = consensus(front.candidates.select(reach[front.candidate_epoch]), ends, params)
+        q[np.flatnonzero(reach)[found.available]] = body_to_enu(found.q_be[found.available])
 
-    rows = np.bincount(fix_epoch, minlength=n_ep)
-    valid = np.arange(int(rows.max(initial=0))) < rows[:, None]
+    use = solve[front.fix_epoch]
+    fixes, fix_epoch = front.fixes.select(use), front.fix_epoch[use]
+    n_rows = np.bincount(fix_epoch, minlength=n_ep)
+    # at least one row slot, unused where no epoch has a fix
+    valid = np.arange(max(1, int(n_rows.max(initial=0)))) < n_rows[:, None]
     fixed = np.zeros(valid.shape, dtype=bool)
     fixed[valid] = fixes.grade == 2
     p = np.zeros(valid.shape + (3,))
@@ -372,8 +351,46 @@ def _solve_block(
     levers[valid] = config.layout.positions[fixes.ids - 1]
     positions, used = fuse_positions(p, levers, fixed, quat_to_matrix(q))
     positions[~used.any(axis=1)] = np.nan
-    stamps = np.concatenate([r.stamps[e >= 0] for r, e in zip(queue, place)])
-    return stamps[:, 0], positions, q, fixed.sum(axis=1), stamps[:, 1:]
+    return positions, q, fixed.sum(axis=1)
+
+
+def _solved(config: PipelineConfig, item: Any) -> tuple[Any, ...]:
+    """One item of ``run``'s stream, a block of epochs with its reader's
+    skips or a call that decodes one, as the process that takes it leaves it
+    for the caller: the reader's ``(lineno, message)`` skips, each epoch's
+    line and front half fault (:class:`_FrontBlock`), and the columns of
+    every epoch, solved when it has no fault: ``t``, ``p``, ``q``,
+    ``n_fix``, the true pose ``[qx, qy, qz, qw, E, N, U]``, the Euler
+    degrees of the attitude and of the true attitude (NaN where there is
+    none), the raw fixed active antennas, the detection score of the SNR
+    rows against the truth channel (neither, fn, fp, tp) and whether it
+    carries a requery state."""
+    epochs, skips = item() if callable(item) else item
+    front = _FrontBlock(epochs, config)
+    truth, stamps, n_ep = epochs.truth, front.stamps, len(epochs)
+    p, q, n_fix = _solve_block(front, config)
+    has_truth = ~np.isnan(stamps[:, 1])
+    true_q = np.full((n_ep, 4), np.nan)
+    true_q[has_truth] = unit_quats(stamps[has_truth, 1:5], canonicalize=False)
+    # the euler_from_quat degrees of each attitude, then each true attitude
+    both, euler = np.concatenate((q, true_q)), np.full((2 * n_ep, 3), np.nan)
+    has = np.flatnonzero(~np.isnan(both[:, 0]))
+    if len(has):
+        euler[has] = [euler_from_matrix(m) for m in quat_to_matrix(both[has]).tolist()]
+    # an epoch without a fault names each satellite once, so its rows
+    # count the satellites of true - detected, detected - true and
+    # detected & true
+    row_epoch = epoch_of_rows(front.snr_ends)
+    scored = has_truth[row_epoch]
+    sats = itertools.compress(front.sats, scored.tolist())
+    true_mp = [s in truth[k].multipath_sats for s, k in zip(sats, row_epoch[scored].tolist())]
+    code = 4 * row_epoch[scored] + 2 * (front.verdict[scored] == 1) + np.array(true_mp, dtype=bool)
+    hits = np.bincount(code, minlength=4 * n_ep).reshape(n_ep, 4)
+    requery = np.array([tr is not None and tr.requery is not None for tr in truth], dtype=bool)
+    return skips, epochs.lines, front.faults, (
+        epochs.t, p, q, n_fix, stamps[:, 1:], euler[:n_ep], euler[n_ep:],
+        front.raw_fixed, hits, requery,
+    )
 
 
 @dataclass(frozen=True)
@@ -466,59 +483,30 @@ def _angle_sd(values: list[float]) -> float | None:
     return _population_sd([base + _wrap_deg(v - base) for v in values])
 
 
-def _euler(q: np.ndarray) -> np.ndarray:
-    """(E, 3) :func:`euler_from_quat` degrees of (E, 4) unit quaternions."""
-    return np.array([euler_from_matrix(m) for m in quat_to_matrix(q).tolist()]).reshape(-1, 3)
-
-
 def _sds(values: np.ndarray, axes: tuple[str, ...], sd) -> dict[str, float | None]:
     """``sd`` of each column of ``values``, keyed by axis name."""
     return {axis: sd(col) for axis, col in zip(axes, values.T.tolist())}
 
 
 class _Tally:
-    """The stream metrics and poses, accumulated in stream order: the front
-    half's counts per front block, the poses and the truth per consensus
-    block, where every epoch that passed the front half has a pose row."""
+    """The :func:`_solved` columns of each block's epochs that passed the
+    front half and the timestamp check, in stream order after an empty
+    block fixing their shapes, and the stream poses and metrics of them."""
 
     def __init__(self, config: PipelineConfig) -> None:
-        self.active = config.active_mask
-        self.fixed_counts = np.zeros(len(self.active), dtype=np.int64)
-        self.raw_any, self.requery_seen = 0, False
-        # scored SNR rows of epochs with truth: neither, fn, fp, tp
-        self.hits = np.zeros(4, dtype=np.int64)
-        # per solved block, after an empty one fixing the shapes: t, p, q,
-        # n_fix and the true [qx, qy, qz, qw, E, N, U] (NaN without truth)
         self.blocks: list[tuple[np.ndarray, ...]] = [(
-            np.empty(0), np.empty((0, 3)), np.empty((0, 4)), np.empty(0, np.int64), np.empty((0, 7))
+            np.empty(0), np.empty((0, 3)), np.empty((0, 4)), np.empty(0, np.int64),
+            np.empty((0, 7)), np.empty((0, 3)), np.empty((0, 3)),
+            np.empty((0, len(config.active_mask)), bool), np.empty((0, 4), np.int64),
+            np.empty(0, bool),
         )]
 
-    def front(
-        self, front: _FrontBlock, passed: np.ndarray, truth: Sequence[EpochTruth | None]
-    ) -> None:
-        """The epochs of a front block that passed the front half, a bool per
-        epoch, with the block's truth channels: their observed (raw) fixed
-        active antennas, and the detection score of each scored SNR row of
-        those with truth against their truth channel."""
-        ids, epoch = front.raw_fixed
-        keep = passed[epoch]
-        self.fixed_counts += np.bincount(ids[keep], minlength=len(self.active))
-        self.raw_any += np.count_nonzero(np.bincount(epoch[keep]))
-        scored = np.flatnonzero(passed & ~np.isnan(front.rows.stamps[:, 1])).tolist()
-        if not scored:
-            return
-        self.requery_seen = self.requery_seen or any(truth[k].requery is not None for k in scored)
-        # a passed epoch names each satellite once, so its rows count the
-        # satellites of true - detected, detected - true and detected & true
-        row_epoch = epoch_of_rows(front.snr_ends)
-        rows = np.isin(row_epoch, scored)
-        sats = itertools.compress(front.sats, rows.tolist())
-        true_mp = [s in truth[k].multipath_sats for s, k in zip(sats, row_epoch[rows].tolist())]
-        detected = front.verdict[rows] == 1
-        self.hits += np.bincount(2 * detected + np.array(true_mp, dtype=bool), minlength=4)
+    def add(self, columns: tuple[np.ndarray, ...], passed: np.ndarray) -> None:
+        self.blocks.append(tuple(column[passed] for column in columns))
 
     def report(self, config: PipelineConfig, skipped: int) -> tuple[MetricsReport, Poses]:
-        *columns, truth = map(np.concatenate, zip(*self.blocks))
+        *columns, truth, euler, true_euler, fixed, hits, requery = map(
+            np.concatenate, zip(*self.blocks))
         poses = Poses(*columns)
         n_proc, has_truth = len(poses), ~np.isnan(truth[:, 0])
 
@@ -529,23 +517,21 @@ class _Tally:
         angles, pos_axes = ("roll", "pitch", "yaw"), ("e", "n", "u")
         if has_truth.any():
             att, pos = has_q & has_truth, has_p & has_truth
-            true_q = unit_quats(truth[att, :4], canonicalize=False)
-            att_err = _wrap_deg(_euler(poses.q[att]) - _euler(true_q))
-            att_sd = _sds(att_err, angles, _population_sd)
+            att_sd = _sds(_wrap_deg(euler[att] - true_euler[att]), angles, _population_sd)
             pos_sd_m = _sds(poses.p[pos] - truth[pos, 4:], pos_axes, _population_sd)
         else:
-            att_sd = _sds(_euler(poses.q[has_q]), angles, _angle_sd)
+            att_sd = _sds(euler[has_q], angles, _angle_sd)
             pos_sd_m = _sds(poses.p[has_p], pos_axes, _population_sd)
-        counts = self.fixed_counts.tolist()
-        _, fn, fp, tp = self.hits.tolist()
+        counts = fixed.sum(axis=0).tolist()
+        _, fn, fp, tp = hits.sum(axis=0).tolist()
         metrics = MetricsReport(
             epochs=n_proc,
             skipped=skipped,
             per_antenna_fix_rate_pct={i: pct(counts[i]) for i in config.active_antennas},
-            hybrid_fix_rate_pct=pct(self.raw_any),
+            hybrid_fix_rate_pct=pct(int(fixed.any(axis=1).sum())),
             hybrid_fix_rate_multipath_pct=(
                 pct(int((poses.n_fix > 0).sum()))
-                if config.multipath_feedback and self.requery_seen
+                if config.multipath_feedback and requery.any()
                 else None
             ),
             attitude_availability_pct=pct(int(has_q.sum())),
@@ -560,7 +546,7 @@ class _Tally:
 
 
 def run(
-    blocks: Iterable[tuple[EpochBlock, Sequence[tuple[int, str]]]],
+    blocks: Iterable[Any],
     config: PipelineConfig,
     *,
     diagnostics: list[str] | None = None,
@@ -568,14 +554,14 @@ def run(
     """Process a stream and accumulate the metrics report.
 
     ``blocks`` is the stream as :func:`mgp.streams.read_epoch_blocks` gives
-    it: each block of epochs with the ``(lineno, message)`` of each line the
-    reader skipped there (none for the blocks of :func:`mgp.simulate`). The
-    front half, where every skip is decided, takes each block as it is
-    (:class:`_FrontBlock`). An epoch is late when its time is not
-    above every time of the earlier epochs without a front half fault; a
-    late epoch is skipped with the timestamp message, even when it is also
-    at fault. The survivors' rows then go to consensus attitude and position
-    in blocks of at most ``BLOCK_PAIRS`` pair hypothesis slots. Each epoch's
+    it, each block of epochs with the ``(lineno, message)`` of each line the
+    reader skipped there (none for the blocks of :func:`mgp.simulate`), or
+    as calls that decode them (:func:`mgp.streams.epoch_block_calls`). Each
+    block's work, every skip but the timestamp's decided in it, is one item
+    of :func:`mgp.ordered.ordered_map` (:func:`_solved`). Then, in stream
+    order, an epoch is late when its time is not above every time of the
+    earlier epochs without a front half fault; a late epoch is skipped with
+    the timestamp message, even when it is also at fault. Each epoch's
     results match :func:`process_epoch`'s, wherever the blocks fall.
 
     An epoch at fault is skipped with a message and never aborts the
@@ -586,49 +572,25 @@ def run(
     """
     diags = diagnostics if diagnostics is not None else []
     first_diag = len(diags)
-    params = _consensus_params(config)
     tally = _Tally(config)
-    # The block keeps only the rows records holding its epochs, not the
-    # epoch or front blocks, each queued epoch marked with its pose row.
-    queue: list[_Rows] = []
-    # epochs posed, the block's first pose row, its consensus epochs, most pairs
-    posed = first = solving = widest = 0
-
-    def solve(end: int) -> None:
-        tally.blocks.append(_solve_block(queue, first, end - first, config, params))
-
     # the epochs so far: the latest time among those without a front-half fault, their number
     last_t, idx = -math.inf, 0
-    for epochs, skips in blocks:
-        front = _FrontBlock(epochs, config)
-        rows, t = front.rows, epochs.t
-        faulted = np.isin(np.arange(len(epochs)), list(front.faults))
-        latest = np.maximum.accumulate(np.concatenate(([last_t], np.where(faulted, -math.inf, t))))
-        late, last_t = t <= latest[:-1], latest[-1]
-        passed = ~late & ~faulted
-        tally.front(front, passed, epochs.truth)
-        notes = list(skips)  # (line, message)
-        for k in np.flatnonzero(~passed).tolist():
-            tk = t[k].item()
-            why = (f": non-increasing timestamp {tk!r}, skipped" if late[k]
-                   else f" (t={tk!r}): {front.faults[k]}")
-            notes.append((epochs.lines[k].item(), f"epoch {idx + k}{why}"))
-        idx += len(epochs)
-        queue.append(rows)
-        rows.pose_row[passed] = posed + np.arange(np.count_nonzero(passed))
-        posed += np.count_nonzero(passed)
-        counts = np.bincount(rows.candidate_epoch, minlength=len(epochs))
-        reach = passed & (counts >= params.min_inliers)
-        for row, m in zip(rows.pose_row[reach].tolist(), counts[reach].tolist()):
-            pairs = m * (m - 1) // 2
-            if row > first and (solving + 1) * max(widest, pairs) > BLOCK_PAIRS:
-                solve(row)
-                queue, first, solving, widest = [rows], row, 0, 0
-            solving, widest = solving + 1, max(widest, pairs)
-        diags.extend(message for _, message in sorted(notes, key=lambda note: note[0]))
-        # let this block go before the next block is read
-        del epochs, front
-    if posed > first:
-        solve(posed)
+    with closing(ordered_map(functools.partial(_solved, config), blocks)) as solved:
+        for skips, lines, faults, columns in solved:
+            t = columns[0]
+            faulted = np.isin(np.arange(len(t)), list(faults))
+            latest = np.maximum.accumulate(
+                np.concatenate(([last_t], np.where(faulted, -math.inf, t))))
+            late, last_t = t <= latest[:-1], latest[-1]
+            passed = ~late & ~faulted
+            tally.add(columns, passed)
+            notes = list(skips)  # (line, message)
+            for k in np.flatnonzero(~passed).tolist():
+                tk = t[k].item()
+                why = (f": non-increasing timestamp {tk!r}, skipped" if late[k]
+                       else f" (t={tk!r}): {faults[k]}")
+                notes.append((lines[k].item(), f"epoch {idx + k}{why}"))
+            idx += len(t)
+            diags.extend(message for _, message in sorted(notes, key=lambda note: note[0]))
     metrics, poses = tally.report(config, skipped=len(diags) - first_diag)
     return RunResult(metrics=metrics, poses=poses, diagnostics=diags)

@@ -41,13 +41,16 @@ Formats:
     'w' in baselines``, ``unknown key 'truht'`` on the line itself). The
     block's SNR table is as wide as its widest epoch, NaN-padded. A line
     that is not UTF-8 or not JSON is set aside as a fault (the scan, pose
-    and cloud readers name its ``path:line`` too); if the block of the
+    and cloud readers name its ``path:line`` too), as is one longer than
+    ``MAX_EPOCH_LINE`` characters, unparsed; if the block of the
     others fails, each is decoded alone, so that each fault is reported (or
     skipped) at its own ``path:line`` with the message of its first failing
     lookup or check. The reader's blocks, and the blocks the writer turns
     into text, go through :func:`ordered.ordered_map`, so they are shared
     with a forked worker (one per process); the blocks, faults and bytes
-    are those of one process, in stream order.
+    are those of one process, in stream order. :func:`epoch_block_calls`
+    gives the reader's blocks undecoded, as calls, which ``pipeline.run``
+    maps with the rest of each block's work.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line, a JSON object of the keys ``t`` and ``pulses``
     read by the epoch-line rules; each pulse is a compact array
@@ -163,6 +166,9 @@ class _EpochHeader:
 
 # Non-blank lines the epoch reader decodes at once.
 READ_BLOCK = EPOCH_BLOCK
+# The longest epoch line the reader parses, in characters: 56 times the
+# longest bundled line (4.7 kB, six antennas), room for 55 antennas' 1,500 baselines.
+MAX_EPOCH_LINE = 1 << 18
 
 
 def _decode(objects: list[Any], lines: Sequence[int],
@@ -454,21 +460,23 @@ def _check_header(line: str, expected: dict[str, Any], path: str) -> RequeryStre
         raise InputError(f"{path}:1: {exc}") from None
 
 
-def _parsed(line: str) -> Any:
+def _parsed(line: str | Exception) -> Any:
     """The JSON value of a line, or the fault that keeps it from one."""
+    if isinstance(line, Exception):
+        return line
     try:
         return jsonvals.loads(utf8_line(line).strip())
     except (ValueError, ValidationError) as exc:
         return exc
 
 
-def _epoch_block(block: list[tuple[int, str]], stream: RequeryStream | None = None
+def _epoch_block(block: list[tuple[int, str | Exception]], stream: RequeryStream | None = None
                  ) -> tuple[EpochBlock, list[tuple[int, Exception]]]:
     """The epochs of the ``(lineno, line)`` pairs of ``block``, lines of a
     stream whose header holds the requery constants ``stream``, as one
-    :class:`EpochBlock`, and the ``(lineno, fault)`` of each other line, in
-    line order. The lines that parse are decoded at once; if that fails,
-    each alone, to find the faults, and then the others at once again."""
+    :class:`EpochBlock`, and the ``(lineno, fault)`` of each other line (or
+    fault given for a line), in line order. The lines that parse are decoded
+    at once; if that fails, each alone, to find the faults, then the rest."""
     found = [(lineno, _parsed(line)) for lineno, line in block]
     with suppress(ValidationError, ValueError):
         return _decoded(found, stream)
@@ -489,24 +497,50 @@ def _decoded(found: list[tuple[int, Any]], stream: RequeryStream | None
     return _decode([obj for _, obj in good], [lineno for lineno, _ in good], stream), faults
 
 
-def _read_blocks(path: str) -> Iterator[tuple[EpochBlock, list[tuple[int, Exception]]]]:
-    """The :func:`_epoch_block` of each ``READ_BLOCK`` non-blank lines of
-    the epoch stream at ``path`` after its header, which is checked first."""
+def _epoch_lines_of(f: TextIO) -> Iterator[tuple[int, str | Exception]]:
+    """The ``(lineno, line)`` of each non-blank line of ``f`` after its
+    header, a line longer than ``MAX_EPOCH_LINE`` characters given as its
+    fault and read past a piece at a time, never held whole."""
+    read = functools.partial(f.readline, MAX_EPOCH_LINE + 1)
+    for lineno, line in enumerate(iter(read, ""), start=2):
+        if len(line) > MAX_EPOCH_LINE and not line.endswith("\n"):
+            while line and not line.endswith("\n"):
+                line = read()
+            yield lineno, ValidationError(f"line longer than {MAX_EPOCH_LINE} characters")
+        elif not line.isspace():
+            yield lineno, line
+
+
+def _block_calls(path: str, decode: Callable[..., Any]) -> Iterator[Callable[[], Any]]:
+    """A call of ``decode(lines, stream)`` on each ``READ_BLOCK`` non-blank
+    lines of the epoch stream at ``path`` and its header's requery constants
+    ``stream``; the header is checked first, the lines read as calls are taken."""
     with open_text(path) as f:
         stream = _check_header(_first_line(f, path), EPOCH_HEADER, path)
-        lines = ((n, line) for n, line in enumerate(f, start=2) if not line.isspace())
-        decode = functools.partial(_epoch_block, stream=stream)
-        with closing(ordered_map(decode, _batches(lines, READ_BLOCK))) as results:
-            yield from results
+        for batch in _batches(_epoch_lines_of(f), READ_BLOCK):
+            yield functools.partial(decode, batch, stream)
+
+
+def _skipped(path: str, lines: list, stream: RequeryStream | None) -> tuple[EpochBlock, list]:
+    block, faults = _epoch_block(lines, stream)
+    return block, [(n, f"{path}:{n}: skipped epoch: {exc}") for n, exc in faults]
+
+
+def epoch_block_calls(path: str) -> Iterator[Callable[[], Any]]:
+    """The blocks of :func:`read_epoch_blocks` as calls that decode them, for
+    ``pipeline.run`` to make where it solves each block; the header is
+    checked (InputError) and the lines read as the calls are taken."""
+    return _block_calls(path, functools.partial(_skipped, path))
 
 
 def read_epoch_blocks(path: str) -> Iterator[tuple[EpochBlock, list[tuple[int, str]]]]:
     """The epoch stream at ``path`` as ``pipeline.run`` takes it: each block
     of ``READ_BLOCK`` non-blank lines as its epochs, one :class:`EpochBlock`,
-    and the ``(lineno, message)`` of each line that is not UTF-8 or fails to
-    parse or validate. A wrong header raises InputError."""
-    for block, faults in _read_blocks(path):
-        yield block, [(n, f"{path}:{n}: skipped epoch: {exc}") for n, exc in faults]
+    and the ``(lineno, message)`` of each line that is not UTF-8, is longer
+    than ``MAX_EPOCH_LINE`` characters or fails to parse or validate. A
+    wrong header raises InputError."""
+    with closing(ordered_map(lambda call: call(), epoch_block_calls(path))) as blocks:
+        yield from blocks
 
 
 def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[EpochRecord]:
@@ -516,15 +550,16 @@ def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[
     ``path:line``, after the epochs before it; with a list, each such line
     is skipped and recorded in it as it is reached. A wrong header always
     aborts: that is the wrong file, not a bad epoch."""
-    for block, faults in _read_blocks(path):
-        epochs = zip(block.lines.tolist(), range(len(block)))
-        for lineno, item in sorted([*faults, *epochs], key=lambda item: item[0]):
-            if not isinstance(item, Exception):
-                yield block.epoch(item)
-            elif diagnostics is None:
-                raise InputError(f"{path}:{lineno}: {item}") from item
-            else:
-                diagnostics.append(f"{path}:{lineno}: skipped epoch: {item}")
+    with closing(ordered_map(lambda call: call(), _block_calls(path, _epoch_block))) as blocks:
+        for block, faults in blocks:
+            epochs = zip(block.lines.tolist(), range(len(block)))
+            for lineno, item in sorted([*faults, *epochs], key=lambda item: item[0]):
+                if not isinstance(item, Exception):
+                    yield block.epoch(item)
+                elif diagnostics is None:
+                    raise InputError(f"{path}:{lineno}: {item}") from item
+                else:
+                    diagnostics.append(f"{path}:{lineno}: skipped epoch: {item}")
 
 
 def write_scan(path: str, frames: Iterable[ScanFrame | Callable[[], Iterable[ScanFrame]]]) -> int:

@@ -1,19 +1,22 @@
 """Differential test: ``run``'s block consensus against a per-epoch loop.
 
-``run`` decides every skip per epoch and then solves the surviving epochs
-in blocks of at most ``mgp.pipeline.BLOCK_PAIRS`` pair hypotheses. The block
-sizes must not show in any output: a block of one epoch, the default blocks
-and the whole stream as one block give byte-identical metrics and bitwise
-identical poses, and so does the reference below, which takes the stream through
-``process_epoch`` one epoch at a time, with bad epochs placed at block edges
-and inside blocks. Under both, the consensus kernel gives bitwise the same
-result for an epoch in a block as for that epoch alone. The same holds for
-the blocks of ``mgp.streams.READ_BLOCK`` lines that the reader decodes and
-``run``'s front half takes.
+``run`` takes the stream a block of ``mgp.streams.READ_BLOCK`` lines at a
+time: the reader decodes the block, the front half decides every skip but
+the timestamp's per epoch, and the block's epochs without a fault are
+solved in one consensus call. The block sizes must not show in any output:
+a block of one line, a few, the default blocks and the whole stream as one
+block give byte-identical metrics and bitwise identical poses, and so does
+the reference below, which takes the stream through ``process_epoch`` one
+epoch at a time, with bad epochs placed at block edges and inside blocks.
+Under both, the consensus kernel gives bitwise the same result for an
+epoch in a block as for that epoch alone. The runs here delete
+``os.fork``, so that the consensus and replay calls, which a worker would
+make, are counted in the one process.
 """
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Callable
 
@@ -32,11 +35,11 @@ from conftest import baselines_of
 from test_epoch_differential import _scenario
 from test_ransac_differential import _ragged_block, _random_epoch
 
-# Each case with a block cap that puts a few epochs in a block: six
-# antennas form up to 105 pairs per epoch, five 45 and antennas 1, 3 and 5
-# three. Under a subset of five, the multipath stream's replayed epochs
-# take the place of their rows as read.
-CASES = [("multipath", None, 250), ("fixrate", (1, 3, 5), 9), ("multipath", (1, 2, 4, 5, 6), 150)]
+# Each case with a reader block of a few lines, so that EDITS land on block
+# edges and inside blocks: six antennas form up to 105 pairs per epoch, five
+# 45 and antennas 1, 3 and 5 three. Under a subset of five, the multipath
+# stream's replayed epochs take the place of their rows as read.
+CASES = [("multipath", None, 5), ("fixrate", (1, 3, 5), 7), ("multipath", (1, 2, 4, 5, 6), 4)]
 IDS = ["multipath-all", "fixrate-1-3-5", "multipath-1-2-4-5-6"]
 
 
@@ -50,12 +53,10 @@ def streams(tmp_path_factory) -> dict[str, Path]:
     return out
 
 
-def _run(
-    path: Path, config: PipelineConfig, cap: int | None, monkeypatch, read_block: int | None = None
-) -> tuple:
+def _run(path: Path, config: PipelineConfig, read_block: int | None, monkeypatch) -> tuple:
     """Metrics JSON, poses, diagnostics and the epoch count of every
-    consensus block of one ``estimate`` at block cap ``cap`` and, when
-    given, ``read_block`` lines per reader block and front half block."""
+    consensus call of one ``run`` in one process, at ``read_block`` lines
+    per reader block when given."""
     blocks: list[int] = []
     kernel = mgp.pipeline.consensus
 
@@ -64,12 +65,11 @@ def _run(
         return kernel(baselines, ends, params)
 
     with monkeypatch.context() as m:
-        if cap is not None:
-            m.setattr(mgp.pipeline, "BLOCK_PAIRS", cap)
+        m.delattr(os, "fork")
         if read_block is not None:
             m.setattr(mgp.streams, "READ_BLOCK", read_block)
         m.setattr(mgp.pipeline, "consensus", counting)
-        result = mgp.run(mgp.read_epoch_blocks(str(path)), config)
+        result = mgp.run(mgp.streams.epoch_block_calls(str(path)), config)
     metrics = json.dumps(result.metrics.to_json_dict(), indent=2)
     return metrics, result.poses, result.diagnostics, blocks
 
@@ -110,15 +110,15 @@ def _assert_same_poses(got: mgp.Poses, want: mgp.Poses) -> None:
         assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
 
-def _caps(mid: int) -> list[int | None]:
-    """A block of one epoch, a few epochs, the default, the whole stream."""
+def _read_blocks(mid: int) -> list[int | None]:
+    """Reader blocks of one line, a few lines, the default, the whole stream."""
     return [1, mid, None, 10**9]
 
 
 @pytest.mark.parametrize("name, subset, mid", CASES, ids=IDS)
 def test_block_partition_does_not_change_outputs(streams, monkeypatch, name, subset, mid) -> None:
     config = PipelineConfig(antenna_subset=subset)
-    runs = [_run(streams[name], config, cap, monkeypatch) for cap in _caps(mid)]
+    runs = [_run(streams[name], config, size, monkeypatch) for size in _read_blocks(mid)]
     one, few, whole = runs[0], runs[1], runs[3]
     assert set(one[3]) == {1} and len(whole[3]) == 1
     assert len(few[3]) > 3 and max(few[3]) > 1
@@ -233,13 +233,13 @@ def test_bad_epochs_match_per_epoch_loop(streams, monkeypatch, tmp_path, name, s
     # 3 mistyped lines, 4 early timestamps, 3 unknown antennas, 2 duplicates
     assert skipped == 12
     assert np.isnan(poses.q[:, 0]).sum() >= 5
-    for cap in _caps(mid):
-        metrics, got_poses, got_diags, blocks = _run(path, config, cap, monkeypatch)
+    for size in _read_blocks(mid):
+        metrics, got_poses, got_diags, blocks = _run(path, config, size, monkeypatch)
         assert got_diags == diags
         _assert_same_poses(got_poses, poses)
         assert json.loads(metrics)["skipped"] == skipped
         assert json.loads(metrics)["epochs"] == len(poses)
-        if cap == mid:
+        if size == mid:
             assert len(blocks) > 3 and max(blocks) > 1
 
 
@@ -315,7 +315,7 @@ def test_read_blocks_do_not_change_outputs(streams, monkeypatch, tmp_path, name,
     runs = []
     for read_block in (1, 3, None, 10**9):
         replayed.clear()
-        runs.append(_run(path, config, None, monkeypatch, read_block))
+        runs.append(_run(path, config, read_block, monkeypatch))
         if not faults:
             size = min(read_block or mgp.streams.READ_BLOCK, 60)
             assert replayed == [min(size, 60 - k) for k in range(0, 60, size)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -390,14 +391,21 @@ def _reference(path: str, config: PipelineConfig) -> _Estimate:
 
 
 def _arrays(path: str, config: PipelineConfig, monkeypatch) -> _Estimate:
-    """``estimate`` on the arrays, with the verdicts of every epoch that
-    passed the front half, in stream order: ``run`` tallies each front
-    block's passed epochs at once (``_Tally.front``), and each such epoch's
+    """``estimate`` on the arrays, in one process, with the verdicts of
+    every epoch that passed the front half, in stream order: each block's
+    front half (``_FrontBlock``) scores its SNR rows, ``run`` tallies the
+    block's passed epochs at once (``_Tally.add``), and each such epoch's
     verdicts are its slices of the block's scored SNR rows."""
     verdicts: list[dict] = []
-    tally_front = mgp.pipeline._Tally.front
+    fronts: list[mgp.pipeline._FrontBlock] = []
+    front_block, tally_add = mgp.pipeline._FrontBlock, mgp.pipeline._Tally.add
 
-    def record(tally, front, passed, truth):
+    def kept(block, config):
+        fronts.append(front_block(block, config))
+        return fronts[-1]
+
+    def record(tally, block, passed):
+        front = fronts.pop(0)
         ends = front.snr_ends
         for k in np.flatnonzero(passed).tolist():
             a, b = ends[k], ends[k + 1]
@@ -407,10 +415,12 @@ def _arrays(path: str, config: PipelineConfig, monkeypatch) -> _Estimate:
             verdicts.append(
                 {s: (None if sd != sd else sd, n, v) for s, (sd, n, v) in zip(front.sats[a:b], rows)}
             )
-        return tally_front(tally, front, passed, truth)
+        return tally_add(tally, block, passed)
 
     with monkeypatch.context() as m:
-        m.setattr(mgp.pipeline._Tally, "front", record)
+        m.delattr(os, "fork")
+        m.setattr(mgp.pipeline, "_FrontBlock", kept)
+        m.setattr(mgp.pipeline._Tally, "add", record)
         result = mgp.run(mgp.read_epoch_blocks(path), config)
         diags = result.diagnostics
     return _Estimate(

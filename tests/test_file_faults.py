@@ -11,6 +11,10 @@ with one message that names the file and the line (``path:line``, or
 ``path: record k`` in a binary cloud), without a traceback or Python's own
 error text.
 
+An epoch line longer than ``MAX_EPOCH_LINE`` characters is skipped by
+``estimate`` with a message naming ``path:line``, read past without being
+held whole.
+
 The stream headers are faults of the file: an epoch header (read by
 ``estimate``) of version 1, of another version, with requery constants of
 a key, type or value it does not hold or written under another numpy, and
@@ -306,6 +310,58 @@ def test_every_reader_names_a_byte_not_utf8_by_one_rule(
     epochs = list(mgp.read_epochs(str(paths["epochs.jsonl"]), diagnostics=diagnostics))
     assert diagnostics == [f"{paths['epochs.jsonl']}:3: skipped epoch: {reason}"]
     assert len(epochs) == len(list(mgp.read_epochs(chain["epochs.jsonl"]))) - 1
+
+
+class _Readlines(io.StringIO):
+    """A text file that keeps the length of each line it gives."""
+
+    def __init__(self, text: str) -> None:
+        super().__init__(text)
+        self.sizes: list[int] = []
+
+    def readline(self, size: int | None = -1) -> str:
+        line = super().readline(size)
+        self.sizes.append(len(line))
+        return line
+
+
+@pytest.mark.parametrize("over", [0, 1, 10**6], ids=["at-limit", "one-over", "far-over"])
+@pytest.mark.parametrize("last", [False, True], ids=["inside", "last-unended"])
+def test_an_oversize_epoch_line_is_skipped_unparsed(
+    chain, tmp_path: Path, over: int, last: bool
+) -> None:
+    """An epoch line of more than ``MAX_EPOCH_LINE`` characters, valid JSON
+    padded with blanks, is skipped and named ``path:line`` by the reader and
+    by ``estimate``, read past a piece at a time; one of that many is read
+    as any other line."""
+    limit = mgp.streams.MAX_EPOCH_LINE
+    lines = Path(chain["epochs.jsonl"]).read_text(encoding="utf-8").splitlines()
+    k = len(lines) - 1 if last else 2
+    lines[k] = lines[k][:-1] + " " * (limit + over - len(lines[k])) + "}"
+    text = "\n".join(lines) + ("" if last else "\n")
+    path = tmp_path / "epochs.jsonl"
+    path.write_text(text, encoding="utf-8")
+    message = f"{path}:{k + 1}: line longer than {limit} characters"
+    diagnostics: list[str] = []
+    epochs = list(mgp.read_epochs(str(path), diagnostics=diagnostics))
+    n = len(list(mgp.read_epochs(chain["epochs.jsonl"])))
+    assert len(epochs) == n - bool(over)
+    assert diagnostics == [message.replace(": line", ": skipped epoch: line")] * bool(over)
+
+    f = _Readlines(text)
+    f.readline()
+    read = list(mgp.streams._epoch_lines_of(f))
+    assert [lineno for lineno, _ in read] == list(range(2, len(lines) + 1))
+    assert max(f.sizes) <= limit + 1
+    argv = ["estimate", "--epochs", str(path), "--config", chain["pipe"],
+            "--poses", str(tmp_path / "p.csv"), "--metrics", str(tmp_path / "m.json")]
+    if over:
+        with pytest.raises(mgp.InputError) as exc:
+            list(mgp.read_epochs(str(path)))
+        assert str(exc.value) == message
+        assert _cli(argv) == (0, f"{diagnostics[0]}\n")
+    else:
+        assert _cli(argv) == (0, "")
 
 
 @pytest.mark.parametrize("name", ["epochs.jsonl", "scan.jsonl", "poses.csv"])

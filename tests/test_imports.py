@@ -248,9 +248,11 @@ def test_run_takes_each_front_block_whole() -> None:
     """``run`` tallies, stamps and skips a front block's epochs with array
     passes over the block: there is no per-epoch detection report of a
     front block, no separate tally of its fixes, and neither ``run`` nor
-    the tally builds a ``MultipathReport``."""
+    the tally builds a ``MultipathReport``. The solve block is the front
+    block: there is no cap on its pair hypotheses and no queue of rows."""
     import mgp.pipeline
 
+    assert not hasattr(mgp.pipeline, "BLOCK_PAIRS") and not hasattr(mgp.pipeline, "_Rows")
     assert not hasattr(mgp.pipeline._FrontBlock, "report")
     assert not hasattr(mgp.pipeline._Tally, "fixed")
     for code in (mgp.pipeline.run, mgp.pipeline._Tally):

@@ -681,6 +681,43 @@ def test_estimate_reads_the_same_in_either_process(
             assert _estimate(path, tmp_path / f"two{ready}") == one_process
 
 
+@pytest.mark.parametrize("duration, linenos", [(6.5, [2, 33, 34, 65, 66]), (3.0, [2, 31])],
+                         ids=["blocks", "one-block"])
+def test_estimate_forks_one_worker(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, duration: float, linenos: list[int]
+) -> None:
+    # 65 epochs are three reader blocks, the last of one line, and 30 one
+    # block: the caller forks one worker, which decodes and solves the
+    # blocks it is sent, when there is more than one block, and none
+    # otherwise. Bad lines start and end blocks, and the last block of 65
+    # epochs has none that parses.
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted() -> int:
+        with pytest.raises(ChildProcessError):  # the process has no child
+            os.waitpid(-1, os.WNOHANG)
+        forks.append(os.getpid())
+        return fork()
+
+    clean = tmp_path / "clean.jsonl"
+    assert mgp.write_epochs(str(clean), mgp.simulate(_scenario("multipath", duration))) > 0
+    path = _with_bad_epochs(clean, tmp_path, linenos)
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", counted)
+        two = _estimate(path, tmp_path / "two")
+    blocks = -(-round(duration * 10) // mgp.streams.READ_BLOCK)
+    assert forks == [os.getpid()] * (blocks > 1)
+    assert two[2].count("skipped epoch") == len(linenos)
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        assert _estimate(path, tmp_path / "one") == two
+    for ready in (False, True):
+        with monkeypatch.context() as m:
+            _force(m, ready)
+            assert _estimate(path, tmp_path / f"forced{ready}") == two
+
+
 @pytest.mark.parametrize("ready", [False, True], ids=["never-ready", "always-ready"])
 @pytest.mark.parametrize("name", ["multipath", "flight"])
 def test_the_epoch_writer_writes_the_bytes_of_one_process(

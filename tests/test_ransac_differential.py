@@ -387,9 +387,7 @@ def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset)
     reference = [process_epoch(epoch, config) for epoch in epochs]
     min_inliers = mgp.pipeline._consensus_params(config).min_inliers
     fronts = (mgp.pipeline._FrontBlock(mgp.EpochBlock.of([e], [0]), config) for e in epochs)
-    reaching = [
-        len(front.rows.candidates) for front in fronts if len(front.rows.candidates) >= min_inliers
-    ]
+    reaching = [len(front.candidates) for front in fronts if len(front.candidates) >= min_inliers]
     assert calls == reaching and len(calls) > 100
 
     assert batched.metrics.epochs == len(reference) == 150
