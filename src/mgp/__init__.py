@@ -24,7 +24,7 @@ from .core import (
     quat_to_matrix,
     rotate,
 )
-from .epochs import EpochBlock, EpochRecord, EpochTruth, FixModel, requery_epoch
+from .epochs import EpochBlock, EpochTruth, FixModel, requery_epoch
 from .errors import (
     ConfigurationError,
     DegenerateGeometryError,

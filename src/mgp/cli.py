@@ -152,7 +152,7 @@ def _cmd_oracle_wahba(args: argparse.Namespace) -> int:
             q = wahba_svd(fixed, baseline_weights(fixed))
         except (InsufficientDataError, DegenerateGeometryError):
             continue
-        print(f"{epoch.t!r},{q.qx!r},{q.qy!r},{q.qz!r},{q.qw!r}")
+        print(f"{epoch.t[0].item()!r},{q.qx!r},{q.qy!r},{q.qz!r},{q.qw!r}")
     return 0
 
 

@@ -6,12 +6,12 @@ record of arrays of each kind: the antenna solutions, the baseline
 observations and the SNR table, plus each epoch's optional
 :class:`EpochTruth` channel. It is the stream's one form from end to end:
 the simulator yields blocks, the epoch writer encodes them, the reader
-decodes into them and ``pipeline.run`` takes them. An :class:`EpochRecord`
-is the one-epoch view of a block (:meth:`EpochBlock.epoch`).
+decodes into them and ``pipeline.run`` takes them. A single epoch is a
+block of one (:meth:`EpochBlock.epoch`).
 
 A block holds its stream's :class:`RequeryStream` constants once, and a
-simulated epoch's truth channel its true pose, the attitude as written, and
-the PCG64 state before the epoch's first draw. :func:`draw_channels` makes
+simulated epoch's truth channel its true pose as written and the PCG64
+state before the epoch's first draw. :func:`draw_channels` makes
 the epoch's generator calls, the simulator on its live generator and
 :func:`replay` on one set to the stored state, and :func:`block_draws`
 builds a block's :class:`ChannelDraws` from them and the poses at once, so
@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .attitude import Baselines
-from .core import AntennaLayout, Rows, Vec3, quat_to_matrix, unit_quats
+from .core import AntennaLayout, Rows, quat_to_matrix, unit_quats
 from .errors import ValidationError
 from .multipath import SnrTable
 from .positioning import Fixes
@@ -199,29 +199,17 @@ def block_draws(stream: RequeryStream, positions: np.ndarray, attitudes: np.ndar
 
 @dataclass(frozen=True)
 class EpochTruth:
-    """The true pose, the attitude ``[qx, qy, qz, qw]`` as written, the
-    simulator's faults and ``requery``, the PCG64 state before the epoch's
-    first draw and the 32-bit half held back for the next draw, or None."""
+    """The true pose as written, the position ``[E, N, U]`` and the
+    attitude ``[qx, qy, qz, qw]``, the simulator's faults and ``requery``,
+    the PCG64 state before the epoch's first draw and the 32-bit half held
+    back for the next draw, or None."""
 
-    position: Vec3
+    position: tuple[float, float, float]
     attitude: tuple[float, float, float, float]
     multipath_sats: frozenset[str]
     corrupted_baselines: frozenset[tuple[int, int]]
     wrong_fix_antennas: frozenset[int]
     requery: tuple[int, int | None] | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class EpochRecord:
-    """One epoch: its antenna solutions, baseline observations and SNR table,
-    each a record of arrays, truth channel and stream's requery constants."""
-
-    t: float
-    fixes: Fixes
-    baselines: Baselines
-    snr_rows: SnrTable
-    truth: EpochTruth | None = None
-    requery: RequeryStream | None = None
 
 
 # Epochs to a block, of the simulator and of the epoch reader. A block is
@@ -251,7 +239,7 @@ class EpochBlock:
     constants. The SNR table is as wide as the widest epoch's rows,
     NaN-padded; ``snr_width`` (E,) int64 holds each epoch's own width, 0 for
     an epoch without SNR rows. The simulator builds blocks whole and the
-    epoch reader decodes into this form; :meth:`of` joins records into it."""
+    epoch reader decodes into this form."""
 
     t: np.ndarray
     lines: np.ndarray
@@ -268,38 +256,17 @@ class EpochBlock:
     def __len__(self) -> int:
         return len(self.t)
 
-    @classmethod
-    def of(cls, epochs: Sequence[EpochRecord], lines: Sequence[int]) -> EpochBlock:
-        """The block of one or more ``epochs`` of one stream, epoch k from line ``lines[k]``."""
-        requery = epochs[0].requery
-        if any(e.requery != requery for e in epochs):
-            raise ValidationError("the epochs of a block must share one requery stream")
-        if requery is None and any(e.truth and e.truth.requery for e in epochs):
-            raise ValidationError("requery state without requery constants")
-        tables = [e.snr_rows for e in epochs]
-        widths = [t.dbhz.shape[1] if len(t) else 0 for t in tables]
-        snr_ends = offsets(map(len, tables))
-        dbhz = np.full((snr_ends[-1], max(widths)), np.nan)
-        for t, a, w in zip(tables, snr_ends, widths):
-            dbhz[a:a + len(t), :w] = t.dbhz[:, :w]  # a table without rows has width 0
-        sat_ids = tuple(itertools.chain.from_iterable(t.sat_ids for t in tables))
-        fixes, baselines = [e.fixes for e in epochs], [e.baselines for e in epochs]
-        return cls(
-            np.array([e.t for e in epochs], dtype=np.float64), np.array(lines, dtype=np.int64),
-            Fixes.joined(fixes), offsets(map(len, fixes)),
-            Baselines.joined(baselines), offsets(map(len, baselines)),
-            SnrTable(sat_ids, dbhz), snr_ends, np.array(widths, dtype=np.int64),
-            tuple(e.truth for e in epochs), requery,
-        )
-
-    def epoch(self, k: int) -> EpochRecord:
-        """Epoch k of the block, its arrays slices of the block's."""
+    def epoch(self, k: int) -> EpochBlock:
+        """Epoch k as a block of one, its arrays slices of the block's and
+        its row offsets rebased."""
         f, b, s = (slice(ends[k], ends[k + 1])
                    for ends in (self.fix_ends, self.baseline_ends, self.snr_ends))
-        snr = SnrTable(self.snr.sat_ids[s], self.snr.dbhz[s, : self.snr_width[k]])
-        return EpochRecord(
-            self.t[k].item(), self.fixes.select(f), self.baselines.select(b), snr, self.truth[k],
-            self.requery,
+        one = slice(k, k + 1)
+        return EpochBlock(
+            self.t[one], self.lines[one], self.fixes.select(f), [0, f.stop - f.start],
+            self.baselines.select(b), [0, b.stop - b.start],
+            SnrTable(self.snr.sat_ids[s], self.snr.dbhz[s, : self.snr_width[k]]),
+            [0, s.stop - s.start], self.snr_width[one], self.truth[one], self.requery,
         )
 
 
@@ -405,21 +372,23 @@ def replay(
 
 
 def requery_epoch(
-    epoch: EpochRecord, excluded: frozenset[str], layout: AntennaLayout
+    epoch: EpochBlock, excluded: frozenset[str], layout: AntennaLayout
 ) -> tuple[Fixes, Baselines]:
-    """Replay the epoch's fix and baseline outcomes with satellites removed:
-    :func:`replay` on a block of one, the solved baselines only.
+    """Replay the fix and baseline outcomes of a block of one epoch with
+    satellites removed: :func:`replay` on it, the solved baselines only.
 
     Draws the epoch's channels again from the state in its truth channel,
     so the result is deterministic and promotes statuses monotonically as
     true multipath satellites are excluded. Only simulated streams carry
     the data needed.
     """
-    truth, stream = epoch.truth, epoch.requery
+    if len(epoch) != 1:
+        raise ValidationError(f"requery_epoch takes a block of one epoch, not {len(epoch)}")
+    truth, stream = epoch.truth[0], epoch.requery
     if truth is None or truth.requery is None or stream is None:
         raise ValidationError("epoch carries no re-query data (not a simulated stream?)")
     if stream.layout.antenna_count != layout.antenna_count:
         raise ValidationError("layout antenna count does not match the stream")
-    found = replay(stream, [truth.requery], truth.position.as_array()[None],
+    found = replay(stream, [truth.requery], np.array([truth.position]),
                    np.array([truth.attitude]), [truth.multipath_sats], [excluded], layout)
     return found.fixes, found.baselines

@@ -23,8 +23,9 @@ and one position fusion, as one item of :func:`mgp.ordered.ordered_map`
 decoding included when the blocks come as calls; the caller keeps what
 depends on stream order: the timestamp check, the tally sums and the
 diagnostics in line order. ``process_epoch`` is the same chain on a block
-of one, and no output depends on where the blocks fall. ``run`` returns
-the stream's poses as one :class:`mgp.mapping.Poses`.
+of one epoch, as ``read_epochs`` yields them, and no output depends on
+where the blocks fall. ``run`` returns the stream's poses as one
+:class:`mgp.mapping.Poses`.
 
 A fix rate here is the share of epochs in which a solution of the given
 kind existed: an antenna's rate counts its FIXED epochs, the hybrid rate
@@ -49,7 +50,6 @@ from .core import AntennaLayout, euler_from_matrix, first_repeat, hexagon_layout
 from .core import quat_to_matrix, unit_quats
 from .epochs import (
     EpochBlock,
-    EpochRecord,
     epoch_of_rows,
     offsets,
     replay,
@@ -252,8 +252,7 @@ class _FrontBlock:
 
         stamps = np.full((n_epochs, 8), np.nan)
         stamps[:, 0] = block.t
-        poses = {k: (*tr.attitude, tr.position.x, tr.position.y, tr.position.z)
-                 for k, tr in enumerate(block.truth) if tr}
+        poses = {k: (*tr.attitude, *tr.position) for k, tr in enumerate(block.truth) if tr}
         stamps[list(poses), 1:] = np.array(list(poses.values())).reshape(-1, 7)
         fixes, fix_epoch = fixes.select(use), fix_epoch[use]
         candidates, candidate_epoch = baselines.select(keep), pair_epoch[keep]
@@ -288,15 +287,18 @@ class _FrontBlock:
         return frozenset(itertools.compress(self.sats[a:b], (self.verdict[a:b] == 1).tolist()))
 
 
-def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
-    """Run one epoch through detection, feedback, attitude and position:
-    :class:`_FrontBlock` on a block of one, then ``ransac_attitude`` and
+def process_epoch(epoch: EpochBlock, config: PipelineConfig) -> EpochResult:
+    """Run a block of one epoch through detection, feedback, attitude and
+    position: :class:`_FrontBlock`, then ``ransac_attitude`` and
     ``hybrid_position``, the block kernels ``run`` uses applied to one epoch.
 
-    Raises ValidationError, with the message ``run`` skips it with, for an
-    epoch that has a fault (see :class:`_FrontBlock`).
+    Raises ValidationError for a block of other than one epoch, and, with
+    the message ``run`` skips it with, for an epoch that has a fault (see
+    :class:`_FrontBlock`).
     """
-    front = _FrontBlock(EpochBlock.of([epoch], [0]), config)
+    if len(epoch) != 1:
+        raise ValidationError(f"process_epoch takes a block of one epoch, not {len(epoch)}")
+    front = _FrontBlock(epoch, config)
     if front.faults:
         raise ValidationError(front.faults[0])
     params = _consensus_params(config)
@@ -311,7 +313,7 @@ def process_epoch(epoch: EpochRecord, config: PipelineConfig) -> EpochResult:
         front.fixes, attitude.q if attitude.available else None, config.layout
     )
     return EpochResult(
-        t=epoch.t,
+        t=epoch.t[0].item(),
         attitude=attitude,
         position=position,
         multipath=MultipathReport(

@@ -420,7 +420,7 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
         wrong = (found.fixes.fixed & ant.wrong).reshape(n, n_ant).tolist()
         corrupted = (found.bl_fixed & bl.wrong).reshape(n, len(pairs)).tolist()
         truths = tuple(
-            EpochTruth(Vec3(*p_plat), tuple(q), mp_sats, frozenset(compress(pair_keys, bad_pairs)),
+            EpochTruth(tuple(p_plat), tuple(q), mp_sats, frozenset(compress(pair_keys, bad_pairs)),
                        frozenset(compress(range(1, n_ant + 1), bad_ants)), state)
             for p_plat, q, state, bad_ants, bad_pairs
             in zip(positions.tolist(), attitudes.tolist(), states, wrong, corrupted)

@@ -7,10 +7,10 @@ Formats:
     no solution, satellite counts), a :class:`Baselines` record ((m, 2)
     pairs, (m, 3) ``v`` and ``w``, (m,) ``fixed``) and an :class:`SnrTable`
     ((s, n) dB-Hz, NaN for a JSON null, plus the satellite ids), a block
-    of epochs' in an :class:`EpochBlock`, its one-epoch view an
-    :class:`EpochRecord`. The reader checks every value's JSON type, so
-    ``1.7`` is no antenna id and ``"no"`` no ``fixed`` flag. The truth
-    attitude must have a norm within ``QUAT_READ_TOL`` of 1, and is kept as
+    of epochs' in an :class:`EpochBlock`, a single epoch's in a block of
+    one. The reader checks every value's JSON type, so ``1.7`` is no
+    antenna id and ``"no"`` no ``fixed`` flag. The truth attitude must
+    have a norm within ``QUAT_READ_TOL`` of 1; the true pose is kept as
     written. The record types live in :mod:`mgp.epochs`; their whole line
     format is here.
 
@@ -113,7 +113,7 @@ import numpy as np
 from . import jsonvals
 from .attitude import Baselines
 from .core import Vec3, check_read_norm, open_text, unit_quats, utf8_line
-from .epochs import EPOCH_BLOCK, EpochBlock, EpochRecord, EpochTruth, RequeryStream
+from .epochs import EPOCH_BLOCK, EpochBlock, EpochTruth, RequeryStream
 from .epochs import epoch_of_rows, offsets
 from .errors import ConfigurationError, InputError, ValidationError
 from .mapping import (
@@ -275,7 +275,7 @@ def _truths(objects: list[Any], stream: RequeryStream | None) -> list[EpochTruth
                 f"requery uint32 must be null or an integer in [0, 2**32), got {uint32!r}")
     found = iter(states)
     return [
-        EpochTruth(Vec3(*pos), tuple(q), frozenset(mp), frozenset(map(tuple, pairs)),
+        EpochTruth(tuple(pos), tuple(q), frozenset(mp), frozenset(map(tuple, pairs)),
                    frozenset(ants), None if rq is None else next(found))
         for pos, q, mp, pairs, ants, rq in zip(
             position, attitude.tolist(), _pieces(mp_sats, mp_ends),
@@ -371,7 +371,7 @@ def _truth_dict(truth: EpochTruth) -> dict[str, Any]:
     """The JSON object of an epoch's truth channel."""
     rq = truth.requery
     return {
-        "position": truth.position.as_array().tolist(),
+        "position": list(truth.position),
         "attitude": list(truth.attitude),
         "multipath_sats": sorted(truth.multipath_sats),
         "corrupted_baselines": sorted(list(p) for p in truth.corrupted_baselines),
@@ -543,13 +543,13 @@ def read_epoch_blocks(path: str) -> Iterator[tuple[EpochBlock, list[tuple[int, s
         yield from blocks
 
 
-def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[EpochRecord]:
-    """Yield the epochs of :func:`read_epoch_blocks` one at a time
-    (:meth:`EpochBlock.epoch`). Without ``diagnostics`` the first line that
-    is not UTF-8 or fails to parse or validate raises InputError naming
-    ``path:line``, after the epochs before it; with a list, each such line
-    is skipped and recorded in it as it is reached. A wrong header always
-    aborts: that is the wrong file, not a bad epoch."""
+def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[EpochBlock]:
+    """Yield the epochs of :func:`read_epoch_blocks` one at a time, each a
+    block of one (:meth:`EpochBlock.epoch`). Without ``diagnostics`` the
+    first line that is not UTF-8 or fails to parse or validate raises
+    InputError naming ``path:line``, after the epochs before it; with a
+    list, each such line is skipped and recorded in it as it is reached. A
+    wrong header always aborts: that is the wrong file, not a bad epoch."""
     with closing(ordered_map(lambda call: call(), _block_calls(path, _epoch_block))) as blocks:
         for block, faults in blocks:
             epochs = zip(block.lines.tolist(), range(len(block)))

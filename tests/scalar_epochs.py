@@ -2,11 +2,12 @@
 reference of the block simulator and the block epoch writer.
 
 The library's epoch stream is :class:`mgp.EpochBlock` records from the
-simulator to the file and back. Tests that look at, edit or reorder single
-epochs take the blocks' one-epoch views (:func:`epochs_of`) and join edited
-epochs back into the blocks that ``write_epochs`` and ``run`` take
-(:func:`blocks_of`, :func:`epoch_blocks`, :func:`no_skips`);
-:func:`epoch_from_dict` decodes
+simulator to the file and back, and a single epoch is a block of one. Tests
+that look at, edit or reorder single epochs take the blocks' epochs
+(:func:`epochs_of`), make or edit one (:func:`one_epoch`, :func:`edited`)
+and join them back into reader-sized blocks for ``write_epochs`` and
+``run`` (:func:`joined`, :func:`blocks_of`, :func:`epoch_blocks`,
+:func:`no_skips`); :func:`epoch_from_dict` decodes
 one epoch line, and :func:`replay_truths` replays epochs by their truth
 channels. :func:`simulate_records` and :func:`epoch_to_dict` are the
 per-epoch simulator loop and line encoder the blocks replaced, kept as the
@@ -17,6 +18,7 @@ reference of ``test_simulator.py``'s differential tests with
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -25,19 +27,21 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 import mgp
+from mgp.attitude import Baselines
 from mgp.core import AntennaLayout, UnitQuaternion, Vec3, quat_to_matrix
 from mgp.epochs import (
     ChannelDraws,
     ChannelNoise,
     EpochBlock,
-    EpochRecord,
     EpochTruth,
     Replay,
     RequeryStream,
     _pair_baselines,
+    offsets,
     replay,
 )
 from mgp.multipath import SNR_MAX_DBHZ, SNR_MIN_DBHZ, SnrTable
+from mgp.positioning import Fixes
 from mgp.simulator import (
     ScenarioConfig,
     _effective_biases,
@@ -48,19 +52,61 @@ from mgp.simulator import (
 from mgp.streams import _GRADE_NAMES
 
 
-def epochs_of(blocks: Iterable[EpochBlock]) -> list[EpochRecord]:
-    """Every epoch of ``blocks``, in order, as its block's one-epoch view."""
+def one_epoch(t: float, fixes: Fixes, baselines: Baselines, snr: SnrTable,
+              truth: EpochTruth | None = None, requery: RequeryStream | None = None,
+              line: int = 0) -> EpochBlock:
+    """The block of one epoch from line ``line`` of its records."""
+    width = snr.dbhz.shape[1] if len(snr) else 0  # a table without rows has width 0
+    return EpochBlock(
+        np.array([t], dtype=np.float64), np.array([line], dtype=np.int64),
+        fixes, [0, len(fixes)], baselines, [0, len(baselines)], snr, [0, len(snr)],
+        np.array([width], dtype=np.int64), (truth,), requery,
+    )
+
+
+def edited(epoch: EpochBlock, **changes: Any) -> EpochBlock:
+    """The block of one ``epoch`` with some of the :func:`one_epoch`
+    arguments changed."""
+    fields = dict(t=epoch.t[0].item(), fixes=epoch.fixes, baselines=epoch.baselines,
+                  snr=epoch.snr, truth=epoch.truth[0], requery=epoch.requery,
+                  line=epoch.lines[0].item())
+    return one_epoch(**{**fields, **changes})
+
+
+def epochs_of(blocks: Iterable[EpochBlock]) -> list[EpochBlock]:
+    """Every epoch of ``blocks``, in order, as a block of one."""
     return [block.epoch(k) for block in blocks for k in range(len(block))]
 
 
-def blocks_of(epochs: Iterable[EpochRecord]) -> Iterator[EpochBlock]:
-    """``epochs`` joined into blocks of ``mgp.streams.READ_BLOCK``, epoch k
-    at line k + 2, as the reader reads the stream ``write_epochs`` writes of
-    them. When ``epochs`` raises, the epochs before the fault are handed out
-    first."""
+def joined(epochs: Sequence[EpochBlock], lines: Iterable[int]) -> EpochBlock:
+    """The blocks of one epoch ``epochs`` of one stream as one block, epoch
+    k from line ``lines[k]``, its SNR table as wide as its widest epoch's,
+    NaN-padded."""
+    tables = [e.snr for e in epochs]
+    widths = [t.dbhz.shape[1] if len(t) else 0 for t in tables]
+    snr_ends = offsets(map(len, tables))
+    dbhz = np.full((snr_ends[-1], max(widths)), np.nan)
+    for t, a, w in zip(tables, snr_ends, widths):
+        dbhz[a:a + len(t), :w] = t.dbhz[:, :w]
+    sat_ids = tuple(itertools.chain.from_iterable(t.sat_ids for t in tables))
+    fixes, baselines = [e.fixes for e in epochs], [e.baselines for e in epochs]
+    return EpochBlock(
+        np.concatenate([e.t for e in epochs]), np.array(list(lines), dtype=np.int64),
+        Fixes.joined(fixes), offsets(map(len, fixes)),
+        Baselines.joined(baselines), offsets(map(len, baselines)),
+        SnrTable(sat_ids, dbhz), snr_ends, np.array(widths, dtype=np.int64),
+        tuple(itertools.chain.from_iterable(e.truth for e in epochs)), epochs[0].requery,
+    )
+
+
+def blocks_of(epochs: Iterable[EpochBlock]) -> Iterator[EpochBlock]:
+    """``epochs`` :func:`joined` into blocks of ``mgp.streams.READ_BLOCK``,
+    epoch k at line k + 2, as the reader reads the stream ``write_epochs``
+    writes of them. When ``epochs`` raises, the epochs before the fault are
+    handed out first."""
     for k, batch in enumerate(mgp.streams._batches(epochs, mgp.streams.READ_BLOCK)):
         first = 2 + k * mgp.streams.READ_BLOCK
-        yield EpochBlock.of(batch, range(first, first + len(batch)))
+        yield joined(batch, range(first, first + len(batch)))
 
 
 def no_skips(blocks: Iterable[EpochBlock]) -> Iterator[tuple[EpochBlock, list]]:
@@ -68,7 +114,7 @@ def no_skips(blocks: Iterable[EpochBlock]) -> Iterator[tuple[EpochBlock, list]]:
     return ((block, []) for block in blocks)
 
 
-def epoch_blocks(epochs: Iterable[EpochRecord]) -> Iterator[tuple[EpochBlock, list]]:
+def epoch_blocks(epochs: Iterable[EpochBlock]) -> Iterator[tuple[EpochBlock, list]]:
     """:func:`no_skips` of the :func:`blocks_of` ``epochs``."""
     return no_skips(blocks_of(epochs))
 
@@ -79,11 +125,12 @@ def write_lines(path: Any, header: dict[str, Any], records: Iterable[dict[str, A
         f.writelines(json.dumps(d) + "\n" for d in [header, *records])
 
 
-def epoch_from_dict(d: dict[str, Any], stream: RequeryStream | None = None) -> EpochRecord:
-    """The epoch of a parsed line of a stream whose header holds the requery
-    constants ``stream``: the reader's block decoder on a block of one.
-    Raises ValidationError for any fault of the line."""
-    return mgp.streams._decode([d], [0], stream).epoch(0)
+def epoch_from_dict(d: dict[str, Any], stream: RequeryStream | None = None,
+                    line: int = 0) -> EpochBlock:
+    """The epoch of a parsed line ``line`` of a stream whose header holds the
+    requery constants ``stream``, a block of one: the reader's block
+    decoder on it. Raises ValidationError for any fault of the line."""
+    return mgp.streams._decode([d], [line], stream)
 
 
 def replay_truths(stream: RequeryStream, truths: Sequence[EpochTruth],
@@ -91,18 +138,19 @@ def replay_truths(stream: RequeryStream, truths: Sequence[EpochTruth],
     """``mgp.epochs.replay`` of epochs of ``stream`` with the truth channels
     ``truths``, each with its ``excluded`` satellites, at their true poses."""
     return replay(stream, [t.requery for t in truths],
-                  np.array([t.position.as_array() for t in truths]).reshape(-1, 3),
+                  np.array([t.position for t in truths]).reshape(-1, 3),
                   np.array([t.attitude for t in truths]).reshape(-1, 4),
                   [t.multipath_sats for t in truths], excluded, layout)
 
 
-def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
-    """The JSON object of one epoch's line, encoded row by row."""
+def epoch_to_dict(epoch: EpochBlock) -> dict[str, Any]:
+    """The JSON object of the line of a block of one epoch, encoded row by
+    row."""
     truth = None
-    if epoch.truth is not None:
-        tr = epoch.truth
+    if epoch.truth[0] is not None:
+        tr = epoch.truth[0]
         truth = {
-            "position": tr.position.as_array().tolist(),
+            "position": list(tr.position),
             "attitude": list(tr.attitude),
             "multipath_sats": sorted(tr.multipath_sats),
             "corrupted_baselines": sorted(list(p) for p in tr.corrupted_baselines),
@@ -110,12 +158,12 @@ def epoch_to_dict(epoch: EpochRecord) -> dict[str, Any]:
             "requery": None if tr.requery is None
             else {"state": tr.requery[0], "uint32": tr.requery[1]},
         }
-    fx, bl, snr = epoch.fixes, epoch.baselines, epoch.snr_rows
+    fx, bl, snr = epoch.fixes, epoch.baselines, epoch.snr
     snr_values = snr.dbhz.tolist()
     if np.isnan(snr.dbhz).any():
         snr_values = [[None if x != x else x for x in row] for row in snr_values]
     return {
-        "t": epoch.t,
+        "t": epoch.t[0].item(),
         "fixes": [
             {
                 "antenna_id": i,
@@ -170,10 +218,10 @@ def draw_channels(rng: np.random.Generator, stream: RequeryStream, position: Vec
     return groups[0], groups[1]
 
 
-def simulate_records(config: ScenarioConfig) -> Iterator[EpochRecord]:
-    """The epoch stream of ``config`` one epoch at a time, each epoch's fix
-    outcomes a replay of its own draws, in the simulator's documented draw
-    order."""
+def simulate_records(config: ScenarioConfig) -> Iterator[EpochBlock]:
+    """The epoch stream of ``config`` one epoch at a time, each a block of
+    one at the line the writer gives it, each epoch's fix outcomes a replay
+    of its own draws, in the simulator's documented draw order."""
     rng = np.random.default_rng(config.seed)
     layout = config.layout
     n_ant = layout.antenna_count
@@ -230,13 +278,11 @@ def simulate_records(config: ScenarioConfig) -> Iterator[EpochRecord]:
         wrong_ants = frozenset((np.flatnonzero(fixes.fixed & ant_channels.wrong) + 1).tolist())
         corrupted = frozenset(map(tuple, pairs[found.bl_fixed & bl_channels.wrong].tolist()))
         truth = EpochTruth(
-            position=p_plat,
+            position=(p_plat.x, p_plat.y, p_plat.z),
             attitude=tuple(q_truth.as_array().tolist()),
             multipath_sats=mp_sats,
             corrupted_baselines=corrupted,
             wrong_fix_antennas=wrong_ants,
             requery=state,
         )
-        snr_rows = SnrTable(solution_sats, snr)
-        yield EpochRecord(t=t, fixes=fixes, baselines=baselines, snr_rows=snr_rows, truth=truth,
-                          requery=stream)
+        yield one_epoch(t, fixes, baselines, SnrTable(solution_sats, snr), truth, stream, k + 2)

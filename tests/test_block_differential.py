@@ -83,19 +83,20 @@ def _per_epoch(path: Path, config: PipelineConfig) -> tuple[mgp.Poses, list[str]
     last_t = None
     epochs = mgp.read_epochs(str(path), diagnostics=diags)
     for idx, epoch in enumerate(epochs):
-        if last_t is not None and epoch.t <= last_t:
-            diags.append(f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped")
+        t = epoch.t[0].item()
+        if last_t is not None and t <= last_t:
+            diags.append(f"epoch {idx}: non-increasing timestamp {t!r}, skipped")
             continue
         try:
             result = mgp.process_epoch(epoch, config)
         except (ValidationError, InputError, InsufficientDataError) as exc:
-            diags.append(f"epoch {idx} (t={epoch.t!r}): {exc}")
+            diags.append(f"epoch {idx} (t={t!r}): {exc}")
             continue
-        last_t = epoch.t
+        last_t = t
         att, pos = result.attitude, result.position
         p = pos.p.as_array().tolist() if pos.available else [np.nan] * 3
         q = att.q.as_array().tolist() if att.available else [np.nan] * 4
-        rows.append([epoch.t, *p, *q])
+        rows.append([t, *p, *q])
         n_fix.append(int(result.fixes_used.fixed.sum()))
     a = np.array(rows).reshape(-1, 8)
     poses = mgp.Poses.checked(a[:, 0], a[:, 1:4], a[:, 4:], np.array(n_fix, dtype=np.int64))

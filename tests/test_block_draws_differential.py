@@ -10,8 +10,7 @@ The block's antenna and baseline draws must be bitwise the reference's of
 its epochs joined, on blocks around the block size, random poses and
 generator states (some holding back a 32-bit half), two wrong-fix lattice
 sizes and two layouts; and ``replay``, which draws the block itself, must
-grade exactly as it does on the reference's draws. A block of epochs of
-two requery streams is refused.
+grade exactly as it does on the reference's draws.
 """
 from __future__ import annotations
 
@@ -21,12 +20,11 @@ import numpy as np
 import pytest
 
 import mgp
-from mgp import ValidationError, Vec3
+from mgp import Vec3
 from mgp.core import AntennaLayout, UnitQuaternion, hexagon_layout
 from mgp.epochs import (
     ChannelDraws,
     ChannelNoise,
-    EpochBlock,
     FixModel,
     RequeryStream,
     block_draws,
@@ -35,7 +33,6 @@ from mgp.epochs import (
 )
 
 from scalar_epochs import draw_channels as reference_draws
-from scalar_epochs import epochs_of, replay_truths
 
 _LAYOUTS = {
     3: AntennaLayout((Vec3(0.0, 0.0, 0.0), Vec3(1.2, 0.1, 0.0), Vec3(0.3, 0.9, 0.05))),
@@ -113,23 +110,3 @@ def test_block_draws_are_the_per_epoch_draws(n_ant: int, max_multiple: int, n_ep
             assert got_col.tobytes() == want_col.tobytes(), (record, f.name)
     assert np.array_equal(found.baseline_epoch, expected.baseline_epoch)
     assert np.array_equal(found.bl_fixed, expected.bl_fixed)
-
-
-def test_a_block_of_two_requery_streams_is_refused() -> None:
-    """``EpochBlock.of`` refuses epochs of two requery streams, and states
-    without a stream; a block of one stream replays as one."""
-    cfg = mgp.load_scenario(mgp.bundled_scenario_path("multipath"))
-    epochs = epochs_of(mgp.simulate(dataclasses.replace(cfg, duration_s=0.4)))
-    stream = epochs[0].requery
-    other = dataclasses.replace(stream, increment=stream.increment + 2)
-    epochs[2] = dataclasses.replace(epochs[2], requery=other)
-    with pytest.raises(ValidationError, match="one requery stream"):
-        EpochBlock.of(epochs, range(4))
-    bare = [dataclasses.replace(e, requery=None) for e in epochs]
-    with pytest.raises(ValidationError, match="requery state without requery constants"):
-        EpochBlock.of(bare, range(4))
-    # an equal stream is the same stream
-    epochs[2] = dataclasses.replace(epochs[2], requery=dataclasses.replace(stream))
-    block = EpochBlock.of(epochs, range(4))
-    none = [frozenset()] * 4
-    assert len(replay_truths(block.requery, block.truth, none, stream.layout).fixes) == 24

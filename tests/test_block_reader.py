@@ -6,12 +6,12 @@ skipped. On the bundled streams, and on streams with the faults of
 ``test_epoch_faults`` (and a few that only ``run`` finds) on any lines, at
 several block sizes:
 
-- each ``block.epoch(k)`` is bitwise the record that ``epoch_from_dict``
-  makes of its line: every array's dtype, shape and bytes, every time and
-  the truth channel;
-- each block is bitwise ``EpochBlock.of`` of its own ``epoch(k)`` views:
-  its SNR table NaN-padded to the widest epoch, ``snr_width`` and the row
-  offsets;
+- each ``block.epoch(k)`` is bitwise the block of one that
+  ``epoch_from_dict`` makes of its line: every array's dtype, shape and
+  bytes, every time and the truth channel;
+- each block is bitwise the ``joined`` blocks of one of its own
+  ``epoch(k)``: its SNR table NaN-padded to the widest epoch,
+  ``snr_width`` and the row offsets;
 - ``block.lines`` names those lines, and the epochs and skips of a block
   cover its lines;
 - the skips are what ``read_epochs(path, diagnostics=[])`` records;
@@ -35,7 +35,7 @@ import mgp
 import mgp.streams
 
 from conftest import requery_constants
-from scalar_epochs import epoch_blocks, epoch_from_dict
+from scalar_epochs import epoch_blocks, epoch_from_dict, joined
 from test_epoch_differential import _scenario
 from test_epoch_faults import FAULTS, _faulty_line
 
@@ -79,11 +79,10 @@ def _check_blocks(path: Path, read_block: int, monkeypatch) -> None:
         assert sorted(lines + [n for n, _ in skips]) == want
         covered += want
         for k, n in enumerate(lines):
-            _same(block.epoch(k), epoch_from_dict(json.loads(text[n - 1]), stream),
+            _same(block.epoch(k), epoch_from_dict(json.loads(text[n - 1]), stream, n),
                   f"line {n}")
         if len(block):
-            _same(block, mgp.EpochBlock.of(list(map(block.epoch, range(len(block)))), lines),
-                  f"block {b}")
+            _same(block, joined(list(map(block.epoch, range(len(block)))), lines), f"block {b}")
         for n, message in skips:
             assert message.startswith(f"{path}:{n}: skipped epoch: ")
     assert covered == nonblank

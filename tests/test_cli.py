@@ -624,6 +624,10 @@ def test_oracle_wahba_prints_quaternions(tmp_path: Path, capsys) -> None:
     cells = lines[1].split(",")
     assert len(cells) == 5
     float(cells[1])  # parses as a number
+    # each epoch's time as repr writes a Python float, not a numpy scalar
+    with open(epochs, encoding="utf-8") as f:
+        times = [repr(json.loads(line)["t"]) for line in f.readlines()[1:]]
+    assert [line.split(",")[0] for line in lines[1:]] == times
 
 
 def test_console_script_installed(tmp_path: Path) -> None:

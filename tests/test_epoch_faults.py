@@ -275,7 +275,7 @@ def block_lines(tmp_path_factory) -> list[str]:
     return BLOCK_LINES
 
 
-def _alone(line: str, header: str) -> mgp.EpochRecord | Exception:
+def _alone(line: str, header: str) -> mgp.EpochBlock | Exception:
     try:
         return epoch_from_dict(json.loads(line), requery_constants(header))
     except (mgp.InputError, mgp.ValidationError) as exc:

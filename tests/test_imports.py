@@ -231,6 +231,27 @@ def test_the_epoch_stream_is_blocks_from_the_simulator_to_the_file(monkeypatch) 
     assert calls == [len(block) for block in blocks] == [32, 32, 6]
 
 
+def test_an_epoch_is_a_block_of_one(tmp_path) -> None:
+    """There is one epoch type: ``EpochRecord`` and ``EpochBlock.of`` are
+    gone, under no other name in the sources or the README either, and
+    ``read_epochs`` yields each epoch as an ``EpochBlock`` of length 1 at
+    its line."""
+    import mgp.epochs
+
+    assert not hasattr(mgp, "EpochRecord") and not hasattr(mgp.epochs, "EpochRecord")
+    assert not hasattr(mgp.EpochBlock, "of")
+    for path in [*SRC.glob("*.py"), SRC.parents[1] / "README.md"]:
+        text = path.read_text(encoding="utf-8")
+        assert "EpochRecord" not in text and "EpochBlock.of" not in text, path.name
+    cfg = mgp.load_scenario(mgp.bundled_scenario_path("multipath"))
+    path = tmp_path / "epochs.jsonl"
+    mgp.write_epochs(str(path), mgp.simulate(dataclasses.replace(cfg, duration_s=3.5)))
+    epochs = list(mgp.read_epochs(str(path)))
+    assert {type(epoch) for epoch in epochs} == {mgp.EpochBlock}
+    assert [len(epoch) for epoch in epochs] == [1] * 35
+    assert [epoch.lines.tolist() for epoch in epochs] == [[k + 2] for k in range(35)]
+
+
 def test_back_half_takes_the_front_blocks_rows() -> None:
     """The front half gives each block's rows as one record, with each
     row's epoch, and the back half takes them as they are: there is no

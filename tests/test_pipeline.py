@@ -13,7 +13,6 @@ import mgp.streams
 from mgp import (
     AttitudeProfile,
     ConfigurationError,
-    EpochRecord,
     FixModel,
     Fixes,
     FixStatus,
@@ -48,7 +47,7 @@ from mgp import (
 )
 
 from conftest import baselines_of, fixes_of, snr_of
-from scalar_epochs import blocks_of, epoch_blocks, epochs_of, no_skips
+from scalar_epochs import blocks_of, edited, epoch_blocks, epochs_of, no_skips, one_epoch
 
 SATS = tuple(
     Satellite(sat_id=f"G{k:02d}", azimuth_deg=40.0 * k, elevation_deg=25.0 + 8.0 * k)
@@ -179,9 +178,9 @@ def test_clean_epoch_full_solution() -> None:
     assert result.position.available
     assert result.position.n_used == 6
     assert result.multipath.excluded_sats == frozenset()
-    q_true = UnitQuaternion(*epoch.truth.attitude)
+    q_true = UnitQuaternion(*epoch.truth[0].attitude)
     assert quat_angle(result.attitude.q, q_true) < math.radians(0.5)
-    err = (result.position.p - epoch.truth.position).norm()
+    err = (result.position.p - Vec3(*epoch.truth[0].position)).norm()
     assert err < 0.01
 
 
@@ -194,7 +193,7 @@ def test_epoch_without_fixed_baselines_has_no_attitude() -> None:
         )
         for j in range(2, 7)
     )
-    epoch = EpochRecord(t=0.0, fixes=fixes, baselines=baselines, snr_rows=snr_of(()))
+    epoch = one_epoch(0.0, fixes, baselines, snr_of(()))
     result = process_epoch(epoch, PipelineConfig())
     assert not result.attitude.available
     assert not result.position.available  # float-only antennas never contribute
@@ -204,7 +203,7 @@ def test_fixed_antenna_without_attitude_cannot_remove_lever() -> None:
     # one fixed antenna but no fixed baselines: hexagon levers are nonzero,
     # so the position stays unavailable rather than silently lever-biased
     fixes = fixes_of([(1, FixStatus.FIXED, Vec3(0.9, 0.0, 30.0))])
-    epoch = EpochRecord(t=0.0, fixes=fixes, baselines=baselines_of(()), snr_rows=snr_of(()))
+    epoch = one_epoch(0.0, fixes, baselines_of(()), snr_of(()))
     result = process_epoch(epoch, PipelineConfig())
     assert not result.attitude.available
     assert not result.position.available
@@ -228,8 +227,21 @@ def test_subset_attitude_from_three_antennas_still_solves() -> None:
     epoch = next(iter(simulate(cfg))).epoch(0)
     result = process_epoch(epoch, PipelineConfig(antenna_subset=(1, 3, 5)))
     assert result.attitude.available
-    q_true = UnitQuaternion(*epoch.truth.attitude)
+    q_true = UnitQuaternion(*epoch.truth[0].attitude)
     assert quat_angle(result.attitude.q, q_true) < math.radians(1.0)
+
+
+@pytest.mark.parametrize("n_epochs", [2, 32])
+def test_one_epoch_entry_points_refuse_other_blocks(n_epochs: int) -> None:
+    """``process_epoch`` and ``requery_epoch`` take a block of one epoch,
+    and name the epoch count of any other."""
+    block = next(iter(simulate(_scenario(duration_s=n_epochs / 10.0))))
+    assert len(block) == n_epochs
+    message = f"takes a block of one epoch, not {n_epochs}$"
+    with pytest.raises(ValidationError, match=f"^process_epoch {message}"):
+        process_epoch(block, PipelineConfig())
+    with pytest.raises(ValidationError, match=f"^requery_epoch {message}"):
+        mgp.requery_epoch(block, frozenset(), hexagon_layout())
 
 
 def test_multipath_feedback_requeries_fixes() -> None:
@@ -308,14 +320,11 @@ def test_run_skips_epoch_level_validation_errors() -> None:
     cfg = _scenario(duration_s=1.0)
     epochs = epochs_of(simulate(cfg))
     dup = epochs[3]
-    bad = EpochRecord(
-        t=epochs[2].t + 0.001,
-        fixes=dup.fixes,
-        baselines=dup.baselines,
+    bad = edited(
+        dup,
+        t=epochs[2].t[0].item() + 0.001,
         # the first satellite twice
-        snr_rows=SnrTable.checked(dup.snr_rows.sat_ids[:1] * 2, dup.snr_rows.dbhz[[0, 0]]),
-        truth=dup.truth,
-        requery=dup.requery,
+        snr=SnrTable.checked(dup.snr.sat_ids[:1] * 2, dup.snr.dbhz[[0, 0]]),
     )
     stream = epochs[:3] + [bad] + epochs[3:]
     result = run(epoch_blocks(stream), PipelineConfig())
@@ -335,14 +344,9 @@ def test_run_skips_epoch_naming_an_antenna_outside_the_layout() -> None:
     )
     first = next(iter(src.baselines))
     stray_baseline = VectorObservation(v=first.v, w=first.w, antenna_pair=(1, 9))
-    bad_fix = EpochRecord(
-        t=src.t, fixes=with_stray_fix, baselines=src.baselines,
-        snr_rows=src.snr_rows, truth=src.truth, requery=src.requery,
-    )
-    bad_baseline = EpochRecord(
-        t=epochs[5].t, fixes=epochs[5].fixes,
-        baselines=baselines_of([*epochs[5].baselines, stray_baseline]),
-        snr_rows=epochs[5].snr_rows, truth=epochs[5].truth, requery=epochs[5].requery,
+    bad_fix = edited(src, fixes=with_stray_fix)
+    bad_baseline = edited(
+        epochs[5], baselines=baselines_of([*epochs[5].baselines, stray_baseline]),
     )
     with pytest.raises(ValidationError, match="antenna 9 has no layout entry"):
         process_epoch(bad_fix, PipelineConfig())
@@ -356,7 +360,7 @@ def test_run_skips_epoch_naming_an_antenna_outside_the_layout() -> None:
     assert result.metrics.skipped == 2
 
 
-def _with_fixes(epoch: EpochRecord, rows) -> EpochRecord:
+def _with_fixes(epoch: mgp.EpochBlock, rows) -> mgp.EpochBlock:
     """The epoch with its fixes and then ``rows`` (id, grade, position)."""
     f = epoch.fixes
     ids, grade, p = zip(*rows)
@@ -364,7 +368,7 @@ def _with_fixes(epoch: EpochRecord, rows) -> EpochRecord:
         np.append(f.ids, ids), np.append(f.grade, grade), np.vstack([f.p, p]),
         np.append(f.sats_used, [9] * len(rows)),
     )
-    return replace(epoch, fixes=fixes)
+    return edited(epoch, fixes=fixes)
 
 
 @pytest.mark.parametrize("feedback", [True, False], ids=["feedback", "no-feedback"])
@@ -383,7 +387,8 @@ def test_run_skips_an_antenna_named_twice_before_the_replay(feedback: bool) -> N
             process_epoch(epoch, config)
     got, want = run(epoch_blocks(stream), config), run(epoch_blocks(epochs[1::2]), config)
     assert got.diagnostics == [
-        f"epoch {k} (t={e.t!r}): duplicate solution for antenna 1" for k, e in enumerate(stream)
+        f"epoch {k} (t={e.t[0].item()!r}): duplicate solution for antenna 1"
+        for k, e in enumerate(stream)
         if k % 2 == 0
     ]
     got_m, want_m = got.metrics.to_json_dict(), want.metrics.to_json_dict()
@@ -403,7 +408,8 @@ def test_run_skips_an_inactive_antenna_named_twice() -> None:
         process_epoch(bad, config)
     result = run(epoch_blocks(epochs[:4] + [bad] + epochs[5:]), config)
     assert (result.metrics.epochs, result.metrics.skipped) == (9, 1)
-    assert result.diagnostics == [f"epoch 4 (t={bad.t!r}): duplicate solution for antenna 2"]
+    assert result.diagnostics == [
+        f"epoch 4 (t={bad.t[0].item()!r}): duplicate solution for antenna 2"]
 
 
 def test_run_skips_a_satellite_named_twice_that_the_subset_drops() -> None:
@@ -413,15 +419,16 @@ def test_run_skips_a_satellite_named_twice_that_the_subset_drops() -> None:
     src = epochs[4]
     rows = np.full((2, 6), np.nan)
     rows[:, 1::2] = 45.0
-    table = src.snr_rows
+    table = src.snr
     snr = SnrTable.checked(table.sat_ids + ("X01", "X01"), np.vstack([table.dbhz, rows]))
-    bad = replace(src, snr_rows=snr)
+    bad = edited(src, snr=snr)
     config = PipelineConfig(antenna_subset=(1, 3, 5))
     with pytest.raises(ValidationError, match="^duplicate SNR row for satellite X01$"):
         process_epoch(bad, config)
     result = run(epoch_blocks(epochs[:4] + [bad] + epochs[5:]), config)
     assert (result.metrics.epochs, result.metrics.skipped) == (9, 1)
-    assert result.diagnostics == [f"epoch 4 (t={bad.t!r}): duplicate SNR row for satellite X01"]
+    assert result.diagnostics == [
+        f"epoch 4 (t={bad.t[0].item()!r}): duplicate SNR row for satellite X01"]
 
 
 def test_run_feedback_disabled_leaves_requery_rate_none() -> None:
@@ -434,10 +441,7 @@ def test_run_feedback_disabled_leaves_requery_rate_none() -> None:
 def test_run_truthless_stream_uses_spread_about_mean() -> None:
     cfg = _scenario(duration_s=20.0, seed=99)
     epochs = epochs_of(simulate(cfg))
-    stripped = [
-        EpochRecord(t=e.t, fixes=e.fixes, baselines=e.baselines, snr_rows=e.snr_rows)
-        for e in epochs
-    ]
+    stripped = [edited(e, truth=None, requery=None) for e in epochs]
     with_truth = run(epoch_blocks(epochs), PipelineConfig()).metrics
     without = run(epoch_blocks(stripped), PipelineConfig()).metrics
     assert without.multipath_precision is None and without.multipath_recall is None
@@ -464,10 +468,7 @@ def test_run_truthless_yaw_wraps_cleanly() -> None:
             yaw_knots=((0.0, 179.5), (2.5, -179.5 + 360.0), (5.0, 179.5))
         ),
     )
-    epochs = [
-        EpochRecord(t=e.t, fixes=e.fixes, baselines=e.baselines, snr_rows=e.snr_rows)
-        for e in epochs_of(simulate(cfg))
-    ]
+    epochs = [edited(e, truth=None, requery=None) for e in epochs_of(simulate(cfg))]
     m = run(epoch_blocks(epochs), PipelineConfig()).metrics
     assert m.attitude_sd_deg["yaw"] < 2.0
 
@@ -486,7 +487,7 @@ def test_run_detection_precision_recall() -> None:
     assert m.multipath_recall > 0.5
 
 
-def _detection_epochs() -> list[EpochRecord]:
+def _detection_epochs() -> list[mgp.EpochBlock]:
     """The masked scenario's epochs, edited so that a block of 32 holds
     epochs with truth and without (every third from the second); every
     third from the third lists G03 and X99, which no row names, as its
@@ -502,7 +503,7 @@ def _detection_epochs() -> list[EpochRecord]:
     )
     epochs = []
     for k, epoch in enumerate(epochs_of(simulate(cfg))):
-        truth, snr = epoch.truth, epoch.snr_rows
+        truth, snr = epoch.truth[0], epoch.snr
         assert truth.multipath_sats == {"M01", "M02"}
         if k % 3 == 1:
             truth = None
@@ -514,7 +515,7 @@ def _detection_epochs() -> list[EpochRecord]:
             snr = SnrTable(snr.sat_ids, dbhz)
         if k >= 3 * mgp.streams.READ_BLOCK:
             snr = SnrTable((), np.empty((0, 0)))
-        epochs.append(replace(epoch, snr_rows=snr, truth=truth))
+        epochs.append(edited(epoch, snr=snr, truth=truth))
     return epochs
 
 
@@ -529,14 +530,14 @@ def test_run_detection_score_is_exact(subset) -> None:
     tp = fp = fn = dropped = 0
     for epoch in epochs:
         # an epoch without truth or SNR rows scores nothing
-        if epoch.truth is None or not len(epoch.snr_rows):
+        if epoch.truth[0] is None or not len(epoch.snr):
             continue
-        dbhz = epoch.snr_rows.dbhz[:, cols]
+        dbhz = epoch.snr.dbhz[:, cols]
         tracked = ~np.isnan(dbhz).all(axis=1)
         dropped += int((~tracked).sum())
-        sats = tuple(itertools.compress(epoch.snr_rows.sat_ids, tracked.tolist()))
+        sats = tuple(itertools.compress(epoch.snr.sat_ids, tracked.tolist()))
         report = detect_multipath(SnrTable(sats, dbhz[tracked]), 4.0, 3)
-        true_mp = epoch.truth.multipath_sats & set(report.sat_ids)
+        true_mp = epoch.truth[0].multipath_sats & set(report.sat_ids)
         tp += len(report.excluded_sats & true_mp)
         fp += len(report.excluded_sats - true_mp)
         fn += len(true_mp - report.excluded_sats)
@@ -552,7 +553,7 @@ def test_an_snr_table_without_rows_runs_whatever_its_width(tmp_path) -> None:
     ``SnrTable.checked`` accepts, runs as it does read back from the file
     ``write_epochs`` makes of it, where its table has width 0."""
     epochs = epochs_of(simulate(_scenario(duration_s=0.3)))
-    epochs[1] = replace(epochs[1], snr_rows=SnrTable.checked((), np.empty((0, 6))))
+    epochs[1] = edited(epochs[1], snr=SnrTable.checked((), np.empty((0, 6))))
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), blocks_of(epochs))
     got = run(epoch_blocks(epochs), PipelineConfig())
@@ -561,7 +562,7 @@ def test_an_snr_table_without_rows_runs_whatever_its_width(tmp_path) -> None:
     assert json.dumps(got.metrics.to_json_dict()) == json.dumps(want.metrics.to_json_dict())
     for name in ("t", "p", "q", "n_fix"):
         assert np.array_equal(getattr(got.poses, name), getattr(want.poses, name), equal_nan=True)
-    assert process_epoch(epochs[1], PipelineConfig()).t == epochs[1].t
+    assert process_epoch(epochs[1], PipelineConfig()).t == epochs[1].t[0]
 
 
 def test_run_shared_diagnostics_list() -> None:
@@ -669,7 +670,7 @@ def test_run_keeps_its_diagnostics_when_the_stream_fails() -> None:
     assert diags == [
         "caller note",
         "reader note",
-        f"epoch 3: non-increasing timestamp {epochs[1].t!r}, skipped",
+        f"epoch 3: non-increasing timestamp {epochs[1].t[0].item()!r}, skipped",
     ]
 
 
@@ -692,7 +693,7 @@ def test_subset_with_short_snr_rows_skips_epoch() -> None:
     # epoch hand-built with 3-antenna SNR rows; selecting antenna 6 cannot work
     fixes = fixes_of([(6, FixStatus.FIXED, Vec3(0.0, 0.0, 0.0))])
     rows = snr_of([("G01", (45.0, 45.0, 45.0))])
-    epoch = EpochRecord(t=0.0, fixes=fixes, baselines=baselines_of(()), snr_rows=rows)
+    epoch = one_epoch(0.0, fixes, baselines_of(()), rows)
     result = run(epoch_blocks([epoch]), PipelineConfig(antenna_subset=(5, 6)))
     assert result.metrics.epochs == 0
     assert result.metrics.skipped == 1
@@ -703,7 +704,7 @@ def test_snr_row_width_must_match_layout(width: int) -> None:
     # without a subset the columns of a 3-wide row on a 6-antenna layout are
     # ambiguous, so the epoch is rejected rather than read as antennas 1-3
     rows = snr_of([("G01", (45.0,) * width)])
-    epoch = EpochRecord(t=0.0, fixes=fixes_of(()), baselines=baselines_of(()), snr_rows=rows)
+    epoch = one_epoch(0.0, fixes_of(()), baselines_of(()), rows)
     with pytest.raises(ValidationError, match=f"G01 has {width} columns"):
         process_epoch(epoch, PipelineConfig())
     result = run(epoch_blocks([epoch]), PipelineConfig())

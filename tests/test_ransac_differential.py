@@ -386,7 +386,7 @@ def test_bundled_scenario_poses_match_scalar_path(monkeypatch, scenario, subset)
     monkeypatch.setattr(mgp.pipeline, "ransac_attitude", scalar)
     reference = [process_epoch(epoch, config) for epoch in epochs]
     min_inliers = mgp.pipeline._consensus_params(config).min_inliers
-    fronts = (mgp.pipeline._FrontBlock(mgp.EpochBlock.of([e], [0]), config) for e in epochs)
+    fronts = (mgp.pipeline._FrontBlock(e, config) for e in epochs)
     reaching = [len(front.candidates) for front in fronts if len(front.candidates) >= min_inliers]
     assert calls == reaching and len(calls) > 100
 

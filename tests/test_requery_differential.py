@@ -419,8 +419,8 @@ def test_epoch_stream_byte_identical_to_object_path(streams, name: str) -> None:
 def test_wrong_fix_case_exercises_wrong_offsets(streams) -> None:
     _, path, _ = streams["multipath-wrong-0.3"]
     epochs = list(mgp.read_epochs(str(path)))
-    assert sum(len(e.truth.wrong_fix_antennas) for e in epochs) > 0
-    assert sum(len(e.truth.corrupted_baselines) for e in epochs) > 0
+    assert sum(len(e.truth[0].wrong_fix_antennas) for e in epochs) > 0
+    assert sum(len(e.truth[0].corrupted_baselines) for e in epochs) > 0
 
 
 def test_requery_matches_object_path(streams) -> None:
@@ -436,13 +436,13 @@ def test_requery_matches_object_path(streams) -> None:
         for epoch, line in zip(mgp.read_epochs(str(path)), lines):
             truth = json.loads(line)["truth"]
             ref_req = _ref_requery_from_dict(rq, truth["requery"], truth)
-            mp = epoch.truth.multipath_sats
+            mp = epoch.truth[0].multipath_sats
             random = [rng.choice(sats, rng.integers(1, len(sats)), replace=False) for _ in range(3)]
             subsets = [frozenset(), mp, frozenset(sats), *(frozenset(r.tolist()) for r in random)]
             for excluded in subsets:
                 got = mgp.requery_epoch(epoch, excluded, layout)
                 want = _ref_status_sets(ref_req, mp, excluded, layout, pairs)
-                assert _record_bits(*got) == _bits(*want), (path, epoch.t, sorted(excluded))
+                assert _record_bits(*got) == _bits(*want), (path, epoch.t[0], sorted(excluded))
             checked += 1
     assert checked >= 200
 
@@ -505,7 +505,7 @@ def test_block_replay_matches_object_path(data) -> None:
     bounds = [start, *sorted(cuts), stop]
     for a, b in zip(bounds, bounds[1:]):
         block = epochs[a:b]
-        found = replay_truths(block[0].requery, [e.truth for e in block],
+        found = replay_truths(block[0].requery, [e.truth[0] for e in block],
                               excluded[a - start:b - start], layout)
         for k, epoch in enumerate(block):
             fixes = found.fixes.select(np.arange(len(found.fixes)) // n == k)
@@ -513,7 +513,7 @@ def test_block_replay_matches_object_path(data) -> None:
             fixes = fixes.select(active[fixes.ids])
             baselines = baselines.select(active[baselines.pairs].all(axis=1))
             ref_fixes, ref_observations = _ref_status_sets(
-                refs[a + k], epoch.truth.multipath_sats, excluded[a + k - start], layout, pairs
+                refs[a + k], epoch.truth[0].multipath_sats, excluded[a + k - start], layout, pairs
             )
             ref_fixes = [f for f in ref_fixes if f.antenna_id in subset]
             ref_observations = [o for o in ref_observations if set(o.antenna_pair) <= subset]
@@ -545,7 +545,7 @@ def _replay_is_the_simulator(cfg: mgp.ScenarioConfig, path: Path, rewrites: int 
             baselines = found.baselines.select(found.baseline_epoch == j)
             want = _record_bits(simulated.fixes, simulated.baselines)
             assert _record_bits(fixes, baselines) == want, (k + j)
-            assert truth.attitude == simulated.truth.attitude, (k + j)
+            assert truth.attitude == simulated.truth[0].attitude, (k + j)
             unit = unit_quats(np.array([truth.attitude]), canonicalize=False)[0]
             changed += tuple(unit.tolist()) != truth.attitude
         k += len(block)

@@ -6,7 +6,7 @@ The reference, ``scalar_epochs.simulate_records`` and
 each epoch's draws on a block of one, and encodes each epoch's line from
 its own record. ``write_epochs`` of ``simulate``'s blocks must write the
 reference's bytes, header and every line, and each block must be bitwise
-``EpochBlock.of`` the reference's records of its epochs, numbered as the
+the ``joined`` reference blocks of one of its epochs, numbered as the
 file numbers them: on 10 s cuts of the bundled scenarios, on streams of 1,
 31, 32, 33 and 65 epochs around the block size, and on drawn attitude
 profiles, antenna counts, noise settings and stream lengths.
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import mgp
 from mgp.epochs import EPOCH_BLOCK
 
-from scalar_epochs import epoch_to_dict, simulate_records
+from scalar_epochs import epoch_to_dict, joined, simulate_records
 from test_block_reader import _same
 from test_requery_differential import _KNOTS, _bundled, _profile_scenario, _ref_header
 
@@ -39,7 +39,7 @@ def _check(cfg: mgp.ScenarioConfig, path: Path) -> None:
     for b, block in enumerate(blocks):
         first = b * EPOCH_BLOCK
         lines = list(range(first + 2, first + 2 + len(block)))
-        _same(block, mgp.EpochBlock.of(records[first:first + len(block)], lines), f"block {b}")
+        _same(block, joined(records[first:first + len(block)], lines), f"block {b}")
     assert mgp.write_epochs(str(path), blocks) == cfg.n_epochs
     want = [json.dumps(_ref_header(cfg)), *(json.dumps(epoch_to_dict(e)) for e in records)]
     assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")

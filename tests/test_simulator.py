@@ -40,7 +40,7 @@ from mgp import (
 
 from mgp.core import euler_products, unit_quats
 
-from scalar_epochs import epochs_of
+from scalar_epochs import edited, epochs_of
 
 OPEN_SKY = tuple(
     Satellite(sat_id=f"G{k:02d}", azimuth_deg=45.0 * k, elevation_deg=30.0 + 7.0 * k)
@@ -224,12 +224,12 @@ def test_stream_is_deterministic() -> None:
     b = epochs_of(simulate(cfg))
     assert len(a) == len(b) == cfg.n_epochs
     for ea, eb in zip(a, b):
-        assert ea.t == eb.t
+        assert ea.t.tolist() == eb.t.tolist()
         _assert_same_fixes(ea.fixes, eb.fixes)
         assert np.array_equal(ea.baselines.pairs, eb.baselines.pairs)
         assert np.array_equal(ea.baselines.v, eb.baselines.v)
-        assert ea.snr_rows.sat_ids == eb.snr_rows.sat_ids
-        assert np.array_equal(ea.snr_rows.dbhz, eb.snr_rows.dbhz, equal_nan=True)
+        assert ea.snr.sat_ids == eb.snr.sat_ids
+        assert np.array_equal(ea.snr.dbhz, eb.snr.dbhz, equal_nan=True)
 
 
 def test_different_seeds_differ() -> None:
@@ -248,7 +248,7 @@ def test_open_sky_high_bias_all_fixed() -> None:
         assert epoch.fixes.fixed.all()
         assert len(epoch.baselines) == 15
         assert epoch.baselines.fixed.all()
-        assert epoch.truth.multipath_sats == frozenset()
+        assert epoch.truth[0].multipath_sats == frozenset()
 
 
 def test_zero_noise_measurements_match_truth() -> None:
@@ -264,16 +264,16 @@ def test_zero_noise_measurements_match_truth() -> None:
     )
     layout = cfg.layout
     for epoch in epochs_of(simulate(cfg)):
-        q = truth_attitude(cfg, epoch.t)
-        p = trajectory_position(cfg, epoch.t)
+        q = truth_attitude(cfg, epoch.t[0].item())
+        p = trajectory_position(cfg, epoch.t[0].item())
         for ant, p_ant in zip(epoch.fixes.ids.tolist(), epoch.fixes.p):
             want = p + rotate(q, layout.position_of(ant))
             assert np.allclose(p_ant, want.as_array(), atol=1e-9)
         for o in epoch.baselines:
             want = rotate(q, o.w)
             assert np.allclose(o.v.as_array(), want.as_array(), atol=1e-9)
-        assert np.array_equal(epoch.truth.position.as_array(), p.as_array())
-        assert quat_angle(UnitQuaternion(*epoch.truth.attitude), q) == 0.0
+        assert np.array_equal(epoch.truth[0].position, p.as_array())
+        assert quat_angle(UnitQuaternion(*epoch.truth[0].attitude), q) == 0.0
 
 
 def test_wrong_fix_labels_are_honest() -> None:
@@ -284,15 +284,15 @@ def test_wrong_fix_labels_are_honest() -> None:
     layout = cfg.layout
     saw_wrong = False
     for epoch in epochs_of(simulate(cfg)):
-        q = truth_attitude(cfg, epoch.t)
-        p = trajectory_position(cfg, epoch.t)
+        q = truth_attitude(cfg, epoch.t[0].item())
+        p = trajectory_position(cfg, epoch.t[0].item())
         fixes = epoch.fixes
-        assert epoch.truth.wrong_fix_antennas <= _fixed_ids(fixes)
+        assert epoch.truth[0].wrong_fix_antennas <= _fixed_ids(fixes)
         fixed_pairs = {o.antenna_pair for o in epoch.baselines if o.fixed}
-        assert epoch.truth.corrupted_baselines <= fixed_pairs
+        assert epoch.truth[0].corrupted_baselines <= fixed_pairs
         for ant, p_ant in zip(fixes.ids[fixes.fixed].tolist(), fixes.p[fixes.fixed]):
             err = np.linalg.norm(p_ant - (p + rotate(q, layout.position_of(ant))).as_array())
-            if ant in epoch.truth.wrong_fix_antennas:
+            if ant in epoch.truth[0].wrong_fix_antennas:
                 saw_wrong = True
                 assert err >= 0.19 - 1e-9  # at least one lattice step
             else:
@@ -305,11 +305,11 @@ def test_wrong_fix_offsets_live_on_the_ambiguity_lattice() -> None:
     layout = cfg.layout
     offsets = []
     for epoch in epochs_of(simulate(cfg)):
-        q = truth_attitude(cfg, epoch.t)
-        p = trajectory_position(cfg, epoch.t)
+        q = truth_attitude(cfg, epoch.t[0].item())
+        p = trajectory_position(cfg, epoch.t[0].item())
         fixes = epoch.fixes
         for ant, p_ant in zip(fixes.ids[fixes.fixed].tolist(), fixes.p[fixes.fixed]):
-            if ant in epoch.truth.wrong_fix_antennas:
+            if ant in epoch.truth[0].wrong_fix_antennas:
                 err = p_ant - (p + rotate(q, layout.position_of(ant))).as_array()
                 offsets.append(err / 0.19)
     assert offsets
@@ -329,7 +329,7 @@ def test_snr_rows_separate_clean_from_multipath() -> None:
     snr_model = cfg.noise.snr
     by_sat: dict[str, list[float]] = {}
     for epoch in epochs_of(simulate(cfg)):
-        snr = epoch.snr_rows
+        snr = epoch.snr
         for sat, sat_id, row in zip(cfg.constellation, snr.sat_ids, snr.dbhz.tolist()):
             assert sat_id == sat.sat_id
             nominal = snr_model.nominal(sat.elevation_deg)
@@ -393,9 +393,7 @@ def test_requery_excluding_clean_satellites_demotes() -> None:
 def test_requery_requires_truth_channel() -> None:
     cfg = _config(duration_s=0.5)
     epoch = next(iter(simulate(cfg))).epoch(0)
-    stripped = type(epoch)(
-        t=epoch.t, fixes=epoch.fixes, baselines=epoch.baselines, snr_rows=epoch.snr_rows
-    )
+    stripped = edited(epoch, truth=None, requery=None)
     with pytest.raises(ValidationError):
         requery_epoch(stripped, frozenset(), cfg.layout)
 
