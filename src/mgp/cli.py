@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, estimate, georef, evaluate, oracle. Exit status 0 on
-success, 1 on fatal I/O or configuration errors, 2 on validation errors.
+success, 1 on fatal I/O or configuration errors, 2 on validation errors; an
+epoch line that the reader skips is printed to stderr, and the step goes on.
 """
 from __future__ import annotations
 
@@ -144,15 +145,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_wahba(args: argparse.Namespace) -> int:
     print("t,qx,qy,qz,qw")
-    for epoch in streams.read_epochs(args.epochs):
-        fixed = [o for o in epoch.baselines if o.fixed]
-        if len(fixed) < 2:
-            continue
-        try:
-            q = wahba_svd(fixed, baseline_weights(fixed))
-        except (InsufficientDataError, DegenerateGeometryError):
-            continue
-        print(f"{epoch.t[0].item()!r},{q.qx!r},{q.qy!r},{q.qz!r},{q.qw!r}")
+    for block, skips in streams.read_epoch_blocks(args.epochs):
+        for _, message in skips:
+            print(message, file=sys.stderr)
+        for t, a, b in zip(block.t.tolist(), block.baseline_ends, block.baseline_ends[1:]):
+            fixed = block.baselines.select(slice(a, b)).fixed_only()
+            try:
+                q = wahba_svd(fixed, baseline_weights(fixed))
+            except (InsufficientDataError, DegenerateGeometryError):
+                continue
+            print(f"{t!r},{q.qx!r},{q.qy!r},{q.qz!r},{q.qw!r}")
     return 0
 
 

@@ -1,10 +1,10 @@
 """Independent reference implementations used for cross-checking.
 
 These deliberately share no code with the production estimators beyond the
-core vector types: the attitude oracle goes through an SVD orthogonal
-Procrustes solve instead of the 4x4 eigen path, and the mapping budget is a
-closed-form error propagation. They are wired to the ``oracle`` CLI
-subcommand so results can be reproduced outside the test suite.
+core types and :class:`Baselines`: the attitude oracle solves a record's rows
+by an SVD orthogonal Procrustes solve, not the 4x4 eigen path, and the
+mapping budget is a closed-form error propagation. They are wired to the
+``oracle`` CLI subcommand so results can be reproduced outside the test suite.
 """
 from __future__ import annotations
 
@@ -13,11 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .attitude import Baselines
 from .core import UnitQuaternion, matrix_to_quat
 from .errors import DegenerateGeometryError, InsufficientDataError, ValidationError
 
 
-def wahba_svd(observations: Sequence, weights: Sequence[float]) -> UnitQuaternion:
+def wahba_svd(observations: Baselines, weights: Sequence[float]) -> UnitQuaternion:
     """Orthogonal-Procrustes attitude solution (body -> ENU).
 
     Solves the same weighted alignment problem as the production estimator:
@@ -26,30 +27,26 @@ def wahba_svd(observations: Sequence, weights: Sequence[float]) -> UnitQuaternio
     determinant sign correction.
 
     Args:
-        observations: objects with ``v`` (measured, ENU) and ``w``
-            (reference, body) ``Vec3`` fields; only ``fixed`` ones are used
-            when the attribute is present.
-        weights: one nonnegative weight per observation.
+        observations: one epoch's baselines, (m, 3) ``v`` (measured, ENU)
+            and ``w`` (reference, body); only the ``fixed`` rows are used.
+        weights: one nonnegative weight per row.
 
     Returns:
         Canonical-sign quaternion mapping body to ENU.
     """
-    if len(weights) != len(observations):
+    a = np.asarray(weights, dtype=np.float64)
+    if a.shape != (len(observations),):
         raise ValidationError("one weight required per observation")
-    pairs = [(o, wt) for o, wt in zip(observations, weights) if getattr(o, "fixed", True)]
-    if len(pairs) < 2:
+    fixed = observations.fixed
+    if np.count_nonzero(fixed) < 2:
         raise InsufficientDataError("attitude needs at least 2 baseline observations")
-    obs = [o for o, _ in pairs]
-    kept = [wt for _, wt in pairs]
-    vs = np.array([o.v.as_array() for o in obs])
-    ws = np.array([o.w.as_array() for o in obs])
+    vs, ws, a = observations.v[fixed], observations.w[fixed], a[fixed]
     vn = np.linalg.norm(vs, axis=1)
     wn = np.linalg.norm(ws, axis=1)
     if np.any(vn <= 0.0) or np.any(wn <= 0.0):
         raise ValidationError("zero-length baseline vector")
     vs_hat = vs / vn[:, None]
     ws_hat = ws / wn[:, None]
-    a = np.asarray(kept, dtype=np.float64)
 
     # R_eb maximizes sum_i a_i v_hat . (R w_hat): profile M = sum a v_hat w_hat^T
     m = (vs_hat * a[:, None]).T @ ws_hat

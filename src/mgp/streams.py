@@ -49,8 +49,8 @@ Formats:
     into text, go through :func:`ordered.ordered_map`, so they are shared
     with a forked worker (one per process); the blocks, faults and bytes
     are those of one process, in stream order. :func:`epoch_block_calls`
-    gives the reader's blocks undecoded, as calls, which ``pipeline.run``
-    maps with the rest of each block's work.
+    gives them undecoded, as calls, which ``pipeline.run`` maps with the rest
+    of each block's work; :func:`read_epochs`, one epoch at a time.
   * Scan stream: JSON Lines, header ``{"format": "mgp-scan", "version": 1}``
     then one frame per line, a JSON object of the keys ``t`` and ``pulses``
     read by the epoch-line rules; each pulse is a compact array
@@ -73,13 +73,14 @@ Formats:
 Every text file is opened by :func:`core.open_text`, which reads "\\r\\n"
 and "\\r" line ends as "\\n", and each line, a header too, is checked by
 :func:`core.utf8_line` before any whitespace is stripped (the configs by
-:func:`core.read_utf8`). A stream header that is blank, not JSON, not the
-format's header or of a version that is not a JSON integer (``true`` and
-``1.0`` are none) is a fault of line 1, named ``path:1``. The scan and a .xyz
-cloud are read in chunks of whole lines, each ending at the line that takes
-it past :data:`CHUNK` characters, a .bin cloud in blocks of the whole
-records of ``CHUNK`` bytes; each chunk carries the number of its first line
-or record.
+:func:`core.read_utf8`). The header of an epoch, scan or pose file is
+read no further than ``MAX_EPOCH_LINE`` characters: a longer one is a fault
+of line 1, named ``path:1``, as is a stream header that is blank, not JSON,
+not the format's header or of a version that is not a JSON integer
+(``true`` and ``1.0`` are none). The scan and a .xyz cloud are read in
+chunks of whole lines, each ending at the line that takes it past
+:data:`CHUNK` characters, a .bin cloud in blocks of the whole records of
+``CHUNK`` bytes; each chunk carries the number of its first line or record.
 
 All floats are serialized with Python repr (shortest round-trip), so a
 read/write cycle is byte-stable and exact-inverse tests can run through
@@ -424,11 +425,13 @@ def write_epochs(path: str, blocks: Iterable[EpochBlock]) -> int:
 
 
 def _first_line(f: TextIO, path: str) -> str:
-    """The first line of ``f``, the file at ``path`` that
-    :func:`core.open_text` opened, as read; InputError naming ``path:1`` if
-    :func:`core.utf8_line` rejects it."""
-    line = f.readline()
+    """The first line of ``f``, the file at ``path`` that :func:`core.open_text`
+    opened; InputError naming ``path:1`` if it is longer than
+    ``MAX_EPOCH_LINE`` characters or :func:`core.utf8_line` rejects it."""
+    line = f.readline(MAX_EPOCH_LINE + 1)
     try:
+        if len(line) > MAX_EPOCH_LINE and not line.endswith("\n"):
+            raise ValidationError(f"line longer than {MAX_EPOCH_LINE} characters")
         utf8_line(line)
     except ValidationError as exc:
         raise InputError(f"{path}:1: {exc}") from None
@@ -470,31 +473,32 @@ def _parsed(line: str | Exception) -> Any:
         return exc
 
 
-def _epoch_block(block: list[tuple[int, str | Exception]], stream: RequeryStream | None = None
-                 ) -> tuple[EpochBlock, list[tuple[int, Exception]]]:
-    """The epochs of the ``(lineno, line)`` pairs of ``block``, lines of a
-    stream whose header holds the requery constants ``stream``, as one
-    :class:`EpochBlock`, and the ``(lineno, fault)`` of each other line (or
-    fault given for a line), in line order. The lines that parse are decoded
-    at once; if that fails, each alone, to find the faults, then the rest."""
+def _epoch_block(path: str, block: list[tuple[int, str | Exception]],
+                 stream: RequeryStream | None) -> tuple[EpochBlock, list[tuple[int, str]]]:
+    """The epochs of the ``(lineno, line)`` pairs of ``block``, lines of the
+    epoch stream at ``path`` whose header holds the requery constants
+    ``stream``, as one :class:`EpochBlock`, and the ``(lineno, "path:line:
+    skipped epoch: fault")`` of each other line, in line order. The lines
+    that parse are decoded at once; if that fails, each alone, then the rest."""
     found = [(lineno, _parsed(line)) for lineno, line in block]
     with suppress(ValidationError, ValueError):
-        return _decoded(found, stream)
+        return _decoded(path, found, stream)
     for k, (lineno, obj) in enumerate(found):
         if not isinstance(obj, Exception):
             try:
                 _decode([obj], [lineno], stream)
             except (ValidationError, ValueError) as exc:
                 found[k] = lineno, exc
-    return _decoded(found, stream)
+    return _decoded(path, found, stream)
 
 
-def _decoded(found: list[tuple[int, Any]], stream: RequeryStream | None
-             ) -> tuple[EpochBlock, list[tuple[int, Exception]]]:
-    """The block of the ``(lineno, value)`` pairs of ``found``, and its faults."""
+def _decoded(path: str, found: list[tuple[int, Any]], stream: RequeryStream | None
+             ) -> tuple[EpochBlock, list[tuple[int, str]]]:
+    """The block of the ``(lineno, value)`` pairs of ``found``, and its skips."""
     good = [(lineno, obj) for lineno, obj in found if not isinstance(obj, Exception)]
-    faults = [(lineno, obj) for lineno, obj in found if isinstance(obj, Exception)]
-    return _decode([obj for _, obj in good], [lineno for lineno, _ in good], stream), faults
+    skips = [(lineno, f"{path}:{lineno}: skipped epoch: {obj}")
+             for lineno, obj in found if isinstance(obj, Exception)]
+    return _decode([obj for _, obj in good], [lineno for lineno, _ in good], stream), skips
 
 
 def _epoch_lines_of(f: TextIO) -> Iterator[tuple[int, str | Exception]]:
@@ -511,26 +515,15 @@ def _epoch_lines_of(f: TextIO) -> Iterator[tuple[int, str | Exception]]:
             yield lineno, line
 
 
-def _block_calls(path: str, decode: Callable[..., Any]) -> Iterator[Callable[[], Any]]:
-    """A call of ``decode(lines, stream)`` on each ``READ_BLOCK`` non-blank
-    lines of the epoch stream at ``path`` and its header's requery constants
-    ``stream``; the header is checked first, the lines read as calls are taken."""
+def epoch_block_calls(path: str) -> Iterator[Callable[[], Any]]:
+    """The blocks of :func:`read_epoch_blocks` as calls that decode them, one
+    per ``READ_BLOCK`` non-blank lines, for ``pipeline.run`` to make where
+    it solves each block; the header is checked first (InputError), and the
+    lines read as the calls are taken."""
     with open_text(path) as f:
         stream = _check_header(_first_line(f, path), EPOCH_HEADER, path)
         for batch in _batches(_epoch_lines_of(f), READ_BLOCK):
-            yield functools.partial(decode, batch, stream)
-
-
-def _skipped(path: str, lines: list, stream: RequeryStream | None) -> tuple[EpochBlock, list]:
-    block, faults = _epoch_block(lines, stream)
-    return block, [(n, f"{path}:{n}: skipped epoch: {exc}") for n, exc in faults]
-
-
-def epoch_block_calls(path: str) -> Iterator[Callable[[], Any]]:
-    """The blocks of :func:`read_epoch_blocks` as calls that decode them, for
-    ``pipeline.run`` to make where it solves each block; the header is
-    checked (InputError) and the lines read as the calls are taken."""
-    return _block_calls(path, functools.partial(_skipped, path))
+            yield functools.partial(_epoch_block, path, batch, stream)
 
 
 def read_epoch_blocks(path: str) -> Iterator[tuple[EpochBlock, list[tuple[int, str]]]]:
@@ -543,23 +536,17 @@ def read_epoch_blocks(path: str) -> Iterator[tuple[EpochBlock, list[tuple[int, s
         yield from blocks
 
 
-def read_epochs(path: str, *, diagnostics: list[str] | None = None) -> Iterator[EpochBlock]:
-    """Yield the epochs of :func:`read_epoch_blocks` one at a time, each a
-    block of one (:meth:`EpochBlock.epoch`). Without ``diagnostics`` the
-    first line that is not UTF-8 or fails to parse or validate raises
-    InputError naming ``path:line``, after the epochs before it; with a
-    list, each such line is skipped and recorded in it as it is reached. A
-    wrong header always aborts: that is the wrong file, not a bad epoch."""
-    with closing(ordered_map(lambda call: call(), _block_calls(path, _epoch_block))) as blocks:
-        for block, faults in blocks:
-            epochs = zip(block.lines.tolist(), range(len(block)))
-            for lineno, item in sorted([*faults, *epochs], key=lambda item: item[0]):
-                if not isinstance(item, Exception):
-                    yield block.epoch(item)
-                elif diagnostics is None:
-                    raise InputError(f"{path}:{lineno}: {item}") from item
-                else:
-                    diagnostics.append(f"{path}:{lineno}: skipped epoch: {item}")
+def read_epochs(path: str) -> Iterator[EpochBlock]:
+    """The epochs of :func:`read_epoch_blocks` one at a time, each a block
+    of one (:meth:`EpochBlock.epoch`), up to the first line it skips, which
+    raises InputError ``path:line: reason``."""
+    with closing(read_epoch_blocks(path)) as blocks:
+        for block, skips in blocks:
+            end, message = skips[0] if skips else (math.inf, "")
+            yield from (block.epoch(k) for k, line in enumerate(block.lines.tolist()) if line < end)
+            if skips:
+                head = f"{path}:{end}: "
+                raise InputError(head + message.removeprefix(head + "skipped epoch: "))
 
 
 def write_scan(path: str, frames: Iterable[ScanFrame | Callable[[], Iterable[ScanFrame]]]) -> int:

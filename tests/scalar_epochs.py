@@ -8,8 +8,9 @@ that look at, edit or reorder single epochs take the blocks' epochs
 and join them back into reader-sized blocks for ``write_epochs`` and
 ``run`` (:func:`joined`, :func:`blocks_of`, :func:`epoch_blocks`,
 :func:`no_skips`); :func:`epoch_from_dict` decodes
-one epoch line, and :func:`replay_truths` replays epochs by their truth
-channels. :func:`simulate_records` and :func:`epoch_to_dict` are the
+one epoch line, :func:`read_skipping` reads a stream's epochs one at a
+time, recording the lines the reader skips, and :func:`replay_truths`
+replays epochs by their truth channels. :func:`simulate_records` and :func:`epoch_to_dict` are the
 per-epoch simulator loop and line encoder the blocks replaced, kept as the
 reference of ``test_simulator.py``'s differential tests with
 :func:`write_lines`, the line writer, and
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from contextlib import closing
 from dataclasses import replace
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -117,6 +119,20 @@ def no_skips(blocks: Iterable[EpochBlock]) -> Iterator[tuple[EpochBlock, list]]:
 def epoch_blocks(epochs: Iterable[EpochBlock]) -> Iterator[tuple[EpochBlock, list]]:
     """:func:`no_skips` of the :func:`blocks_of` ``epochs``."""
     return no_skips(blocks_of(epochs))
+
+
+def read_skipping(path: Any, diagnostics: list[str]) -> Iterator[EpochBlock]:
+    """The epochs of ``mgp.read_epoch_blocks(path)`` one at a time, each a
+    block of one, and each line the reader skips recorded in
+    ``diagnostics`` as it is reached, in line order."""
+    with closing(mgp.read_epoch_blocks(str(path))) as blocks:
+        for block, skips in blocks:
+            epochs = [(line, k) for k, line in enumerate(block.lines.tolist())]
+            for _, item in sorted([*skips, *epochs], key=lambda pair: pair[0]):
+                if isinstance(item, str):
+                    diagnostics.append(item)
+                else:
+                    yield block.epoch(item)
 
 
 def write_lines(path: Any, header: dict[str, Any], records: Iterable[dict[str, Any]]) -> None:

@@ -69,8 +69,7 @@ def test_a1_qmethod_correctness(capfd) -> None:
         sol = mgp.estimate_attitude(obs)
         if sigma == 0.0:
             worst_zero = max(worst_zero, mgp.quat_angle(sol.q, q_true))
-        rows = list(obs)
-        q_svd = mgp.wahba_svd(rows, mgp.baseline_weights(rows))
+        q_svd = mgp.wahba_svd(obs, mgp.baseline_weights(obs))
         worst_svd = max(worst_svd, mgp.quat_angle(sol.q, q_svd))
         if not (sol.lambda_max <= 1.0 + 1e-9):
             lambda_ok = False

@@ -32,6 +32,7 @@ from mgp.errors import InputError, InsufficientDataError, ValidationError
 from mgp.robust import consensus
 
 from conftest import baselines_of
+from scalar_epochs import read_skipping
 from test_epoch_differential import _scenario
 from test_ransac_differential import _ragged_block, _random_epoch
 
@@ -81,7 +82,7 @@ def _per_epoch(path: Path, config: PipelineConfig) -> tuple[mgp.Poses, list[str]
     rows: list[list[float]] = []
     n_fix: list[int] = []
     last_t = None
-    epochs = mgp.read_epochs(str(path), diagnostics=diags)
+    epochs = read_skipping(path, diags)
     for idx, epoch in enumerate(epochs):
         t = epoch.t[0].item()
         if last_t is not None and t <= last_t:

@@ -14,9 +14,9 @@ several block sizes:
   ``snr_width`` and the row offsets;
 - ``block.lines`` names those lines, and the epochs and skips of a block
   cover its lines;
-- the skips are what ``read_epochs(path, diagnostics=[])`` records;
+- the skips are what ``read_skipping`` records, in line order;
 - ``run`` on the reader's blocks and on ``epoch_blocks`` of the epochs
-  ``read_epochs`` gives has the same metrics, poses and diagnostics, but
+  ``read_skipping`` gives has the same metrics, poses and diagnostics, but
   for the reader's skips, which only the first counts and places.
 """
 from __future__ import annotations
@@ -35,7 +35,7 @@ import mgp
 import mgp.streams
 
 from conftest import requery_constants
-from scalar_epochs import epoch_blocks, epoch_from_dict, joined
+from scalar_epochs import epoch_blocks, epoch_from_dict, joined, read_skipping
 from test_epoch_differential import _scenario
 from test_epoch_faults import FAULTS, _faulty_line
 
@@ -64,7 +64,7 @@ def _same(got: Any, want: Any, where: str = "epoch") -> None:
 
 def _check_blocks(path: Path, read_block: int, monkeypatch) -> None:
     """The block reader's epochs, lines and skips at ``read_block`` lines
-    per block against the file's lines and ``read_epochs``."""
+    per block against the file's lines and ``read_skipping``."""
     monkeypatch.setattr(mgp.streams, "READ_BLOCK", read_block)
     text = path.read_text(encoding="utf-8").split("\n")
     nonblank = [n for n, line in enumerate(text[1:], start=2) if line.strip()]
@@ -87,7 +87,7 @@ def _check_blocks(path: Path, read_block: int, monkeypatch) -> None:
             assert message.startswith(f"{path}:{n}: skipped epoch: ")
     assert covered == nonblank
     diags: list[str] = []
-    epochs = list(mgp.read_epochs(str(path), diagnostics=diags))
+    epochs = list(read_skipping(path, diags))
     assert [m for _, skips in blocks for _, m in skips] == diags
     assert len(epochs) == sum(len(block) for block, _ in blocks)
 
@@ -98,7 +98,7 @@ def _check_runs(path: Path, read_block: int, config: mgp.PipelineConfig, monkeyp
     monkeypatch.setattr(mgp.streams, "READ_BLOCK", read_block)
     got = mgp.run(mgp.read_epoch_blocks(str(path)), config)
     skipped: list[str] = []
-    epochs = list(mgp.read_epochs(str(path), diagnostics=skipped))
+    epochs = list(read_skipping(path, skipped))
     want = mgp.run(epoch_blocks(epochs), config)
     got_m, want_m = got.metrics.to_json_dict(), want.metrics.to_json_dict()
     assert got_m.pop("skipped") == want_m.pop("skipped") + len(skipped)
@@ -287,7 +287,7 @@ def test_a_block_whose_only_faults_do_not_parse_is_decoded_once(
         return decode(objects, numbers, stream)
 
     monkeypatch.setattr(mgp.streams, "_decode", counted)
-    epochs, faults = mgp.streams._epoch_block(block, requery_constants(header))
+    epochs, faults = mgp.streams._epoch_block("e.jsonl", block, requery_constants(header))
     good = [n for n, line in block if line != "{not json"]
     assert calls == [good]
     assert epochs.lines.tolist() == good
@@ -298,8 +298,8 @@ def test_a_block_whose_only_faults_do_not_parse_is_decoded_once(
 @pytest.mark.parametrize("other", ["{not json", "[1, 2]"], ids=["not-json", "array"])
 def test_faults_come_in_line_order(clean_lines, tmp_path: Path, other: str) -> None:
     """A line that fails validation before one that does not parse, or one
-    that is no object, in the same block: the block reader, ``read_epochs``
-    in either mode and ``run`` name them in line order."""
+    that is no object, in the same block: the block reader, ``read_epochs``,
+    ``read_skipping`` and ``run`` name them in line order."""
     header, *lines = clean_lines["multipath"]
     lines = list(lines[:mgp.streams.READ_BLOCK])
     lines[3], lines[9] = json.dumps({**json.loads(lines[3]), "t": "bad"}), other
@@ -313,7 +313,7 @@ def test_faults_come_in_line_order(clean_lines, tmp_path: Path, other: str) -> N
         list(mgp.read_epochs(str(path)))
     assert str(fault.value).startswith(f"{where[0]}: epoch time must be a number")
     diags: list[str] = []
-    assert len(list(mgp.read_epochs(str(path), diagnostics=diags))) == len(lines) - 2
+    assert len(list(read_skipping(path, diags))) == len(lines) - 2
     assert [d.split(": ")[0] for d in diags] == where
     assert diags == [message for _, skips in blocks for _, message in skips]
     result = mgp.run(mgp.read_epoch_blocks(str(path)), mgp.PipelineConfig())

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mgp import bundled_scenario_path, read_poses
+from mgp import bundled_scenario_path, read_epoch_blocks, read_poses
 from mgp.cli import main
 
 SCENARIO = {
@@ -628,6 +628,29 @@ def test_oracle_wahba_prints_quaternions(tmp_path: Path, capsys) -> None:
     with open(epochs, encoding="utf-8") as f:
         times = [repr(json.loads(line)["t"]) for line in f.readlines()[1:]]
     assert [line.split(",")[0] for line in lines[1:]] == times
+
+
+def test_oracle_wahba_skips_bad_lines(tmp_path: Path, capsys) -> None:
+    """A line the reader skips does not end the oracle: it prints the
+    reader's skip messages to stderr, exits 0 and prints the rows of the
+    good epochs, those it prints for the stream without the bad lines."""
+    scen = _write(tmp_path / "scen.json", SCENARIO)
+    clean = tmp_path / "clean.jsonl"
+    main(["simulate", "--config", scen, "--out", str(clean)])
+    capsys.readouterr()
+    assert main(["oracle", "wahba-svd", "--epochs", str(clean)]) == 0
+    head, *rows = capsys.readouterr().out.splitlines(keepends=True)
+    header, *lines = clean.read_text(encoding="utf-8").splitlines(keepends=True)
+    # a line that is not JSON before epoch 1, and epoch 5's time a string
+    lines[5] = json.dumps({**json.loads(lines[5]), "t": "bad"}) + "\n"
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join([header, lines[0], "{not json\n", *lines[1:]]), encoding="utf-8")
+    assert main(["oracle", "wahba-svd", "--epochs", str(path)]) == 0
+    out, err = capsys.readouterr()
+    skips = [message for _, found in read_epoch_blocks(str(path)) for _, message in found]
+    assert [m.split(": skipped epoch: ")[0] for m in skips] == [f"{path}:3", f"{path}:8"]
+    assert err == "".join(f"{m}\n" for m in skips)
+    assert out == "".join([head, *rows[:5], *rows[6:]])
 
 
 def test_console_script_installed(tmp_path: Path) -> None:

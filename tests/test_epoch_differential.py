@@ -106,10 +106,12 @@ def _epoch_from_dict(d: dict[str, Any], rq: dict[str, Any] | None) -> _Epoch:
         truth = None
         if d.get("truth") is not None:
             tr = d["truth"]
-            q = [float(c) for c in tr["attitude"]]
+            p = _vec(tr["position"])
+            q = tuple(float(c) for c in tr["attitude"])
+            mgp.UnitQuaternion.from_array(q)  # refuses a zero quaternion
             truth = EpochTruth(
-                position=_vec(tr["position"]),
-                attitude=mgp.UnitQuaternion.from_array(q, canonicalize=False),
+                position=(p.x, p.y, p.z),
+                attitude=q,
                 multipath_sats=frozenset(str(s) for s in tr["multipath_sats"]),
                 corrupted_baselines=frozenset(
                     (int(p[0]), int(p[1])) for p in tr["corrupted_baselines"]
@@ -319,14 +321,15 @@ def _run(epochs, config: PipelineConfig, diags: list[str], verdicts: list):
             att_avail += 1
             angles = _euler(attitude.q)
             if epoch.truth is not None:
-                for axis, a, b in zip(att_err, angles, _euler(epoch.truth.attitude)):
+                true_q = mgp.UnitQuaternion.from_array(epoch.truth.attitude, canonicalize=False)
+                for axis, a, b in zip(att_err, angles, _euler(true_q)):
                     att_err[axis].append(_wrap_deg(a - b))
             else:
                 for axis, a in zip(att_val, angles):
                     att_val[axis].append(a)
         if position.available:
             if epoch.truth is not None:
-                d = position.p - epoch.truth.position
+                d = position.p - Vec3(*epoch.truth.position)
                 for axis, c in zip(pos_err, (d.x, d.y, d.z)):
                     pos_err[axis].append(c)
             else:

@@ -42,7 +42,7 @@ import mgp.streams
 from mgp.cli import main
 
 from conftest import requery_constants
-from scalar_epochs import epoch_from_dict, epoch_to_dict
+from scalar_epochs import epoch_from_dict, epoch_to_dict, read_skipping
 from test_epoch_differential import _scenario
 
 FAULTS = ("wrong-type", "non-finite", "missing-key", "unknown-key", "wrong-container",
@@ -306,7 +306,7 @@ def test_block_lines_with_several_faults_read_as_alone(tmp_path: Path, data: st.
     path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
     diags: list[str] = []
-    got = [epoch_to_dict(e) for e in mgp.read_epochs(str(path), diagnostics=diags)]
+    got = [epoch_to_dict(e) for e in read_skipping(path, diags)]
     alone = [(lineno, _alone(line, header)) for lineno, line in enumerate(lines, start=2)]
     assert diags == [
         f"{path}:{lineno}: skipped epoch: {out}" for lineno, out in alone
@@ -349,7 +349,7 @@ def test_missing_key_is_named_with_its_object(tmp_path: Path, data: st.DataObjec
     epochs = tmp_path / "block.jsonl"
     epochs.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
     diags: list[str] = []
-    assert len(list(mgp.read_epochs(str(epochs), diagnostics=diags))) == len(lines) - 1
+    assert len(list(read_skipping(epochs, diags))) == len(lines) - 1
     assert diags == [f"{epochs}:{k + 2}: skipped epoch: {message}"]
     assert "Error(" not in diags[0]
 

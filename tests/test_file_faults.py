@@ -13,7 +13,8 @@ error text.
 
 An epoch line longer than ``MAX_EPOCH_LINE`` characters is skipped by
 ``estimate`` with a message naming ``path:line``, read past without being
-held whole.
+held whole. A first line that long, of an epoch, scan or pose file, is
+refused at ``path:1`` unparsed.
 
 The stream headers are faults of the file: an epoch header (read by
 ``estimate``) of version 1, of another version, with requery constants of
@@ -39,6 +40,7 @@ from hypothesis import strategies as st
 import mgp
 from mgp.cli import main
 
+from scalar_epochs import read_skipping
 from test_cli import _chain_files
 
 # each ASCII digit's fullwidth and Arabic-Indic forms
@@ -307,7 +309,7 @@ def test_every_reader_names_a_byte_not_utf8_by_one_rule(
             read(str(paths[name]))
         assert str(exc.value) == f"{paths[name]}:3: {reason}", name
     diagnostics: list[str] = []
-    epochs = list(mgp.read_epochs(str(paths["epochs.jsonl"]), diagnostics=diagnostics))
+    epochs = list(read_skipping(paths["epochs.jsonl"], diagnostics))
     assert diagnostics == [f"{paths['epochs.jsonl']}:3: skipped epoch: {reason}"]
     assert len(epochs) == len(list(mgp.read_epochs(chain["epochs.jsonl"]))) - 1
 
@@ -343,7 +345,7 @@ def test_an_oversize_epoch_line_is_skipped_unparsed(
     path.write_text(text, encoding="utf-8")
     message = f"{path}:{k + 1}: line longer than {limit} characters"
     diagnostics: list[str] = []
-    epochs = list(mgp.read_epochs(str(path), diagnostics=diagnostics))
+    epochs = list(read_skipping(path, diagnostics))
     n = len(list(mgp.read_epochs(chain["epochs.jsonl"])))
     assert len(epochs) == n - bool(over)
     assert diagnostics == [message.replace(": line", ": skipped epoch: line")] * bool(over)
@@ -391,6 +393,41 @@ def test_header_with_a_byte_not_utf8_names_line_1(chain, tmp_path: Path, name: s
     assert _cli(argv) == (1, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("name", ["epochs.jsonl", "scan.jsonl", "poses.csv"])
+def test_an_oversize_header_names_line_1(chain, tmp_path: Path, name: str) -> None:
+    """A first line of 3,000,000 characters, not the format's header, is
+    refused unparsed and unechoed: the reader reads ``MAX_EPOCH_LINE + 1``
+    characters of it, and the reader and the CLI step name ``path:1`` in
+    one short line and exit 1."""
+    limit = mgp.streams.MAX_EPOCH_LINE
+    rest = Path(chain[name]).read_text(encoding="utf-8").split("\n", 1)[1]
+    long = ("t,E,N" + ",x" * 1_499_998 if name == "poses.csv"
+            else json.dumps({"format": "other", "pad": "x" * 2_999_970}))
+    assert len(long) == 3_000_000 + (name == "poses.csv")
+    path = tmp_path / name
+    path.write_text(long + "\n" + rest, encoding="utf-8")
+    message = f"{path}:1: line longer than {limit} characters"
+
+    f = _Readlines(long + "\n" + rest)
+    with pytest.raises(mgp.InputError) as exc:
+        mgp.streams._first_line(f, str(path))
+    assert str(exc.value) == message and f.sizes == [limit + 1]
+    read = {"epochs.jsonl": lambda p: list(mgp.read_epochs(p)),
+            "scan.jsonl": lambda p: list(mgp.read_scan(p)), "poses.csv": mgp.read_poses}[name]
+    with pytest.raises(mgp.InputError) as exc:
+        read(str(path))
+    assert str(exc.value) == message
+
+    files = {**chain, name: str(path)}
+    if name == "epochs.jsonl":
+        argv = ["estimate", "--epochs", files[name], "--config", chain["pipe"],
+                "--poses", str(tmp_path / "p.csv"), "--metrics", str(tmp_path / "m.json")]
+    else:
+        argv = ["georef", "--poses", files["poses.csv"], "--scan", files["scan.jsonl"],
+                "--calib", chain["calib"], "--cloud", str(tmp_path / "cloud.xyz")]
+    assert _cli(argv) == (1, f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     ("header", "reason"),
     [(b"", "missing stream header: Expecting value: line 1 column 1 (char 0)"),
@@ -408,7 +445,7 @@ def test_a_stream_header_fault_names_line_1(
     fault of line 1, named ``path:1`` with JSON's position in that line,
     whichever line end the file uses."""
     rest = Path(chain[name]).read_bytes().split(b"\n", 1)[1]
-    read = {"epochs.jsonl": lambda p: list(mgp.read_epochs(p, diagnostics=[])),
+    read = {"epochs.jsonl": lambda p: list(read_skipping(p, [])),
             "scan.jsonl": lambda p: list(mgp.read_scan(p))}[name]
     for newline in (b"\n", b"\r\n"):
         path = tmp_path / name
@@ -485,7 +522,7 @@ def test_an_epoch_header_fault_fails_at_line_1(chain, tmp_path: Path, fault: str
     assert code == 1 and err.startswith(f"error: {path}:1: {message}"), err
     _assert_named(code, err, f"{path}:1")
     with pytest.raises(mgp.InputError, match=f"^{re.escape(f'{path}:1: {message}')}"):
-        list(mgp.read_epochs(str(path), diagnostics=[]))
+        list(read_skipping(path, []))
 
 
 @pytest.mark.parametrize("version", ["true", "1.0", "1.5", '"1"', "null"])

@@ -252,6 +252,26 @@ def test_an_epoch_is_a_block_of_one(tmp_path) -> None:
     assert [epoch.lines.tolist() for epoch in epochs] == [[k + 2] for k in range(35)]
 
 
+def test_the_epoch_file_has_one_reader_path() -> None:
+    """The block decoder formats its own skips (``_skipped`` and
+    ``_block_calls`` are gone), ``read_epochs`` is a view of
+    ``read_epoch_blocks`` with no ``diagnostics`` option, the CLI does not
+    call ``read_epochs``, and the SVD oracle builds no row objects."""
+    import mgp.cli
+    import mgp.oracles
+    import mgp.streams
+
+    assert not hasattr(mgp.streams, "_skipped") and not hasattr(mgp.streams, "_block_calls")
+    assert list(inspect.signature(mgp.read_epochs).parameters) == ["path"]
+    assert "read_epoch_blocks" in {_name(node) for node in _calls(mgp.streams.read_epochs)}
+    cli = ast.parse(Path(mgp.cli.__file__).read_text(encoding="utf-8"))
+    called = {_name(node) for node in ast.walk(cli) if isinstance(node, ast.Call)}
+    assert "read_epochs" not in called
+    assert "read_epoch_blocks" in {_name(node) for node in _calls(mgp.cli._cmd_oracle_wahba)}
+    assert not {"getattr", "as_array", "VectorObservation"} & {
+        _name(node) for node in _calls(mgp.oracles.wahba_svd)}
+
+
 def test_back_half_takes_the_front_blocks_rows() -> None:
     """The front half gives each block's rows as one record, with each
     row's epoch, and the back half takes them as they are: there is no

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mgp import (
+    Baselines,
     DegenerateGeometryError,
     InsufficientDataError,
     UnitQuaternion,
@@ -21,13 +22,15 @@ from mgp import (
     wahba_svd,
 )
 
+from conftest import baselines_of
 
-def _obs_from_truth(q: UnitQuaternion, layout, pairs) -> list[VectorObservation]:
+
+def _obs_from_truth(q: UnitQuaternion, layout, pairs) -> Baselines:
     out = []
     for i, j in pairs:
         w = layout.baseline(i, j)
         out.append(VectorObservation(antenna_pair=(i, j), v=rotate(q, w), w=w, fixed=True))
-    return out
+    return baselines_of(out)
 
 
 def test_wahba_recovers_exact_rotation() -> None:
@@ -47,7 +50,7 @@ def test_wahba_skips_non_fixed_observations() -> None:
     obs = _obs_from_truth(q, layout, [(1, 2), (2, 3), (3, 4)])
     # corrupt one observation but mark it non-fixed: result must be unaffected
     bad = VectorObservation(antenna_pair=(1, 5), v=Vec3(9.0, 9.0, 9.0), w=layout.baseline(1, 5), fixed=False)
-    q_hat = wahba_svd(obs + [bad], [1.0, 1.0, 1.0, 100.0])
+    q_hat = wahba_svd(Baselines.joined([obs, baselines_of([bad])]), [1.0, 1.0, 1.0, 100.0])
     assert quat_angle(q, q_hat) < 1e-9
 
 
@@ -68,28 +71,22 @@ def test_wahba_insufficient_observations() -> None:
 def test_wahba_degenerate_parallel_baselines() -> None:
     # two parallel baselines leave the rotation about their axis free
     w = Vec3(1.0, 0.0, 0.0)
-    obs = [
+    obs = baselines_of([
         VectorObservation(antenna_pair=(1, 2), v=w, w=w, fixed=True),
         VectorObservation(antenna_pair=(2, 3), v=Vec3(2.0, 0.0, 0.0), w=Vec3(2.0, 0.0, 0.0), fixed=True),
-    ]
+    ])
     with pytest.raises(DegenerateGeometryError):
         wahba_svd(obs, [1.0, 1.0])
 
 
-class _RawObs:
-    """Duck-typed observation that skips VectorObservation validation."""
-
-    def __init__(self, v: Vec3, w: Vec3) -> None:
-        self.v = v
-        self.w = w
-        self.fixed = True
-
-
 def test_wahba_rejects_zero_length_vector() -> None:
-    obs = [
-        _RawObs(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0)),
-        _RawObs(Vec3(0.0, 1.0, 0.0), Vec3(0.0, 1.0, 0.0)),
-    ]
+    # built without Baselines.checked, which refuses a zero-length row
+    obs = Baselines(
+        np.array([[1, 2], [2, 3]]),
+        np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        np.array([True, True]),
+    )
     with pytest.raises(ValidationError):
         wahba_svd(obs, [1.0, 1.0])
 

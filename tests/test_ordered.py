@@ -37,7 +37,7 @@ import mgp.ordered
 import mgp.streams
 from mgp.ordered import ordered_map
 
-from scalar_epochs import epoch_to_dict, epochs_of, write_lines
+from scalar_epochs import epoch_to_dict, epochs_of, read_skipping, write_lines
 from test_cli import FLIGHT
 from test_epoch_differential import _scenario
 from test_pulse_blocks import _cli, _evaluate, _files, _georef, _xyz_lines
@@ -595,16 +595,18 @@ def _with_bad_epochs(path: Path, out: Path, linenos: list[int]) -> Path:
 
 
 def _read(path: Path, skip: bool, limit: int | None = None) -> tuple[list[str], list[str], str]:
-    """The JSON of each epoch ``read_epochs`` yields (at most ``limit``),
-    its diagnostics in skip mode, and the message of the fault it raised."""
-    diagnostics: list[str] | None = [] if skip else None
+    """The JSON of each epoch ``read_epochs`` yields (at most ``limit``), or
+    in skip mode ``read_skipping`` with its diagnostics, and the message of
+    the fault it raised."""
+    diagnostics: list[str] = []
+    epochs = read_skipping(path, diagnostics) if skip else mgp.read_epochs(str(path))
     got: list[str] = []
     try:
-        for epoch in itertools.islice(mgp.read_epochs(str(path), diagnostics=diagnostics), limit):
+        for epoch in itertools.islice(epochs, limit):
             got.append(json.dumps(epoch_to_dict(epoch)))
     except mgp.InputError as exc:
-        return got, diagnostics or [], str(exc)
-    return got, diagnostics or [], ""
+        return got, diagnostics, str(exc)
+    return got, diagnostics, ""
 
 
 @pytest.mark.parametrize("skip", [False, True], ids=["raise", "skip"])

@@ -20,7 +20,6 @@ from mgp import (
     MultipathConfig,
     NoiseModel,
     PipelineConfig,
-    RansacParams,
     Satellite,
     ScenarioConfig,
     SkyMaskSector,
@@ -39,10 +38,8 @@ from mgp import (
     process_epoch,
     quat_angle,
     read_epoch_blocks,
-    rotate,
     run,
     simulate,
-    truth_attitude,
     write_epochs,
 )
 

@@ -320,7 +320,8 @@ def _ref_lines(config: mgp.ScenarioConfig) -> Iterator[str]:
         )
         fixed_pairs = {o.antenna_pair for o in observations if o.fixed}
         corrupted = frozenset(p for p, ch in zip(pairs, bl) if ch.wrong and p in fixed_pairs)
-        truth = mgp.EpochTruth(p_plat, q_truth, mp_sats, corrupted, wrong_ants)
+        truth = mgp.EpochTruth(tuple(p_plat.as_array().tolist()),
+                               tuple(q_truth.as_array().tolist()), mp_sats, corrupted, wrong_ants)
         d = _ref_epoch_to_dict(t, fixes, observations, snr_rows, truth)
         d["truth"]["requery"] = state
         yield json.dumps(d)
@@ -350,8 +351,8 @@ def _ref_epoch_to_dict(t, fixes, observations, snr_rows, truth) -> dict[str, Any
         ],
         "snr_rows": [{"sat_id": r.sat_id, "snr": list(r.snr_dbhz)} for r in snr_rows],
         "truth": {
-            "position": vec(truth.position),
-            "attitude": truth.attitude.as_array().tolist(),
+            "position": list(truth.position),
+            "attitude": list(truth.attitude),
             "multipath_sats": sorted(truth.multipath_sats),
             "corrupted_baselines": sorted(list(p) for p in truth.corrupted_baselines),
             "wrong_fix_antennas": sorted(truth.wrong_fix_antennas),

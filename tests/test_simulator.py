@@ -10,7 +10,6 @@ from mgp import (
     ConfigurationError,
     FixModel,
     Fixes,
-    MountCalibration,
     NoiseModel,
     Poses,
     Reflector,

@@ -12,7 +12,6 @@ import pytest
 import mgp
 from mgp import (
     ConfigurationError,
-    FixModel,
     InputError,
     NoiseModel,
     Poses,
@@ -36,7 +35,7 @@ from mgp import (
     write_scan,
 )
 
-from scalar_epochs import blocks_of, epoch_from_dict, epoch_to_dict, epochs_of
+from scalar_epochs import blocks_of, epoch_from_dict, epoch_to_dict, epochs_of, read_skipping
 
 SATS = tuple(
     Satellite(sat_id=f"G{k:02d}", azimuth_deg=40.0 * k, elevation_deg=25.0 + 8.0 * k)
@@ -200,7 +199,7 @@ def test_read_epochs_rejects_wrong_header(tmp_path: Path) -> None:
     # wrong header aborts even when bad lines are skipped
     path.write_text('{"format": "other"}\n', encoding="utf-8")
     with pytest.raises(InputError):
-        list(read_epochs(str(path), diagnostics=[]))
+        list(read_skipping(path, []))
 
 
 def test_read_epochs_malformed_line_strict_vs_skip(tmp_path: Path) -> None:
@@ -215,7 +214,7 @@ def test_read_epochs_malformed_line_strict_vs_skip(tmp_path: Path) -> None:
         list(read_epochs(str(path)))
 
     diags: list[str] = []
-    back = list(read_epochs(str(path), diagnostics=diags))
+    back = list(read_skipping(path, diags))
     assert len(back) == len(epochs)
     assert len(diags) == 1
     assert "skipped epoch" in diags[0]
@@ -264,9 +263,9 @@ def test_read_epochs_rejects_bad_requery_record(tmp_path: Path, edit, message: s
     lines[0] = json.dumps(header)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    for diags in (None, []):
+    for read in (read_epochs, lambda p: read_skipping(p, [])):
         with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:1: .*{message}"):
-            list(read_epochs(str(path), diagnostics=diags))
+            list(read(str(path)))
 
 
 def _set_first(group: str, key: str, value):
@@ -374,7 +373,7 @@ def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str)
     with pytest.raises(InputError, match=rf"^{re.escape(str(path))}:3: {re.escape(message)}"):
         list(read_epochs(str(path)))
     diags: list[str] = []
-    back = list(read_epochs(str(path), diagnostics=diags))
+    back = list(read_skipping(path, diags))
     assert [e.t[0] for e in back] == [e.t[0] for i, e in enumerate(epochs) if i != 1]
     assert len(diags) == 1 and diags[0].startswith(f"{path}:3: skipped epoch")
 
@@ -403,7 +402,7 @@ def test_read_epochs_names_the_snr_widths_that_disagree(tmp_path: Path, row: int
     lines[k] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     diags: list[str] = []
-    assert len(list(read_epochs(str(path), diagnostics=diags))) == len(epochs) - 1
+    assert len(list(read_skipping(path, diags))) == len(epochs) - 1
     assert diags == [f"{path}:{k + 1}: skipped epoch: {message}"]
 
 
@@ -554,7 +553,7 @@ def test_read_epochs_rejects_non_unit_truth_attitude(tmp_path: Path, attitude, n
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         list(read_epochs(str(path)))
     diags: list[str] = []
-    back = list(read_epochs(str(path), diagnostics=diags))
+    back = list(read_skipping(path, diags))
     assert [e.t[0] for e in back] == [e.t[0] for i, e in enumerate(epochs) if i != 1]
     assert back[0].truth[0].attitude == (0.0, 0.0, 0.0, 1.0000005)
     assert diags == [f"{path}:3: skipped epoch: truth attitude norm {norm} is not 1 within 1e-06"]
