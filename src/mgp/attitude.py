@@ -23,9 +23,9 @@ block it was solved in.
 
 An epoch's observations travel as one :class:`Baselines` record of arrays,
 the only form the estimators take; like every record of arrays it counts,
-selects and joins its rows as :class:`mgp.core.Rows` does, and the SVD
-oracle takes it. Iterating it yields :class:`VectorObservation` rows, which
-:func:`davenport_matrix` and :func:`baseline_weights` (given either) take.
+selects and joins its rows as :class:`mgp.core.Rows` does. Iterating it
+yields :class:`VectorObservation` rows, which :func:`baseline_weights`,
+:func:`davenport_matrix` and the SVD oracle take.
 """
 from __future__ import annotations
 
@@ -137,12 +137,11 @@ class AttitudeSolution:
         return cls(available=False)
 
 
-def baseline_weights(observations: Baselines | Sequence[VectorObservation]) -> list[float]:
-    """Normalized weights ``a_i = |w_i| / sum_j |w_j|`` of a record's rows or of rows."""
+def baseline_weights(observations: Sequence[VectorObservation]) -> list[float]:
+    """Normalized weights ``a_i = |w_i| / sum_j |w_j|`` (sum to one)."""
     if not observations:
         raise InsufficientDataError("no observations to weight")
-    ws = (observations.w if isinstance(observations, Baselines)
-          else np.array([o.w.as_array() for o in observations]))[None]
+    ws = np.array([o.w.as_array() for o in observations])[None]
     return _length_weights(ws, np.ones(ws.shape[:2], dtype=bool))[0].tolist()
 
 

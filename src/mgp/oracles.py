@@ -28,16 +28,15 @@ def wahba_svd(observations: Baselines, weights: Sequence[float]) -> UnitQuaterni
 
     Args:
         observations: one epoch's baselines, (m, 3) ``v`` (measured, ENU)
-            and ``w`` (reference, body); only the ``fixed`` rows are used.
+            and ``w`` (reference, body); only the bool ``fixed`` rows are used.
         weights: one nonnegative weight per row.
 
     Returns:
         Canonical-sign quaternion mapping body to ENU.
     """
-    a = np.asarray(weights, dtype=np.float64)
-    if a.shape != (len(observations),):
-        raise ValidationError("one weight required per observation")
-    fixed = observations.fixed
+    a, fixed = np.asarray(weights, dtype=np.float64), observations.fixed
+    if a.shape != (len(observations),) or fixed.shape != a.shape or fixed.dtype != bool:
+        raise ValidationError("one weight and one bool fixed flag required per observation")
     if np.count_nonzero(fixed) < 2:
         raise InsufficientDataError("attitude needs at least 2 baseline observations")
     vs, ws, a = observations.v[fixed], observations.w[fixed], a[fixed]

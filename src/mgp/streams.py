@@ -70,16 +70,15 @@ Formats:
     ``.bin``, one unpadded 25-byte ``<dddB`` record per point; the suffix
     picks the format (:func:`cloud_suffix`). In memory a :class:`Cloud`.
 
-Every text file is opened by :func:`core.open_text`, which reads "\\r\\n"
-and "\\r" line ends as "\\n", and each line, a header too, is checked by
+Every text file is opened by :func:`core.open_text`, which reads "\\r\\n" and
+"\\r" line ends as "\\n", and each line, a header too, is checked by
 :func:`core.utf8_line` before any whitespace is stripped (the configs by
-:func:`core.read_utf8`). The header of an epoch, scan or pose file is
-read no further than ``MAX_EPOCH_LINE`` characters: a longer one is a fault
-of line 1, named ``path:1``, as is a stream header that is blank, not JSON,
-not the format's header or of a version that is not a JSON integer
-(``true`` and ``1.0`` are none). The scan and a .xyz cloud are read in
-chunks of whole lines, each ending at the line that takes it past
-:data:`CHUNK` characters, a .bin cloud in blocks of the whole records of
+:func:`core.read_utf8`). A stream or pose file header longer than
+``MAX_EPOCH_LINE`` characters is a fault of line 1, named ``path:1``, as is a
+stream header that is blank, not JSON, not the format's header or of a version
+that is not a JSON integer (``true`` and ``1.0`` are none). The scan and a .xyz
+cloud are read in chunks of whole lines, each ending at the line that takes it
+past :data:`CHUNK` characters, a .bin cloud in blocks of the whole records of
 ``CHUNK`` bytes; each chunk carries the number of its first line or record.
 
 All floats are serialized with Python repr (shortest round-trip), so a
@@ -428,10 +427,9 @@ def _first_line(f: TextIO, path: str) -> str:
     """The first line of ``f``, the file at ``path`` that :func:`core.open_text`
     opened; InputError naming ``path:1`` if it is longer than
     ``MAX_EPOCH_LINE`` characters or :func:`core.utf8_line` rejects it."""
-    line = f.readline(MAX_EPOCH_LINE + 1)
     try:
-        if len(line) > MAX_EPOCH_LINE and not line.endswith("\n"):
-            raise ValidationError(f"line longer than {MAX_EPOCH_LINE} characters")
+        if isinstance(line := _bounded_line(f), ValidationError):
+            raise line
         utf8_line(line)
     except ValidationError as exc:
         raise InputError(f"{path}:1: {exc}") from None
@@ -476,10 +474,10 @@ def _parsed(line: str | Exception) -> Any:
 def _epoch_block(path: str, block: list[tuple[int, str | Exception]],
                  stream: RequeryStream | None) -> tuple[EpochBlock, list[tuple[int, str]]]:
     """The epochs of the ``(lineno, line)`` pairs of ``block``, lines of the
-    epoch stream at ``path`` whose header holds the requery constants
-    ``stream``, as one :class:`EpochBlock`, and the ``(lineno, "path:line:
-    skipped epoch: fault")`` of each other line, in line order. The lines
-    that parse are decoded at once; if that fails, each alone, then the rest."""
+    epoch stream at ``path`` with the requery constants ``stream``, as one
+    :class:`EpochBlock`, and ``(lineno, "path:line: skipped epoch: fault")``
+    for each other line, in line order. The lines that parse are decoded at
+    once; if that fails, each alone, then the rest."""
     found = [(lineno, _parsed(line)) for lineno, line in block]
     with suppress(ValidationError, ValueError):
         return _decoded(path, found, stream)
@@ -501,18 +499,23 @@ def _decoded(path: str, found: list[tuple[int, Any]], stream: RequeryStream | No
     return _decode([obj for _, obj in good], [lineno for lineno, _ in good], stream), skips
 
 
+def _bounded_line(f: TextIO) -> str | ValidationError:
+    """The next line of ``f`` ("" at its end), or the fault of one longer than
+    ``MAX_EPOCH_LINE`` characters, of which ``MAX_EPOCH_LINE + 1`` are read."""
+    line = f.readline(MAX_EPOCH_LINE + 1)
+    if len(line) <= MAX_EPOCH_LINE or line.endswith("\n"):
+        return line
+    return ValidationError(f"line longer than {MAX_EPOCH_LINE} characters")
+
+
 def _epoch_lines_of(f: TextIO) -> Iterator[tuple[int, str | Exception]]:
-    """The ``(lineno, line)`` of each non-blank line of ``f`` after its
-    header, a line longer than ``MAX_EPOCH_LINE`` characters given as its
-    fault and read past a piece at a time, never held whole."""
-    read = functools.partial(f.readline, MAX_EPOCH_LINE + 1)
-    for lineno, line in enumerate(iter(read, ""), start=2):
-        if len(line) > MAX_EPOCH_LINE and not line.endswith("\n"):
-            while line and not line.endswith("\n"):
-                line = read()
-            yield lineno, ValidationError(f"line longer than {MAX_EPOCH_LINE} characters")
-        elif not line.isspace():
+    """The ``(lineno, line)`` of each non-blank line of ``f`` after its header,
+    or the fault :func:`_bounded_line` gives, that line read past piece by piece."""
+    for lineno, line in enumerate(iter(functools.partial(_bounded_line, f), ""), start=2):
+        if isinstance(line, Exception) or not line.isspace():
             yield lineno, line
+        while isinstance(line, Exception):
+            line = _bounded_line(f)
 
 
 def epoch_block_calls(path: str) -> Iterator[Callable[[], Any]]:

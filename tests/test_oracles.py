@@ -91,6 +91,14 @@ def test_wahba_rejects_zero_length_vector() -> None:
         wahba_svd(obs, [1.0, 1.0])
 
 
+def test_wahba_rejects_a_fixed_mask_that_is_not_bool() -> None:
+    # an integer mask would index rows, repeating some and using unfixed ones
+    obs = _obs_from_truth(UnitQuaternion.identity(), hexagon_layout(0.9), [(1, 2), (2, 3), (3, 4)])
+    obs = Baselines(obs.pairs, obs.v, obs.w, np.array([1, 1, 0]))
+    with pytest.raises(ValidationError):
+        wahba_svd(obs, [1.0, 1.0, 1.0])
+
+
 def test_gain_scan_never_beats_eigensolver() -> None:
     rng = np.random.default_rng(23)
     for _ in range(100):
