@@ -84,14 +84,17 @@ class Baselines(Rows):
     def checked(
         cls, pairs: np.ndarray, v: np.ndarray, w: np.ndarray, fixed: np.ndarray
     ) -> Baselines:
-        """Build after checking the :class:`VectorObservation` rules on every row."""
+        """Build after checking the :class:`VectorObservation` rules on every
+        row, and that ``fixed`` is a bool mask, not row indices."""
         m = len(pairs)
         if pairs.shape != (m, 2) or v.shape != (m, 3) or w.shape != (m, 3) or fixed.shape != (m,):
             raise ValidationError("baselines need (m, 2) pairs, (m, 3) vectors and (m,) flags")
-        if not (((v * v).sum(axis=1) > 0.0).all() and ((w * w).sum(axis=1) > 0.0).all()):
-            raise ValidationError("baseline vectors must have positive length")
+        if fixed.dtype != bool:
+            raise ValidationError(f"baseline fixed flags must be bool, not {fixed.dtype}")
         if (pairs[:, 0] == pairs[:, 1]).any():
             raise ValidationError("antenna pair must reference two distinct antennas")
+        if not (((v * v).sum(axis=1) > 0.0).all() and ((w * w).sum(axis=1) > 0.0).all()):
+            raise ValidationError("baseline vectors must have positive length")
         return cls(pairs, v, w, fixed)
 
     def fixed_only(self) -> Baselines:

@@ -73,7 +73,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     if overrides:
         config = dataclasses.replace(config, **overrides)
 
-    result = pipeline.run(streams.epoch_block_calls(args.epochs), config)
+    result = pipeline.run(streams.epoch_block_calls(args.epochs, config.layout), config)
     streams.write_poses(args.poses, result.poses)
     streams.write_json(args.metrics, result.metrics.to_json_dict())
     for line in result.diagnostics:

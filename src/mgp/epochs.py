@@ -9,17 +9,17 @@ the simulator yields blocks, the epoch writer encodes them, the reader
 decodes into them and ``pipeline.run`` takes them. A single epoch is a
 block of one (:meth:`EpochBlock.epoch`).
 
-A block holds its stream's :class:`RequeryStream` constants once, and a
-simulated epoch's truth channel its true pose as written and the PCG64
-state before the epoch's first draw. :func:`draw_channels` makes
-the epoch's generator calls, the simulator on its live generator and
-:func:`replay` on one set to the stored state, and :func:`block_draws`
-builds a block's :class:`ChannelDraws` from them and the poses at once, so
-a re-query grades the simulator's own draws against the probabilities of
-a reduced satellite set: removing a multipath satellite can only promote
-statuses, never revoke them. :func:`replay` re-queries a block of epochs
-at once, grading the block's draws in one pass; :func:`requery_epoch` is
-that replay on a block of one.
+A block holds its stream's antenna layout and :class:`RequeryStream`
+constants once, and a simulated epoch's truth channel its true pose as
+written and the PCG64 state before the epoch's first draw.
+:func:`draw_channels` makes the epoch's generator calls, the simulator on
+its live generator and :func:`replay` on one set to the stored state, and
+:func:`block_draws` builds a block's :class:`ChannelDraws` from them and
+the poses at once, so a re-query grades the simulator's own draws against
+the probabilities of a reduced satellite set: removing a multipath
+satellite can only promote statuses, never revoke them. :func:`replay`
+re-queries a block of epochs at once, grading the block's draws in one
+pass; :func:`requery_epoch` is that replay on a block of one.
 """
 from __future__ import annotations
 
@@ -131,22 +131,19 @@ class ChannelNoise:
 @dataclass(frozen=True)
 class RequeryStream:
     """The stream-wide requery constants an epoch stream's header holds: the
-    calibrated fix model, the solution satellites, the simulator's layout
-    and channel noise, the PCG64 ``increment`` and the ``numpy`` that drew
-    the stream, which must be this one (NEP 19 does not promise the same
-    ``Generator`` values across numpy releases)."""
+    calibrated fix model, the solution satellites, the simulator's channel
+    noise, the PCG64 ``increment`` and the ``numpy`` that drew the stream,
+    which must be this one (NEP 19 does not promise the same ``Generator``
+    values across numpy releases)."""
 
     model: FixModel
     solution_sats: tuple[str, ...]
-    layout: AntennaLayout
     noise: ChannelNoise
     increment: int
     numpy: str
 
     def __post_init__(self) -> None:
-        n, model = self.layout.antenna_count, self.model
-        if model.antenna_bias is None or len(model.antenna_bias) != n:
-            raise ValidationError(f"antenna_bias needs one entry per antenna ({n})")
+        model = self.model
         if model.target_fix_probs is not None or model.baseline_target_fix_prob is not None:
             raise ValidationError("the calibrated fix model has no fix probability targets")
         if not (0 < self.increment < 2**128 and self.increment % 2):
@@ -156,12 +153,12 @@ class RequeryStream:
                                   f"not this numpy {np.__version__}; re-run mgp simulate")
 
 
-def draw_channels(rng: np.random.Generator, stream: RequeryStream) -> tuple[np.ndarray, ...]:
-    """One epoch's channel draws from ``rng``, in the order the simulator
-    documents: for the antennas, then the baselines, (n, 6) normals, (n, 3)
-    uniforms and (n,) wrong-fix lattice indices. These six calls are all
+def draw_channels(rng: np.random.Generator, stream: RequeryStream,
+                  n: int) -> tuple[np.ndarray, ...]:
+    """One epoch's channel draws from ``rng`` for ``n`` antennas, in the
+    order the simulator documents: for the antennas, then the baselines,
+    (n, 6) normals, (n, 3) uniforms and (n,) wrong-fix lattice indices: all
     that is drawn per epoch; :func:`block_draws` builds the channels."""
-    n = stream.layout.antenna_count
     lattice = (2 * stream.noise.wrong_fix_max_multiple + 1) ** 3 - 1
     out: list[np.ndarray] = []
     for rows in (n, n * (n - 1) // 2):
@@ -169,19 +166,19 @@ def draw_channels(rng: np.random.Generator, stream: RequeryStream) -> tuple[np.n
     return tuple(out)
 
 
-def block_draws(stream: RequeryStream, positions: np.ndarray, attitudes: np.ndarray,
-                raw: Sequence[tuple[np.ndarray, ...]]) -> tuple[ChannelDraws, ChannelDraws]:
-    """The antenna and the baseline channel draws of E epochs of ``stream``,
-    each epoch's in turn, from the (E, 3) true positions and (E, 4)
-    attitudes and each epoch's :func:`draw_channels`. A latent vector is the
-    true antenna position or baseline at the epoch's pose plus a sigma times
-    three of the normals. The attitudes are normalized here, sign kept: the
-    one place that fixes the bits a replay is built at."""
+def block_draws(stream: RequeryStream, layout: AntennaLayout, positions: np.ndarray,
+                attitudes: np.ndarray, raw: Sequence[tuple[np.ndarray, ...]]
+                ) -> tuple[ChannelDraws, ChannelDraws]:
+    """The antenna and the baseline channel draws of E epochs of ``stream``
+    on ``layout``, each epoch's in turn, from the (E, 3) true positions and
+    (E, 4) attitudes and each epoch's :func:`draw_channels`. A latent vector
+    is the true antenna position or baseline at the epoch's pose plus a
+    sigma times three of the normals. The attitudes are normalized here,
+    sign kept: the one place that fixes the bits a replay is built at."""
     noise, m = stream.noise, stream.noise.wrong_fix_max_multiple
     side = 2 * m + 1
     r_t = np.swapaxes(quat_to_matrix(unit_quats(attitudes, canonicalize=False)), 1, 2)
-    truth = (positions[:, None] + stream.layout.positions @ r_t,
-             _pair_baselines(stream.layout)[1] @ r_t)
+    truth = (positions[:, None] + layout.positions @ r_t, _pair_baselines(layout)[1] @ r_t)
     columns = [np.concatenate(column) for column in zip(*raw)]
     groups = []
     for vecs, (norm, unif, k) in zip(truth, (columns[:3], columns[3:])):
@@ -235,11 +232,12 @@ def epoch_of_rows(ends: list[int]) -> np.ndarray:
 class EpochBlock:
     """E consecutive epochs: the (E,) times ``t`` and file ``lines``, the
     fixes, baselines and SNR rows of all E as one record each with its E + 1
-    row :func:`offsets`, the E truth channels and the stream's ``requery``
-    constants. The SNR table is as wide as the widest epoch's rows,
-    NaN-padded; ``snr_width`` (E,) int64 holds each epoch's own width, 0 for
-    an epoch without SNR rows. The simulator builds blocks whole and the
-    epoch reader decodes into this form."""
+    row :func:`offsets`, the E truth channels and the stream's ``layout``
+    (the body frame of ``w``) and ``requery`` constants. The SNR table is as
+    wide as the widest epoch's rows, NaN-padded; ``snr_width`` (E,) int64
+    holds each epoch's own width, 0 for an epoch without SNR rows. The
+    simulator builds blocks whole and the epoch reader decodes into this
+    form."""
 
     t: np.ndarray
     lines: np.ndarray
@@ -251,6 +249,7 @@ class EpochBlock:
     snr_ends: list[int]
     snr_width: np.ndarray
     truth: tuple[EpochTruth | None, ...]
+    layout: AntennaLayout
     requery: RequeryStream | None
 
     def __len__(self) -> int:
@@ -266,8 +265,7 @@ class EpochBlock:
             self.t[one], self.lines[one], self.fixes.select(f), [0, f.stop - f.start],
             self.baselines.select(b), [0, b.stop - b.start],
             SnrTable(self.snr.sat_ids[s], self.snr.dbhz[s, : self.snr_width[k]]),
-            [0, s.stop - s.start], self.snr_width[one], self.truth[one], self.requery,
-        )
+            [0, s.stop - s.start], self.snr_width[one], self.truth[one], self.layout, self.requery)
 
 
 def _grade(
@@ -324,7 +322,7 @@ def replay(
     """Replay the fix and baseline outcomes of a block of epochs of
     ``stream``, each with its ``excluded`` satellites removed.
 
-    The stream must have the layout's n antennas. The channels are drawn
+    ``layout`` is the stream's, of n antennas. The channels are drawn
     again from the epochs' requery ``states`` and their (E, 3) true
     ``positions`` and (E, 4) ``attitudes`` (:func:`block_draws`), unless the
     caller passes them as ``draws``. Per epoch, the count of remaining
@@ -333,6 +331,7 @@ def replay(
     over the block's draws grades every channel against its epoch's
     probability, so each epoch's outcome is what it gets alone.
     """
+    n = layout.antenna_count
     if draws is None:
         bits = np.random.PCG64(0)
         rng, raw = np.random.Generator(bits), []
@@ -340,9 +339,8 @@ def replay(
             bits.state = {"bit_generator": "PCG64",
                           "state": {"state": state, "inc": stream.increment},
                           "has_uint32": int(uint32 is not None), "uinteger": uint32 or 0}
-            raw.append(draw_channels(rng, stream))
-        draws = block_draws(stream, positions, attitudes, raw)
-    n = layout.antenna_count
+            raw.append(draw_channels(rng, stream, n))
+        draws = block_draws(stream, layout, positions, attitudes, raw)
     pairs, body = _pair_baselines(layout)
     model = stream.model
     counts = []
@@ -371,24 +369,20 @@ def replay(
     return Replay(fixes, baselines, np.repeat(np.arange(n_ep), n_pairs)[keep], bl_fixed)
 
 
-def requery_epoch(
-    epoch: EpochBlock, excluded: frozenset[str], layout: AntennaLayout
-) -> tuple[Fixes, Baselines]:
+def requery_epoch(epoch: EpochBlock, excluded: frozenset[str]) -> tuple[Fixes, Baselines]:
     """Replay the fix and baseline outcomes of a block of one epoch with
     satellites removed: :func:`replay` on it, the solved baselines only.
 
     Draws the epoch's channels again from the state in its truth channel,
-    so the result is deterministic and promotes statuses monotonically as
-    true multipath satellites are excluded. Only simulated streams carry
-    the data needed.
+    on the block's layout, so the result is deterministic and promotes
+    statuses monotonically as true multipath satellites are excluded. Only
+    simulated streams carry the data needed.
     """
     if len(epoch) != 1:
         raise ValidationError(f"requery_epoch takes a block of one epoch, not {len(epoch)}")
     truth, stream = epoch.truth[0], epoch.requery
     if truth is None or truth.requery is None or stream is None:
         raise ValidationError("epoch carries no re-query data (not a simulated stream?)")
-    if stream.layout.antenna_count != layout.antenna_count:
-        raise ValidationError("layout antenna count does not match the stream")
     found = replay(stream, [truth.requery], np.array([truth.position]),
-                   np.array([truth.attitude]), [truth.multipath_sats], [excluded], layout)
+                   np.array([truth.attitude]), [truth.multipath_sats], [excluded], epoch.layout)
     return found.fixes, found.baselines

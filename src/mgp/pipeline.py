@@ -162,13 +162,13 @@ class _FrontBlock:
     (:func:`mgp.epochs.replay`). This is the only front half: ``run`` takes
     every block through it and ``process_epoch`` a block of one.
 
+    A block of another layout than the config's raises ConfigurationError.
     ``faults`` maps each epoch at fault to the message of its first fault.
     The checks run on the rows as read, before the subset or the replay can
     hide a row, in this order: an antenna outside the layout (the fixes,
     then the pairs), an SNR row of another width than the layout, a
-    satellite named twice, a requery stream of another antenna count (only
-    when the epoch needs a replay), an antenna named twice. The scored SNR
-    rows are ``sats``, ``sigma``, ``count`` and ``verdict``, epoch k's at
+    satellite named twice, an antenna named twice. The scored SNR rows are
+    ``sats``, ``sigma``, ``count`` and ``verdict``, epoch k's at
     ``snr_ends[k]:snr_ends[k + 1]``. Stage (2) gives the active ``fixes``
     and ``candidates`` (the fixed active baselines) in epoch order, a
     replayed epoch's rows in the place of its rows as read, with each row's
@@ -177,6 +177,8 @@ class _FrontBlock:
     """
 
     def __init__(self, block: EpochBlock, config: PipelineConfig) -> None:
+        if block.layout != config.layout:
+            raise ConfigurationError("the stream's antenna layout is not the pipeline config's")
         n = config.layout.antenna_count
         active = config.active_mask
         n_epochs = len(block)
@@ -233,16 +235,13 @@ class _FrontBlock:
         excluding = np.bincount(snr_epoch[self.verdict == 1], minlength=n_epochs) > 0
 
         # stage (2) is needed where feedback is on, the epoch excludes
-        # satellites and it carries a requery state, and is a fault where
-        # the block's requery constants are of another antenna count
+        # satellites and it carries a requery state
         needed = []
         if config.multipath_feedback and block.requery is not None:
             for k in np.flatnonzero(excluding).tolist():
                 truth = block.truth[k]
                 if k not in faults and truth is not None and truth.requery is not None:
                     needed.append(k)
-            if block.requery.layout.antenna_count != n:
-                faults.update((k, "layout antenna count does not match the stream") for k in needed)
         # every row counts, the inactive antennas' and those a replay replaces
         seen = np.bincount(fix_epoch[known] * (n + 1) + ids[known], minlength=n_epochs * (n + 1))
         for k in np.flatnonzero((seen.reshape(n_epochs, n + 1) > 1).any(axis=1)).tolist():

@@ -10,8 +10,8 @@ multipath satellites and re-querying raises the fix rate.
 
 Every stochastic outcome is drawn once, in a fixed documented order, from a
 single seeded generator. The truth channel keeps the generator's state
-before the epoch's first draw and the block the stream's requery constants:
-the pipeline draws the channels again from them with
+before the epoch's first draw and the block the stream's layout and requery
+constants: the pipeline draws the channels again from them with
 :func:`mgp.epochs.draw_channels` to re-query fix outcomes for a reduced
 satellite set, and :func:`mgp.epochs.block_draws` builds the rest of the
 channels once per block. The generator is the whole module: scenario configs
@@ -385,7 +385,7 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
     nominal = np.array([snr_model.nominal(s.elevation_deg) for s in config.constellation])
     channel_noise = ChannelNoise(noise.sigma_fixed_m, noise.sigma_float_m, noise.wrong_fix_prob,
                                  noise.wrong_fix_unit_m, noise.wrong_fix_max_multiple)
-    stream = RequeryStream(model, solution_sats, layout, channel_noise,
+    stream = RequeryStream(model, solution_sats, channel_noise,
                            rng.bit_generator.state["state"]["inc"], np.__version__)
 
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(n_sat, n_ant))
@@ -401,9 +401,9 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
             bits = rng.bit_generator.state
             uint32 = bits["uinteger"] if bits["has_uint32"] else None
             states.append((bits["state"]["state"], uint32))
-            raw.append(draw_channels(rng, stream))
+            raw.append(draw_channels(rng, stream, n_ant))
             jitter.append(rng.standard_normal((n_sat, n_ant)))
-        ant, bl = draws = block_draws(stream, positions, attitudes, raw)
+        ant, bl = draws = block_draws(stream, layout, positions, attitudes, raw)
         found = replay(stream, states, positions, attitudes, [mp_sats] * n, [frozenset()] * n,
                        layout, draws)
 
@@ -429,7 +429,7 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
             t, k + 2, found.fixes, offsets([n_ant] * n),
             found.baselines, offsets(np.bincount(found.baseline_epoch, minlength=n).tolist()),
             SnrTable(solution_sats * n, snr), offsets([n_sat] * n),
-            np.full(n, n_ant, dtype=np.int64), truths, stream,
+            np.full(n, n_ant, dtype=np.int64), truths, layout, stream,
         )
 
 

@@ -14,16 +14,17 @@ Formats:
     written. The record types live in :mod:`mgp.epochs`; their whole line
     format is here.
 
-    The header, ``{"format": "mgp-epoch", "version": 2, "requery": ...}``,
-    holds the simulator's requery constants once, a :class:`RequeryStream`
-    decoded like a config with every key required, or null. A version 1
-    stream (every channel draw in every line) is not read, nor one whose
-    constants another numpy wrote: a fault of line 1. An epoch's
-    ``truth.requery`` is null or ``{"state": s, "uint32": u}``, the PCG64
-    state before its first draw, s in [0, 2**128) and u in [0, 2**32) or
-    null; a state without the header's constants is a fault of its line.
-    A block holds the header's constants; the writer writes the first
-    block's into the header and refuses a block of other constants.
+    The header, ``{"format": "mgp-epoch", "version": 3, "layout":
+    {"body_positions": [...]}, "requery": ...}``, holds the stream's antenna
+    layout (a baseline row's ``w`` is the layout's baseline of its pair)
+    and requery constants (a :class:`RequeryStream` or null) once, decoded
+    like a config with every key required. A version 1 or 2 stream is not
+    read, nor one whose constants another numpy wrote: a fault of line 1.
+    An epoch's ``truth.requery`` is null or ``{"state": s, "uint32": u}``,
+    the PCG64 state before its first draw, s in [0, 2**128) and u in [0,
+    2**32) or null; a state without the header's constants is a fault of
+    its line. A block holds the header's layout and constants; the writer
+    writes the first block's into the header and refuses a block of others.
 
     The reader parses each line once and decodes ``READ_BLOCK`` parsed
     lines at a time into one :class:`EpochBlock`, one field after another
@@ -38,7 +39,7 @@ Formats:
     be a JSON object (``fixes must be JSON objects``). Every key but the
     line's ``truth`` is required, and any other key is a fault; either is
     named with the object it is missing from or found in (``missing key
-    'w' in baselines``, ``unknown key 'truht'`` on the line itself). The
+    'v' in baselines``, ``unknown key 'truht'`` on the line itself). The
     block's SNR table is as wide as its widest epoch, NaN-padded. A line
     that is not UTF-8 or not JSON is set aside as a fault (the scan, pose
     and cloud readers name its ``path:line`` too), as is one longer than
@@ -112,7 +113,7 @@ import numpy as np
 
 from . import jsonvals
 from .attitude import Baselines
-from .core import Vec3, check_read_norm, open_text, unit_quats, utf8_line
+from .core import AntennaLayout, Vec3, check_read_norm, open_text, unit_quats, utf8_line
 from .epochs import EPOCH_BLOCK, EpochBlock, EpochTruth, RequeryStream
 from .epochs import epoch_of_rows, offsets
 from .errors import ConfigurationError, InputError, ValidationError
@@ -129,7 +130,7 @@ from .multipath import SnrTable
 from .ordered import ordered_map
 from .positioning import FIX_GRADES, Fixes
 
-EPOCH_HEADER = {"format": "mgp-epoch", "version": 2, "requery": None}
+EPOCH_HEADER = {"format": "mgp-epoch", "version": 3}
 SCAN_HEADER = {"format": "mgp-scan", "version": 1}
 POSE_CSV_HEADER = "t,E,N,U,qx,qy,qz,qw,n_fix,att_available"
 # Chunk size of the chunked readers (module docstring): georef and evaluate
@@ -149,7 +150,7 @@ _GRADE_OF_NAME = {name: grade for grade, name in enumerate(_GRADE_NAMES)}
 # line's own ``truth``.
 _EPOCH_KEYS = ("t", "fixes", "baselines", "snr_rows", "truth")
 _FIX_KEYS = ("antenna_id", "status", "p", "sats_used")
-_BASELINE_KEYS = ("antenna_pair", "v", "w", "fixed")
+_BASELINE_KEYS = ("antenna_pair", "v", "fixed")
 _TRUTH_KEYS = ("position", "attitude", "multipath_sats", "corrupted_baselines",
                "wrong_fix_antennas", "requery")
 _REQUERY_KEYS = ("state", "uint32")
@@ -157,28 +158,31 @@ _REQUERY_KEYS = ("state", "uint32")
 
 @dataclass(frozen=True)
 class _EpochHeader:
-    """The JSON form of an epoch stream's header line."""
+    """The JSON form of an epoch stream's header line, but its format and version."""
 
-    format: str
-    version: int
+    layout: AntennaLayout
     requery: RequeryStream | None
+
+    def __post_init__(self) -> None:
+        n = self.layout.antenna_count
+        if self.requery is not None and len(self.requery.model.antenna_bias or ()) != n:
+            raise ValidationError(f"requery: antenna_bias needs one entry per antenna ({n})")
 
 
 # Non-blank lines the epoch reader decodes at once.
 READ_BLOCK = EPOCH_BLOCK
-# The longest epoch line the reader parses, in characters: 56 times the
-# longest bundled line (4.7 kB, six antennas), room for 55 antennas' 1,500 baselines.
+# The longest epoch line the reader parses, in characters: 67 times the
+# longest bundled line (3.9 kB, six antennas), room for 66 antennas' 2,145 baselines.
 MAX_EPOCH_LINE = 1 << 18
 
 
-def _decode(objects: list[Any], lines: Sequence[int],
-            stream: RequeryStream | None = None) -> EpochBlock:
+def _decode(objects: list[Any], lines: Sequence[int], header: _EpochHeader) -> EpochBlock:
     """The block of parsed epoch objects, object k read from line
-    ``lines[k]`` of a stream whose header holds the requery constants
-    ``stream``, one field at a time, always in the same order: each field
-    is looked up in every object, then checked in one pass. The first
-    lookup or check that fails raises, so a block raises exactly when one
-    of its epochs would alone, and a block of one its first fault."""
+    ``lines[k]`` of a stream of the ``header``, one field at a time, always
+    in the same order: each field is looked up in every object, then
+    checked in one pass. The first lookup or check that fails raises, so a
+    block raises exactly when one of its epochs would alone, and a block of
+    one its first fault."""
     _objects(objects, "epoch line must be a JSON object")
     ts = [jsonvals.number(t, "epoch time") for t in _column(objects, "t", "")]
     fixes, fix_ends = _joined(_column(objects, "fixes", ""), "fixes")
@@ -206,11 +210,13 @@ def _decode(objects: list[Any], lines: Sequence[int],
     pairs = jsonvals.integers(_column(baselines, "antenna_pair", " in baselines"),
                               "antenna pairs", 2)
     _check_unique_pairs(pairs, baseline_ends)
+    body = header.layout.positions
+    if (stray := pairs[(pairs < 1) | (pairs > len(body))]).size:
+        raise ValidationError(f"antenna {stray[0]} has no layout entry (layout has {len(body)})")
     v = jsonvals.floats(_column(baselines, "v", " in baselines"), "baseline vectors", 3)
-    w = jsonvals.floats(_column(baselines, "w", " in baselines"), "baseline vectors", 3)
     fixed = jsonvals.flags(_column(baselines, "fixed", " in baselines"), "baseline fixed flags")
     _check_keys(baselines, _BASELINE_KEYS, " in baselines")
-    bl = Baselines.checked(pairs, v, w, fixed)
+    bl = Baselines.checked(pairs, v, body[pairs[:, 1] - 1] - body[pairs[:, 0] - 1], fixed)
 
     rows, snr_ends = _joined(_column(objects, "snr_rows", ""), "snr_rows")
     _objects(rows, "snr_rows must be JSON objects")
@@ -232,11 +238,11 @@ def _decode(objects: list[Any], lines: Sequence[int],
 
     truth = [d.get("truth") for d in objects]
     _check_keys(objects, _EPOCH_KEYS, "", 4 * len(objects) + sum("truth" in d for d in objects))
-    truths = iter(_truths([tr for tr in truth if tr is not None], stream))
+    truths = iter(_truths([tr for tr in truth if tr is not None], header.requery))
     return EpochBlock(
         np.array(ts, dtype=np.float64), np.array(lines, dtype=np.int64),
         fx, fix_ends, bl, baseline_ends, table, snr_ends, width,
-        tuple(None if tr is None else next(truths) for tr in truth), stream,
+        tuple(None if tr is None else next(truths) for tr in truth), header.layout, header.requery,
     )
 
 
@@ -332,13 +338,12 @@ def _check_unique_pairs(pairs: np.ndarray, ends: list[int]) -> None:
         raise ValidationError("baseline antenna pairs must be unordered-unique")
 
 
-def _epoch_lines(stream: RequeryStream | None, block: EpochBlock) -> list[str]:
-    """The lines of ``block``'s epochs, the block of the header's requery
-    constants ``stream``, encoded from the block's columns: each array's
-    values are taken once, and each epoch's rows are cut from them by its
-    offsets."""
-    if block.requery != stream:
-        raise ValidationError("a block's requery constants are not those of its stream header")
+def _epoch_lines(first: EpochBlock, block: EpochBlock) -> list[str]:
+    """The lines of ``block``'s epochs, of the stream of the ``first`` block,
+    encoded from the block's columns: each array's values are taken once,
+    and each epoch's rows are cut from them by its offsets."""
+    if (block.layout, block.requery) != (first.layout, first.requery):
+        raise ValidationError("a block's layout or constants are not those of its stream header")
     fx, bl, snr = block.fixes, block.baselines, block.snr
     fixes = [
         {"antenna_id": i, "status": _GRADE_NAMES[g], "p": p if g else None, "sats_used": n}
@@ -346,9 +351,8 @@ def _epoch_lines(stream: RequeryStream | None, block: EpochBlock) -> list[str]:
                               fx.sats_used.tolist())
     ]
     baselines = [
-        {"antenna_pair": pair, "v": v, "w": w, "fixed": fixed}
-        for pair, v, w, fixed in zip(bl.pairs.tolist(), bl.v.tolist(), bl.w.tolist(),
-                                     bl.fixed.tolist())
+        {"antenna_pair": pair, "v": v, "fixed": fixed}
+        for pair, v, fixed in zip(bl.pairs.tolist(), bl.v.tolist(), bl.fixed.tolist())
     ]
     values = snr.dbhz.tolist()
     if np.isnan(snr.dbhz).any():  # nulls, or the padding past an epoch's own width
@@ -398,26 +402,22 @@ def _batches(items: Iterable[Any], n: int) -> Iterator[list[Any]]:
 
 
 def write_epochs(path: str, blocks: Iterable[EpochBlock]) -> int:
-    """Write the epoch stream of the epoch ``blocks``; returns the epoch
-    count. The header holds the first block's requery constants, which
-    every block must have (ValidationError otherwise). The blocks are
-    turned into text by
-    :func:`ordered.ordered_map`, so a worker process may be forked; the
-    bytes are those of one process. When ``blocks`` raises, the header and
-    every block before the fault are written first."""
+    """Write the epoch stream of ``blocks``; returns the epoch count. The
+    header holds the first block's layout and requery constants, which
+    every block must have (ValidationError otherwise); with no block the
+    file stays empty. The blocks become text by :func:`ordered.ordered_map`,
+    so a worker may be forked; the bytes are those of one process. When
+    ``blocks`` raises, the header and the blocks before it are written."""
     n = 0
     blocks = iter(blocks)
-    head: list[EpochBlock] = []
     with open(path, "w", encoding="utf-8") as f:
-        try:
-            head.extend(itertools.islice(blocks, 1))
-        finally:
-            stream = head[0].requery if head else None
-            requery = stream and {**asdict(stream), "layout": {
-                "body_positions": stream.layout.positions.tolist()}}
-            f.write(json.dumps({**EPOCH_HEADER, "requery": requery}) + "\n")
-        encode = functools.partial(_epoch_lines, stream)
-        for lines in ordered_map(encode, itertools.chain(head, blocks)):
+        if (head := next(blocks, None)) is None:
+            return 0
+        layout = {"body_positions": head.layout.positions.tolist()}
+        f.write(json.dumps({**EPOCH_HEADER, "layout": layout,
+                            "requery": head.requery and asdict(head.requery)}) + "\n")
+        encode = functools.partial(_epoch_lines, head)
+        for lines in ordered_map(encode, itertools.chain([head], blocks)):
             f.writelines(lines)
             n += len(lines)
     return n
@@ -436,8 +436,8 @@ def _first_line(f: TextIO, path: str) -> str:
     return line
 
 
-def _check_header(line: str, expected: dict[str, Any], path: str) -> RequeryStream | None:
-    """The requery constants (None for a scan) of ``line``, the header of
+def _check_header(line: str, expected: dict[str, Any], path: str) -> _EpochHeader | None:
+    """The decoded epoch header (None for a scan) of ``line``, the header of
     the stream file at ``path``, of ``expected``'s format and version, the
     version a JSON integer; InputError naming ``path:1`` otherwise."""
     if not line:
@@ -450,10 +450,12 @@ def _check_header(line: str, expected: dict[str, Any], path: str) -> RequeryStre
         if type(header) is not dict or header.get("format") != expected["format"]:
             raise ValidationError(f"unexpected stream header {header!r}")
         version = jsonvals.integer(header.get("version"), "stream header version")
-        if expected is EPOCH_HEADER and version == 1:
-            raise ValidationError("epoch stream version 1 is no longer read; re-run mgp simulate")
+        if expected is EPOCH_HEADER and version in (1, 2):
+            raise ValidationError(
+                f"epoch stream version {version} is no longer read; re-run mgp simulate")
         if expected is EPOCH_HEADER and version == expected["version"]:
-            return jsonvals.decode(_EpochHeader, header, "stream header", defaults=False).requery
+            constants = {k: v for k, v in header.items() if k not in EPOCH_HEADER}
+            return jsonvals.decode(_EpochHeader, constants, "stream header", defaults=False)
         if header != expected:
             raise ValidationError(f"unexpected stream header {header!r}")
         return None
@@ -472,31 +474,31 @@ def _parsed(line: str | Exception) -> Any:
 
 
 def _epoch_block(path: str, block: list[tuple[int, str | Exception]],
-                 stream: RequeryStream | None) -> tuple[EpochBlock, list[tuple[int, str]]]:
+                 header: _EpochHeader) -> tuple[EpochBlock, list[tuple[int, str]]]:
     """The epochs of the ``(lineno, line)`` pairs of ``block``, lines of the
-    epoch stream at ``path`` with the requery constants ``stream``, as one
-    :class:`EpochBlock`, and ``(lineno, "path:line: skipped epoch: fault")``
-    for each other line, in line order. The lines that parse are decoded at
-    once; if that fails, each alone, then the rest."""
+    epoch stream at ``path`` of the ``header``, as one :class:`EpochBlock`,
+    and ``(lineno, "path:line: skipped epoch: fault")`` for each other line,
+    in line order. The lines that parse are decoded at once; if that fails,
+    each alone, then the rest."""
     found = [(lineno, _parsed(line)) for lineno, line in block]
     with suppress(ValidationError, ValueError):
-        return _decoded(path, found, stream)
+        return _decoded(path, found, header)
     for k, (lineno, obj) in enumerate(found):
         if not isinstance(obj, Exception):
             try:
-                _decode([obj], [lineno], stream)
+                _decode([obj], [lineno], header)
             except (ValidationError, ValueError) as exc:
                 found[k] = lineno, exc
-    return _decoded(path, found, stream)
+    return _decoded(path, found, header)
 
 
-def _decoded(path: str, found: list[tuple[int, Any]], stream: RequeryStream | None
+def _decoded(path: str, found: list[tuple[int, Any]], header: _EpochHeader
              ) -> tuple[EpochBlock, list[tuple[int, str]]]:
     """The block of the ``(lineno, value)`` pairs of ``found``, and its skips."""
     good = [(lineno, obj) for lineno, obj in found if not isinstance(obj, Exception)]
     skips = [(lineno, f"{path}:{lineno}: skipped epoch: {obj}")
              for lineno, obj in found if isinstance(obj, Exception)]
-    return _decode([obj for _, obj in good], [lineno for lineno, _ in good], stream), skips
+    return _decode([obj for _, obj in good], [lineno for lineno, _ in good], header), skips
 
 
 def _bounded_line(f: TextIO) -> str | ValidationError:
@@ -518,15 +520,17 @@ def _epoch_lines_of(f: TextIO) -> Iterator[tuple[int, str | Exception]]:
             line = _bounded_line(f)
 
 
-def epoch_block_calls(path: str) -> Iterator[Callable[[], Any]]:
+def epoch_block_calls(path: str, layout: AntennaLayout | None = None) -> Iterator[Callable]:
     """The blocks of :func:`read_epoch_blocks` as calls that decode them, one
-    per ``READ_BLOCK`` non-blank lines, for ``pipeline.run`` to make where
-    it solves each block; the header is checked first (InputError), and the
-    lines read as the calls are taken."""
+    per ``READ_BLOCK`` non-blank lines, for ``pipeline.run`` to make where it
+    solves each block; the header is checked first (InputError), its layout
+    against ``layout`` if given, and the lines read as the calls are taken."""
     with open_text(path) as f:
-        stream = _check_header(_first_line(f, path), EPOCH_HEADER, path)
+        header = _check_header(_first_line(f, path), EPOCH_HEADER, path)
+        if layout is not None and header.layout != layout:
+            raise InputError(f"{path}:1: the stream's antenna layout is not the pipeline config's")
         for batch in _batches(_epoch_lines_of(f), READ_BLOCK):
-            yield functools.partial(_epoch_block, path, batch, stream)
+            yield functools.partial(_epoch_block, path, batch, header)
 
 
 def read_epoch_blocks(path: str) -> Iterator[tuple[EpochBlock, list[tuple[int, str]]]]:

@@ -45,10 +45,10 @@ def snr_of(rows: Iterable[tuple[str, tuple[float | None, ...]]]) -> mgp.SnrTable
     return mgp.SnrTable.checked(tuple(sat for sat, _ in rows), dbhz)
 
 
-def requery_constants(header: str) -> mgp.epochs.RequeryStream | None:
-    """The requery constants of an epoch stream's header line, as the
-    reader decodes them; the epoch decoders need them to read a line whose
-    truth carries a requery state."""
+def decoded_header(header: str) -> mgp.streams._EpochHeader:
+    """An epoch stream's header line as the reader decodes it, its layout
+    and requery constants; the epoch decoders need it to read a line of the
+    stream."""
     return mgp.streams._check_header(header, mgp.streams.EPOCH_HEADER, "header")
 
 

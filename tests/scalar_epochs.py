@@ -8,7 +8,8 @@ that look at, edit or reorder single epochs take the blocks' epochs
 and join them back into reader-sized blocks for ``write_epochs`` and
 ``run`` (:func:`joined`, :func:`blocks_of`, :func:`epoch_blocks`,
 :func:`no_skips`); :func:`epoch_from_dict` decodes
-one epoch line, :func:`read_skipping` reads a stream's epochs one at a
+one epoch line of a stream header (:func:`stream_header`,
+:func:`header_of`), :func:`read_skipping` reads a stream's epochs one at a
 time, recording the lines the reader skips, and :func:`replay_truths`
 replays epochs by their truth channels. :func:`simulate_records` and :func:`epoch_to_dict` are the
 per-epoch simulator loop and line encoder the blocks replaced, kept as the
@@ -30,7 +31,7 @@ import numpy as np
 
 import mgp
 from mgp.attitude import Baselines
-from mgp.core import AntennaLayout, UnitQuaternion, Vec3, quat_to_matrix
+from mgp.core import AntennaLayout, UnitQuaternion, Vec3, hexagon_layout, quat_to_matrix
 from mgp.epochs import (
     ChannelDraws,
     ChannelNoise,
@@ -56,13 +57,14 @@ from mgp.streams import _GRADE_NAMES
 
 def one_epoch(t: float, fixes: Fixes, baselines: Baselines, snr: SnrTable,
               truth: EpochTruth | None = None, requery: RequeryStream | None = None,
-              line: int = 0) -> EpochBlock:
-    """The block of one epoch from line ``line`` of its records."""
+              line: int = 0, layout: AntennaLayout | None = None) -> EpochBlock:
+    """The block of one epoch from line ``line`` of its records, of the
+    stream of ``layout``, by default the hexagon."""
     width = snr.dbhz.shape[1] if len(snr) else 0  # a table without rows has width 0
     return EpochBlock(
         np.array([t], dtype=np.float64), np.array([line], dtype=np.int64),
         fixes, [0, len(fixes)], baselines, [0, len(baselines)], snr, [0, len(snr)],
-        np.array([width], dtype=np.int64), (truth,), requery,
+        np.array([width], dtype=np.int64), (truth,), layout or hexagon_layout(), requery,
     )
 
 
@@ -71,7 +73,7 @@ def edited(epoch: EpochBlock, **changes: Any) -> EpochBlock:
     arguments changed."""
     fields = dict(t=epoch.t[0].item(), fixes=epoch.fixes, baselines=epoch.baselines,
                   snr=epoch.snr, truth=epoch.truth[0], requery=epoch.requery,
-                  line=epoch.lines[0].item())
+                  line=epoch.lines[0].item(), layout=epoch.layout)
     return one_epoch(**{**fields, **changes})
 
 
@@ -97,7 +99,8 @@ def joined(epochs: Sequence[EpochBlock], lines: Iterable[int]) -> EpochBlock:
         Fixes.joined(fixes), offsets(map(len, fixes)),
         Baselines.joined(baselines), offsets(map(len, baselines)),
         SnrTable(sat_ids, dbhz), snr_ends, np.array(widths, dtype=np.int64),
-        tuple(itertools.chain.from_iterable(e.truth for e in epochs)), epochs[0].requery,
+        tuple(itertools.chain.from_iterable(e.truth for e in epochs)), epochs[0].layout,
+        epochs[0].requery,
     )
 
 
@@ -141,12 +144,25 @@ def write_lines(path: Any, header: dict[str, Any], records: Iterable[dict[str, A
         f.writelines(json.dumps(d) + "\n" for d in [header, *records])
 
 
-def epoch_from_dict(d: dict[str, Any], stream: RequeryStream | None = None,
+def stream_header(layout: AntennaLayout | None = None,
+                  requery: RequeryStream | None = None) -> mgp.streams._EpochHeader:
+    """The decoded header of an epoch stream of ``layout``, by default the
+    hexagon, and the requery constants ``requery``."""
+    return mgp.streams._EpochHeader(layout or hexagon_layout(), requery)
+
+
+def header_of(block: EpochBlock) -> mgp.streams._EpochHeader:
+    """The decoded header of the stream of ``block``."""
+    return stream_header(block.layout, block.requery)
+
+
+def epoch_from_dict(d: dict[str, Any], header: mgp.streams._EpochHeader | None = None,
                     line: int = 0) -> EpochBlock:
-    """The epoch of a parsed line ``line`` of a stream whose header holds the
-    requery constants ``stream``, a block of one: the reader's block
-    decoder on it. Raises ValidationError for any fault of the line."""
-    return mgp.streams._decode([d], [line], stream)
+    """The epoch of a parsed line ``line`` of a stream of the decoded
+    ``header`` (:func:`stream_header` by default), a block of one: the
+    reader's block decoder on it. Raises ValidationError for any fault of
+    the line."""
+    return mgp.streams._decode([d], [line], header or stream_header())
 
 
 def replay_truths(stream: RequeryStream, truths: Sequence[EpochTruth],
@@ -192,10 +208,8 @@ def epoch_to_dict(epoch: EpochBlock) -> dict[str, Any]:
             )
         ],
         "baselines": [
-            {"antenna_pair": pair, "v": v, "w": w, "fixed": fixed}
-            for pair, v, w, fixed in zip(
-                bl.pairs.tolist(), bl.v.tolist(), bl.w.tolist(), bl.fixed.tolist()
-            )
+            {"antenna_pair": pair, "v": v, "fixed": fixed}
+            for pair, v, fixed in zip(bl.pairs.tolist(), bl.v.tolist(), bl.fixed.tolist())
         ],
         "snr_rows": [
             {"sat_id": sat, "snr": row} for sat, row in zip(snr.sat_ids, snr_values)
@@ -204,15 +218,16 @@ def epoch_to_dict(epoch: EpochBlock) -> dict[str, Any]:
     }
 
 
-def draw_channels(rng: np.random.Generator, stream: RequeryStream, position: Vec3,
-                  attitude: UnitQuaternion) -> tuple[ChannelDraws, ChannelDraws]:
+def draw_channels(rng: np.random.Generator, stream: RequeryStream, layout: AntennaLayout,
+                  position: Vec3, attitude: UnitQuaternion) -> tuple[ChannelDraws, ChannelDraws]:
     """The antenna and the baseline channel draws of an epoch of ``stream``
-    at the pose ``position``, ``attitude``, drawn from ``rng`` in the order
+    on the antennas of ``layout`` at the pose ``position``, ``attitude``,
+    drawn from ``rng`` in the order
     the simulator documents: for the antennas, then the baselines, (n, 6)
     normals, (n, 3) uniforms and (n,) wrong-fix lattice indices. A latent
     vector is the true antenna position or baseline at the pose plus a
     sigma times three of the normals."""
-    layout, noise = stream.layout, stream.noise
+    noise = stream.noise
     m = noise.wrong_fix_max_multiple
     side = 2 * m + 1
     r_eb = quat_to_matrix(attitude)
@@ -263,7 +278,7 @@ def simulate_records(config: ScenarioConfig) -> Iterator[EpochBlock]:
     nominal = np.array([snr_model.nominal(s.elevation_deg) for s in config.constellation])
     channel_noise = ChannelNoise(noise.sigma_fixed_m, noise.sigma_float_m, noise.wrong_fix_prob,
                                  noise.wrong_fix_unit_m, noise.wrong_fix_max_multiple)
-    stream = RequeryStream(model, solution_sats, layout, channel_noise,
+    stream = RequeryStream(model, solution_sats, channel_noise,
                            rng.bit_generator.state["state"]["inc"], np.__version__)
 
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(n_sat, n_ant))
@@ -276,7 +291,7 @@ def simulate_records(config: ScenarioConfig) -> Iterator[EpochBlock]:
         q_unit = UnitQuaternion.from_array(q_truth.as_array(), canonicalize=False)
         bits = rng.bit_generator.state
         state = bits["state"]["state"], bits["uinteger"] if bits["has_uint32"] else None
-        ant_channels, bl_channels = draws = draw_channels(rng, stream, p_plat, q_unit)
+        ant_channels, bl_channels = draws = draw_channels(rng, stream, layout, p_plat, q_unit)
         snr_jit = rng.standard_normal((n_sat, n_ant))
         found = replay(stream, [state], p_plat.as_array()[None], q_truth.as_array()[None],
                        [mp_sats], [frozenset()], layout, draws)
@@ -301,4 +316,5 @@ def simulate_records(config: ScenarioConfig) -> Iterator[EpochBlock]:
             wrong_fix_antennas=wrong_ants,
             requery=state,
         )
-        yield one_epoch(t, fixes, baselines, SnrTable(solution_sats, snr), truth, stream, k + 2)
+        yield one_epoch(t, fixes, baselines, SnrTable(solution_sats, snr), truth, stream, k + 2,
+                        layout)

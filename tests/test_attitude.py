@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mgp import (
     AttitudeSolution,
+    Baselines,
     DegenerateGeometryError,
     InsufficientDataError,
     UnitQuaternion,
@@ -228,6 +229,15 @@ def test_non_fixed_observations_are_excluded() -> None:
     sol = estimate_attitude(baselines_of(obs + [junk]))
     assert quat_angle(sol.q, q_true) < 1e-9
     assert (1, 4) not in sol.used_observations
+
+
+def test_checked_refuses_a_fixed_mask_that_is_not_bool() -> None:
+    """An integer ``fixed`` array would select rows by index, one row twice
+    and a non-fixed one among them: ``Baselines.checked`` refuses it, so
+    ``estimate_attitude`` never solves on it."""
+    obs = baselines_of(_truth_obs(euler_to_quat(1.0, 2.0, 3.0), [(1, 2), (2, 3), (1, 3)]))
+    with pytest.raises(ValidationError, match="^baseline fixed flags must be bool, not int64$"):
+        Baselines.checked(obs.pairs, obs.v, obs.w, np.array([1, 0, 1]))
 
 
 def test_insufficient_fixed_observations() -> None:

@@ -45,7 +45,7 @@ def _stream(n_ant: int, max_multiple: int, increment: int = 0xDA3E39CB94B95BDB) 
     model = FixModel(antenna_bias=tuple(np.linspace(-1.0, 2.0, n_ant).tolist()),
                      baseline_bias=0.5, float_fraction=0.6)
     noise = ChannelNoise(wrong_fix_prob=0.3, wrong_fix_max_multiple=max_multiple)
-    return RequeryStream(model, _SATS, _LAYOUTS[n_ant], noise, increment, np.__version__)
+    return RequeryStream(model, _SATS, noise, increment, np.__version__)
 
 
 def _generator(stream: RequeryStream, state: int, uint32: int | None) -> np.random.Generator:
@@ -82,17 +82,17 @@ def _assert_bitwise(got: ChannelDraws, want: ChannelDraws, what: str) -> None:
 @pytest.mark.parametrize("max_multiple", [1, 3])
 @pytest.mark.parametrize("n_epochs", [1, 31, 32, 33, 65])
 def test_block_draws_are_the_per_epoch_draws(n_ant: int, max_multiple: int, n_epochs: int) -> None:
-    stream = _stream(n_ant, max_multiple)
+    stream, layout = _stream(n_ant, max_multiple), _LAYOUTS[n_ant]
     states, positions, attitudes = _records(
         n_epochs, seed=1000 * n_ant + 100 * max_multiple + n_epochs)
     assert any(uint32 is None for _, uint32 in states) or n_epochs == 1
     assert any(uint32 is not None for _, uint32 in states) or n_epochs == 1
     # the reference at each attitude as block_draws normalizes it
-    want = [reference_draws(_generator(stream, *state), stream, Vec3(*p.tolist()),
+    want = [reference_draws(_generator(stream, *state), stream, layout, Vec3(*p.tolist()),
                             UnitQuaternion.from_array(q, canonicalize=False))
             for state, p, q in zip(states, positions, attitudes)]
-    got = block_draws(stream, positions, attitudes,
-                      [draw_channels(_generator(stream, *state), stream) for state in states])
+    raw = [draw_channels(_generator(stream, *state), stream, n_ant) for state in states]
+    got = block_draws(stream, layout, positions, attitudes, raw)
     for group, (block, epochs) in enumerate(zip(got, zip(*want))):
         _assert_bitwise(block, ChannelDraws.joined(epochs), f"group {group}")
 
@@ -101,8 +101,8 @@ def test_block_draws_are_the_per_epoch_draws(n_ant: int, max_multiple: int, n_ep
     mp = [frozenset(s for s in _SATS if rng.random() < 0.4) for _ in states]
     out = [frozenset(s for s in _SATS if rng.random() < 0.3) for _ in states]
     drawn = tuple(ChannelDraws.joined(epochs) for epochs in zip(*want))
-    found = replay(stream, states, positions, attitudes, mp, out, stream.layout)
-    expected = replay(stream, states, positions, attitudes, mp, out, stream.layout, drawn)
+    found = replay(stream, states, positions, attitudes, mp, out, layout)
+    expected = replay(stream, states, positions, attitudes, mp, out, layout, drawn)
     for record in ("fixes", "baselines"):
         got_rows, want_rows = getattr(found, record), getattr(expected, record)
         for f in dataclasses.fields(got_rows):

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 import mgp
 import mgp.streams
 
-from conftest import requery_constants
+from conftest import decoded_header
 from scalar_epochs import epoch_blocks, epoch_from_dict, joined, read_skipping
 from test_epoch_differential import _scenario
 from test_epoch_faults import FAULTS, _faulty_line
@@ -68,7 +68,7 @@ def _check_blocks(path: Path, read_block: int, monkeypatch) -> None:
     monkeypatch.setattr(mgp.streams, "READ_BLOCK", read_block)
     text = path.read_text(encoding="utf-8").split("\n")
     nonblank = [n for n, line in enumerate(text[1:], start=2) if line.strip()]
-    stream = requery_constants(text[0])
+    stream = decoded_header(text[0])
     blocks = list(mgp.read_epoch_blocks(str(path)))
     covered: list[int] = []
     for b, (block, skips) in enumerate(blocks):
@@ -238,7 +238,7 @@ def test_a_block_raises_exactly_when_one_of_its_lines_raises_alone(data: st.Data
     the reader's tests on some (and an epoch whose own SNR rows differ in
     width), raises exactly when one of those lines raises alone."""
     header, *lines = CLEAN_LINES["multipath"]
-    stream = requery_constants(header)
+    stream = decoded_header(header)
     first = data.draw(st.integers(0, len(lines) - 2), label="first")
     block = lines[first:first + data.draw(st.integers(2, 8), label="size")]
     # the edits that leave a line an epoch twice as often as each fault:
@@ -287,7 +287,7 @@ def test_a_block_whose_only_faults_do_not_parse_is_decoded_once(
         return decode(objects, numbers, stream)
 
     monkeypatch.setattr(mgp.streams, "_decode", counted)
-    epochs, faults = mgp.streams._epoch_block("e.jsonl", block, requery_constants(header))
+    epochs, faults = mgp.streams._epoch_block("e.jsonl", block, decoded_header(header))
     good = [n for n, line in block if line != "{not json"]
     assert calls == [good]
     assert epochs.lines.tolist() == good

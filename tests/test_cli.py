@@ -243,10 +243,11 @@ def test_estimate_skips_epoch_with_antenna_outside_layout(tmp_path: Path, capsys
     assert (m["epochs"], m["skipped"]) == (29, 1)
 
 
-def _estimate_edited(tmp_path: Path, capsys, line: int, edit) -> tuple[int, str, Path, Path]:
-    """``estimate`` on a simulated stream with its line ``line`` (1 is the
-    header) replaced by ``edit`` of its JSON value: the exit code, stderr,
-    the stream and the metrics file."""
+def _estimate_edited(tmp_path: Path, capsys, line: int, edit,
+                     flags: tuple[str, ...] = ()) -> tuple[int, str, Path, Path]:
+    """``estimate`` with ``flags`` on a simulated stream with its line
+    ``line`` (1 is the header) replaced by ``edit`` of its JSON value: the
+    exit code, stderr, the stream and the metrics file."""
     scen = _write(tmp_path / "scen.json", SCENARIO)
     epochs = tmp_path / "epochs.jsonl"
     main(["simulate", "--config", scen, "--out", str(epochs)])
@@ -259,7 +260,7 @@ def _estimate_edited(tmp_path: Path, capsys, line: int, edit) -> tuple[int, str,
     metrics = tmp_path / "m.json"
     capsys.readouterr()
     code = main(["estimate", "--epochs", str(epochs), "--config", pipe,
-                 "--poses", str(tmp_path / "p.csv"), "--metrics", str(metrics)])
+                 "--poses", str(tmp_path / "p.csv"), "--metrics", str(metrics), *flags])
     return code, capsys.readouterr().err, epochs, metrics
 
 
@@ -271,6 +272,48 @@ def test_estimate_refuses_a_header_with_short_antenna_bias(tmp_path: Path, capsy
     assert code == 1
     assert err == (f"error: {epochs}:1: stream header: requery: "
                    "antenna_bias needs one entry per antenna (6)\n")
+
+
+def _turned(header: dict) -> None:
+    """Turn the header layout's body positions 30 degrees about z."""
+    c, s = math.cos(math.radians(30.0)), math.sin(math.radians(30.0))
+    header["layout"]["body_positions"] = [
+        [c * x - s * y, s * x + c * y, z] for x, y, z in header["layout"]["body_positions"]]
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-multipath-feedback"]],
+                         ids=["feedback", "no-feedback"])
+def test_estimate_refuses_a_stream_of_another_layout(tmp_path: Path, capsys, flags) -> None:
+    """One run has one body frame: a stream whose header layout is not the
+    pipeline config's, here the config's turned 30 degrees about z, is a
+    fault of the file, with feedback on or off, and no output is written."""
+    code, err, epochs, metrics = _estimate_edited(tmp_path, capsys, 1, _turned, flags)
+    assert (code, err) == (
+        1, f"error: {epochs}:1: the stream's antenna layout is not the pipeline config's\n")
+    assert not metrics.exists()
+
+
+@pytest.mark.parametrize(
+    "pair, reason",
+    [([1, 7], "antenna 7 has no layout entry (layout has 6)"),
+     ([0, 2], "antenna 0 has no layout entry (layout has 6)"),
+     ([3, 3], "antenna pair must reference two distinct antennas")],
+    ids=["outside", "zero", "same-antenna"],
+)
+def test_estimate_skips_a_line_whose_pair_has_no_body_vector(
+    tmp_path: Path, capsys, pair: list[int], reason: str
+) -> None:
+    """A baseline pair naming an antenna the header layout does not have,
+    or one antenna twice, has no body vector: the reader skips its line at
+    ``path:line`` with the pair's own fault, and the skip is counted."""
+    def edit(record: dict) -> None:
+        record["baselines"][0]["antenna_pair"] = pair
+
+    code, err, epochs, metrics = _estimate_edited(tmp_path, capsys, 6, edit)
+    assert code == 0
+    assert err == f"{epochs}:6: skipped epoch: {reason}\n"
+    m = json.loads(metrics.read_text(encoding="utf-8"))
+    assert (m["epochs"], m["skipped"]) == (29, 1)
 
 
 def test_estimate_skips_epoch_with_a_bad_requery_state(tmp_path: Path, capsys) -> None:
@@ -668,7 +711,8 @@ def test_console_script_installed(tmp_path: Path) -> None:
     assert "wrote 30 epochs" in out.stdout
 
 
-@pytest.mark.parametrize("flags", [[], ["--no-multipath-feedback"]], ids=["feedback", "no-feedback"])
+@pytest.mark.parametrize("flags", [[], ["--no-multipath-feedback"]],
+                         ids=["feedback", "no-feedback"])
 def test_estimate_skips_every_epoch_naming_an_antenna_twice(tmp_path: Path, capsys, flags):
     """Every epoch of a short multipath stream names antenna 1 as fixed twice
     more. The requery replay gives an epoch fresh fixes, so with feedback on

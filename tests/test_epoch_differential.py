@@ -75,8 +75,18 @@ def _vec(obj: Any) -> Vec3:
     return Vec3(x, y, z)
 
 
-def _epoch_from_dict(d: dict[str, Any], rq: dict[str, Any] | None) -> _Epoch:
-    """The epoch of a line of a stream whose header's requery object is ``rq``."""
+def _body_vector(body: list[Vec3], pair: Any) -> Vec3:
+    """The header layout's body baseline of an antenna pair."""
+    i, j = int(pair[0]), int(pair[1])
+    if not (1 <= i <= len(body) and 1 <= j <= len(body)):
+        raise ValidationError(f"antenna pair {pair} outside the layout")
+    return body[j - 1] - body[i - 1]
+
+
+def _epoch_from_dict(d: dict[str, Any], header: dict[str, Any]) -> _Epoch:
+    """The epoch of a line of a stream of the header object ``header``, each
+    baseline's body vector from the header's layout."""
+    body = [_vec(p) for p in header["layout"]["body_positions"]]
     try:
         fixes = tuple(
             _Fix(
@@ -90,7 +100,7 @@ def _epoch_from_dict(d: dict[str, Any], rq: dict[str, Any] | None) -> _Epoch:
         baselines = tuple(
             VectorObservation(
                 v=_vec(o["v"]),
-                w=_vec(o["w"]),
+                w=_body_vector(body, o["antenna_pair"]),
                 antenna_pair=(int(o["antenna_pair"][0]), int(o["antenna_pair"][1])),
                 fixed=bool(o["fixed"]),
             )
@@ -118,7 +128,7 @@ def _epoch_from_dict(d: dict[str, Any], rq: dict[str, Any] | None) -> _Epoch:
                 ),
                 wrong_fix_antennas=frozenset(int(a) for a in tr["wrong_fix_antennas"]),
                 requery=(
-                    _ref_requery_from_dict(rq, tr["requery"], tr)
+                    _ref_requery_from_dict(header, tr["requery"], tr)
                     if tr["requery"] is not None else None
                 ),
             )
@@ -134,13 +144,13 @@ def _epoch_from_dict(d: dict[str, Any], rq: dict[str, Any] | None) -> _Epoch:
 
 def _read_epochs(path: str, diagnostics: list[str]) -> Iterator[_Epoch]:
     with open(path, encoding="utf-8") as f:
-        rq = json.loads(f.readline())["requery"]
+        header = json.loads(f.readline())
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield _epoch_from_dict(json.loads(line), rq)
+                yield _epoch_from_dict(json.loads(line), header)
             except (json.JSONDecodeError, InputError, ValidationError, ValueError) as exc:
                 diagnostics.append(f"{path}:{lineno}: skipped epoch: {exc}")
 
@@ -270,8 +280,6 @@ def _process(epoch: _Epoch, config: PipelineConfig, verdicts: list) -> tuple:
     verdicts.append(per_sat)
     truth = epoch.truth
     if config.multipath_feedback and excluded and truth is not None and truth.requery is not None:
-        if len(truth.requery.antenna_channels) != layout.antenna_count:
-            raise ValidationError("layout antenna count does not match the stream")
         n = layout.antenna_count
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         fixes, baselines = _ref_status_sets(
@@ -593,13 +601,13 @@ def test_mistyped_lines_are_the_only_difference(streams, monkeypatch, tmp_path) 
     _, clean = streams["multipath"]
     lines = clean.read_text(encoding="utf-8").splitlines()
     out, bad_linenos = [lines[0]], []
-    rq = json.loads(lines[0])["requery"]
+    header = json.loads(lines[0])
     for k, line in enumerate(lines[1:], start=1):
         out.append(line)
         if k % 10 == 0 and len(bad_linenos) < len(BAD_EDITS):
             record = json.loads(line)
             list(BAD_EDITS.values())[len(bad_linenos)](record)
-            assert _epoch_from_dict(json.loads(json.dumps(record)), rq) is not None
+            assert _epoch_from_dict(json.loads(json.dumps(record)), header) is not None
             out.append(json.dumps(record))
             bad_linenos.append(len(out))
     assert len(bad_linenos) == len(BAD_EDITS)

@@ -19,7 +19,7 @@ Inside one full block, lines with one to three such faults each must read
 as they do alone: the reader's record or diagnostic for each line is the
 record or fault of ``scalar_epochs.epoch_from_dict`` (the block decoder on
 that line alone). A missing key is named with the object it is missing
-from: ``missing key 'w' in baselines``, or ``missing key 't'`` on the line
+from: ``missing key 'v' in baselines``, or ``missing key 't'`` on the line
 itself.
 """
 from __future__ import annotations
@@ -41,7 +41,7 @@ import mgp
 import mgp.streams
 from mgp.cli import main
 
-from conftest import requery_constants
+from conftest import decoded_header
 from scalar_epochs import epoch_from_dict, epoch_to_dict, read_skipping
 from test_epoch_differential import _scenario
 
@@ -277,7 +277,7 @@ def block_lines(tmp_path_factory) -> list[str]:
 
 def _alone(line: str, header: str) -> mgp.EpochBlock | Exception:
     try:
-        return epoch_from_dict(json.loads(line), requery_constants(header))
+        return epoch_from_dict(json.loads(line), decoded_header(header))
     except (mgp.InputError, mgp.ValidationError) as exc:
         return exc
 
@@ -343,7 +343,7 @@ def test_missing_key_is_named_with_its_object(tmp_path: Path, data: st.DataObjec
     del _at(record, path)[key]
     message = f"missing key {key!r}" + (f" in {level}" if level else "")
     with pytest.raises(mgp.ValidationError, match=f"^{re.escape(message)}$"):
-        epoch_from_dict(record, requery_constants(header))
+        epoch_from_dict(record, decoded_header(header))
 
     lines[k] = json.dumps(record)
     epochs = tmp_path / "block.jsonl"

@@ -494,7 +494,15 @@ EPOCH_HEADER_FAULTS = {
               f"this numpy {np.__version__}; re-run mgp simulate"),
     "version-1": (lambda h: h.update(version=1),
                   "epoch stream version 1 is no longer read; re-run mgp simulate"),
-    "version-3": (lambda h: h.update(version=3), "unexpected stream header"),
+    "version-2": (lambda h: h.update(version=2),
+                  "epoch stream version 2 is no longer read; re-run mgp simulate"),
+    "version-4": (lambda h: h.update(version=4), "unexpected stream header"),
+    "missing-layout": (lambda h: h.pop("layout"), "stream header: missing key 'layout'"),
+    "layout-in-requery": (lambda h: _requery(h).update(layout=h["layout"]),
+                          "stream header: unknown key requery.layout"),
+    "layout-collinear": (lambda h: h["layout"].update(body_positions=[[0, 0, 0], [1, 0, 0],
+                                                                      [2, 0, 0]]),
+                         "stream header: layout: antenna layout is collinear"),
     "version-true": (lambda h: h.update(version=True),
                      "stream header version must be an integer, got True"),
     "version-float": (lambda h: h.update(version=2.0),

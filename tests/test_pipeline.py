@@ -238,7 +238,23 @@ def test_one_epoch_entry_points_refuse_other_blocks(n_epochs: int) -> None:
     with pytest.raises(ValidationError, match=f"^process_epoch {message}"):
         process_epoch(block, PipelineConfig())
     with pytest.raises(ValidationError, match=f"^requery_epoch {message}"):
-        mgp.requery_epoch(block, frozenset(), hexagon_layout())
+        mgp.requery_epoch(block, frozenset())
+
+
+@pytest.mark.parametrize("feedback", [True, False], ids=["feedback", "no-feedback"])
+def test_run_refuses_blocks_of_another_layout(feedback: bool) -> None:
+    """A run has one body frame, the config's: ``run`` and ``process_epoch``
+    refuse a block whose stream layout is another, with feedback on or off,
+    also when it has the config's antenna count."""
+    blocks = list(simulate(_scenario(layout=hexagon_layout(0.8))))
+    config = PipelineConfig(multipath_feedback=feedback)
+    assert blocks[0].layout.antenna_count == config.layout.antenna_count
+    message = "^the stream's antenna layout is not the pipeline config's$"
+    with pytest.raises(ConfigurationError, match=message):
+        run(no_skips(blocks), config)
+    with pytest.raises(ConfigurationError, match=message):
+        process_epoch(blocks[0].epoch(0), config)
+    assert run(no_skips(blocks), replace(config, layout=hexagon_layout(0.8))).metrics.epochs == 30
 
 
 def test_multipath_feedback_requeries_fixes() -> None:

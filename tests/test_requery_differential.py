@@ -5,7 +5,7 @@ as an oracle: one frozen channel object per antenna and baseline built in a
 per-row loop, one record object per fix and SNR row (``_Fix`` and
 ``_SnrRow``, with the checks of the per-row classes the records replaced), a
 separate post-calibration model type, the per-channel ``_assign`` replay, a
-lattice table of wrong-fix multiples, and its own codec of the version 2
+lattice table of wrong-fix multiples, and its own codec of the version 3
 header and of each epoch's generator state. From a stored state it draws
 an epoch's channels again itself, in the order the simulator's docstring
 gives. The epoch stream written by ``simulate`` must be byte-identical to
@@ -186,14 +186,15 @@ def _ref_model(md: dict[str, Any]) -> _Model:
 
 
 def _ref_header(config: mgp.ScenarioConfig) -> dict[str, Any]:
-    """The version 2 header of the stream of ``config``."""
+    """The version 3 header of the stream of ``config``."""
     n_sat = len(config.constellation)
     n_mp = len(mgp.multipath_satellite_ids(config))
     ant_bias, bl_bias = _effective_biases(config, n_sat - n_mp, n_mp)
     fm, noise = config.fix_model, config.noise
     return {
         "format": "mgp-epoch",
-        "version": 2,
+        "version": 3,
+        "layout": {"body_positions": [[p.x, p.y, p.z] for p in config.layout.body_positions]},
         "requery": {
             "model": {
                 "steepness": fm.steepness,
@@ -206,7 +207,6 @@ def _ref_header(config: mgp.ScenarioConfig) -> dict[str, Any]:
                 "float_fraction": fm.float_fraction,
             },
             "solution_sats": [s.sat_id for s in config.constellation],
-            "layout": {"body_positions": [[p.x, p.y, p.z] for p in config.layout.body_positions]},
             "noise": {
                 "sigma_fixed_m": noise.sigma_fixed_m,
                 "sigma_float_m": noise.sigma_float_m,
@@ -241,10 +241,11 @@ def _ref_draws(rng, truth: tuple[np.ndarray, np.ndarray], rq: dict[str, Any]):
     return tuple(channels)
 
 
-def _ref_truth_vectors(rq: dict[str, Any], position, attitude) -> tuple[np.ndarray, np.ndarray]:
+def _ref_truth_vectors(header: dict[str, Any], position, attitude
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """The true antenna positions and body baselines at a pose, from the
     header's layout; ``attitude`` normalized, as the block draws take it."""
-    body = np.array([[float(c) for c in p] for p in rq["layout"]["body_positions"]])
+    body = np.array([[float(c) for c in p] for p in header["layout"]["body_positions"]])
     n = len(body)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     body_bl = np.array([body[j] - body[i] for i, j in pairs])
@@ -257,12 +258,13 @@ def _ref_attitude(q) -> mgp.UnitQuaternion:
     return mgp.UnitQuaternion.from_array([float(c) for c in q], canonicalize=False)
 
 
-def _ref_requery_from_dict(rq: dict[str, Any], state: dict[str, Any], truth: dict[str, Any]
-                           ) -> _Requery:
+def _ref_requery_from_dict(header: dict[str, Any], state: dict[str, Any],
+                           truth: dict[str, Any]) -> _Requery:
     """The requery record of an epoch line's truth ``truth`` with the
-    ``state`` object, of a stream whose header requery object is ``rq``: its
+    ``state`` object, of a stream of the header object ``header``: its
     channels drawn again from a generator set to that state (each number
     coerced to an int, as the object path coerced its fields)."""
+    rq = header["requery"]
     bits = np.random.PCG64()
     bits.state = {
         "bit_generator": "PCG64",
@@ -270,7 +272,7 @@ def _ref_requery_from_dict(rq: dict[str, Any], state: dict[str, Any], truth: dic
         "has_uint32": 0 if state["uint32"] is None else 1,
         "uinteger": 0 if state["uint32"] is None else int(state["uint32"]),
     }
-    vecs = _ref_truth_vectors(rq, truth["position"], _ref_attitude(truth["attitude"]))
+    vecs = _ref_truth_vectors(header, truth["position"], _ref_attitude(truth["attitude"]))
     ant, bl = _ref_draws(np.random.Generator(bits), vecs, rq)
     return _Requery(_ref_model(rq["model"]), tuple(rq["solution_sats"]), ant, bl)
 
@@ -286,7 +288,8 @@ def _ref_lines(config: mgp.ScenarioConfig) -> Iterator[str]:
     mp_sats = mgp.multipath_satellite_ids(config)
     mp_mask = np.array([s.sat_id in mp_sats for s in config.constellation])
     n_mp = int(mp_mask.sum())
-    rq = _ref_header(config)["requery"]
+    header = _ref_header(config)
+    rq = header["requery"]
     model = _ref_model(rq["model"])
     sats = tuple(s.sat_id for s in config.constellation)
     snr_model = config.noise.snr
@@ -299,7 +302,7 @@ def _ref_lines(config: mgp.ScenarioConfig) -> Iterator[str]:
         bits = rng.bit_generator.state
         state = {"state": bits["state"]["state"],
                  "uint32": bits["uinteger"] if bits["has_uint32"] else None}
-        vecs = _ref_truth_vectors(rq, p_plat.as_array(), _ref_attitude(q_truth.as_array()))
+        vecs = _ref_truth_vectors(header, p_plat.as_array(), _ref_attitude(q_truth.as_array()))
         ant, bl = _ref_draws(rng, vecs, rq)
         snr_jit = rng.standard_normal((n_sat, n_ant))
         req = _Requery(model, sats, ant, bl)
@@ -346,7 +349,7 @@ def _ref_epoch_to_dict(t, fixes, observations, snr_rows, truth) -> dict[str, Any
             for f in fixes
         ],
         "baselines": [
-            {"antenna_pair": list(o.antenna_pair), "v": vec(o.v), "w": vec(o.w), "fixed": o.fixed}
+            {"antenna_pair": list(o.antenna_pair), "v": vec(o.v), "fixed": o.fixed}
             for o in observations
         ],
         "snr_rows": [{"sat_id": r.sat_id, "snr": list(r.snr_dbhz)} for r in snr_rows],
@@ -433,15 +436,14 @@ def test_requery_matches_object_path(streams) -> None:
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         sats = [s.sat_id for s in cfg.constellation]
         header, *lines = path.read_text(encoding="utf-8").splitlines()
-        rq = json.loads(header)["requery"]
         for epoch, line in zip(mgp.read_epochs(str(path)), lines):
             truth = json.loads(line)["truth"]
-            ref_req = _ref_requery_from_dict(rq, truth["requery"], truth)
+            ref_req = _ref_requery_from_dict(json.loads(header), truth["requery"], truth)
             mp = epoch.truth[0].multipath_sats
             random = [rng.choice(sats, rng.integers(1, len(sats)), replace=False) for _ in range(3)]
             subsets = [frozenset(), mp, frozenset(sats), *(frozenset(r.tolist()) for r in random)]
             for excluded in subsets:
-                got = mgp.requery_epoch(epoch, excluded, layout)
+                got = mgp.requery_epoch(epoch, excluded)
                 want = _ref_status_sets(ref_req, mp, excluded, layout, pairs)
                 assert _record_bits(*got) == _bits(*want), (path, epoch.t[0], sorted(excluded))
             checked += 1
@@ -474,9 +476,9 @@ REPLAY_CASES: dict[str, tuple] = {}
 def replay_cases(streams) -> None:
     for name, (cfg, path, _) in streams.items():
         header, *lines = path.read_text(encoding="utf-8").splitlines()
-        rq = json.loads(header)["requery"]
         truths = [json.loads(line)["truth"] for line in lines]
-        refs = [_ref_requery_from_dict(rq, truth["requery"], truth) for truth in truths]
+        refs = [_ref_requery_from_dict(json.loads(header), truth["requery"], truth)
+                for truth in truths]
         sats = [s.sat_id for s in cfg.constellation]
         REPLAY_CASES[name] = (cfg.layout, list(mgp.read_epochs(str(path))), refs, sats)
 

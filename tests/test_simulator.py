@@ -346,7 +346,7 @@ def test_snr_rows_separate_clean_from_multipath() -> None:
 def test_requery_with_no_exclusions_reproduces_epoch() -> None:
     cfg = _config(duration_s=5.0, fix_model=FixModel())
     for epoch in epochs_of(simulate(cfg)):
-        fixes, obs = requery_epoch(epoch, frozenset(), cfg.layout)
+        fixes, obs = requery_epoch(epoch, frozenset())
         _assert_same_fixes(fixes, epoch.fixes)
         assert np.array_equal(obs.pairs, epoch.baselines.pairs)
         assert np.array_equal(obs.fixed, epoch.baselines.fixed)
@@ -364,7 +364,7 @@ def test_requery_excluding_multipath_promotes_monotonically() -> None:
     promoted = 0
     for epoch in epochs_of(simulate(cfg)):
         before_fixed = _fixed_ids(epoch.fixes)
-        fixes, obs = requery_epoch(epoch, mp, cfg.layout)
+        fixes, obs = requery_epoch(epoch, mp)
         after_fixed = _fixed_ids(fixes)
         assert before_fixed <= after_fixed
         before_pairs = {o.antenna_pair for o in epoch.baselines if o.fixed}
@@ -382,7 +382,7 @@ def test_requery_excluding_clean_satellites_demotes() -> None:
     demoted = 0
     for epoch in epochs_of(simulate(cfg)):
         before = _fixed_ids(epoch.fixes)
-        fixes, _ = requery_epoch(epoch, removed, cfg.layout)
+        fixes, _ = requery_epoch(epoch, removed)
         after = _fixed_ids(fixes)
         assert after <= before
         demoted += len(before) - len(after)
@@ -394,7 +394,7 @@ def test_requery_requires_truth_channel() -> None:
     epoch = next(iter(simulate(cfg))).epoch(0)
     stripped = edited(epoch, truth=None, requery=None)
     with pytest.raises(ValidationError):
-        requery_epoch(stripped, frozenset(), cfg.layout)
+        requery_epoch(stripped, frozenset())
 
 
 def test_target_fix_probs_calibrate_exactly() -> None:

@@ -35,7 +35,15 @@ from mgp import (
     write_scan,
 )
 
-from scalar_epochs import blocks_of, epoch_from_dict, epoch_to_dict, epochs_of, read_skipping
+from scalar_epochs import (
+    blocks_of,
+    edited,
+    epoch_from_dict,
+    epoch_to_dict,
+    epochs_of,
+    header_of,
+    read_skipping,
+)
 
 SATS = tuple(
     Satellite(sat_id=f"G{k:02d}", azimuth_deg=40.0 * k, elevation_deg=25.0 + 8.0 * k)
@@ -83,9 +91,10 @@ def test_write_epochs_keeps_the_blocks_before_a_fault(tmp_path: Path, monkeypatc
     assert path.read_bytes() == reference.read_bytes()
 
 
-def test_write_epochs_writes_the_header_before_a_fault(tmp_path: Path) -> None:
-    """A block source that raises before its first block leaves the
-    header line without requery constants."""
+def test_write_epochs_writes_nothing_before_the_first_block(tmp_path: Path) -> None:
+    """The header holds the first block's layout: a block source that
+    raises before its first block leaves the file empty, as one without a
+    block does."""
     def failing():
         raise ValueError("source failed")
         yield
@@ -93,7 +102,9 @@ def test_write_epochs_writes_the_header_before_a_fault(tmp_path: Path) -> None:
     path = tmp_path / "e.jsonl"
     with pytest.raises(ValueError, match="^source failed$"):
         write_epochs(str(path), failing())
-    assert path.read_text(encoding="utf-8") == json.dumps(mgp.streams.EPOCH_HEADER) + "\n"
+    assert path.read_bytes() == b""
+    assert write_epochs(str(path), []) == 0
+    assert path.read_bytes() == b""
 
 
 def test_write_epochs_refuses_a_block_of_other_requery_constants(tmp_path: Path) -> None:
@@ -105,6 +116,19 @@ def test_write_epochs_refuses_a_block_of_other_requery_constants(tmp_path: Path)
     path, reference = tmp_path / "mixed.jsonl", tmp_path / "first.jsonl"
     with pytest.raises(ValidationError, match="not those of its stream header"):
         write_epochs(str(path), [*first, other[0]])
+    assert write_epochs(str(reference), first) == 40
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_write_epochs_refuses_a_block_of_another_layout(tmp_path: Path) -> None:
+    """A stream has one body frame, the first block's: a later block of
+    another layout raises, after the blocks before it are written."""
+    first = list(simulate(_scenario(duration_s=4.0)))
+    wider = edited(first[0].epoch(0), layout=mgp.hexagon_layout(0.95))
+    path, reference = tmp_path / "mixed.jsonl", tmp_path / "first.jsonl"
+    message = "^a block's layout or constants are not those of its stream header$"
+    with pytest.raises(ValidationError, match=message):
+        write_epochs(str(path), [*first, wider])
     assert write_epochs(str(reference), first) == 40
     assert path.read_bytes() == reference.read_bytes()
 
@@ -173,10 +197,37 @@ def test_epoch_round_trip_preserves_truth_and_values(tmp_path: Path) -> None:
 
 
 def test_epoch_header_line_exact(tmp_path: Path) -> None:
+    """The header holds the layout, for a stream without requery constants
+    too, and a baseline row is its pair, ``v`` and ``fixed``."""
+    layout = mgp.AntennaLayout((Vec3(0.0, 0.0, 0.0), Vec3(1.5, 0.0, 0.0), Vec3(0.0, 1.0, 0.25)))
+    epoch = epochs_of(simulate(_scenario(layout=layout)))[0]
     path = tmp_path / "e.jsonl"
-    write_epochs(str(path), [])
-    first = path.read_text(encoding="utf-8").splitlines()[0]
-    assert first == '{"format": "mgp-epoch", "version": 2, "requery": null}'
+    write_epochs(str(path), [edited(epoch, truth=None, requery=None)])
+    first, line = path.read_text(encoding="utf-8").splitlines()
+    assert first == ('{"format": "mgp-epoch", "version": 3, "layout": {"body_positions": '
+                     '[[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.0, 0.25]]}, "requery": null}')
+    assert {tuple(row) for row in json.loads(line)["baselines"]} == {("antenna_pair", "v", "fixed")}
+
+
+def test_a_version_2_stream_is_refused_at_line_1(tmp_path: Path) -> None:
+    """A version 2 stream, its layout in the requery constants and a body
+    vector ``w`` in every baseline row, is refused as a fault of line 1
+    that says to simulate again, by the strict reader and in skip mode."""
+    path = tmp_path / "v2.jsonl"
+    write_epochs(str(path), simulate(_scenario(duration_s=0.3)))
+    header, *lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    body = header["layout"]["body_positions"]
+    header = {"format": "mgp-epoch", "version": 2,
+              "requery": {**header["requery"], "layout": header.pop("layout")}}
+    for record in lines:
+        for row in record["baselines"]:
+            i, j = row["antenna_pair"]
+            row["w"] = [b - a for a, b in zip(body[i - 1], body[j - 1])]
+    path.write_text("".join(json.dumps(d) + "\n" for d in [header, *lines]), encoding="utf-8")
+    message = f"{path}:1: epoch stream version 2 is no longer read; re-run mgp simulate"
+    for read in (read_epochs, lambda p: read_skipping(p, [])):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            list(read(str(path)))
 
 
 def test_epoch_dict_round_trip_without_truth() -> None:
@@ -234,13 +285,14 @@ def test_read_epochs_missing_key_is_input_error(tmp_path: Path) -> None:
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda rq: rq["model"]["antenna_bias"].pop(),
+        (lambda h: h["requery"]["model"]["antenna_bias"].pop(),
          r"antenna_bias needs one entry per antenna \(6\)"),
-        (lambda rq: rq["layout"]["body_positions"].pop(),
+        (lambda h: h["layout"]["body_positions"].pop(),
          r"antenna_bias needs one entry per antenna \(5\)"),
-        (lambda rq: rq["model"].update(baseline_bias=math.nan), "baseline_bias must be finite"),
-        (lambda rq: rq["model"].update(steepness=-1.0), "steepness must be positive"),
-        (lambda rq: rq["model"].update(float_fraction=2.0), "float_fraction must be in"),
+        (lambda h: h["requery"]["model"].update(baseline_bias=math.nan),
+         "baseline_bias must be finite"),
+        (lambda h: h["requery"]["model"].update(steepness=-1.0), "steepness must be positive"),
+        (lambda h: h["requery"]["model"].update(float_fraction=2.0), "float_fraction must be in"),
     ],
     ids=[
         "antenna-bias-short",
@@ -259,7 +311,7 @@ def test_read_epochs_rejects_bad_requery_record(tmp_path: Path, edit, message: s
     write_epochs(str(path), blocks_of(epochs))
     lines = path.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
-    edit(header["requery"])
+    edit(header)
     lines[0] = json.dumps(header)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -423,7 +475,7 @@ def test_block_decoder_checks_each_epoch_on_its_own() -> None:
     """Epochs that each name every antenna pair decode as one block, into
     the arrays each gives alone; a pair named twice in one epoch fails it."""
     epochs = epochs_of(simulate(_scenario(duration_s=0.5)))
-    stream = epochs[0].requery
+    stream = header_of(epochs[0])
     dicts = [json.loads(json.dumps(epoch_to_dict(e))) for e in epochs]
     block = mgp.streams._decode(dicts, range(2, len(dicts) + 2), stream)
     for got, d in zip(map(block.epoch, range(len(block))), dicts, strict=True):
@@ -469,7 +521,7 @@ def test_the_first_fix_without_a_known_status_names_the_fault(first, second, mes
 def _two_faults(first: str, second: str):
     edits = {
         "t-true": lambda r: r.update(t=True),
-        "no-w": lambda r: r["baselines"][0].pop("w"),
+        "no-v": lambda r: r["baselines"][0].pop("v"),
         "id-float": lambda r: r["fixes"][0].update(antenna_id=1.7),
         "no-sats-used": lambda r: r["fixes"][0].pop("sats_used"),
         "sat-id-number": lambda r: r["snr_rows"][0].update(sat_id=7),
@@ -494,8 +546,8 @@ def _two_faults(first: str, second: str):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_two_faults("t-true", "no-w"), "epoch time must be a number, got True"),
-        (_two_faults("no-w", "id-float"), "antenna ids must be integers"),
+        (_two_faults("t-true", "no-v"), "epoch time must be a number, got True"),
+        (_two_faults("no-v", "id-float"), "antenna ids must be integers"),
         (_two_faults("sat-id-number", "no-sats-used"),
          "missing key 'sats_used' in fixes"),
         (_two_faults("snr-row-number", "sat-id-number"), "satellite ids must be strings"),
@@ -526,7 +578,7 @@ def test_read_epochs_reports_the_first_of_two_faults(tmp_path: Path, edit, messa
     record = json.loads(lines[k])
     edit(record)
     lines[k] = json.dumps(record)
-    stream = epochs[0].requery
+    stream = header_of(epochs[0])
     with pytest.raises((InputError, ValidationError), match=f"^{re.escape(message)}$"):
         epoch_from_dict(json.loads(lines[k]), stream)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
