@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mgp import (
+    Baselines,
     DegenerateGeometryError,
     InsufficientDataError,
     RansacParams,
@@ -20,6 +21,7 @@ from mgp import (
     ransac_attitude,
     rotate,
 )
+from mgp.robust import consensus
 
 from conftest import baselines_of
 
@@ -182,6 +184,20 @@ def test_insufficient_fixed_observations() -> None:
     soft = VectorObservation(v=rotate(q, w2), w=w2, antenna_pair=(2, 3), fixed=False)
     with pytest.raises(InsufficientDataError):
         ransac_attitude(baselines_of([one, soft]), RansacParams())
+
+
+def test_block_of_no_epochs_is_an_empty_outcome() -> None:
+    """A block of no epochs (``ends`` of one offset) gives an outcome of no
+    epochs, with the field shapes of any other block."""
+    none = Baselines.checked(
+        np.zeros((0, 2), dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, bool)
+    )
+    found = consensus(none, [0], RansacParams())
+    assert found.hypotheses.dtype == np.int64 and found.inliers.dtype == bool
+    assert found.inliers.shape == (0, 0) and found.q_be.shape == (0, 4)
+    for name in ("hypotheses", "refitted", "lam", "gap", "weights_sum"):
+        assert getattr(found, name).shape == (0,)
+    assert found.available.shape == (0,)
 
 
 def test_all_collinear_pairs_exhaust_budget() -> None:
