@@ -7,7 +7,10 @@ observations and the SNR table, plus each epoch's optional
 :class:`EpochTruth` channel. It is the stream's one form from end to end:
 the simulator yields blocks, the epoch writer encodes them, the reader
 decodes into them and ``pipeline.run`` takes them. A single epoch is a
-block of one (:meth:`EpochBlock.epoch`).
+block of one (:meth:`EpochBlock.epoch`). A block holds only valid epochs:
+the reader skips every faulty epoch line before it builds one, so each SNR
+row holds one value per layout antenna, and an epoch names each antenna,
+pair and satellite once.
 
 A block holds its stream's antenna layout and :class:`RequeryStream`
 constants once, and a simulated epoch's truth channel its true pose as
@@ -233,11 +236,10 @@ class EpochBlock:
     """E consecutive epochs: the (E,) times ``t`` and file ``lines``, the
     fixes, baselines and SNR rows of all E as one record each with its E + 1
     row :func:`offsets`, the E truth channels and the stream's ``layout``
-    (the body frame of ``w``) and ``requery`` constants. The SNR table is as
-    wide as the widest epoch's rows, NaN-padded; ``snr_width`` (E,) int64
-    holds each epoch's own width, 0 for an epoch without SNR rows. The
-    simulator builds blocks whole and the epoch reader decodes into this
-    form."""
+    (the body frame of ``w``) and ``requery`` constants. Every SNR row holds
+    one value per layout antenna. The simulator builds blocks whole and the
+    epoch reader decodes into this form, after checking every epoch
+    (:mod:`mgp.streams`)."""
 
     t: np.ndarray
     lines: np.ndarray
@@ -247,7 +249,6 @@ class EpochBlock:
     baseline_ends: list[int]
     snr: SnrTable
     snr_ends: list[int]
-    snr_width: np.ndarray
     truth: tuple[EpochTruth | None, ...]
     layout: AntennaLayout
     requery: RequeryStream | None
@@ -264,8 +265,8 @@ class EpochBlock:
         return EpochBlock(
             self.t[one], self.lines[one], self.fixes.select(f), [0, f.stop - f.start],
             self.baselines.select(b), [0, b.stop - b.start],
-            SnrTable(self.snr.sat_ids[s], self.snr.dbhz[s, : self.snr_width[k]]),
-            [0, s.stop - s.start], self.snr_width[one], self.truth[one], self.layout, self.requery)
+            SnrTable(self.snr.sat_ids[s], self.snr.dbhz[s]), [0, s.stop - s.start],
+            self.truth[one], self.layout, self.requery)
 
 
 def _grade(

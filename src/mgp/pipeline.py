@@ -11,13 +11,14 @@ fix rate are always computed from the observed (pre-feedback) statuses so
 the feedback gain stays visible next to them.
 
 There is one front half, :class:`_FrontBlock`: it takes stages (1) and
-(2), with every check that can skip an epoch, over an
-:class:`mgp.epochs.EpochBlock` as the reader decoded it, with one array
-pass per check over the block's rows and one requery replay of all the
-block's epochs that need it. The checks run on the rows as read, so
-neither the antenna subset nor the feedback can hide a fault. ``run``
-takes each reader block through it and then the block's epochs without a
-fault through stages (3) and (4), with one call of the consensus kernel
+(2) over an :class:`mgp.epochs.EpochBlock` as the reader decoded it, with
+one array pass per step over the block's rows and one requery replay of
+all the block's epochs that need it. The reader is the one place that
+decides whether an epoch is valid (:mod:`mgp.streams`): it checks the
+rows as read, so neither the antenna subset nor the feedback can hide a
+fault, and skips each faulty epoch line before it builds a block. ``run``
+takes each reader block through the front half and then through stages
+(3) and (4), with one call of the consensus kernel
 and one position fusion, as one item of :func:`mgp.ordered.ordered_map`
 (:func:`_solved`), so a forked worker takes a share of whole blocks,
 decoding included when the blocks come as calls; the caller keeps what
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import jsonvals
 from .attitude import AttitudeSolution, body_to_enu
-from .core import AntennaLayout, euler_from_matrix, first_repeat, hexagon_layout
+from .core import AntennaLayout, euler_from_matrix, hexagon_layout
 from .core import quat_to_matrix, unit_quats
 from .epochs import (
     EpochBlock,
@@ -157,23 +158,20 @@ def _consensus_params(config: PipelineConfig) -> RansacParams:
 
 class _FrontBlock:
     """Stages (1) and (2) of an :class:`EpochBlock`, each step one array
-    pass over the block's rows as read: the checks, the subset masks, the
-    SNR spread and the requery replay of every epoch that needs it
+    pass over the block's rows: the subset masks, the SNR spread and the
+    requery replay of every epoch that needs it
     (:func:`mgp.epochs.replay`). This is the only front half: ``run`` takes
     every block through it and ``process_epoch`` a block of one.
 
     A block of another layout than the config's raises ConfigurationError.
-    ``faults`` maps each epoch at fault to the message of its first fault.
-    The checks run on the rows as read, before the subset or the replay can
-    hide a row, in this order: an antenna outside the layout (the fixes,
-    then the pairs), an SNR row of another width than the layout, a
-    satellite named twice, an antenna named twice. The scored SNR rows are
-    ``sats``, ``sigma``, ``count`` and ``verdict``, epoch k's at
-    ``snr_ends[k]:snr_ends[k + 1]``. Stage (2) gives the active ``fixes``
-    and ``candidates`` (the fixed active baselines) in epoch order, a
-    replayed epoch's rows in the place of its rows as read, with each row's
-    epoch (``fix_epoch``, ``candidate_epoch``), and ``stamps``, each epoch's
-    time and true pose ``[t, qx, qy, qz, qw, E, N, U]``, NaN without truth.
+    Every epoch of a block is valid (the reader checks each one). The
+    scored SNR rows are ``sats``, ``sigma``, ``count`` and ``verdict``,
+    epoch k's at ``snr_ends[k]:snr_ends[k + 1]``. Stage (2) gives the
+    active ``fixes`` and ``candidates`` (the fixed active baselines) in
+    epoch order, a replayed epoch's rows in the place of its rows as read,
+    with each row's epoch (``fix_epoch``, ``candidate_epoch``), and
+    ``stamps``, each epoch's time and true pose ``[t, qx, qy, qz, qw, E, N,
+    U]``, NaN without truth.
     """
 
     def __init__(self, block: EpochBlock, config: PipelineConfig) -> None:
@@ -182,46 +180,17 @@ class _FrontBlock:
         n = config.layout.antenna_count
         active = config.active_mask
         n_epochs = len(block)
-        faults: dict[int, str] = {}
 
-        fixes, baselines, snr = block.fixes, block.baselines, block.snr
-        ids, pairs = fixes.ids, baselines.pairs
+        fixes, baselines, ids = block.fixes, block.baselines, block.fixes.ids
         fix_epoch, pair_epoch = epoch_of_rows(block.fix_ends), epoch_of_rows(block.baseline_ends)
-        known = (ids >= 1) & (ids <= n)
-        known_ids = ((pairs >= 1) & (pairs <= n)).ravel()
-        stray = itertools.chain(
-            zip(fix_epoch[~known].tolist(), ids[~known].tolist()),
-            zip(np.repeat(pair_epoch, 2)[~known_ids].tolist(), pairs.ravel()[~known_ids].tolist()),
-        )
-        for k, i in stray:
-            faults.setdefault(k, f"antenna {i} has no layout entry (layout has {n})")
-
-        ends, width = block.snr_ends, block.snr_width
-        for k in np.flatnonzero((np.diff(ends) > 0) & (width != n)).tolist():
-            message = f"SNR row {snr.sat_ids[ends[k]]} has {width[k]} columns (layout has {n})"
-            faults.setdefault(k, message)
-        code: dict[str, int] = {}  # satellite id -> its number in the block
-        sat = np.array([code.setdefault(s, len(code)) for s in snr.sat_ids], dtype=np.int64)
-        snr_epoch = epoch_of_rows(ends)
-        seen = np.bincount(snr_epoch * len(code) + sat, minlength=n_epochs * len(code))
-        for k in np.flatnonzero((seen.reshape(n_epochs, len(code)) > 1).any(axis=1)).tolist():
-            dup = first_repeat(snr.sat_ids[ends[k]:ends[k + 1]])
-            faults.setdefault(k, f"duplicate SNR row for satellite {dup}")
-
-        use = active[np.where(known, ids, 0)]
+        use = active[ids]
         # each epoch's raw fixed active antennas, a bool per antenna id
         raw = use & (fixes.grade == 2)
         self.raw_fixed = np.zeros((n_epochs, n + 1), dtype=bool)
         self.raw_fixed[fix_epoch[raw], ids[raw]] = True
+        keep = baselines.fixed & active[baselines.pairs].all(axis=1)
 
-        active_pairs = active[np.where(known_ids, pairs.ravel(), 0)].reshape(-1, 2).all(axis=1)
-        keep = baselines.fixed & active_pairs
-
-        # the rows of the epochs whose rows are as wide as the layout
-        fits = np.repeat(width == n, np.diff(ends))
-        dbhz = snr.dbhz[fits, :n] if fits.any() else np.empty((0, n))
-        sats = tuple(itertools.compress(snr.sat_ids, fits.tolist()))
-        snr_epoch = snr_epoch[fits]
+        dbhz, sats, snr_epoch = block.snr.dbhz, block.snr.sat_ids, epoch_of_rows(block.snr_ends)
         if config.antenna_subset is not None:
             dbhz = dbhz[:, active[1:]]
             tracked = ~np.isnan(dbhz).all(axis=1)
@@ -234,30 +203,20 @@ class _FrontBlock:
         self.snr_ends = offsets(np.bincount(snr_epoch, minlength=n_epochs).tolist())
         excluding = np.bincount(snr_epoch[self.verdict == 1], minlength=n_epochs) > 0
 
-        # stage (2) is needed where feedback is on, the epoch excludes
-        # satellites and it carries a requery state
-        needed = []
-        if config.multipath_feedback and block.requery is not None:
-            for k in np.flatnonzero(excluding).tolist():
-                truth = block.truth[k]
-                if k not in faults and truth is not None and truth.requery is not None:
-                    needed.append(k)
-        # every row counts, the inactive antennas' and those a replay replaces
-        seen = np.bincount(fix_epoch[known] * (n + 1) + ids[known], minlength=n_epochs * (n + 1))
-        for k in np.flatnonzero((seen.reshape(n_epochs, n + 1) > 1).any(axis=1)).tolist():
-            dup = first_repeat(ids[block.fix_ends[k]:block.fix_ends[k + 1]].tolist())
-            faults.setdefault(k, f"duplicate solution for antenna {dup}")
-        self.faults = faults
-
         stamps = np.full((n_epochs, 8), np.nan)
         stamps[:, 0] = block.t
         poses = {k: (*tr.attitude, *tr.position) for k, tr in enumerate(block.truth) if tr}
         stamps[list(poses), 1:] = np.array(list(poses.values())).reshape(-1, 7)
         fixes, fix_epoch = fixes.select(use), fix_epoch[use]
         candidates, candidate_epoch = baselines.select(keep), pair_epoch[keep]
-        # the epochs that need stage (2), replayed together at their true
-        # poses; their rows take the place of their rows as read
-        replayed = [k for k in needed if k not in faults]
+        # stage (2) is needed where feedback is on, the epoch excludes
+        # satellites and it carries a requery state: those epochs are
+        # replayed together at their true poses, and their rows take the
+        # place of their rows as read
+        replayed = []
+        if config.multipath_feedback and block.requery is not None:
+            replayed = [k for k in np.flatnonzero(excluding).tolist()
+                        if block.truth[k] is not None and block.truth[k].requery is not None]
         if replayed:
             truths = [block.truth[k] for k in replayed]
             found = replay(block.requery, [t.requery for t in truths], stamps[replayed, 5:],
@@ -291,15 +250,13 @@ def process_epoch(epoch: EpochBlock, config: PipelineConfig) -> EpochResult:
     position: :class:`_FrontBlock`, then ``ransac_attitude`` and
     ``hybrid_position``, the block kernels ``run`` uses applied to one epoch.
 
-    Raises ValidationError for a block of other than one epoch, and, with
-    the message ``run`` skips it with, for an epoch that has a fault (see
-    :class:`_FrontBlock`).
+    Raises ValidationError for a block of other than one epoch. The epoch
+    is valid as the reader or the simulator made it, so it raises for no
+    fault of the epoch.
     """
     if len(epoch) != 1:
         raise ValidationError(f"process_epoch takes a block of one epoch, not {len(epoch)}")
     front = _FrontBlock(epoch, config)
-    if front.faults:
-        raise ValidationError(front.faults[0])
     params = _consensus_params(config)
     attitude = AttitudeSolution.unavailable()
     # consensus could never reach min_inliers with fewer fixed baselines
@@ -323,24 +280,21 @@ def process_epoch(epoch: EpochBlock, config: PipelineConfig) -> EpochResult:
 
 
 def _solve_block(front: _FrontBlock, config: PipelineConfig) -> tuple[np.ndarray, ...]:
-    """Stages (3) and (4) of a front block's epochs without a fault, in one
-    consensus call, only of those with ``min_inliers`` candidates, and one
-    position fusion: each epoch's position, attitude and fixed count, NaN
-    rows where it has no position or attitude (an epoch at fault too)."""
+    """Stages (3) and (4) of a front block's epochs, in one consensus call,
+    only of those with ``min_inliers`` candidates, and one position fusion:
+    each epoch's position, attitude and fixed count, NaN rows where it has
+    no position or attitude."""
     n_ep = len(front.stamps)
-    solve = np.ones(n_ep, dtype=bool)
-    solve[list(front.faults)] = False
     params = _consensus_params(config)
     q = np.full((n_ep, 4), np.nan)
     counts = np.bincount(front.candidate_epoch, minlength=n_ep)
-    reach = solve & (counts >= params.min_inliers)
+    reach = counts >= params.min_inliers
     if reach.any():
         ends = offsets(counts[reach].tolist())
         found = consensus(front.candidates.select(reach[front.candidate_epoch]), ends, params)
         q[np.flatnonzero(reach)[found.available]] = body_to_enu(found.q_be[found.available])
 
-    use = solve[front.fix_epoch]
-    fixes, fix_epoch = front.fixes.select(use), front.fix_epoch[use]
+    fixes, fix_epoch = front.fixes, front.fix_epoch
     n_rows = np.bincount(fix_epoch, minlength=n_ep)
     # at least one row slot, unused where no epoch has a fix
     valid = np.arange(max(1, int(n_rows.max(initial=0)))) < n_rows[:, None]
@@ -359,8 +313,7 @@ def _solved(config: PipelineConfig, item: Any) -> tuple[Any, ...]:
     """One item of ``run``'s stream, a block of epochs with its reader's
     skips or a call that decodes one, as the process that takes it leaves it
     for the caller: the reader's ``(lineno, message)`` skips, each epoch's
-    line and front half fault (:class:`_FrontBlock`), and the columns of
-    every epoch, solved when it has no fault: ``t``, ``p``, ``q``,
+    line, and the solved columns of every epoch: ``t``, ``p``, ``q``,
     ``n_fix``, the true pose ``[qx, qy, qz, qw, E, N, U]``, the Euler
     degrees of the attitude and of the true attitude (NaN where there is
     none), the raw fixed active antennas, the detection score of the SNR
@@ -378,7 +331,7 @@ def _solved(config: PipelineConfig, item: Any) -> tuple[Any, ...]:
     has = np.flatnonzero(~np.isnan(both[:, 0]))
     if len(has):
         euler[has] = [euler_from_matrix(m) for m in quat_to_matrix(both[has]).tolist()]
-    # an epoch without a fault names each satellite once, so its rows
+    # an epoch names each satellite once (the reader checks), so its rows
     # count the satellites of true - detected, detected - true and
     # detected & true
     row_epoch = epoch_of_rows(front.snr_ends)
@@ -388,7 +341,7 @@ def _solved(config: PipelineConfig, item: Any) -> tuple[Any, ...]:
     code = 4 * row_epoch[scored] + 2 * (front.verdict[scored] == 1) + np.array(true_mp, dtype=bool)
     hits = np.bincount(code, minlength=4 * n_ep).reshape(n_ep, 4)
     requery = np.array([tr is not None and tr.requery is not None for tr in truth], dtype=bool)
-    return skips, epochs.lines, front.faults, (
+    return skips, epochs.lines, (
         epochs.t, p, q, n_fix, stamps[:, 1:], euler[:n_ep], euler[n_ep:],
         front.raw_fixed, hits, requery,
     )
@@ -491,8 +444,8 @@ def _sds(values: np.ndarray, axes: tuple[str, ...], sd) -> dict[str, float | Non
 
 class _Tally:
     """The :func:`_solved` columns of each block's epochs that passed the
-    front half and the timestamp check, in stream order after an empty
-    block fixing their shapes, and the stream poses and metrics of them."""
+    timestamp check, in stream order after an empty block fixing their
+    shapes, and the stream poses and metrics of them."""
 
     def __init__(self, config: PipelineConfig) -> None:
         self.blocks: list[tuple[np.ndarray, ...]] = [(
@@ -558,39 +511,33 @@ def run(
     it, each block of epochs with the ``(lineno, message)`` of each line the
     reader skipped there (none for the blocks of :func:`mgp.simulate`), or
     as calls that decode them (:func:`mgp.streams.epoch_block_calls`). Each
-    block's work, every skip but the timestamp's decided in it, is one item
-    of :func:`mgp.ordered.ordered_map` (:func:`_solved`). Then, in stream
+    block's work, its decoding included, is one item of
+    :func:`mgp.ordered.ordered_map` (:func:`_solved`). Then, in stream
     order, an epoch is late when its time is not above every time of the
-    earlier epochs without a front half fault; a late epoch is skipped with
-    the timestamp message, even when it is also at fault. Each epoch's
-    results match :func:`process_epoch`'s, wherever the blocks fall.
+    earlier epochs, and is skipped with the timestamp message: the one skip
+    ``run`` decides, since the reader skips every faulty epoch line. Each
+    epoch's results match :func:`process_epoch`'s, wherever the blocks fall.
 
-    An epoch at fault is skipped with a message and never aborts the
-    stream; configuration-level problems do abort. Each block's messages,
-    the reader's and those of its skipped epochs, go to ``diagnostics`` in
-    line order, before a fault of the stream propagates; ``skipped`` counts
-    them all.
+    A skipped epoch never aborts the stream; configuration-level problems
+    do abort. Each block's messages, the reader's and those of its late
+    epochs, go to ``diagnostics`` in line order, before a fault of the
+    stream propagates; ``skipped`` counts them all.
     """
     diags = diagnostics if diagnostics is not None else []
     first_diag = len(diags)
     tally = _Tally(config)
-    # the epochs so far: the latest time among those without a front-half fault, their number
+    # the epochs so far: the latest time among them, their number
     last_t, idx = -math.inf, 0
     with closing(ordered_map(functools.partial(_solved, config), blocks)) as solved:
-        for skips, lines, faults, columns in solved:
+        for skips, lines, columns in solved:
             t = columns[0]
-            faulted = np.isin(np.arange(len(t)), list(faults))
-            latest = np.maximum.accumulate(
-                np.concatenate(([last_t], np.where(faulted, -math.inf, t))))
+            latest = np.maximum.accumulate(np.concatenate(([last_t], t)))
             late, last_t = t <= latest[:-1], latest[-1]
-            passed = ~late & ~faulted
-            tally.add(columns, passed)
+            tally.add(columns, ~late)
             notes = list(skips)  # (line, message)
-            for k in np.flatnonzero(~passed).tolist():
-                tk = t[k].item()
-                why = (f": non-increasing timestamp {tk!r}, skipped" if late[k]
-                       else f" (t={tk!r}): {faults[k]}")
-                notes.append((lines[k].item(), f"epoch {idx + k}{why}"))
+            for k in np.flatnonzero(late).tolist():
+                message = f"epoch {idx + k}: non-increasing timestamp {t[k].item()!r}, skipped"
+                notes.append((lines[k].item(), message))
             idx += len(t)
             diags.extend(message for _, message in sorted(notes, key=lambda note: note[0]))
     metrics, poses = tally.report(config, skipped=len(diags) - first_diag)

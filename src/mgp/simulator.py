@@ -428,8 +428,7 @@ def simulate(config: ScenarioConfig) -> Iterator[EpochBlock]:
         yield EpochBlock(
             t, k + 2, found.fixes, offsets([n_ant] * n),
             found.baselines, offsets(np.bincount(found.baseline_epoch, minlength=n).tolist()),
-            SnrTable(solution_sats * n, snr), offsets([n_sat] * n),
-            np.full(n, n_ant, dtype=np.int64), truths, layout, stream,
+            SnrTable(solution_sats * n, snr), offsets([n_sat] * n), truths, layout, stream,
         )
 
 

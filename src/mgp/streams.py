@@ -34,13 +34,16 @@ Formats:
     read the same way, after the SNR rows, and kept per epoch; a block
     without truth pays nothing for them. ``fixes``, ``baselines``,
     ``snr_rows`` and the truth lists must be JSON arrays, and so must each
-    row of a fixed width (a position, vector, antenna pair, SNR row of the
-    epoch's one width, or quaternion); the line and each object in it must
-    be a JSON object (``fixes must be JSON objects``). Every key but the
-    line's ``truth`` is required, and any other key is a fault; either is
-    named with the object it is missing from or found in (``missing key
-    'v' in baselines``, ``unknown key 'truht'`` on the line itself). The
-    block's SNR table is as wide as its widest epoch, NaN-padded. A line
+    row of a fixed width (a position, vector, antenna pair, SNR row of one
+    value per layout antenna, or quaternion); the line and each object in
+    it must be a JSON object (``fixes must be JSON objects``). Every key but
+    the line's ``truth`` is required, and any other key is a fault; either
+    is named with the object it is missing from or found in (``missing key
+    'v' in baselines``, ``unknown key 'truht'`` on the line itself). Every
+    antenna id of a fix or pair must be one of the header layout's, and an
+    epoch names each antenna's fix, each pair and each satellite's SNR row
+    once. The reader is the one place that decides whether an epoch is
+    valid: ``pipeline.run`` skips none but a late one. A line
     that is not UTF-8 or not JSON is set aside as a fault (the scan, pose
     and cloud readers name its ``path:line`` too), as is one longer than
     ``MAX_EPOCH_LINE`` characters, unparsed; if the block of the
@@ -77,10 +80,12 @@ Every text file is opened by :func:`core.open_text`, which reads "\\r\\n" and
 :func:`core.read_utf8`). A stream or pose file header longer than
 ``MAX_EPOCH_LINE`` characters is a fault of line 1, named ``path:1``, as is a
 stream header that is blank, not JSON, not the format's header or of a version
-that is not a JSON integer (``true`` and ``1.0`` are none). The scan and a .xyz
-cloud are read in chunks of whole lines, each ending at the line that takes it
-past :data:`CHUNK` characters, a .bin cloud in blocks of the whole records of
-``CHUNK`` bytes; each chunk carries the number of its first line or record.
+that is not a JSON integer (``true`` and ``1.0`` are none); a longer pose line
+is a fault named ``path:line``, and the pose reader reads no further. The scan
+and a .xyz cloud are read in chunks of whole lines, each ending at the line that
+takes it past :data:`CHUNK` characters, a .bin cloud in blocks of the whole
+records of ``CHUNK`` bytes; each chunk carries the number of its first line or
+record.
 
 All floats are serialized with Python repr (shortest round-trip), so a
 read/write cycle is byte-stable and exact-inverse tests can run through
@@ -113,7 +118,8 @@ import numpy as np
 
 from . import jsonvals
 from .attitude import Baselines
-from .core import AntennaLayout, Vec3, check_read_norm, open_text, unit_quats, utf8_line
+from .core import AntennaLayout, Vec3, check_read_norm, first_repeat, open_text, unit_quats
+from .core import utf8_line
 from .epochs import EPOCH_BLOCK, EpochBlock, EpochTruth, RequeryStream
 from .epochs import epoch_of_rows, offsets
 from .errors import ConfigurationError, InputError, ValidationError
@@ -204,18 +210,21 @@ def _decode(objects: list[Any], lines: Sequence[int], header: _EpochHeader) -> E
     sats = jsonvals.integers(_column(fixes, "sats_used", " in fixes"), "sats_used")
     _check_keys(fixes, _FIX_KEYS, " in fixes")
     fx = Fixes.checked(ids, np.array(grade, dtype=np.int8), p, sats)
+    n = header.layout.antenna_count
+    _check_in_layout(ids, n)
+    _check_unique(ids, fix_ends, "duplicate solution for antenna {}", ids)
 
     baselines, baseline_ends = _joined(_column(objects, "baselines", ""), "baselines")
     _objects(baselines, "baselines must be JSON objects")
     pairs = jsonvals.integers(_column(baselines, "antenna_pair", " in baselines"),
                               "antenna pairs", 2)
-    _check_unique_pairs(pairs, baseline_ends)
-    body = header.layout.positions
-    if (stray := pairs[(pairs < 1) | (pairs > len(body))]).size:
-        raise ValidationError(f"antenna {stray[0]} has no layout entry (layout has {len(body)})")
+    _check_unique(np.sort(pairs, axis=1), baseline_ends,
+                  "baseline antenna pairs must be unordered-unique")
+    _check_in_layout(pairs, n)
     v = jsonvals.floats(_column(baselines, "v", " in baselines"), "baseline vectors", 3)
     fixed = jsonvals.flags(_column(baselines, "fixed", " in baselines"), "baseline fixed flags")
     _check_keys(baselines, _BASELINE_KEYS, " in baselines")
+    body = header.layout.positions
     bl = Baselines.checked(pairs, v, body[pairs[:, 1] - 1] - body[pairs[:, 0] - 1], fixed)
 
     rows, snr_ends = _joined(_column(objects, "snr_rows", ""), "snr_rows")
@@ -223,25 +232,21 @@ def _decode(objects: list[Any], lines: Sequence[int], header: _EpochHeader) -> E
     snr = _column(rows, "snr", " in snr_rows")
     sat_ids = jsonvals.strings(_column(rows, "sat_id", " in snr_rows"), "satellite ids")
     _check_keys(rows, ("sat_id", "snr"), " in snr_rows")
-    # one width for each epoch's rows (a row that is no array fails below);
-    # the table is as wide as the widest epoch's, narrower rows null-padded
-    lengths = np.array([len(r) for r in snr] if set(map(type, snr)) <= {list} else [0] * len(snr),
-                       dtype=np.int64)
-    counts = np.diff(snr_ends)
-    width = np.where(counts > 0, np.append(lengths, 0)[snr_ends[:-1]], 0)
-    head = np.repeat(width, counts)  # the width of each row's epoch's first row
-    if (odd := np.flatnonzero(lengths != head)).size:
-        raise ValidationError(f"SNR rows need one width, got {head[odd[0]]} and {lengths[odd[0]]}")
-    if not (lengths == (wide := width.max(initial=0))).all():
-        snr = [r + [None] * (wide - len(r)) for r in snr]
-    table = SnrTable.checked(sat_ids, jsonvals.floats(snr, "SNR values", int(wide), nulls=True))
+    # one value per layout antenna in each row (a row that is no array fails below)
+    if odd := [k for k, r in enumerate(snr) if type(r) is list and len(r) != n]:
+        k = odd[0]
+        raise ValidationError(f"SNR row {sat_ids[k]} has {len(snr[k])} columns (layout has {n})")
+    table = SnrTable.checked(sat_ids, jsonvals.floats(snr, "SNR values", n, nulls=True))
+    code: dict[str, int] = {}  # satellite id -> its number in the block
+    sat = np.array([code.setdefault(s, len(code)) for s in sat_ids], dtype=np.int64)
+    _check_unique(sat, snr_ends, "duplicate SNR row for satellite {}", sat_ids)
 
     truth = [d.get("truth") for d in objects]
     _check_keys(objects, _EPOCH_KEYS, "", 4 * len(objects) + sum("truth" in d for d in objects))
     truths = iter(_truths([tr for tr in truth if tr is not None], header.requery))
     return EpochBlock(
         np.array(ts, dtype=np.float64), np.array(lines, dtype=np.int64),
-        fx, fix_ends, bl, baseline_ends, table, snr_ends, width,
+        fx, fix_ends, bl, baseline_ends, table, snr_ends,
         tuple(None if tr is None else next(truths) for tr in truth), header.layout, header.requery,
     )
 
@@ -328,14 +333,24 @@ def _check_keys(objects: list[Any], keys: tuple[str, ...], where: str,
         raise ValidationError(f"unknown key {key!r}{where}")
 
 
-def _check_unique_pairs(pairs: np.ndarray, ends: list[int]) -> None:
-    """Raise ValidationError when an epoch names one unordered antenna pair
-    twice; ``ends`` holds the epochs' row :func:`offsets` into ``pairs``."""
-    lo, hi = np.sort(pairs, axis=1).T
-    epoch = epoch_of_rows(ends)
-    keys = np.stack((epoch, lo, hi))[:, np.lexsort((hi, lo, epoch))]
-    if (keys[:, 1:] == keys[:, :-1]).all(axis=0).any():
-        raise ValidationError("baseline antenna pairs must be unordered-unique")
+def _check_in_layout(ids: np.ndarray, n: int) -> None:
+    """Raise ValidationError naming the first antenna id of ``ids``, in row
+    order, that a layout of ``n`` antennas has no entry for."""
+    if (stray := ids[(ids < 1) | (ids > n)]).size:
+        raise ValidationError(f"antenna {stray[0]} has no layout entry (layout has {n})")
+
+
+def _check_unique(keys: np.ndarray, ends: list[int], message: str,
+                  names: Sequence[Any] = ()) -> None:
+    """Raise ValidationError ``message`` when an epoch holds one row of the
+    (r,) or (r, m) integer ``keys`` twice; ``ends`` holds the epochs' row
+    :func:`offsets`. The ``{}`` of ``message`` is the first repeat, in row
+    order, of the first such epoch's row ``names``."""
+    rows = np.column_stack((epoch_of_rows(ends), keys))
+    rows = rows[np.lexsort(rows.T[::-1])]
+    if (repeats := (rows[1:] == rows[:-1]).all(axis=1)).any():
+        k = rows[repeats.argmax(), 0]
+        raise ValidationError(message.format(first_repeat(names[ends[k]:ends[k + 1]])))
 
 
 def _epoch_lines(first: EpochBlock, block: EpochBlock) -> list[str]:
@@ -355,9 +370,8 @@ def _epoch_lines(first: EpochBlock, block: EpochBlock) -> list[str]:
         for pair, v, fixed in zip(bl.pairs.tolist(), bl.v.tolist(), bl.fixed.tolist())
     ]
     values = snr.dbhz.tolist()
-    if np.isnan(snr.dbhz).any():  # nulls, or the padding past an epoch's own width
-        widths = np.repeat(block.snr_width, np.diff(block.snr_ends)).tolist()
-        values = [[None if x != x else x for x in row[:w]] for row, w in zip(values, widths)]
+    if np.isnan(snr.dbhz).any():
+        values = [[None if x != x else x for x in row] for row in values]
     rows = [{"sat_id": sat, "snr": row} for sat, row in zip(snr.sat_ids, values)]
     return [
         json.dumps({
@@ -691,13 +705,16 @@ def _pose_row(cells: list[str]) -> list[float]:
 
 def read_poses(path: str) -> Poses:
     """The poses of a pose CSV, each quaternion normalized. A row that breaks
-    a rule of the module docstring raises InputError naming ``path:line``."""
+    a rule of the module docstring, or a line longer than ``MAX_EPOCH_LINE``
+    characters, raises InputError naming ``path:line``."""
     values: list[list[float]] = []
     with open_text(path) as f:
         header = _first_line(f, path).rstrip("\n")
         if header != POSE_CSV_HEADER:
             raise InputError(f"{path}: unexpected CSV header {header!r}")
-        for lineno, line in enumerate(f, start=2):
+        for lineno, line in enumerate(iter(functools.partial(_bounded_line, f), ""), start=2):
+            if isinstance(line, ValidationError):
+                raise InputError(f"{path}:{lineno}: {line}")
             line = line.rstrip("\n")
             if not line:
                 continue

@@ -59,12 +59,16 @@ def one_epoch(t: float, fixes: Fixes, baselines: Baselines, snr: SnrTable,
               truth: EpochTruth | None = None, requery: RequeryStream | None = None,
               line: int = 0, layout: AntennaLayout | None = None) -> EpochBlock:
     """The block of one epoch from line ``line`` of its records, of the
-    stream of ``layout``, by default the hexagon."""
-    width = snr.dbhz.shape[1] if len(snr) else 0  # a table without rows has width 0
+    stream of ``layout``, by default the hexagon. The epoch must be valid,
+    as the reader or the simulator makes one: an SNR table without rows
+    is taken as one of the layout's width."""
+    layout = layout or hexagon_layout()
+    if not len(snr):
+        snr = SnrTable((), np.empty((0, layout.antenna_count)))
     return EpochBlock(
         np.array([t], dtype=np.float64), np.array([line], dtype=np.int64),
         fixes, [0, len(fixes)], baselines, [0, len(baselines)], snr, [0, len(snr)],
-        np.array([width], dtype=np.int64), (truth,), layout or hexagon_layout(), requery,
+        (truth,), layout, requery,
     )
 
 
@@ -84,21 +88,15 @@ def epochs_of(blocks: Iterable[EpochBlock]) -> list[EpochBlock]:
 
 def joined(epochs: Sequence[EpochBlock], lines: Iterable[int]) -> EpochBlock:
     """The blocks of one epoch ``epochs`` of one stream as one block, epoch
-    k from line ``lines[k]``, its SNR table as wide as its widest epoch's,
-    NaN-padded."""
+    k from line ``lines[k]``."""
     tables = [e.snr for e in epochs]
-    widths = [t.dbhz.shape[1] if len(t) else 0 for t in tables]
-    snr_ends = offsets(map(len, tables))
-    dbhz = np.full((snr_ends[-1], max(widths)), np.nan)
-    for t, a, w in zip(tables, snr_ends, widths):
-        dbhz[a:a + len(t), :w] = t.dbhz[:, :w]
     sat_ids = tuple(itertools.chain.from_iterable(t.sat_ids for t in tables))
     fixes, baselines = [e.fixes for e in epochs], [e.baselines for e in epochs]
     return EpochBlock(
         np.concatenate([e.t for e in epochs]), np.array(list(lines), dtype=np.int64),
         Fixes.joined(fixes), offsets(map(len, fixes)),
         Baselines.joined(baselines), offsets(map(len, baselines)),
-        SnrTable(sat_ids, dbhz), snr_ends, np.array(widths, dtype=np.int64),
+        SnrTable(sat_ids, np.concatenate([t.dbhz for t in tables])), offsets(map(len, tables)),
         tuple(itertools.chain.from_iterable(e.truth for e in epochs)), epochs[0].layout,
         epochs[0].requery,
     )

@@ -3,15 +3,15 @@
 ``read_epoch_blocks`` gives each block of ``READ_BLOCK`` non-blank lines as
 one :class:`mgp.EpochBlock` and the ``(lineno, message)`` of each line it
 skipped. On the bundled streams, and on streams with the faults of
-``test_epoch_faults`` (and a few that only ``run`` finds) on any lines, at
-several block sizes:
+``test_epoch_faults`` (and those the reader finds with the header layout
+or by a row named twice) on any lines, at several block sizes:
 
 - each ``block.epoch(k)`` is bitwise the block of one that
   ``epoch_from_dict`` makes of its line: every array's dtype, shape and
   bytes, every time and the truth channel;
 - each block is bitwise the ``joined`` blocks of one of its own
-  ``epoch(k)``: its SNR table NaN-padded to the widest epoch,
-  ``snr_width`` and the row offsets;
+  ``epoch(k)``: its SNR table, one column per layout antenna, and the row
+  offsets;
 - ``block.lines`` names those lines, and the epochs and skips of a block
   cover its lines;
 - the skips are what ``read_skipping`` records, in line order;
@@ -122,18 +122,28 @@ def _unknown_antenna(record: dict) -> None:
     record["fixes"][0]["antenna_id"] = 9
 
 
-# Changes that leave a line an epoch: rows of another width than the layout
-# (a block of mixed widths is decoded at once, its SNR table NaN-padded to
-# the widest epoch), no SNR rows (an epoch of width 0), and an antenna
-# outside the layout, which ``run`` skips.
+def _dup_satellite(record: dict) -> None:
+    record["snr_rows"].append(record["snr_rows"][0])
+
+
+def _dup_antenna(record: dict) -> None:
+    record["fixes"].append(record["fixes"][0])
+
+
+# Edits of a line that parses: no SNR rows leaves it an epoch; rows of
+# another width than the layout, an antenna outside it, and a satellite or
+# an antenna named twice are faults the reader finds per epoch, with the
+# header layout, after the checks of each field's JSON type.
 EPOCH_EDITS = {"snr-width-5": _snr_width_5, "no-snr-rows": _no_snr_rows,
-               "unknown-antenna": _unknown_antenna}
+               "unknown-antenna": _unknown_antenna, "dup-satellite": _dup_satellite,
+               "dup-antenna": _dup_antenna}
 
 
 # Records of the "edited" stream and their edits: alone, next to each other
 # and on both sides of the edges of blocks of 3, 7 and 32 lines.
-EDITED = {0: "no-snr-rows", 6: "snr-width-5", 7: "no-snr-rows", 13: "unknown-antenna",
-          20: "snr-width-5", 31: "no-snr-rows", 32: "snr-width-5"}
+EDITED = {0: "no-snr-rows", 2: "dup-satellite", 6: "snr-width-5", 7: "no-snr-rows",
+          13: "unknown-antenna", 14: "dup-antenna", 20: "snr-width-5", 30: "dup-antenna",
+          31: "no-snr-rows", 32: "snr-width-5", 33: "dup-satellite"}
 
 
 @pytest.fixture(scope="module")
@@ -241,8 +251,8 @@ def test_a_block_raises_exactly_when_one_of_its_lines_raises_alone(data: st.Data
     stream = decoded_header(header)
     first = data.draw(st.integers(0, len(lines) - 2), label="first")
     block = lines[first:first + data.draw(st.integers(2, 8), label="size")]
-    # the edits that leave a line an epoch twice as often as each fault:
-    # only they can make a block raise where no line raises alone
+    # the edits twice as often as each fault: the per-epoch checks run on
+    # the rows of the whole block, so they could mix epochs up
     kinds = (*FAULTS, *EPOCH_EDITS, *EPOCH_EDITS, "snr-rows-differ")
     chosen = data.draw(st.lists(st.integers(0, len(block) - 1), min_size=1, max_size=3,
                                 unique=True))
@@ -269,14 +279,15 @@ def test_a_block_whose_only_faults_do_not_parse_is_decoded_once(
     clean_lines, monkeypatch
 ) -> None:
     """Lines that are not JSON are set aside before the block is decoded,
-    and epochs of several SNR widths share one padded table: such a block
-    is built by one ``_decode`` call, of the lines that parse."""
+    and epochs with and without SNR rows share one table of the layout's
+    width: such a block is built by one ``_decode`` call, of the lines that
+    parse."""
     header, *lines = clean_lines["multipath"]
     block = []
     for n, line in enumerate(lines[:mgp.streams.READ_BLOCK], start=2):
         if n % 5 == 0:
             record = json.loads(line)
-            _snr_width_5(record)
+            _no_snr_rows(record)
             line = json.dumps(record)
         block.append((n, "{not json" if n % 7 == 0 else line))
     calls: list[list[int]] = []
@@ -292,7 +303,9 @@ def test_a_block_whose_only_faults_do_not_parse_is_decoded_once(
     assert calls == [good]
     assert epochs.lines.tolist() == good
     assert [n for n, _ in faults] == [n for n, line in block if line == "{not json"]
-    assert sorted(set(epochs.snr_width.tolist())) == [5, 6]
+    assert epochs.snr.dbhz.shape[1] == 6
+    rows = np.diff(epochs.snr_ends)
+    assert rows.min() == 0 < rows.max()
 
 
 @pytest.mark.parametrize("other", ["{not json", "[1, 2]"], ids=["not-json", "array"])

@@ -237,7 +237,8 @@ def test_estimate_skips_epoch_with_antenna_outside_layout(tmp_path: Path, capsys
     )
     assert code == 0
     captured = capsys.readouterr()
-    assert "antenna 9 has no layout entry (layout has 6)" in captured.err
+    reason = "antenna 9 has no layout entry (layout has 6)"
+    assert captured.err == f"{epochs}:6: skipped epoch: {reason}\n"
     assert "processed 29 epochs (1 skipped)" in captured.out
     m = json.loads(metrics.read_text(encoding="utf-8"))
     assert (m["epochs"], m["skipped"]) == (29, 1)
@@ -696,6 +697,27 @@ def test_oracle_wahba_skips_bad_lines(tmp_path: Path, capsys) -> None:
     assert out == "".join([head, *rows[:5], *rows[6:]])
 
 
+def test_oracle_wahba_skips_the_epochs_estimate_skips(tmp_path: Path, capsys) -> None:
+    """The oracle and ``estimate`` read through one reader, which decides
+    every skip but a late timestamp's: an epoch naming a satellite twice
+    gets the reader's skip line from both, at the same ``path:line``, and
+    no oracle row at its time."""
+    def second_row_twice(record: dict) -> None:
+        record["snr_rows"].append(record["snr_rows"][1])
+
+    code, err, epochs, metrics = _estimate_edited(tmp_path, capsys, 6, second_row_twice)
+    record = json.loads(epochs.read_text(encoding="utf-8").splitlines()[5])
+    skip = (f"{epochs}:6: skipped epoch: duplicate SNR row for satellite "
+            f"{record['snr_rows'][1]['sat_id']}\n")
+    assert (code, err) == (0, skip)
+    assert json.loads(metrics.read_text(encoding="utf-8"))["skipped"] == 1
+    assert main(["oracle", "wahba-svd", "--epochs", str(epochs)]) == 0
+    out, err = capsys.readouterr()
+    assert err == skip
+    times = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert len(times) == 29 and repr(record["t"]) not in times
+
+
 def test_console_script_installed(tmp_path: Path) -> None:
     exe = shutil.which("mgp")
     if exe is None:
@@ -717,8 +739,8 @@ def test_estimate_skips_every_epoch_naming_an_antenna_twice(tmp_path: Path, caps
     """Every epoch of a short multipath stream names antenna 1 as fixed twice
     more. The requery replay gives an epoch fresh fixes, so with feedback on
     it could hide the extra rows from a check made after it while the fix
-    rates still counted them (a rate of 217%, exit 2). Each epoch is
-    skipped either way."""
+    rates still counted them (a rate of 217%, exit 2). The reader skips
+    each epoch line at its ``path:line`` either way."""
     scenario = json.loads(Path(bundled_scenario_path("multipath")).read_text(encoding="utf-8"))
     scen = _write(tmp_path / "scen.json", {**scenario, "duration_s": 3.0})
     epochs = tmp_path / "epochs.jsonl"
@@ -738,8 +760,8 @@ def test_estimate_skips_every_epoch_naming_an_antenna_twice(tmp_path: Path, caps
             "--poses", str(tmp_path / "poses.csv"), "--metrics", str(metrics)]
     assert main(argv + flags) == 0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 30
-    assert all(e.endswith("): duplicate solution for antenna 1") for e in err)
+    assert err == [f"{epochs}:{n}: skipped epoch: duplicate solution for antenna 1"
+                   for n in range(2, 32)]
     m = json.loads(metrics.read_text(encoding="utf-8"))
     assert (m["epochs"], m["skipped"]) == (0, 30)
     rates = [m["hybrid_fix_rate_pct"], m["hybrid_fix_rate_multipath_pct"],

@@ -35,7 +35,6 @@ from mgp import (
     VectorObservation,
 )
 from mgp.errors import (
-    ConfigurationError,
     DegenerateGeometryError,
     InputError,
     InsufficientDataError,
@@ -75,18 +74,28 @@ def _vec(obj: Any) -> Vec3:
     return Vec3(x, y, z)
 
 
-def _body_vector(body: list[Vec3], pair: Any) -> Vec3:
-    """The header layout's body baseline of an antenna pair."""
-    i, j = int(pair[0]), int(pair[1])
-    if not (1 <= i <= len(body) and 1 <= j <= len(body)):
-        raise ValidationError(f"antenna pair {pair} outside the layout")
-    return body[j - 1] - body[i - 1]
+def _check_once(names: list[Any], message: str) -> None:
+    """Raise ValidationError ``message`` with the first name that repeats."""
+    seen: set[Any] = set()
+    for name in names:
+        if name in seen:
+            raise ValidationError(message.format(name))
+        seen.add(name)
+
+
+def _check_in_layout(ids: list[int], n: int) -> None:
+    for i in ids:
+        if not 1 <= i <= n:
+            raise ValidationError(f"antenna {i} has no layout entry (layout has {n})")
 
 
 def _epoch_from_dict(d: dict[str, Any], header: dict[str, Any]) -> _Epoch:
     """The epoch of a line of a stream of the header object ``header``, each
-    baseline's body vector from the header's layout."""
+    baseline's body vector from the header's layout. Each field's layout
+    and once-only checks come in the block decoder's order: the fixes' ids,
+    then the pairs, then the SNR rows."""
     body = [_vec(p) for p in header["layout"]["body_positions"]]
+    n = len(body)
     try:
         fixes = tuple(
             _Fix(
@@ -97,14 +106,18 @@ def _epoch_from_dict(d: dict[str, Any], header: dict[str, Any]) -> _Epoch:
             )
             for f in d["fixes"]
         )
+        _check_in_layout([f.antenna_id for f in fixes], n)
+        _check_once([f.antenna_id for f in fixes], "duplicate solution for antenna {}")
+        pairs = [(int(o["antenna_pair"][0]), int(o["antenna_pair"][1])) for o in d["baselines"]]
+        _check_once([tuple(sorted(p)) for p in pairs],
+                    "baseline antenna pairs must be unordered-unique")
+        _check_in_layout([i for pair in pairs for i in pair], n)
         baselines = tuple(
             VectorObservation(
-                v=_vec(o["v"]),
-                w=_body_vector(body, o["antenna_pair"]),
-                antenna_pair=(int(o["antenna_pair"][0]), int(o["antenna_pair"][1])),
+                v=_vec(o["v"]), w=body[j - 1] - body[i - 1], antenna_pair=(i, j),
                 fixed=bool(o["fixed"]),
             )
-            for o in d["baselines"]
+            for o, (i, j) in zip(d["baselines"], pairs)
         )
         snr_rows = tuple(
             _SnrRow(
@@ -113,6 +126,12 @@ def _epoch_from_dict(d: dict[str, Any], header: dict[str, Any]) -> _Epoch:
             )
             for r in d["snr_rows"]
         )
+        for row in snr_rows:
+            if len(row.snr_dbhz) != n:
+                raise ValidationError(
+                    f"SNR row {row.sat_id} has {len(row.snr_dbhz)} columns (layout has {n})"
+                )
+        _check_once([row.sat_id for row in snr_rows], "duplicate SNR row for satellite {}")
         truth = None
         if d.get("truth") is not None:
             tr = d["truth"]
@@ -132,9 +151,6 @@ def _epoch_from_dict(d: dict[str, Any], header: dict[str, Any]) -> _Epoch:
                     if tr["requery"] is not None else None
                 ),
             )
-        pairs = [tuple(sorted(o.antenna_pair)) for o in baselines]
-        if len(set(pairs)) != len(pairs):
-            raise ValidationError("baseline antenna pairs must be unordered-unique")
         return _Epoch(float(d["t"]), fixes, baselines, snr_rows, truth)
     except KeyError as exc:
         raise ValidationError(f"missing key {exc.args[0]!r}") from None
@@ -180,13 +196,9 @@ def _snr_sd(values: list[float]) -> float:
 
 def _detect(rows, threshold: float, min_count: int):
     """Per-satellite (sigma, count, verdict) and the excluded satellites."""
-    seen: set[str] = set()
     per_sat: dict[str, tuple[float | None, int, int]] = {}
     excluded = set()
     for row in rows:
-        if row.sat_id in seen:
-            raise ValidationError(f"duplicate SNR row for satellite {row.sat_id}")
-        seen.add(row.sat_id)
         present = [s for s in row.snr_dbhz if s is not None]
         sigma = _snr_sd(present) if len(present) >= 2 else None
         if len(present) < min_count:
@@ -205,15 +217,7 @@ def _rotation(q: mgp.UnitQuaternion) -> np.ndarray:
 
 
 def _hybrid_position(fixes, attitude, layout) -> PositionSolution:
-    seen: set[int] = set()
-    for f in fixes:
-        if f.antenna_id in seen:
-            raise ValidationError(f"duplicate solution for antenna {f.antenna_id}")
-        seen.add(f.antenna_id)
     fixed = [f for f in fixes if f.status is FixStatus.FIXED]
-    for f in fixed:
-        if f.antenna_id > layout.antenna_count:
-            raise ConfigurationError(f"antenna {f.antenna_id} has no layout entry")
     if not fixed:
         return PositionSolution.unavailable()
     if attitude is None:
@@ -241,19 +245,6 @@ def _euler(q: mgp.UnitQuaternion) -> tuple[float, float, float]:
     return math.degrees(roll), math.degrees(pitch), math.degrees(yaw)
 
 
-def _check_antenna_ids(epoch: _Epoch, layout) -> None:
-    n = layout.antenna_count
-    ids = [f.antenna_id for f in epoch.fixes] + [a for o in epoch.baselines for a in o.antenna_pair]
-    for i in ids:
-        if not 1 <= i <= n:
-            raise ValidationError(f"antenna {i} has no layout entry (layout has {n})")
-    for row in epoch.snr_rows:
-        if len(row.snr_dbhz) != n:
-            raise ValidationError(
-                f"SNR row {row.sat_id} has {len(row.snr_dbhz)} columns (layout has {n})"
-            )
-
-
 def _attitude(baselines, config: PipelineConfig) -> mgp.AttitudeSolution:
     fixed = [o for o in baselines if o.fixed]
     # the object path skips consensus below two fixed baselines
@@ -270,7 +261,6 @@ def _attitude(baselines, config: PipelineConfig) -> mgp.AttitudeSolution:
 
 def _process(epoch: _Epoch, config: PipelineConfig, verdicts: list) -> tuple:
     layout = config.layout
-    _check_antenna_ids(epoch, layout)
     subset = set(config.antenna_subset) if config.antenna_subset is not None else None
     fixes, baselines, rows = list(epoch.fixes), list(epoch.baselines), list(epoch.snr_rows)
     if subset is not None:
@@ -310,11 +300,7 @@ def _run(epochs, config: PipelineConfig, diags: list[str], verdicts: list):
         if last_t is not None and epoch.t <= last_t:
             diags.append(f"epoch {idx}: non-increasing timestamp {epoch.t!r}, skipped")
             continue
-        try:
-            attitude, position, per_sat, fixes_used = _process(epoch, config, verdicts)
-        except (ValidationError, InputError, InsufficientDataError) as exc:
-            diags.append(f"epoch {idx} (t={epoch.t!r}): {exc}")
-            continue
+        attitude, position, per_sat, fixes_used = _process(epoch, config, verdicts)
         last_t = epoch.t
         n_proc += 1
         raw_fixed = 0
@@ -403,7 +389,7 @@ def _reference(path: str, config: PipelineConfig) -> _Estimate:
 
 def _arrays(path: str, config: PipelineConfig, monkeypatch) -> _Estimate:
     """``estimate`` on the arrays, in one process, with the verdicts of
-    every epoch that passed the front half, in stream order: each block's
+    every epoch that passed the timestamp check, in stream order: each block's
     front half (``_FrontBlock``) scores its SNR rows, ``run`` tallies the
     block's passed epochs at once (``_Tally.add``), and each such epoch's
     verdicts are its slices of the block's scored SNR rows."""
@@ -623,5 +609,58 @@ def test_mistyped_lines_are_the_only_difference(streams, monkeypatch, tmp_path) 
     got_metrics, want_metrics = json.loads(got.metrics_json), json.loads(want.metrics_json)
     assert (got_metrics.pop("skipped"), want_metrics.pop("skipped")) == (len(BAD_EDITS), 0)
     assert got_metrics == want_metrics
+    _assert_same_poses(got.poses, want.poses)
+    assert got.verdicts == want.verdicts
+
+
+def _append_first(key: str) -> Callable[[dict], None]:
+    def edit(record: dict) -> None:
+        record[key].append(record[key][0])
+
+    return edit
+
+
+def _snr_5(record: dict) -> None:
+    record["snr_rows"][0]["snr"] = record["snr_rows"][0]["snr"][:5]
+
+
+# One edit per fault the reader finds with the header layout or by a row
+# named twice, and its reason; ``{}`` is the line's first satellite.
+LAYOUT_EDITS = {
+    "antenna-9": (_edit_fix("antenna_id", 9), "antenna 9 has no layout entry (layout has 6)"),
+    "fix-twice": (_append_first("fixes"), "duplicate solution for antenna 1"),
+    "pair-9": (_edit_baseline("antenna_pair", [9, 1]),
+               "antenna 9 has no layout entry (layout has 6)"),
+    "snr-5": (_snr_5, "SNR row {} has 5 columns (layout has 6)"),
+    "satellite-twice": (_append_first("snr_rows"), "duplicate SNR row for satellite {}"),
+}
+
+
+@pytest.mark.parametrize("subset", [None, (1, 3, 5)], ids=["all", "1-3-5"])
+def test_layout_faults_match_object_path(streams, monkeypatch, tmp_path, subset) -> None:
+    """Epoch lines with an antenna outside the layout, an SNR row of 5
+    values or a fix or satellite named twice: both readers skip exactly
+    those lines with the same ``path:line`` messages, and the rest match."""
+    _, clean = streams["multipath"]
+    lines = clean.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "layout.jsonl"
+    out, skips = [lines[0]], []
+    edits = iter(LAYOUT_EDITS.values())
+    for k, line in enumerate(lines[1:], start=1):
+        if k % 7 == 0 and (found := next(edits, None)):
+            edit, reason = found
+            record = json.loads(line)
+            edit(record)
+            line = json.dumps(record)
+            reason = reason.format(record["snr_rows"][0]["sat_id"])
+            skips.append(f"{path}:{len(out) + 1}: skipped epoch: {reason}")
+        out.append(line)
+    assert len(skips) == len(LAYOUT_EDITS)
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    config = PipelineConfig(antenna_subset=subset)
+    got = _arrays(str(path), config, monkeypatch)
+    want = _reference(str(path), config)
+    assert got.diagnostics == want.diagnostics == skips
+    assert got.metrics_json == want.metrics_json
     _assert_same_poses(got.poses, want.poses)
     assert got.verdicts == want.verdicts

@@ -14,7 +14,8 @@ error text.
 An epoch line longer than ``MAX_EPOCH_LINE`` characters is skipped by
 ``estimate`` with a message naming ``path:line``, read past without being
 held whole. A first line that long, of an epoch, scan or pose file, is
-refused at ``path:1`` unparsed.
+refused at ``path:1`` unparsed, and so is any pose line that long at its
+own ``path:line``.
 
 The stream headers are faults of the file: an epoch header (read by
 ``estimate``) of version 1, of another version, with requery constants of
@@ -425,6 +426,34 @@ def test_an_oversize_header_names_line_1(chain, tmp_path: Path, name: str) -> No
     else:
         argv = ["georef", "--poses", files["poses.csv"], "--scan", files["scan.jsonl"],
                 "--calib", chain["calib"], "--cloud", str(tmp_path / "cloud.xyz")]
+    assert _cli(argv) == (1, f"error: {message}\n")
+
+
+def test_an_oversize_pose_line_ends_georef(chain, tmp_path: Path, monkeypatch) -> None:
+    """A pose line of 3,000,000 characters after the header is refused
+    unparsed and unechoed: the reader reads ``MAX_EPOCH_LINE + 1``
+    characters of it and no further line, and the reader and ``georef``
+    name its ``path:line`` in one short line and exit 1."""
+    limit = mgp.streams.MAX_EPOCH_LINE
+    header, rest = Path(chain["poses.csv"]).read_text(encoding="utf-8").split("\n", 1)
+    long = ("0.0" + ",1" * 1_500_000)[:3_000_000]
+    assert len(long) == 3_000_000
+    text = f"{header}\n{long}\n{rest}"
+    path = tmp_path / "poses.csv"
+    path.write_text(text, encoding="utf-8")
+    message = f"{path}:2: line longer than {limit} characters"
+    with pytest.raises(mgp.InputError) as exc:
+        mgp.read_poses(str(path))
+    assert str(exc.value) == message
+
+    f = _Readlines(text)
+    with monkeypatch.context() as m:
+        m.setattr(mgp.streams, "open_text", lambda _: f)
+        with pytest.raises(mgp.InputError):
+            mgp.read_poses(str(path))
+    assert f.sizes == [len(header) + 1, limit + 1]
+    argv = ["georef", "--poses", str(path), "--scan", chain["scan.jsonl"],
+            "--calib", chain["calib"], "--cloud", str(tmp_path / "cloud.xyz")]
     assert _cli(argv) == (1, f"error: {message}\n")
 
 

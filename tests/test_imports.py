@@ -300,6 +300,25 @@ def test_run_takes_each_front_block_whole() -> None:
         assert "MultipathReport" not in {_name(node) for node in _calls(code)}
 
 
+def test_the_reader_alone_decides_an_epoch_is_valid() -> None:
+    """The layout and once-only checks of an epoch live in the epoch
+    reader: a block holds one SNR width, the layout's, so ``EpochBlock``
+    has no ``snr_width``; the front half has no ``faults``; and pipeline.py
+    holds none of the four reasons the reader skips an epoch line with."""
+    import mgp.pipeline
+
+    assert "snr_width" not in {f.name for f in dataclasses.fields(mgp.EpochBlock)}
+    config = mgp.PipelineConfig()
+    scenario = mgp.ScenarioConfig(
+        duration_s=0.2, constellation=(mgp.Satellite("G01", 0.0, 45.0),))
+    front = mgp.pipeline._FrontBlock(next(iter(mgp.simulate(scenario))), config)
+    assert not hasattr(front, "faults")
+    text = (SRC / "pipeline.py").read_text(encoding="utf-8")
+    for reason in ("has no layout entry", "columns (layout has", "duplicate SNR row",
+                   "duplicate solution for antenna"):
+        assert reason not in text, reason
+
+
 def test_perfbench_finds_every_name_it_uses() -> None:
     """The tracer wraps each ``(module, attribute)`` of its TARGETS, the
     chain imports names from mgp, and both read these fields of the records

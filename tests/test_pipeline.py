@@ -3,7 +3,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from mgp import (
     AttitudeProfile,
     ConfigurationError,
     FixModel,
-    Fixes,
     FixStatus,
     InputError,
     MultipathConfig,
@@ -44,7 +46,15 @@ from mgp import (
 )
 
 from conftest import baselines_of, fixes_of, snr_of
-from scalar_epochs import blocks_of, edited, epoch_blocks, epochs_of, no_skips, one_epoch
+from scalar_epochs import (
+    blocks_of,
+    edited,
+    epoch_blocks,
+    epoch_from_dict,
+    epochs_of,
+    no_skips,
+    one_epoch,
+)
 
 SATS = tuple(
     Satellite(sat_id=f"G{k:02d}", azimuth_deg=40.0 * k, elevation_deg=25.0 + 8.0 * k)
@@ -329,81 +339,101 @@ def test_run_skips_non_increasing_timestamps() -> None:
     assert "non-increasing" in result.diagnostics[0]
 
 
-def test_run_skips_epoch_level_validation_errors() -> None:
+def _written(tmp_path, epochs: list[mgp.EpochBlock], edits: dict) -> tuple[Path, dict[int, dict]]:
+    """The file ``write_epochs`` makes of ``epochs``, epoch k at line k + 2,
+    with the line of each epoch k in ``edits`` edited as a JSON object by
+    ``edits[k]``, and the edited objects by epoch."""
+    path = tmp_path / "e.jsonl"
+    write_epochs(str(path), blocks_of(epochs))
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    records = {}
+    for k, edit in edits.items():
+        records[k] = json.loads(lines[k])
+        edit(records[k])
+        lines[k] = json.dumps(records[k])
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    return path, records
+
+
+def _skip(path: Path, k: int, reason: str) -> str:
+    """The reader's message for the line of epoch k of a :func:`_written` file."""
+    return f"{path}:{k + 2}: skipped epoch: {reason}"
+
+
+def test_run_skips_epoch_level_validation_errors(tmp_path) -> None:
     cfg = _scenario(duration_s=1.0)
     epochs = epochs_of(simulate(cfg))
-    dup = epochs[3]
-    bad = edited(
-        dup,
-        t=epochs[2].t[0].item() + 0.001,
-        # the first satellite twice
-        snr=SnrTable.checked(dup.snr.sat_ids[:1] * 2, dup.snr.dbhz[[0, 0]]),
-    )
-    stream = epochs[:3] + [bad] + epochs[3:]
-    result = run(epoch_blocks(stream), PipelineConfig())
+    dup = edited(epochs[3], t=epochs[2].t[0].item() + 0.001)
+    stream = epochs[:3] + [dup] + epochs[3:]
+
+    def first_satellite_twice(record: dict) -> None:
+        record["snr_rows"][1:1] = record["snr_rows"][:1]
+
+    path, records = _written(tmp_path, stream, {3: first_satellite_twice})
+    reason = f"duplicate SNR row for satellite {dup.snr.sat_ids[0]}"
+    with pytest.raises(ValidationError, match=f"^{reason}$"):
+        epoch_from_dict(records[3])
+    result = run(read_epoch_blocks(str(path)), PipelineConfig())
     assert result.metrics.epochs == 10
     assert result.metrics.skipped == 1
     assert result.metrics.epochs + result.metrics.skipped == len(stream)
+    assert result.diagnostics == [_skip(path, 3, reason)]
 
 
-def test_run_skips_epoch_naming_an_antenna_outside_the_layout() -> None:
+def test_run_skips_epoch_naming_an_antenna_outside_the_layout(tmp_path) -> None:
     cfg = _scenario(duration_s=1.0)
     epochs = epochs_of(simulate(cfg))
-    src = epochs[4]
-    f = src.fixes
-    with_stray_fix = Fixes.checked(  # the epoch's fixes and a fixed antenna 9
-        np.append(f.ids, 9), np.append(f.grade, 2), np.vstack([f.p, [0.0, 0.0, 30.0]]),
-        np.append(f.sats_used, 8),
-    )
-    first = next(iter(src.baselines))
-    stray_baseline = VectorObservation(v=first.v, w=first.w, antenna_pair=(1, 9))
-    bad_fix = edited(src, fixes=with_stray_fix)
-    bad_baseline = edited(
-        epochs[5], baselines=baselines_of([*epochs[5].baselines, stray_baseline]),
-    )
-    with pytest.raises(ValidationError, match="antenna 9 has no layout entry"):
-        process_epoch(bad_fix, PipelineConfig())
-    stream = epochs[:4] + [bad_fix, bad_baseline] + epochs[6:]
-    result = run(epoch_blocks(stream), PipelineConfig())
-    assert result.metrics.epochs == len(stream) - 2
+
+    def stray_fix(record: dict) -> None:  # the epoch's fixes and a fixed antenna 9
+        record["fixes"].append(
+            {"antenna_id": 9, "status": "fixed", "p": [0.0, 0.0, 30.0], "sats_used": 8})
+
+    def stray_baseline(record: dict) -> None:
+        record["baselines"].append({**record["baselines"][0], "antenna_pair": [1, 9]})
+
+    path, records = _written(tmp_path, epochs, {4: stray_fix, 5: stray_baseline})
+    reason = "antenna 9 has no layout entry (layout has 6)"
+    for k in (4, 5):
+        with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+            epoch_from_dict(records[k])
+    result = run(read_epoch_blocks(str(path)), PipelineConfig())
+    assert result.metrics.epochs == len(epochs) - 2
     assert result.metrics.skipped == 2
-    assert all("antenna 9 has no layout entry" in d for d in result.diagnostics)
+    assert result.diagnostics == [_skip(path, 4, reason), _skip(path, 5, reason)]
     # the subset filter does not hide the stray id either
-    result = run(epoch_blocks(stream), PipelineConfig(antenna_subset=(1, 3, 5)))
+    result = run(read_epoch_blocks(str(path)), PipelineConfig(antenna_subset=(1, 3, 5)))
     assert result.metrics.skipped == 2
 
 
-def _with_fixes(epoch: mgp.EpochBlock, rows) -> mgp.EpochBlock:
-    """The epoch with its fixes and then ``rows`` (id, grade, position)."""
-    f = epoch.fixes
-    ids, grade, p = zip(*rows)
-    fixes = Fixes.checked(
-        np.append(f.ids, ids), np.append(f.grade, grade), np.vstack([f.p, p]),
-        np.append(f.sats_used, [9] * len(rows)),
-    )
-    return edited(epoch, fixes=fixes)
+def _with_fixes(rows) -> Callable[[dict], None]:
+    """An edit that gives an epoch line its fixes and then ``rows`` (id,
+    status, position)."""
+    def edit(record: dict) -> None:
+        record["fixes"] += [{"antenna_id": i, "status": status, "p": p, "sats_used": 9}
+                            for i, status, p in rows]
+
+    return edit
 
 
 @pytest.mark.parametrize("feedback", [True, False], ids=["feedback", "no-feedback"])
-def test_run_skips_an_antenna_named_twice_before_the_replay(feedback: bool) -> None:
+def test_run_skips_an_antenna_named_twice_before_the_replay(tmp_path, feedback: bool) -> None:
     """The even epochs of a multipath stream name antenna 1 as fixed twice
-    more. The check reads the rows as read, before the requery replay gives
-    an epoch fresh fixes, so these epochs are skipped under feedback too,
-    and the rest give the metrics and poses of the clean odd epochs alone."""
+    more. The reader checks the rows as read, before the requery replay
+    gives an epoch fresh fixes, so these epochs are skipped under feedback
+    too, and the rest give the metrics and poses of the clean odd epochs
+    alone."""
     cfg = replace(load_scenario(bundled_scenario_path("multipath")), duration_s=3.0)
     epochs = epochs_of(simulate(cfg))
     config = PipelineConfig(multipath_feedback=feedback)
-    extra = [(1, 2, [0.9, 0.0, 0.0])] * 2
-    stream = [e if k % 2 else _with_fixes(e, extra) for k, e in enumerate(epochs)]
-    for epoch in stream[::2]:
-        with pytest.raises(ValidationError, match="^duplicate solution for antenna 1$"):
-            process_epoch(epoch, config)
-    got, want = run(epoch_blocks(stream), config), run(epoch_blocks(epochs[1::2]), config)
-    assert got.diagnostics == [
-        f"epoch {k} (t={e.t[0].item()!r}): duplicate solution for antenna 1"
-        for k, e in enumerate(stream)
-        if k % 2 == 0
-    ]
+    extra = _with_fixes([(1, "fixed", [0.9, 0.0, 0.0])] * 2)
+    path, records = _written(tmp_path, epochs, dict.fromkeys(range(0, len(epochs), 2), extra))
+    reason = "duplicate solution for antenna 1"
+    for record in records.values():
+        with pytest.raises(ValidationError, match=f"^{reason}$"):
+            epoch_from_dict(record)
+    got = run(read_epoch_blocks(str(path)), config)
+    want = run(epoch_blocks(epochs[1::2]), config)
+    assert got.diagnostics == [_skip(path, k, reason) for k in range(0, len(epochs), 2)]
     got_m, want_m = got.metrics.to_json_dict(), want.metrics.to_json_dict()
     assert (got_m.pop("skipped"), want_m.pop("skipped")) == (15, 0)
     assert got_m == want_m
@@ -412,36 +442,35 @@ def test_run_skips_an_antenna_named_twice_before_the_replay(feedback: bool) -> N
         assert np.array_equal(getattr(got.poses, name), getattr(want.poses, name), equal_nan=True)
 
 
-def test_run_skips_an_inactive_antenna_named_twice() -> None:
+def test_run_skips_an_inactive_antenna_named_twice(tmp_path) -> None:
     # antenna 2 is outside the subset, which does not hide its second row
     epochs = epochs_of(simulate(_scenario(duration_s=1.0)))
-    bad = _with_fixes(epochs[4], [(2, 1, [0.0, 0.9, 0.0])])
+    path, records = _written(tmp_path, epochs, {4: _with_fixes([(2, "float", [0.0, 0.9, 0.0])])})
     config = PipelineConfig(antenna_subset=(1, 3, 5))
-    with pytest.raises(ValidationError, match="^duplicate solution for antenna 2$"):
-        process_epoch(bad, config)
-    result = run(epoch_blocks(epochs[:4] + [bad] + epochs[5:]), config)
+    reason = "duplicate solution for antenna 2"
+    with pytest.raises(ValidationError, match=f"^{reason}$"):
+        epoch_from_dict(records[4])
+    result = run(read_epoch_blocks(str(path)), config)
     assert (result.metrics.epochs, result.metrics.skipped) == (9, 1)
-    assert result.diagnostics == [
-        f"epoch 4 (t={bad.t[0].item()!r}): duplicate solution for antenna 2"]
+    assert result.diagnostics == [_skip(path, 4, reason)]
 
 
-def test_run_skips_a_satellite_named_twice_that_the_subset_drops() -> None:
+def test_run_skips_a_satellite_named_twice_that_the_subset_drops(tmp_path) -> None:
     # X01's two rows are tracked by antennas 2, 4 and 6 only, so antennas
     # 1, 3 and 5 leave both untracked; the epoch is still at fault
     epochs = epochs_of(simulate(_scenario(duration_s=1.0)))
-    src = epochs[4]
-    rows = np.full((2, 6), np.nan)
-    rows[:, 1::2] = 45.0
-    table = src.snr
-    snr = SnrTable.checked(table.sat_ids + ("X01", "X01"), np.vstack([table.dbhz, rows]))
-    bad = edited(src, snr=snr)
+
+    def x01_twice(record: dict) -> None:
+        record["snr_rows"] += [{"sat_id": "X01", "snr": [None, 45.0] * 3}] * 2
+
+    path, records = _written(tmp_path, epochs, {4: x01_twice})
     config = PipelineConfig(antenna_subset=(1, 3, 5))
-    with pytest.raises(ValidationError, match="^duplicate SNR row for satellite X01$"):
-        process_epoch(bad, config)
-    result = run(epoch_blocks(epochs[:4] + [bad] + epochs[5:]), config)
+    reason = "duplicate SNR row for satellite X01"
+    with pytest.raises(ValidationError, match=f"^{reason}$"):
+        epoch_from_dict(records[4])
+    result = run(read_epoch_blocks(str(path)), config)
     assert (result.metrics.epochs, result.metrics.skipped) == (9, 1)
-    assert result.diagnostics == [
-        f"epoch 4 (t={bad.t[0].item()!r}): duplicate SNR row for satellite X01"]
+    assert result.diagnostics == [_skip(path, 4, reason)]
 
 
 def test_run_feedback_disabled_leaves_requery_rate_none() -> None:
@@ -564,7 +593,7 @@ def test_run_detection_score_is_exact(subset) -> None:
 def test_an_snr_table_without_rows_runs_whatever_its_width(tmp_path) -> None:
     """An epoch whose SNR table has no rows but six columns, which
     ``SnrTable.checked`` accepts, runs as it does read back from the file
-    ``write_epochs`` makes of it, where its table has width 0."""
+    ``write_epochs`` makes of it, where its table has the layout's width."""
     epochs = epochs_of(simulate(_scenario(duration_s=0.3)))
     epochs[1] = edited(epochs[1], snr=SnrTable.checked((), np.empty((0, 6))))
     path = tmp_path / "e.jsonl"
@@ -598,9 +627,10 @@ def _mistyped_t(record: dict) -> str:
 
 
 def test_run_counts_reader_skips_on_a_shared_list(tmp_path, monkeypatch) -> None:
-    """Reader skips (a line that is not JSON, a mistyped field), early
-    timestamps and a front half fault, inside blocks and at their edges,
-    each at its own place in the shared list, at any block size."""
+    """Reader skips (a line that is not JSON, a mistyped field, an antenna
+    outside the layout) and early timestamps, inside blocks and at their
+    edges, each at its own place in the shared list, at any block size; a
+    timestamp message counts the epochs the reader kept."""
     path = tmp_path / "e.jsonl"
     write_epochs(str(path), simulate(_scenario(duration_s=1.2)))
     header, *lines = path.read_text(encoding="utf-8").splitlines()
@@ -617,10 +647,10 @@ def test_run_counts_reader_skips_on_a_shared_list(tmp_path, monkeypatch) -> None
         f"{path}:2: {NOT_JSON}",
         "epoch 4: non-increasing timestamp 0.3, skipped",
         f"{path}:8: skipped epoch: epoch time must be a number, got True",
-        "epoch 6 (t=0.6): antenna 9 has no layout entry (layout has 6)",
+        f"{path}:10: skipped epoch: antenna 9 has no layout entry (layout has 6)",
         f"{path}:11: {NOT_JSON}",
         f"{path}:14: skipped epoch: epoch time must be a number, got True",
-        "epoch 11: non-increasing timestamp 1.0, skipped",
+        "epoch 10: non-increasing timestamp 1.0, skipped",
         f"{path}:18: {NOT_JSON}",
     ]
     runs = []
@@ -702,25 +732,37 @@ def test_metrics_json_rounding() -> None:
     json.dumps(d)  # must be serializable as-is
 
 
-def test_subset_with_short_snr_rows_skips_epoch() -> None:
-    # epoch hand-built with 3-antenna SNR rows; selecting antenna 6 cannot work
+def _one_row_epoch(tmp_path, width: int) -> tuple[Path, dict]:
+    """A stream of one hand-built epoch, a fixed antenna 6 and one SNR row
+    for G01 cut to ``width`` values, and the edited line's object."""
     fixes = fixes_of([(6, FixStatus.FIXED, Vec3(0.0, 0.0, 0.0))])
-    rows = snr_of([("G01", (45.0, 45.0, 45.0))])
-    epoch = one_epoch(0.0, fixes, baselines_of(()), rows)
-    result = run(epoch_blocks([epoch]), PipelineConfig(antenna_subset=(5, 6)))
+    epoch = one_epoch(0.0, fixes, baselines_of(()), snr_of([("G01", (45.0,) * 6)]))
+
+    def cut(record: dict) -> None:
+        record["snr_rows"][0]["snr"] = [45.0] * width
+
+    path, records = _written(tmp_path, [epoch], {0: cut})
+    return path, records[0]
+
+
+def test_subset_with_short_snr_rows_skips_epoch(tmp_path) -> None:
+    # an epoch line with 3-antenna SNR rows; selecting antenna 6 cannot work
+    path, _ = _one_row_epoch(tmp_path, 3)
+    result = run(read_epoch_blocks(str(path)), PipelineConfig(antenna_subset=(5, 6)))
     assert result.metrics.epochs == 0
     assert result.metrics.skipped == 1
+    assert result.diagnostics == [_skip(path, 0, "SNR row G01 has 3 columns (layout has 6)")]
 
 
 @pytest.mark.parametrize("width", [3, 7])
-def test_snr_row_width_must_match_layout(width: int) -> None:
+def test_snr_row_width_must_match_layout(tmp_path, width: int) -> None:
     # without a subset the columns of a 3-wide row on a 6-antenna layout are
     # ambiguous, so the epoch is rejected rather than read as antennas 1-3
-    rows = snr_of([("G01", (45.0,) * width)])
-    epoch = one_epoch(0.0, fixes_of(()), baselines_of(()), rows)
-    with pytest.raises(ValidationError, match=f"G01 has {width} columns"):
-        process_epoch(epoch, PipelineConfig())
-    result = run(epoch_blocks([epoch]), PipelineConfig())
+    path, record = _one_row_epoch(tmp_path, width)
+    reason = f"SNR row G01 has {width} columns (layout has 6)"
+    with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+        epoch_from_dict(record)
+    result = run(read_epoch_blocks(str(path)), PipelineConfig())
     assert result.metrics.epochs == 0
     assert result.metrics.skipped == 1
-    assert "G01" in result.diagnostics[0]
+    assert result.diagnostics == [_skip(path, 0, reason)]

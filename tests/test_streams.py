@@ -134,10 +134,11 @@ def test_write_epochs_refuses_a_block_of_another_layout(tmp_path: Path) -> None:
 
 
 def test_write_epochs_writes_the_reader_blocks_back(tmp_path: Path) -> None:
-    """A block's SNR table is as wide as its widest epoch, NaN-padded: the
-    writer cuts each epoch's rows to that epoch's own width, and writes a
-    NaN within it as null, so the reader's blocks of epochs of 6, 5 and 0
-    SNR columns write the lines they were read from."""
+    """Every SNR row of a block holds one value per layout antenna, and the
+    writer writes a NaN as null: the reader skips an epoch of 5 SNR
+    columns at its ``path:line``, and its blocks of the other epochs, one
+    with a null SNR value and one without SNR rows, write the lines they
+    were read from."""
     epochs = epochs_of(simulate(_scenario(duration_s=0.5)))
     path, back = tmp_path / "e.jsonl", tmp_path / "back.jsonl"
     write_epochs(str(path), blocks_of(epochs))
@@ -147,11 +148,15 @@ def test_write_epochs_writes_the_reader_blocks_back(tmp_path: Path) -> None:
         row["snr"] = row["snr"][:5]
     records[2]["snr_rows"][0]["snr"][0] = None
     records[3]["snr_rows"] = []
-    path.write_text("\n".join([header, *map(json.dumps, records)]) + "\n", encoding="utf-8")
-    blocks = [block for block, skips in mgp.read_epoch_blocks(str(path)) if not skips]
-    assert [block.snr_width.tolist() for block in blocks] == [[6, 5, 6, 0, 6]]
-    assert write_epochs(str(back), blocks) == 5
-    assert back.read_bytes() == path.read_bytes()
+    lines = list(map(json.dumps, records))
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    blocks = list(mgp.read_epoch_blocks(str(path)))
+    sat = records[1]["snr_rows"][0]["sat_id"]
+    assert [skips for _, skips in blocks] == [
+        [(3, f"{path}:3: skipped epoch: SNR row {sat} has 5 columns (layout has 6)")]]
+    assert [block.snr.dbhz.shape[1] for block, _ in blocks] == [6]
+    assert write_epochs(str(back), [block for block, _ in blocks]) == 4
+    assert back.read_text(encoding="utf-8") == "\n".join([header, *lines[:1], *lines[2:]]) + "\n"
 
 
 @pytest.mark.parametrize("nulled", ["first", "every"])
@@ -434,9 +439,9 @@ def test_read_epochs_rejects_mistyped_fields(tmp_path: Path, edit, message: str)
                          ids=["first-empty", "first-wide", "last-short", "middle-empty"])
 def test_read_epochs_names_the_snr_widths_that_disagree(tmp_path: Path, row: int,
                                                         width: int) -> None:
-    """SNR rows of one epoch must share one width: a line with a row of
-    another width names the first row's width and the first other one,
-    alone and inside a full reader block, and does not blame the good rows."""
+    """Every SNR row holds one value per layout antenna: a line with a row
+    of another width names that row and its width, alone and inside a full
+    reader block, and does not blame the good rows."""
     epochs = epochs_of(simulate(_scenario(duration_s=4.0)))
     assert len(epochs) > mgp.streams.READ_BLOCK
     path = tmp_path / "e.jsonl"
@@ -445,10 +450,9 @@ def test_read_epochs_names_the_snr_widths_that_disagree(tmp_path: Path, row: int
     k = mgp.streams.READ_BLOCK // 2
     record = json.loads(lines[k])
     snr = record["snr_rows"][row]["snr"]
-    n = len(snr)
+    assert len(snr) == 6
     record["snr_rows"][row]["snr"] = (snr * 2)[:width]
-    first, other = (width, n) if row == 0 else (n, width)
-    message = f"SNR rows need one width, got {first} and {other}"
+    message = f"SNR row {record['snr_rows'][row]['sat_id']} has {width} columns (layout has 6)"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         epoch_from_dict(record)
     lines[k] = json.dumps(record)
